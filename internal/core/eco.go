@@ -12,10 +12,7 @@ import (
 	"eplace/internal/detail"
 	"eplace/internal/eco"
 	"eplace/internal/geom"
-	"eplace/internal/legalize"
 	"eplace/internal/netlist"
-	"eplace/internal/poisson"
-	"eplace/internal/telemetry"
 )
 
 // ECOOptions configures an incremental re-placement run.
@@ -23,9 +20,6 @@ type ECOOptions struct {
 	// GP configures the warm-started global placement over the active
 	// cells (workers, Poisson backend, telemetry, golden trace).
 	GP Options
-	// LegalizeMethod selects the standard-cell legalizer for the
-	// incremental cDP over the active cells.
-	LegalizeMethod legalize.Method
 	// Detail configures cDP refinement; SkipDetail stops after
 	// legalization.
 	Detail     detail.Options
@@ -34,28 +28,28 @@ type ECOOptions struct {
 	// start near the density target converges in tens of iterations;
 	// the bound only matters for pathological edits).
 	MaxIters int
-	// Perturb is the localized jitter radius applied to the edited
-	// cells before the warm start, in multiples of the average standard
-	// cell dimension (default 2). The jitter breaks the exact-stacking
-	// symmetry of cells seeded at one net centroid — identical
-	// positions feel identical gradients and would never separate.
-	Perturb float64
 	// Checkpoint, when non-nil, persists a done-phase snapshot of the
 	// finished incremental placement, so further ECO runs (or the
 	// server's job chaining) can stack on top of this one.
 	Checkpoint *checkpoint.Manager
 }
 
-// ECOResult reports one incremental re-placement.
+// ecoPerturb is the localized jitter radius applied to the fresh cells
+// before the warm start, in multiples of the average active-cell
+// dimension. The jitter breaks the exact-stacking symmetry of cells
+// seeded at one net centroid — identical positions feel identical
+// gradients and would never separate.
+const ecoPerturb = 2
+
+// ECOResult reports one incremental re-placement. The embedded summary
+// carries HPWL and Legal of the final full layout, DP (the detail
+// refinement over the active cells), Stages and StageTime ("eGP",
+// "cDP"), and the per-stage golden Digests ("eGP", "cDP", "final"; for
+// a no-op edit the "final" digest equals the cold run's).
 type ECOResult struct {
 	// GP is the incremental global placement over the active cells
 	// (stage "eGP"); zero-valued for no-op edits.
 	GP Result
-	// DP is the detail refinement over the active cells.
-	DP detail.Result
-	// HPWL and Legal describe the final full layout.
-	HPWL  float64
-	Legal bool
 	// NoOp reports that the edit changed nothing structurally: the
 	// previous placement was returned untouched, bit for bit.
 	NoOp bool
@@ -64,21 +58,8 @@ type ECOResult struct {
 	// LegalizeDisp and LegalizeMaxDisp are the incremental row
 	// legalization's total and max displacement over the active cells.
 	LegalizeDisp, LegalizeMaxDisp float64
-	// Stages and StageTime mirror FlowResult's accounting.
-	Stages    []StageSpan
-	StageTime map[string]time.Duration
-	// Digests are the per-stage golden digests ("eGP", "cDP", "final").
-	// For a no-op edit the "final" digest equals the cold run's.
-	Digests []telemetry.StageDigest
-}
 
-func (o *ECOOptions) defaults() {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 600
-	}
-	if o.Perturb <= 0 {
-		o.Perturb = 2
-	}
+	flowSummary
 }
 
 // PlaceECO runs an incremental re-placement of d, which must hold the
@@ -89,98 +70,77 @@ func (o *ECOOptions) defaults() {
 // around them as obstacles — and are restored afterwards, bitwise at
 // their input positions (enforced, not assumed). Only the plan's
 // active cells move: a short Nesterov placement warm-started from the
-// current positions (no mIP, no fillers), then row legalization and
-// detail placement over the active cells only.
+// current positions (no mIP), then the flow's cDP tail with row
+// legalization and detail placement over the active cells only.
 //
 // An empty plan (structural no-op) short-circuits: positions are
 // untouched and the "final" golden digest matches a cold run of the
 // same design exactly, at any worker count.
 func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOptions) (ECOResult, error) {
-	opt.defaults()
-	res := ECOResult{StageTime: map[string]time.Duration{}}
+	var res ECOResult
 	if plan == nil {
 		return res, fmt.Errorf("core: PlaceECO needs a freeze plan (see eco.Prepare)")
 	}
-	rec := opt.GP.Telemetry
-	golden := opt.GP.Golden
-	if golden == nil {
-		golden = telemetry.NewGoldenTrace()
-		opt.GP.Golden = golden
+	if opt.MaxIters <= 0 {
+		opt.MaxIters = 600
 	}
+	// The run opens — and takes its fingerprint — before anything below
+	// mutates structure the fingerprint covers: a future ECO chaining off
+	// this result validates against a freshly rebuilt, input-shaped design.
+	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
 	res.ActiveCells = len(plan.Active)
 	res.FrozenCells = len(plan.Frozen)
-
-	// The checkpoint fingerprint is taken now, before the run mutates
-	// structure the fingerprint covers (row construction below): a
-	// future ECO chaining off this result validates against a freshly
-	// rebuilt, input-shaped design.
-	fp := checkpoint.Fingerprint(d)
-
-	movMacros := d.MovableOf(netlist.Macro)
-	mixedSize := len(movMacros) > 0
 
 	// Rows are part of the reused context: build them exactly as the
 	// cold flow would, before any freezing hides standard cells from
 	// the height vote.
-	if len(d.Rows) == 0 {
-		if h := stdCellHeight(d); h > 0 {
-			legalize.BuildRows(d, h, 0)
-		}
-	}
+	r.ensureRows()
 
-	finish := func() error {
-		stdCells := d.MovableOf(netlist.StdCell)
-		res.HPWL = d.HPWL()
-		res.Legal = len(d.Rows) > 0 && legalize.CheckLegal(d, stdCells) == nil
-		if mixedSize && res.Legal {
-			res.Legal = legalize.CheckMacrosLegal(d, movMacros) == nil
+	// Structural no-op: reuse the previous placement bit for bit.
+	res.NoOp = len(plan.Active) == 0
+	if !res.NoOp {
+		// Snapshot the frozen positions: ending anywhere else is a bug the
+		// caller must see, not a silent quality loss.
+		frozenX := make([]float64, len(plan.Frozen))
+		frozenY := make([]float64, len(plan.Frozen))
+		for k, ci := range plan.Frozen {
+			frozenX[k] = d.Cells[ci].X
+			frozenY[k] = d.Cells[ci].Y
 		}
-		golden.Absorb("final", 0, d.Positions(d.Movable()), res.HPWL, 0)
-		res.Digests = golden.Digests()
-		if opt.Checkpoint != nil {
-			st := &checkpoint.State{
-				Phase:       checkpoint.PhaseDone,
-				DesignName:  d.Name,
-				Fingerprint: fp,
-				MixedSize:   mixedSize,
-				Poisson:     poisson.NormalizeKind(opt.GP.Poisson),
-				Golden:      golden.State(),
+		if err := replaceActive(r, plan, opt, &res); err != nil {
+			return res, err
+		}
+		for k, ci := range plan.Frozen {
+			if d.Cells[ci].X != frozenX[k] || d.Cells[ci].Y != frozenY[k] {
+				return res, fmt.Errorf("core: frozen cell %d (%s) moved from (%v, %v) to (%v, %v): freeze invariant violated",
+					ci, d.Cells[ci].Name, frozenX[k], frozenY[k], d.Cells[ci].X, d.Cells[ci].Y)
 			}
-			st.CapturePositions(d, 0)
-			return opt.Checkpoint.Save(st)
 		}
-		return nil
 	}
+	err := r.finish()
+	return res, err
+}
 
-	if len(plan.Active) == 0 {
-		// Structural no-op: reuse the previous placement bit for bit.
-		res.NoOp = true
-		return res, finish()
-	}
-
+// replaceActive is the part of PlaceECO that runs with the plan's
+// frozen cells pinned: fresh-cell jitter, the warm-started eGP stage,
+// snap-back, and the cDP tail over the active cells.
+func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult) error {
+	d := run.d
 	// Freeze: everything movable outside the active set becomes a fixed
-	// obstacle for the duration of the run. The original flags are
-	// restored afterwards (the flow mutates fixedness the same way
-	// during the cGP filler-only phase).
+	// obstacle for the duration of the run; the deferred restore covers
+	// every exit (the flow mutates fixedness the same way during the cGP
+	// filler-only phase).
 	wasFixed := make([]bool, len(d.Cells))
 	for i := range d.Cells {
 		wasFixed[i] = d.Cells[i].Fixed
 	}
-	for _, ci := range plan.Frozen {
-		d.Cells[ci].Fixed = true
-	}
-	unfreeze := func() {
-		for i := range d.Cells {
+	defer func() {
+		for i := range wasFixed {
 			d.Cells[i].Fixed = wasFixed[i]
 		}
-	}
-	// Snapshot the frozen positions: ending anywhere else is a bug the
-	// caller must see, not a silent quality loss.
-	frozenX := make([]float64, len(plan.Frozen))
-	frozenY := make([]float64, len(plan.Frozen))
-	for k, ci := range plan.Frozen {
-		frozenX[k] = d.Cells[ci].X
-		frozenY[k] = d.Cells[ci].Y
+	}()
+	for _, ci := range plan.Frozen {
+		d.Cells[ci].Fixed = true
 	}
 
 	// The active cells' input positions are their trusted legal slots
@@ -205,7 +165,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	// breaking — jittering them would only add churn the snap-back has
 	// to undo.
 	aw, ah := avgActiveDim(d, plan.Active)
-	jr := opt.Perturb * math.Max(aw, ah)
+	jr := ecoPerturb * math.Max(aw, ah)
 	rng := rand.New(rand.NewSource(opt.GP.Seed + 3))
 	for _, ci := range plan.Fresh {
 		c := &d.Cells[ci]
@@ -213,9 +173,9 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 			continue
 		}
 		ang := 2 * math.Pi * rng.Float64()
-		r := jr * rng.Float64()
-		c.X += r * math.Cos(ang)
-		c.Y += r * math.Sin(ang)
+		rad := jr * rng.Float64()
+		c.X += rad * math.Cos(ang)
+		c.Y += rad * math.Sin(ang)
 		p := clampCell(c, d)
 		c.X, c.Y = p.x, p.y
 	}
@@ -255,33 +215,18 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 		seedFillersInWhitespace(d, fillers, opt.GP.Seed+2)
 		gpIdx = append(append(make([]int, 0, len(plan.Active)+len(fillers)), plan.Active...), fillers...)
 	}
-	var gpErr error
-	res.GP, gpErr = PlaceGlobalContext(ctx, d, gpIdx, gpOpt, "eGP", 0)
+	var err error
+	res.GP, err = run.gp(gpStage{name: "eGP", ld: d, idx: gpIdx, opt: gpOpt})
 	d.RemoveFillers()
-	res.Stages = append(res.Stages, StageSpan{Name: "eGP", Time: time.Since(t0)})
-	res.StageTime["eGP"] = time.Since(t0)
-	if gpErr != nil {
-		unfreeze()
-		return res, gpErr
-	}
-	if res.GP.Canceled {
-		unfreeze()
-		return res, canceledAt("eGP")
-	}
-	if res.GP.Diverged {
-		unfreeze()
-		return res, fmt.Errorf("core: incremental placement diverged")
+	run.addStage("eGP", time.Since(t0))
+	if err != nil {
+		return err
 	}
 
 	// --- Incremental cDP: legalize and refine the active cells only.
 	// Frozen cells are fixed obstacles, so FreeSegments carves them out
 	// of the rows and no pass can step on them. ---
-	rec.SetStage("cDP")
-	t0 = time.Now()
-	if len(d.Rows) == 0 {
-		unfreeze()
-		return res, fmt.Errorf("core: cannot infer row height for incremental legalization")
-	}
+	//
 	// Snap-back: every active cell that still has a trusted slot returns
 	// to its exact input position, pinned there through legalization —
 	// the reused placement was legal, and its slots are disjoint by
@@ -368,59 +313,19 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 		cl := clampCell(c, d)
 		c.X, c.Y = cl.x, cl.y
 	}
-	for _, ci := range snapped {
-		d.Cells[ci].Fixed = true
+	// The active set is a sliver of the design, so deeper refinement is
+	// nearly free here — and it is the pass that recovers the wirelength
+	// a fresh cell loses when no gap exists at its ideal spot and
+	// legalization parks it a few rows away.
+	dOpt := opt.Detail
+	if dOpt.Passes <= 0 {
+		dOpt.Passes = 6
 	}
-	if len(moved) > 0 {
-		ltot, lmax, err := legalize.CellsWorkers(d, moved, opt.LegalizeMethod, opt.GP.Workers)
-		if err != nil {
-			unfreeze()
-			return res, fmt.Errorf("core: incremental legalization failed: %w", err)
-		}
-		res.LegalizeDisp, res.LegalizeMaxDisp = ltot, lmax
+	if dOpt.SwapCandidates <= 0 {
+		dOpt.SwapCandidates = 16
 	}
-	// Unpin the snapped cells (unfreeze would do it too, but the detail
-	// pass below must already see them movable so it can refine them).
-	for _, ci := range snapped {
-		d.Cells[ci].Fixed = wasFixed[ci]
-	}
-	if !opt.SkipDetail {
-		dOpt := opt.Detail
-		if dOpt.Telemetry == nil {
-			dOpt.Telemetry = rec
-		}
-		if dOpt.Workers == 0 {
-			dOpt.Workers = opt.GP.Workers
-		}
-		// The active set is a sliver of the design, so deeper refinement
-		// is nearly free here — and it is the pass that recovers the
-		// wirelength a fresh cell loses when no gap exists at its ideal
-		// spot and legalization parks it a few rows away.
-		if dOpt.Passes <= 0 {
-			dOpt.Passes = 6
-		}
-		if dOpt.SwapCandidates <= 0 {
-			dOpt.SwapCandidates = 16
-		}
-		dOpt.Golden = golden
-		var err error
-		res.DP, err = detail.Place(d, plan.Active, dOpt)
-		if err != nil {
-			unfreeze()
-			return res, fmt.Errorf("core: incremental detail placement failed: %w", err)
-		}
-	}
-	res.Stages = append(res.Stages, StageSpan{Name: "cDP", Time: time.Since(t0)})
-	res.StageTime["cDP"] = time.Since(t0)
-
-	unfreeze()
-	for k, ci := range plan.Frozen {
-		if d.Cells[ci].X != frozenX[k] || d.Cells[ci].Y != frozenY[k] {
-			return res, fmt.Errorf("core: frozen cell %d (%s) moved from (%v, %v) to (%v, %v): freeze invariant violated",
-				ci, d.Cells[ci].Name, frozenX[k], frozenY[k], d.Cells[ci].X, d.Cells[ci].Y)
-		}
-	}
-	return res, finish()
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(snapped, moved, plan.Active, dOpt, opt.SkipDetail)
+	return err
 }
 
 // WarmStart loads a finished placement's snapshot into a freshly built

@@ -212,6 +212,11 @@ func (e *engine) updateGamma(tau float64) {
 	e.wl.Gamma = e.gamma
 }
 
+// refDeltaHPWLFrac is the HPWL-change reference of the lambda schedule,
+// as a fraction of the current HPWL (ePlace uses the absolute 3.5e5 on
+// ~1e8 ISPD wirelengths).
+const refDeltaHPWLFrac = 0.01
+
 // PlaceGlobal runs one global placement (the mGP or cGP loop) over the
 // movable cells idx of d, which must already hold the starting
 // positions. lambdaInit <= 0 selects automatic balancing. It returns
@@ -296,8 +301,6 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 		e.updateGamma(tau0)
 		if lambdaInit > 0 {
 			e.lambda = lambdaInit
-		} else if opt.LambdaInit > 0 {
-			e.lambda = opt.LambdaInit
 		} else {
 			e.initLambda(v0)
 		}
@@ -429,9 +432,8 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 
 		// Penalty schedule: mu = 1.1^{1 - dHPWL/ref} clamped to
 		// [0.95, 1.1], with the reference wirelength change a fixed
-		// fraction of the current HPWL (the analogue of ePlace's
-		// absolute 3.5e5 on ~1e8 ISPD wirelengths).
-		refDelta := opt.RefDeltaHPWLFrac * math.Max(hpwl, 1)
+		// fraction of the current HPWL.
+		refDelta := refDeltaHPWLFrac * math.Max(hpwl, 1)
 		mu := math.Pow(1.1, math.Max(-3, math.Min(1, 1-(hpwl-prevHPWL)/refDelta)))
 		if mu < 0.95 {
 			mu = 0.95

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"eplace/internal/netlist"
 	"eplace/internal/poisson"
 	"eplace/internal/qp"
-	"eplace/internal/telemetry"
 )
 
 // FlowOptions configures the full placement flow of Fig. 1.
@@ -28,16 +26,11 @@ type FlowOptions struct {
 	MLG legalize.MLGOptions
 	// Detail configures cDP refinement.
 	Detail detail.Options
-	// LegalizeMethod selects the cDP standard-cell legalizer.
-	LegalizeMethod legalize.Method
 	// SkipDetail stops after legalization (diagnostics).
 	SkipDetail bool
 	// SkipLegalization stops after global placement, leaving an
 	// overlapping layout (global-placement-quality studies).
 	SkipLegalization bool
-	// CGPFillerIters is the filler-only placement length (default 20,
-	// Sec. VI-B).
-	CGPFillerIters int
 	// MacroHalo inflates every movable macro by this margin per side
 	// during mGP's density model only (restored before mLG), the
 	// "deadspace allocation by appropriate macro inflation" the paper
@@ -73,66 +66,35 @@ type FlowOptions struct {
 	Resume *checkpoint.State
 }
 
-func (o *FlowOptions) defaults() {
-	if o.CGPFillerIters == 0 {
-		o.CGPFillerIters = 20
-	}
-}
+// cgpFillerIters is the length of cGP's filler-only placement: with the
+// standard cells held, 20 iterations let the fillers re-spread around
+// the macros mLG just moved (Sec. VI-B).
+const cgpFillerIters = 20
 
-// StageSpan is one completed flow stage and its wall-clock time.
-type StageSpan struct {
-	Name string
-	Time time.Duration
-}
-
-// FlowResult aggregates per-stage results of one full placement.
+// FlowResult aggregates per-stage results of one full placement. The
+// embedded summary carries HPWL, Legal, DP, Stages, StageTime and
+// Digests.
 type FlowResult struct {
 	MGP Result
 	MLG legalize.MLGResult
 	CGP Result
-	DP  detail.Result
 
 	// ML lists the coarse levels' global-placement results (coarsest
 	// first) when the flow ran a multilevel V-cycle; empty for flat
 	// runs. The finest level's result is MGP as usual.
 	ML []MLLevel
 
-	// HPWL is the final half-perimeter wirelength.
-	HPWL float64
-	// Legal reports that the final standard-cell layout passed
-	// legalize.CheckLegal (and macros CheckMacrosLegal).
-	Legal bool
 	// MixedSize reports whether the mLG/cGP stages ran.
 	MixedSize bool
 
-	// Stages lists every stage that ran, in execution order, with its
-	// wall-clock time (Fig. 7). Reports should iterate this rather
-	// than a hardcoded stage list so new stages cannot be dropped.
-	Stages []StageSpan
-	// StageTime indexes Stages by name.
-	StageTime map[string]time.Duration
-
-	// Digests are the per-stage golden-trace hashes (rolling FNV-1a
-	// over every iteration's positions, cost and lambda) in execution
-	// order, ending with the "final" digest over the finished layout.
-	// Two runs of the same flow are bitwise-identical iff these match,
-	// at any worker count; the determinism CI job asserts exactly that.
-	Digests []telemetry.StageDigest
+	flowSummary
 }
 
-// addStage appends a completed stage to both the ordered list and the
-// name index, and emits its span to telemetry.
-func (r *FlowResult) addStage(rec *telemetry.Recorder, name string, d time.Duration) {
-	r.Stages = append(r.Stages, StageSpan{Name: name, Time: d})
-	r.StageTime[name] = d
-	rec.EmitSpan(name, "", d)
-}
-
-// Flow phases in execution order, used to decide which work a resumed
-// run still has ahead of it.
+// Flow phases of one hierarchy level in execution order, used to decide
+// which work a resumed run still has ahead of it. Levels above the
+// finest run only the first two.
 const (
 	phMIP = iota
-	phML // multilevel prelude (coarsest mIP + per-level mGP/L<k>)
 	phMGP
 	phMLG
 	phCGPFiller
@@ -141,65 +103,52 @@ const (
 	phDone
 )
 
-// resumePhase maps a checkpoint phase label to the first flow phase
-// still to run and whether the snapshot is mid-stage (carries GPState).
-func resumePhase(phase string) (int, bool, error) {
-	if _, mid, ok := checkpoint.ParseMLPhase(phase); ok {
-		return phML, mid, nil
+// resumeAt maps a snapshot to where the flow re-enters: the hierarchy
+// level (of K+1) whose design the positions belong to, the first phase
+// still to run there, and whether the snapshot is mid-stage (carries
+// GPState).
+func resumeAt(rs *checkpoint.State, K int) (level, ph int, mid bool, err error) {
+	if lvl, m, ok := checkpoint.ParseMLPhase(rs.Phase); ok {
+		if lvl < 1 || lvl > K {
+			return 0, 0, false, fmt.Errorf("core: snapshot level L%d outside hierarchy depth %d", lvl, K+1)
+		}
+		level, ph, mid = lvl, phMGP, m
+		if !mid {
+			// post-mGP/L<k>: level k was interpolated down; the snapshot
+			// holds level k-1 positions.
+			level = lvl - 1
+		}
+	} else {
+		switch rs.Phase {
+		case checkpoint.PhasePostMIP:
+			level, ph = K, phMGP
+		case checkpoint.PhasePostML:
+			ph = phMGP
+		case checkpoint.PhaseMGP:
+			ph, mid = phMGP, true
+		case checkpoint.PhasePostMGP:
+			ph = phMLG
+		case checkpoint.PhasePostMLG:
+			ph = phCGPFiller
+		case checkpoint.PhaseCGPFiller:
+			ph, mid = phCGPFiller, true
+		case checkpoint.PhasePostCGPFiller:
+			ph = phCGP
+		case checkpoint.PhaseCGP:
+			ph, mid = phCGP, true
+		case checkpoint.PhasePreCDP:
+			ph = phCDP
+		case checkpoint.PhaseDone:
+			ph = phDone
+		default:
+			return 0, 0, false, fmt.Errorf("core: unknown checkpoint phase %q", rs.Phase)
+		}
 	}
-	switch phase {
-	case checkpoint.PhasePostMIP:
-		return phMGP, false, nil
-	case checkpoint.PhasePostML:
-		return phMGP, false, nil
-	case checkpoint.PhaseMGP:
-		return phMGP, true, nil
-	case checkpoint.PhasePostMGP:
-		return phMLG, false, nil
-	case checkpoint.PhasePostMLG:
-		return phCGPFiller, false, nil
-	case checkpoint.PhaseCGPFiller:
-		return phCGPFiller, true, nil
-	case checkpoint.PhasePostCGPFiller:
-		return phCGP, false, nil
-	case checkpoint.PhaseCGP:
-		return phCGP, true, nil
-	case checkpoint.PhasePreCDP:
-		return phCDP, false, nil
-	case checkpoint.PhaseDone:
-		return phDone, false, nil
-	default:
-		return 0, false, fmt.Errorf("core: unknown checkpoint phase %q", phase)
+	if rs.Level != level {
+		return 0, 0, false, fmt.Errorf("core: snapshot level %d does not match phase %q (expect %d; options changed?)", rs.Level, rs.Phase, level)
 	}
+	return level, ph, mid, nil
 }
-
-// flowState assembles one full snapshot of the flow at a boundary. The
-// fingerprint is the one computed over the *input* design at flow
-// start, not recomputed here: the flow itself mutates structure the
-// fingerprint covers (cDP builds rows when the design has none), and a
-// resume always validates against a fresh input-shaped design.
-func flowState(d *netlist.Design, fp uint64, phase, poissonKind string, numFillers int, res *FlowResult, golden *telemetry.GoldenTrace) *checkpoint.State {
-	st := &checkpoint.State{
-		Phase:          phase,
-		DesignName:     d.Name,
-		Fingerprint:    fp,
-		MixedSize:      res.MixedSize,
-		Poisson:        poissonKind,
-		MGPIterations:  res.MGP.Iterations,
-		MGPFinalLambda: res.MGP.FinalLambda,
-		Golden:         golden.State(),
-	}
-	st.CapturePositions(d, numFillers)
-	return st
-}
-
-// ErrCanceled is returned (wrapped, with the phase that was running)
-// when a flow is stopped by context cancellation. The FlowResult
-// returned alongside it carries the partial results of the stages that
-// completed, and — when a checkpoint manager was installed — a final
-// snapshot was persisted first, so the run is resumable from exactly
-// where it stopped. Test with errors.Is(err, ErrCanceled).
-var ErrCanceled = errors.New("core: placement canceled")
 
 // Place runs the complete ePlace flow on d: quadratic initial placement
 // (mIP), mixed-size global placement (mGP), annealing macro legalization
@@ -225,416 +174,261 @@ func Place(d *netlist.Design, opt FlowOptions) (FlowResult, error) {
 // with an error wrapping ErrCanceled. Resuming from that checkpoint
 // finishes with per-stage golden digests bitwise-identical to an
 // uninterrupted run's.
+//
+// The flow is one loop over hierarchy levels K..0 (a flat run is K = 0):
+// mIP seeds the coarsest level, every level runs a global placement
+// with its own fillers, levels above the finest interpolate down as the
+// next level's warm start, and level 0 — the input design — continues
+// into the mLG→cGP→cDP tail.
 func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (FlowResult, error) {
-	opt.defaults()
-	res := FlowResult{StageTime: map[string]time.Duration{}}
-	rec := opt.GP.Telemetry
-	// The golden digest harness is always on: the engine absorbs one
-	// hash update per iteration (negligible next to a gradient
-	// evaluation) and the flow gains a determinism fingerprint for
-	// every run.
-	golden := opt.GP.Golden
-	if golden == nil {
-		golden = telemetry.NewGoldenTrace()
-		opt.GP.Golden = golden
-	}
-	// emit forwards one sample to both the legacy Trace and telemetry.
-	emit := func(s Sample) {
-		if opt.GP.Trace != nil {
-			opt.GP.Trace.Add(s)
-		}
-		rec.Sample(s)
-	}
+	var res FlowResult
+	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	r.mgp = &res.MGP
+	res.MixedSize = r.mixedSize
 
-	movable := d.Movable()
-	stdCells := d.MovableOf(netlist.StdCell)
-	movMacros := d.MovableOf(netlist.Macro)
-	res.MixedSize = len(movMacros) > 0
-
-	// --- Resume bookkeeping. ---
-	// The fingerprint is taken before the flow mutates any structure it
-	// covers (row construction in cDP); every snapshot carries this
-	// input-design value.
-	fp := checkpoint.Fingerprint(d)
-	// poissonKind is the normalized backend name stamped into every
-	// snapshot and compared on resume: the backends produce numerically
-	// distinct trajectories, so switching mid-run would break the
-	// bitwise-reproducibility contract.
-	poissonKind := poisson.NormalizeKind(opt.GP.Poisson)
-	startPh := phMIP
-	midGP := false
 	rs := opt.Resume
 	if rs != nil {
 		if err := rs.Validate(d); err != nil {
 			return res, err
 		}
-		if snap := poisson.NormalizeKind(rs.Poisson); snap != poissonKind {
+		if snap := poisson.NormalizeKind(rs.Poisson); snap != r.poisson {
 			return res, fmt.Errorf("core: snapshot was taken with poisson backend %q but this run selects %q; resume with the matching backend (-poisson=%s) or restart from scratch (valid backends: %s)",
-				snap, poissonKind, snap, strings.Join(poisson.Kinds(), ", "))
-		}
-		var err error
-		startPh, midGP, err = resumePhase(rs.Phase)
-		if err != nil {
-			return res, err
-		}
-		if midGP && opt.GP.Solver != SolverNesterov {
-			return res, fmt.Errorf("core: mid-stage resume requires the Nesterov solver")
+				snap, r.poisson, snap, strings.Join(poisson.Kinds(), ", "))
 		}
 		if rs.MixedSize != res.MixedSize {
 			return res, fmt.Errorf("core: snapshot mixed-size=%v but design mixed-size=%v",
 				rs.MixedSize, res.MixedSize)
 		}
-		// Continue the rolling digests so final per-stage hashes match
-		// the uninterrupted run's.
-		golden.SetState(rs.Golden)
-		res.MGP.Iterations = rs.MGPIterations
-		res.MGP.FinalLambda = rs.MGPFinalLambda
 	}
 
-	// --- Multilevel hierarchy. ---
-	// Built only when the V-cycle prelude still has work (fresh runs and
-	// prelude-phase resumes). Clustering reads design structure only —
-	// never positions — so a resumed process rebuilds the bit-identical
-	// stack the fingerprint vouched for.
+	// The hierarchy is built only when a coarse level still has work
+	// (fresh runs and coarse-level resumes). Clustering reads design
+	// structure only — never positions — so a resumed process rebuilds
+	// the bit-identical stack the fingerprint vouched for.
+	designs := []*netlist.Design{d}
 	var hier *cluster.Hierarchy
-	if opt.Levels > 1 && (rs == nil || rs.Level > 0 || startPh <= phML) {
-		hier = buildHierarchy(d, &opt)
+	if rs == nil || rs.Level > 0 {
+		if hier = buildHierarchy(d, &opt); hier != nil {
+			designs = hier.Designs
+		}
 	}
-	if rs != nil && rs.Level > 0 {
-		if hier == nil {
+	K := len(designs) - 1
+
+	startLevel, ph, mid := K, phMIP, false
+	if rs != nil {
+		if rs.Level > 0 && hier == nil {
 			return res, fmt.Errorf("core: snapshot %q (level %d) is from a multilevel run but this flow builds no levels (set Levels)",
 				rs.Phase, rs.Level)
 		}
-		// A coarse post-mIP snapshot carries Level = coarsest; route it
-		// (like the mGP/L<k> phases, mapped by resumePhase) into the
-		// prelude, which restores onto the rebuilt coarse design.
-		startPh = phML
+		var err error
+		if startLevel, ph, mid, err = resumeAt(rs, K); err != nil {
+			return res, err
+		}
+		if mid && opt.GP.Solver != SolverNesterov {
+			return res, fmt.Errorf("core: mid-stage resume requires the Nesterov solver")
+		}
+		// Continue the rolling digests so final per-stage hashes match
+		// the uninterrupted run's.
+		r.golden.SetState(rs.Golden)
+		res.MGP.Iterations = rs.MGPIterations
+		res.MGP.FinalLambda = rs.MGPFinalLambda
 	}
-	// fillers is assigned before any GP stage runs; the checkpoint
-	// closures read it at call time.
+	// resumeGP hands the snapshot's in-flight loop state to the one GP
+	// stage it was captured in.
+	resumeGP := func(stagePh int) *checkpoint.GPState {
+		if mid && ph == stagePh {
+			return rs.GP
+		}
+		return nil
+	}
+
 	var fillers []int
-
-	// saveBoundary persists one stage-boundary snapshot. A requested
-	// checkpoint that cannot be written is an error, not a silent skip:
-	// the user asked for restartability.
-	saveBoundary := func(phase string) error {
-		if opt.Checkpoint == nil {
-			return nil
+	for k := startLevel; k >= 0; k-- {
+		ld, movable := designs[k], r.movable
+		if k > 0 {
+			movable = ld.Movable()
 		}
-		return opt.Checkpoint.Save(flowState(d, fp, phase, poissonKind, len(fillers), &res, golden))
-	}
-	canceled := canceledAt
-	// gpSink wraps mid-stage GP snapshots with flow context. Save
-	// errors are carried out of the iteration loop via ckptErr. The sink
-	// is installed whenever a manager exists — not only when a cadence
-	// is set — because cancellation writes one final mid-stage snapshot
-	// through it regardless of CheckpointEvery.
-	var ckptErr error
-	gpSink := func(phase string) func(*checkpoint.GPState) {
-		if opt.Checkpoint == nil {
-			return nil
-		}
-		return func(gs *checkpoint.GPState) {
-			st := flowState(d, fp, phase, poissonKind, len(fillers), &res, golden)
-			st.GP = gs
-			if err := opt.Checkpoint.Save(st); err != nil && ckptErr == nil {
-				ckptErr = err
+		// --- mIP: quadratic wirelength minimization over all movables,
+		// on the coarsest netlist only — the quadratic solve is one of the
+		// flat flow's scaling bottlenecks and a coarse seed is all the
+		// V-cycle needs. ---
+		if k == K && ph <= phMIP {
+			if err := r.mip(ld, k, movable, opt.MIP); err != nil {
+				return res, err
 			}
 		}
-	}
 
-	// --- mIP: quadratic wirelength minimization over all movables. ---
-	// In multilevel mode the prelude below runs mIP on the coarsest
-	// netlist instead.
-	if hier == nil && startPh <= phMIP {
-		rec.SetStage("mIP")
-		t0 := time.Now()
-		qp.Place(d, movable, opt.MIP)
-		golden.Absorb("mIP", 0, d.Positions(movable), d.HPWL(), 0)
-		res.addStage(rec, "mIP", time.Since(t0))
-		if rec.Active() {
-			emit(Sample{Stage: "mIP", HPWL: d.HPWL()})
+		// Fillers exist from a level's global placement on: through cGP on
+		// the input design, until interpolation above it. A resumed run
+		// re-derives them from the same seed (count and initial positions
+		// are functions of design structure only), then overwrites every
+		// position the snapshot captured — in that order, because restoring
+		// also restores the fixed flags filler sizing reads.
+		if ph <= phCGP {
+			fillers = InsertFillers(ld, opt.GP.Seed+1)
 		}
-		if err := saveBoundary(checkpoint.PhasePostMIP); err != nil {
-			return res, err
-		}
-		if ctx.Err() != nil {
-			return res, canceled(checkpoint.PhasePostMIP)
-		}
-	}
-
-	// --- Multilevel prelude: coarsest mIP, then one warm-started global
-	// placement per level, interpolating down to the finest design. ---
-	if hier != nil && startPh <= phML {
-		p := &mlPrelude{ctx: ctx, d: d, opt: &opt, res: &res, rec: rec,
-			golden: golden, emit: emit, fp: fp, hier: hier}
-		if err := p.run(rs); err != nil {
-			return res, err
-		}
-	}
-
-	// Fillers exist from mGP through cGP. A resumed run re-derives them
-	// from the same seed (count and initial positions are functions of
-	// design structure only), then overwrites every position the
-	// snapshot captured.
-	if startPh <= phCGP && !opt.GP.NoFillers {
-		fillers = InsertFillers(d, opt.GP.Seed+1)
-	}
-	// Level>0 snapshots were consumed by the prelude (they hold coarse
-	// positions); only finest-level (Level 0) snapshots restore here.
-	if rs != nil && rs.Level == 0 {
-		if rs.NumFillers > 0 && len(fillers) != rs.NumFillers {
-			return res, fmt.Errorf("core: re-inserted %d fillers, snapshot has %d (design or options changed?)",
-				len(fillers), rs.NumFillers)
-		}
-		if err := rs.RestorePositions(d); err != nil {
-			return res, err
-		}
-	}
-
-	if startPh >= phDone {
-		// The snapshot is of a finished flow: recompute the summary.
-		// Rows may have been flow-built in the original run; rebuild them
-		// the same way so the legality check sees the same geometry.
-		if len(d.Rows) == 0 {
-			if h := stdCellHeight(d); h > 0 {
-				legalize.BuildRows(d, h, 0)
+		if rs != nil && k == startLevel {
+			// A boundary snapshot taken before the level's fillers existed
+			// adopts the re-derived ones; any other must match them.
+			base := len(ld.Cells) - len(fillers)
+			if rs.NumBaseCells != base || (rs.NumFillers != len(fillers) && (rs.NumFillers > 0 || mid)) {
+				return res, fmt.Errorf("core: level L%d rebuilt with %d cells + %d fillers, snapshot has %d + %d (design or options changed?)",
+					k, base, len(fillers), rs.NumBaseCells, rs.NumFillers)
+			}
+			if err := rs.RestorePositions(ld); err != nil {
+				return res, err
 			}
 		}
-		res.HPWL = d.HPWL()
-		res.Legal = legalize.CheckLegal(d, stdCells) == nil
-		if res.MixedSize && res.Legal {
-			res.Legal = legalize.CheckMacrosLegal(d, movMacros) == nil
+		if ph >= phDone {
+			// The snapshot is of a finished flow: recompute the summary.
+			// Rows may have been flow-built in the original run; rebuild them
+			// the same way so the legality check sees the same geometry.
+			r.ensureRows()
+			r.summarize(false)
+			return res, nil
 		}
-		res.Digests = golden.Digests()
-		return res, nil
-	}
 
-	// --- mGP: co-place cells, macros and fillers. ---
-	gpIdx := append(append([]int(nil), movable...), fillers...)
-	if startPh <= phMGP {
-		t0 := time.Now()
-		if opt.MacroHalo > 0 {
-			inflateMacros(d, movMacros, opt.MacroHalo)
+		// --- mGP: co-place cells, macros and fillers (stage "mGP/L<k>"
+		// above the finest level). ---
+		if ph <= phMGP {
+			stage, gpOpt := checkpoint.PhaseMGP, opt.GP
+			if k > 0 {
+				stage = checkpoint.PhaseMLevel(k)
+				gpOpt.GridM = mlGridM(opt.GP.GridM, k)
+				gpOpt.TargetOverflow = coarseOverflow(opt.GP.TargetOverflow, k)
+			}
+			// Every level's penalty starts cold (lambdaInit 0 picks the
+			// engine's gradient-ratio estimate). Handing the converged lambda
+			// down — the cGP seeding recipe applied between levels — was
+			// measured and rejected: the interpolated start is over-spread,
+			// and a mature penalty keeps it from contracting (~10% worse
+			// HPWL).
+			t0 := time.Now()
+			lr, err := r.gp(gpStage{
+				name: stage, phase: stage, ld: ld, level: k, fillers: len(fillers),
+				idx: append(append([]int(nil), movable...), fillers...),
+				opt: gpOpt, halo: opt.MacroHalo, resume: resumeGP(phMGP),
+			})
+			r.addStage(stage, time.Since(t0))
+			if k > 0 {
+				res.ML = append(res.ML, MLLevel{Level: k, Cells: len(ld.Cells) - len(fillers), Result: lr})
+			} else {
+				res.MGP = lr
+			}
+			if err != nil {
+				return res, err
+			}
 		}
-		gpOpt := opt.GP
-		gpOpt.CheckpointSink = gpSink(checkpoint.PhaseMGP)
-		if midGP && startPh == phMGP {
-			gpOpt.ResumeGP = rs.GP
-		}
-		var gpErr error
-		res.MGP, gpErr = PlaceGlobalContext(ctx, d, gpIdx, gpOpt, "mGP", 0)
-		if opt.MacroHalo > 0 {
-			inflateMacros(d, movMacros, -opt.MacroHalo)
-		}
-		res.addStage(rec, "mGP", time.Since(t0))
-		if gpErr != nil {
-			return res, gpErr
-		}
-		if ckptErr != nil {
-			return res, ckptErr
-		}
-		if res.MGP.Canceled {
-			return res, canceled("mGP")
-		}
-		if res.MGP.Diverged {
-			return res, fmt.Errorf("core: mGP diverged")
-		}
-		if err := saveBoundary(checkpoint.PhasePostMGP); err != nil {
-			return res, err
+		if k > 0 {
+			// Hand the level's solution down as the next level's warm start.
+			ld.RemoveFillers()
+			hier.Interpolate(k)
+			next := checkpoint.PhasePostML
+			if k > 1 {
+				next = checkpoint.PhasePostMLevel(k)
+			}
+			if err := r.boundary(next, k-1, designs[k-1], 0); err != nil {
+				return res, err
+			}
+			ph = phMIP // levels below the resume point run in full
+		} else if ph <= phMGP {
+			if err := r.boundary(checkpoint.PhasePostMGP, 0, d, len(fillers)); err != nil {
+				return res, err
+			}
 		}
 	}
 
 	if res.MixedSize {
 		// --- mLG: legalize and fix macros (std cells held). ---
-		if startPh <= phMLG {
-			rec.SetStage("mLG")
+		if ph <= phMLG {
+			r.rec.SetStage("mLG")
 			t0 := time.Now()
 			mlgOpt := opt.MLG
 			if mlgOpt.Seed == 0 {
 				mlgOpt.Seed = opt.GP.Seed + 2
 			}
 			if mlgOpt.Telemetry == nil {
-				mlgOpt.Telemetry = rec
+				mlgOpt.Telemetry = r.rec
 			}
 			if mlgOpt.Workers == 0 {
 				mlgOpt.Workers = opt.GP.Workers
 			}
-			res.MLG = legalize.Macros(d, movMacros, mlgOpt)
-			golden.Absorb("mLG", 0, d.Positions(movMacros), d.HPWL(), 0)
-			res.addStage(rec, "mLG", time.Since(t0))
+			res.MLG = legalize.Macros(d, r.movMacros, mlgOpt)
+			r.golden.Absorb("mLG", 0, d.Positions(r.movMacros), d.HPWL(), 0)
+			r.addStage("mLG", time.Since(t0))
 			if !res.MLG.Legal {
 				return res, fmt.Errorf("core: mLG left macro overlap %v", res.MLG.OmAfter)
 			}
-			if err := saveBoundary(checkpoint.PhasePostMLG); err != nil {
+			if err := r.boundary(checkpoint.PhasePostMLG, 0, d, len(fillers)); err != nil {
 				return res, err
-			}
-			if ctx.Err() != nil {
-				return res, canceled(checkpoint.PhasePostMLG)
 			}
 		}
 
 		// --- cGP: filler-only placement, then free the std cells. ---
 		t0 := time.Now()
-		if startPh <= phCGPFiller {
+		if ph <= phCGPFiller {
 			if !opt.GP.DisableFillerPhase && len(fillers) > 0 {
 				// Standard cells are held in place during the filler-only
 				// iterations; they must contribute charge as fixed objects or
-				// the fillers would spread as if the cells did not exist.
-				for _, ci := range stdCells {
+				// the fillers would spread as if the cells did not exist. A
+				// snapshot taken meanwhile captures them pinned, and the
+				// captured Fixed flags restore that on resume.
+				for _, ci := range r.stdCells {
 					d.Cells[ci].Fixed = true
 				}
 				fOpt := opt.GP
-				fOpt.MaxIters = opt.CGPFillerIters
-				fOpt.MinIters = opt.CGPFillerIters
+				fOpt.MaxIters = cgpFillerIters
+				fOpt.MinIters = cgpFillerIters
 				fOpt.TargetOverflow = 1e-9
-				fOpt.Trace = opt.GP.Trace
-				fOpt.CheckpointSink = gpSink(checkpoint.PhaseCGPFiller)
-				if midGP && startPh == phCGPFiller {
-					fOpt.ResumeGP = rs.GP
-				}
-				fRes, gpErr := PlaceGlobalContext(ctx, d, fillers, fOpt, "cGP-filler", 1)
-				for _, ci := range stdCells {
+				_, err := r.gp(gpStage{
+					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, ld: d, fillers: len(fillers),
+					idx: fillers, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
+				})
+				for _, ci := range r.stdCells {
 					d.Cells[ci].Fixed = false
 				}
-				if gpErr != nil {
-					return res, gpErr
-				}
-				if ckptErr != nil {
-					return res, ckptErr
-				}
-				if fRes.Canceled {
-					// The snapshot was taken with the std cells pinned; the
-					// captured Fixed flags restore that on resume.
-					return res, canceled("cGP-filler")
+				if err != nil {
+					return res, err
 				}
 			}
-			if err := saveBoundary(checkpoint.PhasePostCGPFiller); err != nil {
+			if err := r.boundary(checkpoint.PhasePostCGPFiller, 0, d, len(fillers)); err != nil {
 				return res, err
 			}
 		}
-		if startPh <= phCGP {
+		if ph <= phCGP {
 			// lambda_cGP = lambda_mGP_last * 1.1^-m, m = mGP iters / 10.
 			m := float64(res.MGP.Iterations) / 10
-			lambdaInit := res.MGP.FinalLambda * math.Pow(1.1, -m)
-			cgpIdx := append(append([]int(nil), stdCells...), fillers...)
-			gpOpt := opt.GP
-			gpOpt.CheckpointSink = gpSink(checkpoint.PhaseCGP)
-			if midGP && startPh == phCGP {
-				gpOpt.ResumeGP = rs.GP
-			}
-			var gpErr error
-			res.CGP, gpErr = PlaceGlobalContext(ctx, d, cgpIdx, gpOpt, "cGP", lambdaInit)
-			res.addStage(rec, "cGP", time.Since(t0))
-			if gpErr != nil {
-				return res, gpErr
-			}
-			if ckptErr != nil {
-				return res, ckptErr
-			}
-			if res.CGP.Canceled {
-				return res, canceled("cGP")
-			}
-			if res.CGP.Diverged {
-				return res, fmt.Errorf("core: cGP diverged")
+			var err error
+			res.CGP, err = r.gp(gpStage{
+				name: "cGP", phase: checkpoint.PhaseCGP, ld: d, fillers: len(fillers),
+				idx: append(append([]int(nil), r.stdCells...), fillers...),
+				opt: opt.GP, lambdaInit: res.MGP.FinalLambda * math.Pow(1.1, -m), resume: resumeGP(phCGP),
+			})
+			r.addStage("cGP", time.Since(t0))
+			if err != nil {
+				return res, err
 			}
 		}
 	}
 
 	// Fillers are placement aids only.
 	d.RemoveFillers()
-	fillers = nil
 
 	if opt.SkipLegalization {
-		res.HPWL = d.HPWL()
-		res.Digests = golden.Digests()
+		r.summarize(false)
 		return res, nil
 	}
-	if err := saveBoundary(checkpoint.PhasePreCDP); err != nil {
+	// cDP is not internally interruptible (its repair passes have no
+	// capturable mid-state); a cancellation landing here stops before it
+	// starts, resumable from the pre-cDP boundary.
+	if err := r.boundary(checkpoint.PhasePreCDP, 0, d, 0); err != nil {
 		return res, err
-	}
-	if ctx.Err() != nil {
-		// cDP is not internally interruptible (its repair passes have no
-		// capturable mid-state); a cancellation landing here stops before
-		// it starts, resumable from the pre-cDP boundary.
-		return res, canceled(checkpoint.PhasePreCDP)
 	}
 
 	// --- cDP: row legalization + discrete refinement. ---
-	rec.SetStage("cDP")
-	t0 := time.Now()
-	if len(d.Rows) == 0 {
-		h := stdCellHeight(d)
-		if h <= 0 {
-			return res, fmt.Errorf("core: cannot infer row height")
-		}
-		legalize.BuildRows(d, h, 0)
-	}
-	tLG := time.Now()
-	if _, _, err := legalize.CellsWorkers(d, stdCells, opt.LegalizeMethod, opt.GP.Workers); err != nil {
-		return res, fmt.Errorf("core: legalization failed: %w", err)
-	}
-	rec.AddSpanTime("cDP", "legalize", time.Since(tLG))
-	if !opt.SkipDetail {
-		dOpt := opt.Detail
-		if dOpt.Telemetry == nil {
-			dOpt.Telemetry = rec
-		}
-		if dOpt.Workers == 0 {
-			dOpt.Workers = opt.GP.Workers
-		}
-		dOpt.Golden = golden
-		tDP := time.Now()
-		var err error
-		res.DP, err = detail.Place(d, stdCells, dOpt)
-		if err != nil {
-			return res, fmt.Errorf("core: detail placement failed: %w", err)
-		}
-		rec.AddSpanTime("cDP", "detail", time.Since(tDP))
-	}
-	res.addStage(rec, "cDP", time.Since(t0))
-
-	res.HPWL = d.HPWL()
-	res.Legal = legalize.CheckLegal(d, stdCells) == nil
-	if res.MixedSize && res.Legal {
-		res.Legal = legalize.CheckMacrosLegal(d, movMacros) == nil
-	}
-	// The headline digest: the finished layout over every movable.
-	golden.Absorb("final", 0, d.Positions(movable), res.HPWL, 0)
-	res.Digests = golden.Digests()
-	if err := saveBoundary(checkpoint.PhaseDone); err != nil {
+	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, opt.Detail, opt.SkipDetail); err != nil {
 		return res, err
 	}
-	return res, nil
-}
-
-// inflateMacros grows (halo > 0) or restores (halo < 0) the movable
-// macros' footprints by halo on every side, keeping centers fixed.
-func inflateMacros(d *netlist.Design, macros []int, halo float64) {
-	for _, mi := range macros {
-		c := &d.Cells[mi]
-		c.W += 2 * halo
-		c.H += 2 * halo
-	}
-}
-
-// stdCellHeight returns the dominant movable standard-cell height.
-// Ties break toward the smaller height so the choice never depends on
-// map iteration order (determinism contract: row construction feeds
-// the final placement).
-func stdCellHeight(d *netlist.Design) float64 {
-	counts := map[float64]int{}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed && c.Kind == netlist.StdCell {
-			counts[c.H]++
-		}
-	}
-	bestH, bestN := 0.0, 0
-	for h, n := range counts {
-		if n > bestN || (n == bestN && (bestN == 0 || h < bestH)) {
-			bestH, bestN = h, n
-		}
-	}
-	return bestH
+	err := r.finish()
+	return res, err
 }

@@ -1,17 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
-	"context"
-
-	"eplace/internal/checkpoint"
 	"eplace/internal/cluster"
 	"eplace/internal/netlist"
-	"eplace/internal/poisson"
-	"eplace/internal/qp"
-	"eplace/internal/telemetry"
 )
 
 // MLLevel is one coarse level's global-placement result in a multilevel
@@ -75,209 +66,4 @@ func coarseOverflow(target float64, k int) float64 {
 		return target
 	}
 	return f
-}
-
-// canceledAt converts a cancellation observed at phase into the typed
-// flow error (partial results travel in the FlowResult).
-func canceledAt(phase string) error {
-	return fmt.Errorf("%w (phase %s)", ErrCanceled, phase)
-}
-
-// mlPrelude drives the coarse half of the V-cycle inside PlaceContext:
-// mIP on the coarsest level, one warm-started global placement per
-// level (stages "mGP/L<k>", coarsest first), interpolation down after
-// each, ending with the finest design holding warm-start positions.
-type mlPrelude struct {
-	ctx     context.Context
-	d       *netlist.Design // finest (input) design
-	opt     *FlowOptions
-	res     *FlowResult
-	rec     *telemetry.Recorder
-	golden  *telemetry.GoldenTrace
-	emit    func(Sample)
-	fp      uint64
-	hier    *cluster.Hierarchy
-	ckptErr error
-}
-
-// state assembles one prelude snapshot: positions of the given level's
-// design under the *input* design's name and fingerprint (what a resume
-// validates against before rebuilding the hierarchy).
-func (p *mlPrelude) state(phase string, level int, ld *netlist.Design, numFillers int) *checkpoint.State {
-	st := &checkpoint.State{
-		Phase:       phase,
-		DesignName:  p.d.Name,
-		Fingerprint: p.fp,
-		MixedSize:   p.res.MixedSize,
-		Poisson:     poisson.NormalizeKind(p.opt.GP.Poisson),
-		Level:       level,
-		Golden:      p.golden.State(),
-	}
-	st.CapturePositions(ld, numFillers)
-	return st
-}
-
-// save persists one prelude boundary snapshot (same error contract as
-// the flow's saveBoundary: a requested checkpoint that cannot be
-// written is an error).
-func (p *mlPrelude) save(phase string, level int, ld *netlist.Design, numFillers int) error {
-	if p.opt.Checkpoint == nil {
-		return nil
-	}
-	return p.opt.Checkpoint.Save(p.state(phase, level, ld, numFillers))
-}
-
-// run executes the prelude, resuming from rs when non-nil (rs must be a
-// prelude-phase snapshot: post-mIP at the coarsest level, mid-stage
-// mGP/L<k>, or the post-mGP/L<k> boundary). On success the finest
-// design holds interpolated warm-start positions for the finest mGP.
-func (p *mlPrelude) run(rs *checkpoint.State) error {
-	K := p.hier.Depth() - 1
-	startLevel, mipNeeded, resumeMid := K, true, false
-	if rs != nil {
-		mipNeeded = false
-		if lvl, mid, ok := checkpoint.ParseMLPhase(rs.Phase); ok {
-			if lvl < 1 || lvl > K {
-				return fmt.Errorf("core: snapshot level L%d outside hierarchy depth %d", lvl, p.hier.Depth())
-			}
-			if mid {
-				startLevel, resumeMid = lvl, true
-			} else {
-				// post-mGP/L<k>: level k was interpolated down; the
-				// snapshot holds level k-1 positions.
-				startLevel = lvl - 1
-			}
-		} else if rs.Phase == checkpoint.PhasePostMIP {
-			if rs.Level != K {
-				return fmt.Errorf("core: post-mIP snapshot at level %d, hierarchy coarsest is L%d (options changed?)", rs.Level, K)
-			}
-		} else {
-			return fmt.Errorf("core: phase %q is not a multilevel prelude phase", rs.Phase)
-		}
-		if rs.Level != startLevel {
-			return fmt.Errorf("core: snapshot level %d does not match phase %q (expect %d)", rs.Level, rs.Phase, startLevel)
-		}
-		if !resumeMid {
-			ld := p.hier.Designs[startLevel]
-			if rs.NumBaseCells != len(ld.Cells) || rs.NumFillers != 0 {
-				return fmt.Errorf("core: level L%d rebuilt with %d cells, snapshot has %d+%d fillers (design or options changed?)",
-					startLevel, len(ld.Cells), rs.NumBaseCells, rs.NumFillers)
-			}
-			if err := rs.RestorePositions(ld); err != nil {
-				return err
-			}
-		}
-	}
-
-	for k := startLevel; k >= 1; k-- {
-		ld := p.hier.Designs[k]
-		if mipNeeded && k == K {
-			// mIP runs on the coarsest netlist only — the quadratic
-			// solve is one of the flat flow's scaling bottlenecks and a
-			// coarse seed is all the V-cycle needs.
-			p.rec.SetStage("mIP")
-			t0 := time.Now()
-			mv := ld.Movable()
-			qp.Place(ld, mv, p.opt.MIP)
-			p.golden.Absorb("mIP", 0, ld.Positions(mv), ld.HPWL(), 0)
-			p.res.addStage(p.rec, "mIP", time.Since(t0))
-			if p.rec.Active() {
-				p.emit(Sample{Stage: "mIP", HPWL: ld.HPWL()})
-			}
-			if err := p.save(checkpoint.PhasePostMIP, K, ld, 0); err != nil {
-				return err
-			}
-			if p.ctx.Err() != nil {
-				return canceledAt(checkpoint.PhasePostMIP)
-			}
-		}
-
-		stage := checkpoint.PhaseMLevel(k)
-		movable := ld.Movable()
-		var fillers []int
-		if !p.opt.GP.NoFillers {
-			fillers = InsertFillers(ld, p.opt.GP.Seed+1)
-		}
-		if resumeMid && k == startLevel {
-			if len(fillers) != rs.NumFillers {
-				return fmt.Errorf("core: level L%d re-inserted %d fillers, snapshot has %d (design or options changed?)",
-					k, len(fillers), rs.NumFillers)
-			}
-			if rs.NumBaseCells != len(ld.Cells)-len(fillers) {
-				return fmt.Errorf("core: level L%d rebuilt with %d cells, snapshot expects %d before fillers",
-					k, len(ld.Cells)-len(fillers), rs.NumBaseCells)
-			}
-			if err := rs.RestorePositions(ld); err != nil {
-				return err
-			}
-		}
-
-		movMacros := ld.MovableOf(netlist.Macro)
-		if p.opt.MacroHalo > 0 {
-			inflateMacros(ld, movMacros, p.opt.MacroHalo)
-		}
-		gpOpt := p.opt.GP
-		gpOpt.GridM = mlGridM(p.opt.GP.GridM, k)
-		gpOpt.TargetOverflow = coarseOverflow(gpOpt.TargetOverflow, k)
-		gpOpt.CheckpointSink = nil
-		if p.opt.Checkpoint != nil {
-			numFillers := len(fillers)
-			level := k
-			gpOpt.CheckpointSink = func(gs *checkpoint.GPState) {
-				st := p.state(stage, level, ld, numFillers)
-				st.GP = gs
-				if err := p.opt.Checkpoint.Save(st); err != nil && p.ckptErr == nil {
-					p.ckptErr = err
-				}
-			}
-		}
-		if resumeMid && k == startLevel {
-			gpOpt.ResumeGP = rs.GP
-		}
-
-		// Every level's penalty starts cold (seed 0 picks the engine's
-		// gradient-ratio estimate). Handing the converged lambda down —
-		// the cGP seeding recipe applied between levels — was measured
-		// and rejected: the interpolated start is over-spread, and a
-		// mature penalty keeps it from contracting (~10% worse HPWL).
-		idx := append(append([]int(nil), movable...), fillers...)
-		t0 := time.Now()
-		lr, gpErr := PlaceGlobalContext(p.ctx, ld, idx, gpOpt, stage, 0)
-		if p.opt.MacroHalo > 0 {
-			inflateMacros(ld, movMacros, -p.opt.MacroHalo)
-		}
-		p.res.addStage(p.rec, stage, time.Since(t0))
-		p.res.ML = append(p.res.ML, MLLevel{Level: k, Cells: len(ld.Cells) - len(fillers), Result: lr})
-		if gpErr != nil {
-			return gpErr
-		}
-		if p.ckptErr != nil {
-			return p.ckptErr
-		}
-		if lr.Canceled {
-			return canceledAt(stage)
-		}
-		if lr.Diverged {
-			return fmt.Errorf("core: %s diverged", stage)
-		}
-		ld.RemoveFillers()
-
-		p.hier.Interpolate(k)
-		if k > 1 {
-			if err := p.save(checkpoint.PhasePostMLevel(k), k-1, p.hier.Designs[k-1], 0); err != nil {
-				return err
-			}
-			if p.ctx.Err() != nil {
-				return canceledAt(checkpoint.PhasePostMLevel(k))
-			}
-		}
-	}
-
-	if err := p.save(checkpoint.PhasePostML, 0, p.d, 0); err != nil {
-		return err
-	}
-	if p.ctx.Err() != nil {
-		return canceledAt(checkpoint.PhasePostML)
-	}
-	return nil
 }

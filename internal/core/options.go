@@ -78,16 +78,6 @@ type Options struct {
 	// DisableFillerPhase skips cGP's 20-iteration filler-only placement
 	// (Sec. VI-B ablation).
 	DisableFillerPhase bool
-	// NoFillers disables filler insertion entirely (diagnostic).
-	NoFillers bool
-
-	// LambdaInit overrides the automatic gradient-norm-balancing initial
-	// penalty factor when > 0.
-	LambdaInit float64
-	// RefDeltaHPWLFrac is the HPWL-change reference of the lambda
-	// schedule, as a fraction of the current HPWL (default 0.01;
-	// ePlace uses the absolute 3.5e5 on ~1e8 ISPD wirelengths).
-	RefDeltaHPWLFrac float64
 
 	// Seed drives filler placement and any tie-breaking (default 1).
 	Seed int64
@@ -138,9 +128,6 @@ func (o *Options) defaults() {
 	}
 	if o.LambdaScale <= 0 {
 		o.LambdaScale = 1
-	}
-	if o.RefDeltaHPWLFrac <= 0 {
-		o.RefDeltaHPWLFrac = 0.01
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"eplace/internal/eco"
+	"eplace/internal/synth"
 	"eplace/internal/telemetry"
 )
 
@@ -117,5 +120,89 @@ func TestResultTimingFromSpans(t *testing.T) {
 	if res.MGP.DensityTime > rec.SpanTime("mGP", "density") {
 		t.Errorf("result density time %v exceeds span aggregate %v",
 			res.MGP.DensityTime, rec.SpanTime("mGP", "density"))
+	}
+}
+
+// TestFlowStageContract pins what every flow owes its stage accounting,
+// whichever way the one driver is configured: each entry of Stages has
+// exactly one emitted stage span of the same name and duration,
+// StageTime agrees with Stages, cDP reports its legalize and detail
+// kernel spans, and Digests ends with the "final" digest.
+func TestFlowStageContract(t *testing.T) {
+	place := func(spec synth.Spec, fo FlowOptions) func(*telemetry.Recorder) (flowSummary, error) {
+		return func(rec *telemetry.Recorder) (flowSummary, error) {
+			fo.GP.Telemetry = rec
+			res, err := Place(synth.Generate(spec), fo)
+			return res.flowSummary, err
+		}
+	}
+	rows := []struct {
+		name   string
+		stages []string
+		run    func(*telemetry.Recorder) (flowSummary, error)
+	}{
+		{"flat", []string{"mIP", "mGP", "cDP"}, place(detSpecs()[0], detFlowOpts(2))},
+		{"levels3", []string{"mIP", "mGP/L2", "mGP/L1", "mGP", "cDP"},
+			place(mlSpec(), FlowOptions{GP: Options{GridM: 64, MaxIters: 500, Workers: 2}, Levels: 3})},
+		{"mixed", []string{"mIP", "mGP", "mLG", "cGP", "cDP"}, place(detSpecs()[2], detFlowOpts(2))},
+		{"eco", []string{"eGP", "cDP"}, func(rec *telemetry.Recorder) (flowSummary, error) {
+			spec := ecoSpec("eco-contract")
+			cold := synth.Generate(spec)
+			if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+				return flowSummary{}, err
+			}
+			warm := warmCopy(spec, cold)
+			prep, err := eco.Prepare(warm, &eco.Script{AddCells: []eco.AddCell{
+				{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}},
+				{Name: "eco_b", W: 2, H: 1, NetIDs: []int{1}},
+			}}, eco.PlanOptions{})
+			if err != nil {
+				return flowSummary{}, err
+			}
+			res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 2, Telemetry: rec}})
+			return res.flowSummary, err
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ring := telemetry.NewRingSink(1024)
+			rec := telemetry.New(ring)
+			sum, err := row.run(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sum.Stages) != len(row.stages) || len(sum.StageTime) != len(row.stages) {
+				t.Fatalf("Stages = %v (StageTime has %d), want %v", sum.Stages, len(sum.StageTime), row.stages)
+			}
+			spans := ring.Spans()
+			for i, st := range sum.Stages {
+				if st.Name != row.stages[i] {
+					t.Errorf("stage %d = %q, want %q", i, st.Name, row.stages[i])
+				}
+				if got, ok := sum.StageTime[st.Name]; !ok || got != st.Time {
+					t.Errorf("StageTime[%q] = %v (present %v), want %v", st.Name, got, ok, st.Time)
+				}
+				n := 0
+				for _, sp := range spans {
+					if sp.Kernel == "" && sp.Stage == st.Name {
+						n++
+						if sp.Dur != st.Time {
+							t.Errorf("stage span %q lasts %v, Stages says %v", st.Name, sp.Dur, st.Time)
+						}
+					}
+				}
+				if n != 1 {
+					t.Errorf("stage %q emitted %d stage spans, want 1", st.Name, n)
+				}
+			}
+			for _, kernel := range []string{"legalize", "detail"} {
+				if rec.SpanTime("cDP", kernel) <= 0 {
+					t.Errorf("no cDP/%s kernel span recorded", kernel)
+				}
+			}
+			if n := len(sum.Digests); n == 0 || sum.Digests[n-1].Stage != "final" {
+				t.Errorf("Digests = %v, want a list ending with \"final\"", sum.Digests)
+			}
+		})
 	}
 }
