@@ -213,14 +213,14 @@ func (md *Model) force(cx, cy, w, h float64) (fx, fy float64) {
 	chargeScale := scale * md.binAreaInv
 	for j := j0; j < j1; j++ {
 		by0 := g.Region.Ly + float64(j)*g.BinH
-		oy := math.Min(r.Hy, by0+g.BinH) - math.Max(r.Ly, by0)
+		oy := min(r.Hy, by0+g.BinH) - max(r.Ly, by0)
 		if oy <= 0 {
 			continue
 		}
 		row := j * m
 		for i := i0; i < i1; i++ {
 			bx0 := g.Region.Lx + float64(i)*g.BinW
-			ox := math.Min(r.Hx, bx0+g.BinW) - math.Max(r.Lx, bx0)
+			ox := min(r.Hx, bx0+g.BinW) - max(r.Lx, bx0)
 			if ox <= 0 {
 				continue
 			}

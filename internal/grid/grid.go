@@ -163,14 +163,14 @@ func (g *Grid) splat(layer []float64, r geom.Rect, density float64) {
 	j0, j1 := g.binRange(r.Ly, r.Hy, g.Region.Ly, g.BinH)
 	for j := j0; j < j1; j++ {
 		by0 := g.Region.Ly + float64(j)*g.BinH
-		oy := math.Min(r.Hy, by0+g.BinH) - math.Max(r.Ly, by0)
+		oy := min(r.Hy, by0+g.BinH) - max(r.Ly, by0)
 		if oy <= 0 {
 			continue
 		}
 		row := j * g.M
 		for i := i0; i < i1; i++ {
 			bx0 := g.Region.Lx + float64(i)*g.BinW
-			ox := math.Min(r.Hx, bx0+g.BinW) - math.Max(r.Lx, bx0)
+			ox := min(r.Hx, bx0+g.BinW) - max(r.Lx, bx0)
 			if ox <= 0 {
 				continue
 			}
@@ -362,7 +362,7 @@ func (g *Grid) splatRow(j int, ro []rasterObj, objIdx []int32) {
 	row := j * g.M
 	for _, oi := range objIdx {
 		o := &ro[oi]
-		oy := math.Min(o.r.Hy, by0+g.BinH) - math.Max(o.r.Ly, by0)
+		oy := min(o.r.Hy, by0+g.BinH) - max(o.r.Ly, by0)
 		if oy <= 0 {
 			continue
 		}
@@ -372,7 +372,7 @@ func (g *Grid) splatRow(j int, ro []rasterObj, objIdx []int32) {
 		}
 		for i := o.i0; i < o.i1; i++ {
 			bx0 := g.Region.Lx + float64(i)*g.BinW
-			ox := math.Min(o.r.Hx, bx0+g.BinW) - math.Max(o.r.Lx, bx0)
+			ox := min(o.r.Hx, bx0+g.BinW) - max(o.r.Lx, bx0)
 			if ox <= 0 {
 				continue
 			}

@@ -169,10 +169,10 @@ func (cv *Compiled) NetHPWL(ni int) float64 {
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for s := o0; s < o1; s++ {
 		x, y := cv.PinPosSlot(s)
-		minX = math.Min(minX, x)
-		maxX = math.Max(maxX, x)
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
+		minX = min(minX, x)
+		maxX = max(maxX, x)
+		minY = min(minY, y)
+		maxY = max(maxY, y)
 	}
 	return cv.NetW[ni] * ((maxX - minX) + (maxY - minY))
 }
