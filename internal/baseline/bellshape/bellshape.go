@@ -235,7 +235,7 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 	if m == 0 {
 		m = grid.ChooseM(len(d.Cells))
 	}
-	qp.Place(d, idx, qp.Options{})
+	qp.Place(d, idx)
 
 	gamma := 0.05 * math.Max(d.Region.W(), d.Region.H()) / float64(m) * 8
 	md := newModel(d, idx, m, gamma)

@@ -18,7 +18,6 @@ import (
 	"eplace/internal/grid"
 	"eplace/internal/netlist"
 	"eplace/internal/qp"
-	"eplace/internal/sparse"
 	"eplace/internal/telemetry"
 )
 
@@ -74,9 +73,10 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 	n := len(idx)
 
 	// Lower bound 0: pure wirelength.
-	qp.Place(d, idx, qp.Options{})
+	qp.Place(d, idx)
 	cur := d.Positions(idx)
 
+	model := qp.NewModel(d, idx)
 	anchors := make([]geom.Point, n)
 	for round := 1; round <= opt.MaxRounds; round++ {
 		res.Iterations = round
@@ -99,11 +99,16 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 		// assigning cells in position order, then place each leaf's
 		// cells evenly inside its region.
 		lookAheadLegalize(d, idx, m, anchors)
-		// Next lower bound: anchored solve from the previous one. The
-		// anchor weight ramps geometrically so the bounds provably meet.
+		// Next lower bound: one B2B solve per axis from the previous one,
+		// with pseudo-net springs to the anchors. Their weight is constant
+		// in distance, so the restoring force grows with the distance to
+		// the upper bound, and it ramps geometrically over the rounds, so
+		// the bounds provably meet.
 		d.SetPositions(idx, cur)
 		w := opt.AnchorWeight0 * math.Pow(1.2, float64(round))
-		solveAnchored(d, idx, anchors, w)
+		if !model.Solve(anchors, w) {
+			break
+		}
 		copy(cur, d.Positions(idx))
 	}
 	d.SetPositions(idx, cur)
@@ -352,124 +357,4 @@ func overflowOf(d *netlist.Design, idx []int, m int) float64 {
 		g.AddMovable(c.X, c.Y, c.W, c.H)
 	}
 	return g.Overflow(d.TargetDensity)
-}
-
-// solveAnchored minimizes quadratic wirelength plus pseudo-net springs
-// to the anchors (one CG solve per axis, B2B weights from the current
-// positions). Anchor springs use a constant weight, so the restoring
-// force grows with the distance to the upper-bound position and the
-// bounds are guaranteed to approach as w ramps.
-func solveAnchored(d *netlist.Design, idx []int, anchors []geom.Point, w float64) {
-	slot := make([]int, len(d.Cells))
-	for i := range slot {
-		slot[i] = -1
-	}
-	for k, ci := range idx {
-		slot[ci] = k
-	}
-	minDist := 1e-4 * math.Max(d.Region.W(), d.Region.H())
-	for _, xAxis := range []bool{true, false} {
-		n := len(idx)
-		b := sparse.NewBuilder(n)
-		rhs := make([]float64, n)
-		for ni := range d.Nets {
-			net := &d.Nets[ni]
-			if len(net.Pins) < 2 {
-				continue
-			}
-			stampClique(d, b, rhs, slot, net, xAxis, minDist)
-		}
-		for k := range idx {
-			av := anchors[k].Y
-			if xAxis {
-				av = anchors[k].X
-			}
-			b.AddDiag(k, w)
-			rhs[k] += w * av
-		}
-		a := b.Build()
-		x := make([]float64, n)
-		for k, ci := range idx {
-			if xAxis {
-				x[k] = d.Cells[ci].X
-			} else {
-				x[k] = d.Cells[ci].Y
-			}
-		}
-		sparse.CG(a, rhs, x, 1e-6, 300)
-		for k, ci := range idx {
-			if xAxis {
-				d.Cells[ci].X = x[k]
-			} else {
-				d.Cells[ci].Y = x[k]
-			}
-		}
-	}
-}
-
-// stampClique adds a star-approximation clique for one net: every pin
-// connects to the two extreme pins (B2B).
-func stampClique(d *netlist.Design, b *sparse.Builder, rhs []float64, slot []int, net *netlist.Net, xAxis bool, minDist float64) {
-	loPin, hiPin := -1, -1
-	lo, hi := math.Inf(1), math.Inf(-1)
-	coord := func(pi int) float64 {
-		p := d.PinPos(pi)
-		if xAxis {
-			return p.X
-		}
-		return p.Y
-	}
-	for _, pi := range net.Pins {
-		v := coord(pi)
-		if v < lo {
-			lo, loPin = v, pi
-		}
-		if v > hi {
-			hi, hiPin = v, pi
-		}
-	}
-	if loPin == hiPin {
-		hiPin = net.Pins[0]
-		if hiPin == loPin {
-			hiPin = net.Pins[1]
-		}
-	}
-	wgt := net.Weight
-	if wgt == 0 {
-		wgt = 1
-	}
-	base := 2 * wgt / float64(len(net.Pins)-1)
-	addSpring := func(p, q int) {
-		dist := math.Abs(coord(p) - coord(q))
-		if dist < minDist {
-			dist = minDist
-		}
-		wv := base / dist
-		pc, qc := d.Pins[p].Cell, d.Pins[q].Cell
-		ps, qs := -1, -1
-		if pc >= 0 {
-			ps = slot[pc]
-		}
-		if qc >= 0 {
-			qs = slot[qc]
-		}
-		switch {
-		case ps >= 0 && qs >= 0:
-			b.AddSym(ps, qs, wv)
-		case ps >= 0:
-			b.AddDiag(ps, wv)
-			rhs[ps] += wv * coord(q)
-		case qs >= 0:
-			b.AddDiag(qs, wv)
-			rhs[qs] += wv * coord(p)
-		}
-	}
-	for _, pi := range net.Pins {
-		if pi != loPin {
-			addSpring(pi, loPin)
-		}
-		if pi != hiPin && pi != loPin {
-			addSpring(pi, hiPin)
-		}
-	}
 }

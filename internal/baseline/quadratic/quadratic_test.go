@@ -13,7 +13,7 @@ import (
 func TestLookAheadLegalizeFlattensBlob(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "lal", NumCells: 800, NumFixedMacros: 4})
 	idx := d.Movable()
-	qp.Place(d, idx, qp.Options{})
+	qp.Place(d, idx)
 	if tau := overflowOf(d, idx, 64); tau < 0.8 {
 		t.Fatalf("setup: mIP blob tau = %v, want high", tau)
 	}
@@ -68,7 +68,7 @@ func TestLowerUpperBoundsApproach(t *testing.T) {
 	// point of the lower-bound solves.
 	d2 := synth.Generate(synth.Spec{Name: "bounds", NumCells: 600, NumFixedMacros: 4})
 	idx2 := d2.Movable()
-	qp.Place(d2, idx2, qp.Options{})
+	qp.Place(d2, idx2)
 	anchors := make([]geom.Point, len(idx2))
 	lookAheadLegalize(d2, idx2, 64, anchors)
 	v := make([]float64, 2*len(idx2))

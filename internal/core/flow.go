@@ -20,8 +20,6 @@ import (
 type FlowOptions struct {
 	// GP configures both global placement stages (mGP and cGP).
 	GP Options
-	// MIP configures the quadratic initial placement.
-	MIP qp.Options
 	// MLG configures the annealing macro legalizer.
 	MLG legalize.MLGOptions
 	// Detail configures cDP refinement.
@@ -75,6 +73,10 @@ const cgpFillerIters = 20
 // embedded summary carries HPWL, Legal, DP, Stages, StageTime and
 // Digests.
 type FlowResult struct {
+	// MIP reports the quadratic initial placement: rounds, CG iterations,
+	// wirelength per round and why it stopped. Zero when a resumed run
+	// skipped the stage.
+	MIP qp.Result
 	MGP Result
 	MLG legalize.MLGResult
 	CGP Result
@@ -253,7 +255,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		// flat flow's scaling bottlenecks and a coarse seed is all the
 		// V-cycle needs. ---
 		if k == K && ph <= phMIP {
-			if err := r.mip(ld, k, movable, opt.MIP); err != nil {
+			var err error
+			if res.MIP, err = r.mip(ld, k, movable); err != nil {
 				return res, err
 			}
 		}

@@ -176,12 +176,16 @@ func (r *flowRun) boundary(phase string, level int, ld *netlist.Design, numFille
 
 // mip runs the quadratic initial placement (stage "mIP") over mv, every
 // movable of level's design ld.
-func (r *flowRun) mip(ld *netlist.Design, level int, mv []int, opt qp.Options) error {
+func (r *flowRun) mip(ld *netlist.Design, level int, mv []int) (qp.Result, error) {
 	r.rec.SetStage("mIP")
 	t0 := time.Now()
-	qp.Place(ld, mv, opt)
+	res := qp.Place(ld, mv)
 	hpwl := ld.HPWL()
 	r.golden.Absorb("mIP", 0, ld.Positions(mv), hpwl, 0)
+	r.rec.EmitSpan("mIP", "assemble", res.Assemble)
+	r.rec.EmitSpan("mIP", "solve", res.Solve)
+	r.rec.Count("mIP/rounds", int64(res.Rounds))
+	r.rec.Count("mIP/cg_iters", int64(res.CGIterations))
 	r.addStage("mIP", time.Since(t0))
 	if r.rec.Active() {
 		s := Sample{Stage: "mIP", HPWL: hpwl}
@@ -190,7 +194,7 @@ func (r *flowRun) mip(ld *netlist.Design, level int, mv []int, opt qp.Options) e
 		}
 		r.rec.Sample(s)
 	}
-	return r.boundary(checkpoint.PhasePostMIP, level, ld, 0)
+	return res, r.boundary(checkpoint.PhasePostMIP, level, ld, 0)
 }
 
 // gpStage describes one global-placement stage to flowRun.gp.

@@ -102,6 +102,41 @@ func TestFlowRecordsStageAndKernelSpans(t *testing.T) {
 	if n := rec.Snapshot().Counters; len(n) == 0 {
 		t.Error("no counters recorded (expected engine/grad_evals at least)")
 	}
+	// mIP reports its rounds, solver work and stop reason in the result
+	// and mirrors the counts into the recorder.
+	counters := map[string]int64{}
+	for _, c := range rec.Counters() {
+		counters[c.Name] = c.Value
+	}
+	mip := res.MIP
+	if mip.Rounds < 1 || mip.CGIterations < 1 || len(mip.HPWL) != mip.Rounds || mip.Stop == "" {
+		t.Errorf("FlowResult.MIP = %+v, want rounds, CG iterations, per-round HPWL and a stop reason", mip)
+	}
+	if counters["mIP/rounds"] != int64(mip.Rounds) || counters["mIP/cg_iters"] != int64(mip.CGIterations) {
+		t.Errorf("counters mIP/rounds=%d mIP/cg_iters=%d, result has %d and %d",
+			counters["mIP/rounds"], counters["mIP/cg_iters"], mip.Rounds, mip.CGIterations)
+	}
+}
+
+// TestMIPKernelSpansCoverStage checks that mIP's two kernel spans
+// account for its stage span: what they leave out (compile, per-round
+// HPWL, the digest) is a few percent at this size.
+func TestMIPKernelSpansCoverStage(t *testing.T) {
+	rec := telemetry.New()
+	fo := FlowOptions{SkipLegalization: true}
+	fo.GP.MaxIters = 1
+	fo.GP.Telemetry = rec
+	if _, err := Place(synth.Generate(synth.Spec{Name: "mip-spans", NumCells: 3000}), fo); err != nil {
+		t.Fatal(err)
+	}
+	kernels := rec.SpanTime("mIP", "assemble") + rec.SpanTime("mIP", "solve")
+	stage := rec.SpanTime("mIP", "")
+	if rec.SpanTime("mIP", "assemble") <= 0 || rec.SpanTime("mIP", "solve") <= 0 || kernels > stage {
+		t.Fatalf("mIP/assemble %v + mIP/solve %v vs stage %v", rec.SpanTime("mIP", "assemble"), rec.SpanTime("mIP", "solve"), stage)
+	}
+	if float64(kernels) < 0.75*float64(stage) {
+		t.Errorf("mIP kernel spans cover %v of the %v stage, want at least 75%%", kernels, stage)
+	}
 }
 
 // TestResultTimingFromSpans checks that the engine's per-stage timing

@@ -65,7 +65,7 @@ func Fig3(scale float64, opt RunOptions, snapshots []int, dir string, out io.Wri
 	for _, iters := range snapshots {
 		d := synth.Generate(mmsAdaptec1(scale))
 		movable := d.Movable()
-		qp.Place(d, movable, qp.Options{})
+		qp.Place(d, movable)
 		core.InsertFillers(d, 2)
 		gp := core.Options{
 			GridM: opt.GridM, MaxIters: maxInt(iters, 1), MinIters: maxInt(iters, 1),
@@ -88,7 +88,7 @@ func Fig3(scale float64, opt RunOptions, snapshots []int, dir string, out io.Wri
 func Fig5(scale float64, opt RunOptions, out io.Writer) {
 	d := synth.Generate(mmsAdaptec1(scale))
 	movable := d.Movable()
-	qp.Place(d, movable, qp.Options{})
+	qp.Place(d, movable)
 	core.InsertFillers(d, 2)
 	gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
 	_, _ = core.PlaceGlobal(d, d.Movable(), gp, "mGP", 0)

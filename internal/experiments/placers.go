@@ -158,5 +158,5 @@ func RunSpec(spec synth.Spec, p Placer, opt RunOptions) metrics.Report {
 // MIPOnly runs just the quadratic initial placement (used by figures
 // that start from v_mIP).
 func MIPOnly(d *netlist.Design) {
-	qp.Place(d, d.Movable(), qp.Options{})
+	qp.Place(d, d.Movable())
 }

@@ -8,57 +8,57 @@ package qp
 
 import (
 	"math"
+	"time"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
 	"eplace/internal/sparse"
 )
 
-// Options tunes the initial placement.
-type Options struct {
-	// Rounds is how many times the B2B model is rebuilt (default 6).
-	Rounds int
-	// CGTol is the conjugate-gradient relative tolerance (default 1e-6).
-	CGTol float64
-	// CGMaxIter bounds each CG solve (default 300).
-	CGMaxIter int
-	// AnchorWeight is a tiny pull toward the region center applied to
-	// every movable cell so the system is positive definite even for
-	// cells with no fixed connectivity (default 1e-6, relative to the
-	// average net weight).
-	AnchorWeight float64
-}
+const (
+	// maxRounds caps how many times Place rebuilds the B2B model.
+	maxRounds = 6
+	// cgTol is the relative residual every solve stops at, cgMaxIter its
+	// iteration bound.
+	cgTol     = 1e-6
+	cgMaxIter = 300
+	// centerAnchor is Place's tiny pull toward the region center on every
+	// movable cell, which keeps the system positive definite for cells
+	// with no path to a fixed pin.
+	centerAnchor = 1e-6
+)
 
-func (o *Options) defaults() {
-	if o.Rounds <= 0 {
-		o.Rounds = 6
-	}
-	if o.CGTol <= 0 {
-		o.CGTol = 1e-6
-	}
-	if o.CGMaxIter <= 0 {
-		o.CGMaxIter = 300
-	}
-	if o.AnchorWeight <= 0 {
-		o.AnchorWeight = 1e-6
-	}
+// Why Place stopped.
+const (
+	StopRoundCap     = "round-cap"
+	StopSolverFailed = "solver-failed"
+)
+
+// Result reports one initial placement.
+type Result struct {
+	// Rounds is the number of completed B2B rounds, CGIterations the
+	// conjugate-gradient iterations of all their solves.
+	Rounds       int
+	CGIterations int
+	// HPWL is the wirelength after each completed round.
+	HPWL []float64
+	// Stop is the reason the round loop ended (a Stop* constant).
+	Stop string
+	// Assemble and Solve are the wall time spent building the systems
+	// and solving them.
+	Assemble, Solve time.Duration
 }
 
 // Place quadratically minimizes wirelength over the cells in idx,
 // writing positions back to the design (clamped inside the region).
-// Cells not in idx are fixed terminals.
-func Place(d *netlist.Design, idx []int, opt Options) {
-	opt.defaults()
+// Cells not in idx are fixed terminals. If a solve fails (a non-finite
+// net weight or coordinate makes the system indefinite), the cells keep
+// the positions of the last round that solved.
+func Place(d *netlist.Design, idx []int) Result {
+	var res Result
 	n := len(idx)
 	if n == 0 {
-		return
-	}
-	slot := make([]int, len(d.Cells))
-	for i := range slot {
-		slot[i] = -1
-	}
-	for k, ci := range idx {
-		slot[ci] = k
+		return res
 	}
 	center := d.Region.Center()
 	// Start every movable cell at the region center with a deterministic
@@ -69,144 +69,215 @@ func Place(d *netlist.Design, idx []int, opt Options) {
 		c.X = center.X + (frac-0.5)*1e-3*d.Region.W()
 		c.Y = center.Y + (math.Mod(frac*617.0, 1.0)-0.5)*1e-3*d.Region.H()
 	}
-	for round := 0; round < opt.Rounds; round++ {
-		solveAxis(d, idx, slot, opt, true)
-		solveAxis(d, idx, slot, opt, false)
+	m := NewModel(d, idx)
+	res.Stop = StopRoundCap
+	for res.Rounds < maxRounds {
+		if !m.Solve(nil, centerAnchor) {
+			res.Stop = StopSolverFailed
+			break
+		}
+		res.Rounds++
+		res.HPWL = append(res.HPWL, m.cv.HPWL())
 	}
+	res.CGIterations, res.Assemble, res.Solve = m.CGIterations, m.AssembleTime, m.SolveTime
 	for _, ci := range idx {
 		c := &d.Cells[ci]
 		p := geom.ClampPoint(geom.Point{X: c.X, Y: c.Y}, c.W, c.H, d.Region)
 		c.X, c.Y = p.X, p.Y
 	}
+	return res
 }
 
-// solveAxis builds and solves the B2B system along one axis.
-func solveAxis(d *netlist.Design, idx []int, slot []int, opt Options, xAxis bool) {
-	n := len(idx)
-	b := sparse.NewBuilder(n)
-	rhs := make([]float64, n)
-	minDist := 1e-4 * math.Max(d.Region.W(), d.Region.H())
+// Model is the B2B quadratic wirelength system of a design's movable
+// cells: the compiled view it reads pin coordinates from and the
+// assembler, solver and vectors that every solve of the design shares.
+type Model struct {
+	cv  *netlist.Compiled
+	idx []int
+	// pinVar maps a pin slot of the view to the unknown its cell is, or
+	// -1 for a pin on a fixed cell or a floating terminal.
+	pinVar []int32
+	// coord holds every pin slot's coordinate along the axis being
+	// assembled; rhs and x are that axis's right-hand side and unknowns.
+	coord, rhs, x []float64
+	minDist       float64
+	asm           sparse.Assembler
+	cg            sparse.Solver
 
-	for ni := range d.Nets {
-		net := &d.Nets[ni]
-		deg := len(net.Pins)
-		if deg < 2 {
+	// CGIterations, AssembleTime and SolveTime accumulate over Solve calls.
+	CGIterations            int
+	AssembleTime, SolveTime time.Duration
+}
+
+// NewModel compiles d and sizes the buffers for the unknowns idx. The
+// design's topology, cell sizes and net weights must not change while
+// the model is in use; positions may.
+func NewModel(d *netlist.Design, idx []int) *Model {
+	cv := d.Compile()
+	m := &Model{
+		cv: cv, idx: idx,
+		pinVar:  make([]int32, cv.NumPinSlots()),
+		coord:   make([]float64, cv.NumPinSlots()),
+		rhs:     make([]float64, len(idx)),
+		x:       make([]float64, len(idx)),
+		minDist: 1e-4 * math.Max(d.Region.W(), d.Region.H()),
+	}
+	slot := make([]int32, len(d.Cells))
+	for i := range slot {
+		slot[i] = -1
+	}
+	for k, ci := range idx {
+		slot[ci] = int32(k)
+	}
+	for s, ci := range cv.PinCell {
+		m.pinVar[s] = -1
+		if ci >= 0 {
+			m.pinVar[s] = slot[ci]
+		}
+	}
+	return m
+}
+
+// Solve runs one B2B round from the design's current positions: along
+// each axis the model is linearized there, every unknown k is tied to
+// anchors[k] (nil = the region center) by a spring of weight w, and the
+// system is solved, warm-started from the current positions. It writes
+// the solution to the design and reports true; when a solve breaks down
+// or yields a non-finite coordinate it reports false and leaves the
+// design's positions as they were.
+func (m *Model) Solve(anchors []geom.Point, w float64) bool {
+	cv := m.cv
+	cv.SyncGeometry()
+	if !m.solveAxis(true, anchors, w) || !m.solveAxis(false, anchors, w) {
+		return false
+	}
+	d := cv.Design()
+	for _, ci := range m.idx {
+		d.Cells[ci].X, d.Cells[ci].Y = cv.PosX[ci], cv.PosY[ci]
+	}
+	return true
+}
+
+// solveAxis builds and solves the system along one axis and scatters
+// the solution into the view's positions on that axis.
+func (m *Model) solveAxis(xAxis bool, anchors []geom.Point, w float64) bool {
+	t0 := time.Now()
+	a := m.assemble(xAxis, anchors, w)
+	t1 := time.Now()
+	m.AssembleTime += t1.Sub(t0)
+
+	pos, x := m.cv.PosY, m.x
+	if xAxis {
+		pos = m.cv.PosX
+	}
+	for k, ci := range m.idx {
+		x[k] = pos[ci]
+	}
+	res := m.cg.Solve(a, m.rhs, x, cgTol, cgMaxIter)
+	m.CGIterations += res.Iterations
+	ok := !res.Breakdown
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			ok = false
+		}
+	}
+	if ok {
+		for k, ci := range m.idx {
+			pos[ci] = x[k]
+		}
+	}
+	m.SolveTime += time.Since(t1)
+	return ok
+}
+
+// assemble linearizes the B2B model along one axis at the view's
+// positions: it fills m.rhs and returns the matrix, which lives in the
+// model's assembler until the next call.
+func (m *Model) assemble(xAxis bool, anchors []geom.Point, w float64) *sparse.CSR {
+	cv, coord, rhs := m.cv, m.coord, m.rhs
+	pos, off := cv.PosY, cv.PinOy
+	if xAxis {
+		pos, off = cv.PosX, cv.PinOx
+	}
+	for s, ci := range cv.PinCell {
+		coord[s] = off[s]
+		if ci >= 0 {
+			coord[s] += pos[ci]
+		}
+	}
+	// A net of degree deg stamps 2*deg-3 springs, so there are fewer
+	// than two per pin slot.
+	m.asm.Reset(len(m.idx), 2*len(coord))
+	clear(rhs)
+	for ni, nw := range cv.NetW {
+		o0, o1 := int(cv.NetOff[ni]), int(cv.NetOff[ni+1])
+		if o1-o0 < 2 {
 			continue
 		}
-		w := net.EffWeight()
-		// Locate boundary pins along this axis.
-		loPin, hiPin := -1, -1
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, pi := range net.Pins {
-			v := pinCoord(d, pi, xAxis)
-			if v < lo {
-				lo, loPin = v, pi
+		// Boundary pins along this axis: the first slot holding the
+		// minimum and the first holding the maximum.
+		lo, hi := o0, o0
+		for s := o0 + 1; s < o1; s++ {
+			if coord[s] < coord[lo] {
+				lo = s
 			}
-			if v > hi {
-				hi, hiPin = v, pi
+			if coord[s] > coord[hi] {
+				hi = s
 			}
 		}
-		if loPin == hiPin {
-			hiPin = net.Pins[0]
-			if hiPin == loPin {
-				hiPin = net.Pins[1]
+		if lo == hi {
+			// Every pin sits at one coordinate, so both are the first slot.
+			hi = o0 + 1
+		}
+		// B2B: every inner pin connects to both boundary pins with weight
+		// w_e * 2 / ((deg-1) * dist). The boundary pair carries that
+		// weight twice, which is the model every recorded result of this
+		// placer was measured with.
+		base := 2 * nw / float64(o1-o0-1)
+		for s := o0; s < o1; s++ {
+			if s != lo && s != hi {
+				m.stamp(s, lo, base, off)
+				m.stamp(s, hi, base, off)
 			}
 		}
-		// B2B: every pin connects to both boundary pins; boundary pins
-		// connect to each other once. Weight w_e * 2 / ((deg-1) * dist).
-		base := 2 * w / float64(deg-1)
-		for _, pi := range net.Pins {
-			for _, bp := range [2]int{loPin, hiPin} {
-				if pi == bp {
-					continue
-				}
-				// Skip the duplicate (lo,hi) stamp: only stamp hi->lo once.
-				if pi == loPin && bp == hiPin {
-					continue
-				}
-				dist := math.Abs(pinCoord(d, pi, xAxis) - pinCoord(d, bp, xAxis))
-				if dist < minDist {
-					dist = minDist
-				}
-				stamp(d, b, rhs, slot, pi, bp, base/dist, xAxis)
-			}
-		}
-		// Boundary-to-boundary edge.
-		dist := hi - lo
-		if dist < minDist {
-			dist = minDist
-		}
-		stamp(d, b, rhs, slot, loPin, hiPin, base/dist, xAxis)
+		m.stamp(lo, hi, 2*base, off)
 	}
-
-	// Tiny center anchors keep the system nonsingular.
-	center := d.Region.Center()
-	cv := center.Y
-	if xAxis {
-		cv = center.X
-	}
-	for k := 0; k < n; k++ {
-		b.AddDiag(k, opt.AnchorWeight)
-		rhs[k] += opt.AnchorWeight * cv
-	}
-
-	a := b.Build()
-	x := make([]float64, n)
-	for k, ci := range idx {
+	anchor := cv.Design().Region.Center()
+	for k := range rhs {
+		if anchors != nil {
+			anchor = anchors[k]
+		}
+		m.asm.AddDiag(k, w)
 		if xAxis {
-			x[k] = d.Cells[ci].X
+			rhs[k] += w * anchor.X
 		} else {
-			x[k] = d.Cells[ci].Y
+			rhs[k] += w * anchor.Y
 		}
 	}
-	sparse.CG(a, rhs, x, opt.CGTol, opt.CGMaxIter)
-	for k, ci := range idx {
-		if xAxis {
-			d.Cells[ci].X = x[k]
-		} else {
-			d.Cells[ci].Y = x[k]
-		}
-	}
+	return m.asm.Build()
 }
 
-// stamp adds the spring between pins p and q with weight w to the
-// system, folding fixed endpoints and pin offsets into the RHS.
-func stamp(d *netlist.Design, b *sparse.Builder, rhs []float64, slot []int, p, q int, w float64, xAxis bool) {
-	pc, qc := d.Pins[p].Cell, d.Pins[q].Cell
-	ps, qs := -1, -1
-	if pc >= 0 {
-		ps = slot[pc]
+// stamp adds the spring between pin slots p and q, base/distance
+// strong, to the system, folding fixed endpoints and the pin offsets
+// off into the right-hand side.
+func (m *Model) stamp(p, q int, base float64, off []float64) {
+	dist := math.Abs(m.coord[p] - m.coord[q])
+	if dist < m.minDist {
+		dist = m.minDist
 	}
-	if qc >= 0 {
-		qs = slot[qc]
-	}
-	po, qo := pinOffset(d, p, xAxis), pinOffset(d, q, xAxis)
+	w := base / dist
+	pv, qv := int(m.pinVar[p]), int(m.pinVar[q])
 	switch {
-	case ps >= 0 && qs >= 0:
-		b.AddSym(ps, qs, w)
-		// Offsets: spring on (x_p + po) - (x_q + qo).
-		rhs[ps] += w * (qo - po)
-		rhs[qs] += w * (po - qo)
-	case ps >= 0:
-		b.AddDiag(ps, w)
-		rhs[ps] += w * (pinCoord(d, q, xAxis) - po)
-	case qs >= 0:
-		b.AddDiag(qs, w)
-		rhs[qs] += w * (pinCoord(d, p, xAxis) - qo)
+	case pv >= 0 && qv >= 0:
+		// Spring on (x_p + off_p) - (x_q + off_q).
+		m.asm.AddSym(pv, qv, w)
+		m.rhs[pv] += w * (off[q] - off[p])
+		m.rhs[qv] += w * (off[p] - off[q])
+	case pv >= 0:
+		m.asm.AddDiag(pv, w)
+		m.rhs[pv] += w * (m.coord[q] - off[p])
+	case qv >= 0:
+		m.asm.AddDiag(qv, w)
+		m.rhs[qv] += w * (m.coord[p] - off[q])
 	}
-}
-
-func pinCoord(d *netlist.Design, pi int, xAxis bool) float64 {
-	p := d.PinPos(pi)
-	if xAxis {
-		return p.X
-	}
-	return p.Y
-}
-
-func pinOffset(d *netlist.Design, pi int, xAxis bool) float64 {
-	if xAxis {
-		return d.Pins[pi].Ox
-	}
-	return d.Pins[pi].Oy
 }

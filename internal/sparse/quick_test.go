@@ -11,7 +11,8 @@ import (
 func randomSPD(seed int64) (*CSR, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 5 + rng.Intn(30)
-	b := NewBuilder(n)
+	var b Assembler
+	b.Reset(n, 0)
 	for k := 0; k < 3*n; k++ {
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i != j {
@@ -34,7 +35,7 @@ func TestQuickCGResidual(t *testing.T) {
 	f := func(seed int64) bool {
 		a, rhs := randomSPD(seed)
 		x := make([]float64, a.N)
-		res := CG(a, rhs, x, 1e-9, 10*a.N)
+		res := new(Solver).Solve(a, rhs, x, 1e-9, 10*a.N)
 		if !res.Converged {
 			return false
 		}
