@@ -16,11 +16,22 @@ import (
 )
 
 const (
-	// maxRounds caps how many times Place rebuilds the B2B model.
+	// maxRounds caps how many times Place rebuilds the B2B model, and
+	// stallFrac ends the rounds earlier: Place stops after a round that
+	// lowers HPWL by less than this fraction. On a 5 000-cell circuit the
+	// six rounds reach 17 928, 17 355, 17 147, 17 050, 17 001, 16 974:
+	// the last three together buy 1%, of a seed that mGP then spreads to
+	// eight times that wirelength.
 	maxRounds = 6
-	// cgTol is the relative residual every solve stops at, cgMaxIter its
-	// iteration bound.
-	cgTol     = 1e-6
+	stallFrac = 0.01
+	// cgTol is the relative residual every solve stops at. Each system is
+	// relinearized in the next round and warm-started from the previous
+	// one, so three digits are enough: on the same circuit the twelve
+	// solves take 2 071 iterations at 1e-6 and 143 at 1e-3, and over ten
+	// designs per workload the mean final HPWL moves by +0.3% (flat),
+	// +0.2% (mixed-size) and -0.1% (V-cycle) with both rules in place.
+	// cgMaxIter bounds a solve that does not get there.
+	cgTol     = 1e-3
 	cgMaxIter = 300
 	// centerAnchor is Place's tiny pull toward the region center on every
 	// movable cell, which keeps the system positive definite for cells
@@ -30,6 +41,7 @@ const (
 
 // Why Place stopped.
 const (
+	StopHPWLStall    = "hpwl-stall"
 	StopRoundCap     = "round-cap"
 	StopSolverFailed = "solver-failed"
 )
@@ -78,6 +90,10 @@ func Place(d *netlist.Design, idx []int) Result {
 		}
 		res.Rounds++
 		res.HPWL = append(res.HPWL, m.cv.HPWL())
+		if k := res.Rounds - 1; k > 0 && res.HPWL[k-1]-res.HPWL[k] < stallFrac*res.HPWL[k-1] {
+			res.Stop = StopHPWLStall
+			break
+		}
 	}
 	res.CGIterations, res.Assemble, res.Solve = m.CGIterations, m.AssembleTime, m.SolveTime
 	for _, ci := range idx {
