@@ -251,9 +251,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			movable = ld.Movable()
 		}
 		// --- mIP: quadratic wirelength minimization over all movables,
-		// on the coarsest netlist only — the quadratic solve is one of the
-		// flat flow's scaling bottlenecks and a coarse seed is all the
-		// V-cycle needs. ---
+		// on the coarsest netlist only — a coarse seed is all the V-cycle
+		// needs. ---
 		if k == K && ph <= phMIP {
 			var err error
 			if res.MIP, err = r.mip(ld, k, movable); err != nil {

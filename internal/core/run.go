@@ -182,8 +182,8 @@ func (r *flowRun) mip(ld *netlist.Design, level int, mv []int) (qp.Result, error
 	res := qp.Place(ld, mv)
 	hpwl := ld.HPWL()
 	r.golden.Absorb("mIP", 0, ld.Positions(mv), hpwl, 0)
-	r.rec.EmitSpan("mIP", "assemble", res.Assemble)
-	r.rec.EmitSpan("mIP", "solve", res.Solve)
+	r.rec.AddSpanTime("mIP", "assemble", res.Assemble)
+	r.rec.AddSpanTime("mIP", "solve", res.Solve)
 	r.rec.Count("mIP/rounds", int64(res.Rounds))
 	r.rec.Count("mIP/cg_iters", int64(res.CGIterations))
 	r.addStage("mIP", time.Since(t0))

@@ -46,7 +46,7 @@ func referencePlace(d *netlist.Design, idx []int, rounds int, tol float64) {
 func referenceAxis(d *netlist.Design, idx, slot []int, tol float64, xAxis bool) {
 	n := len(idx)
 	var b sparse.Assembler
-	b.Reset(n, 0)
+	b.Reset(n)
 	rhs := make([]float64, n)
 	minDist := 1e-4 * math.Max(d.Region.W(), d.Region.H())
 	coord := func(pi int) float64 {
@@ -249,8 +249,8 @@ func TestPlaceBitwiseRepeatable(t *testing.T) {
 }
 
 // One placement shares one set of buffers between all its solves: the
-// budget is about twice what Place allocates on this design (1.1 MB in
-// 33 mallocs; the triplet-sort path took 59.9 MB in 1 485), so a return
+// budget is about twice what Place allocates on this design (1.5 MB in
+// 50 mallocs; the triplet-sort path took 59.9 MB in 1 485), so a return
 // to per-solve allocation trips it.
 func TestPlaceAllocationBudget(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "qp-alloc", NumCells: 2000})
@@ -261,8 +261,8 @@ func TestPlaceAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("qp.Place on %d cells: %d bytes in %d mallocs", len(idx), bytes, mallocs)
-	if bytes > 3<<20 || mallocs > 80 {
-		t.Errorf("qp.Place allocated %d bytes in %d mallocs, budget 3 MiB in 80", bytes, mallocs)
+	if bytes > 3<<20 || mallocs > 100 {
+		t.Errorf("qp.Place allocated %d bytes in %d mallocs, budget 3 MiB in 100", bytes, mallocs)
 	}
 }
 

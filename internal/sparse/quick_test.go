@@ -12,7 +12,7 @@ func randomSPD(seed int64) (*CSR, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 5 + rng.Intn(30)
 	var b Assembler
-	b.Reset(n, 0)
+	b.Reset(n)
 	for k := 0; k < 3*n; k++ {
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i != j {

@@ -75,17 +75,12 @@ type Assembler struct {
 	csr     CSR
 }
 
-// Reset clears the assembler for an n x n system. springs is a capacity
-// hint: a caller that knows an upper bound on its AddSym calls avoids
-// growing the stamp list while stamping.
-func (a *Assembler) Reset(n, springs int) {
+// Reset clears the assembler for an n x n system.
+func (a *Assembler) Reset(n int) {
 	if cap(a.csr.Diag) < n {
 		a.csr.Diag = make([]float64, n)
 		a.csr.RowPtr = make([]int32, n+1)
 		a.next = make([]int32, n)
-	}
-	if cap(a.springs) < springs {
-		a.springs = make([]spring, 0, springs)
 	}
 	a.csr.N = n
 	a.csr.Diag = a.csr.Diag[:n]
@@ -189,15 +184,12 @@ type Solver struct {
 }
 
 // Solve solves A x = b to a relative residual of tol in at most maxIter
-// iterations (0 = 2n). x holds the initial guess on entry and the
-// solution on return.
+// iterations. x holds the initial guess on entry and the solution on
+// return.
 func (s *Solver) Solve(a *CSR, b, x []float64, tol float64, maxIter int) CGResult {
 	n := a.N
 	if len(b) != n || len(x) != n {
 		panic("sparse: Solve dimension mismatch")
-	}
-	if maxIter <= 0 {
-		maxIter = 2 * n
 	}
 	if cap(s.inv) < n {
 		s.inv = make([]float64, n)

@@ -10,7 +10,7 @@ import (
 // newAssembler returns an assembler reset for an n x n system.
 func newAssembler(n int) *Assembler {
 	a := &Assembler{}
-	a.Reset(n, 0)
+	a.Reset(n)
 	return a
 }
 
@@ -90,7 +90,7 @@ func TestAssemblerMatchesOracleAndDense(t *testing.T) {
 	var asm Assembler
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
-		asm.Reset(n, rng.Intn(3)*n) // reused across sizes, with and without a hint
+		asm.Reset(n) // reused across sizes
 		oracle := &tripletOracle{n: n}
 		dense := make([]float64, n*n)
 		for k := rng.Intn(6 * n); k > 0; k-- {
