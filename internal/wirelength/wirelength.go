@@ -10,8 +10,9 @@
 // each net's pin positions, min/max, exponentials, partial sums and —
 // reusing the cached exponentials — the per-pin derivatives in a single
 // sweep. That halves the math.Exp calls of the classic
-// cost-loop-then-gradient-loop formulation and removes every
-// Net -> Pin -> Cell pointer chase from the hot path.
+// cost-loop-then-gradient-loop formulation, expTerms halves them again
+// by calling once per distinct argument, and no Net -> Pin -> Cell
+// pointer chase is left on the hot path.
 package wirelength
 
 import (
@@ -309,12 +310,12 @@ func (m *Model) eval(grad []float64) float64 {
 
 // evalNet is the fused per-net kernel: one sweep gathers the pin
 // positions from the SoA arrays and tracks min/max per axis, then each
-// axis computes its exponentials ONCE — caching e^+ / e^- in the worker
-// scratch — and derives both the smooth span and, when a gradient is
-// requested, every pin's weighted derivative from the cached values.
-// The arithmetic matches the reference axisWA/axisLSE expressions
-// operation for operation, so results are bitwise-identical to the
-// unfused pointer-based evaluation.
+// axis computes its exponentials ONCE (expTerms) — caching e^+ / e^- in
+// the worker scratch — and derives both the smooth span and, when a
+// gradient is requested, every pin's weighted derivative from the cached
+// values. The arithmetic matches the reference axisWA/axisLSE
+// expressions operation for operation, so results are bitwise-identical
+// to the unfused pointer-based evaluation.
 func (m *Model) evalNet(ni int, s *netScratch) {
 	cv := m.cv
 	o0, o1 := int(cv.NetOff[ni]), int(cv.NetOff[ni+1])
@@ -366,35 +367,61 @@ func (m *Model) evalNet(ni int, s *netScratch) {
 	m.costs[ni] = w * cost
 }
 
-// fusedWA computes the weighted-average span of Eq. (3) for one axis
-// with the standard max-shift, and when a gradient is requested writes
-// each pin's weighted derivative into gOut[o0+p], reusing the cached
-// exponentials instead of recomputing them.
-func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
-	gamma := m.Gamma
-	var sp, tp, sm, tm float64 // S+, T+, S-, T-
-	if m.grad == nil {
-		for _, x := range xs {
-			ep := math.Exp((x - xmax) / gamma)
-			em := math.Exp((xmin - x) / gamma)
-			sp += ep
-			tp += x * ep
-			sm += em
-			tm += x * em
-		}
-		return tp/sp - tm/sm
+// expTerms is the one place the fused kernels call math.Exp. For one
+// axis of one net it caches every pin's max-shifted exponentials
+// e+ = exp((x-xmax)/gamma) and e- = exp((xmin-x)/gamma) in the worker
+// scratch and returns them with their sums S+- = sum e+- and
+// T+- = sum x*e+-, accumulated in pin order (LSE ignores T+-).
+//
+// Of the 2*deg arguments at most 2*deg-3 are distinct. e+ of a pin at
+// xmax and e- of a pin at xmin have argument exactly +-0, and
+// math.Exp(+-0) is exactly 1 (TestExpOfZeroIsOne pins that); e+ of a pin
+// at xmin and e- of a pin at xmax share the argument (xmin-xmax)/gamma,
+// computed once. Equal arguments give equal bits, so skipping the repeats
+// changes no result, and on a typical netlist (2-3 pins per net) they are
+// half of all calls.
+func expTerms(xs []float64, xmin, xmax, gamma float64, s *netScratch) (ep, em []float64, sp, tp, sm, tm float64) {
+	ep, em = s.ep[:len(xs)], s.em[:len(xs)]
+	// An infinite extreme makes its own argument Inf-Inf = NaN, not 0, and
+	// that NaN is what carries a diverged coordinate into the net's cost
+	// and every derivative, where the engine's guard looks for it. (A NaN
+	// extreme compares equal to no pin, so every term goes through Exp.)
+	one := 1.0
+	if xmax > math.MaxFloat64 || xmin < -math.MaxFloat64 {
+		one = math.NaN()
 	}
-	ep, em := s.ep[:len(xs)], s.em[:len(xs)]
+	across := math.Exp((xmin - xmax) / gamma)
 	for p, x := range xs {
-		e1 := math.Exp((x - xmax) / gamma)
-		e2 := math.Exp((xmin - x) / gamma)
+		var e1, e2 float64
+		switch x {
+		case xmax: // and every pin of a zero-span net, where across is exp(+-0)
+			e1, e2 = one, across
+		case xmin:
+			e1, e2 = across, one
+		default:
+			e1 = math.Exp((x - xmax) / gamma)
+			e2 = math.Exp((xmin - x) / gamma)
+		}
 		ep[p], em[p] = e1, e2
 		sp += e1
 		tp += x * e1
 		sm += e2
 		tm += x * e2
 	}
+	return ep, em, sp, tp, sm, tm
+}
+
+// fusedWA computes the weighted-average span of Eq. (3) for one axis
+// with the standard max-shift, and when a gradient is requested writes
+// each pin's weighted derivative into gOut[o0+p], reusing the cached
+// exponentials instead of recomputing them.
+func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
+	gamma := m.Gamma
+	ep, em, sp, tp, sm, tm := expTerms(xs, xmin, xmax, gamma, s) // S+, T+, S-, T-
 	span := tp/sp - tm/sm
+	if m.grad == nil {
+		return span
+	}
 	// The per-pin divisions tp/gamma, tm/gamma and products sp*sp, sm*sm
 	// are loop-invariant; hoisting them produces the same bits as
 	// recomputing them per pin (each IEEE op is deterministic), so the
@@ -415,25 +442,12 @@ func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []
 // for one axis with cached exponentials, mirroring fusedWA's structure.
 func (m *Model) fusedLSE(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
 	gamma := m.Gamma
-	var sp, sm float64
-	if m.grad == nil {
-		for _, x := range xs {
-			sp += math.Exp((x - xmax) / gamma)
-			sm += math.Exp((xmin - x) / gamma)
-		}
-		return gamma*(math.Log(sp)+math.Log(sm)) + (xmax - xmin)
-	}
-	ep, em := s.ep[:len(xs)], s.em[:len(xs)]
-	for p, x := range xs {
-		e1 := math.Exp((x - xmax) / gamma)
-		e2 := math.Exp((xmin - x) / gamma)
-		ep[p], em[p] = e1, e2
-		sp += e1
-		sm += e2
-	}
+	ep, em, sp, _, sm, _ := expTerms(xs, xmin, xmax, gamma, s)
 	cost := gamma*(math.Log(sp)+math.Log(sm)) + (xmax - xmin)
-	for p := range xs {
-		gOut[o0+p] = w * (ep[p]/sp - em[p]/sm)
+	if m.grad != nil {
+		for p := range xs {
+			gOut[o0+p] = w * (ep[p]/sp - em[p]/sm)
+		}
 	}
 	return cost
 }
