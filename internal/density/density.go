@@ -6,14 +6,15 @@
 // solution of Eq. (6). Fixed objects carry charge like everything else
 // ("generalized without special handling of fixed blocks").
 //
-// The rasterization and force kernels read cell geometry from the SoA
-// arrays of a netlist.Compiled view instead of walking Cell structs;
-// the engine shares one view across all models and writes positions
-// into it once per iteration.
+// The rasterizer reads cell geometry from the SoA arrays of a
+// netlist.Compiled view instead of walking Cell structs; the engine
+// shares one view across all models and writes positions into it once
+// per iteration. The grid owns the smoothed footprints: Refresh stages
+// and splats them, Gradient integrates the solved field over the same
+// staged records.
 package density
 
 import (
-	"math"
 	"time"
 
 	"eplace/internal/grid"
@@ -40,12 +41,8 @@ type Model struct {
 	// default; see poisson.Kinds). Its field planes are re-fetched into
 	// ex/ey after every solve — backends may remap them on fallback.
 	Solver poisson.Backend
-	d      *netlist.Design
 	cv     *netlist.Compiled
-	// ownView marks a privately compiled view that must re-sync from the
-	// Cell structs before each Refresh (callers may move cells directly).
-	ownView bool
-	rho     []float64
+	rho    []float64
 	// binAreaInv normalizes charge to dimensionless bin density.
 	binAreaInv float64
 	energy     float64
@@ -56,42 +53,24 @@ type Model struct {
 	// evaluation, for per-backend telemetry spans.
 	solveTime time.Duration
 
-	// Per-call inputs for the persistent Gradient closure (closures
+	// Per-call input for the persistent Gradient closure (closures
 	// passed to parallel.For escape; capturing locals would allocate
 	// one closure per call).
-	gradIdx  []int
 	gradBuf  []float64
 	gradTask func(wk, lo, hi int)
 }
 
-// NewModel builds a density model over design d with an m x m grid
-// (m a power of two, e.g. grid.ChooseM) using all cores and the default
-// spectral float64 backend. Fixed cells are rasterized once; call
-// Refresh whenever movable positions change. It errors on an invalid
-// grid size.
-func NewModel(d *netlist.Design, m int) (*Model, error) {
-	return NewModelWorkers(d, m, 0)
-}
-
-// NewModelWorkers is NewModel with an explicit worker count for the
-// rasterization, force and Poisson kernels; workers <= 0 selects all
-// cores, 1 runs fully serial. The model compiles a private view of d
-// and re-syncs it from the Cell structs on every Refresh.
-func NewModelWorkers(d *netlist.Design, m, workers int) (*Model, error) {
-	return newModel(d.Compile(), m, workers, poisson.KindSpectral, true)
-}
-
 // NewModelCompiled builds a density model over a caller-owned compiled
-// view with the named Poisson backend (poisson.Kinds; "" selects
-// spectral). The caller keeps the view's positions current (the engine
-// writes them once per iteration via Compiled.SetPositions); Refresh
-// performs no struct-to-SoA sync. It errors on an invalid grid size or
-// an unknown backend kind.
+// view with an m x m grid (m a power of two, e.g. grid.ChooseM) and the
+// named Poisson backend (poisson.Kinds; "" selects spectral). workers is
+// the worker count of the rasterization, force and Poisson kernels;
+// <= 0 selects all cores, 1 runs fully serial. Fixed cells are
+// rasterized once; call Refresh whenever movable positions change. The
+// caller keeps the view's positions current (the engine writes them once
+// per iteration via Compiled.SetPositions); Refresh performs no
+// struct-to-SoA sync. It errors on an invalid grid size or an unknown
+// backend kind.
 func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model, error) {
-	return newModel(cv, m, workers, kind, false)
-}
-
-func newModel(cv *netlist.Compiled, m, workers int, kind string, ownView bool) (*Model, error) {
 	d := cv.Design()
 	solver, err := poisson.NewBackend(kind, m, workers)
 	if err != nil {
@@ -101,9 +80,7 @@ func newModel(cv *netlist.Compiled, m, workers int, kind string, ownView bool) (
 	md := &Model{
 		Grid:       g,
 		Solver:     solver,
-		d:          d,
 		cv:         cv,
-		ownView:    ownView,
 		rho:        make([]float64, m*m),
 		binAreaInv: 1 / g.BinArea(),
 		workers:    parallel.Count(workers),
@@ -112,15 +89,14 @@ func newModel(cv *netlist.Compiled, m, workers int, kind string, ownView bool) (
 		g.AddFixed(d.Cells[ci].Rect())
 	}
 	md.gradTask = func(_, lo, hi int) {
-		cv, grad := md.cv, md.gradBuf
-		n := len(md.gradIdx)
+		grad := md.gradBuf
+		n := len(grad) / 2
 		for k := lo; k < hi; k++ {
-			ci := md.gradIdx[k]
-			fx, fy := md.force(cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci])
+			fx, fy := g.FootprintForce(k, md.ex, md.ey, md.binAreaInv)
 			// Convert grid-coordinate field to design units and negate the
 			// force (Eq. 8: dN/dx_i = 2 q_i xi_ix, pointing uphill).
-			grad[k] = -2 * fx / md.Grid.BinW
-			grad[k+n] = -2 * fy / md.Grid.BinH
+			grad[k] = -2 * fx / g.BinW
+			grad[k+n] = -2 * fy / g.BinH
 		}
 	}
 	return md, nil
@@ -130,9 +106,6 @@ func newModel(cv *netlist.Compiled, m, workers int, kind string, ownView bool) (
 // the filler layer), solves the Poisson system and caches the total
 // energy. idx must cover every non-fixed cell that should carry charge.
 func (md *Model) Refresh(idx []int) {
-	if md.ownView {
-		md.cv.SyncGeometry()
-	}
 	md.Grid.ClearMovable()
 	cv := md.cv
 	md.Grid.AddCellsSoA(idx, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler, md.workers)
@@ -162,110 +135,25 @@ func (md *Model) LastSolveTime() time.Duration { return md.solveTime }
 func (md *Model) Overflow(rhoT float64) float64 { return md.Grid.Overflow(rhoT) }
 
 // Gradient writes dN/dx and dN/dy for each cell in idx into grad, laid
-// out {x_1..x_n, y_1..y_n} like netlist.Positions. The gradient is the
-// negated electric force: descending it moves charge away from density
-// peaks. Footprints use the same local smoothing as rasterization so
-// the gradient is consistent with the energy. Cells shard over the
-// worker pool; every cell's force is an independent integral over the
-// solved field, so the result does not depend on the worker count.
-// Geometry comes from the compiled view as synced at the last Refresh.
+// out {x_1..x_n, y_1..y_n} like netlist.Positions. idx is the slice
+// given to the last Refresh: the force on idx[k] is the solved field
+// integrated over footprint k as Refresh staged and splatted it
+// (grid.FootprintForce), so the gradient is consistent with the energy
+// by construction. A length that disagrees with the staged count is a
+// caller bug and panics. The gradient is the negated electric force:
+// descending it moves charge away from density peaks. Footprints shard
+// over the worker pool; each force is an independent integral over
+// shared read-only state, so the result does not depend on the worker
+// count.
 func (md *Model) Gradient(idx []int, grad []float64) {
 	n := len(idx)
 	if len(grad) != 2*n {
 		panic("density: gradient buffer size mismatch")
 	}
-	md.gradIdx, md.gradBuf = idx, grad
+	if n != md.Grid.Staged() {
+		panic("density: Gradient idx is not the slice the last Refresh staged")
+	}
+	md.gradBuf = grad
 	parallel.For(md.workers, n, md.gradTask)
-	md.gradIdx, md.gradBuf = nil, nil
+	md.gradBuf = nil
 }
-
-// forceOn integrates the force on cell c's current struct geometry; it
-// is the pointer-based reference wrapper around force.
-func (md *Model) forceOn(c *netlist.Cell) (fx, fy float64) {
-	return md.force(c.X, c.Y, c.W, c.H)
-}
-
-// force integrates charge-density * field over the smoothed footprint
-// of an object centered at (cx, cy) with extents w x h, returning the
-// force components in grid units. It only reads shared state (grid
-// geometry, solved field planes) and is safe to call from worker
-// goroutines.
-func (md *Model) force(cx, cy, w, h float64) (fx, fy float64) {
-	g := md.Grid
-	m := g.M
-	r, scale := smoothedRect(g, cx, cy, w, h)
-	i0 := int(math.Floor((r.Lx - g.Region.Lx) / g.BinW))
-	i1 := int(math.Ceil((r.Hx - g.Region.Lx) / g.BinW))
-	j0 := int(math.Floor((r.Ly - g.Region.Ly) / g.BinH))
-	j1 := int(math.Ceil((r.Hy - g.Region.Ly) / g.BinH))
-	if i0 < 0 {
-		i0 = 0
-	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 > m {
-		i1 = m
-	}
-	if j1 > m {
-		j1 = m
-	}
-	chargeScale := scale * md.binAreaInv
-	for j := j0; j < j1; j++ {
-		by0 := g.Region.Ly + float64(j)*g.BinH
-		oy := min(r.Hy, by0+g.BinH) - max(r.Ly, by0)
-		if oy <= 0 {
-			continue
-		}
-		row := j * m
-		for i := i0; i < i1; i++ {
-			bx0 := g.Region.Lx + float64(i)*g.BinW
-			ox := min(r.Hx, bx0+g.BinW) - max(r.Lx, bx0)
-			if ox <= 0 {
-				continue
-			}
-			q := ox * oy * chargeScale
-			fx += q * md.ex[row+i]
-			fy += q * md.ey[row+i]
-		}
-	}
-	return fx, fy
-}
-
-// smoothedRect mirrors grid's local smoothing: sub-bin objects inflate
-// to sqrt(2) bins with charge preserved, clamped inside the region.
-func smoothedRect(g *grid.Grid, cx, cy, w, h float64) (r rectT, scale float64) {
-	const inflate = math.Sqrt2
-	ew, eh := w, h
-	scale = 1.0
-	if minW := inflate * g.BinW; ew < minW {
-		scale *= ew / minW
-		ew = minW
-	}
-	if minH := inflate * g.BinH; eh < minH {
-		scale *= eh / minH
-		eh = minH
-	}
-	lx := cx - ew/2
-	ly := cy - eh/2
-	hx := cx + ew/2
-	hy := cy + eh/2
-	// Clamp inside region (translate).
-	if lx < g.Region.Lx {
-		hx += g.Region.Lx - lx
-		lx = g.Region.Lx
-	} else if hx > g.Region.Hx {
-		lx -= hx - g.Region.Hx
-		hx = g.Region.Hx
-	}
-	if ly < g.Region.Ly {
-		hy += g.Region.Ly - ly
-		ly = g.Region.Ly
-	} else if hy > g.Region.Hy {
-		ly -= hy - g.Region.Hy
-		hy = g.Region.Hy
-	}
-	return rectT{lx, ly, hx, hy}, scale
-}
-
-type rectT struct{ Lx, Ly, Hx, Hy float64 }

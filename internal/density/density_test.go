@@ -7,6 +7,7 @@ import (
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
+	"eplace/internal/poisson"
 )
 
 func newDesign(n int, seed int64) (*netlist.Design, []int) {
@@ -22,20 +23,29 @@ func newDesign(n int, seed int64) (*netlist.Design, []int) {
 	return d, idx
 }
 
-// mustModel builds a spectral-backed all-core model or fails the test.
-func mustModel(tb testing.TB, d *netlist.Design, m int) *Model {
+// mustModel builds a spectral-backed model over a private compiled view
+// of d (workers <= 0: all cores) or fails the test. The tests move cells
+// through the Cell structs, so they refresh through syncRefresh.
+func mustModel(tb testing.TB, d *netlist.Design, m, workers int) *Model {
 	tb.Helper()
-	md, err := NewModel(d, m)
+	md, err := NewModelCompiled(d.Compile(), m, workers, poisson.KindSpectral)
 	if err != nil {
-		tb.Fatalf("NewModel(m=%d): %v", m, err)
+		tb.Fatalf("NewModelCompiled(m=%d, workers=%d): %v", m, workers, err)
 	}
 	return md
 }
 
+// syncRefresh re-reads the Cell structs into the model's view, then
+// refreshes: what the engine does through Compiled.SetPositions.
+func syncRefresh(md *Model, idx []int) {
+	md.cv.SyncGeometry()
+	md.Refresh(idx)
+}
+
 func TestEnergyPositiveWhenClustered(t *testing.T) {
 	d, idx := newDesign(40, 1)
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	if md.Energy() <= 0 {
 		t.Errorf("clustered energy = %v, want > 0", md.Energy())
 	}
@@ -43,8 +53,8 @@ func TestEnergyPositiveWhenClustered(t *testing.T) {
 
 func TestEnergyDropsWhenSpread(t *testing.T) {
 	d, idx := newDesign(64, 2)
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	clustered := md.Energy()
 	// Spread the same cells uniformly over the region.
 	k := 0
@@ -53,7 +63,7 @@ func TestEnergyDropsWhenSpread(t *testing.T) {
 		d.Cells[ci].Y = 4 + float64(k/8)*8
 		k++
 	}
-	md.Refresh(idx)
+	syncRefresh(md, idx)
 	if spread := md.Energy(); spread >= clustered {
 		t.Errorf("spread energy %v >= clustered %v", spread, clustered)
 	}
@@ -64,8 +74,8 @@ func TestGradientPushesApart(t *testing.T) {
 	a := d.AddCell(netlist.Cell{W: 8, H: 8, X: 30, Y: 32})
 	b := d.AddCell(netlist.Cell{W: 8, H: 8, X: 34, Y: 32}) // overlapping to the right
 	idx := []int{a, b}
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	grad := make([]float64, 4)
 	md.Gradient(idx, grad)
 	// Descending -grad must separate them: a moves left, b moves right.
@@ -79,8 +89,8 @@ func TestGradientPushesApart(t *testing.T) {
 
 func TestGradientMatchesNumericDerivative(t *testing.T) {
 	d, idx := newDesign(30, 3)
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	grad := make([]float64, 2*len(idx))
 	md.Gradient(idx, grad)
 
@@ -93,20 +103,20 @@ func TestGradientMatchesNumericDerivative(t *testing.T) {
 	for k, ci := range idx {
 		x0 := d.Cells[ci].X
 		d.Cells[ci].X = x0 + h
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		ep := md.Energy()
 		d.Cells[ci].X = x0 - h
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		em := md.Energy()
 		d.Cells[ci].X = x0
 		numeric[k] = (ep - em) / (2 * h)
 
 		y0 := d.Cells[ci].Y
 		d.Cells[ci].Y = y0 + h
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		ep = md.Energy()
 		d.Cells[ci].Y = y0 - h
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		em = md.Energy()
 		d.Cells[ci].Y = y0
 		numeric[k+len(idx)] = (ep - em) / (2 * h)
@@ -135,8 +145,8 @@ func TestFixedCellsRepelMovable(t *testing.T) {
 	d.AddCell(netlist.Cell{W: 24, H: 24, X: 20, Y: 32, Kind: netlist.Macro, Fixed: true})
 	c := d.AddCell(netlist.Cell{W: 4, H: 4, X: 33, Y: 32})
 	idx := []int{c}
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	grad := make([]float64, 2)
 	md.Gradient(idx, grad)
 	// Descent moves along -grad, so being pushed right (away from the
@@ -156,8 +166,8 @@ func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 			W: 6, H: 6, X: 32, Y: 32, Kind: netlist.Filler,
 		}))
 	}
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	// Overflow sees only the single movable cell: one 6x6 cell in a
 	// 64x64 region cannot overflow target density 1.0 by much.
 	if tau := md.Overflow(1.0); tau > 0.35 {
@@ -174,10 +184,10 @@ func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 
 func TestRefreshIsIdempotent(t *testing.T) {
 	d, idx := newDesign(20, 5)
-	md := mustModel(t, d, 32)
-	md.Refresh(idx)
+	md := mustModel(t, d, 32, 0)
+	syncRefresh(md, idx)
 	e1 := md.Energy()
-	md.Refresh(idx)
+	syncRefresh(md, idx)
 	if e2 := md.Energy(); e1 != e2 {
 		t.Errorf("Refresh not idempotent: %v then %v", e1, e2)
 	}
@@ -194,8 +204,8 @@ func TestGradientZeroAtUniform(t *testing.T) {
 			}))
 		}
 	}
-	md := mustModel(t, d, 16)
-	md.Refresh(idx)
+	md := mustModel(t, d, 16, 0)
+	syncRefresh(md, idx)
 	grad := make([]float64, 2*len(idx))
 	md.Gradient(idx, grad)
 	maxG := 0.0
@@ -209,7 +219,7 @@ func TestGradientZeroAtUniform(t *testing.T) {
 		d.Cells[ci].X = 28 + 2*rand.New(rand.NewSource(1)).Float64()
 		d.Cells[ci].Y = 32
 	}
-	md.Refresh(idx)
+	syncRefresh(md, idx)
 	gc := make([]float64, 2*len(idx))
 	md.Gradient(idx, gc)
 	maxC := 0.0
@@ -225,7 +235,7 @@ func TestGradientZeroAtUniform(t *testing.T) {
 
 func BenchmarkRefreshAndGradient(b *testing.B) {
 	d, idx := newDesign(2000, 9)
-	md := mustModel(b, d, 64)
+	md := mustModel(b, d, 64, 0)
 	grad := make([]float64, 2*len(idx))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

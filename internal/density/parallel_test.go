@@ -16,7 +16,7 @@ import (
 func serialRefresh(md *Model, idx []int) {
 	md.Grid.ClearMovable()
 	for _, ci := range idx {
-		c := &md.d.Cells[ci]
+		c := &md.cv.Design().Cells[ci]
 		if c.Kind == netlist.Filler {
 			md.Grid.AddFiller(c.X, c.Y, c.W, c.H)
 		} else {
@@ -30,16 +30,6 @@ func serialRefresh(md *Model, idx []int) {
 	md.Solver.Solve(md.rho)
 	md.energy = md.Solver.Energy(md.rho)
 	_, md.ex, md.ey = md.Solver.Planes()
-}
-
-// mustModelWorkers builds a spectral-backed model or fails the test.
-func mustModelWorkers(tb testing.TB, d *netlist.Design, m, workers int) *Model {
-	tb.Helper()
-	md, err := NewModelWorkers(d, m, workers)
-	if err != nil {
-		tb.Fatalf("NewModelWorkers(m=%d, workers=%d): %v", m, workers, err)
-	}
-	return md
 }
 
 // mustPoissonSolver builds a float64 spectral solver or fails the test.
@@ -57,8 +47,7 @@ func serialGradient(md *Model, idx []int, grad []float64) {
 	n := len(idx)
 	g := md.Grid
 	for k, ci := range idx {
-		c := &md.d.Cells[ci]
-		fx, fy := md.forceOn(c)
+		fx, fy := forceOn(md, &md.cv.Design().Cells[ci])
 		grad[k] = -2 * fx / g.BinW
 		grad[k+n] = -2 * fy / g.BinH
 	}
@@ -72,7 +61,7 @@ func TestRefreshGradientParallelEquivalence(t *testing.T) {
 	idx := d.Movable()
 	const m = 64 // >= 64 so the Poisson pool actually fans out
 
-	ref := mustModelWorkers(t, d, m, 1)
+	ref := mustModel(t, d, m, 1)
 	serialRefresh(ref, idx)
 	refGrad := make([]float64, 2*len(idx))
 	serialGradient(ref, idx, refGrad)
@@ -83,8 +72,8 @@ func TestRefreshGradientParallelEquivalence(t *testing.T) {
 	}
 	grad := make([]float64, 2*len(idx))
 	for _, workers := range counts {
-		md := mustModelWorkers(t, d, m, workers)
-		md.Refresh(idx)
+		md := mustModel(t, d, m, workers)
+		syncRefresh(md, idx)
 		if math.Float64bits(md.Energy()) != math.Float64bits(ref.Energy()) {
 			t.Fatalf("workers=%d: energy %v != serial %v", workers, md.Energy(), ref.Energy())
 		}
@@ -111,8 +100,8 @@ func TestRefreshGradientParallelEquivalence(t *testing.T) {
 func TestGradientFiniteDifferenceParallel(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "dens-fd", NumCells: 120})
 	idx := d.Movable()
-	md := mustModelWorkers(t, d, 64, 4)
-	md.Refresh(idx)
+	md := mustModel(t, d, 64, 4)
+	syncRefresh(md, idx)
 	n := len(idx)
 	grad := make([]float64, 2*n)
 	md.Gradient(idx, grad)
@@ -123,15 +112,15 @@ func TestGradientFiniteDifferenceParallel(t *testing.T) {
 		orig := v[k]
 		v[k] = orig + h
 		d.SetPositions(idx, v)
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		up := md.Energy()
 		v[k] = orig - h
 		d.SetPositions(idx, v)
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		dn := md.Energy()
 		v[k] = orig
 		d.SetPositions(idx, v)
-		md.Refresh(idx)
+		syncRefresh(md, idx)
 		fd := (up - dn) / (2 * h)
 		// The analytic gradient differentiates the field with footprints
 		// frozen; FD re-rasterizes, so agreement is approximate.
@@ -174,7 +163,7 @@ func BenchmarkDensityGradient(b *testing.B) {
 	idx := d.Movable()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			md := mustModelWorkers(b, d, 128, workers)
+			md := mustModel(b, d, 128, workers)
 			grad := make([]float64, 2*len(idx))
 			b.ReportAllocs()
 			b.ResetTimer()

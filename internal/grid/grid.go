@@ -19,9 +19,9 @@ import (
 // Grid is an M x M uniform bin decomposition of a region.
 //
 // Concurrency contract: a Grid is not safe for concurrent mutation;
-// AddObjects parallelizes internally over bin rows. Read-only queries
-// (Overflow, MaxDensity, ...) may run concurrently with each other but
-// not with mutations.
+// AddCellsSoA parallelizes internally over bin rows. Read-only queries
+// (Overflow, MaxDensity, FootprintForce, ...) may run concurrently with
+// each other but not with mutations.
 type Grid struct {
 	M      int
 	Region geom.Rect
@@ -33,8 +33,10 @@ type Grid struct {
 	Mov   []float64
 	Fill  []float64
 
-	// Batch rasterization scratch (AddObjects/AddCellsSoA), reused
-	// across calls so steady-state rasterization allocates nothing.
+	// Batch rasterization scratch (AddCellsSoA), reused across calls so
+	// steady-state rasterization allocates nothing. rObjs[:nRaster] are
+	// the footprints of the latest batch; they stay valid until the next
+	// one, and FootprintForce reads them.
 	rObjs   []rasterObj
 	rowCnt  []int
 	rowOff  []int
@@ -46,12 +48,11 @@ type Grid struct {
 	// passed to parallel.For escapes and would be heap-allocated on
 	// every call if it captured locals, so the inputs are threaded
 	// through fields instead).
-	objs                   []Object
 	soaIdx                 []int
 	soaX, soaY, soaW, soaH []float64
 	soaFill                []bool
 
-	objTask, soaTask, splatTask func(wk, lo, hi int)
+	soaTask, splatTask func(wk, lo, hi int)
 }
 
 // New creates an M x M grid over region. M must be a positive power of
@@ -71,13 +72,6 @@ func New(region geom.Rect, m int) *Grid {
 		Fixed:  make([]float64, m*m),
 		Mov:    make([]float64, m*m),
 		Fill:   make([]float64, m*m),
-	}
-	g.objTask = func(_, lo, hi int) {
-		ro := g.rObjs[:len(g.objs)]
-		for oi := lo; oi < hi; oi++ {
-			o := &g.objs[oi]
-			g.stage(ro, oi, o.X, o.Y, o.W, o.H, o.Filler)
-		}
 	}
 	g.soaTask = func(_, lo, hi int) {
 		ro := g.rObjs[:len(g.soaIdx)]
@@ -218,13 +212,6 @@ func (g *Grid) AddFiller(cx, cy, w, h float64) {
 	g.splat(g.Fill, r, s)
 }
 
-// Object is one movable or filler rectangle for batch rasterization,
-// given by its center and size.
-type Object struct {
-	X, Y, W, H float64
-	Filler     bool // rasterize into the filler layer instead of movable
-}
-
 // rasterObj is one smoothed, clamped rectangle ready to splat.
 type rasterObj struct {
 	r              geom.Rect
@@ -261,33 +248,21 @@ func (g *Grid) ensureScratch(n int) {
 	}
 }
 
-// AddObjects rasterizes the objects into the movable and filler layers
-// with the same local smoothing as AddMovable/AddFiller, fanning the
-// work out over bin-row shards. Every bin row is owned by exactly one
-// worker, and each row visits its overlapping objects in ascending
-// slice order, so each bin accumulates contributions with the same
-// values, order and association as the serial loop
+// AddCellsSoA rasterizes the cells in idx into the movable and filler
+// layers straight from SoA geometry arrays (indexed by cell, as in
+// netlist.Compiled): centers x/y, extents w/h and filler flags, with the
+// same local smoothing as AddMovable/AddFiller. Phase 1 stages every
+// cell's footprint, phase 2 buckets the footprints by bin row, phase 3
+// splats bin-row shards in parallel. Every bin row is owned by exactly
+// one worker, and each row visits its overlapping cells in ascending idx
+// order, so each bin accumulates contributions with the same values,
+// order and association as the serial loop
 //
-//	for _, o := range objs { AddMovable/AddFiller(o...) }
+//	for _, ci := range idx { AddMovable/AddFiller(x[ci], y[ci], w[ci], h[ci]) }
 //
 // making the result bitwise-identical for every worker count.
 // workers <= 0 selects all cores. Steady-state calls allocate nothing.
-func (g *Grid) AddObjects(objs []Object, workers int) {
-	workers = parallel.Count(workers)
-	g.ensureScratch(len(objs))
-	g.objs = objs
-	parallel.For(workers, len(objs), g.objTask)
-	g.objs = nil
-	g.finishRaster(len(objs), workers)
-}
-
-// AddCellsSoA rasterizes the cells in idx straight from SoA geometry
-// arrays (indexed by cell, as in netlist.Compiled): centers x/y,
-// extents w/h and filler flags. It shares phases 2-3 with AddObjects,
-// and phase 1 applies the identical smoothing arithmetic to the same
-// values, so the result is bitwise-identical to building []Object and
-// calling AddObjects — without the gather. Steady-state calls allocate
-// nothing.
+// The staged footprint of idx[k] is footprint k until the next call.
 func (g *Grid) AddCellsSoA(idx []int, x, y, w, h []float64, filler []bool, workers int) {
 	workers = parallel.Count(workers)
 	g.ensureScratch(len(idx))
@@ -323,7 +298,9 @@ func (g *Grid) finishRaster(n, workers int) {
 		g.rowCnt[j] = g.rowOff[j] // reuse as the fill cursor
 	}
 	if cap(g.rowIdx) < total {
-		g.rowIdx = make([]int32, total)
+		// The incidence count creeps up all through a placement as cells
+		// spread over more rows; headroom keeps that to a few regrowths.
+		g.rowIdx = make([]int32, total+total/2)
 	}
 	rowIdx := g.rowIdx[:total]
 	for oi := range ro {
@@ -381,6 +358,40 @@ func (g *Grid) splatRow(j int, ro []rasterObj, objIdx []int32) {
 	}
 }
 
+// Staged returns the number of footprints the latest AddCellsSoA staged.
+func (g *Grid) Staged() int { return g.nRaster }
+
+// FootprintForce integrates the field planes ex and ey (row-major M x M,
+// like the layers) against the charge of staged footprint k, the one
+// AddCellsSoA last rasterized for idx[k]: the sum over the footprint's
+// bins of overlap area * smoothing scale * unit * field. Integrating
+// over the staged record, not over a footprint rebuilt from the cell,
+// makes the force see exactly the charge that was splatted. It only
+// reads the grid and is safe to call from concurrent workers.
+func (g *Grid) FootprintForce(k int, ex, ey []float64, unit float64) (fx, fy float64) {
+	o := &g.rObjs[:g.nRaster][k]
+	chargeScale := o.scale * unit
+	for j := int(o.j0); j < int(o.j1); j++ {
+		by0 := g.Region.Ly + float64(j)*g.BinH
+		oy := min(o.r.Hy, by0+g.BinH) - max(o.r.Ly, by0)
+		if oy <= 0 {
+			continue
+		}
+		row := j * g.M
+		for i := int(o.i0); i < int(o.i1); i++ {
+			bx0 := g.Region.Lx + float64(i)*g.BinW
+			ox := min(o.r.Hx, bx0+g.BinW) - max(o.r.Lx, bx0)
+			if ox <= 0 {
+				continue
+			}
+			q := ox * oy * chargeScale
+			fx += q * ex[row+i]
+			fy += q * ey[row+i]
+		}
+	}
+	return fx, fy
+}
+
 // Charge writes the total electrostatic charge per bin (fixed + movable
 // + filler area) into out, which must have length M*M, and removes the
 // mean so the total charge is zero (Eq. 6's compatibility condition).
@@ -407,7 +418,7 @@ func (g *Grid) Overflow(rhoT float64) float64 {
 	binArea := g.BinArea()
 	over, total := 0.0, 0.0
 	for b := range g.Mov {
-		cap := rhoT * math.Max(0, binArea-g.Fixed[b])
+		cap := rhoT * max(0, binArea-g.Fixed[b])
 		if ex := g.Mov[b] - cap; ex > 0 {
 			over += ex
 		}
@@ -429,7 +440,7 @@ func (g *Grid) OverflowPerBin(rhoT float64) float64 {
 		if g.Mov[b] <= 0 {
 			continue
 		}
-		freeCap := rhoT * math.Max(0, binArea-g.Fixed[b])
+		freeCap := rhoT * max(0, binArea-g.Fixed[b])
 		n++
 		if freeCap <= 0 {
 			sum += 1

@@ -9,11 +9,49 @@ import (
 	"eplace/internal/geom"
 )
 
+// object is one test rectangle (center, size, layer) of a batch.
+type object struct {
+	X, Y, W, H float64
+	Filler     bool
+}
+
+// soa lays a batch out as the arrays AddCellsSoA reads, cell k being
+// object k.
+func soa(objs []object) (idx []int, x, y, w, h []float64, filler []bool) {
+	n := len(objs)
+	idx = make([]int, n)
+	x, y, w, h = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	filler = make([]bool, n)
+	for k, o := range objs {
+		idx[k] = k
+		x[k], y[k], w[k], h[k], filler[k] = o.X, o.Y, o.W, o.H, o.Filler
+	}
+	return
+}
+
+// addObjects rasterizes a batch through AddCellsSoA.
+func addObjects(g *Grid, objs []object, workers int) {
+	idx, x, y, w, h, filler := soa(objs)
+	g.AddCellsSoA(idx, x, y, w, h, filler, workers)
+}
+
+// addSerial is the reference the batch rasterizer must reproduce: the
+// one-at-a-time AddMovable/AddFiller loop metrics and the baselines use.
+func addSerial(g *Grid, objs []object) {
+	for _, o := range objs {
+		if o.Filler {
+			g.AddFiller(o.X, o.Y, o.W, o.H)
+		} else {
+			g.AddMovable(o.X, o.Y, o.W, o.H)
+		}
+	}
+}
+
 // randomObjects mixes sub-bin cells, multi-bin macros, boundary-clamped
 // cells and fillers.
-func randomObjects(n int, seed int64, region geom.Rect) []Object {
+func randomObjects(n int, seed int64, region geom.Rect) []object {
 	rng := rand.New(rand.NewSource(seed))
-	objs := make([]Object, n)
+	objs := make([]object, n)
 	for i := range objs {
 		w := 0.5 + rng.Float64()*3
 		h := 0.5 + rng.Float64()*3
@@ -21,7 +59,7 @@ func randomObjects(n int, seed int64, region geom.Rect) []Object {
 			w *= 10
 			h *= 10
 		}
-		objs[i] = Object{
+		objs[i] = object{
 			X:      region.Lx + rng.Float64()*region.W(),
 			Y:      region.Ly + rng.Float64()*region.H(),
 			W:      w,
@@ -40,17 +78,11 @@ func TestAddObjectsMatchesSerial(t *testing.T) {
 	objs := randomObjects(600, 3, region)
 
 	ref := New(region, 32)
-	for _, o := range objs {
-		if o.Filler {
-			ref.AddFiller(o.X, o.Y, o.W, o.H)
-		} else {
-			ref.AddMovable(o.X, o.Y, o.W, o.H)
-		}
-	}
+	addSerial(ref, objs)
 
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU(), 64} {
 		g := New(region, 32)
-		g.AddObjects(objs, workers)
+		addObjects(g, objs, workers)
 		for b := range ref.Mov {
 			if math.Float64bits(g.Mov[b]) != math.Float64bits(ref.Mov[b]) {
 				t.Fatalf("workers=%d: Mov[%d] = %v, serial %v", workers, b, g.Mov[b], ref.Mov[b])
@@ -70,15 +102,12 @@ func TestAddObjectsReuse(t *testing.T) {
 	for _, n := range []int{100, 7, 250, 0, 33} {
 		objs := randomObjects(n, int64(n)+1, region)
 		ref := New(region, 16)
-		for _, o := range objs {
-			if o.Filler {
-				ref.AddFiller(o.X, o.Y, o.W, o.H)
-			} else {
-				ref.AddMovable(o.X, o.Y, o.W, o.H)
-			}
-		}
+		addSerial(ref, objs)
 		g.ClearMovable()
-		g.AddObjects(objs, 3)
+		addObjects(g, objs, 3)
+		if g.Staged() != n {
+			t.Fatalf("n=%d: Staged() = %d", n, g.Staged())
+		}
 		for b := range ref.Mov {
 			if g.Mov[b] != ref.Mov[b] || g.Fill[b] != ref.Fill[b] {
 				t.Fatalf("n=%d: bin %d (%v,%v) != serial (%v,%v)",
@@ -93,12 +122,12 @@ func TestAddObjectsReuse(t *testing.T) {
 func TestAddObjectsConservesArea(t *testing.T) {
 	region := geom.Rect{Hx: 64, Hy: 64}
 	g := New(region, 32)
-	objs := []Object{
+	objs := []object{
 		{X: 10, Y: 10, W: 4, H: 4},
 		{X: 30.3, Y: 40.7, W: 0.9, H: 1.1}, // sub-bin, smoothed
 		{X: 50, Y: 20, W: 6, H: 2, Filler: true},
 	}
-	g.AddObjects(objs, 2)
+	addObjects(g, objs, 2)
 	wantMov := 4.0*4 + 0.9*1.1
 	if got := g.TotalMovable(); math.Abs(got-wantMov) > 1e-9 {
 		t.Errorf("TotalMovable = %v, want %v", got, wantMov)
