@@ -255,6 +255,11 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 	wl0 := rec.SpanTime(stage, "wirelength")
 	den0 := rec.SpanTime(stage, "density")
 	prevWL, prevDen := wl0, den0
+	// gradTime is the stage's time inside the two gradient kernels so far
+	// (the density span contains the Poisson span).
+	gradTime := func() time.Duration {
+		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
+	}
 	e, err := newEngine(d, idx, opt, rec)
 	if err != nil {
 		return res, err
@@ -373,11 +378,18 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 			}
 			break
 		}
+		// Three kernel spans say what an iteration spends outside the two
+		// gradients. "nesterov" is the step less the gradient time inside
+		// it: the optimizer's vector passes, the clamps, the preconditioner.
+		t0, g0 := time.Now(), gradTime()
 		alpha, bt := stepNesterov()
+		rec.AddSpanTime(stage, "nesterov", time.Since(t0)-(gradTime()-g0))
 
+		t0 = time.Now()
 		u := solution()
 		e.cv.SetPositions(e.idx, u)
 		hpwl := e.cv.HPWL()
+		rec.AddSpanTime(stage, "hpwl", time.Since(t0))
 		tau := e.dm.Overflow(d.TargetDensity) // from the latest Refresh
 
 		if tau <= bestTau {
@@ -388,7 +400,9 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 		// Roll this iteration's exact state into the stage's golden
 		// digest (lambda here is the value the iteration's gradient
 		// used, before the schedule update below).
+		t0 = time.Now()
 		opt.Golden.Absorb(stage, iter, u, hpwl, e.lambda)
+		rec.AddSpanTime(stage, "digest", time.Since(t0))
 		if opt.Trace != nil || opt.Telemetry.Active() {
 			s := Sample{
 				Stage: stage, Iteration: iter,

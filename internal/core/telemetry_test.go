@@ -138,6 +138,29 @@ func TestMIPKernelSpansCoverStage(t *testing.T) {
 	}
 }
 
+// TestMGPKernelSpansFitStage checks the structure of the spans that say
+// what an mGP iteration spends outside its two gradients: nesterov (the
+// step less the gradient time inside it), hpwl and digest are emitted
+// and positive, and with wirelength and density (which contains the
+// Poisson span) they fit inside the stage span. How much of the stage
+// they cover is a wall-clock ratio read from the benchmark's traced run,
+// not asserted here.
+func TestMGPKernelSpansFitStage(t *testing.T) {
+	rec := telemetry.New()
+	runFlow(t, rec)
+	sum := rec.SpanTime("mGP", "wirelength") + rec.SpanTime("mGP", "density")
+	for _, kernel := range []string{"nesterov", "hpwl", "digest"} {
+		d := rec.SpanTime("mGP", kernel)
+		if d <= 0 {
+			t.Errorf("mGP/%s span = %v, want > 0", kernel, d)
+		}
+		sum += d
+	}
+	if stage := rec.SpanTime("mGP", ""); sum > stage {
+		t.Errorf("mGP kernel spans sum to %v, more than the stage's %v", sum, stage)
+	}
+}
+
 // TestResultTimingFromSpans checks that the engine's per-stage timing
 // breakdown (satellite: densityTime/wlTime migrated onto spans) still
 // reaches Result even when the caller supplies no recorder, and that

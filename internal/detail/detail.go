@@ -396,11 +396,11 @@ func (p *placer) gap(s *segCells, k int) (lo, hi float64) {
 	lo, hi = s.lx, s.hx
 	if k > 0 {
 		c := &d.Cells[s.cells[k-1]]
-		lo = math.Max(lo, c.X+c.W/2)
+		lo = max(lo, c.X+c.W/2)
 	}
 	if k+1 < len(s.cells) {
 		c := &d.Cells[s.cells[k+1]]
-		hi = math.Min(hi, c.X-c.W/2)
+		hi = min(hi, c.X-c.W/2)
 	}
 	return lo, hi
 }
@@ -420,7 +420,7 @@ func (p *placer) relocatePass(res *Result) int {
 					continue
 				}
 				target := e.optimalX(ci)
-				nx := math.Max(lo+c.W/2, math.Min(hi-c.W/2, target))
+				nx := max(lo+c.W/2, min(hi-c.W/2, target))
 				if math.Abs(nx-c.X) < 1e-12 {
 					continue
 				}
@@ -540,8 +540,8 @@ func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 	nets := e.netsOf2(a, b)
 	before := e.hpwlOf(nets)
 	oldAX, oldBX := ca.X, cb.X
-	ca.X = math.Max(loB+ca.W/2, math.Min(hiB-ca.W/2, oldBX))
-	cb.X = math.Max(loA+cb.W/2, math.Min(hiA-cb.W/2, oldAX))
+	ca.X = max(loB+ca.W/2, min(hiB-ca.W/2, oldBX))
+	cb.X = max(loA+cb.W/2, min(hiA-cb.W/2, oldAX))
 	if e.hpwlOf(nets) < before-1e-12 {
 		s.cells[ka], s.cells[kb] = b, a
 		return true
