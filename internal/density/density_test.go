@@ -24,8 +24,8 @@ func newDesign(n int, seed int64) (*netlist.Design, []int) {
 }
 
 // mustModel builds a spectral-backed model over a private compiled view
-// of d (workers <= 0: all cores) or fails the test. The tests move cells
-// through the Cell structs, so they refresh through syncRefresh.
+// of d (workers <= 0: all cores) or fails the test. A test that then
+// moves cells through the Cell structs refreshes through syncRefresh.
 func mustModel(tb testing.TB, d *netlist.Design, m, workers int) *Model {
 	tb.Helper()
 	md, err := NewModelCompiled(d.Compile(), m, workers, poisson.KindSpectral)
@@ -45,7 +45,7 @@ func syncRefresh(md *Model, idx []int) {
 func TestEnergyPositiveWhenClustered(t *testing.T) {
 	d, idx := newDesign(40, 1)
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	if md.Energy() <= 0 {
 		t.Errorf("clustered energy = %v, want > 0", md.Energy())
 	}
@@ -54,7 +54,7 @@ func TestEnergyPositiveWhenClustered(t *testing.T) {
 func TestEnergyDropsWhenSpread(t *testing.T) {
 	d, idx := newDesign(64, 2)
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	clustered := md.Energy()
 	// Spread the same cells uniformly over the region.
 	k := 0
@@ -75,7 +75,7 @@ func TestGradientPushesApart(t *testing.T) {
 	b := d.AddCell(netlist.Cell{W: 8, H: 8, X: 34, Y: 32}) // overlapping to the right
 	idx := []int{a, b}
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	grad := make([]float64, 4)
 	md.Gradient(idx, grad)
 	// Descending -grad must separate them: a moves left, b moves right.
@@ -90,7 +90,7 @@ func TestGradientPushesApart(t *testing.T) {
 func TestGradientMatchesNumericDerivative(t *testing.T) {
 	d, idx := newDesign(30, 3)
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	grad := make([]float64, 2*len(idx))
 	md.Gradient(idx, grad)
 
@@ -146,7 +146,7 @@ func TestFixedCellsRepelMovable(t *testing.T) {
 	c := d.AddCell(netlist.Cell{W: 4, H: 4, X: 33, Y: 32})
 	idx := []int{c}
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	grad := make([]float64, 2)
 	md.Gradient(idx, grad)
 	// Descent moves along -grad, so being pushed right (away from the
@@ -167,7 +167,7 @@ func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 		}))
 	}
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	// Overflow sees only the single movable cell: one 6x6 cell in a
 	// 64x64 region cannot overflow target density 1.0 by much.
 	if tau := md.Overflow(1.0); tau > 0.35 {
@@ -185,9 +185,9 @@ func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 func TestRefreshIsIdempotent(t *testing.T) {
 	d, idx := newDesign(20, 5)
 	md := mustModel(t, d, 32, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	e1 := md.Energy()
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	if e2 := md.Energy(); e1 != e2 {
 		t.Errorf("Refresh not idempotent: %v then %v", e1, e2)
 	}
@@ -205,7 +205,7 @@ func TestGradientZeroAtUniform(t *testing.T) {
 		}
 	}
 	md := mustModel(t, d, 16, 0)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	grad := make([]float64, 2*len(idx))
 	md.Gradient(idx, grad)
 	maxG := 0.0

@@ -73,7 +73,7 @@ func TestRefreshGradientParallelEquivalence(t *testing.T) {
 	grad := make([]float64, 2*len(idx))
 	for _, workers := range counts {
 		md := mustModel(t, d, m, workers)
-		syncRefresh(md, idx)
+		md.Refresh(idx)
 		if math.Float64bits(md.Energy()) != math.Float64bits(ref.Energy()) {
 			t.Fatalf("workers=%d: energy %v != serial %v", workers, md.Energy(), ref.Energy())
 		}
@@ -101,7 +101,7 @@ func TestGradientFiniteDifferenceParallel(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "dens-fd", NumCells: 120})
 	idx := d.Movable()
 	md := mustModel(t, d, 64, 4)
-	syncRefresh(md, idx)
+	md.Refresh(idx)
 	n := len(idx)
 	grad := make([]float64, 2*n)
 	md.Gradient(idx, grad)
