@@ -29,7 +29,10 @@ func soa(objs []object) (idx []int, x, y, w, h []float64, filler []bool) {
 	return
 }
 
-// addObjects rasterizes a batch through AddCellsSoA.
+// addObjects rasterizes a batch through AddCellsSoA. The TestAddObjects*
+// tests below are named after this helper: they predate the removal of
+// the exported pointer-path grid.AddObjects and keep their names so the
+// suite's history stays comparable; what they exercise is AddCellsSoA.
 func addObjects(g *Grid, objs []object, workers int) {
 	idx, x, y, w, h, filler := soa(objs)
 	g.AddCellsSoA(idx, x, y, w, h, filler, workers)
