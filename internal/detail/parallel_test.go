@@ -157,17 +157,33 @@ func TestPermutationsCached(t *testing.T) {
 // swap + ISM + relocate) over a 5000-cell legalized design at 1 worker.
 func BenchmarkDetailPass(b *testing.B) {
 	d, cells := bigLegalDesign(5000, 7)
+	benchPlace(b, d, cells, Options{Passes: 1, Workers: 1})
+}
+
+// BenchmarkDetailPassECO measures cDP as core.PlaceECO runs it: the
+// deeper ECO settings over the pinned test's active subset, the rest of
+// the design frozen into obstacles.
+func BenchmarkDetailPassECO(b *testing.B) {
+	d, cells := bigLegalDesign(5000, 7)
+	opt := ecoOptions
+	opt.Workers = 1
+	benchPlace(b, d, ecoSubset(d, cells), opt)
+}
+
+// benchPlace times Place from the same starting layout every iteration.
+func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
 	saveX := make([]float64, len(d.Cells))
 	saveY := make([]float64, len(d.Cells))
 	for i := range d.Cells {
 		saveX[i], saveY[i] = d.Cells[i].X, d.Cells[i].Y
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for i := range d.Cells {
 			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
 		}
-		if _, err := Place(d, cells, Options{Passes: 1, Workers: 1}); err != nil {
+		if _, err := Place(d, cells, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
