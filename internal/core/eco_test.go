@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"eplace/internal/detail"
 	"eplace/internal/eco"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
@@ -155,6 +156,75 @@ func TestECOBlockedRegionEvicted(t *testing.T) {
 		if ov.Valid() && ov.W() > eps && ov.H() > eps {
 			t.Fatalf("movable cell %d (%s) overlaps the blockage: cell %v block %v",
 				ci, c.Name, cr, blk.Rect())
+		}
+	}
+}
+
+// TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the
+// deeper refinement over an active subset, the rest frozen into
+// obstacles) behind the whole incremental flow at several worker
+// counts: one inserted cell and one blocked region must end on the same
+// position bits, counters and digests at every count.
+func TestECOWorkersBitwiseIdentical(t *testing.T) {
+	spec := synth.Spec{Name: "eco-workers", NumCells: 800, Seed: 3}
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	r := cold.Region
+	script := &eco.Script{
+		AddCells: []eco.AddCell{{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0, 5}}},
+		BlockRegions: []eco.Block{{
+			Lx: r.Lx + 0.55*r.W(), Ly: r.Ly + 0.55*r.H(),
+			Hx: r.Lx + 0.7*r.W(), Hy: r.Ly + 0.7*r.H(),
+		}},
+	}
+	// counters are the fields of an ECOResult that do not time anything.
+	type counters struct {
+		active, frozen, iters, backtracks int
+		disp, maxDisp, hpwl               float64
+		legal                             bool
+		dp                                detail.Result
+	}
+	var ref *netlist.Design
+	var refCount counters
+	var refDigests []telemetry.StageDigest
+	for _, workers := range []int{1, 2, 7} {
+		warm := warmCopy(spec, cold)
+		prep, err := eco.Prepare(warm, script, eco.PlanOptions{})
+		if err != nil {
+			t.Fatalf("workers=%d prepare: %v", workers, err)
+		}
+		res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: workers}})
+		if err != nil {
+			t.Fatalf("workers=%d eco: %v", workers, err)
+		}
+		got := counters{res.ActiveCells, res.FrozenCells, res.GP.Iterations, res.GP.Backtracks,
+			res.LegalizeDisp, res.LegalizeMaxDisp, res.HPWL, res.Legal, res.DP}
+		if !got.legal || got.dp.Passes == 0 || got.active == 0 || got.frozen == 0 {
+			t.Fatalf("workers=%d: edit did not exercise the incremental cDP: %+v", workers, got)
+		}
+		if ref == nil {
+			ref, refCount, refDigests = warm, got, res.Digests
+			continue
+		}
+		if got != refCount {
+			t.Errorf("workers=%d: counters %+v, workers=1 %+v", workers, got, refCount)
+		}
+		if len(res.Digests) != len(refDigests) {
+			t.Fatalf("workers=%d: digests %v, workers=1 %v", workers, res.Digests, refDigests)
+		}
+		for i, dg := range res.Digests {
+			if dg != refDigests[i] {
+				t.Errorf("workers=%d: digest %s %s (%d iters), workers=1 %s (%d iters)",
+					workers, dg.Stage, dg.Hex(), dg.Iterations, refDigests[i].Hex(), refDigests[i].Iterations)
+			}
+		}
+		for i := range warm.Cells {
+			if warm.Cells[i].X != ref.Cells[i].X || warm.Cells[i].Y != ref.Cells[i].Y {
+				t.Fatalf("workers=%d: cell %d at (%v, %v), workers=1 (%v, %v)", workers, i,
+					warm.Cells[i].X, warm.Cells[i].Y, ref.Cells[i].X, ref.Cells[i].Y)
+			}
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (o *Options) defaults() {
 }
 
 // maxISMSet caps independent-set matching groups: the assignment solve
-// is cubic and the evalCtx override buffers are fixed-size.
+// is cubic and commitISM's slot bookkeeping is fixed-size.
 const maxISMSet = 16
 
 // Result reports a detail placement run.
@@ -117,11 +117,24 @@ type placer struct {
 	regions   []segRange
 	workers   int
 	evals     []*evalCtx
+	// x/y are every cell's position for the duration of Place and w the
+	// widths, so the passes never load a Cell struct. A managed cell's
+	// entry is written only by the worker that owns its region (or by
+	// the serial ISM commit); writeBack copies the managed entries to
+	// the Cell structs after each pass.
+	x, y, w []float64
 	// snapX/snapY freeze managed-cell positions at the start of each
 	// region-parallel pass; other regions are read through them.
 	snapX, snapY []float64
 	counts       []passCount
-	ismProps     []ismProposal
+	// ismBuckets are the managed cells by (width, height), ismTasks the
+	// sliding windows over them and ismProps one proposal per window;
+	// all three are cut once per Place.
+	ismBuckets [][]int
+	ismTasks   [][]int
+	ismProps   []ismProposal
+	// posBuf is the golden digest's position vector.
+	posBuf []float64
 
 	// Flat CSR pin view, built once per Place call: the HPWL inner loops
 	// read these contiguous arrays instead of chasing Net -> pin-index ->
@@ -188,12 +201,10 @@ func (p *placer) buildPinView() {
 func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 	opt.defaults()
 	res := Result{HPWLBefore: d.HPWL()}
-	p := &placer{d: d, opt: opt, workers: parallel.Count(opt.Workers)}
-	if err := p.buildSegments(cells); err != nil {
+	p, err := newPlacer(d, cells, opt)
+	if err != nil {
 		return res, err
 	}
-	p.buildPinView()
-	p.buildRegions()
 	rec := opt.Telemetry
 	for pass := 0; pass < opt.Passes; pass++ {
 		res.Passes = pass + 1
@@ -212,24 +223,51 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 		t = time.Now()
 		improved += p.relocatePass(&res)
 		rec.AddSpanTime("cDP", "relocate", time.Since(t))
+		p.writeBack()
+		res.HPWLAfter = d.HPWL()
 		if opt.Golden != nil {
-			opt.Golden.Absorb("cDP", pass, d.Positions(cells), d.HPWL(), 0)
+			d.PositionsInto(cells, p.posBuf)
+			opt.Golden.Absorb("cDP", pass, p.posBuf, res.HPWLAfter, 0)
 		}
 		if rec.Active() {
 			rec.Sample(telemetry.Sample{
-				Stage: "cDP", Iteration: pass, HPWL: d.HPWL(),
+				Stage: "cDP", Iteration: pass, HPWL: res.HPWLAfter,
 			})
 		}
 		if improved == 0 {
 			break
 		}
 	}
-	res.HPWLAfter = d.HPWL()
 	rec.Count("cDP/swaps", int64(res.Swaps))
 	rec.Count("cDP/reorders", int64(res.Reorders))
 	rec.Count("cDP/relocates", int64(res.Relocates))
 	rec.Count("cDP/ism_rounds", int64(res.ISMRounds))
 	return res, nil
+}
+
+// newPlacer builds the segment occupancy, pin view, regions, position
+// arrays and ISM windows for one Place call.
+func newPlacer(d *netlist.Design, cells []int, opt Options) (*placer, error) {
+	p := &placer{d: d, opt: opt, workers: parallel.Count(opt.Workers)}
+	if err := p.buildSegments(cells); err != nil {
+		return nil, err
+	}
+	p.buildPinView()
+	p.buildRegions()
+	p.x = make([]float64, len(d.Cells))
+	p.y = make([]float64, len(d.Cells))
+	p.w = make([]float64, len(d.Cells))
+	for ci := range d.Cells {
+		c := &d.Cells[ci]
+		p.x[ci], p.y[ci], p.w[ci] = c.X, c.Y, c.W
+	}
+	if !opt.DisableISM {
+		p.buildISMTasks()
+	}
+	if opt.Golden != nil {
+		p.posBuf = make([]float64, 2*len(cells))
+	}
+	return p, nil
 }
 
 // buildSegments assigns every movable cell to its free row segment.
@@ -343,8 +381,10 @@ func (p *placer) buildRegions() {
 			p.regionOf[ci] = p.segRegion[si]
 		}
 	}
-	p.snapX = make([]float64, len(p.d.Cells))
-	p.snapY = make([]float64, len(p.d.Cells))
+	if g > 1 {
+		p.snapX = make([]float64, len(p.d.Cells))
+		p.snapY = make([]float64, len(p.d.Cells))
+	}
 	p.counts = make([]passCount, len(p.regions))
 	p.evals = make([]*evalCtx, p.workers)
 	for i := range p.evals {
@@ -358,8 +398,21 @@ func (p *placer) snapshot() {
 	parallel.For(p.workers, len(p.segs), func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			for _, ci := range p.segs[si].cells {
+				p.snapX[ci], p.snapY[ci] = p.x[ci], p.y[ci]
+			}
+		}
+	})
+}
+
+// writeBack copies the managed cells' positions to their Cell structs,
+// which hold the pass-start layout until then. Parallel over segments
+// (disjoint writes per cell).
+func (p *placer) writeBack() {
+	parallel.For(p.workers, len(p.segs), func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			for _, ci := range p.segs[si].cells {
 				c := &p.d.Cells[ci]
-				p.snapX[ci], p.snapY[ci] = c.X, c.Y
+				c.X, c.Y = p.x[ci], p.y[ci]
 			}
 		}
 	})
@@ -369,13 +422,18 @@ func (p *placer) snapshot() {
 // region, sharded across the worker pool. fn mutates only its own
 // region's cells and reads other regions through the snapshot, so each
 // region's outcome is a pure function of the pass's starting state —
-// identical at every worker count. Accepted-move counters are written
-// per region and reduced in region order by the caller.
+// identical at every worker count. A lone region owns every managed
+// cell: it reads everything live and no snapshot is taken. Accepted-move
+// counters are written per region and reduced in region order by the
+// caller.
 func (p *placer) forRegions(fn func(e *evalCtx, r int) passCount) (improved, ops int) {
-	p.snapshot()
+	solo := len(p.regions) == 1
+	if !solo {
+		p.snapshot()
+	}
 	parallel.For(p.workers, len(p.regions), func(w, lo, hi int) {
 		e := p.evals[w]
-		e.allLive = false
+		e.allLive = solo
 		for r := lo; r < hi; r++ {
 			e.region = int32(r)
 			p.counts[r] = fn(e, r)
@@ -392,15 +450,14 @@ func (p *placer) forRegions(fn func(e *evalCtx, r int) passCount) (improved, ops
 // Neighbors are always in the same segment (the caller's own region),
 // so live reads are exact.
 func (p *placer) gap(s *segCells, k int) (lo, hi float64) {
-	d := p.d
 	lo, hi = s.lx, s.hx
 	if k > 0 {
-		c := &d.Cells[s.cells[k-1]]
-		lo = max(lo, c.X+c.W/2)
+		c := s.cells[k-1]
+		lo = max(lo, p.x[c]+p.w[c]/2)
 	}
 	if k+1 < len(s.cells) {
-		c := &d.Cells[s.cells[k+1]]
-		hi = min(hi, c.X-c.W/2)
+		c := s.cells[k+1]
+		hi = min(hi, p.x[c]-p.w[c]/2)
 	}
 	return lo, hi
 }
@@ -408,31 +465,28 @@ func (p *placer) gap(s *segCells, k int) (lo, hi float64) {
 // relocatePass slides each cell within its own gap toward its optimal
 // x, accepting when HPWL improves.
 func (p *placer) relocatePass(res *Result) int {
-	d := p.d
 	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
 			s := p.segs[si]
 			for k, ci := range s.cells {
-				c := &d.Cells[ci]
 				lo, hi := p.gap(s, k)
-				if hi-lo < c.W-1e-12 {
+				w := p.w[ci]
+				if hi-lo < w-1e-12 {
 					continue
 				}
 				target := e.optimalX(ci)
-				nx := max(lo+c.W/2, min(hi-c.W/2, target))
-				if math.Abs(nx-c.X) < 1e-12 {
+				nx := max(lo+w/2, min(hi-w/2, target))
+				if math.Abs(nx-p.x[ci]) < 1e-12 {
 					continue
 				}
-				nets := e.netsOf1(ci)
-				before := e.hpwlOf(nets)
-				oldX := c.X
-				c.X = nx
-				if e.hpwlOf(nets) < before-1e-12 {
+				e.begin1(ci)
+				before := e.cost()
+				e.tx[0] = nx
+				if e.cost() < before-1e-12 {
+					p.x[ci] = nx
 					pc.improved++
 					pc.ops++
-				} else {
-					c.X = oldX
 				}
 			}
 		}
@@ -446,7 +500,6 @@ func (p *placer) relocatePass(res *Result) int {
 // its optimal x. Iteration follows a fixed copy of each segment's order
 // captured when the segment is entered (swaps permute it in place).
 func (p *placer) swapPass(res *Result) int {
-	d := p.d
 	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
@@ -463,15 +516,18 @@ func (p *placer) swapPass(res *Result) int {
 				lo, hi := 0, len(s.cells)
 				for lo < hi {
 					mid := (lo + hi) / 2
-					if d.Cells[s.cells[mid]].X >= target {
+					if p.x[s.cells[mid]] >= target {
 						hi = mid
 					} else {
 						lo = mid + 1
 					}
 				}
+				e.anchored = false
 				tried := 0
 				for off := 0; off < len(s.cells) && tried < p.opt.SwapCandidates; off++ {
-					advanced := false
+					if lo+off >= len(s.cells) && lo-off-1 < 0 {
+						break // both sides have run off the segment
+					}
 					for side := 0; side < 2; side++ {
 						j := lo + off
 						if side == 1 {
@@ -480,17 +536,13 @@ func (p *placer) swapPass(res *Result) int {
 						if j < 0 || j >= len(s.cells) || s.cells[j] == ci || tried >= p.opt.SwapCandidates {
 							continue
 						}
-						advanced = true
 						tried++
 						if e.trySwap(s, k, j) {
 							pc.improved++
 							pc.ops++
-							k = indexOf(s.cells, ci)
+							k = j
 							break
 						}
-					}
-					if !advanced && off > len(s.cells) {
-						break
 					}
 				}
 			}
@@ -501,53 +553,52 @@ func (p *placer) swapPass(res *Result) int {
 	return improved
 }
 
-// trySwap exchanges the cells at positions ka and kb of segment s when
-// both fit in each other's gaps and HPWL improves.
-func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
-	if ka == kb {
-		return false
-	}
+// trySwap exchanges the cell at position k of segment s, the swap
+// pass's current anchor, with the one at position j when both fit in
+// each other's gaps and HPWL improves.
+func (e *evalCtx) trySwap(s *segCells, k, j int) bool {
 	p := e.p
-	d := p.d
-	if ka > kb {
-		ka, kb = kb, ka
-	}
+	ka, kb := min(k, j), max(k, j)
 	a, b := s.cells[ka], s.cells[kb]
-	ca, cb := &d.Cells[a], &d.Cells[b]
+	wa, wb := p.w[a], p.w[b]
 	loA, hiA := p.gap(s, ka)
 	loB, hiB := p.gap(s, kb)
+	var ax, bx float64 // where a and b would land
 	if kb == ka+1 {
 		// Adjacent: joint interval.
-		lo, hi := loA, hiB
-		if cb.W+ca.W > hi-lo+1e-12 {
+		if wb+wa > hiB-loA+1e-12 {
 			return false
 		}
-		nets := e.netsOf2(a, b)
-		before := e.hpwlOf(nets)
-		oldAX, oldBX := ca.X, cb.X
-		cb.X = lo + cb.W/2
-		ca.X = lo + cb.W + ca.W/2
-		if e.hpwlOf(nets) < before-1e-12 {
-			s.cells[ka], s.cells[kb] = b, a
-			return true
+		ax, bx = loA+wb+wa/2, loA+wb/2
+	} else {
+		if wb > hiA-loA+1e-12 || wa > hiB-loB+1e-12 {
+			return false
 		}
-		ca.X, cb.X = oldAX, oldBX
+		ax = max(loB+wa/2, min(hiB-wa/2, p.x[b]))
+		bx = max(loA+wb/2, min(hiA-wb/2, p.x[a]))
+	}
+	// The anchor's half of the trial is walked for its first candidate
+	// that fits, and again only after a swap moved it.
+	if !e.anchored {
+		e.anchor(s.cells[k])
+		e.anchored = true
+	}
+	e.pair(s.cells[j], k < j)
+	sa, sb := 0, 1 // the anchor is in slot 0, the candidate in slot 1
+	if k > j {
+		sa, sb = 1, 0
+	}
+	e.tx[sa], e.ty[sa] = p.x[a], p.y[a]
+	e.tx[sb], e.ty[sb] = p.x[b], p.y[b]
+	before := e.cost()
+	e.tx[sa], e.tx[sb] = ax, bx
+	if e.cost() >= before-1e-12 {
 		return false
 	}
-	if cb.W > hiA-loA+1e-12 || ca.W > hiB-loB+1e-12 {
-		return false
-	}
-	nets := e.netsOf2(a, b)
-	before := e.hpwlOf(nets)
-	oldAX, oldBX := ca.X, cb.X
-	ca.X = max(loB+ca.W/2, min(hiB-ca.W/2, oldBX))
-	cb.X = max(loA+cb.W/2, min(hiA-cb.W/2, oldAX))
-	if e.hpwlOf(nets) < before-1e-12 {
-		s.cells[ka], s.cells[kb] = b, a
-		return true
-	}
-	ca.X, cb.X = oldAX, oldBX
-	return false
+	p.x[a], p.x[b] = ax, bx
+	s.cells[ka], s.cells[kb] = b, a
+	e.anchored = false
+	return true
 }
 
 // reorderPass permutes cells inside sliding windows of each segment.
@@ -575,53 +626,42 @@ func (p *placer) reorderPass(res *Result) int {
 // boundary, and keeps the best.
 func (e *evalCtx) tryReorder(s *segCells, start, w int) bool {
 	p := e.p
-	d := p.d
 	e.win = append(e.win[:0], s.cells[start:start+w]...)
 	win := e.win
 	lo, _ := p.gap(s, start)
 	_, hi := p.gap(s, start+w-1)
 	totalW := 0.0
 	for _, ci := range win {
-		totalW += d.Cells[ci].W
+		totalW += p.w[ci]
 	}
 	if totalW > hi-lo+1e-12 {
 		return false
 	}
-	nets := e.netsOf(win)
-	e.oldX = e.oldX[:0]
-	for _, ci := range win {
-		e.oldX = append(e.oldX, d.Cells[ci].X)
+	e.begin(win)
+	for i, ci := range win {
+		e.tx[i], e.ty[i] = p.x[ci], p.y[ci]
 	}
-	bestCost := e.hpwlOf(nets)
-	baseCost := bestCost
+	bestCost := e.cost()
 	bestPerm := -1
 	perms := permutations(w)
-	e.bestXs = e.bestXs[:0]
 	for pi, perm := range perms {
 		x := lo
 		for _, idx := range perm {
-			c := &d.Cells[win[idx]]
-			c.X = x + c.W/2
-			x += c.W
+			cw := p.w[win[idx]]
+			e.tx[idx] = x + cw/2
+			x += cw
 		}
-		if cost := e.hpwlOf(nets); cost < bestCost-1e-12 {
+		if cost := e.cost(); cost < bestCost-1e-12 {
 			bestCost = cost
 			bestPerm = pi
-			e.bestXs = e.bestXs[:0]
-			for _, idx := range perm {
-				e.bestXs = append(e.bestXs, d.Cells[win[idx]].X)
-			}
+			e.bestXs = append(e.bestXs[:0], e.tx[:w]...)
 		}
 	}
-	if bestPerm < 0 || bestCost >= baseCost-1e-12 {
-		for i, ci := range win {
-			d.Cells[ci].X = e.oldX[i]
-		}
+	if bestPerm < 0 {
 		return false
 	}
-	perm := perms[bestPerm]
-	for i, idx := range perm {
-		d.Cells[win[idx]].X = e.bestXs[i]
+	for i, idx := range perms[bestPerm] {
+		p.x[win[idx]] = e.bestXs[idx]
 		s.cells[start+i] = win[idx]
 	}
 	return true

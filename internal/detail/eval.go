@@ -6,18 +6,22 @@ import (
 )
 
 // evalCtx is one worker's evaluation context: region-aware position
-// reads plus every scratch buffer the inner loops need, so a steady-
-// state improvement pass allocates nothing.
+// reads, the trial evaluator every pass prices its moves with, and every
+// scratch buffer the inner loops need, so a steady-state improvement
+// pass allocates nothing.
 //
 // Position visibility rule (the heart of the determinism argument, see
-// DESIGN.md "Parallel legalization and detailed placement"): during a
-// region-parallel pass each worker owns the cells of its current
-// region. It reads those live (including its own in-flight trial
-// moves), reads every other region's managed cells from the snapshot
-// taken at pass start, and reads unmanaged cells (fixed objects,
-// macros, pads) live — nobody moves those during cDP. A region's moves
-// are therefore a pure function of (snapshot, own region's state),
-// independent of how regions are scheduled onto workers.
+// DESIGN.md "Parallel legalization and detailed placement"): positions
+// live in the placer's x/y arrays for the whole of Place. During a
+// region-parallel pass each worker owns the cells of its current region:
+// it alone writes their x/y entries, and only when it accepts a move. It
+// reads those live, reads every other region's managed cells from the
+// snapshot taken at pass start, and reads unmanaged cells (fixed
+// objects, macros, pads) live — nobody moves those during cDP. Trial
+// positions never touch either array: they sit in the context's tx/ty
+// until a move is accepted. A region's moves are therefore a pure
+// function of (snapshot, own region's state), independent of how
+// regions are scheduled onto workers.
 type evalCtx struct {
 	p *placer
 	// region is the region this worker currently owns; allLive
@@ -27,19 +31,25 @@ type evalCtx struct {
 	region  int32
 	allLive bool
 
-	// Hypothetically-moved cells (ISM cost evaluation): pos() returns
-	// the override instead of the stored position.
-	nmoved    int
-	movedCell [maxISMSet]int
-	movedX    [maxISMSet]float64
-	movedY    [maxISMSet]float64
+	// The current trial (see begin): its cells by slot, their candidate
+	// positions, its nets in first-encounter order and the pins of those
+	// nets that sit on a trial cell.
+	tcells []int32
+	one    [1]int
+	tx, ty []float64
+	tnets  []trialNet
+	own    []ownPin
+	// The swap pass's anchor half (see anchor and pair): whether it is
+	// current, the anchor's records, how many own pins they hold, and
+	// the candidate's records.
+	anchored bool
+	anets    []trialNet
+	aown     int
+	bnets    []trialNet
 
-	// netsOf scratch: epoch-stamped membership test over nets (replaces
-	// the per-call map the serial implementation allocated).
+	// Epoch-stamped membership test over nets.
 	netSeen []int64
 	epoch   int64
-	nets    []int
-	cbuf    [2]int
 
 	// optimalX scratch.
 	xs []float64
@@ -47,90 +57,197 @@ type evalCtx struct {
 	// Pass scratch: segment iteration order, reorder windows.
 	order  []int
 	win    []int
-	oldX   []float64
 	bestXs []float64
 
 	// ISM scratch.
 	setBuf []int
 	slotX  []float64
 	slotY  []float64
-	cost   []float64
+	matrix []float64
 	hung   hungScratch
 }
 
+// trialNet is what one walk of a net leaves behind for a trial: the
+// bounding box of the pins that sit on no trial cell, fixed for as long
+// as the trial lasts, and the range of e.own holding the pins that do.
+type trialNet struct {
+	w                      float64
+	minX, maxX, minY, maxY float64
+	ni                     int32
+	own, ownEnd            int32
+}
+
+// ownPin is a pin on the trial cell in the given slot.
+type ownPin struct {
+	slot   int32
+	ox, oy float64
+}
+
 func newEvalCtx(p *placer) *evalCtx {
-	return &evalCtx{p: p, netSeen: make([]int64, len(p.d.Nets))}
+	slots := max(maxISMSet, p.opt.Window)
+	return &evalCtx{
+		p: p, netSeen: make([]int64, len(p.d.Nets)),
+		tx: make([]float64, slots), ty: make([]float64, slots),
+	}
 }
 
-// pos returns the cell's position as seen by this context: override
-// first, then the live/frozen split described on evalCtx.
-func (e *evalCtx) pos(ci int) (float64, float64) {
-	for k := 0; k < e.nmoved; k++ {
-		if e.movedCell[k] == ci {
-			return e.movedX[k], e.movedY[k]
-		}
-	}
+// at returns the position of a cell outside the trial under the
+// live/frozen split described on evalCtx.
+func (e *evalCtx) at(ci int32) (float64, float64) {
+	p := e.p
 	if !e.allLive {
-		if r := e.p.regionOf[ci]; r >= 0 && r != e.region {
-			return e.p.snapX[ci], e.p.snapY[ci]
+		if r := p.regionOf[ci]; r >= 0 && r != e.region {
+			return p.snapX[ci], p.snapY[ci]
 		}
 	}
-	c := &e.p.d.Cells[ci]
-	return c.X, c.Y
+	return p.x[ci], p.y[ci]
 }
 
-// pushMoved installs a hypothetical position for ci (ISM cost rows).
-func (e *evalCtx) pushMoved(ci int, x, y float64) {
-	e.movedCell[e.nmoved] = ci
-	e.movedX[e.nmoved] = x
-	e.movedY[e.nmoved] = y
-	e.nmoved++
+// begin opens a trial over the given cells (slot i holds cells[i]): one
+// walk of their distinct nets, in first-encounter (pin) order. The
+// caller then writes candidate positions into tx/ty[:len(cells)] and
+// prices each candidate layout with cost.
+func (e *evalCtx) begin(cells []int) {
+	p := e.p
+	e.tcells = e.tcells[:0]
+	for _, ci := range cells {
+		e.tcells = append(e.tcells, int32(ci))
+	}
+	e.own = e.own[:0]
+	e.tnets = e.tnets[:0]
+	e.bumpEpoch()
+	for _, ci := range cells {
+		for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
+			if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
+				e.netSeen[ni] = e.epoch
+				e.tnets = e.walk(ni, e.tnets)
+			}
+		}
+	}
 }
 
-func (e *evalCtx) clearMoved() { e.nmoved = 0 }
+// begin1 opens a one-cell trial with the cell at its live position.
+func (e *evalCtx) begin1(ci int) {
+	e.one[0] = ci
+	e.begin(e.one[:])
+	e.tx[0], e.ty[0] = e.p.x[ci], e.p.y[ci]
+}
 
-// netHPWL is d.NetHPWL through the context's position rule, over the
-// placer's flat pin view. Floating-point note: x is computed as
-// Ox + pos rather than the source structure's pos + Ox; IEEE addition
-// is commutative, so the result is bitwise identical.
-func (e *evalCtx) netHPWL(ni int) float64 {
+// walk appends net ni's record to dst: every pin is visited once, the
+// ones on a trial cell go to e.own, the rest into the box. A net of
+// fewer than two pins has no length wherever its pin sits and gets no
+// record. Floating-point note: a pin's x is Ox + position, as in
+// netlist.NetHPWL's position + Ox; IEEE addition is commutative.
+func (e *evalCtx) walk(ni int32, dst []trialNet) []trialNet {
 	p := e.p
 	lo, hi := p.netPinStart[ni], p.netPinStart[ni+1]
 	if hi-lo < 2 {
-		return 0
+		return dst
 	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	own := int32(len(e.own))
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	minY, maxY := math.Inf(1), math.Inf(-1)
+pins:
 	for k := lo; k < hi; k++ {
 		x, y := p.netPinOx[k], p.netPinOy[k]
 		if ci := p.netPinCell[k]; ci >= 0 {
-			cx, cy := e.pos(int(ci))
+			for slot, tc := range e.tcells {
+				if tc == ci {
+					e.own = append(e.own, ownPin{int32(slot), x, y})
+					continue pins
+				}
+			}
+			cx, cy := e.at(ci)
 			x += cx
 			y += cy
 		}
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
 	}
-	return p.netW[ni] * ((maxX - minX) + (maxY - minY))
+	return append(dst, trialNet{
+		w: p.netW[ni], minX: minX, maxX: maxX, minY: minY, maxY: maxY,
+		ni: ni, own: own, ownEnd: int32(len(e.own)),
+	})
 }
 
-// hpwlOf sums netHPWL over the given nets.
-func (e *evalCtx) hpwlOf(nets []int) float64 {
+// cost is the weighted HPWL of the trial's nets with the trial cells at
+// tx/ty: each net's cached box extended by its own pins, summed in
+// first-encounter order. On finite coordinates builtin min/max find the
+// extremes a compare-and-assign walk of all the pins finds, up to the
+// sign of a zero, and a net's term of either zero sign leaves the same
+// sum (it starts at +0 and can never become -0), so cost returns the
+// bits of the full walk (DESIGN.md has the argument in full).
+func (e *evalCtx) cost() float64 {
 	s := 0.0
-	for _, ni := range nets {
-		s += e.netHPWL(ni)
+	for i := range e.tnets {
+		n := &e.tnets[i]
+		minX, maxX, minY, maxY := n.minX, n.maxX, n.minY, n.maxY
+		for _, q := range e.own[n.own:n.ownEnd] {
+			x, y := q.ox+e.tx[q.slot], q.oy+e.ty[q.slot]
+			minX, maxX = min(minX, x), max(maxX, x)
+			minY, maxY = min(minY, y), max(maxY, y)
+		}
+		// The conversion rounds the product before the add, so an
+		// architecture with fused multiply-add sums the same terms.
+		s += float64(n.w * ((maxX - minX) + (maxY - minY)))
 	}
 	return s
+}
+
+// anchor caches cell ci's half of the swap trials that follow: its nets
+// walked once with ci, in slot 0, as the only trial cell. The cache
+// holds until a cell on one of those nets moves, so the swap pass
+// refreshes it after every accepted swap.
+func (e *evalCtx) anchor(ci int) {
+	e.begin1(ci)
+	e.anets = append(e.anets[:0], e.tnets...)
+	e.aown = len(e.own)
+}
+
+// pair completes the trial {anchor, cj} with cj in slot 1: one walk of
+// cj's nets with both cells off the boxes, and the anchor's cached
+// records for the nets cj is not on. The records are ordered as begin
+// over (left cell, right cell) would encounter them.
+func (e *evalCtx) pair(cj int, anchorLeft bool) {
+	p := e.p
+	e.tcells = append(e.tcells[:1], int32(cj))
+	e.own = e.own[:e.aown]
+	e.bnets = e.bnets[:0]
+	e.bumpEpoch()
+	for k := p.cellNetStart[cj]; k < p.cellNetStart[cj+1]; k++ {
+		if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
+			e.netSeen[ni] = e.epoch
+			e.bnets = e.walk(ni, e.bnets)
+		}
+	}
+	e.tnets = e.tnets[:0]
+	if !anchorLeft {
+		e.tnets = append(e.tnets, e.bnets...)
+	}
+	for _, n := range e.anets {
+		if e.netSeen[n.ni] == e.epoch {
+			// Both cells are on this net. The anchor's box counts cj's
+			// pins where they are now, so cj's record stands in for it,
+			// where the left cell of the two meets the net.
+			if !anchorLeft {
+				continue
+			}
+			for _, b := range e.bnets {
+				if b.ni == n.ni {
+					n = b
+				}
+			}
+			e.netSeen[n.ni] = 0 // placed: the loop below passes over it
+		}
+		e.tnets = append(e.tnets, n)
+	}
+	if anchorLeft {
+		for _, b := range e.bnets {
+			if e.netSeen[b.ni] == e.epoch {
+				e.tnets = append(e.tnets, b)
+			}
+		}
+	}
 }
 
 // bumpEpoch advances the membership epoch, resetting the stamp array on
@@ -143,36 +260,6 @@ func (e *evalCtx) bumpEpoch() {
 		}
 		e.epoch = 1
 	}
-}
-
-// netsOf returns the distinct nets touching the given cells, in first-
-// encounter (pin) order, in a scratch slice valid until the next
-// netsOf/independentSubset call on this context.
-func (e *evalCtx) netsOf(cells []int) []int {
-	e.bumpEpoch()
-	p := e.p
-	e.nets = e.nets[:0]
-	for _, ci := range cells {
-		for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
-			ni := int(p.cellNet[k])
-			if e.netSeen[ni] != e.epoch {
-				e.netSeen[ni] = e.epoch
-				e.nets = append(e.nets, ni)
-			}
-		}
-	}
-	return e.nets
-}
-
-// netsOf1 and netsOf2 avoid a variadic allocation on the two hot arities.
-func (e *evalCtx) netsOf1(ci int) []int {
-	e.cbuf[0] = ci
-	return e.netsOf(e.cbuf[:1])
-}
-
-func (e *evalCtx) netsOf2(a, b int) []int {
-	e.cbuf[0], e.cbuf[1] = a, b
-	return e.netsOf(e.cbuf[:2])
 }
 
 // optimalX returns the x median of the other pins of the cell's nets:
@@ -189,14 +276,14 @@ func (e *evalCtx) optimalX(ci int) float64 {
 			}
 			x := p.netPinOx[q]
 			if cj >= 0 {
-				cx, _ := e.pos(int(cj))
+				cx, _ := e.at(cj)
 				x += cx
 			}
 			e.xs = append(e.xs, x)
 		}
 	}
 	if len(e.xs) == 0 {
-		return p.d.Cells[ci].X
+		return p.x[ci]
 	}
 	sort.Float64s(e.xs)
 	return e.xs[len(e.xs)/2]

@@ -2,6 +2,7 @@ package detail
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"eplace/internal/parallel"
@@ -25,11 +26,6 @@ import (
 // functions of the pass-start state, so the outcome is identical at
 // every worker count.
 
-// ismTask is one sliding window over a width bucket.
-type ismTask struct {
-	cells []int // window into the bucket's sorted cell list
-}
-
 // ismProposal is one task's solved matching, produced in parallel and
 // consumed serially. Buffers are reused across passes.
 type ismProposal struct {
@@ -45,16 +41,18 @@ type ismProposal struct {
 const ismWindow = 12
 
 // buildISMTasks gathers movable cells by footprint and cuts sliding
-// windows. Cells are interchangeable only when both width AND height
-// match: slots carry a y position, and parking a double-height cell on
-// a single-height cell's slot leaves it straddling a row boundary
-// (bucketing by width alone did exactly that once edits introduced
-// same-width cells of a different height). Determinism contract:
-// buckets are processed in ascending (width, height) order (never Go's
-// randomized map order) and each bucket is sorted by (x, cell index) —
-// a strict total order — so the task list is a pure function of the
-// pass-start positions.
-func (p *placer) buildISMTasks() []ismTask {
+// windows, once per Place: sizes never change in cDP, so neither do the
+// buckets' members nor the window boundaries, and ismPass only re-sorts
+// each bucket under the windows. Cells are interchangeable only when
+// both width AND height match: slots carry a y position, and parking a
+// double-height cell on a single-height cell's slot leaves it
+// straddling a row boundary (bucketing by width alone did exactly that
+// once edits introduced same-width cells of a different height).
+// Determinism contract: buckets are processed in ascending (width,
+// height) order (never Go's randomized map order) and each bucket is
+// sorted by (x, cell index) — a strict total order — so the task list
+// is a pure function of the pass-start positions.
+func (p *placer) buildISMTasks() {
 	d := p.d
 	type dim struct{ w, h float64 }
 	byDim := map[dim][]int{}
@@ -74,42 +72,54 @@ func (p *placer) buildISMTasks() []ismTask {
 		}
 		return dims[a].h < dims[b].h
 	})
-	var tasks []ismTask
-	for _, w := range dims {
-		group := byDim[w]
+	for _, k := range dims {
+		group := byDim[k]
 		if len(group) < 2 {
 			continue
 		}
-		sort.Slice(group, func(a, b int) bool {
-			if d.Cells[group[a]].X != d.Cells[group[b]].X {
-				return d.Cells[group[a]].X < d.Cells[group[b]].X
-			}
-			return group[a] < group[b]
-		})
+		p.ismBuckets = append(p.ismBuckets, group)
 		for start := 0; start < len(group); start += ismWindow / 2 {
-			end := start + ismWindow
-			if end > len(group) {
-				end = len(group)
-			}
-			tasks = append(tasks, ismTask{cells: group[start:end]})
+			end := min(start+ismWindow, len(group))
+			p.ismTasks = append(p.ismTasks, group[start:end])
 			if end == len(group) {
 				break
 			}
 		}
 	}
-	return tasks
+	p.ismProps = make([]ismProposal, len(p.ismTasks))
+}
+
+// cmpCells is the (x, cell index) order every cell list is kept in: a
+// strict total order, so a sorted list has exactly one arrangement
+// whatever algorithm sorted it.
+func (p *placer) cmpCells(a, b int) int {
+	if p.x[a] != p.x[b] {
+		if p.x[a] < p.x[b] {
+			return -1
+		}
+		return 1
+	}
+	return a - b
+}
+
+// repairOrder restores a segment's order by insertion after a commit
+// moved a few of its cells: linear in the segment, no allocation.
+func (p *placer) repairOrder(cells []int) {
+	for i := 1; i < len(cells); i++ {
+		ci, j := cells[i], i
+		for ; j > 0 && p.cmpCells(ci, cells[j-1]) < 0; j-- {
+			cells[j] = cells[j-1]
+		}
+		cells[j] = ci
+	}
 }
 
 // ismPass runs the two-phase propose/commit scheme described above.
 func (p *placer) ismPass(res *Result) int {
-	tasks := p.buildISMTasks()
-	if len(tasks) == 0 {
-		return 0
+	for _, b := range p.ismBuckets {
+		slices.SortFunc(b, p.cmpCells)
 	}
-	if cap(p.ismProps) < len(tasks) {
-		p.ismProps = make([]ismProposal, len(tasks))
-	}
-	props := p.ismProps[:len(tasks)]
+	tasks, props := p.ismTasks, p.ismProps
 	// Phase 1: parallel propose. Read-only against the live layout
 	// (nothing moves during this phase), disjoint writes per task slot.
 	parallel.For(p.workers, len(tasks), func(w, lo, hi int) {
@@ -138,12 +148,13 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 		maxSize = 6
 	}
 	e.bumpEpoch()
-	d := e.p.d
+	p := e.p
 	e.setBuf = e.setBuf[:0]
 	for _, ci := range candidates {
+		nets := p.cellNet[p.cellNetStart[ci]:p.cellNetStart[ci+1]]
 		ok := true
-		for _, pi := range d.Cells[ci].Pins {
-			if e.netSeen[d.Pins[pi].Net] == e.epoch {
+		for _, ni := range nets {
+			if e.netSeen[ni] == e.epoch {
 				ok = false
 				break
 			}
@@ -152,8 +163,8 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 			continue
 		}
 		e.setBuf = append(e.setBuf, ci)
-		for _, pi := range d.Cells[ci].Pins {
-			e.netSeen[d.Pins[pi].Net] = e.epoch
+		for _, ni := range nets {
+			e.netSeen[ni] = e.epoch
 		}
 		if len(e.setBuf) >= maxSize {
 			break
@@ -162,14 +173,14 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 	return e.setBuf
 }
 
-// proposeISM selects the task's independent subset, prices every
+// proposeISM selects the window's independent subset, prices every
 // cell/slot pair against the pass-start state, and records the optimal
-// assignment when it improves. No layout mutation: hypothetical
-// positions go through the evalCtx override.
-func (e *evalCtx) proposeISM(t ismTask, prop *ismProposal) {
+// assignment when it improves. No layout mutation: each cell is a
+// one-cell trial priced at every slot.
+func (e *evalCtx) proposeISM(window []int, prop *ismProposal) {
 	prop.ok = false
-	d := e.p.d
-	set := e.independentSubset(t.cells, e.p.opt.ISMSetSize)
+	p := e.p
+	set := e.independentSubset(window, p.opt.ISMSetSize)
 	n := len(set)
 	if n < 2 {
 		return
@@ -177,23 +188,22 @@ func (e *evalCtx) proposeISM(t ismTask, prop *ismProposal) {
 	e.slotX = e.slotX[:0]
 	e.slotY = e.slotY[:0]
 	for _, ci := range set {
-		e.slotX = append(e.slotX, d.Cells[ci].X)
-		e.slotY = append(e.slotY, d.Cells[ci].Y)
+		e.slotX = append(e.slotX, p.x[ci])
+		e.slotY = append(e.slotY, p.y[ci])
 	}
-	if cap(e.cost) < n*n {
-		e.cost = make([]float64, n*n)
+	if cap(e.matrix) < n*n {
+		e.matrix = make([]float64, n*n)
 	}
-	cost := e.cost[:n*n]
+	cost := e.matrix[:n*n]
 	// Cost matrix: HPWL of cell i's nets with the cell at slot j. The
 	// set's independence makes per-cell costs separable and exact.
 	base := 0.0
 	for i, ci := range set {
-		nets := e.netsOf1(ci)
-		base += e.hpwlOf(nets)
+		e.begin1(ci)
+		base += e.cost()
 		for j := 0; j < n; j++ {
-			e.pushMoved(ci, e.slotX[j], e.slotY[j])
-			cost[i*n+j] = e.hpwlOf(nets)
-			e.clearMoved()
+			e.tx[0], e.ty[0] = e.slotX[j], e.slotY[j]
+			cost[i*n+j] = e.cost()
 		}
 	}
 	assign := e.hung.solve(n, cost)
@@ -217,13 +227,12 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	if !prop.ok {
 		return false
 	}
-	d := p.d
 	e := p.evals[0]
 	e.allLive = true
 	// Drop the proposal if any member moved since propose time: an
 	// earlier commit (overlapping window) won that cell.
 	for i, ci := range prop.set {
-		if d.Cells[ci].X != prop.slotX[i] || d.Cells[ci].Y != prop.slotY[i] {
+		if p.x[ci] != prop.slotX[i] || p.y[ci] != prop.slotY[i] {
 			return false
 		}
 	}
@@ -232,12 +241,11 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	// set's nets are disjoint (independence).
 	base, total := 0.0, 0.0
 	for i, ci := range prop.set {
-		nets := e.netsOf1(ci)
-		base += e.hpwlOf(nets)
+		e.begin1(ci)
+		base += e.cost()
 		j := prop.assign[i]
-		e.pushMoved(ci, prop.slotX[j], prop.slotY[j])
-		total += e.hpwlOf(nets)
-		e.clearMoved()
+		e.tx[0], e.ty[0] = prop.slotX[j], prop.slotY[j]
+		total += e.cost()
 	}
 	if total >= base-1e-9 {
 		return false
@@ -246,47 +254,27 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	// exactly cell set[j]'s position, so the segment a slot belongs to
 	// is indexed directly by slot number — no position-keyed lookup.
 	var origSeg [maxISMSet]int32
-	var touched [2 * maxISMSet]int32
-	nt := 0
 	for k, ci := range prop.set {
 		origSeg[k] = p.segOf[ci]
 	}
 	for i, j := range prop.assign {
 		ci := prop.set[i]
-		d.Cells[ci].X, d.Cells[ci].Y = prop.slotX[j], prop.slotY[j]
-		newSeg := origSeg[j]
-		if p.segOf[ci] != newSeg {
+		p.x[ci], p.y[ci] = prop.slotX[j], prop.slotY[j]
+		if newSeg := origSeg[j]; p.segOf[ci] != newSeg {
 			// Remove from old segment list, add to the new one.
 			old := p.segs[p.segOf[ci]]
 			old.cells = removeOne(old.cells, ci)
 			p.segs[newSeg].cells = append(p.segs[newSeg].cells, ci)
 			p.segOf[ci] = newSeg
 			p.regionOf[ci] = p.segRegion[newSeg]
-			touched[nt] = newSeg
-			nt++
 		}
-		touched[nt] = p.segOf[ci]
-		nt++
 	}
-	// Determinism contract: the per-segment re-sorts are independent,
-	// but iterate touched segments in sorted order anyway (and break
-	// equal-x ties by cell index) so the repair step has exactly one
-	// possible outcome.
-	ts := touched[:nt]
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	var prev int32 = -1
-	for _, si := range ts {
-		if si == prev {
-			continue
-		}
-		prev = si
-		s := p.segs[si]
-		sort.Slice(s.cells, func(a, b int) bool {
-			if d.Cells[s.cells[a]].X != d.Cells[s.cells[b]].X {
-				return d.Cells[s.cells[a]].X < d.Cells[s.cells[b]].X
-			}
-			return s.cells[a] < s.cells[b]
-		})
+	// Every moved cell now sits in the segment of some origSeg entry
+	// (removals leave a list sorted), and a sorted list has one
+	// arrangement, so repairing those lists in any order, some of them
+	// twice, has exactly one possible outcome.
+	for k := range prop.set {
+		p.repairOrder(p.segs[origSeg[k]].cells)
 	}
 	return true
 }
@@ -393,18 +381,4 @@ func (s *hungScratch) solve(n int, cost []float64) []int {
 		}
 	}
 	return s.assign
-}
-
-// hungarian solves the square assignment problem over a 2D cost matrix
-// (convenience wrapper around hungScratch.solve).
-func hungarian(cost [][]float64) []int {
-	n := len(cost)
-	flat := make([]float64, n*n)
-	for i, row := range cost {
-		copy(flat[i*n:(i+1)*n], row)
-	}
-	var s hungScratch
-	out := make([]int, n)
-	copy(out, s.solve(n, flat))
-	return out
 }

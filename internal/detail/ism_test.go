@@ -9,6 +9,20 @@ import (
 	"eplace/internal/netlist"
 )
 
+// hungarian solves the square assignment problem over a 2D cost matrix
+// (test convenience around hungScratch.solve).
+func hungarian(cost [][]float64) []int {
+	n := len(cost)
+	flat := make([]float64, n*n)
+	for i, row := range cost {
+		copy(flat[i*n:(i+1)*n], row)
+	}
+	var s hungScratch
+	out := make([]int, n)
+	copy(out, s.solve(n, flat))
+	return out
+}
+
 func TestHungarianKnownMatrices(t *testing.T) {
 	cases := []struct {
 		cost [][]float64
@@ -155,12 +169,7 @@ func TestISMImprovesOverDisabled(t *testing.T) {
 
 func TestIndependentSubsetSharesNoNets(t *testing.T) {
 	d, cells := legalDesign(100, 11)
-	p := &placer{d: d, opt: Options{ISMSetSize: 6}, workers: 1}
-	if err := p.buildSegments(cells); err != nil {
-		t.Fatal(err)
-	}
-	p.buildPinView()
-	p.buildRegions()
+	p := buildPlacer(d, cells, 1)
 	set := p.evals[0].independentSubset(cells, 6)
 	seen := map[int]bool{}
 	for _, ci := range set {

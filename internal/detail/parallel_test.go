@@ -92,38 +92,51 @@ func TestDetailWorkersBitwiseIdentical(t *testing.T) {
 // buildPlacer assembles a ready-to-pass placer for the alloc and
 // microbenchmark harnesses.
 func buildPlacer(d *netlist.Design, cells []int, workers int) *placer {
-	opt := Options{}
+	opt := Options{Workers: workers}
 	opt.defaults()
-	opt.Workers = workers
-	p := &placer{d: d, opt: opt, workers: workers}
-	if err := p.buildSegments(cells); err != nil {
+	p, err := newPlacer(d, cells, opt)
+	if err != nil {
 		panic(err)
 	}
-	p.buildPinView()
-	p.buildRegions()
 	return p
 }
 
 // TestPassAllocs guards the churn satellite: after one warm-up sweep,
-// the relocate/swap/reorder inner loops must run allocation-free (the
-// only steady-state allocations allowed are the per-pass fork-join
-// closures, a handful of objects, not per-cell garbage).
+// every pass type must run allocation-free in its inner loops (the only
+// steady-state allocations allowed are the per-pass fork-join closures,
+// a handful of objects, not per-cell or per-window garbage), and a
+// trial allocates nothing at all.
 func TestPassAllocs(t *testing.T) {
 	d, cells := legalDesign(400, 3)
 	p := buildPlacer(d, cells, 1)
 	var res Result
-	p.relocatePass(&res)
-	p.swapPass(&res)
-	p.reorderPass(&res)
+	passes := []struct {
+		name string
+		run  func(*Result) int
+	}{
+		{"relocatePass", p.relocatePass}, {"swapPass", p.swapPass},
+		{"reorderPass", p.reorderPass}, {"ismPass", p.ismPass},
+	}
+	for _, ps := range passes {
+		ps.run(&res)
+	}
 	const limit = 8
-	if a := testing.AllocsPerRun(5, func() { p.relocatePass(&res) }); a > limit {
-		t.Errorf("relocatePass allocates %v objects per run, want <= %d", a, limit)
+	for _, ps := range passes {
+		if a := testing.AllocsPerRun(5, func() { ps.run(&res) }); a > limit {
+			t.Errorf("%s allocates %v objects per run, want <= %d", ps.name, a, limit)
+		}
 	}
-	if a := testing.AllocsPerRun(5, func() { p.swapPass(&res) }); a > limit {
-		t.Errorf("swapPass allocates %v objects per run, want <= %d", a, limit)
+	e := p.evals[0]
+	trial := func() {
+		e.begin(cells[:16])
+		e.cost()
+		e.anchor(cells[0])
+		e.pair(cells[1], true)
+		e.cost()
 	}
-	if a := testing.AllocsPerRun(5, func() { p.reorderPass(&res) }); a > limit {
-		t.Errorf("reorderPass allocates %v objects per run, want <= %d", a, limit)
+	trial()
+	if a := testing.AllocsPerRun(20, trial); a != 0 {
+		t.Errorf("a trial allocates %v objects, want 0", a)
 	}
 }
 
