@@ -313,10 +313,13 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 		cl := clampCell(c, d)
 		c.X, c.Y = cl.x, cl.y
 	}
-	// The active set is a sliver of the design, so deeper refinement is
-	// nearly free here — and it is the pass that recovers the wirelength
-	// a fresh cell loses when no gap exists at its ideal spot and
-	// legalization parks it a few rows away.
+	// Deeper refinement than the cold flow's: it is the pass that
+	// recovers the wirelength a fresh cell loses when no gap exists at
+	// its ideal spot and legalization parks it a few rows away. It is
+	// not free: the active set is 6% of the design for a reweight but
+	// all of it for a 5% insertion, and cDP is about a third of an ECO
+	// call on the benchmark's edit suite (it was half before cDP's
+	// trial evaluator; EXPERIMENTS.md, ROADMAP 2d).
 	dOpt := opt.Detail
 	if dOpt.Passes <= 0 {
 		dOpt.Passes = 6

@@ -19,7 +19,7 @@ package detail
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"eplace/internal/legalize"
@@ -249,11 +249,6 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 // arrays and ISM windows for one Place call.
 func newPlacer(d *netlist.Design, cells []int, opt Options) (*placer, error) {
 	p := &placer{d: d, opt: opt, workers: parallel.Count(opt.Workers)}
-	if err := p.buildSegments(cells); err != nil {
-		return nil, err
-	}
-	p.buildPinView()
-	p.buildRegions()
 	p.x = make([]float64, len(d.Cells))
 	p.y = make([]float64, len(d.Cells))
 	p.w = make([]float64, len(d.Cells))
@@ -261,6 +256,11 @@ func newPlacer(d *netlist.Design, cells []int, opt Options) (*placer, error) {
 		c := &d.Cells[ci]
 		p.x[ci], p.y[ci], p.w[ci] = c.X, c.Y, c.W
 	}
+	if err := p.buildSegments(cells); err != nil {
+		return nil, err
+	}
+	p.buildPinView()
+	p.buildRegions()
 	if !opt.DisableISM {
 		p.buildISMTasks()
 	}
@@ -322,17 +322,25 @@ func (p *placer) buildSegments(cells []int) error {
 		p.segs[found].cells = append(p.segs[found].cells, ci)
 		p.segOf[ci] = int32(found)
 	}
+	// Equal abutting x (zero-width gaps) falls back to the cell index, so
+	// the initial segment order is a total order.
 	for _, s := range p.segs {
-		sort.Slice(s.cells, func(a, b int) bool {
-			if d.Cells[s.cells[a]].X != d.Cells[s.cells[b]].X {
-				return d.Cells[s.cells[a]].X < d.Cells[s.cells[b]].X
-			}
-			// Equal abutting x (zero-width gaps): fall back to cell
-			// index so the initial segment order is a total order.
-			return s.cells[a] < s.cells[b]
-		})
+		slices.SortFunc(s.cells, p.cmpCells)
 	}
 	return nil
+}
+
+// cmpCells is the (x, cell index) order every cell list is kept in: a
+// strict total order, so a sorted list has exactly one arrangement
+// whatever algorithm sorted it.
+func (p *placer) cmpCells(a, b int) int {
+	if p.x[a] != p.x[b] {
+		if p.x[a] < p.x[b] {
+			return -1
+		}
+		return 1
+	}
+	return a - b
 }
 
 // regionTargetCells sets region granularity: large enough that most of

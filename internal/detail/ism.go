@@ -89,19 +89,6 @@ func (p *placer) buildISMTasks() {
 	p.ismProps = make([]ismProposal, len(p.ismTasks))
 }
 
-// cmpCells is the (x, cell index) order every cell list is kept in: a
-// strict total order, so a sorted list has exactly one arrangement
-// whatever algorithm sorted it.
-func (p *placer) cmpCells(a, b int) int {
-	if p.x[a] != p.x[b] {
-		if p.x[a] < p.x[b] {
-			return -1
-		}
-		return 1
-	}
-	return a - b
-}
-
 // repairOrder restores a segment's order by insertion after a commit
 // moved a few of its cells: linear in the segment, no allocation.
 func (p *placer) repairOrder(cells []int) {
