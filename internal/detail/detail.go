@@ -513,6 +513,7 @@ func (p *placer) swapPass(res *Result) int {
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
 			s := p.segs[si]
 			e.order = append(e.order[:0], s.cells...)
+			e.dropHalves(len(s.cells))
 			for _, ci := range e.order {
 				k := indexOf(s.cells, ci)
 				if k < 0 {
@@ -530,7 +531,6 @@ func (p *placer) swapPass(res *Result) int {
 						lo = mid + 1
 					}
 				}
-				e.anchored = false
 				tried := 0
 				for off := 0; off < len(s.cells) && tried < p.opt.SwapCandidates; off++ {
 					if lo+off >= len(s.cells) && lo-off-1 < 0 {
@@ -545,7 +545,7 @@ func (p *placer) swapPass(res *Result) int {
 							continue
 						}
 						tried++
-						if e.trySwap(s, k, j) {
+						if e.trySwap(s, min(k, j), max(k, j)) {
 							pc.improved++
 							pc.ops++
 							k = j
@@ -561,12 +561,10 @@ func (p *placer) swapPass(res *Result) int {
 	return improved
 }
 
-// trySwap exchanges the cell at position k of segment s, the swap
-// pass's current anchor, with the one at position j when both fit in
-// each other's gaps and HPWL improves.
-func (e *evalCtx) trySwap(s *segCells, k, j int) bool {
+// trySwap exchanges the cells at positions ka < kb of segment s when
+// both fit in each other's gaps and HPWL improves.
+func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 	p := e.p
-	ka, kb := min(k, j), max(k, j)
 	a, b := s.cells[ka], s.cells[kb]
 	wa, wb := p.w[a], p.w[b]
 	loA, hiA := p.gap(s, ka)
@@ -585,27 +583,17 @@ func (e *evalCtx) trySwap(s *segCells, k, j int) bool {
 		ax = max(loB+wa/2, min(hiB-wa/2, p.x[b]))
 		bx = max(loA+wb/2, min(hiA-wb/2, p.x[a]))
 	}
-	// The anchor's half of the trial is walked for its first candidate
-	// that fits, and again only after a swap moved it.
-	if !e.anchored {
-		e.anchor(s.cells[k])
-		e.anchored = true
-	}
-	e.pair(s.cells[j], k < j)
-	sa, sb := 0, 1 // the anchor is in slot 0, the candidate in slot 1
-	if k > j {
-		sa, sb = 1, 0
-	}
-	e.tx[sa], e.ty[sa] = p.x[a], p.y[a]
-	e.tx[sb], e.ty[sb] = p.x[b], p.y[b]
+	e.beginPair(s, ka, kb)
+	e.tx[0], e.ty[0] = p.x[a], p.y[a]
+	e.tx[1], e.ty[1] = p.x[b], p.y[b]
 	before := e.cost()
-	e.tx[sa], e.tx[sb] = ax, bx
+	e.tx[0], e.tx[1] = ax, bx
 	if e.cost() >= before-1e-12 {
 		return false
 	}
 	p.x[a], p.x[b] = ax, bx
 	s.cells[ka], s.cells[kb] = b, a
-	e.anchored = false
+	e.dropHalves(len(s.cells))
 	return true
 }
 

@@ -39,13 +39,11 @@ type evalCtx struct {
 	tx, ty []float64
 	tnets  []trialNet
 	own    []ownPin
-	// The swap pass's anchor half (see anchor and pair): whether it is
-	// current, the anchor's records, how many own pins they hold, and
-	// the candidate's records.
-	anchored bool
-	anets    []trialNet
-	aown     int
-	bnets    []trialNet
+	// The swap pass's cache over the segment it is sweeping (see half
+	// and beginPair): halves[k] is the span of hnets that holds the
+	// one-cell trial of the cell at position k.
+	halves []span
+	hnets  []trialNet
 
 	// Epoch-stamped membership test over nets.
 	netSeen []int64
@@ -75,7 +73,13 @@ type trialNet struct {
 	minX, maxX, minY, maxY float64
 	ni                     int32
 	own, ownEnd            int32
+	// slot is added to the slots of the net's own pins: a half, walked
+	// with its cell alone in slot 0, serves either cell of a pair.
+	slot int32
 }
+
+// span is a half-open range of hnets; lo < 0 when the half is not built.
+type span struct{ lo, hi int32 }
 
 // ownPin is a pin on the trial cell in the given slot.
 type ownPin struct {
@@ -108,7 +112,6 @@ func (e *evalCtx) at(ci int32) (float64, float64) {
 // caller then writes candidate positions into tx/ty[:len(cells)] and
 // prices each candidate layout with cost.
 func (e *evalCtx) begin(cells []int) {
-	p := e.p
 	e.tcells = e.tcells[:0]
 	for _, ci := range cells {
 		e.tcells = append(e.tcells, int32(ci))
@@ -117,13 +120,21 @@ func (e *evalCtx) begin(cells []int) {
 	e.tnets = e.tnets[:0]
 	e.bumpEpoch()
 	for _, ci := range cells {
-		for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
-			if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
-				e.netSeen[ni] = e.epoch
-				e.tnets = e.walk(ni, e.tnets)
-			}
+		e.tnets = e.walkCell(ci, e.tnets)
+	}
+}
+
+// walkCell appends to dst the records of cell ci's nets that the
+// current epoch has not seen, in pin order.
+func (e *evalCtx) walkCell(ci int, dst []trialNet) []trialNet {
+	p := e.p
+	for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
+		if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
+			e.netSeen[ni] = e.epoch
+			dst = e.walk(ni, dst)
 		}
 	}
+	return dst
 }
 
 // begin1 opens a one-cell trial with the cell at its live position.
@@ -183,7 +194,7 @@ func (e *evalCtx) cost() float64 {
 		n := &e.tnets[i]
 		minX, maxX, minY, maxY := n.minX, n.maxX, n.minY, n.maxY
 		for _, q := range e.own[n.own:n.ownEnd] {
-			x, y := q.ox+e.tx[q.slot], q.oy+e.ty[q.slot]
+			x, y := q.ox+e.tx[q.slot+n.slot], q.oy+e.ty[q.slot+n.slot]
 			minX, maxX = min(minX, x), max(maxX, x)
 			minY, maxY = min(minY, y), max(maxY, y)
 		}
@@ -194,58 +205,59 @@ func (e *evalCtx) cost() float64 {
 	return s
 }
 
-// anchor caches cell ci's half of the swap trials that follow: its nets
-// walked once with ci, in slot 0, as the only trial cell. The cache
-// holds until a cell on one of those nets moves, so the swap pass
-// refreshes it after every accepted swap.
-func (e *evalCtx) anchor(ci int) {
-	e.begin1(ci)
-	e.anets = append(e.anets[:0], e.tnets...)
-	e.aown = len(e.own)
+// dropHalves leaves the n cells of the segment the swap pass is sweeping
+// without a half: on entering it, and whenever one of its cells moved,
+// since any box may have counted that cell's pins.
+func (e *evalCtx) dropHalves(n int) {
+	e.halves = e.halves[:0]
+	for k := 0; k < n; k++ {
+		e.halves = append(e.halves, span{lo: -1})
+	}
+	e.hnets, e.own = e.hnets[:0], e.own[:0]
 }
 
-// pair completes the trial {anchor, cj} with cj in slot 1: one walk of
-// cj's nets with both cells off the boxes, and the anchor's cached
-// records for the nets cj is not on. The records are ordered as begin
-// over (left cell, right cell) would encounter them.
-func (e *evalCtx) pair(cj int, anchorLeft bool) {
-	p := e.p
-	e.tcells = append(e.tcells[:1], int32(cj))
-	e.own = e.own[:e.aown]
-	e.bnets = e.bnets[:0]
+// half returns the one-cell trial of the cell at position k of the
+// segment being swept, s: its nets walked with the cell alone off the
+// boxes, the first time any pair asks for it. A half holds while no cell
+// of the segment moves: the region's other segments are not being
+// swept and the other regions are read through the snapshot.
+func (e *evalCtx) half(s *segCells, k int) span {
+	h := &e.halves[k]
+	if h.lo < 0 {
+		e.tcells = append(e.tcells[:0], int32(s.cells[k]))
+		e.bumpEpoch()
+		h.lo = int32(len(e.hnets))
+		e.hnets = e.walkCell(s.cells[k], e.hnets)
+		h.hi = int32(len(e.hnets))
+	}
+	return *h
+}
+
+// beginPair opens the trial over the cells at positions ka < kb of s,
+// in slots 0 and 1, by splicing their halves in the order begin over
+// the two cells would meet the nets. A net both cells are on is walked
+// afresh with both off the box, because each half's box counted the
+// other cell's pins where they stood.
+func (e *evalCtx) beginPair(s *segCells, ka, kb int) {
+	ha, hb := e.half(s, ka), e.half(s, kb)
+	e.tcells = append(e.tcells[:0], int32(s.cells[ka]), int32(s.cells[kb]))
 	e.bumpEpoch()
-	for k := p.cellNetStart[cj]; k < p.cellNetStart[cj+1]; k++ {
-		if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
-			e.netSeen[ni] = e.epoch
-			e.bnets = e.walk(ni, e.bnets)
-		}
+	for _, n := range e.hnets[hb.lo:hb.hi] {
+		e.netSeen[n.ni] = e.epoch
 	}
 	e.tnets = e.tnets[:0]
-	if !anchorLeft {
-		e.tnets = append(e.tnets, e.bnets...)
-	}
-	for _, n := range e.anets {
+	for _, n := range e.hnets[ha.lo:ha.hi] {
 		if e.netSeen[n.ni] == e.epoch {
-			// Both cells are on this net. The anchor's box counts cj's
-			// pins where they are now, so cj's record stands in for it,
-			// where the left cell of the two meets the net.
-			if !anchorLeft {
-				continue
-			}
-			for _, b := range e.bnets {
-				if b.ni == n.ni {
-					n = b
-				}
-			}
-			e.netSeen[n.ni] = 0 // placed: the loop below passes over it
+			e.netSeen[n.ni] = 0 // so that the loop below passes over it
+			e.tnets = e.walk(n.ni, e.tnets)
+		} else {
+			e.tnets = append(e.tnets, n)
 		}
-		e.tnets = append(e.tnets, n)
 	}
-	if anchorLeft {
-		for _, b := range e.bnets {
-			if e.netSeen[b.ni] == e.epoch {
-				e.tnets = append(e.tnets, b)
-			}
+	for _, n := range e.hnets[hb.lo:hb.hi] {
+		if e.netSeen[n.ni] == e.epoch {
+			n.slot = 1
+			e.tnets = append(e.tnets, n)
 		}
 	}
 }

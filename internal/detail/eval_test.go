@@ -109,8 +109,8 @@ func trialSet(rng *rand.Rand, d *netlist.Design, cells []int, seed, n int) []int
 }
 
 // TestTrialCostMatchesFullWalk holds begin+cost, and the swap pass's
-// anchor+pair, to the bits of a full walk of the trial's nets, with the
-// other region's live positions drifted off the snapshot the way
+// cached halves, to the bits of a full walk of the trial's nets, with
+// the other region's live positions drifted off the snapshot the way
 // concurrent workers drift them.
 func TestTrialCostMatchesFullWalk(t *testing.T) {
 	d, cells := oracleDesign()
@@ -133,17 +133,10 @@ func TestTrialCostMatchesFullWalk(t *testing.T) {
 			xs[i], ys[i] = rng.Float64()*side, rng.Float64()*side
 		}
 	}
-	// check prices set, in the order the oracle walks it, with its i-th
-	// cell in the evaluator's slot slots[i] (slot i when none are given).
-	check := func(what string, set []int, slots ...int) {
+	check := func(what string, set []int) {
 		t.Helper()
-		for i := range set {
-			s := i
-			if slots != nil {
-				s = slots[i]
-			}
-			e.tx[s], e.ty[s] = xs[i], ys[i]
-		}
+		copy(e.tx, xs[:len(set)])
+		copy(e.ty, ys[:len(set)])
 		got, want := e.cost(), e.hpwlOf(set, xs, ys)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s over %v (region %d, allLive %v): cost %v, full walk %v",
@@ -164,24 +157,24 @@ func TestTrialCostMatchesFullWalk(t *testing.T) {
 			check("begin", set)
 		}
 
-		// The swap pass: one anchor, several candidates on either side,
-		// then the same again after a swap was applied.
-		a := set[0]
-		cands := trialSet(rng, d, cells, a, 6)[1:]
-		for round := 0; round < 2 && len(cands) > 0; round++ {
-			e.anchor(a)
-			for _, b := range cands {
-				e.pair(b, true)
-				draw(2)
-				check("pair, anchor left", []int{a, b}, 0, 1)
-				e.pair(b, false)
-				draw(2)
-				check("pair, anchor right", []int{b, a}, 1, 0)
+		// The swap pass: the set stands in for a segment, every pair of
+		// it is priced from the cached halves, then again after a swap
+		// was applied the way trySwap applies one.
+		seg := &segCells{cells: append([]int(nil), set[:min(len(set), 6)]...)}
+		e.dropHalves(len(seg.cells))
+		for round := 0; round < 2 && len(seg.cells) > 1; round++ {
+			for ka := range seg.cells {
+				for kb := ka + 1; kb < len(seg.cells); kb++ {
+					e.beginPair(seg, ka, kb)
+					draw(2)
+					check("pair", []int{seg.cells[ka], seg.cells[kb]})
+				}
 			}
-			// An accepted swap moves both cells where they live.
-			b := cands[0]
+			a, b := seg.cells[0], seg.cells[1]
 			p.x[a], p.x[b] = p.x[b], p.x[a]
 			p.y[a], p.y[b] = p.y[b], p.y[a]
+			seg.cells[0], seg.cells[1] = b, a
+			e.dropHalves(len(seg.cells))
 		}
 	}
 }

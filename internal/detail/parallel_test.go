@@ -130,8 +130,8 @@ func TestPassAllocs(t *testing.T) {
 	trial := func() {
 		e.begin(cells[:16])
 		e.cost()
-		e.anchor(cells[0])
-		e.pair(cells[1], true)
+		e.dropHalves(2)
+		e.beginPair(&segCells{cells: cells[:2]}, 0, 1)
 		e.cost()
 	}
 	trial()
