@@ -316,10 +316,10 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// Deeper refinement than the cold flow's: it is the pass that
 	// recovers the wirelength a fresh cell loses when no gap exists at
 	// its ideal spot and legalization parks it a few rows away. It is
-	// not free: the active set is 6% of the design for a reweight but
-	// all of it for a 5% insertion, and cDP is about a third of an ECO
-	// call on the benchmark's edit suite (it was half before cDP's
-	// trial evaluator; EXPERIMENTS.md, ROADMAP 2d).
+	// not free: the active set is 7% of the design for a reweight of 20
+	// nets but all of it for a 5% insertion, and the cDP stage is 31% of
+	// the time of the benchmark's edit suite (half of it, before cDP
+	// priced its trials against cached net boxes; ROADMAP 2d).
 	dOpt := opt.Detail
 	if dOpt.Passes <= 0 {
 		dOpt.Passes = 6
