@@ -40,9 +40,9 @@ import (
 	"eplace/internal/telemetry"
 )
 
-// FormatVersion is the on-disk format version written by Save. Load
-// rejects any other version.
-const FormatVersion = 1
+// FormatVersion is the on-disk format version written by Save; Load
+// rejects any other. 2: State.Golden carries word-folded digests.
+const FormatVersion = 2
 
 var magic = [8]byte{'E', 'P', 'L', 'C', 'K', 'P', 'T', 0}
 

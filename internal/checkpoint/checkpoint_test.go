@@ -1,10 +1,12 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eplace/internal/nesterov"
@@ -14,14 +16,14 @@ import (
 
 func sampleState() *State {
 	return &State{
-		Phase:        PhaseMGP,
-		DesignName:   "ckpt-test",
-		Fingerprint:  0xdeadbeefcafef00d,
-		NumBaseCells: 3,
-		NumFillers:   1,
-		X:            []float64{1.5, -2.25, math.Pi, 0.125},
-		Y:            []float64{0, 7.75, -math.E, 1e30},
-		MixedSize:    true,
+		Phase:         PhaseMGP,
+		DesignName:    "ckpt-test",
+		Fingerprint:   0xdeadbeefcafef00d,
+		NumBaseCells:  3,
+		NumFillers:    1,
+		X:             []float64{1.5, -2.25, math.Pi, 0.125},
+		Y:             []float64{0, 7.75, -math.E, 1e30},
+		MixedSize:     true,
 		MGPIterations: 42, MGPFinalLambda: 3.5e-4,
 		GP: &GPState{
 			Stage: "mGP", Iter: 17,
@@ -102,6 +104,24 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: Decode accepted corrupted data", name)
 		}
+	}
+}
+
+// TestDecodeRefusesVersion1: a snapshot written before the golden digest
+// was redefined carries rolling hashes no current run continues, so its
+// header is refused by version before the payload is looked at.
+func TestDecodeRefusesVersion1(t *testing.T) {
+	data, err := Encode(sampleState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 2 || FormatVersion != 2 {
+		t.Fatalf("Encode wrote version %d, FormatVersion is %d, want 2", v, FormatVersion)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	_, err = Decode(data)
+	if err == nil || !strings.Contains(err.Error(), "format version 1, this build reads 2") {
+		t.Fatalf("Decode of a version-1 header: %v", err)
 	}
 }
 

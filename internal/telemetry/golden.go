@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// GoldenTrace is the determinism harness of the flow: a rolling FNV-1a
-// (64-bit) hash per stage over the exact bit patterns of every
+// GoldenTrace is the determinism harness of the flow: a rolling 64-bit
+// word-folded hash per stage over the exact bit patterns of every
 // iteration's state (solution positions, cost, penalty lambda). Two
 // runs of the same flow are bitwise-identical if and only if every
 // stage digest matches, so a digest mismatch pinpoints the first stage
@@ -16,13 +16,13 @@ import (
 // HPWL that two different trajectories can coincidentally share, and
 // far less flaky than chasing a 0.1% wirelength flutter.
 //
-// Digest definition (stable across releases; tests and CI depend on
-// it): each stage starts from the FNV-1a 64-bit offset basis. One
-// Absorb(stage, iter, pos, cost, lambda) call feeds, in order, the
-// iteration index as a uint64, the IEEE-754 bit pattern of every
-// position value (in slice order), then the bit patterns of cost and
-// lambda — every uint64 absorbed little-endian byte by byte through
-// the standard FNV-1a update (xor byte, multiply by 1099511628211).
+// Digest definition (tests, CI and checkpoint.FormatVersion depend on
+// it): each stage starts from foldSeed. One Absorb(stage, iter, pos,
+// cost, lambda) call feeds, in order, the iteration index as a uint64,
+// the IEEE-754 bit pattern of every position value (in slice order),
+// then the bit patterns of cost and lambda — every uint64 v folded whole
+// by h = (h ^ h>>32 ^ v) * foldMul. The step is a bijection of h for a
+// fixed v and of v for a fixed h, so one differing word always changes h.
 //
 // A nil *GoldenTrace is valid and turns every method into a no-op, the
 // same convention as Recorder: instrumented code never branches on
@@ -44,8 +44,8 @@ type stageHash struct {
 }
 
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	foldSeed = 14695981039346656037 // the FNV-1a offset basis
+	foldMul  = 0x9e3779b97f4a7c15   // 2^64 / golden ratio, odd
 )
 
 // NewGoldenTrace creates an empty digest harness.
@@ -53,14 +53,11 @@ func NewGoldenTrace() *GoldenTrace {
 	return &GoldenTrace{stages: map[string]*stageHash{}}
 }
 
-// fnvU64 absorbs one uint64 little-endian into an FNV-1a hash.
-func fnvU64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
+// fold absorbs one uint64 into the hash. The xor-shift carries a high
+// bit down so the multiply spreads it: under the multiply alone two
+// flipped sign bits would cancel. h^v and h>>32 issue together.
+func fold(h, v uint64) uint64 {
+	return (h ^ v ^ h>>32) * foldMul
 }
 
 // Absorb folds one iteration of a stage into its rolling digest: the
@@ -74,16 +71,16 @@ func (g *GoldenTrace) Absorb(stage string, iter int, pos []float64, cost, lambda
 	g.mu.Lock()
 	sh := g.stages[stage]
 	if sh == nil {
-		sh = &stageHash{hash: fnvOffset64}
+		sh = &stageHash{hash: foldSeed}
 		g.stages[stage] = sh
 		g.order = append(g.order, stage)
 	}
-	h := fnvU64(sh.hash, uint64(iter))
+	h := fold(sh.hash, uint64(iter))
 	for _, p := range pos {
-		h = fnvU64(h, math.Float64bits(p))
+		h = fold(h, math.Float64bits(p))
 	}
-	h = fnvU64(h, math.Float64bits(cost))
-	h = fnvU64(h, math.Float64bits(lambda))
+	h = fold(h, math.Float64bits(cost))
+	h = fold(h, math.Float64bits(lambda))
 	sh.hash = h
 	sh.iters++
 	g.mu.Unlock()
@@ -96,7 +93,7 @@ type StageDigest struct {
 	Stage string `json:"stage"`
 	// Iterations is how many Absorb calls the digest covers.
 	Iterations int `json:"iters"`
-	// Digest is the rolling FNV-1a hash after the last absorb.
+	// Digest is the rolling word-folded hash after the last absorb.
 	Digest uint64 `json:"digest"`
 }
 

@@ -1,43 +1,94 @@
 package telemetry
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 )
 
-// TestGoldenMatchesStdlibFNV pins the digest definition to the stdlib
-// FNV-1a implementation fed the documented byte stream.
-func TestGoldenMatchesStdlibFNV(t *testing.T) {
+// TestGoldenKnownAnswer pins the digest definition: the documented word
+// stream folded by a loop written out here, and the resulting constant
+// (a change to seed, multiplier, shift or word order moves it).
+func TestGoldenKnownAnswer(t *testing.T) {
 	g := NewGoldenTrace()
 	pos := []float64{1.5, -2.25, 3.75}
 	g.Absorb("mGP", 0, pos, 10.5, 0.25)
 	g.Absorb("mGP", 1, pos, 11.5, 0.5)
 
-	ref := fnv.New64a()
-	feed := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		ref.Write(b[:])
+	h := uint64(14695981039346656037)
+	for _, v := range []uint64{
+		0, math.Float64bits(1.5), math.Float64bits(-2.25), math.Float64bits(3.75),
+		math.Float64bits(10.5), math.Float64bits(0.25),
+		1, math.Float64bits(1.5), math.Float64bits(-2.25), math.Float64bits(3.75),
+		math.Float64bits(11.5), math.Float64bits(0.5),
+	} {
+		h ^= h >> 32
+		h = (h ^ v) * 0x9e3779b97f4a7c15
 	}
-	absorb := func(iter uint64, cost, lambda float64) {
-		feed(iter)
-		for _, p := range pos {
-			feed(math.Float64bits(p))
-		}
-		feed(math.Float64bits(cost))
-		feed(math.Float64bits(lambda))
-	}
-	absorb(0, 10.5, 0.25)
-	absorb(1, 11.5, 0.5)
 
 	ds := g.Digests()
 	if len(ds) != 1 || ds[0].Stage != "mGP" || ds[0].Iterations != 2 {
 		t.Fatalf("digests = %+v", ds)
 	}
-	if ds[0].Digest != ref.Sum64() {
-		t.Errorf("digest %016x != stdlib FNV-1a %016x", ds[0].Digest, ref.Sum64())
+	const want = 0x1e93c71caa64f0ff
+	if ds[0].Digest != h || h != want {
+		t.Errorf("digest %016x, written-out fold %016x, pinned %016x", ds[0].Digest, h, uint64(want))
+	}
+}
+
+// message64 is one Absorb call of 64 words: the iteration index, 61
+// coordinates, cost and lambda.
+func message64() (words [64]uint64) {
+	rng := rand.New(rand.NewSource(21))
+	words[0] = 17
+	for i := 1; i < 64; i++ {
+		words[i] = math.Float64bits(rng.NormFloat64() * 100)
+	}
+	return words
+}
+
+func digest64(words [64]uint64) uint64 {
+	pos := make([]float64, 61)
+	for i := range pos {
+		pos[i] = math.Float64frombits(words[1+i])
+	}
+	g := NewGoldenTrace()
+	g.Absorb("s", int(words[0]), pos, math.Float64frombits(words[62]), math.Float64frombits(words[63]))
+	return g.Digests()[0].Digest
+}
+
+// TestGoldenSingleBitFlips: every step of the fold is a bijection of the
+// word, so no single-bit change of any word (iteration index, any
+// coordinate, cost, lambda) can leave the digest where it was.
+func TestGoldenSingleBitFlips(t *testing.T) {
+	base := message64()
+	want := digest64(base)
+	for w := range base {
+		for b := 0; b < 64; b++ {
+			m := base
+			m[w] ^= 1 << b
+			if digest64(m) == want {
+				t.Errorf("flipping bit %d of word %d left the digest unchanged", b, w)
+			}
+		}
+	}
+}
+
+// TestGoldenTwoSignFlips: two mirrored coordinates. Under a fold that
+// only multiplies, a flipped top bit stays the top bit of every later
+// hash, and a second flip cancels it.
+func TestGoldenTwoSignFlips(t *testing.T) {
+	base := message64()
+	want := digest64(base)
+	for i := 1; i <= 61; i++ {
+		for j := i + 1; j <= 61; j++ {
+			m := base
+			m[i] ^= 1 << 63
+			m[j] ^= 1 << 63
+			if digest64(m) == want {
+				t.Errorf("negating coordinates %d and %d left the digest unchanged", i-1, j-1)
+			}
+		}
 	}
 }
 
@@ -113,5 +164,20 @@ func TestDigestsEqualReportsDifferences(t *testing.T) {
 	d := []StageDigest{{Stage: "mGP", Iterations: 3, Digest: 1}, {Stage: "cGP", Digest: 9}}
 	if ok, diff := DigestsEqual(c, d); !ok {
 		t.Errorf("order-insensitive compare failed: %s", diff)
+	}
+}
+
+// BenchmarkGoldenAbsorb is one iteration's digest of a 5 000-cell stage:
+// 10 000 coordinates.
+func BenchmarkGoldenAbsorb(b *testing.B) {
+	pos := make([]float64, 10000)
+	for i := range pos {
+		pos[i] = float64(i) * 0.37
+	}
+	g := NewGoldenTrace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Absorb("mGP", i, pos, 1.5, 0.25)
 	}
 }
