@@ -11,8 +11,9 @@ import (
 // across random designs, both smoothing kinds and worker counts
 // {1, 2, 7}, a model over a caller-owned compiled view (the engine's
 // configuration, positions written only through Compiled.SetPositions)
-// produces cost and gradient bit-for-bit identical to the pointer-based
-// serial reference, and the view's HPWL matches Design.HPWL.
+// produces cost and gradient that agree with the pointer-based serial
+// reference to rounding and are bit-for-bit the same at every worker
+// count, and the view's HPWL matches Design.HPWL.
 func TestCompiledBackedEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 20 + int(uint64(seed)%60)
@@ -38,19 +39,24 @@ func TestCompiledBackedEquivalence(t *testing.T) {
 			ref.Kind = kind
 			refGrad := make([]float64, 2*len(idx))
 			refCost := serialReference(ref, refGrad)
+			m.Workers = 1
+			grad1 := make([]float64, 2*len(idx))
+			cost1 := m.CostAndGradient(grad1)
+			if diff := diffFromReference(cost1, refCost, grad1, refGrad, 0); diff != "" {
+				t.Logf("seed %d kind %d workers 1 against the reference: %s", seed, kind, diff)
+				return false
+			}
 			grad := make([]float64, 2*len(idx))
-			for _, workers := range []int{1, 2, 7} {
+			for _, workers := range []int{2, 7} {
 				m.Workers = workers
 				cost := m.CostAndGradient(grad)
-				if math.Float64bits(cost) != math.Float64bits(refCost) {
-					t.Logf("seed %d kind %d workers %d: cost mismatch", seed, kind, workers)
+				if math.Float64bits(cost) != math.Float64bits(cost1) {
+					t.Logf("seed %d kind %d workers %d: cost is not workers-1's bits", seed, kind, workers)
 					return false
 				}
-				for i := range grad {
-					if math.Float64bits(grad[i]) != math.Float64bits(refGrad[i]) {
-						t.Logf("seed %d kind %d workers %d: grad[%d] mismatch", seed, kind, workers, i)
-						return false
-					}
+				if diff := sameBits(grad, grad1); diff != "" {
+					t.Logf("seed %d kind %d workers %d: grad%s (workers-1)", seed, kind, workers, diff)
+					return false
 				}
 			}
 		}
@@ -82,10 +88,10 @@ func TestCostAndGradientAllocFree(t *testing.T) {
 	}
 }
 
-// TestFusedMatchesUnfusedAxis locks the exp-caching rewrite against the
-// retained reference kernels: the fused per-net evaluation must
-// reproduce axisWA/axisLSE (which recompute every exponential) bit for
-// bit, including the hoisted loop-invariant divisions.
+// TestFusedMatchesUnfusedAxis holds the fused per-net evaluation to the
+// retained reference kernels axisWA/axisLSE, which recompute every
+// exponential with math.Exp and divide where the fused kernels multiply
+// by a reciprocal: agreement to rounding (refTol), not bit for bit.
 func TestFusedMatchesUnfusedAxis(t *testing.T) {
 	d, idx := randomDesign(120, 9)
 	for _, kind := range []Kind{WA, LSE} {
@@ -95,15 +101,8 @@ func TestFusedMatchesUnfusedAxis(t *testing.T) {
 		got := m.CostAndGradient(grad)
 		refGrad := make([]float64, 2*len(idx))
 		want := serialReference(m, refGrad)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("kind %d: fused cost %x, unfused %x", kind,
-				math.Float64bits(got), math.Float64bits(want))
-		}
-		for i := range grad {
-			if math.Float64bits(grad[i]) != math.Float64bits(refGrad[i]) {
-				t.Fatalf("kind %d: fused grad[%d] = %x, unfused %x", kind, i,
-					math.Float64bits(grad[i]), math.Float64bits(refGrad[i]))
-			}
+		if diff := diffFromReference(got, want, grad, refGrad, 0); diff != "" {
+			t.Fatalf("kind %d: fused against unfused: %s", kind, diff)
 		}
 	}
 }

@@ -42,7 +42,10 @@ func TestExpOfZeroIsOne(t *testing.T) {
 // kernels with axisWA/axisLSE, which call math.Exp for every term, on
 // the nets where a skipped call could show: ties at an extreme, zero
 // span, signed zeros, a NaN pin and a net far larger than the random
-// designs produce.
+// designs produce. Agreement is to rounding (refTol); where every exact
+// derivative is 0 (all pins coincident) the reference returns 0 and the
+// fused kernel up to 4 ulp of the net weight, because its n*(x/gamma)
+// and (n*x)/gamma are separate roundings.
 func TestExpDedupMatchesReferenceOnDegenerateNets(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(4))
@@ -84,16 +87,13 @@ func TestExpDedupMatchesReferenceOnDegenerateNets(t *testing.T) {
 			costOnly := m.Cost()
 			refGrad := make([]float64, 2*len(idx))
 			refCost := serialReference(m, refGrad)
-			if !sameFloat(cost, refCost) || !sameFloat(costOnly, refCost) {
-				t.Errorf("%s, kind %d: cost %x, cost-only %x, reference %x", tc.name, kind,
-					math.Float64bits(cost), math.Float64bits(costOnly), math.Float64bits(refCost))
+			if !sameFloat(cost, costOnly) {
+				t.Errorf("%s, kind %d: cost %x, cost-only %x", tc.name, kind,
+					math.Float64bits(cost), math.Float64bits(costOnly))
 			}
-			for i := range grad {
-				if !sameFloat(grad[i], refGrad[i]) {
-					t.Errorf("%s, kind %d: grad[%d] = %x, reference %x", tc.name, kind, i,
-						math.Float64bits(grad[i]), math.Float64bits(refGrad[i]))
-					break
-				}
+			const netWeight = 1.25 // oneNetDesign's
+			if diff := diffFromReference(cost, refCost, grad, refGrad, 4*netWeight*0x1p-52); diff != "" {
+				t.Errorf("%s, kind %d: %s", tc.name, kind, diff)
 			}
 		}
 	}

@@ -96,9 +96,11 @@ type Model struct {
 	scr    []*netScratch // per-worker scratch, grown on demand
 
 	// grad is the gradient destination for the current eval (nil for
-	// cost-only); netTask/cellTask are the persistent worker closures,
-	// built once so repeated evaluations allocate nothing.
+	// cost-only) and invGamma its 1/Gamma; netTask/cellTask are the
+	// persistent worker closures, built once so repeated evaluations
+	// allocate nothing.
 	grad     []float64
+	invGamma float64
 	netTask  func(wk, lo, hi int)
 	cellTask func(wk, lo, hi int)
 }
@@ -290,6 +292,7 @@ func (m *Model) eval(grad []float64) float64 {
 	workers := parallel.Count(m.Workers)
 	m.grow(workers)
 	m.grad = grad
+	m.invGamma = 1 / m.Gamma
 
 	parallel.For(workers, len(m.netTaskOff)-1, m.netTask)
 
@@ -343,18 +346,8 @@ func (m *Model) evalNet(ni int, s *netScratch) {
 			y += posY[ci]
 		}
 		xs[p], ys[p] = x, y
-		if x > xmax {
-			xmax = x
-		}
-		if x < xmin {
-			xmin = x
-		}
-		if y > ymax {
-			ymax = y
-		}
-		if y < ymin {
-			ymin = y
-		}
+		xmin, xmax = min(xmin, x), max(xmax, x)
+		ymin, ymax = min(ymin, y), max(ymax, y)
 	}
 	var cost float64
 	if m.Kind == LSE {
@@ -380,7 +373,7 @@ func (m *Model) evalNet(ni int, s *netScratch) {
 // computed once. Equal arguments give equal bits, so skipping the repeats
 // changes no result, and on a typical netlist (2-3 pins per net) they are
 // half of all calls.
-func expTerms(xs []float64, xmin, xmax, gamma float64, s *netScratch) (ep, em []float64, sp, tp, sm, tm float64) {
+func expTerms(xs []float64, xmin, xmax, invGamma float64, s *netScratch) (ep, em []float64, sp, tp, sm, tm float64) {
 	ep, em = s.ep[:len(xs)], s.em[:len(xs)]
 	// An infinite extreme makes its own argument Inf-Inf = NaN, not 0, and
 	// that NaN is what carries a diverged coordinate into the net's cost
@@ -390,7 +383,7 @@ func expTerms(xs []float64, xmin, xmax, gamma float64, s *netScratch) (ep, em []
 	if xmax > math.MaxFloat64 || xmin < -math.MaxFloat64 {
 		one = math.NaN()
 	}
-	across := math.Exp((xmin - xmax) / gamma)
+	across := math.Exp((xmin - xmax) * invGamma)
 	for p, x := range xs {
 		var e1, e2 float64
 		switch x {
@@ -399,8 +392,8 @@ func expTerms(xs []float64, xmin, xmax, gamma float64, s *netScratch) (ep, em []
 		case xmin:
 			e1, e2 = across, one
 		default:
-			e1 = math.Exp((x - xmax) / gamma)
-			e2 = math.Exp((xmin - x) / gamma)
+			e1 = math.Exp((x - xmax) * invGamma)
+			e2 = math.Exp((xmin - x) * invGamma)
 		}
 		ep[p], em[p] = e1, e2
 		sp += e1
@@ -416,23 +409,25 @@ func expTerms(xs []float64, xmin, xmax, gamma float64, s *netScratch) (ep, em []
 // each pin's weighted derivative into gOut[o0+p], reusing the cached
 // exponentials instead of recomputing them.
 func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
-	gamma := m.Gamma
-	ep, em, sp, tp, sm, tm := expTerms(xs, xmin, xmax, gamma, s) // S+, T+, S-, T-
+	ig := m.invGamma
+	ep, em, sp, tp, sm, tm := expTerms(xs, xmin, xmax, ig, s) // S+, T+, S-, T-
 	span := tp/sp - tm/sm
 	if m.grad == nil {
 		return span
 	}
-	// The per-pin divisions tp/gamma, tm/gamma and products sp*sp, sm*sm
-	// are loop-invariant; hoisting them produces the same bits as
-	// recomputing them per pin (each IEEE op is deterministic), so the
-	// result still matches the reference expression exactly.
-	tpg, tmg := tp/gamma, tm/gamma
-	sp2, sm2 := sp*sp, sm*sm
+	// Every division by gamma, S+^2 and S-^2 is a multiply by a reciprocal
+	// taken once per net and axis, so a derivative agrees with axisWA to
+	// rounding and no longer bit for bit: with all pins coincident,
+	// n*(x/g) and (n*x)/g round apart and the derivative is a few ulp of
+	// the net weight where the exact value is 0.
+	tpg, tmg := tp*ig, tm*ig
+	isp2, ism2 := 1/(sp*sp), 1/(sm*sm)
 	for p, x := range xs {
+		xg := x * ig
 		// d(T+/S+)/dx = e^{x/g} [ S+ (1 + x/g) - T+/g ] / S+^2
-		dmax := ep[p] * (sp*(1+x/gamma) - tpg) / sp2
+		dmax := ep[p] * (sp*(1+xg) - tpg) * isp2
 		// d(T-/S-)/dx = e^{-x/g} [ S- (1 - x/g) + T-/g ] / S-^2
-		dmin := em[p] * (sm*(1-x/gamma) + tmg) / sm2
+		dmin := em[p] * (sm*(1-xg) + tmg) * ism2
 		gOut[o0+p] = w * (dmax - dmin)
 	}
 	return span
@@ -441,9 +436,8 @@ func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []
 // fusedLSE computes gamma*(log sum exp(x/gamma) + log sum exp(-x/gamma))
 // for one axis with cached exponentials, mirroring fusedWA's structure.
 func (m *Model) fusedLSE(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
-	gamma := m.Gamma
-	ep, em, sp, _, sm, _ := expTerms(xs, xmin, xmax, gamma, s)
-	cost := gamma*(math.Log(sp)+math.Log(sm)) + (xmax - xmin)
+	ep, em, sp, _, sm, _ := expTerms(xs, xmin, xmax, m.invGamma, s)
+	cost := m.Gamma*(math.Log(sp)+math.Log(sm)) + (xmax - xmin)
 	if m.grad != nil {
 		for p := range xs {
 			gOut[o0+p] = w * (ep[p]/sp - em[p]/sm)
