@@ -27,16 +27,107 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestExpOfZeroIsOne pins the library fact expTerms relies on when it
-// writes 1 for the e+ of a pin at xmax and the e- of a pin at xmin
-// instead of calling math.Exp on their +-0 arguments.
-func TestExpOfZeroIsOne(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	if math.Exp(0) != 1 || math.Exp(negZero) != 1 {
-		t.Fatalf("math.Exp(+0) = %v, math.Exp(-0) = %v; expTerms assumes both are exactly 1",
-			math.Exp(0), math.Exp(negZero))
+// ulpsApart is the distance between two finite doubles of one sign,
+// counted in representable values.
+func ulpsApart(a, b float64) uint64 {
+	ab, bb := math.Float64bits(a), math.Float64bits(b)
+	if ab > bb {
+		return ab - bb
+	}
+	return bb - ab
+}
+
+// checkExpNeg holds one argument in [expCutoff, 0] to the contract.
+func checkExpNeg(t *testing.T, x float64) {
+	t.Helper()
+	got, want := expNeg(x), math.Exp(x)
+	if !(got <= 1) || ulpsApart(got, want) > 2 {
+		t.Fatalf("expNeg(%v) = %v (%x), math.Exp %v (%x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
+
+// TestExpNegMatchesMathExp: a dense sweep of [expCutoff, 0], a million
+// random arguments over it and a million log-uniform ones (where the WA
+// arguments of a converged net sit), all within 2 ulp of math.Exp and
+// none above 1.
+func TestExpNegMatchesMathExp(t *testing.T) {
+	const n = 1_000_000
+	for i := 0; i <= n; i++ {
+		checkExpNeg(t, expCutoff*float64(i)/n)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < n; i++ {
+		checkExpNeg(t, expCutoff*rng.Float64())
+		checkExpNeg(t, -math.Exp(rng.Float64()*59.5-53)) // -1e-23 .. -665
+	}
+	checkExpNeg(t, expCutoff)
+	checkExpNeg(t, -math.SmallestNonzeroFloat64)
+}
+
+// TestExpNegSpecialValues replaces TestExpOfZeroIsOne: expTerms writes 1
+// for the +-0 argument of a pin at its net's extreme without calling the
+// exponential, which is only the same thing if the exponential says 1 too.
+func TestExpNegSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if a, b := expNeg(0), expNeg(negZero); a != 1 || b != 1 {
+		t.Errorf("expNeg(+0) = %v, expNeg(-0) = %v, want exactly 1", a, b)
+	}
+	if got := expNeg(math.NaN()); got == got {
+		t.Errorf("expNeg(NaN) = %v", got)
+	}
+	for _, x := range []float64{math.Nextafter(expCutoff, math.Inf(-1)), -709, -745.2, -1e300, -math.MaxFloat64, math.Inf(-1)} {
+		if got := expNeg(x); got != 0 || math.Signbit(got) {
+			t.Errorf("expNeg(%v) = %v, want +0 below the cutoff %v", x, got, float64(expCutoff))
+		}
+	}
+	if got := expNeg(expCutoff); got < 0x1p-1022 {
+		t.Errorf("expNeg(cutoff) = %v is not a normal number", got)
+	}
+}
+
+// TestExpNegMonotoneAcrossBreakpoints: the table entry, and at every
+// 128th step the exponent, change where x/(ln2/128) crosses a half
+// integer; the reduced argument r changes sign at the integers. Across
+// both kinds of point, one ulp to either side, the result never falls.
+func TestExpNegMonotoneAcrossBreakpoints(t *testing.T) {
+	const step = math.Ln2 / 256
+	for h := 0; -step*float64(h) >= expCutoff; h++ {
+		b := -step * float64(h)
+		lo, hi := math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, 0)
+		if lo < expCutoff {
+			lo = b
+		}
+		if a, m, z := expNeg(lo), expNeg(b), expNeg(hi); a > m || m > z {
+			t.Fatalf("expNeg falls across %v (%d * ln2/256): %x, %x, %x", b, -h,
+				math.Float64bits(a), math.Float64bits(m), math.Float64bits(z))
+		}
+	}
+}
+
+// BenchmarkExpNeg times the kernels' exponential beside math.Exp on one
+// argument set: 1 024 values spread like a net's (x - xmax)/gamma, most
+// within a few gamma of the extreme and a tail far below it.
+func BenchmarkExpNeg(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	args := make([]float64, 1024)
+	for i := range args {
+		args[i] = -40 * rng.Float64() * rng.Float64()
+	}
+	for _, f := range []struct {
+		name string
+		exp  func(float64) float64
+	}{{"expNeg", expNeg}, {"math.Exp", math.Exp}} {
+		b.Run(f.name, func(b *testing.B) {
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += f.exp(args[i&1023])
+			}
+			expSink = sum
+		})
+	}
+}
+
+var expSink float64
 
 // TestExpDedupMatchesReferenceOnDegenerateNets compares the fused
 // kernels with axisWA/axisLSE, which call math.Exp for every term, on

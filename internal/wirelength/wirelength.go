@@ -9,10 +9,10 @@
 // shared SoA position vector, walked by a fused kernel that computes
 // each net's pin positions, min/max, exponentials, partial sums and —
 // reusing the cached exponentials — the per-pin derivatives in a single
-// sweep. That halves the math.Exp calls of the classic
+// sweep. That halves the exponentials of the classic
 // cost-loop-then-gradient-loop formulation, expTerms halves them again
-// by calling once per distinct argument, and no Net -> Pin -> Cell
-// pointer chase is left on the hot path.
+// by taking one per distinct argument (through expNeg, not math.Exp), and
+// no Net -> Pin -> Cell pointer chase is left on the hot path.
 package wirelength
 
 import (
@@ -282,8 +282,8 @@ func (m *Model) CostAndGradient(grad []float64) float64 {
 // Invariant: with grad != nil every element of grad is assigned exactly
 // once per eval, so callers never need to zero it. Both reductions use
 // a fixed order and association independent of the worker count, so
-// every Workers setting produces bitwise-identical results — including
-// Workers=1, which reproduces the original serial loop exactly.
+// every Workers setting produces bitwise-identical results, Workers=1
+// included.
 func (m *Model) eval(grad []float64) float64 {
 	if m.ownView {
 		m.cv.SyncGeometry()
@@ -316,9 +316,9 @@ func (m *Model) eval(grad []float64) float64 {
 // axis computes its exponentials ONCE (expTerms) — caching e^+ / e^- in
 // the worker scratch — and derives both the smooth span and, when a
 // gradient is requested, every pin's weighted derivative from the cached
-// values. The arithmetic matches the reference axisWA/axisLSE
-// expressions operation for operation, so results are bitwise-identical
-// to the unfused pointer-based evaluation.
+// values. The unfused axisWA/axisLSE (math.Exp, a division wherever the
+// formula has one) are the oracle it agrees with to rounding; a NaN or
+// infinite pin still turns the net's cost and every derivative non-finite.
 func (m *Model) evalNet(ni int, s *netScratch) {
 	cv := m.cv
 	o0, o1 := int(cv.NetOff[ni]), int(cv.NetOff[ni+1])
@@ -360,30 +360,31 @@ func (m *Model) evalNet(ni int, s *netScratch) {
 	m.costs[ni] = w * cost
 }
 
-// expTerms is the one place the fused kernels call math.Exp. For one
-// axis of one net it caches every pin's max-shifted exponentials
+// expTerms is the one place the fused kernels take an exponential, and
+// they take it through expNeg: every argument is <= 0. For one axis of
+// one net it caches every pin's max-shifted exponentials
 // e+ = exp((x-xmax)/gamma) and e- = exp((xmin-x)/gamma) in the worker
 // scratch and returns them with their sums S+- = sum e+- and
 // T+- = sum x*e+-, accumulated in pin order (LSE ignores T+-).
 //
 // Of the 2*deg arguments at most 2*deg-3 are distinct. e+ of a pin at
-// xmax and e- of a pin at xmin have argument exactly +-0, and
-// math.Exp(+-0) is exactly 1 (TestExpOfZeroIsOne pins that); e+ of a pin
-// at xmin and e- of a pin at xmax share the argument (xmin-xmax)/gamma,
-// computed once. Equal arguments give equal bits, so skipping the repeats
-// changes no result, and on a typical netlist (2-3 pins per net) they are
-// half of all calls.
+// xmax and e- of a pin at xmin have argument exactly +-0, and expNeg(+-0)
+// is exactly 1 (TestExpNegSpecialValues pins that); e+ of a pin at xmin
+// and e- of a pin at xmax share the argument (xmin-xmax)/gamma, computed
+// once. Equal arguments give equal bits, so skipping the repeats changes
+// no result, and on a typical netlist (2-3 pins per net) they are half of
+// all calls.
 func expTerms(xs []float64, xmin, xmax, invGamma float64, s *netScratch) (ep, em []float64, sp, tp, sm, tm float64) {
 	ep, em = s.ep[:len(xs)], s.em[:len(xs)]
 	// An infinite extreme makes its own argument Inf-Inf = NaN, not 0, and
 	// that NaN is what carries a diverged coordinate into the net's cost
 	// and every derivative, where the engine's guard looks for it. (A NaN
-	// extreme compares equal to no pin, so every term goes through Exp.)
+	// extreme compares equal to no pin, so every term goes through expNeg.)
 	one := 1.0
 	if xmax > math.MaxFloat64 || xmin < -math.MaxFloat64 {
 		one = math.NaN()
 	}
-	across := math.Exp((xmin - xmax) * invGamma)
+	across := expNeg((xmin - xmax) * invGamma)
 	for p, x := range xs {
 		var e1, e2 float64
 		switch x {
@@ -392,8 +393,8 @@ func expTerms(xs []float64, xmin, xmax, invGamma float64, s *netScratch) (ep, em
 		case xmin:
 			e1, e2 = across, one
 		default:
-			e1 = math.Exp((x - xmax) * invGamma)
-			e2 = math.Exp((xmin - x) * invGamma)
+			e1 = expNeg((x - xmax) * invGamma)
+			e2 = expNeg((xmin - x) * invGamma)
 		}
 		ep[p], em[p] = e1, e2
 		sp += e1
