@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -115,13 +116,13 @@ func TestDecodeRefusesVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != 2 || FormatVersion != 2 {
-		t.Fatalf("Encode wrote version %d, FormatVersion is %d, want 2", v, FormatVersion)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != FormatVersion || v < 2 {
+		t.Fatalf("Encode wrote version %d, FormatVersion is %d, want the same and at least 2", v, FormatVersion)
 	}
 	binary.LittleEndian.PutUint32(data[8:], 1)
 	_, err = Decode(data)
-	if err == nil || !strings.Contains(err.Error(), "format version 1, this build reads 2") {
-		t.Fatalf("Decode of a version-1 header: %v", err)
+	if want := fmt.Sprintf("format version 1, this build reads %d", FormatVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode of a version-1 header: %v, want an error saying %q", err, want)
 	}
 }
 

@@ -39,7 +39,7 @@ type flowSummary struct {
 	// StageTime indexes Stages by name.
 	StageTime map[string]time.Duration
 
-	// Digests are the per-stage golden-trace hashes (rolling FNV-1a
+	// Digests are the per-stage golden-trace hashes (rolling word fold
 	// over every iteration's positions, cost and lambda) in execution
 	// order, ending with the "final" digest over the finished layout.
 	// Two runs of the same flow are bitwise-identical iff these match,
