@@ -76,7 +76,7 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 	qp.Place(d, idx)
 	cur := d.Positions(idx)
 
-	model := qp.NewModel(d, idx)
+	model := qp.NewModel(d.Compile(), idx)
 	anchors := make([]geom.Point, n)
 	for round := 1; round <= opt.MaxRounds; round++ {
 		res.Iterations = round

@@ -57,7 +57,11 @@ type engine struct {
 	rec *telemetry.Recorder
 }
 
-func newEngine(d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
+// newEngine builds the stage's models over cv, which the caller has
+// synced after fillers fixed the topology and extents for the whole
+// stage; every hot kernel below shares it.
+func newEngine(cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
+	d := cv.Design()
 	m := opt.GridM
 	if m == 0 {
 		m = grid.ChooseM(len(d.Cells))
@@ -83,10 +87,6 @@ func newEngine(d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorde
 			}
 		}
 	}
-	// Compile the flat view once per stage, after fillers/inflation have
-	// fixed the topology and extents for the whole stage; every hot
-	// kernel below shares it.
-	cv := d.Compile()
 	dm, err := density.NewModelCompiled(cv, m, opt.Workers, opt.Poisson)
 	if err != nil {
 		return nil, err
@@ -110,13 +110,16 @@ func newEngine(d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorde
 	e.wl.Workers = opt.Workers
 	e.poissonSpan = "poisson/" + dm.Backend()
 	binArea := e.dm.Grid.BinArea()
+	// seen[ni] == k+1 once cell idx[k] has counted net ni.
+	seen := make([]int32, len(cv.NetW))
 	for k, ci := range idx {
 		c := &d.Cells[ci]
-		nets := map[int]bool{}
-		for _, pi := range c.Pins {
-			nets[d.Pins[pi].Net] = true
+		for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
+			if seen[ni] != int32(k+1) {
+				seen[ni] = int32(k + 1)
+				e.degree[k]++
+			}
 		}
-		e.degree[k] = float64(len(nets))
 		e.qNorm[k] = c.Area() / binArea
 		e.halfW[k] = c.W / 2
 		e.halfH[k] = c.H / 2
@@ -237,7 +240,14 @@ func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambda
 // with Result.Canceled set. A resume from that snapshot continues the
 // trajectory bitwise-identically to the uninterrupted run.
 func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
+	return placeGlobal(ctx, d.Compile(), idx, opt, stage, lambdaInit)
+}
+
+// placeGlobal is PlaceGlobalContext over a caller-owned view of the
+// design, which it syncs from the Cell structs on entry.
+func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
 	opt.defaults()
+	d := cv.Design()
 	start := time.Now()
 	var res Result
 	if len(idx) == 0 {
@@ -260,7 +270,8 @@ func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt O
 	gradTime := func() time.Duration {
 		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
 	}
-	e, err := newEngine(d, idx, opt, rec)
+	cv.Sync()
+	e, err := newEngine(cv, idx, opt, rec)
 	if err != nil {
 		return res, err
 	}

@@ -14,7 +14,7 @@ import (
 // mustEngine builds the stage engine or fails the test.
 func mustEngine(tb testing.TB, d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorder) *engine {
 	tb.Helper()
-	e, err := newEngine(d, idx, opt, rec)
+	e, err := newEngine(d.Compile(), idx, opt, rec)
 	if err != nil {
 		tb.Fatalf("newEngine: %v", err)
 	}

@@ -38,7 +38,7 @@ func mustModel(tb testing.TB, d *netlist.Design, m, workers int) *Model {
 // syncRefresh re-reads the Cell structs into the model's view, then
 // refreshes: what the engine does through Compiled.SetPositions.
 func syncRefresh(md *Model, idx []int) {
-	md.cv.SyncGeometry()
+	md.cv.Sync()
 	md.Refresh(idx)
 }
 

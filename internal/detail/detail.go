@@ -117,12 +117,13 @@ type placer struct {
 	regions   []segRange
 	workers   int
 	evals     []*evalCtx
-	// x/y are every cell's position for the duration of Place and w the
-	// widths, so the passes never load a Cell struct. A managed cell's
-	// entry is written only by the worker that owns its region (or by
-	// the serial ISM commit); writeBack copies the managed entries to
-	// the Cell structs after each pass.
-	x, y, w []float64
+	// cv is the design's compiled view, synced on entry: the passes read
+	// positions (PosX/PosY), widths (CellW), the net -> pin CSR and the
+	// cell -> net index from it and never load a Cell or Pin struct. A
+	// managed cell's position is written only by the worker that owns its
+	// region (or by the serial ISM commit); writeBack copies the managed
+	// entries to the Cell structs after each pass.
+	cv *netlist.Compiled
 	// snapX/snapY freeze managed-cell positions at the start of each
 	// region-parallel pass; other regions are read through them.
 	snapX, snapY []float64
@@ -135,73 +136,22 @@ type placer struct {
 	ismProps   []ismProposal
 	// posBuf is the golden digest's position vector.
 	posBuf []float64
-
-	// Flat CSR pin view, built once per Place call: the HPWL inner loops
-	// read these contiguous arrays instead of chasing Net -> pin-index ->
-	// Pin struct. netPin*[netPinStart[ni]:netPinStart[ni+1]] are net ni's
-	// pins (cell index, or -1 with absolute coordinates for floating
-	// terminals); cellNet[cellNetStart[ci]:cellNetStart[ci+1]] is the net
-	// of each of cell ci's pins, in pin order (not deduplicated — netsOf
-	// and optimalX preserve the per-pin iteration order of the source
-	// structures).
-	netPinStart  []int32
-	netPinCell   []int32
-	netPinOx     []float64
-	netPinOy     []float64
-	netW         []float64
-	cellNetStart []int32
-	cellNet      []int32
-}
-
-// buildPinView flattens the netlist's pin structures into the CSR
-// arrays above.
-func (p *placer) buildPinView() {
-	d := p.d
-	p.netPinStart = make([]int32, len(d.Nets)+1)
-	p.netW = make([]float64, len(d.Nets))
-	total := 0
-	for ni := range d.Nets {
-		p.netPinStart[ni] = int32(total)
-		total += len(d.Nets[ni].Pins)
-		p.netW[ni] = d.Nets[ni].EffWeight()
-	}
-	p.netPinStart[len(d.Nets)] = int32(total)
-	p.netPinCell = make([]int32, total)
-	p.netPinOx = make([]float64, total)
-	p.netPinOy = make([]float64, total)
-	k := 0
-	for ni := range d.Nets {
-		for _, pi := range d.Nets[ni].Pins {
-			pin := &d.Pins[pi]
-			p.netPinCell[k] = int32(pin.Cell)
-			p.netPinOx[k] = pin.Ox
-			p.netPinOy[k] = pin.Oy
-			k++
-		}
-	}
-	p.cellNetStart = make([]int32, len(d.Cells)+1)
-	total = 0
-	for ci := range d.Cells {
-		p.cellNetStart[ci] = int32(total)
-		total += len(d.Cells[ci].Pins)
-	}
-	p.cellNetStart[len(d.Cells)] = int32(total)
-	p.cellNet = make([]int32, total)
-	k = 0
-	for ci := range d.Cells {
-		for _, pi := range d.Cells[ci].Pins {
-			p.cellNet[k] = int32(d.Pins[pi].Net)
-			k++
-		}
-	}
 }
 
 // Place refines the legalized standard cells in cells. The layout must
 // be legal on entry (legalize.CheckLegal passes); it stays legal.
 func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
+	return PlaceCompiled(d.Compile(), cells, opt)
+}
+
+// PlaceCompiled is Place over a caller-owned view of the design, which
+// it syncs from the Cell structs on entry; the structs hold the refined
+// layout when it returns.
+func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, error) {
 	opt.defaults()
+	d := cv.Design()
 	res := Result{HPWLBefore: d.HPWL()}
-	p, err := newPlacer(d, cells, opt)
+	p, err := newPlacer(cv, cells, opt)
 	if err != nil {
 		return res, err
 	}
@@ -245,21 +195,14 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 	return res, nil
 }
 
-// newPlacer builds the segment occupancy, pin view, regions, position
-// arrays and ISM windows for one Place call.
-func newPlacer(d *netlist.Design, cells []int, opt Options) (*placer, error) {
-	p := &placer{d: d, opt: opt, workers: parallel.Count(opt.Workers)}
-	p.x = make([]float64, len(d.Cells))
-	p.y = make([]float64, len(d.Cells))
-	p.w = make([]float64, len(d.Cells))
-	for ci := range d.Cells {
-		c := &d.Cells[ci]
-		p.x[ci], p.y[ci], p.w[ci] = c.X, c.Y, c.W
-	}
+// newPlacer syncs the view and builds the segment occupancy, regions and
+// ISM windows for one Place call.
+func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) {
+	cv.Sync()
+	p := &placer{d: cv.Design(), cv: cv, opt: opt, workers: parallel.Count(opt.Workers)}
 	if err := p.buildSegments(cells); err != nil {
 		return nil, err
 	}
-	p.buildPinView()
 	p.buildRegions()
 	if !opt.DisableISM {
 		p.buildISMTasks()
@@ -334,8 +277,8 @@ func (p *placer) buildSegments(cells []int) error {
 // strict total order, so a sorted list has exactly one arrangement
 // whatever algorithm sorted it.
 func (p *placer) cmpCells(a, b int) int {
-	if p.x[a] != p.x[b] {
-		if p.x[a] < p.x[b] {
+	if p.cv.PosX[a] != p.cv.PosX[b] {
+		if p.cv.PosX[a] < p.cv.PosX[b] {
 			return -1
 		}
 		return 1
@@ -406,7 +349,7 @@ func (p *placer) snapshot() {
 	parallel.For(p.workers, len(p.segs), func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			for _, ci := range p.segs[si].cells {
-				p.snapX[ci], p.snapY[ci] = p.x[ci], p.y[ci]
+				p.snapX[ci], p.snapY[ci] = p.cv.PosX[ci], p.cv.PosY[ci]
 			}
 		}
 	})
@@ -420,7 +363,7 @@ func (p *placer) writeBack() {
 		for si := lo; si < hi; si++ {
 			for _, ci := range p.segs[si].cells {
 				c := &p.d.Cells[ci]
-				c.X, c.Y = p.x[ci], p.y[ci]
+				c.X, c.Y = p.cv.PosX[ci], p.cv.PosY[ci]
 			}
 		}
 	})
@@ -461,11 +404,11 @@ func (p *placer) gap(s *segCells, k int) (lo, hi float64) {
 	lo, hi = s.lx, s.hx
 	if k > 0 {
 		c := s.cells[k-1]
-		lo = max(lo, p.x[c]+p.w[c]/2)
+		lo = max(lo, p.cv.PosX[c]+p.cv.CellW[c]/2)
 	}
 	if k+1 < len(s.cells) {
 		c := s.cells[k+1]
-		hi = min(hi, p.x[c]-p.w[c]/2)
+		hi = min(hi, p.cv.PosX[c]-p.cv.CellW[c]/2)
 	}
 	return lo, hi
 }
@@ -479,20 +422,20 @@ func (p *placer) relocatePass(res *Result) int {
 			s := p.segs[si]
 			for k, ci := range s.cells {
 				lo, hi := p.gap(s, k)
-				w := p.w[ci]
+				w := p.cv.CellW[ci]
 				if hi-lo < w-1e-12 {
 					continue
 				}
 				target := e.optimalX(ci)
 				nx := max(lo+w/2, min(hi-w/2, target))
-				if math.Abs(nx-p.x[ci]) < 1e-12 {
+				if math.Abs(nx-p.cv.PosX[ci]) < 1e-12 {
 					continue
 				}
 				e.begin1(ci)
 				before := e.cost()
 				e.tx[0] = nx
 				if e.cost() < before-1e-12 {
-					p.x[ci] = nx
+					p.cv.PosX[ci] = nx
 					pc.improved++
 					pc.ops++
 				}
@@ -525,7 +468,7 @@ func (p *placer) swapPass(res *Result) int {
 				lo, hi := 0, len(s.cells)
 				for lo < hi {
 					mid := (lo + hi) / 2
-					if p.x[s.cells[mid]] >= target {
+					if p.cv.PosX[s.cells[mid]] >= target {
 						hi = mid
 					} else {
 						lo = mid + 1
@@ -566,7 +509,7 @@ func (p *placer) swapPass(res *Result) int {
 func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 	p := e.p
 	a, b := s.cells[ka], s.cells[kb]
-	wa, wb := p.w[a], p.w[b]
+	wa, wb := p.cv.CellW[a], p.cv.CellW[b]
 	loA, hiA := p.gap(s, ka)
 	loB, hiB := p.gap(s, kb)
 	var ax, bx float64 // where a and b would land
@@ -580,18 +523,18 @@ func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 		if wb > hiA-loA+1e-12 || wa > hiB-loB+1e-12 {
 			return false
 		}
-		ax = max(loB+wa/2, min(hiB-wa/2, p.x[b]))
-		bx = max(loA+wb/2, min(hiA-wb/2, p.x[a]))
+		ax = max(loB+wa/2, min(hiB-wa/2, p.cv.PosX[b]))
+		bx = max(loA+wb/2, min(hiA-wb/2, p.cv.PosX[a]))
 	}
 	e.beginPair(s, ka, kb)
-	e.tx[0], e.ty[0] = p.x[a], p.y[a]
-	e.tx[1], e.ty[1] = p.x[b], p.y[b]
+	e.tx[0], e.ty[0] = p.cv.PosX[a], p.cv.PosY[a]
+	e.tx[1], e.ty[1] = p.cv.PosX[b], p.cv.PosY[b]
 	before := e.cost()
 	e.tx[0], e.tx[1] = ax, bx
 	if e.cost() >= before-1e-12 {
 		return false
 	}
-	p.x[a], p.x[b] = ax, bx
+	p.cv.PosX[a], p.cv.PosX[b] = ax, bx
 	s.cells[ka], s.cells[kb] = b, a
 	e.dropHalves(len(s.cells))
 	return true
@@ -628,14 +571,14 @@ func (e *evalCtx) tryReorder(s *segCells, start, w int) bool {
 	_, hi := p.gap(s, start+w-1)
 	totalW := 0.0
 	for _, ci := range win {
-		totalW += p.w[ci]
+		totalW += p.cv.CellW[ci]
 	}
 	if totalW > hi-lo+1e-12 {
 		return false
 	}
 	e.begin(win)
 	for i, ci := range win {
-		e.tx[i], e.ty[i] = p.x[ci], p.y[ci]
+		e.tx[i], e.ty[i] = p.cv.PosX[ci], p.cv.PosY[ci]
 	}
 	bestCost := e.cost()
 	bestPerm := -1
@@ -643,7 +586,7 @@ func (e *evalCtx) tryReorder(s *segCells, start, w int) bool {
 	for pi, perm := range perms {
 		x := lo
 		for _, idx := range perm {
-			cw := p.w[win[idx]]
+			cw := p.cv.CellW[win[idx]]
 			e.tx[idx] = x + cw/2
 			x += cw
 		}
@@ -657,7 +600,7 @@ func (e *evalCtx) tryReorder(s *segCells, start, w int) bool {
 		return false
 	}
 	for i, idx := range perms[bestPerm] {
-		p.x[win[idx]] = e.bestXs[idx]
+		p.cv.PosX[win[idx]] = e.bestXs[idx]
 		s.cells[start+i] = win[idx]
 	}
 	return true

@@ -3,6 +3,8 @@ package detail
 import (
 	"math"
 	"sort"
+
+	"eplace/internal/netlist"
 )
 
 // evalCtx is one worker's evaluation context: region-aware position
@@ -12,9 +14,9 @@ import (
 //
 // Position visibility rule (the heart of the determinism argument, see
 // DESIGN.md "Parallel legalization and detailed placement"): positions
-// live in the placer's x/y arrays for the whole of Place. During a
+// live in the view's PosX/PosY for the whole of Place. During a
 // region-parallel pass each worker owns the cells of its current region:
-// it alone writes their x/y entries, and only when it accepts a move. It
+// it alone writes their entries, and only when it accepts a move. It
 // reads those live, reads every other region's managed cells from the
 // snapshot taken at pass start, and reads unmanaged cells (fixed
 // objects, macros, pads) live — nobody moves those during cDP. Trial
@@ -24,6 +26,8 @@ import (
 // regions are scheduled onto workers.
 type evalCtx struct {
 	p *placer
+	// cv is p.cv, one load closer to the inner loops.
+	cv *netlist.Compiled
 	// region is the region this worker currently owns; allLive
 	// short-circuits the snapshot redirect for the serial phases (ISM
 	// propose/commit run without concurrent mutation, so live reads are
@@ -90,7 +94,7 @@ type ownPin struct {
 func newEvalCtx(p *placer) *evalCtx {
 	slots := max(maxISMSet, p.opt.Window)
 	return &evalCtx{
-		p: p, netSeen: make([]int64, len(p.d.Nets)),
+		p: p, cv: p.cv, netSeen: make([]int64, len(p.d.Nets)),
 		tx: make([]float64, slots), ty: make([]float64, slots),
 	}
 }
@@ -104,7 +108,7 @@ func (e *evalCtx) at(ci int32) (float64, float64) {
 			return p.snapX[ci], p.snapY[ci]
 		}
 	}
-	return p.x[ci], p.y[ci]
+	return e.cv.PosX[ci], e.cv.PosY[ci]
 }
 
 // begin opens a trial over the given cells (slot i holds cells[i]): one
@@ -127,9 +131,9 @@ func (e *evalCtx) begin(cells []int) {
 // walkCell appends to dst the records of cell ci's nets that the
 // current epoch has not seen, in pin order.
 func (e *evalCtx) walkCell(ci int, dst []trialNet) []trialNet {
-	p := e.p
-	for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
-		if ni := p.cellNet[k]; e.netSeen[ni] != e.epoch {
+	cv := e.cv
+	for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
+		if e.netSeen[ni] != e.epoch {
 			e.netSeen[ni] = e.epoch
 			dst = e.walk(ni, dst)
 		}
@@ -141,7 +145,7 @@ func (e *evalCtx) walkCell(ci int, dst []trialNet) []trialNet {
 func (e *evalCtx) begin1(ci int) {
 	e.one[0] = ci
 	e.begin(e.one[:])
-	e.tx[0], e.ty[0] = e.p.x[ci], e.p.y[ci]
+	e.tx[0], e.ty[0] = e.cv.PosX[ci], e.cv.PosY[ci]
 }
 
 // walk appends net ni's record to dst: every pin is visited once, the
@@ -150,8 +154,8 @@ func (e *evalCtx) begin1(ci int) {
 // record. Floating-point note: a pin's x is Ox + position, as in
 // netlist.NetHPWL's position + Ox; IEEE addition is commutative.
 func (e *evalCtx) walk(ni int32, dst []trialNet) []trialNet {
-	p := e.p
-	lo, hi := p.netPinStart[ni], p.netPinStart[ni+1]
+	cv := e.cv
+	lo, hi := cv.NetOff[ni], cv.NetOff[ni+1]
 	if hi-lo < 2 {
 		return dst
 	}
@@ -160,8 +164,8 @@ func (e *evalCtx) walk(ni int32, dst []trialNet) []trialNet {
 	minY, maxY := math.Inf(1), math.Inf(-1)
 pins:
 	for k := lo; k < hi; k++ {
-		x, y := p.netPinOx[k], p.netPinOy[k]
-		if ci := p.netPinCell[k]; ci >= 0 {
+		x, y := cv.PinOx[k], cv.PinOy[k]
+		if ci := cv.PinCell[k]; ci >= 0 {
 			for slot, tc := range e.tcells {
 				if tc == ci {
 					e.own = append(e.own, ownPin{int32(slot), x, y})
@@ -176,7 +180,7 @@ pins:
 		minY, maxY = min(minY, y), max(maxY, y)
 	}
 	return append(dst, trialNet{
-		w: p.netW[ni], minX: minX, maxX: maxX, minY: minY, maxY: maxY,
+		w: cv.NetW[ni], minX: minX, maxX: maxX, minY: minY, maxY: maxY,
 		ni: ni, own: own, ownEnd: int32(len(e.own)),
 	})
 }
@@ -277,16 +281,15 @@ func (e *evalCtx) bumpEpoch() {
 // optimalX returns the x median of the other pins of the cell's nets:
 // the center of its optimal region, under the context's position rule.
 func (e *evalCtx) optimalX(ci int) float64 {
-	p := e.p
+	cv := e.cv
 	e.xs = e.xs[:0]
-	for k := p.cellNetStart[ci]; k < p.cellNetStart[ci+1]; k++ {
-		ni := p.cellNet[k]
-		for q := p.netPinStart[ni]; q < p.netPinStart[ni+1]; q++ {
-			cj := p.netPinCell[q]
+	for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
+		for q := cv.NetOff[ni]; q < cv.NetOff[ni+1]; q++ {
+			cj := cv.PinCell[q]
 			if int(cj) == ci {
 				continue
 			}
-			x := p.netPinOx[q]
+			x := cv.PinOx[q]
 			if cj >= 0 {
 				cx, _ := e.at(cj)
 				x += cx
@@ -295,7 +298,7 @@ func (e *evalCtx) optimalX(ci int) float64 {
 		}
 	}
 	if len(e.xs) == 0 {
-		return p.x[ci]
+		return cv.PosX[ci]
 	}
 	sort.Float64s(e.xs)
 	return e.xs[len(e.xs)/2]

@@ -13,17 +13,17 @@ import (
 // up first among the trial cells (at xs/ys), then through the context's
 // live/snapshot rule, extremes found by compare-and-assign.
 func (e *evalCtx) netHPWL(ni int, cells []int, xs, ys []float64) float64 {
-	p := e.p
-	lo, hi := p.netPinStart[ni], p.netPinStart[ni+1]
+	p, cv := e.p, e.cv
+	lo, hi := cv.NetOff[ni], cv.NetOff[ni+1]
 	if hi-lo < 2 {
 		return 0
 	}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for k := lo; k < hi; k++ {
-		x, y := p.netPinOx[k], p.netPinOy[k]
-		if ci := p.netPinCell[k]; ci >= 0 {
-			cx, cy := p.x[ci], p.y[ci]
+		x, y := cv.PinOx[k], cv.PinOy[k]
+		if ci := cv.PinCell[k]; ci >= 0 {
+			cx, cy := cv.PosX[ci], cv.PosY[ci]
 			if r := p.regionOf[ci]; !e.allLive && r >= 0 && r != e.region {
 				cx, cy = p.snapX[ci], p.snapY[ci]
 			}
@@ -49,7 +49,7 @@ func (e *evalCtx) netHPWL(ni int, cells []int, xs, ys []float64) float64 {
 			maxY = y
 		}
 	}
-	return p.netW[ni] * ((maxX - minX) + (maxY - minY))
+	return cv.NetW[ni] * ((maxX - minX) + (maxY - minY))
 }
 
 // hpwlOf sums netHPWL over the distinct nets of the trial cells in
@@ -123,7 +123,7 @@ func TestTrialCostMatchesFullWalk(t *testing.T) {
 	p.snapshot()
 	for _, ci := range cells {
 		if rng.Intn(3) == 0 {
-			p.x[ci] += rng.Float64() - 0.5
+			p.cv.PosX[ci] += rng.Float64() - 0.5
 		}
 	}
 	e := p.evals[0]
@@ -171,8 +171,8 @@ func TestTrialCostMatchesFullWalk(t *testing.T) {
 				}
 			}
 			a, b := seg.cells[0], seg.cells[1]
-			p.x[a], p.x[b] = p.x[b], p.x[a]
-			p.y[a], p.y[b] = p.y[b], p.y[a]
+			p.cv.PosX[a], p.cv.PosX[b] = p.cv.PosX[b], p.cv.PosX[a]
+			p.cv.PosY[a], p.cv.PosY[b] = p.cv.PosY[b], p.cv.PosY[a]
 			seg.cells[0], seg.cells[1] = b, a
 			e.dropHalves(len(seg.cells))
 		}

@@ -138,7 +138,7 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 	p := e.p
 	e.setBuf = e.setBuf[:0]
 	for _, ci := range candidates {
-		nets := p.cellNet[p.cellNetStart[ci]:p.cellNetStart[ci+1]]
+		nets := p.cv.CellNet[p.cv.CellNetOff[ci]:p.cv.CellNetOff[ci+1]]
 		ok := true
 		for _, ni := range nets {
 			if e.netSeen[ni] == e.epoch {
@@ -175,8 +175,8 @@ func (e *evalCtx) proposeISM(window []int, prop *ismProposal) {
 	e.slotX = e.slotX[:0]
 	e.slotY = e.slotY[:0]
 	for _, ci := range set {
-		e.slotX = append(e.slotX, p.x[ci])
-		e.slotY = append(e.slotY, p.y[ci])
+		e.slotX = append(e.slotX, p.cv.PosX[ci])
+		e.slotY = append(e.slotY, p.cv.PosY[ci])
 	}
 	if cap(e.matrix) < n*n {
 		e.matrix = make([]float64, n*n)
@@ -219,7 +219,7 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	// Drop the proposal if any member moved since propose time: an
 	// earlier commit (overlapping window) won that cell.
 	for i, ci := range prop.set {
-		if p.x[ci] != prop.slotX[i] || p.y[ci] != prop.slotY[i] {
+		if p.cv.PosX[ci] != prop.slotX[i] || p.cv.PosY[ci] != prop.slotY[i] {
 			return false
 		}
 	}
@@ -246,7 +246,7 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	}
 	for i, j := range prop.assign {
 		ci := prop.set[i]
-		p.x[ci], p.y[ci] = prop.slotX[j], prop.slotY[j]
+		p.cv.PosX[ci], p.cv.PosY[ci] = prop.slotX[j], prop.slotY[j]
 		if newSeg := origSeg[j]; p.segOf[ci] != newSeg {
 			// Remove from old segment list, add to the new one.
 			old := p.segs[p.segOf[ci]]

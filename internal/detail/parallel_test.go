@@ -94,7 +94,7 @@ func TestDetailWorkersBitwiseIdentical(t *testing.T) {
 func buildPlacer(d *netlist.Design, cells []int, workers int) *placer {
 	opt := Options{Workers: workers}
 	opt.defaults()
-	p, err := newPlacer(d, cells, opt)
+	p, err := newPlacer(d.Compile(), cells, opt)
 	if err != nil {
 		panic(err)
 	}

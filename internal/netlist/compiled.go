@@ -5,14 +5,18 @@ import (
 	"math"
 )
 
-// Compiled is an immutable, data-oriented view of a Design built for the
-// per-iteration kernels: a CSR (compressed sparse row) encoding of the
-// net -> pin incidence plus structure-of-arrays copies of the cell
-// geometry. The optimizer stages build one view per stage (topology is
-// frozen for the whole stage) and every hot kernel — smooth wirelength,
-// density rasterization, force integration, exact HPWL — walks the flat
-// int32/float64 arrays instead of pointer-chasing Net -> Pin -> Cell
-// through the Go structs.
+// Compiled is the flat, data-oriented form of a Design: a CSR (compressed
+// sparse row) encoding of the net -> pin incidence and of the cell -> net
+// incidence, plus structure-of-arrays copies of the cell geometry. A flow
+// compiles each design once and lends the view to every stage (mIP, the
+// global placements, cDP); every hot kernel (smooth wirelength, density
+// rasterization, force integration, exact HPWL, cDP's trial pricing)
+// walks the flat int32/float64 arrays instead of pointer-chasing
+// Net -> Pin -> Cell through the Go structs.
+//
+// Ownership: the Cell structs are the truth between stages. A stage
+// calls Sync on entry, writes positions into the view once per iteration
+// or pass, and writes them back to the structs when it ends.
 //
 // Layout:
 //
@@ -23,78 +27,67 @@ import (
 //     pin-count prefix sum used for pin-balanced work sharding.
 //   - PinCell[s] is the owning cell of slot s (-1 for a floating
 //     terminal); PinOx/PinOy are the pin offsets from the cell center.
-//     PinIndex[s] maps the slot back to the Design.Pins index.
-//   - PosX/PosY are the live cell centers, indexed by cell. The engine
-//     writes them once per iteration (SetPositions) instead of
-//     scattering into Cell structs and re-gathering in every kernel;
-//     models owning a private view refresh them from the structs with
-//     SyncGeometry before evaluating.
-//   - CellW/CellH/Filler mirror the cell extents and filler flags for
-//     the density rasterizer; NetW caches each net's effective weight.
+//   - CellNet[CellNetOff[ci]:CellNetOff[ci+1]] is the net of each of cell
+//     ci's pins in Cell.Pins order (not deduplicated); cells appended
+//     after Compile, the fillers, have empty ranges.
+//   - PosX/PosY are the live cell centers, indexed by cell; CellW/CellH
+//     and Filler mirror the cell extents and filler flags for the density
+//     rasterizer; NetW caches each net's effective weight. Fixed flags
+//     flip between stages and stay out of the view.
 //
 // A Compiled view is NOT safe for concurrent mutation: SetPositions and
-// the Sync methods must not race with readers. The read-only kernels may
-// share it freely between evaluations.
+// Sync must not race with readers. The read-only kernels may share it
+// freely between evaluations.
 type Compiled struct {
 	d *Design
 
-	// CSR topology (frozen at Compile time).
-	NetOff   []int32
-	PinCell  []int32
-	PinIndex []int32
-	PinOx    []float64
-	PinOy    []float64
+	// CSR topology (frozen at Compile time; Sync refreshes the offsets).
+	NetOff     []int32
+	PinCell    []int32
+	PinOx      []float64
+	PinOy      []float64
+	CellNetOff []int32
+	CellNet    []int32
 
-	// Per-net effective weights (refresh with SyncNetWeights).
-	NetW []float64
-
-	// SoA cell geometry. PosX/PosY are live positions; CellW/CellH and
-	// Filler change only through SyncGeometry.
+	// Per-net effective weights and SoA cell geometry, len(d.Cells) long
+	// as of the last Sync.
+	NetW         []float64
 	PosX, PosY   []float64
 	CellW, CellH []float64
 	Filler       []bool
 }
 
-// Compile builds the flat view of d at its current positions. The
-// net/pin topology must not change for the lifetime of the view;
-// positions, sizes and net weights can be re-synced.
+// Compile builds the flat view of d as it stands. Which pin sits on which
+// cell and net must not change for the lifetime of the view; everything
+// else a stage boundary can change is brought up to date by Sync.
 func (d *Design) Compile() *Compiled {
 	if len(d.Pins) > math.MaxInt32 || len(d.Cells) > math.MaxInt32 {
 		panic(fmt.Sprintf("netlist: design too large to compile (%d pins, %d cells)",
 			len(d.Pins), len(d.Cells)))
 	}
 	cv := &Compiled{
-		d:      d,
-		NetOff: make([]int32, len(d.Nets)+1),
-		NetW:   make([]float64, len(d.Nets)),
+		d:          d,
+		NetOff:     make([]int32, 1, len(d.Nets)+1),
+		NetW:       make([]float64, len(d.Nets)),
+		PinCell:    make([]int32, 0, len(d.Pins)),
+		CellNetOff: make([]int32, 1, len(d.Cells)+1),
+		CellNet:    make([]int32, 0, len(d.Pins)),
 	}
-	total := 0
-	for ni := range d.Nets {
-		total += len(d.Nets[ni].Pins)
-		cv.NetOff[ni+1] = int32(total)
-		cv.NetW[ni] = d.Nets[ni].EffWeight()
-	}
-	cv.PinCell = make([]int32, total)
-	cv.PinIndex = make([]int32, total)
-	cv.PinOx = make([]float64, total)
-	cv.PinOy = make([]float64, total)
-	s := 0
 	for ni := range d.Nets {
 		for _, pi := range d.Nets[ni].Pins {
-			p := &d.Pins[pi]
-			cv.PinCell[s] = int32(p.Cell)
-			cv.PinIndex[s] = int32(pi)
-			cv.PinOx[s] = p.Ox
-			cv.PinOy[s] = p.Oy
-			s++
+			cv.PinCell = append(cv.PinCell, int32(d.Pins[pi].Cell))
 		}
+		cv.NetOff = append(cv.NetOff, int32(len(cv.PinCell)))
 	}
-	cv.PosX = make([]float64, len(d.Cells))
-	cv.PosY = make([]float64, len(d.Cells))
-	cv.CellW = make([]float64, len(d.Cells))
-	cv.CellH = make([]float64, len(d.Cells))
-	cv.Filler = make([]bool, len(d.Cells))
-	cv.SyncGeometry()
+	for ci := range d.Cells {
+		for _, pi := range d.Cells[ci].Pins {
+			cv.CellNet = append(cv.CellNet, int32(d.Pins[pi].Net))
+		}
+		cv.CellNetOff = append(cv.CellNetOff, int32(len(cv.CellNet)))
+	}
+	cv.PinOx = make([]float64, len(cv.PinCell))
+	cv.PinOy = make([]float64, len(cv.PinCell))
+	cv.Sync()
 	return cv
 }
 
@@ -104,34 +97,44 @@ func (cv *Compiled) Design() *Design { return cv.d }
 // NumPinSlots returns the total number of CSR pin slots.
 func (cv *Compiled) NumPinSlots() int { return len(cv.PinCell) }
 
-// SyncGeometry refreshes the SoA geometry arrays (positions, extents,
-// filler flags) from the Cell structs, growing them if cells were
-// appended since Compile. Models that own a private view call this
-// before every evaluation so direct Cell mutations stay visible; the
-// engine, which writes positions through SetPositions, never needs to.
-func (cv *Compiled) SyncGeometry() {
+// resized returns s with length n, reallocated only when n exceeds its
+// capacity; the contents are the caller's to rewrite.
+func resized[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Sync refreshes everything a stage boundary can change from the structs:
+// positions, extents and filler flags of the design's current cells (the
+// arrays follow d.Cells as InsertFillers grows and RemoveFillers shrinks
+// it), net weights, and pin offsets, which mLG rewrites together with W/H
+// when it turns a macro. One O(cells + pins) pass that allocates only
+// when the design has outgrown the arrays.
+func (cv *Compiled) Sync() {
 	d := cv.d
-	if len(d.Cells) > len(cv.PosX) {
-		cv.PosX = make([]float64, len(d.Cells))
-		cv.PosY = make([]float64, len(d.Cells))
-		cv.CellW = make([]float64, len(d.Cells))
-		cv.CellH = make([]float64, len(d.Cells))
-		cv.Filler = make([]bool, len(d.Cells))
+	n := len(d.Cells)
+	cv.PosX, cv.PosY = resized(cv.PosX, n), resized(cv.PosY, n)
+	cv.CellW, cv.CellH = resized(cv.CellW, n), resized(cv.CellH, n)
+	cv.Filler = resized(cv.Filler, n)
+	cv.CellNetOff = cv.CellNetOff[:min(n+1, len(cv.CellNetOff))]
+	for len(cv.CellNetOff) <= n {
+		cv.CellNetOff = append(cv.CellNetOff, int32(len(cv.CellNet)))
 	}
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		cv.PosX[i] = c.X
-		cv.PosY[i] = c.Y
-		cv.CellW[i] = c.W
-		cv.CellH[i] = c.H
+		cv.PosX[i], cv.PosY[i] = c.X, c.Y
+		cv.CellW[i], cv.CellH[i] = c.W, c.H
 		cv.Filler[i] = c.Kind == Filler
 	}
-}
-
-// SyncNetWeights refreshes the cached effective net weights.
-func (cv *Compiled) SyncNetWeights() {
-	for ni := range cv.d.Nets {
-		cv.NetW[ni] = cv.d.Nets[ni].EffWeight()
+	s := 0
+	for ni := range d.Nets {
+		cv.NetW[ni] = d.Nets[ni].EffWeight()
+		for _, pi := range d.Nets[ni].Pins {
+			cv.PinOx[s], cv.PinOy[s] = d.Pins[pi].Ox, d.Pins[pi].Oy
+			s++
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package netlist
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,8 @@ import (
 
 // TestCompileStructure checks the CSR invariants on a random design:
 // offsets are the pin-count prefix sum, slots appear in (net, pin)
-// order, and every slot round-trips to its Design.Pins entry.
+// order and mirror their Design.Pins entry, and the cell -> net index
+// lists Cell.Pins -> Pin.Net in order.
 func TestCompileStructure(t *testing.T) {
 	d := randomDesign(3)
 	cv := d.Compile()
@@ -24,9 +26,6 @@ func TestCompileStructure(t *testing.T) {
 			t.Fatalf("NetOff[%d] = %d, want %d", ni, cv.NetOff[ni], s)
 		}
 		for _, pi := range d.Nets[ni].Pins {
-			if int(cv.PinIndex[s]) != pi {
-				t.Fatalf("slot %d: PinIndex %d, want %d", s, cv.PinIndex[s], pi)
-			}
 			p := &d.Pins[pi]
 			if int(cv.PinCell[s]) != p.Cell || cv.PinOx[s] != p.Ox || cv.PinOy[s] != p.Oy {
 				t.Fatalf("slot %d does not mirror pin %d", s, pi)
@@ -45,6 +44,104 @@ func TestCompileStructure(t *testing.T) {
 	}
 	if int(cv.NetOff[len(d.Nets)]) != s {
 		t.Fatalf("final offset %d, want %d", cv.NetOff[len(d.Nets)], s)
+	}
+	checkCellNets(t, d, cv)
+}
+
+// checkCellNets requires the cell -> net index to list, for every cell
+// of d, the net of each of its pins in Cell.Pins order.
+func checkCellNets(t *testing.T, d *Design, cv *Compiled) {
+	t.Helper()
+	if len(cv.CellNetOff) != len(d.Cells)+1 {
+		t.Fatalf("CellNetOff has %d entries for %d cells", len(cv.CellNetOff), len(d.Cells))
+	}
+	for ci := range d.Cells {
+		nets := cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]]
+		if len(nets) != len(d.Cells[ci].Pins) {
+			t.Fatalf("cell %d: %d index entries, %d pins", ci, len(nets), len(d.Cells[ci].Pins))
+		}
+		for k, pi := range d.Cells[ci].Pins {
+			if int(nets[k]) != d.Pins[pi].Net {
+				t.Fatalf("cell %d pin %d: net %d, want %d", ci, k, nets[k], d.Pins[pi].Net)
+			}
+		}
+	}
+}
+
+// TestSyncMatchesFreshCompile is the shared view's staleness guard: after
+// everything a stage boundary does to the structs (moves, a macro turned
+// with its pin offsets, reweighted nets, fillers appended, removed and
+// appended again, possibly moving d.Cells' backing array) one Sync must
+// leave every array equal to a fresh Compile's.
+func TestSyncMatchesFreshCompile(t *testing.T) {
+	f := func(seed int64) bool {
+		d := randomDesign(seed)
+		cv := d.Compile()
+		rng := rand.New(rand.NewSource(seed ^ 0x51ac))
+		fillers := func(n int) {
+			for k := 0; k < n; k++ {
+				d.AddCell(Cell{W: 1.5, H: 2, X: rng.Float64() * 100, Y: rng.Float64() * 100, Kind: Filler})
+			}
+		}
+		steps := []func(){
+			func() {
+				for i := range d.Cells {
+					d.Cells[i].X, d.Cells[i].Y = rng.Float64()*100, rng.Float64()*100
+				}
+			},
+			func() { // legalize.rotateMacro
+				c := &d.Cells[rng.Intn(len(d.Cells))]
+				c.W, c.H = c.H, c.W
+				for _, pi := range c.Pins {
+					d.Pins[pi].Ox, d.Pins[pi].Oy = -d.Pins[pi].Oy, d.Pins[pi].Ox
+				}
+			},
+			func() { d.Nets[rng.Intn(len(d.Nets))].Weight = rng.Float64() * 5 },
+			func() { fillers(1 + rng.Intn(40)) },
+			d.RemoveFillers,
+			func() { fillers(1 + rng.Intn(80)) },
+			d.RemoveFillers,
+		}
+		for i, step := range steps {
+			step()
+			cv.Sync()
+			if !reflect.DeepEqual(viewArrays(cv), viewArrays(d.Compile())) {
+				t.Logf("seed %d: view differs from a fresh compile after step %d", seed, i)
+				return false
+			}
+			checkCellNets(t, d, cv)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// viewArrays lists every array of the view, for whole-view comparisons.
+func viewArrays(cv *Compiled) []any {
+	return []any{cv.NetOff, cv.PinCell, cv.PinOx, cv.PinOy, cv.CellNetOff, cv.CellNet,
+		cv.NetW, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler}
+}
+
+// TestSyncAllocFree: a Sync that does not have to grow the arrays
+// allocates nothing, filler removal and re-insertion included.
+func TestSyncAllocFree(t *testing.T) {
+	d := randomDesign(19)
+	cv := d.Compile()
+	for k := 0; k < 30; k++ {
+		d.AddCell(Cell{W: 1, H: 1, Kind: Filler})
+	}
+	cv.Sync()
+	if n := testing.AllocsPerRun(20, func() {
+		d.RemoveFillers()
+		cv.Sync()
+		for k := 0; k < 30; k++ {
+			d.Cells = append(d.Cells, Cell{W: 1, H: 1, Kind: Filler})
+		}
+		cv.Sync()
+	}); n != 0 {
+		t.Errorf("Sync allocates %v times per run", n)
 	}
 }
 
@@ -72,7 +169,7 @@ func TestCompiledHPWLMatchesDesign(t *testing.T) {
 		if math.Float64bits(cv.HPWL()) != math.Float64bits(d.HPWL()) {
 			return false
 		}
-		cv.SyncGeometry()
+		cv.Sync()
 		return math.Float64bits(cv.HPWL()) == math.Float64bits(d.HPWL())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -97,7 +194,7 @@ func TestSyncNetWeights(t *testing.T) {
 	d := randomDesign(11)
 	cv := d.Compile()
 	d.Nets[0].Weight = 4.5
-	cv.SyncNetWeights()
+	cv.Sync()
 	if cv.NetW[0] != 4.5 {
 		t.Fatalf("NetW[0] = %v after sync, want 4.5", cv.NetW[0])
 	}
@@ -112,7 +209,7 @@ func TestSyncGeometryGrowth(t *testing.T) {
 	d := randomDesign(13)
 	cv := d.Compile()
 	ci := d.AddCell(Cell{W: 2, H: 2, X: 9, Y: 9, Kind: Filler})
-	cv.SyncGeometry()
+	cv.Sync()
 	if cv.PosX[ci] != 9 || !cv.Filler[ci] || cv.CellW[ci] != 2 {
 		t.Fatalf("appended cell not mirrored: x=%v filler=%v w=%v",
 			cv.PosX[ci], cv.Filler[ci], cv.CellW[ci])

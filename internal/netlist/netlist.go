@@ -61,7 +61,7 @@ func (c *Cell) Rect() geom.Rect {
 	return geom.NewRectCenter(c.X, c.Y, c.W, c.H)
 }
 
-// Dir is a pin's signal direction (used by the timing extension).
+// Dir is a pin's signal direction (Bookshelf .nets files carry it).
 type Dir uint8
 
 const (

@@ -59,7 +59,7 @@ type Result struct {
 	// Stop is the reason the round loop ended (a Stop* constant).
 	Stop string
 	// Solve is the wall time spent in conjugate gradient; Assemble is the
-	// rest of the model's time: compiling the view, linearizing and
+	// rest of the model's time: syncing the view, linearizing and
 	// building the systems, evaluating HPWL after each round.
 	Assemble, Solve time.Duration
 }
@@ -70,7 +70,14 @@ type Result struct {
 // net weight or coordinate makes the system indefinite), the cells keep
 // the positions of the last round that solved.
 func Place(d *netlist.Design, idx []int) Result {
+	return PlaceCompiled(d.Compile(), idx)
+}
+
+// PlaceCompiled is Place over a caller-owned view of the design; every
+// round syncs it from the Cell structs (see Model.Solve).
+func PlaceCompiled(cv *netlist.Compiled, idx []int) Result {
 	var res Result
+	d := cv.Design()
 	n := len(idx)
 	if n == 0 {
 		return res
@@ -85,7 +92,7 @@ func Place(d *netlist.Design, idx []int) Result {
 		c.Y = center.Y + (math.Mod(frac*617.0, 1.0)-0.5)*1e-3*d.Region.H()
 	}
 	t0 := time.Now()
-	m := NewModel(d, idx)
+	m := NewModel(cv, idx)
 	res.Stop = StopRoundCap
 	for res.Rounds < maxRounds {
 		if !m.Solve(nil, centerAnchor) {
@@ -131,11 +138,11 @@ type Model struct {
 	solveTime    time.Duration
 }
 
-// NewModel compiles d and sizes the buffers for the unknowns idx. The
-// design's topology, cell sizes and net weights must not change while
-// the model is in use; positions may.
-func NewModel(d *netlist.Design, idx []int) *Model {
-	cv := d.Compile()
+// NewModel sizes the buffers for the unknowns idx of the design cv was
+// compiled from. The design's topology must not change while the model
+// is in use; every Solve re-reads the rest from the Cell structs.
+func NewModel(cv *netlist.Compiled, idx []int) *Model {
+	d := cv.Design()
 	m := &Model{
 		cv: cv, idx: idx,
 		pinVar:  make([]int32, cv.NumPinSlots()),
@@ -169,7 +176,7 @@ func NewModel(d *netlist.Design, idx []int) *Model {
 // design's positions as they were.
 func (m *Model) Solve(anchors []geom.Point, w float64) bool {
 	cv := m.cv
-	cv.SyncGeometry()
+	cv.Sync()
 	if !m.solveAxis(true, anchors, w) || !m.solveAxis(false, anchors, w) {
 		return false
 	}

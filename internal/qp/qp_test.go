@@ -465,7 +465,7 @@ func BenchmarkAssembleB2B(b *testing.B) {
 	d := synth.Generate(synth.Spec{Name: "qp-bench", NumCells: 5000, NumFixedMacros: 12})
 	idx := d.Movable()
 	Place(d, idx)
-	m := NewModel(d, idx)
+	m := NewModel(d.Compile(), idx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -286,8 +286,7 @@ func (m *Model) CostAndGradient(grad []float64) float64 {
 // included.
 func (m *Model) eval(grad []float64) float64 {
 	if m.ownView {
-		m.cv.SyncGeometry()
-		m.cv.SyncNetWeights()
+		m.cv.Sync()
 	}
 	workers := parallel.Count(m.Workers)
 	m.grow(workers)
