@@ -216,7 +216,7 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 		gpIdx = append(append(make([]int, 0, len(plan.Active)+len(fillers)), plan.Active...), fillers...)
 	}
 	var err error
-	res.GP, err = run.gp(gpStage{name: "eGP", ld: d, idx: gpIdx, opt: gpOpt})
+	res.GP, err = run.gp(gpStage{name: "eGP", cv: run.cv, idx: gpIdx, opt: gpOpt})
 	d.RemoveFillers()
 	run.addStage("eGP", time.Since(t0))
 	if err != nil {

@@ -246,16 +246,18 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 
 	var fillers []int
 	for k := startLevel; k >= 0; k-- {
-		ld, movable := designs[k], r.movable
+		// One compiled view per design: the input design's is the run's,
+		// a coarse level's lives as long as the level.
+		ld, cv, movable := designs[k], r.cv, r.movable
 		if k > 0 {
-			movable = ld.Movable()
+			cv, movable = ld.Compile(), ld.Movable()
 		}
 		// --- mIP: quadratic wirelength minimization over all movables,
 		// on the coarsest netlist only — a coarse seed is all the V-cycle
 		// needs. ---
 		if k == K && ph <= phMIP {
 			var err error
-			if res.MIP, err = r.mip(ld, k, movable); err != nil {
+			if res.MIP, err = r.mip(cv, k, movable); err != nil {
 				return res, err
 			}
 		}
@@ -307,7 +309,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			// HPWL).
 			t0 := time.Now()
 			lr, err := r.gp(gpStage{
-				name: stage, phase: stage, ld: ld, level: k, fillers: len(fillers),
+				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers),
 				idx: append(append([]int(nil), movable...), fillers...),
 				opt: gpOpt, halo: opt.MacroHalo, resume: resumeGP(phMGP),
 			})
@@ -383,7 +385,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 				fOpt.MinIters = cgpFillerIters
 				fOpt.TargetOverflow = 1e-9
 				_, err := r.gp(gpStage{
-					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, ld: d, fillers: len(fillers),
+					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, fillers: len(fillers),
 					idx: fillers, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
 				})
 				for _, ci := range r.stdCells {
@@ -402,7 +404,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			m := float64(res.MGP.Iterations) / 10
 			var err error
 			res.CGP, err = r.gp(gpStage{
-				name: "cGP", phase: checkpoint.PhaseCGP, ld: d, fillers: len(fillers),
+				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, fillers: len(fillers),
 				idx: append(append([]int(nil), r.stdCells...), fillers...),
 				opt: opt.GP, lambdaInit: res.MGP.FinalLambda * math.Pow(1.1, -m), resume: resumeGP(phCGP),
 			})

@@ -76,6 +76,11 @@ type flowRun struct {
 	// positions the snapshot holds.
 	d  *netlist.Design
 	fp uint64
+	// cv is the one compiled view of d, lent to every stage that runs on
+	// the input design (mIP, the GP stages, cDP). The Cell structs are the
+	// truth between stages: each stage syncs the view on entry and writes
+	// its result back to the structs before it returns.
+	cv *netlist.Compiled
 	// poisson is the normalized backend name stamped into every snapshot
 	// and compared on resume: the backends produce numerically distinct
 	// trajectories, so switching mid-run would break the
@@ -112,7 +117,7 @@ func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoin
 	}
 	sum.StageTime = map[string]time.Duration{}
 	r := &flowRun{
-		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d),
+		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d), cv: d.Compile(),
 		poisson: poisson.NormalizeKind(gp.Poisson),
 		opt:     gp, rec: gp.Telemetry, golden: gp.Golden, ckpt: ckpt,
 		movable:   d.Movable(),
@@ -175,11 +180,12 @@ func (r *flowRun) boundary(phase string, level int, ld *netlist.Design, numFille
 }
 
 // mip runs the quadratic initial placement (stage "mIP") over mv, every
-// movable of level's design ld.
-func (r *flowRun) mip(ld *netlist.Design, level int, mv []int) (qp.Result, error) {
+// movable of level's design, through its view cv.
+func (r *flowRun) mip(cv *netlist.Compiled, level int, mv []int) (qp.Result, error) {
+	ld := cv.Design()
 	r.rec.SetStage("mIP")
 	t0 := time.Now()
-	res := qp.Place(ld, mv)
+	res := qp.PlaceCompiled(cv, mv)
 	hpwl := ld.HPWL()
 	r.golden.Absorb("mIP", 0, ld.Positions(mv), hpwl, 0)
 	r.rec.AddSpanTime("mIP", "assemble", res.Assemble)
@@ -204,9 +210,9 @@ type gpStage struct {
 	// phase labels the stage's mid-stage snapshots; "" writes none (an
 	// interrupted ECO run restarts from its input).
 	phase string
-	// ld is the design being placed, level its hierarchy level, fillers
-	// the number of filler cells appended to it.
-	ld      *netlist.Design
+	// cv is the view of the design being placed, level its hierarchy
+	// level, fillers the number of filler cells appended to it.
+	cv      *netlist.Compiled
 	level   int
 	fillers int
 	// idx are the cells the stage moves.
@@ -232,7 +238,7 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 	s.opt.CheckpointSink = nil
 	if r.ckpt != nil && s.phase != "" {
 		s.opt.CheckpointSink = func(gs *checkpoint.GPState) {
-			st := r.snapshot(s.phase, s.level, s.ld, s.fillers)
+			st := r.snapshot(s.phase, s.level, s.cv.Design(), s.fillers)
 			st.GP = gs
 			if err := r.ckpt.Save(st); err != nil && r.ckptErr == nil {
 				r.ckptErr = err
@@ -242,11 +248,11 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 	s.opt.ResumeGP = s.resume
 	var macros []int
 	if s.halo > 0 {
-		macros = s.ld.MovableOf(netlist.Macro)
+		macros = s.cv.Design().MovableOf(netlist.Macro)
 	}
-	inflateMacros(s.ld, macros, s.halo)
-	res, err := PlaceGlobalContext(r.ctx, s.ld, s.idx, s.opt, s.name, s.lambdaInit)
-	inflateMacros(s.ld, macros, -s.halo)
+	inflateMacros(s.cv.Design(), macros, s.halo)
+	res, err := placeGlobal(r.ctx, s.cv, s.idx, s.opt, s.name, s.lambdaInit)
+	inflateMacros(s.cv.Design(), macros, -s.halo)
 	switch {
 	case err != nil:
 		return res, err
@@ -307,7 +313,7 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options, skipDetail
 		}
 		dOpt.Golden = r.golden
 		tDP := time.Now()
-		r.sum.DP, err = detail.Place(d, refine, dOpt)
+		r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, dOpt)
 		if err != nil {
 			return disp, maxDisp, fmt.Errorf("core: detail placement failed: %w", err)
 		}
