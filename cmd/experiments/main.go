@@ -39,7 +39,7 @@ func main() {
 		million  = flag.Bool("million", false, "add a 1M-cell multilevel row to -exp bench")
 		levels   = flag.Int("levels", 0, "V-cycle depth for the bench scale sweep (0 = default 5)")
 		noSweep  = flag.Bool("no-sweep", false, "skip the large-circuit scale sweep in -exp bench")
-		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 | multigrid (bench default spectral32)")
+		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 (bench default spectral32)")
 
 		jobs       = flag.Int("jobs", 0, "job count for -exp service (0 = default 200)")
 		concurrent = flag.Int("concurrent", 0, "scheduler slots for -exp service (0 = default 4)")

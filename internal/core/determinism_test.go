@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"eplace/internal/checkpoint"
+	"eplace/internal/eco"
 	"eplace/internal/poisson"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -294,7 +296,7 @@ func TestFlowResumeRejectsBackendMismatch(t *testing.T) {
 	}
 	d := synth.Generate(detSpecs()[2])
 	fo := detFlowOpts(1)
-	fo.GP.Poisson = poisson.KindMultigrid
+	fo.GP.Poisson = poisson.KindSpectral32
 	fo.Resume = st
 	_, err = Place(d, fo)
 	if err == nil || !strings.Contains(err.Error(), "poisson backend") {
@@ -311,12 +313,46 @@ func TestFlowResumeRejectsBackendMismatch(t *testing.T) {
 	}
 }
 
+// TestFlowRefusesRemovedBackend: a snapshot stamped with the multigrid
+// backend an older build offered (same format version) is refused with
+// the unknown-backend error naming the two that exist, by a resume
+// (whether the run names the old backend too or defaults) and by an ECO
+// run that, like the CLI and the server, stays on the snapshot's backend.
+func TestFlowRefusesRemovedBackend(t *testing.T) {
+	_, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
+	st, err := mgr.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Poisson = "multigrid"
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), `unknown backend "multigrid"`) ||
+			!strings.Contains(err.Error(), strings.Join(poisson.Kinds(), " ")) {
+			t.Errorf("%s: err = %v, want the unknown-backend error listing %v", what, err, poisson.Kinds())
+		}
+	}
+	for _, kind := range []string{"", st.Poisson} {
+		fo := detFlowOpts(1)
+		fo.GP.Poisson = kind
+		fo.Resume = st
+		_, err := Place(synth.Generate(detSpecs()[2]), fo)
+		refused("resume with -poisson "+kind, err)
+	}
+	d := synth.Generate(detSpecs()[2])
+	if err := WarmStart(d, st); err != nil {
+		t.Fatal(err)
+	}
+	_, err = PlaceECO(context.Background(), d, &eco.Plan{}, ECOOptions{GP: Options{Poisson: st.Poisson}})
+	refused("ECO from the snapshot", err)
+}
+
 // TestFlowBitwiseDeterminismPerBackend extends the headline determinism
-// guarantee to the non-default Poisson backends: within each backend the
-// flow is bitwise-identical across runs and worker counts 1, 2 and 7.
+// guarantee to the non-default Poisson backend: within it the flow is
+// bitwise-identical across runs and worker counts 1, 2 and 7.
 func TestFlowBitwiseDeterminismPerBackend(t *testing.T) {
 	spec := detSpecs()[2]
-	for _, kind := range []string{poisson.KindSpectral32, poisson.KindMultigrid} {
+	for _, kind := range []string{poisson.KindSpectral32} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			opts := func(workers int) FlowOptions {

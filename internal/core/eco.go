@@ -13,6 +13,7 @@ import (
 	"eplace/internal/eco"
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
+	"eplace/internal/poisson"
 )
 
 // ECOOptions configures an incremental re-placement run.
@@ -80,6 +81,9 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	var res ECOResult
 	if plan == nil {
 		return res, fmt.Errorf("core: PlaceECO needs a freeze plan (see eco.Prepare)")
+	}
+	if err := poisson.CheckKind(opt.GP.Poisson); err != nil {
+		return res, err
 	}
 	if opt.MaxIters <= 0 {
 		opt.MaxIters = 600

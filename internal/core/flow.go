@@ -184,6 +184,9 @@ func Place(d *netlist.Design, opt FlowOptions) (FlowResult, error) {
 // into the mLG→cGP→cDP tail.
 func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (FlowResult, error) {
 	var res FlowResult
+	if err := poisson.CheckKind(opt.GP.Poisson); err != nil {
+		return res, err
+	}
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
 	r.mgp = &res.MGP
 	res.MixedSize = r.mixedSize
@@ -192,6 +195,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	if rs != nil {
 		if err := rs.Validate(d); err != nil {
 			return res, err
+		}
+		if err := poisson.CheckKind(rs.Poisson); err != nil {
+			return res, fmt.Errorf("core: snapshot backend: %w", err)
 		}
 		if snap := poisson.NormalizeKind(rs.Poisson); snap != r.poisson {
 			return res, fmt.Errorf("core: snapshot was taken with poisson backend %q but this run selects %q; resume with the matching backend (-poisson=%s) or restart from scratch (valid backends: %s)",

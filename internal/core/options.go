@@ -62,7 +62,7 @@ type Options struct {
 	// wall-clock time changes.
 	Workers int
 	// Poisson selects the density model's Poisson backend by name
-	// (poisson.Kinds: "spectral", "spectral32", "multigrid"); "" selects
+	// (poisson.Kinds: "spectral", "spectral32"); "" selects
 	// spectral. Within one backend results are bitwise-identical across
 	// worker counts; across backends they differ by the backend's
 	// approximation error.

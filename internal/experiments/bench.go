@@ -154,10 +154,10 @@ func KernelMicrobench(workers int, budget time.Duration) []telemetry.MicroBench 
 		timeKernel("fft/IDCTAndIDST_512", budget, func() { r.IDCTAndIDST(x, o1, o2) }),
 	)
 
-	// Per-backend Poisson solve rows with the float32-vs-float64 (and
-	// multigrid-vs-spectral) max-relative-error column: the serial
-	// float64 spectral row is the reference both for the >=2x speedup
-	// acceptance line and for MaxRelErr.
+	// Per-backend Poisson solve rows with the float32-vs-float64
+	// max-relative-error column: the serial float64 spectral row is the
+	// reference both for the >=2x speedup acceptance line and for
+	// MaxRelErr.
 	for _, m := range []int{128, 256, 512} {
 		rho := make([]float64, m*m)
 		rng := rand.New(rand.NewSource(1))

@@ -22,7 +22,7 @@ func TestKernelMicrobench(t *testing.T) {
 	}
 	for _, want := range []string{"fft/DCT2_512", "fft/DCT2Pair_512", "fft/IDCTAndIDST_512",
 		"poisson/Solve_128_spectral_w1", "poisson/Solve_256_spectral_w1",
-		"poisson/Solve_256_spectral32_w1", "poisson/Solve_256_multigrid_w1",
+		"poisson/Solve_256_spectral32_w1",
 		"legalize/Cells_5000_w1", "detail/Pass_5000_w1"} {
 		if !names[want] {
 			t.Errorf("missing kernel %q in %v", want, micro)

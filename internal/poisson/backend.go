@@ -1,19 +1,21 @@
 // backend.go defines the pluggable Poisson-solve contract. The density
 // model (and everything above it) talks to a Backend, not to the
-// spectral Solver directly, so the float32 pipeline and the
-// geometric-multigrid solver slot in behind one switch
-// (core.Options.Poisson / eplace -poisson).
+// spectral Solver directly, so the float32 pipeline slots in behind one
+// switch (core.Options.Poisson / eplace -poisson).
 //
 // Every backend obeys the same determinism contract as the rest of the
 // gradient pipeline: fixed task boundaries independent of the worker
 // count and fixed-order reductions, so Solve/Energy are
 // bitwise-identical at every Workers setting — within a backend.
-// Across backends the fields differ (precision for spectral32,
-// discretization for multigrid); the cross-backend tolerances are
-// pinned by the property tests and the EXPERIMENTS precision study.
+// Across backends the fields differ by spectral32's precision; the
+// cross-backend tolerance is pinned by the property tests and the
+// EXPERIMENTS precision study.
 package poisson
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Backend kind names, as accepted by NewBackend and the -poisson flag.
 const (
@@ -22,13 +24,10 @@ const (
 	// KindSpectral32 is the mixed-precision spectral pipeline: float32
 	// transforms with float64 plane I/O and a runtime precision guard.
 	KindSpectral32 = "spectral32"
-	// KindMultigrid is the geometric multigrid solver: red-black
-	// Gauss-Seidel V-cycles on the same cell-centered Neumann grid.
-	KindMultigrid = "multigrid"
 )
 
 // Kinds lists the backend names in presentation order.
-func Kinds() []string { return []string{KindSpectral, KindSpectral32, KindMultigrid} }
+func Kinds() []string { return []string{KindSpectral, KindSpectral32} }
 
 // NormalizeKind maps the empty string to the default backend
 // (KindSpectral); any other value passes through for NewBackend to
@@ -40,6 +39,15 @@ func NormalizeKind(kind string) string {
 		return KindSpectral
 	}
 	return kind
+}
+
+// CheckKind returns the unknown-backend error for a name NewBackend
+// would refuse, e.g. one stamped into a snapshot by an older build.
+func CheckKind(kind string) error {
+	if !slices.Contains(Kinds(), NormalizeKind(kind)) {
+		return fmt.Errorf("poisson: unknown backend %q (want one of %v)", kind, Kinds())
+	}
+	return nil
 }
 
 // Backend solves the Neumann Poisson problem of Eq. (6) on a fixed
@@ -74,10 +82,8 @@ func NewBackend(kind string, m, workers int) (Backend, error) {
 		return NewSolverWorkers(m, workers)
 	case KindSpectral32:
 		return NewSolver32Workers(m, workers)
-	case KindMultigrid:
-		return NewMultigridWorkers(m, workers)
 	default:
-		return nil, fmt.Errorf("poisson: unknown backend %q (want one of %v)", kind, Kinds())
+		return nil, CheckKind(kind)
 	}
 }
 

@@ -29,8 +29,7 @@ func randCharge(m int, seed int64) []float64 {
 }
 
 // smoothCharge is a low-frequency charge plane plus a broad Gaussian
-// blob: representative of real bin densities, and band-limited enough
-// that the multigrid stencil's O(h^2) discretization error stays small.
+// blob: representative of real bin densities.
 func smoothCharge(m int) []float64 {
 	rho := make([]float64, m*m)
 	fm := float64(m)
@@ -49,13 +48,6 @@ func smoothCharge(m int) []float64 {
 // against the float64 reference: a few float32 ulps per transform
 // stage, so it grows slowly (log m) with the grid.
 func spectral32Tol(m int) float64 { return 2e-6 * (math.Log2(float64(m)) + 2) }
-
-// multigridTol is the per-size budget of the 5-point multigrid fields
-// against the spectral reference on SMOOTH charge. The gap is the
-// O(h^2) discretization error of the stencil and of the
-// central-difference gradient, so it shrinks 4x per grid doubling;
-// the constant covers the Gaussian blob's mid-band content.
-func multigridTol(m int) float64 { return 15.0 / float64(m*m) }
 
 // TestSpectral32FieldsMatchReference pins the float32 spectral backend
 // against the float64 reference across the size ladder, on white-noise
@@ -90,82 +82,6 @@ func TestSpectral32FieldsMatchReference(t *testing.T) {
 	}
 }
 
-// TestMultigridFieldsMatchReference pins the multigrid backend against
-// the spectral reference on smooth charge, where the remaining gap is
-// the stencil's O(h^2) discretization error.
-func TestMultigridFieldsMatchReference(t *testing.T) {
-	for _, m := range []int{16, 32, 64, 128, 256, 512} {
-		ref := mustSolver(t, m, 1)
-		g := mustBackend(t, KindMultigrid, m, 1)
-		rho := smoothCharge(m)
-		ref.Solve(rho)
-		g.Solve(rho)
-		psi, ex, ey := g.Planes()
-		errs := []float64{
-			MaxRelError(psi, ref.Psi),
-			MaxRelError(ex, ref.Ex),
-			MaxRelError(ey, ref.Ey),
-		}
-		tol := multigridTol(m)
-		t.Logf("m=%d multigrid rel err psi=%.3g ex=%.3g ey=%.3g (tol %.3g, cycles %d)",
-			m, errs[0], errs[1], errs[2], tol, g.(*Multigrid).Cycles())
-		for i, e := range errs {
-			if e > tol {
-				t.Errorf("m=%d plane %d: rel err %g > %g", m, i, e, tol)
-			}
-		}
-	}
-}
-
-// TestMultigridSolvesDiscreteSystem checks the algebraic contract
-// independently of the spectral comparison: the returned potential
-// satisfies the 5-point system A psi = rho - mean to the residual
-// tolerance, even on white-noise charge.
-func TestMultigridSolvesDiscreteSystem(t *testing.T) {
-	for _, m := range []int{16, 64, 128} {
-		g := mustBackend(t, KindMultigrid, m, 1).(*Multigrid)
-		rho := randCharge(m, 99)
-		g.Solve(rho)
-		psi, _, _ := g.Planes()
-		mean := 0.0
-		for _, r := range rho {
-			mean += r
-		}
-		mean /= float64(m * m)
-		var rnorm, fnorm float64
-		for j := 0; j < m; j++ {
-			for i := 0; i < m; i++ {
-				sum, deg := 0.0, 0.0
-				if i > 0 {
-					sum += psi[j*m+i-1]
-					deg++
-				}
-				if i < m-1 {
-					sum += psi[j*m+i+1]
-					deg++
-				}
-				if j > 0 {
-					sum += psi[(j-1)*m+i]
-					deg++
-				}
-				if j < m-1 {
-					sum += psi[(j+1)*m+i]
-					deg++
-				}
-				f := rho[j*m+i] - mean
-				r := f - (deg*psi[j*m+i] - sum)
-				rnorm += r * r
-				fnorm += f * f
-			}
-		}
-		rel := math.Sqrt(rnorm / fnorm)
-		t.Logf("m=%d multigrid residual %.3g (cycles %d)", m, rel, g.Cycles())
-		if rel > g.Tol*1.01 {
-			t.Errorf("m=%d: relative residual %g > tol %g", m, rel, g.Tol)
-		}
-	}
-}
-
 // TestBackendsBitwiseAcrossWorkers pins the determinism contract for
 // every backend: identical planes and energy at workers 1, 2 and 7.
 func TestBackendsBitwiseAcrossWorkers(t *testing.T) {
@@ -193,8 +109,7 @@ func TestBackendsBitwiseAcrossWorkers(t *testing.T) {
 }
 
 // TestBackendsRepeatSolveBitwise pins solve-to-solve reproducibility:
-// re-solving the same charge yields bit-identical planes (multigrid
-// cold-starts every Solve precisely to guarantee this).
+// re-solving the same charge yields bit-identical planes.
 func TestBackendsRepeatSolveBitwise(t *testing.T) {
 	const m = 64
 	for _, kind := range Kinds() {
@@ -295,29 +210,6 @@ func TestBackendNames(t *testing.T) {
 	}
 }
 
-// TestMultigridUniformCharge: pure DC charge is entirely in the removed
-// mean, so everything is zero (matching the spectral dropped (0,0) mode).
-func TestMultigridUniformCharge(t *testing.T) {
-	const m = 16
-	g := mustBackend(t, KindMultigrid, m, 1)
-	rho := make([]float64, m*m)
-	for i := range rho {
-		rho[i] = 4.2
-	}
-	g.Solve(rho)
-	// The shard-folded mean subtraction leaves a rounding residue of a
-	// few ulps, so the planes are tiny rather than exactly zero.
-	psi, ex, ey := g.Planes()
-	for i := range psi {
-		if math.Abs(psi[i]) > 1e-12 || math.Abs(ex[i]) > 1e-12 || math.Abs(ey[i]) > 1e-12 {
-			t.Fatalf("uniform charge produced psi=%v ex=%v ey=%v at %d", psi[i], ex[i], ey[i], i)
-		}
-	}
-	if e := g.Energy(rho); math.Abs(e) > 1e-9 {
-		t.Fatalf("uniform-charge energy = %v, want ~0", e)
-	}
-}
-
 // TestBackendsDegenerateGrid: the 1x1 grid has only the removed DC mode.
 func TestBackendsDegenerateGrid(t *testing.T) {
 	for _, kind := range Kinds() {
@@ -341,10 +233,7 @@ func benchBackend(b *testing.B, kind string, m, workers int) {
 
 // Per-backend solve benchmarks at the committed microbench sizes (the
 // float64 rows live in poisson_test.go as BenchmarkSolve_*).
-func BenchmarkSolve32_128(b *testing.B)     { benchBackend(b, KindSpectral32, 128, 1) }
-func BenchmarkSolve32_256(b *testing.B)     { benchBackend(b, KindSpectral32, 256, 1) }
-func BenchmarkSolve32_512(b *testing.B)     { benchBackend(b, KindSpectral32, 512, 1) }
-func BenchmarkSolveMG_128(b *testing.B)     { benchBackend(b, KindMultigrid, 128, 1) }
-func BenchmarkSolveMG_256(b *testing.B)     { benchBackend(b, KindMultigrid, 256, 1) }
-func BenchmarkSolveMG_512(b *testing.B)     { benchBackend(b, KindMultigrid, 512, 1) }
+func BenchmarkSolve32_128(b *testing.B)         { benchBackend(b, KindSpectral32, 128, 1) }
+func BenchmarkSolve32_256(b *testing.B)         { benchBackend(b, KindSpectral32, 256, 1) }
+func BenchmarkSolve32_512(b *testing.B)         { benchBackend(b, KindSpectral32, 512, 1) }
 func BenchmarkSolve32_256AllCores(b *testing.B) { benchBackend(b, KindSpectral32, 256, 0) }

@@ -145,8 +145,7 @@ func NewSolverWorkers(m, workers int) (*Solver, error) {
 }
 
 // checkGridSize validates the grid edge shared by every backend: the
-// spectral transforms need a power of two, and multigrid coarsens by
-// factors of two down to 1x1, so the same constraint applies everywhere.
+// spectral transforms need a power of two.
 func checkGridSize(m int) error {
 	if m <= 0 || m&(m-1) != 0 {
 		return fmt.Errorf("poisson: grid size %d is not a positive power of two", m)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eplace/internal/checkpoint"
@@ -98,5 +99,47 @@ func TestServerECOChain(t *testing.T) {
 	// Unknown parents and non-done parents are rejected up front.
 	if _, err := s.Submit(JobSpec{ECO: &ECOSpec{FromJob: "job-999999", Edits: eco.Script{}}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown parent returned %v, want ErrNotFound", err)
+	}
+}
+
+// TestServerECORefusesRemovedBackend: ECO chaining forwards the parent
+// snapshot's Poisson backend; one stamped with the multigrid backend an
+// older build offered fails the job with the unknown-backend error.
+func TestServerECORefusesRemovedBackend(t *testing.T) {
+	s, err := New(Config{MaxConcurrent: 1, WorkersPerJob: 1, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	parent, err := s.Submit(JobSpec{
+		Synth:    &synth.Spec{Name: "eco-parent", NumCells: 300, Seed: 5},
+		MaxIters: 400,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pst := waitJob(t, s, parent.ID, "done", terminal); pst.State != StateDone {
+		t.Fatalf("parent ended %s: %s", pst.State, pst.Error)
+	}
+	final := filepath.Join(s.JobDir(parent.ID), "ckpt", checkpoint.FinalName)
+	st, err := checkpoint.ReadFile(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Poisson = "multigrid"
+	if err := checkpoint.WriteFile(final, st); err != nil {
+		t.Fatal(err)
+	}
+	child, err := s.Submit(JobSpec{ECO: &ECOSpec{
+		FromJob: parent.ID,
+		Edits:   eco.Script{ReweightNets: []eco.Reweight{{NetID: 0, Weight: 2}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst := waitJob(t, s, child.ID, "failed", terminal)
+	if cst.State != StateFailed || !strings.Contains(cst.Error, `unknown backend "multigrid"`) ||
+		!strings.Contains(cst.Error, "spectral32") {
+		t.Fatalf("eco child ended %s: %q, want the unknown-backend failure", cst.State, cst.Error)
 	}
 }
