@@ -28,13 +28,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 
 	"eplace/internal/bookshelf"
 	"eplace/internal/checkpoint"
-	"eplace/internal/congestion"
 	"eplace/internal/core"
 	"eplace/internal/eco"
 	"eplace/internal/metrics"
@@ -43,7 +41,6 @@ import (
 	"eplace/internal/server"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
-	"eplace/internal/timing"
 	"eplace/internal/viz"
 )
 
@@ -69,16 +66,14 @@ func run(ctx context.Context) error {
 		seed     = flag.Int64("seed", 1, "synthetic circuit seed")
 		outPath  = flag.String("out", "", "output .pl path (optional)")
 		solver   = flag.String("solver", "nesterov", "global placement solver: nesterov | cg")
-		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 | multigrid (default spectral)")
+		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 (default spectral)")
 		gridM    = flag.Int("grid", 0, "bin grid size per side (power of two, 0 = auto)")
 		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default 3000)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
 		gpOnly   = flag.Bool("gp-only", false, "stop after global placement (no legalization)")
 		levels   = flag.Int("levels", 1, "multilevel V-cycle levels (1 = flat; >1 clusters the netlist and warm-starts each level)")
 		clCap    = flag.Float64("cluster-cap", 0, "cluster area cap as a multiple of the average std-cell area (0 = default)")
-		tdPasses = flag.Int("timing", 0, "timing-driven reweighting passes (extension)")
-		cgPasses = flag.Int("congestion", 0, "congestion-driven reweighting passes (extension)")
-		heatmap  = flag.String("heatmap", "", "directory for PGM heatmaps of the final layout")
+		heatmap  = flag.String("heatmap", "", "directory for the PGM heatmap of the final layout")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
 		tracePath = flag.String("trace", "", "write per-iteration telemetry as JSON lines to this file")
@@ -181,9 +176,8 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("unknown solver %q", *solver)
 	}
 	gp.Poisson = *poiKind
-	if !slices.Contains(poisson.Kinds(), poisson.NormalizeKind(*poiKind)) {
-		return fmt.Errorf("unknown poisson backend %q (have %s)",
-			*poiKind, strings.Join(poisson.Kinds(), " | "))
+	if err := poisson.CheckKind(*poiKind); err != nil {
+		return err
 	}
 	gp.CheckpointEvery = *ckptEvery
 
@@ -230,43 +224,6 @@ func run(ctx context.Context) error {
 	}
 	if err != nil {
 		return fmt.Errorf("placement failed: %w", err)
-	}
-
-	// Optional timing-driven passes (Sec. VIII extension): analyze,
-	// reweight critical nets, re-place.
-	if *tdPasses > 0 {
-		tg := timing.Build(d, timing.Options{})
-		tg.Analyze()
-		fmt.Printf("timing        critical path %.4g before reweighting\n", tg.WorstArrival)
-		for pass := 0; pass < *tdPasses; pass++ {
-			tg.TimingWeights(3)
-			res, err = core.Place(d, core.FlowOptions{GP: gp, SkipLegalization: *gpOnly})
-			if err != nil {
-				return fmt.Errorf("timing-driven pass %d failed: %w", pass+1, err)
-			}
-			tg.Analyze()
-			fmt.Printf("timing        critical path %.4g after pass %d\n", tg.WorstArrival, pass+1)
-		}
-	}
-
-	// Optional congestion-driven passes (Sec. VIII extension): RUDY map,
-	// reweight congested nets, re-place.
-	if *cgPasses > 0 {
-		cm := congestion.Compute(d, 0, congestion.Options{})
-		st := cm.Stats()
-		fmt.Printf("congestion    max %.3f avg %.3f overflowed bins %d before reweighting\n",
-			st.MaxRatio, st.AvgRatio, st.OverflowedBins)
-		for pass := 0; pass < *cgPasses; pass++ {
-			cm.Weights(d, 2)
-			res, err = core.Place(d, core.FlowOptions{GP: gp, SkipLegalization: *gpOnly})
-			if err != nil {
-				return fmt.Errorf("congestion-driven pass %d failed: %w", pass+1, err)
-			}
-			cm = congestion.Compute(d, 0, congestion.Options{})
-			st = cm.Stats()
-			fmt.Printf("congestion    max %.3f avg %.3f overflowed bins %d after pass %d\n",
-				st.MaxRatio, st.AvgRatio, st.OverflowedBins, pass+1)
-		}
 	}
 
 	rep := metrics.Measure(d.Name, "ePlace", d, *gridM, 0, res.Legal)
@@ -343,12 +300,8 @@ func run(ctx context.Context) error {
 		if err := viz.SavePGM(*heatmap+"/layout.pgm", layout, m); err != nil {
 			return fmt.Errorf("heatmap: %w", err)
 		}
-		cm := congestion.Compute(d, m, congestion.Options{})
-		if err := viz.SavePGM(*heatmap+"/congestion.pgm", cm.Demand, m); err != nil {
-			return fmt.Errorf("heatmap: %w", err)
-		}
 		if !*quiet {
-			fmt.Printf("wrote %s/layout.pgm and congestion.pgm\n", *heatmap)
+			fmt.Printf("wrote %s/layout.pgm\n", *heatmap)
 		}
 	}
 
