@@ -267,28 +267,3 @@ func BenchmarkAblationAdaptiveRestart(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationMacroHalo measures the deadspace-allocation halo
-// (Sec. III note) on a mixed-size circuit.
-func BenchmarkAblationMacroHalo(b *testing.B) {
-	spec := mmsSpec("ADAPTEC2")
-	for _, halo := range []float64{0, 1.0} {
-		name := fmt.Sprintf("halo-%.1f", halo)
-		b.Run(name, func(b *testing.B) {
-			var hpwl float64
-			legal := true
-			for i := 0; i < b.N; i++ {
-				d := synth.Generate(spec)
-				res, err := core.Place(d, core.FlowOptions{
-					GP: core.Options{GridM: 32, MaxIters: 1000}, MacroHalo: halo,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hpwl, legal = res.HPWL, res.Legal
-			}
-			b.ReportMetric(hpwl, "HPWL")
-			b.ReportMetric(boolMetric(legal), "legal")
-		})
-	}
-}

@@ -29,12 +29,6 @@ type FlowOptions struct {
 	// SkipLegalization stops after global placement, leaving an
 	// overlapping layout (global-placement-quality studies).
 	SkipLegalization bool
-	// MacroHalo inflates every movable macro by this margin per side
-	// during mGP's density model only (restored before mLG), the
-	// "deadspace allocation by appropriate macro inflation" the paper
-	// mentions in Sec. III. Larger halos leave more breathing room
-	// around macros for the standard cells.
-	MacroHalo float64
 
 	// Levels enables multilevel (V-cycle) placement when > 1: the design
 	// is coarsened up to Levels-1 times by best-choice clustering
@@ -317,7 +311,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			lr, err := r.gp(gpStage{
 				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers),
 				idx: append(append([]int(nil), movable...), fillers...),
-				opt: gpOpt, halo: opt.MacroHalo, resume: resumeGP(phMGP),
+				opt: gpOpt, resume: resumeGP(phMGP),
 			})
 			r.addStage(stage, time.Since(t0))
 			if k > 0 {

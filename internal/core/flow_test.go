@@ -135,24 +135,3 @@ func TestStdCellHeightInference(t *testing.T) {
 		t.Errorf("stdCellHeight = %v, want 3", h)
 	}
 }
-
-func TestMacroHaloRestoredAndSpacing(t *testing.T) {
-	d1 := synth.Generate(synth.Spec{Name: "halo", NumCells: 400, NumMovableMacros: 5, Utilization: 0.5})
-	wBefore := make(map[int]float64)
-	for _, mi := range d1.MovableOf(netlist.Macro) {
-		wBefore[mi] = d1.Cells[mi].W
-	}
-	res, err := Place(d1, FlowOptions{GP: Options{GridM: 32, MaxIters: 700}, MacroHalo: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Legal {
-		t.Fatal("halo flow not legal")
-	}
-	// Macro dimensions restored exactly.
-	for mi, w := range wBefore {
-		if d1.Cells[mi].W != w {
-			t.Errorf("macro %d width %v, want %v (halo not restored)", mi, d1.Cells[mi].W, w)
-		}
-	}
-}

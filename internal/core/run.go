@@ -220,9 +220,6 @@ type gpStage struct {
 	opt Options
 	// lambdaInit > 0 seeds the penalty factor; 0 balances it cold.
 	lambdaInit float64
-	// halo inflates ld's movable macros by this margin per side for the
-	// stage's density model only.
-	halo float64
 	// resume re-enters the loop from a mid-stage snapshot.
 	resume *checkpoint.GPState
 }
@@ -246,13 +243,7 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 		}
 	}
 	s.opt.ResumeGP = s.resume
-	var macros []int
-	if s.halo > 0 {
-		macros = s.cv.Design().MovableOf(netlist.Macro)
-	}
-	inflateMacros(s.cv.Design(), macros, s.halo)
 	res, err := placeGlobal(r.ctx, s.cv, s.idx, s.opt, s.name, s.lambdaInit)
-	inflateMacros(s.cv.Design(), macros, -s.halo)
 	switch {
 	case err != nil:
 		return res, err
@@ -347,16 +338,6 @@ func (r *flowRun) summarize(final bool) {
 func (r *flowRun) finish() error {
 	r.summarize(true)
 	return r.save(checkpoint.PhaseDone, 0, r.d, 0)
-}
-
-// inflateMacros grows (halo > 0) or restores (halo < 0) the given
-// macros' footprints by halo on every side, keeping centers fixed.
-func inflateMacros(d *netlist.Design, macros []int, halo float64) {
-	for _, mi := range macros {
-		c := &d.Cells[mi]
-		c.W += 2 * halo
-		c.H += 2 * halo
-	}
 }
 
 // stdCellHeight returns the dominant movable standard-cell height.

@@ -32,14 +32,9 @@ import (
 type Options struct {
 	// Passes bounds the improvement sweeps (default 3).
 	Passes int
-	// Window is the local reordering window size (default 3).
-	Window int
 	// SwapCandidates bounds how many neighbors are tried per global
 	// swap (default 8).
 	SwapCandidates int
-	// ISMSetSize bounds independent-set matching groups (default 6;
-	// the assignment solve is cubic in this).
-	ISMSetSize int
 	// DisableISM turns off independent-set matching.
 	DisableISM bool
 	// Workers is the worker count for the region-parallel improvement
@@ -60,23 +55,10 @@ func (o *Options) defaults() {
 	if o.Passes <= 0 {
 		o.Passes = 3
 	}
-	if o.Window <= 0 {
-		o.Window = 3
-	}
 	if o.SwapCandidates <= 0 {
 		o.SwapCandidates = 8
 	}
-	if o.ISMSetSize <= 0 {
-		o.ISMSetSize = 6
-	}
-	if o.ISMSetSize > maxISMSet {
-		o.ISMSetSize = maxISMSet
-	}
 }
-
-// maxISMSet caps independent-set matching groups: the assignment solve
-// is cubic and commitISM's slot bookkeeping is fixed-size.
-const maxISMSet = 16
 
 // Result reports a detail placement run.
 type Result struct {
@@ -540,9 +522,13 @@ func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 	return true
 }
 
+// reorderWindow is the local reordering window size: all its
+// permutations are priced, so the cost is factorial in it.
+const reorderWindow = 3
+
 // reorderPass permutes cells inside sliding windows of each segment.
 func (p *placer) reorderPass(res *Result) int {
-	w := p.opt.Window
+	const w = reorderWindow
 	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {

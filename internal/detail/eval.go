@@ -91,11 +91,13 @@ type ownPin struct {
 	ox, oy float64
 }
 
+// maxTrialCells is the most cells one trial can hold.
+const maxTrialCells = 16
+
 func newEvalCtx(p *placer) *evalCtx {
-	slots := max(maxISMSet, p.opt.Window)
 	return &evalCtx{
 		p: p, cv: p.cv, netSeen: make([]int64, len(p.d.Nets)),
-		tx: make([]float64, slots), ty: make([]float64, slots),
+		tx: make([]float64, maxTrialCells), ty: make([]float64, maxTrialCells),
 	}
 }
 

@@ -37,8 +37,13 @@ type ismProposal struct {
 }
 
 // ismWindow is the sliding-window size over each width bucket; windows
-// advance by half so neighboring windows overlap.
-const ismWindow = 12
+// advance by half so neighboring windows overlap. ismSetSize bounds the
+// independent set drawn from a window: the assignment solve is cubic in
+// it and commitISM's slot bookkeeping is sized by it.
+const (
+	ismWindow  = 12
+	ismSetSize = 6
+)
 
 // buildISMTasks gathers movable cells by footprint and cuts sliding
 // windows, once per Place: sizes never change in cDP, so neither do the
@@ -131,9 +136,6 @@ func (p *placer) ismPass(res *Result) int {
 // caller's (sorted) candidate order. The result lives in e.setBuf until
 // the next independentSubset call on this context.
 func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
-	if maxSize <= 0 {
-		maxSize = 6
-	}
 	e.bumpEpoch()
 	p := e.p
 	e.setBuf = e.setBuf[:0]
@@ -167,7 +169,7 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 func (e *evalCtx) proposeISM(window []int, prop *ismProposal) {
 	prop.ok = false
 	p := e.p
-	set := e.independentSubset(window, p.opt.ISMSetSize)
+	set := e.independentSubset(window, ismSetSize)
 	n := len(set)
 	if n < 2 {
 		return
@@ -240,7 +242,7 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	// Apply: move cells and swap their slot bookkeeping. Slot j is
 	// exactly cell set[j]'s position, so the segment a slot belongs to
 	// is indexed directly by slot number — no position-keyed lookup.
-	var origSeg [maxISMSet]int32
+	var origSeg [ismSetSize]int32
 	for k, ci := range prop.set {
 		origSeg[k] = p.segOf[ci]
 	}

@@ -13,16 +13,9 @@ import (
 
 // MLGOptions tunes the annealing macro legalizer.
 type MLGOptions struct {
-	// Kappa is the per-outer-iteration scale factor (default 1.5).
-	Kappa float64
-	// MaxOuter bounds the mLG iterations (default 30).
-	MaxOuter int
 	// MovesPerMacro sets the inner SA loop length as moves per macro
 	// (default 400).
 	MovesPerMacro int
-	// GridM is the resolution of the standard-cell coverage grid used
-	// for the D(v) term (default 64).
-	GridM int
 	// Seed drives the annealer (default 1).
 	Seed int64
 	// AllowOrient enables 90-degree macro rotation moves, the extension
@@ -42,17 +35,8 @@ type MLGOptions struct {
 }
 
 func (o *MLGOptions) defaults() {
-	if o.Kappa <= 0 {
-		o.Kappa = 1.5
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 30
-	}
 	if o.MovesPerMacro <= 0 {
 		o.MovesPerMacro = 400
-	}
-	if o.GridM <= 0 {
-		o.GridM = 64
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -303,6 +287,16 @@ func (s *mlgState) wirelengthOf(k int) float64 {
 	return total
 }
 
+const (
+	// mlgKappa scales the search radius and the overlap penalty per mLG
+	// (outer) iteration, mlgMaxOuter bounds those iterations and
+	// mlgGridM is the resolution of the standard-cell coverage grid the
+	// D(v) term is read from.
+	mlgKappa    = 1.5
+	mlgMaxOuter = 30
+	mlgGridM    = 64
+)
+
 // Macros runs the two-level annealing macro legalizer on the movable
 // macros of d (standard cells are treated as fixed for the D term) and
 // then fixes them in place. Positions must come from a converged mGP:
@@ -316,7 +310,7 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	t0 := time.Now()
-	s := newMLGState(d, macros, opt.GridM, opt.Workers)
+	s := newMLGState(d, macros, mlgGridM, opt.Workers)
 	opt.Telemetry.AddSpanTime("mLG", "state", time.Since(t0))
 	res.WBefore, res.DBefore, res.OmBefore = s.W, s.D, s.Om
 
@@ -336,9 +330,9 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	baseRadius := d.Region.W() / math.Sqrt(float64(len(macros))) * 0.05
 	maxRadius := math.Min(d.Region.W(), d.Region.H()) / 4
 
-	for outer := 0; outer < opt.MaxOuter && s.Om > 1e-9; outer++ {
+	for outer := 0; outer < mlgMaxOuter && s.Om > 1e-9; outer++ {
 		res.OuterIterations = outer + 1
-		scale := math.Pow(opt.Kappa, float64(outer))
+		scale := math.Pow(mlgKappa, float64(outer))
 		radius := math.Min(baseRadius*scale, maxRadius)
 		// f is refreshed per mLG iteration; since the acceptance test
 		// below is on the relative increase df/f, the kappa^j growth of
@@ -408,7 +402,7 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 				c.X, c.Y = oldX, oldY
 			}
 		}
-		muO *= opt.Kappa
+		muO *= mlgKappa
 		opt.Telemetry.Sample(telemetry.Sample{
 			Stage: "mLG", Iteration: outer,
 			HPWL: s.W, Energy: s.D, Overlap: s.Om,
