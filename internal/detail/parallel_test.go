@@ -3,6 +3,8 @@ package detail
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"eplace/internal/geom"
@@ -183,8 +185,53 @@ func BenchmarkDetailPassECO(b *testing.B) {
 	benchPlace(b, d, ecoSubset(d, cells), opt)
 }
 
-// benchPlace times Place from the same starting layout every iteration.
+// TestSetupOverLentViewAllocs: with the view lent, cDP set-up builds
+// nothing per pin, only its per-cell and per-net bookkeeping (segment and
+// ISM lists, region maps, snapshots, net stamps). Doubling every net's
+// pins must therefore leave what set-up allocates where it was: the
+// growth is held under a quarter of the growth of Compile, whose arrays
+// are what a private pin view would copy.
+func TestSetupOverLentViewAllocs(t *testing.T) {
+	allocated := func(f func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	measure := func(d *netlist.Design, cells []int) (compile, setup int64) {
+		var cv *netlist.Compiled
+		compile = allocated(func() { cv = d.Compile() })
+		opt := Options{Workers: 1}
+		opt.defaults()
+		setup = allocated(func() {
+			if _, err := newPlacer(cv, cells, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d pins: Compile %d B, cDP set-up over the lent view %d B", len(d.Pins), compile, setup)
+		return compile, setup
+	}
+	d, cells := bigLegalDesign(5000, 7)
+	compile1, setup1 := measure(d, cells)
+	for ni := range d.Nets {
+		for _, pi := range slices.Clone(d.Nets[ni].Pins) {
+			d.Connect(d.Pins[pi].Cell, ni, d.Pins[pi].Ox, d.Pins[pi].Oy)
+		}
+	}
+	compile2, setup2 := measure(d, cells)
+	if setup1 >= compile1 {
+		t.Errorf("cDP set-up allocates %d B, Compile %d B", setup1, compile1)
+	}
+	if grew, limit := setup2-setup1, (compile2-compile1)/4; grew >= limit {
+		t.Errorf("doubling the pins grew cDP set-up by %d B, want under %d B (a quarter of Compile's growth)", grew, limit)
+	}
+}
+
+// benchPlace times cDP over a lent view, as the flow runs it, from the
+// same starting layout every iteration.
 func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
+	cv := d.Compile()
 	saveX := make([]float64, len(d.Cells))
 	saveY := make([]float64, len(d.Cells))
 	for i := range d.Cells {
@@ -196,7 +243,7 @@ func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
 		for i := range d.Cells {
 			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
 		}
-		if _, err := Place(d, cells, opt); err != nil {
+		if _, err := PlaceCompiled(cv, cells, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
