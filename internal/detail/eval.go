@@ -3,8 +3,6 @@ package detail
 import (
 	"math"
 	"sort"
-
-	"eplace/internal/netlist"
 )
 
 // evalCtx is one worker's evaluation context: region-aware position
@@ -26,8 +24,6 @@ import (
 // regions are scheduled onto workers.
 type evalCtx struct {
 	p *placer
-	// cv is p.cv, one load closer to the inner loops.
-	cv *netlist.Compiled
 	// region is the region this worker currently owns; allLive
 	// short-circuits the snapshot redirect for the serial phases (ISM
 	// propose/commit run without concurrent mutation, so live reads are
@@ -96,7 +92,7 @@ const maxTrialCells = 16
 
 func newEvalCtx(p *placer) *evalCtx {
 	return &evalCtx{
-		p: p, cv: p.cv, netSeen: make([]int64, len(p.d.Nets)),
+		p: p, netSeen: make([]int64, len(p.d.Nets)),
 		tx: make([]float64, maxTrialCells), ty: make([]float64, maxTrialCells),
 	}
 }
@@ -110,7 +106,7 @@ func (e *evalCtx) at(ci int32) (float64, float64) {
 			return p.snapX[ci], p.snapY[ci]
 		}
 	}
-	return e.cv.PosX[ci], e.cv.PosY[ci]
+	return p.cv.PosX[ci], p.cv.PosY[ci]
 }
 
 // begin opens a trial over the given cells (slot i holds cells[i]): one
@@ -133,7 +129,7 @@ func (e *evalCtx) begin(cells []int) {
 // walkCell appends to dst the records of cell ci's nets that the
 // current epoch has not seen, in pin order.
 func (e *evalCtx) walkCell(ci int, dst []trialNet) []trialNet {
-	cv := e.cv
+	cv := e.p.cv
 	for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
 		if e.netSeen[ni] != e.epoch {
 			e.netSeen[ni] = e.epoch
@@ -147,7 +143,7 @@ func (e *evalCtx) walkCell(ci int, dst []trialNet) []trialNet {
 func (e *evalCtx) begin1(ci int) {
 	e.one[0] = ci
 	e.begin(e.one[:])
-	e.tx[0], e.ty[0] = e.cv.PosX[ci], e.cv.PosY[ci]
+	e.tx[0], e.ty[0] = e.p.cv.PosX[ci], e.p.cv.PosY[ci]
 }
 
 // walk appends net ni's record to dst: every pin is visited once, the
@@ -156,7 +152,7 @@ func (e *evalCtx) begin1(ci int) {
 // record. Floating-point note: a pin's x is Ox + position, as in
 // netlist.NetHPWL's position + Ox; IEEE addition is commutative.
 func (e *evalCtx) walk(ni int32, dst []trialNet) []trialNet {
-	cv := e.cv
+	cv := e.p.cv
 	lo, hi := cv.NetOff[ni], cv.NetOff[ni+1]
 	if hi-lo < 2 {
 		return dst
@@ -283,7 +279,7 @@ func (e *evalCtx) bumpEpoch() {
 // optimalX returns the x median of the other pins of the cell's nets:
 // the center of its optimal region, under the context's position rule.
 func (e *evalCtx) optimalX(ci int) float64 {
-	cv := e.cv
+	cv := e.p.cv
 	e.xs = e.xs[:0]
 	for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
 		for q := cv.NetOff[ni]; q < cv.NetOff[ni+1]; q++ {

@@ -13,7 +13,7 @@ import (
 // up first among the trial cells (at xs/ys), then through the context's
 // live/snapshot rule, extremes found by compare-and-assign.
 func (e *evalCtx) netHPWL(ni int, cells []int, xs, ys []float64) float64 {
-	p, cv := e.p, e.cv
+	p, cv := e.p, e.p.cv
 	lo, hi := cv.NetOff[ni], cv.NetOff[ni+1]
 	if hi-lo < 2 {
 		return 0
