@@ -132,10 +132,10 @@ func (p *placer) ismPass(res *Result) int {
 	return improved
 }
 
-// independentSubset greedily picks cells sharing no nets, following the
-// caller's (sorted) candidate order. The result lives in e.setBuf until
-// the next independentSubset call on this context.
-func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
+// independentSubset greedily picks up to ismSetSize cells sharing no
+// nets, following the caller's (sorted) candidate order. The result lives
+// in e.setBuf until the next independentSubset call on this context.
+func (e *evalCtx) independentSubset(candidates []int) []int {
 	e.bumpEpoch()
 	p := e.p
 	e.setBuf = e.setBuf[:0]
@@ -155,7 +155,7 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 		for _, ni := range nets {
 			e.netSeen[ni] = e.epoch
 		}
-		if len(e.setBuf) >= maxSize {
+		if len(e.setBuf) >= ismSetSize {
 			break
 		}
 	}
@@ -169,7 +169,7 @@ func (e *evalCtx) independentSubset(candidates []int, maxSize int) []int {
 func (e *evalCtx) proposeISM(window []int, prop *ismProposal) {
 	prop.ok = false
 	p := e.p
-	set := e.independentSubset(window, ismSetSize)
+	set := e.independentSubset(window)
 	n := len(set)
 	if n < 2 {
 		return

@@ -170,7 +170,7 @@ func TestISMImprovesOverDisabled(t *testing.T) {
 func TestIndependentSubsetSharesNoNets(t *testing.T) {
 	d, cells := legalDesign(100, 11)
 	p := buildPlacer(d, cells, 1)
-	set := p.evals[0].independentSubset(cells, 6)
+	set := p.evals[0].independentSubset(cells)
 	seen := map[int]bool{}
 	for _, ci := range set {
 		for _, pi := range d.Cells[ci].Pins {

@@ -41,7 +41,8 @@ import (
 type Compiled struct {
 	d *Design
 
-	// CSR topology (frozen at Compile time; Sync refreshes the offsets).
+	// CSR topology, frozen at Compile time; Sync refreshes the pin offsets
+	// and gives appended cells their empty CellNetOff ranges.
 	NetOff     []int32
 	PinCell    []int32
 	PinOx      []float64
