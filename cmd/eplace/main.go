@@ -8,7 +8,7 @@
 //	eplace -aux design.aux -out placed.pl
 //	eplace -synth 5000 -macros 10 -density 0.8 -out placed.pl
 //	eplace -aux design.aux -solver cg          # FFTPL mode (CG baseline)
-//	eplace -synth 5000 -trace out.jsonl -status :6060 -bench-out BENCH.json
+//	eplace -synth 5000 -trace out.jsonl -status :6060
 //	eplace -synth 5000 -checkpoint-dir ckpt -checkpoint-every 100
 //	eplace -synth 5000 -checkpoint-dir ckpt -resume    # continue after a crash
 //	eplace -synth 5000 -eco edits.json -from prev.ckpt # incremental re-placement
@@ -76,10 +76,9 @@ func run(ctx context.Context) error {
 		heatmap  = flag.String("heatmap", "", "directory for the PGM heatmap of the final layout")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
-		tracePath = flag.String("trace", "", "write per-iteration telemetry as JSON lines to this file")
+		tracePath = flag.String("trace", "", "write samples, stage spans and, at the end, kernel totals and counters as JSON lines to this file")
 		csvPath   = flag.String("trace-csv", "", "write per-iteration telemetry as CSV to this file")
 		statusAdr = flag.String("status", "", "serve live /status, /samples, expvar and pprof on this address (e.g. :6060)")
-		benchOut  = flag.String("bench-out", "", "write a machine-readable benchmark record (JSON) to this file")
 
 		ecoPath  = flag.String("eco", "", "apply an ECO edit script (JSON) and re-place incrementally; requires -from")
 		fromPath = flag.String("from", "", "previous placement to warm-start -eco from: a .ckpt snapshot or a placed .pl")
@@ -153,7 +152,7 @@ func run(ctx context.Context) error {
 		sinks = append(sinks, ring)
 	}
 	var rec *telemetry.Recorder
-	if len(sinks) > 0 || *benchOut != "" {
+	if len(sinks) > 0 {
 		rec = telemetry.New(sinks...)
 		rec.SetWorkers(*workers)
 		defer rec.Close()
@@ -251,42 +250,6 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	if *benchOut != "" {
-		b := telemetry.BenchRecord{
-			Benchmark:  d.Name,
-			Cells:      len(d.Cells),
-			Nets:       len(d.Nets),
-			Pins:       len(d.Pins),
-			HPWL:       rep.HPWL,
-			ScaledHPWL: rep.ScaledHPWL,
-			Overflow:   rep.Overflow,
-			Legal:      rep.Legal,
-			Iterations: map[string]int{"mGP": res.MGP.Iterations},
-			Digests:    res.Digests,
-		}
-		if res.MixedSize {
-			b.Iterations["cGP"] = res.CGP.Iterations
-		}
-		for _, ml := range res.ML {
-			b.Iterations[fmt.Sprintf("mGP/L%d", ml.Level)] = ml.Result.Iterations
-		}
-		for _, stage := range res.Stages {
-			b.Stages = append(b.Stages, telemetry.StageSeconds{
-				Name: stage.Name, Seconds: stage.Time.Seconds(),
-			})
-			b.Seconds += stage.Time.Seconds()
-		}
-		b.KernelsFrom(rec)
-		report := telemetry.NewBenchReport("eplace-cli")
-		report.Workers = *workers
-		report.Add(b)
-		if err := report.WriteFile(*benchOut); err != nil {
-			return fmt.Errorf("writing %s: %w", *benchOut, err)
-		}
-		if !*quiet {
-			fmt.Printf("wrote %s\n", *benchOut)
-		}
-	}
 	if err := rec.Close(); err != nil {
 		return fmt.Errorf("closing telemetry sinks: %w", err)
 	}

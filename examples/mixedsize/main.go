@@ -11,6 +11,7 @@ import (
 
 	"eplace/internal/core"
 	"eplace/internal/synth"
+	"eplace/internal/telemetry"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 
 	trace := &core.Trace{}
 	res, err := core.Place(d, core.FlowOptions{
-		GP: core.Options{Trace: trace},
+		GP: core.Options{Telemetry: telemetry.New(trace)},
 	})
 	if err != nil {
 		log.Fatalf("placement failed: %v", err)

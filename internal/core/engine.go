@@ -414,7 +414,7 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		t0 = time.Now()
 		opt.Golden.Absorb(stage, iter, u, hpwl, e.lambda)
 		rec.AddSpanTime(stage, "digest", time.Since(t0))
-		if opt.Trace != nil || opt.Telemetry.Active() {
+		if opt.Telemetry.Active() {
 			s := Sample{
 				Stage: stage, Iteration: iter,
 				HPWL: hpwl, Overflow: tau, Energy: e.dm.Energy(),
@@ -432,9 +432,6 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 			s.WirelengthTime = wlNow - prevWL
 			s.DensityTime = denNow - prevDen
 			prevWL, prevDen = wlNow, denNow
-			if opt.Trace != nil {
-				opt.Trace.Add(s)
-			}
 			opt.Telemetry.Sample(s)
 		}
 

@@ -7,6 +7,7 @@ import (
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
+	"eplace/internal/telemetry"
 )
 
 // mustPlaceGlobal runs PlaceGlobal and fails the test on a
@@ -172,7 +173,7 @@ func TestTraceRecordsProgress(t *testing.T) {
 	d := testCircuit(200, 5)
 	InsertFillers(d, 3)
 	tr := &Trace{}
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 300, GridM: 32, Trace: tr}, "mGP", 0)
+	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 300, GridM: 32, Telemetry: telemetry.New(tr)}, "mGP", 0)
 	if len(tr.Samples) != res.Iterations {
 		t.Errorf("trace has %d samples, result says %d iterations", len(tr.Samples), res.Iterations)
 	}

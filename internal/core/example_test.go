@@ -5,6 +5,7 @@ import (
 
 	"eplace/internal/core"
 	"eplace/internal/synth"
+	"eplace/internal/telemetry"
 )
 
 // Example runs the full mixed-size flow on a small synthetic circuit
@@ -39,7 +40,7 @@ func ExamplePlaceGlobal() {
 	core.InsertFillers(d, 1)
 	tr := &core.Trace{}
 	res, _ := core.PlaceGlobal(d, d.Movable(), core.Options{
-		GridM: 32, MaxIters: 600, Trace: tr,
+		GridM: 32, MaxIters: 600, Telemetry: telemetry.New(tr),
 	}, "mGP", 0)
 	fmt.Println("converged:", res.Overflow <= 0.11 && !res.Diverged)
 	fmt.Println("traced every iteration:", len(tr.Samples) == res.Iterations)

@@ -6,6 +6,7 @@ import (
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
+	"eplace/internal/telemetry"
 )
 
 func TestFlowStdCellOnly(t *testing.T) {
@@ -37,12 +38,38 @@ func TestFlowStdCellOnly(t *testing.T) {
 			t.Errorf("stage %s has no recorded time", stage)
 		}
 	}
+
+	// The same flow traced through a Trace sink: the mIP point of
+	// Fig. 2 first, then one sample per mGP iteration, and the same
+	// layout bits as the untraced run.
+	tr := &Trace{}
+	d2 := synth.Generate(synth.Spec{Name: "flow-std", NumCells: 600, NumFixedMacros: 4})
+	res2, err := Place(d2, FlowOptions{GP: Options{GridM: 32, MaxIters: 800, Telemetry: telemetry.New(tr)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := telemetry.DigestsEqual(res.Digests, res2.Digests); !ok {
+		t.Errorf("traced run differs from untraced: %s", why)
+	}
+	n := res2.MGP.Iterations
+	if len(tr.Stage("mIP")) != 1 || len(tr.Stage("mGP")) != n || len(tr.Samples) < 1+n {
+		t.Fatalf("trace holds %d mIP and %d mGP samples of %d, want 1 and %d",
+			len(tr.Stage("mIP")), len(tr.Stage("mGP")), len(tr.Samples), n)
+	}
+	if tr.Samples[0].Stage != "mIP" {
+		t.Errorf("first sample is %q, want mIP", tr.Samples[0].Stage)
+	}
+	for i, s := range tr.Samples[1 : 1+n] {
+		if s.Stage != "mGP" || s.Iteration != i {
+			t.Fatalf("sample %d is %s/%d, want mGP/%d", 1+i, s.Stage, s.Iteration, i)
+		}
+	}
 }
 
 func TestFlowMixedSize(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "flow-mms", NumCells: 600, NumMovableMacros: 5})
 	tr := &Trace{}
-	res, err := Place(d, FlowOptions{GP: Options{GridM: 32, MaxIters: 800, Trace: tr}})
+	res, err := Place(d, FlowOptions{GP: Options{GridM: 32, MaxIters: 800, Telemetry: telemetry.New(tr)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,10 @@ type Options struct {
 	// Seed drives filler placement and any tie-breaking (default 1).
 	Seed int64
 
-	// Trace, when non-nil, records one Sample per iteration.
-	Trace *Trace
-
 	// Telemetry, when non-nil, receives per-iteration samples,
 	// stage/kernel spans and counters for the whole flow (JSONL/CSV
-	// sinks, live status endpoint, benchmark reports). nil disables
-	// recording at zero cost; results are bitwise-identical either way.
+	// sinks, a Trace, the live status endpoint). nil disables recording
+	// at zero cost; results are bitwise-identical either way.
 	Telemetry *telemetry.Recorder
 
 	// Golden, when non-nil, absorbs every iteration's state (positions,
@@ -170,13 +167,18 @@ type Result struct {
 // telemetry subsystem (the JSONL schema lives there).
 type Sample = telemetry.Sample
 
-// Trace accumulates per-iteration samples across stages.
+// Trace accumulates per-iteration samples across stages. It is a
+// telemetry.Sink: pass Telemetry: telemetry.New(tr) to collect a run.
 type Trace struct {
 	Samples []Sample
 }
 
-// Add appends a sample.
-func (t *Trace) Add(s Sample) { t.Samples = append(t.Samples, s) }
+// Sample appends a sample.
+func (t *Trace) Sample(s Sample) { t.Samples = append(t.Samples, s) }
+
+// Span and Close do nothing: a Trace keeps samples only.
+func (t *Trace) Span(telemetry.SpanRecord) {}
+func (t *Trace) Close() error              { return nil }
 
 // Stage returns the samples belonging to one stage label.
 func (t *Trace) Stage(name string) []Sample {

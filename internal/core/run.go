@@ -193,13 +193,7 @@ func (r *flowRun) mip(cv *netlist.Compiled, level int, mv []int) (qp.Result, err
 	r.rec.Count("mIP/rounds", int64(res.Rounds))
 	r.rec.Count("mIP/cg_iters", int64(res.CGIterations))
 	r.addStage("mIP", time.Since(t0))
-	if r.rec.Active() {
-		s := Sample{Stage: "mIP", HPWL: hpwl}
-		if r.opt.Trace != nil {
-			r.opt.Trace.Add(s)
-		}
-		r.rec.Sample(s)
-	}
+	r.rec.Sample(Sample{Stage: "mIP", HPWL: hpwl})
 	return res, r.boundary(checkpoint.PhasePostMIP, level, ld, 0)
 }
 

@@ -19,7 +19,7 @@ func ablationRun(title string, specs []synth.Spec, modify func(*core.Options), o
 	var n, failures int
 	for _, spec := range specs {
 		base := synth.Generate(spec)
-		gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
+		gp := opt.gp()
 		resBase, errBase := core.Place(base, core.FlowOptions{GP: gp})
 
 		abl := synth.Generate(spec)
@@ -95,7 +95,7 @@ func LineSearchStudy(scale float64, opt RunOptions, out io.Writer) {
 	spec := mmsAdaptec1(scale)
 
 	dn := synth.Generate(spec)
-	gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
+	gp := opt.gp()
 	MIPOnly(dn)
 	core.InsertFillers(dn, 2)
 	resN, errN := core.PlaceGlobal(dn, dn.Movable(), gp, "mGP", 0)
@@ -142,7 +142,7 @@ func RotationStudy(scale float64, circuits int, opt RunOptions, out io.Writer) {
 	fmt.Fprintf(out, "circuit,hpwl_nr,hpwl_rot,delta%%\n")
 	sum, n := 0.0, 0
 	for _, spec := range specs {
-		gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
+		gp := opt.gp()
 		dNR := synth.Generate(spec)
 		resNR, errNR := core.Place(dNR, core.FlowOptions{GP: gp})
 		dR := synth.Generate(spec)

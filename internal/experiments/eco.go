@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"strings"
 	"time"
 
 	"eplace/internal/core"
 	"eplace/internal/eco"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
-	"eplace/internal/telemetry"
 )
 
 // ECOStudyOptions sizes the incremental-vs-cold study.
@@ -130,12 +127,11 @@ func ecoCases(cells int) []ecoCase {
 // ECOStudy measures incremental re-placement against a cold re-run on
 // the committed edit suite. For each case the edited design is placed
 // twice from the same inputs — a full cold flow, and an ECO warm start
-// off the base design's converged placement — and the pair of records
-// ("ECO-<case>/cold", "ECO-<case>/eco") lands in the report. The
-// headline numbers are the speedup at matched quality: for small edits
-// (<=1% of cells) the warm start must be >=3x faster within 1% of the
-// cold flow's final HPWL.
-func ECOStudy(opt ECOStudyOptions, out io.Writer) (*telemetry.BenchReport, error) {
+// off the base design's converged placement — and one CSV row per case
+// is written to out. The headline numbers are the speedup at matched
+// quality: for small edits (<=1% of cells) the warm start must be >=3x
+// faster within 1% of the cold flow's final HPWL.
+func ECOStudy(opt ECOStudyOptions, out io.Writer) error {
 	opt.defaults()
 	spec := synth.Spec{Name: "eco-base", NumCells: opt.Cells, Seed: 1, TargetDensity: 0.8}
 	gp := core.Options{GridM: opt.GridM, Workers: opt.Workers}
@@ -145,13 +141,11 @@ func ECOStudy(opt ECOStudyOptions, out io.Writer) (*telemetry.BenchReport, error
 	t0 := time.Now()
 	baseRes, err := core.Place(base, core.FlowOptions{GP: gp})
 	if err != nil {
-		return nil, fmt.Errorf("eco study: base placement: %w", err)
+		return fmt.Errorf("eco study: base placement: %w", err)
 	}
 	fmt.Fprintf(opt.Log, "eco study: base %d cells placed in %.2fs (HPWL %.6g)\n",
 		opt.Cells, time.Since(t0).Seconds(), baseRes.HPWL)
 
-	report := telemetry.NewBenchReport("eco-study")
-	report.Workers = opt.Workers
 	fmt.Fprintf(out, "# ECO warm-start vs cold re-place (%d-cell base)\n", opt.Cells)
 	fmt.Fprintf(out, "case,cold_s,eco_s,speedup,cold_hpwl,eco_hpwl,delta%%,active,frozen,legal\n")
 
@@ -161,12 +155,12 @@ func ECOStudy(opt ECOStudyOptions, out io.Writer) (*telemetry.BenchReport, error
 		// Cold: fresh design, apply the edit, full flow.
 		cold := synth.Generate(spec)
 		if _, err := eco.Apply(cold, script); err != nil {
-			return nil, fmt.Errorf("eco study %s: apply (cold): %w", cs.name, err)
+			return fmt.Errorf("eco study %s: apply (cold): %w", cs.name, err)
 		}
 		t0 = time.Now()
 		coldRes, err := core.Place(cold, core.FlowOptions{GP: gp})
 		if err != nil {
-			return nil, fmt.Errorf("eco study %s: cold flow: %w", cs.name, err)
+			return fmt.Errorf("eco study %s: cold flow: %w", cs.name, err)
 		}
 		coldSec := time.Since(t0).Seconds()
 
@@ -179,11 +173,11 @@ func ECOStudy(opt ECOStudyOptions, out io.Writer) (*telemetry.BenchReport, error
 		t0 = time.Now()
 		prep, err := eco.Prepare(warm, script, eco.PlanOptions{})
 		if err != nil {
-			return nil, fmt.Errorf("eco study %s: prepare: %w", cs.name, err)
+			return fmt.Errorf("eco study %s: prepare: %w", cs.name, err)
 		}
 		ecoRes, err := core.PlaceECO(context.Background(), warm, prep.Plan, core.ECOOptions{GP: gp})
 		if err != nil {
-			return nil, fmt.Errorf("eco study %s: warm flow: %w", cs.name, err)
+			return fmt.Errorf("eco study %s: warm flow: %w", cs.name, err)
 		}
 		ecoSec := time.Since(t0).Seconds()
 
@@ -194,58 +188,6 @@ func ECOStudy(opt ECOStudyOptions, out io.Writer) (*telemetry.BenchReport, error
 			ecoRes.ActiveCells, ecoRes.FrozenCells, ecoRes.Legal && coldRes.Legal)
 		fmt.Fprintf(opt.Log, "eco study: %-8s cold %.2fs eco %.2fs (%.1fx), HPWL delta %+.2f%%\n",
 			cs.name, coldSec, ecoSec, speedup, delta)
-
-		report.Add(telemetry.BenchRecord{
-			Benchmark:  "ECO-" + cs.name + "/cold",
-			Cells:      len(cold.Cells),
-			Nets:       len(cold.Nets),
-			Pins:       len(cold.Pins),
-			HPWL:       coldRes.HPWL,
-			Legal:      coldRes.Legal,
-			Seconds:    coldSec,
-			Iterations: map[string]int{"mGP": coldRes.MGP.Iterations},
-			Digests:    coldRes.Digests,
-		})
-		report.Add(telemetry.BenchRecord{
-			Benchmark: "ECO-" + cs.name + "/eco",
-			Cells:     len(warm.Cells),
-			Nets:      len(warm.Nets),
-			Pins:      len(warm.Pins),
-			HPWL:      ecoRes.HPWL,
-			Legal:     ecoRes.Legal,
-			Seconds:   ecoSec,
-			Iterations: map[string]int{
-				"eGP": ecoRes.GP.Iterations, "active": ecoRes.ActiveCells, "frozen": ecoRes.FrozenCells,
-			},
-			Digests: ecoRes.Digests,
-		})
 	}
-	return report, nil
-}
-
-// MergeBenchFile folds the new records into an existing benchmark
-// report file: rows whose benchmark name starts with prefix are
-// replaced, everything else is preserved. A missing file just writes
-// the new report.
-func MergeBenchFile(path, prefix string, report *telemetry.BenchReport) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return report.WriteFile(path)
-		}
-		return err
-	}
-	old, err := telemetry.ReadBenchReport(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("merging %s: %w", path, err)
-	}
-	var kept []telemetry.BenchRecord
-	for _, r := range old.Records {
-		if !strings.HasPrefix(r.Benchmark, prefix) {
-			kept = append(kept, r)
-		}
-	}
-	old.Records = append(kept, report.Records...)
-	return old.WriteFile(path)
+	return nil
 }

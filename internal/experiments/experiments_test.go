@@ -119,6 +119,26 @@ func TestAblationOutput(t *testing.T) {
 	}
 }
 
+// -exp eco prints a title, the CSV header and one legal row per edit
+// of the suite.
+func TestECOStudyOutput(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ECOStudy(ECOStudyOptions{Cells: 600}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 7 || !strings.HasPrefix(lines[0], "# ECO warm-start") ||
+		lines[1] != "case,cold_s,eco_s,speedup,cold_hpwl,eco_hpwl,delta%,active,frozen,legal" {
+		t.Fatalf("ECO study output malformed:\n%s", buf.String())
+	}
+	for i, name := range []string{"ins0.1", "ins1", "ins5", "reweight", "block"} {
+		row := lines[2+i]
+		if !strings.HasPrefix(row, name+",") || !strings.HasSuffix(row, ",true") {
+			t.Errorf("row %d = %q, want case %s ending legal", i, row, name)
+		}
+	}
+}
+
 func truncStr(s string, n int) string {
 	if len(s) > n {
 		return s[:n] + "..."

@@ -11,6 +11,7 @@ import (
 	"eplace/internal/netlist"
 	"eplace/internal/qp"
 	"eplace/internal/synth"
+	"eplace/internal/telemetry"
 )
 
 // mmsAdaptec1 returns the MMS ADAPTEC1 analog used by Figures 2-6.
@@ -24,12 +25,13 @@ func mmsAdaptec1(scale float64) synth.Spec {
 }
 
 // Fig2 regenerates Figure 2: total HPWL and object overlap across the
-// mIP/mGP/mLG/cGP stages on MMS ADAPTEC1. One line per iteration:
+// mIP/mGP/mLG/cGP/cDP stages on MMS ADAPTEC1. One line per iteration:
 // stage, iteration, HPWL, overflow tau, overlap-area estimate.
 func Fig2(scale float64, opt RunOptions, out io.Writer) {
 	d := synth.Generate(mmsAdaptec1(scale))
 	tr := &core.Trace{}
-	gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters, Trace: tr}
+	gp := opt.gp()
+	gp.Telemetry = telemetry.New(tr)
 	res, err := core.Place(d, core.FlowOptions{GP: gp})
 	if err != nil {
 		fmt.Fprintf(out, "# flow failed: %v\n", err)
@@ -67,10 +69,9 @@ func Fig3(scale float64, opt RunOptions, snapshots []int, dir string, out io.Wri
 		movable := d.Movable()
 		qp.Place(d, movable)
 		core.InsertFillers(d, 2)
-		gp := core.Options{
-			GridM: opt.GridM, MaxIters: maxInt(iters, 1), MinIters: maxInt(iters, 1),
-			TargetOverflow: 1e-12,
-		}
+		gp := opt.gp()
+		gp.MaxIters, gp.MinIters = maxInt(iters, 1), maxInt(iters, 1)
+		gp.TargetOverflow = 1e-12
 		if iters > 0 {
 			_, _ = core.PlaceGlobal(d, d.Movable(), gp, "mGP", 0)
 		}
@@ -90,7 +91,7 @@ func Fig5(scale float64, opt RunOptions, out io.Writer) {
 	movable := d.Movable()
 	qp.Place(d, movable)
 	core.InsertFillers(d, 2)
-	gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
+	gp := opt.gp()
 	_, _ = core.PlaceGlobal(d, d.Movable(), gp, "mGP", 0)
 	d.RemoveFillers()
 	macros := d.MovableOf(netlist.Macro)
@@ -107,7 +108,8 @@ func Fig5(scale float64, opt RunOptions, out io.Writer) {
 func Fig6(scale float64, opt RunOptions, out io.Writer) {
 	d := synth.Generate(mmsAdaptec1(scale))
 	tr := &core.Trace{}
-	gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters, Trace: tr}
+	gp := opt.gp()
+	gp.Telemetry = telemetry.New(tr)
 	if _, err := core.Place(d, core.FlowOptions{GP: gp, SkipLegalization: true}); err != nil {
 		fmt.Fprintf(out, "# flow failed: %v\n", err)
 		return
@@ -136,7 +138,7 @@ func Fig7(scale float64, opt RunOptions, circuits int, out io.Writer) {
 	total := 0.0
 	for _, spec := range suite {
 		d := synth.Generate(spec)
-		gp := core.Options{GridM: opt.GridM, MaxIters: opt.MaxIters}
+		gp := opt.gp()
 		res, err := core.Place(d, core.FlowOptions{GP: gp})
 		if err != nil {
 			fmt.Fprintf(out, "# %s failed: %v\n", spec.Name, err)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestBackendQualityParity is the full-flow quality guard for the
-// float32 Poisson backend: the multilevel flow over the suite at scale
+// float32 Poisson backend: the flat flow over the suite at scale
 // 0.2 must end equally legal under it on every circuit, with suite
 // geomean HPWL within 0.5% of the float64 spectral reference. The
 // cheaper backend perturbs every gradient in the low-order bits (that
@@ -30,9 +30,7 @@ func TestBackendQualityParity(t *testing.T) {
 		for _, spec := range synth.ISPD05Suite(0.2) {
 			spec.Seed = seed
 			run := func(kind string) (bool, float64) {
-				rep := RunSpec(spec, EPlace, RunOptions{
-					MaxIters: 1000, Levels: 3, Poisson: kind,
-				})
+				rep := RunSpec(spec, EPlace, RunOptions{MaxIters: 1000, Poisson: kind})
 				if rep.Failed {
 					t.Fatalf("%s on %s seed %d: flow failed", kind, spec.Name, seed)
 				}

@@ -3,8 +3,7 @@
 // ISPD 2005 HPWL table, the ISPD 2006 scaled-HPWL/density-overflow
 // table, the MMS mixed-size table, the convergence and snapshot figures,
 // the runtime breakdown, and the ablations of Secs. V-C, V-D and VI-B.
-// cmd/experiments is the CLI front end; the root bench_test.go wraps
-// the same entry points as testing.B benchmarks.
+// cmd/experiments is the CLI front end.
 package experiments
 
 import (
@@ -52,11 +51,6 @@ type RunOptions struct {
 	MaxIters int
 	// SkipDetail measures global placement + legalization only.
 	SkipDetail bool
-	// Levels > 1 runs the ePlace flow's multilevel V-cycle with up to
-	// that many coarsening levels (ePlace flow only).
-	Levels int
-	// Trace collects per-iteration samples (ePlace/FFTPL only).
-	Trace *core.Trace
 	// Workers is the gradient-kernel worker count (0 = all cores).
 	Workers int
 	// Poisson selects the eDensity Poisson backend by name
@@ -65,6 +59,14 @@ type RunOptions struct {
 	// Telemetry, when non-nil, receives samples, spans and counters
 	// from whichever placer runs.
 	Telemetry *telemetry.Recorder
+}
+
+// gp is the part of the options every ePlace flow of the harness takes.
+func (o RunOptions) gp() core.Options {
+	return core.Options{
+		GridM: o.GridM, MaxIters: o.MaxIters,
+		Workers: o.Workers, Poisson: o.Poisson, Telemetry: o.Telemetry,
+	}
 }
 
 // Run places design d with the given placer and returns the scorecard.
@@ -78,10 +80,7 @@ func Run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 	movable := d.Movable()
 	failed := false
 
-	gpOpt := core.Options{
-		GridM: opt.GridM, MaxIters: opt.MaxIters, Trace: opt.Trace,
-		Workers: opt.Workers, Poisson: opt.Poisson, Telemetry: opt.Telemetry,
-	}
+	gpOpt := opt.gp()
 
 	switch p {
 	case EPlace, FFTPL:

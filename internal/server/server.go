@@ -192,17 +192,24 @@ func (s JobState) waiting() bool {
 	return s == StateQueued || s == StatePreempted
 }
 
+// StageSeconds is one stage's wall time in a job result, kept as an
+// ordered list so no stage can be silently dropped.
+type StageSeconds struct {
+	Name    string  `json:"name"`
+	Seconds float64 `json:"seconds"`
+}
+
 // JobResult is the scorecard of a finished job.
 type JobResult struct {
-	Design     string                  `json:"design"`
-	Cells      int                     `json:"cells"`
-	Nets       int                     `json:"nets"`
-	HPWL       float64                 `json:"hpwl"`
-	Overflow   float64                 `json:"tau"`
-	Legal      bool                    `json:"legal"`
-	MixedSize  bool                    `json:"mixed_size,omitempty"`
-	Iterations map[string]int          `json:"iterations,omitempty"`
-	Stages     []telemetry.StageSeconds `json:"stages,omitempty"`
+	Design     string         `json:"design"`
+	Cells      int            `json:"cells"`
+	Nets       int            `json:"nets"`
+	HPWL       float64        `json:"hpwl"`
+	Overflow   float64        `json:"tau"`
+	Legal      bool           `json:"legal"`
+	MixedSize  bool           `json:"mixed_size,omitempty"`
+	Iterations map[string]int `json:"iterations,omitempty"`
+	Stages     []StageSeconds `json:"stages,omitempty"`
 	// Digests are the per-stage golden-trace hashes; identical for a
 	// preempted-and-resumed job and an uninterrupted run of the same
 	// design (the service's determinism contract).
@@ -885,7 +892,7 @@ func (j *job) finish(d *netlist.Design, res core.FlowResult, total time.Duration
 		r.Iterations["cGP"] = res.CGP.Iterations
 	}
 	for _, st := range res.Stages {
-		r.Stages = append(r.Stages, telemetry.StageSeconds{
+		r.Stages = append(r.Stages, StageSeconds{
 			Name: st.Name, Seconds: st.Time.Seconds(),
 		})
 	}
@@ -949,7 +956,7 @@ func (j *job) finishECO(d *netlist.Design, res core.ECOResult, total time.Durati
 		Seconds: total.Seconds(),
 	}
 	for _, st := range res.Stages {
-		r.Stages = append(r.Stages, telemetry.StageSeconds{
+		r.Stages = append(r.Stages, StageSeconds{
 			Name: st.Name, Seconds: st.Time.Seconds(),
 		})
 	}

@@ -87,7 +87,7 @@ func (g *GoldenTrace) Absorb(stage string, iter int, pos []float64, cost, lambda
 }
 
 // StageDigest is one stage's final rolling hash, exposed in
-// FlowResult.Digests and BenchRecord.Digests.
+// FlowResult.Digests.
 type StageDigest struct {
 	// Stage is the flow stage label ("mIP", "mGP", ...).
 	Stage string `json:"stage"`

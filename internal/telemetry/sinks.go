@@ -17,11 +17,20 @@ type Sink interface {
 	Close() error
 }
 
+// TotalsSink is implemented by a Sink that also takes the recorder's
+// span aggregates and counters, which Recorder.Close hands it once
+// before closing it.
+type TotalsSink interface {
+	Totals([]SpanTotal, []Counter)
+}
+
 // Event is one decoded JSONL line.
 type Event struct {
-	Type   string      `json:"type"` // "sample" or "span"
-	Sample *Sample     `json:"sample,omitempty"`
-	Span   *SpanRecord `json:"span,omitempty"`
+	Type    string      `json:"type"` // "sample", "span", "total" or "counter"
+	Sample  *Sample     `json:"sample,omitempty"`
+	Span    *SpanRecord `json:"span,omitempty"`
+	Total   *SpanTotal  `json:"total,omitempty"`
+	Counter *Counter    `json:"counter,omitempty"`
 }
 
 // JSONLSink streams events as JSON Lines: one object per line with a
@@ -53,6 +62,22 @@ func (s *JSONLSink) Sample(sm Sample) {
 func (s *JSONLSink) Span(sp SpanRecord) {
 	if s.err == nil {
 		s.err = s.enc.Encode(Event{Type: "span", Span: &sp})
+	}
+}
+
+// Totals ends the stream with one "total" line per (stage, kernel)
+// aggregate and one "counter" line per counter: the values /status
+// serves live, which per-call AddSpanTime never streams.
+func (s *JSONLSink) Totals(spans []SpanTotal, counters []Counter) {
+	for i := range spans {
+		if s.err == nil {
+			s.err = s.enc.Encode(Event{Type: "total", Total: &spans[i]})
+		}
+	}
+	for i := range counters {
+		if s.err == nil {
+			s.err = s.enc.Encode(Event{Type: "counter", Counter: &counters[i]})
+		}
 	}
 }
 
@@ -248,6 +273,14 @@ func (m *MultiSink) Sample(sm Sample) {
 func (m *MultiSink) Span(sp SpanRecord) {
 	for _, s := range m.sinks {
 		s.Span(sp)
+	}
+}
+
+func (m *MultiSink) Totals(spans []SpanTotal, counters []Counter) {
+	for _, s := range m.sinks {
+		if ts, ok := s.(TotalsSink); ok {
+			ts.Totals(spans, counters)
+		}
 	}
 }
 

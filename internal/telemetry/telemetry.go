@@ -2,8 +2,8 @@
 // placement flow: per-iteration Samples (the raw data behind the
 // paper's Fig. 2/3 convergence traces), hierarchical stage/kernel span
 // aggregates (the Fig. 7 runtime breakdown), named counters, pluggable
-// sinks (JSONL, CSV, bounded ring, fanout), a live HTTP status
-// endpoint, and a machine-readable benchmark report writer.
+// sinks (JSONL, CSV, bounded ring, fanout) and a live HTTP status
+// endpoint.
 //
 // The central type is Recorder. A nil *Recorder is the canonical
 // disabled state: every method is nil-safe and a no-op that performs
@@ -111,7 +111,7 @@ type Counter struct {
 }
 
 // Snapshot is a point-in-time view of a Recorder, served by the status
-// endpoint and embedded in benchmark reports.
+// endpoint.
 type Snapshot struct {
 	UptimeSeconds float64     `json:"uptime_seconds"`
 	Stage         string      `json:"stage"`
@@ -273,6 +273,10 @@ func (r *Recorder) SpanTotals() []SpanTotal {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.spanTotalsLocked()
+}
+
+func (r *Recorder) spanTotalsLocked() []SpanTotal {
 	out := make([]SpanTotal, 0, len(r.spanOrder))
 	for _, k := range r.spanOrder {
 		agg := r.spans[k]
@@ -304,6 +308,10 @@ func (r *Recorder) Counters() []Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.countersLocked()
+}
+
+func (r *Recorder) countersLocked() []Counter {
 	out := make([]Counter, 0, len(r.counterOrder))
 	for _, name := range r.counterOrder {
 		out = append(out, Counter{Name: name, Value: r.counters[name]})
@@ -327,7 +335,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	snap := Snapshot{
+	defer r.mu.Unlock()
+	return Snapshot{
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Stage:         r.stage,
 		Iteration:     r.iter,
@@ -336,27 +345,14 @@ func (r *Recorder) Snapshot() Snapshot {
 		Lambda:        r.last.Lambda,
 		Samples:       r.samples,
 		Workers:       r.workers,
+		Spans:         r.spanTotalsLocked(),
+		Counters:      r.countersLocked(),
 	}
-	spanOrder := append([]spanKey(nil), r.spanOrder...)
-	spans := make([]SpanTotal, 0, len(spanOrder))
-	for _, k := range spanOrder {
-		agg := r.spans[k]
-		spans = append(spans, SpanTotal{
-			Stage: k.stage, Kernel: k.kernel,
-			Seconds: agg.total.Seconds(), Count: agg.count,
-		})
-	}
-	counters := make([]Counter, 0, len(r.counterOrder))
-	for _, name := range r.counterOrder {
-		counters = append(counters, Counter{Name: name, Value: r.counters[name]})
-	}
-	r.mu.Unlock()
-	snap.Spans = spans
-	snap.Counters = counters
-	return snap
 }
 
-// Close flushes and closes every sink, returning the first error.
+// Close hands the span aggregates and counters to every TotalsSink,
+// then flushes and closes every sink, returning the first error. A
+// second Close does nothing.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
@@ -365,6 +361,9 @@ func (r *Recorder) Close() error {
 	defer r.mu.Unlock()
 	var first error
 	for _, sk := range r.sinks {
+		if ts, ok := sk.(TotalsSink); ok {
+			ts.Totals(r.spanTotalsLocked(), r.countersLocked())
+		}
 		if err := sk.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -132,17 +132,46 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for _, s := range in {
 		r.Sample(s)
 	}
+	r.AddSpanTime("mGP", "density", 2*time.Millisecond)
+	r.AddSpanTime("mGP", "wirelength", time.Millisecond)
+	r.AddSpanTime("mGP", "density", 3*time.Millisecond)
 	r.EmitSpan("mGP", "", 5*time.Millisecond)
+	r.Count("mGP/backtracks", 3)
+	r.Count("cDP/passes", 2)
+	r.Count("mGP/backtracks", 1)
+	totals, counters := r.SpanTotals(), r.Counters()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Close is what hands over the totals, and it does so once.
+	closed := buf.Len()
+	if err := r.Close(); err != nil || buf.Len() != closed {
+		t.Fatalf("second Close: err %v, wrote %d bytes", err, buf.Len()-closed)
 	}
 
 	events, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
+	if len(events) != 3+len(totals)+len(counters) || len(totals) != 3 || len(counters) != 2 {
+		t.Fatalf("events = %d with %d totals and %d counters, want 8, 3 and 2",
+			len(events), len(totals), len(counters))
+	}
+	for i, want := range totals {
+		if ev := events[3+i]; ev.Type != "total" || ev.Total == nil || *ev.Total != want {
+			t.Errorf("event %d = %+v, want total %+v", 3+i, ev, want)
+		}
+	}
+	if totals[0] != (SpanTotal{Stage: "mGP", Kernel: "density", Seconds: 0.005, Count: 2}) {
+		t.Errorf("density total = %+v", totals[0])
+	}
+	for i, want := range counters {
+		if ev := events[6+i]; ev.Type != "counter" || ev.Counter == nil || *ev.Counter != want {
+			t.Errorf("event %d = %+v, want counter %+v", 6+i, ev, want)
+		}
+	}
+	if counters[0] != (Counter{Name: "mGP/backtracks", Value: 4}) {
+		t.Errorf("backtracks counter = %+v", counters[0])
 	}
 	for i, want := range in {
 		if events[i].Type != "sample" || events[i].Sample == nil {
@@ -217,11 +246,16 @@ func TestRingSinkBounded(t *testing.T) {
 
 func TestMultiSinkFanout(t *testing.T) {
 	a, b := NewRingSink(8), NewRingSink(8)
-	r := New(Multi(a, b))
+	var buf bytes.Buffer
+	r := New(Multi(a, b, NewJSONLSink(&buf)))
 	r.Sample(Sample{Stage: "mGP", Iteration: 7})
 	r.EmitSpan("mGP", "density", time.Second)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The totals handed over at Close reach the sink behind the fanout.
+	if n := strings.Count(buf.String(), `"type":"total"`); n != 1 {
+		t.Errorf("JSONL behind Multi got %d totals, want 1:\n%s", n, buf.String())
 	}
 	for i, ring := range []*RingSink{a, b} {
 		if n := len(ring.Samples()); n != 1 {
