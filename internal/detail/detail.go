@@ -14,6 +14,11 @@
 // total-order serial commit. Results are bitwise-identical at every
 // worker count (see DESIGN.md, "Parallel legalization and detailed
 // placement").
+//
+// The passes are incremental: after the first sweep a trial is priced
+// only when one of its inputs changed since it was last priced and
+// rejected (dirty.go has the rule), so a pass costs what moved, not the
+// design.
 package detail
 
 import (
@@ -42,9 +47,10 @@ type Options struct {
 	// Results are bitwise-identical at every setting.
 	Workers int
 	// Telemetry, when non-nil, receives one Sample per improvement pass
-	// (stage "cDP") plus swap/reorder/relocate/ISM counters and
-	// per-pass-type kernel spans (cDP/reorder, cDP/swap, cDP/ism,
-	// cDP/relocate).
+	// (stage "cDP") plus swap/reorder/relocate/ISM counters, the trials
+	// each pass type priced and skipped (cDP/<pass>_priced,
+	// cDP/<pass>_skipped) and per-pass-type kernel spans (cDP/reorder,
+	// cDP/swap, cDP/ism, cDP/relocate).
 	Telemetry *telemetry.Recorder
 	// Golden, when non-nil, absorbs every pass's cell positions and
 	// HPWL into the "cDP" determinism digest (see telemetry.GoldenTrace).
@@ -80,16 +86,20 @@ type segCells struct {
 // segRange is a contiguous run of segment indices forming one region.
 type segRange struct{ lo, hi int }
 
-// passCount accumulates one region's accepted moves; reduced over
-// regions in fixed (region-index) order after each pass.
-type passCount struct{ improved, ops int }
+// passCount accumulates one region's accepted moves and the trials it
+// priced and skipped; reduced over regions in fixed (region-index) order
+// after each pass.
+type passCount struct{ improved, ops, priced, skipped int }
 
 // placer holds segment-ordered occupancy over legalized cells plus the
 // region partition and worker contexts for the parallel passes.
 type placer struct {
-	d    *netlist.Design
-	opt  Options
-	segs []*segCells
+	d   *netlist.Design
+	opt Options
+	// segs are the free segments in row-major order; their cell lists are
+	// cut from one array, which holds because no pass changes how many
+	// cells a segment has (ISM permutes cells over slots).
+	segs []segCells
 	// segOf maps cell index -> segment index (-1 for unmanaged cells:
 	// macros, pads, fixed objects). regionOf maps cell -> region the
 	// same way; segRegion maps segment -> region.
@@ -110,12 +120,18 @@ type placer struct {
 	// region-parallel pass; other regions are read through them.
 	snapX, snapY []float64
 	counts       []passCount
-	// ismBuckets are the managed cells by (width, height), ismTasks the
-	// sliding windows over them and ismProps one proposal per window;
-	// all three are cut once per Place.
-	ismBuckets [][]int
-	ismTasks   [][]int
+	// ismCells holds the managed cells grouped by (width, height);
+	// ismBuckets are the groups, ismTasks the sliding windows over them
+	// (both as ranges of ismCells) and ismProps one proposal per window,
+	// all cut once per Place. ismPrev is ismCells as the last ISM pass
+	// left it: a window has the members it had then when the two agree
+	// over its range.
+	ismCells   []int
+	ismPrev    []int32
+	ismBuckets []span
+	ismTasks   []span
 	ismProps   []ismProposal
+	dirtyState
 	// posBuf is the golden digest's position vector.
 	posBuf []float64
 }
@@ -131,15 +147,17 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 // layout when it returns.
 func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, error) {
 	opt.defaults()
-	d := cv.Design()
-	res := Result{HPWLBefore: d.HPWL()}
 	p, err := newPlacer(cv, cells, opt)
+	// The view is synced by now: its HPWL is d.HPWL() bit for bit without
+	// the walk through the Net, Pin and Cell structs.
+	res := Result{HPWLBefore: cv.HPWL()}
 	if err != nil {
 		return res, err
 	}
 	rec := opt.Telemetry
 	for pass := 0; pass < opt.Passes; pass++ {
 		res.Passes = pass + 1
+		p.pass = pass
 		improved := 0
 		t := time.Now()
 		improved += p.reorderPass(&res)
@@ -156,9 +174,9 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, erro
 		improved += p.relocatePass(&res)
 		rec.AddSpanTime("cDP", "relocate", time.Since(t))
 		p.writeBack()
-		res.HPWLAfter = d.HPWL()
+		res.HPWLAfter = cv.HPWL()
 		if opt.Golden != nil {
-			d.PositionsInto(cells, p.posBuf)
+			p.d.PositionsInto(cells, p.posBuf)
 			opt.Golden.Absorb("cDP", pass, p.posBuf, res.HPWLAfter, 0)
 		}
 		if rec.Active() {
@@ -174,6 +192,10 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, erro
 	rec.Count("cDP/reorders", int64(res.Reorders))
 	rec.Count("cDP/relocates", int64(res.Relocates))
 	rec.Count("cDP/ism_rounds", int64(res.ISMRounds))
+	for k, n := range p.trials {
+		rec.Count("cDP/"+passNames[k]+"_priced", n.priced)
+		rec.Count("cDP/"+passNames[k]+"_skipped", n.skipped)
+	}
 	return res, nil
 }
 
@@ -189,13 +211,16 @@ func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) 
 	if !opt.DisableISM {
 		p.buildISMTasks()
 	}
+	p.initDirty()
 	if opt.Golden != nil {
 		p.posBuf = make([]float64, 2*len(cells))
 	}
 	return p, nil
 }
 
-// buildSegments assigns every movable cell to its free row segment.
+// buildSegments assigns every movable cell to its free row segment. The
+// segment of each cell is found first and the lists are then cut to size
+// from one array.
 func (p *placer) buildSegments(cells []int) error {
 	d := p.d
 	if len(d.Rows) == 0 {
@@ -205,16 +230,19 @@ func (p *placer) buildSegments(cells []int) error {
 	// Row lookup by bottom y. Determinism contract: byY is used for
 	// point lookups only, never range-iterated, so map order is
 	// irrelevant (keys are distinct row baselines, so no overwrites).
-	byY := map[float64]int{}
+	byY := make(map[float64]int, len(d.Rows))
 	for ri, r := range d.Rows {
 		byY[round6(r.Y)] = ri
 	}
-	// Build segment objects with row-major ordering.
-	segStart := make([]int, len(d.Rows)) // first seg index per row
+	// Segments in row-major order.
+	segStart := make([]int, len(d.Rows)+1) // first seg index per row
 	for ri := range free {
-		segStart[ri] = len(p.segs)
-		for _, s := range free[ri] {
-			p.segs = append(p.segs, &segCells{lx: s.Lx, hx: s.Hx})
+		segStart[ri+1] = segStart[ri] + len(free[ri])
+	}
+	p.segs = make([]segCells, segStart[len(d.Rows)])
+	for ri := range free {
+		for k, s := range free[ri] {
+			p.segs[segStart[ri]+k] = segCells{lx: s.Lx, hx: s.Hx}
 		}
 	}
 	p.segOf = make([]int32, len(d.Cells))
@@ -223,6 +251,7 @@ func (p *placer) buildSegments(cells []int) error {
 		p.segOf[i] = -1
 		p.regionOf[i] = -1
 	}
+	count := make([]int32, len(p.segs))
 	for _, ci := range cells {
 		c := &d.Cells[ci]
 		ri, ok := byY[round6(c.Y-c.H/2)]
@@ -231,11 +260,8 @@ func (p *placer) buildSegments(cells []int) error {
 		}
 		// Find the segment containing the cell.
 		found := -1
-		for si := segStart[ri]; si < len(p.segs); si++ {
-			if si >= segStart[ri]+len(free[ri]) {
-				break
-			}
-			s := p.segs[si]
+		for si := segStart[ri]; si < segStart[ri+1]; si++ {
+			s := &p.segs[si]
 			if c.X-c.W/2 >= s.lx-1e-6 && c.X+c.W/2 <= s.hx+1e-6 {
 				found = si
 				break
@@ -244,13 +270,24 @@ func (p *placer) buildSegments(cells []int) error {
 		if found < 0 {
 			return fmt.Errorf("detail: cell %d (%s) not inside a free segment", ci, c.Name)
 		}
-		p.segs[found].cells = append(p.segs[found].cells, ci)
 		p.segOf[ci] = int32(found)
+		count[found]++
+	}
+	flat := make([]int, len(cells))
+	off := 0
+	for si := range p.segs {
+		n := int(count[si])
+		p.segs[si].cells = flat[off : off : off+n]
+		off += n
+	}
+	for _, ci := range cells {
+		s := &p.segs[p.segOf[ci]]
+		s.cells = append(s.cells, ci)
 	}
 	// Equal abutting x (zero-width gaps) falls back to the cell index, so
 	// the initial segment order is a total order.
-	for _, s := range p.segs {
-		slices.SortFunc(s.cells, p.cmpCells)
+	for si := range p.segs {
+		slices.SortFunc(p.segs[si].cells, p.cmpCells)
 	}
 	return nil
 }
@@ -284,8 +321,8 @@ const (
 // count, so every worker count evaluates the same region boundaries.
 func (p *placer) buildRegions() {
 	managed := 0
-	for _, s := range p.segs {
-		managed += len(s.cells)
+	for si := range p.segs {
+		managed += len(p.segs[si].cells)
 	}
 	g := managed / regionTargetCells
 	if g < 1 {
@@ -309,8 +346,8 @@ func (p *placer) buildRegions() {
 		}
 		p.regions = append(p.regions, segRange{lo, seg})
 	}
-	for si, s := range p.segs {
-		for _, ci := range s.cells {
+	for si := range p.segs {
+		for _, ci := range p.segs[si].cells {
 			p.regionOf[ci] = p.segRegion[si]
 		}
 	}
@@ -357,9 +394,11 @@ func (p *placer) writeBack() {
 // region's outcome is a pure function of the pass's starting state —
 // identical at every worker count. A lone region owns every managed
 // cell: it reads everything live and no snapshot is taken. Accepted-move
-// counters are written per region and reduced in region order by the
-// caller.
-func (p *placer) forRegions(fn func(e *evalCtx, r int) passCount) (improved, ops int) {
+// and trial counters are written per region and reduced in region order
+// here; the dirty marks the workers logged for other regions' cells are
+// applied once all of them are done.
+func (p *placer) forRegions(kind passKind, fn func(e *evalCtx, r int) passCount) (improved, ops int) {
+	p.begin(kind)
 	solo := len(p.regions) == 1
 	if !solo {
 		p.snapshot()
@@ -372,9 +411,12 @@ func (p *placer) forRegions(fn func(e *evalCtx, r int) passCount) (improved, ops
 			p.counts[r] = fn(e, r)
 		}
 	})
+	p.applyMarks()
 	for r := range p.counts {
 		improved += p.counts[r].improved
 		ops += p.counts[r].ops
+		p.trials[kind].priced += int64(p.counts[r].priced)
+		p.trials[kind].skipped += int64(p.counts[r].skipped)
 	}
 	return improved, ops
 }
@@ -398,11 +440,16 @@ func (p *placer) gap(s *segCells, k int) (lo, hi float64) {
 // relocatePass slides each cell within its own gap toward its optimal
 // x, accepting when HPWL improves.
 func (p *placer) relocatePass(res *Result) int {
-	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
+	improved, ops := p.forRegions(relocateKind, func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
-			s := p.segs[si]
+			s := &p.segs[si]
 			for k, ci := range s.cells {
+				if !p.dirty(ci) {
+					pc.skipped++
+					continue
+				}
+				pc.priced++
 				lo, hi := p.gap(s, k)
 				w := p.cv.CellW[ci]
 				if hi-lo < w-1e-12 {
@@ -418,6 +465,7 @@ func (p *placer) relocatePass(res *Result) int {
 				e.tx[0] = nx
 				if e.cost() < before-1e-12 {
 					p.cv.PosX[ci] = nx
+					e.markMoved(s, k)
 					pc.improved++
 					pc.ops++
 				}
@@ -429,14 +477,22 @@ func (p *placer) relocatePass(res *Result) int {
 	return improved
 }
 
+// swapAnchor is what the swap pass keeps of a cell's last turn as the
+// anchor: its optimal x and the x-extent of the candidates it tried. A
+// turn without an accepted swap tries a contiguous run of the segment,
+// so while the anchor stays clean, a clean cell whose x lies inside the
+// extent was one of them and its pair is known to be rejected (a clean
+// cell has not moved, and cells of a segment are strictly ordered in x).
+type swapAnchor struct{ opt, lo, hi float64 }
+
 // swapPass tries exchanging each cell with cells of its segment nearest
 // its optimal x. Iteration follows a fixed copy of each segment's order
 // captured when the segment is entered (swaps permute it in place).
 func (p *placer) swapPass(res *Result) int {
-	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
+	improved, ops := p.forRegions(swapKind, func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
-			s := p.segs[si]
+			s := &p.segs[si]
 			e.order = append(e.order[:0], s.cells...)
 			e.dropHalves(len(s.cells))
 			for _, ci := range e.order {
@@ -444,7 +500,15 @@ func (p *placer) swapPass(res *Result) int {
 				if k < 0 {
 					continue
 				}
-				target := e.optimalX(ci)
+				// last is the anchor's previous turn, to be trusted while
+				// clean holds: the anchor unmarked since, and not moved in
+				// this one.
+				last, clean := p.anchors[ci], !p.dirty(ci)
+				target := last.opt
+				if !clean {
+					target = e.optimalX(ci)
+				}
+				xlo, xhi := math.Inf(1), math.Inf(-1) // of the candidates tried
 				// Binary search for the first cell at or right of the
 				// target (hand-rolled: sort.Search's closure allocates).
 				lo, hi := 0, len(s.cells)
@@ -470,14 +534,24 @@ func (p *placer) swapPass(res *Result) int {
 							continue
 						}
 						tried++
+						cj := s.cells[j]
+						x := p.cv.PosX[cj]
+						xlo, xhi = min(xlo, x), max(xhi, x)
+						if clean && !p.dirty(cj) && last.lo <= x && x <= last.hi {
+							pc.skipped++
+							continue
+						}
+						pc.priced++
 						if e.trySwap(s, min(k, j), max(k, j)) {
 							pc.improved++
 							pc.ops++
 							k = j
+							clean = false
 							break
 						}
 					}
 				}
+				p.anchors[ci] = swapAnchor{opt: target, lo: xlo, hi: xhi}
 			}
 		}
 		return pc
@@ -518,6 +592,8 @@ func (e *evalCtx) trySwap(s *segCells, ka, kb int) bool {
 	}
 	p.cv.PosX[a], p.cv.PosX[b] = ax, bx
 	s.cells[ka], s.cells[kb] = b, a
+	e.markMoved(s, ka)
+	e.markMoved(s, kb)
 	e.dropHalves(len(s.cells))
 	return true
 }
@@ -529,12 +605,20 @@ const reorderWindow = 3
 // reorderPass permutes cells inside sliding windows of each segment.
 func (p *placer) reorderPass(res *Result) int {
 	const w = reorderWindow
-	improved, ops := p.forRegions(func(e *evalCtx, r int) passCount {
+	improved, ops := p.forRegions(reorderKind, func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
-			s := p.segs[si]
+			s := &p.segs[si]
 			for start := 0; start+w <= len(s.cells); start++ {
+				if !p.anyDirty(s.cells[start : start+w]) {
+					pc.skipped++
+					continue
+				}
+				pc.priced++
 				if e.tryReorder(s, start, w) {
+					for k := start; k < start+w; k++ {
+						e.markMoved(s, k)
+					}
 					pc.improved++
 					pc.ops++
 				}

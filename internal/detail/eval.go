@@ -52,6 +52,13 @@ type evalCtx struct {
 	// optimalX scratch.
 	xs []float64
 
+	// marks logs the nets whose cells in regions this worker does not
+	// own are to be marked dirty at the sub-pass's barrier; netMarked
+	// says for which sub-pass and region the worker last marked each
+	// net (dirty.go).
+	marks     []int32
+	netMarked []int32
+
 	// Pass scratch: segment iteration order, reorder windows.
 	order  []int
 	win    []int
@@ -78,7 +85,8 @@ type trialNet struct {
 	slot int32
 }
 
-// span is a half-open range of hnets; lo < 0 when the half is not built.
+// span is a half-open range of a flat array: of hnets for a half (lo < 0
+// when it is not built), of ismCells for an ISM bucket or window.
 type span struct{ lo, hi int32 }
 
 // ownPin is a pin on the trial cell in the given slot.
@@ -91,10 +99,16 @@ type ownPin struct {
 const maxTrialCells = 16
 
 func newEvalCtx(p *placer) *evalCtx {
-	return &evalCtx{
-		p: p, netSeen: make([]int64, len(p.d.Nets)),
+	e := &evalCtx{
+		p: p, netSeen: make([]int64, len(p.d.Nets)), netMarked: make([]int32, len(p.d.Nets)),
 		tx: make([]float64, maxTrialCells), ty: make([]float64, maxTrialCells),
 	}
+	if len(p.regions) > 1 {
+		// A pass logs a net once per region it marks it for: sized for
+		// the common case up front, not grown through it.
+		e.marks = make([]int32, 0, len(p.d.Nets))
+	}
+	return e
 }
 
 // at returns the position of a cell outside the trial under the

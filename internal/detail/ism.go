@@ -29,11 +29,14 @@ import (
 // ismProposal is one task's solved matching, produced in parallel and
 // consumed serially. Buffers are reused across passes.
 type ismProposal struct {
-	ok     bool
-	set    []int     // independent subset, candidate order
-	slotX  []float64 // slot j = set[j]'s position at propose time
-	slotY  []float64
-	assign []int // set[i] moves to slot assign[i]
+	ok bool
+	// skipped: the window has the members it had in the last pass and
+	// none of them is dirty, so it was known to propose nothing.
+	skipped bool
+	set     []int     // independent subset, candidate order
+	slotX   []float64 // slot j = set[j]'s position at propose time
+	slotY   []float64
+	assign  []int // set[i] moves to slot assign[i]
 }
 
 // ismWindow is the sliding-window size over each width bucket; windows
@@ -56,19 +59,19 @@ const (
 // Determinism contract: buckets are processed in ascending (width,
 // height) order (never Go's randomized map order) and each bucket is
 // sorted by (x, cell index) — a strict total order — so the task list
-// is a pure function of the pass-start positions.
+// is a pure function of the pass-start positions. The footprints are
+// counted first and the buckets cut to size from one array.
 func (p *placer) buildISMTasks() {
 	d := p.d
 	type dim struct{ w, h float64 }
-	byDim := map[dim][]int{}
-	for _, s := range p.segs {
-		for _, ci := range s.cells {
-			k := dim{d.Cells[ci].W, d.Cells[ci].H}
-			byDim[k] = append(byDim[k], ci)
+	size := map[dim]int32{}
+	for si := range p.segs {
+		for _, ci := range p.segs[si].cells {
+			size[dim{d.Cells[ci].W, d.Cells[ci].H}]++
 		}
 	}
-	dims := make([]dim, 0, len(byDim))
-	for k := range byDim {
+	dims := make([]dim, 0, len(size))
+	for k := range size {
 		dims = append(dims, k)
 	}
 	sort.Slice(dims, func(a, b int) bool {
@@ -77,21 +80,51 @@ func (p *placer) buildISMTasks() {
 		}
 		return dims[a].h < dims[b].h
 	})
+	// From here on size holds each footprint's fill cursor, -1 for the
+	// footprints of a single cell, which has nobody to trade slots with.
+	off, tasks := int32(0), 0
 	for _, k := range dims {
-		group := byDim[k]
-		if len(group) < 2 {
+		n := size[k]
+		if n < 2 {
+			size[k] = -1
 			continue
 		}
-		p.ismBuckets = append(p.ismBuckets, group)
-		for start := 0; start < len(group); start += ismWindow / 2 {
-			end := min(start+ismWindow, len(group))
-			p.ismTasks = append(p.ismTasks, group[start:end])
-			if end == len(group) {
+		p.ismBuckets = append(p.ismBuckets, span{off, off + n})
+		size[k] = off
+		off += n
+		tasks += windowsOver(int(n))
+	}
+	p.ismCells = make([]int, off)
+	p.ismPrev = make([]int32, off)
+	for si := range p.segs {
+		for _, ci := range p.segs[si].cells {
+			k := dim{d.Cells[ci].W, d.Cells[ci].H}
+			if at := size[k]; at >= 0 {
+				p.ismCells[at] = ci
+				size[k] = at + 1
+			}
+		}
+	}
+	p.ismTasks = make([]span, 0, tasks)
+	for _, b := range p.ismBuckets {
+		for start := b.lo; ; start += ismWindow / 2 {
+			end := min(start+ismWindow, b.hi)
+			p.ismTasks = append(p.ismTasks, span{start, end})
+			if end == b.hi {
 				break
 			}
 		}
 	}
 	p.ismProps = make([]ismProposal, len(p.ismTasks))
+}
+
+// windowsOver is the number of sliding windows over a bucket of n >= 2
+// cells.
+func windowsOver(n int) int {
+	if n <= ismWindow {
+		return 1
+	}
+	return 1 + (n-ismWindow+ismWindow/2-1)/(ismWindow/2)
 }
 
 // repairOrder restores a segment's order by insertion after a commit
@@ -108,28 +141,56 @@ func (p *placer) repairOrder(cells []int) {
 
 // ismPass runs the two-phase propose/commit scheme described above.
 func (p *placer) ismPass(res *Result) int {
+	p.begin(ismKind)
 	for _, b := range p.ismBuckets {
-		slices.SortFunc(b, p.cmpCells)
+		slices.SortFunc(p.ismCells[b.lo:b.hi], p.cmpCells)
 	}
 	tasks, props := p.ismTasks, p.ismProps
-	// Phase 1: parallel propose. Read-only against the live layout
-	// (nothing moves during this phase), disjoint writes per task slot.
+	// Phase 1: parallel propose. Read-only against the live layout and
+	// the stamps (nothing moves during this phase), disjoint writes per
+	// task slot. A window that proposed and is clean was applied or
+	// dropped by the commit, which marks: a clean window with the members
+	// it had proposed nothing, and proposes nothing now.
 	parallel.For(p.workers, len(tasks), func(w, lo, hi int) {
 		e := p.evals[w]
 		e.allLive = true
 		for t := lo; t < hi; t++ {
-			e.proposeISM(tasks[t], &props[t])
+			prop := &props[t]
+			window := p.ismCells[tasks[t].lo:tasks[t].hi]
+			prop.skipped = !p.anyDirty(window) && sameCells(window, p.ismPrev[tasks[t].lo:tasks[t].hi])
+			if prop.skipped {
+				prop.ok = false
+				continue
+			}
+			e.proposeISM(window, prop)
 		}
 	})
+	for i, ci := range p.ismCells {
+		p.ismPrev[i] = int32(ci)
+	}
 	// Phase 2: total-order serial commit.
 	improved := 0
 	for t := range props {
+		if props[t].skipped {
+			p.trials[ismKind].skipped++
+		} else {
+			p.trials[ismKind].priced++
+		}
 		if p.commitISM(&props[t]) {
 			improved++
 			res.ISMRounds++
 		}
 	}
 	return improved
+}
+
+func sameCells(cells []int, prev []int32) bool {
+	for i, ci := range cells {
+		if prev[i] != int32(ci) {
+			return false
+		}
+	}
+	return true
 }
 
 // independentSubset greedily picks up to ismSetSize cells sharing no
@@ -239,42 +300,34 @@ func (p *placer) commitISM(prop *ismProposal) bool {
 	if total >= base-1e-9 {
 		return false
 	}
-	// Apply: move cells and swap their slot bookkeeping. Slot j is
-	// exactly cell set[j]'s position, so the segment a slot belongs to
-	// is indexed directly by slot number — no position-keyed lookup.
+	// Apply. Slot j is exactly cell set[j]'s position and its place in
+	// set[j]'s segment list, and the assignment is a permutation of the
+	// slots: the cell that takes slot j takes that place in the list, so
+	// no list changes length. The neighbours of every slot that changes
+	// hands are marked with the mover (a taken slot is a left one).
 	var origSeg [ismSetSize]int32
+	var place [ismSetSize]int
 	for k, ci := range prop.set {
 		origSeg[k] = p.segOf[ci]
+		place[k] = indexOf(p.segs[origSeg[k]].cells, ci)
 	}
 	for i, j := range prop.assign {
-		ci := prop.set[i]
-		p.cv.PosX[ci], p.cv.PosY[ci] = prop.slotX[j], prop.slotY[j]
-		if newSeg := origSeg[j]; p.segOf[ci] != newSeg {
-			// Remove from old segment list, add to the new one.
-			old := p.segs[p.segOf[ci]]
-			old.cells = removeOne(old.cells, ci)
-			p.segs[newSeg].cells = append(p.segs[newSeg].cells, ci)
-			p.segOf[ci] = newSeg
-			p.regionOf[ci] = p.segRegion[newSeg]
+		if j == i {
+			continue
 		}
+		ci, seg := prop.set[i], origSeg[j]
+		p.cv.PosX[ci], p.cv.PosY[ci] = prop.slotX[j], prop.slotY[j]
+		p.segs[seg].cells[place[j]] = ci
+		p.segOf[ci] = seg
+		p.regionOf[ci] = p.segRegion[seg]
+		e.markMoved(&p.segs[seg], place[j])
 	}
-	// Every moved cell now sits in the segment of some origSeg entry
-	// (removals leave a list sorted), and a sorted list has one
-	// arrangement, so repairing those lists in any order, some of them
-	// twice, has exactly one possible outcome.
+	// A sorted list has one arrangement, so repairing the lists in any
+	// order, some of them twice, has exactly one possible outcome.
 	for k := range prop.set {
 		p.repairOrder(p.segs[origSeg[k]].cells)
 	}
 	return true
-}
-
-func removeOne(list []int, v int) []int {
-	for i, x := range list {
-		if x == v {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }
 
 // hungScratch holds the assignment solver's working arrays so repeated

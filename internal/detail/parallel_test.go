@@ -175,6 +175,18 @@ func BenchmarkDetailPass(b *testing.B) {
 	benchPlace(b, d, cells, Options{Passes: 1, Workers: 1})
 }
 
+// BenchmarkDetailPassWarm measures cDP in the regime the flow leaves it
+// in: from a layout two passes have already improved (untimed), four more
+// passes, of which the first prices everything and the rest only what
+// the accepted moves touched.
+func BenchmarkDetailPassWarm(b *testing.B) {
+	d, cells := gpLikeDesign(5000, 7)
+	if _, err := Place(d, cells, Options{Passes: 2, Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	benchPlace(b, d, cells, Options{Passes: 4, Workers: 1})
+}
+
 // BenchmarkDetailPassECO measures cDP as core.PlaceECO runs it: the
 // deeper ECO settings over the pinned test's active subset, the rest of
 // the design frozen into obstacles.
