@@ -321,11 +321,12 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// recovers the wirelength a fresh cell loses when no gap exists at
 	// its ideal spot and legalization parks it a few rows away. It is
 	// not free: the active set is 7% of the design for a reweight of 20
-	// nets but all of it for a 5% insertion, and the cDP stage is 21% of
-	// the time of the benchmark's edit suite (37%, before cDP's later
-	// passes priced only the trials an accepted move touched; half of
-	// it, before cDP priced its trials against cached net boxes;
-	// ROADMAP 2d).
+	// nets but all of it for a 5% insertion. The cDP stage is 29% of the
+	// time of the benchmark's edit suite and eGP 58%, now that eGP prices
+	// only the nets with a pin on an active cell (21% and 69% before
+	// that; cDP was 37% before its later passes priced only the trials
+	// an accepted move touched, and half, before it priced its trials
+	// against cached net boxes; ROADMAP 2d).
 	dOpt := opt.Detail
 	if dOpt.Passes <= 0 {
 		dOpt.Passes = 6

@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"eplace/internal/checkpoint"
 	"eplace/internal/detail"
 	"eplace/internal/eco"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
+	"eplace/internal/wirelength"
 )
 
 func ecoSpec(name string) synth.Spec {
@@ -158,6 +161,66 @@ func TestECOBlockedRegionEvicted(t *testing.T) {
 				ci, c.Name, cr, blk.Rect())
 		}
 	}
+}
+
+// TestECOStageHPWLMatchesView runs one ECO-shaped GP stage — a placed
+// design with a tenth of its cells active, the rest frozen, fillers in
+// the whitespace — and holds every HPWL the engine produces, which it
+// prices over the live nets only, to a full cv.HPWL() of the same
+// positions bit for bit: the start, every iteration (read through a
+// per-iteration checkpoint sink) and the stage result.
+func TestECOStageHPWLMatchesView(t *testing.T) {
+	spec := ecoSpec("eco-hpwl")
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	d := warmCopy(spec, cold)
+	mv := d.Movable()
+	active := mv[:len(mv)/10]
+	for _, ci := range mv[len(mv)/10:] {
+		d.Cells[ci].Fixed = true
+	}
+	fillers := InsertFillers(d, 3)
+	seedFillersInWhitespace(d, fillers, 4)
+	idx := append(append([]int(nil), active...), fillers...)
+
+	opt := Options{MaxIters: 40, TargetOverflow: 0.15, StallIters: 25, LambdaScale: 10, Workers: 2}
+	opt.defaults()
+	ref := d.Compile()
+	start := d.Positions(idx)
+	mustEngine(t, d, idx, opt, telemetry.New()).clamp(start)
+	ref.SetPositions(idx, start)
+	wantHPWL0 := ref.HPWL()
+
+	iters := 0
+	opt.CheckpointEvery = 1
+	opt.CheckpointSink = func(gs *checkpoint.GPState) {
+		if math.Float64bits(gs.HPWL0) != math.Float64bits(wantHPWL0) {
+			t.Errorf("start HPWL %v, view %v", gs.HPWL0, wantHPWL0)
+		}
+		ref.SetPositions(idx, gs.Nesterov.U)
+		if want := ref.HPWL(); math.Float64bits(gs.PrevHPWL) != math.Float64bits(want) {
+			t.Errorf("iteration %d: HPWL %v, view %v", gs.Iter-1, gs.PrevHPWL, want)
+		}
+		iters++
+	}
+	cv := d.Compile()
+	res, err := placeGlobal(context.Background(), cv, idx, opt, "eGP", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters < 10 {
+		t.Fatalf("the stage checked %d iterations, want at least 10", iters)
+	}
+	if h := d.HPWL(); math.Float64bits(res.HPWL) != math.Float64bits(h) {
+		t.Errorf("stage HPWL %v, design %v", res.HPWL, h)
+	}
+	live := len(wirelength.NewCompiled(cv, idx, 1).LiveNets())
+	if live == 0 || 2*live > len(d.Nets) {
+		t.Errorf("%d of %d nets live: not an ECO-shaped stage", live, len(d.Nets))
+	}
+	t.Logf("%d iterations, %d of %d nets live", iters, live, len(d.Nets))
 }
 
 // TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the

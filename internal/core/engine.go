@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"eplace/internal/checkpoint"
@@ -43,6 +44,14 @@ type engine struct {
 
 	gw, gd []float64 // wirelength and density gradient scratch
 	posBuf []float64 // end-of-stage clamp buffer (avoids Positions alloc)
+
+	// live is the wirelength model's live-net list: the nets with a pin
+	// on a cell the stage moves. Every other net of degree >= 2 is dead
+	// for the stage, and deadHPWL[i] is net deadNet[i]'s HPWL, taken once
+	// when the engine is built (see hpwl).
+	live     []int32
+	deadNet  []int32
+	deadHPWL []float64
 
 	stage string
 	// poissonSpan is the per-backend solve span name ("poisson/<kind>"),
@@ -110,13 +119,13 @@ func newEngine(cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Reco
 	e.wl.Workers = opt.Workers
 	e.poissonSpan = "poisson/" + dm.Backend()
 	binArea := e.dm.Grid.BinArea()
-	// seen[ni] == k+1 once cell idx[k] has counted net ni.
-	seen := make([]int32, len(cv.NetW))
 	for k, ci := range idx {
 		c := &d.Cells[ci]
-		for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
-			if seen[ni] != int32(k+1) {
-				seen[ni] = int32(k + 1)
+		// |E_i| counts distinct nets: a net is new unless an earlier pin
+		// of the cell (a short range) is on it too.
+		nets := cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]]
+		for i, ni := range nets {
+			if !slices.Contains(nets[:i], ni) {
 				e.degree[k]++
 			}
 		}
@@ -124,7 +133,53 @@ func newEngine(cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Reco
 		e.halfW[k] = c.W / 2
 		e.halfH[k] = c.H / 2
 	}
+	e.cacheDeadHPWL()
 	return e, nil
+}
+
+// cacheDeadHPWL lists the stage's dead nets with their HPWL. A dead net
+// has no pin on a cell the stage moves, and those are the only cells
+// whose view positions change within a stage, so its HPWL is a constant
+// until the stage ends.
+func (e *engine) cacheDeadHPWL() {
+	cv := e.cv
+	e.live = e.wl.LiveNets()
+	multiPin := 0 // nets of degree >= 2, live or dead
+	for ni := range cv.NetW {
+		if cv.NetOff[ni+1]-cv.NetOff[ni] >= 2 {
+			multiPin++
+		}
+	}
+	e.deadNet = make([]int32, 0, multiPin-len(e.live))
+	e.deadHPWL = make([]float64, 0, multiPin-len(e.live))
+	j := 0
+	for ni := range cv.NetW {
+		switch {
+		case j < len(e.live) && int(e.live[j]) == ni:
+			j++
+		case cv.NetOff[ni+1]-cv.NetOff[ni] >= 2:
+			e.deadNet = append(e.deadNet, int32(ni))
+			e.deadHPWL = append(e.deadHPWL, cv.NetHPWL(ni))
+		}
+	}
+}
+
+// hpwl returns the view's HPWL bit for bit as cv.HPWL() does, pricing
+// only the live nets: the dead nets' cached values merge into the same
+// net-order sum. Nets of degree < 2 add an exact +0, which leaves a sum
+// that starts at +0 unchanged, so they are skipped.
+func (e *engine) hpwl() float64 {
+	total, i := 0.0, 0
+	for _, ni := range e.live {
+		for ; i < len(e.deadNet) && e.deadNet[i] < ni; i++ {
+			total += e.deadHPWL[i]
+		}
+		total += e.cv.NetHPWL(int(ni))
+	}
+	for _, h := range e.deadHPWL[i:] {
+		total += h
+	}
+	return total
 }
 
 // clamp keeps every cell's center inside the region, respecting size.
@@ -323,7 +378,7 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 
 		// HPWL of the clamped start, from the view (the structs still
 		// hold the unclamped input until the end-of-stage write-back).
-		hpwl0 = e.cv.HPWL()
+		hpwl0 = e.hpwl()
 		prevHPWL = hpwl0
 
 		if opt.Solver == SolverNesterov {
@@ -360,8 +415,8 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 	// stalls below the threshold are caught by the stagnation guard.
 	divergeHPWL := 20 * math.Max(hpwl0, 1)
 	var wSum float64
-	for ni := range d.Nets {
-		wSum += d.Nets[ni].EffWeight()
+	for _, w := range cv.NetW {
+		wSum += w
 	}
 	if b := 0.5 * wSum * (d.Region.Hx - d.Region.Lx + d.Region.Hy - d.Region.Ly); b > divergeHPWL {
 		divergeHPWL = b
@@ -399,7 +454,7 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		t0 = time.Now()
 		u := solution()
 		e.cv.SetPositions(e.idx, u)
-		hpwl := e.cv.HPWL()
+		hpwl := e.hpwl()
 		rec.AddSpanTime(stage, "hpwl", time.Since(t0))
 		tau := e.dm.Overflow(d.TargetDensity) // from the latest Refresh
 
@@ -501,8 +556,10 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 
 	e.dm.Refresh(e.idx)
 	res.Iterations = iter
-	res.HPWL = d.HPWL()
+	res.HPWL = e.hpwl()
 	res.Overflow = e.dm.Overflow(d.TargetDensity)
+	// How much of the netlist the stage's wirelength evaluations priced.
+	rec.Count("wirelength/nets_priced", e.wl.NetsPriced())
 	res.FinalLambda = e.lambda
 	// Run statistics come from the optimizer accessors rather than
 	// per-step mirroring.

@@ -118,6 +118,55 @@ func TestFlowRecordsStageAndKernelSpans(t *testing.T) {
 	}
 }
 
+// TestTelemetryCountsNetsPriced checks the wirelength/nets_priced
+// counter on one ECO call: it is the stage's live nets (degree >= 2,
+// a pin on an active cell) times its wirelength evaluations, which are
+// the engine's gradient evaluations plus the one that balances λ.
+func TestTelemetryCountsNetsPriced(t *testing.T) {
+	spec := ecoSpec("eco-priced")
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := warmCopy(spec, cold)
+	prep, err := eco.Prepare(warm, &eco.Script{AddCells: []eco.AddCell{
+		{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}},
+	}}, eco.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.New()
+	if _, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Telemetry: rec}}); err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]int64{}
+	for _, c := range rec.Counters() {
+		counters[c.Name] = c.Value
+	}
+	active := map[int]bool{}
+	for _, ci := range prep.Plan.Active {
+		active[ci] = true
+	}
+	live := 0
+	for ni := range warm.Nets {
+		pins := warm.Nets[ni].Pins
+		for _, pi := range pins {
+			if len(pins) >= 2 && active[warm.Pins[pi].Cell] {
+				live++
+				break
+			}
+		}
+	}
+	if live == 0 || live == len(warm.Nets) {
+		t.Fatalf("%d of %d nets live: the edit does not leave part of the netlist out", live, len(warm.Nets))
+	}
+	evals := counters["engine/grad_evals"] + 1
+	if got, want := counters["wirelength/nets_priced"], int64(live)*evals; got != want {
+		t.Errorf("wirelength/nets_priced = %d, want %d live nets x %d evaluations = %d", got, live, evals, want)
+	}
+	t.Logf("%d of %d nets live, %d evaluations", live, len(warm.Nets), evals)
+}
+
 // TestMIPKernelSpansCoverStage checks the structure of mIP's two kernel
 // spans: both are emitted, both are positive, and together they fit
 // inside the stage span. How much of the stage they cover (about 96%;

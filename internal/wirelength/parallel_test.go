@@ -11,11 +11,13 @@ import (
 )
 
 // serialReference reproduces the original single-goroutine eval loop
-// (shared scratch, direct scatter) exactly as shipped in the seed tree,
-// over the unfused axisWA/axisLSE: math.Exp for every term and a division
-// wherever the formula has one. It is the independent oracle: the fused
-// kernels (reciprocal multiplies, their own exponential) agree with it to
-// rounding, and with themselves bit for bit at every worker count.
+// (shared scratch, direct scatter) as shipped in the seed tree, over the
+// unfused axisWA/axisLSE: math.Exp for every term and a division
+// wherever the formula has one. Like the model, it sums the live nets
+// only (those with a pin on a model cell). It is the independent oracle:
+// the fused kernels (reciprocal multiplies, their own exponential) agree
+// with it to rounding, and with themselves bit for bit at every worker
+// count.
 func serialReference(m *Model, grad []float64) float64 {
 	d := m.d
 	n := len(m.idx)
@@ -41,11 +43,16 @@ func serialReference(m *Model, grad []float64) float64 {
 			w = 1
 		}
 		axs, ays := xs[:deg], ys[:deg]
+		live := false
 		for p, pi := range net.Pins {
 			pos := d.PinPos(pi)
 			axs[p] = pos.X
 			ays[p] = pos.Y
 			cells[p] = d.Pins[pi].Cell
+			live = live || (cells[p] >= 0 && m.slot[cells[p]] >= 0)
+		}
+		if !live {
+			continue
 		}
 		var cost float64
 		if grad == nil {
@@ -58,7 +65,7 @@ func serialReference(m *Model, grad []float64) float64 {
 				if ci < 0 {
 					continue
 				}
-				if s := m.slot[ci]; s >= 0 {
+				if s := int(m.slot[ci]); s >= 0 {
 					grad[s] += w * agx[p]
 					grad[s+n] += w * agy[p]
 				}

@@ -44,6 +44,14 @@ const evalTasks = 64
 // mapping is fixed at construction: gradients are produced only for the
 // cells passed to New, all other cells contribute as fixed terminals.
 //
+// The model prices its live nets only: a live net has degree >= 2 and
+// at least one pin on a model cell. Every other net is a constant in the
+// model's variables, so its gradient is zero and nothing reads it.
+// Cost and CostAndGradient return the smooth wirelength of the live
+// nets, summed in net order; the gradient is bit for bit the one an
+// all-nets sweep produces. A model over a small subset of the cells (an
+// ECO edit's active set) pays only for the nets that subset can move.
+//
 // Concurrency contract: a Model is NOT safe for concurrent use by
 // multiple goroutines — evaluations share internal reduction state
 // (per-net costs, per-pin gradient contributions). Parallelism is
@@ -69,13 +77,20 @@ type Model struct {
 	cv      *netlist.Compiled
 	ownView bool // true when the model compiled cv itself and must re-sync
 	idx     []int
-	slot    []int // cell index -> position in idx, or -1
+	slot    []int32 // cell index -> position in idx, or -1
 
-	// Deterministic reduction state (see eval). costs holds each net's
-	// weighted smooth cost; pinGX/pinGY hold each CSR pin slot's
+	// live lists the live nets in ascending net order. Live net j's pins
+	// own the compact slots liveOff[j]..liveOff[j+1], in the net's pin
+	// order; liveOff is also the pin-count prefix sum the net tasks are
+	// balanced on.
+	live    []int32
+	liveOff []int32
+
+	// Deterministic reduction state (see eval). costs holds each live
+	// net's weighted smooth cost; pinGX/pinGY hold each compact pin slot's
 	// weighted gradient contribution, written by exactly one worker (the
 	// one owning the slot's net task). adjSlot lists, for model cell k,
-	// the CSR slots adjSlot[adjOff[k]:adjOff[k+1]] that contribute to
+	// the compact slots adjSlot[adjOff[k]:adjOff[k+1]] that contribute to
 	// its gradient in ascending slot order — which IS (net index,
 	// position within the net) order, the exact order the serial scatter
 	// visits them, so the left-to-right fold per cell reproduces the
@@ -86,11 +101,14 @@ type Model struct {
 	adjOff  []int32
 	adjSlot []int32
 
-	// Fixed task boundaries: netTaskOff[t]..netTaskOff[t+1] are the nets
-	// of task t (pin-balanced via the NetOff prefix sum), cellTaskOff
-	// likewise for the gradient scatter (adjacency-balanced).
+	// Fixed task boundaries: netTaskOff[t]..netTaskOff[t+1] are the live
+	// nets of task t (pin-balanced via liveOff), cellTaskOff likewise for
+	// the gradient scatter (adjacency-balanced).
 	netTaskOff  []int32
 	cellTaskOff []int32
+
+	// evals counts evaluations, for NetsPriced.
+	evals int64
 
 	maxDeg int
 	scr    []*netScratch // per-worker scratch, grown on demand
@@ -132,29 +150,26 @@ func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
 func newModel(cv *netlist.Compiled, idx []int, gamma float64, ownView bool) *Model {
 	d := cv.Design()
 	m := &Model{Kind: WA, Gamma: gamma, d: d, cv: cv, idx: idx, ownView: ownView}
-	m.slot = make([]int, len(d.Cells))
+	m.slot = make([]int32, len(d.Cells))
 	for i := range m.slot {
 		m.slot[i] = -1
 	}
 	for k, ci := range idx {
-		m.slot[ci] = k
+		m.slot[ci] = int32(k)
 	}
-	for ni := range d.Nets {
-		if deg := int(cv.NetOff[ni+1] - cv.NetOff[ni]); deg > m.maxDeg {
-			m.maxDeg = deg
-		}
-	}
-	m.costs = make([]float64, len(d.Nets))
-	m.pinGX = make([]float64, cv.NumPinSlots())
-	m.pinGY = make([]float64, cv.NumPinSlots())
+	m.findLiveNets()
+	m.costs = make([]float64, len(m.live))
+	m.pinGX = make([]float64, m.liveOff[len(m.live)])
+	m.pinGY = make([]float64, m.liveOff[len(m.live)])
 	m.buildAdjacency()
-	m.netTaskOff = balancedTasks(cv.NetOff, len(d.Nets))
+	m.netTaskOff = balancedTasks(m.liveOff, len(m.live))
 	m.cellTaskOff = balancedTasks(m.adjOff, len(idx))
 	m.netTask = func(wk, lo, hi int) {
 		s := m.scr[wk]
 		for t := lo; t < hi; t++ {
-			for ni := int(m.netTaskOff[t]); ni < int(m.netTaskOff[t+1]); ni++ {
-				m.evalNet(ni, s)
+			for j := m.netTaskOff[t]; j < m.netTaskOff[t+1]; j++ {
+				b, e := m.liveOff[j], m.liveOff[j+1]
+				m.costs[j] = m.netCost(int(m.live[j]), m.pinGX[b:e], m.pinGY[b:e], s)
 			}
 		}
 	}
@@ -203,44 +218,86 @@ func balancedTasks(off []int32, count int) []int32 {
 	return b
 }
 
+// findLiveNets counts the live nets and their pins, then fills live and
+// liveOff in net order, and sizes the worker scratch by the largest live
+// degree.
+func (m *Model) findLiveNets() {
+	cv := m.cv
+	isLive := func(ni int) bool {
+		o0, o1 := cv.NetOff[ni], cv.NetOff[ni+1]
+		if o1-o0 < 2 {
+			return false
+		}
+		for _, ci := range cv.PinCell[o0:o1] {
+			if ci >= 0 && m.slot[ci] >= 0 {
+				return true
+			}
+		}
+		return false
+	}
+	nets := len(cv.NetOff) - 1
+	count := 0
+	for ni := 0; ni < nets; ni++ {
+		if isLive(ni) {
+			count++
+		}
+	}
+	m.live = make([]int32, 0, count)
+	m.liveOff = make([]int32, 1, count+1)
+	for ni := 0; ni < nets; ni++ {
+		if isLive(ni) {
+			deg := cv.NetOff[ni+1] - cv.NetOff[ni]
+			m.live = append(m.live, int32(ni))
+			m.liveOff = append(m.liveOff, m.liveOff[len(m.live)-1]+deg)
+			m.maxDeg = max(m.maxDeg, int(deg))
+		}
+	}
+}
+
 // buildAdjacency precomputes, for every model cell, its gradient-
-// contributing CSR pin slots in ascending slot order (net index
+// contributing compact pin slots in ascending slot order (net index
 // ascending, then pin position within the net) — the serial scatter
-// order. Pins on degree<2 nets never contribute and are excluded, as
-// are pins of floating terminals and non-model cells.
+// order. Only live nets have slots; pins of floating terminals and
+// non-model cells are excluded.
 func (m *Model) buildAdjacency() {
 	cv := m.cv
 	n := len(m.idx)
 	counts := make([]int32, n)
-	forEach := func(visit func(slot int, s int32)) {
-		for ni := 0; ni < len(cv.NetOff)-1; ni++ {
-			o0, o1 := cv.NetOff[ni], cv.NetOff[ni+1]
-			if o1-o0 < 2 {
-				continue
-			}
-			for s := o0; s < o1; s++ {
-				ci := cv.PinCell[s]
+	forEach := func(visit func(k, s int32)) {
+		for j, ni := range m.live {
+			o0 := cv.NetOff[ni]
+			for p, ci := range cv.PinCell[o0:cv.NetOff[ni+1]] {
 				if ci < 0 {
 					continue
 				}
 				if k := m.slot[ci]; k >= 0 {
-					visit(k, s)
+					visit(k, m.liveOff[j]+int32(p))
 				}
 			}
 		}
 	}
-	forEach(func(k int, s int32) { counts[k]++ })
+	forEach(func(k, _ int32) { counts[k]++ })
 	m.adjOff = make([]int32, n+1)
 	for k, c := range counts {
 		m.adjOff[k+1] = m.adjOff[k] + c
 	}
 	m.adjSlot = make([]int32, m.adjOff[n])
-	cursor := append([]int32(nil), m.adjOff[:n]...)
-	forEach(func(k int, s int32) {
-		m.adjSlot[cursor[k]] = s
-		cursor[k]++
+	// counts becomes each cell's fill cursor.
+	copy(counts, m.adjOff[:n])
+	forEach(func(k, s int32) {
+		m.adjSlot[counts[k]] = s
+		counts[k]++
 	})
 }
+
+// LiveNets returns the live nets in ascending order: those of degree
+// >= 2 with at least one pin on a model cell. The slice is the model's
+// own and must not be modified.
+func (m *Model) LiveNets() []int32 { return m.live }
+
+// NetsPriced returns the number of per-net evaluations the model has
+// run: its live-net count times its evaluation count.
+func (m *Model) NetsPriced() int64 { return int64(len(m.live)) * m.evals }
 
 // grow ensures per-worker scratch exists for workers shards.
 func (m *Model) grow(workers int) {
@@ -254,11 +311,14 @@ func (m *Model) grow(workers int) {
 	}
 }
 
-// Cost returns the smooth wirelength at the current positions.
+// Cost returns the smooth wirelength of the live nets at the current
+// positions. The other nets add a constant, so differences of Cost are
+// the differences of the whole design's smooth wirelength.
 func (m *Model) Cost() float64 { return m.eval(nil) }
 
-// CostAndGradient returns the smooth wirelength and writes its gradient
-// for the model's cells into grad, laid out {x_1..x_n, y_1..y_n}.
+// CostAndGradient returns the live nets' smooth wirelength and writes
+// its gradient for the model's cells into grad, laid out
+// {x_1..x_n, y_1..y_n}.
 // grad is not read: eval assigns every element unconditionally (the
 // scatter phase owns the full vector), so no zeroing pass is needed.
 func (m *Model) CostAndGradient(grad []float64) float64 {
@@ -269,11 +329,11 @@ func (m *Model) CostAndGradient(grad []float64) float64 {
 }
 
 // eval runs the three-phase parallel pipeline over the compiled view.
-// Phase 1 shards the fixed pin-balanced net tasks: each worker runs the
-// fused per-net kernel (evalNet), writing its nets' smooth costs into
-// m.costs and (when grad != nil) each CSR pin slot's weighted
+// Phase 1 shards the fixed pin-balanced live-net tasks: each worker runs
+// the fused per-net kernel (netCost), writing its nets' smooth costs
+// into m.costs and (when grad != nil) each compact pin slot's weighted
 // derivative into m.pinGX/m.pinGY — every write is owned by exactly one
-// worker, so there is no shared accumulator. Phase 2 folds the per-net
+// worker, so there is no shared accumulator. Phase 2 folds the live-net
 // costs in net order on the calling goroutine. Phase 3 shards the model
 // cells (adjacency-balanced tasks): each cell's gradient is the
 // left-to-right fold of its adjacency contributions, assigned (never
@@ -292,15 +352,13 @@ func (m *Model) eval(grad []float64) float64 {
 	m.grow(workers)
 	m.grad = grad
 	m.invGamma = 1 / m.Gamma
+	m.evals++
 
 	parallel.For(workers, len(m.netTaskOff)-1, m.netTask)
 
 	total := 0.0
-	cv := m.cv
-	for ni := 0; ni < len(m.costs); ni++ {
-		if cv.NetOff[ni+1]-cv.NetOff[ni] >= 2 {
-			total += m.costs[ni]
-		}
+	for _, c := range m.costs {
+		total += c
 	}
 
 	if grad != nil {
@@ -310,22 +368,20 @@ func (m *Model) eval(grad []float64) float64 {
 	return total
 }
 
-// evalNet is the fused per-net kernel: one sweep gathers the pin
-// positions from the SoA arrays and tracks min/max per axis, then each
-// axis computes its exponentials ONCE (expTerms) — caching e^+ / e^- in
-// the worker scratch — and derives both the smooth span and, when a
-// gradient is requested, every pin's weighted derivative from the cached
-// values. The unfused axisWA/axisLSE (math.Exp, a division wherever the
-// formula has one) are the oracle it agrees with to rounding; a NaN or
-// infinite pin still turns the net's cost and every derivative non-finite.
-func (m *Model) evalNet(ni int, s *netScratch) {
+// netCost is the fused per-net kernel for net ni, of degree >= 2: it
+// returns the net's weighted smooth cost and, when a gradient is
+// requested, writes pin p's weighted derivatives into gx[p] and gy[p].
+// One sweep gathers the pin positions from the SoA arrays and tracks
+// min/max per axis, then each axis computes its exponentials ONCE
+// (expTerms) — caching e^+ / e^- in the worker scratch — and derives
+// both the smooth span and every derivative from the cached values. The
+// unfused axisWA/axisLSE (math.Exp, a division wherever the formula has
+// one) are the oracle it agrees with to rounding; a NaN or infinite pin
+// still turns the net's cost and every derivative non-finite.
+func (m *Model) netCost(ni int, gx, gy []float64, s *netScratch) float64 {
 	cv := m.cv
 	o0, o1 := int(cv.NetOff[ni]), int(cv.NetOff[ni+1])
 	deg := o1 - o0
-	if deg < 2 {
-		m.costs[ni] = 0
-		return
-	}
 	w := cv.NetW[ni]
 	pinCell, pinOx, pinOy := cv.PinCell, cv.PinOx, cv.PinOy
 	posX, posY := cv.PosX, cv.PosY
@@ -350,13 +406,13 @@ func (m *Model) evalNet(ni int, s *netScratch) {
 	}
 	var cost float64
 	if m.Kind == LSE {
-		cost = m.fusedLSE(xs, xmin, xmax, s, m.pinGX, o0, w) +
-			m.fusedLSE(ys, ymin, ymax, s, m.pinGY, o0, w)
+		cost = m.fusedLSE(xs, xmin, xmax, s, gx, w) +
+			m.fusedLSE(ys, ymin, ymax, s, gy, w)
 	} else {
-		cost = m.fusedWA(xs, xmin, xmax, s, m.pinGX, o0, w) +
-			m.fusedWA(ys, ymin, ymax, s, m.pinGY, o0, w)
+		cost = m.fusedWA(xs, xmin, xmax, s, gx, w) +
+			m.fusedWA(ys, ymin, ymax, s, gy, w)
 	}
-	m.costs[ni] = w * cost
+	return w * cost
 }
 
 // expTerms is the one place the fused kernels take an exponential, and
@@ -406,9 +462,9 @@ func expTerms(xs []float64, xmin, xmax, invGamma float64, s *netScratch) (ep, em
 
 // fusedWA computes the weighted-average span of Eq. (3) for one axis
 // with the standard max-shift, and when a gradient is requested writes
-// each pin's weighted derivative into gOut[o0+p], reusing the cached
+// each pin's weighted derivative into gOut[p], reusing the cached
 // exponentials instead of recomputing them.
-func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
+func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, w float64) float64 {
 	ig := m.invGamma
 	ep, em, sp, tp, sm, tm := expTerms(xs, xmin, xmax, ig, s) // S+, T+, S-, T-
 	span := tp/sp - tm/sm
@@ -428,19 +484,19 @@ func (m *Model) fusedWA(xs []float64, xmin, xmax float64, s *netScratch, gOut []
 		dmax := ep[p] * (sp*(1+xg) - tpg) * isp2
 		// d(T-/S-)/dx = e^{-x/g} [ S- (1 - x/g) + T-/g ] / S-^2
 		dmin := em[p] * (sm*(1-xg) + tmg) * ism2
-		gOut[o0+p] = w * (dmax - dmin)
+		gOut[p] = w * (dmax - dmin)
 	}
 	return span
 }
 
 // fusedLSE computes gamma*(log sum exp(x/gamma) + log sum exp(-x/gamma))
 // for one axis with cached exponentials, mirroring fusedWA's structure.
-func (m *Model) fusedLSE(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, o0 int, w float64) float64 {
+func (m *Model) fusedLSE(xs []float64, xmin, xmax float64, s *netScratch, gOut []float64, w float64) float64 {
 	ep, em, sp, _, sm, _ := expTerms(xs, xmin, xmax, m.invGamma, s)
 	cost := m.Gamma*(math.Log(sp)+math.Log(sm)) + (xmax - xmin)
 	if m.grad != nil {
 		for p := range xs {
-			gOut[o0+p] = w * (ep[p]/sp - em[p]/sm)
+			gOut[p] = w * (ep[p]/sp - em[p]/sm)
 		}
 	}
 	return cost
