@@ -68,7 +68,7 @@ func run(ctx context.Context) error {
 		solver   = flag.String("solver", "nesterov", "global placement solver: nesterov | cg")
 		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 (default spectral)")
 		gridM    = flag.Int("grid", 0, "bin grid size per side (power of two, 0 = auto)")
-		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default 3000)")
+		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default: 3000, or 600 for -eco)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
 		gpOnly   = flag.Bool("gp-only", false, "stop after global placement (no legalization)")
 		levels   = flag.Int("levels", 1, "multilevel V-cycle levels (1 = flat; >1 clusters the netlist and warm-starts each level)")
@@ -231,15 +231,15 @@ func run(ctx context.Context) error {
 	fmt.Printf("overflow tau  %.4f\n", rep.Overflow)
 	fmt.Printf("legal         %v\n", rep.Legal)
 	for _, ml := range res.ML {
-		fmt.Printf("mGP/L%-8d %d cells, %d iters, tau %.4f\n",
-			ml.Level, ml.Cells, ml.Result.Iterations, ml.Result.Overflow)
+		fmt.Printf("mGP/L%-8d %d cells, %d iters, tau %.4f, stop %s\n",
+			ml.Level, ml.Cells, ml.Result.Iterations, ml.Result.Overflow, ml.Result.Stop)
 	}
-	fmt.Printf("mGP           %d iters, tau %.4f, %d backtracks\n",
-		res.MGP.Iterations, res.MGP.Overflow, res.MGP.Backtracks)
+	fmt.Printf("mGP           %d iters, tau %.4f, %d backtracks, stop %s\n",
+		res.MGP.Iterations, res.MGP.Overflow, res.MGP.Backtracks, res.MGP.Stop)
 	if res.MixedSize {
 		fmt.Printf("mLG           j=%d, Om %.4g -> %.4g\n",
 			res.MLG.OuterIterations, res.MLG.OmBefore, res.MLG.OmAfter)
-		fmt.Printf("cGP           %d iters, tau %.4f\n", res.CGP.Iterations, res.CGP.Overflow)
+		fmt.Printf("cGP           %d iters, tau %.4f, stop %s\n", res.CGP.Iterations, res.CGP.Overflow, res.CGP.Stop)
 	}
 	for _, stage := range res.Stages {
 		fmt.Printf("time %-8s %v\n", stage.Name, stage.Time.Round(1e6))
@@ -331,8 +331,8 @@ func runEco(ctx context.Context, d *netlist.Design, gp core.Options, ecoPath, fr
 	if res.NoOp {
 		fmt.Println("eco           structural no-op: previous placement reused")
 	} else {
-		fmt.Printf("eGP           %d iters, tau %.4f (%d active / %d frozen cells)\n",
-			res.GP.Iterations, res.GP.Overflow, res.ActiveCells, res.FrozenCells)
+		fmt.Printf("eGP           %d iters, tau %.4f, stop %s (%d active / %d frozen cells)\n",
+			res.GP.Iterations, res.GP.Overflow, res.GP.Stop, res.ActiveCells, res.FrozenCells)
 	}
 	fmt.Printf("HPWL          %.6g\n", res.HPWL)
 	fmt.Printf("legal         %v\n", res.Legal)

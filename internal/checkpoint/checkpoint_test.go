@@ -34,7 +34,7 @@ func sampleState() *State {
 			Nesterov: nesterov.State{
 				U: []float64{1, 2}, V: []float64{3, 4}, VPrev: []float64{5, 6},
 				GradV: []float64{-1, -2}, GradPrev: []float64{-3, -4},
-				A: 5.5, Steps: 17, Backtracks: 3, Restarts: 1,
+				A: 5.5, Steps: 17, Backtracks: 3,
 			},
 		},
 		Golden: telemetry.GoldenState{Stages: []telemetry.StageDigest{

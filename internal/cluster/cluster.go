@@ -33,34 +33,28 @@ type Options struct {
 	// movable standard-cell area (default 16). Larger caps coarsen more
 	// aggressively but hide more detail from the coarse level.
 	CapFactor float64
-	// Reduction is the target fine/coarse ratio of movable standard
-	// cells per level (default 4): coarsening stops once the cluster
-	// count drops below movable/Reduction.
-	Reduction float64
-	// MaxNetDegree ignores nets with more pins than this when scoring
-	// merges (default 16): clock-like global nets connect everything to
-	// everything and would otherwise glue unrelated logic together.
-	MaxNetDegree int
-	// MinCells stops coarsening when a level would hold fewer movable
-	// objects than this (default 150): below that, a level is pure
-	// overhead over running the engine directly.
-	MinCells int
 }
 
 func (o *Options) defaults() {
 	if o.CapFactor <= 0 {
 		o.CapFactor = 16
 	}
-	if o.Reduction <= 1 {
-		o.Reduction = 4
-	}
-	if o.MaxNetDegree <= 0 {
-		o.MaxNetDegree = 16
-	}
-	if o.MinCells <= 0 {
-		o.MinCells = 150
-	}
 }
+
+const (
+	// reduction is the target fine/coarse ratio of movable standard
+	// cells per level: coarsening stops once the cluster count drops
+	// below movable/reduction.
+	reduction = 4
+	// maxNetDegree ignores nets with more pins than this when scoring
+	// merges: clock-like global nets connect everything to everything
+	// and would otherwise glue unrelated logic together.
+	maxNetDegree = 16
+	// minCells stops coarsening when a level would hold fewer movable
+	// objects than this: below that, a level is pure overhead over
+	// running the engine directly.
+	minCells = 150
+)
 
 // Level is one coarsening step: the coarse design plus the map back to
 // the finer design it was built from.
@@ -122,7 +116,7 @@ type coarsener struct {
 	members   [][]int32 // representative -> member fine cells (in merge order)
 
 	// netConn[e] = w_e / (|e| - 1), precomputed per fine net; zero for
-	// nets outside the [2, MaxNetDegree] scoring window.
+	// nets outside the [2, maxNetDegree] scoring window.
 	netConn []float64
 
 	// Scratch for neighbor accumulation: conn is indexed by
@@ -208,7 +202,7 @@ func (c *coarsener) merge(a, b int32) {
 
 // Coarsen builds one coarse level above fine, or returns nil when the
 // design is too small or too loosely connected for a level to pay off
-// (fewer movable std cells than 2*MinCells, or best-choice achieved
+// (fewer movable std cells than 2*minCells, or best-choice achieved
 // less than a 1.25x reduction).
 func Coarsen(fine *netlist.Design, opt Options) *Level {
 	opt.defaults()
@@ -248,7 +242,7 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 		avgArea += c.area[i]
 		movableStd++
 	}
-	if movableStd < 2*opt.MinCells {
+	if movableStd < 2*minCells {
 		return nil
 	}
 	avgArea /= float64(movableStd)
@@ -258,7 +252,7 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 	for ni := range fine.Nets {
 		net := &fine.Nets[ni]
 		deg := len(net.Pins)
-		if deg < 2 || deg > opt.MaxNetDegree {
+		if deg < 2 || deg > maxNetDegree {
 			continue
 		}
 		c.netConn[ni] = net.EffWeight() / float64(deg-1)
@@ -266,10 +260,10 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 
 	// Movable macros, pads and fixed cells are singletons by
 	// construction; only std-cell clusters shrink the level. Stop at the
-	// reduction target, floored by MinCells.
-	target := int(float64(movableStd) / opt.Reduction)
-	if target < opt.MinCells {
-		target = opt.MinCells
+	// reduction target, floored by minCells.
+	target := int(float64(movableStd) / reduction)
+	if target < minCells {
+		target = minCells
 	}
 
 	h := &pairHeap{}

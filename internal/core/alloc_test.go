@@ -30,7 +30,7 @@ func TestNesterovIterationAllocFree(t *testing.T) {
 	e.cv.SetPositions(e.idx, v0)
 	e.dm.Refresh(e.idx)
 	e.updateGamma(e.dm.Overflow(d.TargetDensity))
-	e.initLambda(v0)
+	e.initLambda(v0, 0)
 
 	o := nesterov.New(v0, e.gradient, e.clamp, 0.1)
 	var hpwl, tau float64

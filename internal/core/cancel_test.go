@@ -92,8 +92,8 @@ func TestFlowCancelMidMGPResumesBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, st := cancelAndResume(t, spec, detFlowOpts, ref, cancelAtSink{stage: "mGP", iter: 12})
-	if !res.MGP.Canceled {
-		t.Error("partial result does not mark mGP canceled")
+	if res.MGP.Stop != StopCanceled {
+		t.Errorf("partial mGP result stopped by %q, want %q", res.MGP.Stop, StopCanceled)
 	}
 	if res.MGP.Iterations == 0 {
 		t.Error("partial result carries no mGP iterations")

@@ -19,16 +19,9 @@ import (
 // ECOOptions configures an incremental re-placement run.
 type ECOOptions struct {
 	// GP configures the warm-started global placement over the active
-	// cells (workers, Poisson backend, telemetry, golden trace).
+	// cells (workers, Poisson backend, telemetry). GP.MaxIters defaults
+	// to 600 here and GP.TargetOverflow to 0.15.
 	GP Options
-	// Detail configures cDP refinement; SkipDetail stops after
-	// legalization.
-	Detail     detail.Options
-	SkipDetail bool
-	// MaxIters bounds the incremental GP stage (default 600: a warm
-	// start near the density target converges in tens of iterations;
-	// the bound only matters for pathological edits).
-	MaxIters int
 	// Checkpoint, when non-nil, persists a done-phase snapshot of the
 	// finished incremental placement, so further ECO runs (or the
 	// server's job chaining) can stack on top of this one.
@@ -84,9 +77,6 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	}
 	if err := poisson.CheckKind(opt.GP.Poisson); err != nil {
 		return res, err
-	}
-	if opt.MaxIters <= 0 {
-		opt.MaxIters = 600
 	}
 	// The run opens — and takes its fingerprint — before anything below
 	// mutates structure the fingerprint covers: a future ECO chaining off
@@ -170,7 +160,7 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// to undo.
 	aw, ah := avgActiveDim(d, plan.Active)
 	jr := ecoPerturb * math.Max(aw, ah)
-	rng := rand.New(rand.NewSource(opt.GP.Seed + 3))
+	rng := rand.New(rand.NewSource(ecoJitterSeed))
 	for _, ci := range plan.Fresh {
 		c := &d.Cells[ci]
 		if c.Fixed || c.Kind != netlist.StdCell {
@@ -178,10 +168,9 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 		}
 		ang := 2 * math.Pi * rng.Float64()
 		rad := jr * rng.Float64()
-		c.X += rad * math.Cos(ang)
-		c.Y += rad * math.Sin(ang)
-		p := clampCell(c, d)
-		c.X, c.Y = p.x, p.y
+		p := geom.Point{X: c.X + rad*math.Cos(ang), Y: c.Y + rad*math.Sin(ang)}
+		p = geom.ClampPoint(p, c.W, c.H, d.Region)
+		c.X, c.Y = p.X, p.Y
 	}
 
 	// --- eGP: warm-started global placement over the active cells. ---
@@ -190,8 +179,8 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// free pocket of the region, inflating wirelength far past the
 	// converged placement being reused.
 	gpOpt := opt.GP
-	if gpOpt.MaxIters == 0 {
-		gpOpt.MaxIters = opt.MaxIters
+	if gpOpt.MaxIters <= 0 {
+		gpOpt.MaxIters = egpMaxIters
 	}
 	// A warm start opens at the grid's overflow quantization floor, not
 	// at tau~1 like a cold run: the subset-relative overflow can never
@@ -202,25 +191,21 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	if gpOpt.TargetOverflow <= 0 {
 		gpOpt.TargetOverflow = 0.15
 	}
-	if gpOpt.StallIters <= 0 {
-		gpOpt.StallIters = 25
-	}
-	// Resume in the late-cGP penalty regime (see Options.LambdaScale):
-	// the reused layout is the equilibrium of a *grown* penalty, and
-	// re-balancing from scratch lets the active cells collapse onto
-	// frozen neighbors before density recovers — quality the legalizer
-	// then pays back several times over in displacement.
-	if gpOpt.LambdaScale <= 0 {
-		gpOpt.LambdaScale = 10
-	}
 	t0 := time.Now()
 	gpIdx := plan.Active
-	if fillers := InsertFillers(d, opt.GP.Seed+1); len(fillers) > 0 {
-		seedFillersInWhitespace(d, fillers, opt.GP.Seed+2)
+	if fillers := InsertFillers(d, fillerSeed); len(fillers) > 0 {
+		seedFillersInWhitespace(d, fillers, whitespaceSeed)
 		gpIdx = append(append(make([]int, 0, len(plan.Active)+len(fillers)), plan.Active...), fillers...)
 	}
 	var err error
-	res.GP, err = run.gp(gpStage{name: "eGP", cv: run.cv, idx: gpIdx, opt: gpOpt})
+	// The penalty resumes in the late-cGP regime (egpLambdaScale): a
+	// cold balance lets the active cells collapse onto frozen neighbors,
+	// quality the legalizer then pays back several times over in
+	// displacement.
+	res.GP, err = run.gp(gpStage{
+		name: "eGP", cv: run.cv, idx: gpIdx, opt: gpOpt,
+		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
+	})
 	d.RemoveFillers()
 	run.addStage("eGP", time.Since(t0))
 	if err != nil {
@@ -313,9 +298,8 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	}
 	for _, t := range retargets {
 		c := &d.Cells[t.ci]
-		c.X, c.Y = t.x, t.y
-		cl := clampCell(c, d)
-		c.X, c.Y = cl.x, cl.y
+		p := geom.ClampPoint(geom.Point{X: t.x, Y: t.y}, c.W, c.H, d.Region)
+		c.X, c.Y = p.X, p.Y
 	}
 	// Deeper refinement than the cold flow's: it is the pass that
 	// recovers the wirelength a fresh cell loses when no gap exists at
@@ -327,16 +311,17 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// that; cDP was 37% before its later passes priced only the trials
 	// an accepted move touched, and half, before it priced its trials
 	// against cached net boxes; ROADMAP 2d).
-	dOpt := opt.Detail
-	if dOpt.Passes <= 0 {
-		dOpt.Passes = 6
-	}
-	if dOpt.SwapCandidates <= 0 {
-		dOpt.SwapCandidates = 16
-	}
-	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(snapped, moved, plan.Active, dOpt, opt.SkipDetail)
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(snapped, moved, plan.Active,
+		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
 	return err
 }
+
+// ecoDetailPasses and ecoSwapCandidates are the ECO cDP's depth: twice
+// the cold flow's passes and swap candidates (see replaceActive).
+const (
+	ecoDetailPasses   = 6
+	ecoSwapCandidates = 16
+)
 
 // WarmStart loads a finished placement's snapshot into a freshly built
 // design ahead of an ECO run: it validates that the snapshot belongs to
@@ -378,7 +363,6 @@ func avgActiveDim(d *netlist.Design, idx []int) (w, h float64) {
 	return w / float64(len(idx)), h / float64(len(idx))
 }
 
-// clampCell keeps a cell's center inside the region respecting size.
 // optimalCoord returns the point nearest cur within the cell's optimal
 // region along one axis: the minimizer set of the weighted sum of each
 // net's bounding-interval extension, holding every other pin fixed. The
@@ -456,15 +440,6 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) (best floa
 	return cur, true
 }
 
-type clamped struct{ x, y float64 }
-
-func clampCell(c *netlist.Cell, d *netlist.Design) clamped {
-	hw, hh := c.W/2, c.H/2
-	x := math.Min(math.Max(c.X, d.Region.Lx+hw), d.Region.Hx-hw)
-	y := math.Min(math.Max(c.Y, d.Region.Ly+hh), d.Region.Hy-hh)
-	return clamped{x, y}
-}
-
 // seedFillersInWhitespace moves freshly inserted fillers from their
 // uniform-random positions into the placement's actual whitespace,
 // proportionally to per-bin free area. A warm start must open near its
@@ -526,10 +501,10 @@ func seedFillersInWhitespace(d *netlist.Design, fillers []int, seed int64) {
 			b = n*n - 1
 		}
 		c := &d.Cells[fi]
-		c.X = r.Lx + (float64(b%n)+rng.Float64())*binW
-		c.Y = r.Ly + (float64(b/n)+rng.Float64())*binH
-		p := clampCell(c, d)
-		c.X, c.Y = p.x, p.y
+		x := r.Lx + (float64(b%n)+rng.Float64())*binW
+		y := r.Ly + (float64(b/n)+rng.Float64())*binH
+		p := geom.ClampPoint(geom.Point{X: x, Y: y}, c.W, c.H, r)
+		c.X, c.Y = p.X, p.Y
 	}
 }
 

@@ -185,7 +185,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 	seedFillersInWhitespace(d, fillers, 4)
 	idx := append(append([]int(nil), active...), fillers...)
 
-	opt := Options{MaxIters: 40, TargetOverflow: 0.15, StallIters: 25, LambdaScale: 10, Workers: 2}
+	opt := Options{MaxIters: 40, TargetOverflow: 0.15, Workers: 2, CheckpointEvery: 1}
 	opt.defaults()
 	ref := d.Compile()
 	start := d.Positions(idx)
@@ -194,8 +194,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 	wantHPWL0 := ref.HPWL()
 
 	iters := 0
-	opt.CheckpointEvery = 1
-	opt.CheckpointSink = func(gs *checkpoint.GPState) {
+	sink := func(gs *checkpoint.GPState) {
 		if math.Float64bits(gs.HPWL0) != math.Float64bits(wantHPWL0) {
 			t.Errorf("start HPWL %v, view %v", gs.HPWL0, wantHPWL0)
 		}
@@ -206,7 +205,10 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 		iters++
 	}
 	cv := d.Compile()
-	res, err := placeGlobal(context.Background(), cv, idx, opt, "eGP", 0)
+	res, err := placeGlobal(context.Background(), gpStage{
+		name: "eGP", cv: cv, idx: idx, opt: opt,
+		lambdaScale: egpLambdaScale, stallIters: egpStallIters, sink: sink,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +223,33 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 		t.Errorf("%d of %d nets live: not an ECO-shaped stage", live, len(d.Nets))
 	}
 	t.Logf("%d iterations, %d of %d nets live", iters, live, len(d.Nets))
+}
+
+// TestECOMaxIters: GP.MaxIters bounds the eGP stage, which then reports
+// the iteration cap as its stop reason.
+func TestECOMaxIters(t *testing.T) {
+	spec := ecoSpec("eco-iters")
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := warmCopy(spec, cold)
+	script := &eco.Script{AddCells: []eco.AddCell{{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}}}}
+	prep, err := eco.Prepare(warm, script, eco.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{MaxIters: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GP.Iterations > 5 || res.GP.Stop != StopIterationCap {
+		t.Errorf("eGP ran %d iterations and stopped by %q, want at most 5 and %q",
+			res.GP.Iterations, res.GP.Stop, StopIterationCap)
+	}
+	if !res.Legal {
+		t.Error("incremental result not legal")
+	}
 }
 
 // TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the

@@ -237,8 +237,9 @@ func (e *engine) cost(v []float64) float64 {
 }
 
 // initLambda balances the initial wirelength and density gradient norms
-// (sum of absolute values), the standard ePlace initialization.
-func (e *engine) initLambda(v []float64) {
+// (sum of absolute values), the standard ePlace initialization, and
+// multiplies the balance by scale (see gpStage.lambdaScale).
+func (e *engine) initLambda(v []float64, scale float64) {
 	e.cv.SetPositions(e.idx, v)
 	e.wl.CostAndGradient(e.gw)
 	e.dm.Refresh(e.idx)
@@ -256,8 +257,8 @@ func (e *engine) initLambda(v []float64) {
 	if e.lambda <= 0 {
 		e.lambda = 1
 	}
-	if e.opt.LambdaScale > 0 {
-		e.lambda *= e.opt.LambdaScale
+	if scale > 0 {
+		e.lambda *= scale
 	}
 }
 
@@ -288,25 +289,31 @@ func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambda
 // PlaceGlobalContext is PlaceGlobal with cooperative cancellation: the
 // context is polled once per iteration (the preemption granularity a
 // job scheduler gets — one gradient evaluation, not one stage). On
-// cancellation the loop stops before the next iteration, hands a final
-// mid-stage snapshot to opt.CheckpointSink when one is installed
-// (regardless of the CheckpointEvery cadence, so the very latest state
-// is resumable), writes the current positions back to d, and returns
-// with Result.Canceled set. A resume from that snapshot continues the
-// trajectory bitwise-identically to the uninterrupted run.
+// cancellation the loop stops before the next iteration, writes the
+// current positions back to d, and returns with Result.Stop set to
+// StopCanceled.
 func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
-	return placeGlobal(ctx, d.Compile(), idx, opt, stage, lambdaInit)
+	return placeGlobal(ctx, gpStage{name: stage, cv: d.Compile(), idx: idx, opt: opt, lambdaInit: lambdaInit})
 }
 
-// placeGlobal is PlaceGlobalContext over a caller-owned view of the
-// design, which it syncs from the Cell structs on entry.
-func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
+// placeGlobal runs stage s over its caller-owned view of the design,
+// which it syncs from the Cell structs on entry. Inside a flow, a
+// canceled stage first hands a final mid-stage snapshot to s.sink
+// (regardless of the CheckpointEvery cadence, so the very latest state
+// is resumable); a resume from that snapshot continues the trajectory
+// bitwise-identically to the uninterrupted run.
+func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
+	opt, stage, cv, idx := s.opt, s.name, s.cv, s.idx
 	opt.defaults()
+	if s.stallIters <= 0 {
+		s.stallIters = stallIters
+	}
 	d := cv.Design()
 	start := time.Now()
 	var res Result
 	if len(idx) == 0 {
 		res.HPWL = d.HPWL()
+		res.Stop = StopTargetOverflow
 		return res, nil
 	}
 	// The engine always records kernel spans; a private sink-less
@@ -344,7 +351,7 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 	bestTauIter := 0
 	iterStart := 0
 
-	if rs := opt.ResumeGP; rs != nil && opt.Solver == SolverNesterov {
+	if rs := s.resume; rs != nil && opt.Solver == SolverNesterov {
 		// Resume: every schedule scalar and optimizer vector comes from
 		// the snapshot, and the whole init path (tau0, gamma, lambda
 		// balancing, the optimizer's seeding gradient evaluations) is
@@ -358,7 +365,6 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		bestTau, bestTauIter = rs.BestTau, rs.BestTauIter
 		iterStart = rs.Iter
 		opt2 = nesterov.Resume(rs.Nesterov, e.gradient, e.clamp, seedStep)
-		opt2.AdaptiveRestart = opt.AdaptiveRestart
 		stepNesterov = func() (float64, int) { return opt2.Step(opt.DisableBkTrk) }
 		solution = func() []float64 { return opt2.U }
 	} else {
@@ -370,10 +376,10 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 			return e.dm.Overflow(d.TargetDensity)
 		}()
 		e.updateGamma(tau0)
-		if lambdaInit > 0 {
-			e.lambda = lambdaInit
+		if s.lambdaInit > 0 {
+			e.lambda = s.lambdaInit
 		} else {
-			e.initLambda(v0)
+			e.initLambda(v0, s.lambdaScale)
 		}
 
 		// HPWL of the clamped start, from the view (the structs still
@@ -383,7 +389,6 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 
 		if opt.Solver == SolverNesterov {
 			opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
-			opt2.AdaptiveRestart = opt.AdaptiveRestart
 			stepNesterov = func() (float64, int) { return opt2.Step(opt.DisableBkTrk) }
 			solution = func() []float64 { return opt2.U }
 		} else {
@@ -422,6 +427,9 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		divergeHPWL = b
 	}
 
+	// A loop that runs out of iterations stops at the cap; every break
+	// below names its own reason.
+	res.Stop = StopIterationCap
 	iter := iterStart
 	for ; iter < opt.MaxIters; iter++ {
 		// Cooperative cancellation, checked once per iteration. The state
@@ -431,9 +439,9 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		// no capturable recurrence: it cancels without a mid-stage
 		// snapshot and falls back to the last stage boundary.
 		if ctx.Err() != nil {
-			res.Canceled = true
-			if opt.CheckpointSink != nil && opt2 != nil {
-				opt.CheckpointSink(&checkpoint.GPState{
+			res.Stop = StopCanceled
+			if s.sink != nil && opt2 != nil {
+				s.sink(&checkpoint.GPState{
 					Stage: stage, Iter: iter,
 					Lambda: e.lambda, Gamma: e.gamma,
 					PrevHPWL: prevHPWL, HPWL0: hpwl0,
@@ -467,34 +475,34 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		// digest (lambda here is the value the iteration's gradient
 		// used, before the schedule update below).
 		t0 = time.Now()
-		opt.Golden.Absorb(stage, iter, u, hpwl, e.lambda)
+		s.golden.Absorb(stage, iter, u, hpwl, e.lambda)
 		rec.AddSpanTime(stage, "digest", time.Since(t0))
 		if opt.Telemetry.Active() {
-			s := Sample{
+			smp := Sample{
 				Stage: stage, Iteration: iter,
 				HPWL: hpwl, Overflow: tau, Energy: e.dm.Energy(),
 				Lambda: e.lambda, Gamma: e.gamma, Alpha: alpha, Backtracks: bt,
 				GradWL: sumAbs(e.gw), GradDensity: sumAbs(e.gd),
 			}
 			if opt2 != nil {
-				s.Steps = opt2.Steps()
-				s.Restarts = opt2.Restarts()
+				smp.Steps = opt2.Steps()
 			} else {
-				s.Steps = cg.Steps()
+				smp.Steps = cg.Steps()
 			}
 			wlNow := rec.SpanTime(stage, "wirelength")
 			denNow := rec.SpanTime(stage, "density")
-			s.WirelengthTime = wlNow - prevWL
-			s.DensityTime = denNow - prevDen
+			smp.WirelengthTime = wlNow - prevWL
+			smp.DensityTime = denNow - prevDen
 			prevWL, prevDen = wlNow, denNow
-			opt.Telemetry.Sample(s)
+			opt.Telemetry.Sample(smp)
 		}
 
 		if math.IsNaN(hpwl) || hpwl > divergeHPWL {
-			res.Diverged = true
+			res.Stop = StopDiverged
 			break
 		}
 		if tau <= opt.TargetOverflow && iter >= opt.MinIters {
+			res.Stop = StopTargetOverflow
 			iter++
 			break
 		}
@@ -502,8 +510,8 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		// the target is unreachable (e.g. infeasible density bound).
 		// Return the best snapshot instead of grinding lambda upward
 		// until wirelength explodes.
-		if iter-bestTauIter > opt.StallIters && iter >= opt.MinIters {
-			res.Stagnated = true
+		if iter-bestTauIter > s.stallIters && iter >= opt.MinIters {
+			res.Stop = StopStall
 			break
 		}
 
@@ -528,9 +536,9 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 		// same points as an uninterrupted one. Nesterov only: the CG
 		// baseline has no capturable recurrence and falls back to
 		// stage-boundary checkpoints.
-		if opt.CheckpointSink != nil && opt.CheckpointEvery > 0 && opt2 != nil &&
+		if s.sink != nil && opt.CheckpointEvery > 0 && opt2 != nil &&
 			(iter+1)%opt.CheckpointEvery == 0 {
-			opt.CheckpointSink(&checkpoint.GPState{
+			s.sink(&checkpoint.GPState{
 				Stage: stage, Iter: iter + 1,
 				Lambda: e.lambda, Gamma: e.gamma,
 				PrevHPWL: prevHPWL, HPWL0: hpwl0,
@@ -546,7 +554,7 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 	// source of truth between stages) and the view (for the final
 	// Refresh/HPWL below).
 	final := solution()
-	if res.Diverged || res.Stagnated {
+	if res.Stop == StopDiverged || res.Stop == StopStall {
 		final = best
 	}
 	copy(e.posBuf, final)
@@ -565,7 +573,6 @@ func placeGlobal(ctx context.Context, cv *netlist.Compiled, idx []int, opt Optio
 	// per-step mirroring.
 	if opt2 != nil {
 		res.Backtracks = opt2.Backtracks()
-		res.Restarts = opt2.Restarts()
 	}
 	if cg != nil {
 		res.CostEvals = cg.CostEvals()

@@ -42,9 +42,11 @@ func ExamplePlaceGlobal() {
 	res, _ := core.PlaceGlobal(d, d.Movable(), core.Options{
 		GridM: 32, MaxIters: 600, Telemetry: telemetry.New(tr),
 	}, "mGP", 0)
-	fmt.Println("converged:", res.Overflow <= 0.11 && !res.Diverged)
+	fmt.Println("converged:", res.Overflow <= 0.11)
+	fmt.Println("stop:", res.Stop)
 	fmt.Println("traced every iteration:", len(tr.Samples) == res.Iterations)
 	// Output:
 	// converged: true
+	// stop: target-overflow
 	// traced every iteration: true
 }

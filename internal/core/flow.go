@@ -20,12 +20,9 @@ import (
 type FlowOptions struct {
 	// GP configures both global placement stages (mGP and cGP).
 	GP Options
-	// MLG configures the annealing macro legalizer.
-	MLG legalize.MLGOptions
-	// Detail configures cDP refinement.
-	Detail detail.Options
-	// SkipDetail stops after legalization (diagnostics).
-	SkipDetail bool
+	// AllowOrient lets mLG rotate macros by 90 degrees (see
+	// legalize.MLGOptions.AllowOrient).
+	AllowOrient bool
 	// SkipLegalization stops after global placement, leaving an
 	// overlapping layout (global-placement-quality studies).
 	SkipLegalization bool
@@ -58,10 +55,34 @@ type FlowOptions struct {
 	Resume *checkpoint.State
 }
 
-// cgpFillerIters is the length of cGP's filler-only placement: with the
-// standard cells held, 20 iterations let the fillers re-spread around
-// the macros mLG just moved (Sec. VI-B).
-const cgpFillerIters = 20
+// The flow's own per-stage values, which no caller chooses.
+const (
+	// cgpFillerIters is the length of cGP's filler-only placement: with
+	// the standard cells held, 20 iterations let the fillers re-spread
+	// around the macros mLG just moved (Sec. VI-B).
+	cgpFillerIters = 20
+	// stallIters is every GP stage's stagnation window but eGP's.
+	stallIters = 150
+	// egpStallIters, egpLambdaScale and egpMaxIters are eGP's stall
+	// window, initial-penalty scale and default iteration bound. A warm
+	// start opens near the grid's overflow floor, so waiting out a long
+	// window only grinds lambda upward while wirelength degrades. The
+	// reused layout is the equilibrium of a grown penalty, so eGP resumes
+	// in the late-cGP regime: balancing the gradients from scratch lets
+	// the active cells collapse onto frozen neighbors before density
+	// recovers. A warm start converges in tens of iterations; the bound
+	// only matters for pathological edits.
+	egpStallIters  = 25
+	egpLambdaScale = 10
+	egpMaxIters    = 600
+	// The seeds of the flow's random streams: filler placement (every GP
+	// level and eGP), the mLG annealer, eGP's whitespace filler seeding
+	// and its fresh-cell jitter.
+	fillerSeed     = 1
+	mlgSeed        = 2
+	whitespaceSeed = 2
+	ecoJitterSeed  = 3
+)
 
 // FlowResult aggregates per-stage results of one full placement. The
 // embedded summary carries HPWL, Legal, DP, Stages, StageTime and
@@ -269,7 +290,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		// position the snapshot captured — in that order, because restoring
 		// also restores the fixed flags filler sizing reads.
 		if ph <= phCGP {
-			fillers = InsertFillers(ld, opt.GP.Seed+1)
+			fillers = InsertFillers(ld, fillerSeed)
 		}
 		if rs != nil && k == startLevel {
 			// A boundary snapshot taken before the level's fillers existed
@@ -347,17 +368,10 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if ph <= phMLG {
 			r.rec.SetStage("mLG")
 			t0 := time.Now()
-			mlgOpt := opt.MLG
-			if mlgOpt.Seed == 0 {
-				mlgOpt.Seed = opt.GP.Seed + 2
-			}
-			if mlgOpt.Telemetry == nil {
-				mlgOpt.Telemetry = r.rec
-			}
-			if mlgOpt.Workers == 0 {
-				mlgOpt.Workers = opt.GP.Workers
-			}
-			res.MLG = legalize.Macros(d, r.movMacros, mlgOpt)
+			res.MLG = legalize.Macros(d, r.movMacros, legalize.MLGOptions{
+				Seed: mlgSeed, AllowOrient: opt.AllowOrient,
+				Workers: opt.GP.Workers, Telemetry: r.rec,
+			})
 			r.golden.Absorb("mLG", 0, d.Positions(r.movMacros), d.HPWL(), 0)
 			r.addStage("mLG", time.Since(t0))
 			if !res.MLG.Legal {
@@ -430,7 +444,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 
 	// --- cDP: row legalization + discrete refinement. ---
-	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, opt.Detail, opt.SkipDetail); err != nil {
+	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, detail.Options{}); err != nil {
 		return res, err
 	}
 	err := r.finish()

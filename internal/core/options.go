@@ -10,7 +10,6 @@ import (
 	"io"
 	"time"
 
-	"eplace/internal/checkpoint"
 	"eplace/internal/telemetry"
 )
 
@@ -36,21 +35,6 @@ type Options struct {
 	MaxIters int
 	// MinIters prevents spurious early stops (default 20).
 	MinIters int
-	// StallIters is the stagnation window: the run stops (Stagnated)
-	// when overflow has not improved for this many iterations (default
-	// 150). Warm-started incremental runs use a short window — their
-	// overflow starts near the grid's quantization floor, and waiting
-	// out a long window just grinds lambda upward while wirelength
-	// degrades.
-	StallIters int
-	// LambdaScale multiplies the auto-balanced initial penalty (default
-	// 1, the paper's gradient-norm balance). A converged warm start
-	// needs a large scale: balancing against the flat density field of
-	// an already-spread layout re-enters the early-cGP regime, and the
-	// unfrozen cells collapse onto their neighbors chasing wirelength
-	// slack before the penalty recovers. Ignored when the caller passes
-	// an absolute lambda.
-	LambdaScale float64
 	// Solver selects Nesterov (default) or the CG/FFTPL baseline.
 	Solver SolverKind
 	// Workers is the worker count for the per-iteration gradient
@@ -70,17 +54,11 @@ type Options struct {
 
 	// DisableBkTrk turns off steplength backtracking (Sec. V-C ablation).
 	DisableBkTrk bool
-	// AdaptiveRestart enables momentum restarts in the Nesterov solver
-	// (an extension beyond the paper; see nesterov.Optimizer).
-	AdaptiveRestart bool
 	// DisablePrecond turns off the preconditioner (Sec. V-D ablation).
 	DisablePrecond bool
 	// DisableFillerPhase skips cGP's 20-iteration filler-only placement
 	// (Sec. VI-B ablation).
 	DisableFillerPhase bool
-
-	// Seed drives filler placement and any tie-breaking (default 1).
-	Seed int64
 
 	// Telemetry, when non-nil, receives per-iteration samples,
 	// stage/kernel spans and counters for the whole flow (JSONL/CSV
@@ -88,26 +66,11 @@ type Options struct {
 	// at zero cost; results are bitwise-identical either way.
 	Telemetry *telemetry.Recorder
 
-	// Golden, when non-nil, absorbs every iteration's state (positions,
-	// HPWL, lambda) into the per-stage rolling determinism digest.
-	// Place installs one automatically; recording never influences
-	// placement results.
-	Golden *telemetry.GoldenTrace
-
-	// CheckpointEvery > 0 makes the GP loop capture its in-flight state
-	// every N iterations and hand it to CheckpointSink (Nesterov solver
-	// only; the CG baseline checkpoints at stage boundaries only).
+	// CheckpointEvery > 0 makes the flow's GP loops snapshot their
+	// in-flight state every N iterations through FlowOptions.Checkpoint
+	// (Nesterov solver only; the CG baseline checkpoints at stage
+	// boundaries only).
 	CheckpointEvery int
-	// CheckpointSink receives mid-stage GP snapshots; Place installs a
-	// sink that wraps them with flow context and persists them via the
-	// FlowOptions.Checkpoint manager. Called synchronously from the
-	// iteration loop.
-	CheckpointSink func(*checkpoint.GPState)
-	// ResumeGP, when non-nil, re-enters the GP loop at the snapshot's
-	// iteration instead of initializing gamma/lambda/optimizer from
-	// scratch; the continued trajectory is bitwise-identical to the
-	// uninterrupted run. Requires the Nesterov solver.
-	ResumeGP *checkpoint.GPState
 }
 
 func (o *Options) defaults() {
@@ -120,38 +83,38 @@ func (o *Options) defaults() {
 	if o.MinIters <= 0 {
 		o.MinIters = 20
 	}
-	if o.StallIters <= 0 {
-		o.StallIters = 150
-	}
-	if o.LambdaScale <= 0 {
-		o.LambdaScale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 }
+
+// Why a global placement stage stopped (Result.Stop).
+const (
+	// StopTargetOverflow: overflow reached TargetOverflow after at least
+	// MinIters iterations (or the stage had no cells to move).
+	StopTargetOverflow = "target-overflow"
+	// StopIterationCap: the stage ran MaxIters iterations.
+	StopIterationCap = "iteration-cap"
+	// StopStall: overflow had not improved for the stall window
+	// (typically an infeasible density bound); the best snapshot was
+	// returned.
+	StopStall = "stall"
+	// StopDiverged: HPWL blew up or went NaN; the run was rolled back to
+	// the best snapshot (the failure mode of the Sec. V-C/V-D ablations).
+	StopDiverged = "diverged"
+	// StopCanceled: context cancellation stopped the run before its
+	// stopping criterion. Inside a flow with a checkpoint manager, a
+	// final mid-stage snapshot was written first, so the run is
+	// resumable from exactly where it stopped.
+	StopCanceled = "canceled"
+)
 
 // Result summarizes a global placement run.
 type Result struct {
 	Iterations int
 	HPWL       float64
 	Overflow   float64
-	// Diverged reports that the run was aborted and rolled back to the
-	// best snapshot (the failure mode of the Sec. V-C/V-D ablations).
-	Diverged bool
-	// Stagnated reports that overflow stopped improving long before the
-	// target (typically an infeasible density bound); the best snapshot
-	// was returned.
-	Stagnated bool
-	// Canceled reports that the run was stopped by context cancellation
-	// before reaching its stopping criterion. When a CheckpointSink was
-	// installed, a final mid-stage snapshot was written first, so the
-	// run is resumable from exactly where it stopped.
-	Canceled bool
+	// Stop is the reason the iteration loop ended (a Stop* constant).
+	Stop string
 	// Backtracks is the total BkTrk count (Nesterov only).
 	Backtracks int
-	// Restarts is the adaptive-restart count (Nesterov only).
-	Restarts int
 	// Timing breakdown (Fig. 7).
 	DensityTime    time.Duration
 	WirelengthTime time.Duration

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"eplace/internal/legalize"
 	"eplace/internal/synth"
 )
 
@@ -29,7 +28,7 @@ func TestFlowAllowOrientPinned(t *testing.T) {
 	for _, workers := range []int{1, 7} {
 		d, in := synth.Generate(spec), synth.Generate(spec)
 		opt := detFlowOpts(workers)
-		opt.MLG = legalize.MLGOptions{AllowOrient: true}
+		opt.AllowOrient = true
 		res, err := Place(d, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

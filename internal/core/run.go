@@ -86,8 +86,8 @@ type flowRun struct {
 	// trajectories, so switching mid-run would break the
 	// bitwise-reproducibility contract.
 	poisson string
-	// opt is the caller's global-placement configuration (workers, trace,
-	// telemetry, golden trace), the base every GP stage derives from.
+	// opt is the caller's global-placement configuration, the base every
+	// GP stage derives from.
 	opt    *Options
 	rec    *telemetry.Recorder
 	golden *telemetry.GoldenTrace
@@ -112,14 +112,11 @@ type flowRun struct {
 // the engine absorbs one hash update per iteration (negligible next to
 // a gradient evaluation) and every run gains a determinism fingerprint.
 func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoint.Manager, sum *flowSummary) *flowRun {
-	if gp.Golden == nil {
-		gp.Golden = telemetry.NewGoldenTrace()
-	}
 	sum.StageTime = map[string]time.Duration{}
 	r := &flowRun{
 		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d), cv: d.Compile(),
 		poisson: poisson.NormalizeKind(gp.Poisson),
-		opt:     gp, rec: gp.Telemetry, golden: gp.Golden, ckpt: ckpt,
+		opt:     gp, rec: gp.Telemetry, golden: telemetry.NewGoldenTrace(), ckpt: ckpt,
 		movable:   d.Movable(),
 		stdCells:  d.MovableOf(netlist.StdCell),
 		movMacros: d.MovableOf(netlist.Macro),
@@ -197,7 +194,8 @@ func (r *flowRun) mip(cv *netlist.Compiled, level int, mv []int) (qp.Result, err
 	return res, r.boundary(checkpoint.PhasePostMIP, level, ld, 0)
 }
 
-// gpStage describes one global-placement stage to flowRun.gp.
+// gpStage describes one global-placement stage to placeGlobal: what
+// the caller chose (opt) and what the flow decides per stage.
 type gpStage struct {
 	// name is the stage label (telemetry, golden digest, errors).
 	name string
@@ -214,6 +212,18 @@ type gpStage struct {
 	opt Options
 	// lambdaInit > 0 seeds the penalty factor; 0 balances it cold.
 	lambdaInit float64
+	// lambdaScale > 0 multiplies the cold balance (eGP: egpLambdaScale).
+	lambdaScale float64
+	// stallIters is the stagnation window: the stage stops (StopStall)
+	// when overflow has not improved for this many iterations (0 =
+	// stallIters; eGP: egpStallIters).
+	stallIters int
+	// golden absorbs every iteration's state into the stage's rolling
+	// determinism digest; nil records nothing.
+	golden *telemetry.GoldenTrace
+	// sink receives mid-stage snapshots, every opt.CheckpointEvery
+	// iterations and on cancellation; nil takes none.
+	sink func(*checkpoint.GPState)
 	// resume re-enters the loop from a mid-stage snapshot.
 	resume *checkpoint.GPState
 }
@@ -222,13 +232,13 @@ type gpStage struct {
 // short onto the flow's error contract. The result is returned on all
 // paths so callers can record a partial stage.
 func (r *flowRun) gp(s gpStage) (Result, error) {
+	s.golden = r.golden
 	// The sink wraps mid-stage GP snapshots with flow context. It is
 	// installed whenever a manager exists — not only when a cadence is
 	// set — because cancellation writes one final mid-stage snapshot
 	// through it regardless of CheckpointEvery.
-	s.opt.CheckpointSink = nil
 	if r.ckpt != nil && s.phase != "" {
-		s.opt.CheckpointSink = func(gs *checkpoint.GPState) {
+		s.sink = func(gs *checkpoint.GPState) {
 			st := r.snapshot(s.phase, s.level, s.cv.Design(), s.fillers)
 			st.GP = gs
 			if err := r.ckpt.Save(st); err != nil && r.ckptErr == nil {
@@ -236,16 +246,17 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 			}
 		}
 	}
-	s.opt.ResumeGP = s.resume
-	res, err := placeGlobal(r.ctx, s.cv, s.idx, s.opt, s.name, s.lambdaInit)
+	res, err := placeGlobal(r.ctx, s)
 	switch {
 	case err != nil:
 		return res, err
 	case r.ckptErr != nil:
 		return res, r.ckptErr
-	case res.Canceled:
+	}
+	switch res.Stop {
+	case StopCanceled:
 		return res, canceledAt(s.name)
-	case res.Diverged:
+	case StopDiverged:
 		return res, fmt.Errorf("core: %s diverged", s.name)
 	}
 	return res, nil
@@ -263,9 +274,11 @@ func (r *flowRun) ensureRows() {
 
 // cdp runs the cDP tail (stage "cDP"): row legalization of the legal
 // cells, with the (movable) hold cells pinned at their current slots as
-// obstacles meanwhile, then discrete refinement of the refine cells. It
-// returns the legalization's total and maximum displacement.
-func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options, skipDetail bool) (disp, maxDisp float64, err error) {
+// obstacles meanwhile, then discrete refinement of the refine cells at
+// the depth dOpt sets (the run supplies workers, telemetry and the
+// golden trace). It returns the legalization's total and maximum
+// displacement.
+func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, maxDisp float64, err error) {
 	d := r.d
 	r.rec.SetStage("cDP")
 	t0 := time.Now()
@@ -289,21 +302,13 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options, skipDetail
 		return 0, 0, fmt.Errorf("core: legalization failed: %w", err)
 	}
 	r.rec.AddSpanTime("cDP", "legalize", time.Since(tLG))
-	if !skipDetail {
-		if dOpt.Telemetry == nil {
-			dOpt.Telemetry = r.rec
-		}
-		if dOpt.Workers == 0 {
-			dOpt.Workers = r.opt.Workers
-		}
-		dOpt.Golden = r.golden
-		tDP := time.Now()
-		r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, dOpt)
-		if err != nil {
-			return disp, maxDisp, fmt.Errorf("core: detail placement failed: %w", err)
-		}
-		r.rec.AddSpanTime("cDP", "detail", time.Since(tDP))
+	dOpt.Workers, dOpt.Telemetry, dOpt.Golden = r.opt.Workers, r.rec, r.golden
+	tDP := time.Now()
+	r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, dOpt)
+	if err != nil {
+		return disp, maxDisp, fmt.Errorf("core: detail placement failed: %w", err)
 	}
+	r.rec.AddSpanTime("cDP", "detail", time.Since(tDP))
 	r.addStage("cDP", time.Since(t0))
 	return disp, maxDisp, nil
 }

@@ -49,7 +49,7 @@ func TestLambdaInitBalancesGradients(t *testing.T) {
 	idx := d.Movable()
 	e := mustEngine(t, d, idx, Options{GridM: 32}, telemetry.New())
 	v := d.Positions(idx)
-	e.initLambda(v)
+	e.initLambda(v, 0)
 	if e.lambda <= 0 || math.IsInf(e.lambda, 0) || math.IsNaN(e.lambda) {
 		t.Fatalf("lambda = %v", e.lambda)
 	}

@@ -40,8 +40,6 @@ type Options struct {
 	// SwapCandidates bounds how many neighbors are tried per global
 	// swap (default 8).
 	SwapCandidates int
-	// DisableISM turns off independent-set matching.
-	DisableISM bool
 	// Workers is the worker count for the region-parallel improvement
 	// passes: 0 uses all cores, 1 runs on the calling goroutine.
 	// Results are bitwise-identical at every setting.
@@ -165,11 +163,9 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, erro
 		t = time.Now()
 		improved += p.swapPass(&res)
 		rec.AddSpanTime("cDP", "swap", time.Since(t))
-		if !opt.DisableISM {
-			t = time.Now()
-			improved += p.ismPass(&res)
-			rec.AddSpanTime("cDP", "ism", time.Since(t))
-		}
+		t = time.Now()
+		improved += p.ismPass(&res)
+		rec.AddSpanTime("cDP", "ism", time.Since(t))
 		t = time.Now()
 		improved += p.relocatePass(&res)
 		rec.AddSpanTime("cDP", "relocate", time.Since(t))
@@ -208,9 +204,7 @@ func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) 
 		return nil, err
 	}
 	p.buildRegions()
-	if !opt.DisableISM {
-		p.buildISMTasks()
-	}
+	p.buildISMTasks()
 	p.initDirty()
 	if opt.Golden != nil {
 		p.posBuf = make([]float64, 2*len(cells))

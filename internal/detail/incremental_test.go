@@ -139,31 +139,29 @@ func TestIncrementalPassesMatchFullSweep(t *testing.T) {
 	run := 0
 	for _, st := range starts {
 		for _, sc := range []int{8, 16} {
-			for _, noISM := range []bool{false, true} {
-				opt := Options{Passes: 6, SwapCandidates: sc, DisableISM: noISM, Workers: 1}
-				full := placeWith(t, st.build, opt, true)
-				// Every worker count on the flow's own settings, one of
-				// them in rotation on the others.
-				ws := workers[run%3 : run%3+1]
-				if sc == 8 && !noISM {
-					ws = workers
+			opt := Options{Passes: 6, SwapCandidates: sc, Workers: 1}
+			full := placeWith(t, st.build, opt, true)
+			// Every worker count on the flow's own settings, one of them in
+			// rotation on the ECO's.
+			ws := workers[run%3 : run%3+1]
+			if sc == 8 {
+				ws = workers
+			}
+			run++
+			var first placed
+			for k, w := range ws {
+				opt.Workers = w
+				what := fmt.Sprintf("%s start, %d candidates, %d workers", st.name, sc, w)
+				inc := placeWith(t, st.build, opt, false)
+				skipped := sameRun(t, what, full, inc)
+				if k == 0 {
+					first = inc
+				} else if !reflect.DeepEqual(inc.counters, first.counters) {
+					t.Errorf("%s: counters %v, at %d workers %v", what, inc.counters, ws[0], first.counters)
 				}
-				run++
-				var first placed
-				for k, w := range ws {
-					opt.Workers = w
-					what := fmt.Sprintf("%s start, %d candidates, ISM off %v, %d workers", st.name, sc, noISM, w)
-					inc := placeWith(t, st.build, opt, false)
-					skipped := sameRun(t, what, full, inc)
-					if k == 0 {
-						first = inc
-					} else if !reflect.DeepEqual(inc.counters, first.counters) {
-						t.Errorf("%s: counters %v, at %d workers %v", what, inc.counters, ws[0], first.counters)
-					}
-					t.Logf("%s: %.1f%% of the trials skipped", what, 100*skipped)
-					if st.name == "gp-like" && skipped < 0.2 {
-						t.Errorf("%s: %.0f%% of the trials skipped, want an incremental run", what, 100*skipped)
-					}
+				t.Logf("%s: %.1f%% of the trials skipped", what, 100*skipped)
+				if st.name == "gp-like" && skipped < 0.2 {
+					t.Errorf("%s: %.0f%% of the trials skipped, want an incremental run", what, 100*skipped)
 				}
 			}
 		}

@@ -137,7 +137,7 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 	d := testDesign(t)
 
 	// Empty change: everything movable frozen, nothing active.
-	p := BuildPlan(d, nil, nil, PlanOptions{})
+	p := BuildPlan(d, nil, nil)
 	if len(p.Active) != 0 || len(p.Seeds) != 0 {
 		t.Fatalf("no-op plan = %+v", p)
 	}
@@ -148,7 +148,7 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 	// A single changed cell activates itself plus a local halo, not the
 	// whole design, and active/frozen partition the movables.
 	seed := d.MovableOf(netlist.StdCell)[10]
-	p = BuildPlan(d, []int{seed}, []int{seed}, PlanOptions{})
+	p = BuildPlan(d, []int{seed}, []int{seed})
 	if len(p.Active) == 0 {
 		t.Fatal("seeded plan has no active cells")
 	}

@@ -8,40 +8,25 @@ import (
 	"eplace/internal/netlist"
 )
 
-// PlanOptions tunes the freeze planner.
-type PlanOptions struct {
-	// Hops is how many net-adjacency hops to expand the active set from
-	// the edited cells (default 1: the edited cells' direct neighbors
-	// re-place too, so new connectivity can pull them).
-	Hops int
-	// RadiusFrac is the geometric halo around edited cells, as a
-	// fraction of the shorter region side (default 0.04). Every movable
-	// standard cell within the halo is re-placed; everything beyond
-	// stays frozen at its converged position.
-	RadiusFrac float64
-	// MaxNetDegree stops net-hop expansion through hub nets larger than
-	// this (default 64): a clock-like net would otherwise activate the
-	// whole design.
-	MaxNetDegree int
-	// GridN is the dirty-bin grid resolution (default DefaultGridN,
-	// matching Sign).
-	GridN int
-}
+// PlanOptions tunes the freeze planner. It has no fields: the planner's
+// parameters are the constants below.
+type PlanOptions struct{}
 
-func (o *PlanOptions) defaults() {
-	if o.Hops == 0 {
-		o.Hops = 1
-	}
-	if o.RadiusFrac <= 0 {
-		o.RadiusFrac = 0.04
-	}
-	if o.MaxNetDegree <= 0 {
-		o.MaxNetDegree = 64
-	}
-	if o.GridN <= 0 {
-		o.GridN = DefaultGridN
-	}
-}
+const (
+	// planHops is how many net-adjacency hops the active set expands
+	// from the edited cells: their direct neighbors re-place too, so new
+	// connectivity can pull them.
+	planHops = 1
+	// planRadiusFrac is the geometric halo around edited cells, as a
+	// fraction of the shorter region side. Every movable standard cell
+	// within the halo is re-placed; everything beyond stays frozen at its
+	// converged position.
+	planRadiusFrac = 0.04
+	// planMaxNetDegree stops net-hop expansion through hub nets larger
+	// than this: a clock-like net would otherwise activate the whole
+	// design.
+	planMaxNetDegree = 64
+)
 
 // Plan is the freeze decision: which movable cells are re-placed and
 // which are reused (frozen as fixed obstacles) for one ECO run.
@@ -60,10 +45,8 @@ type Plan struct {
 	// Unlike the rest of the active set, these cells have no trusted
 	// legal slot in the reused placement.
 	Fresh []int
-	// DirtyBins counts activity bins out of GridN*GridN (diagnostics).
+	// DirtyBins counts activity bins out of DefaultGridN² (diagnostics).
 	DirtyBins int
-	// GridN is the bin grid the plan was computed on.
-	GridN int
 }
 
 // BuildPlan decides the active/frozen split for the given changed-cell
@@ -71,9 +54,10 @@ type Plan struct {
 // empty plan: the previous placement is reusable as-is.
 //
 // The active set is the union of (a) the changed movable standard
-// cells, (b) their net neighbors up to Hops hops (skipping hub nets
-// beyond MaxNetDegree), and (c) every movable standard cell centered
-// in a bin within the RadiusFrac halo of a geometric seed's footprint.
+// cells, (b) their net neighbors up to planHops hops (skipping hub nets
+// beyond planMaxNetDegree), and (c) every movable standard cell
+// centered in a DefaultGridN bin within the planRadiusFrac halo of a
+// geometric seed's footprint.
 // Geometric seeds (geom) are the cells whose physical footprint
 // changed — insertions, removals, blockages — and are typically a
 // small subset of changed: a net reweight marks every member cell
@@ -82,9 +66,8 @@ type Plan struct {
 // Movable macros are never activated: re-legalizing macros would
 // perturb the whole layout, defeating the reuse (macro edits should
 // fall back to a cold placement).
-func BuildPlan(d *netlist.Design, changed, geom []int, opt PlanOptions) *Plan {
-	opt.defaults()
-	p := &Plan{GridN: opt.GridN}
+func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
+	p := &Plan{}
 	if len(changed) == 0 {
 		// Everything movable is reused.
 		for i := range d.Cells {
@@ -114,12 +97,12 @@ func BuildPlan(d *netlist.Design, changed, geom []int, opt PlanOptions) *Plan {
 	// when a seed itself is fixed or a macro: its neighbors still feel
 	// the edit).
 	frontier := append([]int(nil), p.Seeds...)
-	for hop := 0; hop < opt.Hops; hop++ {
+	for hop := 0; hop < planHops; hop++ {
 		var next []int
 		for _, ci := range frontier {
 			for _, pi := range d.Cells[ci].Pins {
 				ni := d.Pins[pi].Net
-				if len(d.Nets[ni].Pins) > opt.MaxNetDegree {
+				if len(d.Nets[ni].Pins) > planMaxNetDegree {
 					continue
 				}
 				for _, np := range d.Nets[ni].Pins {
@@ -142,10 +125,10 @@ func BuildPlan(d *netlist.Design, changed, geom []int, opt PlanOptions) *Plan {
 	// within radius of a geometric seed's footprint, then activate the
 	// movable standard cells centered in dirty bins. Bin-snapping keeps
 	// the halo deterministic and O(cells + seeds*bins-per-halo).
-	n := opt.GridN
+	n := DefaultGridN
 	binW := d.Region.W() / float64(n)
 	binH := d.Region.H() / float64(n)
-	radius := opt.RadiusFrac * math.Min(d.Region.W(), d.Region.H())
+	radius := planRadiusFrac * math.Min(d.Region.W(), d.Region.H())
 	dirty := make([]bool, n*n)
 	clampBin := func(b int) int {
 		if b < 0 {
@@ -200,7 +183,7 @@ func BuildPlan(d *netlist.Design, changed, geom []int, opt PlanOptions) *Plan {
 // String summarizes the plan for logs.
 func (p *Plan) String() string {
 	return fmt.Sprintf("eco plan: %d seeds, %d active, %d frozen, %d/%d dirty bins",
-		len(p.Seeds), len(p.Active), len(p.Frozen), p.DirtyBins, p.GridN*p.GridN)
+		len(p.Seeds), len(p.Active), len(p.Frozen), p.DirtyBins, DefaultGridN*DefaultGridN)
 }
 
 // Prepared bundles everything an ECO run needs, produced by Prepare.
@@ -215,14 +198,13 @@ type Prepared struct {
 // confirmed structural changes. The design is mutated in place (see
 // Apply); the previous placement's positions are untouched except for
 // newly added cells.
-func Prepare(d *netlist.Design, s *Script, opt PlanOptions) (*Prepared, error) {
-	opt.defaults()
-	before := Sign(d, opt.GridN)
+func Prepare(d *netlist.Design, s *Script, _ PlanOptions) (*Prepared, error) {
+	before := Sign(d, DefaultGridN)
 	ch, err := Apply(d, s)
 	if err != nil {
 		return nil, err
 	}
-	after := Sign(d, opt.GridN)
+	after := Sign(d, DefaultGridN)
 	df := DiffSignatures(before, after)
 	// Halos radiate only from cells whose footprint actually changed;
 	// electrically-changed cells (reweighted net members, new-cell
@@ -232,5 +214,5 @@ func Prepare(d *netlist.Design, s *Script, opt PlanOptions) (*Prepared, error) {
 	geom = append(geom, ch.Removed...)
 	geom = append(geom, ch.Blocked...)
 	sort.Ints(geom)
-	return &Prepared{Change: ch, Diff: df, Plan: BuildPlan(d, df.ChangedCells, geom, opt)}, nil
+	return &Prepared{Change: ch, Diff: df, Plan: BuildPlan(d, df.ChangedCells, geom)}, nil
 }

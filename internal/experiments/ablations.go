@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"eplace/internal/core"
-	"eplace/internal/legalize"
 	"eplace/internal/synth"
 )
 
@@ -27,7 +26,7 @@ func ablationRun(title string, specs []synth.Spec, modify func(*core.Options), o
 		modify(&gpA)
 		resAbl, errAbl := core.Place(abl, core.FlowOptions{GP: gpA})
 
-		failed := errAbl != nil || resAbl.MGP.Diverged || (errBase == nil && !resAbl.Legal && resBase.Legal)
+		failed := errAbl != nil || resAbl.MGP.Stop == core.StopDiverged || (errBase == nil && !resAbl.Legal && resBase.Legal)
 		if errBase != nil {
 			fmt.Fprintf(out, "%s,N/A,N/A,N/A,base-failed\n", spec.Name)
 			continue
@@ -146,10 +145,7 @@ func RotationStudy(scale float64, circuits int, opt RunOptions, out io.Writer) {
 		dNR := synth.Generate(spec)
 		resNR, errNR := core.Place(dNR, core.FlowOptions{GP: gp})
 		dR := synth.Generate(spec)
-		resR, errR := core.Place(dR, core.FlowOptions{
-			GP:  gp,
-			MLG: legalize.MLGOptions{AllowOrient: true},
-		})
+		resR, errR := core.Place(dR, core.FlowOptions{GP: gp, AllowOrient: true})
 		if errNR != nil || errR != nil {
 			fmt.Fprintf(out, "%s,N/A,N/A,N/A\n", spec.Name)
 			continue

@@ -49,8 +49,6 @@ type RunOptions struct {
 	GridM int
 	// MaxIters bounds GP iterations (0 = engine default).
 	MaxIters int
-	// SkipDetail measures global placement + legalization only.
-	SkipDetail bool
 	// Workers is the gradient-kernel worker count (0 = all cores).
 	Workers int
 	// Poisson selects the eDensity Poisson backend by name
@@ -87,10 +85,7 @@ func Run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 		if p == FFTPL {
 			gpOpt.Solver = core.SolverCG
 		}
-		flowRes, err := core.Place(d, core.FlowOptions{
-			GP:         gpOpt,
-			SkipDetail: opt.SkipDetail,
-		})
+		flowRes, err := core.Place(d, core.FlowOptions{GP: gpOpt})
 		elapsed := time.Since(start).Seconds()
 		rep := metrics.Measure(d.Name, string(p), d, opt.GridM, elapsed, flowRes.Legal)
 		rep.Failed = err != nil
@@ -135,11 +130,9 @@ func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, 
 		*failed = true
 		return false
 	}
-	if !opt.SkipDetail {
-		if _, err := detail.Place(d, stdCells, detail.Options{Workers: opt.Workers}); err != nil {
-			*failed = true
-			return false
-		}
+	if _, err := detail.Place(d, stdCells, detail.Options{Workers: opt.Workers}); err != nil {
+		*failed = true
+		return false
 	}
 	legal := legalize.CheckLegal(d, stdCells) == nil
 	if legal && len(movMacros) > 0 {

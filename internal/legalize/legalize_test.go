@@ -256,7 +256,7 @@ func TestMLGEmptyMacros(t *testing.T) {
 
 func TestMLGManyMacros(t *testing.T) {
 	d, macros := mlgDesign(15, 6)
-	res := Macros(d, macros, MLGOptions{Seed: 7, MovesPerMacro: 300})
+	res := Macros(d, macros, MLGOptions{Seed: 7})
 	if !res.Legal {
 		t.Fatalf("15 macros not legalized: Om=%v", res.OmAfter)
 	}

@@ -11,11 +11,11 @@ import (
 	"eplace/internal/telemetry"
 )
 
+// mlgMovesPerMacro is the inner SA loop length, in moves per macro.
+const mlgMovesPerMacro = 400
+
 // MLGOptions tunes the annealing macro legalizer.
 type MLGOptions struct {
-	// MovesPerMacro sets the inner SA loop length as moves per macro
-	// (default 400).
-	MovesPerMacro int
 	// Seed drives the annealer (default 1).
 	Seed int64
 	// AllowOrient enables 90-degree macro rotation moves, the extension
@@ -35,9 +35,6 @@ type MLGOptions struct {
 }
 
 func (o *MLGOptions) defaults() {
-	if o.MovesPerMacro <= 0 {
-		o.MovesPerMacro = 400
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -326,7 +323,7 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	}
 
 	tAnneal := time.Now()
-	kmax := opt.MovesPerMacro * len(macros)
+	kmax := mlgMovesPerMacro * len(macros)
 	baseRadius := d.Region.W() / math.Sqrt(float64(len(macros))) * 0.05
 	maxRadius := math.Min(d.Region.W(), d.Region.H()) / 4
 

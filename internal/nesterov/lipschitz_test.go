@@ -7,7 +7,7 @@ import (
 
 // TestLipschitzStepNonFinite locks the guard against non-finite inputs:
 // an Inf position delta with a finite gradient delta used to slip past
-// the NaN check and return +Inf whenever MaxStep was not finite.
+// the NaN check and return +Inf whenever maxStep was not finite.
 func TestLipschitzStepNonFinite(t *testing.T) {
 	inf := math.Inf(1)
 	cases := []struct {
@@ -62,7 +62,7 @@ func TestLipschitzStepNonFinite(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			o := &Optimizer{MaxStep: c.maxStep}
+			o := &Optimizer{maxStep: c.maxStep}
 			got := o.lipschitzStep(c.v, c.vp, c.g, c.gp)
 			if got != c.want {
 				t.Fatalf("lipschitzStep = %v, want %v", got, c.want)

@@ -23,22 +23,21 @@ type GradFunc func(v, grad []float64)
 // ClampFunc restricts a solution vector to the feasible box in place.
 type ClampFunc func(v []float64)
 
+// bktrkEpsilon is the backtracking scale factor of Algorithm 2: BkTrk
+// accepts a predicted steplength unless the measured one is more than
+// 5% below it.
+const bktrkEpsilon = 0.95
+
+// maxBacktracks bounds the inner loop of Algorithm 2.
+const maxBacktracks = 10
+
 // Optimizer runs Nesterov's method with Lipschitz steplength prediction
 // and backtracking. Create with New, then call Step repeatedly; U holds
 // the output solution u_k, which the paper returns as the final answer.
 type Optimizer struct {
-	// Epsilon is the backtracking scale factor (Algorithm 2; 0.95).
-	Epsilon float64
-	// MaxBacktrack bounds the inner loop of Algorithm 2 (default 10).
-	MaxBacktrack int
-	// MaxStep caps the predicted steplength to keep iterations sane when
-	// successive gradients are nearly identical (default 1e9*seedStep).
-	MaxStep float64
-	// AdaptiveRestart resets the momentum sequence a_k whenever the
-	// gradient opposes the current velocity (O'Donoghue & Candes), an
-	// optional refinement beyond the paper that damps the oscillation
-	// Nesterov momentum can develop on nonconvex objectives.
-	AdaptiveRestart bool
+	// maxStep caps the predicted steplength to keep iterations sane when
+	// successive gradients are nearly identical (1e9*seedStep).
+	maxStep float64
 
 	grad  GradFunc
 	clamp ClampFunc
@@ -57,7 +56,6 @@ type Optimizer struct {
 
 	steps      int
 	backtracks int
-	restarts   int
 }
 
 // New creates an optimizer at v0. The reference solution v_{k-1} needed
@@ -67,22 +65,19 @@ type Optimizer struct {
 func New(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
 	n := len(v0)
 	o := &Optimizer{
-		Epsilon:      0.95,
-		MaxBacktrack: 10,
-		MaxStep:      math.Inf(1),
-		grad:         g,
-		clamp:        clamp,
-		U:            append([]float64(nil), v0...),
-		V:            append([]float64(nil), v0...),
-		GradV:        make([]float64, n),
-		vPrev:        make([]float64, n),
-		gradPrev:     make([]float64, n),
-		uNext:        make([]float64, n),
-		vNext:        make([]float64, n),
-		gradNext:     make([]float64, n),
-		a:            1,
+		maxStep:  1e9 * seedStep,
+		grad:     g,
+		clamp:    clamp,
+		U:        append([]float64(nil), v0...),
+		V:        append([]float64(nil), v0...),
+		GradV:    make([]float64, n),
+		vPrev:    make([]float64, n),
+		gradPrev: make([]float64, n),
+		uNext:    make([]float64, n),
+		vNext:    make([]float64, n),
+		gradNext: make([]float64, n),
+		a:        1,
 	}
-	o.MaxStep = 1e9 * seedStep
 	o.grad(o.V, o.GradV)
 	gn := norm(o.GradV)
 	if gn == 0 {
@@ -111,8 +106,8 @@ type State struct {
 	U, V, VPrev, GradV, GradPrev []float64
 	// A is the momentum coefficient a_k.
 	A float64
-	// Steps, Backtracks and Restarts are the cumulative counters.
-	Steps, Backtracks, Restarts int
+	// Steps and Backtracks are the cumulative counters.
+	Steps, Backtracks int
 }
 
 // State deep-copies the optimizer's iteration state.
@@ -124,7 +119,7 @@ func (o *Optimizer) State() State {
 		GradV:    append([]float64(nil), o.GradV...),
 		GradPrev: append([]float64(nil), o.gradPrev...),
 		A:        o.a,
-		Steps:    o.steps, Backtracks: o.backtracks, Restarts: o.restarts,
+		Steps:    o.steps, Backtracks: o.backtracks,
 	}
 }
 
@@ -132,29 +127,25 @@ func (o *Optimizer) State() State {
 // seeding gradient evaluations New performs: the state already holds
 // both (solution, gradient) pairs of the Lipschitz recurrence, so the
 // next Step continues exactly where the captured run left off.
-// seedStep must match the value passed to New (it fixes MaxStep).
+// seedStep must match the value passed to New (it fixes maxStep).
 func Resume(s State, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
 	n := len(s.U)
-	o := &Optimizer{
-		Epsilon:      0.95,
-		MaxBacktrack: 10,
-		MaxStep:      1e9 * seedStep,
-		grad:         g,
-		clamp:        clamp,
-		U:            append([]float64(nil), s.U...),
-		V:            append([]float64(nil), s.V...),
-		GradV:        append([]float64(nil), s.GradV...),
-		vPrev:        append([]float64(nil), s.VPrev...),
-		gradPrev:     append([]float64(nil), s.GradPrev...),
-		uNext:        make([]float64, n),
-		vNext:        make([]float64, n),
-		gradNext:     make([]float64, n),
-		a:            s.A,
-		steps:        s.Steps,
-		backtracks:   s.Backtracks,
-		restarts:     s.Restarts,
+	return &Optimizer{
+		maxStep:    1e9 * seedStep,
+		grad:       g,
+		clamp:      clamp,
+		U:          append([]float64(nil), s.U...),
+		V:          append([]float64(nil), s.V...),
+		GradV:      append([]float64(nil), s.GradV...),
+		vPrev:      append([]float64(nil), s.VPrev...),
+		gradPrev:   append([]float64(nil), s.GradPrev...),
+		uNext:      make([]float64, n),
+		vNext:      make([]float64, n),
+		gradNext:   make([]float64, n),
+		a:          s.A,
+		steps:      s.Steps,
+		backtracks: s.Backtracks,
 	}
-	return o
 }
 
 // Steps returns the number of Step calls so far.
@@ -204,42 +195,25 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 			o.clamp(o.vNext)
 		}
 		o.grad(o.vNext, o.gradNext)
-		if disableBkTrk || bt >= o.MaxBacktrack {
+		if disableBkTrk || bt >= maxBacktracks {
 			break
 		}
 		// Reference steplength from the new pair (Alg. 2 line 2). The
 		// gradient at the candidate is reused next iteration, so a
 		// passing first check costs nothing extra. Accept unless the
-		// measured inverse Lipschitz constant is more than (1-Epsilon)
-		// below the prediction — a genuine overestimate.
+		// measured inverse Lipschitz constant is more than
+		// (1-bktrkEpsilon) below the prediction — a genuine overestimate.
 		ref := o.lipschitzStep(o.vNext, o.V, o.gradNext, o.GradV)
-		if ref >= o.Epsilon*alpha {
+		if ref >= bktrkEpsilon*alpha {
 			break
 		}
 		alpha = ref
 		backtracks++
 	}
 	o.backtracks += backtracks
-
-	// Gradient-based adaptive restart: if the new gradient points
-	// against the step just taken, momentum is hurting — restart the
-	// a_k sequence.
-	if o.AdaptiveRestart {
-		dot := 0.0
-		for i := range o.vNext {
-			dot += o.gradNext[i] * (o.uNext[i] - o.U[i])
-		}
-		if dot > 0 {
-			aNext = 1
-			o.restarts++
-		}
-	}
 	o.commit(aNext)
 	return alpha, backtracks
 }
-
-// Restarts returns how many adaptive restarts have fired.
-func (o *Optimizer) Restarts() int { return o.restarts }
 
 // commit shifts the solution and gradient windows forward one iteration.
 func (o *Optimizer) commit(aNext float64) {
@@ -252,8 +226,8 @@ func (o *Optimizer) commit(aNext float64) {
 
 // lipschitzStep returns the Eq. (10) steplength ||dv|| / ||dg||, capped.
 // The result is always finite: an infinite ratio (Inf dv with finite dg,
-// which the NaN branch alone would let through) falls back to MaxStep,
-// and if MaxStep itself is non-finite the step degrades to 0 (a no-op
+// which the NaN branch alone would let through) falls back to maxStep,
+// and if maxStep itself is non-finite the step degrades to 0 (a no-op
 // iteration) rather than poisoning the positions with Inf.
 func (o *Optimizer) lipschitzStep(v, vp, g, gp []float64) float64 {
 	var dv, dg float64
@@ -263,12 +237,12 @@ func (o *Optimizer) lipschitzStep(v, vp, g, gp []float64) float64 {
 		e := g[i] - gp[i]
 		dg += e * e
 	}
-	s := o.MaxStep
+	s := o.maxStep
 	if dg != 0 {
 		s = math.Sqrt(dv / dg)
 	}
-	if s == 0 || math.IsNaN(s) || math.IsInf(s, 1) || s > o.MaxStep {
-		s = o.MaxStep
+	if s == 0 || math.IsNaN(s) || math.IsInf(s, 1) || s > o.maxStep {
+		s = o.maxStep
 	}
 	if math.IsNaN(s) || math.IsInf(s, 1) {
 		s = 0

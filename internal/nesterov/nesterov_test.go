@@ -206,10 +206,10 @@ func TestClampKeepsIteratesInBox(t *testing.T) {
 func TestMaxStepCap(t *testing.T) {
 	q := newQuad(5, 4)
 	o := New(make([]float64, 5), q.grad, nil, 0.01)
-	o.MaxStep = 1e-3
+	o.maxStep = 1e-3
 	alpha, _ := o.Step(false)
 	if alpha > 1e-3 {
-		t.Errorf("alpha = %v exceeds MaxStep", alpha)
+		t.Errorf("alpha = %v exceeds maxStep", alpha)
 	}
 }
 
@@ -338,38 +338,5 @@ func BenchmarkNesterovStep(b *testing.B) {
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
 		o.Step(false)
-	}
-}
-
-func TestAdaptiveRestartFires(t *testing.T) {
-	// Strongly anisotropic quadratic without preconditioning: momentum
-	// overshoots across the narrow valley and restarts must fire.
-	n := 20
-	q := quadratic{d: make([]float64, n), t: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		q.d[i] = 0.05 + 5*float64(i)/float64(n)
-		q.t[i] = 3
-	}
-	o := New(make([]float64, n), q.grad, nil, 0.01)
-	o.AdaptiveRestart = true
-	for k := 0; k < 200; k++ {
-		o.Step(false)
-	}
-	if o.Restarts() == 0 {
-		t.Error("adaptive restart never fired on an oscillating run")
-	}
-	if c := q.cost(o.U); c > 1e-4 {
-		t.Errorf("cost with restarts = %v", c)
-	}
-}
-
-func TestAdaptiveRestartOffByDefault(t *testing.T) {
-	q := newQuad(10, 21)
-	o := New(make([]float64, 10), q.grad, nil, 0.01)
-	for k := 0; k < 50; k++ {
-		o.Step(false)
-	}
-	if o.Restarts() != 0 {
-		t.Error("restarts fired while disabled")
 	}
 }

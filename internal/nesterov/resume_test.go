@@ -17,42 +17,33 @@ func rosenGrad(v, g []float64) {
 // interrupted at step k and resumed must produce a trajectory
 // bitwise-identical to the uninterrupted run, including counters.
 func TestResumeBitwiseEquivalent(t *testing.T) {
-	for _, restart := range []bool{false, true} {
-		v0 := []float64{-1.2, 1}
-		ref := New(v0, rosenGrad, nil, 1e-3)
-		ref.AdaptiveRestart = restart
+	v0 := []float64{-1.2, 1}
+	ref := New(v0, rosenGrad, nil, 1e-3)
 
-		const split, total = 7, 30
-		other := New(v0, rosenGrad, nil, 1e-3)
-		other.AdaptiveRestart = restart
-		for k := 0; k < split; k++ {
-			ref.Step(false)
-			other.Step(false)
+	const split, total = 7, 30
+	other := New(v0, rosenGrad, nil, 1e-3)
+	for k := 0; k < split; k++ {
+		ref.Step(false)
+		other.Step(false)
+	}
+	res := Resume(other.State(), rosenGrad, nil, 1e-3)
+
+	for k := split; k < total; k++ {
+		a1, b1 := ref.Step(false)
+		a2, b2 := res.Step(false)
+		if a1 != a2 || b1 != b2 {
+			t.Fatalf("step %d: (alpha,bt) = (%v,%d) vs (%v,%d)", k, a1, b1, a2, b2)
 		}
-		res := Resume(other.State(), rosenGrad, nil, 1e-3)
-		res.AdaptiveRestart = restart
-
-		for k := split; k < total; k++ {
-			a1, b1 := ref.Step(false)
-			a2, b2 := res.Step(false)
-			if a1 != a2 || b1 != b2 {
-				t.Fatalf("restart=%v step %d: (alpha,bt) = (%v,%d) vs (%v,%d)",
-					restart, k, a1, b1, a2, b2)
-			}
-			for i := range ref.U {
-				if math.Float64bits(ref.U[i]) != math.Float64bits(res.U[i]) ||
-					math.Float64bits(ref.V[i]) != math.Float64bits(res.V[i]) {
-					t.Fatalf("restart=%v step %d: solutions diverged at %d: %v vs %v",
-						restart, k, i, ref.U[i], res.U[i])
-				}
+		for i := range ref.U {
+			if math.Float64bits(ref.U[i]) != math.Float64bits(res.U[i]) ||
+				math.Float64bits(ref.V[i]) != math.Float64bits(res.V[i]) {
+				t.Fatalf("step %d: solutions diverged at %d: %v vs %v", k, i, ref.U[i], res.U[i])
 			}
 		}
-		if ref.Steps() != res.Steps() || ref.Backtracks() != res.Backtracks() ||
-			ref.Restarts() != res.Restarts() {
-			t.Fatalf("restart=%v: counters diverged: (%d,%d,%d) vs (%d,%d,%d)",
-				restart, ref.Steps(), ref.Backtracks(), ref.Restarts(),
-				res.Steps(), res.Backtracks(), res.Restarts())
-		}
+	}
+	if ref.Steps() != res.Steps() || ref.Backtracks() != res.Backtracks() {
+		t.Fatalf("counters diverged: (%d,%d) vs (%d,%d)",
+			ref.Steps(), ref.Backtracks(), res.Steps(), res.Backtracks())
 	}
 }
 

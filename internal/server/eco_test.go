@@ -66,10 +66,13 @@ func TestServerECOChain(t *testing.T) {
 		t.Fatalf("eco child did not split active/frozen: %v", cst.Result.Iterations)
 	}
 
-	// ECO off an ECO job: the lineage replays the ancestor edits.
+	// ECO off an ECO job: the lineage replays the ancestor edits. Its
+	// iteration bound reaches eGP: with fewer iterations than the
+	// engine's minimum, eGP runs exactly that many.
 	grand, err := s.Submit(JobSpec{ECO: &ECOSpec{
-		FromJob: child.ID,
-		Edits:   eco.Script{ReweightNets: []eco.Reweight{{NetID: 2, Weight: 4}}},
+		FromJob:  child.ID,
+		Edits:    eco.Script{ReweightNets: []eco.Reweight{{NetID: 2, Weight: 4}}},
+		MaxIters: 3,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +80,9 @@ func TestServerECOChain(t *testing.T) {
 	gst := waitJob(t, s, grand.ID, "done", terminal)
 	if gst.State != StateDone {
 		t.Fatalf("eco grandchild ended %s: %s", gst.State, gst.Error)
+	}
+	if got := gst.Result.Iterations["eGP"]; got != 3 {
+		t.Errorf("eco grandchild ran %d eGP iterations, want its max_iters 3", got)
 	}
 
 	// The completed parent's result must still be served...

@@ -119,7 +119,7 @@ type ECOSpec struct {
 	FromJob string `json:"from_job"`
 	// Edits is the edit script (see eco.Script).
 	Edits eco.Script `json:"edits"`
-	// MaxIters bounds the incremental GP stage (0 = core default).
+	// MaxIters bounds the incremental GP stage (0 = eGP's default, 600).
 	MaxIters int `json:"max_iters,omitempty"`
 }
 
@@ -926,13 +926,13 @@ func (j *job) runECO(ctx context.Context, d *netlist.Design, rec *telemetry.Reco
 	return core.PlaceECO(ctx, d, prep.Plan, core.ECOOptions{
 		GP: core.Options{
 			GridM:     j.spec.GridM,
+			MaxIters:  j.spec.ECO.MaxIters,
 			Workers:   workers,
 			Telemetry: rec,
 			// The parent's Poisson backend, so the warm start continues
 			// the trajectory the positions came from.
 			Poisson: st.Poisson,
 		},
-		MaxIters:   j.spec.ECO.MaxIters,
 		Checkpoint: j.mgr,
 	})
 }

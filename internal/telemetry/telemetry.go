@@ -50,10 +50,8 @@ type Sample struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// Backtracks is the BkTrk count of this iteration.
 	Backtracks int `json:"backtracks,omitempty"`
-	// Steps and Restarts are the optimizer's cumulative step and
-	// adaptive-restart counts (nesterov accessor methods).
-	Steps    int `json:"steps,omitempty"`
-	Restarts int `json:"restarts,omitempty"`
+	// Steps is the optimizer's cumulative step count.
+	Steps int `json:"steps,omitempty"`
 	// GradWL and GradDensity are L1 norms of the wirelength and density
 	// gradients at the last evaluation point.
 	GradWL      float64 `json:"grad_wl,omitempty"`

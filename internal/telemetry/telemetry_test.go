@@ -127,7 +127,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Stage: "mGP", Iteration: 0, HPWL: 123.5, Overflow: 0.8, Energy: 2.5,
 			Lambda: 1e-4, Gamma: 9, Alpha: 0.5, Backtracks: 1, Steps: 1,
 			GradWL: 10, GradDensity: 20, WirelengthTime: 1500, DensityTime: 2500},
-		{Stage: "cGP", Iteration: 1, HPWL: 99, Overflow: 0.1, Restarts: 2, Overlap: 3.5},
+		{Stage: "cGP", Iteration: 1, HPWL: 99, Overflow: 0.1, Steps: 2, Overlap: 3.5},
 	}
 	for _, s := range in {
 		r.Sample(s)
