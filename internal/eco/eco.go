@@ -110,10 +110,17 @@ type Change struct {
 	Added []int
 	// Removed are tombstoned cell indices.
 	Removed []int
-	// Reweighted are the nets whose weight changed.
+	// Reweighted are the nets whose effective weight changed.
 	Reweighted []int
 	// Blocked are the inserted blockage cells' indices.
 	Blocked []int
+	// Nets are the nets whose weight or pin list changed, ascending: the
+	// reweighted nets, the nets a removed cell was detached from and the
+	// nets an added cell joined.
+	Nets []int
+	// Cells are the cells the edit changed, ascending: the added,
+	// removed and blocked cells plus every current member of Nets.
+	Cells []int
 }
 
 // Touched returns every cell index the script edited directly: added
@@ -160,6 +167,8 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		}
 	}
 	ch := &Change{}
+	// netHit marks the nets whose weight or pin list the script changes.
+	netHit := make([]bool, len(d.Nets))
 
 	// Name lookup for nets (names may be empty for synthetic designs).
 	netByName := make(map[string]int)
@@ -199,6 +208,7 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		}
 		for _, pi := range c.Pins {
 			ni := d.Pins[pi].Net
+			netHit[ni] = true
 			pins := d.Nets[ni].Pins
 			keep := pins[:0]
 			for _, np := range pins {
@@ -267,11 +277,16 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		d.Cells[ci].X, d.Cells[ci].Y = p.X, p.Y
 		for _, ni := range nets {
 			d.Connect(ci, ni, 0, 0)
+			netHit[ni] = true
 		}
 		ch.Added = append(ch.Added, ci)
 	}
 
-	// Net reweights.
+	// Net reweights. A net is reweighted when its effective weight ends
+	// where it did not start: setting a weight and then setting it back
+	// changes nothing.
+	startW := make(map[int]float64)
+	var rewritten []int
 	for _, r := range s.ReweightNets {
 		ni, err := resolveNet(r.Net, r.NetID)
 		if err != nil {
@@ -280,9 +295,18 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		if r.Weight <= 0 {
 			return nil, fmt.Errorf("eco: net %d reweight needs a positive weight", ni)
 		}
+		if _, ok := startW[ni]; !ok {
+			startW[ni] = d.Nets[ni].EffWeight()
+			rewritten = append(rewritten, ni)
+		}
 		if d.Nets[ni].EffWeight() != r.Weight {
 			d.Nets[ni].Weight = r.Weight
+		}
+	}
+	for _, ni := range rewritten {
+		if d.Nets[ni].EffWeight() != startW[ni] {
 			ch.Reweighted = append(ch.Reweighted, ni)
+			netHit[ni] = true
 		}
 	}
 
@@ -303,6 +327,31 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("eco: script left design inconsistent: %w", err)
+	}
+
+	// The changed cells: every cell the script edited directly and every
+	// cell still on a net whose weight or pins changed.
+	cellHit := make([]bool, len(d.Cells))
+	for _, cells := range [][]int{ch.Added, ch.Removed, ch.Blocked} {
+		for _, ci := range cells {
+			cellHit[ci] = true
+		}
+	}
+	for ni, hit := range netHit {
+		if !hit {
+			continue
+		}
+		ch.Nets = append(ch.Nets, ni)
+		for _, pi := range d.Nets[ni].Pins {
+			if ci := d.Pins[pi].Cell; ci >= 0 {
+				cellHit[ci] = true
+			}
+		}
+	}
+	for ci, hit := range cellHit {
+		if hit {
+			ch.Cells = append(ch.Cells, ci)
+		}
 	}
 	return ch, nil
 }
