@@ -1,10 +1,9 @@
 // Package eco implements incremental (ECO — engineering change order)
 // re-placement support: edit scripts that mutate a placed design
-// in a controlled way (add/remove cells, reweight nets, block regions),
-// a structural differ that generalizes the checkpoint fingerprint into
-// per-cell/per-net/per-region hashes, and a freeze planner that decides
-// which cells must be re-placed and which converged far-away regions
-// can be reused verbatim.
+// in a controlled way (add/remove cells, reweight nets, block regions)
+// and record the cells and nets each edit changed, and a freeze planner
+// that decides from that record which cells must be re-placed and which
+// converged far-away regions can be reused verbatim.
 //
 // The flow layer (core.PlaceECO) consumes the Plan: frozen cells are
 // temporarily marked fixed so the density model rasterizes them as
@@ -20,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
@@ -121,36 +119,6 @@ type Change struct {
 	// Cells are the cells the edit changed, ascending: the added,
 	// removed and blocked cells plus every current member of Nets.
 	Cells []int
-}
-
-// Touched returns every cell index the script edited directly: added
-// cells, removed tombstones, blockages, and the member cells of
-// reweighted nets. This is the seed set the structural diff confirms.
-func (c *Change) Touched(d *netlist.Design) []int {
-	seen := make(map[int]bool)
-	var out []int
-	add := func(ci int) {
-		if ci >= 0 && !seen[ci] {
-			seen[ci] = true
-			out = append(out, ci)
-		}
-	}
-	for _, ci := range c.Added {
-		add(ci)
-	}
-	for _, ci := range c.Removed {
-		add(ci)
-	}
-	for _, ci := range c.Blocked {
-		add(ci)
-	}
-	for _, ni := range c.Reweighted {
-		for _, pi := range d.Nets[ni].Pins {
-			add(d.Pins[pi].Cell)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Apply mutates d according to the script and returns what changed.

@@ -3,6 +3,8 @@ package eco
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"eplace/internal/netlist"
@@ -101,36 +103,63 @@ func TestLoadScriptRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-func TestSignDiffLocality(t *testing.T) {
+// TestChangeRecord checks the cells and nets Apply reports for each kind
+// of edit against the ones read off the unedited design.
+func TestChangeRecord(t *testing.T) {
 	d := testDesign(t)
-	before := Sign(d, 0)
-
-	// Identical design: empty diff.
-	if df := DiffSignatures(before, Sign(d, 0)); !df.Empty() {
-		t.Fatalf("self-diff not empty: %+v", df)
+	n := len(d.Cells) // the index the first new cell gets
+	victim := d.MovableOf(netlist.StdCell)[0]
+	var victimNets []int
+	for _, pi := range d.Cells[victim].Pins {
+		victimNets = append(victimNets, d.Pins[pi].Net)
 	}
-
-	// Reweight one net: exactly its member cells change.
-	ch, err := Apply(d, &Script{ReweightNets: []Reweight{{NetID: 4, Weight: 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	df := DiffSignatures(before, Sign(d, 0))
-	if len(df.ChangedNets) != 1 || df.ChangedNets[0] != 4 {
-		t.Fatalf("changed nets = %v", df.ChangedNets)
-	}
-	want := ch.Touched(d)
-	if len(df.ChangedCells) != len(want) {
-		t.Fatalf("changed cells = %v, want the %d members of net 4 (%v)", df.ChangedCells, len(want), want)
-	}
-	for i := range want {
-		if df.ChangedCells[i] != want[i] {
-			t.Fatalf("changed cells = %v, want %v", df.ChangedCells, want)
+	// members lists the cells on the given nets plus extra, ascending.
+	members := func(nets []int, extra ...int) []int {
+		for _, ni := range nets {
+			for _, pi := range d.Nets[ni].Pins {
+				extra = append(extra, d.Pins[pi].Cell)
+			}
 		}
+		return sortedUnique(extra)
 	}
-	if len(df.DirtyRegions) == 0 {
-		t.Fatal("no dirty regions for a structural change")
+	r := d.Region
+	for _, tc := range []struct {
+		name      string
+		script    *Script
+		wantCells []int
+		wantNets  []int
+	}{
+		{"reweight", &Script{ReweightNets: []Reweight{{NetID: 4, Weight: 3}}},
+			members([]int{4}), []int{4}},
+		{"reweight to the current weight", &Script{ReweightNets: []Reweight{{NetID: 4, Weight: d.Nets[4].EffWeight()}}},
+			nil, nil},
+		{"removal", &Script{RemoveCells: []string{d.Cells[victim].Name}},
+			members(victimNets, victim), sortedUnique(victimNets)},
+		{"insertion", &Script{AddCells: []AddCell{{Name: "eco_new", W: 2, H: 2, NetIDs: []int{5, 6}}}},
+			members([]int{5, 6}, n), []int{5, 6}},
+		{"blockage", &Script{BlockRegions: []Block{{Lx: r.Lx, Ly: r.Ly, Hx: r.Lx + 10, Hy: r.Ly + 10}}},
+			[]int{n}, nil},
+		{"empty", &Script{}, nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, err := Apply(d.Clone(), tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ch.Cells, tc.wantCells) {
+				t.Errorf("cells = %v, want %v", ch.Cells, tc.wantCells)
+			}
+			if !reflect.DeepEqual(ch.Nets, tc.wantNets) {
+				t.Errorf("nets = %v, want %v", ch.Nets, tc.wantNets)
+			}
+		})
 	}
+}
+
+func sortedUnique(xs []int) []int {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func TestBuildPlanFreezeSplit(t *testing.T) {
@@ -172,19 +201,21 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 
 func TestPrepareNoOp(t *testing.T) {
 	d := testDesign(t)
-	prep, err := Prepare(d, &Script{}, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Diff.Empty() || len(prep.Plan.Active) != 0 {
-		t.Fatalf("empty script produced work: diff=%+v plan=%s", prep.Diff, prep.Plan)
-	}
-	// Reweighting to the current effective weight is also a no-op.
-	prep, err = Prepare(d, &Script{ReweightNets: []Reweight{{NetID: 0, Weight: d.Nets[0].EffWeight()}}}, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Diff.Empty() {
-		t.Fatalf("same-weight reweight dirtied the diff: %+v", prep.Diff)
+	mov := len(d.Movable())
+	for _, s := range []*Script{
+		{},
+		// Reweighting to the current effective weight is also a no-op.
+		{ReweightNets: []Reweight{{NetID: 0, Weight: d.Nets[0].EffWeight()}}},
+	} {
+		prep, err := Prepare(d, s, PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch := prep.Change; len(ch.Cells) != 0 || len(ch.Nets) != 0 {
+			t.Fatalf("script %+v changed %v cells and %v nets", s, ch.Cells, ch.Nets)
+		}
+		if p := prep.Plan; len(p.Seeds) != 0 || len(p.Active) != 0 || len(p.Frozen) != mov {
+			t.Fatalf("script %+v produced work: %s", s, p)
+		}
 	}
 }

@@ -26,13 +26,15 @@ const (
 	// than this: a clock-like net would otherwise activate the whole
 	// design.
 	planMaxNetDegree = 64
+	// planGridN is the per-side resolution of the halo's bin grid.
+	planGridN = 32
 )
 
 // Plan is the freeze decision: which movable cells are re-placed and
 // which are reused (frozen as fixed obstacles) for one ECO run.
 type Plan struct {
-	// Seeds are the structurally-changed cells (movable or fixed) the
-	// activity radiates from, ascending.
+	// Seeds are the changed cells (movable or fixed) the activity
+	// radiates from, ascending.
 	Seeds []int
 	// Active are the movable standard cells to re-place, ascending.
 	// Added cells are always active.
@@ -45,18 +47,18 @@ type Plan struct {
 	// Unlike the rest of the active set, these cells have no trusted
 	// legal slot in the reused placement.
 	Fresh []int
-	// DirtyBins counts activity bins out of DefaultGridN² (diagnostics).
+	// DirtyBins counts activity bins out of planGridN² (diagnostics).
 	DirtyBins int
 }
 
 // BuildPlan decides the active/frozen split for the given changed-cell
-// set (typically Diff.ChangedCells). An empty changed set yields an
-// empty plan: the previous placement is reusable as-is.
+// set (typically Change.Cells). An empty changed set yields an empty
+// plan: the previous placement is reusable as-is.
 //
 // The active set is the union of (a) the changed movable standard
 // cells, (b) their net neighbors up to planHops hops (skipping hub nets
 // beyond planMaxNetDegree), and (c) every movable standard cell
-// centered in a DefaultGridN bin within the planRadiusFrac halo of a
+// centered in a planGridN bin within the planRadiusFrac halo of a
 // geometric seed's footprint.
 // Geometric seeds (geom) are the cells whose physical footprint
 // changed — insertions, removals, blockages — and are typically a
@@ -125,7 +127,7 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 	// within radius of a geometric seed's footprint, then activate the
 	// movable standard cells centered in dirty bins. Bin-snapping keeps
 	// the halo deterministic and O(cells + seeds*bins-per-halo).
-	n := DefaultGridN
+	n := planGridN
 	binW := d.Region.W() / float64(n)
 	binH := d.Region.H() / float64(n)
 	radius := planRadiusFrac * math.Min(d.Region.W(), d.Region.H())
@@ -156,13 +158,14 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 			p.DirtyBins++
 		}
 	}
-	sig := &Signature{GridN: n}
 	for ci := range d.Cells {
 		c := &d.Cells[ci]
 		if c.Fixed || c.Kind != netlist.StdCell || active[ci] {
 			continue
 		}
-		if dirty[sig.binOf(d, c.X, c.Y)] {
+		bx := clampBin(int(float64(n) * (c.X - d.Region.Lx) / d.Region.W()))
+		by := clampBin(int(float64(n) * (c.Y - d.Region.Ly) / d.Region.H()))
+		if dirty[by*n+bx] {
 			active[ci] = true
 		}
 	}
@@ -183,29 +186,24 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 // String summarizes the plan for logs.
 func (p *Plan) String() string {
 	return fmt.Sprintf("eco plan: %d seeds, %d active, %d frozen, %d/%d dirty bins",
-		len(p.Seeds), len(p.Active), len(p.Frozen), p.DirtyBins, DefaultGridN*DefaultGridN)
+		len(p.Seeds), len(p.Active), len(p.Frozen), p.DirtyBins, planGridN*planGridN)
 }
 
 // Prepared bundles everything an ECO run needs, produced by Prepare.
 type Prepared struct {
 	Change *Change
-	Diff   *Diff
 	Plan   *Plan
 }
 
-// Prepare signs the placed design, applies the edit script, re-signs,
-// diffs the two signatures, and builds the freeze plan from the
-// confirmed structural changes. The design is mutated in place (see
-// Apply); the previous placement's positions are untouched except for
-// newly added cells.
+// Prepare applies the edit script and builds the freeze plan from the
+// cells the edit changed. The design is mutated in place (see Apply);
+// the previous placement's positions are untouched except for newly
+// added cells.
 func Prepare(d *netlist.Design, s *Script, _ PlanOptions) (*Prepared, error) {
-	before := Sign(d, DefaultGridN)
 	ch, err := Apply(d, s)
 	if err != nil {
 		return nil, err
 	}
-	after := Sign(d, DefaultGridN)
-	df := DiffSignatures(before, after)
 	// Halos radiate only from cells whose footprint actually changed;
 	// electrically-changed cells (reweighted net members, new-cell
 	// neighbors) re-place via the net-hop expansion alone.
@@ -214,5 +212,5 @@ func Prepare(d *netlist.Design, s *Script, _ PlanOptions) (*Prepared, error) {
 	geom = append(geom, ch.Removed...)
 	geom = append(geom, ch.Blocked...)
 	sort.Ints(geom)
-	return &Prepared{Change: ch, Diff: df, Plan: BuildPlan(d, df.ChangedCells, geom)}, nil
+	return &Prepared{Change: ch, Plan: BuildPlan(d, ch.Cells, geom)}, nil
 }
