@@ -12,6 +12,7 @@ import (
 	"eplace/internal/detail"
 	"eplace/internal/eco"
 	"eplace/internal/geom"
+	"eplace/internal/grid"
 	"eplace/internal/netlist"
 	"eplace/internal/poisson"
 )
@@ -37,8 +38,8 @@ const ecoPerturb = 2
 
 // ECOResult reports one incremental re-placement. The embedded summary
 // carries HPWL and Legal of the final full layout, DP (the detail
-// refinement over the active cells), Stages and StageTime ("eGP",
-// "cDP"), and the per-stage golden Digests ("eGP", "cDP", "final"; for
+// refinement over the active cells), Stages ("eGP", "cDP"), and the
+// per-stage golden Digests ("eGP", "cDP", "final"; for
 // a no-op edit the "final" digest equals the cold run's).
 type ECOResult struct {
 	// GP is the incremental global placement over the active cells
@@ -452,40 +453,16 @@ func seedFillersInWhitespace(d *netlist.Design, fillers []int, seed int64) {
 	}
 	const n = 64
 	r := d.Region
-	binW, binH := r.W()/n, r.H()/n
-	if binW <= 0 || binH <= 0 {
-		return
-	}
 	// InsertFillers appends, so everything before the first filler
 	// index is a real cell.
-	occ := make([]float64, n*n)
+	g := grid.New(r, n)
 	for ci := 0; ci < fillers[0]; ci++ {
-		cr := d.Cells[ci].Rect()
-		lx, hx := math.Max(cr.Lx, r.Lx), math.Min(cr.Hx, r.Hx)
-		ly, hy := math.Max(cr.Ly, r.Ly), math.Min(cr.Hy, r.Hy)
-		if hx <= lx || hy <= ly {
-			continue
-		}
-		bx0, bx1 := binClamp(int((lx-r.Lx)/binW), n), binClamp(int((hx-r.Lx)/binW), n)
-		by0, by1 := binClamp(int((ly-r.Ly)/binH), n), binClamp(int((hy-r.Ly)/binH), n)
-		for by := by0; by <= by1; by++ {
-			y0 := r.Ly + float64(by)*binH
-			oy := math.Min(hy, y0+binH) - math.Max(ly, y0)
-			if oy <= 0 {
-				continue
-			}
-			for bx := bx0; bx <= bx1; bx++ {
-				x0 := r.Lx + float64(bx)*binW
-				if ox := math.Min(hx, x0+binW) - math.Max(lx, x0); ox > 0 {
-					occ[by*n+bx] += ox * oy
-				}
-			}
-		}
+		g.AddFixed(d.Cells[ci].Rect())
 	}
 	cum := make([]float64, n*n)
 	total := 0.0
-	for b, o := range occ {
-		if f := binW*binH - o; f > 0 {
+	for b, o := range g.Fixed {
+		if f := g.BinArea() - o; f > 0 {
 			total += f
 		}
 		cum[b] = total
@@ -501,20 +478,9 @@ func seedFillersInWhitespace(d *netlist.Design, fillers []int, seed int64) {
 			b = n*n - 1
 		}
 		c := &d.Cells[fi]
-		x := r.Lx + (float64(b%n)+rng.Float64())*binW
-		y := r.Ly + (float64(b/n)+rng.Float64())*binH
+		x := r.Lx + (float64(b%n)+rng.Float64())*g.BinW
+		y := r.Ly + (float64(b/n)+rng.Float64())*g.BinH
 		p := geom.ClampPoint(geom.Point{X: x, Y: y}, c.W, c.H, r)
 		c.X, c.Y = p.X, p.Y
 	}
-}
-
-// binClamp clamps a bin coordinate into [0, n).
-func binClamp(b, n int) int {
-	if b < 0 {
-		return 0
-	}
-	if b >= n {
-		return n - 1
-	}
-	return b
 }

@@ -283,17 +283,7 @@ const refDeltaHPWLFrac = 0.01
 // touching d on an invalid configuration (unknown Poisson backend,
 // bad grid size).
 func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
-	return PlaceGlobalContext(context.Background(), d, idx, opt, stage, lambdaInit)
-}
-
-// PlaceGlobalContext is PlaceGlobal with cooperative cancellation: the
-// context is polled once per iteration (the preemption granularity a
-// job scheduler gets — one gradient evaluation, not one stage). On
-// cancellation the loop stops before the next iteration, writes the
-// current positions back to d, and returns with Result.Stop set to
-// StopCanceled.
-func PlaceGlobalContext(ctx context.Context, d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
-	return placeGlobal(ctx, gpStage{name: stage, cv: d.Compile(), idx: idx, opt: opt, lambdaInit: lambdaInit})
+	return placeGlobal(context.Background(), gpStage{name: stage, cv: d.Compile(), idx: idx, opt: opt, lambdaInit: lambdaInit})
 }
 
 // placeGlobal runs stage s over its caller-owned view of the design,

@@ -85,8 +85,7 @@ const (
 )
 
 // FlowResult aggregates per-stage results of one full placement. The
-// embedded summary carries HPWL, Legal, DP, Stages, StageTime and
-// Digests.
+// embedded summary carries HPWL, Legal, DP, Stages and Digests.
 type FlowResult struct {
 	// MIP reports the quadratic initial placement: rounds, CG iterations,
 	// wirelength per round and why it stopped. Zero when a resumed run

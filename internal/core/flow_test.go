@@ -33,11 +33,7 @@ func TestFlowStdCellOnly(t *testing.T) {
 			t.Fatal("fillers left in design")
 		}
 	}
-	for _, stage := range []string{"mIP", "mGP", "cDP"} {
-		if res.StageTime[stage] <= 0 {
-			t.Errorf("stage %s has no recorded time", stage)
-		}
-	}
+	checkStages(t, res.Stages, "mIP", "mGP", "cDP")
 
 	// The same flow traced through a Trace sink: the mIP point of
 	// Fig. 2 first, then one sample per mGP iteration, and the same
@@ -92,9 +88,19 @@ func TestFlowMixedSize(t *testing.T) {
 	if len(tr.Stage("cGP-filler")) != 20 {
 		t.Errorf("filler-only placement ran %d iterations, want 20", len(tr.Stage("cGP-filler")))
 	}
-	for _, stage := range []string{"mIP", "mGP", "mLG", "cGP", "cDP"} {
-		if res.StageTime[stage] <= 0 {
-			t.Errorf("stage %s has no recorded time", stage)
+	checkStages(t, res.Stages, "mIP", "mGP", "mLG", "cGP", "cDP")
+}
+
+// checkStages fails t unless stages lists want in order, each stage
+// with a recorded time.
+func checkStages(t *testing.T, stages []StageSpan, want ...string) {
+	t.Helper()
+	if len(stages) != len(want) {
+		t.Fatalf("stages = %v, want %v", stages, want)
+	}
+	for i, st := range stages {
+		if st.Name != want[i] || st.Time <= 0 {
+			t.Errorf("stage %d = %+v, want %s with a recorded time", i, st, want[i])
 		}
 	}
 }

@@ -36,8 +36,6 @@ type flowSummary struct {
 	// wall-clock time (Fig. 7). Reports should iterate this rather
 	// than a hardcoded stage list so new stages cannot be dropped.
 	Stages []StageSpan
-	// StageTime indexes Stages by name.
-	StageTime map[string]time.Duration
 
 	// Digests are the per-stage golden-trace hashes (rolling word fold
 	// over every iteration's positions, cost and lambda) in execution
@@ -112,7 +110,6 @@ type flowRun struct {
 // the engine absorbs one hash update per iteration (negligible next to
 // a gradient evaluation) and every run gains a determinism fingerprint.
 func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoint.Manager, sum *flowSummary) *flowRun {
-	sum.StageTime = map[string]time.Duration{}
 	r := &flowRun{
 		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d), cv: d.Compile(),
 		poisson: poisson.NormalizeKind(gp.Poisson),
@@ -126,11 +123,10 @@ func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoin
 	return r
 }
 
-// addStage appends a completed stage to both the ordered list and the
-// name index, and emits its span to telemetry.
+// addStage appends a completed stage to the ordered list and emits its
+// span to telemetry.
 func (r *flowRun) addStage(name string, d time.Duration) {
 	r.sum.Stages = append(r.sum.Stages, StageSpan{Name: name, Time: d})
-	r.sum.StageTime[name] = d
 	r.rec.EmitSpan(name, "", d)
 }
 
@@ -291,7 +287,7 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, max
 		d.Cells[ci].Fixed = true
 	}
 	if len(legal) > 0 {
-		disp, maxDisp, err = legalize.CellsWorkers(d, legal, cdpLegalizer, r.opt.Workers)
+		disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers)
 	}
 	// Unpin before refining: the detail passes must see the held cells
 	// movable so they can improve them too.
@@ -312,9 +308,6 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, max
 	r.addStage("cDP", time.Since(t0))
 	return disp, maxDisp, nil
 }
-
-// cdpLegalizer is the standard-cell row legalizer of every cDP tail.
-const cdpLegalizer = legalize.Abacus
 
 // summarize fills the result's HPWL, legality and digests from the
 // design as it stands. final also rolls the finished layout over every

@@ -54,8 +54,8 @@ func TestTelemetryDoesNotPerturbPlacement(t *testing.T) {
 }
 
 // TestFlowRecordsStageAndKernelSpans checks that a full flow populates
-// the ordered stage list, the name index, and the per-kernel span
-// aggregates the Fig. 7 breakdown is derived from.
+// the ordered stage list and the per-kernel span aggregates the Fig. 7
+// breakdown is derived from.
 func TestFlowRecordsStageAndKernelSpans(t *testing.T) {
 	rec := telemetry.New()
 	_, res := runFlow(t, rec)
@@ -69,14 +69,6 @@ func TestFlowRecordsStageAndKernelSpans(t *testing.T) {
 	last := res.Stages[len(res.Stages)-1]
 	if last.Name != "cDP" {
 		t.Errorf("last stage = %q, want cDP", last.Name)
-	}
-	if len(res.Stages) != len(res.StageTime) {
-		t.Errorf("Stages has %d entries, StageTime has %d", len(res.Stages), len(res.StageTime))
-	}
-	for _, st := range res.Stages {
-		if got, ok := res.StageTime[st.Name]; !ok || got != st.Time {
-			t.Errorf("StageTime[%q] = %v (present %v), want %v", st.Name, got, ok, st.Time)
-		}
 	}
 
 	// Kernel aggregates: the engine must have timed both gradient
@@ -231,9 +223,9 @@ func TestResultTimingFromSpans(t *testing.T) {
 
 // TestFlowStageContract pins what every flow owes its stage accounting,
 // whichever way the one driver is configured: each entry of Stages has
-// exactly one emitted stage span of the same name and duration,
-// StageTime agrees with Stages, cDP reports its legalize and detail
-// kernel spans, and Digests ends with the "final" digest.
+// exactly one emitted stage span of the same name and duration, cDP
+// reports its legalize and detail kernel spans, and Digests ends with
+// the "final" digest.
 func TestFlowStageContract(t *testing.T) {
 	place := func(spec synth.Spec, fo FlowOptions) func(*telemetry.Recorder) (flowSummary, error) {
 		return func(rec *telemetry.Recorder) (flowSummary, error) {
@@ -277,16 +269,13 @@ func TestFlowStageContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(sum.Stages) != len(row.stages) || len(sum.StageTime) != len(row.stages) {
-				t.Fatalf("Stages = %v (StageTime has %d), want %v", sum.Stages, len(sum.StageTime), row.stages)
+			if len(sum.Stages) != len(row.stages) {
+				t.Fatalf("Stages = %v, want %v", sum.Stages, row.stages)
 			}
 			spans := ring.Spans()
 			for i, st := range sum.Stages {
 				if st.Name != row.stages[i] {
 					t.Errorf("stage %d = %q, want %q", i, st.Name, row.stages[i])
-				}
-				if got, ok := sum.StageTime[st.Name]; !ok || got != st.Time {
-					t.Errorf("StageTime[%q] = %v (present %v), want %v", st.Name, got, ok, st.Time)
 				}
 				n := 0
 				for _, sp := range spans {

@@ -38,7 +38,7 @@ func legalDesign(n int, seed int64) (*netlist.Design, []int) {
 			d.Connect(pads[rng.Intn(len(pads))], ni, 0, 0)
 		}
 	}
-	if _, _, err := legalize.Cells(d, cells, legalize.Abacus); err != nil {
+	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
 		panic(err)
 	}
 	return d, cells
@@ -88,7 +88,7 @@ func TestPlaceWithMacroObstacles(t *testing.T) {
 		d.Connect(cells[rng.Intn(len(cells))], ni, 0, 0)
 		d.Connect(cells[rng.Intn(len(cells))], ni, 0, 0)
 	}
-	if _, _, err := legalize.Cells(d, cells, legalize.Abacus); err != nil {
+	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Place(d, cells, Options{}); err != nil {

@@ -93,11 +93,20 @@ func LoadScript(path string) (*Script, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := parseScript(data)
+	if err != nil {
+		return nil, fmt.Errorf("eco: decoding %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parseScript decodes one JSON edit script, rejecting unknown fields.
+func parseScript(data []byte) (*Script, error) {
 	var s Script
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("eco: decoding %s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }
@@ -322,22 +331,4 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		}
 	}
 	return ch, nil
-}
-
-// avgStdCellDim returns the average movable standard-cell width and
-// height, the natural length scale for perturbations and halos.
-func avgStdCellDim(d *netlist.Design) (w, h float64) {
-	n := 0
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed && c.Kind == netlist.StdCell {
-			w += c.W
-			h += c.H
-			n++
-		}
-	}
-	if n == 0 {
-		return 1, 1
-	}
-	return w / float64(n), h / float64(n)
 }

@@ -126,7 +126,7 @@ func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, 
 	if len(d.Rows) == 0 {
 		return false
 	}
-	if _, _, err := legalize.CellsWorkers(d, stdCells, legalize.Abacus, opt.Workers); err != nil {
+	if _, _, err := legalize.Cells(d, stdCells, opt.Workers); err != nil {
 		*failed = true
 		return false
 	}

@@ -9,17 +9,6 @@ import (
 	"eplace/internal/parallel"
 )
 
-// Method selects the standard-cell legalization algorithm.
-type Method uint8
-
-const (
-	// Abacus places each cell by cluster dynamic programming per row,
-	// minimizing displacement (the default; better quality).
-	Abacus Method = iota
-	// Tetris greedily packs cells left-to-right (faster, rougher).
-	Tetris
-)
-
 // cluster is the Abacus cluster: a maximal run of abutting cells.
 // Optimal position x = q/e; merging is associative.
 type cluster struct {
@@ -50,20 +39,17 @@ const (
 	maxBands        = 64
 )
 
-// Cells legalizes the given standard cells onto the design's rows,
-// minimizing displacement from their global-placement positions.
-// Returns the total and maximum displacement, or an error if capacity
-// is insufficient. Equivalent to CellsWorkers with workers=1.
-func Cells(d *netlist.Design, cells []int, method Method) (total, max float64, err error) {
-	return CellsWorkers(d, cells, method, 1)
-}
-
-// CellsWorkers is Cells sharded over row bands: each band legalizes its
-// own cells against its own rows in parallel (disjoint state), cells
-// that do not fit inside their band spill into a serial second pass
-// over all rows, and displacement sums reduce in fixed band order.
-// Results are bitwise-identical at every worker count (0 = all cores).
-func CellsWorkers(d *netlist.Design, cells []int, method Method, workers int) (total, max float64, err error) {
+// Cells legalizes the given standard cells onto the design's rows with
+// Abacus (cluster dynamic programming per row), minimizing displacement
+// from their global-placement positions. It returns the total and
+// maximum displacement, or an error if capacity is insufficient.
+//
+// The work is sharded over row bands: each band legalizes its own cells
+// against its own rows in parallel (disjoint state), cells that do not
+// fit inside their band spill into a serial second pass over all rows,
+// and displacement sums reduce in fixed band order. Results are
+// bitwise-identical at every worker count (0 = all cores).
+func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err error) {
 	if len(d.Rows) == 0 {
 		return 0, 0, fmt.Errorf("legalize: design has no rows")
 	}
@@ -130,7 +116,7 @@ func CellsWorkers(d *netlist.Design, cells []int, method Method, workers int) (t
 	parallel.For(nw, nb, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			for _, ci := range bandCells[b] {
-				disp, ok := placeOne(d, rows, rowY, method, ci, bandLo[b], bandLo[b+1])
+				disp, ok := placeOne(d, rows, rowY, ci, bandLo[b], bandLo[b+1])
 				if !ok {
 					spills[b] = append(spills[b], ci)
 					continue
@@ -164,7 +150,7 @@ func CellsWorkers(d *netlist.Design, cells []int, method Method, workers int) (t
 		return spill[a] < spill[b]
 	})
 	for _, ci := range spill {
-		disp, ok := placeOne(d, rows, rowY, method, ci, 0, len(d.Rows))
+		disp, ok := placeOne(d, rows, rowY, ci, 0, len(d.Rows))
 		if !ok {
 			c := &d.Cells[ci]
 			return total, max, fmt.Errorf("legalize: no room for cell %d (%s), w=%v", ci, c.Name, c.W)
@@ -189,13 +175,12 @@ func CellsWorkers(d *netlist.Design, cells []int, method Method, workers int) (t
 // placeOne legalizes one cell into the rows of [rowLo, rowHi), trying
 // rows outward from the nearest until the row-distance alone exceeds
 // the best cost found. Returns ok=false when no segment in range fits.
-func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, method Method, ci, rowLo, rowHi int) (disp float64, ok bool) {
+func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, ci, rowLo, rowHi int) (disp float64, ok bool) {
 	c := &d.Cells[ci]
 	desiredX := c.X - c.W/2
 	desiredY := c.Y - c.H/2
 	bestCost := math.Inf(1)
 	bestRow, bestSeg := -1, -1
-	var bestX float64
 	nearest := nearestRow(rowY, desiredY)
 	if nearest < rowLo {
 		nearest = rowLo
@@ -223,18 +208,13 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, method Method, ci
 				if s.hx-s.lx-s.used < c.W {
 					continue
 				}
-				var x float64
-				if method == Tetris {
-					x = tetrisTrial(s, desiredX, c.W)
-				} else {
-					x = abacusTrial(s, desiredX, c.W)
-				}
+				x := abacusTrial(s, desiredX, c.W)
 				if math.IsNaN(x) {
 					continue
 				}
 				cost := math.Abs(x-desiredX) + rowDist
 				if cost < bestCost {
-					bestCost, bestRow, bestSeg, bestX = cost, ri, si, x
+					bestCost, bestRow, bestSeg = cost, ri, si
 				}
 			}
 		}
@@ -250,13 +230,7 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, method Method, ci
 	}
 	row := &d.Rows[bestRow]
 	s := &rows[bestRow][bestSeg]
-	var placedX float64
-	if method == Tetris {
-		placedX = tetrisCommit(s, ci, bestX, c.W)
-	} else {
-		placedX = abacusCommit(s, ci, desiredX, c.W)
-	}
-	c.X = placedX + c.W/2
+	c.X = abacusCommit(s, ci, desiredX, c.W) + c.W/2
 	c.Y = row.Y + c.H/2
 	disp = math.Abs(c.X-(desiredX+c.W/2)) + math.Abs(c.Y-(desiredY+c.H/2))
 	s.used += c.W
@@ -344,35 +318,6 @@ func nearestRow(rowY []float64, y float64) int {
 		return i - 1
 	}
 	return i
-}
-
-// tetrisTrial returns the x the cell would get by greedy packing: the
-// desired position pushed right of every existing cell in the segment.
-func tetrisTrial(s *seg, desiredX, w float64) float64 {
-	x := math.Max(desiredX, s.lx)
-	// Clusters in Tetris mode are single cells appended in order; the
-	// frontier is the rightmost occupied edge.
-	frontier := s.lx
-	for _, cl := range s.clusters {
-		if cl.x+cl.w > frontier {
-			frontier = cl.x + cl.w
-		}
-	}
-	if x < frontier {
-		x = frontier
-	}
-	if x+w > s.hx {
-		x = s.hx - w
-		if x < frontier {
-			return math.NaN()
-		}
-	}
-	return x
-}
-
-func tetrisCommit(s *seg, ci int, x, w float64) float64 {
-	s.clusters = append(s.clusters, cluster{x: x, e: 1, q: x, w: w, cells: []int{ci}})
-	return x
 }
 
 // abacusTrial simulates adding a cell (desired left edge desiredX,

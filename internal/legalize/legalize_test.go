@@ -53,7 +53,7 @@ func makeLegalizeDesign(n int, seed int64) (*netlist.Design, []int) {
 
 func TestAbacusProducesLegalLayout(t *testing.T) {
 	d, cells := makeLegalizeDesign(300, 1)
-	total, max, err := Cells(d, cells, Abacus)
+	total, max, err := Cells(d, cells, 1)
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
@@ -65,38 +65,11 @@ func TestAbacusProducesLegalLayout(t *testing.T) {
 	}
 }
 
-func TestTetrisProducesLegalLayout(t *testing.T) {
-	d, cells := makeLegalizeDesign(300, 2)
-	_, _, err := Cells(d, cells, Tetris)
-	if err != nil {
-		t.Fatalf("Cells: %v", err)
-	}
-	if err := CheckLegal(d, cells); err != nil {
-		t.Fatalf("not legal: %v", err)
-	}
-}
-
-func TestAbacusBeatsTetrisOnDisplacement(t *testing.T) {
-	d1, c1 := makeLegalizeDesign(400, 3)
-	ta, _, err := Cells(d1, c1, Abacus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, c2 := makeLegalizeDesign(400, 3)
-	tt, _, err := Cells(d2, c2, Tetris)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ta > tt {
-		t.Errorf("Abacus displacement %v worse than Tetris %v", ta, tt)
-	}
-}
-
 func TestLegalizeAroundMacros(t *testing.T) {
 	d, cells := makeLegalizeDesign(200, 4)
 	// Place a fixed macro in the middle; cells must avoid it.
 	d.AddCell(netlist.Cell{W: 30, H: 20, X: 60, Y: 30, Kind: netlist.Macro, Fixed: true})
-	_, _, err := Cells(d, cells, Abacus)
+	_, _, err := Cells(d, cells, 1)
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
@@ -112,7 +85,7 @@ func TestLegalizeOverfullFails(t *testing.T) {
 	for i := 0; i < 10; i++ { // 10 cells x 4 wide = 40 > 20 capacity
 		cells = append(cells, d.AddCell(netlist.Cell{W: 4, H: 2, X: 5, Y: 2}))
 	}
-	if _, _, err := Cells(d, cells, Abacus); err == nil {
+	if _, _, err := Cells(d, cells, 1); err == nil {
 		t.Error("expected capacity failure")
 	}
 }
@@ -144,7 +117,7 @@ func TestSnapToSites(t *testing.T) {
 	d := netlist.New("snap", geom.Rect{Hx: 50, Hy: 4})
 	BuildRows(d, 2, 1)
 	c := d.AddCell(netlist.Cell{W: 3, H: 2, X: 10.37, Y: 1.2})
-	if _, _, err := Cells(d, []int{c}, Abacus); err != nil {
+	if _, _, err := Cells(d, []int{c}, 1); err != nil {
 		t.Fatal(err)
 	}
 	lx := d.Cells[c].X - 1.5
@@ -283,7 +256,7 @@ func BenchmarkAbacus1000(b *testing.B) {
 		b.StopTimer()
 		d, cells := makeLegalizeDesign(1000, 9)
 		b.StartTimer()
-		if _, _, err := Cells(d, cells, Abacus); err != nil {
+		if _, _, err := Cells(d, cells, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -385,7 +358,7 @@ func TestSnapWithFractionalSegmentsRegression(t *testing.T) {
 			W: 2, H: 2, X: 3 + 3*float64(i%5), Y: 1 + 2*float64(i/5),
 		}))
 	}
-	if _, _, err := Cells(d, cells, Abacus); err != nil {
+	if _, _, err := Cells(d, cells, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckLegal(d, cells); err != nil {

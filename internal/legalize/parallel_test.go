@@ -34,35 +34,33 @@ func bigLegalizeDesign(n int, seed int64) (*netlist.Design, []int) {
 // big enough (9000 cells, ~340 rows → 4 bands) that the partition is
 // real.
 func TestCellsWorkersBitwiseIdentical(t *testing.T) {
-	for _, method := range []Method{Abacus, Tetris} {
-		var refX, refY []float64
-		var refTotal, refMax float64
-		for _, w := range []int{1, 2, 7} {
-			d, cells := bigLegalizeDesign(9000, 42)
-			total, max, err := CellsWorkers(d, cells, method, w)
-			if err != nil {
-				t.Fatalf("method %d workers %d: %v", method, w, err)
+	var refX, refY []float64
+	var refTotal, refMax float64
+	for _, w := range []int{1, 2, 7} {
+		d, cells := bigLegalizeDesign(9000, 42)
+		total, max, err := Cells(d, cells, w)
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		if err := CheckLegal(d, cells); err != nil {
+			t.Fatalf("workers %d: not legal: %v", w, err)
+		}
+		if w == 1 {
+			refTotal, refMax = total, max
+			for _, ci := range cells {
+				refX = append(refX, d.Cells[ci].X)
+				refY = append(refY, d.Cells[ci].Y)
 			}
-			if err := CheckLegal(d, cells); err != nil {
-				t.Fatalf("method %d workers %d: not legal: %v", method, w, err)
-			}
-			if w == 1 {
-				refTotal, refMax = total, max
-				for _, ci := range cells {
-					refX = append(refX, d.Cells[ci].X)
-					refY = append(refY, d.Cells[ci].Y)
-				}
-				continue
-			}
-			if total != refTotal || max != refMax {
-				t.Errorf("method %d workers %d: displacement (%v, %v) != serial (%v, %v)",
-					method, w, total, max, refTotal, refMax)
-			}
-			for k, ci := range cells {
-				if d.Cells[ci].X != refX[k] || d.Cells[ci].Y != refY[k] {
-					t.Fatalf("method %d workers %d: cell %d at (%v, %v), serial (%v, %v)",
-						method, w, ci, d.Cells[ci].X, d.Cells[ci].Y, refX[k], refY[k])
-				}
+			continue
+		}
+		if total != refTotal || max != refMax {
+			t.Errorf("workers %d: displacement (%v, %v) != serial (%v, %v)",
+				w, total, max, refTotal, refMax)
+		}
+		for k, ci := range cells {
+			if d.Cells[ci].X != refX[k] || d.Cells[ci].Y != refY[k] {
+				t.Fatalf("workers %d: cell %d at (%v, %v), serial (%v, %v)",
+					w, ci, d.Cells[ci].X, d.Cells[ci].Y, refX[k], refY[k])
 			}
 		}
 	}
@@ -128,7 +126,7 @@ func BenchmarkLegalize(b *testing.B) {
 		for i := range d.Cells {
 			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
 		}
-		if _, _, err := CellsWorkers(d, cells, Abacus, 1); err != nil {
+		if _, _, err := Cells(d, cells, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package legalize turns global-placement layouts into legal ones: the
 // two-level annealing macro legalizer mLG of Sec. VI-A, and row-based
-// standard-cell legalization (greedy Tetris and Abacus-style cluster
-// dynamic programming) used by the cDP stage. A legality checker
+// standard-cell legalization (Abacus-style cluster dynamic programming)
+// used by the cDP stage. A legality checker
 // validates results in tests and at stage boundaries.
 package legalize
 

@@ -166,7 +166,7 @@ func obstacleDesign(n int, seed int64) (*netlist.Design, []int) {
 			X: 5 + rng.Float64()*150, Y: 2 + rng.Float64()*56,
 		}))
 	}
-	if _, _, err := Cells(d, cells, Tetris); err != nil {
+	if _, _, err := Cells(d, cells, 1); err != nil {
 		panic(err)
 	}
 	return d, cells
@@ -285,7 +285,7 @@ func TestCheckLegalAllocatesLess(t *testing.T) {
 // call: 5000 cells, 60% of them frozen into obstacles.
 func BenchmarkCheckLegal(b *testing.B) {
 	d, cells := bigLegalizeDesign(5000, 5)
-	if _, _, err := Cells(d, cells, Abacus); err != nil {
+	if _, _, err := Cells(d, cells, 1); err != nil {
 		b.Fatal(err)
 	}
 	for k, ci := range cells {

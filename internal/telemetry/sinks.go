@@ -253,44 +253,3 @@ func (s *RingSink) Spans() []SpanRecord {
 }
 
 func (s *RingSink) Close() error { return nil }
-
-// MultiSink fans events out to several sinks in order.
-type MultiSink struct {
-	sinks []Sink
-}
-
-// Multi combines sinks into one.
-func Multi(sinks ...Sink) *MultiSink {
-	return &MultiSink{sinks: sinks}
-}
-
-func (m *MultiSink) Sample(sm Sample) {
-	for _, s := range m.sinks {
-		s.Sample(sm)
-	}
-}
-
-func (m *MultiSink) Span(sp SpanRecord) {
-	for _, s := range m.sinks {
-		s.Span(sp)
-	}
-}
-
-func (m *MultiSink) Totals(spans []SpanTotal, counters []Counter) {
-	for _, s := range m.sinks {
-		if ts, ok := s.(TotalsSink); ok {
-			ts.Totals(spans, counters)
-		}
-	}
-}
-
-// Close closes every sink, returning the first error.
-func (m *MultiSink) Close() error {
-	var first error
-	for _, s := range m.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -163,11 +163,6 @@ func New(sinks ...Sink) *Recorder {
 // unconditionally.
 func (r *Recorder) Active() bool { return r != nil }
 
-// Emitting reports whether r has at least one sink attached.
-func (r *Recorder) Emitting() bool {
-	return r != nil && len(r.sinks) > 0
-}
-
 // SetWorkers records the gradient-kernel worker count for snapshots.
 func (r *Recorder) SetWorkers(n int) {
 	if r == nil {
