@@ -133,6 +133,8 @@ func TestChangeRecord(t *testing.T) {
 			members([]int{4}), []int{4}},
 		{"reweight to the current weight", &Script{ReweightNets: []Reweight{{NetID: 4, Weight: d.Nets[4].EffWeight()}}},
 			nil, nil},
+		{"reweight and back", &Script{ReweightNets: []Reweight{{NetID: 4, Weight: 3}, {NetID: 4, Weight: d.Nets[4].EffWeight()}}},
+			nil, nil},
 		{"removal", &Script{RemoveCells: []string{d.Cells[victim].Name}},
 			members(victimNets, victim), sortedUnique(victimNets)},
 		{"insertion", &Script{AddCells: []AddCell{{Name: "eco_new", W: 2, H: 2, NetIDs: []int{5, 6}}}},
