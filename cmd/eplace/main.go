@@ -71,7 +71,7 @@ func run(ctx context.Context) error {
 		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default: 3000, or 600 for -eco)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
 		gpOnly   = flag.Bool("gp-only", false, "stop after global placement (no legalization)")
-		levels   = flag.Int("levels", 1, "multilevel V-cycle levels (1 = flat; >1 clusters the netlist and warm-starts each level)")
+		levels   = flag.Int("levels", 1, "multilevel V-cycle levels (1 = flat, validated to 25K movable cells; >1 clusters the netlist and warm-starts each level)")
 		clCap    = flag.Float64("cluster-cap", 0, "cluster area cap as a multiple of the average std-cell area (0 = default)")
 		heatmap  = flag.String("heatmap", "", "directory for the PGM heatmap of the final layout")
 		quiet    = flag.Bool("q", false, "suppress progress output")
@@ -189,6 +189,9 @@ func run(ctx context.Context) error {
 	if *fromPath != "" {
 		return errors.New("-from requires -eco EDITS.json")
 	}
+	if w := flatSizeWarning(len(d.Movable()), *levels); w != "" {
+		fmt.Fprintln(os.Stderr, "eplace: "+w)
+	}
 
 	// Checkpointing and resume: the flow snapshots itself at stage
 	// boundaries (plus every -checkpoint-every GP iterations) and can
@@ -279,6 +282,21 @@ func run(ctx context.Context) error {
 	return nil
 }
 
+// flatValidatedCells is the largest design, in movable cells, the flat
+// flow is validated on. Above it the flat descent can end far worse than
+// the V-cycle on the same circuit.
+const flatValidatedCells = 25000
+
+// flatSizeWarning returns the warning for a flat run (levels <= 1) over
+// more movable cells than the flat flow is validated to, or "".
+func flatSizeWarning(movable, levels int) string {
+	if levels > 1 || movable <= flatValidatedCells {
+		return ""
+	}
+	return fmt.Sprintf("warning: the flat flow is validated to %d movable cells and this design has %d; -levels 4 runs the V-cycle",
+		flatValidatedCells, movable)
+}
+
 // runEco executes `-eco edits.json -from prev.ckpt|.pl`: load the
 // previous placement into d (which must be built from the same design
 // source as the original run), apply the edit script, and run the
@@ -328,11 +346,13 @@ func runEco(ctx context.Context, d *netlist.Design, gp core.Options, ecoPath, fr
 	if err != nil {
 		return err
 	}
-	if res.NoOp {
+	switch {
+	case res.NoOp:
 		fmt.Println("eco           structural no-op: previous placement reused")
-	} else {
-		fmt.Printf("eGP           %d iters, tau %.4f, stop %s (%d active / %d frozen cells)\n",
-			res.GP.Iterations, res.GP.Overflow, res.GP.Stop, res.ActiveCells, res.FrozenCells)
+	case res.GP.Stop != "":
+		// eGP runs only when a blockage evicts cells.
+		fmt.Printf("eGP           %d iters, tau %.4f, stop %s (%d evicted / %d active / %d frozen cells)\n",
+			res.GP.Iterations, res.GP.Overflow, res.GP.Stop, res.EvictedCells, res.ActiveCells, res.FrozenCells)
 	}
 	fmt.Printf("HPWL          %.6g\n", res.HPWL)
 	fmt.Printf("legal         %v\n", res.Legal)

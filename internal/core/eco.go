@@ -19,9 +19,9 @@ import (
 
 // ECOOptions configures an incremental re-placement run.
 type ECOOptions struct {
-	// GP configures the warm-started global placement over the active
-	// cells (workers, Poisson backend, telemetry). GP.MaxIters defaults
-	// to 600 here and GP.TargetOverflow to 0.15.
+	// GP configures the run (workers, Poisson backend, telemetry) and the
+	// warm-started global placement over the evicted cells, where
+	// GP.MaxIters defaults to 600 and GP.TargetOverflow to 0.15.
 	GP Options
 	// Checkpoint, when non-nil, persists a done-phase snapshot of the
 	// finished incremental placement, so further ECO runs (or the
@@ -29,27 +29,22 @@ type ECOOptions struct {
 	Checkpoint *checkpoint.Manager
 }
 
-// ecoPerturb is the localized jitter radius applied to the fresh cells
-// before the warm start, in multiples of the average active-cell
-// dimension. The jitter breaks the exact-stacking symmetry of cells
-// seeded at one net centroid — identical positions feel identical
-// gradients and would never separate.
-const ecoPerturb = 2
-
 // ECOResult reports one incremental re-placement. The embedded summary
 // carries HPWL and Legal of the final full layout, DP (the detail
-// refinement over the active cells), Stages ("eGP", "cDP"), and the
-// per-stage golden Digests ("eGP", "cDP", "final"; for
-// a no-op edit the "final" digest equals the cold run's).
+// refinement over the active cells), Stages ("eGP" when it ran, "cDP"),
+// and the per-stage golden Digests ("eGP" when it ran, "cDP", "final";
+// for a no-op edit the "final" digest equals the cold run's).
 type ECOResult struct {
-	// GP is the incremental global placement over the active cells
-	// (stage "eGP"); zero-valued for no-op edits.
+	// GP is the incremental global placement over the evicted cells
+	// (stage "eGP"). It is zero-valued, with an empty Stop, when eGP did
+	// not run: for no-op edits and for every edit that evicts no cell.
 	GP Result
 	// NoOp reports that the edit changed nothing structurally: the
 	// previous placement was returned untouched, bit for bit.
 	NoOp bool
-	// ActiveCells and FrozenCells are the plan's split sizes.
-	ActiveCells, FrozenCells int
+	// ActiveCells, EvictedCells and FrozenCells are the plan's split
+	// sizes; the evicted cells are part of the active set.
+	ActiveCells, EvictedCells, FrozenCells int
 	// LegalizeDisp and LegalizeMaxDisp are the incremental row
 	// legalization's total and max displacement over the active cells.
 	LegalizeDisp, LegalizeMaxDisp float64
@@ -64,9 +59,13 @@ type ECOResult struct {
 // rasterizes them as immovable charge, and legalization/detail route
 // around them as obstacles — and are restored afterwards, bitwise at
 // their input positions (enforced, not assumed). Only the plan's
-// active cells move: a short Nesterov placement warm-started from the
-// current positions (no mIP), then the flow's cDP tail with row
-// legalization and detail placement over the active cells only.
+// active cells move, and most of them only in cDP: the held cells (the
+// active cells that keep their slot) reach cDP at their input
+// positions (enforced too), inserted cells go from their seed to their
+// optimal region, and a short Nesterov placement (eGP, warm-started,
+// no mIP) runs only when a blockage evicts cells, over those cells.
+// The flow's cDP tail then legalizes the fresh and evicted cells and
+// refines the active set.
 //
 // An empty plan (structural no-op) short-circuits: positions are
 // untouched and the "final" golden digest matches a cold run of the
@@ -84,6 +83,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	// this result validates against a freshly rebuilt, input-shaped design.
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
 	res.ActiveCells = len(plan.Active)
+	res.EvictedCells = len(plan.Evicted)
 	res.FrozenCells = len(plan.Frozen)
 
 	// Rows are part of the reused context: build them exactly as the
@@ -96,35 +96,39 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	if !res.NoOp {
 		// Snapshot the frozen positions: ending anywhere else is a bug the
 		// caller must see, not a silent quality loss.
-		frozenX := make([]float64, len(plan.Frozen))
-		frozenY := make([]float64, len(plan.Frozen))
-		for k, ci := range plan.Frozen {
-			frozenX[k] = d.Cells[ci].X
-			frozenY[k] = d.Cells[ci].Y
-		}
+		frozenPos := d.Positions(plan.Frozen)
 		if err := replaceActive(r, plan, opt, &res); err != nil {
 			return res, err
 		}
-		for k, ci := range plan.Frozen {
-			if d.Cells[ci].X != frozenX[k] || d.Cells[ci].Y != frozenY[k] {
-				return res, fmt.Errorf("core: frozen cell %d (%s) moved from (%v, %v) to (%v, %v): freeze invariant violated",
-					ci, d.Cells[ci].Name, frozenX[k], frozenY[k], d.Cells[ci].X, d.Cells[ci].Y)
-			}
+		if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+			return res, err
 		}
 	}
 	err := r.finish()
 	return res, err
 }
 
+// unmoved errors when one of the cells is no longer bitwise where
+// pos, taken by d.Positions(cells), has it.
+func unmoved(d *netlist.Design, cells []int, pos []float64, what string) error {
+	n := len(cells)
+	for k, ci := range cells {
+		if c := &d.Cells[ci]; c.X != pos[k] || c.Y != pos[k+n] {
+			return fmt.Errorf("core: %s cell %d (%s) moved from (%v, %v) to (%v, %v): %s invariant violated",
+				what, ci, c.Name, pos[k], pos[k+n], c.X, c.Y, what)
+		}
+	}
+	return nil
+}
+
 // replaceActive is the part of PlaceECO that runs with the plan's
-// frozen cells pinned: fresh-cell jitter, the warm-started eGP stage,
-// snap-back, and the cDP tail over the active cells.
+// frozen cells pinned: placeMoved, then the cDP tail over the active
+// cells.
 func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult) error {
 	d := run.d
-	// Freeze: everything movable outside the active set becomes a fixed
-	// obstacle for the duration of the run; the deferred restore covers
-	// every exit (the flow mutates fixedness the same way during the cGP
-	// filler-only phase).
+	// Freeze: the frozen cells are fixed obstacles for the duration of the
+	// run; the deferred restore covers every exit (the flow mutates
+	// fixedness the same way during the cGP filler-only phase).
 	wasFixed := make([]bool, len(d.Cells))
 	for i := range d.Cells {
 		wasFixed[i] = d.Cells[i].Fixed
@@ -137,49 +141,87 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	for _, ci := range plan.Frozen {
 		d.Cells[ci].Fixed = true
 	}
-
-	// The active cells' input positions are their trusted legal slots
-	// from the reused placement (except fresh cells, which never had
-	// one): remembered here, before any perturbation, for the
-	// post-eGP snap-back below.
-	baseX := make([]float64, len(plan.Active))
-	baseY := make([]float64, len(plan.Active))
-	for k, ci := range plan.Active {
-		baseX[k] = d.Cells[ci].X
-		baseY[k] = d.Cells[ci].Y
-	}
-	freshSet := make(map[int]bool, len(plan.Fresh))
-	for _, ci := range plan.Fresh {
-		freshSet[ci] = true
+	held, moved, err := placeMoved(run, plan, opt.GP, res)
+	if err != nil {
+		return err
 	}
 
-	// Localized perturbation of the fresh cells only: deterministic
-	// jitter (seeded, serial) so stacked insertions seeded at one net
-	// centroid separate under the density force. Pre-existing cells are
-	// already at distinct converged positions and need no symmetry
-	// breaking — jittering them would only add churn the snap-back has
-	// to undo.
-	aw, ah := avgActiveDim(d, plan.Active)
-	jr := ecoPerturb * math.Max(aw, ah)
-	rng := rand.New(rand.NewSource(ecoJitterSeed))
-	for _, ci := range plan.Fresh {
-		c := &d.Cells[ci]
-		if c.Fixed || c.Kind != netlist.StdCell {
-			continue
+	// --- Incremental cDP: legalize the fresh and evicted cells around the
+	// held ones, pinned at their slots, then refine the active cells
+	// only. Frozen cells are fixed obstacles, so FreeSegments carves them
+	// out of the rows and no pass can step on them. ---
+	//
+	// Legalizing the held cells too would repack their slots around each
+	// newcomer: the greedy pass prices the newcomer's own displacement,
+	// not the eviction it causes, and would shift a wide incumbent across
+	// the die to admit it. Parking the newcomer in the nearest real gap
+	// costs a few units of its own wirelength, which the detail passes,
+	// deeper than the cold flow's, then claw back.
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(held, moved, plan.Active,
+		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
+	return err
+}
+
+// placeMoved places what the edit moved, ahead of cDP. It splits the
+// active cells into the held ones, which keep their input slot (the
+// reused placement was legal, and its slots are disjoint by
+// construction), and the moved ones: the fresh cells, which never had a
+// slot, and the evicted ones, which lost theirs to a blockage. It pins
+// the held cells (cDP releases them), runs eGP over the evicted cells
+// when there are any, parks each inserted cell in its optimal region,
+// and errors when a held cell left its slot.
+func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (held, moved []int, err error) {
+	d := run.d
+	lost := make([]bool, len(d.Cells))
+	for _, cells := range [][]int{plan.Fresh, plan.Evicted} {
+		for _, ci := range cells {
+			lost[ci] = true
 		}
-		ang := 2 * math.Pi * rng.Float64()
-		rad := jr * rng.Float64()
-		p := geom.Point{X: c.X + rad*math.Cos(ang), Y: c.Y + rad*math.Sin(ang)}
-		p = geom.ClampPoint(p, c.W, c.H, d.Region)
-		c.X, c.Y = p.X, p.Y
+	}
+	for _, ci := range plan.Active {
+		if lost[ci] {
+			moved = append(moved, ci)
+		} else {
+			held = append(held, ci)
+			d.Cells[ci].Fixed = true
+		}
+	}
+	heldPos := d.Positions(held)
+
+	if len(plan.Evicted) > 0 {
+		if res.GP, err = evictedGP(run, plan.Evicted, gpOpt); err != nil {
+			return nil, nil, err
+		}
 	}
 
-	// --- eGP: warm-started global placement over the active cells. ---
-	// Fillers occupy the whitespace exactly as in the cold flow: without
-	// them the density force would spread the active cells into every
-	// free pocket of the region, inflating wirelength far past the
-	// converged placement being reused.
-	gpOpt := opt.GP
+	// Park each inserted cell at the point of its optimal region — the
+	// exact minimizer of the weighted HPWL extension it causes, computed
+	// against the positions its neighbors keep — nearest its net-centroid
+	// seed. Legalization then shifts it within the flat bottom of the
+	// wirelength bowl, into the nearest gap that genuinely fits. Every
+	// target is taken before any inserted cell moves.
+	type target struct {
+		c *netlist.Cell
+		p geom.Point
+	}
+	var targets []target
+	for _, ci := range plan.Fresh {
+		if c := &d.Cells[ci]; !c.Fixed && c.Kind == netlist.StdCell {
+			p := geom.Point{X: optimalCoord(d, ci, c.X, false), Y: optimalCoord(d, ci, c.Y, true)}
+			targets = append(targets, target{c, geom.ClampPoint(p, c.W, c.H, d.Region)})
+		}
+	}
+	for _, t := range targets {
+		t.c.X, t.c.Y = t.p.X, t.p.Y
+	}
+	return held, moved, unmoved(d, held, heldPos, "held")
+}
+
+// evictedGP runs eGP: a warm-started global placement of the evicted
+// cells and the whitespace's fillers, with every other cell as charge at
+// its slot. Inserted cells sit out: they neither move nor carry charge.
+func evictedGP(run *flowRun, evicted []int, gpOpt Options) (Result, error) {
+	d := run.d
 	if gpOpt.MaxIters <= 0 {
 		gpOpt.MaxIters = egpMaxIters
 	}
@@ -193,128 +235,26 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 		gpOpt.TargetOverflow = 0.15
 	}
 	t0 := time.Now()
-	gpIdx := plan.Active
+	// Fillers occupy the whitespace exactly as in the cold flow: without
+	// them the density force would spread the evicted cells into every
+	// free pocket of the region, far from the blockage that displaced
+	// them.
+	idx := evicted
 	if fillers := InsertFillers(d, fillerSeed); len(fillers) > 0 {
 		seedFillersInWhitespace(d, fillers, whitespaceSeed)
-		gpIdx = append(append(make([]int, 0, len(plan.Active)+len(fillers)), plan.Active...), fillers...)
+		idx = append(append(make([]int, 0, len(evicted)+len(fillers)), evicted...), fillers...)
 	}
-	var err error
 	// The penalty resumes in the late-cGP regime (egpLambdaScale): a
-	// cold balance lets the active cells collapse onto frozen neighbors,
-	// quality the legalizer then pays back several times over in
-	// displacement.
-	res.GP, err = run.gp(gpStage{
-		name: "eGP", cv: run.cv, idx: gpIdx, opt: gpOpt,
+	// cold balance lets the moving cells collapse onto their fixed
+	// neighbors, quality the legalizer then pays back several times over
+	// in displacement.
+	res, err := run.gp(gpStage{
+		name: "eGP", cv: run.cv, idx: idx, opt: gpOpt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
 	})
 	d.RemoveFillers()
 	run.addStage("eGP", time.Since(t0))
-	if err != nil {
-		return err
-	}
-
-	// --- Incremental cDP: legalize and refine the active cells only.
-	// Frozen cells are fixed obstacles, so FreeSegments carves them out
-	// of the rows and no pass can step on them. ---
-	//
-	// Snap-back: every active cell that still has a trusted slot returns
-	// to its exact input position, pinned there through legalization —
-	// the reused placement was legal, and its slots are disjoint by
-	// construction. Only the fresh cells (which never had a slot) and
-	// cells whose slot a new fixed footprint swallowed (a region
-	// blockage) legalize, into whatever real whitespace is left; they
-	// displace nothing. The alternatives both lose: legalizing the
-	// active set from its raw eGP positions repacks every cell's drift
-	// noise into the narrow gaps between frozen cells, and legalizing
-	// it from snapped positions unpinned lets a fresh cell squat in a
-	// full segment and evict its widest incumbent across the die (the
-	// greedy pass prices the squatter's own displacement, not the
-	// eviction it causes). Parking the fresh cell in the nearest gap
-	// that genuinely fits costs a few units of its own wirelength,
-	// which the detail pass below then claws back.
-	var freshFixed, freshHalos []geom.Rect
-	for _, ci := range plan.Fresh {
-		c := &d.Cells[ci]
-		if c.Fixed && c.W > 0 && c.H > 0 {
-			r := c.Rect()
-			freshFixed = append(freshFixed, r)
-			// The displaced area has to land in a ring around the new
-			// obstacle; cells in that ring must keep their eGP pushes or
-			// the evictees pile onto whatever gaps the ring's pinned
-			// occupants left. Ring width scales with the obstacle size.
-			freshHalos = append(freshHalos, r.Expand(0.5*math.Sqrt(r.W()*r.H())))
-		}
-	}
-	var snapped, moved []int
-	for k, ci := range plan.Active {
-		c := &d.Cells[ci]
-		if freshSet[ci] {
-			moved = append(moved, ci)
-			continue
-		}
-		slot := geom.Rect{Lx: baseX[k] - c.W/2, Ly: baseY[k] - c.H/2, Hx: baseX[k] + c.W/2, Hy: baseY[k] + c.H/2}
-		trusted := true
-		for _, fr := range freshHalos {
-			if ov := slot.Intersect(fr); ov.Valid() && ov.W() > 1e-9 && ov.H() > 1e-9 {
-				trusted = false
-				break
-			}
-		}
-		if !trusted {
-			moved = append(moved, ci)
-			continue
-		}
-		c.X, c.Y = baseX[k], baseY[k]
-		snapped = append(snapped, ci)
-	}
-	// Park each fresh movable cell at the point of its optimal region —
-	// the exact minimizer of the weighted HPWL extension it causes,
-	// computed against the snapped-back positions its neighbors keep —
-	// nearest its eGP position. The eGP trajectory positioned it
-	// against neighbors that have since reverted, so its raw drift
-	// position is only an estimate; the closed-form one costs nothing
-	// and leaves legalization shifting it within the flat bottom of the
-	// wirelength bowl.
-	type retarget struct {
-		ci   int
-		x, y float64
-	}
-	var retargets []retarget
-	for _, ci := range plan.Fresh {
-		c := &d.Cells[ci]
-		if c.Fixed || c.Kind != netlist.StdCell {
-			continue
-		}
-		x, okX := optimalCoord(d, ci, c.X, false)
-		y, okY := optimalCoord(d, ci, c.Y, true)
-		if okX || okY {
-			if !okX {
-				x = c.X
-			}
-			if !okY {
-				y = c.Y
-			}
-			retargets = append(retargets, retarget{ci, x, y})
-		}
-	}
-	for _, t := range retargets {
-		c := &d.Cells[t.ci]
-		p := geom.ClampPoint(geom.Point{X: t.x, Y: t.y}, c.W, c.H, d.Region)
-		c.X, c.Y = p.X, p.Y
-	}
-	// Deeper refinement than the cold flow's: it is the pass that
-	// recovers the wirelength a fresh cell loses when no gap exists at
-	// its ideal spot and legalization parks it a few rows away. It is
-	// not free: the active set is 7% of the design for a reweight of 20
-	// nets but all of it for a 5% insertion. The cDP stage is 29% of the
-	// time of the benchmark's edit suite and eGP 58%, now that eGP prices
-	// only the nets with a pin on an active cell (21% and 69% before
-	// that; cDP was 37% before its later passes priced only the trials
-	// an accepted move touched, and half, before it priced its trials
-	// against cached net boxes; ROADMAP 2d).
-	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(snapped, moved, plan.Active,
-		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
-	return err
+	return res, err
 }
 
 // ecoDetailPasses and ecoSwapCandidates are the ECO cDP's depth: twice
@@ -352,26 +292,14 @@ func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	return nil
 }
 
-// avgActiveDim returns the average width/height of the given cells.
-func avgActiveDim(d *netlist.Design, idx []int) (w, h float64) {
-	if len(idx) == 0 {
-		return 1, 1
-	}
-	for _, ci := range idx {
-		w += d.Cells[ci].W
-		h += d.Cells[ci].H
-	}
-	return w / float64(len(idx)), h / float64(len(idx))
-}
-
 // optimalCoord returns the point nearest cur within the cell's optimal
 // region along one axis: the minimizer set of the weighted sum of each
 // net's bounding-interval extension, holding every other pin fixed. The
 // objective is piecewise linear and convex with breakpoints at the
 // nets' interval endpoints, so the minimizer is where the subgradient
-// sum_n w_n*([x > h_n] - [x < l_n]) crosses zero. ok is false when the
-// cell has no nets with other pins.
-func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) (best float64, ok bool) {
+// sum_n w_n*([x > h_n] - [x < l_n]) crosses zero. It returns cur when
+// the cell has no nets with other pins.
+func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 	type event struct {
 		x     float64
 		slope float64 // subgradient step when passing x left to right
@@ -407,7 +335,7 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) (best floa
 		events = append(events, event{lo, w}, event{hi, w})
 	}
 	if len(events) == 0 {
-		return cur, false
+		return cur
 	}
 	sort.Slice(events, func(a, b int) bool { return events[a].x < events[b].x })
 	// Subgradient left of all events is -sum of net weights (every net
@@ -432,13 +360,7 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) (best floa
 			break
 		}
 	}
-	if cur < lo {
-		return lo, true
-	}
-	if cur > hi {
-		return hi, true
-	}
-	return cur, true
+	return geom.Clamp(cur, lo, hi)
 }
 
 // seedFillersInWhitespace moves freshly inserted fillers from their

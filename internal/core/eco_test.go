@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"eplace/internal/checkpoint"
 	"eplace/internal/detail"
 	"eplace/internal/eco"
+	"eplace/internal/geom"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -16,6 +18,15 @@ import (
 
 func ecoSpec(name string) synth.Spec {
 	return synth.Spec{Name: name, NumCells: 500, Seed: 2}
+}
+
+// blockEdit blocks a square a tenth of the region's side, off its
+// center: on a placed design it evicts cells, so eGP runs.
+func blockEdit(r geom.Rect) *eco.Script {
+	return &eco.Script{BlockRegions: []eco.Block{{
+		Lx: r.Lx + 0.3*r.W(), Ly: r.Ly + 0.3*r.H(),
+		Hx: r.Lx + 0.4*r.W(), Hy: r.Ly + 0.4*r.H(),
+	}}}
 }
 
 // digestOf finds one stage's golden digest.
@@ -234,8 +245,7 @@ func TestECOMaxIters(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := warmCopy(spec, cold)
-	script := &eco.Script{AddCells: []eco.AddCell{{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}}}}
-	prep, err := eco.Prepare(warm, script, eco.PlanOptions{})
+	prep, err := eco.Prepare(warm, blockEdit(warm.Region), eco.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +260,127 @@ func TestECOMaxIters(t *testing.T) {
 	if !res.Legal {
 		t.Error("incremental result not legal")
 	}
+}
+
+// TestECOHeldCellsKeepSlots: eGP runs only when a blockage evicts cells,
+// and every other active cell an edit did not insert enters cDP bitwise
+// at its input position.
+func TestECOHeldCellsKeepSlots(t *testing.T) {
+	spec := ecoSpec("eco-held")
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
+		t.Fatal(err)
+	}
+	prepare := func(t *testing.T, s *eco.Script) (*netlist.Design, *eco.Plan) {
+		t.Helper()
+		warm := warmCopy(spec, cold)
+		prep, err := eco.Prepare(warm, s, eco.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prep.Plan.Active) == 0 {
+			t.Fatalf("the edit activated nothing: %s", prep.Plan)
+		}
+		return warm, prep.Plan
+	}
+	victim := cold.Cells[cold.MovableOf(netlist.StdCell)[7]].Name
+	reweight := []eco.Reweight{{NetID: 3, Weight: 4}}
+	// The reweight+removal row's digests are the ones the flow gave when
+	// eGP ran on every edit and its result was snapped back.
+	for _, tc := range []struct {
+		name             string
+		script           *eco.Script
+		wantCDP, wantEnd string
+	}{
+		{"reweight", &eco.Script{ReweightNets: reweight}, "", ""},
+		{"removal", &eco.Script{RemoveCells: []string{victim}}, "", ""},
+		{"insertion", &eco.Script{AddCells: []eco.AddCell{{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0, 9}}}}, "", ""},
+		{"reweight+removal", &eco.Script{RemoveCells: []string{victim}, ReweightNets: reweight},
+			"70d5bbab78c94b2a", "d18d693cf15467c8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm, plan := prepare(t, tc.script)
+			if len(plan.Evicted) != 0 {
+				t.Fatalf("the edit evicted %d cells", len(plan.Evicted))
+			}
+			res, err := PlaceECO(context.Background(), warm, plan, ECOOptions{GP: Options{Workers: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Legal {
+				t.Error("incremental result not legal")
+			}
+			if res.GP != (Result{}) {
+				t.Errorf("GP = %+v, want zero", res.GP)
+			}
+			for _, st := range res.Stages {
+				if st.Name == "eGP" {
+					t.Errorf("Stages = %v, want no eGP", res.Stages)
+				}
+			}
+			for _, dg := range res.Digests {
+				if dg.Stage == "eGP" {
+					t.Errorf("Digests = %v, want no eGP", res.Digests)
+				}
+			}
+			if tc.wantCDP == "" {
+				return
+			}
+			if got := digestOf(t, res.Digests, "cDP").Hex(); got != tc.wantCDP {
+				t.Errorf("cDP digest %s, want %s", got, tc.wantCDP)
+			}
+			if got := digestOf(t, res.Digests, "final").Hex(); got != tc.wantEnd {
+				t.Errorf("final digest %s, want %s", got, tc.wantEnd)
+			}
+		})
+	}
+
+	// A block evicts cells and runs eGP, and the reweighted net's and the
+	// inserted cell's neighbors are held; what enters cDP is read between
+	// placeMoved and cdp, the two halves of replaceActive.
+	t.Run("block", func(t *testing.T) {
+		s := blockEdit(cold.Region)
+		s.ReweightNets = reweight
+		s.AddCells = []eco.AddCell{{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0, 9}}}
+		warm, plan := prepare(t, s)
+		if len(plan.Evicted) == 0 {
+			t.Fatalf("the block evicted nothing: %s", plan)
+		}
+		input := warm.Positions(plan.Active)
+		opt := Options{Workers: 2}
+		var res ECOResult
+		r := newRun(context.Background(), warm, &opt, nil, &res.flowSummary)
+		r.ensureRows()
+		for _, ci := range plan.Frozen {
+			warm.Cells[ci].Fixed = true
+		}
+		held, moved, err := placeMoved(r, plan, opt, &res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.GP.Stop == "" || len(res.Stages) != 1 || res.Stages[0].Name != "eGP" {
+			t.Fatalf("eGP did not run: GP %+v, Stages %v", res.GP, res.Stages)
+		}
+		lost := map[int]bool{}
+		for _, ci := range append(append([]int(nil), plan.Evicted...), plan.Fresh...) {
+			lost[ci] = true
+		}
+		kept := 0
+		n := len(plan.Active)
+		for k, ci := range plan.Active {
+			if lost[ci] {
+				continue
+			}
+			kept++
+			if c := &warm.Cells[ci]; c.X != input[k] || c.Y != input[k+n] {
+				t.Errorf("cell %d enters cDP at (%v, %v), its input slot is (%v, %v)", ci, c.X, c.Y, input[k], input[k+n])
+			}
+		}
+		if kept == 0 || kept != len(held) || len(held)+len(moved) != len(plan.Active) {
+			t.Errorf("%d held and %d moved of %d active, %d outside Evicted and Fresh", len(held), len(moved), len(plan.Active), kept)
+		}
+		t.Logf("%d held, %d evicted, %d active", len(held), len(plan.Evicted), len(plan.Active))
+	})
 }
 
 // TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the
@@ -318,5 +449,54 @@ func TestECOWorkersBitwiseIdentical(t *testing.T) {
 					warm.Cells[i].X, warm.Cells[i].Y, ref.Cells[i].X, ref.Cells[i].Y)
 			}
 		}
+	}
+}
+
+// BenchmarkPlaceECO times one PlaceECO call at one worker on a warm
+// 3000-cell design, per kind of edit: three inserted cells, twenty
+// reweighted nets (neither evicts a cell, so neither runs eGP) and a
+// blockage a tenth of the region's side (eGP over the cells it evicts).
+// Cloning the placed design and eco.Prepare are not timed.
+func BenchmarkPlaceECO(b *testing.B) {
+	spec := synth.Spec{Name: "eco-bench", NumCells: 3000, Seed: 4}
+	base := synth.Generate(spec)
+	if _, err := Place(base, FlowOptions{GP: Options{Workers: 1}}); err != nil {
+		b.Fatal(err)
+	}
+	std := base.Cells[base.MovableOf(netlist.StdCell)[0]]
+	nets := len(base.Nets)
+	insert := &eco.Script{}
+	for k := range 3 {
+		insert.AddCells = append(insert.AddCells, eco.AddCell{
+			Name: fmt.Sprintf("eco_ins_%d", k), W: std.W, H: std.H,
+			NetIDs: []int{(97 * (k + 1)) % nets, (131 * (k + 1)) % nets},
+		})
+	}
+	reweight := &eco.Script{}
+	for k := range 20 {
+		reweight.ReweightNets = append(reweight.ReweightNets, eco.Reweight{NetID: (37 * (k + 1)) % nets, Weight: 4})
+	}
+	for _, bc := range []struct {
+		name   string
+		script *eco.Script
+	}{
+		{"insert", insert},
+		{"reweight", reweight},
+		{"block", blockEdit(base.Region)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := base.Clone()
+				prep, err := eco.Prepare(d, bc.script, eco.PlanOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := PlaceECO(context.Background(), d, prep.Plan, ECOOptions{GP: Options{Workers: 1}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -69,19 +69,19 @@ const (
 	// window only grinds lambda upward while wirelength degrades. The
 	// reused layout is the equilibrium of a grown penalty, so eGP resumes
 	// in the late-cGP regime: balancing the gradients from scratch lets
-	// the active cells collapse onto frozen neighbors before density
-	// recovers. A warm start converges in tens of iterations; the bound
-	// only matters for pathological edits.
+	// the evicted cells collapse onto fixed neighbors before density
+	// recovers. eGP runs only when a blockage evicts cells (see
+	// placeMoved). A warm start converges in tens of iterations; the
+	// bound only matters for pathological edits.
 	egpStallIters  = 25
 	egpLambdaScale = 10
 	egpMaxIters    = 600
 	// The seeds of the flow's random streams: filler placement (every GP
-	// level and eGP), the mLG annealer, eGP's whitespace filler seeding
-	// and its fresh-cell jitter.
+	// level and eGP), the mLG annealer and eGP's whitespace filler
+	// seeding.
 	fillerSeed     = 1
 	mlgSeed        = 2
 	whitespaceSeed = 2
-	ecoJitterSeed  = 3
 )
 
 // FlowResult aggregates per-stage results of one full placement. The

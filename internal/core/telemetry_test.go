@@ -111,8 +111,8 @@ func TestFlowRecordsStageAndKernelSpans(t *testing.T) {
 }
 
 // TestTelemetryCountsNetsPriced checks the wirelength/nets_priced
-// counter on one ECO call: it is the stage's live nets (degree >= 2,
-// a pin on an active cell) times its wirelength evaluations, which are
+// counter on one ECO call: it is the eGP stage's live nets (degree >= 2,
+// a pin on an evicted cell) times its wirelength evaluations, which are
 // the engine's gradient evaluations plus the one that balances λ.
 func TestTelemetryCountsNetsPriced(t *testing.T) {
 	spec := ecoSpec("eco-priced")
@@ -121,9 +121,7 @@ func TestTelemetryCountsNetsPriced(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := warmCopy(spec, cold)
-	prep, err := eco.Prepare(warm, &eco.Script{AddCells: []eco.AddCell{
-		{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}},
-	}}, eco.PlanOptions{})
+	prep, err := eco.Prepare(warm, blockEdit(warm.Region), eco.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +133,15 @@ func TestTelemetryCountsNetsPriced(t *testing.T) {
 	for _, c := range rec.Counters() {
 		counters[c.Name] = c.Value
 	}
-	active := map[int]bool{}
-	for _, ci := range prep.Plan.Active {
-		active[ci] = true
+	evicted := map[int]bool{}
+	for _, ci := range prep.Plan.Evicted {
+		evicted[ci] = true
 	}
 	live := 0
 	for ni := range warm.Nets {
 		pins := warm.Nets[ni].Pins
 		for _, pi := range pins {
-			if len(pins) >= 2 && active[warm.Pins[pi].Cell] {
+			if len(pins) >= 2 && evicted[warm.Pins[pi].Cell] {
 				live++
 				break
 			}
@@ -250,10 +248,12 @@ func TestFlowStageContract(t *testing.T) {
 				return flowSummary{}, err
 			}
 			warm := warmCopy(spec, cold)
-			prep, err := eco.Prepare(warm, &eco.Script{AddCells: []eco.AddCell{
+			script := blockEdit(warm.Region)
+			script.AddCells = []eco.AddCell{
 				{Name: "eco_a", W: 2, H: 1, NetIDs: []int{0}},
 				{Name: "eco_b", W: 2, H: 1, NetIDs: []int{1}},
-			}}, eco.PlanOptions{})
+			}
+			prep, err := eco.Prepare(warm, script, eco.PlanOptions{})
 			if err != nil {
 				return flowSummary{}, err
 			}

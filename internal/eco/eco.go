@@ -8,10 +8,12 @@
 // The flow layer (core.PlaceECO) consumes the Plan: frozen cells are
 // temporarily marked fixed so the density model rasterizes them as
 // immovable charge, the wirelength model treats them as terminals, and
-// legalization/detail placement route around them as obstacles — then
-// runs a short warm-started Nesterov placement over the active set
-// only. Everything here is deterministic: applying the same script to
-// the same design always yields the same plan, at any worker count.
+// legalization/detail placement route around them as obstacles. A short
+// warm-started Nesterov placement runs only over the cells a blockage
+// evicted (Plan.Evicted), and legalization and detail placement over
+// the active set. Everything here is deterministic: applying the same
+// script to the same design always yields the same plan, at any worker
+// count.
 package eco
 
 import (

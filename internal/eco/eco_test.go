@@ -1,6 +1,7 @@
 package eco
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -198,6 +199,88 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("seed cell not active")
+	}
+}
+
+// TestBuildPlanEvicted pins Evicted to the halo rule: an active cell
+// that is not fresh is evicted exactly when its slot overlaps a new fixed
+// footprint grown by half its span, and edits that place no fixed
+// footprint evict nothing.
+func TestBuildPlanEvicted(t *testing.T) {
+	d := testDesign(t)
+	r := d.Region
+	blk := Block{Lx: r.Lx + 0.4*r.W(), Ly: r.Ly + 0.4*r.H(), Hx: r.Lx + 0.55*r.W(), Hy: r.Ly + 0.5*r.H()}
+	br := blk.Rect()
+	c := br.Center()
+	grow := 0.5 * math.Sqrt(br.W()*br.H())
+	// Two cells of the reweighted net, so active, sit right of the block:
+	// one overlaps the halo by 0.01, the other clears it by 0.01.
+	var edge []int
+	for _, pi := range d.Nets[3].Pins {
+		if ci := d.Pins[pi].Cell; len(edge) < 2 && ci >= 0 && !d.Cells[ci].Fixed && d.Cells[ci].Kind == netlist.StdCell {
+			edge = append(edge, ci)
+		}
+	}
+	if len(edge) < 2 {
+		t.Fatalf("net 3 has %d movable standard cells, want 2", len(edge))
+	}
+	for k, ci := range edge {
+		cell := &d.Cells[ci]
+		cell.X, cell.Y = br.Hx+grow+cell.W/2+[]float64{-0.01, 0.01}[k], c.Y
+	}
+	// The inserted cell sits on the block: fresh, active and in the halo,
+	// but it never had a slot to lose.
+	prep, err := Prepare(d.Clone(), &Script{
+		BlockRegions: []Block{blk},
+		AddCells:     []AddCell{{Name: "eco_new", W: 2, H: 2, NetIDs: []int{0, 1}, X: c.X, Y: c.Y}},
+		ReweightNets: []Reweight{{NetID: 3, Weight: 4}},
+	}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prep.Plan
+	fresh := map[int]bool{}
+	for _, ci := range p.Fresh {
+		fresh[ci] = true
+	}
+	var want []int
+	held := 0
+	for _, ci := range p.Active {
+		if fresh[ci] {
+			continue
+		}
+		cell := &d.Cells[ci]
+		ox := math.Min(cell.X+cell.W/2, br.Hx+grow) - math.Max(cell.X-cell.W/2, br.Lx-grow)
+		oy := math.Min(cell.Y+cell.H/2, br.Hy+grow) - math.Max(cell.Y-cell.H/2, br.Ly-grow)
+		if ox > 1e-9 && oy > 1e-9 {
+			want = append(want, ci)
+		} else {
+			held++
+		}
+	}
+	if len(want) == 0 || held == 0 {
+		t.Fatalf("%d evicted and %d held of %d active: the edit does not exercise the rule", len(want), held, len(p.Active))
+	}
+	if !reflect.DeepEqual(p.Evicted, want) {
+		t.Errorf("Evicted = %v, want %v", p.Evicted, want)
+	}
+	if !slices.Contains(p.Evicted, edge[0]) || slices.Contains(p.Evicted, edge[1]) {
+		t.Errorf("Evicted = %v: want cell %d (in the halo) and not cell %d (outside it)", p.Evicted, edge[0], edge[1])
+	}
+
+	victim := d.Cells[d.MovableOf(netlist.StdCell)[0]].Name
+	for _, s := range []*Script{
+		{ReweightNets: []Reweight{{NetID: 3, Weight: 4}}},
+		{RemoveCells: []string{victim}},
+		{AddCells: []AddCell{{Name: "eco_new", W: 2, H: 2, NetIDs: []int{0, 1}, X: c.X, Y: c.Y}}},
+	} {
+		prep, err := Prepare(d.Clone(), s, PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := prep.Plan; len(p.Active) == 0 || len(p.Evicted) != 0 {
+			t.Errorf("script %+v: %d active, evicted %v, want some active and none evicted", s, len(p.Active), p.Evicted)
+		}
 	}
 }
 

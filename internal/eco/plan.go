@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"eplace/internal/geom"
 	"eplace/internal/netlist"
 )
 
@@ -28,6 +29,9 @@ const (
 	planMaxNetDegree = 64
 	// planGridN is the per-side resolution of the halo's bin grid.
 	planGridN = 32
+	// evictHaloFrac is the eviction halo around a new fixed footprint, as
+	// a fraction of the footprint's span √(w·h).
+	evictHaloFrac = 0.5
 )
 
 // Plan is the freeze decision: which movable cells are re-placed and
@@ -47,6 +51,11 @@ type Plan struct {
 	// Unlike the rest of the active set, these cells have no trusted
 	// legal slot in the reused placement.
 	Fresh []int
+	// Evicted are the active cells, Fresh excluded, whose input slot
+	// overlaps a new fixed footprint expanded by evictHaloFrac of its span,
+	// ascending. They lose their slot; every other active cell that is not
+	// Fresh keeps it.
+	Evicted []int
 	// DirtyBins counts activity bins out of planGridN² (diagnostics).
 	DirtyBins int
 }
@@ -60,15 +69,16 @@ type Plan struct {
 // beyond planMaxNetDegree), and (c) every movable standard cell
 // centered in a planGridN bin within the planRadiusFrac halo of a
 // geometric seed's footprint.
-// Geometric seeds (geom) are the cells whose physical footprint
+// Geometric seeds (fresh) are the cells whose physical footprint
 // changed — insertions, removals, blockages — and are typically a
 // small subset of changed: a net reweight marks every member cell
 // changed, but those cells did not move, so radiating halos from them
 // would activate most of the die for a purely electrical edit.
 // Movable macros are never activated: re-legalizing macros would
 // perturb the whole layout, defeating the reuse (macro edits should
-// fall back to a cold placement).
-func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
+// fall back to a cold placement). Of the active cells, those a new
+// fixed footprint's halo reaches are Evicted; only a blockage evicts.
+func BuildPlan(d *netlist.Design, changed, fresh []int) *Plan {
 	p := &Plan{}
 	if len(changed) == 0 {
 		// Everything movable is reused.
@@ -81,7 +91,7 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 	}
 	p.Seeds = append([]int(nil), changed...)
 	sort.Ints(p.Seeds)
-	p.Fresh = append([]int(nil), geom...)
+	p.Fresh = append([]int(nil), fresh...)
 	sort.Ints(p.Fresh)
 
 	active := make([]bool, len(d.Cells))
@@ -141,7 +151,7 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 		}
 		return b
 	}
-	for _, ci := range geom {
+	for _, ci := range fresh {
 		r := d.Cells[ci].Rect().Expand(radius)
 		bx0 := clampBin(int((r.Lx - d.Region.Lx) / binW))
 		bx1 := clampBin(int((r.Hx - d.Region.Lx) / binW))
@@ -170,14 +180,33 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 		}
 	}
 
+	// Eviction halos: a new fixed footprint (a blockage) displaces the
+	// cells under it and the ring around it, whose width scales with the
+	// obstacle, so the displaced area has room to land near it.
+	var halos []geom.Rect
+	isFresh := make([]bool, len(d.Cells))
+	for _, ci := range p.Fresh {
+		isFresh[ci] = true
+		if c := &d.Cells[ci]; c.Fixed && c.W > 0 && c.H > 0 {
+			r := c.Rect()
+			halos = append(halos, r.Expand(evictHaloFrac*math.Sqrt(r.W()*r.H())))
+		}
+	}
 	for ci := range d.Cells {
 		if d.Cells[ci].Fixed {
 			continue
 		}
-		if active[ci] {
-			p.Active = append(p.Active, ci)
-		} else {
+		if !active[ci] {
 			p.Frozen = append(p.Frozen, ci)
+			continue
+		}
+		p.Active = append(p.Active, ci)
+		// Abutting within rounding is not overlapping.
+		for _, h := range halos {
+			if ov := d.Cells[ci].Rect().Intersect(h); !isFresh[ci] && ov.W() > 1e-9 && ov.H() > 1e-9 {
+				p.Evicted = append(p.Evicted, ci)
+				break
+			}
 		}
 	}
 	return p
@@ -185,8 +214,8 @@ func BuildPlan(d *netlist.Design, changed, geom []int) *Plan {
 
 // String summarizes the plan for logs.
 func (p *Plan) String() string {
-	return fmt.Sprintf("eco plan: %d seeds, %d active, %d frozen, %d/%d dirty bins",
-		len(p.Seeds), len(p.Active), len(p.Frozen), p.DirtyBins, planGridN*planGridN)
+	return fmt.Sprintf("eco plan: %d seeds, %d active, %d evicted, %d frozen, %d/%d dirty bins",
+		len(p.Seeds), len(p.Active), len(p.Evicted), len(p.Frozen), p.DirtyBins, planGridN*planGridN)
 }
 
 // Prepared bundles everything an ECO run needs, produced by Prepare.
@@ -207,10 +236,10 @@ func Prepare(d *netlist.Design, s *Script, _ PlanOptions) (*Prepared, error) {
 	// Halos radiate only from cells whose footprint actually changed;
 	// electrically-changed cells (reweighted net members, new-cell
 	// neighbors) re-place via the net-hop expansion alone.
-	var geom []int
-	geom = append(geom, ch.Added...)
-	geom = append(geom, ch.Removed...)
-	geom = append(geom, ch.Blocked...)
-	sort.Ints(geom)
-	return &Prepared{Change: ch, Plan: BuildPlan(d, ch.Cells, geom)}, nil
+	var fresh []int
+	fresh = append(fresh, ch.Added...)
+	fresh = append(fresh, ch.Removed...)
+	fresh = append(fresh, ch.Blocked...)
+	sort.Ints(fresh)
+	return &Prepared{Change: ch, Plan: BuildPlan(d, ch.Cells, fresh)}, nil
 }

@@ -67,11 +67,14 @@ func TestServerECOChain(t *testing.T) {
 	}
 
 	// ECO off an ECO job: the lineage replays the ancestor edits. Its
-	// iteration bound reaches eGP: with fewer iterations than the
-	// engine's minimum, eGP runs exactly that many.
+	// iteration bound reaches eGP, which the block makes run: with fewer
+	// iterations than the engine's minimum, eGP runs exactly that many.
 	grand, err := s.Submit(JobSpec{ECO: &ECOSpec{
-		FromJob:  child.ID,
-		Edits:    eco.Script{ReweightNets: []eco.Reweight{{NetID: 2, Weight: 4}}},
+		FromJob: child.ID,
+		Edits: eco.Script{
+			ReweightNets: []eco.Reweight{{NetID: 2, Weight: 4}},
+			BlockRegions: []eco.Block{{Lx: 30, Ly: 30, Hx: 40, Hy: 40}},
+		},
 		MaxIters: 3,
 	}})
 	if err != nil {
@@ -83,6 +86,9 @@ func TestServerECOChain(t *testing.T) {
 	}
 	if got := gst.Result.Iterations["eGP"]; got != 3 {
 		t.Errorf("eco grandchild ran %d eGP iterations, want its max_iters 3", got)
+	}
+	if gst.Result.Iterations["evicted"] == 0 {
+		t.Errorf("eco grandchild's block evicted nothing: %v", gst.Result.Iterations)
 	}
 
 	// The completed parent's result must still be served...

@@ -948,9 +948,10 @@ func (j *job) finishECO(d *netlist.Design, res core.ECOResult, total time.Durati
 		Overflow: rep.Overflow,
 		Legal:    res.Legal,
 		Iterations: map[string]int{
-			"eGP":    res.GP.Iterations,
-			"active": res.ActiveCells,
-			"frozen": res.FrozenCells,
+			"eGP":     res.GP.Iterations,
+			"active":  res.ActiveCells,
+			"evicted": res.EvictedCells,
+			"frozen":  res.FrozenCells,
 		},
 		Digests: res.Digests,
 		Seconds: total.Seconds(),
