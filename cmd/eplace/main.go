@@ -37,7 +37,6 @@ import (
 	"eplace/internal/eco"
 	"eplace/internal/metrics"
 	"eplace/internal/netlist"
-	"eplace/internal/poisson"
 	"eplace/internal/server"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -66,7 +65,6 @@ func run(ctx context.Context) error {
 		seed     = flag.Int64("seed", 1, "synthetic circuit seed")
 		outPath  = flag.String("out", "", "output .pl path (optional)")
 		solver   = flag.String("solver", "nesterov", "global placement solver: nesterov | cg")
-		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32 (default spectral)")
 		gridM    = flag.Int("grid", 0, "bin grid size per side (power of two, 0 = auto)")
 		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default: 3000, or 600 for -eco)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
@@ -173,10 +171,6 @@ func run(ctx context.Context) error {
 		gp.Solver = core.SolverCG
 	} else if *solver != "nesterov" {
 		return fmt.Errorf("unknown solver %q", *solver)
-	}
-	gp.Poisson = *poiKind
-	if err := poisson.CheckKind(*poiKind); err != nil {
-		return err
 	}
 	gp.CheckpointEvery = *ckptEvery
 
@@ -312,11 +306,6 @@ func runEco(ctx context.Context, d *netlist.Design, gp core.Options, ecoPath, fr
 		}
 		if err := core.WarmStart(d, st); err != nil {
 			return err
-		}
-		// Stay on the backend the warm-start positions came from unless
-		// one was selected explicitly.
-		if gp.Poisson == "" {
-			gp.Poisson = st.Poisson
 		}
 	} else {
 		if err := bookshelf.ReadPL(d, fromPath); err != nil {

@@ -33,11 +33,10 @@ func main() {
 		outDir   = flag.String("outdir", "", "directory for position CSV dumps (fig3)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores)")
 		quiet    = flag.Bool("q", false, "suppress per-run progress")
-		poiKind  = flag.String("poisson", "", "eDensity Poisson backend: spectral | spectral32")
 	)
 	flag.Parse()
 
-	opt := experiments.RunOptions{GridM: *gridM, MaxIters: *maxIters, Workers: *workers, Poisson: *poiKind}
+	opt := experiments.RunOptions{GridM: *gridM, MaxIters: *maxIters, Workers: *workers}
 	out := io.Writer(os.Stdout)
 	progress := io.Writer(os.Stderr)
 	if *quiet {

@@ -138,12 +138,11 @@ type State struct {
 	Fixed []bool
 	// MixedSize mirrors FlowResult.MixedSize at capture time.
 	MixedSize bool
-	// Poisson is the normalized eDensity Poisson backend name the flow
-	// ran with ("spectral", "spectral32", "multigrid"). The backends are
-	// numerically distinct, so resuming a trajectory under a different
-	// backend would silently break bitwise reproducibility; the flow
-	// rejects the mismatch instead. Snapshots written before the field
-	// existed decode as "" and are treated as the spectral default.
+	// Poisson names the Poisson solver that placed the snapshot. This
+	// build writes "spectral32", its one solver. Older builds also wrote
+	// "spectral" or "multigrid", and snapshots from before the field
+	// existed decode as "". A resume continues only a "spectral32"
+	// trajectory and refuses the others; ECO warm starts ignore the field.
 	Poisson string
 	// MGPIterations and MGPFinalLambda are mGP outputs that seed the
 	// cGP penalty factor; valid from PhasePostMGP on.

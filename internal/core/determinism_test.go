@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -282,103 +284,76 @@ func TestFlowResumeRejectsForeignDesign(t *testing.T) {
 	}
 }
 
-// TestFlowResumeRejectsBackendMismatch: the Poisson backends produce
-// numerically distinct trajectories, so a snapshot taken under one
-// backend must not silently continue under another.
-func TestFlowResumeRejectsBackendMismatch(t *testing.T) {
-	_, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
-	st, err := mgr.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Poisson != poisson.KindSpectral {
-		t.Fatalf("snapshot backend = %q, want %q", st.Poisson, poisson.KindSpectral)
-	}
-	d := synth.Generate(detSpecs()[2])
-	fo := detFlowOpts(1)
-	fo.GP.Poisson = poisson.KindSpectral32
-	fo.Resume = st
-	_, err = Place(d, fo)
-	if err == nil || !strings.Contains(err.Error(), "poisson backend") {
-		t.Errorf("resume under a different backend: err = %v, want backend-mismatch error", err)
-	}
-	// The matching backend (spelled explicitly rather than as the ""
-	// default) resumes fine.
-	d2 := synth.Generate(detSpecs()[2])
-	fo2 := detFlowOpts(1)
-	fo2.GP.Poisson = poisson.KindSpectral
-	fo2.Resume = st
-	if _, err := Place(d2, fo2); err != nil {
-		t.Errorf("resume under the matching backend failed: %v", err)
-	}
-}
-
-// TestFlowRefusesRemovedBackend: a snapshot stamped with the multigrid
-// backend an older build offered (same format version) is refused with
-// the unknown-backend error naming the two that exist, by a resume
-// (whether the run names the old backend too or defaults) and by an ECO
-// run that, like the CLI and the server, stays on the snapshot's backend.
+// TestFlowRefusesRemovedBackend: this build stamps its snapshots
+// spectral32 and resumes only those. A snapshot stamped by a solver it
+// no longer has — the float64 "spectral" one, "multigrid", or "" from
+// before solvers were stamped — is refused with ErrSnapshotBackend. An
+// ECO run warm-started from the same snapshot reads its positions only
+// and places as usual.
 func TestFlowRefusesRemovedBackend(t *testing.T) {
-	_, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
-	st, err := mgr.Load()
+	ref, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
+	done, err := mgr.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Poisson = "multigrid"
-	refused := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), `unknown backend "multigrid"`) ||
-			!strings.Contains(err.Error(), strings.Join(poisson.Kinds(), " ")) {
-			t.Errorf("%s: err = %v, want the unknown-backend error listing %v", what, err, poisson.Kinds())
-		}
+	if done.Poisson != poisson.KindSpectral32 {
+		t.Fatalf("snapshot stamped %q, want %q", done.Poisson, poisson.KindSpectral32)
 	}
-	for _, kind := range []string{"", st.Poisson} {
-		fo := detFlowOpts(1)
-		fo.GP.Poisson = kind
-		fo.Resume = st
-		_, err := Place(synth.Generate(detSpecs()[2]), fo)
-		refused("resume with -poisson "+kind, err)
-	}
-	d := synth.Generate(detSpecs()[2])
-	if err := WarmStart(d, st); err != nil {
-		t.Fatal(err)
-	}
-	_, err = PlaceECO(context.Background(), d, &eco.Plan{}, ECOOptions{GP: Options{Poisson: st.Poisson}})
-	refused("ECO from the snapshot", err)
-}
-
-// TestFlowBitwiseDeterminismPerBackend extends the headline determinism
-// guarantee to the non-default Poisson backend: within it the flow is
-// bitwise-identical across runs and worker counts 1, 2 and 7.
-func TestFlowBitwiseDeterminismPerBackend(t *testing.T) {
-	spec := detSpecs()[2]
-	for _, kind := range []string{poisson.KindSpectral32} {
-		kind := kind
-		t.Run(kind, func(t *testing.T) {
-			opts := func(workers int) FlowOptions {
-				fo := detFlowOpts(workers)
-				fo.GP.Poisson = kind
-				return fo
+	for _, tc := range []struct{ name, stamp string }{
+		{"spectral32", poisson.KindSpectral32},
+		{"unstamped", ""},
+		{"spectral", "spectral"},
+		{"multigrid", "multigrid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := *done
+			st.Poisson = tc.stamp
+			fo := detFlowOpts(1)
+			fo.Resume = &st
+			res, err := Place(synth.Generate(detSpecs()[2]), fo)
+			switch {
+			case tc.stamp == poisson.KindSpectral32:
+				if err != nil || math.Float64bits(res.HPWL) != math.Float64bits(ref.HPWL) {
+					t.Errorf("resume: HPWL %v, err %v; want %v", res.HPWL, err, ref.HPWL)
+				}
+			case !errors.Is(err, ErrSnapshotBackend) || !strings.Contains(err.Error(), strconv.Quote(tc.stamp)):
+				t.Errorf("resume: err = %v, want ErrSnapshotBackend naming %q", err, tc.stamp)
 			}
-			d0 := synth.Generate(spec)
-			ref, err := Place(d0, opts(1))
-			if err != nil {
+			d := synth.Generate(detSpecs()[2])
+			if err := WarmStart(d, &st); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 7} {
-				d := synth.Generate(spec)
-				res, err := Place(d, opts(workers))
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if math.Float64bits(res.HPWL) != math.Float64bits(ref.HPWL) {
-					t.Errorf("workers=%d: HPWL %v differs from reference %v",
-						workers, res.HPWL, ref.HPWL)
-				}
-				if ok, why := telemetry.DigestsEqual(ref.Digests, res.Digests); !ok {
-					t.Errorf("workers=%d: digests differ: %s", workers, why)
-				}
+			if res, err := PlaceECO(context.Background(), d, &eco.Plan{}, ECOOptions{}); err != nil || !res.Legal {
+				t.Errorf("ECO from the snapshot: legal %v, err %v", res.Legal, err)
 			}
 		})
 	}
+}
+
+// TestFlowBitwiseDeterminismPerBackend: the solver name the benchmark
+// still passes, spectral32 spelled out, places bit for bit like the ""
+// default at worker counts 1, 2 and 7.
+func TestFlowBitwiseDeterminismPerBackend(t *testing.T) {
+	spec := detSpecs()[2]
+	t.Run(poisson.KindSpectral32, func(t *testing.T) {
+		ref, err := Place(synth.Generate(spec), detFlowOpts(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			fo := detFlowOpts(workers)
+			fo.GP.Poisson = poisson.KindSpectral32
+			res, err := Place(synth.Generate(spec), fo)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if math.Float64bits(res.HPWL) != math.Float64bits(ref.HPWL) {
+				t.Errorf("workers=%d: HPWL %v differs from reference %v",
+					workers, res.HPWL, ref.HPWL)
+			}
+			if ok, why := telemetry.DigestsEqual(ref.Digests, res.Digests); !ok {
+				t.Errorf("workers=%d: digests differ: %s", workers, why)
+			}
+		}
+	})
 }

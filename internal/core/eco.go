@@ -19,9 +19,9 @@ import (
 
 // ECOOptions configures an incremental re-placement run.
 type ECOOptions struct {
-	// GP configures the run (workers, Poisson backend, telemetry) and the
-	// warm-started global placement over the evicted cells, where
-	// GP.MaxIters defaults to 600 and GP.TargetOverflow to 0.15.
+	// GP configures the run (workers, telemetry) and the warm-started
+	// global placement over the evicted cells, where GP.MaxIters
+	// defaults to 600 and GP.TargetOverflow to 0.15.
 	GP Options
 	// Checkpoint, when non-nil, persists a done-phase snapshot of the
 	// finished incremental placement, so further ECO runs (or the
@@ -75,7 +75,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	if plan == nil {
 		return res, fmt.Errorf("core: PlaceECO needs a freeze plan (see eco.Prepare)")
 	}
-	if err := poisson.CheckKind(opt.GP.Poisson); err != nil {
+	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
 	// The run opens — and takes its fingerprint — before anything below
@@ -271,6 +271,8 @@ const (
 // flow pins macros after mLG, and that pinning is runtime state of the
 // finished run, not netlist structure — letting it leak into the edited
 // design would change its fingerprint and break chained ECO resumes.
+// Like a .pl warm start it reads positions only, so the snapshot's
+// Poisson stamp does not matter.
 func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	if err := st.Validate(d); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"eplace/internal/checkpoint"
@@ -51,7 +50,8 @@ type FlowOptions struct {
 	// re-enters the GP loop at its captured iteration, and the final
 	// placement is bitwise-identical to the uninterrupted run —
 	// including the per-stage golden digests, whose rolling state is
-	// part of the snapshot.
+	// part of the snapshot. A snapshot another Poisson solver placed is
+	// refused with ErrSnapshotBackend.
 	Resume *checkpoint.State
 }
 
@@ -198,7 +198,7 @@ func Place(d *netlist.Design, opt FlowOptions) (FlowResult, error) {
 // into the mLG→cGP→cDP tail.
 func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (FlowResult, error) {
 	var res FlowResult
-	if err := poisson.CheckKind(opt.GP.Poisson); err != nil {
+	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
@@ -210,12 +210,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if err := rs.Validate(d); err != nil {
 			return res, err
 		}
-		if err := poisson.CheckKind(rs.Poisson); err != nil {
-			return res, fmt.Errorf("core: snapshot backend: %w", err)
-		}
-		if snap := poisson.NormalizeKind(rs.Poisson); snap != r.poisson {
-			return res, fmt.Errorf("core: snapshot was taken with poisson backend %q but this run selects %q; resume with the matching backend (-poisson=%s) or restart from scratch (valid backends: %s)",
-				snap, r.poisson, snap, strings.Join(poisson.Kinds(), ", "))
+		if rs.Poisson != poisson.KindSpectral32 {
+			return res, fmt.Errorf("%w (stamped %q; restart the flow)", ErrSnapshotBackend, rs.Poisson)
 		}
 		if rs.MixedSize != res.MixedSize {
 			return res, fmt.Errorf("core: snapshot mixed-size=%v but design mixed-size=%v",

@@ -45,11 +45,11 @@ type Options struct {
 	// serial. Results are bitwise-identical for every setting; only
 	// wall-clock time changes.
 	Workers int
-	// Poisson selects the density model's Poisson backend by name
-	// (poisson.Kinds: "spectral", "spectral32"); "" selects
-	// spectral. Within one backend results are bitwise-identical across
-	// worker counts; across backends they differ by the backend's
-	// approximation error.
+	// Poisson is "" or poisson.KindSpectral32, which both select the one
+	// Poisson solver; any other value fails the run before a stage
+	// starts (poisson.ValidateKind). The field stays only because the
+	// benchmark module sets it. It goes in the next benchmark change,
+	// together with eco.PlanOptions.
 	Poisson string
 
 	// DisableBkTrk turns off steplength backtracking (Sec. V-C ablation).

@@ -53,6 +53,15 @@ type flowSummary struct {
 // where it stopped. Test with errors.Is(err, ErrCanceled).
 var ErrCanceled = errors.New("core: placement canceled")
 
+// ErrSnapshotBackend is returned (wrapped, with the stamp) when a flow
+// is asked to resume a snapshot that was not stamped spectral32: one
+// the removed float64 "spectral" or "multigrid" solver placed, or an
+// unstamped "" one from before solvers were stamped. Its trajectory
+// cannot be continued bit for bit, so the run has to restart. ECO and
+// WarmStart read only a finished placement's positions and ignore the
+// stamp. Test with errors.Is(err, ErrSnapshotBackend).
+var ErrSnapshotBackend = errors.New("core: snapshot was placed by a Poisson solver this build does not have")
+
 // canceledAt converts a cancellation observed at phase into the typed
 // flow error (partial results travel in the result struct).
 func canceledAt(phase string) error {
@@ -79,11 +88,6 @@ type flowRun struct {
 	// truth between stages: each stage syncs the view on entry and writes
 	// its result back to the structs before it returns.
 	cv *netlist.Compiled
-	// poisson is the normalized backend name stamped into every snapshot
-	// and compared on resume: the backends produce numerically distinct
-	// trajectories, so switching mid-run would break the
-	// bitwise-reproducibility contract.
-	poisson string
 	// opt is the caller's global-placement configuration, the base every
 	// GP stage derives from.
 	opt    *Options
@@ -112,8 +116,7 @@ type flowRun struct {
 func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoint.Manager, sum *flowSummary) *flowRun {
 	r := &flowRun{
 		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d), cv: d.Compile(),
-		poisson: poisson.NormalizeKind(gp.Poisson),
-		opt:     gp, rec: gp.Telemetry, golden: telemetry.NewGoldenTrace(), ckpt: ckpt,
+		opt: gp, rec: gp.Telemetry, golden: telemetry.NewGoldenTrace(), ckpt: ckpt,
 		movable:   d.Movable(),
 		stdCells:  d.MovableOf(netlist.StdCell),
 		movMacros: d.MovableOf(netlist.Macro),
@@ -139,7 +142,7 @@ func (r *flowRun) snapshot(phase string, level int, ld *netlist.Design, numFille
 		DesignName:     r.d.Name,
 		Fingerprint:    r.fp,
 		MixedSize:      r.mixedSize,
-		Poisson:        r.poisson,
+		Poisson:        poisson.KindSpectral32,
 		MGPIterations:  r.mgp.Iterations,
 		MGPFinalLambda: r.mgp.FinalLambda,
 		Level:          level,

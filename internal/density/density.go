@@ -37,20 +37,20 @@ import (
 // that).
 type Model struct {
 	Grid *grid.Grid
-	// Solver is the pluggable Poisson backend (spectral float64 by
-	// default; see poisson.Kinds). Its field planes are re-fetched into
-	// ex/ey after every solve — backends may remap them on fallback.
-	Solver poisson.Backend
+	// Solver is the float32 spectral Poisson solver. Its field planes are
+	// re-fetched into ex/ey after every solve: a precision-guard fallback
+	// swaps them for the float64 reference's.
+	Solver *poisson.Solver32
 	cv     *netlist.Compiled
 	rho    []float64
 	// binAreaInv normalizes charge to dimensionless bin density.
 	binAreaInv float64
 	energy     float64
 	workers    int
-	// Field planes from the backend's latest solve (grid units).
+	// Field planes from the solver's latest solve (grid units).
 	ex, ey []float64
 	// solveTime is the wall time of the latest Poisson solve + energy
-	// evaluation, for per-backend telemetry spans.
+	// evaluation, for the engine's Poisson span.
 	solveTime time.Duration
 
 	// Per-call input for the persistent Gradient closure (closures
@@ -61,15 +61,17 @@ type Model struct {
 }
 
 // NewModelCompiled builds a density model over a caller-owned compiled
-// view with an m x m grid (m a power of two, e.g. grid.ChooseM) and the
-// named Poisson backend (poisson.Kinds; "" selects spectral). workers is
-// the worker count of the rasterization, force and Poisson kernels;
+// view with an m x m grid (m a power of two, e.g. grid.ChooseM). workers
+// is the worker count of the rasterization, force and Poisson kernels;
 // <= 0 selects all cores, 1 runs fully serial. Fixed cells are
 // rasterized once; call Refresh whenever movable positions change. The
 // caller keeps the view's positions current (the engine writes them once
 // per iteration via Compiled.SetPositions); Refresh performs no
-// struct-to-SoA sync. It errors on an invalid grid size or an unknown
-// backend kind.
+// struct-to-SoA sync. It errors on an invalid grid size or kind.
+//
+// kind must be "" or poisson.KindSpectral32: there is one solver, and
+// the argument stays only because the benchmark module passes it. It
+// goes in the next benchmark change, together with eco.PlanOptions.
 func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model, error) {
 	d := cv.Design()
 	solver, err := poisson.NewBackend(kind, m, workers)
@@ -123,11 +125,8 @@ func (md *Model) Refresh(idx []int) {
 // Energy returns N(v) for the last Refresh.
 func (md *Model) Energy() float64 { return md.energy }
 
-// Backend returns the Poisson backend's kind name (telemetry labels).
-func (md *Model) Backend() string { return md.Solver.Name() }
-
 // LastSolveTime returns the wall time the latest Refresh spent in the
-// Poisson solve + energy evaluation, for per-backend kernel spans.
+// Poisson solve + energy evaluation, for the engine's Poisson span.
 func (md *Model) LastSolveTime() time.Duration { return md.solveTime }
 
 // Overflow returns the density overflow tau against rhoT for the last

@@ -7,7 +7,6 @@ import (
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
-	"eplace/internal/poisson"
 )
 
 func newDesign(n int, seed int64) (*netlist.Design, []int) {
@@ -23,12 +22,12 @@ func newDesign(n int, seed int64) (*netlist.Design, []int) {
 	return d, idx
 }
 
-// mustModel builds a spectral-backed model over a private compiled view
-// of d (workers <= 0: all cores) or fails the test. A test that then
-// moves cells through the Cell structs refreshes through syncRefresh.
+// mustModel builds a model over a private compiled view of d (workers
+// <= 0: all cores) or fails the test. A test that then moves cells
+// through the Cell structs refreshes through syncRefresh.
 func mustModel(tb testing.TB, d *netlist.Design, m, workers int) *Model {
 	tb.Helper()
-	md, err := NewModelCompiled(d.Compile(), m, workers, poisson.KindSpectral)
+	md, err := NewModelCompiled(d.Compile(), m, workers, "")
 	if err != nil {
 		tb.Fatalf("NewModelCompiled(m=%d, workers=%d): %v", m, workers, err)
 	}

@@ -32,12 +32,12 @@ func serialRefresh(md *Model, idx []int) {
 	_, md.ex, md.ey = md.Solver.Planes()
 }
 
-// mustPoissonSolver builds a float64 spectral solver or fails the test.
-func mustPoissonSolver(tb testing.TB, m, workers int) *poisson.Solver {
+// mustPoissonSolver builds the model's Poisson solver or fails the test.
+func mustPoissonSolver(tb testing.TB, m, workers int) *poisson.Solver32 {
 	tb.Helper()
-	s, err := poisson.NewSolverWorkers(m, workers)
+	s, err := poisson.NewSolver32Workers(m, workers)
 	if err != nil {
-		tb.Fatalf("NewSolverWorkers(m=%d, workers=%d): %v", m, workers, err)
+		tb.Fatalf("NewSolver32Workers(m=%d, workers=%d): %v", m, workers, err)
 	}
 	return s
 }
@@ -141,13 +141,15 @@ func TestPoissonWorkersEquivalence(t *testing.T) {
 	}
 	ref := mustPoissonSolver(t, m, 1)
 	ref.Solve(append([]float64(nil), rho...))
+	refPsi, refEx, refEy := ref.Planes()
 	for _, workers := range []int{2, 7, runtime.NumCPU() + 2} {
 		s := mustPoissonSolver(t, m, workers)
 		s.Solve(append([]float64(nil), rho...))
-		for b := range ref.Psi {
-			if math.Float64bits(s.Psi[b]) != math.Float64bits(ref.Psi[b]) ||
-				math.Float64bits(s.Ex[b]) != math.Float64bits(ref.Ex[b]) ||
-				math.Float64bits(s.Ey[b]) != math.Float64bits(ref.Ey[b]) {
+		psi, ex, ey := s.Planes()
+		for b := range refPsi {
+			if math.Float64bits(psi[b]) != math.Float64bits(refPsi[b]) ||
+				math.Float64bits(ex[b]) != math.Float64bits(refEx[b]) ||
+				math.Float64bits(ey[b]) != math.Float64bits(refEy[b]) {
 				t.Fatalf("workers=%d: plane mismatch at bin %d", workers, b)
 			}
 		}

@@ -51,9 +51,6 @@ type RunOptions struct {
 	MaxIters int
 	// Workers is the gradient-kernel worker count (0 = all cores).
 	Workers int
-	// Poisson selects the eDensity Poisson backend by name
-	// (poisson.Kinds; "" = spectral float64).
-	Poisson string
 	// Telemetry, when non-nil, receives samples, spans and counters
 	// from whichever placer runs.
 	Telemetry *telemetry.Recorder
@@ -63,7 +60,7 @@ type RunOptions struct {
 func (o RunOptions) gp() core.Options {
 	return core.Options{
 		GridM: o.GridM, MaxIters: o.MaxIters,
-		Workers: o.Workers, Poisson: o.Poisson, Telemetry: o.Telemetry,
+		Workers: o.Workers, Telemetry: o.Telemetry,
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-// mustBackend builds the named backend or fails the test.
-func mustBackend(tb testing.TB, kind string, m, workers int) Backend {
+// mustSolver32 builds a float32 solver or fails the test.
+func mustSolver32(tb testing.TB, m, workers int) *Solver32 {
 	tb.Helper()
-	b, err := NewBackend(kind, m, workers)
+	s, err := NewSolver32Workers(m, workers)
 	if err != nil {
-		tb.Fatalf("NewBackend(%q, %d, %d): %v", kind, m, workers, err)
+		tb.Fatalf("NewSolver32Workers(%d, %d): %v", m, workers, err)
 	}
-	return b
+	return s
 }
 
 // randCharge is a white-noise charge plane: the hardest case for the
@@ -49,21 +49,21 @@ func smoothCharge(m int) []float64 {
 // stage, so it grows slowly (log m) with the grid.
 func spectral32Tol(m int) float64 { return 2e-6 * (math.Log2(float64(m)) + 2) }
 
-// TestSpectral32FieldsMatchReference pins the float32 spectral backend
-// against the float64 reference across the size ladder, on white-noise
-// charge (worst case for precision).
+// TestSpectral32FieldsMatchReference pins the float32 solver against
+// the float64 reference across the size ladder, on white-noise charge
+// (worst case for precision).
 func TestSpectral32FieldsMatchReference(t *testing.T) {
 	for _, m := range []int{16, 32, 64, 128, 256, 512} {
 		ref := mustSolver(t, m, 1)
-		s := mustBackend(t, KindSpectral32, m, 1)
+		s := mustSolver32(t, m, 1)
 		rho := randCharge(m, int64(m))
 		ref.Solve(rho)
 		s.Solve(rho)
 		psi, ex, ey := s.Planes()
 		errs := []float64{
-			MaxRelError(psi, ref.Psi),
-			MaxRelError(ex, ref.Ex),
-			MaxRelError(ey, ref.Ey),
+			maxRelError(psi, ref.Psi),
+			maxRelError(ex, ref.Ex),
+			maxRelError(ey, ref.Ey),
 		}
 		tol := spectral32Tol(m)
 		t.Logf("m=%d spectral32 rel err psi=%.3g ex=%.3g ey=%.3g (tol %.3g)",
@@ -82,27 +82,40 @@ func TestSpectral32FieldsMatchReference(t *testing.T) {
 	}
 }
 
-// TestBackendsBitwiseAcrossWorkers pins the determinism contract for
-// every backend: identical planes and energy at workers 1, 2 and 7.
+// TestBackendsBitwiseAcrossWorkers pins the determinism contract of
+// Solver32 and of the float64 Solver its guard compares against:
+// identical planes and energy at workers 1, 2 and 7.
 func TestBackendsBitwiseAcrossWorkers(t *testing.T) {
 	const m = 128
-	for _, kind := range Kinds() {
-		rho := randCharge(m, 7)
-		ref := mustBackend(t, kind, m, 1)
-		ref.Solve(rho)
-		refPsi, refEx, refEy := ref.Planes()
-		refE := ref.Energy(rho)
+	rho := randCharge(m, 7)
+	// Each solve builds a solver at the worker count, solves rho and
+	// returns its planes and energy.
+	for _, c := range []struct {
+		name  string
+		solve func(workers int) (psi, ex, ey []float64, e float64)
+	}{
+		{"spectral32", func(workers int) ([]float64, []float64, []float64, float64) {
+			s := mustSolver32(t, m, workers)
+			s.Solve(rho)
+			psi, ex, ey := s.Planes()
+			return psi, ex, ey, s.Energy(rho)
+		}},
+		{"float64", func(workers int) ([]float64, []float64, []float64, float64) {
+			s := mustSolver(t, m, workers)
+			s.Solve(rho)
+			return s.Psi, s.Ex, s.Ey, s.Energy(rho)
+		}},
+	} {
+		refPsi, refEx, refEy, refE := c.solve(1)
 		for _, workers := range []int{2, 7} {
-			b := mustBackend(t, kind, m, workers)
-			b.Solve(rho)
-			psi, ex, ey := b.Planes()
+			psi, ex, ey, e := c.solve(workers)
 			for i := range psi {
 				if psi[i] != refPsi[i] || ex[i] != refEx[i] || ey[i] != refEy[i] {
-					t.Fatalf("%s workers=%d: plane mismatch at %d", kind, workers, i)
+					t.Fatalf("%s workers=%d: plane mismatch at %d", c.name, workers, i)
 				}
 			}
-			if e := b.Energy(rho); math.Float64bits(e) != math.Float64bits(refE) {
-				t.Fatalf("%s workers=%d: energy %v != %v", kind, workers, e, refE)
+			if math.Float64bits(e) != math.Float64bits(refE) {
+				t.Fatalf("%s workers=%d: energy %v != %v", c.name, workers, e, refE)
 			}
 		}
 	}
@@ -112,20 +125,17 @@ func TestBackendsBitwiseAcrossWorkers(t *testing.T) {
 // re-solving the same charge yields bit-identical planes.
 func TestBackendsRepeatSolveBitwise(t *testing.T) {
 	const m = 64
-	for _, kind := range Kinds() {
-		b := mustBackend(t, kind, m, 2)
-		rho := randCharge(m, 21)
-		other := smoothCharge(m)
-		b.Solve(rho)
-		psi, _, _ := b.Planes()
-		first := append([]float64(nil), psi...)
-		b.Solve(other) // disturb internal state
-		b.Solve(rho)
-		psi, _, _ = b.Planes()
-		for i := range psi {
-			if psi[i] != first[i] {
-				t.Fatalf("%s: repeat solve differs at %d", kind, i)
-			}
+	s := mustSolver32(t, m, 2)
+	rho := randCharge(m, 21)
+	s.Solve(rho)
+	psi, _, _ := s.Planes()
+	first := append([]float64(nil), psi...)
+	s.Solve(smoothCharge(m)) // disturb internal state
+	s.Solve(rho)
+	psi, _, _ = s.Planes()
+	for i := range psi {
+		if psi[i] != first[i] {
+			t.Fatalf("repeat solve differs at %d", i)
 		}
 	}
 }
@@ -135,19 +145,16 @@ func TestBackendsRepeatSolveBitwise(t *testing.T) {
 // later solves keep using it.
 func TestGuardFallback(t *testing.T) {
 	const m = 64
-	s, err := NewSolver32Workers(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.GuardEvery = 1
-	s.GuardTol = 0 // any nonzero float32 rounding error trips the guard
+	s := mustSolver32(t, m, 1)
+	s.guardEvery = 1
+	s.guardTol = 0 // any nonzero float32 rounding error trips the guard
 	rho := randCharge(m, 5)
 	s.Solve(rho)
-	if !s.FellBack() {
+	if !s.fellBack {
 		t.Fatal("guard with zero tolerance did not trip")
 	}
-	if s.LastGuardErr() <= 0 {
-		t.Fatalf("guard error = %v, want > 0", s.LastGuardErr())
+	if s.lastErr <= 0 {
+		t.Fatalf("guard error = %v, want > 0", s.lastErr)
 	}
 	ref := mustSolver(t, m, 1)
 	ref.Solve(rho)
@@ -177,53 +184,54 @@ func TestGuardFallback(t *testing.T) {
 // the steady state).
 func TestGuardStaysQuietOnNormalCharge(t *testing.T) {
 	const m = 128
-	s, err := NewSolver32Workers(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.GuardEvery = 1 // check every solve
+	s := mustSolver32(t, m, 1)
+	s.guardEvery = 1 // check every solve
 	for i := 0; i < 5; i++ {
 		s.Solve(randCharge(m, int64(i)))
-		if s.FellBack() {
-			t.Fatalf("guard tripped on solve %d with err %v", i, s.LastGuardErr())
+		if s.fellBack {
+			t.Fatalf("guard tripped on solve %d with err %v", i, s.lastErr)
 		}
 	}
 }
 
-// TestBackendNames pins Name() round-tripping through NewBackend, which
-// the checkpoint backend-mismatch rejection depends on.
+// TestBackendNames pins the names the benchmark-held entry points take:
+// "" and spectral32 build the float32 solver, and every other name —
+// the removed float64 and multigrid backends included — is refused with
+// an error naming it.
 func TestBackendNames(t *testing.T) {
-	for _, kind := range Kinds() {
-		b := mustBackend(t, kind, 16, 1)
-		if b.Name() != kind {
-			t.Errorf("NewBackend(%q).Name() = %q", kind, b.Name())
+	for _, kind := range []string{"", KindSpectral32} {
+		if err := ValidateKind(kind); err != nil {
+			t.Errorf("ValidateKind(%q) = %v", kind, err)
 		}
-		if b.M() != 16 {
-			t.Errorf("%s: M() = %d, want 16", kind, b.M())
+		if s, err := NewBackend(kind, 16, 1); err != nil || s.m != 16 {
+			t.Errorf("NewBackend(%q, 16) = %v, %v", kind, s, err)
 		}
 	}
-	if NormalizeKind("") != KindSpectral {
-		t.Error("NormalizeKind(\"\") != spectral")
-	}
-	if _, err := NewBackend("bogus", 16, 1); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("unknown-kind error %v does not name the kind", err)
+	for _, kind := range []string{"spectral", "multigrid", "bogus"} {
+		if err := ValidateKind(kind); err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("ValidateKind(%q) = %v, want an error naming it", kind, err)
+		}
+		if _, err := NewBackend(kind, 16, 1); err == nil {
+			t.Errorf("NewBackend(%q) succeeded", kind)
+		}
 	}
 }
 
 // TestBackendsDegenerateGrid: the 1x1 grid has only the removed DC mode.
 func TestBackendsDegenerateGrid(t *testing.T) {
-	for _, kind := range Kinds() {
-		b := mustBackend(t, kind, 1, 1)
-		b.Solve([]float64{42})
-		psi, ex, ey := b.Planes()
-		if psi[0] != 0 || ex[0] != 0 || ey[0] != 0 {
-			t.Fatalf("%s 1x1: psi=%v ex=%v ey=%v, want zeros", kind, psi[0], ex[0], ey[0])
-		}
+	s := mustSolver32(t, 1, 1)
+	s.Solve([]float64{42})
+	psi, ex, ey := s.Planes()
+	if psi[0] != 0 || ex[0] != 0 || ey[0] != 0 {
+		t.Fatalf("1x1: psi=%v ex=%v ey=%v, want zeros", psi[0], ex[0], ey[0])
+	}
+	if e := s.Energy([]float64{42}); e != 0 {
+		t.Fatalf("1x1 energy = %v, want 0", e)
 	}
 }
 
-func benchBackend(b *testing.B, kind string, m, workers int) {
-	s := mustBackend(b, kind, m, workers)
+func benchSolve32(b *testing.B, m, workers int) {
+	s := mustSolver32(b, m, workers)
 	rho := randCharge(m, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,9 +239,9 @@ func benchBackend(b *testing.B, kind string, m, workers int) {
 	}
 }
 
-// Per-backend solve benchmarks at the committed microbench sizes (the
+// Float32 solve benchmarks at the committed microbench sizes (the
 // float64 rows live in poisson_test.go as BenchmarkSolve_*).
-func BenchmarkSolve32_128(b *testing.B)         { benchBackend(b, KindSpectral32, 128, 1) }
-func BenchmarkSolve32_256(b *testing.B)         { benchBackend(b, KindSpectral32, 256, 1) }
-func BenchmarkSolve32_512(b *testing.B)         { benchBackend(b, KindSpectral32, 512, 1) }
-func BenchmarkSolve32_256AllCores(b *testing.B) { benchBackend(b, KindSpectral32, 256, 0) }
+func BenchmarkSolve32_128(b *testing.B)         { benchSolve32(b, 128, 1) }
+func BenchmarkSolve32_256(b *testing.B)         { benchSolve32(b, 256, 1) }
+func BenchmarkSolve32_512(b *testing.B)         { benchSolve32(b, 512, 1) }
+func BenchmarkSolve32_256AllCores(b *testing.B) { benchSolve32(b, 256, 0) }

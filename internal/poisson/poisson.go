@@ -28,6 +28,10 @@
 // Grid coordinates: sample (i, j) is the bin center (i+1/2, j+1/2) in
 // units of bins. Ex is minus d(psi)/dx, the electric field that pushes
 // positive charge away from density peaks; Ey likewise.
+//
+// The placer solves with Solver32 (solver32.go), this pipeline carried in
+// float32 planes. Solver, the float64 pipeline in this file, is
+// Solver32's precision-guard reference and the oracle of the tests.
 package poisson
 
 import (
@@ -92,30 +96,16 @@ type Solver struct {
 	transposeTask, energyTask          func(w, lo, hi int)
 }
 
-// NewSolver creates a solver for an m x m grid (m a power of two)
-// using all cores. It returns a descriptive error for any m the packed
-// transforms cannot handle (zero, negative, or not a power of two) —
-// feeding such an m through would produce garbage transforms, and the
-// grid size often arrives from user-facing options.
-func NewSolver(m int) (*Solver, error) { return NewSolverWorkers(m, 0) }
-
-// NewSolverWorkers is NewSolver with an explicit worker count;
-// workers <= 0 selects all cores (GOMAXPROCS). Grids below 64x64 run
-// serial regardless: a transform there is cheaper than a fork-join.
+// NewSolverWorkers creates a float64 solver for an m x m grid (m a power
+// of two); workers <= 0 selects all cores (GOMAXPROCS). Grids below 64x64
+// run serial regardless: a transform there is cheaper than a fork-join.
+// It returns a descriptive error for any m the packed transforms cannot
+// handle (zero, negative, or not a power of two) — feeding such an m
+// through would produce garbage transforms, and the grid size often
+// arrives from user-facing options.
 func NewSolverWorkers(m, workers int) (*Solver, error) {
 	if err := checkGridSize(m); err != nil {
 		return nil, err
-	}
-	workers = parallel.Count(workers)
-	if m < 64 {
-		workers = 1
-	}
-	// The finest-grained parallel regions shard over m/2 row pairs.
-	if workers > m/2 {
-		workers = m / 2
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	s := &Solver{
 		m:    m,
@@ -130,7 +120,7 @@ func NewSolverWorkers(m, workers int) (*Solver, error) {
 		Ex:   make([]float64, m*m),
 		Ey:   make([]float64, m*m),
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < solveWorkers(m, workers); w++ {
 		s.trs = append(s.trs, fft.NewReal(m))
 	}
 	for u := 0; u < m; u++ {
@@ -144,8 +134,18 @@ func NewSolverWorkers(m, workers int) (*Solver, error) {
 	return s, nil
 }
 
-// checkGridSize validates the grid edge shared by every backend: the
-// spectral transforms need a power of two.
+// solveWorkers resolves a worker request (<= 0: all cores) for an m x m
+// solve: serial below 64x64, and at most m/2, the row pairs the
+// finest-grained parallel regions shard over.
+func solveWorkers(m, workers int) int {
+	if m < 64 {
+		return 1
+	}
+	return max(1, min(parallel.Count(workers), m/2))
+}
+
+// checkGridSize validates the grid edge of both solvers: the spectral
+// transforms need a power of two.
 func checkGridSize(m int) error {
 	if m <= 0 || m&(m-1) != 0 {
 		return fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
@@ -256,15 +256,6 @@ func (s *Solver) buildTasks() {
 		}
 	}
 }
-
-// M returns the grid size.
-func (s *Solver) M() int { return s.m }
-
-// Name returns the backend kind: the float64 spectral reference.
-func (s *Solver) Name() string { return KindSpectral }
-
-// Planes returns the potential and field planes of the latest Solve.
-func (s *Solver) Planes() (psi, ex, ey []float64) { return s.Psi, s.Ex, s.Ey }
 
 // transpose writes dst[i*m+j] = src[j*m+i] tile by tile (tblk square
 // tiles), sharding tile rows of dst across the pool. Each task owns a

@@ -37,17 +37,12 @@ func mustSolver(tb testing.TB, m, workers int) *Solver {
 
 func TestNewSolverRejectsBadSize(t *testing.T) {
 	for _, m := range []int{0, -4, 3, 24} {
-		if _, err := NewSolver(m); err == nil {
-			t.Errorf("NewSolver(%d) = nil error, want descriptive error", m)
+		if _, err := NewSolverWorkers(m, 1); err == nil {
+			t.Errorf("NewSolverWorkers(%d) = nil error, want descriptive error", m)
 		}
-		for _, kind := range Kinds() {
-			if _, err := NewBackend(kind, m, 1); err == nil {
-				t.Errorf("NewBackend(%q, %d) = nil error, want descriptive error", kind, m)
-			}
+		if _, err := NewSolver32Workers(m, 1); err == nil {
+			t.Errorf("NewSolver32Workers(%d) = nil error, want descriptive error", m)
 		}
-	}
-	if _, err := NewBackend("fancy", 64, 1); err == nil {
-		t.Error("NewBackend with an unknown kind succeeded, want error naming the kinds")
 	}
 }
 

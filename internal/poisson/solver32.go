@@ -1,4 +1,4 @@
-// solver32.go is the mixed-precision spectral backend: the same
+// solver32.go is the Poisson solve the placer runs: the same
 // cache-blocked five-pass pipeline as Solver, carried in float32 planes
 // through fft.Real32's pair-packed transforms. Every intermediate plane
 // (forward spectra, coefficient planes, transpose scratch) is float32,
@@ -9,16 +9,16 @@
 // inverse output scatter (IDCTPairTo64/IDSTPairTo64) so no separate
 // conversion pass ever runs.
 //
-// Precision is error-controlled, not assumed: every GuardEvery-th
-// Solve recomputes the same charge plane with a lazily-built float64
-// reference Solver and compares the field planes (MaxRelError over Ex
-// and Ey). The fields ARE the density gradient up to the shared factors
-// q_i and lambda, which cancel in a relative error, so this is exactly
-// the relative lambda-scaled gradient error of the tentpole contract.
-// If it ever exceeds GuardTol the backend falls back to the float64
-// reference permanently for the rest of its lifetime. The cadence is
-// solve-count based and the reference is itself bitwise-deterministic,
-// so the guard never breaks determinism across worker counts.
+// Precision is error-controlled, not assumed: the first Solve and every
+// 64th after it recompute the same charge plane with a lazily-built
+// float64 reference Solver and compare the field planes (maxRelError
+// over Ex and Ey). The fields ARE the density gradient up to the shared
+// factors q_i and lambda, which cancel in a relative error, so this is
+// exactly the relative lambda-scaled gradient error. If it ever exceeds
+// 1e-3 the solver falls back to the float64 reference permanently for
+// the rest of its lifetime. The cadence is solve-count based and the
+// reference is itself bitwise-deterministic, so the guard never breaks
+// determinism across worker counts.
 package poisson
 
 import (
@@ -28,25 +28,27 @@ import (
 	"eplace/internal/parallel"
 )
 
+// KindSpectral32 names the one Poisson path. Every snapshot is stamped
+// with it, and the engine's solve span is "poisson/" + KindSpectral32.
+const KindSpectral32 = "spectral32"
+
 // Guard defaults: check the first solve and every 64th after it, and
 // tolerate up to 0.1% relative field error. The observed float32
-// pipeline error is ~1e-5 at m=512 (see the backend property tests), so
-// the guard trips only on genuinely pathological charge planes.
+// pipeline error is ~1e-5 at m=512 (see the property tests), so the
+// guard trips only on genuinely pathological charge planes.
 const (
 	defaultGuardEvery = 64
 	defaultGuardTol   = 1e-3
 )
 
-// Solver32 is the float32 spectral Poisson backend. Not safe for
+// Solver32 is the float32 spectral Poisson solver. Not safe for
 // concurrent method calls; use one per placement engine.
 type Solver32 struct {
 	m int
 	// One float32 transform workspace per worker.
 	trs []*fft.Real32
-	// wu[u] = pi*u/m, kept in float64 for the guard/reference paths.
-	wu []float64
 	// cb[u*m+v] = 4/m^2 * s_u * s_v / k2 (0 at the origin) and
-	// wuf[u] = float32(wu[u]): the whole normalization pass reduces to
+	// wuf[u] = float32(pi*u/m): the whole normalization pass reduces to
 	// three float32 multiplies per element. The coefficients are
 	// computed in float64 and rounded once at construction, so the only
 	// extra rounding vs a float64 pass is the final narrowing.
@@ -63,13 +65,13 @@ type Solver32 struct {
 	psi, ex, ey []float64
 
 	// Runtime precision guard.
-	GuardEvery int      // check cadence in solves (<=0 disables)
-	GuardTol   float64  // max relative field error before fallback
-	ref        *Solver  // float64 reference, built on first guard check
-	solves     int      // Solve calls so far
-	fellBack   bool     // permanent float64 fallback engaged
-	lastErr    float64  // relative field error at the latest guard check
-	refWorkers int      // worker request to build ref with
+	guardEvery int     // check cadence in solves (<=0 disables)
+	guardTol   float64 // max relative field error before fallback
+	ref        *Solver // float64 reference, built on first guard check
+	solves     int     // Solve calls so far
+	fellBack   bool    // permanent float64 fallback engaged
+	lastErr    float64 // relative field error at the latest guard check
+	refWorkers int     // worker request to build ref with
 
 	// Per-call inputs threaded through fields so the persistent task
 	// closures below allocate nothing per Solve (same pattern as Solver).
@@ -81,31 +83,15 @@ type Solver32 struct {
 	transposeTask, energyTask          func(w, lo, hi int)
 }
 
-// NewSolver32 creates a float32 spectral solver for an m x m grid
-// (m a power of two) using all cores.
-func NewSolver32(m int) (*Solver32, error) { return NewSolver32Workers(m, 0) }
-
-// NewSolver32Workers is NewSolver32 with an explicit worker count;
-// workers <= 0 selects all cores. The same small-grid serial clamp as
-// the float64 solver applies.
+// NewSolver32Workers creates a float32 spectral solver for an m x m grid
+// (m a power of two); workers <= 0 selects all cores. The same grid-size
+// check and small-grid serial clamp as the float64 solver apply.
 func NewSolver32Workers(m, workers int) (*Solver32, error) {
 	if err := checkGridSize(m); err != nil {
 		return nil, err
 	}
-	req := workers
-	workers = parallel.Count(workers)
-	if m < 64 {
-		workers = 1
-	}
-	if workers > m/2 {
-		workers = m / 2
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	s := &Solver32{
 		m:    m,
-		wu:   make([]float64, m),
 		buv:  make([]float32, m*m),
 		cxuv: make([]float32, m*m),
 		cyuv: make([]float32, m*m),
@@ -116,21 +102,22 @@ func NewSolver32Workers(m, workers int) (*Solver32, error) {
 		ex:   make([]float64, m*m),
 		ey:   make([]float64, m*m),
 
-		GuardEvery: defaultGuardEvery,
-		GuardTol:   defaultGuardTol,
-		refWorkers: req,
+		guardEvery: defaultGuardEvery,
+		guardTol:   defaultGuardTol,
+		refWorkers: workers,
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < solveWorkers(m, workers); w++ {
 		s.trs = append(s.trs, fft.NewReal32(m))
 	}
+	wu := make([]float64, m)
 	for u := 0; u < m; u++ {
-		s.wu[u] = math.Pi * float64(u) / float64(m)
+		wu[u] = math.Pi * float64(u) / float64(m)
 	}
 	s.cb = make([]float32, m*m)
 	s.wuf = make([]float32, m)
 	norm := 4 / float64(m*m)
 	for u := 0; u < m; u++ {
-		s.wuf[u] = float32(s.wu[u])
+		s.wuf[u] = float32(wu[u])
 		su := 1.0
 		if u == 0 {
 			su = 0.5
@@ -140,7 +127,7 @@ func NewSolver32Workers(m, workers int) (*Solver32, error) {
 			if v == 0 {
 				sv = 0.5
 			}
-			k2 := s.wu[u]*s.wu[u] + s.wu[v]*s.wu[v]
+			k2 := wu[u]*wu[u] + wu[v]*wu[v]
 			if k2 > 0 {
 				s.cb[u*m+v] = float32(norm * su * sv / k2)
 			}
@@ -238,28 +225,15 @@ func (s *Solver32) buildTasks() {
 	}
 }
 
-// M returns the grid size.
-func (s *Solver32) M() int { return s.m }
-
-// Name returns the backend kind.
-func (s *Solver32) Name() string { return KindSpectral32 }
-
 // Planes returns the potential and field planes of the latest Solve.
-// After a guard fallback these are the float64 reference's planes.
+// The slices are overwritten by the next Solve. After a guard fallback
+// they are the float64 reference's planes.
 func (s *Solver32) Planes() (psi, ex, ey []float64) {
 	if s.fellBack {
-		return s.ref.Planes()
+		return s.ref.Psi, s.ref.Ex, s.ref.Ey
 	}
 	return s.psi, s.ex, s.ey
 }
-
-// FellBack reports whether the precision guard has permanently switched
-// this backend to the float64 reference.
-func (s *Solver32) FellBack() bool { return s.fellBack }
-
-// LastGuardErr returns the relative field error measured at the most
-// recent guard check (zero before the first check).
-func (s *Solver32) LastGuardErr() float64 { return s.lastErr }
 
 // Solve computes the float64 potential and field planes from the
 // float64 charge plane rho through the float32 transform pipeline,
@@ -295,14 +269,14 @@ func (s *Solver32) Solve(rho []float64) {
 	s.transpose(s.cxuv, s.tc)
 	parallel.For(workers, pairs, s.invXTask)
 
-	if s.GuardEvery > 0 && (s.solves-1)%s.GuardEvery == 0 {
+	if s.guardEvery > 0 && (s.solves-1)%s.guardEvery == 0 {
 		s.guardCheck(rho)
 	}
 }
 
 // guardCheck solves rho with the float64 reference and measures the
-// relative field error of the float32 planes. Above GuardTol the
-// backend flips to the reference permanently (its planes are already
+// relative field error of the float32 planes. Above guardTol the
+// solver flips to the reference permanently (its planes are already
 // filled for this solve).
 func (s *Solver32) guardCheck(rho []float64) {
 	if s.ref == nil {
@@ -310,12 +284,40 @@ func (s *Solver32) guardCheck(rho []float64) {
 		s.ref, _ = NewSolverWorkers(s.m, s.refWorkers)
 	}
 	s.ref.Solve(rho)
-	errX := MaxRelError(s.ex, s.ref.Ex)
-	errY := MaxRelError(s.ey, s.ref.Ey)
+	errX := maxRelError(s.ex, s.ref.Ex)
+	errY := maxRelError(s.ey, s.ref.Ey)
 	s.lastErr = math.Max(errX, errY)
-	if s.lastErr > s.GuardTol {
+	if s.lastErr > s.guardTol {
 		s.fellBack = true
 	}
+}
+
+// maxRelError returns max_i |got_i - want_i| / max(max_i |want_i|, eps):
+// the worst absolute deviation normalized by the reference plane's
+// magnitude. Plane-normalized (not pointwise) because near-zero field
+// samples would otherwise dominate with meaningless huge ratios; what
+// the optimizer feels is the error relative to the gradient scale.
+func maxRelError(got, want []float64) float64 {
+	scale := 1e-30
+	for _, w := range want {
+		if w < 0 {
+			w = -w
+		}
+		if w > scale {
+			scale = w
+		}
+	}
+	worst := 0.0
+	for i := range got {
+		d := got[i] - want[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst / scale
 }
 
 func (s *Solver32) transpose(src, dst []float32) {

@@ -929,9 +929,6 @@ func (j *job) runECO(ctx context.Context, d *netlist.Design, rec *telemetry.Reco
 			MaxIters:  j.spec.ECO.MaxIters,
 			Workers:   workers,
 			Telemetry: rec,
-			// The parent's Poisson backend, so the warm start continues
-			// the trajectory the positions came from.
-			Poisson: st.Poisson,
 		},
 		Checkpoint: j.mgr,
 	})

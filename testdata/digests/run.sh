@@ -13,7 +13,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 digests() {
-	"$eplace" "$@" -q -digests -poisson spectral32 -workers "$workers" | grep '^digest'
+	"$eplace" "$@" -q -digests -workers "$workers" | grep '^digest'
 }
 echo "# -synth 5000 -seed 3"
 digests -synth 5000 -seed 3
