@@ -10,19 +10,20 @@ import (
 
 // TestFlowAllowOrientPinned holds the mixed-size flow with macro rotation
 // to the digests of commit d0f2322, where every stage still compiled its
-// own view. mLG turns three of the five macros, which swaps their W/H and
-// rewrites their pins' offsets in the structs: a view that outlives the
-// stage and is not re-synced from them (extents, pin offsets) moves cGP
-// and everything after it.
+// own view, as that commit gives them under the spectral32 Poisson solve
+// (recorded on amd64 with AVX2). mLG turns three of the five macros,
+// which swaps their W/H and rewrites their pins' offsets in the structs:
+// a view that outlives the stage and is not re-synced from them
+// (extents, pin offsets) moves cGP and everything after it.
 func TestFlowAllowOrientPinned(t *testing.T) {
 	pinned := []string{
 		"mIP 1 e9fa18c45aac5686",
-		"mGP 162 c3493cd974d16d17",
-		"mLG 1 9ceb77eebb8675cd",
-		"cGP-filler 20 cae40c75a177721c",
-		"cGP 30 b77aa10f161f6c0f",
-		"cDP 3 d3d856bf6ff91d29",
-		"final 1 5e24e59bd2afca2f",
+		"mGP 162 b096c6a2a0849267",
+		"mLG 1 841dbf0b4f76b275",
+		"cGP-filler 20 fcfc6ebb5308b149",
+		"cGP 30 ac7899377098d763",
+		"cDP 3 a4fcda11a8ccf340",
+		"final 1 2cf48c172816ad3f",
 	}
 	spec := synth.Spec{Name: "orient", NumCells: 400, NumMovableMacros: 5, Seed: 1}
 	for _, workers := range []int{1, 7} {
