@@ -7,7 +7,6 @@
 //
 //	eplace -aux design.aux -out placed.pl
 //	eplace -synth 5000 -macros 10 -density 0.8 -out placed.pl
-//	eplace -aux design.aux -solver cg          # FFTPL mode (CG baseline)
 //	eplace -synth 5000 -trace out.jsonl -status :6060
 //	eplace -synth 5000 -checkpoint-dir ckpt -checkpoint-every 100
 //	eplace -synth 5000 -checkpoint-dir ckpt -resume    # continue after a crash
@@ -64,7 +63,6 @@ func run(ctx context.Context) error {
 		density  = flag.Float64("density", 1.0, "target density rho_t for -synth")
 		seed     = flag.Int64("seed", 1, "synthetic circuit seed")
 		outPath  = flag.String("out", "", "output .pl path (optional)")
-		solver   = flag.String("solver", "nesterov", "global placement solver: nesterov | cg")
 		gridM    = flag.Int("grid", 0, "bin grid size per side (power of two, 0 = auto)")
 		maxIters = flag.Int("iters", 0, "max GP iterations (0 = default: 3000, or 600 for -eco)")
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
@@ -166,13 +164,7 @@ func run(ctx context.Context) error {
 		}
 	}
 
-	gp := core.Options{GridM: *gridM, MaxIters: *maxIters, Workers: *workers, Telemetry: rec}
-	if *solver == "cg" {
-		gp.Solver = core.SolverCG
-	} else if *solver != "nesterov" {
-		return fmt.Errorf("unknown solver %q", *solver)
-	}
-	gp.CheckpointEvery = *ckptEvery
+	gp := core.Options{GridM: *gridM, MaxIters: *maxIters, Workers: *workers, Telemetry: rec, CheckpointEvery: *ckptEvery}
 
 	// Incremental (ECO) mode: warm-start from a previous placement of
 	// the same design source, apply the edit script, and re-place only

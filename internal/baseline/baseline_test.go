@@ -6,8 +6,8 @@ package baseline_test
 import (
 	"testing"
 
-	"eplace/internal/baseline/bellshape"
 	"eplace/internal/baseline/mincut"
+	"eplace/internal/baseline/nonlinear"
 	"eplace/internal/baseline/quadratic"
 	"eplace/internal/metrics"
 	"eplace/internal/netlist"
@@ -45,7 +45,7 @@ func TestQuadraticBeatsRandom(t *testing.T) {
 
 func TestBellshapeSpreads(t *testing.T) {
 	d := circuit("b", 400)
-	res := bellshape.Place(d, d.Movable(), bellshape.Options{GridM: 32})
+	res := nonlinear.PlaceBell(d, d.Movable(), nonlinear.Options{GridM: 32})
 	if res.Overflow > 0.25 {
 		t.Errorf("bellshape overflow = %v", res.Overflow)
 	}
@@ -63,7 +63,7 @@ func TestBellshapeLineSearchDominatesEvals(t *testing.T) {
 	// Footnote 2: the line search burns most of the objective
 	// evaluations (>60% of FFTPL's runtime there).
 	d := circuit("bl", 300)
-	res := bellshape.Place(d, d.Movable(), bellshape.Options{GridM: 32, MaxOuter: 10})
+	res := nonlinear.PlaceBell(d, d.Movable(), nonlinear.Options{GridM: 32, MaxOuter: 10})
 	if res.CostEvals < res.GradEvals {
 		t.Errorf("cost evals %d below grad evals %d: line search suspiciously cheap",
 			res.CostEvals, res.GradEvals)
@@ -108,7 +108,7 @@ func TestEmptyInputs(t *testing.T) {
 	if r := quadratic.Place(d, nil, quadratic.Options{}); r.Iterations != 0 {
 		t.Error("quadratic on empty input")
 	}
-	if r := bellshape.Place(d, nil, bellshape.Options{}); r.OuterIterations != 0 {
+	if r := nonlinear.PlaceBell(d, nil, nonlinear.Options{}); r.OuterIterations != 0 {
 		t.Error("bellshape on empty input")
 	}
 	if r := mincut.Place(d, nil, mincut.Options{}); r.Bisections != 0 {

@@ -1,4 +1,4 @@
-package bellshape
+package nonlinear
 
 import (
 	"math"
@@ -53,9 +53,8 @@ func TestModelChargeConservation(t *testing.T) {
 	var idx []int
 	idx = append(idx, d.AddCell(netlist.Cell{W: 6, H: 4, X: 20, Y: 30}))
 	idx = append(idx, d.AddCell(netlist.Cell{W: 2, H: 2, X: 45, Y: 10}))
-	md := newModel(d, idx, 32, 1.0)
-	md.lam = 1
-	md.accumulate(nil)
+	md := newBellDensity(d, idx, 32, 1.0)
+	md.penalty(1, nil)
 	total := 0.0
 	for _, v := range md.rho {
 		total += v
@@ -72,17 +71,16 @@ func TestModelDensityGradientNumeric(t *testing.T) {
 	// Two overlapping cells create a density error gradient.
 	idx = append(idx, d.AddCell(netlist.Cell{W: 8, H: 8, X: 30, Y: 32}))
 	idx = append(idx, d.AddCell(netlist.Cell{W: 8, H: 8, X: 34, Y: 32}))
-	md := newModel(d, idx, 32, 1.0)
-	md.lam = 1
+	md := newBellDensity(d, idx, 32, 1.0)
 	grad := make([]float64, 4)
-	md.accumulate(grad)
+	md.penalty(1, grad)
 
 	h := 0.02
 	x0 := d.Cells[idx[0]].X
 	d.Cells[idx[0]].X = x0 + h
-	cp := md.accumulate(nil)
+	cp := md.penalty(1, nil)
 	d.Cells[idx[0]].X = x0 - h
-	cm := md.accumulate(nil)
+	cm := md.penalty(1, nil)
 	d.Cells[idx[0]].X = x0
 	num := (cp - cm) / (2 * h)
 	if math.Abs(num-grad[0]) > 0.15*(math.Abs(num)+math.Abs(grad[0])+1e-12) {

@@ -223,19 +223,6 @@ func (e *engine) gradient(v, g []float64) {
 	}
 }
 
-// cost evaluates f at v (CG baseline only; Nesterov never needs it).
-func (e *engine) cost(v []float64) float64 {
-	e.cv.SetPositions(e.idx, v)
-	t0 := time.Now()
-	w := e.wl.Cost()
-	e.rec.AddSpanTime(e.stage, "wirelength", time.Since(t0))
-	t0 = time.Now()
-	e.dm.Refresh(e.idx)
-	e.rec.AddSpanTime(e.stage, "density", time.Since(t0))
-	e.rec.Count("engine/cost_evals", 1)
-	return w + e.lambda*e.dm.Energy()
-}
-
 // initLambda balances the initial wirelength and density gradient norms
 // (sum of absolute values), the standard ePlace initialization, and
 // multiplies the balance by scale (see gpStage.lambdaScale).
@@ -331,17 +318,14 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 
 	seedStep := 0.1 * math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
 
-	var stepNesterov func() (float64, int)
-	var solution func() []float64
 	var opt2 *nesterov.Optimizer
-	var cg *nesterov.CGSolver
 	var hpwl0, prevHPWL float64
 	var best []float64
 	var bestTau float64
 	bestTauIter := 0
 	iterStart := 0
 
-	if rs := s.resume; rs != nil && opt.Solver == SolverNesterov {
+	if rs := s.resume; rs != nil {
 		// Resume: every schedule scalar and optimizer vector comes from
 		// the snapshot, and the whole init path (tau0, gamma, lambda
 		// balancing, the optimizer's seeding gradient evaluations) is
@@ -355,8 +339,6 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		bestTau, bestTauIter = rs.BestTau, rs.BestTauIter
 		iterStart = rs.Iter
 		opt2 = nesterov.Resume(rs.Nesterov, e.gradient, e.clamp, seedStep)
-		stepNesterov = func() (float64, int) { return opt2.Step(opt.DisableBkTrk) }
-		solution = func() []float64 { return opt2.U }
 	} else {
 		v0 := d.Positions(idx)
 		e.clamp(v0)
@@ -377,21 +359,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		hpwl0 = e.hpwl()
 		prevHPWL = hpwl0
 
-		if opt.Solver == SolverNesterov {
-			opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
-			stepNesterov = func() (float64, int) { return opt2.Step(opt.DisableBkTrk) }
-			solution = func() []float64 { return opt2.U }
-		} else {
-			cg = nesterov.NewCG(v0, e.cost, e.gradient, e.clamp, seedStep*10)
-			// Every objective evaluation costs a full Poisson solve; keep
-			// failed line searches from burning twenty of them — and let a
-			// cancellation abort a search mid-flight instead of paying for
-			// the remaining trials.
-			cg.MaxTrials = 10
-			cg.Interrupt = func() bool { return ctx.Err() != nil }
-			stepNesterov = func() (float64, int) { return cg.Step(), 0 }
-			solution = func() []float64 { return cg.V }
-		}
+		opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
 
 		// Divergence guard: remember the best (lowest-overflow) solution.
 		best = append([]float64(nil), v0...)
@@ -417,6 +385,19 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		divergeHPWL = b
 	}
 
+	// gpState captures the loop state that iteration it reads, for a
+	// mid-stage snapshot a resume re-enters at it.
+	gpState := func(it int) *checkpoint.GPState {
+		return &checkpoint.GPState{
+			Stage: stage, Iter: it,
+			Lambda: e.lambda, Gamma: e.gamma,
+			PrevHPWL: prevHPWL, HPWL0: hpwl0,
+			Best:    append([]float64(nil), best...),
+			BestTau: bestTau, BestTauIter: bestTauIter,
+			Nesterov: opt2.State(),
+		}
+	}
+
 	// A loop that runs out of iterations stops at the cap; every break
 	// below names its own reason.
 	res.Stop = StopIterationCap
@@ -425,20 +406,11 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		// Cooperative cancellation, checked once per iteration. The state
 		// here is exactly what the next iteration would read (the same
 		// cut a cadence checkpoint takes at the bottom of the loop), so
-		// the snapshot resumes bitwise-identically. The CG baseline has
-		// no capturable recurrence: it cancels without a mid-stage
-		// snapshot and falls back to the last stage boundary.
+		// the snapshot resumes bitwise-identically.
 		if ctx.Err() != nil {
 			res.Stop = StopCanceled
-			if s.sink != nil && opt2 != nil {
-				s.sink(&checkpoint.GPState{
-					Stage: stage, Iter: iter,
-					Lambda: e.lambda, Gamma: e.gamma,
-					PrevHPWL: prevHPWL, HPWL0: hpwl0,
-					Best:    append([]float64(nil), best...),
-					BestTau: bestTau, BestTauIter: bestTauIter,
-					Nesterov: opt2.State(),
-				})
+			if s.sink != nil {
+				s.sink(gpState(iter))
 			}
 			break
 		}
@@ -446,11 +418,11 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		// gradients. "nesterov" is the step less the gradient time inside
 		// it: the optimizer's vector passes, the clamps, the preconditioner.
 		t0, g0 := time.Now(), gradTime()
-		alpha, bt := stepNesterov()
+		alpha, bt := opt2.Step(opt.DisableBkTrk)
 		rec.AddSpanTime(stage, "nesterov", time.Since(t0)-(gradTime()-g0))
 
 		t0 = time.Now()
-		u := solution()
+		u := opt2.U
 		e.cv.SetPositions(e.idx, u)
 		hpwl := e.hpwl()
 		rec.AddSpanTime(stage, "hpwl", time.Since(t0))
@@ -473,11 +445,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 				HPWL: hpwl, Overflow: tau, Energy: e.dm.Energy(),
 				Lambda: e.lambda, Gamma: e.gamma, Alpha: alpha, Backtracks: bt,
 				GradWL: sumAbs(e.gw), GradDensity: sumAbs(e.gd),
-			}
-			if opt2 != nil {
-				smp.Steps = opt2.Steps()
-			} else {
-				smp.Steps = cg.Steps()
+				Steps: opt2.Steps(),
 			}
 			wlNow := rec.SpanTime(stage, "wirelength")
 			denNow := rec.SpanTime(stage, "density")
@@ -523,19 +491,9 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		// Crash-safe snapshot of the loop state at this iteration
 		// boundary (everything the next iteration reads), aligned to
 		// absolute iteration numbers so a resumed run checkpoints at the
-		// same points as an uninterrupted one. Nesterov only: the CG
-		// baseline has no capturable recurrence and falls back to
-		// stage-boundary checkpoints.
-		if s.sink != nil && opt.CheckpointEvery > 0 && opt2 != nil &&
-			(iter+1)%opt.CheckpointEvery == 0 {
-			s.sink(&checkpoint.GPState{
-				Stage: stage, Iter: iter + 1,
-				Lambda: e.lambda, Gamma: e.gamma,
-				PrevHPWL: prevHPWL, HPWL0: hpwl0,
-				Best:    append([]float64(nil), best...),
-				BestTau: bestTau, BestTauIter: bestTauIter,
-				Nesterov: opt2.State(),
-			})
+		// same points as an uninterrupted one.
+		if s.sink != nil && opt.CheckpointEvery > 0 && (iter+1)%opt.CheckpointEvery == 0 {
+			s.sink(gpState(iter + 1))
 		}
 	}
 
@@ -543,7 +501,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	// clamp it, and write it back to both the structs (the caller's
 	// source of truth between stages) and the view (for the final
 	// Refresh/HPWL below).
-	final := solution()
+	final := opt2.U
 	if res.Stop == StopDiverged || res.Stop == StopStall {
 		final = best
 	}
@@ -559,14 +517,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	// How much of the netlist the stage's wirelength evaluations priced.
 	rec.Count("wirelength/nets_priced", e.wl.NetsPriced())
 	res.FinalLambda = e.lambda
-	// Run statistics come from the optimizer accessors rather than
-	// per-step mirroring.
-	if opt2 != nil {
-		res.Backtracks = opt2.Backtracks()
-	}
-	if cg != nil {
-		res.CostEvals = cg.CostEvals()
-	}
+	res.Backtracks = opt2.Backtracks()
 	res.DensityTime = rec.SpanTime(stage, "density") - den0
 	res.WirelengthTime = rec.SpanTime(stage, "wirelength") - wl0
 	res.Total = time.Since(start)

@@ -187,23 +187,6 @@ func TestTraceRecordsProgress(t *testing.T) {
 	}
 }
 
-func TestCGSolverAlsoConverges(t *testing.T) {
-	d := testCircuit(200, 6)
-	InsertFillers(d, 3)
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{
-		MaxIters: 1200, GridM: 32, Solver: SolverCG, TargetOverflow: 0.15,
-	}, "mGP", 0)
-	if res.Stop == StopDiverged {
-		t.Fatal("CG diverged")
-	}
-	if res.Overflow > 0.25 {
-		t.Errorf("CG overflow = %v, want <= 0.25", res.Overflow)
-	}
-	if res.CostEvals == 0 {
-		t.Error("CG reported no cost evaluations")
-	}
-}
-
 func TestMixedSizeMacrosDoNotOscillate(t *testing.T) {
 	d := testCircuit(300, 7)
 	rng := rand.New(rand.NewSource(8))

@@ -242,9 +242,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if startLevel, ph, mid, err = resumeAt(rs, K); err != nil {
 			return res, err
 		}
-		if mid && opt.GP.Solver != SolverNesterov {
-			return res, fmt.Errorf("core: mid-stage resume requires the Nesterov solver")
-		}
 		// Continue the rolling digests so final per-stage hashes match
 		// the uninterrupted run's.
 		r.golden.SetState(rs.Golden)

@@ -13,18 +13,6 @@ import (
 	"eplace/internal/telemetry"
 )
 
-// SolverKind selects the nonlinear optimizer.
-type SolverKind uint8
-
-const (
-	// SolverNesterov is the paper's solver (Algorithms 1 and 2).
-	SolverNesterov SolverKind = iota
-	// SolverCG is conjugate gradient with line search: running the same
-	// eDensity objective under CG reproduces the FFTPL predecessor the
-	// paper compares against (footnote 2).
-	SolverCG
-)
-
 // Options configures a global placement run.
 type Options struct {
 	// GridM is the bin-grid size per side; 0 picks grid.ChooseM.
@@ -35,8 +23,6 @@ type Options struct {
 	MaxIters int
 	// MinIters prevents spurious early stops (default 20).
 	MinIters int
-	// Solver selects Nesterov (default) or the CG/FFTPL baseline.
-	Solver SolverKind
 	// Workers is the worker count for the per-iteration gradient
 	// kernels (WA wirelength, eDensity rasterize/solve/force, spectral
 	// Poisson transforms) and, through the flow, for the back end too:
@@ -67,9 +53,7 @@ type Options struct {
 	Telemetry *telemetry.Recorder
 
 	// CheckpointEvery > 0 makes the flow's GP loops snapshot their
-	// in-flight state every N iterations through FlowOptions.Checkpoint
-	// (Nesterov solver only; the CG baseline checkpoints at stage
-	// boundaries only).
+	// in-flight state every N iterations through FlowOptions.Checkpoint.
 	CheckpointEvery int
 }
 
@@ -113,15 +97,13 @@ type Result struct {
 	Overflow   float64
 	// Stop is the reason the iteration loop ended (a Stop* constant).
 	Stop string
-	// Backtracks is the total BkTrk count (Nesterov only).
+	// Backtracks is the total BkTrk count.
 	Backtracks int
 	// Timing breakdown (Fig. 7).
 	DensityTime    time.Duration
 	WirelengthTime time.Duration
 	OtherTime      time.Duration
 	Total          time.Duration
-	// CostEvals counts objective evaluations (CG line search only).
-	CostEvals int
 	// FinalLambda is the penalty factor at termination (used to seed cGP).
 	FinalLambda float64
 }

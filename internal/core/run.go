@@ -27,7 +27,8 @@ type flowSummary struct {
 	// HPWL is the final half-perimeter wirelength.
 	HPWL float64
 	// Legal reports that the final standard-cell layout passed
-	// legalize.CheckLegal (and macros CheckMacrosLegal).
+	// legalize.CheckLegal (vacuously, without standard cells) and the
+	// macros CheckMacrosLegal.
 	Legal bool
 	// DP is the cDP detail refinement's result.
 	DP detail.Result
@@ -276,11 +277,15 @@ func (r *flowRun) ensureRows() {
 // obstacles meanwhile, then discrete refinement of the refine cells at
 // the depth dOpt sets (the run supplies workers, telemetry and the
 // golden trace). It returns the legalization's total and maximum
-// displacement.
+// displacement. With no cells to legalize or refine, it does nothing.
 func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, maxDisp float64, err error) {
 	d := r.d
 	r.rec.SetStage("cDP")
 	t0 := time.Now()
+	if len(legal) == 0 && len(refine) == 0 {
+		r.addStage("cDP", time.Since(t0))
+		return 0, 0, nil
+	}
 	r.ensureRows()
 	if len(d.Rows) == 0 {
 		return 0, 0, fmt.Errorf("core: cannot infer row height")
@@ -318,7 +323,7 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, max
 func (r *flowRun) summarize(final bool) {
 	s := r.sum
 	s.HPWL = r.d.HPWL()
-	s.Legal = legalize.CheckLegal(r.d, r.stdCells) == nil
+	s.Legal = len(r.stdCells) == 0 || legalize.CheckLegal(r.d, r.stdCells) == nil
 	if r.mixedSize && s.Legal {
 		s.Legal = legalize.CheckMacrosLegal(r.d, r.movMacros) == nil
 	}

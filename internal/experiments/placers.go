@@ -10,15 +10,14 @@ import (
 	"fmt"
 	"time"
 
-	"eplace/internal/baseline/bellshape"
 	"eplace/internal/baseline/mincut"
+	"eplace/internal/baseline/nonlinear"
 	"eplace/internal/baseline/quadratic"
 	"eplace/internal/core"
 	"eplace/internal/detail"
 	"eplace/internal/legalize"
 	"eplace/internal/metrics"
 	"eplace/internal/netlist"
-	"eplace/internal/qp"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
 )
@@ -64,6 +63,11 @@ func (o RunOptions) gp() core.Options {
 	}
 }
 
+// nonlinear is the part of the options the nonlinear baselines take.
+func (o RunOptions) nonlinear() nonlinear.Options {
+	return nonlinear.Options{GridM: o.GridM, Workers: o.Workers, Telemetry: o.Telemetry}
+}
+
 // Run places design d with the given placer and returns the scorecard.
 // The design is modified in place: all placers share the same mLG,
 // legalization and detail-placement backend, mirroring the paper's use
@@ -75,14 +79,9 @@ func Run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 	movable := d.Movable()
 	failed := false
 
-	gpOpt := opt.gp()
-
 	switch p {
-	case EPlace, FFTPL:
-		if p == FFTPL {
-			gpOpt.Solver = core.SolverCG
-		}
-		flowRes, err := core.Place(d, core.FlowOptions{GP: gpOpt})
+	case EPlace:
+		flowRes, err := core.Place(d, core.FlowOptions{GP: opt.gp()})
 		elapsed := time.Since(start).Seconds()
 		rep := metrics.Measure(d.Name, string(p), d, opt.GridM, elapsed, flowRes.Legal)
 		rep.Failed = err != nil
@@ -93,8 +92,11 @@ func Run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 		failed = qres.Iterations == 0 && len(movable) > 0
 	case BellShape:
 		opt.Telemetry.SetStage(string(BellShape))
-		bres := bellshape.Place(d, movable, bellshape.Options{GridM: opt.GridM, Workers: opt.Workers, Telemetry: opt.Telemetry})
-		failed = bres.OuterIterations == 0 && len(movable) > 0
+		nonlinear.PlaceBell(d, movable, opt.nonlinear())
+	case FFTPL:
+		opt.Telemetry.SetStage(string(FFTPL))
+		_, err := nonlinear.PlaceFFTPL(d, movable, opt.nonlinear())
+		failed = err != nil
 	case MinCut:
 		opt.Telemetry.SetStage(string(MinCut))
 		mincut.Place(d, movable, mincut.Options{Telemetry: opt.Telemetry})
@@ -142,10 +144,4 @@ func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, 
 func RunSpec(spec synth.Spec, p Placer, opt RunOptions) metrics.Report {
 	d := synth.Generate(spec)
 	return Run(d, p, opt)
-}
-
-// MIPOnly runs just the quadratic initial placement (used by figures
-// that start from v_mIP).
-func MIPOnly(d *netlist.Design) {
-	qp.Place(d, d.Movable())
 }

@@ -164,8 +164,7 @@ func Table1(scale float64, opt RunOptions, out, progress io.Writer) *TableResult
 // Table2 regenerates Table II: scaled HPWL and density overflow on the
 // ISPD 2006-like suite with benchmark target densities.
 func Table2(scale float64, opt RunOptions, out, progress io.Writer) *TableResult {
-	// The paper's Table II lineup has no FFTPL column; omitting the
-	// CG baseline here also matches it being the slowest placer by far.
+	// The paper's Table II lineup has no FFTPL column.
 	tr := runSuite("Table II: scaled HPWL on ISPD2006-like suite (rho_t targets)", synth.ISPD06Suite(scale), Table23Placers, opt, progress)
 	tr.Print(out, scaledMetric, true)
 	return tr

@@ -1,15 +1,15 @@
-// Package nesterov implements the nonlinear solvers of the paper:
-// Nesterov's method (Algorithm 1) with steplength predicted as the
-// inverse Lipschitz constant (Eq. 10) and refined by the BkTrk
-// backtracking of Algorithm 2, plus a conjugate-gradient solver with
-// line search that reproduces the FFTPL/APlace-style optimizer ePlace
-// compares against (Sec. V-A and footnote 2).
+// Package nesterov implements the paper's nonlinear solver: Nesterov's
+// method (Algorithm 1) with steplength predicted as the inverse
+// Lipschitz constant (Eq. 10) and refined by the BkTrk backtracking of
+// Algorithm 2. The conjugate-gradient solver ePlace compares against
+// (Sec. V-A and footnote 2) lives with the baselines in
+// internal/baseline/nonlinear.
 //
-// The solvers are generic over the objective: the placement engine
-// supplies a gradient callback (already preconditioned, Sec. V-D) and,
-// for the CG baseline, a cost callback. The cost function may change
-// between iterations (gamma and lambda are adjusted iteratively); the
-// dynamic Lipschitz prediction is what makes that safe (Sec. V-B).
+// The solver is generic over the objective: the placement engine
+// supplies a gradient callback (already preconditioned, Sec. V-D). The
+// cost function may change between iterations (gamma and lambda are
+// adjusted iteratively); the dynamic Lipschitz prediction is what makes
+// that safe (Sec. V-B).
 package nesterov
 
 import (

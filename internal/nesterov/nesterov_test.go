@@ -232,106 +232,6 @@ func TestAkRecurrence(t *testing.T) {
 	}
 }
 
-func TestCGConvergesOnQuadratic(t *testing.T) {
-	q := newQuad(30, 6)
-	s := NewCG(make([]float64, 30), q.cost, q.grad, nil, 1.0)
-	for k := 0; k < 200; k++ {
-		s.Step()
-	}
-	if c := q.cost(s.V); c > 1e-4 {
-		t.Errorf("CG cost after 200 iterations = %v", c)
-	}
-}
-
-func TestCGCountsLineSearchEvals(t *testing.T) {
-	q := newQuad(10, 7)
-	s := NewCG(make([]float64, 10), q.cost, q.grad, nil, 1.0)
-	for k := 0; k < 20; k++ {
-		s.Step()
-	}
-	if s.CostEvals() <= 20 {
-		t.Errorf("CostEvals = %d, expected more than one per iteration", s.CostEvals())
-	}
-	if s.GradEvals() < 20 {
-		t.Errorf("GradEvals = %d", s.GradEvals())
-	}
-}
-
-func TestCGRespectsClamp(t *testing.T) {
-	q := newQuad(10, 8)
-	for i := range q.t {
-		q.t[i] = 50
-	}
-	clamp := func(v []float64) {
-		for i := range v {
-			if v[i] > 2 {
-				v[i] = 2
-			}
-		}
-	}
-	s := NewCG(make([]float64, 10), q.cost, q.grad, clamp, 1.0)
-	for k := 0; k < 50; k++ {
-		s.Step()
-	}
-	for i, v := range s.V {
-		if v > 2+1e-12 {
-			t.Fatalf("V[%d] = %v escaped clamp", i, v)
-		}
-	}
-}
-
-// Footnote 2's runtime argument: CG pays several objective evaluations
-// per iteration for its line search (>60% of FFTPL's runtime), while
-// Nesterov needs ~1 gradient per iteration (1.037 average on MMS). In a
-// placer a cost evaluation is as expensive as a gradient (both need the
-// Poisson solve), so evals-per-iteration is the runtime ratio.
-func TestNesterovEvalsPerIterationNearOne(t *testing.T) {
-	// Both solvers receive the diagonally preconditioned gradient
-	// H^-1 grad f (Sec. V-D); without preconditioning the directional
-	// curvature fluctuates and BkTrk fires constantly, which is exactly
-	// the oscillation the paper's preconditioner exists to prevent.
-	n := 60
-	q := quadratic{d: make([]float64, n), t: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		q.d[i] = 0.01 + 3*float64(i)/float64(n)
-		q.t[i] = 5
-	}
-	pgrad := func(v, g []float64) {
-		q.grad(v, g)
-		for i := range g {
-			g[i] /= q.d[i]
-		}
-	}
-	iters := 100
-
-	o := New(make([]float64, n), pgrad, nil, 0.01)
-	nEvals := 2 // initial seed
-	for k := 0; k < iters; k++ {
-		_, bt := o.Step(false)
-		nEvals += 1 + bt
-	}
-	if q.cost(o.U) > 1e-3*q.cost(make([]float64, n)) {
-		t.Fatalf("Nesterov did not converge: %v", q.cost(o.U))
-	}
-	perIter := float64(nEvals) / float64(iters)
-
-	s := NewCG(make([]float64, n), q.cost, pgrad, nil, 1.0)
-	for k := 0; k < iters; k++ {
-		s.Step()
-	}
-	cgPerIter := float64(s.CostEvals()+s.GradEvals()) / float64(iters)
-
-	if perIter > 2.0 {
-		t.Errorf("Nesterov evals/iter = %v, want near 1", perIter)
-	}
-	if cgPerIter < 3.0 {
-		t.Errorf("CG evals/iter = %v, expected >= 3 (line search)", cgPerIter)
-	}
-	if perIter >= cgPerIter {
-		t.Errorf("Nesterov %v evals/iter not below CG %v", perIter, cgPerIter)
-	}
-}
-
 func BenchmarkNesterovStep(b *testing.B) {
 	q := newQuad(10000, 10)
 	o := New(make([]float64, 10000), q.grad, nil, 0.01)

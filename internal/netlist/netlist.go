@@ -540,7 +540,8 @@ func (d *Design) RemoveFillers() {
 }
 
 // Validate performs structural consistency checks and returns the first
-// problem found, or nil.
+// problem found, or nil: a broken cross-reference, a non-finite number,
+// or a movable cell that does not fit the region.
 func (d *Design) Validate() error {
 	if !d.Region.Valid() || d.Region.Empty() {
 		return fmt.Errorf("netlist: invalid region %v", d.Region)
@@ -550,8 +551,14 @@ func (d *Design) Validate() error {
 	}
 	for i := range d.Cells {
 		c := &d.Cells[i]
+		if !finite(c.W, c.H, c.X, c.Y) {
+			return fmt.Errorf("netlist: cell %d (%s) has non-finite size %vx%v or position (%v, %v)", i, c.Name, c.W, c.H, c.X, c.Y)
+		}
 		if c.W < 0 || c.H < 0 {
 			return fmt.Errorf("netlist: cell %d (%s) negative size", i, c.Name)
+		}
+		if !c.Fixed && (c.W > d.Region.W() || c.H > d.Region.H()) {
+			return fmt.Errorf("netlist: movable cell %d (%s) of %vx%v does not fit the %vx%v region", i, c.Name, c.W, c.H, d.Region.W(), d.Region.H())
 		}
 		for _, pi := range c.Pins {
 			if pi < 0 || pi >= len(d.Pins) {
@@ -563,6 +570,9 @@ func (d *Design) Validate() error {
 		}
 	}
 	for ni := range d.Nets {
+		if !finite(d.Nets[ni].Weight) {
+			return fmt.Errorf("netlist: net %d (%s) has non-finite weight %v", ni, d.Nets[ni].Name, d.Nets[ni].Weight)
+		}
 		for _, pi := range d.Nets[ni].Pins {
 			if pi < 0 || pi >= len(d.Pins) {
 				return fmt.Errorf("netlist: net %d pin index %d out of range", ni, pi)
@@ -580,6 +590,19 @@ func (d *Design) Validate() error {
 		if p.Cell >= len(d.Cells) {
 			return fmt.Errorf("netlist: pin %d cell index out of range", pi)
 		}
+		if !finite(p.Ox, p.Oy) {
+			return fmt.Errorf("netlist: pin %d (cell %d, net %d) has non-finite offset (%v, %v)", pi, p.Cell, p.Net, p.Ox, p.Oy)
+		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package netlist
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"eplace/internal/geom"
@@ -210,6 +211,47 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	d.TargetDensity = 1.5
 	if err := d.Validate(); err == nil {
 		t.Error("Validate missed bad target density")
+	}
+}
+
+// Input no placement can finish from fails Validate with an error that
+// names the offending cell, net or pin.
+func TestValidateRejectsUnplaceable(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(d *Design)
+		want   string
+	}{
+		{"nan cell width", func(d *Design) { d.Cells[0].W = nan }, "cell 0 (c0)"},
+		{"inf cell height", func(d *Design) { d.Cells[1].H = inf }, "cell 1 (c1)"},
+		{"nan movable position", func(d *Design) { d.Cells[0].X = nan }, "cell 0 (c0)"},
+		{"nan fixed position", func(d *Design) { d.Cells[2].Y = nan }, "cell 2 (io)"},
+		{"nan net weight", func(d *Design) { d.Nets[1].Weight = nan }, "net 1 (n1)"},
+		{"inf pin offset", func(d *Design) { d.Pins[2].Ox = inf }, "pin 2"},
+		{"-inf pin offset", func(d *Design) { d.Pins[3].Oy = -inf }, "pin 3"},
+		{"movable macro wider than region", func(d *Design) {
+			d.AddCell(Cell{Name: "big", W: 1.5 * d.Region.W(), H: 2, Kind: Macro})
+		}, "cell 3 (big)"},
+		{"movable cell taller than region", func(d *Design) { d.Cells[1].H = d.Region.H() + 1 }, "cell 1 (c1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := buildTiny()
+			tc.mutate(d)
+			err := d.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted the design")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+	// A fixed block may exceed the region; only movable cells must fit.
+	d := buildTiny()
+	d.AddCell(Cell{Name: "wall", W: 2 * d.Region.W(), H: 1, Kind: Macro, Fixed: true})
+	if err := d.Validate(); err != nil {
+		t.Errorf("oversized fixed block rejected: %v", err)
 	}
 }
 
