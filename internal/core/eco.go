@@ -63,7 +63,8 @@ type ECOResult struct {
 // active cells that keep their slot) reach cDP at their input
 // positions (enforced too), inserted cells go from their seed to their
 // optimal region, and a short Nesterov placement (eGP, warm-started,
-// no mIP) runs only when a blockage evicts cells, over those cells.
+// no mIP) runs only when a blockage evicts cells, over those cells and
+// inside their eviction window.
 // The flow's cDP tail then legalizes the fresh and evicted cells and
 // refines the active set.
 //
@@ -157,7 +158,18 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 	// the die to admit it. Parking the newcomer in the nearest real gap
 	// costs a few units of its own wirelength, which the detail passes,
 	// deeper than the cold flow's, then claw back.
-	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(held, moved, plan.Active,
+	//
+	// The held cells reach cDP as the previous cDP left them, so the
+	// refinement starts from the edit (detail.Edit): the moved cells are
+	// marked with their neighbourhoods, the changed cells alone, and the
+	// cells beside a removed cell's slot.
+	edit := &detail.Edit{Moved: moved, Changed: plan.Seeds}
+	for _, ci := range plan.Fresh {
+		if c := &d.Cells[ci]; c.Fixed && c.W == 0 && c.H == 0 {
+			edit.Vacated = append(edit.Vacated, ci)
+		}
+	}
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(held, moved, plan.Active, edit,
 		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
 	return err
 }
@@ -189,7 +201,7 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (he
 	heldPos := d.Positions(held)
 
 	if len(plan.Evicted) > 0 {
-		if res.GP, err = evictedGP(run, plan.Evicted, gpOpt); err != nil {
+		if res.GP, err = evictedGP(run, plan, gpOpt); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -218,9 +230,24 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (he
 }
 
 // evictedGP runs eGP: a warm-started global placement of the evicted
-// cells and the whitespace's fillers, with every other cell as charge at
-// its slot. Inserted cells sit out: they neither move nor carry charge.
-func evictedGP(run *flowRun, evicted []int, gpOpt Options) (Result, error) {
+// cells and the fillers of their eviction window's whitespace, inside
+// that window (see egpStage).
+func evictedGP(run *flowRun, plan *eco.Plan, gpOpt Options) (Result, error) {
+	t0 := time.Now()
+	res, err := run.gp(egpStage(run, plan, gpOpt))
+	run.d.RemoveFillers()
+	run.addStage("eGP", time.Since(t0))
+	return res, err
+}
+
+// egpStage inserts eGP's fillers and describes its stage. The stage
+// places inside the eviction window (evictionWindow): its grid covers the
+// window alone, m follows the window's own object count, the fixed
+// charge is the fixed, frozen and held footprints clipped to it, and its
+// edge is the Poisson problem's Neumann boundary, as the die edge is for
+// a cold run. Cells outside it are absent. Inserted cells sit out: they
+// neither move nor carry charge.
+func egpStage(run *flowRun, plan *eco.Plan, gpOpt Options) gpStage {
 	d := run.d
 	if gpOpt.MaxIters <= 0 {
 		gpOpt.MaxIters = egpMaxIters
@@ -234,27 +261,77 @@ func evictedGP(run *flowRun, evicted []int, gpOpt Options) (Result, error) {
 	if gpOpt.TargetOverflow <= 0 {
 		gpOpt.TargetOverflow = 0.15
 	}
-	t0 := time.Now()
-	// Fillers occupy the whitespace exactly as in the cold flow: without
-	// them the density force would spread the evicted cells into every
-	// free pocket of the region, far from the blockage that displaced
-	// them.
-	idx := evicted
-	if fillers := InsertFillers(d, fillerSeed); len(fillers) > 0 {
-		seedFillersInWhitespace(d, fillers, whitespaceSeed)
-		idx = append(append(make([]int, 0, len(evicted)+len(fillers)), evicted...), fillers...)
+	window, free := evictionWindow(d, plan)
+	// Fillers take the window's whitespace exactly as in the cold flow:
+	// without them the density force would spread the evicted cells into
+	// every free pocket of the window, far from the blockage that
+	// displaced them. Only the evicted cells carry movable charge, so they
+	// alone come off the budget.
+	idx := plan.Evicted
+	if fillers := addFillers(d, window, d.TargetDensity*free-areaOf(d, plan.Evicted), fillerSeed); len(fillers) > 0 {
+		seedFillersInWhitespace(d, window, fillers, whitespaceSeed)
+		idx = append(append(make([]int, 0, len(idx)+len(fillers)), idx...), fillers...)
+	}
+	if gpOpt.GridM == 0 {
+		objects := len(idx)
+		for i := range d.Cells {
+			if c := &d.Cells[i]; c.Fixed && c.Rect().Intersects(window) {
+				objects++
+			}
+		}
+		gpOpt.GridM = chooseGridM(window, objects, areaOf(d, idx), len(idx))
 	}
 	// The penalty resumes in the late-cGP regime (egpLambdaScale): a
 	// cold balance lets the moving cells collapse onto their fixed
 	// neighbors, quality the legalizer then pays back several times over
 	// in displacement.
-	res, err := run.gp(gpStage{
-		name: "eGP", cv: run.cv, idx: idx, opt: gpOpt,
+	return gpStage{
+		name: "eGP", cv: run.cv, region: window, idx: idx, opt: gpOpt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
-	})
-	d.RemoveFillers()
-	run.addStage("eGP", time.Since(t0))
-	return res, err
+	}
+}
+
+// evictionWindow returns the region eGP places the evicted cells, of
+// which there is at least one, in and its free area (the window less the
+// fixed footprints inside it). It starts from the bounding box of the blockages' eviction halos and the
+// evicted cells, and grows by one ring of bins of the die's grid at a
+// time until the target density of its free area holds the evicted
+// area, or it covers the region.
+func evictionWindow(d *netlist.Design, plan *eco.Plan) (geom.Rect, float64) {
+	w := d.Cells[plan.Evicted[0]].Rect()
+	for _, ci := range plan.Evicted {
+		w = w.Union(d.Cells[ci].Rect())
+	}
+	for _, ci := range plan.Fresh {
+		if c := &d.Cells[ci]; c.Fixed && c.W > 0 && c.H > 0 {
+			w = w.Union(eco.EvictionHalo(c.Rect()))
+		}
+	}
+	need := areaOf(d, plan.Evicted)
+	m := float64(grid.ChooseM(len(d.Cells)))
+	ringW, ringH := d.Region.W()/m, d.Region.H()/m
+	for {
+		w = w.Intersect(d.Region)
+		free := w.Area()
+		for i := range d.Cells {
+			if c := &d.Cells[i]; c.Fixed {
+				free -= c.Rect().Overlap(w)
+			}
+		}
+		if d.TargetDensity*free >= need || w == d.Region {
+			return w, max(free, 0)
+		}
+		w = geom.Rect{Lx: w.Lx - ringW, Ly: w.Ly - ringH, Hx: w.Hx + ringW, Hy: w.Hy + ringH}
+	}
+}
+
+// areaOf returns the summed area of the cells.
+func areaOf(d *netlist.Design, cells []int) float64 {
+	a := 0.0
+	for _, ci := range cells {
+		a += d.Cells[ci].Area()
+	}
+	return a
 }
 
 // ecoDetailPasses and ecoSwapCandidates are the ECO cDP's depth: twice
@@ -366,22 +443,23 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 }
 
 // seedFillersInWhitespace moves freshly inserted fillers from their
-// uniform-random positions into the placement's actual whitespace,
-// proportionally to per-bin free area. A warm start must open near its
-// converged state: fillers dropped uniformly overlap the placed cells,
-// and the density force resolving that artificial overlap shoves the
-// active cells off the good positions the ECO run is trying to reuse.
-func seedFillersInWhitespace(d *netlist.Design, fillers []int, seed int64) {
+// uniform-random positions into the whitespace of region r,
+// proportionally to per-bin free area, where only fixed footprints
+// occupy space (evicted and inserted cells carry no fixed charge and are
+// about to move). A warm start must open near its converged state:
+// fillers dropped uniformly overlap the placed cells, and the density
+// force resolving that artificial overlap shoves the active cells off
+// the good positions the ECO run is trying to reuse.
+func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed int64) {
 	if len(fillers) == 0 {
 		return
 	}
 	const n = 64
-	r := d.Region
-	// InsertFillers appends, so everything before the first filler
-	// index is a real cell.
 	g := grid.New(r, n)
-	for ci := 0; ci < fillers[0]; ci++ {
-		g.AddFixed(d.Cells[ci].Rect())
+	for i := range d.Cells {
+		if c := &d.Cells[i]; c.Fixed {
+			g.AddFixed(c.Rect())
+		}
 	}
 	cum := make([]float64, n*n)
 	total := 0.0

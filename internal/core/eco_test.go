@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"eplace/internal/checkpoint"
@@ -193,7 +194,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 		d.Cells[ci].Fixed = true
 	}
 	fillers := InsertFillers(d, 3)
-	seedFillersInWhitespace(d, fillers, 4)
+	seedFillersInWhitespace(d, d.Region, fillers, 4)
 	idx := append(append([]int(nil), active...), fillers...)
 
 	opt := Options{MaxIters: 40, TargetOverflow: 0.15, Workers: 2, CheckpointEvery: 1}
@@ -217,7 +218,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 	}
 	cv := d.Compile()
 	res, err := placeGlobal(context.Background(), gpStage{
-		name: "eGP", cv: cv, idx: idx, opt: opt,
+		name: "eGP", cv: cv, region: d.Region, idx: idx, opt: opt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters, sink: sink,
 	})
 	if err != nil {
@@ -384,6 +385,90 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 	})
 }
 
+// TestECOWindowGP: eGP places a blockage's evicted cells inside their
+// eviction window. The window is smaller than the region and its free
+// area holds the evicted cells at the target density; every evicted cell
+// and filler ends the stage inside it, with the frozen cells bitwise
+// where they were; and the whole call ends legal with the frozen cells
+// unmoved.
+func TestECOWindowGP(t *testing.T) {
+	spec := synth.Spec{Name: "eco-window", NumCells: 2500, Seed: 6}
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{Workers: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	prepare := func() (*netlist.Design, *eco.Plan) {
+		warm := warmCopy(spec, cold)
+		prep, err := eco.Prepare(warm, blockEdit(warm.Region), eco.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prep.Plan.Evicted) == 0 {
+			t.Fatalf("the block evicted nothing: %s", prep.Plan)
+		}
+		return warm, prep.Plan
+	}
+
+	// The stage alone, pinned the way placeMoved pins it, read before the
+	// fillers go.
+	d, plan := prepare()
+	opt := Options{Workers: 2}
+	var res ECOResult
+	r := newRun(context.Background(), d, &opt, nil, &res.flowSummary)
+	r.ensureRows()
+	lost := map[int]bool{}
+	for _, ci := range append(append([]int(nil), plan.Evicted...), plan.Fresh...) {
+		lost[ci] = true
+	}
+	for _, cells := range [][]int{plan.Frozen, plan.Active} {
+		for _, ci := range cells {
+			d.Cells[ci].Fixed = !lost[ci]
+		}
+	}
+	frozenPos := d.Positions(plan.Frozen)
+	st := egpStage(r, plan, opt)
+	w := st.region
+	if w == d.Region || !d.Region.ContainsRect(w) {
+		t.Fatalf("window %v, region %v: want a window inside the region", w, d.Region)
+	}
+	_, free := evictionWindow(d, plan)
+	if need := areaOf(d, plan.Evicted); d.TargetDensity*free < need {
+		t.Errorf("the window's free area %v holds %v at the target density %v, the evicted cells need %v",
+			free, d.TargetDensity*free, d.TargetDensity, need)
+	}
+	if fillers := len(st.idx) - len(plan.Evicted); fillers <= 0 {
+		t.Errorf("the window has %d fillers", fillers)
+	}
+	if _, err := r.gp(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, ci := range st.idx {
+		if c := &d.Cells[ci]; !w.ContainsRect(c.Rect().Expand(-1e-9)) {
+			t.Errorf("cell %d (%v) ends eGP at %v, outside the window %v", ci, c.Kind, c.Rect(), w)
+		}
+	}
+	d.RemoveFillers()
+	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+		t.Error(err)
+	}
+	t.Logf("window %v of region %v, %d evicted + %d fillers on a %d-grid", w, d.Region,
+		len(plan.Evicted), len(st.idx)-len(plan.Evicted), st.opt.GridM)
+
+	// The whole call.
+	d, plan = prepare()
+	frozenPos = d.Positions(plan.Frozen)
+	full, err := PlaceECO(context.Background(), d, plan, ECOOptions{GP: Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Legal {
+		t.Error("incremental result not legal")
+	}
+	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the
 // deeper refinement over an active subset, the rest frozen into
 // obstacles) behind the whole incremental flow at several worker
@@ -453,11 +538,60 @@ func TestECOWorkersBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// insertScript splices n cells the size of std into two nets each,
+// spread over the netlist.
+func insertScript(std netlist.Cell, nets, n int) *eco.Script {
+	s := &eco.Script{}
+	for k := range n {
+		s.AddCells = append(s.AddCells, eco.AddCell{
+			Name: fmt.Sprintf("eco_ins_%d", k), W: std.W, H: std.H,
+			NetIDs: []int{(97 * (k + 1)) % nets, (131 * (k + 1)) % nets},
+		})
+	}
+	return s
+}
+
+// reweightScript quadruples the weight of n nets spread over the
+// netlist.
+func reweightScript(nets, n int) *eco.Script {
+	s := &eco.Script{}
+	for k := range n {
+		s.ReweightNets = append(s.ReweightNets, eco.Reweight{NetID: (37 * (k + 1)) % nets, Weight: 4})
+	}
+	return s
+}
+
+// benchECO times PlaceECO calls at one worker on clones of the placed
+// base, each with script applied (cloning and eco.Prepare are not
+// timed), and reports the trials cDP priced per call.
+func benchECO(b *testing.B, base *netlist.Design, script *eco.Script) {
+	rec := telemetry.New()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := base.Clone()
+		prep, err := eco.Prepare(d, script, eco.PlanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := PlaceECO(context.Background(), d, prep.Plan, ECOOptions{GP: Options{Workers: 1, Telemetry: rec}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	priced := int64(0)
+	for _, c := range rec.Counters() {
+		if strings.HasPrefix(c.Name, "cDP/") && strings.HasSuffix(c.Name, "_priced") {
+			priced += c.Value
+		}
+	}
+	b.ReportMetric(float64(priced)/float64(b.N), "priced/op")
+}
+
 // BenchmarkPlaceECO times one PlaceECO call at one worker on a warm
-// 3000-cell design, per kind of edit: three inserted cells, twenty
-// reweighted nets (neither evicts a cell, so neither runs eGP) and a
-// blockage a tenth of the region's side (eGP over the cells it evicts).
-// Cloning the placed design and eco.Prepare are not timed.
+// 3000-cell design, per kind of edit: three inserted cells, 1% of the
+// cells inserted, twenty reweighted nets (none of these evicts a cell,
+// so none runs eGP) and a blockage a tenth of the region's side (eGP over
+// the cells it evicts, in their eviction window).
 func BenchmarkPlaceECO(b *testing.B) {
 	spec := synth.Spec{Name: "eco-bench", NumCells: 3000, Seed: 4}
 	base := synth.Generate(spec)
@@ -466,38 +600,49 @@ func BenchmarkPlaceECO(b *testing.B) {
 	}
 	std := base.Cells[base.MovableOf(netlist.StdCell)[0]]
 	nets := len(base.Nets)
-	insert := &eco.Script{}
-	for k := range 3 {
-		insert.AddCells = append(insert.AddCells, eco.AddCell{
-			Name: fmt.Sprintf("eco_ins_%d", k), W: std.W, H: std.H,
-			NetIDs: []int{(97 * (k + 1)) % nets, (131 * (k + 1)) % nets},
-		})
-	}
-	reweight := &eco.Script{}
-	for k := range 20 {
-		reweight.ReweightNets = append(reweight.ReweightNets, eco.Reweight{NetID: (37 * (k + 1)) % nets, Weight: 4})
-	}
 	for _, bc := range []struct {
 		name   string
 		script *eco.Script
 	}{
-		{"insert", insert},
-		{"reweight", reweight},
+		{"insert", insertScript(std, nets, 3)},
+		{"insert1pct", insertScript(std, nets, spec.NumCells/100)},
+		{"reweight", reweightScript(nets, 20)},
 		{"block", blockEdit(base.Region)},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := base.Clone()
-				prep, err := eco.Prepare(d, bc.script, eco.PlanOptions{})
-				if err != nil {
+		b.Run(bc.name, func(b *testing.B) { benchECO(b, base, bc.script) })
+	}
+}
+
+// scalingBases caches BenchmarkPlaceECOScaling's placed designs by size:
+// the benchmark function runs once per b.N guess, and a base placement
+// costs far more than the calls it times.
+var scalingBases = map[int]*netlist.Design{}
+
+// BenchmarkPlaceECOScaling runs one script, a blockage a tenth of the
+// region's side with ten insertions and ten reweighted nets, on warm
+// designs of three sizes, to show how an ECO call's cost grows with the
+// design around a fixed-size edit. The 20K and 80K bases are placed with
+// the V-cycle.
+func BenchmarkPlaceECOScaling(b *testing.B) {
+	for _, n := range []int{5000, 20000, 80000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			base := scalingBases[n]
+			if base == nil {
+				base = synth.Generate(synth.Spec{Name: "eco-scaling", NumCells: n, Seed: 4})
+				levels := 0
+				if n > 5000 {
+					levels = 4
+				}
+				if _, err := Place(base, FlowOptions{GP: Options{Workers: 1}, Levels: levels}); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				if _, err := PlaceECO(context.Background(), d, prep.Plan, ECOOptions{GP: Options{Workers: 1}}); err != nil {
-					b.Fatal(err)
-				}
+				scalingBases[n] = base
 			}
+			std := base.Cells[base.MovableOf(netlist.StdCell)[0]]
+			script := blockEdit(base.Region)
+			script.AddCells = insertScript(std, len(base.Nets), 10).AddCells
+			script.ReweightNets = reweightScript(len(base.Nets), 10).ReweightNets
+			benchECO(b, base, script)
 		})
 	}
 }

@@ -26,11 +26,14 @@ type engine struct {
 	// writes candidate positions into it once per evaluation
 	// (cv.SetPositions); the Cell structs are only written back when the
 	// stage finishes.
-	cv  *netlist.Compiled
-	idx []int
-	wl  *wirelength.Model
-	dm  *density.Model
-	opt Options
+	cv *netlist.Compiled
+	// region is where the stage places: the design's region, or an ECO
+	// window inside it.
+	region geom.Rect
+	idx    []int
+	wl     *wirelength.Model
+	dm     *density.Model
+	opt    Options
 
 	lambda float64
 	gamma  float64
@@ -64,6 +67,26 @@ type engine struct {
 	rec *telemetry.Recorder
 }
 
+// chooseGridM picks the density grid of a stage placing objects cells
+// in region, n of them movable with total area movArea: grid.ChooseM's
+// power of two, coarsened until one bin holds an average movable object.
+// eDensity wants bins no finer than the objects themselves: a bin
+// smaller than the average movable cell rasterizes single cells into
+// isolated spikes whose local forces push cells back and forth between
+// adjacent bins instead of spreading them (observed as an overflow
+// plateau with unbounded wirelength growth on 10K+ cell auto-gridded
+// runs).
+func chooseGridM(region geom.Rect, objects int, movArea float64, n int) int {
+	m := grid.ChooseM(objects)
+	if n > 0 {
+		avg := movArea / float64(n)
+		for m > 16 && region.W()*region.H()/float64(m*m) < avg {
+			m /= 2
+		}
+	}
+	return m
+}
+
 // poissonSpan is the kernel span of the Poisson solve, which the density
 // span contains. Traces and the benchmark's "poisson/" prefix match read
 // it by this name.
@@ -71,19 +94,16 @@ const poissonSpan = "poisson/" + poisson.KindSpectral32
 
 // newEngine builds the stage's models over cv, which the caller has
 // synced after fillers fixed the topology and extents for the whole
-// stage; every hot kernel below shares it.
-func newEngine(cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
+// stage; every hot kernel below shares it. The stage places inside
+// region: its density grid covers region, whose edge is the Poisson
+// problem's Neumann boundary, and the engine clamps cells to it.
+func newEngine(cv *netlist.Compiled, region geom.Rect, idx []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
 	d := cv.Design()
+	if err := poisson.ValidateKind(opt.Poisson); err != nil {
+		return nil, err
+	}
 	m := opt.GridM
 	if m == 0 {
-		m = grid.ChooseM(len(d.Cells))
-		// eDensity wants bins no finer than the objects themselves: a
-		// bin smaller than the average movable cell rasterizes single
-		// cells into isolated spikes whose local forces push cells back
-		// and forth between adjacent bins instead of spreading them
-		// (observed as an overflow plateau with unbounded wirelength
-		// growth on 10K+ cell auto-gridded runs). Coarsen until one bin
-		// holds at least one average movable object.
 		var area float64
 		n := 0
 		for i := range d.Cells {
@@ -92,20 +112,16 @@ func newEngine(cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Reco
 				n++
 			}
 		}
-		if n > 0 {
-			avg := area / float64(n)
-			for m > 16 && d.Region.W()*d.Region.H()/float64(m*m) < avg {
-				m /= 2
-			}
-		}
+		m = chooseGridM(region, len(d.Cells), area, n)
 	}
-	dm, err := density.NewModelCompiled(cv, m, opt.Workers, opt.Poisson)
+	dm, err := density.NewModel(cv, region, m, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{
 		d:      d,
 		cv:     cv,
+		region: region,
 		idx:    idx,
 		wl:     wirelength.NewCompiled(cv, idx, 1),
 		dm:     dm,
@@ -184,10 +200,11 @@ func (e *engine) hpwl() float64 {
 	return total
 }
 
-// clamp keeps every cell's center inside the region, respecting size.
+// clamp keeps every cell's center inside the stage's region, respecting
+// size.
 func (e *engine) clamp(v []float64) {
 	n := len(e.idx)
-	r := e.d.Region
+	r := e.region
 	for k := 0; k < n; k++ {
 		v[k] = geom.Clamp(v[k], r.Lx+e.halfW[k], r.Hx-e.halfW[k])
 		v[k+n] = geom.Clamp(v[k+n], r.Ly+e.halfH[k], r.Hy-e.halfH[k])
@@ -270,7 +287,7 @@ const refDeltaHPWLFrac = 0.01
 // touching d on an invalid configuration (a Poisson name other than ""
 // or spectral32, a bad grid size).
 func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
-	return placeGlobal(context.Background(), gpStage{name: stage, cv: d.Compile(), idx: idx, opt: opt, lambdaInit: lambdaInit})
+	return placeGlobal(context.Background(), gpStage{name: stage, cv: d.Compile(), region: d.Region, idx: idx, opt: opt, lambdaInit: lambdaInit})
 }
 
 // placeGlobal runs stage s over its caller-owned view of the design,
@@ -310,7 +327,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
 	}
 	cv.Sync()
-	e, err := newEngine(cv, idx, opt, rec)
+	e, err := newEngine(cv, s.region, idx, opt, rec)
 	if err != nil {
 		return res, err
 	}

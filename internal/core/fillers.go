@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"eplace/internal/geom"
 	"eplace/internal/netlist"
 )
 
@@ -58,7 +59,12 @@ func fillerDims(d *netlist.Design) (w, h float64) {
 // utilization.
 func InsertFillers(d *netlist.Design, seed int64) []int {
 	free := d.Region.Area() - d.FixedAreaInRegion()
-	want := d.TargetDensity*free - d.MovableArea()
+	return addFillers(d, d.Region, d.TargetDensity*free-d.MovableArea(), seed)
+}
+
+// addFillers appends as many fillers as fit in area want, placed
+// uniformly at random (seeded) inside r, and returns their indices.
+func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64) []int {
 	if want <= 0 {
 		return nil
 	}
@@ -72,7 +78,6 @@ func InsertFillers(d *netlist.Design, seed int64) []int {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	idx := make([]int, 0, count)
-	r := d.Region
 	for k := 0; k < count; k++ {
 		x := r.Lx + fw/2 + rng.Float64()*(r.W()-fw)
 		y := r.Ly + fh/2 + rng.Float64()*(r.H()-fh)

@@ -322,7 +322,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			// HPWL).
 			t0 := time.Now()
 			lr, err := r.gp(gpStage{
-				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers),
+				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers), region: ld.Region,
 				idx: append(append([]int(nil), movable...), fillers...),
 				opt: gpOpt, resume: resumeGP(phMGP),
 			})
@@ -391,7 +391,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 				fOpt.MinIters = cgpFillerIters
 				fOpt.TargetOverflow = 1e-9
 				_, err := r.gp(gpStage{
-					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, fillers: len(fillers),
+					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, fillers: len(fillers), region: d.Region,
 					idx: fillers, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
 				})
 				for _, ci := range r.stdCells {
@@ -410,7 +410,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			m := float64(res.MGP.Iterations) / 10
 			var err error
 			res.CGP, err = r.gp(gpStage{
-				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, fillers: len(fillers),
+				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, fillers: len(fillers), region: d.Region,
 				idx: append(append([]int(nil), r.stdCells...), fillers...),
 				opt: opt.GP, lambdaInit: res.MGP.FinalLambda * math.Pow(1.1, -m), resume: resumeGP(phCGP),
 			})
@@ -436,7 +436,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 
 	// --- cDP: row legalization + discrete refinement. ---
-	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, detail.Options{}); err != nil {
+	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, nil, detail.Options{}); err != nil {
 		return res, err
 	}
 	err := r.finish()

@@ -8,6 +8,7 @@ import (
 
 	"eplace/internal/checkpoint"
 	"eplace/internal/detail"
+	"eplace/internal/geom"
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
 	"eplace/internal/poisson"
@@ -81,7 +82,8 @@ type flowRun struct {
 	// the fingerprint taken before the flow mutates any structure it
 	// covers (cDP builds rows when the design has none): a resume always
 	// validates against a fresh input-shaped design, whichever level's
-	// positions the snapshot holds.
+	// positions the snapshot holds. Only snapshots read fp, so it is taken
+	// only when a checkpoint manager is installed.
 	d  *netlist.Design
 	fp uint64
 	// cv is the one compiled view of d, lent to every stage that runs on
@@ -116,7 +118,7 @@ type flowRun struct {
 // a gradient evaluation) and every run gains a determinism fingerprint.
 func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoint.Manager, sum *flowSummary) *flowRun {
 	r := &flowRun{
-		ctx: ctx, d: d, fp: checkpoint.Fingerprint(d), cv: d.Compile(),
+		ctx: ctx, d: d, cv: d.Compile(),
 		opt: gp, rec: gp.Telemetry, golden: telemetry.NewGoldenTrace(), ckpt: ckpt,
 		movable:   d.Movable(),
 		stdCells:  d.MovableOf(netlist.StdCell),
@@ -124,6 +126,9 @@ func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoin
 		mgp:       &Result{}, sum: sum,
 	}
 	r.mixedSize = len(r.movMacros) > 0
+	if ckpt != nil {
+		r.fp = checkpoint.Fingerprint(d)
+	}
 	return r
 }
 
@@ -207,6 +212,9 @@ type gpStage struct {
 	cv      *netlist.Compiled
 	level   int
 	fillers int
+	// region is where the stage places: the level design's region, or the
+	// eviction window of an ECO call (see newEngine).
+	region geom.Rect
 	// idx are the cells the stage moves.
 	idx []int
 	opt Options
@@ -276,9 +284,11 @@ func (r *flowRun) ensureRows() {
 // cells, with the (movable) hold cells pinned at their current slots as
 // obstacles meanwhile, then discrete refinement of the refine cells at
 // the depth dOpt sets (the run supplies workers, telemetry and the
-// golden trace). It returns the legalization's total and maximum
-// displacement. With no cells to legalize or refine, it does nothing.
-func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, maxDisp float64, err error) {
+// golden trace), from the seeded start edit describes or, when it is
+// nil, pricing every trial of the first pass. It returns the
+// legalization's total and maximum displacement. With no cells to
+// legalize or refine, it does nothing.
+func (r *flowRun) cdp(hold, legal, refine []int, edit *detail.Edit, dOpt detail.Options) (disp, maxDisp float64, err error) {
 	d := r.d
 	r.rec.SetStage("cDP")
 	t0 := time.Now()
@@ -308,7 +318,7 @@ func (r *flowRun) cdp(hold, legal, refine []int, dOpt detail.Options) (disp, max
 	r.rec.AddSpanTime("cDP", "legalize", time.Since(tLG))
 	dOpt.Workers, dOpt.Telemetry, dOpt.Golden = r.opt.Workers, r.rec, r.golden
 	tDP := time.Now()
-	r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, dOpt)
+	r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, edit, dOpt)
 	if err != nil {
 		return disp, maxDisp, fmt.Errorf("core: detail placement failed: %w", err)
 	}

@@ -17,6 +17,7 @@ package density
 import (
 	"time"
 
+	"eplace/internal/geom"
 	"eplace/internal/grid"
 	"eplace/internal/netlist"
 	"eplace/internal/parallel"
@@ -60,25 +61,25 @@ type Model struct {
 	gradTask func(wk, lo, hi int)
 }
 
-// NewModelCompiled builds a density model over a caller-owned compiled
-// view with an m x m grid (m a power of two, e.g. grid.ChooseM). workers
-// is the worker count of the rasterization, force and Poisson kernels;
-// <= 0 selects all cores, 1 runs fully serial. Fixed cells are
-// rasterized once; call Refresh whenever movable positions change. The
-// caller keeps the view's positions current (the engine writes them once
-// per iteration via Compiled.SetPositions); Refresh performs no
-// struct-to-SoA sync. It errors on an invalid grid size or kind.
-//
-// kind must be "" or poisson.KindSpectral32: there is one solver, and
-// the argument stays only because the benchmark module passes it. It
-// goes in the next benchmark change, together with eco.PlanOptions.
-func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model, error) {
+// NewModel builds a density model of the objects inside region over a
+// caller-owned compiled view, with an m x m grid (m a power of two, e.g.
+// grid.ChooseM). The cold flow passes the design's region; an ECO window
+// passes a sub-rectangle of it, whose edge is then the Neumann boundary
+// of the Poisson problem, as the die edge is for the whole region (Eq.
+// 6). workers is the worker count of the rasterization, force and
+// Poisson kernels; <= 0 selects all cores, 1 runs fully serial. Fixed
+// cells are rasterized once, clipped to region; call Refresh whenever
+// movable positions change. The caller keeps the view's positions
+// current (the engine writes them once per iteration via
+// Compiled.SetPositions); Refresh performs no struct-to-SoA sync. It
+// errors on an invalid grid size.
+func NewModel(cv *netlist.Compiled, region geom.Rect, m, workers int) (*Model, error) {
 	d := cv.Design()
-	solver, err := poisson.NewBackend(kind, m, workers)
+	solver, err := poisson.NewSolver32Workers(m, workers)
 	if err != nil {
 		return nil, err
 	}
-	g := grid.New(d.Region, m)
+	g := grid.New(region, m)
 	md := &Model{
 		Grid:       g,
 		Solver:     solver,
@@ -102,6 +103,18 @@ func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model
 		}
 	}
 	return md, nil
+}
+
+// NewModelCompiled is NewModel over the whole region behind
+// poisson.ValidateKind. kind must be "" or poisson.KindSpectral32: there
+// is one solver, and the function stays only because the benchmark
+// module calls it. It goes in the next benchmark change, together with
+// eco.PlanOptions.
+func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model, error) {
+	if err := poisson.ValidateKind(kind); err != nil {
+		return nil, err
+	}
+	return NewModel(cv, cv.Design().Region, m, workers)
 }
 
 // Refresh re-rasterizes the movable cells listed in idx (fillers go to

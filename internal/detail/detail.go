@@ -98,6 +98,9 @@ type placer struct {
 	// cut from one array, which holds because no pass changes how many
 	// cells a segment has (ISM permutes cells over slots).
 	segs []segCells
+	// rowSegs[ri] is the first segment of row ri; rowSegs[len(d.Rows)]
+	// closes the last row.
+	rowSegs []int
 	// segOf maps cell index -> segment index (-1 for unmanaged cells:
 	// macros, pads, fixed objects). regionOf maps cell -> region the
 	// same way; segRegion maps segment -> region.
@@ -137,15 +140,20 @@ type placer struct {
 // Place refines the legalized standard cells in cells. The layout must
 // be legal on entry (legalize.CheckLegal passes); it stays legal.
 func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
-	return PlaceCompiled(d.Compile(), cells, opt)
+	return PlaceCompiled(d.Compile(), cells, nil, opt)
 }
 
 // PlaceCompiled is Place over a caller-owned view of the design, which
 // it syncs from the Cell structs on entry; the structs hold the refined
-// layout when it returns.
-func PlaceCompiled(cv *netlist.Compiled, cells []int, opt Options) (Result, error) {
+// layout when it returns. edit, when non-nil, says what changed in a
+// layout cDP refined before, and the first pass prices only the trials
+// it reaches (see Edit); nil prices every trial of the first pass.
+func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (Result, error) {
 	opt.defaults()
 	p, err := newPlacer(cv, cells, opt)
+	if err == nil && edit != nil {
+		p.seed(edit)
+	}
 	// The view is synced by now: its HPWL is d.HPWL() bit for bit without
 	// the walk through the Net, Pin and Cell structs.
 	res := Result{HPWLBefore: cv.HPWL()}
@@ -233,6 +241,7 @@ func (p *placer) buildSegments(cells []int) error {
 	for ri := range free {
 		segStart[ri+1] = segStart[ri] + len(free[ri])
 	}
+	p.rowSegs = segStart
 	p.segs = make([]segCells, segStart[len(d.Rows)])
 	for ri := range free {
 		for k, s := range free[ri] {
@@ -498,6 +507,13 @@ func (p *placer) swapPass(res *Result) int {
 				// clean holds: the anchor unmarked since, and not moved in
 				// this one.
 				last, clean := p.anchors[ci], !p.dirty(ci)
+				if clean && math.IsNaN(last.opt) {
+					// A seeded start left the cell clean before its first turn,
+					// so there is no anchor to read: it sits this turn out
+					// until a mark reaches it.
+					pc.skipped += min(p.opt.SwapCandidates, len(s.cells)-1)
+					continue
+				}
 				target := last.opt
 				if !clean {
 					target = e.optimalX(ci)

@@ -1,5 +1,11 @@
 package detail
 
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
 // The dirty rule: which trials a pass has to price.
 //
 // Every trial (the relocation of a cell, a reorder window, a swap pair,
@@ -27,6 +33,15 @@ package detail
 // behind it in this pass, the trials the sweep had passed in the next),
 // and the zeroed array starts pass 0 all-dirty.
 //
+// That is the cold start. An ECO call starts from the edit instead (an
+// Edit, see seed): the layout is one an earlier cDP left with little to
+// accept, so every stamp starts clean, below any since, and only what the
+// edit reaches is marked at tick 0, which lasts through pass 0. A moved
+// cell is marked as an accepted move at its slot is, a changed cell and
+// the cells beside a vacated slot alone. Unlike the rule above, this
+// start is an approximation: it assumes the earlier cDP left nothing to
+// accept outside the edit's reach.
+//
 // Marks follow the position-visibility rule of evalCtx. A worker marks
 // the cells of the region it owns as it goes: it alone reads and writes
 // their stamps, as it alone writes their positions. A net with cells of
@@ -40,7 +55,7 @@ type dirtyState struct {
 	stamp []int32
 	// pass is the improvement pass under way, tick its current sub-pass
 	// and since the oldest tick that still makes a cell dirty. priceAll, a
-	// test-only switch, holds since at zero: every stamp passes and every
+	// test-only switch, holds since at cleanStamp: every stamp passes and every
 	// trial is priced, which is the full sweep the incremental passes
 	// replaced.
 	pass        int
@@ -67,9 +82,89 @@ const (
 
 var passNames = [numPassKinds]string{"reorder", "swap", "ism", "relocate"}
 
+// cleanStamp is the stamp of a cell no mark has reached since a seeded
+// start: below every since, the full sweep's included.
+const cleanStamp = math.MinInt32
+
 func (p *placer) initDirty() {
 	p.stamp = make([]int32, len(p.d.Cells))
 	p.anchors = make([]swapAnchor, len(p.d.Cells))
+	p.since = cleanStamp
+}
+
+// Edit is what changed in a layout cDP refined before, for a seeded
+// start (see seed). Cells outside the refined set are ignored.
+type Edit struct {
+	// Moved are the cells that took a new slot, inserted or evicted and
+	// legalized again: each is marked as an accepted move at its slot is,
+	// with its segment neighbours and every cell on its nets.
+	Moved []int
+	// Changed are the cells whose nets changed while they kept their slot
+	// (a reweighted net, a net a cell joined or left): each is marked
+	// alone.
+	Changed []int
+	// Vacated are removed cells, at the position of the slot they left:
+	// the cells either side of it in its segment are marked.
+	Vacated []int
+}
+
+// seed replaces the all-dirty start with the marks an edit makes on a
+// layout the passes had left with nothing to accept: every stamp is
+// clean, and the edit's cells are marked at tick 0, so the marks last
+// through pass 0. A cell that is clean at its swap turn without a
+// previous turn has no anchor to trust (the anchors start as NaN) and
+// sits the turn out. ismPrev starts as the buckets' sorted order, so an
+// unmarked ISM window is skipped from the first pass on.
+func (p *placer) seed(edit *Edit) {
+	for i := range p.stamp {
+		p.stamp[i] = cleanStamp
+		p.anchors[i].opt = math.NaN()
+	}
+	mark := func(ci int) {
+		if p.regionOf[ci] >= 0 {
+			p.stamp[ci] = p.tick
+		}
+	}
+	e := p.evals[0]
+	e.allLive = true
+	for _, ci := range edit.Moved {
+		if si := p.segOf[ci]; si >= 0 {
+			s := &p.segs[si]
+			e.markMoved(s, indexOf(s.cells, ci))
+		}
+	}
+	for _, ci := range edit.Changed {
+		mark(ci)
+	}
+	for _, ci := range edit.Vacated {
+		x, y := p.cv.PosX[ci], p.cv.PosY[ci]
+		for ri, r := range p.d.Rows {
+			if y < r.Y || y >= r.Y+r.Height {
+				continue
+			}
+			for si := p.rowSegs[ri]; si < p.rowSegs[ri+1]; si++ {
+				s := &p.segs[si]
+				if x < s.lx || x > s.hx {
+					continue
+				}
+				k, _ := slices.BinarySearchFunc(s.cells, x, func(c int, x float64) int {
+					return cmp.Compare(p.cv.PosX[c], x)
+				})
+				if k > 0 {
+					mark(s.cells[k-1])
+				}
+				if k < len(s.cells) {
+					mark(s.cells[k])
+				}
+			}
+		}
+	}
+	for _, b := range p.ismBuckets {
+		slices.SortFunc(p.ismCells[b.lo:b.hi], p.cmpCells)
+	}
+	for i, ci := range p.ismCells {
+		p.ismPrev[i] = int32(ci)
+	}
 }
 
 // begin opens the sub-pass of the given type in the pass under way.

@@ -255,7 +255,7 @@ func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
 		for i := range d.Cells {
 			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
 		}
-		if _, err := PlaceCompiled(cv, cells, opt); err != nil {
+		if _, err := PlaceCompiled(cv, cells, nil, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -188,8 +188,7 @@ func BuildPlan(d *netlist.Design, changed, fresh []int) *Plan {
 	for _, ci := range p.Fresh {
 		isFresh[ci] = true
 		if c := &d.Cells[ci]; c.Fixed && c.W > 0 && c.H > 0 {
-			r := c.Rect()
-			halos = append(halos, r.Expand(evictHaloFrac*math.Sqrt(r.W()*r.H())))
+			halos = append(halos, EvictionHalo(c.Rect()))
 		}
 	}
 	for ci := range d.Cells {
@@ -210,6 +209,12 @@ func BuildPlan(d *netlist.Design, changed, fresh []int) *Plan {
 		}
 	}
 	return p
+}
+
+// EvictionHalo is the rectangle a new fixed footprint r evicts cells
+// from: r expanded by evictHaloFrac of its span √(w·h).
+func EvictionHalo(r geom.Rect) geom.Rect {
+	return r.Expand(evictHaloFrac * math.Sqrt(r.W()*r.H()))
 }
 
 // String summarizes the plan for logs.

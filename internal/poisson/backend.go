@@ -18,8 +18,7 @@ func ValidateKind(kind string) error {
 }
 
 // NewBackend is NewSolver32Workers behind ValidateKind, for the
-// benchmark's solve probe and density.NewModelCompiled. It goes in the
-// next benchmark change.
+// benchmark's solve probe. It goes in the next benchmark change.
 func NewBackend(kind string, m, workers int) (*Solver32, error) {
 	if err := ValidateKind(kind); err != nil {
 		return nil, err
