@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"eplace/internal/nesterov"
@@ -13,12 +14,20 @@ import (
 // momentum step with its gradient evaluation (fused wirelength kernel,
 // density rasterize/solve/force), the once-per-iteration position
 // scatter into the compiled view, the exact HPWL and the overflow
-// check — allocates nothing at Workers=1 once the scratch buffers are
-// warm.
+// check — allocates nothing once the scratch buffers are warm, inline at
+// Workers=1 and on parallel.For's persistent team at Workers=2.
 func TestNesterovIterationAllocFree(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			nesterovIterationAllocs(t, workers)
+		})
+	}
+}
+
+func nesterovIterationAllocs(t *testing.T, workers int) {
 	d := synth.Generate(synth.Spec{Name: "alloc-iter", NumCells: 400, NumMovableMacros: 2})
 	idx := d.Movable()
-	opt := Options{GridM: 32, Workers: 1}
+	opt := Options{GridM: 32, Workers: workers}
 	opt.defaults()
 	rec := telemetry.New()
 	rec.SetStage("mGP")
@@ -33,18 +42,19 @@ func TestNesterovIterationAllocFree(t *testing.T) {
 	e.initLambda(v0, 0)
 
 	o := nesterov.New(v0, e.gradient, e.clamp, 0.1)
+	o.Workers = workers
 	var hpwl, tau float64
 	iteration := func() {
 		o.Step(false)
 		e.cv.SetPositions(e.idx, o.U)
-		hpwl = e.cv.HPWL()
+		hpwl = e.hpwl()
 		tau = e.dm.Overflow(d.TargetDensity)
 	}
 	for i := 0; i < 3; i++ {
 		iteration() // warm telemetry maps and per-worker scratch
 	}
 	if n := testing.AllocsPerRun(20, iteration); n != 0 {
-		t.Errorf("one Nesterov iteration allocates %v times per run, want 0", n)
+		t.Errorf("one Nesterov iteration allocates %v times per run at %d workers, want 0", n, workers)
 	}
 	_, _ = hpwl, tau
 }

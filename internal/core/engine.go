@@ -12,6 +12,7 @@ import (
 	"eplace/internal/grid"
 	"eplace/internal/nesterov"
 	"eplace/internal/netlist"
+	"eplace/internal/parallel"
 	"eplace/internal/poisson"
 	"eplace/internal/telemetry"
 	"eplace/internal/wirelength"
@@ -48,6 +49,14 @@ type engine struct {
 
 	gw, gd []float64 // wirelength and density gradient scratch
 	posBuf []float64 // end-of-stage clamp buffer (avoids Positions alloc)
+
+	// workers shards the elementwise loops (clampRange, combineRange);
+	// out is their per-call vector. The tasks are method values bound
+	// once: a func passed to parallel.For escapes, so binding per call
+	// would allocate.
+	workers                int
+	out                    []float64
+	combineTask, clampTask func(w, lo, hi int)
 
 	// live is the wirelength model's live-net list: the nets with a pin
 	// on a cell the stage moves. Every other net of degree >= 2 is dead
@@ -136,6 +145,8 @@ func newEngine(cv *netlist.Compiled, region geom.Rect, idx []int, opt Options, r
 		posBuf: make([]float64, 2*len(idx)),
 	}
 	e.wl.Workers = opt.Workers
+	e.workers = parallel.Count(opt.Workers)
+	e.clampTask, e.combineTask = e.clampRange, e.combineRange
 	binArea := e.dm.Grid.BinArea()
 	for k, ci := range idx {
 		c := &d.Cells[ci]
@@ -183,16 +194,18 @@ func (e *engine) cacheDeadHPWL() {
 }
 
 // hpwl returns the view's HPWL bit for bit as cv.HPWL() does, pricing
-// only the live nets: the dead nets' cached values merge into the same
-// net-order sum. Nets of degree < 2 add an exact +0, which leaves a sum
-// that starts at +0 unchanged, so they are skipped.
+// only the live nets: the wirelength model prices them on its workers,
+// and their values merge with the dead nets' cached ones into the same
+// net-order sum, folded serially. Nets of degree < 2 add an exact +0,
+// which leaves a sum that starts at +0 unchanged, so they are skipped.
 func (e *engine) hpwl() float64 {
+	live := e.wl.LiveHPWL()
 	total, i := 0.0, 0
-	for _, ni := range e.live {
+	for j, ni := range e.live {
 		for ; i < len(e.deadNet) && e.deadNet[i] < ni; i++ {
 			total += e.deadHPWL[i]
 		}
-		total += e.cv.NetHPWL(int(ni))
+		total += live[j]
 	}
 	for _, h := range e.deadHPWL[i:] {
 		total += h
@@ -200,15 +213,46 @@ func (e *engine) hpwl() float64 {
 	return total
 }
 
+// clampRange clamps cells [lo, hi) of e.out, the vector clamp passed.
+func (e *engine) clampRange(_, lo, hi int) {
+	n, r := len(e.idx), e.region
+	x, y := e.out[lo:hi], e.out[n+lo:n+hi]
+	hw, hh := e.halfW[lo:hi], e.halfH[lo:hi]
+	for k := range x {
+		x[k] = geom.Clamp(x[k], r.Lx+hw[k], r.Hx-hw[k])
+		y[k] = geom.Clamp(y[k], r.Ly+hh[k], r.Hy-hh[k])
+	}
+}
+
+// combineRange writes the preconditioned gradient of cells [lo, hi) into
+// e.out, the vector gradient passed.
+func (e *engine) combineRange(_, lo, hi int) {
+	n, lambda, precond := len(e.idx), e.lambda, !e.opt.DisablePrecond
+	gx, gy := e.out[lo:hi], e.out[n+lo:n+hi]
+	wx, wy := e.gw[lo:hi], e.gw[n+lo:n+hi]
+	dx, dy := e.gd[lo:hi], e.gd[n+lo:n+hi]
+	deg, q := e.degree[lo:hi], e.qNorm[lo:hi]
+	for k := range gx {
+		p := 1.0
+		if precond {
+			// H~_f = |E_i| + lambda * q_i (Eq. 11-13), floored to stay
+			// positive definite for isolated cells at tiny lambda.
+			p = deg[k] + lambda*q[k]
+			if p < 1e-4 {
+				p = 1e-4
+			}
+		}
+		gx[k] = (wx[k] + lambda*dx[k]) / p
+		gy[k] = (wy[k] + lambda*dy[k]) / p
+	}
+}
+
 // clamp keeps every cell's center inside the stage's region, respecting
 // size.
 func (e *engine) clamp(v []float64) {
-	n := len(e.idx)
-	r := e.region
-	for k := 0; k < n; k++ {
-		v[k] = geom.Clamp(v[k], r.Lx+e.halfW[k], r.Hx-e.halfW[k])
-		v[k+n] = geom.Clamp(v[k+n], r.Ly+e.halfH[k], r.Hy-e.halfH[k])
-	}
+	e.out = v
+	parallel.For(e.workers, len(e.idx), e.clampTask)
+	e.out = nil
 }
 
 // gradient evaluates the preconditioned gradient of f at v.
@@ -224,20 +268,9 @@ func (e *engine) gradient(v, g []float64) {
 	e.rec.AddSpanTime(e.stage, poissonSpan, e.dm.LastSolveTime())
 	e.rec.Count("engine/grad_evals", 1)
 
-	n := len(e.idx)
-	for k := 0; k < n; k++ {
-		p := 1.0
-		if !e.opt.DisablePrecond {
-			// H~_f = |E_i| + lambda * q_i (Eq. 11-13), floored to stay
-			// positive definite for isolated cells at tiny lambda.
-			p = e.degree[k] + e.lambda*e.qNorm[k]
-			if p < 1e-4 {
-				p = 1e-4
-			}
-		}
-		g[k] = (e.gw[k] + e.lambda*e.gd[k]) / p
-		g[k+n] = (e.gw[k+n] + e.lambda*e.gd[k+n]) / p
-	}
+	e.out = g
+	parallel.For(e.workers, len(e.idx), e.combineTask)
+	e.out = nil
 }
 
 // initLambda balances the initial wirelength and density gradient norms
@@ -356,6 +389,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		bestTau, bestTauIter = rs.BestTau, rs.BestTauIter
 		iterStart = rs.Iter
 		opt2 = nesterov.Resume(rs.Nesterov, e.gradient, e.clamp, seedStep)
+		opt2.Workers = opt.Workers
 	} else {
 		v0 := d.Positions(idx)
 		e.clamp(v0)
@@ -377,9 +411,11 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		prevHPWL = hpwl0
 
 		opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
+		opt2.Workers = opt.Workers
 
 		// Divergence guard: remember the best (lowest-overflow) solution.
-		best = append([]float64(nil), v0...)
+		// New copied v0 into its own buffers, so best takes it over.
+		best = v0
 		bestTau = tau0
 	}
 

@@ -33,9 +33,9 @@ import (
 // rasterization, the spectral solve and the per-cell force integration,
 // with results bitwise-identical for every worker count.
 //
-// Allocation contract: steady-state Refresh and Gradient calls allocate
-// nothing at workers <= 1 (and only goroutine-spawn bookkeeping beyond
-// that).
+// Allocation contract: steady-state Refresh, Gradient and Energy calls
+// allocate nothing, at any worker count (parallel.For runs the shards
+// on its persistent team).
 type Model struct {
 	Grid *grid.Grid
 	// Solver is the float32 spectral Poisson solver. Its field planes are
@@ -46,12 +46,15 @@ type Model struct {
 	rho    []float64
 	// binAreaInv normalizes charge to dimensionless bin density.
 	binAreaInv float64
-	energy     float64
-	workers    int
+	// energy is N(v) of the latest Refresh once Energy has summed it;
+	// energyStale says it has not yet.
+	energy      float64
+	energyStale bool
+	workers     int
 	// Field planes from the solver's latest solve (grid units).
 	ex, ey []float64
-	// solveTime is the wall time of the latest Poisson solve + energy
-	// evaluation, for the engine's Poisson span.
+	// solveTime is the wall time of the latest Poisson solve, for the
+	// engine's Poisson span.
 	solveTime time.Duration
 
 	// Per-call input for the persistent Gradient closure (closures
@@ -118,8 +121,9 @@ func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model
 }
 
 // Refresh re-rasterizes the movable cells listed in idx (fillers go to
-// the filler layer), solves the Poisson system and caches the total
-// energy. idx must cover every non-fixed cell that should carry charge.
+// the filler layer) and solves the Poisson system. idx must cover every
+// non-fixed cell that should carry charge. The energy sum is left to the
+// first Energy call: the Nesterov loop reads only the field.
 func (md *Model) Refresh(idx []int) {
 	md.Grid.ClearMovable()
 	cv := md.cv
@@ -130,16 +134,27 @@ func (md *Model) Refresh(idx []int) {
 	}
 	t0 := time.Now()
 	md.Solver.Solve(md.rho)
-	md.energy = md.Solver.Energy(md.rho)
 	md.solveTime = time.Since(t0)
+	md.energyStale = true
 	_, md.ex, md.ey = md.Solver.Planes()
 }
 
-// Energy returns N(v) for the last Refresh.
-func (md *Model) Energy() float64 { return md.energy }
+// Energy returns N(v) = sum rho*psi for the last Refresh (0 before the
+// first), summed on the first call after that Refresh and cached for
+// later ones. The sum is the solver's fixed-order reduction over the
+// charge and potential planes the Refresh left, so it has the same bits
+// whenever it is taken.
+func (md *Model) Energy() float64 {
+	if md.energyStale {
+		md.energy = md.Solver.Energy(md.rho)
+		md.energyStale = false
+	}
+	return md.energy
+}
 
 // LastSolveTime returns the wall time the latest Refresh spent in the
-// Poisson solve + energy evaluation, for the engine's Poisson span.
+// Poisson solve, for the engine's Poisson span. It leaves out the
+// energy sum, which Energy takes on demand.
 func (md *Model) LastSolveTime() time.Duration { return md.solveTime }
 
 // Overflow returns the density overflow tau against rhoT for the last

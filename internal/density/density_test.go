@@ -192,6 +192,32 @@ func TestRefreshIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestEnergyLazy pins the on-demand energy: the sum Energy takes after a
+// Refresh, and after a Gradient in between, has the bits of the solver's
+// own sum over the same planes; it is cached until the next Refresh,
+// which moves it when the charge moves.
+func TestEnergyLazy(t *testing.T) {
+	d, idx := newDesign(20, 5)
+	md := mustModel(t, d, 32, 2)
+	if e := md.Energy(); e != 0 {
+		t.Fatalf("energy before any Refresh = %v, want 0", e)
+	}
+	md.Refresh(idx)
+	md.Gradient(idx, make([]float64, 2*len(idx)))
+	want := md.Solver.Energy(md.rho)
+	if e := md.Energy(); math.Float64bits(e) != math.Float64bits(want) {
+		t.Fatalf("lazy energy %v, solver sum %v", e, want)
+	}
+	if e := md.Energy(); math.Float64bits(e) != math.Float64bits(want) {
+		t.Fatalf("second read %v, want the cached %v", e, want)
+	}
+	d.Cells[idx[0]].X += 7
+	syncRefresh(md, idx)
+	if e := md.Energy(); e == want {
+		t.Fatalf("energy %v did not move with the charge", e)
+	}
+}
+
 func TestGradientZeroAtUniform(t *testing.T) {
 	d := netlist.New("uni", geom.Rect{Hx: 64, Hy: 64})
 	var idx []int

@@ -14,6 +14,8 @@ package nesterov
 
 import (
 	"math"
+
+	"eplace/internal/parallel"
 )
 
 // GradFunc evaluates the (preconditioned) gradient of f at v into grad.
@@ -51,8 +53,18 @@ type Optimizer struct {
 	gradPrev []float64
 	a        float64
 
+	// Workers shards Step's elementwise updates of the candidate pair;
+	// <= 0 selects all cores (GOMAXPROCS), 1 runs them inline. Every
+	// element is computed on its own and the reductions (norms, the
+	// Lipschitz ratio) stay serial, so the iterates do not depend on it.
+	Workers int
+
 	// scratch
 	uNext, vNext, gradNext []float64
+
+	// Per-call inputs of the update tasks (see bindTasks).
+	alpha, coeff float64
+	uTask, vTask func(w, lo, hi int)
 
 	steps      int
 	backtracks int
@@ -78,6 +90,7 @@ func New(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer
 		gradNext: make([]float64, n),
 		a:        1,
 	}
+	o.bindTasks()
 	o.grad(o.V, o.GradV)
 	gn := norm(o.GradV)
 	if gn == 0 {
@@ -130,7 +143,7 @@ func (o *Optimizer) State() State {
 // seedStep must match the value passed to New (it fixes maxStep).
 func Resume(s State, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
 	n := len(s.U)
-	return &Optimizer{
+	o := &Optimizer{
 		maxStep:    1e9 * seedStep,
 		grad:       g,
 		clamp:      clamp,
@@ -145,6 +158,30 @@ func Resume(s State, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
 		a:          s.A,
 		steps:      s.Steps,
 		backtracks: s.Backtracks,
+	}
+	o.bindTasks()
+	return o
+}
+
+// bindTasks binds the two update tasks once: a func passed to
+// parallel.For escapes, so binding per Step would allocate.
+func (o *Optimizer) bindTasks() { o.uTask, o.vTask = o.candidateRange, o.extrapolateRange }
+
+// candidateRange writes u_{k+1} = v_k - alpha*grad(v_k) (Alg. 1 line 2)
+// over [lo, hi).
+func (o *Optimizer) candidateRange(_, lo, hi int) {
+	u, v, g, alpha := o.uNext[lo:hi], o.V[lo:hi], o.GradV[lo:hi], o.alpha
+	for i := range u {
+		u[i] = v[i] - alpha*g[i]
+	}
+}
+
+// extrapolateRange writes v_{k+1} = u_{k+1} + coeff*(u_{k+1} - u_k)
+// (Alg. 1 line 4) over [lo, hi).
+func (o *Optimizer) extrapolateRange(_, lo, hi int) {
+	vn, un, u, coeff := o.vNext[lo:hi], o.uNext[lo:hi], o.U[lo:hi], o.coeff
+	for i := range vn {
+		vn[i] = un[i] + coeff*(un[i]-u[i])
 	}
 }
 
@@ -161,11 +198,13 @@ func (o *Optimizer) Backtracks() int { return o.backtracks }
 // Sec. V-C).
 //
 // Step allocates nothing: all iteration state lives in the buffers
-// preallocated by New, so a full placement iteration stays
-// allocation-free as long as the callbacks do (the engine's gradient
-// pipeline guarantees this at Workers=1).
+// preallocated by New, and the sharded updates run on parallel.For's
+// persistent team, so a full placement iteration stays allocation-free
+// as long as the callbacks do (the engine's gradient pipeline
+// guarantees this at every worker count).
 func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 	n := len(o.V)
+	workers := parallel.Count(o.Workers)
 	aNext := (1 + math.Sqrt(4*o.a*o.a+1)) / 2
 	coeff := (o.a - 1) / aNext
 
@@ -182,15 +221,12 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 	alpha = o.lipschitzStep(o.V, o.vPrev, o.GradV, o.gradPrev)
 	for bt := 0; ; bt++ {
 		// Candidate u_{k+1} and extrapolated v_{k+1} (Alg. 1 lines 2, 4).
-		for i := 0; i < n; i++ {
-			o.uNext[i] = o.V[i] - alpha*o.GradV[i]
-		}
+		o.alpha, o.coeff = alpha, coeff
+		parallel.For(workers, n, o.uTask)
 		if o.clamp != nil {
 			o.clamp(o.uNext)
 		}
-		for i := 0; i < n; i++ {
-			o.vNext[i] = o.uNext[i] + coeff*(o.uNext[i]-o.U[i])
-		}
+		parallel.For(workers, n, o.vTask)
 		if o.clamp != nil {
 			o.clamp(o.vNext)
 		}

@@ -112,9 +112,9 @@ func liveNetDesign(seed int64) (d *netlist.Design, movable, fillers []int) {
 // evaluation it replaced, for model subsets from empty to every movable
 // cell, both smoothing kinds and worker counts 1, 2 and 7: LiveNets is
 // exactly the nets of degree >= 2 with a pin on a model cell, the
-// gradient is the reference's bit for bit, and the cost (with and
-// without a gradient) is the in-order sum of the reference's costs of
-// those nets.
+// gradient is the reference's bit for bit, the cost (with and without a
+// gradient) is the in-order sum of the reference's costs of those nets,
+// and LiveHPWL is each of those nets' NetHPWL.
 func TestLiveNetsMatchAllNets(t *testing.T) {
 	d, movable, fillers := liveNetDesign(5)
 	cv := d.Compile()
@@ -176,6 +176,12 @@ func TestLiveNetsMatchAllNets(t *testing.T) {
 				}
 				if diff := sameBits(grad, refGrad); diff != "" {
 					t.Errorf("%s kind %d workers %d: grad%s (all-nets reference)", sub.name, kind, workers, diff)
+				}
+				hp := m.LiveHPWL()
+				for j, ni := range wantLive {
+					if want := cv.NetHPWL(int(ni)); math.Float64bits(hp[j]) != math.Float64bits(want) {
+						t.Errorf("%s workers %d: LiveHPWL of net %d = %v, NetHPWL %v", sub.name, workers, ni, hp[j], want)
+					}
 				}
 			}
 		}

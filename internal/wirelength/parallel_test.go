@@ -241,13 +241,16 @@ func TestZeroWeightNetScoresIdentically(t *testing.T) {
 func BenchmarkWAGradient(b *testing.B) {
 	d := synth.Generate(synth.Spec{Name: "wl-bench", NumCells: 12000, NumMovableMacros: 8})
 	idx := d.Movable()
-	m := New(d, idx, 3.0)
+	cv := d.Compile()
+	m := NewCompiled(cv, idx, 3.0)
+	pos := d.Positions(idx)
 	grad := make([]float64, 2*len(idx))
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			m.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				cv.SetPositions(idx, pos)
 				m.CostAndGradient(grad)
 			}
 		})

@@ -60,9 +60,9 @@ const evalTasks = 64
 // (net weights may change between evaluations; Gamma and Kind too).
 //
 // Allocation contract: after the first evaluation at a given worker
-// count, Cost and CostAndGradient allocate nothing at Workers <= 1 and
-// only goroutine-spawn bookkeeping beyond that — the evaluation state
-// lives in buffers sized at construction.
+// count, Cost, CostAndGradient and LiveHPWL allocate nothing — the
+// evaluation state lives in buffers sized at construction, and
+// parallel.For runs the shards on its persistent team.
 type Model struct {
 	Kind  Kind
 	Gamma float64
@@ -121,6 +121,7 @@ type Model struct {
 	invGamma float64
 	netTask  func(wk, lo, hi int)
 	cellTask func(wk, lo, hi int)
+	hpwlTask func(wk, lo, hi int)
 }
 
 // netScratch is one worker's per-net buffers: pin coordinates for one
@@ -186,6 +187,11 @@ func newModel(cv *netlist.Compiled, idx []int, gamma float64, ownView bool) *Mod
 				grad[k] = gx
 				grad[k+n] = gy
 			}
+		}
+	}
+	m.hpwlTask = func(_, lo, hi int) {
+		for j := lo; j < hi; j++ {
+			m.costs[j] = m.cv.NetHPWL(int(m.live[j]))
 		}
 	}
 	return m
@@ -294,6 +300,19 @@ func (m *Model) buildAdjacency() {
 // >= 2 with at least one pin on a model cell. The slice is the model's
 // own and must not be modified.
 func (m *Model) LiveNets() []int32 { return m.live }
+
+// LiveHPWL returns the exact HPWL of every live net at the view's
+// current positions, in LiveNets order, sharded over the model's
+// workers. The slice is the per-net scratch the evaluations fold their
+// costs through: it is overwritten by the next evaluation or LiveHPWL
+// call, and must not be modified.
+func (m *Model) LiveHPWL() []float64 {
+	if m.ownView {
+		m.cv.Sync()
+	}
+	parallel.For(parallel.Count(m.Workers), len(m.live), m.hpwlTask)
+	return m.costs
+}
 
 // NetsPriced returns the number of per-net evaluations the model has
 // run: its live-net count times its evaluation count.
