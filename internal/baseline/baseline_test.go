@@ -86,7 +86,7 @@ func TestMincutPlaces(t *testing.T) {
 		}
 	}
 	// Min-cut leaves moderate overlap but spreads cells broadly.
-	if tau := metrics.Overflow(d, 32); tau > 0.5 {
+	if tau := metrics.Measure("", "", d, 32, 0, false).Overflow; tau > 0.5 {
 		t.Errorf("min-cut overflow = %v, expected rough spreading", tau)
 	}
 }

@@ -19,25 +19,26 @@ func PlaceBell(d *netlist.Design, idx []int, opt Options) Result {
 		return Result{HPWL: d.HPWL()}
 	}
 	m, gamma := seed(d, idx, opt)
-	return place(d, idx, opt, "BellPL", m, bellMaxTrials, newBellDensity(d, idx, m, gamma))
+	cv := d.Compile()
+	return place(cv, idx, opt, "BellPL", m, bellMaxTrials, wirelength.LSE, gamma, newBellDensity(cv, idx, m))
 }
 
 // bellDensity is the bell-shape density cost
 //
 //	D(v) = sum_b (rho_b(v) - target_b)^2
 //
-// where rho_b accumulates each cell's separable bell potential, paired
-// with LSE wirelength over the Cell structs.
+// where rho_b accumulates each cell's separable bell potential, read
+// from the compiled view's positions and extents.
 type bellDensity struct {
-	d   *netlist.Design
+	cv  *netlist.Compiled
 	idx []int
 	g   *grid.Grid
 	tgt []float64 // per-bin target occupancy (capacity * rhoT)
 	rho []float64
-	wl  *wirelength.Model
 }
 
-func newBellDensity(d *netlist.Design, idx []int, m int, gamma float64) *bellDensity {
+func newBellDensity(cv *netlist.Compiled, idx []int, m int) *bellDensity {
+	d := cv.Design()
 	g := grid.New(d.Region, m)
 	for i := range d.Cells {
 		if d.Cells[i].Fixed {
@@ -45,12 +46,10 @@ func newBellDensity(d *netlist.Design, idx []int, m int, gamma float64) *bellDen
 		}
 	}
 	md := &bellDensity{
-		d: d, idx: idx, g: g,
+		cv: cv, idx: idx, g: g,
 		tgt: make([]float64, m*m),
 		rho: make([]float64, m*m),
-		wl:  wirelength.New(d, idx, gamma),
 	}
-	md.wl.Kind = wirelength.LSE
 	// Per-bin target: remaining capacity scaled to hold exactly the
 	// movable area (uniform spreading objective).
 	totalCap := 0.0
@@ -91,23 +90,17 @@ func bell(dx, r float64) (p, dp float64) {
 	return p, dp
 }
 
-func (md *bellDensity) wirelength() *wirelength.Model { return md.wl }
-
-func (md *bellDensity) setPositions(v []float64) { md.d.SetPositions(md.idx, v) }
-
 // overflow re-rasterizes the cells into the grid's movable layer; the
 // penalty reads only the grid's geometry and fixed layer.
 func (md *bellDensity) overflow() float64 {
+	cv := md.cv
 	md.g.ClearMovable()
-	for _, ci := range md.idx {
-		c := &md.d.Cells[ci]
-		md.g.AddMovable(c.X, c.Y, c.W, c.H)
-	}
-	return md.g.Overflow(md.d.TargetDensity)
+	md.g.AddCellsSoA(md.idx, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler, 1)
+	return md.g.Overflow(cv.Design().TargetDensity)
 }
 
-// penalty builds rho from the Cell structs' positions; when addGrad is
-// non-nil it also adds the density gradient (scaled by lam) into it.
+// penalty builds rho from the view's positions; when addGrad is non-nil
+// it also adds the density gradient (scaled by lam) into it.
 func (md *bellDensity) penalty(lam float64, addGrad []float64) float64 {
 	for b := range md.rho {
 		md.rho[b] = 0
@@ -120,39 +113,41 @@ func (md *bellDensity) penalty(lam float64, addGrad []float64) float64 {
 		i0, i1, j0, j1 int
 		rx, ry, norm   float64
 	}
+	posX, posY := md.cv.PosX, md.cv.PosY
 	spans := make([]span, len(md.idx))
 	for k, ci := range md.idx {
-		c := &md.d.Cells[ci]
-		rx := c.W/2 + 2*bw
-		ry := c.H/2 + 2*bh
-		i0 := int((c.X - rx - reg.Lx) / bw)
-		i1 := int(math.Ceil((c.X + rx - reg.Lx) / bw))
-		j0 := int((c.Y - ry - reg.Ly) / bh)
-		j1 := int(math.Ceil((c.Y + ry - reg.Ly) / bh))
+		x, y := posX[ci], posY[ci]
+		w, h := md.cv.CellW[ci], md.cv.CellH[ci]
+		rx := w/2 + 2*bw
+		ry := h/2 + 2*bh
+		i0 := int((x - rx - reg.Lx) / bw)
+		i1 := int(math.Ceil((x + rx - reg.Lx) / bw))
+		j0 := int((y - ry - reg.Ly) / bh)
+		j1 := int(math.Ceil((y + ry - reg.Ly) / bh))
 		i0, j0 = min(max(i0, 0), m-1), min(max(j0, 0), m-1)
 		i1, j1 = min(max(i1, 0), m), min(max(j1, 0), m)
 		// Normalization so the cell contributes exactly its area.
 		sum := 0.0
 		for j := j0; j < j1; j++ {
 			cy := reg.Ly + (float64(j)+0.5)*bh
-			py, _ := bell(cy-c.Y, ry)
+			py, _ := bell(cy-y, ry)
 			for i := i0; i < i1; i++ {
 				cx := reg.Lx + (float64(i)+0.5)*bw
-				px, _ := bell(cx-c.X, rx)
+				px, _ := bell(cx-x, rx)
 				sum += px * py
 			}
 		}
 		norm := 0.0
 		if sum > 0 {
-			norm = c.Area() / sum
+			norm = w * h / sum
 		}
 		spans[k] = span{i0, i1, j0, j1, rx, ry, norm}
 		for j := j0; j < j1; j++ {
 			cy := reg.Ly + (float64(j)+0.5)*bh
-			py, _ := bell(cy-c.Y, ry)
+			py, _ := bell(cy-y, ry)
 			for i := i0; i < i1; i++ {
 				cx := reg.Lx + (float64(i)+0.5)*bw
-				px, _ := bell(cx-c.X, rx)
+				px, _ := bell(cx-x, rx)
 				md.rho[j*m+i] += norm * px * py
 			}
 		}
@@ -166,15 +161,15 @@ func (md *bellDensity) penalty(lam float64, addGrad []float64) float64 {
 	if addGrad != nil {
 		n := len(md.idx)
 		for k, ci := range md.idx {
-			c := &md.d.Cells[ci]
+			x, y := posX[ci], posY[ci]
 			sp := spans[k]
 			var gx, gy float64
 			for j := sp.j0; j < sp.j1; j++ {
 				cy := reg.Ly + (float64(j)+0.5)*bh
-				py, dpy := bell(cy-c.Y, sp.ry)
+				py, dpy := bell(cy-y, sp.ry)
 				for i := sp.i0; i < sp.i1; i++ {
 					cx := reg.Lx + (float64(i)+0.5)*bw
-					px, dpx := bell(cx-c.X, sp.rx)
+					px, dpx := bell(cx-x, sp.rx)
 					e := md.rho[j*m+i] - md.tgt[j*m+i]
 					// d rho_b / d cX = -norm * dpx * py (bell measured
 					// from cell center).

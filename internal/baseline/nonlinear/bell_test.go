@@ -53,7 +53,7 @@ func TestModelChargeConservation(t *testing.T) {
 	var idx []int
 	idx = append(idx, d.AddCell(netlist.Cell{W: 6, H: 4, X: 20, Y: 30}))
 	idx = append(idx, d.AddCell(netlist.Cell{W: 2, H: 2, X: 45, Y: 10}))
-	md := newBellDensity(d, idx, 32, 1.0)
+	md := newBellDensity(d.Compile(), idx, 32)
 	md.penalty(1, nil)
 	total := 0.0
 	for _, v := range md.rho {
@@ -71,17 +71,18 @@ func TestModelDensityGradientNumeric(t *testing.T) {
 	// Two overlapping cells create a density error gradient.
 	idx = append(idx, d.AddCell(netlist.Cell{W: 8, H: 8, X: 30, Y: 32}))
 	idx = append(idx, d.AddCell(netlist.Cell{W: 8, H: 8, X: 34, Y: 32}))
-	md := newBellDensity(d, idx, 32, 1.0)
+	cv := d.Compile()
+	md := newBellDensity(cv, idx, 32)
 	grad := make([]float64, 4)
 	md.penalty(1, grad)
 
 	h := 0.02
-	x0 := d.Cells[idx[0]].X
-	d.Cells[idx[0]].X = x0 + h
+	x0 := cv.PosX[idx[0]]
+	cv.PosX[idx[0]] = x0 + h
 	cp := md.penalty(1, nil)
-	d.Cells[idx[0]].X = x0 - h
+	cv.PosX[idx[0]] = x0 - h
 	cm := md.penalty(1, nil)
-	d.Cells[idx[0]].X = x0
+	cv.PosX[idx[0]] = x0
 	num := (cp - cm) / (2 * h)
 	if math.Abs(num-grad[0]) > 0.15*(math.Abs(num)+math.Abs(grad[0])+1e-12) {
 		t.Errorf("numeric dD/dx = %v, analytic = %v", num, grad[0])

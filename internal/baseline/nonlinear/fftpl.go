@@ -33,24 +33,18 @@ func PlaceFFTPL(d *netlist.Design, idx []int, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("nonlinear: FFTPL density model: %w", err)
 	}
-	obj := &eDensity{cv: cv, idx: all, dm: dm, wl: wirelength.NewCompiled(cv, all, gamma), gd: make([]float64, 2*len(all))}
-	return place(d, all, opt, "FFTPL", m, fftplMaxTrials, obj), nil
+	obj := &eDensity{idx: all, dm: dm, rhoT: d.TargetDensity, gd: make([]float64, 2*len(all))}
+	return place(cv, all, opt, "FFTPL", m, fftplMaxTrials, wirelength.WA, gamma, obj), nil
 }
 
 // eDensity is ePlace's electrostatic density (internal/density) as a
-// term of the shared loop, paired with WA wirelength on the same
-// compiled view.
+// term of the shared loop.
 type eDensity struct {
-	cv  *netlist.Compiled
-	idx []int
-	wl  *wirelength.Model
-	dm  *density.Model
-	gd  []float64 // density gradient scratch
+	idx  []int
+	dm   *density.Model
+	rhoT float64   // target density, for the overflow
+	gd   []float64 // density gradient scratch
 }
-
-func (e *eDensity) wirelength() *wirelength.Model { return e.wl }
-
-func (e *eDensity) setPositions(v []float64) { e.cv.SetPositions(e.idx, v) }
 
 func (e *eDensity) penalty(lam float64, grad []float64) float64 {
 	e.dm.Refresh(e.idx)
@@ -64,7 +58,6 @@ func (e *eDensity) penalty(lam float64, grad []float64) float64 {
 }
 
 func (e *eDensity) overflow() float64 {
-	e.cv.Sync()
 	e.dm.Refresh(e.idx)
-	return e.dm.Overflow(e.cv.Design().TargetDensity)
+	return e.dm.Overflow(e.rhoT)
 }

@@ -58,19 +58,14 @@ type Result struct {
 	Overflow        float64
 }
 
-// objective is one density term D(v) of the shared loop, paired with
-// the wirelength model W(v) it is minimized with.
+// objective is one density term D(v) of the shared loop. It reads the
+// positions from the compiled view the loop scatters v into.
 type objective interface {
-	// wirelength returns the model of W.
-	wirelength() *wirelength.Model
-	// setPositions writes v, laid out like netlist.Positions, where W
-	// and D read positions.
-	setPositions(v []float64)
-	// penalty returns D at the positions last set; when grad is non-nil
-	// it also adds lam * dD/dv into grad.
+	// penalty returns D at the view's positions; when grad is non-nil it
+	// also adds lam * dD/dv into grad.
 	penalty(lam float64, grad []float64) float64
 	// overflow returns the density overflow of the real cells (fillers
-	// excluded) at the positions the Cell structs hold.
+	// excluded) at the view's positions.
 	overflow() float64
 }
 
@@ -86,17 +81,21 @@ func seed(d *netlist.Design, idx []int, opt Options) (m int, gamma float64) {
 }
 
 // place is the shared outer loop over the cells idx, which obj covers
-// on an m x m grid: lambda balances the initial gradient norms, then
-// every round runs InnerIters CG steps on W + lambda*D, stops once the
-// overflow reaches TargetOverflow and otherwise doubles lambda. maxTrials
-// bounds each line search. The final positions are written back to d.
-func place(d *netlist.Design, idx []int, opt Options, stage string, m, maxTrials int, obj objective) Result {
+// on an m x m grid: W is the kind model of smoothing gamma over cv,
+// lambda balances the initial gradient norms, then every round runs
+// InnerIters CG steps on W + lambda*D, stops once the overflow reaches
+// TargetOverflow and otherwise doubles lambda. maxTrials bounds each line
+// search. Every evaluation scatters its v into cv; each round writes the
+// solver's positions to both cv and the Cell structs.
+func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTrials int, kind wirelength.Kind, gamma float64, obj objective) Result {
 	var res Result
-	wl := obj.wirelength()
+	d := cv.Design()
+	wl := wirelength.NewCompiled(cv, idx, gamma)
+	wl.Kind = kind
 	wl.Workers = opt.Workers
 
 	// Balance initial gradient norms for lambda, as ePlace does. The
-	// models were built over the design as it stands, at v.
+	// view was compiled from the design as it stands, at v.
 	v := d.Positions(idx)
 	clamp := func(vv []float64) {
 		n := len(idx)
@@ -120,11 +119,11 @@ func place(d *netlist.Design, idx []int, opt Options, stage string, m, maxTrials
 		lam = sw / sd
 	}
 	cost := func(v []float64) float64 {
-		obj.setPositions(v)
+		cv.SetPositions(idx, v)
 		return wl.Cost() + lam*obj.penalty(lam, nil)
 	}
 	gradient := func(v, g []float64) {
-		obj.setPositions(v)
+		cv.SetPositions(idx, v)
 		wl.CostAndGradient(g)
 		obj.penalty(lam, g)
 	}
@@ -137,6 +136,7 @@ func place(d *netlist.Design, idx []int, opt Options, stage string, m, maxTrials
 			solver.step()
 		}
 		// Every CG step clamps its candidate, so solver.v is in the region.
+		cv.SetPositions(idx, solver.v)
 		d.SetPositions(idx, solver.v)
 		res.Overflow = obj.overflow()
 		if opt.Telemetry.Active() {

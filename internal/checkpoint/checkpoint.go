@@ -294,11 +294,11 @@ func Decode(data []byte) (*State, error) {
 	return &s, nil
 }
 
-// WriteFile atomically writes an encoded state to path: the bytes go
+// writeFile atomically writes an encoded state to path: the bytes go
 // to a temp file in the same directory, are fsynced, and the file is
 // renamed over path, so a crash mid-write can never leave a truncated
 // checkpoint under the final name.
-func WriteFile(path string, s *State) error {
+func writeFile(path string, s *State) error {
 	data, err := Encode(s)
 	if err != nil {
 		return err
@@ -394,7 +394,7 @@ func NewManager(dir string) (*Manager, error) {
 	return m, nil
 }
 
-// sweepTemp removes orphaned write temporaries. WriteFile cleans its
+// sweepTemp removes orphaned write temporaries. writeFile cleans its
 // own temp file via defer, but a crash (or kill) between CreateTemp and
 // the rename leaves `.ckpt-*.tmp` behind forever — a restarted process
 // adopting the directory is the only safe point to collect them, since
@@ -419,11 +419,11 @@ func (m *Manager) Dir() string { return m.dir }
 func (m *Manager) Save(s *State) error {
 	if m.History {
 		m.seq++
-		if err := WriteFile(filepath.Join(m.dir, fmt.Sprintf("ckpt-%06d.ckpt", m.seq)), s); err != nil {
+		if err := writeFile(filepath.Join(m.dir, fmt.Sprintf("ckpt-%06d.ckpt", m.seq)), s); err != nil {
 			return err
 		}
 	}
-	if err := WriteFile(filepath.Join(m.dir, LatestName), s); err != nil {
+	if err := writeFile(filepath.Join(m.dir, LatestName), s); err != nil {
 		return err
 	}
 	return m.prune()
@@ -474,7 +474,7 @@ func (m *Manager) PinFinal() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: pinning final: %w", err)
 	}
-	return WriteFile(filepath.Join(m.dir, FinalName), s)
+	return writeFile(filepath.Join(m.dir, FinalName), s)
 }
 
 // LoadFinal reads the pinned final checkpoint, falling back to

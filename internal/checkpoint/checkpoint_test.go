@@ -70,7 +70,7 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ckpt")
 	s := sampleState()
-	if err := WriteFile(path, s); err != nil {
+	if err := writeFile(path, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)

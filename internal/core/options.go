@@ -7,7 +7,6 @@
 package core
 
 import (
-	"io"
 	"time"
 
 	"eplace/internal/telemetry"
@@ -134,11 +133,4 @@ func (t *Trace) Stage(name string) []Sample {
 		}
 	}
 	return out
-}
-
-// WriteCSV emits the trace as CSV (stage,iter,hpwl,tau,energy,lambda,
-// gamma,alpha,backtracks), the raw data behind Figure 2. It adapts
-// onto the telemetry CSV sink so the two formats cannot drift.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	return telemetry.WriteSamplesCSV(w, t.Samples)
 }

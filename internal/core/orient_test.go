@@ -35,7 +35,7 @@ func TestFlowAllowOrientPinned(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		turned := 0
-		for _, mi := range in.Macros() {
+		for _, mi := range macros(in) {
 			if d.Cells[mi].W != in.Cells[mi].W {
 				turned++
 			}

@@ -127,7 +127,7 @@ func TestTraceWriteCSV(t *testing.T) {
 	tr.Sample(Sample{Stage: "mGP", Iteration: 0, HPWL: 100, Overflow: 0.9, Lambda: 0.1, Gamma: 5, Alpha: 1})
 	tr.Sample(Sample{Stage: "cGP", Iteration: 1, HPWL: 90, Overflow: 0.2, Backtracks: 2})
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := telemetry.WriteSamplesCSV(&buf, tr.Samples); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -176,7 +176,11 @@ func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 	if md.Energy() <= 0 {
 		t.Error("stacked fillers produced no positive energy")
 	}
-	if got := md.Grid.TotalFill(); math.Abs(got-360) > 1e-6 {
+	fill := 0.0
+	for _, v := range md.Grid.Fill {
+		fill += v
+	}
+	if got := fill; math.Abs(got-360) > 1e-6 {
 		t.Errorf("filler charge = %v, want 360", got)
 	}
 }

@@ -169,7 +169,7 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 	d := testDesign(t)
 
 	// Empty change: everything movable frozen, nothing active.
-	p := BuildPlan(d, nil, nil)
+	p := buildPlan(d, nil, nil)
 	if len(p.Active) != 0 || len(p.Seeds) != 0 {
 		t.Fatalf("no-op plan = %+v", p)
 	}
@@ -180,7 +180,7 @@ func TestBuildPlanFreezeSplit(t *testing.T) {
 	// A single changed cell activates itself plus a local halo, not the
 	// whole design, and active/frozen partition the movables.
 	seed := d.MovableOf(netlist.StdCell)[10]
-	p = BuildPlan(d, []int{seed}, []int{seed})
+	p = buildPlan(d, []int{seed}, []int{seed})
 	if len(p.Active) == 0 {
 		t.Fatal("seeded plan has no active cells")
 	}

@@ -60,7 +60,7 @@ type Plan struct {
 	DirtyBins int
 }
 
-// BuildPlan decides the active/frozen split for the given changed-cell
+// buildPlan decides the active/frozen split for the given changed-cell
 // set (typically Change.Cells). An empty changed set yields an empty
 // plan: the previous placement is reusable as-is.
 //
@@ -78,7 +78,7 @@ type Plan struct {
 // perturb the whole layout, defeating the reuse (macro edits should
 // fall back to a cold placement). Of the active cells, those a new
 // fixed footprint's halo reaches are Evicted; only a blockage evicts.
-func BuildPlan(d *netlist.Design, changed, fresh []int) *Plan {
+func buildPlan(d *netlist.Design, changed, fresh []int) *Plan {
 	p := &Plan{}
 	if len(changed) == 0 {
 		// Everything movable is reused.
@@ -246,5 +246,5 @@ func Prepare(d *netlist.Design, s *Script, _ PlanOptions) (*Prepared, error) {
 	fresh = append(fresh, ch.Removed...)
 	fresh = append(fresh, ch.Blocked...)
 	sort.Ints(fresh)
-	return &Prepared{Change: ch, Plan: BuildPlan(d, ch.Cells, fresh)}, nil
+	return &Prepared{Change: ch, Plan: buildPlan(d, ch.Cells, fresh)}, nil
 }

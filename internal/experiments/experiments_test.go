@@ -60,7 +60,7 @@ func TestTablePrinting(t *testing.T) {
 	specs := []synth.Spec{{Name: "T1", NumCells: 200}, {Name: "T2", NumCells: 250}}
 	tr := runSuite("test table", specs, []Placer{MinCut, EPlace}, tinyOpt(), nil)
 	var buf bytes.Buffer
-	tr.Print(&buf, hpwlMetric, true)
+	tr.print(&buf, hpwlMetric, true)
 	out := buf.String()
 	for _, want := range []string{"T1", "T2", "AvgGap%", "AvgRuntime", "AvgOverflow", "Wins", "ePlace"} {
 		if !strings.Contains(out, want) {

@@ -68,11 +68,11 @@ func (o RunOptions) nonlinear() nonlinear.Options {
 	return nonlinear.Options{GridM: o.GridM, Workers: o.Workers, Telemetry: o.Telemetry}
 }
 
-// Run places design d with the given placer and returns the scorecard.
+// run places design d with the given placer and returns the scorecard.
 // The design is modified in place: all placers share the same mLG,
 // legalization and detail-placement backend, mirroring the paper's use
 // of one common detail placer (Sec. VII).
-func Run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
+func run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 	start := time.Now()
 	stdCells := d.MovableOf(netlist.StdCell)
 	movMacros := d.MovableOf(netlist.Macro)
@@ -143,5 +143,5 @@ func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, 
 // RunSpec generates the circuit for spec and runs placer p on it.
 func RunSpec(spec synth.Spec, p Placer, opt RunOptions) metrics.Report {
 	d := synth.Generate(spec)
-	return Run(d, p, opt)
+	return run(d, p, opt)
 }

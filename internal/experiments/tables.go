@@ -45,10 +45,10 @@ type metricOf func(metrics.Report) float64
 func hpwlMetric(r metrics.Report) float64   { return r.HPWL }
 func scaledMetric(r metrics.Report) float64 { return r.ScaledHPWL }
 
-// Print renders the table in the paper's layout: one row per circuit,
+// print renders the table in the paper's layout: one row per circuit,
 // one column per placer, then average quality gap vs ePlace, average
 // runtime ratio, and (when asked) average density-overflow ratio.
-func (tr *TableResult) Print(w io.Writer, metric metricOf, withOverflow bool) {
+func (tr *TableResult) print(w io.Writer, metric metricOf, withOverflow bool) {
 	fmt.Fprintf(w, "%s\n", tr.Title)
 	fmt.Fprintf(w, "%-11s", "Circuit")
 	for _, p := range tr.Placers {
@@ -157,7 +157,7 @@ func (tr *TableResult) Print(w io.Writer, metric metricOf, withOverflow bool) {
 // (std-cell mode: macros fixed).
 func Table1(scale float64, opt RunOptions, out, progress io.Writer) *TableResult {
 	tr := runSuite("Table I: HPWL on ISPD2005-like suite (std-cell)", synth.ISPD05Suite(scale), AllPlacers, opt, progress)
-	tr.Print(out, hpwlMetric, false)
+	tr.print(out, hpwlMetric, false)
 	return tr
 }
 
@@ -166,7 +166,7 @@ func Table1(scale float64, opt RunOptions, out, progress io.Writer) *TableResult
 func Table2(scale float64, opt RunOptions, out, progress io.Writer) *TableResult {
 	// The paper's Table II lineup has no FFTPL column.
 	tr := runSuite("Table II: scaled HPWL on ISPD2006-like suite (rho_t targets)", synth.ISPD06Suite(scale), Table23Placers, opt, progress)
-	tr.Print(out, scaledMetric, true)
+	tr.print(out, scaledMetric, true)
 	return tr
 }
 
@@ -174,6 +174,6 @@ func Table2(scale float64, opt RunOptions, out, progress io.Writer) *TableResult
 // macros (full mixed-size flow).
 func Table3(scale float64, opt RunOptions, out, progress io.Writer) *TableResult {
 	tr := runSuite("Table III: (scaled) HPWL on MMS-like suite (mixed-size)", synth.MMSSuite(scale), Table23Placers, opt, progress)
-	tr.Print(out, scaledMetric, true)
+	tr.print(out, scaledMetric, true)
 	return tr
 }

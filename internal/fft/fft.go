@@ -1,18 +1,18 @@
 // Package fft implements the spectral transforms used by the Poisson
 // solver: an iterative radix-2 complex FFT plus the real cosine/sine
-// transforms (DCT-II, inverse DCT, inverse DST) that expand and
-// reconstruct grids in the Neumann cosine basis
+// transforms (DCT-II and the cosine and sine reconstructions) that
+// expand and reconstruct grids in the Neumann cosine basis
 //
 //	f(x) = sum_u a_u cos(w_u (x + 1/2)),  w_u = pi*u/n.
 //
-// The real transforms use Makhoul's packed formulation: a length-n
-// DCT-II (or its cosine/sine reconstructions) is computed from a single
-// length-n/2 complex FFT of the even/odd-reordered input, with a
-// precomputed reorder table and quarter-sample shift twiddles — about
-// 4x fewer butterflies than the classical zero-padded length-2n
-// embedding. The *Pair methods go one step further and carry two
-// independent real vectors through one full length-n complex FFT, which
-// is how the Poisson solver amortizes FFT work across its planes.
+// The real transforms use Makhoul's packed formulation, with a
+// precomputed reorder table and quarter-sample shift twiddles: a single
+// length-n DCT-II runs through one length-n/2 complex FFT of the
+// even/odd-reordered input — about 4x fewer butterflies than the
+// classical zero-padded length-2n embedding — and the *Pair methods
+// carry two independent real vectors through one full length-n complex
+// FFT, which is how the Poisson solver amortizes FFT work across its
+// planes. The reconstructions exist only as pairs.
 //
 // All transforms are unnormalized sums; callers apply scaling. Sizes
 // must be powers of two, which the bin grid guarantees.
@@ -25,27 +25,27 @@ import (
 	"math/cmplx"
 )
 
-// Plan holds precomputed twiddle factors and the bit-reversal
+// plan holds precomputed twiddle factors and the bit-reversal
 // permutation for complex FFTs of one size.
 //
-// Concurrency contract: a Plan is immutable after NewPlan — Forward and
-// Inverse only read the plan and mutate the caller's buffer in place —
-// so one Plan may be shared by any number of goroutines as long as each
+// Concurrency contract: a plan is immutable after newPlan — forward and
+// inverse only read the plan and mutate the caller's buffer in place —
+// so one plan may be shared by any number of goroutines as long as each
 // call operates on a distinct buffer. This differs from Real below,
 // which owns mutable scratch and is single-goroutine-only.
-type Plan struct {
+type plan struct {
 	n       int
 	logn    int
 	rev     []int
 	twiddle []complex128 // twiddle[k] = exp(-2*pi*i*k/n), k < n/2
 }
 
-// NewPlan creates a plan for complex FFTs of length n (a power of two).
-func NewPlan(n int) *Plan {
+// newPlan creates a plan for complex FFTs of length n (a power of two).
+func newPlan(n int) *plan {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("fft: size %d is not a positive power of two", n))
 	}
-	p := &Plan{n: n, logn: bits.TrailingZeros(uint(n))}
+	p := &plan{n: n, logn: bits.TrailingZeros(uint(n))}
 	p.rev = make([]int, n)
 	for i := 0; i < n; i++ {
 		p.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - p.logn))
@@ -58,22 +58,19 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// N returns the transform length.
-func (p *Plan) N() int { return p.n }
-
-// Forward computes the in-place forward DFT
+// forward computes the in-place forward DFT
 //
 //	X_k = sum_j x_j exp(-2*pi*i*j*k/n).
-func (p *Plan) Forward(x []complex128) { p.transform(x, false) }
+func (p *plan) forward(x []complex128) { p.transform(x, false) }
 
-// Inverse computes the in-place unnormalized inverse DFT
+// inverse computes the in-place unnormalized inverse DFT
 //
 //	x_j = sum_k X_k exp(+2*pi*i*j*k/n)
 //
 // (no 1/n factor; callers scale as needed).
-func (p *Plan) Inverse(x []complex128) { p.transform(x, true) }
+func (p *plan) inverse(x []complex128) { p.transform(x, true) }
 
-func (p *Plan) transform(x []complex128, inverse bool) {
+func (p *plan) transform(x []complex128, inverse bool) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: buffer length %d, plan size %d", len(x), p.n))
 	}
@@ -104,14 +101,13 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 	}
 }
 
-// Real implements the three real transforms on length-n vectors with
-// Makhoul-style packing: single transforms run through one length-n/2
-// complex FFT of the even/odd-reordered data, and the *Pair variants
-// carry two real vectors through one full length-n complex FFT.
+// Real implements the real transforms on length-n vectors with
+// Makhoul-style packing: DCT2 runs through one length-n/2 complex FFT of
+// the even/odd-reordered data, and the *Pair variants carry two real
+// vectors through one full length-n complex FFT.
 //
 // Concurrency contract: a Real is NOT safe for concurrent use — every
-// transform stages data through the internal scratch and B-spectrum
-// buffers and reads the shared reorder/twiddle tables, unlike Plan
+// transform stages data through the internal scratch buffer and reads the shared reorder/twiddle tables, unlike plan
 // whose calls are independent. Create one Real per worker goroutine
 // (the poisson.Solver pool does exactly this); construction is cheap
 // and instances share nothing mutable. All methods tolerate out
@@ -119,12 +115,10 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 // output element is written.
 type Real struct {
 	n, h int   // vector length and its half
-	full *Plan // length-n plan for the pair transforms (nil when n == 1)
-	half *Plan // length-n/2 plan for the single transforms (nil when n == 1)
-	// scratch is the complex FFT buffer; bbuf stages the B spectrum
-	// (u = 0..h) of the half-packed inverse transforms.
+	full *plan // length-n plan for the pair transforms (nil when n == 1)
+	half *plan // length-n/2 plan for DCT2 (nil when n == 1)
+	// scratch is the complex FFT buffer.
 	scratch []complex128
-	bbuf    []complex128
 	// fwdReorder is Makhoul's input permutation
 	// v = [x_0, x_2, ..., x_{n-2}, x_{n-1}, x_{n-3}, ..., x_1]:
 	// v[j] = x[fwdReorder[j]].
@@ -132,13 +126,13 @@ type Real struct {
 	// invPos is the inverse output scatter: reconstruction sample b_j of
 	// the packed inverse lands at out[invPos[j]] (2j for j < h, else
 	// 2n-2j-1). Positions with j < h are exactly the even out indices,
-	// which is what lets IDST fold its (-1)^i sign into the scatter.
+	// which is what lets IDSTPair fold its (-1)^i sign into the scatter.
 	invPos []int
 	// fwdTw[u] = exp(-i*pi*u/(2n)), the forward quarter-sample shift;
-	// invTw is its conjugate, used to build the inverse B spectrum.
+	// invTw is its conjugate, the inverse pair transforms' pre-twiddle.
 	fwdTw, invTw []complex128
-	// packTw[u] = exp(-2*pi*i*u/n), u <= h: the even/odd recombination
-	// twiddle of the half-length packing.
+	// packTw[u] = exp(-2*pi*i*u/n), u <= h: DCT2's even/odd
+	// recombination twiddle of the half-length packing.
 	packTw []complex128
 }
 
@@ -152,10 +146,9 @@ func NewReal(n int) *Real {
 	if n == 1 {
 		return r
 	}
-	r.full = NewPlan(n)
-	r.half = NewPlan(n / 2)
+	r.full = newPlan(n)
+	r.half = newPlan(n / 2)
 	r.scratch = make([]complex128, n)
-	r.bbuf = make([]complex128, r.h+1)
 	r.fwdReorder = make([]int, n)
 	for j := 0; j < r.h; j++ {
 		r.fwdReorder[j] = 2 * j
@@ -184,9 +177,6 @@ func NewReal(n int) *Real {
 	return r
 }
 
-// N returns the vector length.
-func (r *Real) N() int { return r.n }
-
 // DCT2 computes the unnormalized forward DCT-II
 //
 //	out_u = sum_i x_i cos(pi*u*(2i+1)/(2n))
@@ -205,7 +195,7 @@ func (r *Real) DCT2(x, out []float64) {
 	for t := 0; t < h; t++ {
 		r.scratch[t] = complex(x[r.fwdReorder[2*t]], x[r.fwdReorder[2*t+1]])
 	}
-	r.half.Forward(r.scratch[:h])
+	r.half.forward(r.scratch[:h])
 	for u := 0; u <= h; u++ {
 		zu := r.scratch[u%h]
 		zc := r.scratch[(h-u)%h]
@@ -236,7 +226,7 @@ func (r *Real) DCT2Pair(xA, xB, outA, outB []float64) {
 		src := r.fwdReorder[j]
 		r.scratch[j] = complex(xA[src], xB[src])
 	}
-	r.full.Forward(r.scratch)
+	r.full.forward(r.scratch)
 	for u := 0; u < n; u++ {
 		zu := r.scratch[u]
 		zc := r.scratch[(n-u)%n]
@@ -246,60 +236,6 @@ func (r *Real) DCT2Pair(xA, xB, outA, outB []float64) {
 		tb := w * (zu - zc)
 		outA[u] = real(ta) / 2
 		outB[u] = imag(tb) / 2
-	}
-}
-
-// IDCT computes the cosine reconstruction
-//
-//	out_i = sum_u a_u cos(pi*u*(2i+1)/(2n))
-//
-// via one length-n/2 complex FFT. Note a_0 is weighted fully (not
-// halved as in the classical DCT-III).
-func (r *Real) IDCT(a, out []float64) {
-	r.check(a, out)
-	if r.n == 1 {
-		out[0] = a[0]
-		return
-	}
-	r.buildB(a, false)
-	r.inverseHalf()
-	h := r.h
-	for t := 0; t < h; t++ {
-		z := r.scratch[t]
-		out[r.invPos[2*t]] = real(z)
-		out[r.invPos[2*t+1]] = imag(z)
-	}
-}
-
-// IDST computes the sine reconstruction
-//
-//	out_i = sum_u a_u sin(pi*u*(2i+1)/(2n)).
-//
-// The u = 0 term contributes nothing regardless of a_0. Internally it
-// is the IDCT of the frequency-reversed coefficients with a sign flip
-// on the odd output samples:
-// sin(pi*u*(2i+1)/(2n)) = (-1)^i cos(pi*(n-u)*(2i+1)/(2n)).
-func (r *Real) IDST(a, out []float64) {
-	r.check(a, out)
-	if r.n == 1 {
-		out[0] = 0
-		return
-	}
-	r.buildB(a, true)
-	r.inverseHalf()
-	h := r.h
-	for t := 0; t < h; t++ {
-		z := r.scratch[t]
-		j0, j1 := 2*t, 2*t+1
-		v0, v1 := real(z), imag(z)
-		if j0 >= h {
-			v0 = -v0
-		}
-		if j1 >= h {
-			v1 = -v1
-		}
-		out[r.invPos[j0]] = v0
-		out[r.invPos[j1]] = v1
 	}
 }
 
@@ -320,7 +256,7 @@ func (r *Real) IDCTPair(aA, aB, outA, outB []float64) {
 		anu := complex(aA[n-u]/2, aB[n-u]/2)
 		r.scratch[u] = r.invTw[u] * (au - 1i*anu)
 	}
-	r.full.Inverse(r.scratch)
+	r.full.inverse(r.scratch)
 	for j := 0; j < n; j++ {
 		z := r.scratch[j]
 		p := r.invPos[j]
@@ -346,7 +282,7 @@ func (r *Real) IDSTPair(aA, aB, outA, outB []float64) {
 		anu := complex(aA[u]/2, aB[u]/2)
 		r.scratch[u] = r.invTw[u] * (au - 1i*anu)
 	}
-	r.full.Inverse(r.scratch)
+	r.full.inverse(r.scratch)
 	for j := 0; j < n; j++ {
 		z := r.scratch[j]
 		p := r.invPos[j]
@@ -360,123 +296,8 @@ func (r *Real) IDSTPair(aA, aB, outA, outB []float64) {
 	}
 }
 
-// IDCTAndIDST computes both reconstructions of the same coefficients
-// with a single full-length FFT: outC_i = sum a_u cos(...),
-// outS_i = sum a_u sin(...). The cosine coefficients ride the real
-// channel and the reversed sine coefficients the imaginary channel.
-func (r *Real) IDCTAndIDST(a, outC, outS []float64) {
-	r.check(a, outC)
-	r.check(a, outS)
-	n, h := r.n, r.h
-	if n == 1 {
-		outC[0], outS[0] = a[0], 0
-		return
-	}
-	r.scratch[0] = complex(a[0], 0)
-	for u := 1; u < n; u++ {
-		au := complex(a[u]/2, a[n-u]/2)
-		anu := complex(a[n-u]/2, a[u]/2)
-		r.scratch[u] = r.invTw[u] * (au - 1i*anu)
-	}
-	r.full.Inverse(r.scratch)
-	for j := 0; j < n; j++ {
-		z := r.scratch[j]
-		p := r.invPos[j]
-		outC[p] = real(z)
-		if j < h {
-			outS[p] = imag(z)
-		} else {
-			outS[p] = -imag(z)
-		}
-	}
-}
-
-// buildB stages the conjugate-symmetric B spectrum of the half-packed
-// inverse into bbuf[0..h]: B_u = exp(+i*pi*u/(2n)) (c_u - i c_{n-u})
-// with c_0 = a_0, c_u = a_u/2 (the full-weight a_0 convention), and for
-// the sine variant the frequency-reversed coefficients c_u = a_{n-u}/2,
-// c_0 = 0. It then packs B into the length-n/2 spectrum
-// Z_u = (B_u + B*_{h-u}) + i exp(+2*pi*i*u/n) (B_u - B*_{h-u})
-// in scratch, ready for one half-length inverse FFT.
-func (r *Real) buildB(a []float64, sine bool) {
-	n, h := r.n, r.h
-	if sine {
-		r.bbuf[0] = 0
-		for u := 1; u < h; u++ {
-			r.bbuf[u] = r.invTw[u] * complex(a[n-u]/2, -a[u]/2)
-		}
-		r.bbuf[h] = complex(math.Sqrt2*a[h]/2, 0)
-	} else {
-		r.bbuf[0] = complex(a[0], 0)
-		for u := 1; u < h; u++ {
-			r.bbuf[u] = r.invTw[u] * complex(a[u]/2, -a[n-u]/2)
-		}
-		r.bbuf[h] = complex(math.Sqrt2*a[h]/2, 0)
-	}
-	for u := 0; u < h; u++ {
-		bu := r.bbuf[u]
-		bc := r.bbuf[h-u]
-		bc = complex(real(bc), -imag(bc))
-		sum := bu + bc
-		d := conjMul(r.packTw[u], bu-bc) // exp(+2*pi*i*u/n) * (B_u - B*_{h-u})
-		r.scratch[u] = sum + complex(-imag(d), real(d))
-	}
-}
-
-// inverseHalf runs the unnormalized half-length inverse FFT over the
-// packed spectrum left in scratch by buildB, leaving the interleaved
-// reconstruction samples b_{2t} + i b_{2t+1} in scratch[:h].
-func (r *Real) inverseHalf() { r.half.Inverse(r.scratch[:r.h]) }
-
-// conjMul returns conj(w) * z.
-func conjMul(w, z complex128) complex128 {
-	return complex(real(w), -imag(w)) * z
-}
-
 func (r *Real) check(in, out []float64) {
 	if len(in) != r.n || len(out) != r.n {
 		panic(fmt.Sprintf("fft: vector length %d/%d, workspace size %d", len(in), len(out), r.n))
 	}
-}
-
-// NaiveDCT2 is the O(n^2) reference for DCT2, used in tests.
-func NaiveDCT2(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for u := 0; u < n; u++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += x[i] * math.Cos(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
-		}
-		out[u] = s
-	}
-	return out
-}
-
-// NaiveIDCT is the O(n^2) reference for IDCT, used in tests.
-func NaiveIDCT(a []float64) []float64 {
-	n := len(a)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for u := 0; u < n; u++ {
-			s += a[u] * math.Cos(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// NaiveIDST is the O(n^2) reference for IDST, used in tests.
-func NaiveIDST(a []float64) []float64 {
-	n := len(a)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for u := 0; u < n; u++ {
-			s += a[u] * math.Sin(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -42,11 +42,11 @@ import (
 	"math/cmplx"
 )
 
-// Plan32 holds per-stage twiddle tables and the bit-reversal
+// plan32 holds per-stage twiddle tables and the bit-reversal
 // permutation for complex64 FFTs of one size. Immutable after
-// NewPlan32 and shareable across goroutines operating on distinct
+// newPlan32 and shareable across goroutines operating on distinct
 // buffers.
-type Plan32 struct {
+type plan32 struct {
 	n    int
 	logn int
 	rev  []int
@@ -57,13 +57,13 @@ type Plan32 struct {
 	fwdSt, invSt [][]complex64
 }
 
-// NewPlan32 creates a plan for complex64 FFTs of length n (a power of
+// newPlan32 creates a plan for complex64 FFTs of length n (a power of
 // two).
-func NewPlan32(n int) *Plan32 {
+func newPlan32(n int) *plan32 {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("fft: size %d is not a positive power of two", n))
 	}
-	p := &Plan32{n: n, logn: bits.TrailingZeros(uint(n))}
+	p := &plan32{n: n, logn: bits.TrailingZeros(uint(n))}
 	p.rev = make([]int, n)
 	for i := 0; i < n; i++ {
 		p.rev[i] = int(bits.Reverse(uint(i)) >> (bits.UintSize - p.logn))
@@ -84,26 +84,23 @@ func NewPlan32(n int) *Plan32 {
 	return p
 }
 
-// N returns the transform length.
-func (p *Plan32) N() int { return p.n }
-
-// Forward computes the in-place forward DFT in complex64 on
+// forward computes the in-place forward DFT in complex64 on
 // natural-order input.
-func (p *Plan32) Forward(x []complex64) {
+func (p *plan32) forward(x []complex64) {
 	p.check(x)
 	p.swap(x)
 	p.butterflies(x, false)
 }
 
-// Inverse computes the in-place unnormalized inverse DFT in complex64
+// inverse computes the in-place unnormalized inverse DFT in complex64
 // on natural-order input.
-func (p *Plan32) Inverse(x []complex64) {
+func (p *plan32) inverse(x []complex64) {
 	p.check(x)
 	p.swap(x)
 	p.butterflies(x, true)
 }
 
-func (p *Plan32) check(x []complex64) {
+func (p *plan32) check(x []complex64) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: buffer length %d, plan size %d", len(x), p.n))
 	}
@@ -112,7 +109,7 @@ func (p *Plan32) check(x []complex64) {
 // swap applies the bit-reversal permutation. The pair transforms below
 // never call it: they build the buffer bit-reversed in their
 // gather/scatter loops and go straight to butterflies.
-func (p *Plan32) swap(x []complex64) {
+func (p *plan32) swap(x []complex64) {
 	for i, j := range p.rev {
 		if i < j {
 			x[i], x[j] = x[j], x[i]
@@ -125,7 +122,7 @@ func (p *Plan32) swap(x []complex64) {
 // output. Vector path: a fused radix-2x2 first pass (sizes 2 and 4 in
 // one sweep) then 4-wide generic stages; the scalar fallback covers
 // n < 8, non-amd64 builds, and pre-AVX2 hardware.
-func (p *Plan32) butterflies(x []complex64, inverse bool) {
+func (p *plan32) butterflies(x []complex64, inverse bool) {
 	if p.n < 2 {
 		return
 	}
@@ -149,7 +146,7 @@ func (p *Plan32) butterflies(x []complex64, inverse bool) {
 // vector path, written as explicit float32 real/imag arithmetic (a
 // complex64 multiply would be silently widened to float64 — see the
 // file comment).
-func (p *Plan32) scalarStages(x []complex64, st [][]complex64) {
+func (p *plan32) scalarStages(x []complex64, st [][]complex64) {
 	n := p.n
 	for s, tw := range st {
 		half := 1 << s
@@ -177,7 +174,7 @@ func (p *Plan32) scalarStages(x []complex64, st [][]complex64) {
 // aliasing the input.
 type Real32 struct {
 	n, h    int
-	full    *Plan32
+	full    *plan32
 	scratch []complex64
 	// fwdGather composes Makhoul's even/odd reorder with the FFT's
 	// bit-reversal: scratch[j] = in[fwdGather[j]] feeds the butterfly
@@ -203,7 +200,7 @@ func NewReal32(n int) *Real32 {
 	if n == 1 {
 		return r
 	}
-	r.full = NewPlan32(n)
+	r.full = newPlan32(n)
 	r.rev = r.full.rev
 	r.scratch = make([]complex64, n)
 	fwdReorder := make([]int, n)
@@ -233,9 +230,6 @@ func NewReal32(n int) *Real32 {
 	}
 	return r
 }
-
-// N returns the vector length.
-func (r *Real32) N() int { return r.n }
 
 // f32or64 admits the two precisions a pair transform can stage from or
 // scatter to; conversion happens element-wise inside the existing
@@ -348,7 +342,7 @@ func idstPair32[In, Out f32or64](r *Real32, aA, aB []In, outA, outB []Out) {
 		outA[0], outB[0] = 0, 0
 		return
 	}
-	// Same spectrum builder as IDCT with the coefficients reversed
+	// Same spectrum builder as idctPair32 with the coefficients reversed
 	// (sine reconstruction), scattered through the bit-reversal.
 	r.scratch[r.rev[0]] = 0
 	for u := 1; u < n; u++ {

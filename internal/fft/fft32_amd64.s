@@ -1,4 +1,4 @@
-// AVX2 butterfly kernels for the float32 FFT (Plan32). The buffers are
+// AVX2 butterfly kernels for the float32 FFT (plan32). The buffers are
 // []complex64 viewed as interleaved float32 re/im pairs; one YMM
 // register holds 4 complex values. Written directly in assembly because
 // the Go compiler widens complex64 arithmetic to float64, and the

@@ -37,8 +37,8 @@ func TestScalarFallbackMatchesNaive(t *testing.T) {
 		outA := make([]float32, n)
 		outB := make([]float32, n)
 		r.DCT2Pair(xA, xB, outA, outB)
-		wantA := NaiveDCT2(toF64(xA))
-		wantB := NaiveDCT2(toF64(xB))
+		wantA := naiveDCT2(toF64(xA))
+		wantB := naiveDCT2(toF64(xB))
 		tol := relTol32(n)
 		if e := maxRelErr32(outA, wantA); e > tol {
 			t.Errorf("scalar DCT2Pair n=%d A: rel err %.3g > %.3g", n, e, tol)
@@ -48,8 +48,8 @@ func TestScalarFallbackMatchesNaive(t *testing.T) {
 		}
 
 		r.IDCTPair(xA, xB, outA, outB)
-		wantA = NaiveIDCT(toF64(xA))
-		wantB = NaiveIDCT(toF64(xB))
+		wantA = naiveIDCT(toF64(xA))
+		wantB = naiveIDCT(toF64(xB))
 		if e := maxRelErr32(outA, wantA); e > tol {
 			t.Errorf("scalar IDCTPair n=%d A: rel err %.3g > %.3g", n, e, tol)
 		}
@@ -58,8 +58,8 @@ func TestScalarFallbackMatchesNaive(t *testing.T) {
 		}
 
 		r.IDSTPair(xA, xB, outA, outB)
-		wantA = NaiveIDST(toF64(xA))
-		wantB = NaiveIDST(toF64(xB))
+		wantA = naiveIDST(toF64(xA))
+		wantB = naiveIDST(toF64(xB))
 		if e := maxRelErr32(outA, wantA); e > tol {
 			t.Errorf("scalar IDSTPair n=%d A: rel err %.3g > %.3g", n, e, tol)
 		}

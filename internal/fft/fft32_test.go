@@ -52,10 +52,10 @@ func TestDCT2Pair32MatchesNaive(t *testing.T) {
 		ob := make([]float32, n)
 		r.DCT2Pair(xa32, xb32, oa, ob)
 		tol := relTol32(n)
-		if e := maxRelErr32(oa, NaiveDCT2(xa64)); e > tol {
+		if e := maxRelErr32(oa, naiveDCT2(xa64)); e > tol {
 			t.Errorf("n=%d DCT2Pair A rel err %g > %g", n, e, tol)
 		}
-		if e := maxRelErr32(ob, NaiveDCT2(xb64)); e > tol {
+		if e := maxRelErr32(ob, naiveDCT2(xb64)); e > tol {
 			t.Errorf("n=%d DCT2Pair B rel err %g > %g", n, e, tol)
 		}
 		// The From64 variant must produce bitwise the same result for
@@ -80,10 +80,10 @@ func TestIDCTPair32MatchesNaive(t *testing.T) {
 		ob := make([]float32, n)
 		r.IDCTPair(aa32, ab32, oa, ob)
 		tol := relTol32(n)
-		if e := maxRelErr32(oa, NaiveIDCT(aa64)); e > tol {
+		if e := maxRelErr32(oa, naiveIDCT(aa64)); e > tol {
 			t.Errorf("n=%d IDCTPair A rel err %g > %g", n, e, tol)
 		}
-		if e := maxRelErr32(ob, NaiveIDCT(ab64)); e > tol {
+		if e := maxRelErr32(ob, naiveIDCT(ab64)); e > tol {
 			t.Errorf("n=%d IDCTPair B rel err %g > %g", n, e, tol)
 		}
 		oa64 := make([]float64, n)
@@ -106,10 +106,10 @@ func TestIDSTPair32MatchesNaive(t *testing.T) {
 		ob := make([]float32, n)
 		r.IDSTPair(aa32, ab32, oa, ob)
 		tol := relTol32(n)
-		if e := maxRelErr32(oa, NaiveIDST(aa64)); e > tol {
+		if e := maxRelErr32(oa, naiveIDST(aa64)); e > tol {
 			t.Errorf("n=%d IDSTPair A rel err %g > %g", n, e, tol)
 		}
-		if e := maxRelErr32(ob, NaiveIDST(ab64)); e > tol {
+		if e := maxRelErr32(ob, naiveIDST(ab64)); e > tol {
 			t.Errorf("n=%d IDSTPair B rel err %g > %g", n, e, tol)
 		}
 		oa64 := make([]float64, n)

@@ -35,15 +35,57 @@ func naiveDFT(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
+// naiveDCT2 is the O(n^2) reference for DCT2 and DCT2Pair.
+func naiveDCT2(x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, n)
+	for u := 0; u < n; u++ {
+		s := 0.0
+		for i := 0; i < n; i++ {
+			s += x[i] * math.Cos(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
+		}
+		out[u] = s
+	}
+	return out
+}
+
+// naiveIDCT is the O(n^2) reference for the cosine reconstruction.
+func naiveIDCT(a []float64) []float64 {
+	n := len(a)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for u := 0; u < n; u++ {
+			s += a[u] * math.Cos(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// naiveIDST is the O(n^2) reference for the sine reconstruction.
+func naiveIDST(a []float64) []float64 {
+	n := len(a)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for u := 0; u < n; u++ {
+			s += a[u] * math.Sin(math.Pi*float64(u)*float64(2*i+1)/float64(2*n))
+		}
+		out[i] = s
+	}
+	return out
+}
+
 func TestPlanRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{0, -4, 3, 6, 100} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewPlan(%d) did not panic", n)
+					t.Errorf("newPlan(%d) did not panic", n)
 				}
 			}()
-			NewPlan(n)
+			newPlan(n)
 		}()
 	}
 }
@@ -51,14 +93,14 @@ func TestPlanRejectsBadSizes(t *testing.T) {
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		want := naiveDFT(x, false)
 		got := append([]complex128(nil), x...)
-		p.Forward(got)
+		p.forward(got)
 		for k := range got {
 			if cmplx.Abs(got[k]-want[k]) > 1e-9*float64(n) {
 				t.Fatalf("n=%d k=%d got %v want %v", n, k, got[k], want[k])
@@ -70,14 +112,14 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 func TestInverseMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 32
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := make([]complex128, n)
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	want := naiveDFT(x, true)
 	got := append([]complex128(nil), x...)
-	p.Inverse(got)
+	p.inverse(got)
 	for k := range got {
 		if cmplx.Abs(got[k]-want[k]) > 1e-9*float64(n) {
 			t.Fatalf("k=%d got %v want %v", k, got[k], want[k])
@@ -88,14 +130,14 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 func TestForwardInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{4, 32, 256, 1024} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		y := append([]complex128(nil), x...)
-		p.Forward(y)
-		p.Inverse(y)
+		p.forward(y)
+		p.inverse(y)
 		for i := range y {
 			if cmplx.Abs(y[i]/complex(float64(n), 0)-x[i]) > 1e-10*float64(n) {
 				t.Fatalf("n=%d i=%d round trip %v vs %v", n, i, y[i], x[i])
@@ -107,14 +149,14 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 func TestParsevalEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 128
-	p := NewPlan(n)
+	p := newPlan(n)
 	x := make([]complex128, n)
 	timeE := 0.0
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), 0)
 		timeE += real(x[i]) * real(x[i])
 	}
-	p.Forward(x)
+	p.forward(x)
 	freqE := 0.0
 	for _, v := range x {
 		freqE += real(v)*real(v) + imag(v)*imag(v)
@@ -144,37 +186,9 @@ func TestDCT2MatchesNaive(t *testing.T) {
 		x := randVec(rng, n)
 		got := make([]float64, n)
 		r.DCT2(x, got)
-		want := NaiveDCT2(x)
+		want := naiveDCT2(x)
 		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d DCT2 max diff %v", n, d)
-		}
-	}
-}
-
-func TestIDCTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range allSizes {
-		r := NewReal(n)
-		a := randVec(rng, n)
-		got := make([]float64, n)
-		r.IDCT(a, got)
-		want := NaiveIDCT(a)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDCT max diff %v", n, d)
-		}
-	}
-}
-
-func TestIDSTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range allSizes {
-		r := NewReal(n)
-		a := randVec(rng, n)
-		got := make([]float64, n)
-		r.IDST(a, got)
-		want := NaiveIDST(a)
-		if d := maxAbsDiff(got, want); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDST max diff %v", n, d)
 		}
 	}
 }
@@ -192,26 +206,26 @@ func TestPairTransformsMatchNaive(t *testing.T) {
 		gotB := make([]float64, n)
 
 		r.DCT2Pair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, NaiveDCT2(a)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotA, naiveDCT2(a)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d DCT2Pair A max diff %v", n, d)
 		}
-		if d := maxAbsDiff(gotB, NaiveDCT2(b)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotB, naiveDCT2(b)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d DCT2Pair B max diff %v", n, d)
 		}
 
 		r.IDCTPair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, NaiveIDCT(a)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotA, naiveIDCT(a)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d IDCTPair A max diff %v", n, d)
 		}
-		if d := maxAbsDiff(gotB, NaiveIDCT(b)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotB, naiveIDCT(b)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d IDCTPair B max diff %v", n, d)
 		}
 
 		r.IDSTPair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, NaiveIDST(a)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotA, naiveIDST(a)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d IDSTPair A max diff %v", n, d)
 		}
-		if d := maxAbsDiff(gotB, NaiveIDST(b)); d > 1e-9*float64(n) {
+		if d := maxAbsDiff(gotB, naiveIDST(b)); d > 1e-9*float64(n) {
 			t.Fatalf("n=%d IDSTPair B max diff %v", n, d)
 		}
 	}
@@ -253,31 +267,9 @@ func TestTransformsInPlace(t *testing.T) {
 	}
 }
 
-func TestIDCTAndIDSTConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 64
-	r := NewReal(n)
-	a := make([]float64, n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	c1 := make([]float64, n)
-	s1 := make([]float64, n)
-	r.IDCTAndIDST(a, c1, s1)
-	c2 := make([]float64, n)
-	s2 := make([]float64, n)
-	r.IDCT(a, c2)
-	r.IDST(a, s2)
-	// The fused transform runs through a full-length FFT, the single
-	// ones through the half-packed route, so agreement is to rounding
-	// rather than bitwise.
-	if maxAbsDiff(c1, c2) > 1e-9 || maxAbsDiff(s1, s2) > 1e-9 {
-		t.Error("combined transform disagrees with separate calls")
-	}
-}
-
-// Property: DCT2 followed by IDCT with the standard normalization
-// recovers the input: x_i = (2/n) * sum_u s_u X_u cos(...), s_0 = 1/2.
+// Property: DCT2 followed by the cosine reconstruction with the
+// standard normalization recovers the input:
+// x_i = (2/n) * sum_u s_u X_u cos(...), s_0 = 1/2.
 func TestDCTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{2, 8, 64, 512, 1024} {
@@ -293,7 +285,7 @@ func TestDCTRoundTrip(t *testing.T) {
 		}
 		coef[0] /= 2
 		back := make([]float64, n)
-		r.IDCT(coef, back)
+		r.IDCTPair(coef, coef, back, back)
 		if d := maxAbsDiff(back, x); d > 1e-8 {
 			t.Fatalf("n=%d DCT round trip max diff %v", n, d)
 		}
@@ -308,7 +300,7 @@ func TestSingleModeReconstruction(t *testing.T) {
 		a := make([]float64, n)
 		a[u] = 1
 		got := make([]float64, n)
-		r.IDCT(a, got)
+		r.IDCTPair(a, a, got, got)
 		for i := 0; i < n; i++ {
 			want := math.Cos(math.Pi * float64(u) * float64(2*i+1) / float64(2*n))
 			if math.Abs(got[i]-want) > 1e-10 {
@@ -318,14 +310,14 @@ func TestSingleModeReconstruction(t *testing.T) {
 	}
 }
 
-// Property: IDST of the u=0 mode is identically zero.
+// Property: the sine reconstruction of the u=0 mode is identically zero.
 func TestIDSTZeroMode(t *testing.T) {
 	n := 16
 	r := NewReal(n)
 	a := make([]float64, n)
 	a[0] = 123.456
 	out := make([]float64, n)
-	r.IDST(a, out)
+	r.IDSTPair(a, a, out, out)
 	for i, v := range out {
 		if math.Abs(v) > 1e-12 {
 			t.Fatalf("IDST zero mode leaked at %d: %v", i, v)
@@ -361,14 +353,14 @@ func TestLinearity(t *testing.T) {
 }
 
 func BenchmarkFFT1024(b *testing.B) {
-	p := NewPlan(1024)
+	p := newPlan(1024)
 	x := make([]complex128, 1024)
 	for i := range x {
 		x[i] = complex(float64(i%7), float64(i%3))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(x)
+		p.forward(x)
 	}
 }
 
@@ -415,22 +407,5 @@ func BenchmarkDCT2Pair_512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.DCT2Pair(x, x2, out, out2)
-	}
-}
-
-func BenchmarkIDCT_512(b *testing.B) {
-	r, x, out := benchInput(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.IDCT(x, out)
-	}
-}
-
-func BenchmarkIDCTAndIDST_512(b *testing.B) {
-	r, x, out := benchInput(512)
-	out2 := make([]float64, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.IDCTAndIDST(x, out, out2)
 	}
 }

@@ -8,20 +8,20 @@ import (
 	"testing/quick"
 )
 
-// Property: Forward then Inverse recovers the input (scaled by n) for
+// Property: forward then inverse recovers the input (scaled by n) for
 // arbitrary random vectors and sizes.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, sizeSel uint8) bool {
 		n := 1 << (2 + sizeSel%8) // 4..512
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPlan(n)
+		p := newPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		y := append([]complex128(nil), x...)
-		p.Forward(y)
-		p.Inverse(y)
+		p.forward(y)
+		p.inverse(y)
 		for i := range y {
 			if cmplx.Abs(y[i]/complex(float64(n), 0)-x[i]) > 1e-9*float64(n) {
 				return false
@@ -62,8 +62,8 @@ func TestQuickDCTConstant(t *testing.T) {
 	}
 }
 
-// Property: IDCT and IDST agree with the naive O(n^2) references on
-// random coefficient vectors.
+// Property: the cosine and sine reconstructions agree with the naive
+// O(n^2) references on random coefficient vectors.
 func TestQuickMatchesNaive(t *testing.T) {
 	f := func(seed int64, sizeSel uint8) bool {
 		n := 1 << (1 + sizeSel%6) // 2..64 (naive is quadratic)
@@ -75,9 +75,10 @@ func TestQuickMatchesNaive(t *testing.T) {
 		}
 		c := make([]float64, n)
 		s := make([]float64, n)
-		r.IDCTAndIDST(a, c, s)
-		wc := NaiveIDCT(a)
-		ws := NaiveIDST(a)
+		r.IDCTPair(a, a, c, c)
+		r.IDSTPair(a, a, s, s)
+		wc := naiveIDCT(a)
+		ws := naiveIDST(a)
 		for i := 0; i < n; i++ {
 			if math.Abs(c[i]-wc[i]) > 1e-8*float64(n) || math.Abs(s[i]-ws[i]) > 1e-8*float64(n) {
 				return false

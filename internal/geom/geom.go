@@ -16,21 +16,8 @@ type Point struct {
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
-// Manhattan returns the L1 distance between p and q.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
 
 // String formats the point for debugging.
 func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
@@ -40,11 +27,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 // and Ly <= Hy; a degenerate Rect may have zero width or height.
 type Rect struct {
 	Lx, Ly, Hx, Hy float64
-}
-
-// NewRectWH builds a rectangle from a lower-left corner and a size.
-func NewRectWH(lx, ly, w, h float64) Rect {
-	return Rect{Lx: lx, Ly: ly, Hx: lx + w, Hy: ly + h}
 }
 
 // NewRectCenter builds a rectangle of size w x h centered at (cx, cy).
@@ -132,8 +114,8 @@ func (r Rect) Union(q Rect) Rect {
 	}
 }
 
-// Translate returns r shifted by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
+// translate returns r shifted by (dx, dy).
+func (r Rect) translate(dx, dy float64) Rect {
 	return Rect{r.Lx + dx, r.Ly + dy, r.Hx + dx, r.Hy + dy}
 }
 
@@ -184,5 +166,5 @@ func ClampRectInside(r, region Rect) Rect {
 	case r.Hy > region.Hy:
 		dy = region.Hy - r.Hy
 	}
-	return r.Translate(dx, dy)
+	return r.translate(dx, dy)
 }

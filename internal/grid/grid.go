@@ -20,7 +20,7 @@ import (
 //
 // Concurrency contract: a Grid is not safe for concurrent mutation;
 // AddCellsSoA parallelizes internally over bin rows. Read-only queries
-// (Overflow, MaxDensity, FootprintForce, ...) may run concurrently with
+// (Overflow, FootprintForce, ...) may run concurrently with
 // each other but not with mutations.
 type Grid struct {
 	M      int
@@ -118,15 +118,6 @@ func (g *Grid) ClearMovable() {
 	for i := range g.Mov {
 		g.Mov[i] = 0
 		g.Fill[i] = 0
-	}
-}
-
-// ClearAll zeroes every layer.
-func (g *Grid) ClearAll() {
-	for i := range g.Mov {
-		g.Mov[i] = 0
-		g.Fill[i] = 0
-		g.Fixed[i] = 0
 	}
 }
 
@@ -454,62 +445,4 @@ func (g *Grid) OverflowPerBin(rhoT float64) float64 {
 		return 0
 	}
 	return 100 * sum / float64(n)
-}
-
-// MaxDensity returns the peak bin density (occupied fraction, all layers).
-func (g *Grid) MaxDensity() float64 {
-	binArea := g.BinArea()
-	m := 0.0
-	for b := range g.Mov {
-		if d := (g.Fixed[b] + g.Mov[b] + g.Fill[b]) / binArea; d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// TotalMovable returns the rasterized movable area (a conservation check:
-// it must match the summed cell areas for cells inside the region).
-func (g *Grid) TotalMovable() float64 {
-	s := 0.0
-	for _, v := range g.Mov {
-		s += v
-	}
-	return s
-}
-
-// TotalFill returns the rasterized filler area.
-func (g *Grid) TotalFill() float64 {
-	s := 0.0
-	for _, v := range g.Fill {
-		s += v
-	}
-	return s
-}
-
-// BinCenter returns the center coordinate of bin (i, j).
-func (g *Grid) BinCenter(i, j int) geom.Point {
-	return geom.Point{
-		X: g.Region.Lx + (float64(i)+0.5)*g.BinW,
-		Y: g.Region.Ly + (float64(j)+0.5)*g.BinH,
-	}
-}
-
-// BinOf returns the bin indices containing point p, clamped to the grid.
-func (g *Grid) BinOf(p geom.Point) (int, int) {
-	i := int((p.X - g.Region.Lx) / g.BinW)
-	j := int((p.Y - g.Region.Ly) / g.BinH)
-	if i < 0 {
-		i = 0
-	}
-	if i >= g.M {
-		i = g.M - 1
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j >= g.M {
-		j = g.M - 1
-	}
-	return i, j
 }

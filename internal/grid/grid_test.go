@@ -43,7 +43,7 @@ func TestAreaConservationLargeCell(t *testing.T) {
 	g := New(region100(), 16)
 	// A cell larger than a bin: no smoothing, exact area.
 	g.AddMovable(50, 50, 20, 30)
-	if got := g.TotalMovable(); math.Abs(got-600) > 1e-9 {
+	if got := layerSum(g.Mov); math.Abs(got-600) > 1e-9 {
 		t.Errorf("TotalMovable = %v, want 600", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestAreaConservationSmallCell(t *testing.T) {
 	g := New(region100(), 16) // bins 6.25 x 6.25
 	// A tiny cell is inflated but its total charge is preserved.
 	g.AddMovable(50, 50, 1, 1.5)
-	if got := g.TotalMovable(); math.Abs(got-1.5) > 1e-9 {
+	if got := layerSum(g.Mov); math.Abs(got-1.5) > 1e-9 {
 		t.Errorf("smoothed TotalMovable = %v, want 1.5", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestSplatExactPartition(t *testing.T) {
 			}
 		}
 	}
-	if got := g.TotalMovable(); math.Abs(got-2500) > 1e-9 {
+	if got := layerSum(g.Mov); math.Abs(got-2500) > 1e-9 {
 		t.Errorf("total = %v", got)
 	}
 }
@@ -130,8 +130,9 @@ func TestOverflowRespectsTargetDensity(t *testing.T) {
 	// Half-fill every bin uniformly: fine at rhoT=1, overflowing at 0.25.
 	for j := 0; j < 8; j++ {
 		for i := 0; i < 8; i++ {
-			c := g.BinCenter(i, j)
-			g.AddMovable(c.X, c.Y, g.BinW, g.BinH/2)
+			cx := g.Region.Lx + (float64(i)+0.5)*g.BinW
+			cy := g.Region.Ly + (float64(j)+0.5)*g.BinH
+			g.AddMovable(cx, cy, g.BinW, g.BinH/2)
 		}
 	}
 	if got := g.Overflow(1.0); got > 1e-9 {
@@ -179,7 +180,7 @@ func TestClearMovableKeepsFixed(t *testing.T) {
 	g.AddMovable(50, 50, 5, 5)
 	g.AddFiller(20, 20, 5, 5)
 	g.ClearMovable()
-	if g.TotalMovable() != 0 || g.TotalFill() != 0 {
+	if layerSum(g.Mov) != 0 || layerSum(g.Fill) != 0 {
 		t.Error("ClearMovable left movable/filler area")
 	}
 	fixed := 0.0
@@ -189,38 +190,15 @@ func TestClearMovableKeepsFixed(t *testing.T) {
 	if fixed == 0 {
 		t.Error("ClearMovable erased fixed layer")
 	}
-	g.ClearAll()
-	fixed = 0
-	for _, v := range g.Fixed {
-		fixed += v
-	}
-	if fixed != 0 {
-		t.Error("ClearAll kept fixed layer")
-	}
 }
 
-func TestBinOfClamps(t *testing.T) {
-	g := New(region100(), 8)
-	i, j := g.BinOf(geom.Point{X: -5, Y: 105})
-	if i != 0 || j != 7 {
-		t.Errorf("BinOf clamp = (%d, %d)", i, j)
+// layerSum returns the total area a grid layer holds.
+func layerSum(layer []float64) float64 {
+	s := 0.0
+	for _, v := range layer {
+		s += v
 	}
-	i, j = g.BinOf(geom.Point{X: 50, Y: 50})
-	if i != 4 || j != 4 {
-		t.Errorf("BinOf center = (%d, %d)", i, j)
-	}
-}
-
-func TestBinCenterGeometry(t *testing.T) {
-	g := New(region100(), 4)
-	c := g.BinCenter(0, 0)
-	if c != (geom.Point{X: 12.5, Y: 12.5}) {
-		t.Errorf("BinCenter(0,0) = %v", c)
-	}
-	c = g.BinCenter(3, 3)
-	if c != (geom.Point{X: 87.5, Y: 87.5}) {
-		t.Errorf("BinCenter(3,3) = %v", c)
-	}
+	return s
 }
 
 // Property: rasterized movable charge always equals the full cell area;
@@ -230,14 +208,14 @@ func TestSplatAreaProperty(t *testing.T) {
 	g := New(region100(), 32)
 	rng := rand.New(rand.NewSource(9))
 	for k := 0; k < 200; k++ {
-		g.ClearAll()
+		g.ClearMovable()
 		w := 4 + rng.Float64()*30 // larger than sqrt2*binW, no smoothing
 		h := 5 + rng.Float64()*30
 		cx := rng.Float64() * 100
 		cy := rng.Float64() * 100
 		g.AddMovable(cx, cy, w, h)
 		want := w * h
-		if got := g.TotalMovable(); math.Abs(got-want) > 1e-6*(1+want) {
+		if got := layerSum(g.Mov); math.Abs(got-want) > 1e-6*(1+want) {
 			t.Fatalf("splat area %v, exact %v (cell %vx%v at %v,%v)", got, want, w, h, cx, cy)
 		}
 	}
@@ -247,9 +225,9 @@ func TestSplatAreaProperty(t *testing.T) {
 func TestSplatConservationAtCorners(t *testing.T) {
 	g := New(region100(), 32)
 	for _, p := range []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}, {X: 100, Y: 100}, {X: 50, Y: 0}} {
-		g.ClearAll()
+		g.ClearMovable()
 		g.AddMovable(p.X, p.Y, 1, 1)
-		if got := g.TotalMovable(); math.Abs(got-1) > 1e-9 {
+		if got := layerSum(g.Mov); math.Abs(got-1) > 1e-9 {
 			t.Fatalf("corner cell at %v conserved %v, want 1", p, got)
 		}
 	}
@@ -265,14 +243,5 @@ func TestOverflowPerBin(t *testing.T) {
 	}
 	if g.OverflowPerBin(1.0) != 0 {
 		t.Errorf("OverflowPerBin at rhoT=1 should be 0")
-	}
-}
-
-func TestMaxDensity(t *testing.T) {
-	g := New(region100(), 4)
-	g.AddMovable(25, 25, 50, 50)
-	g.AddFixed(geom.Rect{Lx: 0, Ly: 0, Hx: 25, Hy: 25})
-	if got := g.MaxDensity(); math.Abs(got-2.0) > 1e-9 {
-		t.Errorf("MaxDensity = %v, want 2", got)
 	}
 }

@@ -132,10 +132,10 @@ func TestAddObjectsConservesArea(t *testing.T) {
 	}
 	addObjects(g, objs, 2)
 	wantMov := 4.0*4 + 0.9*1.1
-	if got := g.TotalMovable(); math.Abs(got-wantMov) > 1e-9 {
-		t.Errorf("TotalMovable = %v, want %v", got, wantMov)
+	if got := layerSum(g.Mov); math.Abs(got-wantMov) > 1e-9 {
+		t.Errorf("movable area = %v, want %v", got, wantMov)
 	}
-	if got := g.TotalFill(); math.Abs(got-12.0) > 1e-9 {
-		t.Errorf("TotalFill = %v, want 12", got)
+	if got := layerSum(g.Fill); math.Abs(got-12.0) > 1e-9 {
+		t.Errorf("filler area = %v, want 12", got)
 	}
 }

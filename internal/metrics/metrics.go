@@ -42,15 +42,6 @@ func rasterize(d *netlist.Design, m int) *grid.Grid {
 	return g
 }
 
-// Overflow returns the density overflow tau of the current layout
-// against the design's target density, on an m x m grid (0 = auto).
-func Overflow(d *netlist.Design, m int) float64 {
-	if m == 0 {
-		m = grid.ChooseM(len(d.Cells))
-	}
-	return rasterize(d, m).Overflow(d.TargetDensity)
-}
-
 // ScaledHPWL returns the ISPD 2006 contest score
 // sHPWL = HPWL * (1 + 0.01 * tau_avg), where tau_avg is the average
 // per-bin percentage overflow against the benchmark target density.

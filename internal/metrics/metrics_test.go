@@ -20,7 +20,7 @@ func uniformDesign() *netlist.Design {
 
 func TestOverflowUniformZero(t *testing.T) {
 	d := uniformDesign()
-	if tau := Overflow(d, 16); tau > 1e-9 {
+	if tau := Measure("", "", d, 16, 0, false).Overflow; tau > 1e-9 {
 		t.Errorf("uniform overflow = %v", tau)
 	}
 }
@@ -30,7 +30,7 @@ func TestOverflowStackedHigh(t *testing.T) {
 	for k := 0; k < 16; k++ {
 		d.AddCell(netlist.Cell{W: 16, H: 16, X: 32, Y: 32})
 	}
-	if tau := Overflow(d, 16); tau < 0.7 {
+	if tau := Measure("", "", d, 16, 0, false).Overflow; tau < 0.7 {
 		t.Errorf("stacked overflow = %v, want high", tau)
 	}
 }
@@ -73,7 +73,7 @@ func TestFillersExcluded(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		d.AddCell(netlist.Cell{W: 8, H: 8, X: 32, Y: 32, Kind: netlist.Filler})
 	}
-	if tau := Overflow(d, 16); tau > 0.1 {
+	if tau := Measure("", "", d, 16, 0, false).Overflow; tau > 0.1 {
 		t.Errorf("fillers counted in overflow: %v", tau)
 	}
 }

@@ -151,9 +151,9 @@ func (cv *Compiled) SetPositions(idx []int, v []float64) {
 	}
 }
 
-// PinPosSlot returns the absolute position of CSR pin slot s from the
+// pinPosSlot returns the absolute position of CSR pin slot s from the
 // SoA arrays, matching Design.PinPos bit for bit.
-func (cv *Compiled) PinPosSlot(s int) (x, y float64) {
+func (cv *Compiled) pinPosSlot(s int) (x, y float64) {
 	ci := cv.PinCell[s]
 	if ci < 0 {
 		return cv.PinOx[s], cv.PinOy[s]
@@ -172,7 +172,7 @@ func (cv *Compiled) NetHPWL(ni int) float64 {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for s := o0; s < o1; s++ {
-		x, y := cv.PinPosSlot(s)
+		x, y := cv.pinPosSlot(s)
 		minX = min(minX, x)
 		maxX = max(maxX, x)
 		minY = min(minY, y)

@@ -30,7 +30,7 @@ func TestCompileStructure(t *testing.T) {
 			if int(cv.PinCell[s]) != p.Cell || cv.PinOx[s] != p.Ox || cv.PinOy[s] != p.Oy {
 				t.Fatalf("slot %d does not mirror pin %d", s, pi)
 			}
-			x, y := cv.PinPosSlot(s)
+			x, y := cv.pinPosSlot(s)
 			pos := d.PinPos(pi)
 			if math.Float64bits(x) != math.Float64bits(pos.X) ||
 				math.Float64bits(y) != math.Float64bits(pos.Y) {

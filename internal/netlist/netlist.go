@@ -268,17 +268,6 @@ func (d *Design) FixedCells() []int {
 	return out
 }
 
-// Macros returns indices of all macro cells (fixed or movable).
-func (d *Design) Macros() []int {
-	var out []int
-	for i := range d.Cells {
-		if d.Cells[i].Kind == Macro {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // MovableArea returns the total area of movable non-filler cells.
 func (d *Design) MovableArea() float64 {
 	a := 0.0
@@ -286,17 +275,6 @@ func (d *Design) MovableArea() float64 {
 		c := &d.Cells[i]
 		if !c.Fixed && c.Kind != Filler {
 			a += c.Area()
-		}
-	}
-	return a
-}
-
-// FillerArea returns the total area of filler cells.
-func (d *Design) FillerArea() float64 {
-	a := 0.0
-	for i := range d.Cells {
-		if d.Cells[i].Kind == Filler {
-			a += d.Cells[i].Area()
 		}
 	}
 	return a
@@ -436,16 +414,6 @@ func (d *Design) TotalOverlap(idx []int) float64 {
 		}
 	}
 	return total
-}
-
-// NetDegreeHistogram returns a map from net degree to count, used by the
-// synthetic benchmark generator tests and reporting.
-func (d *Design) NetDegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for ni := range d.Nets {
-		h[len(d.Nets[ni].Pins)]++
-	}
-	return h
 }
 
 // Stats summarizes a design for reports.

@@ -292,11 +292,3 @@ func TestHPWLTranslationInvariance(t *testing.T) {
 		t.Errorf("HPWL changed under translation: %v vs %v", got, before)
 	}
 }
-
-func TestNetDegreeHistogram(t *testing.T) {
-	d := buildTiny()
-	h := d.NetDegreeHistogram()
-	if h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-}

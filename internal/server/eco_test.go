@@ -139,7 +139,11 @@ func TestServerECOIgnoresBackendStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Poisson = "spectral"
-	if err := checkpoint.WriteFile(final, st); err != nil {
+	blob, err := checkpoint.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(final, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	child, err := s.Submit(JobSpec{ECO: &ECOSpec{

@@ -40,7 +40,7 @@ func TestQuickCGResidual(t *testing.T) {
 			return false
 		}
 		y := make([]float64, a.N)
-		a.MulVec(x, y)
+		mulVec(a, x, y)
 		normR, normB := 0.0, 0.0
 		for i := range y {
 			d := rhs[i] - y[i]
@@ -70,8 +70,8 @@ func TestQuickSymmetry(t *testing.T) {
 			ei[i], ej[j] = 1, 1
 			yi := make([]float64, a.N)
 			yj := make([]float64, a.N)
-			a.MulVec(ei, yi)
-			a.MulVec(ej, yj)
+			mulVec(a, ei, yi)
+			mulVec(a, ej, yj)
 			if math.Abs(yi[j]-yj[i]) > 1e-12 {
 				return false
 			}
@@ -83,19 +83,19 @@ func TestQuickSymmetry(t *testing.T) {
 	}
 }
 
-// Property: MulVec is linear.
+// Property: mulVec is linear.
 func TestQuickMulVecLinearity(t *testing.T) {
 	f := func(seed int64, alphaRaw int8) bool {
 		a, x := randomSPD(seed)
 		alpha := float64(alphaRaw) / 16
 		ax := make([]float64, a.N)
-		a.MulVec(x, ax)
+		mulVec(a, x, ax)
 		scaled := make([]float64, a.N)
 		for i := range x {
 			scaled[i] = alpha * x[i]
 		}
 		aScaled := make([]float64, a.N)
-		a.MulVec(scaled, aScaled)
+		mulVec(a, scaled, aScaled)
 		for i := range ax {
 			if math.Abs(aScaled[i]-alpha*ax[i]) > 1e-9*(1+math.Abs(ax[i])) {
 				return false

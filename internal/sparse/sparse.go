@@ -19,17 +19,6 @@ type CSR struct {
 	Val    []float64
 }
 
-// NNZ returns the number of stored entries, diagonal included.
-func (a *CSR) NNZ() int { return a.N + len(a.Val) }
-
-// MulVec computes y = A x.
-func (a *CSR) MulVec(x, y []float64) {
-	if len(x) != a.N || len(y) != a.N {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	a.mulVecDot(x, y)
-}
-
 // mulVecDot computes y = A x and returns x·y. Each row is sliced out
 // once, so the inner loop carries no bounds check on Col or Val.
 func (a *CSR) mulVecDot(x, y []float64) float64 {

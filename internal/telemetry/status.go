@@ -31,7 +31,7 @@ func publishExpvar(r *Recorder) {
 	})
 }
 
-// NewStatusMux builds the status endpoint served by ServeStatus:
+// newStatusMux builds the status endpoint served by ServeStatus:
 //
 //	/ and /status   JSON Snapshot of the recorder (live stage,
 //	                iteration, HPWL, tau, worker count, spans, counters)
@@ -41,7 +41,7 @@ func publishExpvar(r *Recorder) {
 //
 // ring may be nil; /samples then serves an empty array. Everything is
 // stdlib only.
-func NewStatusMux(r *Recorder, ring *RingSink) *http.ServeMux {
+func newStatusMux(r *Recorder, ring *RingSink) *http.ServeMux {
 	publishExpvar(r)
 	mux := http.NewServeMux()
 	status := func(w http.ResponseWriter, req *http.Request) {
@@ -95,7 +95,7 @@ func ServeStatus(addr string, r *Recorder, ring *RingSink) (*StatusServer, error
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: status listen %s: %w", addr, err)
 	}
-	s := &StatusServer{ln: ln, srv: &http.Server{Handler: NewStatusMux(r, ring)}}
+	s := &StatusServer{ln: ln, srv: &http.Server{Handler: newStatusMux(r, ring)}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

@@ -1,8 +1,7 @@
-// Package viz renders placement state as images and text: grayscale
-// PGM heatmaps of scalar grids (density, potential, congestion), PGM
-// rasters of cell layouts (the data behind the paper's Figures 3, 5
-// and 6), and compact ASCII heatmaps for terminal inspection. PGM is
-// chosen because it needs no image library and every viewer opens it.
+// Package viz renders placement state as images: grayscale PGM heatmaps
+// of scalar grids (density, potential) and PGM rasters of cell layouts
+// (the data behind the paper's Figures 3, 5 and 6). PGM is chosen
+// because it needs no image library and every viewer opens it.
 package viz
 
 import (
@@ -15,10 +14,10 @@ import (
 	"eplace/internal/netlist"
 )
 
-// WritePGM writes an m x m scalar grid (row-major, row 0 at the bottom)
+// writePGM writes an m x m scalar grid (row-major, row 0 at the bottom)
 // as an 8-bit PGM image, auto-scaled to the data range. Values are
 // flipped vertically so the image matches placement coordinates.
-func WritePGM(w io.Writer, grid []float64, m int) error {
+func writePGM(w io.Writer, grid []float64, m int) error {
 	if len(grid) != m*m {
 		return fmt.Errorf("viz: grid length %d, want %d", len(grid), m*m)
 	}
@@ -50,7 +49,7 @@ func SavePGM(path string, grid []float64, m int) error {
 	if err != nil {
 		return err
 	}
-	if err := WritePGM(f, grid, m); err != nil {
+	if err := writePGM(f, grid, m); err != nil {
 		f.Close()
 		return err
 	}
@@ -98,54 +97,6 @@ func RasterizeLayout(d *netlist.Design, m int) []float64 {
 		}
 	}
 	return grid
-}
-
-// asciiRamp maps intensity to characters, light to dark.
-const asciiRamp = " .:-=+*#%@"
-
-// ASCIIHeatmap renders the grid as rows of characters (row 0 at the
-// bottom, like placement coordinates), downsampling to at most maxCols
-// columns.
-func ASCIIHeatmap(grid []float64, m, maxCols int) string {
-	if maxCols <= 0 || maxCols > m {
-		maxCols = m
-	}
-	step := m / maxCols
-	if step < 1 {
-		step = 1
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range grid {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span <= 0 {
-		span = 1
-	}
-	out := make([]byte, 0, (m/step+1)*(m/step+2))
-	for j := m - step; j >= 0; j -= step {
-		for i := 0; i+step <= m; i += step {
-			// Average the block.
-			sum := 0.0
-			for dj := 0; dj < step; dj++ {
-				for di := 0; di < step; di++ {
-					sum += grid[(j+dj)*m+i+di]
-				}
-			}
-			v := (sum/float64(step*step) - lo) / span
-			idx := int(v * float64(len(asciiRamp)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(asciiRamp) {
-				idx = len(asciiRamp) - 1
-			}
-			out = append(out, asciiRamp[idx])
-		}
-		out = append(out, '\n')
-	}
-	return string(out)
 }
 
 func clamp(v, lo, hi int) int {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"eplace/internal/geom"
@@ -17,7 +16,7 @@ func TestWritePGMHeader(t *testing.T) {
 		grid[i] = float64(i)
 	}
 	var buf bytes.Buffer
-	if err := WritePGM(&buf, grid, 4); err != nil {
+	if err := writePGM(&buf, grid, 4); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.Bytes()
@@ -41,13 +40,13 @@ func TestWritePGMHeader(t *testing.T) {
 func TestWritePGMConstantGrid(t *testing.T) {
 	grid := make([]float64, 16)
 	var buf bytes.Buffer
-	if err := WritePGM(&buf, grid, 4); err != nil {
+	if err := writePGM(&buf, grid, 4); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWritePGMSizeMismatch(t *testing.T) {
-	if err := WritePGM(&bytes.Buffer{}, make([]float64, 10), 4); err == nil {
+	if err := writePGM(&bytes.Buffer{}, make([]float64, 10), 4); err == nil {
 		t.Error("expected size mismatch error")
 	}
 }
@@ -79,30 +78,5 @@ func TestRasterizeLayout(t *testing.T) {
 	}
 	if grid[4*8+4] != 0 {
 		t.Errorf("center bin = %v, want 0", grid[4*8+4])
-	}
-}
-
-func TestASCIIHeatmap(t *testing.T) {
-	d := netlist.New("a", geom.Rect{Hx: 32, Hy: 32})
-	d.AddCell(netlist.Cell{W: 16, H: 16, X: 8, Y: 8})
-	grid := RasterizeLayout(d, 16)
-	s := ASCIIHeatmap(grid, 16, 16)
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 16 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	// Bottom-left dense (last line, first chars dark), top-right empty.
-	bottom := lines[len(lines)-1]
-	top := lines[0]
-	if bottom[0] == ' ' {
-		t.Errorf("bottom-left should be dark: %q", bottom)
-	}
-	if top[len(top)-1] != ' ' {
-		t.Errorf("top-right should be blank: %q", top)
-	}
-	// Downsampling produces fewer columns.
-	small := ASCIIHeatmap(grid, 16, 8)
-	if got := len(strings.Split(strings.TrimRight(small, "\n"), "\n")); got != 8 {
-		t.Errorf("downsampled lines = %d, want 8", got)
 	}
 }

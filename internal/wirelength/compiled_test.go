@@ -24,8 +24,8 @@ func TestCompiledBackedEquivalence(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Float64() * 100
 		}
-		// Engine write path: the view moves, then (for the reference
-		// model, which reads the structs) the design follows.
+		// Engine write path: the view moves, then (for the serial
+		// reference, which reads the structs) the design follows.
 		cv.SetPositions(idx, v)
 		d.SetPositions(idx, v)
 		if math.Float64bits(cv.HPWL()) != math.Float64bits(d.HPWL()) {
@@ -35,10 +35,8 @@ func TestCompiledBackedEquivalence(t *testing.T) {
 		for _, kind := range []Kind{WA, LSE} {
 			m := NewCompiled(cv, idx, 1.7)
 			m.Kind = kind
-			ref := New(d, idx, 1.7)
-			ref.Kind = kind
 			refGrad := make([]float64, 2*len(idx))
-			refCost := serialReference(ref, refGrad)
+			refCost := serialReference(m, refGrad)
 			m.Workers = 1
 			grad1 := make([]float64, 2*len(idx))
 			cost1 := m.CostAndGradient(grad1)
@@ -68,23 +66,18 @@ func TestCompiledBackedEquivalence(t *testing.T) {
 }
 
 // TestCostAndGradientAllocFree pins the allocation contract of the
-// fused kernel: at Workers=1, repeated evaluations allocate nothing
-// (own-view and shared-view models alike).
+// fused kernel: at Workers=1, repeated evaluations allocate nothing.
 func TestCostAndGradientAllocFree(t *testing.T) {
 	d, idx := randomDesign(300, 3)
 	grad := make([]float64, 2*len(idx))
-	for name, m := range map[string]*Model{
-		"ownView":  New(d, idx, 1.0),
-		"compiled": NewCompiled(d.Compile(), idx, 1.0),
-	} {
-		m.Workers = 1
-		m.CostAndGradient(grad) // warm up scratch
-		if n := testing.AllocsPerRun(50, func() { m.CostAndGradient(grad) }); n != 0 {
-			t.Errorf("%s: CostAndGradient allocates %v times per call", name, n)
-		}
-		if n := testing.AllocsPerRun(50, func() { m.Cost() }); n != 0 {
-			t.Errorf("%s: Cost allocates %v times per call", name, n)
-		}
+	m := NewCompiled(d.Compile(), idx, 1.0)
+	m.Workers = 1
+	m.CostAndGradient(grad) // warm up scratch
+	if n := testing.AllocsPerRun(50, func() { m.CostAndGradient(grad) }); n != 0 {
+		t.Errorf("CostAndGradient allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { m.Cost() }); n != 0 {
+		t.Errorf("Cost allocates %v times per call", n)
 	}
 }
 
@@ -95,7 +88,7 @@ func TestCostAndGradientAllocFree(t *testing.T) {
 func TestFusedMatchesUnfusedAxis(t *testing.T) {
 	d, idx := randomDesign(120, 9)
 	for _, kind := range []Kind{WA, LSE} {
-		m := New(d, idx, 0.9)
+		m := NewCompiled(d.Compile(), idx, 0.9)
 		m.Kind = kind
 		grad := make([]float64, 2*len(idx))
 		got := m.CostAndGradient(grad)

@@ -171,7 +171,7 @@ func TestExpDedupMatchesReferenceOnDegenerateNets(t *testing.T) {
 		}
 		for _, kind := range []Kind{WA, LSE} {
 			d, idx := oneNetDesign(tc.xs, ys)
-			m := New(d, idx, 0.75)
+			m := NewCompiled(d.Compile(), idx, 0.75)
 			m.Kind = kind
 			grad := make([]float64, 2*len(idx))
 			cost := m.CostAndGradient(grad)
@@ -207,7 +207,7 @@ func TestInfiniteCoordinateStaysNonFinite(t *testing.T) {
 		}
 		for _, kind := range []Kind{WA, LSE} {
 			d, idx := oneNetDesign(xs, ys)
-			m := New(d, idx, 0.75)
+			m := NewCompiled(d.Compile(), idx, 0.75)
 			m.Kind = kind
 			grad := make([]float64, 2*len(idx))
 			cost := m.CostAndGradient(grad)

@@ -19,9 +19,6 @@ import (
 // is non-nil, writes the gradient.
 func allNetsReference(m *Model, grad []float64) []float64 {
 	cv := m.cv
-	if m.ownView {
-		cv.Sync()
-	}
 	maxDeg := 0
 	for ni := range cv.NetW {
 		maxDeg = max(maxDeg, int(cv.NetOff[ni+1]-cv.NetOff[ni]))

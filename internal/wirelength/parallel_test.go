@@ -19,7 +19,7 @@ import (
 // with it to rounding, and with themselves bit for bit at every worker
 // count.
 func serialReference(m *Model, grad []float64) float64 {
-	d := m.d
+	d := m.cv.Design()
 	n := len(m.idx)
 	if grad != nil {
 		for i := range grad {
@@ -133,7 +133,7 @@ func TestEvalParallelEquivalence(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "wl-par", NumCells: 1500, NumMovableMacros: 3})
 	idx := d.Movable()
 	for _, kind := range []Kind{WA, LSE} {
-		m := New(d, idx, 4.2)
+		m := NewCompiled(d.Compile(), idx, 4.2)
 		m.Kind = kind
 		refGrad := make([]float64, 2*len(idx))
 		refCost := serialReference(m, refGrad)
@@ -175,7 +175,8 @@ func TestEvalParallelEquivalence(t *testing.T) {
 // write ownership.
 func TestGradientFiniteDifferenceParallel(t *testing.T) {
 	d, idx := randomDesign(40, 7)
-	m := New(d, idx, 2.0)
+	cv := d.Compile()
+	m := NewCompiled(cv, idx, 2.0)
 	m.Workers = 4
 	n := len(idx)
 	grad := make([]float64, 2*n)
@@ -186,13 +187,13 @@ func TestGradientFiniteDifferenceParallel(t *testing.T) {
 	for _, k := range []int{0, 3, n - 1, n, n + 5, 2*n - 1} {
 		orig := v[k]
 		v[k] = orig + h
-		d.SetPositions(idx, v)
+		cv.SetPositions(idx, v)
 		up := m.Cost()
 		v[k] = orig - h
-		d.SetPositions(idx, v)
+		cv.SetPositions(idx, v)
 		dn := m.Cost()
 		v[k] = orig
-		d.SetPositions(idx, v)
+		cv.SetPositions(idx, v)
 		fd := (up - dn) / (2 * h)
 		if diff := math.Abs(fd - grad[k]); diff > 1e-4*(1+math.Abs(fd)) {
 			t.Errorf("grad[%d] = %v, finite difference %v", k, grad[k], fd)
@@ -219,8 +220,8 @@ func TestZeroWeightNetScoresIdentically(t *testing.T) {
 	if h0, h1 := d0.HPWL(), d1.HPWL(); math.Float64bits(h0) != math.Float64bits(h1) {
 		t.Fatalf("HPWL differs: weight0 %v, weight1 %v", h0, h1)
 	}
-	m0 := New(d0, idx0, 1.5)
-	m1 := New(d1, idx1, 1.5)
+	m0 := NewCompiled(d0.Compile(), idx0, 1.5)
+	m1 := NewCompiled(d1.Compile(), idx1, 1.5)
 	g0 := make([]float64, 2*len(idx0))
 	g1 := make([]float64, 2*len(idx1))
 	c0 := m0.CostAndGradient(g0)

@@ -39,7 +39,7 @@ func TestQuickSandwichProperty(t *testing.T) {
 		d, idx := designFromSeed(seed)
 		gamma := 0.1 + float64(gammaRaw)/16
 		hpwl := d.HPWL()
-		m := New(d, idx, gamma)
+		m := NewCompiled(d.Compile(), idx, gamma)
 		wa := m.Cost()
 		m.Kind = LSE
 		lse := m.Cost()
@@ -54,12 +54,13 @@ func TestQuickSandwichProperty(t *testing.T) {
 func TestQuickTranslationInvariance(t *testing.T) {
 	f := func(seed int64, dxRaw, dyRaw int8) bool {
 		d, idx := designFromSeed(seed)
-		m := New(d, idx, 1.0)
+		cv := d.Compile()
+		m := NewCompiled(cv, idx, 1.0)
 		before := m.Cost()
 		dx, dy := float64(dxRaw)/10, float64(dyRaw)/10
-		for i := range d.Cells {
-			d.Cells[i].X += dx
-			d.Cells[i].Y += dy
+		for i := range cv.PosX {
+			cv.PosX[i] += dx
+			cv.PosY[i] += dy
 		}
 		after := m.Cost()
 		return math.Abs(after-before) < 1e-6*(1+math.Abs(before))
@@ -75,7 +76,7 @@ func TestQuickIsolatedCellZeroGradient(t *testing.T) {
 		d, idx := designFromSeed(seed)
 		iso := d.AddCell(netlist.Cell{W: 1, H: 1, X: 25, Y: 25})
 		idx = append(idx, iso)
-		m := New(d, idx, 1.0)
+		m := NewCompiled(d.Compile(), idx, 1.0)
 		grad := make([]float64, 2*len(idx))
 		m.CostAndGradient(grad)
 		k := len(idx) - 1
@@ -92,7 +93,7 @@ func TestQuickGammaMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		d, idx := designFromSeed(seed)
 		hpwl := d.HPWL()
-		m := New(d, idx, 4.0)
+		m := NewCompiled(d.Compile(), idx, 4.0)
 		coarse := math.Abs(hpwl - m.Cost())
 		m.Gamma = 0.25
 		fine := math.Abs(hpwl - m.Cost())

@@ -42,7 +42,7 @@ const evalTasks = 64
 
 // Model evaluates smooth wirelength over one design. The cell-to-slot
 // mapping is fixed at construction: gradients are produced only for the
-// cells passed to New, all other cells contribute as fixed terminals.
+// cells passed to NewCompiled, all other cells contribute as fixed terminals.
 //
 // The model prices its live nets only: a live net has degree >= 2 and
 // at least one pin on a model cell. Every other net is a constant in the
@@ -56,8 +56,8 @@ const evalTasks = 64
 // multiple goroutines — evaluations share internal reduction state
 // (per-net costs, per-pin gradient contributions). Parallelism is
 // internal: set Workers and call Cost/CostAndGradient from one
-// goroutine. The design's net/pin topology must not change after New
-// (net weights may change between evaluations; Gamma and Kind too).
+// goroutine. The design's net/pin topology must not change after
+// NewCompiled (net weights may change between evaluations; Gamma and Kind too).
 //
 // Allocation contract: after the first evaluation at a given worker
 // count, Cost, CostAndGradient and LiveHPWL allocate nothing — the
@@ -73,11 +73,9 @@ type Model struct {
 	// that matches the serial loop exactly.
 	Workers int
 
-	d       *netlist.Design
-	cv      *netlist.Compiled
-	ownView bool // true when the model compiled cv itself and must re-sync
-	idx     []int
-	slot    []int32 // cell index -> position in idx, or -1
+	cv   *netlist.Compiled
+	idx  []int
+	slot []int32 // cell index -> position in idx, or -1
 
 	// live lists the live nets in ascending net order. Live net j's pins
 	// own the compact slots liveOff[j]..liveOff[j+1], in the net's pin
@@ -131,26 +129,16 @@ type netScratch struct {
 	xs, ys, ep, em []float64
 }
 
-// New builds a model producing gradients for the cells in idx, backed
-// by a private compiled view of d that re-syncs from the Cell structs
-// on every evaluation. Gamma must be positive; it can be changed
-// between evaluations.
-func New(d *netlist.Design, idx []int, gamma float64) *Model {
-	return newModel(d.Compile(), idx, gamma, true)
-}
-
-// NewCompiled builds a model over a caller-owned compiled view. The
-// caller is responsible for keeping the view's positions (and, if they
-// change, net weights) current — the engine writes them once per
-// iteration via Compiled.SetPositions instead of paying a full
-// struct-to-SoA sync per kernel call.
+// NewCompiled builds a model producing gradients for the cells in idx
+// over a caller-owned compiled view, the only way into the kernel. The
+// caller keeps the view's positions (and, if they change, net weights)
+// current — the engine writes them once per iteration via
+// Compiled.SetPositions, and a stage Syncs the view from the Cell
+// structs on entry. Gamma must be positive; it can be changed between
+// evaluations.
 func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
-	return newModel(cv, idx, gamma, false)
-}
-
-func newModel(cv *netlist.Compiled, idx []int, gamma float64, ownView bool) *Model {
 	d := cv.Design()
-	m := &Model{Kind: WA, Gamma: gamma, d: d, cv: cv, idx: idx, ownView: ownView}
+	m := &Model{Kind: WA, Gamma: gamma, cv: cv, idx: idx}
 	m.slot = make([]int32, len(d.Cells))
 	for i := range m.slot {
 		m.slot[i] = -1
@@ -307,9 +295,6 @@ func (m *Model) LiveNets() []int32 { return m.live }
 // costs through: it is overwritten by the next evaluation or LiveHPWL
 // call, and must not be modified.
 func (m *Model) LiveHPWL() []float64 {
-	if m.ownView {
-		m.cv.Sync()
-	}
 	parallel.For(parallel.Count(m.Workers), len(m.live), m.hpwlTask)
 	return m.costs
 }
@@ -364,9 +349,6 @@ func (m *Model) CostAndGradient(grad []float64) float64 {
 // every Workers setting produces bitwise-identical results, Workers=1
 // included.
 func (m *Model) eval(grad []float64) float64 {
-	if m.ownView {
-		m.cv.Sync()
-	}
 	workers := parallel.Count(m.Workers)
 	m.grow(workers)
 	m.grad = grad
@@ -593,6 +575,3 @@ func (m *Model) axisLSE(xs []float64, g []float64) float64 {
 	}
 	return cost
 }
-
-// HPWL returns the exact half-perimeter wirelength of the design.
-func (m *Model) HPWL() float64 { return m.d.HPWL() }

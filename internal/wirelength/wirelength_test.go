@@ -40,7 +40,7 @@ func TestWAApproachesHPWL(t *testing.T) {
 	hpwl := d.HPWL()
 	prevErr := math.Inf(1)
 	for _, gamma := range []float64{10, 1, 0.1, 0.01} {
-		m := New(d, idx, gamma)
+		m := NewCompiled(d.Compile(), idx, gamma)
 		err := math.Abs(m.Cost() - hpwl)
 		if err > prevErr+1e-9 {
 			t.Errorf("gamma=%v: WA error %v did not shrink from %v", gamma, err, prevErr)
@@ -54,7 +54,7 @@ func TestWAApproachesHPWL(t *testing.T) {
 
 func TestWAUnderestimatesHPWL(t *testing.T) {
 	d, idx := randomDesign(25, 2)
-	m := New(d, idx, 1.0)
+	m := NewCompiled(d.Compile(), idx, 1.0)
 	if m.Cost() > d.HPWL()+1e-9 {
 		t.Errorf("WA %v exceeds HPWL %v", m.Cost(), d.HPWL())
 	}
@@ -62,7 +62,7 @@ func TestWAUnderestimatesHPWL(t *testing.T) {
 
 func TestLSEOverestimatesHPWL(t *testing.T) {
 	d, idx := randomDesign(25, 3)
-	m := New(d, idx, 1.0)
+	m := NewCompiled(d.Compile(), idx, 1.0)
 	m.Kind = LSE
 	if m.Cost() < d.HPWL()-1e-9 {
 		t.Errorf("LSE %v below HPWL %v", m.Cost(), d.HPWL())
@@ -77,7 +77,8 @@ func TestLSEOverestimatesHPWL(t *testing.T) {
 func gradCheck(t *testing.T, kind Kind, seed int64) {
 	t.Helper()
 	d, idx := randomDesign(20, seed)
-	m := New(d, idx, 2.0)
+	cv := d.Compile()
+	m := NewCompiled(cv, idx, 2.0)
 	m.Kind = kind
 	grad := make([]float64, 2*len(idx))
 	m.CostAndGradient(grad)
@@ -89,20 +90,20 @@ func gradCheck(t *testing.T, kind Kind, seed int64) {
 		isY := rng.Intn(2) == 1
 		var num float64
 		if isY {
-			y0 := d.Cells[ci].Y
-			d.Cells[ci].Y = y0 + h
+			y0 := cv.PosY[ci]
+			cv.PosY[ci] = y0 + h
 			cp := m.Cost()
-			d.Cells[ci].Y = y0 - h
+			cv.PosY[ci] = y0 - h
 			cm := m.Cost()
-			d.Cells[ci].Y = y0
+			cv.PosY[ci] = y0
 			num = (cp - cm) / (2 * h)
 		} else {
-			x0 := d.Cells[ci].X
-			d.Cells[ci].X = x0 + h
+			x0 := cv.PosX[ci]
+			cv.PosX[ci] = x0 + h
 			cp := m.Cost()
-			d.Cells[ci].X = x0 - h
+			cv.PosX[ci] = x0 - h
 			cm := m.Cost()
-			d.Cells[ci].X = x0
+			cv.PosX[ci] = x0
 			num = (cp - cm) / (2 * h)
 		}
 		slot := k
@@ -130,7 +131,7 @@ func TestGradientTranslationInvariance(t *testing.T) {
 	for _, ci := range idx {
 		d.Connect(ci, ni, 0, 0)
 	}
-	m := New(d, idx, 1.5)
+	m := NewCompiled(d.Compile(), idx, 1.5)
 	grad := make([]float64, 2*len(idx))
 	m.CostAndGradient(grad)
 	sx, sy := 0.0, 0.0
@@ -152,7 +153,7 @@ func TestFixedPinsPullMovable(t *testing.T) {
 	ni := d.AddNet("n", 1)
 	d.Connect(c, ni, 0, 0)
 	d.Connect(pad, ni, 0, 0)
-	m := New(d, []int{c}, 1.0)
+	m := NewCompiled(d.Compile(), []int{c}, 1.0)
 	grad := make([]float64, 2)
 	cost := m.CostAndGradient(grad)
 	if cost <= 0 {
@@ -173,12 +174,11 @@ func TestNetWeightScalesGradient(t *testing.T) {
 	ni := d.AddNet("n", 3)
 	d.Connect(c, ni, 0, 0)
 	d.Connect(pad, ni, 0, 0)
-	m := New(d, []int{c}, 1.0)
 	g3 := make([]float64, 2)
-	c3 := m.CostAndGradient(g3)
+	c3 := NewCompiled(d.Compile(), []int{c}, 1.0).CostAndGradient(g3)
 	d.Nets[ni].Weight = 1
 	g1 := make([]float64, 2)
-	c1 := m.CostAndGradient(g1)
+	c1 := NewCompiled(d.Compile(), []int{c}, 1.0).CostAndGradient(g1)
 	if math.Abs(c3-3*c1) > 1e-9 || math.Abs(g3[0]-3*g1[0]) > 1e-9 {
 		t.Errorf("weight 3 not tripling: cost %v vs %v, grad %v vs %v", c3, c1, g3[0], g1[0])
 	}
@@ -189,7 +189,7 @@ func TestSinglePinNetIgnored(t *testing.T) {
 	c := d.AddCell(netlist.Cell{W: 1, H: 1, X: 5, Y: 5})
 	ni := d.AddNet("single", 1)
 	d.Connect(c, ni, 0, 0)
-	m := New(d, []int{c}, 1.0)
+	m := NewCompiled(d.Compile(), []int{c}, 1.0)
 	grad := make([]float64, 2)
 	if cost := m.CostAndGradient(grad); cost != 0 || grad[0] != 0 {
 		t.Errorf("single-pin net produced cost %v grad %v", cost, grad)
@@ -204,7 +204,7 @@ func TestStabilityLargeCoordinates(t *testing.T) {
 	ni := d.AddNet("n", 1)
 	d.Connect(a, ni, 0, 0)
 	d.Connect(b, ni, 0, 0)
-	m := New(d, []int{a, b}, 0.5)
+	m := NewCompiled(d.Compile(), []int{a, b}, 0.5)
 	grad := make([]float64, 4)
 	cost := m.CostAndGradient(grad)
 	if math.IsNaN(cost) || math.IsInf(cost, 0) {
@@ -224,7 +224,7 @@ func TestGradientBounded(t *testing.T) {
 	// WA per-pin gradients are bounded (roughly by 1 + span/gamma terms
 	// canceling); sanity-check no blowup across random layouts.
 	d, idx := randomDesign(40, 7)
-	m := New(d, idx, 0.8)
+	m := NewCompiled(d.Compile(), idx, 0.8)
 	grad := make([]float64, 2*len(idx))
 	m.CostAndGradient(grad)
 	for i, g := range grad {
@@ -236,7 +236,7 @@ func TestGradientBounded(t *testing.T) {
 
 func BenchmarkWACostAndGradient(b *testing.B) {
 	d, idx := randomDesign(5000, 11)
-	m := New(d, idx, 1.0)
+	m := NewCompiled(d.Compile(), idx, 1.0)
 	grad := make([]float64, 2*len(idx))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
