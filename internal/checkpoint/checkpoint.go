@@ -112,6 +112,25 @@ type GPState struct {
 	Nesterov nesterov.State
 }
 
+// Validate checks that every vector of g holds the 2n coordinates of
+// the n cells the resuming loop places; a shorter one would be indexed
+// past its end.
+func (g *GPState) Validate(n int) error {
+	for _, v := range []struct {
+		name string
+		x    []float64
+	}{
+		{"U", g.Nesterov.U}, {"V", g.Nesterov.V}, {"GradV", g.Nesterov.GradV},
+		{"VPrev", g.Nesterov.VPrev}, {"GradPrev", g.Nesterov.GradPrev}, {"Best", g.Best},
+	} {
+		if len(v.x) != 2*n {
+			return fmt.Errorf("checkpoint: %s snapshot's %s holds %d coordinates, the stage places %d cells (%d)",
+				g.Stage, v.name, len(v.x), n, 2*n)
+		}
+	}
+	return nil
+}
+
 // State is one full flow snapshot.
 type State struct {
 	// Phase is one of the Phase* constants.
@@ -186,9 +205,19 @@ func (s *State) CapturePositions(d *netlist.Design, numFillers int) {
 // Cells beyond the snapshot — fillers a resuming flow inserted that
 // did not yet exist at capture time (e.g. resuming a post-mIP
 // snapshot) — keep their current, deterministically re-derived state.
+// A snapshot whose X and Y differ in length, or that holds a non-finite
+// position, is rejected before the design is touched.
 func (s *State) RestorePositions(d *netlist.Design) error {
 	if len(d.Cells) < len(s.X) {
 		return fmt.Errorf("checkpoint: design has %d cells, snapshot has %d", len(d.Cells), len(s.X))
+	}
+	if len(s.Y) != len(s.X) {
+		return fmt.Errorf("checkpoint: snapshot has %d x and %d y positions", len(s.X), len(s.Y))
+	}
+	for i := range s.X {
+		if math.IsNaN(s.X[i]) || math.IsInf(s.X[i], 0) || math.IsNaN(s.Y[i]) || math.IsInf(s.Y[i], 0) {
+			return fmt.Errorf("checkpoint: cell %d at (%v, %v) in the snapshot", i, s.X[i], s.Y[i])
+		}
 	}
 	for i := range s.X {
 		d.Cells[i].X = s.X[i]

@@ -54,6 +54,21 @@ func TestFlowDegenerateDesigns(t *testing.T) {
 			}
 			return d
 		}},
+		{"one row", func() *netlist.Design {
+			// The region is one standard-cell row tall: 24 cells on a
+			// chain of nets fill 60% of it.
+			d := netlist.New("onerow", geom.Rect{Hx: 80, Hy: 1})
+			var cs []int
+			for i := 0; i < 24; i++ {
+				cs = append(cs, d.AddCell(netlist.Cell{W: 2, H: 1, X: 40, Y: 0.5}))
+			}
+			for i := 1; i < len(cs); i++ {
+				n := d.AddNet("", 1)
+				d.Connect(cs[i-1], n, 0, 0)
+				d.Connect(cs[i], n, 0, 0)
+			}
+			return d
+		}},
 		{"rho_t 0.05", func() *netlist.Design {
 			d := testCircuit(200, 9)
 			d.TargetDensity = 0.05

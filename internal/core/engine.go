@@ -376,6 +376,9 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	iterStart := 0
 
 	if rs := s.resume; rs != nil {
+		if err := rs.Validate(len(idx)); err != nil {
+			return res, err
+		}
 		// Resume: every schedule scalar and optimizer vector comes from
 		// the snapshot, and the whole init path (tau0, gamma, lambda
 		// balancing, the optimizer's seeding gradient evaluations) is
