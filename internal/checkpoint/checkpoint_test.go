@@ -321,3 +321,45 @@ func TestCaptureRestorePositions(t *testing.T) {
 		t.Error("restore accepted a cell-count mismatch")
 	}
 }
+
+// TestRestoreRejectsMalformedPositions: a Y shorter than X and a
+// non-finite position are errors, and the design keeps its positions.
+func TestRestoreRejectsMalformedPositions(t *testing.T) {
+	d := synth.Generate(synth.Spec{Name: "pos", NumCells: 30})
+	var good State
+	good.CapturePositions(d, 0)
+	for i := range d.Cells {
+		d.Cells[i].X += 5
+	}
+	for name, s := range map[string]State{
+		"short Y": {X: good.X, Y: good.Y[:len(good.Y)-1]},
+		"NaN x":   {X: append(append([]float64(nil), good.X[:4]...), math.NaN()), Y: good.Y[:5]},
+		"Inf y":   {X: good.X[:2], Y: []float64{0, math.Inf(-1)}},
+	} {
+		if err := s.RestorePositions(d); err == nil {
+			t.Errorf("%s: restore accepted it", name)
+		}
+		if d.Cells[0].X != good.X[0]+5 {
+			t.Fatalf("%s: a rejected snapshot moved cell 0", name)
+		}
+	}
+}
+
+// TestGPStateValidate: every one of the six coordinate vectors must hold
+// exactly 2n values.
+func TestGPStateValidate(t *testing.T) {
+	gp := sampleState().GP
+	gp.Best = gp.Best[:2]
+	if err := gp.Validate(1); err != nil {
+		t.Fatalf("intact state: %v", err)
+	}
+	for _, v := range []*[]float64{&gp.Nesterov.U, &gp.Nesterov.V, &gp.Nesterov.GradV,
+		&gp.Nesterov.VPrev, &gp.Nesterov.GradPrev, &gp.Best} {
+		full := *v
+		*v = full[:1]
+		if err := gp.Validate(1); err == nil {
+			t.Errorf("a vector of %d for 1 cell passed", len(*v))
+		}
+		*v = full
+	}
+}
