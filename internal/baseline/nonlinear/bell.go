@@ -92,11 +92,11 @@ func bell(dx, r float64) (p, dp float64) {
 
 // overflow re-rasterizes the cells into the grid's movable layer; the
 // penalty reads only the grid's geometry and fixed layer.
-func (md *bellDensity) overflow() float64 {
+func (md *bellDensity) overflow(rhoT float64) float64 {
 	cv := md.cv
 	md.g.ClearMovable()
 	md.g.AddCellsSoA(md.idx, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler, 1)
-	return md.g.Overflow(cv.Design().TargetDensity)
+	return md.g.Overflow(rhoT)
 }
 
 // penalty builds rho from the view's positions; when addGrad is non-nil

@@ -33,17 +33,16 @@ func PlaceFFTPL(d *netlist.Design, idx []int, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("nonlinear: FFTPL density model: %w", err)
 	}
-	obj := &eDensity{idx: all, dm: dm, rhoT: d.TargetDensity, gd: make([]float64, 2*len(all))}
+	obj := &eDensity{idx: all, dm: dm, gd: make([]float64, 2*len(all))}
 	return place(cv, all, opt, "FFTPL", m, fftplMaxTrials, wirelength.WA, gamma, obj), nil
 }
 
 // eDensity is ePlace's electrostatic density (internal/density) as a
 // term of the shared loop.
 type eDensity struct {
-	idx  []int
-	dm   *density.Model
-	rhoT float64   // target density, for the overflow
-	gd   []float64 // density gradient scratch
+	idx []int
+	dm  *density.Model
+	gd  []float64 // density gradient scratch
 }
 
 func (e *eDensity) penalty(lam float64, grad []float64) float64 {
@@ -57,7 +56,7 @@ func (e *eDensity) penalty(lam float64, grad []float64) float64 {
 	return e.dm.Energy()
 }
 
-func (e *eDensity) overflow() float64 {
+func (e *eDensity) overflow(rhoT float64) float64 {
 	e.dm.Refresh(e.idx)
-	return e.dm.Overflow(e.rhoT)
+	return e.dm.Overflow(rhoT)
 }

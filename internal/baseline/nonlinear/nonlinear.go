@@ -65,8 +65,8 @@ type objective interface {
 	// also adds lam * dD/dv into grad.
 	penalty(lam float64, grad []float64) float64
 	// overflow returns the density overflow of the real cells (fillers
-	// excluded) at the view's positions.
-	overflow() float64
+	// excluded) at the view's positions against target density rhoT.
+	overflow(rhoT float64) float64
 }
 
 // seed runs the shared start of both placers: the quadratic initial
@@ -138,7 +138,7 @@ func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTri
 		// Every CG step clamps its candidate, so solver.v is in the region.
 		cv.SetPositions(idx, solver.v)
 		d.SetPositions(idx, solver.v)
-		res.Overflow = obj.overflow()
+		res.Overflow = obj.overflow(d.TargetDensity)
 		if opt.Telemetry.Active() {
 			opt.Telemetry.Sample(telemetry.Sample{
 				Stage: stage, Iteration: outer, HPWL: d.HPWL(),

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -219,10 +218,12 @@ func deadExports(root string) ([]string, error) {
 		visit = func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl: // its own name is no reference
-				for _, part := range []ast.Node{x.Recv, x.Type, x.Body} {
-					if part != nil && !reflect.ValueOf(part).IsNil() {
-						ast.Inspect(part, visit)
-					}
+				if x.Recv != nil {
+					ast.Inspect(x.Recv, visit)
+				}
+				ast.Inspect(x.Type, visit)
+				if x.Body != nil {
+					ast.Inspect(x.Body, visit)
 				}
 				return false
 			case *ast.SelectorExpr:
