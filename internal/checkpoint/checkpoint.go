@@ -439,9 +439,6 @@ func (m *Manager) sweepTemp() {
 	}
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Save atomically persists s as the latest checkpoint, then prunes
 // numbered history beyond the Keep bound. Pruning runs only after both
 // writes succeeded, so a failed save never costs an older snapshot.

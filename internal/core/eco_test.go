@@ -167,10 +167,11 @@ func TestECOBlockedRegionEvicted(t *testing.T) {
 	for _, ci := range warm.Movable() {
 		c := &warm.Cells[ci]
 		cr := c.Rect()
-		ov := cr.Intersect(blk.Rect())
+		br := geom.Rect{Lx: blk.Lx, Ly: blk.Ly, Hx: blk.Hx, Hy: blk.Hy}
+		ov := cr.Intersect(br)
 		if ov.Valid() && ov.W() > eps && ov.H() > eps {
 			t.Fatalf("movable cell %d (%s) overlaps the blockage: cell %v block %v",
-				ci, c.Name, cr, blk.Rect())
+				ci, c.Name, cr, br)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestTelemetryDoesNotPerturbPlacement(t *testing.T) {
 	if resOn.HPWL != resOff.HPWL {
 		t.Errorf("HPWL differs with telemetry on: %v vs %v", resOn.HPWL, resOff.HPWL)
 	}
-	if rec.Samples() == 0 {
+	if rec.Snapshot().Samples == 0 {
 		t.Error("recorder collected no samples")
 	}
 	if len(ring.Samples()) == 0 {

@@ -78,15 +78,8 @@ type Block struct {
 	Hy float64 `json:"hy"`
 }
 
-// Rect converts the block to a geometry rectangle.
-func (b Block) Rect() geom.Rect { return geom.Rect{Lx: b.Lx, Ly: b.Ly, Hx: b.Hx, Hy: b.Hy} }
-
-// Empty reports whether the script holds no edits at all.
-func (s *Script) Empty() bool {
-	return s == nil ||
-		len(s.AddCells) == 0 && len(s.RemoveCells) == 0 &&
-			len(s.ReweightNets) == 0 && len(s.BlockRegions) == 0
-}
+// rect converts the block to a geometry rectangle.
+func (b Block) rect() geom.Rect { return geom.Rect{Lx: b.Lx, Ly: b.Ly, Hx: b.Hx, Hy: b.Hy} }
 
 // LoadScript reads a Script from a JSON file, rejecting unknown fields
 // so a typo'd edit cannot silently become a no-op.
@@ -291,7 +284,7 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 
 	// Region blocks: fixed zero-connectivity blockages.
 	for k, b := range s.BlockRegions {
-		r := b.Rect().Intersect(d.Region)
+		r := b.rect().Intersect(d.Region)
 		if !r.Valid() || r.Empty() {
 			return nil, fmt.Errorf("eco: block region %d is empty after clipping to %v", k, d.Region)
 		}

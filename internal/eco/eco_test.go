@@ -210,7 +210,7 @@ func TestBuildPlanEvicted(t *testing.T) {
 	d := testDesign(t)
 	r := d.Region
 	blk := Block{Lx: r.Lx + 0.4*r.W(), Ly: r.Ly + 0.4*r.H(), Hx: r.Lx + 0.55*r.W(), Hy: r.Ly + 0.5*r.H()}
-	br := blk.Rect()
+	br := blk.rect()
 	c := br.Center()
 	grow := 0.5 * math.Sqrt(br.W()*br.H())
 	// Two cells of the reweighted net, so active, sit right of the block:

@@ -47,7 +47,8 @@ func FuzzApply(f *testing.F) {
 				t.Fatalf("changed cells %v are not ascending, unique and in [0,%d)", ch.Cells, len(d.Cells))
 			}
 		}
-		if s.Empty() && (len(ch.Cells) != 0 || len(ch.Nets) != 0 || len(d.Cells) != len(base.Cells)) {
+		empty := len(s.AddCells) == 0 && len(s.RemoveCells) == 0 && len(s.ReweightNets) == 0 && len(s.BlockRegions) == 0
+		if empty && (len(ch.Cells) != 0 || len(ch.Nets) != 0 || len(d.Cells) != len(base.Cells)) {
 			t.Fatalf("empty script changed %d cells and %d nets", len(ch.Cells), len(ch.Nets))
 		}
 	})

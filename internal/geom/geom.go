@@ -13,15 +13,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// String formats the point for debugging.
-func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
-
 // Rect is an axis-aligned rectangle described by its lower-left (Lx, Ly)
 // and upper-right (Hx, Hy) corners. A Rect is well formed when Lx <= Hx
 // and Ly <= Hy; a degenerate Rect may have zero width or height.

@@ -14,17 +14,6 @@ func rectWH(lx, ly, w, h float64) Rect {
 	return Rect{Lx: lx, Ly: ly, Hx: lx + w, Hy: ly + h}
 }
 
-func TestPointArith(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, -4}
-	if got := p.Add(q); got != (Point{4, -2}) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
-}
-
 func TestRectConstructors(t *testing.T) {
 	r := rectWH(1, 2, 3, 4)
 	c := NewRectCenter(0, 0, 2, 4)

@@ -4,13 +4,15 @@ package guard
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,10 +22,15 @@ import (
 // stays exported. Keys are as deadExports reports them.
 var allowedExports = map[string]string{
 	"checkpoint.Manager.HistoryFiles": "the core tests list a run's snapshots with it",
+	"cluster.pairHeap.Len":            "heap.Interface",
 	"cluster.pairHeap.Less":           "heap.Interface",
 	"cluster.pairHeap.Pop":            "heap.Interface",
 	"cluster.pairHeap.Push":           "heap.Interface",
+	"cluster.pairHeap.Swap":           "heap.Interface",
+	"geom.Rect.String":                "fmt.Stringer: error messages print rectangles with %v",
 	"grid.Grid.AddFiller":             "AddCellsSoA's filler oracle in the grid and density tests",
+	"netlist.Kind.String":             "fmt.Stringer: the experiments' layout CSV writes cell kinds with %s",
+	"netlist.Stats.String":            "fmt.Stringer: the CLIs print a design's stats with %s",
 	"parallel.WorkerPanic.Unwrap":     "errors.Unwrap, for errors.Is/As through a worker panic",
 	"telemetry.DigestsEqual":          "the oracle the core, detail and server tests compare digests with",
 	"telemetry.ReadJSONL":             "the trace decoder the telemetry and server tests replay traces with",
@@ -57,8 +64,9 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestNoDeadExportsFindsPlanted runs the guard on a planted module whose
-// one dead export it must report, and whose live function, method and
-// same-package reference it must not.
+// two dead exports it must report, among them a method named like a live
+// one, and whose live function, methods (one called through an
+// interface) and same-package reference it must not.
 func TestNoDeadExportsFindsPlanted(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -66,14 +74,19 @@ func TestNoDeadExportsFindsPlanted(t *testing.T) {
 		"internal/p/p.go": `package p
 
 type T struct{}
+type U struct{}
+type V struct{}
 
-func (T) Used()   {}
-func Live() T     { return T{} }
-func Dead()       {}
-func Sibling()    {}
-func selfOnly()   { Dead() }
+func (T) Used()    {}
+func (U) Used()    {}
+func (V) Viaface() {}
+func Live() T      { return T{} }
+func Dead()        {}
+func Sibling()     {}
+func selfOnly()    { Dead() }
 `,
 		"internal/p/q.go": "package p\n\nfunc helper() { Sibling() }\n",
+		"internal/p/r.go": "package p\n\ntype viaface interface{ Viaface() }\n\nfunc Call(x viaface) { x.Viaface() }\n",
 		"internal/p/p_test.go": `package p
 
 import "testing"
@@ -84,7 +97,7 @@ func TestDead(t *testing.T) { Dead() }
 
 import q "planted/internal/p"
 
-func main() { q.Live().Used() }
+func main() { q.Live().Used(); q.Call(q.V{}) }
 `,
 	}
 	for name, src := range files {
@@ -100,8 +113,8 @@ func main() { q.Live().Used() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(dead, " "); got != "p.Dead" {
-		t.Errorf("deadExports on the planted module = %q, want %q", got, "p.Dead")
+	if got, want := strings.Join(dead, " "), "p.Dead p.U.Used"; got != want {
+		t.Errorf("deadExports on the planted module = %q, want %q", got, want)
 	}
 }
 
@@ -109,29 +122,26 @@ func main() { q.Live().Used() }
 type export struct {
 	name string // "pkg.Func" or "pkg.Type.Method", pkg relative to internal/
 	file string
-	fn   string // the identifier
-	pkg  string // import path; empty for a method
+	obj  *types.Func
 }
 
-// deadExports parses every Go file of the module rooted at root (nested
-// modules such as benchmark/ included: their code calls the root's) and
-// returns, sorted, the exported functions and methods under internal/
-// that no non-test file other than their own references. A function
-// counts as referenced by a qualified identifier of its package or a bare
-// identifier in another file of its package; a method by any selector
-// with its name, which can miss a dead method but never flags a live one.
+// deadExports type-checks every non-test Go file of the module rooted at
+// root (nested modules such as benchmark/ included: their code calls the
+// root's) and returns, sorted, the exported functions and methods under
+// internal/ that no non-test file other than their own references. A
+// reference is a use the type checker resolves to the declaration
+// itself, so a method is told apart from every other method of its name
+// by its receiver type. A method is also live when a file other than
+// its own calls an interface method of the same name that its type
+// implements; calls made only from the standard library (sort.Sort,
+// container/heap, fmt's Stringer) do not count.
 func deadExports(root string) ([]string, error) {
 	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	type parsed struct {
-		path, importPath string
-		f                *ast.File
-	}
-	var files []parsed
-	pkgName := map[string]string{} // import path -> package name
+	files := map[string][]*ast.File{} // import path -> files
 	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -146,6 +156,9 @@ func deadExports(root string) ([]string, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -158,101 +171,109 @@ func deadExports(root string) ([]string, error) {
 		if rel != "." {
 			ip += "/" + filepath.ToSlash(rel)
 		}
-		files = append(files, parsed{path, ip, f})
-		pkgName[ip] = f.Name.Name
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
+	// The module's packages are checked on first import, the standard
+	// library's from source, so every package sees one object per
+	// declaration.
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(files))
+	for ip := range files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := imp(ip); err != nil {
+			return nil, err
+		}
+	}
+
 	internal := module + "/internal/"
 	var exports []export
-	for _, pf := range files {
-		if !strings.HasPrefix(pf.importPath, internal) {
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, internal) {
 			continue
 		}
-		short := strings.TrimPrefix(pf.importPath, internal)
-		for _, decl := range pf.f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
+		short := strings.TrimPrefix(ip, internal)
+		for _, f := range files[ip] {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				e := export{name: short + "." + fd.Name.Name, file: fset.File(f.Pos()).Name(), obj: info.Defs[fd.Name].(*types.Func)}
+				if fd.Recv != nil {
+					e.name = short + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				exports = append(exports, e)
 			}
-			e := export{file: pf.path, fn: fd.Name.Name}
-			if fd.Recv == nil {
-				e.name, e.pkg = short+"."+fd.Name.Name, pf.importPath
-			} else {
-				e.name = short + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-			}
-			exports = append(exports, e)
 		}
 	}
 
-	// Every file's references: qualified functions as "importpath.Name",
-	// bare identifiers as "importpath.Name" of the file's own package, and
-	// selector names as ".Name" (a possible method).
-	refs := map[string]map[string]bool{} // reference -> files making it
-	add := func(ref, file string) {
-		if refs[ref] == nil {
-			refs[ref] = map[string]bool{}
+	// Every use of a function or method, by the files making it; and the
+	// interface methods called, by name.
+	refs := map[*types.Func]map[string]bool{}
+	ifaceCalls := map[string][]*types.Func{}
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
 		}
-		refs[ref][file] = true
+		fn = fn.Origin()
+		if refs[fn] == nil {
+			refs[fn] = map[string]bool{}
+		}
+		refs[fn][fset.Position(id.Pos()).Filename] = true
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceCalls[fn.Name()] = append(ifaceCalls[fn.Name()], fn)
+		}
 	}
-	for _, pf := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, is := range pf.f.Imports {
-			ip, err := strconv.Unquote(is.Path.Value)
-			if err != nil {
-				return nil, err
+	usedElsewhere := func(fn *types.Func, file string) bool {
+		for f := range refs[fn] {
+			if f != file {
+				return true
 			}
-			local, ok := pkgName[ip]
-			if !ok {
-				continue // outside the module
-			}
-			if is.Name != nil {
-				local = is.Name.Name
-			}
-			imports[local] = ip
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl: // its own name is no reference
-				if x.Recv != nil {
-					ast.Inspect(x.Recv, visit)
-				}
-				ast.Inspect(x.Type, visit)
-				if x.Body != nil {
-					ast.Inspect(x.Body, visit)
-				}
-				return false
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
-					if ip, ok := imports[id.Name]; ok {
-						add(ip+"."+x.Sel.Name, pf.path)
-						return false
-					}
-				}
-				add("."+x.Sel.Name, pf.path)
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				add(pf.importPath+"."+x.Name, pf.path)
-			}
-			return true
-		}
-		ast.Inspect(pf.f, visit)
+		return false
 	}
-
 	var dead []string
 	for _, e := range exports {
-		ref := "." + e.fn
-		if e.pkg != "" {
-			ref = e.pkg + "." + e.fn
-		}
-		live := false
-		for file := range refs[ref] {
-			live = live || file != e.file
+		live := usedElsewhere(e.obj, e.file)
+		if recv := e.obj.Type().(*types.Signature).Recv(); recv != nil && !live {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			for _, im := range ifaceCalls[e.obj.Name()] {
+				iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				if usedElsewhere(im, e.file) && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+					live = true
+					break
+				}
+			}
 		}
 		if !live {
 			dead = append(dead, e.name)
@@ -261,6 +282,11 @@ func deadExports(root string) ([]string, error) {
 	sort.Strings(dead)
 	return dead, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // recvType names a method's receiver type without pointer or type
 // parameters.

@@ -292,8 +292,8 @@ func (d *Design) FixedAreaInRegion() float64 {
 	return a
 }
 
-// Utilization returns movable area / (region area - fixed area).
-func (d *Design) Utilization() float64 {
+// utilization returns movable area / (region area - fixed area).
+func (d *Design) utilization() float64 {
 	free := d.Region.Area() - d.FixedAreaInRegion()
 	if free <= 0 {
 		return math.Inf(1)
@@ -450,7 +450,7 @@ func (d *Design) Stats() Stats {
 			s.Fillers++
 		}
 	}
-	s.Utilization = d.Utilization()
+	s.Utilization = d.utilization()
 	return s
 }
 

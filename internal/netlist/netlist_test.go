@@ -142,7 +142,7 @@ func TestUtilization(t *testing.T) {
 	d.AddCell(Cell{W: 5, H: 2, X: 5, Y: 5})  // movable 10
 	d.AddCell(Cell{W: 4, H: 5, X: 2, Y: 2.5, Kind: Macro, Fixed: true})
 	// fixed rect [0,0,4,5] fully inside: 20; free = 80; util = 10/80.
-	if got := d.Utilization(); !almostEq(got, 0.125) {
+	if got := d.utilization(); !almostEq(got, 0.125) {
 		t.Errorf("Utilization = %v", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // travel inline in the JSON body).
 const maxBodyBytes = 64 << 20
 
-// Handler returns the HTTP API:
+// handler returns the HTTP API:
 //
 //	POST /jobs                  submit a JobSpec, 201 + JobStatus
 //	GET  /jobs                  list all jobs
@@ -33,7 +33,7 @@ const maxBodyBytes = 64 << 20
 //	GET  /status                scheduler Stats
 //
 // Errors are JSON objects {"error": "..."}.
-func (s *Server) Handler() http.Handler {
+func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -176,7 +176,7 @@ func ListenAndServe(addr string, s *Server) (*HTTPServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &HTTPServer{s: s, ln: ln, srv: &http.Server{Handler: s.Handler()}}
+	h := &HTTPServer{s: s, ln: ln, srv: &http.Server{Handler: s.handler()}}
 	go h.srv.Serve(ln)
 	return h, nil
 }

@@ -40,11 +40,11 @@ func TestGenerateValid(t *testing.T) {
 
 func TestUtilizationNearSpec(t *testing.T) {
 	d := Generate(Spec{Name: "u", NumCells: 2000, Utilization: 0.7})
-	if u := d.Utilization(); math.Abs(u-0.7) > 0.05 {
+	if u := d.Stats().Utilization; math.Abs(u-0.7) > 0.05 {
 		t.Errorf("utilization = %v, want ~0.7", u)
 	}
 	d = Generate(Spec{Name: "u2", NumCells: 2000, NumFixedMacros: 8, Utilization: 0.5})
-	if u := d.Utilization(); math.Abs(u-0.5) > 0.07 {
+	if u := d.Stats().Utilization; math.Abs(u-0.5) > 0.07 {
 		t.Errorf("utilization with fixed = %v, want ~0.5", u)
 	}
 }

@@ -77,14 +77,6 @@ type SpanRecord struct {
 	Dur   time.Duration `json:"dur_ns"`
 }
 
-// Path returns "stage" or "stage/kernel".
-func (s SpanRecord) Path() string {
-	if s.Kernel == "" {
-		return s.Stage
-	}
-	return s.Stage + "/" + s.Kernel
-}
-
 // SpanTotal is one aggregated (stage, kernel) span.
 type SpanTotal struct {
 	Stage   string  `json:"stage"`
@@ -310,16 +302,6 @@ func (r *Recorder) countersLocked() []Counter {
 		out = append(out, Counter{Name: name, Value: r.counters[name]})
 	}
 	return out
-}
-
-// Samples returns how many samples have been recorded.
-func (r *Recorder) Samples() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.samples
 }
 
 // Snapshot returns a point-in-time view for the status endpoint.
