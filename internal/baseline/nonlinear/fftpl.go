@@ -29,7 +29,7 @@ func PlaceFFTPL(d *netlist.Design, idx []int, opt Options) (Result, error) {
 	all := append(slices.Clip(idx), core.InsertFillers(d, 1)...)
 	defer d.RemoveFillers()
 	cv := d.Compile()
-	dm, err := density.NewModel(cv, d.Region, m, opt.Workers)
+	dm, err := density.NewModel(cv, d.Region, nil, m, opt.Workers)
 	if err != nil {
 		return Result{}, fmt.Errorf("nonlinear: FFTPL density model: %w", err)
 	}

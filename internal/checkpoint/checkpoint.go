@@ -41,8 +41,9 @@ import (
 )
 
 // FormatVersion is the on-disk format version written by Save; Load
-// rejects any other. 2: State.Golden carries word-folded digests.
-const FormatVersion = 2
+// rejects any other. 2: State.Golden carries word-folded digests. 3:
+// State carries no per-cell fixed flags.
+const FormatVersion = 3
 
 var magic = [8]byte{'E', 'P', 'L', 'C', 'K', 'P', 'T', 0}
 
@@ -148,13 +149,6 @@ type State struct {
 	// X, Y are the cell center positions in cell-index order,
 	// length NumBaseCells+NumFillers.
 	X, Y []float64
-	// Fixed are the per-cell fixed flags at capture time, same indexing
-	// as X/Y. The flow itself mutates fixedness (mLG pins the macros it
-	// legalized; the filler-only phase temporarily pins the standard
-	// cells), and the density model rasterizes fixed cells as immovable
-	// charge — so a resume that skips those stages must restore the
-	// flags or the field (and the trajectory) would differ.
-	Fixed []bool
 	// MixedSize mirrors FlowResult.MixedSize at capture time.
 	MixedSize bool
 	// Poisson names the Poisson solver that placed the snapshot. This
@@ -191,20 +185,19 @@ func (s *State) CapturePositions(d *netlist.Design, numFillers int) {
 	s.NumFillers = numFillers
 	s.X = make([]float64, n)
 	s.Y = make([]float64, n)
-	s.Fixed = make([]bool, n)
 	for i := range d.Cells {
 		s.X[i] = d.Cells[i].X
 		s.Y[i] = d.Cells[i].Y
-		s.Fixed[i] = d.Cells[i].Fixed
 	}
 }
 
-// RestorePositions writes the snapshot's positions and fixed flags
-// back into the design, which must already hold at least
-// NumBaseCells+NumFillers cells (fillers re-inserted by the caller).
-// Cells beyond the snapshot — fillers a resuming flow inserted that
-// did not yet exist at capture time (e.g. resuming a post-mIP
-// snapshot) — keep their current, deterministically re-derived state.
+// RestorePositions writes the snapshot's positions back into the
+// design, which must already hold at least NumBaseCells+NumFillers cells
+// (fillers re-inserted by the caller). Cells beyond the snapshot —
+// fillers a resuming flow inserted that did not yet exist at capture
+// time (e.g. resuming a post-mIP snapshot) — keep their current,
+// deterministically re-derived positions. Fixed flags are netlist
+// structure and never part of a snapshot.
 // A snapshot whose X and Y differ in length, or that holds a non-finite
 // position, is rejected before the design is touched.
 func (s *State) RestorePositions(d *netlist.Design) error {
@@ -222,9 +215,6 @@ func (s *State) RestorePositions(d *netlist.Design) error {
 	for i := range s.X {
 		d.Cells[i].X = s.X[i]
 		d.Cells[i].Y = s.Y[i]
-		if i < len(s.Fixed) {
-			d.Cells[i].Fixed = s.Fixed[i]
-		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,21 +109,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesVersion1: a snapshot written before the golden digest
-// was redefined carries rolling hashes no current run continues, so its
-// header is refused by version before the payload is looked at.
-func TestDecodeRefusesVersion1(t *testing.T) {
+// TestDecodeRefusesOlderVersions: a version-1 snapshot carries rolling
+// hashes from before the golden digest was redefined, and a version-2 one
+// per-cell fixed flags, which a resume of this build does not restore (it
+// fixes mLG's macros again by phase). Both headers are refused by version
+// before the payload is looked at.
+func TestDecodeRefusesOlderVersions(t *testing.T) {
 	data, err := Encode(sampleState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != FormatVersion || v < 2 {
-		t.Fatalf("Encode wrote version %d, FormatVersion is %d, want the same and at least 2", v, FormatVersion)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 3 {
+		t.Fatalf("Encode wrote version %d, want 3", v)
 	}
-	binary.LittleEndian.PutUint32(data[8:], 1)
-	_, err = Decode(data)
-	if want := fmt.Sprintf("format version 1, this build reads %d", FormatVersion); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Decode of a version-1 header: %v, want an error saying %q", err, want)
+	for _, old := range []uint32{1, 2} {
+		b := slices.Clone(data)
+		binary.LittleEndian.PutUint32(b[8:], old)
+		_, err = Decode(b)
+		if want := fmt.Sprintf("format version %d, this build reads 3", old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode of a version-%d header: %v, want an error saying %q", old, err, want)
+		}
 	}
 }
 

@@ -54,19 +54,19 @@ type ECOResult struct {
 
 // PlaceECO runs an incremental re-placement of d, which must hold the
 // previous placement's positions with the edit script already applied
-// (see eco.Prepare). Frozen cells are temporarily marked fixed — the
-// wirelength model treats them as terminals, the density model
-// rasterizes them as immovable charge, and legalization/detail route
-// around them as obstacles — and are restored afterwards, bitwise at
-// their input positions (enforced, not assumed). Only the plan's
-// active cells move, and most of them only in cDP: the held cells (the
-// active cells that keep their slot) reach cDP at their input
-// positions (enforced too), inserted cells go from their seed to their
-// optimal region, and a short Nesterov placement (eGP, warm-started,
-// no mIP) runs only when a blockage evicts cells, over those cells and
-// inside their eviction window.
-// The flow's cDP tail then legalizes the fresh and evicted cells and
-// refines the active set.
+// (see eco.Prepare). The frozen cells are held for the whole run: no
+// stage lists them among the cells it moves, so the wirelength model
+// treats them as terminals, eGP rasterizes them as fixed charge, and
+// legalization and detail placement route around them as obstacles.
+// They end bitwise at their input positions (enforced, not assumed),
+// and no cell's Fixed flag changes. Only the plan's active cells move,
+// and most of them only in cDP: the held cells (the active cells that
+// keep their slot) reach cDP at their input positions (enforced too),
+// inserted cells go from their seed to their optimal region, and a short
+// Nesterov placement (eGP, warm-started, no mIP) runs only when a
+// blockage evicts cells, over those cells and inside their eviction
+// window. The flow's cDP tail then legalizes the fresh and evicted cells
+// and refines the active set.
 //
 // An empty plan (structural no-op) short-circuits: positions are
 // untouched and the "final" golden digest matches a cold run of the
@@ -88,8 +88,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	res.FrozenCells = len(plan.Frozen)
 
 	// Rows are part of the reused context: build them exactly as the
-	// cold flow would, before any freezing hides standard cells from
-	// the height vote.
+	// cold flow would.
 	r.ensureRows()
 
 	// Structural no-op: reuse the previous placement bit for bit.
@@ -122,35 +121,20 @@ func unmoved(d *netlist.Design, cells []int, pos []float64, what string) error {
 	return nil
 }
 
-// replaceActive is the part of PlaceECO that runs with the plan's
-// frozen cells pinned: placeMoved, then the cDP tail over the active
-// cells.
+// replaceActive is the part of PlaceECO that moves cells: placeMoved,
+// then the cDP tail over the active cells.
 func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult) error {
 	d := run.d
-	// Freeze: the frozen cells are fixed obstacles for the duration of the
-	// run; the deferred restore covers every exit (the flow mutates
-	// fixedness the same way during the cGP filler-only phase).
-	wasFixed := make([]bool, len(d.Cells))
-	for i := range d.Cells {
-		wasFixed[i] = d.Cells[i].Fixed
-	}
-	defer func() {
-		for i := range wasFixed {
-			d.Cells[i].Fixed = wasFixed[i]
-		}
-	}()
-	for _, ci := range plan.Frozen {
-		d.Cells[ci].Fixed = true
-	}
-	held, moved, err := placeMoved(run, plan, opt.GP, res)
+	moved, err := placeMoved(run, plan, opt.GP, res)
 	if err != nil {
 		return err
 	}
 
 	// --- Incremental cDP: legalize the fresh and evicted cells around the
-	// held ones, pinned at their slots, then refine the active cells
-	// only. Frozen cells are fixed obstacles, so FreeSegments carves them
-	// out of the rows and no pass can step on them. ---
+	// held ones at their slots, then refine the active cells only. Each
+	// pass carves every cell it does not place out of the rows
+	// (legalize.FreeSegments), so the held cells are obstacles to the
+	// legalizer and the frozen ones to both passes. ---
 	//
 	// Legalizing the held cells too would repack their slots around each
 	// newcomer: the greedy pass prices the newcomer's own displacement,
@@ -169,20 +153,20 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 			edit.Vacated = append(edit.Vacated, ci)
 		}
 	}
-	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(held, moved, plan.Active, edit,
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(moved, plan.Active, edit,
 		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
 	return err
 }
 
-// placeMoved places what the edit moved, ahead of cDP. It splits the
-// active cells into the held ones, which keep their input slot (the
-// reused placement was legal, and its slots are disjoint by
-// construction), and the moved ones: the fresh cells, which never had a
-// slot, and the evicted ones, which lost theirs to a blockage. It pins
-// the held cells (cDP releases them), runs eGP over the evicted cells
-// when there are any, parks each inserted cell in its optimal region,
-// and errors when a held cell left its slot.
-func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (held, moved []int, err error) {
+// placeMoved places what the edit moved, ahead of cDP, and returns the
+// moved cells. It splits the active cells into the held ones, which keep
+// their input slot (the reused placement was legal, and its slots are
+// disjoint by construction), and the moved ones: the fresh cells, which
+// never had a slot, and the evicted ones, which lost theirs to a
+// blockage. It runs eGP over the evicted cells when there are any,
+// holding the frozen and held cells, parks each inserted cell in its
+// optimal region, and errors when a held cell left its slot.
+func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (moved []int, err error) {
 	d := run.d
 	lost := make([]bool, len(d.Cells))
 	for _, cells := range [][]int{plan.Fresh, plan.Evicted} {
@@ -190,19 +174,19 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (he
 			lost[ci] = true
 		}
 	}
+	var held []int
 	for _, ci := range plan.Active {
 		if lost[ci] {
 			moved = append(moved, ci)
 		} else {
 			held = append(held, ci)
-			d.Cells[ci].Fixed = true
 		}
 	}
 	heldPos := d.Positions(held)
 
 	if len(plan.Evicted) > 0 {
-		if res.GP, err = evictedGP(run, plan, gpOpt); err != nil {
-			return nil, nil, err
+		if res.GP, err = evictedGP(run, plan, held, gpOpt); err != nil {
+			return nil, err
 		}
 	}
 
@@ -226,29 +210,32 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (he
 	for _, t := range targets {
 		t.c.X, t.c.Y = t.p.X, t.p.Y
 	}
-	return held, moved, unmoved(d, held, heldPos, "held")
+	return moved, unmoved(d, held, heldPos, "held")
 }
 
 // evictedGP runs eGP: a warm-started global placement of the evicted
 // cells and the fillers of their eviction window's whitespace, inside
-// that window (see egpStage).
-func evictedGP(run *flowRun, plan *eco.Plan, gpOpt Options) (Result, error) {
+// that window, holding the frozen and the held cells (see egpStage).
+func evictedGP(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) (Result, error) {
 	t0 := time.Now()
-	res, err := run.gp(egpStage(run, plan, gpOpt))
+	res, err := run.gp(egpStage(run, plan, held, gpOpt))
 	run.d.RemoveFillers()
 	run.addStage("eGP", time.Since(t0))
 	return res, err
 }
 
-// egpStage inserts eGP's fillers and describes its stage. The stage
-// places inside the eviction window (evictionWindow): its grid covers the
+// egpStage inserts eGP's fillers and describes its stage, which holds
+// the plan's frozen cells and the held active cells. The stage places
+// inside the eviction window (evictionWindow): its grid covers the
 // window alone, m follows the window's own object count, the fixed
 // charge is the fixed, frozen and held footprints clipped to it, and its
 // edge is the Poisson problem's Neumann boundary, as the die edge is for
 // a cold run. Cells outside it are absent. Inserted cells sit out: they
 // neither move nor carry charge.
-func egpStage(run *flowRun, plan *eco.Plan, gpOpt Options) gpStage {
+func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 	d := run.d
+	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
+	still := d.FixedOrHeld(held)
 	if gpOpt.MaxIters <= 0 {
 		gpOpt.MaxIters = egpMaxIters
 	}
@@ -261,21 +248,22 @@ func egpStage(run *flowRun, plan *eco.Plan, gpOpt Options) gpStage {
 	if gpOpt.TargetOverflow <= 0 {
 		gpOpt.TargetOverflow = 0.15
 	}
-	window, free := evictionWindow(d, plan)
-	// Fillers take the window's whitespace exactly as in the cold flow:
-	// without them the density force would spread the evicted cells into
-	// every free pocket of the window, far from the blockage that
-	// displaced them. Only the evicted cells carry movable charge, so they
-	// alone come off the budget.
+	window, free := evictionWindow(d, plan, still)
+	// Fillers take the window's whitespace as in the cold flow: without
+	// them the density force would spread the evicted cells into every
+	// free pocket of the window, far from the blockage that displaced
+	// them. Only the evicted cells carry movable charge, so they alone
+	// come off the budget. The filler size is averaged over the standard
+	// cells the stage does not hold, the evicted and inserted ones.
 	idx := plan.Evicted
-	if fillers := addFillers(d, window, d.TargetDensity*free-areaOf(d, plan.Evicted), fillerSeed); len(fillers) > 0 {
-		seedFillersInWhitespace(d, window, fillers, whitespaceSeed)
+	if fillers := addFillers(d, window, d.TargetDensity*free-areaOf(d, plan.Evicted), fillerSeed, still); len(fillers) > 0 {
+		seedFillersInWhitespace(d, window, fillers, whitespaceSeed, still)
 		idx = append(append(make([]int, 0, len(idx)+len(fillers)), idx...), fillers...)
 	}
 	if gpOpt.GridM == 0 {
 		objects := len(idx)
-		for i := range d.Cells {
-			if c := &d.Cells[i]; c.Fixed && c.Rect().Intersects(window) {
+		for i, s := range still {
+			if s && d.Cells[i].Rect().Intersects(window) {
 				objects++
 			}
 		}
@@ -286,18 +274,19 @@ func egpStage(run *flowRun, plan *eco.Plan, gpOpt Options) gpStage {
 	// neighbors, quality the legalizer then pays back several times over
 	// in displacement.
 	return gpStage{
-		name: "eGP", cv: run.cv, region: window, idx: idx, opt: gpOpt,
+		name: "eGP", cv: run.cv, region: window, idx: idx, held: held, opt: gpOpt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
 	}
 }
 
 // evictionWindow returns the region eGP places the evicted cells, of
 // which there is at least one, in and its free area (the window less the
-// fixed footprints inside it). It starts from the bounding box of the blockages' eviction halos and the
-// evicted cells, and grows by one ring of bins of the die's grid at a
-// time until the target density of its free area holds the evicted
-// area, or it covers the region.
-func evictionWindow(d *netlist.Design, plan *eco.Plan) (geom.Rect, float64) {
+// footprints inside it of the cells still marks, see
+// Design.FixedOrHeld). It starts from the bounding box of the
+// blockages' eviction halos and the evicted cells, and grows by one ring
+// of bins of the die's grid at a time until the target density of its
+// free area holds the evicted area, or it covers the region.
+func evictionWindow(d *netlist.Design, plan *eco.Plan, still []bool) (geom.Rect, float64) {
 	w := d.Cells[plan.Evicted[0]].Rect()
 	for _, ci := range plan.Evicted {
 		w = w.Union(d.Cells[ci].Rect())
@@ -313,9 +302,9 @@ func evictionWindow(d *netlist.Design, plan *eco.Plan) (geom.Rect, float64) {
 	for {
 		w = w.Intersect(d.Region)
 		free := w.Area()
-		for i := range d.Cells {
-			if c := &d.Cells[i]; c.Fixed {
-				free -= c.Rect().Overlap(w)
+		for i, s := range still {
+			if s {
+				free -= d.Cells[i].Rect().Overlap(w)
 			}
 		}
 		if d.TargetDensity*free >= need || w == d.Region {
@@ -344,12 +333,11 @@ const (
 // WarmStart loads a finished placement's snapshot into a freshly built
 // design ahead of an ECO run: it validates that the snapshot belongs to
 // d, requires a done-phase (filler-free) state, and restores the
-// positions while keeping d's own Fixed flags. The flags matter: the
-// flow pins macros after mLG, and that pinning is runtime state of the
-// finished run, not netlist structure — letting it leak into the edited
-// design would change its fingerprint and break chained ECO resumes.
-// Like a .pl warm start it reads positions only, so the snapshot's
-// Poisson stamp does not matter.
+// positions. d keeps its own Fixed flags: a snapshot carries none, so
+// the macros the finished run fixed after mLG stay movable in d, and its
+// fingerprint stays the one chained ECO resumes validate against. Like a
+// .pl warm start it reads positions only, so the snapshot's Poisson
+// stamp does not matter.
 func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	if err := st.Validate(d); err != nil {
 		return err
@@ -358,17 +346,7 @@ func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 		return fmt.Errorf("core: snapshot is at phase %q with %d fillers; incremental re-placement needs a finished run (phase %q)",
 			st.Phase, st.NumFillers, checkpoint.PhaseDone)
 	}
-	fixed := make([]bool, len(d.Cells))
-	for i := range d.Cells {
-		fixed[i] = d.Cells[i].Fixed
-	}
-	if err := st.RestorePositions(d); err != nil {
-		return err
-	}
-	for i := range fixed {
-		d.Cells[i].Fixed = fixed[i]
-	}
-	return nil
+	return st.RestorePositions(d)
 }
 
 // optimalCoord returns the point nearest cur within the cell's optimal
@@ -444,21 +422,21 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 
 // seedFillersInWhitespace moves freshly inserted fillers from their
 // uniform-random positions into the whitespace of region r,
-// proportionally to per-bin free area, where only fixed footprints
-// occupy space (evicted and inserted cells carry no fixed charge and are
-// about to move). A warm start must open near its converged state:
+// proportionally to per-bin free area, where only the footprints of the
+// cells still marks occupy space (evicted and inserted cells carry no
+// fixed charge and are about to move). A warm start must open near its converged state:
 // fillers dropped uniformly overlap the placed cells, and the density
 // force resolving that artificial overlap shoves the active cells off
 // the good positions the ECO run is trying to reuse.
-func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed int64) {
+func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed int64, still []bool) {
 	if len(fillers) == 0 {
 		return
 	}
 	const n = 64
 	g := grid.New(r, n)
-	for i := range d.Cells {
-		if c := &d.Cells[i]; c.Fixed {
-			g.AddFixed(c.Rect())
+	for i, s := range still {
+		if s {
+			g.AddFixed(d.Cells[i].Rect())
 		}
 	}
 	cum := make([]float64, n*n)

@@ -195,7 +195,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 		d.Cells[ci].Fixed = true
 	}
 	fillers := InsertFillers(d, 3)
-	seedFillersInWhitespace(d, d.Region, fillers, 4)
+	seedFillersInWhitespace(d, d.Region, fillers, 4, d.FixedOrHeld(nil))
 	idx := append(append([]int(nil), active...), fillers...)
 
 	opt := Options{MaxIters: 40, TargetOverflow: 0.15, Workers: 2, CheckpointEvery: 1}
@@ -354,10 +354,7 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 		var res ECOResult
 		r := newRun(context.Background(), warm, &opt, nil, &res.flowSummary)
 		r.ensureRows()
-		for _, ci := range plan.Frozen {
-			warm.Cells[ci].Fixed = true
-		}
-		held, moved, err := placeMoved(r, plan, opt, &res)
+		moved, err := placeMoved(r, plan, opt, &res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,10 +376,10 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 				t.Errorf("cell %d enters cDP at (%v, %v), its input slot is (%v, %v)", ci, c.X, c.Y, input[k], input[k+n])
 			}
 		}
-		if kept == 0 || kept != len(held) || len(held)+len(moved) != len(plan.Active) {
-			t.Errorf("%d held and %d moved of %d active, %d outside Evicted and Fresh", len(held), len(moved), len(plan.Active), kept)
+		if kept == 0 || kept+len(moved) != len(plan.Active) {
+			t.Errorf("%d moved of %d active, %d outside Evicted and Fresh", len(moved), len(plan.Active), kept)
 		}
-		t.Logf("%d held, %d evicted, %d active", len(held), len(plan.Evicted), len(plan.Active))
+		t.Logf("%d held, %d evicted, %d active", kept, len(plan.Evicted), len(plan.Active))
 	})
 }
 
@@ -391,7 +388,7 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 // area holds the evicted cells at the target density; every evicted cell
 // and filler ends the stage inside it, with the frozen cells bitwise
 // where they were; and the whole call ends legal with the frozen cells
-// unmoved.
+// unmoved, on pinned eGP and final digests.
 func TestECOWindowGP(t *testing.T) {
 	spec := synth.Spec{Name: "eco-window", NumCells: 2500, Seed: 6}
 	cold := synth.Generate(spec)
@@ -410,7 +407,7 @@ func TestECOWindowGP(t *testing.T) {
 		return warm, prep.Plan
 	}
 
-	// The stage alone, pinned the way placeMoved pins it, read before the
+	// The stage alone, holding what placeMoved holds, read before the
 	// fillers go.
 	d, plan := prepare()
 	opt := Options{Workers: 2}
@@ -421,18 +418,19 @@ func TestECOWindowGP(t *testing.T) {
 	for _, ci := range append(append([]int(nil), plan.Evicted...), plan.Fresh...) {
 		lost[ci] = true
 	}
-	for _, cells := range [][]int{plan.Frozen, plan.Active} {
-		for _, ci := range cells {
-			d.Cells[ci].Fixed = !lost[ci]
+	var held []int
+	for _, ci := range plan.Active {
+		if !lost[ci] {
+			held = append(held, ci)
 		}
 	}
 	frozenPos := d.Positions(plan.Frozen)
-	st := egpStage(r, plan, opt)
+	st := egpStage(r, plan, held, opt)
 	w := st.region
 	if w == d.Region || !d.Region.ContainsRect(w) {
 		t.Fatalf("window %v, region %v: want a window inside the region", w, d.Region)
 	}
-	_, free := evictionWindow(d, plan)
+	_, free := evictionWindow(d, plan, d.FixedOrHeld(st.held))
 	if need := areaOf(d, plan.Evicted); d.TargetDensity*free < need {
 		t.Errorf("the window's free area %v holds %v at the target density %v, the evicted cells need %v",
 			free, d.TargetDensity*free, d.TargetDensity, need)
@@ -467,6 +465,14 @@ func TestECOWindowGP(t *testing.T) {
 	}
 	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
 		t.Error(err)
+	}
+	// Pinned: eGP's fixed charge is the fixed, frozen and held footprints,
+	// and its fillers take the size of the cells it moves (recorded on
+	// amd64 with AVX2).
+	for stage, want := range map[string]string{"eGP": "62986690389bf02b", "final": "5f950de990f2c2c3"} {
+		if got := digestOf(t, full.Digests, stage).Hex(); got != want {
+			t.Errorf("%s digest %s, want %s", stage, got, want)
+		}
 	}
 }
 

@@ -105,8 +105,9 @@ const poissonSpan = "poisson/" + poisson.KindSpectral32
 // synced after fillers fixed the topology and extents for the whole
 // stage; every hot kernel below shares it. The stage places inside
 // region: its density grid covers region, whose edge is the Poisson
-// problem's Neumann boundary, and the engine clamps cells to it.
-func newEngine(cv *netlist.Compiled, region geom.Rect, idx []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
+// problem's Neumann boundary, and the engine clamps cells to it. The
+// held cells stand still with the fixed ones (see gpStage.held).
+func newEngine(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
 	d := cv.Design()
 	if err := poisson.ValidateKind(opt.Poisson); err != nil {
 		return nil, err
@@ -115,15 +116,15 @@ func newEngine(cv *netlist.Compiled, region geom.Rect, idx []int, opt Options, r
 	if m == 0 {
 		var area float64
 		n := 0
-		for i := range d.Cells {
-			if !d.Cells[i].Fixed {
+		for i, still := range d.FixedOrHeld(held) {
+			if !still {
 				area += d.Cells[i].W * d.Cells[i].H
 				n++
 			}
 		}
 		m = chooseGridM(region, len(d.Cells), area, n)
 	}
-	dm, err := density.NewModel(cv, region, m, opt.Workers)
+	dm, err := density.NewModel(cv, region, held, m, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +361,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
 	}
 	cv.Sync()
-	e, err := newEngine(cv, s.region, idx, opt, rec)
+	e, err := newEngine(cv, s.region, idx, s.held, opt, rec)
 	if err != nil {
 		return res, err
 	}

@@ -10,14 +10,14 @@ import (
 )
 
 // fillerDims picks filler cell dimensions from the middle 80% (by area)
-// of movable standard cells, the ePlace/FFTPL recipe: fillers the size
-// of a typical cell spread whitespace without distorting the field.
-func fillerDims(d *netlist.Design) (w, h float64) {
+// of the standard cells that are neither fixed nor held (still, see
+// Design.FixedOrHeld), the ePlace/FFTPL recipe: fillers the size of a
+// typical cell spread whitespace without distorting the field.
+func fillerDims(d *netlist.Design, still []bool) (w, h float64) {
 	type wh struct{ w, h, a float64 }
 	var cells []wh
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed && c.Kind == netlist.StdCell {
+	for i, s := range still {
+		if c := &d.Cells[i]; !s && c.Kind == netlist.StdCell {
 			cells = append(cells, wh{c.W, c.H, c.Area()})
 		}
 	}
@@ -59,16 +59,17 @@ func fillerDims(d *netlist.Design) (w, h float64) {
 // utilization.
 func InsertFillers(d *netlist.Design, seed int64) []int {
 	free := d.Region.Area() - d.FixedAreaInRegion()
-	return addFillers(d, d.Region, d.TargetDensity*free-d.MovableArea(), seed)
+	return addFillers(d, d.Region, d.TargetDensity*free-d.MovableArea(), seed, d.FixedOrHeld(nil))
 }
 
-// addFillers appends as many fillers as fit in area want, placed
-// uniformly at random (seeded) inside r, and returns their indices.
-func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64) []int {
+// addFillers appends as many fillers as fit in area want, sized after
+// the standard cells still leaves free, placed uniformly at random
+// (seeded) inside r, and returns their indices.
+func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still []bool) []int {
 	if want <= 0 {
 		return nil
 	}
-	fw, fh := fillerDims(d)
+	fw, fh := fillerDims(d, still)
 	if fw <= 0 || fh <= 0 {
 		return nil
 	}

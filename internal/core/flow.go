@@ -279,8 +279,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		// the input design, until interpolation above it. A resumed run
 		// re-derives them from the same seed (count and initial positions
 		// are functions of design structure only), then overwrites every
-		// position the snapshot captured — in that order, because restoring
-		// also restores the fixed flags filler sizing reads.
+		// position the snapshot captured. Filler sizing reads the fixed
+		// flags as mGP found them, before mLG fixed the macros, so a run
+		// resumed past mLG fixes them again only after the fillers exist.
 		if ph <= phCGP {
 			fillers = InsertFillers(ld, fillerSeed)
 		}
@@ -294,6 +295,9 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			}
 			if err := rs.RestorePositions(ld); err != nil {
 				return res, err
+			}
+			if k == 0 && ph > phMLG {
+				legalize.FixMacros(d, r.movMacros)
 			}
 		}
 		if ph >= phDone {
@@ -378,25 +382,17 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		t0 := time.Now()
 		if ph <= phCGPFiller {
 			if !opt.GP.DisableFillerPhase && len(fillers) > 0 {
-				// Standard cells are held in place during the filler-only
-				// iterations; they must contribute charge as fixed objects or
-				// the fillers would spread as if the cells did not exist. A
-				// snapshot taken meanwhile captures them pinned, and the
-				// captured Fixed flags restore that on resume.
-				for _, ci := range r.stdCells {
-					d.Cells[ci].Fixed = true
-				}
+				// The stage holds the standard cells where they are: they
+				// contribute charge as fixed objects, or the fillers would
+				// spread as if the cells did not exist.
 				fOpt := opt.GP
 				fOpt.MaxIters = cgpFillerIters
 				fOpt.MinIters = cgpFillerIters
 				fOpt.TargetOverflow = 1e-9
 				_, err := r.gp(gpStage{
 					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, fillers: len(fillers), region: d.Region,
-					idx: fillers, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
+					idx: fillers, held: r.stdCells, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
 				})
-				for _, ci := range r.stdCells {
-					d.Cells[ci].Fixed = false
-				}
 				if err != nil {
 					return res, err
 				}
@@ -436,7 +432,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 
 	// --- cDP: row legalization + discrete refinement. ---
-	if _, _, err := r.cdp(nil, r.stdCells, r.stdCells, nil, detail.Options{}); err != nil {
+	if _, _, err := r.cdp(r.stdCells, r.stdCells, nil, detail.Options{}); err != nil {
 		return res, err
 	}
 	err := r.finish()

@@ -89,7 +89,7 @@ func stateOf(tb testing.TB, phase string) *checkpoint.State {
 
 func cloneState(st *checkpoint.State) *checkpoint.State {
 	c := *st
-	c.X, c.Y, c.Fixed = slices.Clone(st.X), slices.Clone(st.Y), slices.Clone(st.Fixed)
+	c.X, c.Y = slices.Clone(st.X), slices.Clone(st.Y)
 	if st.GP != nil {
 		gp := *st.GP
 		gp.Best = slices.Clone(st.GP.Best)
@@ -156,11 +156,11 @@ func gpVectors(gp *checkpoint.GPState) map[string]*[]float64 {
 
 // resize returns x grown (by repeating its last value, or 0) or cut by
 // delta entries, never below empty.
-func resize[T any](x []T, delta int) []T {
+func resize(x []float64, delta int) []float64 {
 	if delta < 0 {
 		return x[:max(0, len(x)+delta)]
 	}
-	var fill T
+	fill := 0.0
 	if len(x) > 0 {
 		fill = x[len(x)-1]
 	}
@@ -171,23 +171,22 @@ func resize[T any](x []T, delta int) []T {
 }
 
 // FuzzCheckpointRestore corrupts real snapshots of a small flow — the
-// lengths of X, Y, Fixed and one GP vector, and one position and one GP
-// value — and drives each through WarmStart and through a resume. It
+// lengths of X, Y and one GP vector, and one position and one GP value —
+// and drives each through WarmStart and through a resume. It
 // builds the State directly: random bytes would stop at the CRC before
 // they reached restore. Either call may refuse the snapshot; neither may
 // panic.
 func FuzzCheckpointRestore(f *testing.F) {
-	f.Add(uint8(0), int8(0), int8(0), int8(0), uint8(0), int8(0), uint16(0), 0.0)
-	f.Add(uint8(1), int8(0), int8(-1), int8(0), uint8(0), int8(0), uint16(3), 1.5)
-	f.Add(uint8(1), int8(0), int8(0), int8(0), uint8(2), int8(-1), uint16(7), 2.0)
-	f.Add(uint8(1), int8(2), int8(2), int8(-3), uint8(5), int8(4), uint16(1), -1e300)
-	f.Add(uint8(4), int8(-5), int8(0), int8(9), uint8(1), int8(0), uint16(2), 0.0)
-	f.Fuzz(func(t *testing.T, which uint8, dx, dy, dfixed int8, vec uint8, dvec int8, at uint16, val float64) {
+	f.Add(uint8(0), int8(0), int8(0), uint8(0), int8(0), uint16(0), 0.0)
+	f.Add(uint8(1), int8(0), int8(-1), uint8(0), int8(0), uint16(3), 1.5)
+	f.Add(uint8(1), int8(0), int8(0), uint8(2), int8(-1), uint16(7), 2.0)
+	f.Add(uint8(1), int8(2), int8(2), uint8(5), int8(4), uint16(1), -1e300)
+	f.Add(uint8(4), int8(-5), int8(0), uint8(1), int8(0), uint16(2), 0.0)
+	f.Fuzz(func(t *testing.T, which uint8, dx, dy int8, vec uint8, dvec int8, at uint16, val float64) {
 		states := hostileStates(t)
 		st := cloneState(states[int(which)%len(states)])
 		st.X = resize(st.X, int(dx))
 		st.Y = resize(st.Y, int(dy))
-		st.Fixed = resize(st.Fixed, int(dfixed))
 		if len(st.X) > 0 {
 			st.X[int(at)%len(st.X)] = val
 		}

@@ -101,9 +101,8 @@ type flowRun struct {
 	// iteration loop.
 	ckptErr error
 
-	// The movable sets as the input design has them, taken before any
-	// stage pins cells (mLG fixes the macros it legalizes, ECO freezes
-	// the cells it reuses).
+	// The movable sets as the input design has them, taken before mLG
+	// fixes the macros it legalizes.
 	movable, stdCells, movMacros []int
 	mixedSize                    bool
 
@@ -215,9 +214,12 @@ type gpStage struct {
 	// region is where the stage places: the level design's region, or the
 	// eviction window of an ECO call (see newEngine).
 	region geom.Rect
-	// idx are the cells the stage moves.
-	idx []int
-	opt Options
+	// idx are the cells the stage moves. held are movable cells the stage
+	// holds where they are: like the fixed cells they carry fixed charge
+	// and do not count toward the automatic grid size. Cell.Fixed is left
+	// alone.
+	idx, held []int
+	opt       Options
 	// lambdaInit > 0 seeds the penalty factor; 0 balances it cold.
 	lambdaInit float64
 	// lambdaScale > 0 multiplies the cold balance (eGP: egpLambdaScale).
@@ -281,14 +283,14 @@ func (r *flowRun) ensureRows() {
 }
 
 // cdp runs the cDP tail (stage "cDP"): row legalization of the legal
-// cells, with the (movable) hold cells pinned at their current slots as
-// obstacles meanwhile, then discrete refinement of the refine cells at
+// cells around every other cell as an obstacle, then discrete
+// refinement of the refine cells, around every other cell likewise, at
 // the depth dOpt sets (the run supplies workers, telemetry and the
 // golden trace), from the seeded start edit describes or, when it is
 // nil, pricing every trial of the first pass. It returns the
 // legalization's total and maximum displacement. With no cells to
 // legalize or refine, it does nothing.
-func (r *flowRun) cdp(hold, legal, refine []int, edit *detail.Edit, dOpt detail.Options) (disp, maxDisp float64, err error) {
+func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit, dOpt detail.Options) (disp, maxDisp float64, err error) {
 	d := r.d
 	r.rec.SetStage("cDP")
 	t0 := time.Now()
@@ -301,19 +303,10 @@ func (r *flowRun) cdp(hold, legal, refine []int, edit *detail.Edit, dOpt detail.
 		return 0, 0, fmt.Errorf("core: cannot infer row height")
 	}
 	tLG := time.Now()
-	for _, ci := range hold {
-		d.Cells[ci].Fixed = true
-	}
 	if len(legal) > 0 {
-		disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers)
-	}
-	// Unpin before refining: the detail passes must see the held cells
-	// movable so they can improve them too.
-	for _, ci := range hold {
-		d.Cells[ci].Fixed = false
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: legalization failed: %w", err)
+		if disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers); err != nil {
+			return 0, 0, fmt.Errorf("core: legalization failed: %w", err)
+		}
 	}
 	r.rec.AddSpanTime("cDP", "legalize", time.Since(tLG))
 	dOpt.Workers, dOpt.Telemetry, dOpt.Golden = r.opt.Workers, r.rec, r.golden

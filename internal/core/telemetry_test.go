@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"eplace/internal/checkpoint"
 	"eplace/internal/eco"
+	"eplace/internal/netlist"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
 )
@@ -219,29 +222,77 @@ func TestResultTimingFromSpans(t *testing.T) {
 	}
 }
 
-// TestFlowStageContract pins what every flow owes its stage accounting,
-// whichever way the one driver is configured: each entry of Stages has
-// exactly one emitted stage span of the same name and duration, cDP
-// reports its legalize and detail kernel spans, and Digests ends with
-// the "final" digest.
+// TestFlowStageContract pins what every flow owes its stage accounting
+// and the design, whichever way the one driver is configured: each entry
+// of Stages has exactly one emitted stage span of the same name and
+// duration, cDP reports its legalize and detail kernel spans, Digests
+// ends with the "final" digest, and a stage holds cells without writing
+// their Fixed flags: every cell ends as fixed as it came in, except the
+// movable macros mLG legalized. On the mixed-size row the filler-only
+// phase, which holds the standard cells, leaves every one of them
+// bitwise where mLG's boundary snapshot has it.
 func TestFlowStageContract(t *testing.T) {
-	place := func(spec synth.Spec, fo FlowOptions) func(*telemetry.Recorder) (flowSummary, error) {
-		return func(rec *telemetry.Recorder) (flowSummary, error) {
+	place := func(spec synth.Spec, fo FlowOptions) func(*testing.T, *telemetry.Recorder) (flowSummary, error) {
+		return func(t *testing.T, rec *telemetry.Recorder) (flowSummary, error) {
+			d := synth.Generate(spec)
+			in := fixedFlags(d)
+			macros := d.MovableOf(netlist.Macro)
 			fo.GP.Telemetry = rec
-			res, err := Place(synth.Generate(spec), fo)
+			res, err := Place(d, fo)
+			fixedKept(t, d, in, macros)
 			return res.flowSummary, err
 		}
 	}
 	rows := []struct {
 		name   string
 		stages []string
-		run    func(*telemetry.Recorder) (flowSummary, error)
+		run    func(*testing.T, *telemetry.Recorder) (flowSummary, error)
 	}{
 		{"flat", []string{"mIP", "mGP", "cDP"}, place(detSpecs()[0], detFlowOpts(2))},
 		{"levels3", []string{"mIP", "mGP/L2", "mGP/L1", "mGP", "cDP"},
 			place(mlSpec(), FlowOptions{GP: Options{GridM: 64, MaxIters: 500, Workers: 2}, Levels: 3})},
-		{"mixed", []string{"mIP", "mGP", "mLG", "cGP", "cDP"}, place(detSpecs()[2], detFlowOpts(2))},
-		{"eco", []string{"eGP", "cDP"}, func(rec *telemetry.Recorder) (flowSummary, error) {
+		{"mixed", []string{"mIP", "mGP", "mLG", "cGP", "cDP"}, func(t *testing.T, rec *telemetry.Recorder) (flowSummary, error) {
+			mgr, err := checkpoint.NewManager(t.TempDir())
+			if err != nil {
+				return flowSummary{}, err
+			}
+			mgr.History, mgr.Keep = true, -1
+			fo := detFlowOpts(2)
+			fo.Checkpoint = mgr
+			spec := detSpecs()[2]
+			sum, err := place(spec, fo)(t, rec)
+			if err != nil {
+				return sum, err
+			}
+			snaps := map[string]*checkpoint.State{}
+			files, err := mgr.HistoryFiles()
+			if err != nil {
+				return sum, err
+			}
+			for _, f := range files {
+				st, err := checkpoint.ReadFile(f)
+				if err != nil {
+					return sum, err
+				}
+				snaps[st.Phase] = st
+			}
+			mlg, filler := snaps[checkpoint.PhasePostMLG], snaps[checkpoint.PhasePostCGPFiller]
+			if mlg == nil || filler == nil {
+				t.Fatalf("no post-mLG or post-cGP-filler snapshot among %d", len(files))
+			}
+			std := synth.Generate(spec).MovableOf(netlist.StdCell)
+			for _, ci := range std {
+				if mlg.X[ci] != filler.X[ci] || mlg.Y[ci] != filler.Y[ci] {
+					t.Errorf("standard cell %d moved from (%v, %v) to (%v, %v) in the filler-only phase",
+						ci, mlg.X[ci], mlg.Y[ci], filler.X[ci], filler.Y[ci])
+				}
+			}
+			if slices.Equal(mlg.X[mlg.NumBaseCells:], filler.X[filler.NumBaseCells:]) {
+				t.Error("the filler-only phase moved no filler")
+			}
+			return sum, nil
+		}},
+		{"eco", []string{"eGP", "cDP"}, func(t *testing.T, rec *telemetry.Recorder) (flowSummary, error) {
 			spec := ecoSpec("eco-contract")
 			cold := synth.Generate(spec)
 			if _, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500}}); err != nil {
@@ -257,7 +308,9 @@ func TestFlowStageContract(t *testing.T) {
 			if err != nil {
 				return flowSummary{}, err
 			}
+			in := fixedFlags(warm)
 			res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 2, Telemetry: rec}})
+			fixedKept(t, warm, in, nil)
 			return res.flowSummary, err
 		}},
 	}
@@ -265,7 +318,7 @@ func TestFlowStageContract(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			ring := telemetry.NewRingSink(1024)
 			rec := telemetry.New(ring)
-			sum, err := row.run(rec)
+			sum, err := row.run(t, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,5 +352,33 @@ func TestFlowStageContract(t *testing.T) {
 				t.Errorf("Digests = %v, want a list ending with \"final\"", sum.Digests)
 			}
 		})
+	}
+}
+
+// fixedFlags returns every cell's Fixed flag.
+func fixedFlags(d *netlist.Design) []bool {
+	out := make([]bool, len(d.Cells))
+	for i := range d.Cells {
+		out[i] = d.Cells[i].Fixed
+	}
+	return out
+}
+
+// fixedKept checks that d's cells are fixed exactly as in says, except
+// the macros, which mLG fixed.
+func fixedKept(t *testing.T, d *netlist.Design, in []bool, macros []int) {
+	t.Helper()
+	want := slices.Clone(in)
+	for _, mi := range macros {
+		want[mi] = true
+	}
+	if got := fixedFlags(d); !slices.Equal(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Errorf("%d cells in, %d out; cell %d ends Fixed=%v, want %v", len(want), len(got), i, i < len(got) && got[i], want[i])
+				return
+			}
+		}
+		t.Errorf("%d cells in, %d out", len(want), len(got))
 	}
 }

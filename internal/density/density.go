@@ -71,12 +71,14 @@ type Model struct {
 // of the Poisson problem, as the die edge is for the whole region (Eq.
 // 6). workers is the worker count of the rasterization, force and
 // Poisson kernels; <= 0 selects all cores, 1 runs fully serial. Fixed
-// cells are rasterized once, clipped to region; call Refresh whenever
+// cells and the cells the stage holds (held, which may be nil) are
+// rasterized once, in cell order, clipped to region, as the fixed charge
+// layer; call Refresh whenever
 // movable positions change. The caller keeps the view's positions
 // current (the engine writes them once per iteration via
 // Compiled.SetPositions); Refresh performs no struct-to-SoA sync. It
 // errors on an invalid grid size.
-func NewModel(cv *netlist.Compiled, region geom.Rect, m, workers int) (*Model, error) {
+func NewModel(cv *netlist.Compiled, region geom.Rect, held []int, m, workers int) (*Model, error) {
 	d := cv.Design()
 	solver, err := poisson.NewSolver32Workers(m, workers)
 	if err != nil {
@@ -91,8 +93,10 @@ func NewModel(cv *netlist.Compiled, region geom.Rect, m, workers int) (*Model, e
 		binAreaInv: 1 / g.BinArea(),
 		workers:    parallel.Count(workers),
 	}
-	for _, ci := range d.FixedCells() {
-		g.AddFixed(d.Cells[ci].Rect())
+	for ci, still := range d.FixedOrHeld(held) {
+		if still {
+			g.AddFixed(d.Cells[ci].Rect())
+		}
 	}
 	md.gradTask = func(_, lo, hi int) {
 		grad := md.gradBuf
@@ -117,7 +121,7 @@ func NewModelCompiled(cv *netlist.Compiled, m, workers int, kind string) (*Model
 	if err := poisson.ValidateKind(kind); err != nil {
 		return nil, err
 	}
-	return NewModel(cv, cv.Design().Region, m, workers)
+	return NewModel(cv, cv.Design().Region, nil, m, workers)
 }
 
 // Refresh re-rasterizes the movable cells listed in idx (fillers go to

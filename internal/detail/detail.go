@@ -3,8 +3,9 @@
 // functional reimplementation): legality-preserving global swaps toward
 // each cell's optimal region, local reordering windows, relocation into
 // whitespace, and independent-set matching. Cells are managed per
-// obstacle-free row segment (from legalize.FreeSegments), so wide
-// macros and pads can never be stepped on. Every operation keeps the
+// obstacle-free row segment (from legalize.FreeSegments, where every
+// cell a call does not refine is an obstacle), so wide macros, pads and
+// the cells a caller holds can never be stepped on. Every operation keeps the
 // layout legal and is accepted only when it shortens HPWL.
 //
 // The improvement passes are region-parallel: segments are grouped into
@@ -220,7 +221,7 @@ func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) 
 	return p, nil
 }
 
-// buildSegments assigns every movable cell to its free row segment. The
+// buildSegments assigns every refined cell to its free row segment. The
 // segment of each cell is found first and the lists are then cut to size
 // from one array.
 func (p *placer) buildSegments(cells []int) error {
@@ -228,7 +229,7 @@ func (p *placer) buildSegments(cells []int) error {
 	if len(d.Rows) == 0 {
 		return fmt.Errorf("detail: design has no rows")
 	}
-	free := legalize.FreeSegments(d)
+	free := legalize.FreeSegments(d, cells)
 	// Row lookup by bottom y. Determinism contract: byY is used for
 	// point lookups only, never range-iterated, so map order is
 	// irrelevant (keys are distinct row baselines, so no overwrites).

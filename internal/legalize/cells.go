@@ -41,7 +41,8 @@ const (
 
 // Cells legalizes the given standard cells onto the design's rows with
 // Abacus (cluster dynamic programming per row), minimizing displacement
-// from their global-placement positions. It returns the total and
+// from their global-placement positions, around every other non-filler
+// cell as an obstacle (see FreeSegments). It returns the total and
 // maximum displacement, or an error if capacity is insufficient.
 //
 // The work is sharded over row bands: each band legalizes its own cells
@@ -54,7 +55,7 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 		return 0, 0, fmt.Errorf("legalize: design has no rows")
 	}
 	nw := parallel.Count(workers)
-	rawSegs := FreeSegments(d)
+	rawSegs := FreeSegments(d, cells)
 	rows := make([][]seg, len(d.Rows))
 	for ri := range rawSegs {
 		for _, s := range rawSegs[ri] {

@@ -25,7 +25,7 @@ func TestRowSegmentsAroundMacro(t *testing.T) {
 	BuildRows(d, 4, 0)
 	// Macro blocking x in [40, 60] across the bottom two rows.
 	d.AddCell(netlist.Cell{W: 20, H: 8, X: 50, Y: 4, Kind: netlist.Macro, Fixed: true})
-	segs := FreeSegments(d)
+	segs := FreeSegments(d, nil)
 	if len(segs[0]) != 2 || len(segs[1]) != 2 {
 		t.Fatalf("bottom rows have %d, %d segments, want 2 each", len(segs[0]), len(segs[1]))
 	}

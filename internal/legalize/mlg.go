@@ -61,8 +61,7 @@ type mlgState struct {
 
 	// Cached per-macro contributions.
 	dCov []float64 // D contribution of each macro
-	// netHPWL caches every net's HPWL; macroNets lists nets per macro.
-	netHPWL   []float64
+	// macroNets lists nets per macro.
 	macroNets [][]int
 
 	W, D, Om float64
@@ -130,8 +129,7 @@ func newMLGState(d *netlist.Design, macros []int, gridM, workers int) *mlgState 
 			}
 		})
 	}
-	// Cache net HPWL (disjoint writes) and reduce W over fixed net shards.
-	s.netHPWL = make([]float64, len(d.Nets))
+	// Reduce W over fixed net shards.
 	var wPart [mlgShards]float64
 	parallel.For(nw, mlgShards, func(_, lo, hi int) {
 		for sh := lo; sh < hi; sh++ {
@@ -139,8 +137,7 @@ func newMLGState(d *netlist.Design, macros []int, gridM, workers int) *mlgState 
 			n1 := (sh + 1) * len(d.Nets) / mlgShards
 			acc := 0.0
 			for ni := n0; ni < n1; ni++ {
-				s.netHPWL[ni] = d.NetHPWL(ni)
-				acc += s.netHPWL[ni]
+				acc += d.NetHPWL(ni)
 			}
 			wPart[sh] = acc
 		}
@@ -385,9 +382,6 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 				s.D += newD - oldD
 				s.dCov[mk] = newD
 				s.Om += newOv - oldOv
-				for _, ni := range s.macroNets[mk] {
-					s.netHPWL[ni] = d.NetHPWL(ni)
-				}
 			} else if rotated {
 				// Three more quarter turns restore the original
 				// orientation and pin offsets exactly.
@@ -412,20 +406,26 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	// Deterministic cleanup: resolve any residual overlap by shoving
 	// pairs apart along the cheaper axis.
 	shoveApart(d, macros, 200)
-	s.Om = s.totalMacroOverlap()
 
 	res.WAfter = d.HPWL()
 	res.DAfter = 0
-	for k := range macros {
-		s.dCov[k] = s.coverage(d.Cells[macros[k]].Rect())
-		res.DAfter += s.dCov[k]
+	for _, mi := range macros {
+		res.DAfter += s.coverage(d.Cells[mi].Rect())
 	}
 	res.OmAfter = s.totalMacroOverlap()
 	res.Legal = res.OmAfter <= 1e-6
+	FixMacros(d, macros)
+	return res
+}
+
+// FixMacros fixes the macros mLG legalized: from mLG on they are
+// obstacles and fixed charge to every later stage (Sec. VI-A). Macros
+// calls it last, and a flow resumed past mLG calls it again. It is the
+// only place a placement stage writes Cell.Fixed.
+func FixMacros(d *netlist.Design, macros []int) {
 	for _, mi := range macros {
 		d.Cells[mi].Fixed = true
 	}
-	return res
 }
 
 // rotateMacro turns macro mi by 90 degrees counterclockwise about its

@@ -37,18 +37,23 @@ type Segment struct {
 	Lx, Hx float64
 }
 
-// blocksRows reports whether cell c is an obstacle to standard cells:
-// anything Fixed, plus macro-kind cells regardless of the Fixed flag (mLG
-// runs before cell legalization).
+// blocksRows reports whether cell c is an obstacle CheckLegal checks
+// standard cells against: anything Fixed, plus macro-kind cells
+// regardless of the Fixed flag.
 func blocksRows(c *netlist.Cell) bool { return c.Fixed || c.Kind == netlist.Macro }
 
-// FreeSegments computes the obstacle-free intervals of every row: every
-// obstacle (blocksRows) that is not a filler blocks the rows it crosses.
-// Overlapping obstacles (e.g. pads under a macro) are merged. The
-// obstacles are bucketed once by the rows they cross, found through the
-// rows' baselines in ascending order, and the lists are cut to size from
-// one array each.
-func FreeSegments(d *netlist.Design) [][]Segment {
+// FreeSegments computes the obstacle-free intervals of every row for a
+// pass that places cells: every cell that is neither in cells nor a
+// filler is an obstacle and blocks the rows it crosses, fixed or not, so
+// a caller holds cells by leaving them out. Overlapping obstacles (e.g.
+// pads under a macro) are merged. The obstacles are bucketed once by the
+// rows they cross, found through the rows' baselines in ascending order,
+// and the lists are cut to size from one array each.
+func FreeSegments(d *netlist.Design, cells []int) [][]Segment {
+	placed := make([]bool, len(d.Cells))
+	for _, ci := range cells {
+		placed[ci] = true
+	}
 	nr := len(d.Rows)
 	// Rows by ascending baseline. A row a rectangle crosses starts below
 	// the rectangle's top and less than the tallest row's height below
@@ -72,7 +77,7 @@ func FreeSegments(d *netlist.Design) [][]Segment {
 	for fill := false; ; fill = true {
 		for i := range d.Cells {
 			c := &d.Cells[i]
-			if !blocksRows(c) || c.Kind == netlist.Filler {
+			if placed[i] || c.Kind == netlist.Filler {
 				continue
 			}
 			r := c.Rect()

@@ -16,7 +16,11 @@ import (
 
 // freeSegmentsRef is FreeSegments as it was before the obstacles were
 // bucketed by row: every row scans every cell. Kept as the reference.
-func freeSegmentsRef(d *netlist.Design) [][]Segment {
+func freeSegmentsRef(d *netlist.Design, cells []int) [][]Segment {
+	placed := map[int]bool{}
+	for _, ci := range cells {
+		placed[ci] = true
+	}
 	segs := make([][]Segment, len(d.Rows))
 	for ri, row := range d.Rows {
 		type iv struct{ lo, hi float64 }
@@ -24,10 +28,7 @@ func freeSegmentsRef(d *netlist.Design) [][]Segment {
 		rowRect := geom.Rect{Lx: row.Lx, Ly: row.Y, Hx: row.Hx, Hy: row.Y + row.Height}
 		for i := range d.Cells {
 			c := &d.Cells[i]
-			if !c.Fixed && c.Kind != netlist.Macro {
-				continue
-			}
-			if c.Kind == netlist.Filler {
+			if placed[i] || c.Kind == netlist.Filler {
 				continue
 			}
 			r := c.Rect()
@@ -130,7 +131,7 @@ func sameVerdict(t *testing.T, what string, d *netlist.Design, cells []int) erro
 	if violationKind(got) != violationKind(want) {
 		t.Errorf("%s: CheckLegal says %v, the all-pairs reference %v", what, got, want)
 	}
-	if !reflect.DeepEqual(FreeSegments(d), freeSegmentsRef(d)) {
+	if !reflect.DeepEqual(FreeSegments(d, cells), freeSegmentsRef(d, cells)) {
 		t.Errorf("%s: FreeSegments differs from the per-row scan", what)
 	}
 	return got

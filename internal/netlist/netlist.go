@@ -257,15 +257,19 @@ func (d *Design) MovableOf(kind Kind) []int {
 	return out
 }
 
-// FixedCells returns indices of all fixed cells.
-func (d *Design) FixedCells() []int {
-	var out []int
+// FixedOrHeld reports, per cell, whether it stays where it is for a
+// stage that holds the cells held: every fixed cell, plus held. Such a
+// stage treats them all alike, as fixed charge and obstacles; only
+// Fixed is the netlist's.
+func (d *Design) FixedOrHeld(held []int) []bool {
+	still := make([]bool, len(d.Cells))
 	for i := range d.Cells {
-		if d.Cells[i].Fixed {
-			out = append(out, i)
-		}
+		still[i] = d.Cells[i].Fixed
 	}
-	return out
+	for _, ci := range held {
+		still[ci] = true
+	}
+	return still
 }
 
 // MovableArea returns the total area of movable non-filler cells.

@@ -3,6 +3,7 @@ package netlist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,8 +73,11 @@ func TestMovablePartitions(t *testing.T) {
 	if len(mov) != 2 {
 		t.Fatalf("Movable = %v", mov)
 	}
-	if len(d.FixedCells()) != 1 {
-		t.Errorf("FixedCells = %v", d.FixedCells())
+	if still := d.FixedOrHeld(nil); !slices.Equal(still, []bool{false, false, true}) {
+		t.Errorf("FixedOrHeld(nil) = %v", still)
+	}
+	if still := d.FixedOrHeld(mov[:1]); !slices.Equal(still, []bool{true, false, true}) {
+		t.Errorf("FixedOrHeld(%v) = %v", mov[:1], still)
 	}
 	if got := d.MovableArea(); !almostEq(got, 8) {
 		t.Errorf("MovableArea = %v", got)
