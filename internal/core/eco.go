@@ -424,10 +424,10 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 // uniform-random positions into the whitespace of region r,
 // proportionally to per-bin free area, where only the footprints of the
 // cells still marks occupy space (evicted and inserted cells carry no
-// fixed charge and are about to move). A warm start must open near its converged state:
-// fillers dropped uniformly overlap the placed cells, and the density
-// force resolving that artificial overlap shoves the active cells off
-// the good positions the ECO run is trying to reuse.
+// fixed charge and are about to move). A warm start must open near its
+// converged state: fillers dropped uniformly overlap the placed cells,
+// and the density force resolving that artificial overlap shoves the
+// active cells off the good positions the ECO run is trying to reuse.
 func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed int64, still []bool) {
 	if len(fillers) == 0 {
 		return

@@ -5,9 +5,9 @@
 // that decides from that record which cells must be re-placed and which
 // converged far-away regions can be reused verbatim.
 //
-// The flow layer (core.PlaceECO) consumes the Plan: frozen cells are
-// temporarily marked fixed so the density model rasterizes them as
-// immovable charge, the wirelength model treats them as terminals, and
+// The flow layer (core.PlaceECO) consumes the Plan: every stage holds
+// the frozen cells, so the density model rasterizes them as immovable
+// charge, the wirelength model treats them as terminals, and
 // legalization/detail placement route around them as obstacles. A short
 // warm-started Nesterov placement runs only over the cells a blockage
 // evicted (Plan.Evicted), and legalization and detail placement over

@@ -35,7 +35,7 @@ const (
 )
 
 // Plan is the freeze decision: which movable cells are re-placed and
-// which are reused (frozen as fixed obstacles) for one ECO run.
+// which are reused (frozen: held as obstacles) for one ECO run.
 type Plan struct {
 	// Seeds are the changed cells (movable or fixed) the activity
 	// radiates from, ascending.

@@ -33,7 +33,8 @@ import (
 //   - PosX/PosY are the live cell centers, indexed by cell; CellW/CellH
 //     and Filler mirror the cell extents and filler flags for the density
 //     rasterizer; NetW caches each net's effective weight. Fixed flags
-//     flip between stages and stay out of the view.
+//     stay out of the view: no kernel reads them, and the stages that
+//     hold cells pass them as arguments.
 //
 // A Compiled view is NOT safe for concurrent mutation: SetPositions and
 // Sync must not race with readers. The read-only kernels may share it
