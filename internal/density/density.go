@@ -73,11 +73,10 @@ type Model struct {
 // Poisson kernels; <= 0 selects all cores, 1 runs fully serial. Fixed
 // cells and the cells the stage holds (held, which may be nil) are
 // rasterized once, in cell order, clipped to region, as the fixed charge
-// layer; call Refresh whenever
-// movable positions change. The caller keeps the view's positions
-// current (the engine writes them once per iteration via
-// Compiled.SetPositions); Refresh performs no struct-to-SoA sync. It
-// errors on an invalid grid size.
+// layer; call Refresh whenever movable positions change. The caller
+// keeps the view's positions current (the engine writes them once per
+// iteration via Compiled.SetPositions); Refresh performs no struct-to-SoA
+// sync. It errors on an invalid grid size.
 func NewModel(cv *netlist.Compiled, region geom.Rect, held []int, m, workers int) (*Model, error) {
 	d := cv.Design()
 	solver, err := poisson.NewSolver32Workers(m, workers)
