@@ -42,8 +42,9 @@ import (
 
 // FormatVersion is the on-disk format version written by Save; Load
 // rejects any other. 2: State.Golden carries word-folded digests. 3:
-// State carries no per-cell fixed flags.
-const FormatVersion = 3
+// State carries no per-cell fixed flags. 4: State carries no Poisson
+// solver stamp.
+const FormatVersion = 4
 
 var magic = [8]byte{'E', 'P', 'L', 'C', 'K', 'P', 'T', 0}
 
@@ -151,12 +152,6 @@ type State struct {
 	X, Y []float64
 	// MixedSize mirrors FlowResult.MixedSize at capture time.
 	MixedSize bool
-	// Poisson names the Poisson solver that placed the snapshot. This
-	// build writes "spectral32", its one solver. Older builds also wrote
-	// "spectral" or "multigrid", and snapshots from before the field
-	// existed decode as "". A resume continues only a "spectral32"
-	// trajectory and refuses the others; ECO warm starts ignore the field.
-	Poisson string
 	// MGPIterations and MGPFinalLambda are mGP outputs that seed the
 	// cGP penalty factor; valid from PhasePostMGP on.
 	MGPIterations  int

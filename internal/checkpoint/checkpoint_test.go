@@ -110,23 +110,24 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRefusesOlderVersions: a version-1 snapshot carries rolling
-// hashes from before the golden digest was redefined, and a version-2 one
+// hashes from before the golden digest was redefined, a version-2 one
 // per-cell fixed flags, which a resume of this build does not restore (it
-// fixes mLG's macros again by phase). Both headers are refused by version
-// before the payload is looked at.
+// fixes mLG's macros again by phase), and a version-3 one a Poisson
+// solver stamp. All three headers are refused by version before the
+// payload is looked at.
 func TestDecodeRefusesOlderVersions(t *testing.T) {
 	data, err := Encode(sampleState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != 3 {
-		t.Fatalf("Encode wrote version %d, want 3", v)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 4 {
+		t.Fatalf("Encode wrote version %d, want 4", v)
 	}
-	for _, old := range []uint32{1, 2} {
+	for _, old := range []uint32{1, 2, 3} {
 		b := slices.Clone(data)
 		binary.LittleEndian.PutUint32(b[8:], old)
 		_, err = Decode(b)
-		if want := fmt.Sprintf("format version %d, this build reads 3", old); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("format version %d, this build reads 4", old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Decode of a version-%d header: %v, want an error saying %q", old, err, want)
 		}
 	}

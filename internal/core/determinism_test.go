@@ -1,16 +1,11 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"eplace/internal/checkpoint"
-	"eplace/internal/eco"
 	"eplace/internal/poisson"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -281,52 +276,6 @@ func TestFlowResumeRejectsForeignDesign(t *testing.T) {
 	fo.Resume = st
 	if _, err := Place(other, fo); err == nil {
 		t.Error("resume onto a different design succeeded; want fingerprint error")
-	}
-}
-
-// TestFlowRefusesRemovedBackend: this build stamps its snapshots
-// spectral32 and resumes only those. A snapshot stamped by a solver it
-// no longer has — the float64 "spectral" one, "multigrid", or "" from
-// before solvers were stamped — is refused with ErrSnapshotBackend. An
-// ECO run warm-started from the same snapshot reads its positions only
-// and places as usual.
-func TestFlowRefusesRemovedBackend(t *testing.T) {
-	ref, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
-	done, err := mgr.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Poisson != poisson.KindSpectral32 {
-		t.Fatalf("snapshot stamped %q, want %q", done.Poisson, poisson.KindSpectral32)
-	}
-	for _, tc := range []struct{ name, stamp string }{
-		{"spectral32", poisson.KindSpectral32},
-		{"unstamped", ""},
-		{"spectral", "spectral"},
-		{"multigrid", "multigrid"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := *done
-			st.Poisson = tc.stamp
-			fo := detFlowOpts(1)
-			fo.Resume = &st
-			res, err := Place(synth.Generate(detSpecs()[2]), fo)
-			switch {
-			case tc.stamp == poisson.KindSpectral32:
-				if err != nil || math.Float64bits(res.HPWL) != math.Float64bits(ref.HPWL) {
-					t.Errorf("resume: HPWL %v, err %v; want %v", res.HPWL, err, ref.HPWL)
-				}
-			case !errors.Is(err, ErrSnapshotBackend) || !strings.Contains(err.Error(), strconv.Quote(tc.stamp)):
-				t.Errorf("resume: err = %v, want ErrSnapshotBackend naming %q", err, tc.stamp)
-			}
-			d := synth.Generate(detSpecs()[2])
-			if err := WarmStart(d, &st); err != nil {
-				t.Fatal(err)
-			}
-			if res, err := PlaceECO(context.Background(), d, &eco.Plan{}, ECOOptions{}); err != nil || !res.Legal {
-				t.Errorf("ECO from the snapshot: legal %v, err %v", res.Legal, err)
-			}
-		})
 	}
 }
 

@@ -336,8 +336,7 @@ const (
 // positions. d keeps its own Fixed flags: a snapshot carries none, so
 // the macros the finished run fixed after mLG stay movable in d, and its
 // fingerprint stays the one chained ECO resumes validate against. Like a
-// .pl warm start it reads positions only, so the snapshot's Poisson
-// stamp does not matter.
+// .pl warm start it reads positions only.
 func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	if err := st.Validate(d); err != nil {
 		return err

@@ -50,8 +50,7 @@ type FlowOptions struct {
 	// re-enters the GP loop at its captured iteration, and the final
 	// placement is bitwise-identical to the uninterrupted run —
 	// including the per-stage golden digests, whose rolling state is
-	// part of the snapshot. A snapshot another Poisson solver placed is
-	// refused with ErrSnapshotBackend.
+	// part of the snapshot.
 	Resume *checkpoint.State
 }
 
@@ -210,9 +209,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if err := rs.Validate(d); err != nil {
 			return res, err
 		}
-		if rs.Poisson != poisson.KindSpectral32 {
-			return res, fmt.Errorf("%w (stamped %q; restart the flow)", ErrSnapshotBackend, rs.Poisson)
-		}
 		if rs.MixedSize != res.MixedSize {
 			return res, fmt.Errorf("core: snapshot mixed-size=%v but design mixed-size=%v",
 				rs.MixedSize, res.MixedSize)
@@ -365,8 +361,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			r.rec.SetStage("mLG")
 			t0 := time.Now()
 			res.MLG = legalize.Macros(d, r.movMacros, legalize.MLGOptions{
-				Seed: mlgSeed, AllowOrient: opt.AllowOrient,
-				Workers: opt.GP.Workers, Telemetry: r.rec,
+				Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
 			})
 			r.golden.Absorb("mLG", 0, d.Positions(r.movMacros), d.HPWL(), 0)
 			r.addStage("mLG", time.Since(t0))

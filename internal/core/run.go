@@ -11,7 +11,6 @@ import (
 	"eplace/internal/geom"
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
-	"eplace/internal/poisson"
 	"eplace/internal/qp"
 	"eplace/internal/telemetry"
 )
@@ -54,15 +53,6 @@ type flowSummary struct {
 // snapshot was persisted first, so the run is resumable from exactly
 // where it stopped. Test with errors.Is(err, ErrCanceled).
 var ErrCanceled = errors.New("core: placement canceled")
-
-// ErrSnapshotBackend is returned (wrapped, with the stamp) when a flow
-// is asked to resume a snapshot that was not stamped spectral32: one
-// the removed float64 "spectral" or "multigrid" solver placed, or an
-// unstamped "" one from before solvers were stamped. Its trajectory
-// cannot be continued bit for bit, so the run has to restart. ECO and
-// WarmStart read only a finished placement's positions and ignore the
-// stamp. Test with errors.Is(err, ErrSnapshotBackend).
-var ErrSnapshotBackend = errors.New("core: snapshot was placed by a Poisson solver this build does not have")
 
 // canceledAt converts a cancellation observed at phase into the typed
 // flow error (partial results travel in the result struct).
@@ -147,7 +137,6 @@ func (r *flowRun) snapshot(phase string, level int, ld *netlist.Design, numFille
 		DesignName:     r.d.Name,
 		Fingerprint:    r.fp,
 		MixedSize:      r.mixedSize,
-		Poisson:        poisson.KindSpectral32,
 		MGPIterations:  r.mgp.Iterations,
 		MGPFinalLambda: r.mgp.FinalLambda,
 		Level:          level,

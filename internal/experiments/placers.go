@@ -116,7 +116,7 @@ func run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 // for the baseline placers.
 func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, failed *bool) bool {
 	if len(movMacros) > 0 {
-		res := legalize.Macros(d, movMacros, legalize.MLGOptions{Workers: opt.Workers})
+		res := legalize.Macros(d, movMacros, legalize.MLGOptions{})
 		if !res.Legal {
 			*failed = true
 			return false

@@ -296,6 +296,14 @@ func (r *Real) IDSTPair(aA, aB, outA, outB []float64) {
 	}
 }
 
+// DCT2PairFrom64, IDCTPairTo64 and IDSTPairTo64 are the plain pair
+// transforms under Real32's staging names, so one spectral pipeline runs
+// on either precision: for float64 input and output there is nothing to
+// narrow or widen.
+func (r *Real) DCT2PairFrom64(xA, xB, outA, outB []float64) { r.DCT2Pair(xA, xB, outA, outB) }
+func (r *Real) IDCTPairTo64(aA, aB, outA, outB []float64)   { r.IDCTPair(aA, aB, outA, outB) }
+func (r *Real) IDSTPairTo64(aA, aB, outA, outB []float64)   { r.IDSTPair(aA, aB, outA, outB) }
+
 func (r *Real) check(in, out []float64) {
 	if len(in) != r.n || len(out) != r.n {
 		panic(fmt.Sprintf("fft: vector length %d/%d, workspace size %d", len(in), len(out), r.n))

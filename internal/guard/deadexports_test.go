@@ -64,9 +64,11 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestNoDeadExportsFindsPlanted runs the guard on a planted module whose
-// two dead exports it must report, among them a method named like a live
-// one, and whose live function, methods (one called through an
-// interface) and same-package reference it must not.
+// three dead exports it must report, among them two methods named like
+// live ones, and whose live function, methods (one called through an
+// interface, one only through a type parameter) and same-package
+// reference it must not. H.Generic satisfies the parameter's constraint
+// but H is never a type argument, so it stays dead.
 func TestNoDeadExportsFindsPlanted(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -84,9 +86,24 @@ func Live() T      { return T{} }
 func Dead()        {}
 func Sibling()     {}
 func selfOnly()    { Dead() }
+
+type G struct{}
+type H struct{}
+
+func (G) Generic() {}
+func (H) Generic() {}
 `,
 		"internal/p/q.go": "package p\n\nfunc helper() { Sibling() }\n",
 		"internal/p/r.go": "package p\n\ntype viaface interface{ Viaface() }\n\nfunc Call(x viaface) { x.Viaface() }\n",
+		"internal/p/box.go": `package p
+
+type generic interface{ Generic() }
+
+type Box[P generic] struct{ x P }
+
+func NewBox[P generic](x P) Box[P] { return Box[P]{x} }
+func (b Box[P]) Run()              { b.x.Generic() }
+`,
 		"internal/p/p_test.go": `package p
 
 import "testing"
@@ -97,7 +114,7 @@ func TestDead(t *testing.T) { Dead() }
 
 import q "planted/internal/p"
 
-func main() { q.Live().Used(); q.Call(q.V{}) }
+func main() { q.Live().Used(); q.Call(q.V{}); q.NewBox(q.G{}).Run() }
 `,
 	}
 	for name, src := range files {
@@ -113,7 +130,7 @@ func main() { q.Live().Used(); q.Call(q.V{}) }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(dead, " "), "p.Dead p.U.Used"; got != want {
+	if got, want := strings.Join(dead, " "), "p.Dead p.H.Generic p.U.Used"; got != want {
 		t.Errorf("deadExports on the planted module = %q, want %q", got, want)
 	}
 }
@@ -134,7 +151,10 @@ type export struct {
 // by its receiver type. A method is also live when a file other than
 // its own calls an interface method of the same name that its type
 // implements; calls made only from the standard library (sort.Sort,
-// container/heap, fmt's Stringer) do not count.
+// container/heap, fmt's Stringer) do not count. A call through a type
+// parameter is not an interface call: it makes a method live when the
+// tree instantiates that parameter, directly or through other type
+// parameters, with the method's type (types.Info.Instances).
 func deadExports(root string) ([]string, error) {
 	module, err := modulePath(root)
 	if err != nil {
@@ -181,7 +201,12 @@ func deadExports(root string) ([]string, error) {
 	// The module's packages are checked on first import, the standard
 	// library's from source, so every package sees one object per
 	// declaration.
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
 	std := importer.ForCompiler(fset, "source", nil)
 	checked := map[string]*types.Package{}
 	var imp importerFunc
@@ -233,6 +258,23 @@ func deadExports(root string) ([]string, error) {
 		}
 	}
 
+	// Methods called through a type parameter, by name: the parameter
+	// and the file making the call. These are static calls on whatever
+	// the parameter is instantiated with, not interface calls.
+	type tpCall struct {
+		param *types.TypeParam
+		file  string
+	}
+	tpCalls := map[string][]tpCall{}
+	viaParam := map[*ast.Ident]bool{}
+	for sel, s := range info.Selections {
+		if tp, ok := s.Recv().(*types.TypeParam); ok && s.Kind() == types.MethodVal {
+			viaParam[sel.Sel] = true
+			tpCalls[sel.Sel.Name] = append(tpCalls[sel.Sel.Name], tpCall{tp, fset.Position(sel.Sel.Pos()).Filename})
+		}
+	}
+	args := typeArgs(info)
+
 	// Every use of a function or method, by the files making it; and the
 	// interface methods called, by name.
 	refs := map[*types.Func]map[string]bool{}
@@ -247,7 +289,7 @@ func deadExports(root string) ([]string, error) {
 			refs[fn] = map[string]bool{}
 		}
 		refs[fn][fset.Position(id.Pos()).Filename] = true
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !viaParam[id] {
 			ifaceCalls[fn.Name()] = append(ifaceCalls[fn.Name()], fn)
 		}
 	}
@@ -274,6 +316,16 @@ func deadExports(root string) ([]string, error) {
 					break
 				}
 			}
+			for _, c := range tpCalls[e.obj.Name()] {
+				if c.file == e.file {
+					continue
+				}
+				for _, a := range args.concrete(c.param) {
+					if types.Identical(a, t) || types.Identical(a, types.NewPointer(t)) {
+						live = true
+					}
+				}
+			}
 		}
 		if !live {
 			dead = append(dead, e.name)
@@ -281,6 +333,72 @@ func deadExports(root string) ([]string, error) {
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// paramArgs maps each type parameter of the tree to the type arguments
+// it is instantiated with, which may be type parameters themselves.
+type paramArgs map[*types.TypeParam][]types.Type
+
+// typeArgs collects the type arguments of every instantiation the type
+// checker recorded. A method's receiver declares type parameters of its
+// own, so each is recorded as instantiated with the matching parameter
+// of its type's declaration.
+func typeArgs(info *types.Info) paramArgs {
+	args := paramArgs{}
+	for id, inst := range info.Instances {
+		var params *types.TypeParamList
+		switch obj := info.Uses[id].(type) {
+		case *types.TypeName:
+			if n, ok := obj.Type().(*types.Named); ok {
+				params = n.TypeParams()
+			}
+		case *types.Func:
+			params = obj.Type().(*types.Signature).TypeParams()
+		}
+		for i := 0; i < params.Len() && i < inst.TypeArgs.Len(); i++ {
+			args[params.At(i)] = append(args[params.At(i)], inst.TypeArgs.At(i))
+		}
+	}
+	for _, obj := range info.Defs {
+		n, ok := obj.(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := n.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() == 0 {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			recv := named.Method(i).Type().(*types.Signature).RecvTypeParams()
+			for k := 0; k < recv.Len(); k++ {
+				args[recv.At(k)] = append(args[recv.At(k)], named.TypeParams().At(k))
+			}
+		}
+	}
+	return args
+}
+
+// concrete returns the types that are not type parameters which tp is
+// instantiated with, directly or through other type parameters.
+func (args paramArgs) concrete(tp *types.TypeParam) []types.Type {
+	var out []types.Type
+	seen := map[*types.TypeParam]bool{}
+	var walk func(*types.TypeParam)
+	walk = func(tp *types.TypeParam) {
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		for _, a := range args[tp] {
+			if p, ok := a.(*types.TypeParam); ok {
+				walk(p)
+			} else {
+				out = append(out, a)
+			}
+		}
+	}
+	walk(tp)
+	return out
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"eplace/internal/geom"
+	"eplace/internal/grid"
 	"eplace/internal/netlist"
-	"eplace/internal/parallel"
 	"eplace/internal/telemetry"
 )
 
@@ -22,12 +22,6 @@ type MLGOptions struct {
 	// the paper mentions but disables to follow contest protocols
 	// (Sec. III). Pin offsets rotate with the macro.
 	AllowOrient bool
-	// Workers parallelizes the state build (coverage splat, net HPWL
-	// cache, per-macro terms): 0 uses all cores. The annealing loop
-	// itself consumes one sequential RNG stream and stays serial.
-	// Results are bitwise-identical at every setting: float reductions
-	// run over a fixed shard structure independent of the worker count.
-	Workers int
 	// Telemetry, when non-nil, receives one Sample per outer iteration
 	// (stage "mLG": HPWL=W, Energy=D, Overlap=Om, the Fig. 5 metrics)
 	// plus move/accept counters.
@@ -50,14 +44,14 @@ type MLGResult struct {
 	Legal                      bool
 }
 
-// mlgState evaluates f_mLG = W + muD*D + muO*Om incrementally.
+// mlgState evaluates f_mLG = W + muD*D + muO*Om incrementally. It is
+// built serially: on the mixed-size flow the build is about half of
+// mLG's time and a millisecond or two of the run.
 type mlgState struct {
 	d      *netlist.Design
 	macros []int
-	// covGrid[j*m+i] = std-cell area in bin (i, j), fixed during mLG.
-	covGrid    []float64
-	m          int
-	binW, binH float64
+	// cov.Fixed[j*m+i] = std-cell area in bin (i, j), fixed during mLG.
+	cov *grid.Grid
 
 	// Cached per-macro contributions.
 	dCov []float64 // D contribution of each macro
@@ -67,195 +61,82 @@ type mlgState struct {
 	W, D, Om float64
 }
 
-// mlgShards is the fixed shard count for the state build's float
-// reductions (coverage splat, W, D, Om). Determinism contract: the
-// shard structure — and therefore the floating-point grouping — is a
-// constant, never a function of the worker count, so every worker
-// count sums in exactly the same order.
-const mlgShards = 64
-
-func newMLGState(d *netlist.Design, macros []int, gridM, workers int) *mlgState {
-	nw := parallel.Count(workers)
+func newMLGState(d *netlist.Design, macros []int, gridM int) *mlgState {
 	s := &mlgState{
-		d: d, macros: macros, m: gridM,
-		covGrid: make([]float64, gridM*gridM),
-		binW:    d.Region.W() / float64(gridM),
-		binH:    d.Region.H() / float64(gridM),
-		dCov:    make([]float64, len(macros)),
+		d: d, macros: macros,
+		cov:       grid.New(d.Region, gridM),
+		dCov:      make([]float64, len(macros)),
+		macroNets: make([][]int, len(macros)),
+		W:         d.HPWL(),
 	}
-	// Rasterize standard cells (movable or fixed, non-macro, non-filler)
-	// into one sub-grid per fixed cell shard, then reduce each bin over
-	// shards in shard order. Each shard costs a gridM² sub-grid, so the
-	// shard count is design-derived — small designs use one shard (the
-	// plain serial splat, no copy) — but never worker-derived, keeping
-	// the float grouping identical at every worker count.
-	nb := gridM * gridM
-	splatShards := len(d.Cells) / 4096
-	if splatShards < 1 {
-		splatShards = 1
+	// Rasterize standard cells (movable or fixed, non-macro, non-filler).
+	for i := range d.Cells {
+		if c := &d.Cells[i]; c.Kind == netlist.StdCell {
+			s.cov.AddFixed(c.Rect())
+		}
 	}
-	if splatShards > mlgShards {
-		splatShards = mlgShards
-	}
-	if splatShards == 1 {
-		for i := range d.Cells {
-			c := &d.Cells[i]
-			if c.Kind == netlist.StdCell {
-				splatInto(s.covGrid, s, c.Rect())
+	for k, mi := range macros {
+		// Determinism contract: seen is membership-only; macroNets[k] is
+		// built in the macro's deterministic pin order.
+		seen := map[int]bool{}
+		for _, pi := range d.Cells[mi].Pins {
+			ni := d.Pins[pi].Net
+			if !seen[ni] {
+				seen[ni] = true
+				s.macroNets[k] = append(s.macroNets[k], ni)
 			}
 		}
-	} else {
-		shardGrids := make([]float64, splatShards*nb)
-		parallel.For(nw, splatShards, func(_, lo, hi int) {
-			for sh := lo; sh < hi; sh++ {
-				grid := shardGrids[sh*nb : (sh+1)*nb]
-				c0 := sh * len(d.Cells) / splatShards
-				c1 := (sh + 1) * len(d.Cells) / splatShards
-				for i := c0; i < c1; i++ {
-					c := &d.Cells[i]
-					if c.Kind == netlist.StdCell {
-						splatInto(grid, s, c.Rect())
-					}
-				}
-			}
-		})
-		parallel.For(nw, nb, func(_, lo, hi int) {
-			for b := lo; b < hi; b++ {
-				acc := 0.0
-				for sh := 0; sh < splatShards; sh++ {
-					acc += shardGrids[sh*nb+b]
-				}
-				s.covGrid[b] = acc
-			}
-		})
-	}
-	// Reduce W over fixed net shards.
-	var wPart [mlgShards]float64
-	parallel.For(nw, mlgShards, func(_, lo, hi int) {
-		for sh := lo; sh < hi; sh++ {
-			n0 := sh * len(d.Nets) / mlgShards
-			n1 := (sh + 1) * len(d.Nets) / mlgShards
-			acc := 0.0
-			for ni := n0; ni < n1; ni++ {
-				acc += d.NetHPWL(ni)
-			}
-			wPart[sh] = acc
-		}
-	})
-	for sh := 0; sh < mlgShards; sh++ {
-		s.W += wPart[sh]
-	}
-	// Per-macro terms: disjoint writes per macro, serial in-order sums.
-	s.macroNets = make([][]int, len(macros))
-	parallel.For(nw, len(macros), func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			mi := macros[k]
-			// Determinism contract: seen is membership-only; macroNets[k]
-			// is built in the macro's deterministic pin order.
-			seen := map[int]bool{}
-			for _, pi := range d.Cells[mi].Pins {
-				ni := d.Pins[pi].Net
-				if !seen[ni] {
-					seen[ni] = true
-					s.macroNets[k] = append(s.macroNets[k], ni)
-				}
-			}
-			s.dCov[k] = s.coverage(d.Cells[mi].Rect())
-		}
-	})
-	for k := range macros {
+		s.dCov[k] = s.coverage(d.Cells[mi].Rect())
 		s.D += s.dCov[k]
 	}
-	s.Om = s.macroOverlapWorkers(nw)
+	s.Om = s.totalMacroOverlap()
 	return s
-}
-
-// splatInto rasterizes rectangle r into the given grid (one shard's
-// sub-grid during the parallel state build).
-func splatInto(grid []float64, s *mlgState, r geom.Rect) {
-	r = r.Intersect(s.d.Region)
-	if r.Empty() {
-		return
-	}
-	i0 := int((r.Lx - s.d.Region.Lx) / s.binW)
-	i1 := int(math.Ceil((r.Hx - s.d.Region.Lx) / s.binW))
-	j0 := int((r.Ly - s.d.Region.Ly) / s.binH)
-	j1 := int(math.Ceil((r.Hy - s.d.Region.Ly) / s.binH))
-	i0, j0 = clampIdx(i0, s.m), clampIdx(j0, s.m)
-	i1, j1 = clampHi(i1, s.m), clampHi(j1, s.m)
-	for j := j0; j < j1; j++ {
-		by := s.d.Region.Ly + float64(j)*s.binH
-		oy := math.Min(r.Hy, by+s.binH) - math.Max(r.Ly, by)
-		if oy <= 0 {
-			continue
-		}
-		for i := i0; i < i1; i++ {
-			bx := s.d.Region.Lx + float64(i)*s.binW
-			ox := math.Min(r.Hx, bx+s.binW) - math.Max(r.Lx, bx)
-			if ox > 0 {
-				grid[j*s.m+i] += ox * oy
-			}
-		}
-	}
 }
 
 // coverage returns the std-cell area under rectangle r: the per-macro
 // D(v) contribution, computed from the fixed coverage grid.
 func (s *mlgState) coverage(r geom.Rect) float64 {
-	r = r.Intersect(s.d.Region)
+	g := s.cov
+	r = r.Intersect(g.Region)
 	if r.Empty() {
 		return 0
 	}
-	binArea := s.binW * s.binH
-	i0 := int((r.Lx - s.d.Region.Lx) / s.binW)
-	i1 := int(math.Ceil((r.Hx - s.d.Region.Lx) / s.binW))
-	j0 := int((r.Ly - s.d.Region.Ly) / s.binH)
-	j1 := int(math.Ceil((r.Hy - s.d.Region.Ly) / s.binH))
-	i0, j0 = clampIdx(i0, s.m), clampIdx(j0, s.m)
-	i1, j1 = clampHi(i1, s.m), clampHi(j1, s.m)
+	binArea := g.BinW * g.BinH
+	i0 := int((r.Lx - g.Region.Lx) / g.BinW)
+	i1 := int(math.Ceil((r.Hx - g.Region.Lx) / g.BinW))
+	j0 := int((r.Ly - g.Region.Ly) / g.BinH)
+	j1 := int(math.Ceil((r.Hy - g.Region.Ly) / g.BinH))
+	i0, j0 = clampIdx(i0, g.M), clampIdx(j0, g.M)
+	i1, j1 = clampHi(i1, g.M), clampHi(j1, g.M)
 	total := 0.0
 	for j := j0; j < j1; j++ {
-		by := s.d.Region.Ly + float64(j)*s.binH
-		oy := math.Min(r.Hy, by+s.binH) - math.Max(r.Ly, by)
+		by := g.Region.Ly + float64(j)*g.BinH
+		oy := math.Min(r.Hy, by+g.BinH) - math.Max(r.Ly, by)
 		if oy <= 0 {
 			continue
 		}
 		for i := i0; i < i1; i++ {
-			bx := s.d.Region.Lx + float64(i)*s.binW
-			ox := math.Min(r.Hx, bx+s.binW) - math.Max(r.Lx, bx)
+			bx := g.Region.Lx + float64(i)*g.BinW
+			ox := math.Min(r.Hx, bx+g.BinW) - math.Max(r.Lx, bx)
 			if ox > 0 {
-				total += s.covGrid[j*s.m+i] * (ox * oy / binArea)
+				total += g.Fixed[j*g.M+i] * (ox * oy / binArea)
 			}
 		}
 	}
 	return total
 }
 
+// totalMacroOverlap sums pairwise macro overlap, one partial per leading
+// macro, folded in macro order.
 func (s *mlgState) totalMacroOverlap() float64 {
-	return s.macroOverlapWorkers(1)
-}
-
-// macroOverlapWorkers sums pairwise macro overlap with one partial per
-// leading macro (disjoint writes), reduced in macro order — the same
-// float grouping at every worker count.
-func (s *mlgState) macroOverlapWorkers(workers int) float64 {
-	if len(s.macros) == 0 {
-		return 0
-	}
-	parts := make([]float64, len(s.macros))
-	parallel.For(workers, len(s.macros), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := s.d.Cells[s.macros[i]].Rect()
-			acc := 0.0
-			for j := i + 1; j < len(s.macros); j++ {
-				acc += ri.Overlap(s.d.Cells[s.macros[j]].Rect())
-			}
-			parts[i] = acc
-		}
-	})
 	total := 0.0
-	for i := range parts {
-		total += parts[i]
+	for i, mi := range s.macros {
+		ri := s.d.Cells[mi].Rect()
+		acc := 0.0
+		for _, mj := range s.macros[i+1:] {
+			acc += ri.Overlap(s.d.Cells[mj].Rect())
+		}
+		total += acc
 	}
 	return total
 }
@@ -304,7 +185,7 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	t0 := time.Now()
-	s := newMLGState(d, macros, mlgGridM, opt.Workers)
+	s := newMLGState(d, macros, mlgGridM)
 	opt.Telemetry.AddSpanTime("mLG", "state", time.Since(t0))
 	res.WBefore, res.DBefore, res.OmBefore = s.W, s.D, s.Om
 

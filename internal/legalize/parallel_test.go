@@ -66,35 +66,6 @@ func TestCellsWorkersBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestMacrosWorkersBitwiseIdentical covers the mLG state-build
-// parallelism: the annealer consumes one RNG stream, so identical
-// state at every worker count means identical moves and layout.
-func TestMacrosWorkersBitwiseIdentical(t *testing.T) {
-	var refX, refY []float64
-	var ref MLGResult
-	for _, w := range []int{1, 2, 7} {
-		d, macros := mlgDesign(8, 5)
-		res := Macros(d, macros, MLGOptions{Seed: 3, Workers: w})
-		if w == 1 {
-			ref = res
-			for _, mi := range macros {
-				refX = append(refX, d.Cells[mi].X)
-				refY = append(refY, d.Cells[mi].Y)
-			}
-			continue
-		}
-		if res != ref {
-			t.Errorf("workers %d: result %+v != serial %+v", w, res, ref)
-		}
-		for k, mi := range macros {
-			if d.Cells[mi].X != refX[k] || d.Cells[mi].Y != refY[k] {
-				t.Fatalf("workers %d: macro %d at (%v, %v), serial (%v, %v)",
-					w, mi, d.Cells[mi].X, d.Cells[mi].Y, refX[k], refY[k])
-			}
-		}
-	}
-}
-
 // TestAbacusTrialAllocFree guards the satellite optimization: the
 // per-candidate Abacus trial must not copy the cluster slice.
 func TestAbacusTrialAllocFree(t *testing.T) {

@@ -15,11 +15,11 @@
 // internal/fft, organized as a cache-blocked 2D pipeline: every 1-D
 // pass runs on contiguous rows (column passes go through an explicit
 // blocked transpose instead of stride-M gather/scatter), two real rows
-// share each complex FFT (fft.Real's *Pair methods), and the three
+// share each complex FFT (the *Pair transforms), and the three
 // inverse planes fuse where their transform kinds coincide — the
 // Psi/Ex y-pass and the Psi/Ey x-pass each pair two planes into one
 // FFT. All passes fan out over the shared internal/parallel worker
-// pool (one thread-confined fft.Real workspace per worker). Tasks are
+// pool (one thread-confined transform workspace per worker). Tasks are
 // fixed row pairs and transpose blocks whose boundaries do not depend
 // on the worker count, and each task writes a disjoint slice of its
 // output plane, so results are bitwise-identical for every worker
@@ -29,9 +29,12 @@
 // units of bins. Ex is minus d(psi)/dx, the electric field that pushes
 // positive charge away from density peaks; Ey likewise.
 //
-// The placer solves with Solver32 (solver32.go), this pipeline carried in
-// float32 planes. Solver, the float64 pipeline in this file, is
-// Solver32's precision-guard reference and the oracle of the tests.
+// The pipeline is written once, generic over the element type of its
+// intermediate planes (spectral). The charge input and the Psi/Ex/Ey
+// outputs are float64 in both instantiations. The placer solves with
+// Solver32 (solver32.go), the float32 instantiation plus its precision
+// guard. Solver, the float64 instantiation, is that guard's reference
+// and the oracle of the tests.
 package poisson
 
 import (
@@ -52,29 +55,48 @@ const energyShards = 64
 // one source and one destination tile stay L1-resident.
 const tblk = 32
 
-// Solver holds workspace for repeated solves on one grid size. A Solver
-// is not safe for concurrent method calls (Solve parallelizes
-// internally and Energy reuses the shared partial-sum buffer); use one
-// Solver per goroutine.
-type Solver struct {
+// pairs is the six pair-packed transforms the passes call, on rows of
+// element type T: fft.Real for float64 and fft.Real32 for float32. The
+// From64 form stages the float64 charge into T rows, fusing the
+// narrowing into its reorder gather; the To64 forms scatter T rows to
+// the float64 outputs, fusing the widening into the inverse scatter.
+// For float64 both are the plain transforms.
+type pairs[T float32 | float64] interface {
+	DCT2Pair(xA, xB, outA, outB []T)
+	DCT2PairFrom64(xA, xB []float64, outA, outB []T)
+	IDCTPair(aA, aB, outA, outB []T)
+	IDCTPairTo64(aA, aB []T, outA, outB []float64)
+	IDSTPair(aA, aB, outA, outB []T)
+	IDSTPairTo64(aA, aB []T, outA, outB []float64)
+}
+
+// spectral holds workspace for repeated solves on one grid size, with
+// every intermediate plane in T and transforms R. It is not safe for
+// concurrent method calls (Solve parallelizes internally and Energy
+// reuses the shared partial-sum buffer); use one per goroutine.
+type spectral[T float32 | float64, R pairs[T]] struct {
 	m int
-	// One packed-transform workspace per worker. Each worker's fft.Real
-	// owns its reorder/twiddle tables and complex scratch; the solver
-	// itself owns the whole-plane scratch below, written in disjoint
-	// row/tile slices by the workers.
-	trs []*fft.Real
-	// wu[u] = pi*u/m.
-	wu []float64
+	// One transform workspace per worker. Each worker's R owns its
+	// reorder/twiddle tables and complex scratch; the solver itself owns
+	// the whole-plane scratch below, written in disjoint row/tile slices
+	// by the workers.
+	trs []R
+	// cb[u*m+v] = 4/m^2 * s_u * s_v / (w_u^2 + w_v^2) (0 at the origin),
+	// s_0 = 1/2 else 1, and wu[u] = pi*u/m: the whole normalization pass
+	// reduces to three multiplies per element. Both are computed in
+	// float64 and rounded to T once, at construction.
+	cb []T
+	wu []T
 	// Coefficient planes in TRANSPOSED layout [u*m + v] (frequency u
 	// outer, v inner) so the y-direction passes run on contiguous rows.
 	// After the inverse y-pass they hold the half-reconstructed planes
 	// G[u*m + j] in place.
-	buv  []float64 // potential coefficients auv/(wu^2+wv^2)
-	cxuv []float64 // field-x coefficients buv*wu
-	cyuv []float64 // field-y coefficients buv*wv
+	buv  []T // potential coefficients auv/(wu^2+wv^2)
+	cxuv []T // field-x coefficients buv*wu
+	cyuv []T // field-y coefficients buv*wv
 	// Whole-plane scratch: ta/tb carry the forward passes, and all
 	// three hold the re-transposed G planes for the inverse x-pass.
-	ta, tb, tc []float64
+	ta, tb, tc []T
 	// epart holds the fixed-order Energy partial sums; eShards is the
 	// effective shard count (fixed at construction).
 	epart   [energyShards]float64
@@ -89,68 +111,80 @@ type Solver struct {
 	// heap-allocate one closure per pass per Solve, so the passes are
 	// built once here and their varying inputs threaded through fields.
 	rho        []float64 // charge plane of the current Solve/Energy
-	tSrc, tDst []float64 // planes of the current transpose
+	tSrc, tDst []T       // planes of the current transpose
 
 	fwdRowsTask, fwdColsTask, normTask func(w, lo, hi int)
 	invYTask, invXTask                 func(w, lo, hi int)
 	transposeTask, energyTask          func(w, lo, hi int)
 }
 
+// Solver is the float64 instantiation of the pipeline: the reference
+// Solver32's precision guard compares against, and the tests' oracle.
+type Solver = spectral[float64, *fft.Real]
+
 // NewSolverWorkers creates a float64 solver for an m x m grid (m a power
-// of two); workers <= 0 selects all cores (GOMAXPROCS). Grids below 64x64
-// run serial regardless: a transform there is cheaper than a fork-join.
-// It returns a descriptive error for any m the packed transforms cannot
-// handle (zero, negative, or not a power of two) — feeding such an m
-// through would produce garbage transforms, and the grid size often
-// arrives from user-facing options.
+// of two); workers <= 0 selects all cores (GOMAXPROCS).
 func NewSolverWorkers(m, workers int) (*Solver, error) {
-	if err := checkGridSize(m); err != nil {
-		return nil, err
+	return newSpectral[float64](m, workers, fft.NewReal)
+}
+
+// newSpectral creates a solver for an m x m grid with one newR(m)
+// transform workspace per worker; workers <= 0 selects all cores. Grids
+// below 64x64 run serial regardless: a transform there is cheaper than a
+// fork-join. Above, at most m/2 workers run, the row pairs the
+// finest-grained passes shard over. It returns a descriptive error for
+// any m the packed transforms cannot handle (zero, negative, or not a
+// power of two) — feeding such an m through would produce garbage
+// transforms, and the grid size often arrives from user-facing options.
+func newSpectral[T float32 | float64, R pairs[T]](m, workers int, newR func(int) R) (*spectral[T, R], error) {
+	if m <= 0 || m&(m-1) != 0 {
+		return nil, fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
 	}
-	s := &Solver{
-		m:    m,
-		wu:   make([]float64, m),
-		buv:  make([]float64, m*m),
-		cxuv: make([]float64, m*m),
-		cyuv: make([]float64, m*m),
-		ta:   make([]float64, m*m),
-		tb:   make([]float64, m*m),
-		tc:   make([]float64, m*m),
-		Psi:  make([]float64, m*m),
-		Ex:   make([]float64, m*m),
-		Ey:   make([]float64, m*m),
+	s := &spectral[T, R]{
+		m:       m,
+		cb:      make([]T, m*m),
+		wu:      make([]T, m),
+		buv:     make([]T, m*m),
+		cxuv:    make([]T, m*m),
+		cyuv:    make([]T, m*m),
+		ta:      make([]T, m*m),
+		tb:      make([]T, m*m),
+		tc:      make([]T, m*m),
+		eShards: min(energyShards, m*m),
+		Psi:     make([]float64, m*m),
+		Ex:      make([]float64, m*m),
+		Ey:      make([]float64, m*m),
 	}
-	for w := 0; w < solveWorkers(m, workers); w++ {
-		s.trs = append(s.trs, fft.NewReal(m))
+	nw := 1
+	if m >= 64 {
+		nw = max(1, min(parallel.Count(workers), m/2))
 	}
+	for range nw {
+		s.trs = append(s.trs, newR(m))
+	}
+	wu := make([]float64, m)
+	for u := range wu {
+		wu[u] = math.Pi * float64(u) / float64(m)
+		s.wu[u] = T(wu[u])
+	}
+	norm := 4 / float64(m*m)
 	for u := 0; u < m; u++ {
-		s.wu[u] = math.Pi * float64(u) / float64(m)
-	}
-	s.eShards = energyShards
-	if s.eShards > m*m {
-		s.eShards = m * m
+		su := 1.0
+		if u == 0 {
+			su = 0.5
+		}
+		for v := 0; v < m; v++ {
+			sv := 1.0
+			if v == 0 {
+				sv = 0.5
+			}
+			if k2 := wu[u]*wu[u] + wu[v]*wu[v]; k2 > 0 {
+				s.cb[u*m+v] = T(norm * su * sv / k2)
+			}
+		}
 	}
 	s.buildTasks()
 	return s, nil
-}
-
-// solveWorkers resolves a worker request (<= 0: all cores) for an m x m
-// solve: serial below 64x64, and at most m/2, the row pairs the
-// finest-grained parallel regions shard over.
-func solveWorkers(m, workers int) int {
-	if m < 64 {
-		return 1
-	}
-	return max(1, min(parallel.Count(workers), m/2))
-}
-
-// checkGridSize validates the grid edge of both solvers: the spectral
-// transforms need a power of two.
-func checkGridSize(m int) error {
-	if m <= 0 || m&(m-1) != 0 {
-		return fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
-	}
-	return nil
 }
 
 // buildTasks creates the persistent worker closures for every parallel
@@ -158,13 +192,13 @@ func checkGridSize(m int) error {
 // index space (row pairs, frequency rows, transpose tile bands or
 // energy shards); the shard boundaries parallel.For picks never affect
 // the values each index computes, preserving bitwise determinism.
-func (s *Solver) buildTasks() {
+func (s *spectral[T, R]) buildTasks() {
 	m := s.m
 	s.fwdRowsTask = func(w, lo, hi int) {
 		rho := s.rho
 		for k := lo; k < hi; k++ {
 			j := 2 * k
-			s.trs[w].DCT2Pair(rho[j*m:(j+1)*m], rho[(j+1)*m:(j+2)*m],
+			s.trs[w].DCT2PairFrom64(rho[j*m:(j+1)*m], rho[(j+1)*m:(j+2)*m],
 				s.ta[j*m:(j+1)*m], s.ta[(j+1)*m:(j+2)*m])
 		}
 	}
@@ -176,29 +210,14 @@ func (s *Solver) buildTasks() {
 		}
 	}
 	s.normTask = func(_, lo, hi int) {
-		norm := 4 / float64(m*m)
 		for u := lo; u < hi; u++ {
-			su := 1.0
-			if u == 0 {
-				su = 0.5
-			}
 			wu := s.wu[u]
 			base := u * m
 			for v := 0; v < m; v++ {
-				sv := 1.0
-				if v == 0 {
-					sv = 0.5
-				}
-				a := s.tb[base+v] * norm * su * sv
-				wv := s.wu[v]
-				k2 := wu*wu + wv*wv
-				var b float64
-				if k2 > 0 {
-					b = a / k2
-				}
+				b := s.tb[base+v] * s.cb[base+v]
 				s.buv[base+v] = b
 				s.cxuv[base+v] = b * wu
-				s.cyuv[base+v] = b * wv
+				s.cyuv[base+v] = b * s.wu[v]
 			}
 		}
 	}
@@ -218,11 +237,11 @@ func (s *Solver) buildTasks() {
 		for k := lo; k < hi; k++ {
 			j := 2 * k
 			tr := s.trs[w]
-			tr.IDCTPair(s.ta[j*m:(j+1)*m], s.tb[j*m:(j+1)*m],
+			tr.IDCTPairTo64(s.ta[j*m:(j+1)*m], s.tb[j*m:(j+1)*m],
 				s.Psi[j*m:(j+1)*m], s.Ey[j*m:(j+1)*m])
-			tr.IDCTPair(s.ta[(j+1)*m:(j+2)*m], s.tb[(j+1)*m:(j+2)*m],
+			tr.IDCTPairTo64(s.ta[(j+1)*m:(j+2)*m], s.tb[(j+1)*m:(j+2)*m],
 				s.Psi[(j+1)*m:(j+2)*m], s.Ey[(j+1)*m:(j+2)*m])
-			tr.IDSTPair(s.tc[j*m:(j+1)*m], s.tc[(j+1)*m:(j+2)*m],
+			tr.IDSTPairTo64(s.tc[j*m:(j+1)*m], s.tc[(j+1)*m:(j+2)*m],
 				s.Ex[j*m:(j+1)*m], s.Ex[(j+1)*m:(j+2)*m])
 		}
 	}
@@ -260,7 +279,7 @@ func (s *Solver) buildTasks() {
 // transpose writes dst[i*m+j] = src[j*m+i] tile by tile (tblk square
 // tiles), sharding tile rows of dst across the pool. Each task owns a
 // disjoint band of dst rows.
-func (s *Solver) transpose(src, dst []float64) {
+func (s *spectral[T, R]) transpose(src, dst []T) {
 	nb := (s.m + tblk - 1) / tblk
 	s.tSrc, s.tDst = src, dst
 	parallel.For(len(s.trs), nb, s.transposeTask)
@@ -270,7 +289,7 @@ func (s *Solver) transpose(src, dst []float64) {
 // Solve computes Psi, Ex and Ey from the charge plane rho (length m*m,
 // row-major [j*m + i]). The zero-frequency (mean) component of rho is
 // discarded, so callers need not pre-center the charge.
-func (s *Solver) Solve(rho []float64) {
+func (s *spectral[T, R]) Solve(rho []float64) {
 	m := s.m
 	if len(rho) != m*m {
 		panic("poisson: charge plane size mismatch")
@@ -294,9 +313,10 @@ func (s *Solver) Solve(rho []float64) {
 	parallel.For(workers, pairs, s.fwdColsTask)
 
 	// Normalize so that rho[j][i] = sum a_{uv} cos(wu(i+1/2)) cos(wv(j+1/2)):
-	// a_{uv} = (2 s_u / m)(2 s_v / m) * X_{uv}, s_0 = 1/2 else 1, and
-	// fold in the potential and field coefficients in the same pass
-	// (all planes stay in the transposed [u,v] layout; see normTask).
+	// a_{uv} = (2 s_u / m)(2 s_v / m) * X_{uv}, and fold in the potential
+	// and field coefficients in the same pass (cb carries the
+	// normalization over k^2; all planes stay in the transposed [u,v]
+	// layout).
 	parallel.For(workers, m, s.normTask)
 
 	// Inverse y-pass, in place on the coefficient planes:
@@ -310,7 +330,7 @@ func (s *Solver) Solve(rho []float64) {
 	s.transpose(s.cyuv, s.tb)
 	s.transpose(s.cxuv, s.tc)
 
-	// Inverse x-pass straight into the outputs:
+	// Inverse x-pass straight into the float64 outputs:
 	//   Psi = IDCT_x, Ey = IDCT_x (paired), Ex = IDST_x (row pairs).
 	// Ex = -d psi/dx = +sum b wu sin cos: psi's x-cosine differentiates
 	// to -wu sin; Ey symmetric in y.
@@ -322,11 +342,11 @@ func (s *Solver) Solve(rho []float64) {
 // rho they solved with; the (0,0) mode of psi is zero so any constant
 // offset of rho does not contribute.
 //
-// The sum is sharded over the worker pool into energyShards fixed-width
-// partials folded in shard order, so the result is bitwise-identical at
-// every worker count (though it may differ in the last ulp from a
-// single left-to-right fold).
-func (s *Solver) Energy(rho []float64) float64 {
+// The sum accumulates in float64, sharded over the worker pool into
+// energyShards fixed-width partials folded in shard order, so the result
+// is bitwise-identical at every worker count (though it may differ in
+// the last ulp from a single left-to-right fold).
+func (s *spectral[T, R]) Energy(rho []float64) float64 {
 	if len(rho) != len(s.Psi) {
 		panic("poisson: charge plane size mismatch")
 	}

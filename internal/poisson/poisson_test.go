@@ -35,6 +35,43 @@ func mustSolver(tb testing.TB, m, workers int) *Solver {
 	return s
 }
 
+// planeSolver is either instantiation of the pipeline under test.
+type planeSolver interface {
+	Solve(rho []float64)
+	Energy(rho []float64) float64
+	Planes() (psi, ex, ey []float64)
+}
+
+// solver64 gives the float64 Solver Solver32's Planes accessor.
+type solver64 struct{ *Solver }
+
+func (s solver64) Planes() (psi, ex, ey []float64) { return s.Psi, s.Ex, s.Ey }
+
+// precision is one instantiation of the pipeline with the error a test
+// allows it against the analytic answer.
+type precision struct {
+	name string
+	tol  float64
+	new  func(tb testing.TB, m, workers int) planeSolver
+}
+
+// precisions returns both instantiations: the float64 Solver allowed
+// tol64 and the float32 Solver32 allowed tol32. Solver32's guard is off,
+// so its planes are the float32 pipeline's own: on a single cosine mode
+// one field plane is zero up to rounding, the guard's plane-normalized
+// error is huge, and it would hand every later solve to the float64
+// reference.
+func precisions(tol64, tol32 float64) []precision {
+	return []precision{
+		{"float64", tol64, func(tb testing.TB, m, workers int) planeSolver { return solver64{mustSolver(tb, m, workers)} }},
+		{"float32", tol32, func(tb testing.TB, m, workers int) planeSolver {
+			s := mustSolver32(tb, m, workers)
+			s.guardEvery = 0
+			return s
+		}},
+	}
+}
+
 func TestNewSolverRejectsBadSize(t *testing.T) {
 	for _, m := range []int{0, -4, 3, 24} {
 		if _, err := NewSolverWorkers(m, 1); err == nil {
@@ -48,73 +85,93 @@ func TestNewSolverRejectsBadSize(t *testing.T) {
 
 func TestManufacturedSolution(t *testing.T) {
 	m := 32
-	s := mustSolver(t, m, 0)
-	for _, uv := range [][2]int{{1, 0}, {0, 1}, {1, 1}, {3, 2}, {7, 5}, {15, 15}} {
-		rho, want := manufactured(m, uv[0], uv[1])
-		s.Solve(rho)
-		for b := range want {
-			if d := math.Abs(s.Psi[b] - want[b]); d > 1e-8 {
-				t.Fatalf("mode %v bin %d: psi=%v want=%v", uv, b, s.Psi[b], want[b])
+	for _, p := range precisions(1e-8, 5e-6) {
+		s := p.new(t, m, 0)
+		worst := 0.0
+		for _, uv := range [][2]int{{1, 0}, {0, 1}, {1, 1}, {3, 2}, {7, 5}, {15, 15}} {
+			rho, want := manufactured(m, uv[0], uv[1])
+			s.Solve(rho)
+			psi, _, _ := s.Planes()
+			for b := range want {
+				d := math.Abs(psi[b] - want[b])
+				if d > p.tol {
+					t.Fatalf("%s mode %v bin %d: psi=%v want=%v", p.name, uv, b, psi[b], want[b])
+				}
+				worst = max(worst, d)
 			}
 		}
+		t.Logf("%s: worst |psi - exact| = %.3g (tol %.3g)", p.name, worst, p.tol)
 	}
 }
 
 func TestFieldMatchesAnalyticDerivative(t *testing.T) {
 	m := 32
-	s := mustSolver(t, m, 0)
 	u, v := 3, 2
 	rho, _ := manufactured(m, u, v)
-	s.Solve(rho)
 	wu := math.Pi * float64(u) / float64(m)
 	wv := math.Pi * float64(v) / float64(m)
-	for j := 0; j < m; j++ {
-		for i := 0; i < m; i++ {
-			x, y := float64(i)+0.5, float64(j)+0.5
-			// psi = cos(wu x) cos(wv y); Ex = -d psi/dx = wu sin(wu x) cos(wv y).
-			wantEx := wu * math.Sin(wu*x) * math.Cos(wv*y)
-			wantEy := wv * math.Cos(wu*x) * math.Sin(wv*y)
-			if math.Abs(s.Ex[j*m+i]-wantEx) > 1e-8 {
-				t.Fatalf("Ex(%d,%d)=%v want %v", i, j, s.Ex[j*m+i], wantEx)
-			}
-			if math.Abs(s.Ey[j*m+i]-wantEy) > 1e-8 {
-				t.Fatalf("Ey(%d,%d)=%v want %v", i, j, s.Ey[j*m+i], wantEy)
+	for _, p := range precisions(1e-8, 5e-7) {
+		s := p.new(t, m, 0)
+		s.Solve(rho)
+		_, ex, ey := s.Planes()
+		worst := 0.0
+		for j := 0; j < m; j++ {
+			for i := 0; i < m; i++ {
+				x, y := float64(i)+0.5, float64(j)+0.5
+				// psi = cos(wu x) cos(wv y); Ex = -d psi/dx = wu sin(wu x) cos(wv y).
+				wantEx := wu * math.Sin(wu*x) * math.Cos(wv*y)
+				wantEy := wv * math.Cos(wu*x) * math.Sin(wv*y)
+				dx, dy := math.Abs(ex[j*m+i]-wantEx), math.Abs(ey[j*m+i]-wantEy)
+				if dx > p.tol {
+					t.Fatalf("%s Ex(%d,%d)=%v want %v", p.name, i, j, ex[j*m+i], wantEx)
+				}
+				if dy > p.tol {
+					t.Fatalf("%s Ey(%d,%d)=%v want %v", p.name, i, j, ey[j*m+i], wantEy)
+				}
+				worst = max(worst, dx, dy)
 			}
 		}
+		t.Logf("%s: worst |field - exact| = %.3g (tol %.3g)", p.name, worst, p.tol)
 	}
 }
 
 func TestUniformChargeGivesZeroField(t *testing.T) {
 	m := 16
-	s := mustSolver(t, m, 0)
 	rho := make([]float64, m*m)
 	for i := range rho {
 		rho[i] = 7.5 // pure DC: removed by the zero-frequency constraint
 	}
-	s.Solve(rho)
-	for b := range rho {
-		if math.Abs(s.Psi[b]) > 1e-10 || math.Abs(s.Ex[b]) > 1e-10 || math.Abs(s.Ey[b]) > 1e-10 {
-			t.Fatalf("uniform charge produced psi=%v ex=%v ey=%v at %d",
-				s.Psi[b], s.Ex[b], s.Ey[b], b)
+	for _, p := range precisions(1e-10, 1e-10) {
+		s := p.new(t, m, 0)
+		s.Solve(rho)
+		psi, ex, ey := s.Planes()
+		for b := range rho {
+			if math.Abs(psi[b]) > p.tol || math.Abs(ex[b]) > p.tol || math.Abs(ey[b]) > p.tol {
+				t.Fatalf("%s: uniform charge produced psi=%v ex=%v ey=%v at %d",
+					p.name, psi[b], ex[b], ey[b], b)
+			}
 		}
 	}
 }
 
 func TestPsiZeroMean(t *testing.T) {
 	m := 32
-	s := mustSolver(t, m, 0)
 	rng := rand.New(rand.NewSource(3))
 	rho := make([]float64, m*m)
 	for i := range rho {
 		rho[i] = rng.Float64() * 10
 	}
-	s.Solve(rho)
-	sum := 0.0
-	for _, p := range s.Psi {
-		sum += p
-	}
-	if math.Abs(sum/float64(m*m)) > 1e-9 {
-		t.Errorf("psi mean = %v, want 0", sum/float64(m*m))
+	for _, p := range precisions(1e-9, 1e-7) {
+		s := p.new(t, m, 0)
+		s.Solve(rho)
+		psi, _, _ := s.Planes()
+		sum := 0.0
+		for _, v := range psi {
+			sum += v
+		}
+		if math.Abs(sum/float64(m*m)) > p.tol {
+			t.Errorf("%s: psi mean = %v, want 0", p.name, sum/float64(m*m))
+		}
 	}
 }
 
@@ -161,7 +218,6 @@ func TestFieldPointsAwayFromBlob(t *testing.T) {
 // the interior field scale.
 func TestNeumannBoundaryFieldSmall(t *testing.T) {
 	m := 64
-	s := mustSolver(t, m, 0)
 	rho := make([]float64, m*m)
 	// Off-center blob so boundary fields would be asymmetric if wrong.
 	for dj := -2; dj <= 2; dj++ {
@@ -169,36 +225,42 @@ func TestNeumannBoundaryFieldSmall(t *testing.T) {
 			rho[(20+dj)*m+(40+di)] = 50
 		}
 	}
-	s.Solve(rho)
-	maxInterior := 0.0
-	for _, v := range s.Ex {
-		if a := math.Abs(v); a > maxInterior {
-			maxInterior = a
+	// The bound is the physics' (a fraction of the interior peak), the
+	// same for both precisions.
+	for _, p := range precisions(0.25, 0.25) {
+		s := p.new(t, m, 0)
+		s.Solve(rho)
+		_, ex, ey := s.Planes()
+		maxInterior := 0.0
+		for _, v := range ex {
+			if a := math.Abs(v); a > maxInterior {
+				maxInterior = a
+			}
 		}
-	}
-	// Compare the half-bin-inside boundary samples against the analytic
-	// continuation at the true wall (which is exactly zero): they must be
-	// an order of magnitude below the interior peak.
-	for j := 0; j < m; j++ {
-		if a := math.Abs(s.Ex[j*m+0]); a > 0.25*maxInterior {
-			t.Fatalf("Ex near left wall row %d = %v, interior max %v", j, a, maxInterior)
+		// Compare the half-bin-inside boundary samples against the analytic
+		// continuation at the true wall (which is exactly zero): they must be
+		// an order of magnitude below the interior peak.
+		for j := 0; j < m; j++ {
+			if a := math.Abs(ex[j*m+0]); a > p.tol*maxInterior {
+				t.Fatalf("%s: Ex near left wall row %d = %v, interior max %v", p.name, j, a, maxInterior)
+			}
+			if a := math.Abs(ex[j*m+m-1]); a > p.tol*maxInterior {
+				t.Fatalf("%s: Ex near right wall row %d = %v, interior max %v", p.name, j, a, maxInterior)
+			}
 		}
-		if a := math.Abs(s.Ex[j*m+m-1]); a > 0.25*maxInterior {
-			t.Fatalf("Ex near right wall row %d = %v, interior max %v", j, a, maxInterior)
+		maxInterior = 0
+		for _, v := range ey {
+			if a := math.Abs(v); a > maxInterior {
+				maxInterior = a
+			}
 		}
-	}
-	maxInterior = 0
-	for _, v := range s.Ey {
-		if a := math.Abs(v); a > maxInterior {
-			maxInterior = a
-		}
-	}
-	for i := 0; i < m; i++ {
-		if a := math.Abs(s.Ey[0*m+i]); a > 0.25*maxInterior {
-			t.Fatalf("Ey near bottom wall col %d = %v, interior max %v", i, a, maxInterior)
-		}
-		if a := math.Abs(s.Ey[(m-1)*m+i]); a > 0.25*maxInterior {
-			t.Fatalf("Ey near top wall col %d = %v, interior max %v", i, a, maxInterior)
+		for i := 0; i < m; i++ {
+			if a := math.Abs(ey[0*m+i]); a > p.tol*maxInterior {
+				t.Fatalf("%s: Ey near bottom wall col %d = %v, interior max %v", p.name, i, a, maxInterior)
+			}
+			if a := math.Abs(ey[(m-1)*m+i]); a > p.tol*maxInterior {
+				t.Fatalf("%s: Ey near top wall col %d = %v, interior max %v", p.name, i, a, maxInterior)
+			}
 		}
 	}
 }
@@ -206,7 +268,6 @@ func TestNeumannBoundaryFieldSmall(t *testing.T) {
 // Linearity: solving a + b equals solving a plus solving b.
 func TestSolveLinearity(t *testing.T) {
 	m := 16
-	s := mustSolver(t, m, 0)
 	rng := rand.New(rand.NewSource(8))
 	a := make([]float64, m*m)
 	b := make([]float64, m*m)
@@ -216,19 +277,25 @@ func TestSolveLinearity(t *testing.T) {
 		b[i] = rng.NormFloat64()
 		ab[i] = a[i] + b[i]
 	}
-	s.Solve(a)
-	psiA := append([]float64(nil), s.Psi...)
-	exA := append([]float64(nil), s.Ex...)
-	s.Solve(b)
-	psiB := append([]float64(nil), s.Psi...)
-	exB := append([]float64(nil), s.Ex...)
-	s.Solve(ab)
-	for i := range ab {
-		if math.Abs(s.Psi[i]-(psiA[i]+psiB[i])) > 1e-9 {
-			t.Fatalf("psi nonlinearity at %d", i)
-		}
-		if math.Abs(s.Ex[i]-(exA[i]+exB[i])) > 1e-9 {
-			t.Fatalf("ex nonlinearity at %d", i)
+	for _, p := range precisions(1e-9, 1e-5) {
+		s := p.new(t, m, 0)
+		s.Solve(a)
+		psi, ex, _ := s.Planes()
+		psiA := append([]float64(nil), psi...)
+		exA := append([]float64(nil), ex...)
+		s.Solve(b)
+		psi, ex, _ = s.Planes()
+		psiB := append([]float64(nil), psi...)
+		exB := append([]float64(nil), ex...)
+		s.Solve(ab)
+		psi, ex, _ = s.Planes()
+		for i := range ab {
+			if math.Abs(psi[i]-(psiA[i]+psiB[i])) > p.tol {
+				t.Fatalf("%s: psi nonlinearity at %d", p.name, i)
+			}
+			if math.Abs(ex[i]-(exA[i]+exB[i])) > p.tol {
+				t.Fatalf("%s: ex nonlinearity at %d", p.name, i)
+			}
 		}
 	}
 }
@@ -267,7 +334,6 @@ func TestEnergyDecreasesWhenSpread(t *testing.T) {
 // recovers -rho for a smooth band-limited charge.
 func TestPoissonResidualSmoothCharge(t *testing.T) {
 	m := 64
-	s := mustSolver(t, m, 0)
 	rho := make([]float64, m*m)
 	// Band-limited smooth charge: a few low-frequency cosine modes.
 	for j := 0; j < m; j++ {
@@ -277,14 +343,20 @@ func TestPoissonResidualSmoothCharge(t *testing.T) {
 				1.5*math.Cos(math.Pi*3*x/float64(m))
 		}
 	}
-	s.Solve(rho)
-	// Central second differences on interior bins; spacing 1 bin. The
-	// truncation error is O(h^2 * w^4) which for these low modes is small.
-	for j := 2; j < m-2; j++ {
-		for i := 2; i < m-2; i++ {
-			lap := s.Psi[j*m+i-1] + s.Psi[j*m+i+1] + s.Psi[(j-1)*m+i] + s.Psi[(j+1)*m+i] - 4*s.Psi[j*m+i]
-			if d := math.Abs(-lap - rho[j*m+i]); d > 0.02*(1+math.Abs(rho[j*m+i])) {
-				t.Fatalf("residual at (%d,%d): lap=%v rho=%v", i, j, -lap, rho[j*m+i])
+	// The bound is the finite difference's truncation error, the same for
+	// both precisions.
+	for _, p := range precisions(0.02, 0.02) {
+		s := p.new(t, m, 0)
+		s.Solve(rho)
+		psi, _, _ := s.Planes()
+		// Central second differences on interior bins; spacing 1 bin. The
+		// truncation error is O(h^2 * w^4) which for these low modes is small.
+		for j := 2; j < m-2; j++ {
+			for i := 2; i < m-2; i++ {
+				lap := psi[j*m+i-1] + psi[j*m+i+1] + psi[(j-1)*m+i] + psi[(j+1)*m+i] - 4*psi[j*m+i]
+				if d := math.Abs(-lap - rho[j*m+i]); d > p.tol*(1+math.Abs(rho[j*m+i])) {
+					t.Fatalf("%s: residual at (%d,%d): lap=%v rho=%v", p.name, i, j, -lap, rho[j*m+i])
+				}
 			}
 		}
 	}
@@ -345,14 +417,17 @@ func TestEnergyWorkersBitwise(t *testing.T) {
 // (n=2 FFTs, single-pair rows); the manufactured modes must still be
 // exact.
 func TestManufacturedSolutionSmallGrids(t *testing.T) {
-	for _, m := range []int{2, 4, 8} {
-		s := mustSolver(t, m, 0)
-		for _, uv := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
-			rho, want := manufactured(m, uv[0], uv[1])
-			s.Solve(rho)
-			for b := range want {
-				if d := math.Abs(s.Psi[b] - want[b]); d > 1e-9 {
-					t.Fatalf("m=%d mode %v bin %d: psi=%v want=%v", m, uv, b, s.Psi[b], want[b])
+	for _, p := range precisions(1e-9, 1e-6) {
+		for _, m := range []int{2, 4, 8} {
+			s := p.new(t, m, 0)
+			for _, uv := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
+				rho, want := manufactured(m, uv[0], uv[1])
+				s.Solve(rho)
+				psi, _, _ := s.Planes()
+				for b := range want {
+					if d := math.Abs(psi[b] - want[b]); d > p.tol {
+						t.Fatalf("%s m=%d mode %v bin %d: psi=%v want=%v", p.name, m, uv, b, psi[b], want[b])
+					}
 				}
 			}
 		}
@@ -361,13 +436,16 @@ func TestManufacturedSolutionSmallGrids(t *testing.T) {
 
 // A 1x1 grid has only the removed DC mode: everything is zero.
 func TestSolveDegenerateGrid(t *testing.T) {
-	s := mustSolver(t, 1, 0)
-	s.Solve([]float64{42})
-	if s.Psi[0] != 0 || s.Ex[0] != 0 || s.Ey[0] != 0 {
-		t.Fatalf("1x1 solve: psi=%v ex=%v ey=%v, want zeros", s.Psi[0], s.Ex[0], s.Ey[0])
-	}
-	if e := s.Energy([]float64{42}); e != 0 {
-		t.Fatalf("1x1 energy = %v, want 0", e)
+	for _, p := range precisions(0, 0) {
+		s := p.new(t, 1, 0)
+		s.Solve([]float64{42})
+		psi, ex, ey := s.Planes()
+		if psi[0] != 0 || ex[0] != 0 || ey[0] != 0 {
+			t.Fatalf("%s 1x1 solve: psi=%v ex=%v ey=%v, want zeros", p.name, psi[0], ex[0], ey[0])
+		}
+		if e := s.Energy([]float64{42}); e != 0 {
+			t.Fatalf("%s 1x1 energy = %v, want 0", p.name, e)
+		}
 	}
 }
 

