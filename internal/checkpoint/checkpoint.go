@@ -489,7 +489,9 @@ func (m *Manager) PinFinal() error {
 }
 
 // LoadFinal reads the pinned final checkpoint, falling back to
-// latest.ckpt for directories written before pinning existed.
+// latest.ckpt when there is none: a run that finished but whose
+// PinFinal failed (the job server logs that failure and carries on)
+// still leaves its end-of-run snapshot there.
 func (m *Manager) LoadFinal() (*State, error) {
 	s, err := ReadFile(filepath.Join(m.dir, FinalName))
 	if err == nil {

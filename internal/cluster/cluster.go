@@ -299,7 +299,10 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 func (c *coarsener) build() *Level {
 	fine := c.d
 	n := len(fine.Cells)
-	rh := stdCellHeight(fine)
+	rh := fine.StdCellHeight()
+	if rh <= 0 {
+		rh = 1 // no movable std cells: unit rows
+	}
 
 	// Coarse cell indices in order of each cluster's first (lowest)
 	// member, so the emitted design never depends on merge order.
@@ -442,29 +445,6 @@ func (c *coarsener) build() *Level {
 	}
 
 	return &Level{D: cd, Up: up, Fine: fine}
-}
-
-// stdCellHeight returns the dominant movable standard-cell height of d
-// (ties toward the smaller height — no map-order dependence), falling
-// back to 1 for designs without movable std cells.
-func stdCellHeight(d *netlist.Design) float64 {
-	counts := map[float64]int{}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed && c.Kind == netlist.StdCell {
-			counts[c.H]++
-		}
-	}
-	bestH, bestN := 0.0, 0
-	for h, n := range counts {
-		if n > bestN || (n == bestN && (bestN == 0 || h < bestH)) {
-			bestH, bestN = h, n
-		}
-	}
-	if bestH <= 0 {
-		return 1
-	}
-	return bestH
 }
 
 // Interpolate hands the coarse placement down: every fine movable cell

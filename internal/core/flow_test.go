@@ -170,10 +170,3 @@ func TestFlowFillerPhaseAblation(t *testing.T) {
 		t.Errorf("disabling filler phase helped substantially: %v vs %v", r2.HPWL, r1.HPWL)
 	}
 }
-
-func TestStdCellHeightInference(t *testing.T) {
-	d := synth.Generate(synth.Spec{Name: "h", NumCells: 100, RowHeight: 3})
-	if h := stdCellHeight(d); h != 3 {
-		t.Errorf("stdCellHeight = %v, want 3", h)
-	}
-}

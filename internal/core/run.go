@@ -265,7 +265,7 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 // none, at the dominant movable standard-cell height.
 func (r *flowRun) ensureRows() {
 	if len(r.d.Rows) == 0 {
-		if h := stdCellHeight(r.d); h > 0 {
+		if h := r.d.StdCellHeight(); h > 0 {
 			legalize.BuildRows(r.d, h, 0)
 		}
 	}
@@ -330,25 +330,4 @@ func (r *flowRun) summarize(final bool) {
 func (r *flowRun) finish() error {
 	r.summarize(true)
 	return r.save(checkpoint.PhaseDone, 0, r.d, 0)
-}
-
-// stdCellHeight returns the dominant movable standard-cell height.
-// Ties break toward the smaller height so the choice never depends on
-// map iteration order (determinism contract: row construction feeds
-// the final placement).
-func stdCellHeight(d *netlist.Design) float64 {
-	counts := map[float64]int{}
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		if !c.Fixed && c.Kind == netlist.StdCell {
-			counts[c.H]++
-		}
-	}
-	bestH, bestN := 0.0, 0
-	for h, n := range counts {
-		if n > bestN || (n == bestN && (bestN == 0 || h < bestH)) {
-			bestH, bestN = h, n
-		}
-	}
-	return bestH
 }

@@ -2,12 +2,12 @@
 
 package fft
 
-// useAVX2 selects the assembly butterfly kernels. It is probed once at
-// startup; a process therefore runs exactly one butterfly
-// implementation for its whole lifetime, which keeps the float32
-// backend bitwise deterministic (the vector and scalar kernels agree
-// to the last ulp only stage by stage, not necessarily after rounding,
-// so mixing them mid-run would break digest stability).
+// useAVX2 selects the assembly butterfly kernels for float32 plans. It
+// is probed once at startup and read when a plan is built; a process
+// therefore runs exactly one float32 butterfly implementation for its
+// whole lifetime, which keeps the float32 transforms bitwise
+// deterministic (the vector and scalar kernels do not round alike, so
+// mixing them mid-run would break digest stability).
 var useAVX2 = hasAVX2asm()
 
 // hasAVX2asm reports whether the CPU and OS support the AVX2 kernels.

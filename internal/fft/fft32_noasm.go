@@ -2,7 +2,8 @@
 
 package fft
 
-// Non-amd64 builds always take the scalar float32 butterfly kernel.
+// Non-amd64 builds always take the scalar butterflies; the kernels
+// below are never called.
 const useAVX2 = false
 
 func stage12AVX2(x *complex64, n int, mask *uint32) {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -77,6 +79,27 @@ func naiveIDST(a []float64) []float64 {
 	return out
 }
 
+// toCplx copies x into the transforms' sample type.
+func toCplx(x []complex128) []cplx[float64] {
+	out := make([]cplx[float64], len(x))
+	for i, v := range x {
+		out[i] = cplx[float64]{real(v), imag(v)}
+	}
+	return out
+}
+
+// dft runs p's forward (or unnormalized inverse) DFT on natural-order x
+// in place: the bit-reversal the transforms fuse into their gathers,
+// then the butterflies.
+func dft[T float](p *plan[T], x []cplx[T], inverse bool) {
+	for i, j := range p.rev {
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	p.butterflies(x, inverse)
+}
+
 func TestPlanRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{0, -4, 3, 6, 100} {
 		func() {
@@ -85,7 +108,7 @@ func TestPlanRejectsBadSizes(t *testing.T) {
 					t.Errorf("newPlan(%d) did not panic", n)
 				}
 			}()
-			newPlan(n)
+			newPlan[float64](n)
 		}()
 	}
 }
@@ -93,17 +116,17 @@ func TestPlanRejectsBadSizes(t *testing.T) {
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 128} {
-		p := newPlan(n)
+		p := newPlan[float64](n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		want := naiveDFT(x, false)
-		got := append([]complex128(nil), x...)
-		p.forward(got)
-		for k := range got {
-			if cmplx.Abs(got[k]-want[k]) > 1e-9*float64(n) {
-				t.Fatalf("n=%d k=%d got %v want %v", n, k, got[k], want[k])
+		got := toCplx(x)
+		dft(p, got, false)
+		for k, g := range got {
+			if cmplx.Abs(complex(g.re, g.im)-want[k]) > 1e-9*float64(n) {
+				t.Fatalf("n=%d k=%d got %v want %v", n, k, g, want[k])
 			}
 		}
 	}
@@ -112,17 +135,17 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 func TestInverseMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 32
-	p := newPlan(n)
+	p := newPlan[float64](n)
 	x := make([]complex128, n)
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	want := naiveDFT(x, true)
-	got := append([]complex128(nil), x...)
-	p.inverse(got)
-	for k := range got {
-		if cmplx.Abs(got[k]-want[k]) > 1e-9*float64(n) {
-			t.Fatalf("k=%d got %v want %v", k, got[k], want[k])
+	got := toCplx(x)
+	dft(p, got, true)
+	for k, g := range got {
+		if cmplx.Abs(complex(g.re, g.im)-want[k]) > 1e-9*float64(n) {
+			t.Fatalf("k=%d got %v want %v", k, g, want[k])
 		}
 	}
 }
@@ -130,17 +153,17 @@ func TestInverseMatchesNaiveDFT(t *testing.T) {
 func TestForwardInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{4, 32, 256, 1024} {
-		p := newPlan(n)
+		p := newPlan[float64](n)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		y := append([]complex128(nil), x...)
-		p.forward(y)
-		p.inverse(y)
-		for i := range y {
-			if cmplx.Abs(y[i]/complex(float64(n), 0)-x[i]) > 1e-10*float64(n) {
-				t.Fatalf("n=%d i=%d round trip %v vs %v", n, i, y[i], x[i])
+		y := toCplx(x)
+		dft(p, y, false)
+		dft(p, y, true)
+		for i, v := range y {
+			if cmplx.Abs(complex(v.re, v.im)/complex(float64(n), 0)-x[i]) > 1e-10*float64(n) {
+				t.Fatalf("n=%d i=%d round trip %v vs %v", n, i, v, x[i])
 			}
 		}
 	}
@@ -149,17 +172,17 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 func TestParsevalEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 128
-	p := newPlan(n)
-	x := make([]complex128, n)
+	p := newPlan[float64](n)
+	x := make([]cplx[float64], n)
 	timeE := 0.0
 	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-		timeE += real(x[i]) * real(x[i])
+		x[i].re = rng.NormFloat64()
+		timeE += x[i].re * x[i].re
 	}
-	p.forward(x)
+	dft(p, x, false)
 	freqE := 0.0
 	for _, v := range x {
-		freqE += real(v)*real(v) + imag(v)*imag(v)
+		freqE += v.re*v.re + v.im*v.im
 	}
 	if math.Abs(freqE/float64(n)-timeE) > 1e-8*timeE {
 		t.Errorf("Parseval: time %v freq/n %v", timeE, freqE/float64(n))
@@ -167,8 +190,8 @@ func TestParsevalEnergy(t *testing.T) {
 }
 
 // allSizes is every power of two the acceptance bar names: the packed
-// transforms must match the O(n^2) references at 1e-9 relative error
-// on all of them (plus the degenerate n=1).
+// transforms must match the O(n^2) references on all of them (plus the
+// degenerate n=1).
 var allSizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -177,6 +200,58 @@ func randVec(rng *rand.Rand, n int) []float64 {
 		x[i] = rng.NormFloat64()
 	}
 	return x
+}
+
+// eachPrecision runs a test body once per sample precision, the float64
+// and float32 instantiations of the same generic function.
+func eachPrecision(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("float64", f64)
+	t.Run("float32", f32)
+}
+
+// relTol is precision T's error budget against the float64 naive
+// references, relative to the output's max magnitude. float32 allows a
+// few ulps per butterfly stage. For float64 the references are the
+// limit: their cosine arguments grow to ~pi*n, so each term carries an
+// absolute error of a few ulps of pi*n.
+func relTol[T float](n int) float64 {
+	stages := math.Log2(float64(n)) + 2
+	if unsafe.Sizeof(T(0)) == 4 {
+		return 8 * 1.2e-7 * stages
+	}
+	return 8 * 2.3e-16 * float64(n) * stages
+}
+
+// maxRelErr returns max|got-want| / max(max|want|, 1e-30). A pair's two
+// channels are measured as one vector (slices.Concat): they share one
+// FFT, so rounding reaches the smaller channel at the larger's scale.
+func maxRelErr[T float](got []T, want []float64) float64 {
+	scale := 1e-30
+	for _, w := range want {
+		if a := math.Abs(w); a > scale {
+			scale = a
+		}
+	}
+	worst := 0.0
+	for i := range got {
+		if d := math.Abs(float64(got[i]) - want[i]); d/scale > worst {
+			worst = d / scale
+		}
+	}
+	return worst
+}
+
+// randT returns a uniform random vector in [-1, 1) rounded to T, and
+// its float64 widening: identical inputs for the transform and the
+// naive reference.
+func randT[T float](rng *rand.Rand, n int) ([]T, []float64) {
+	x := make([]T, n)
+	x64 := make([]float64, n)
+	for i := range x {
+		x[i] = T(rng.Float64()*2 - 1)
+		x64[i] = float64(x[i])
+	}
+	return x, x64
 }
 
 func TestDCT2MatchesNaive(t *testing.T) {
@@ -194,100 +269,125 @@ func TestDCT2MatchesNaive(t *testing.T) {
 }
 
 // The pair transforms must agree with the naive references on both
-// channels at every size: the packing separation is exact up to
-// rounding.
+// channels at every size and in both precisions: the packing
+// separation is exact up to rounding. The float64-staged variants must
+// give the same bits as the plain ones on inputs exact in T.
 func TestPairTransformsMatchNaive(t *testing.T) {
+	eachPrecision(t, pairsMatchNaive[float64], pairsMatchNaive[float32])
+}
+
+func pairsMatchNaive[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range allSizes {
-		r := NewReal(n)
-		a := randVec(rng, n)
-		b := randVec(rng, n)
-		gotA := make([]float64, n)
-		gotB := make([]float64, n)
+		r := New[T](n)
+		tol := relTol[T](n)
+		a, a64 := randT[T](rng, n)
+		b, b64 := randT[T](rng, n)
+		gotA, gotB := make([]T, n), make([]T, n)
+		wideA, wideB := make([]float64, n), make([]float64, n)
+		check := func(name string, naive func([]float64) []float64) {
+			t.Helper()
+			if e := maxRelErr(slices.Concat(gotA, gotB), slices.Concat(naive(a64), naive(b64))); e > tol {
+				t.Errorf("n=%d %s rel err %g > %g", n, name, e, tol)
+			}
+		}
+		sameBits := func(name string, wantA, wantB []T, gA, gB []float64) {
+			t.Helper()
+			for i := range wantA {
+				if float64(wantA[i]) != gA[i] || float64(wantB[i]) != gB[i] {
+					t.Fatalf("n=%d %s differs from the plain transform at %d", n, name, i)
+				}
+			}
+		}
 
 		r.DCT2Pair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, naiveDCT2(a)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d DCT2Pair A max diff %v", n, d)
-		}
-		if d := maxAbsDiff(gotB, naiveDCT2(b)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d DCT2Pair B max diff %v", n, d)
-		}
+		check("DCT2Pair", naiveDCT2)
+		stagedA, stagedB := make([]T, n), make([]T, n)
+		r.DCT2PairFrom64(a64, b64, stagedA, stagedB)
+		sameBits("DCT2PairFrom64", stagedA, stagedB, toF64(gotA), toF64(gotB))
 
 		r.IDCTPair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, naiveIDCT(a)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDCTPair A max diff %v", n, d)
-		}
-		if d := maxAbsDiff(gotB, naiveIDCT(b)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDCTPair B max diff %v", n, d)
-		}
+		check("IDCTPair", naiveIDCT)
+		r.IDCTPairTo64(a, b, wideA, wideB)
+		sameBits("IDCTPairTo64", gotA, gotB, wideA, wideB)
 
 		r.IDSTPair(a, b, gotA, gotB)
-		if d := maxAbsDiff(gotA, naiveIDST(a)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDSTPair A max diff %v", n, d)
-		}
-		if d := maxAbsDiff(gotB, naiveIDST(b)); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d IDSTPair B max diff %v", n, d)
-		}
+		check("IDSTPair", naiveIDST)
+		r.IDSTPairTo64(a, b, wideA, wideB)
+		sameBits("IDSTPairTo64", gotA, gotB, wideA, wideB)
 	}
+}
+
+func toF64[T float](x []T) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // The Poisson pipeline transforms coefficient planes in place, so every
-// transform must tolerate out aliasing the input.
+// transform must tolerate out aliasing the input, with the same bits.
 func TestTransformsInPlace(t *testing.T) {
+	eachPrecision(t, transformsInPlace[float64], transformsInPlace[float32])
+}
+
+func transformsInPlace[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{2, 8, 64, 512} {
-		r := NewReal(n)
-		a := randVec(rng, n)
-		b := randVec(rng, n)
-
-		ref := make([]float64, n)
-		r.DCT2(a, ref)
-		got := append([]float64(nil), a...)
-		r.DCT2(got, got)
-		if maxAbsDiff(got, ref) != 0 {
-			t.Fatalf("n=%d DCT2 in place differs", n)
-		}
-
-		refB := make([]float64, n)
-		r.IDCTPair(a, b, ref, refB)
-		gotA := append([]float64(nil), a...)
-		gotB := append([]float64(nil), b...)
-		r.IDCTPair(gotA, gotB, gotA, gotB)
-		if maxAbsDiff(gotA, ref) != 0 || maxAbsDiff(gotB, refB) != 0 {
-			t.Fatalf("n=%d IDCTPair in place differs", n)
-		}
-
-		r.IDSTPair(a, b, ref, refB)
-		copy(gotA, a)
-		copy(gotB, b)
-		r.IDSTPair(gotA, gotB, gotA, gotB)
-		if maxAbsDiff(gotA, ref) != 0 || maxAbsDiff(gotB, refB) != 0 {
-			t.Fatalf("n=%d IDSTPair in place differs", n)
+		r := New[T](n)
+		a, _ := randT[T](rng, n)
+		b, _ := randT[T](rng, n)
+		for _, tr := range []struct {
+			name string
+			f    func(aA, aB, outA, outB []T)
+		}{
+			{"DCT2", func(aA, aB, outA, outB []T) { r.DCT2(aA, outA); r.DCT2(aB, outB) }},
+			{"DCT2Pair", r.DCT2Pair},
+			{"IDCTPair", r.IDCTPair},
+			{"IDSTPair", r.IDSTPair},
+		} {
+			refA, refB := make([]T, n), make([]T, n)
+			tr.f(a, b, refA, refB)
+			gotA, gotB := append([]T(nil), a...), append([]T(nil), b...)
+			tr.f(gotA, gotB, gotA, gotB)
+			for i := range refA {
+				if gotA[i] != refA[i] || gotB[i] != refB[i] {
+					t.Fatalf("n=%d %s in place differs at %d", n, tr.name, i)
+				}
+			}
 		}
 	}
 }
 
-// Property: DCT2 followed by the cosine reconstruction with the
-// standard normalization recovers the input:
-// x_i = (2/n) * sum_u s_u X_u cos(...), s_0 = 1/2.
+// Property: DCT2 (channel A) and DCT2Pair (channel B), each followed by
+// the cosine reconstruction with the standard normalization, recover
+// the input: x_i = (2/n) * sum_u s_u X_u cos(...), s_0 = 1/2.
 func TestDCTRoundTrip(t *testing.T) {
+	eachPrecision(t, dctRoundTrip[float64], dctRoundTrip[float32])
+}
+
+func dctRoundTrip[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{2, 8, 64, 512, 1024} {
-		r := NewReal(n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64() * 10
+	for _, n := range []int{2, 8, 64, 256, 512, 1024} {
+		r := New[T](n)
+		xa, xa64 := randT[T](rng, n)
+		xb, xb64 := randT[T](rng, n)
+		ca, cb, tmp := make([]T, n), make([]T, n), make([]T, n)
+		r.DCT2(xa, ca)
+		r.DCT2Pair(xa, xb, tmp, cb)
+		for u := range ca {
+			s := 2 / T(n)
+			if u == 0 {
+				s = 1 / T(n)
+			}
+			ca[u] *= s
+			cb[u] *= s
 		}
-		coef := make([]float64, n)
-		r.DCT2(x, coef)
-		for u := range coef {
-			coef[u] *= 2 / float64(n)
-		}
-		coef[0] /= 2
-		back := make([]float64, n)
-		r.IDCTPair(coef, coef, back, back)
-		if d := maxAbsDiff(back, x); d > 1e-8 {
-			t.Fatalf("n=%d DCT round trip max diff %v", n, d)
+		r.IDCTPair(ca, cb, ca, cb)
+		tol := 2 * relTol[T](n)
+		if e := maxRelErr(slices.Concat(ca, cb), slices.Concat(xa64, xb64)); e > tol {
+			t.Errorf("n=%d round trip rel err %g > %g", n, e, tol)
 		}
 	}
 }
@@ -353,18 +453,18 @@ func TestLinearity(t *testing.T) {
 }
 
 func BenchmarkFFT1024(b *testing.B) {
-	p := newPlan(1024)
-	x := make([]complex128, 1024)
+	p := newPlan[float64](1024)
+	x := make([]cplx[float64], 1024)
 	for i := range x {
-		x[i] = complex(float64(i%7), float64(i%3))
+		x[i] = cplx[float64]{float64(i % 7), float64(i % 3)}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.forward(x)
+		dft(p, x, false)
 	}
 }
 
-func benchInput(n int) (*Real, []float64, []float64) {
+func benchInput(n int) (*Real[float64], []float64, []float64) {
 	r := NewReal(n)
 	x := make([]float64, n)
 	out := make([]float64, n)
@@ -407,5 +507,20 @@ func BenchmarkDCT2Pair_512(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.DCT2Pair(x, x2, out, out2)
+	}
+}
+
+func BenchmarkDCT2Pair32_512(b *testing.B) {
+	r := New[float32](512)
+	x := make([]float32, 512)
+	for i := range x {
+		x[i] = float32(i % 13)
+	}
+	o1 := make([]float32, 512)
+	o2 := make([]float32, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.DCT2Pair(x, x, o1, o2)
 	}
 }

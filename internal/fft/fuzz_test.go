@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -25,18 +26,21 @@ func FuzzReorderTables(f *testing.F) {
 		}
 		h := n / 2
 		seen := make([]bool, n)
-		for j, src := range r.fwdReorder {
+		for j := range n {
+			// fwdGather is the reorder composed with the bit-reversal,
+			// an involution, so the reorder alone is this.
+			src := r.fwdGather[r.full.rev[j]]
 			if src < 0 || src >= n || seen[src] {
-				t.Fatalf("n=%d fwdReorder[%d]=%d is not a permutation", n, j, src)
+				t.Fatalf("n=%d reorder[%d]=%d is not a permutation", n, j, src)
 			}
 			seen[src] = true
 			// Makhoul order: first half ascending evens, second half
 			// descending odds.
 			if j < h && src != 2*j {
-				t.Fatalf("n=%d fwdReorder[%d]=%d, want %d", n, j, src, 2*j)
+				t.Fatalf("n=%d reorder[%d]=%d, want %d", n, j, src, 2*j)
 			}
 			if j >= h && src != 2*(n-1-j)+1 {
-				t.Fatalf("n=%d fwdReorder[%d]=%d, want %d", n, j, src, 2*(n-1-j)+1)
+				t.Fatalf("n=%d reorder[%d]=%d, want %d", n, j, src, 2*(n-1-j)+1)
 			}
 		}
 		seen = make([]bool, n)
@@ -49,7 +53,7 @@ func FuzzReorderTables(f *testing.F) {
 				t.Fatalf("n=%d invPos[%d]=%d breaks the parity split", n, j, dst)
 			}
 		}
-		// Consistency: DCT2 through fwdReorder followed by IDCTPair
+		// Consistency: DCT2 through the reorder followed by IDCTPair
 		// through invPos must reproduce the input under the standard
 		// scaling, on both channels.
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -75,9 +79,9 @@ func FuzzReorderTables(f *testing.F) {
 }
 
 // FuzzPackedTransforms cross-checks the packed fast transforms against
-// the O(n^2) references on fuzzed inputs and sizes, covering DCT2's
-// half-length FFT and the pairs' full-length FFT, and holds each pair
-// to the same bits when its outputs alias its inputs.
+// the O(n^2) references on fuzzed inputs and sizes in both precisions,
+// covering DCT2's half-length FFT and the pairs' full-length FFT, and
+// holds each pair to the same bits when its outputs alias its inputs.
 func FuzzPackedTransforms(f *testing.F) {
 	f.Add(int64(1), uint8(3))
 	f.Add(int64(42), uint8(6))
@@ -85,46 +89,47 @@ func FuzzPackedTransforms(f *testing.F) {
 	f.Add(int64(99), uint8(8))
 	f.Fuzz(func(t *testing.T, seed int64, sizeExp uint8) {
 		n := 1 << (int(sizeExp) % 9) // 1..256: naive reference is quadratic
-		rng := rand.New(rand.NewSource(seed))
-		r := NewReal(n)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 10
-			b[i] = rng.NormFloat64() * 10
-		}
-		tol := 1e-9 * float64(n) * 10
-		check := func(name string, got, want []float64) {
-			t.Helper()
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > tol {
-					t.Fatalf("n=%d %s[%d] = %v, naive %v", n, name, i, got[i], want[i])
-				}
-			}
-		}
-		out := make([]float64, n)
-		out2 := make([]float64, n)
-		r.DCT2(a, out)
-		check("DCT2", out, naiveDCT2(a))
-		for _, pair := range []struct {
-			name  string
-			f     func(aA, aB, outA, outB []float64)
-			naive func([]float64) []float64
-		}{
-			{"DCT2Pair", r.DCT2Pair, naiveDCT2},
-			{"IDCTPair", r.IDCTPair, naiveIDCT},
-			{"IDSTPair", r.IDSTPair, naiveIDST},
-		} {
-			pair.f(a, b, out, out2)
-			check(pair.name+"/A", out, pair.naive(a))
-			check(pair.name+"/B", out2, pair.naive(b))
-			inA, inB := append([]float64(nil), a...), append([]float64(nil), b...)
-			pair.f(inA, inB, inA, inB)
-			for i := range inA {
-				if inA[i] != out[i] || inB[i] != out2[i] {
-					t.Fatalf("n=%d %s in place differs at %d", n, pair.name, i)
-				}
-			}
-		}
+		packedMatchNaive[float64](t, seed, n)
+		packedMatchNaive[float32](t, seed, n)
 	})
+}
+
+func packedMatchNaive[T float](t *testing.T, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	r := New[T](n)
+	a, b := make([]T, n), make([]T, n)
+	a64, b64 := make([]float64, n), make([]float64, n)
+	for i := range a {
+		a[i], b[i] = T(rng.NormFloat64()*10), T(rng.NormFloat64()*10)
+		a64[i], b64[i] = float64(a[i]), float64(b[i])
+	}
+	tol := relTol[T](n)
+	check := func(name string, got []T, want []float64) {
+		t.Helper()
+		if e := maxRelErr(got, want); e > tol {
+			t.Fatalf("n=%d %T %s rel err %g > %g", n, got, name, e, tol)
+		}
+	}
+	out, out2 := make([]T, n), make([]T, n)
+	r.DCT2(a, out)
+	check("DCT2", out, naiveDCT2(a64))
+	for _, pair := range []struct {
+		name  string
+		f     func(aA, aB, outA, outB []T)
+		naive func([]float64) []float64
+	}{
+		{"DCT2Pair", r.DCT2Pair, naiveDCT2},
+		{"IDCTPair", r.IDCTPair, naiveIDCT},
+		{"IDSTPair", r.IDSTPair, naiveIDST},
+	} {
+		pair.f(a, b, out, out2)
+		check(pair.name, slices.Concat(out, out2), slices.Concat(pair.naive(a64), pair.naive(b64)))
+		inA, inB := append([]T(nil), a...), append([]T(nil), b...)
+		pair.f(inA, inB, inA, inB)
+		for i := range inA {
+			if inA[i] != out[i] || inB[i] != out2[i] {
+				t.Fatalf("n=%d %T %s in place differs at %d", n, inA, pair.name, i)
+			}
+		}
+	}
 }

@@ -284,6 +284,27 @@ func (d *Design) MovableArea() float64 {
 	return a
 }
 
+// StdCellHeight returns the dominant movable standard-cell height, or 0
+// when the design has no movable standard cell. Ties break toward the
+// smaller height so the choice never depends on map iteration order
+// (rows built at this height feed the final placement).
+func (d *Design) StdCellHeight() float64 {
+	counts := map[float64]int{}
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		if !c.Fixed && c.Kind == StdCell {
+			counts[c.H]++
+		}
+	}
+	bestH, bestN := 0.0, 0
+	for h, n := range counts {
+		if n > bestN || (n == bestN && h < bestH) {
+			bestH, bestN = h, n
+		}
+	}
+	return bestH
+}
+
 // FixedAreaInRegion returns the area of fixed cells clipped to the region.
 func (d *Design) FixedAreaInRegion() float64 {
 	a := 0.0

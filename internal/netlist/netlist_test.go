@@ -296,3 +296,37 @@ func TestHPWLTranslationInvariance(t *testing.T) {
 		t.Errorf("HPWL changed under translation: %v vs %v", got, before)
 	}
 }
+
+// StdCellHeight votes among movable standard cells only, breaks a tie
+// toward the smaller height, and reports 0 when no cell may vote.
+func TestStdCellHeightInference(t *testing.T) {
+	region := geom.Rect{Hx: 100, Hy: 100}
+	for _, tc := range []struct {
+		name  string
+		cells []Cell
+		want  float64
+	}{
+		{"dominant", []Cell{
+			{W: 1, H: 3}, {W: 1, H: 3}, {W: 1, H: 3}, {W: 1, H: 6},
+			{W: 1, H: 9, Fixed: true}, {W: 1, H: 9, Fixed: true},
+			{W: 1, H: 9, Fixed: true}, {W: 1, H: 9, Fixed: true},
+			{W: 10, H: 20, Kind: Macro}, {W: 10, H: 20, Kind: Macro},
+			{W: 1, H: 1, Kind: Filler}, {W: 1, H: 1, Kind: Filler},
+			{W: 1, H: 1, Kind: Filler}, {W: 1, H: 1, Kind: Filler},
+		}, 3},
+		{"tie", []Cell{{W: 1, H: 4}, {W: 1, H: 2}, {W: 1, H: 4}, {W: 1, H: 2}}, 2},
+		{"no standard cells", []Cell{
+			{W: 10, H: 20, Kind: Macro},
+			{W: 1, H: 3, Fixed: true},
+			{W: 1, H: 1, Kind: Pad, Fixed: true},
+		}, 0},
+	} {
+		d := New(tc.name, region)
+		for _, c := range tc.cells {
+			d.AddCell(c)
+		}
+		if h := d.StdCellHeight(); h != tc.want {
+			t.Errorf("%s: StdCellHeight = %v, want %v", tc.name, h, tc.want)
+		}
+	}
+}

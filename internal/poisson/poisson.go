@@ -29,12 +29,12 @@
 // units of bins. Ex is minus d(psi)/dx, the electric field that pushes
 // positive charge away from density peaks; Ey likewise.
 //
-// The pipeline is written once, generic over the element type of its
-// intermediate planes (spectral). The charge input and the Psi/Ex/Ey
-// outputs are float64 in both instantiations. The placer solves with
-// Solver32 (solver32.go), the float32 instantiation plus its precision
-// guard. Solver, the float64 instantiation, is that guard's reference
-// and the oracle of the tests.
+// The pipeline is written once, generic over the precision of its
+// intermediate planes and of its fft.Real transforms (spectral). The
+// charge input and the Psi/Ex/Ey outputs are float64 in both
+// instantiations. The placer solves with Solver32 (solver32.go), the
+// float32 instantiation plus its precision guard. Solver, the float64
+// instantiation, is that guard's reference and the oracle of the tests.
 package poisson
 
 import (
@@ -55,32 +55,16 @@ const energyShards = 64
 // one source and one destination tile stay L1-resident.
 const tblk = 32
 
-// pairs is the six pair-packed transforms the passes call, on rows of
-// element type T: fft.Real for float64 and fft.Real32 for float32. The
-// From64 form stages the float64 charge into T rows, fusing the
-// narrowing into its reorder gather; the To64 forms scatter T rows to
-// the float64 outputs, fusing the widening into the inverse scatter.
-// For float64 both are the plain transforms.
-type pairs[T float32 | float64] interface {
-	DCT2Pair(xA, xB, outA, outB []T)
-	DCT2PairFrom64(xA, xB []float64, outA, outB []T)
-	IDCTPair(aA, aB, outA, outB []T)
-	IDCTPairTo64(aA, aB []T, outA, outB []float64)
-	IDSTPair(aA, aB, outA, outB []T)
-	IDSTPairTo64(aA, aB []T, outA, outB []float64)
-}
-
 // spectral holds workspace for repeated solves on one grid size, with
-// every intermediate plane in T and transforms R. It is not safe for
-// concurrent method calls (Solve parallelizes internally and Energy
+// every intermediate plane and transform in precision T. It is not safe
+// for concurrent method calls (Solve parallelizes internally and Energy
 // reuses the shared partial-sum buffer); use one per goroutine.
-type spectral[T float32 | float64, R pairs[T]] struct {
+type spectral[T float32 | float64] struct {
 	m int
-	// One transform workspace per worker. Each worker's R owns its
-	// reorder/twiddle tables and complex scratch; the solver itself owns
-	// the whole-plane scratch below, written in disjoint row/tile slices
-	// by the workers.
-	trs []R
+	// One transform workspace per worker. Each owns its gather/twiddle
+	// tables and complex scratch; the solver itself owns the whole-plane
+	// scratch below, written in disjoint row/tile slices by the workers.
+	trs []*fft.Real[T]
 	// cb[u*m+v] = 4/m^2 * s_u * s_v / (w_u^2 + w_v^2) (0 at the origin),
 	// s_0 = 1/2 else 1, and wu[u] = pi*u/m: the whole normalization pass
 	// reduces to three multiplies per element. Both are computed in
@@ -120,27 +104,27 @@ type spectral[T float32 | float64, R pairs[T]] struct {
 
 // Solver is the float64 instantiation of the pipeline: the reference
 // Solver32's precision guard compares against, and the tests' oracle.
-type Solver = spectral[float64, *fft.Real]
+type Solver = spectral[float64]
 
 // NewSolverWorkers creates a float64 solver for an m x m grid (m a power
 // of two); workers <= 0 selects all cores (GOMAXPROCS).
 func NewSolverWorkers(m, workers int) (*Solver, error) {
-	return newSpectral[float64](m, workers, fft.NewReal)
+	return newSpectral[float64](m, workers)
 }
 
-// newSpectral creates a solver for an m x m grid with one newR(m)
-// transform workspace per worker; workers <= 0 selects all cores. Grids
-// below 64x64 run serial regardless: a transform there is cheaper than a
+// newSpectral creates a solver for an m x m grid with one transform
+// workspace per worker; workers <= 0 selects all cores. Grids below
+// 64x64 run serial regardless: a transform there is cheaper than a
 // fork-join. Above, at most m/2 workers run, the row pairs the
 // finest-grained passes shard over. It returns a descriptive error for
 // any m the packed transforms cannot handle (zero, negative, or not a
 // power of two) — feeding such an m through would produce garbage
 // transforms, and the grid size often arrives from user-facing options.
-func newSpectral[T float32 | float64, R pairs[T]](m, workers int, newR func(int) R) (*spectral[T, R], error) {
+func newSpectral[T float32 | float64](m, workers int) (*spectral[T], error) {
 	if m <= 0 || m&(m-1) != 0 {
 		return nil, fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
 	}
-	s := &spectral[T, R]{
+	s := &spectral[T]{
 		m:       m,
 		cb:      make([]T, m*m),
 		wu:      make([]T, m),
@@ -160,7 +144,7 @@ func newSpectral[T float32 | float64, R pairs[T]](m, workers int, newR func(int)
 		nw = max(1, min(parallel.Count(workers), m/2))
 	}
 	for range nw {
-		s.trs = append(s.trs, newR(m))
+		s.trs = append(s.trs, fft.New[T](m))
 	}
 	wu := make([]float64, m)
 	for u := range wu {
@@ -192,7 +176,7 @@ func newSpectral[T float32 | float64, R pairs[T]](m, workers int, newR func(int)
 // index space (row pairs, frequency rows, transpose tile bands or
 // energy shards); the shard boundaries parallel.For picks never affect
 // the values each index computes, preserving bitwise determinism.
-func (s *spectral[T, R]) buildTasks() {
+func (s *spectral[T]) buildTasks() {
 	m := s.m
 	s.fwdRowsTask = func(w, lo, hi int) {
 		rho := s.rho
@@ -279,7 +263,7 @@ func (s *spectral[T, R]) buildTasks() {
 // transpose writes dst[i*m+j] = src[j*m+i] tile by tile (tblk square
 // tiles), sharding tile rows of dst across the pool. Each task owns a
 // disjoint band of dst rows.
-func (s *spectral[T, R]) transpose(src, dst []T) {
+func (s *spectral[T]) transpose(src, dst []T) {
 	nb := (s.m + tblk - 1) / tblk
 	s.tSrc, s.tDst = src, dst
 	parallel.For(len(s.trs), nb, s.transposeTask)
@@ -289,7 +273,7 @@ func (s *spectral[T, R]) transpose(src, dst []T) {
 // Solve computes Psi, Ex and Ey from the charge plane rho (length m*m,
 // row-major [j*m + i]). The zero-frequency (mean) component of rho is
 // discarded, so callers need not pre-center the charge.
-func (s *spectral[T, R]) Solve(rho []float64) {
+func (s *spectral[T]) Solve(rho []float64) {
 	m := s.m
 	if len(rho) != m*m {
 		panic("poisson: charge plane size mismatch")
@@ -346,7 +330,7 @@ func (s *spectral[T, R]) Solve(rho []float64) {
 // energyShards fixed-width partials folded in shard order, so the result
 // is bitwise-identical at every worker count (though it may differ in
 // the last ulp from a single left-to-right fold).
-func (s *spectral[T, R]) Energy(rho []float64) float64 {
+func (s *spectral[T]) Energy(rho []float64) float64 {
 	if len(rho) != len(s.Psi) {
 		panic("poisson: charge plane size mismatch")
 	}

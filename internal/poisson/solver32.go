@@ -1,6 +1,6 @@
 // solver32.go is the Poisson solve the placer runs: the spectral
 // pipeline of poisson.go instantiated with float32 planes over
-// fft.Real32's pair-packed transforms. Every intermediate plane
+// fft.Real[float32]'s pair-packed transforms. Every intermediate plane
 // (forward spectra, coefficient planes, transpose scratch) is float32,
 // halving the memory traffic of the passes that dominate the float64
 // instantiation at production grid sizes; the charge input and the
@@ -21,11 +21,7 @@
 // determinism across worker counts.
 package poisson
 
-import (
-	"math"
-
-	"eplace/internal/fft"
-)
+import "math"
 
 // KindSpectral32 names the one Poisson path; the engine's solve span is
 // "poisson/" + KindSpectral32.
@@ -44,7 +40,7 @@ const (
 // instantiation of the pipeline plus its precision guard. Not safe for
 // concurrent method calls; use one per placement engine.
 type Solver32 struct {
-	sp *spectral[float32, *fft.Real32]
+	sp *spectral[float32]
 
 	// Runtime precision guard.
 	guardEvery int     // check cadence in solves (<=0 disables)
@@ -60,7 +56,7 @@ type Solver32 struct {
 // (m a power of two); workers <= 0 selects all cores. The grid-size
 // check and worker clamp are the float64 solver's.
 func NewSolver32Workers(m, workers int) (*Solver32, error) {
-	sp, err := newSpectral[float32](m, workers, fft.NewReal32)
+	sp, err := newSpectral[float32](m, workers)
 	if err != nil {
 		return nil, err
 	}

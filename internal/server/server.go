@@ -726,8 +726,8 @@ func buildDesignFrom(spec JobSpec, dir string) (*netlist.Design, error) {
 }
 
 // hasFinalCheckpoint reports whether a job directory still holds a
-// loadable end-of-run checkpoint (the pinned final, or latest for
-// directories written before pinning existed).
+// loadable end-of-run checkpoint: the pinned final, or latest for a
+// finished job whose PinFinal failed (runJob logs that and carries on).
 func hasFinalCheckpoint(jobDir string) bool {
 	for _, name := range []string{checkpoint.FinalName, checkpoint.LatestName} {
 		if _, err := os.Stat(filepath.Join(jobDir, "ckpt", name)); err == nil {
