@@ -240,7 +240,7 @@ func (r *Real[T]) makhoul(j int) int {
 // V is the length-n DFT of v, recovered from the packed spectrum by the
 // standard real-FFT split.
 func (r *Real[T]) DCT2(x, out []T) {
-	check(r, len(x), len(out))
+	r.check(len(x), len(out))
 	n, h := r.n, r.h
 	if n == 1 {
 		out[0] = x[0]
@@ -298,8 +298,8 @@ func (r *Real[T]) IDSTPairTo64(aA, aB []T, outA, outB []float64) {
 }
 
 func dct2Pair[T, In, Out float](r *Real[T], xA, xB []In, outA, outB []Out) {
-	check(r, len(xA), len(outA))
-	check(r, len(xB), len(outB))
+	r.check(len(xA), len(outA))
+	r.check(len(xB), len(outB))
 	n := r.n
 	if n == 1 {
 		outA[0], outB[0] = Out(T(xA[0])), Out(T(xB[0]))
@@ -329,8 +329,8 @@ func dct2Pair[T, In, Out float](r *Real[T], xA, xB []In, outA, outB []Out) {
 // quarter-sample shift, is scattered through the bit-reversal so the
 // inverse FFT is butterflies only.
 func invPair[T, In, Out float](r *Real[T], sine bool, aA, aB []In, outA, outB []Out) {
-	check(r, len(aA), len(outA))
-	check(r, len(aB), len(outB))
+	r.check(len(aA), len(outA))
+	r.check(len(aB), len(outB))
 	n, h := r.n, r.h
 	if n == 1 {
 		if sine {
@@ -366,7 +366,7 @@ func invPair[T, In, Out float](r *Real[T], sine bool, aA, aB []In, outA, outB []
 	}
 }
 
-func check[T float](r *Real[T], in, out int) {
+func (r *Real[T]) check(in, out int) {
 	if in != r.n || out != r.n {
 		panic(fmt.Sprintf("fft: vector length %d/%d, workspace size %d", in, out, r.n))
 	}
