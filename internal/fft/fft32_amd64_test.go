@@ -17,5 +17,7 @@ func TestScalarFallbackMatchesNaive(t *testing.T) {
 	if New[float32](256).full.vec {
 		t.Fatal("a plan built without AVX2 selected the vector kernel")
 	}
-	pairsMatchNaive[float32](t)
+	for _, p := range pairTransforms {
+		pairMatchesNaive[float32](t, p)
+	}
 }

@@ -123,6 +123,9 @@ func packedMatchNaive[T float](t *testing.T, seed int64, n int) {
 		{"IDSTPair", r.IDSTPair, naiveIDST},
 	} {
 		pair.f(a, b, out, out2)
+		// The two channels are measured as one vector: they share one
+		// FFT, so on fuzzed inputs of very different magnitude rounding
+		// reaches the smaller channel at the larger one's scale.
 		check(pair.name, slices.Concat(out, out2), slices.Concat(pair.naive(a64), pair.naive(b64)))
 		inA, inB := append([]T(nil), a...), append([]T(nil), b...)
 		pair.f(inA, inB, inA, inB)
