@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"eplace/internal/nesterov"
@@ -13,9 +14,10 @@ import (
 // one full Nesterov iteration of the global-placement loop — the
 // momentum step with its gradient evaluation (fused wirelength kernel,
 // density rasterize/solve/force), the once-per-iteration position
-// scatter into the compiled view, the exact HPWL and the overflow
-// check — allocates nothing once the scratch buffers are warm, inline at
-// Workers=1 and on parallel.For's persistent team at Workers=2.
+// scatter into the compiled view, the exact HPWL, the overflow check
+// and the schedule's observation — allocates nothing once the scratch
+// buffers are warm, inline at Workers=1 and on parallel.For's
+// persistent team at Workers=2.
 func TestNesterovIterationAllocFree(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -34,21 +36,25 @@ func nesterovIterationAllocs(t *testing.T, workers int) {
 	e := mustEngine(t, d, idx, opt, rec)
 	e.stage = "mGP"
 
+	// The stage's schedule, with minIters past the run so that observe
+	// never stops it.
+	e.sch.stallIters, e.sch.minIters, e.sch.targetOverflow = stallIters, math.MaxInt, opt.TargetOverflow
 	v0 := d.Positions(idx)
-	e.clamp(v0)
-	e.cv.SetPositions(e.idx, v0)
-	e.dm.Refresh(e.idx)
-	e.updateGamma(e.dm.Overflow(d.TargetDensity))
-	e.initLambda(v0, 0)
+	e.start(v0, 0, 0)
+	e.sch.divergeHPWL = divergeHPWL(e.sch.HPWL0, e.cv.NetW, d.Region)
 
 	o := nesterov.New(v0, e.gradient, e.clamp, 0.1)
 	o.Workers = workers
-	var hpwl, tau float64
+	iter := 0
+	var stop string
 	iteration := func() {
 		o.Step(false)
 		e.cv.SetPositions(e.idx, o.U)
-		hpwl = e.hpwl()
-		tau = e.dm.Overflow(d.TargetDensity)
+		e.sch.BestTau = math.Inf(1) // every observation takes the best-snapshot copy
+		if s := e.sch.observe(iter, o.U, e.hpwl(), e.dm.Overflow(d.TargetDensity)); s != "" {
+			stop = s
+		}
+		iter++
 	}
 	for i := 0; i < 3; i++ {
 		iteration() // warm telemetry maps and per-worker scratch
@@ -56,5 +62,7 @@ func nesterovIterationAllocs(t *testing.T, workers int) {
 	if n := testing.AllocsPerRun(20, iteration); n != 0 {
 		t.Errorf("one Nesterov iteration allocates %v times per run at %d workers, want 0", n, workers)
 	}
-	_, _ = hpwl, tau
+	if stop != "" {
+		t.Errorf("the schedule stopped the run (%s)", stop)
+	}
 }

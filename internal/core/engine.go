@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
 	"time"
 
-	"eplace/internal/checkpoint"
 	"eplace/internal/density"
 	"eplace/internal/geom"
 	"eplace/internal/grid"
@@ -19,7 +19,7 @@ import (
 )
 
 // engine evaluates f = W~ + lambda*N and its preconditioned gradient
-// for one set of movable cells.
+// for one set of movable cells, at the λ and γ of its schedule.
 type engine struct {
 	d *netlist.Design
 	// cv is the compiled CSR/SoA view shared by the wirelength model,
@@ -35,9 +35,7 @@ type engine struct {
 	wl     *wirelength.Model
 	dm     *density.Model
 	opt    Options
-
-	lambda float64
-	gamma  float64
+	sch    schedule
 
 	// Per-cell constants for the preconditioner: vertex degree |E_i| and
 	// normalized charge q_i / binArea (Sec. V-D).
@@ -148,6 +146,7 @@ func newEngine(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Opti
 	e.wl.Workers = opt.Workers
 	e.workers = parallel.Count(opt.Workers)
 	e.clampTask, e.combineTask = e.clampRange, e.combineRange
+	e.sch.binW = math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
 	binArea := e.dm.Grid.BinArea()
 	for k, ci := range idx {
 		c := &d.Cells[ci]
@@ -228,7 +227,7 @@ func (e *engine) clampRange(_, lo, hi int) {
 // combineRange writes the preconditioned gradient of cells [lo, hi) into
 // e.out, the vector gradient passed.
 func (e *engine) combineRange(_, lo, hi int) {
-	n, lambda, precond := len(e.idx), e.lambda, !e.opt.DisablePrecond
+	n, lambda, precond := len(e.idx), e.sch.Lambda, !e.opt.DisablePrecond
 	gx, gy := e.out[lo:hi], e.out[n+lo:n+hi]
 	wx, wy := e.gw[lo:hi], e.gw[n+lo:n+hi]
 	dx, dy := e.gd[lo:hi], e.gd[n+lo:n+hi]
@@ -259,6 +258,7 @@ func (e *engine) clamp(v []float64) {
 // gradient evaluates the preconditioned gradient of f at v.
 func (e *engine) gradient(v, g []float64) {
 	e.cv.SetPositions(e.idx, v)
+	e.wl.Gamma = e.sch.Gamma
 	t0 := time.Now()
 	e.wl.CostAndGradient(e.gw)
 	e.rec.AddSpanTime(e.stage, "wirelength", time.Since(t0))
@@ -274,11 +274,31 @@ func (e *engine) gradient(v, g []float64) {
 	e.out = nil
 }
 
+// start begins the schedule at v0, which it clamps in place: γ from
+// v0's overflow; λ = lambdaInit when positive, else the balanced
+// gradients times lambdaScale; and v0 as the first best snapshot.
+func (e *engine) start(v0 []float64, lambdaInit, lambdaScale float64) {
+	e.clamp(v0)
+	e.cv.SetPositions(e.idx, v0)
+	e.dm.Refresh(e.idx)
+	tau0 := e.dm.Overflow(e.d.TargetDensity)
+	e.sch.setGamma(tau0)
+	e.sch.Lambda = lambdaInit
+	if lambdaInit <= 0 {
+		e.sch.Lambda = e.initLambda(v0, lambdaScale)
+	}
+	// HPWL of the clamped start, from the view (the structs still hold
+	// the unclamped input until the end-of-stage write-back).
+	e.sch.HPWL0 = e.hpwl()
+	e.sch.PrevHPWL, e.sch.Best, e.sch.BestTau = e.sch.HPWL0, v0, tau0
+}
+
 // initLambda balances the initial wirelength and density gradient norms
-// (sum of absolute values), the standard ePlace initialization, and
-// multiplies the balance by scale (see gpStage.lambdaScale).
-func (e *engine) initLambda(v []float64, scale float64) {
+// (sum of absolute values) at v, the standard ePlace initialization, and
+// returns the balance times scale (see gpStage.lambdaScale).
+func (e *engine) initLambda(v []float64, scale float64) float64 {
 	e.cv.SetPositions(e.idx, v)
+	e.wl.Gamma = e.sch.Gamma
 	e.wl.CostAndGradient(e.gw)
 	e.dm.Refresh(e.idx)
 	e.dm.Gradient(e.idx, e.gd)
@@ -288,31 +308,17 @@ func (e *engine) initLambda(v []float64, scale float64) {
 		sd += math.Abs(e.gd[i])
 	}
 	if sd == 0 {
-		e.lambda = 1
-		return
+		return 1
 	}
-	e.lambda = sw / sd
-	if e.lambda <= 0 {
-		e.lambda = 1
+	lambda := sw / sd
+	if lambda <= 0 {
+		lambda = 1
 	}
 	if scale > 0 {
-		e.lambda *= scale
+		lambda *= scale
 	}
+	return lambda
 }
-
-// updateGamma applies the overflow-driven smoothing schedule
-// gamma = 8 * binW * 10^{(tau - 0.1) * 20/9 - 1}: ~80 bins of smoothing
-// at tau=1 down to ~0.8 at tau=0.1.
-func (e *engine) updateGamma(tau float64) {
-	bw := math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
-	e.gamma = 8 * bw * math.Pow(10, (tau-0.1)*20/9-1)
-	e.wl.Gamma = e.gamma
-}
-
-// refDeltaHPWLFrac is the HPWL-change reference of the lambda schedule,
-// as a fraction of the current HPWL (ePlace uses the absolute 3.5e5 on
-// ~1e8 ISPD wirelengths).
-const refDeltaHPWLFrac = 0.01
 
 // PlaceGlobal runs one global placement (the mGP or cGP loop) over the
 // movable cells idx of d, which must already hold the starting
@@ -333,9 +339,6 @@ func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambda
 func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	opt, stage, cv, idx := s.opt, s.name, s.cv, s.idx
 	opt.defaults()
-	if s.stallIters <= 0 {
-		s.stallIters = stallIters
-	}
 	d := cv.Design()
 	start := time.Now()
 	var res Result
@@ -367,98 +370,34 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	}
 	e.stage = stage
 
-	seedStep := 0.1 * math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
+	seedStep := 0.1 * e.sch.binW
+	sch := &e.sch
+	sch.stallIters, sch.minIters, sch.targetOverflow = cmp.Or(s.stallIters, stallIters), opt.MinIters, opt.TargetOverflow
 
 	var opt2 *nesterov.Optimizer
-	var hpwl0, prevHPWL float64
-	var best []float64
-	var bestTau float64
-	bestTauIter := 0
-	iterStart := 0
-
+	iter := 0
 	if rs := s.resume; rs != nil {
 		if err := rs.Validate(len(idx)); err != nil {
 			return res, err
 		}
-		// Resume: every schedule scalar and optimizer vector comes from
-		// the snapshot, and the whole init path (tau0, gamma, lambda
-		// balancing, the optimizer's seeding gradient evaluations) is
-		// skipped — the loop re-enters at iteration rs.Iter with exactly
-		// the state the captured run had there, so the continued
-		// trajectory is bitwise-identical to the uninterrupted one.
-		e.lambda, e.gamma = rs.Lambda, rs.Gamma
-		e.wl.Gamma = e.gamma
-		hpwl0, prevHPWL = rs.HPWL0, rs.PrevHPWL
-		best = append([]float64(nil), rs.Best...)
-		bestTau, bestTauIter = rs.BestTau, rs.BestTauIter
-		iterStart = rs.Iter
+		// Resume: the schedule and the optimizer come from the snapshot
+		// and skip the start's evaluations, so the loop re-enters at
+		// iteration rs.Iter bitwise-identically to the captured run.
+		sch.GPState = *rs
+		sch.Best = slices.Clone(rs.Best)
+		iter = rs.Iter
 		opt2 = nesterov.Resume(rs.Nesterov, e.gradient, e.clamp, seedStep)
-		opt2.Workers = opt.Workers
 	} else {
 		v0 := d.Positions(idx)
-		e.clamp(v0)
-		tau0 := func() float64 {
-			e.cv.SetPositions(e.idx, v0)
-			e.dm.Refresh(e.idx)
-			return e.dm.Overflow(d.TargetDensity)
-		}()
-		e.updateGamma(tau0)
-		if s.lambdaInit > 0 {
-			e.lambda = s.lambdaInit
-		} else {
-			e.initLambda(v0, s.lambdaScale)
-		}
-
-		// HPWL of the clamped start, from the view (the structs still
-		// hold the unclamped input until the end-of-stage write-back).
-		hpwl0 = e.hpwl()
-		prevHPWL = hpwl0
-
+		e.start(v0, s.lambdaInit, s.lambdaScale)
 		opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
-		opt2.Workers = opt.Workers
-
-		// Divergence guard: remember the best (lowest-overflow) solution.
-		// New copied v0 into its own buffers, so best takes it over.
-		best = v0
-		bestTau = tau0
 	}
-
-	// Divergence threshold. 20x the starting HPWL catches blow-ups on
-	// small designs, but under-shoots at scale: a quadratic seed
-	// collapses everything near the pads, so legitimate spreading alone
-	// multiplies HPWL by far more than 20x on 10K+ cell designs (and by
-	// more still on coarse cluster netlists, whose few long nets spread
-	// to a large fraction of the region). Floor the threshold at half
-	// the geometric ceiling (every net spanning the whole region) — a
-	// clamped blow-up slams into the walls near the ceiling, while real
-	// trajectories stay under a third of it (a uniformly random layout);
-	// stalls below the threshold are caught by the stagnation guard.
-	divergeHPWL := 20 * math.Max(hpwl0, 1)
-	var wSum float64
-	for _, w := range cv.NetW {
-		wSum += w
-	}
-	if b := 0.5 * wSum * (d.Region.Hx - d.Region.Lx + d.Region.Hy - d.Region.Ly); b > divergeHPWL {
-		divergeHPWL = b
-	}
-
-	// gpState captures the loop state that iteration it reads, for a
-	// mid-stage snapshot a resume re-enters at it.
-	gpState := func(it int) *checkpoint.GPState {
-		return &checkpoint.GPState{
-			Stage: stage, Iter: it,
-			Lambda: e.lambda, Gamma: e.gamma,
-			PrevHPWL: prevHPWL, HPWL0: hpwl0,
-			Best:    append([]float64(nil), best...),
-			BestTau: bestTau, BestTauIter: bestTauIter,
-			Nesterov: opt2.State(),
-		}
-	}
+	opt2.Workers = opt.Workers
+	sch.divergeHPWL = divergeHPWL(sch.HPWL0, cv.NetW, d.Region)
 
 	// A loop that runs out of iterations stops at the cap; every break
 	// below names its own reason.
 	res.Stop = StopIterationCap
-	iter := iterStart
 	for ; iter < opt.MaxIters; iter++ {
 		// Cooperative cancellation, checked once per iteration. The state
 		// here is exactly what the next iteration would read (the same
@@ -467,7 +406,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		if ctx.Err() != nil {
 			res.Stop = StopCanceled
 			if s.sink != nil {
-				s.sink(gpState(iter))
+				s.sink(sch.snapshot(stage, iter, opt2.State()))
 			}
 			break
 		}
@@ -485,72 +424,35 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		rec.AddSpanTime(stage, "hpwl", time.Since(t0))
 		tau := e.dm.Overflow(d.TargetDensity) // from the latest Refresh
 
-		if tau <= bestTau {
-			bestTau = tau
-			bestTauIter = iter
-			copy(best, u)
-		}
 		// Roll this iteration's exact state into the stage's golden
-		// digest (lambda here is the value the iteration's gradient
-		// used, before the schedule update below).
+		// digest and the trace, with the lambda and gamma the iteration's
+		// gradient used (observe sets the next iteration's).
 		t0 = time.Now()
-		s.golden.Absorb(stage, iter, u, hpwl, e.lambda)
+		s.golden.Absorb(stage, iter, u, hpwl, sch.Lambda)
 		rec.AddSpanTime(stage, "digest", time.Since(t0))
 		if opt.Telemetry.Active() {
-			smp := Sample{
+			wlNow, denNow := rec.SpanTime(stage, "wirelength"), rec.SpanTime(stage, "density")
+			opt.Telemetry.Sample(Sample{
 				Stage: stage, Iteration: iter,
 				HPWL: hpwl, Overflow: tau, Energy: e.dm.Energy(),
-				Lambda: e.lambda, Gamma: e.gamma, Alpha: alpha, Backtracks: bt,
-				GradWL: sumAbs(e.gw), GradDensity: sumAbs(e.gd),
-				Steps: opt2.Steps(),
-			}
-			wlNow := rec.SpanTime(stage, "wirelength")
-			denNow := rec.SpanTime(stage, "density")
-			smp.WirelengthTime = wlNow - prevWL
-			smp.DensityTime = denNow - prevDen
+				Lambda: sch.Lambda, Gamma: sch.Gamma, Alpha: alpha, Backtracks: bt,
+				GradWL: sumAbs(e.gw), GradDensity: sumAbs(e.gd), Steps: opt2.Steps(),
+				WirelengthTime: wlNow - prevWL, DensityTime: denNow - prevDen,
+			})
 			prevWL, prevDen = wlNow, denNow
-			opt.Telemetry.Sample(smp)
 		}
 
-		if math.IsNaN(hpwl) || hpwl > divergeHPWL {
-			res.Stop = StopDiverged
+		if stop := sch.observe(iter, u, hpwl, tau); stop != "" {
+			res.Stop = stop
+			iter++ // the iteration ran
 			break
 		}
-		if tau <= opt.TargetOverflow && iter >= opt.MinIters {
-			res.Stop = StopTargetOverflow
-			iter++
-			break
-		}
-		// Stagnation: overflow has not improved for many iterations —
-		// the target is unreachable (e.g. infeasible density bound).
-		// Return the best snapshot instead of grinding lambda upward
-		// until wirelength explodes.
-		if iter-bestTauIter > s.stallIters && iter >= opt.MinIters {
-			res.Stop = StopStall
-			break
-		}
-
-		// Penalty schedule: mu = 1.1^{1 - dHPWL/ref} clamped to
-		// [0.95, 1.1], with the reference wirelength change a fixed
-		// fraction of the current HPWL.
-		refDelta := refDeltaHPWLFrac * math.Max(hpwl, 1)
-		mu := math.Pow(1.1, math.Max(-3, math.Min(1, 1-(hpwl-prevHPWL)/refDelta)))
-		if mu < 0.95 {
-			mu = 0.95
-		}
-		if mu > 1.1 {
-			mu = 1.1
-		}
-		e.lambda *= mu
-		prevHPWL = hpwl
-		e.updateGamma(tau)
-
 		// Crash-safe snapshot of the loop state at this iteration
 		// boundary (everything the next iteration reads), aligned to
 		// absolute iteration numbers so a resumed run checkpoints at the
 		// same points as an uninterrupted one.
 		if s.sink != nil && opt.CheckpointEvery > 0 && (iter+1)%opt.CheckpointEvery == 0 {
-			s.sink(gpState(iter + 1))
+			s.sink(sch.snapshot(stage, iter+1, opt2.State()))
 		}
 	}
 
@@ -560,7 +462,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	// Refresh/HPWL below).
 	final := opt2.U
 	if res.Stop == StopDiverged || res.Stop == StopStall {
-		final = best
+		final = sch.Best
 	}
 	copy(e.posBuf, final)
 	e.clamp(e.posBuf)
@@ -573,7 +475,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	res.Overflow = e.dm.Overflow(d.TargetDensity)
 	// How much of the netlist the stage's wirelength evaluations priced.
 	rec.Count("wirelength/nets_priced", e.wl.NetsPriced())
-	res.FinalLambda = e.lambda
+	res.FinalLambda = sch.Lambda
 	res.Backtracks = opt2.Backtracks()
 	res.DensityTime = rec.SpanTime(stage, "density") - den0
 	res.WirelengthTime = rec.SpanTime(stage, "wirelength") - wl0

@@ -172,21 +172,38 @@ func TestPlaceGlobalKeepsWirelengthReasonable(t *testing.T) {
 	_ = idx
 }
 
+// TestTraceRecordsProgress holds the trace to one sample per iteration
+// that ran, whichever test stopped the stage: an unreachable target
+// stops it on stall, and the iteration that fired the test counts too.
 func TestTraceRecordsProgress(t *testing.T) {
-	d := testCircuit(200, 5)
-	InsertFillers(d, 3)
-	tr := &Trace{}
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 300, GridM: 32, Telemetry: telemetry.New(tr)}, "mGP", 0)
-	if len(tr.Samples) != res.Iterations {
-		t.Errorf("trace has %d samples, result says %d iterations", len(tr.Samples), res.Iterations)
-	}
-	if len(tr.Stage("mGP")) != len(tr.Samples) {
-		t.Error("stage filter lost samples")
-	}
-	// Overflow at the end below overflow at the start.
-	first, last := tr.Samples[0], tr.Samples[len(tr.Samples)-1]
-	if last.Overflow >= first.Overflow {
-		t.Errorf("overflow did not fall: %v -> %v", first.Overflow, last.Overflow)
+	for _, tc := range []struct {
+		stop string
+		opt  Options
+	}{
+		{StopTargetOverflow, Options{MaxIters: 300, GridM: 32}},
+		{StopStall, Options{MaxIters: 1000, GridM: 32, TargetOverflow: 1e-9}},
+	} {
+		t.Run(tc.stop, func(t *testing.T) {
+			d := testCircuit(200, 5)
+			InsertFillers(d, 3)
+			tr := &Trace{}
+			tc.opt.Telemetry = telemetry.New(tr)
+			res := mustPlaceGlobal(t, d, d.Movable(), tc.opt, "mGP", 0)
+			if res.Stop != tc.stop {
+				t.Fatalf("stage stopped on %s, want %s", res.Stop, tc.stop)
+			}
+			if len(tr.Samples) != res.Iterations {
+				t.Errorf("trace has %d samples, result says %d iterations", len(tr.Samples), res.Iterations)
+			}
+			if len(tr.Stage("mGP")) != len(tr.Samples) {
+				t.Error("stage filter lost samples")
+			}
+			// Overflow at the end below overflow at the start.
+			first, last := tr.Samples[0], tr.Samples[len(tr.Samples)-1]
+			if last.Overflow >= first.Overflow {
+				t.Errorf("overflow did not fall: %v -> %v", first.Overflow, last.Overflow)
+			}
+		})
 	}
 }
 

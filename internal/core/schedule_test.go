@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"eplace/internal/checkpoint"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -21,37 +22,15 @@ func mustEngine(tb testing.TB, d *netlist.Design, idx []int, opt Options, rec *t
 	return e
 }
 
-func TestGammaSchedule(t *testing.T) {
-	d := testCircuit(100, 31)
-	e := mustEngine(t, d, d.Movable(), Options{GridM: 32}, telemetry.New())
-	bw := math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
-	// At tau = 1: gamma = 8*binW*10^{0.9*20/9 - 1} = 8*binW*10.
-	e.updateGamma(1.0)
-	if want := 8 * bw * 10; math.Abs(e.gamma-want) > 1e-9*want {
-		t.Errorf("gamma(1.0) = %v, want %v", e.gamma, want)
-	}
-	// At tau = 0.1: gamma = 8*binW*0.1.
-	e.updateGamma(0.1)
-	if want := 8 * bw * 0.1; math.Abs(e.gamma-want) > 1e-9*want {
-		t.Errorf("gamma(0.1) = %v, want %v", e.gamma, want)
-	}
-	// Monotone in tau.
-	e.updateGamma(0.5)
-	mid := e.gamma
-	e.updateGamma(0.8)
-	if e.gamma <= mid {
-		t.Errorf("gamma not increasing with overflow: %v then %v", mid, e.gamma)
-	}
-}
-
 func TestLambdaInitBalancesGradients(t *testing.T) {
 	d := testCircuit(200, 32)
 	idx := d.Movable()
 	e := mustEngine(t, d, idx, Options{GridM: 32}, telemetry.New())
 	v := d.Positions(idx)
-	e.initLambda(v, 0)
-	if e.lambda <= 0 || math.IsInf(e.lambda, 0) || math.IsNaN(e.lambda) {
-		t.Fatalf("lambda = %v", e.lambda)
+	e.sch.Gamma = 1
+	lambda := e.initLambda(v, 0)
+	if lambda <= 0 || math.IsInf(lambda, 0) || math.IsNaN(lambda) {
+		t.Fatalf("lambda = %v", lambda)
 	}
 	// By construction sum|gW| == lambda * sum|gN|.
 	e.wl.CostAndGradient(e.gw)
@@ -62,8 +41,8 @@ func TestLambdaInitBalancesGradients(t *testing.T) {
 		sw += math.Abs(e.gw[i])
 		sd += math.Abs(e.gd[i])
 	}
-	if math.Abs(e.lambda*sd-sw) > 1e-6*sw {
-		t.Errorf("lambda %v does not balance %v / %v", e.lambda, sw, sd)
+	if math.Abs(lambda*sd-sw) > 1e-6*sw {
+		t.Errorf("lambda %v does not balance %v / %v", lambda, sw, sd)
 	}
 }
 
@@ -105,7 +84,7 @@ func TestPreconditionerFloorsAtTinyLambda(t *testing.T) {
 	d.AddCell(netlistCell(1, 1, 5, 5))
 	idx := d.Movable()
 	e := mustEngine(t, d, idx, Options{GridM: 32}, telemetry.New())
-	e.lambda = 1e-12
+	e.sch.Lambda, e.sch.Gamma = 1e-12, 1
 	v := d.Positions(idx)
 	g := make([]float64, len(v))
 	e.gradient(v, g)
@@ -140,5 +119,136 @@ func TestTraceWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "mGP,0,100") || !strings.HasPrefix(lines[2], "cGP,1,90") {
 		t.Errorf("rows:\n%s", out)
+	}
+}
+
+// TestScheduleObserve drives the schedule with single observations, no
+// circuit: which stop test fires, when, and in what order; where the
+// best snapshot moves; and λ's μ update and γ(τ) when the stage goes on.
+func TestScheduleObserve(t *testing.T) {
+	// At HPWL 100 the μ update's reference change is 1, and an unchanged
+	// HPWL gives μ = 1.1.
+	base := func() schedule {
+		return schedule{
+			GPState: checkpoint.GPState{
+				Lambda: 1, Gamma: 1, PrevHPWL: 100, HPWL0: 100,
+				Best: []float64{0, 0}, BestTau: 0.5,
+			},
+			binW: 2, divergeHPWL: 1e6, stallIters: 10, minIters: 5, targetOverflow: 0.1,
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		setup     func(*schedule)
+		iter      int
+		hpwl, tau float64
+		stop      string
+		lambda    float64 // exact
+		gamma     float64 // within 1e-9; 0 skips
+		bestIter  int
+	}{
+		{name: "diverged before target-overflow", iter: 20, hpwl: 2e6, tau: 0.05,
+			stop: StopDiverged, lambda: 1, gamma: 1, bestIter: 20},
+		{name: "diverged before stall", iter: 20, hpwl: 2e6, tau: 0.6,
+			stop: StopDiverged, lambda: 1, gamma: 1},
+		{name: "target-overflow before stall", setup: func(s *schedule) { s.BestTau = 0.01 },
+			iter: 20, hpwl: 100, tau: 0.05, stop: StopTargetOverflow, lambda: 1, gamma: 1},
+		{name: "NaN HPWL diverges", iter: 0, hpwl: math.NaN(), tau: 0.6,
+			stop: StopDiverged, lambda: 1, gamma: 1},
+		{name: "target-overflow waits for minIters", iter: 4, hpwl: 100, tau: 0.05,
+			lambda: 1.1, bestIter: 4},
+		{name: "target-overflow at minIters", iter: 5, hpwl: 100, tau: 0.05,
+			stop: StopTargetOverflow, lambda: 1, gamma: 1, bestIter: 5},
+		{name: "stall waits for minIters", setup: func(s *schedule) { s.minIters = 30 },
+			iter: 20, hpwl: 100, tau: 0.6, lambda: 1.1},
+		{name: "no stall at stallIters", iter: 10, hpwl: 100, tau: 0.6, lambda: 1.1},
+		{name: "stall at stallIters+1", iter: 11, hpwl: 100, tau: 0.6,
+			stop: StopStall, lambda: 1, gamma: 1},
+		{name: "tau tie moves the best snapshot", iter: 7, hpwl: 100, tau: 0.5,
+			lambda: 1.1, bestIter: 7},
+		{name: "mu capped at 1.1", setup: func(s *schedule) { s.PrevHPWL = math.Inf(1) },
+			iter: 1, hpwl: 100, tau: 0.6, lambda: 1.1},
+		{name: "mu 1 at the reference change", setup: func(s *schedule) { s.PrevHPWL = 99 },
+			iter: 1, hpwl: 100, tau: 0.6, lambda: 1},
+		{name: "mu floored at 0.95 past exponent -3", setup: func(s *schedule) { s.PrevHPWL = 90 },
+			iter: 1, hpwl: 100, tau: 0.6, lambda: 0.95},
+		{name: "gamma(1) is 80 bins", iter: 1, hpwl: 100, tau: 1, lambda: 1.1, gamma: 8 * 2 * 10},
+		{name: "gamma(0.1) is 0.8 bins", iter: 1, hpwl: 100, tau: 0.1,
+			lambda: 1.1, gamma: 8 * 2 * 0.1, bestIter: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := base()
+			if tc.setup != nil {
+				tc.setup(&s)
+			}
+			u := []float64{3, 4}
+			if stop := s.observe(tc.iter, u, tc.hpwl, tc.tau); stop != tc.stop {
+				t.Errorf("stop %q, want %q", stop, tc.stop)
+			}
+			if s.Lambda != tc.lambda {
+				t.Errorf("lambda %v, want %v", s.Lambda, tc.lambda)
+			}
+			if tc.gamma != 0 && math.Abs(s.Gamma-tc.gamma) > 1e-9*tc.gamma {
+				t.Errorf("gamma %v, want %v", s.Gamma, tc.gamma)
+			}
+			if s.BestTauIter != tc.bestIter {
+				t.Errorf("best snapshot at iteration %d, want %d", s.BestTauIter, tc.bestIter)
+			}
+			if moved := s.Best[0] == u[0]; moved != (s.BestTau == tc.tau) {
+				t.Errorf("best layout %v at best tau %v, observed tau %v", s.Best, s.BestTau, tc.tau)
+			}
+		})
+	}
+	// γ grows with τ.
+	s := schedule{binW: 2}
+	prev := 0.0
+	for _, tau := range []float64{0.1, 0.3, 0.5, 0.8, 1} {
+		if s.setGamma(tau); s.Gamma <= prev {
+			t.Errorf("gamma(%v) = %v, not above %v", tau, s.Gamma, prev)
+		}
+		prev = s.Gamma
+	}
+}
+
+// TestScheduleReplaysTrace holds the schedule to a function of the
+// stage's history: the (HPWL, τ) of every traced iteration, fed through
+// a fresh schedule, give the next iteration's λ and γ bit for bit and
+// the stage's stop.
+func TestScheduleReplaysTrace(t *testing.T) {
+	for _, target := range []float64{0.1, 1e-9} { // target-overflow, stall
+		d := testCircuit(200, 5)
+		InsertFillers(d, 3)
+		idx := d.Movable()
+		opt := Options{MaxIters: 1000, GridM: 32, TargetOverflow: target}
+		opt.defaults()
+
+		// The fresh start placeGlobal takes, on an engine of its own.
+		e := mustEngine(t, d, idx, opt, telemetry.New())
+		e.sch.stallIters, e.sch.minIters, e.sch.targetOverflow = stallIters, opt.MinIters, opt.TargetOverflow
+		e.start(d.Positions(idx), 0, 0)
+		s := e.sch
+		s.divergeHPWL = divergeHPWL(s.HPWL0, e.cv.NetW, d.Region)
+
+		tr := &Trace{}
+		opt.Telemetry = telemetry.New(tr)
+		res := mustPlaceGlobal(t, d, idx, opt, "mGP", 0)
+		if first := tr.Samples[0]; first.Lambda != s.Lambda || first.Gamma != s.Gamma {
+			t.Fatalf("first sample at lambda %v gamma %v, start at %v %v", first.Lambda, first.Gamma, s.Lambda, s.Gamma)
+		}
+		for i, smp := range tr.Samples {
+			stop := s.observe(smp.Iteration, nil, smp.HPWL, smp.Overflow)
+			if i == len(tr.Samples)-1 {
+				if stop != res.Stop {
+					t.Errorf("replay stops on %q, the stage on %q", stop, res.Stop)
+				}
+				break
+			}
+			next := tr.Samples[i+1]
+			if stop != "" || math.Float64bits(s.Lambda) != math.Float64bits(next.Lambda) ||
+				math.Float64bits(s.Gamma) != math.Float64bits(next.Gamma) {
+				t.Fatalf("iteration %d: replay gives stop %q, lambda %v, gamma %v; the stage ran on at %v, %v",
+					smp.Iteration, stop, s.Lambda, s.Gamma, next.Lambda, next.Gamma)
+			}
+		}
 	}
 }
