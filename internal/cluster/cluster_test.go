@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"sort"
@@ -289,4 +292,83 @@ func TestCoarsenRejectsFillers(t *testing.T) {
 		}
 	}()
 	Coarsen(d, Options{})
+}
+
+// hashLevel returns the FNV-64 hashes of one coarsening level: Up, the
+// coarse cells' geometry, kind, fixedness and pin lists, and every
+// coarse net's weight and pin list with each pin's cell, offset and
+// direction.
+func hashLevel(l *Level) (up, cells, nets uint64) {
+	var buf [8]byte
+	word := func(h hash.Hash64, v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(h hash.Hash64, v float64) { word(h, math.Float64bits(v)) }
+	hu, hc, hn := fnv.New64a(), fnv.New64a(), fnv.New64a()
+	for _, ci := range l.Up {
+		word(hu, uint64(ci))
+	}
+	d := l.D
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		f(hc, c.W)
+		f(hc, c.H)
+		f(hc, c.X)
+		f(hc, c.Y)
+		word(hc, uint64(c.Kind))
+		if c.Fixed {
+			word(hc, 1)
+		} else {
+			word(hc, 0)
+		}
+		word(hc, uint64(len(c.Pins)))
+		for _, pi := range c.Pins {
+			word(hc, uint64(pi))
+		}
+	}
+	for ni := range d.Nets {
+		net := &d.Nets[ni]
+		f(hn, net.Weight)
+		word(hn, uint64(len(net.Pins)))
+		for _, pi := range net.Pins {
+			p := &d.Pins[pi]
+			word(hn, uint64(pi))
+			word(hn, uint64(p.Cell))
+			word(hn, uint64(p.Net))
+			f(hn, p.Ox)
+			f(hn, p.Oy)
+			word(hn, uint64(p.Dir))
+		}
+	}
+	return hu.Sum64(), hc.Sum64(), hn.Sum64()
+}
+
+// TestHierarchyPinned holds a 20K-cell, 4-level hierarchy to the
+// counts and hashes it had before clustering moved onto the compiled
+// view and a typed heap: any change to the pop order, the scoring
+// order or the coarse design's construction moves a hash.
+func TestHierarchyPinned(t *testing.T) {
+	d := synth.Generate(synth.Spec{Name: "pinned", NumCells: 20000, Seed: 7})
+	h := Build(d, 4, Options{})
+	type level struct {
+		cells, nets, pins  int
+		hUp, hCells, hNets uint64
+	}
+	want := []level{
+		{5032, 9958, 25063, 0x67e647e73d536dd0, 0x757c038b23e0ebd2, 0xbcd3b14eefdaf52e},
+		{1282, 3462, 10281, 0x70265dddda6a68d9, 0xb725790fd5e40d5d, 0x7383036d9ba76c17},
+		{421, 1485, 6062, 0xf9b6ed1f1634ba01, 0x840a04b48a24ad4d, 0x8f3365a664d24b9b},
+	}
+	var got []level
+	for _, l := range h.Levels {
+		u, c, n := hashLevel(l)
+		got = append(got, level{len(l.D.Cells), len(l.D.Nets), len(l.D.Pins), u, c, n})
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k, g := range got {
+			t.Logf("level %d: {%d, %d, %d, %#x, %#x, %#x}", k+1, g.cells, g.nets, g.pins, g.hUp, g.hCells, g.hNets)
+		}
+		t.Fatalf("hierarchy moved from its pinned counts and hashes")
+	}
 }
