@@ -15,13 +15,13 @@
 // worker counts (which only parallelize the per-level gradient kernels
 // downstream).
 //
-// Memory stays O(cells + pins): the coarse design's slices are sized
-// exactly by a counting pass before construction, and the transient
-// scoring state is a handful of flat arrays over the fine cells.
+// Memory stays O(cells + pins): scoring reads the fine level's compiled
+// view, the transient state is a handful of flat arrays over the fine
+// cells, and the coarse design's slices, its nets' and cells' pin lists
+// included, are cut to size from counting passes before construction.
 package cluster
 
 import (
-	"container/heap"
 	"math"
 
 	"eplace/internal/netlist"
@@ -61,6 +61,10 @@ const (
 type Level struct {
 	// D is the coarse design.
 	D *netlist.Design
+	// View is D's compiled view, built once with the level: the next
+	// coarsening scores on it, and the flow lends it to the level's
+	// stages.
+	View *netlist.Compiled
 	// Up maps every fine cell index to its coarse cell index. Movable
 	// standard cells map to their cluster; macros, pads and fixed cells
 	// map to their singleton image.
@@ -80,11 +84,12 @@ type pairEntry struct {
 
 // pairHeap orders candidates by score descending with a total-order
 // index tie-break, so the pop sequence — and therefore the whole
-// clustering — never depends on insertion order.
+// clustering — never depends on insertion order. It is a binary heap
+// with container/heap's sift rules, typed so that no entry is boxed;
+// Coarsen sizes it once for every candidate it can hold.
 type pairHeap []pairEntry
 
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
+func (h pairHeap) less(i, j int) bool {
 	if h[i].score != h[j].score {
 		return h[i].score > h[j].score
 	}
@@ -93,19 +98,49 @@ func (h pairHeap) Less(i, j int) bool {
 	}
 	return h[i].b < h[j].b
 }
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(pairEntry)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// push appends e and sifts it up, as heap.Push does.
+func (h *pairHeap) push(e pairEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the best entry, as heap.Pop does: the last
+// entry moves to the root and sifts down over the others.
+func (h *pairHeap) pop() pairEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s.less(j2, j) {
+			j = j2 // right child
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // coarsener holds the transient state of one best-choice run.
 type coarsener struct {
 	d   *netlist.Design
+	cv  *netlist.Compiled // d's view: the topology scoring reads
 	opt Options
 
 	eligible  []bool    // movable std cells that may merge
@@ -113,7 +148,10 @@ type coarsener struct {
 	version   []uint32  // bumped on every merge touching the cluster
 	area      []float64 // current cluster area
 	clusterOf []int32   // fine cell -> representative fine cell
-	members   [][]int32 // representative -> member fine cells (in merge order)
+	// A cluster's members form one list in merge order, threaded
+	// through next (-1 ends it): it starts at the representative, which
+	// is always the first member, and ends at tail[rep].
+	next, tail []int32
 
 	// netConn[e] = w_e / (|e| - 1), precomputed per fine net; zero for
 	// nets outside the [2, maxNetDegree] scoring window.
@@ -132,21 +170,20 @@ type coarsener struct {
 // scoreBest returns cluster a's best eligible merge partner and the
 // best-choice score d(a,b) = conn(a,b) / (area_a + area_b), or
 // (-1, 0) when no partner satisfies the area cap. Neighbor scores
-// accumulate in member/pin order; ties break toward the smaller
+// accumulate in member/pin order (the view's CellNet follows Cell.Pins
+// and its PinCell each net's pin order); ties break toward the smaller
 // representative index — both total orders, so the choice is
 // reproducible bit for bit.
 func (c *coarsener) scoreBest(a int32) (int32, float64) {
-	d := c.d
+	cv := c.cv
 	c.touched = c.touched[:0]
-	for _, m := range c.members[a] {
-		for _, pi := range d.Cells[m].Pins {
-			p := &d.Pins[pi]
-			w := c.netConn[p.Net]
+	for m := a; m >= 0; m = c.next[m] {
+		for _, e := range cv.CellNet[cv.CellNetOff[m]:cv.CellNetOff[m+1]] {
+			w := c.netConn[e]
 			if w == 0 {
 				continue
 			}
-			for _, qi := range d.Nets[p.Net].Pins {
-				qc := d.Pins[qi].Cell
+			for _, qc := range cv.PinCell[cv.NetOff[e]:cv.NetOff[e+1]] {
 				if qc < 0 {
 					continue
 				}
@@ -183,16 +220,16 @@ func (c *coarsener) push(h *pairHeap, a int32) {
 	if b < 0 {
 		return
 	}
-	heap.Push(h, pairEntry{score: s, a: a, b: b, va: c.version[a], vb: c.version[b]})
+	h.push(pairEntry{score: s, a: a, b: b, va: c.version[a], vb: c.version[b]})
 }
 
 // merge folds cluster b into cluster a.
 func (c *coarsener) merge(a, b int32) {
-	for _, m := range c.members[b] {
+	for m := b; m >= 0; m = c.next[m] {
 		c.clusterOf[m] = a
 	}
-	c.members[a] = append(c.members[a], c.members[b]...)
-	c.members[b] = nil
+	c.next[c.tail[a]] = b
+	c.tail[a] = c.tail[b]
 	c.area[a] += c.area[b]
 	c.alive[b] = false
 	c.version[a]++
@@ -200,24 +237,30 @@ func (c *coarsener) merge(a, b int32) {
 	c.alive0--
 }
 
-// Coarsen builds one coarse level above fine, or returns nil when the
-// design is too small or too loosely connected for a level to pay off
-// (fewer movable std cells than 2*minCells, or best-choice achieved
-// less than a 1.25x reduction).
-func Coarsen(fine *netlist.Design, opt Options) *Level {
+// Coarsen builds one coarse level above the design cv was compiled
+// from, or returns nil when the design is too small or too loosely
+// connected for a level to pay off (fewer movable std cells than
+// 2*minCells, or best-choice achieved less than a 1.25x reduction).
+// Scoring reads the view's topology and net weights, so the view must
+// describe the design as it stands: freshly compiled, or synced since
+// the last net-weight edit.
+func Coarsen(cv *netlist.Compiled, opt Options) *Level {
 	opt.defaults()
+	fine := cv.Design()
 	n := len(fine.Cells)
 
 	c := &coarsener{
 		d:         fine,
+		cv:        cv,
 		opt:       opt,
 		eligible:  make([]bool, n),
 		alive:     make([]bool, n),
 		version:   make([]uint32, n),
 		area:      make([]float64, n),
 		clusterOf: make([]int32, n),
-		members:   make([][]int32, n),
-		netConn:   make([]float64, len(fine.Nets)),
+		next:      make([]int32, n),
+		tail:      make([]int32, n),
+		netConn:   make([]float64, len(cv.NetW)),
 		conn:      make([]float64, n),
 	}
 	movableStd := 0
@@ -225,6 +268,8 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 	for i := range fine.Cells {
 		cell := &fine.Cells[i]
 		c.clusterOf[i] = int32(i)
+		c.next[i] = -1
+		c.tail[i] = int32(i)
 		if cell.Kind == netlist.Filler {
 			// Fillers are placement aids inserted per level by the flow;
 			// clustering runs on clean designs only (a filler slipping
@@ -238,7 +283,6 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 		c.eligible[i] = true
 		c.alive[i] = true
 		c.area[i] = cell.Area()
-		c.members[i] = []int32{int32(i)}
 		avgArea += c.area[i]
 		movableStd++
 	}
@@ -249,13 +293,12 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 	c.cap = opt.CapFactor * avgArea
 	c.alive0 = movableStd
 
-	for ni := range fine.Nets {
-		net := &fine.Nets[ni]
-		deg := len(net.Pins)
+	for ni := range c.netConn {
+		deg := int(cv.NetOff[ni+1] - cv.NetOff[ni])
 		if deg < 2 || deg > maxNetDegree {
 			continue
 		}
-		c.netConn[ni] = net.EffWeight() / float64(deg-1)
+		c.netConn[ni] = cv.NetW[ni] / float64(deg-1)
 	}
 
 	// Movable macros, pads and fixed cells are singletons by
@@ -266,25 +309,28 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 		target = minCells
 	}
 
-	h := &pairHeap{}
+	// Every live cluster holds at most one entry after the initial
+	// pushes, and each pop pushes at most one, so the heap never
+	// outgrows movableStd.
+	h := make(pairHeap, 0, movableStd)
 	for i := 0; i < n; i++ {
 		if c.alive[int32(i)] {
-			c.push(h, int32(i))
+			c.push(&h, int32(i))
 		}
 	}
-	for c.alive0 > target && h.Len() > 0 {
-		e := heap.Pop(h).(pairEntry)
+	for c.alive0 > target && len(h) > 0 {
+		e := h.pop()
 		if !c.alive[e.a] {
 			continue
 		}
 		if c.version[e.a] != e.va || !c.alive[e.b] || c.version[e.b] != e.vb {
 			// Stale: one endpoint merged since this entry was scored.
 			// Re-evaluate a's best partner against the current clusters.
-			c.push(h, e.a)
+			c.push(&h, e.a)
 			continue
 		}
 		c.merge(e.a, e.b)
-		c.push(h, e.a)
+		c.push(&h, e.a)
 	}
 
 	reduced := c.alive0
@@ -294,10 +340,12 @@ func Coarsen(fine *netlist.Design, opt Options) *Level {
 	return c.build()
 }
 
-// build materializes the coarse design and the fine->coarse map. All
-// slices are sized by counting passes first, keeping memory O(pins).
+// build materializes the coarse design, its compiled view and the
+// fine->coarse map. Counting passes over the fine view size every slice
+// first, the nets' and cells' pin lists included, so Connect appends
+// into reserved capacity and memory stays O(pins).
 func (c *coarsener) build() *Level {
-	fine := c.d
+	fine, cv := c.d, c.cv
 	n := len(fine.Cells)
 	rh := fine.StdCellHeight()
 	if rh <= 0 {
@@ -323,24 +371,28 @@ func (c *coarsener) build() *Level {
 		}
 		ci := numCoarse
 		numCoarse++
-		for _, m := range c.members[rep] {
+		for m := rep; m >= 0; m = c.next[m] {
 			up[m] = ci
 		}
 	}
 
 	// Count coarse nets and pins: a fine net survives when it spans at
 	// least two distinct coarse endpoints (floating pins count as their
-	// own endpoint).
+	// own endpoint). deg[ni] is surviving net ni's coarse pin count and
+	// cellPins[ci] coarse cell ci's; seen marks an endpoint ni on its
+	// first pin of net ni, then -2-ni once counted.
 	seen := make([]int32, numCoarse)
 	for i := range seen {
 		seen[i] = -1
 	}
-	numNets, numPins := 0, 0
-	for ni := range fine.Nets {
+	deg := make([]int32, len(fine.Nets))
+	cellPins := make([]int32, numCoarse)
+	numNets, numPins, numCellPins := 0, 0, 0
+	for ni := range deg {
+		pins := cv.PinCell[cv.NetOff[ni]:cv.NetOff[ni+1]]
 		ends := 0
 		floats := 0
-		for _, pi := range fine.Nets[ni].Pins {
-			cell := fine.Pins[pi].Cell
+		for _, cell := range pins {
 			if cell < 0 {
 				floats++
 				continue
@@ -350,9 +402,18 @@ func (c *coarsener) build() *Level {
 				ends++
 			}
 		}
-		if ends+floats >= 2 {
-			numNets++
-			numPins += ends + floats
+		if ends+floats < 2 {
+			continue
+		}
+		deg[ni] = int32(ends + floats)
+		numNets++
+		numPins += ends + floats
+		numCellPins += ends
+		for _, cell := range pins {
+			if cell >= 0 && seen[up[cell]] == int32(ni) {
+				seen[up[cell]] = -2 - int32(ni)
+				cellPins[up[cell]]++
+			}
 		}
 	}
 
@@ -373,7 +434,7 @@ func (c *coarsener) build() *Level {
 		}
 		emitted[ci] = true
 		rep := c.clusterOf[i]
-		if !c.eligible[rep] || len(c.members[rep]) == 1 {
+		if !c.eligible[rep] || c.next[rep] < 0 {
 			src := &fine.Cells[i]
 			cd.AddCell(netlist.Cell{
 				W: src.W, H: src.H, X: src.X, Y: src.Y,
@@ -383,7 +444,7 @@ func (c *coarsener) build() *Level {
 		}
 		multi[ci] = true
 		var area, cx, cy float64
-		for _, m := range c.members[rep] {
+		for m := rep; m >= 0; m = c.next[m] {
 			cell := &fine.Cells[m]
 			a := cell.Area()
 			area += a
@@ -396,34 +457,34 @@ func (c *coarsener) build() *Level {
 			Kind: netlist.StdCell,
 		})
 	}
+	// Every pin list is cut from one counted array, empty with exactly
+	// its final capacity.
+	cellBuf := make([]int, numCellPins)
+	o := 0
+	for ci, k := range cellPins {
+		if k > 0 {
+			cd.Cells[ci].Pins = cellBuf[o : o : o+int(k)]
+			o += int(k)
+		}
+	}
 
 	// Coarse nets: first-occurrence pins per endpoint, offsets kept for
 	// singletons (geometry identical) and zeroed for clusters (member
-	// layout is not meaningful at the coarse level).
+	// layout is not meaningful at the coarse level). Offsets and
+	// directions are the fine pins' own, read from the structs.
 	for i := range seen {
 		seen[i] = -1
 	}
+	netBuf := make([]int, numPins)
+	o = 0
 	for ni := range fine.Nets {
-		net := &fine.Nets[ni]
-		ends := 0
-		floats := 0
-		for _, pi := range net.Pins {
-			cell := fine.Pins[pi].Cell
-			if cell < 0 {
-				floats++
-				continue
-			}
-			if seen[up[cell]] != int32(ni) {
-				seen[up[cell]] = int32(ni)
-				ends++
-			}
-		}
-		if ends+floats < 2 {
+		if deg[ni] == 0 {
 			continue
 		}
+		net := &fine.Nets[ni]
 		cni := cd.AddNet(net.Name, net.Weight)
-		// Reset per-net mark for the emit pass (distinct sentinel so the
-		// counting marks above do not leak in).
+		cd.Nets[cni].Pins = netBuf[o : o : o+int(deg[ni])]
+		o += int(deg[ni])
 		for _, pi := range net.Pins {
 			p := &fine.Pins[pi]
 			if p.Cell < 0 {
@@ -432,8 +493,8 @@ func (c *coarsener) build() *Level {
 				continue
 			}
 			ci := up[p.Cell]
-			if seen[ci] == int32(ni) {
-				seen[ci] = -2 - int32(ni)
+			if seen[ci] != int32(ni) {
+				seen[ci] = int32(ni)
 				ox, oy := p.Ox, p.Oy
 				if multi[ci] {
 					ox, oy = 0, 0
@@ -444,7 +505,7 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
-	return &Level{D: cd, Up: up, Fine: fine}
+	return &Level{D: cd, View: cd.Compile(), Up: up, Fine: fine}
 }
 
 // Interpolate hands the coarse placement down: every fine movable cell

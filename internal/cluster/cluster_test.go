@@ -37,7 +37,7 @@ func membersOf(l *Level) [][]int {
 
 func TestCoarsenPartitionAndArea(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d, Options{})
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil on a 3000-cell design")
 	}
@@ -120,7 +120,7 @@ func TestCoarsenPartitionAndArea(t *testing.T) {
 // endpoints and weight; nets collapsing inside one cluster vanish.
 func TestCoarsenNetConservation(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d, Options{})
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -172,7 +172,7 @@ func TestCoarsenNetConservation(t *testing.T) {
 
 func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "tiny", NumCells: 250})
-	if lvl := Coarsen(d, Options{}); lvl != nil {
+	if lvl := Coarsen(d.Compile(), Options{}); lvl != nil {
 		t.Error("Coarsen clustered a design below 2*MinCells")
 	}
 	h := Build(d, 4, Options{})
@@ -185,8 +185,8 @@ func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 // coarsens both: the coarse designs and maps must match bit for bit
 // (the resume path rebuilds hierarchies and relies on this).
 func TestCoarsenDeterministic(t *testing.T) {
-	a := Coarsen(testDesign(t), Options{})
-	b := Coarsen(testDesign(t), Options{})
+	a := Coarsen(testDesign(t).Compile(), Options{})
+	b := Coarsen(testDesign(t).Compile(), Options{})
 	if a == nil || b == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -218,6 +218,9 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 		if err := h.Designs[k].Validate(); err != nil {
 			t.Errorf("level %d invalid: %v", k, err)
 		}
+		if h.Levels[k-1].View.Design() != h.Designs[k] {
+			t.Errorf("level %d's view is not its design's", k)
+		}
 	}
 }
 
@@ -226,7 +229,7 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 // singletons exactly on their image, and fixed cells must not move.
 func TestInterpolateSeatsMembers(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d, Options{})
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -291,7 +294,7 @@ func TestCoarsenRejectsFillers(t *testing.T) {
 			t.Error("Coarsen accepted a design with filler cells")
 		}
 	}()
-	Coarsen(d, Options{})
+	Coarsen(d.Compile(), Options{})
 }
 
 // hashLevel returns the FNV-64 hashes of one coarsening level: Up, the
@@ -372,3 +375,32 @@ func TestHierarchyPinned(t *testing.T) {
 		t.Fatalf("hierarchy moved from its pinned counts and hashes")
 	}
 }
+
+// TestBuildAllocs bounds the allocations of a 5K-cell, 4-level Build.
+// The scoring heap, the member lists and the coarse designs' pin lists
+// are all sized up front, so the count is a few dozen slices per level
+// (about 160 in all), independent of the merges and pins; boxing heap
+// entries or appending pins one at a time costs tens of thousands.
+func TestBuildAllocs(t *testing.T) {
+	d := synth.Generate(synth.Spec{Name: "alloc", NumCells: 5000})
+	if h := Build(d, 4, Options{}); h.Depth() != 4 {
+		t.Fatalf("depth = %d on a 5000-cell design, want 4", h.Depth())
+	}
+	const budget = 320
+	if n := testing.AllocsPerRun(3, func() { Build(d, 4, Options{}) }); n > budget {
+		t.Errorf("Build allocates %v times, budget %d", n, budget)
+	}
+}
+
+// BenchmarkBuildHierarchy coarsens a 20K-cell design into 4 levels,
+// the hierarchy of the ml_std_20k benchmark workload.
+func BenchmarkBuildHierarchy(b *testing.B) {
+	d := synth.Generate(synth.Spec{Name: "bench", NumCells: 20000})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchHierarchy = Build(d, 4, Options{})
+	}
+}
+
+var benchHierarchy *Hierarchy

@@ -7,8 +7,8 @@ import "eplace/internal/netlist"
 // k-th coarsening above it, and Levels[k-1] the step that links them.
 type Hierarchy struct {
 	// Designs lists the levels finest-first. Designs[0] aliases the
-	// design Build was given; coarser designs are owned by the
-	// hierarchy.
+	// design Build was given; coarser designs, and their views in
+	// Levels, are owned by the hierarchy.
 	Designs []*netlist.Design
 	// Levels[k] coarsens Designs[k] into Designs[k+1].
 	Levels []*Level
@@ -21,14 +21,23 @@ type Hierarchy struct {
 // positions or worker counts — so a resumed process rebuilding the
 // hierarchy from the same input gets the bit-identical stack.
 func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
-	h := &Hierarchy{Designs: []*netlist.Design{d}}
+	return BuildCompiled(d.Compile(), maxLevels, opt)
+}
+
+// BuildCompiled is Build on the compiled view of the design, for a
+// caller that holds one already: the flow compiles each design once per
+// placement, and every coarse level comes with its own view
+// (Level.View), built once when the level is.
+func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options) *Hierarchy {
+	h := &Hierarchy{Designs: []*netlist.Design{cv.Design()}}
 	for k := 1; k < maxLevels; k++ {
-		lvl := Coarsen(h.Designs[k-1], opt)
+		lvl := Coarsen(cv, opt)
 		if lvl == nil {
 			break
 		}
 		h.Levels = append(h.Levels, lvl)
 		h.Designs = append(h.Designs, lvl.D)
+		cv = lvl.View
 	}
 	return h
 }

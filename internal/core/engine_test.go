@@ -125,6 +125,31 @@ func TestInsertFillersNoopWhenFull(t *testing.T) {
 	}
 }
 
+// TestInsertFillersGrowsOnce checks that InsertFillers grows d.Cells at
+// most once: to exactly the cells plus fillers when they do not fit the
+// capacity, and not at all when they do (a level's second insertion
+// after RemoveFillers). Appending one filler at a time would double the
+// slice several times.
+func TestInsertFillersGrowsOnce(t *testing.T) {
+	d := testCircuit(2000, 1)
+	d.Cells = d.Cells[:len(d.Cells):len(d.Cells)] // full, as a fresh clone is
+	before := cap(d.Cells)
+	fill := InsertFillers(d, 7)
+	if len(fill) == 0 {
+		t.Fatal("no fillers inserted in an under-utilized design")
+	}
+	if got := cap(d.Cells); got != len(d.Cells) {
+		t.Errorf("cells grew from capacity %d to %d for %d cells, want exactly %d",
+			before, got, len(d.Cells), len(d.Cells))
+	}
+	d.RemoveFillers()
+	before = cap(d.Cells)
+	InsertFillers(d, 7)
+	if got := cap(d.Cells); got != before {
+		t.Errorf("re-inserting fillers moved the capacity from %d to %d", before, got)
+	}
+}
+
 func TestPlaceGlobalReducesOverflow(t *testing.T) {
 	d := testCircuit(400, 2)
 	// Cluster everything at the center (a caricature of v_mIP).

@@ -15,15 +15,21 @@ import (
 // typical cell spread whitespace without distorting the field.
 func fillerDims(d *netlist.Design, still []bool) (w, h float64) {
 	type wh struct{ w, h, a float64 }
-	var cells []wh
+	count := 0
+	for i, s := range still {
+		if !s && d.Cells[i].Kind == netlist.StdCell {
+			count++
+		}
+	}
+	if count == 0 {
+		// Macro-only design: use a small fraction of the region.
+		return d.Region.W() / 100, d.Region.H() / 100
+	}
+	cells := make([]wh, 0, count)
 	for i, s := range still {
 		if c := &d.Cells[i]; !s && c.Kind == netlist.StdCell {
 			cells = append(cells, wh{c.W, c.H, c.Area()})
 		}
-	}
-	if len(cells) == 0 {
-		// Macro-only design: use a small fraction of the region.
-		return d.Region.W() / 100, d.Region.H() / 100
 	}
 	// Total order (area, then width, then height): an area-only sort
 	// leaves equal-area cells in unspecified relative order, and when
@@ -64,7 +70,8 @@ func InsertFillers(d *netlist.Design, seed int64) []int {
 
 // addFillers appends as many fillers as fit in area want, sized after
 // the standard cells still leaves free, placed uniformly at random
-// (seeded) inside r, and returns their indices.
+// (seeded) inside r, and returns their indices. The design's cells grow
+// once, before the loop, not one filler at a time.
 func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still []bool) []int {
 	if want <= 0 {
 		return nil
@@ -78,6 +85,7 @@ func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still 
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
+	d.Reserve(count, 0, 0)
 	idx := make([]int, 0, count)
 	for k := 0; k < count; k++ {
 		x := r.Lx + fw/2 + rng.Float64()*(r.W()-fw)

@@ -222,7 +222,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	designs := []*netlist.Design{d}
 	var hier *cluster.Hierarchy
 	if rs == nil || rs.Level > 0 {
-		if hier = buildHierarchy(d, &opt); hier != nil {
+		if hier = buildHierarchy(r.cv, &opt); hier != nil {
 			designs = hier.Designs
 		}
 	}
@@ -256,10 +256,10 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	var fillers []int
 	for k := startLevel; k >= 0; k-- {
 		// One compiled view per design: the input design's is the run's,
-		// a coarse level's lives as long as the level.
+		// a coarse level's was compiled with the level.
 		ld, cv, movable := designs[k], r.cv, r.movable
 		if k > 0 {
-			cv, movable = ld.Compile(), ld.Movable()
+			cv, movable = hier.Levels[k-1].View, ld.Movable()
 		}
 		// --- mIP: quadratic wirelength minimization over all movables,
 		// on the coarsest netlist only — a coarse seed is all the V-cycle

@@ -18,15 +18,16 @@ type MLLevel struct {
 	Result Result
 }
 
-// buildHierarchy coarsens d for the V-cycle, or returns nil when
-// multilevel mode is off or the design is too small for even one level
-// to pay off (the flow then places flat, which is also what a resumed
-// run of such a design deterministically rebuilds).
-func buildHierarchy(d *netlist.Design, opt *FlowOptions) *cluster.Hierarchy {
+// buildHierarchy coarsens the run's design for the V-cycle, scoring on
+// its compiled view cv, or returns nil when multilevel mode is off or
+// the design is too small for even one level to pay off (the flow then
+// places flat, which is also what a resumed run of such a design
+// deterministically rebuilds).
+func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions) *cluster.Hierarchy {
 	if opt.Levels <= 1 {
 		return nil
 	}
-	h := cluster.Build(d, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap})
+	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap})
 	if h.Depth() <= 1 {
 		return nil
 	}

@@ -197,7 +197,13 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		ch.Removed = append(ch.Removed, ci)
 	}
 
-	// Additions, appended after every existing cell.
+	// Additions, appended after every existing cell. The cell and pin
+	// slices grow once for all of them and the blocks, not per append.
+	addPins := 0
+	for _, a := range s.AddCells {
+		addPins += len(a.Nets) + len(a.NetIDs)
+	}
+	d.Reserve(len(s.AddCells)+len(s.BlockRegions), 0, addPins)
 	for _, a := range s.AddCells {
 		if a.Name == "" {
 			return nil, fmt.Errorf("eco: added cell needs a name")

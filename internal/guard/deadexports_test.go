@@ -22,11 +22,6 @@ import (
 // stays exported. Keys are as deadExports reports them.
 var allowedExports = map[string]string{
 	"checkpoint.Manager.HistoryFiles": "the core tests list a run's snapshots with it",
-	"cluster.pairHeap.Len":            "heap.Interface",
-	"cluster.pairHeap.Less":           "heap.Interface",
-	"cluster.pairHeap.Pop":            "heap.Interface",
-	"cluster.pairHeap.Push":           "heap.Interface",
-	"cluster.pairHeap.Swap":           "heap.Interface",
 	"geom.Rect.String":                "fmt.Stringer: error messages print rectangles with %v",
 	"grid.Grid.AddFiller":             "AddCellsSoA's filler oracle in the grid and density tests",
 	"netlist.Kind.String":             "fmt.Stringer: the experiments' layout CSV writes cell kinds with %s",
