@@ -113,7 +113,8 @@ func TestNesterovEvalsPerIterationNearOne(t *testing.T) {
 	}
 	iters := 100
 
-	o := nesterov.New(make([]float64, n), pgrad, nil, 0.01)
+	o := &nesterov.Optimizer{}
+	o.Start(make([]float64, n), pgrad, nil, 0.01)
 	nEvals := 2 // initial seed
 	for k := 0; k < iters; k++ {
 		_, bt := o.Step(false)

@@ -142,6 +142,8 @@ type coarsener struct {
 	d   *netlist.Design
 	cv  *netlist.Compiled // d's view: the topology scoring reads
 	opt Options
+	// room is Coarsen's: the cells the coarse design reserves room for.
+	room func(*netlist.Design) int
 
 	eligible  []bool    // movable std cells that may merge
 	alive     []bool    // cluster representatives still mergeable
@@ -243,8 +245,10 @@ func (c *coarsener) merge(a, b int32) {
 // 2*minCells, or best-choice achieved less than a 1.25x reduction).
 // Scoring reads the view's topology and net weights, so the view must
 // describe the design as it stands: freshly compiled, or synced since
-// the last net-weight edit.
-func Coarsen(cv *netlist.Compiled, opt Options) *Level {
+// the last net-weight edit. room, when non-nil, returns how many cells
+// the coarse design reserves room for before its view is compiled (see
+// BuildCompiled).
+func Coarsen(cv *netlist.Compiled, opt Options, room func(*netlist.Design) int) *Level {
 	opt.defaults()
 	fine := cv.Design()
 	n := len(fine.Cells)
@@ -253,6 +257,7 @@ func Coarsen(cv *netlist.Compiled, opt Options) *Level {
 		d:         fine,
 		cv:        cv,
 		opt:       opt,
+		room:      room,
 		eligible:  make([]bool, n),
 		alive:     make([]bool, n),
 		version:   make([]uint32, n),
@@ -505,6 +510,9 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
+	if c.room != nil {
+		cd.Reserve(c.room(cd), 0, 0)
+	}
 	return &Level{D: cd, View: cd.Compile(), Up: up, Fine: fine}
 }
 

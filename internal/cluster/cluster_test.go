@@ -37,7 +37,7 @@ func membersOf(l *Level) [][]int {
 
 func TestCoarsenPartitionAndArea(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil on a 3000-cell design")
 	}
@@ -120,7 +120,7 @@ func TestCoarsenPartitionAndArea(t *testing.T) {
 // endpoints and weight; nets collapsing inside one cluster vanish.
 func TestCoarsenNetConservation(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -172,7 +172,7 @@ func TestCoarsenNetConservation(t *testing.T) {
 
 func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "tiny", NumCells: 250})
-	if lvl := Coarsen(d.Compile(), Options{}); lvl != nil {
+	if lvl := Coarsen(d.Compile(), Options{}, nil); lvl != nil {
 		t.Error("Coarsen clustered a design below 2*MinCells")
 	}
 	h := Build(d, 4, Options{})
@@ -185,8 +185,8 @@ func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 // coarsens both: the coarse designs and maps must match bit for bit
 // (the resume path rebuilds hierarchies and relies on this).
 func TestCoarsenDeterministic(t *testing.T) {
-	a := Coarsen(testDesign(t).Compile(), Options{})
-	b := Coarsen(testDesign(t).Compile(), Options{})
+	a := Coarsen(testDesign(t).Compile(), Options{}, nil)
+	b := Coarsen(testDesign(t).Compile(), Options{}, nil)
 	if a == nil || b == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -229,7 +229,7 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 // singletons exactly on their image, and fixed cells must not move.
 func TestInterpolateSeatsMembers(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -294,7 +294,7 @@ func TestCoarsenRejectsFillers(t *testing.T) {
 			t.Error("Coarsen accepted a design with filler cells")
 		}
 	}()
-	Coarsen(d.Compile(), Options{})
+	Coarsen(d.Compile(), Options{}, nil)
 }
 
 // hashLevel returns the FNV-64 hashes of one coarsening level: Up, the

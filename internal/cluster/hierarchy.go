@@ -21,17 +21,21 @@ type Hierarchy struct {
 // positions or worker counts — so a resumed process rebuilding the
 // hierarchy from the same input gets the bit-identical stack.
 func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
-	return BuildCompiled(d.Compile(), maxLevels, opt)
+	return BuildCompiled(d.Compile(), maxLevels, opt, nil)
 }
 
 // BuildCompiled is Build on the compiled view of the design, for a
 // caller that holds one already: the flow compiles each design once per
 // placement, and every coarse level comes with its own view
-// (Level.View), built once when the level is.
-func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options) *Hierarchy {
+// (Level.View), built once when the level is. room, when non-nil, says
+// how many cells each coarse design reserves room for before its view is
+// compiled: the fillers the flow adds to the level, which then join the
+// design and the view without growing either (see
+// netlist.Design.Compile).
+func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options, room func(*netlist.Design) int) *Hierarchy {
 	h := &Hierarchy{Designs: []*netlist.Design{cv.Design()}}
 	for k := 1; k < maxLevels; k++ {
-		lvl := Coarsen(cv, opt)
+		lvl := Coarsen(cv, opt, room)
 		if lvl == nil {
 			break
 		}

@@ -43,7 +43,8 @@ func nesterovIterationAllocs(t *testing.T, workers int) {
 	e.start(v0, 0, 0)
 	e.sch.divergeHPWL = divergeHPWL(e.sch.HPWL0, e.cv.NetW, d.Region)
 
-	o := nesterov.New(v0, e.gradient, e.clamp, 0.1)
+	o := &nesterov.Optimizer{}
+	o.Start(v0, e.gradFn, e.clampFn, 0.1)
 	o.Workers = workers
 	iter := 0
 	var stop string

@@ -14,12 +14,17 @@ import (
 	"eplace/internal/netlist"
 	"eplace/internal/parallel"
 	"eplace/internal/poisson"
+	"eplace/internal/reuse"
 	"eplace/internal/telemetry"
 	"eplace/internal/wirelength"
 )
 
 // engine evaluates f = W~ + lambda*N and its preconditioned gradient
-// for one set of movable cells, at the λ and γ of its schedule.
+// for one set of movable cells, at the λ and γ of its schedule. It is
+// also the workspace of the stages of one placement: a flow keeps one
+// engine, and each GP stage resets it (see reset), so that the models,
+// the optimizer and the per-cell vectors of a stage reuse the memory of
+// the stages before it.
 type engine struct {
 	d *netlist.Design
 	// cv is the compiled CSR/SoA view shared by the wirelength model,
@@ -32,8 +37,9 @@ type engine struct {
 	// window inside it.
 	region geom.Rect
 	idx    []int
-	wl     *wirelength.Model
-	dm     *density.Model
+	wl     wirelength.Model
+	dm     density.Model
+	nest   nesterov.Optimizer
 	opt    Options
 	sch    schedule
 
@@ -47,19 +53,26 @@ type engine struct {
 
 	gw, gd []float64 // wirelength and density gradient scratch
 	posBuf []float64 // end-of-stage clamp buffer (avoids Positions alloc)
+	// best holds the stage's start, then its best snapshot (sch.Best).
+	best []float64
+	// still marks the cells the stage holds with the fixed ones
+	// (Design.FixedOrHeldInto).
+	still []bool
 
 	// workers shards the elementwise loops (clampRange, combineRange);
-	// out is their per-call vector. The tasks are method values bound
-	// once: a func passed to parallel.For escapes, so binding per call
-	// would allocate.
+	// out is their per-call vector. The tasks and the optimizer's
+	// callbacks are method values bound once: a func passed to
+	// parallel.For escapes, so binding per call would allocate.
 	workers                int
 	out                    []float64
 	combineTask, clampTask func(w, lo, hi int)
+	gradFn                 nesterov.GradFunc
+	clampFn                nesterov.ClampFunc
 
 	// live is the wirelength model's live-net list: the nets with a pin
 	// on a cell the stage moves. Every other net of degree >= 2 is dead
 	// for the stage, and deadHPWL[i] is net deadNet[i]'s HPWL, taken once
-	// when the engine is built (see hpwl).
+	// when the engine is reset (see hpwl).
 	live     []int32
 	deadNet  []int32
 	deadHPWL []float64
@@ -99,22 +112,31 @@ func chooseGridM(region geom.Rect, objects int, movArea float64, n int) int {
 // it by this name.
 const poissonSpan = "poisson/" + poisson.KindSpectral32
 
-// newEngine builds the stage's models over cv, which the caller has
+// reset makes e the engine of a stage over cv, which the caller has
 // synced after fillers fixed the topology and extents for the whole
 // stage; every hot kernel below shares it. The stage places inside
 // region: its density grid covers region, whose edge is the Poisson
 // problem's Neumann boundary, and the engine clamps cells to it. The
 // held cells stand still with the fixed ones (see gpStage.held).
-func newEngine(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Options, rec *telemetry.Recorder) (*engine, error) {
+//
+// Every buffer an earlier stage left keeps its capacity and takes the
+// prefix this stage needs (reuse.Resize); the models and the optimizer
+// reset the same way (wirelength.Model.Reset, density.Model.Reset,
+// nesterov.Optimizer.Start). Each buffer is rewritten in full before it
+// is read, and degree, which counts up, is cleared first. The schedule
+// starts from its zero value, and the optimizer is started by the
+// caller.
+func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Options, rec *telemetry.Recorder) error {
 	d := cv.Design()
 	if err := poisson.ValidateKind(opt.Poisson); err != nil {
-		return nil, err
+		return err
 	}
+	e.still = d.FixedOrHeldInto(e.still, held)
 	m := opt.GridM
 	if m == 0 {
 		var area float64
 		n := 0
-		for i, still := range d.FixedOrHeld(held) {
+		for i, still := range e.still {
 			if !still {
 				area += d.Cells[i].W * d.Cells[i].H
 				n++
@@ -122,32 +144,27 @@ func newEngine(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Opti
 		}
 		m = chooseGridM(region, len(d.Cells), area, n)
 	}
-	dm, err := density.NewModel(cv, region, held, m, opt.Workers)
-	if err != nil {
-		return nil, err
+	if err := e.dm.Reset(cv, region, e.still, m, opt.Workers); err != nil {
+		return err
 	}
-	e := &engine{
-		d:      d,
-		cv:     cv,
-		region: region,
-		idx:    idx,
-		wl:     wirelength.NewCompiled(cv, idx, 1),
-		dm:     dm,
-		opt:    opt,
-		rec:    rec,
-		degree: make([]float64, len(idx)),
-		qNorm:  make([]float64, len(idx)),
-		halfW:  make([]float64, len(idx)),
-		halfH:  make([]float64, len(idx)),
-		gw:     make([]float64, 2*len(idx)),
-		gd:     make([]float64, 2*len(idx)),
-		posBuf: make([]float64, 2*len(idx)),
-	}
+	e.d, e.cv, e.region, e.idx, e.opt, e.rec, e.stage = d, cv, region, idx, opt, rec, ""
+	e.wl.Reset(cv, idx, 1)
 	e.wl.Workers = opt.Workers
 	e.workers = parallel.Count(opt.Workers)
-	e.clampTask, e.combineTask = e.clampRange, e.combineRange
-	e.sch.binW = math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)
+	if e.clampTask == nil {
+		e.clampTask, e.combineTask = e.clampRange, e.combineRange
+		e.gradFn, e.clampFn = e.gradient, e.clamp
+	}
+	n := len(idx)
+	for _, p := range e.cellVectors() {
+		*p = reuse.Resize(*p, n)
+	}
+	for _, p := range e.coordVectors() {
+		*p = reuse.Resize(*p, 2*n)
+	}
+	e.sch = schedule{binW: math.Min(e.dm.Grid.BinW, e.dm.Grid.BinH)}
 	binArea := e.dm.Grid.BinArea()
+	clear(e.degree)
 	for k, ci := range idx {
 		c := &d.Cells[ci]
 		// |E_i| counts distinct nets: a net is new unless an earlier pin
@@ -163,7 +180,36 @@ func newEngine(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Opti
 		e.halfH[k] = c.H / 2
 	}
 	e.cacheDeadHPWL()
-	return e, nil
+	return nil
+}
+
+// cellVectors and coordVectors list the engine's per-cell vectors (one
+// value per moved cell) and its solution-shaped ones ({x..., y...}).
+func (e *engine) cellVectors() [4]*[]float64 {
+	return [4]*[]float64{&e.degree, &e.qNorm, &e.halfW, &e.halfH}
+}
+
+func (e *engine) coordVectors() [4]*[]float64 {
+	return [4]*[]float64{&e.gw, &e.gd, &e.posBuf, &e.best}
+}
+
+// reserve sizes the workspace once for the largest stage of a run: n
+// moved objects over a design of cells cells, nets nets and slots pin
+// slots, on an m x m grid. A later reset within those sizes allocates
+// no vector; a larger one grows what it must.
+func (e *engine) reserve(n, cells, nets, slots, m int) {
+	e.wl.Reserve(cells, nets, slots, n)
+	e.dm.Reserve(n, m)
+	e.nest.Reserve(2 * n)
+	for _, p := range e.cellVectors() {
+		*p = reuse.Grow(*p, n)
+	}
+	for _, p := range e.coordVectors() {
+		*p = reuse.Grow(*p, 2*n)
+	}
+	e.still = reuse.Grow(e.still, cells)
+	e.deadNet = reuse.Grow(e.deadNet, nets)
+	e.deadHPWL = reuse.Grow(e.deadHPWL, nets)
 }
 
 // cacheDeadHPWL lists the stage's dead nets with their HPWL. A dead net
@@ -179,8 +225,8 @@ func (e *engine) cacheDeadHPWL() {
 			multiPin++
 		}
 	}
-	e.deadNet = make([]int32, 0, multiPin-len(e.live))
-	e.deadHPWL = make([]float64, 0, multiPin-len(e.live))
+	e.deadNet = reuse.Resize(e.deadNet, multiPin-len(e.live))[:0]
+	e.deadHPWL = reuse.Resize(e.deadHPWL, multiPin-len(e.live))[:0]
 	j := 0
 	for ni := range cv.NetW {
 		switch {
@@ -364,8 +410,11 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
 	}
 	cv.Sync()
-	e, err := newEngine(cv, s.region, idx, s.held, opt, rec)
-	if err != nil {
+	e := s.eng
+	if e == nil {
+		e = &engine{}
+	}
+	if err := e.reset(cv, s.region, idx, s.held, opt, rec); err != nil {
 		return res, err
 	}
 	e.stage = stage
@@ -374,7 +423,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	sch := &e.sch
 	sch.stallIters, sch.minIters, sch.targetOverflow = cmp.Or(s.stallIters, stallIters), opt.MinIters, opt.TargetOverflow
 
-	var opt2 *nesterov.Optimizer
+	opt2 := &e.nest
 	iter := 0
 	if rs := s.resume; rs != nil {
 		if err := rs.Validate(len(idx)); err != nil {
@@ -384,13 +433,15 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		// and skip the start's evaluations, so the loop re-enters at
 		// iteration rs.Iter bitwise-identically to the captured run.
 		sch.GPState = *rs
-		sch.Best = slices.Clone(rs.Best)
+		sch.Best = e.best
+		copy(sch.Best, rs.Best)
 		iter = rs.Iter
-		opt2 = nesterov.Resume(rs.Nesterov, e.gradient, e.clamp, seedStep)
+		opt2.Restore(rs.Nesterov, e.gradFn, e.clampFn, seedStep)
 	} else {
-		v0 := d.Positions(idx)
+		v0 := e.best
+		d.PositionsInto(idx, v0)
 		e.start(v0, s.lambdaInit, s.lambdaScale)
-		opt2 = nesterov.New(v0, e.gradient, e.clamp, seedStep)
+		opt2.Start(v0, e.gradFn, e.clampFn, seedStep)
 	}
 	opt2.Workers = opt.Workers
 	sch.divergeHPWL = divergeHPWL(sch.HPWL0, cv.NetW, d.Region)

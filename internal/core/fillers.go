@@ -64,30 +64,53 @@ func fillerDims(d *netlist.Design, still []bool) (w, h float64) {
 // No-op (returns nil) when the design is already at or above target
 // utilization.
 func InsertFillers(d *netlist.Design, seed int64) []int {
+	return placeFillers(d, d.Region, insertPlan(d), seed)
+}
+
+// fillerPlan is a filler set: count fillers of w x h.
+type fillerPlan struct {
+	w, h  float64
+	count int
+}
+
+// insertPlan is the filler set InsertFillers inserts into d as it stands.
+func insertPlan(d *netlist.Design) fillerPlan {
 	free := d.Region.Area() - d.FixedAreaInRegion()
-	return addFillers(d, d.Region, d.TargetDensity*free-d.MovableArea(), seed, d.FixedOrHeld(nil))
+	return planFillers(d, d.TargetDensity*free-d.MovableArea(), d.FixedOrHeld(nil))
+}
+
+// planFillers sizes the fillers that fit in area want, after the
+// standard cells still leaves free; the plan is empty when none fit.
+func planFillers(d *netlist.Design, want float64, still []bool) fillerPlan {
+	if want <= 0 {
+		return fillerPlan{}
+	}
+	fw, fh := fillerDims(d, still)
+	if fw <= 0 || fh <= 0 {
+		return fillerPlan{}
+	}
+	return fillerPlan{w: fw, h: fh, count: max(0, int(math.Floor(want/(fw*fh))))}
 }
 
 // addFillers appends as many fillers as fit in area want, sized after
 // the standard cells still leaves free, placed uniformly at random
+// (seeded) inside r, and returns their indices.
+func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still []bool) []int {
+	return placeFillers(d, r, planFillers(d, want, still), seed)
+}
+
+// placeFillers appends plan's fillers, placed uniformly at random
 // (seeded) inside r, and returns their indices. The design's cells grow
 // once, before the loop, not one filler at a time.
-func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still []bool) []int {
-	if want <= 0 {
+func placeFillers(d *netlist.Design, r geom.Rect, plan fillerPlan, seed int64) []int {
+	if plan.count <= 0 {
 		return nil
 	}
-	fw, fh := fillerDims(d, still)
-	if fw <= 0 || fh <= 0 {
-		return nil
-	}
-	count := int(math.Floor(want / (fw * fh)))
-	if count <= 0 {
-		return nil
-	}
+	fw, fh := plan.w, plan.h
 	rng := rand.New(rand.NewSource(seed))
-	d.Reserve(count, 0, 0)
-	idx := make([]int, 0, count)
-	for k := 0; k < count; k++ {
+	d.Reserve(plan.count, 0, 0)
+	idx := make([]int, 0, plan.count)
+	for k := 0; k < plan.count; k++ {
 		x := r.Lx + fw/2 + rng.Float64()*(r.W()-fw)
 		y := r.Ly + fh/2 + rng.Float64()*(r.H()-fh)
 		idx = append(idx, d.AddCell(netlist.Cell{

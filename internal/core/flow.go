@@ -52,6 +52,11 @@ type FlowOptions struct {
 	// including the per-stage golden digests, whose rolling state is
 	// part of the snapshot.
 	Resume *checkpoint.State
+
+	// gpHook, when set, runs as every GP stage of the flow starts (done
+	// false) and ends (done true) in flowRun.gp; the tests account each
+	// stage's allocations through it.
+	gpHook func(stage string, done bool)
 }
 
 // The flow's own per-stage values, which no caller chooses.
@@ -200,8 +205,14 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
+	// Every level's fillers are planned once, before its view is compiled:
+	// the design and the view make room for them, and the level inserts
+	// them. plans[k] is level k's; the input design's also sizes the GP
+	// workspace.
+	plans := []fillerPlan{insertPlan(d)}
+	d.Reserve(plans[0].count, 0, 0)
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
-	r.mgp = &res.MGP
+	r.mgp, r.gpHook = &res.MGP, opt.gpHook
 	res.MixedSize = r.mixedSize
 
 	rs := opt.Resume
@@ -222,7 +233,11 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	designs := []*netlist.Design{d}
 	var hier *cluster.Hierarchy
 	if rs == nil || rs.Level > 0 {
-		if hier = buildHierarchy(r.cv, &opt); hier != nil {
+		room := func(ld *netlist.Design) int {
+			plans = append(plans, insertPlan(ld))
+			return plans[len(plans)-1].count
+		}
+		if hier = buildHierarchy(r.cv, &opt, room); hier != nil {
 			designs = hier.Designs
 		}
 	}
@@ -253,6 +268,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		return nil
 	}
 
+	r.reserveGP(plans[0])
 	var fillers []int
 	for k := startLevel; k >= 0; k-- {
 		// One compiled view per design: the input design's is the run's,
@@ -279,7 +295,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		// flags as mGP found them, before mLG fixed the macros, so a run
 		// resumed past mLG fixes them again only after the fillers exist.
 		if ph <= phCGP {
-			fillers = InsertFillers(ld, fillerSeed)
+			fillers = placeFillers(ld, ld.Region, plans[k], fillerSeed)
 		}
 		if rs != nil && k == startLevel {
 			// A boundary snapshot taken before the level's fillers existed
@@ -323,7 +339,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			t0 := time.Now()
 			lr, err := r.gp(gpStage{
 				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers), region: ld.Region,
-				idx: append(append([]int(nil), movable...), fillers...),
+				idx: r.stageIdx(movable, fillers),
 				opt: gpOpt, resume: resumeGP(phMGP),
 			})
 			r.addStage(stage, time.Since(t0))
@@ -402,7 +418,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			var err error
 			res.CGP, err = r.gp(gpStage{
 				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, fillers: len(fillers), region: d.Region,
-				idx: append(append([]int(nil), r.stdCells...), fillers...),
+				idx: r.stageIdx(r.stdCells, fillers),
 				opt: opt.GP, lambdaInit: res.MGP.FinalLambda * math.Pow(1.1, -m), resume: resumeGP(phCGP),
 			})
 			r.addStage("cGP", time.Since(t0))

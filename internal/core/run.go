@@ -12,6 +12,7 @@ import (
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
 	"eplace/internal/qp"
+	"eplace/internal/reuse"
 	"eplace/internal/telemetry"
 )
 
@@ -95,6 +96,17 @@ type flowRun struct {
 	// fixes the macros it legalizes.
 	movable, stdCells, movMacros []int
 	mixedSize                    bool
+
+	// eng is the run's GP workspace: every GP stage resets it (see
+	// engine.reset), so the stages of one placement share its memory. A
+	// cold flow sizes it once, before the first stage, for the largest
+	// (reserveGP); it dies with the run.
+	eng engine
+	// idx is the buffer the flow lists a stage's moved cells in
+	// (stageIdx).
+	idx []int
+	// gpHook is FlowOptions.gpHook.
+	gpHook func(stage string, done bool)
 
 	// mgp is the finest-level mGP result: its iteration count and final
 	// penalty seed cGP's (Sec. VI-B), so every snapshot carries them.
@@ -201,7 +213,7 @@ type gpStage struct {
 	level   int
 	fillers int
 	// region is where the stage places: the level design's region, or the
-	// eviction window of an ECO call (see newEngine).
+	// eviction window of an ECO call (see engine.reset).
 	region geom.Rect
 	// idx are the cells the stage moves. held are movable cells the stage
 	// holds where they are: like the fixed cells they carry fixed charge
@@ -225,13 +237,42 @@ type gpStage struct {
 	sink func(*checkpoint.GPState)
 	// resume re-enters the loop from a mid-stage snapshot.
 	resume *checkpoint.GPState
+	// eng is the workspace the stage resets; nil builds a fresh one.
+	eng *engine
+}
+
+// reserveGP sizes the run's GP workspace for its largest stage, the
+// input design's mGP: every movable cell and plan's fillers, over the
+// input view's nets and pin slots, on that stage's grid. Coarse levels
+// and later stages then work on prefixes of the same memory.
+func (r *flowRun) reserveGP(plan fillerPlan) {
+	d := r.d
+	n, cells := len(r.movable)+plan.count, len(d.Cells)+plan.count
+	m := r.opt.GridM
+	if m == 0 {
+		m = chooseGridM(d.Region, cells, d.MovableArea()+float64(plan.count)*plan.w*plan.h, n)
+	}
+	r.eng.reserve(n, cells, len(d.Nets), r.cv.NumPinSlots(), m)
+	r.idx = reuse.Grow(r.idx, n)
+}
+
+// stageIdx lists a, then b, in the run's stage buffer, which the next
+// call overwrites.
+func (r *flowRun) stageIdx(a, b []int) []int {
+	r.idx = reuse.Resize(r.idx, len(a)+len(b))
+	copy(r.idx[copy(r.idx, a):], b)
+	return r.idx
 }
 
 // gp runs one global-placement stage and maps every way it can end
 // short onto the flow's error contract. The result is returned on all
 // paths so callers can record a partial stage.
 func (r *flowRun) gp(s gpStage) (Result, error) {
-	s.golden = r.golden
+	if r.gpHook != nil {
+		r.gpHook(s.name, false)
+		defer r.gpHook(s.name, true)
+	}
+	s.golden, s.eng = r.golden, &r.eng
 	// The sink wraps mid-stage GP snapshots with flow context. It is
 	// installed whenever a manager exists — not only when a cadence is
 	// set — because cancellation writes one final mid-stage snapshot

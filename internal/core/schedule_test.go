@@ -12,12 +12,12 @@ import (
 	"eplace/internal/telemetry"
 )
 
-// mustEngine builds the stage engine or fails the test.
+// mustEngine resets a fresh engine for the stage or fails the test.
 func mustEngine(tb testing.TB, d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorder) *engine {
 	tb.Helper()
-	e, err := newEngine(d.Compile(), d.Region, idx, nil, opt, rec)
-	if err != nil {
-		tb.Fatalf("newEngine: %v", err)
+	e := &engine{}
+	if err := e.reset(d.Compile(), d.Region, idx, nil, opt, rec); err != nil {
+		tb.Fatalf("engine.reset: %v", err)
 	}
 	return e
 }

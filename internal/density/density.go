@@ -22,6 +22,7 @@ import (
 	"eplace/internal/netlist"
 	"eplace/internal/parallel"
 	"eplace/internal/poisson"
+	"eplace/internal/reuse"
 )
 
 // Model evaluates the density cost and gradient for one design.
@@ -37,11 +38,11 @@ import (
 // allocate nothing, at any worker count (parallel.For runs the shards
 // on its persistent team).
 type Model struct {
-	Grid *grid.Grid
+	Grid grid.Grid
 	// Solver is the float32 spectral Poisson solver. Its field planes are
 	// re-fetched into ex/ey after every solve: a precision-guard fallback
 	// swaps them for the float64 reference's.
-	Solver *poisson.Solver32
+	Solver poisson.Solver32
 	cv     *netlist.Compiled
 	rho    []float64
 	// binAreaInv normalizes charge to dimensionless bin density.
@@ -76,39 +77,65 @@ type Model struct {
 // layer; call Refresh whenever movable positions change. The caller
 // keeps the view's positions current (the engine writes them once per
 // iteration via Compiled.SetPositions); Refresh performs no struct-to-SoA
-// sync. It errors on an invalid grid size.
+// sync. It errors on an invalid grid size. It is Reset on a zero value.
 func NewModel(cv *netlist.Compiled, region geom.Rect, held []int, m, workers int) (*Model, error) {
-	d := cv.Design()
-	solver, err := poisson.NewSolver32Workers(m, workers)
-	if err != nil {
+	md := &Model{}
+	if err := md.Reset(cv, region, cv.Design().FixedOrHeld(held), m, workers); err != nil {
 		return nil, err
 	}
-	g := grid.New(region, m)
-	md := &Model{
-		Grid:       g,
-		Solver:     solver,
-		cv:         cv,
-		rho:        make([]float64, m*m),
-		binAreaInv: 1 / g.BinArea(),
-		workers:    parallel.Count(workers),
+	return md, nil
+}
+
+// Reset makes md the model NewModel builds, with still marking the cells
+// of the fixed charge layer (Design.FixedOrHeldInto), and reuses what an
+// earlier stage left: the grid's layers and raster scratch, the charge
+// plane and the Poisson solver (see grid.Grid.Reset and
+// poisson.Solver32.Reset). The fixed layer is rebuilt, the energy is 0
+// until the next Refresh, and the solver's precision guard restarts.
+func (md *Model) Reset(cv *netlist.Compiled, region geom.Rect, still []bool, m, workers int) error {
+	if err := md.Solver.Reset(m, workers); err != nil {
+		return err
 	}
-	for ci, still := range d.FixedOrHeld(held) {
-		if still {
+	g := &md.Grid
+	g.Reset(region, m)
+	md.cv = cv
+	md.rho = reuse.Resize(md.rho, m*m)
+	md.binAreaInv = 1 / g.BinArea()
+	md.energy, md.energyStale = 0, false
+	md.workers = parallel.Count(workers)
+	d := cv.Design()
+	for ci, s := range still {
+		if s {
 			g.AddFixed(d.Cells[ci].Rect())
 		}
 	}
-	md.gradTask = func(_, lo, hi int) {
-		grad := md.gradBuf
-		n := len(grad) / 2
-		for k := lo; k < hi; k++ {
-			fx, fy := g.FootprintForce(k, md.ex, md.ey, md.binAreaInv)
-			// Convert grid-coordinate field to design units and negate the
-			// force (Eq. 8: dN/dx_i = 2 q_i xi_ix, pointing uphill).
-			grad[k] = -2 * fx / g.BinW
-			grad[k+n] = -2 * fy / g.BinH
-		}
+	if md.gradTask == nil {
+		md.gradTask = md.gradRange
 	}
-	return md, nil
+	return nil
+}
+
+// Reserve gives the grid, the charge plane and the Poisson solver the
+// capacity of an m x m grid and n movable objects (see grid.Grid.Reserve
+// and poisson.Solver32.Reserve). Call it before a Reset.
+func (md *Model) Reserve(n, m int) {
+	md.Grid.Reserve(n, m)
+	md.Solver.Reserve(m)
+	md.rho = reuse.Grow(md.rho, m*m)
+}
+
+// gradRange writes the density gradient of footprints [lo, hi) into
+// md.gradBuf, the vector Gradient passed.
+func (md *Model) gradRange(_, lo, hi int) {
+	g, grad := &md.Grid, md.gradBuf
+	n := len(grad) / 2
+	for k := lo; k < hi; k++ {
+		fx, fy := g.FootprintForce(k, md.ex, md.ey, md.binAreaInv)
+		// Convert grid-coordinate field to design units and negate the
+		// force (Eq. 8: dN/dx_i = 2 q_i xi_ix, pointing uphill).
+		grad[k] = -2 * fx / g.BinW
+		grad[k+n] = -2 * fy / g.BinH
+	}
 }
 
 // NewModelCompiled is NewModel over the whole region behind

@@ -13,7 +13,7 @@ import (
 // the grid owned the footprint) and integrates charge density * field
 // over it, in grid units.
 func forceOn(md *Model, c *netlist.Cell) (fx, fy float64) {
-	g := md.Grid
+	g := &md.Grid
 	m := g.M
 	r, scale := smoothedRect(g, c.X, c.Y, c.W, c.H)
 	i0 := int(math.Floor((r.Lx - g.Region.Lx) / g.BinW))

@@ -45,7 +45,7 @@ func mustPoissonSolver(tb testing.TB, m, workers int) *poisson.Solver32 {
 // serialGradient reproduces the seed's single-goroutine Gradient loop.
 func serialGradient(md *Model, idx []int, grad []float64) {
 	n := len(idx)
-	g := md.Grid
+	g := &md.Grid
 	for k, ci := range idx {
 		fx, fy := forceOn(md, &md.cv.Design().Cells[ci])
 		grad[k] = -2 * fx / g.BinW

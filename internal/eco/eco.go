@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
@@ -198,12 +199,55 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 	}
 
 	// Additions, appended after every existing cell. The cell and pin
-	// slices grow once for all of them and the blocks, not per append.
+	// slices grow once for all of them and the blocks, and so does the pin
+	// list of every net they join and of every added cell, not per pin.
+	// netsOf resolves an added cell's nets, in the order its pins join
+	// them, into nets; a cell whose nets do not resolve fails below, in
+	// script order, and is not counted.
+	netsOf := func(a AddCell, nets []int) ([]int, error) {
+		for _, name := range a.Nets {
+			ni, err := resolveNet(name, -1)
+			if err != nil {
+				return nets, err
+			}
+			nets = append(nets, ni)
+		}
+		for _, id := range a.NetIDs {
+			ni, err := resolveNet("", id)
+			if err != nil {
+				return nets, err
+			}
+			nets = append(nets, ni)
+		}
+		return nets, nil
+	}
 	addPins := 0
 	for _, a := range s.AddCells {
 		addPins += len(a.Nets) + len(a.NetIDs)
 	}
+	// joined lists the net of every added pin; sorted, each net's run is
+	// the room its pin list needs.
+	joined := make([]int, 0, addPins)
+	for _, a := range s.AddCells {
+		if nets, err := netsOf(a, joined); err == nil {
+			joined = nets
+		}
+	}
+	slices.Sort(joined)
+	for i := 0; i < len(joined); {
+		ni, k := joined[i], 1
+		for i+k < len(joined) && joined[i+k] == ni {
+			k++
+		}
+		if pins := d.Nets[ni].Pins; cap(pins)-len(pins) < k {
+			d.Nets[ni].Pins = append(make([]int, 0, len(pins)+k), pins...)
+		}
+		i += k
+	}
 	d.Reserve(len(s.AddCells)+len(s.BlockRegions), 0, addPins)
+	if len(s.AddCells) > 0 {
+		ch.Added = make([]int, 0, len(s.AddCells))
+	}
 	for _, a := range s.AddCells {
 		if a.Name == "" {
 			return nil, fmt.Errorf("eco: added cell needs a name")
@@ -215,20 +259,9 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 			return nil, fmt.Errorf("eco: added cell %q needs positive size", a.Name)
 		}
 		ci := d.AddCell(netlist.Cell{Name: a.Name, W: a.W, H: a.H, Kind: netlist.StdCell})
-		var nets []int
-		for _, name := range a.Nets {
-			ni, err := resolveNet(name, -1)
-			if err != nil {
-				return nil, err
-			}
-			nets = append(nets, ni)
-		}
-		for _, id := range a.NetIDs {
-			ni, err := resolveNet("", id)
-			if err != nil {
-				return nil, err
-			}
-			nets = append(nets, ni)
+		nets, err := netsOf(a, joined[:0])
+		if err != nil {
+			return nil, err
 		}
 		// Seed position: explicit, else the centroid of the connected
 		// nets' existing pins, else the region center.
@@ -253,6 +286,9 @@ func Apply(d *netlist.Design, s *Script) (*Change, error) {
 		}
 		p := geom.ClampPoint(geom.Point{X: x, Y: y}, a.W, a.H, d.Region)
 		d.Cells[ci].X, d.Cells[ci].Y = p.X, p.Y
+		if len(nets) > 0 {
+			d.Cells[ci].Pins = make([]int, 0, len(nets))
+		}
 		for _, ni := range nets {
 			d.Connect(ci, ni, 0, 0)
 			netHit[ni] = true

@@ -1,7 +1,9 @@
 package eco
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -302,5 +304,77 @@ func TestPrepareNoOp(t *testing.T) {
 		if p := prep.Plan; len(p.Seeds) != 0 || len(p.Active) != 0 || len(p.Frozen) != mov {
 			t.Fatalf("script %+v produced work: %s", s, p)
 		}
+	}
+}
+
+// ins5 is an insertion of 5% of the standard cells, the benchmark's ins5
+// edit: each new cell spliced into two nets of a random existing cell.
+func ins5(d *netlist.Design) *Script {
+	std := d.MovableOf(netlist.StdCell)
+	rng := rand.New(rand.NewSource(7))
+	s := &Script{}
+	for i := range len(std) / 20 {
+		var nets []int
+		for _, pi := range d.Cells[std[rng.Intn(len(std))]].Pins {
+			if ni := d.Pins[pi].Net; len(nets) < 2 && (len(nets) == 0 || nets[0] != ni) {
+				nets = append(nets, ni)
+			}
+		}
+		s.AddCells = append(s.AddCells, AddCell{Name: fmt.Sprintf("eco_ins_%d", i), W: 1, H: 1, NetIDs: nets})
+	}
+	return s
+}
+
+// TestApplyGrowsPinListsOnce bounds Apply's allocations on an
+// ins5-sized script: each net an added cell joins grows its pin list
+// once, and each added cell's pin list is made once at its final size,
+// so the count stays below one allocation per added cell and per
+// touched net plus a constant (a grow per pin would double it). The
+// lists must end as a Connect per pin, in script order, leaves them.
+func TestApplyGrowsPinListsOnce(t *testing.T) {
+	base := synth.Generate(synth.Spec{Name: "eco-ins5", NumCells: 5000, Seed: 3})
+	s := ins5(base)
+	touched := map[int]bool{}
+	for _, a := range s.AddCells {
+		for _, ni := range a.NetIDs {
+			touched[ni] = true
+		}
+	}
+
+	want := base.Clone()
+	for _, a := range s.AddCells {
+		ci := want.AddCell(netlist.Cell{Name: a.Name, W: a.W, H: a.H, Kind: netlist.StdCell})
+		for _, ni := range a.NetIDs {
+			want.Connect(ci, ni, 0, 0)
+		}
+	}
+	got := base.Clone()
+	if _, err := Apply(got, s); err != nil {
+		t.Fatal(err)
+	}
+	for ni := range want.Nets {
+		if !slices.Equal(got.Nets[ni].Pins, want.Nets[ni].Pins) {
+			t.Fatalf("net %d pins %v, want %v", ni, got.Nets[ni].Pins, want.Nets[ni].Pins)
+		}
+	}
+	for ci := range want.Cells {
+		if !slices.Equal(got.Cells[ci].Pins, want.Cells[ci].Pins) {
+			t.Fatalf("cell %d pins %v, want %v", ci, got.Cells[ci].Pins, want.Cells[ci].Pins)
+		}
+	}
+	if !slices.Equal(got.Pins, want.Pins) {
+		t.Fatal("pin records differ from a Connect per pin")
+	}
+
+	clone := testing.AllocsPerRun(5, func() { base.Clone() })
+	apply := testing.AllocsPerRun(5, func() {
+		if _, err := Apply(base.Clone(), s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	n, limit := apply-clone, float64(len(s.AddCells)+len(touched)+64)
+	t.Logf("Apply of %d cells on %d nets: %v allocations", len(s.AddCells), len(touched), n)
+	if n > limit {
+		t.Errorf("Apply allocates %v times for %d added cells on %d nets, want at most %v", n, len(s.AddCells), len(touched), limit)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"eplace/internal/geom"
 	"eplace/internal/parallel"
+	"eplace/internal/reuse"
 )
 
 // Grid is an M x M uniform bin decomposition of a region.
@@ -56,23 +57,53 @@ type Grid struct {
 }
 
 // New creates an M x M grid over region. M must be a positive power of
-// two so the spectral solver can run on the same resolution.
+// two so the spectral solver can run on the same resolution. It is Reset
+// on a zero value.
 func New(region geom.Rect, m int) *Grid {
+	g := &Grid{}
+	g.Reset(region, m)
+	return g
+}
+
+// Reset makes g an empty M x M grid over region, reusing its layers and
+// rasterization scratch: each keeps its capacity and takes the prefix
+// the new size needs. All three layers are cleared.
+func (g *Grid) Reset(region geom.Rect, m int) {
 	if m <= 0 || m&(m-1) != 0 {
 		panic(fmt.Sprintf("grid: size %d is not a positive power of two", m))
 	}
 	if region.Empty() {
 		panic("grid: empty region")
 	}
-	g := &Grid{
-		M:      m,
-		Region: region,
-		BinW:   region.W() / float64(m),
-		BinH:   region.H() / float64(m),
-		Fixed:  make([]float64, m*m),
-		Mov:    make([]float64, m*m),
-		Fill:   make([]float64, m*m),
+	g.M, g.Region = m, region
+	g.BinW, g.BinH = region.W()/float64(m), region.H()/float64(m)
+	g.Fixed, g.Mov, g.Fill = reuse.Resize(g.Fixed, m*m), reuse.Resize(g.Mov, m*m), reuse.Resize(g.Fill, m*m)
+	clear(g.Fixed)
+	g.ClearMovable()
+	g.rowCnt, g.rowOff = reuse.Resize(g.rowCnt, m), reuse.Resize(g.rowOff, m+1)
+	g.nRaster = 0
+	if g.soaTask == nil {
+		g.bindTasks()
 	}
+}
+
+// Reserve gives the layers and the rasterization scratch the capacity of
+// an m x m grid and a batch of n footprints, so that no later Reset and
+// AddCellsSoA within those sizes allocates them. The row buckets get
+// three rows per footprint: a smoothed footprint no taller than two bins
+// touches at most three. Call it before a Reset: it leaves the layers
+// for the Reset to size.
+func (g *Grid) Reserve(n, m int) {
+	for _, p := range [3]*[]float64{&g.Fixed, &g.Mov, &g.Fill} {
+		*p = reuse.Grow(*p, m*m)
+	}
+	g.rObjs = reuse.Grow(g.rObjs, n)
+	g.rowIdx = reuse.Grow(g.rowIdx, 3*n)
+}
+
+// bindTasks builds the two persistent rasterization tasks; their inputs
+// are the grid's fields, read per call.
+func (g *Grid) bindTasks() {
 	g.soaTask = func(_, lo, hi int) {
 		ro := g.rObjs[:len(g.soaIdx)]
 		for k := lo; k < hi; k++ {
@@ -89,7 +120,6 @@ func New(region geom.Rect, m int) *Grid {
 			}
 		}
 	}
-	return g
 }
 
 // ChooseM picks a power-of-two grid size so that the bin count is close
@@ -228,17 +258,6 @@ func (g *Grid) stage(ro []rasterObj, oi int, cx, cy, w, h float64, filler bool) 
 	}
 }
 
-// ensureScratch sizes the rasterization scratch for n objects.
-func (g *Grid) ensureScratch(n int) {
-	if cap(g.rObjs) < n {
-		g.rObjs = make([]rasterObj, n)
-	}
-	if g.rowCnt == nil {
-		g.rowCnt = make([]int, g.M)
-		g.rowOff = make([]int, g.M+1)
-	}
-}
-
 // AddCellsSoA rasterizes the cells in idx into the movable and filler
 // layers straight from SoA geometry arrays (indexed by cell, as in
 // netlist.Compiled): centers x/y, extents w/h and filler flags, with the
@@ -256,7 +275,7 @@ func (g *Grid) ensureScratch(n int) {
 // The staged footprint of idx[k] is footprint k until the next call.
 func (g *Grid) AddCellsSoA(idx []int, x, y, w, h []float64, filler []bool, workers int) {
 	workers = parallel.Count(workers)
-	g.ensureScratch(len(idx))
+	g.rObjs = reuse.Resize(g.rObjs, len(idx))
 	g.soaIdx, g.soaX, g.soaY, g.soaW, g.soaH, g.soaFill = idx, x, y, w, h, filler
 	parallel.For(workers, len(idx), g.soaTask)
 	g.soaIdx, g.soaX, g.soaY, g.soaW, g.soaH, g.soaFill = nil, nil, nil, nil, nil, nil

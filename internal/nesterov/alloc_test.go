@@ -15,7 +15,7 @@ func TestStepAllocFree(t *testing.T) {
 	for i := range v0 {
 		v0[i] = float64(i % 13)
 	}
-	o := New(v0, grad, nil, 0.01)
+	o := start(v0, grad, nil, 0.01)
 	o.Step(false)
 	o.Step(false)
 	if n := testing.AllocsPerRun(50, func() { o.Step(false) }); n != 0 {

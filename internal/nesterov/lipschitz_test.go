@@ -89,7 +89,7 @@ func TestStepWithNonFiniteGradient(t *testing.T) {
 			g[0] = math.Inf(1)
 		}
 	}
-	o := New([]float64{1, 2}, grad, nil, 0.01)
+	o := start([]float64{1, 2}, grad, nil, 0.01)
 	for k := 0; k < 4; k++ {
 		alpha, _ := o.Step(false)
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"eplace/internal/parallel"
+	"eplace/internal/reuse"
 )
 
 // GradFunc evaluates the (preconditioned) gradient of f at v into grad.
@@ -34,7 +35,7 @@ const bktrkEpsilon = 0.95
 const maxBacktracks = 10
 
 // Optimizer runs Nesterov's method with Lipschitz steplength prediction
-// and backtracking. Create with New, then call Step repeatedly; U holds
+// and backtracking. Start (or Restore) it, then call Step repeatedly; U holds
 // the output solution u_k, which the paper returns as the final answer.
 type Optimizer struct {
 	// maxStep caps the predicted steplength to keep iterations sane when
@@ -70,27 +71,18 @@ type Optimizer struct {
 	backtracks int
 }
 
-// New creates an optimizer at v0. The reference solution v_{k-1} needed
-// by the first Lipschitz prediction is seeded by a small descent
+// Start begins the optimizer at v0, reusing its vectors: each keeps its
+// capacity and takes the prefix v0's length needs, and every one is
+// written before it is read. The reference solution v_{k-1} needed by
+// the first Lipschitz prediction is seeded by a small descent
 // perturbation of v0 with magnitude seedStep (use a fraction of a bin).
-// clamp may be nil.
-func New(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
-	n := len(v0)
-	o := &Optimizer{
-		maxStep:  1e9 * seedStep,
-		grad:     g,
-		clamp:    clamp,
-		U:        append([]float64(nil), v0...),
-		V:        append([]float64(nil), v0...),
-		GradV:    make([]float64, n),
-		vPrev:    make([]float64, n),
-		gradPrev: make([]float64, n),
-		uNext:    make([]float64, n),
-		vNext:    make([]float64, n),
-		gradNext: make([]float64, n),
-		a:        1,
-	}
-	o.bindTasks()
+// clamp may be nil. The counters and the momentum coefficient restart;
+// Workers is left as set. A zero Optimizer is ready for Start.
+func (o *Optimizer) Start(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) {
+	o.reset(len(v0), g, clamp, seedStep)
+	copy(o.U, v0)
+	copy(o.V, v0)
+	o.a, o.steps, o.backtracks = 1, 0, 0
 	o.grad(o.V, o.GradV)
 	gn := norm(o.GradV)
 	if gn == 0 {
@@ -104,12 +96,37 @@ func New(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer
 		o.clamp(o.vPrev)
 	}
 	o.grad(o.vPrev, o.gradPrev)
-	return o
+}
+
+// reset sizes the eight vectors to n and sets the callbacks and the step
+// cap; the callers write the vectors.
+func (o *Optimizer) reset(n int, g GradFunc, clamp ClampFunc, seedStep float64) {
+	for _, p := range o.vectors() {
+		*p = reuse.Resize(*p, n)
+	}
+	o.maxStep, o.grad, o.clamp = 1e9*seedStep, g, clamp
+	if o.uTask == nil {
+		o.bindTasks()
+	}
+}
+
+// vectors lists the optimizer's eight solution and gradient vectors.
+func (o *Optimizer) vectors() [8]*[]float64 {
+	return [8]*[]float64{&o.U, &o.V, &o.GradV, &o.vPrev, &o.gradPrev, &o.uNext, &o.vNext, &o.gradNext}
+}
+
+// Reserve gives the eight vectors the capacity of n coordinates, so that
+// no later Start or Restore up to that length allocates one. Call it
+// before a Start or Restore: it leaves the vectors for them to size.
+func (o *Optimizer) Reserve(n int) {
+	for _, p := range o.vectors() {
+		*p = reuse.Grow(*p, n)
+	}
 }
 
 // State is the complete serializable iteration state of an Optimizer:
 // everything Step reads that is not re-derivable from the objective
-// callbacks. Restoring a State into Resume and stepping produces a
+// callbacks. Restoring a State with Restore and stepping produces a
 // trajectory bitwise-identical to continuing the original optimizer —
 // the contract the checkpoint/restart subsystem is built on.
 type State struct {
@@ -136,31 +153,20 @@ func (o *Optimizer) State() State {
 	}
 }
 
-// Resume reconstructs an optimizer from a captured State without the
-// seeding gradient evaluations New performs: the state already holds
-// both (solution, gradient) pairs of the Lipschitz recurrence, so the
-// next Step continues exactly where the captured run left off.
-// seedStep must match the value passed to New (it fixes maxStep).
-func Resume(s State, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
-	n := len(s.U)
-	o := &Optimizer{
-		maxStep:    1e9 * seedStep,
-		grad:       g,
-		clamp:      clamp,
-		U:          append([]float64(nil), s.U...),
-		V:          append([]float64(nil), s.V...),
-		GradV:      append([]float64(nil), s.GradV...),
-		vPrev:      append([]float64(nil), s.VPrev...),
-		gradPrev:   append([]float64(nil), s.GradPrev...),
-		uNext:      make([]float64, n),
-		vNext:      make([]float64, n),
-		gradNext:   make([]float64, n),
-		a:          s.A,
-		steps:      s.Steps,
-		backtracks: s.Backtracks,
-	}
-	o.bindTasks()
-	return o
+// Restore continues a captured State without the seeding gradient
+// evaluations Start performs: the state already holds both (solution,
+// gradient) pairs of the Lipschitz recurrence, so the next Step
+// continues exactly where the captured run left off. s is copied into
+// the reused vectors. seedStep must match the value passed to Start (it
+// fixes maxStep); Workers is left as set.
+func (o *Optimizer) Restore(s State, g GradFunc, clamp ClampFunc, seedStep float64) {
+	o.reset(len(s.U), g, clamp, seedStep)
+	copy(o.U, s.U)
+	copy(o.V, s.V)
+	copy(o.GradV, s.GradV)
+	copy(o.vPrev, s.VPrev)
+	copy(o.gradPrev, s.GradPrev)
+	o.a, o.steps, o.backtracks = s.A, s.Steps, s.Backtracks
 }
 
 // bindTasks binds the two update tasks once: a func passed to
@@ -198,7 +204,7 @@ func (o *Optimizer) Backtracks() int { return o.backtracks }
 // Sec. V-C).
 //
 // Step allocates nothing: all iteration state lives in the buffers
-// preallocated by New, and the sharded updates run on parallel.For's
+// sized by Start or Restore, and the sharded updates run on parallel.For's
 // persistent team, so a full placement iteration stays allocation-free
 // as long as the callbacks do (the engine's gradient pipeline
 // guarantees this at every worker count).

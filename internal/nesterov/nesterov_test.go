@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// start is a zero Optimizer started at v0.
+func start(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
+	o := &Optimizer{}
+	o.Start(v0, g, clamp, seedStep)
+	return o
+}
+
+// restore is a zero Optimizer restored from s.
+func restore(s State, g GradFunc, clamp ClampFunc, seedStep float64) *Optimizer {
+	o := &Optimizer{}
+	o.Restore(s, g, clamp, seedStep)
+	return o
+}
+
 // quadratic builds f(x) = 1/2 sum d_i (x_i - t_i)^2 with gradient
 // d_i (x_i - t_i); its Lipschitz constant is max d_i.
 type quadratic struct {
@@ -40,7 +54,7 @@ func newQuad(n int, seed int64) quadratic {
 func TestNesterovConvergesOnQuadratic(t *testing.T) {
 	q := newQuad(50, 1)
 	v0 := make([]float64, 50)
-	o := New(v0, q.grad, nil, 0.01)
+	o := start(v0, q.grad, nil, 0.01)
 	for k := 0; k < 300; k++ {
 		o.Step(false)
 	}
@@ -61,7 +75,7 @@ func TestNesterovFasterThanGradientDescent(t *testing.T) {
 	v0 := make([]float64, n)
 	iters := 150
 
-	o := New(v0, q.grad, nil, 0.01)
+	o := start(v0, q.grad, nil, 0.01)
 	for k := 0; k < iters; k++ {
 		o.Step(false)
 	}
@@ -97,7 +111,7 @@ func TestLipschitzPredictionOnQuadratic(t *testing.T) {
 		q.t[i] = 1
 	}
 	v0 := make([]float64, n)
-	o := New(v0, q.grad, nil, 0.01)
+	o := start(v0, q.grad, nil, 0.01)
 	alpha, _ := o.Step(false)
 	if math.Abs(alpha-1/L) > 1e-9 {
 		t.Errorf("steplength = %v, want %v", alpha, 1/L)
@@ -122,7 +136,7 @@ func TestBacktrackingTriggersOnAbruptCurvatureIncrease(t *testing.T) {
 	for i := range v0 {
 		v0[i] = 3
 	}
-	o := New(v0, grad, nil, 0.01)
+	o := start(v0, grad, nil, 0.01)
 	for k := 0; k < 5; k++ {
 		o.Step(false)
 	}
@@ -153,7 +167,7 @@ func TestBacktrackingShrinksCommittedStep(t *testing.T) {
 		for i := range v0 {
 			v0[i] = 3 + 0.2*float64(i)
 		}
-		o := New(v0, grad, nil, 0.01)
+		o := start(v0, grad, nil, 0.01)
 		for k := 0; k < 3; k++ {
 			o.Step(disable)
 		}
@@ -186,7 +200,7 @@ func TestClampKeepsIteratesInBox(t *testing.T) {
 			}
 		}
 	}
-	o := New(make([]float64, 20), q.grad, clamp, 0.01)
+	o := start(make([]float64, 20), q.grad, clamp, 0.01)
 	for k := 0; k < 50; k++ {
 		o.Step(false)
 	}
@@ -205,7 +219,7 @@ func TestClampKeepsIteratesInBox(t *testing.T) {
 
 func TestMaxStepCap(t *testing.T) {
 	q := newQuad(5, 4)
-	o := New(make([]float64, 5), q.grad, nil, 0.01)
+	o := start(make([]float64, 5), q.grad, nil, 0.01)
 	o.maxStep = 1e-3
 	alpha, _ := o.Step(false)
 	if alpha > 1e-3 {
@@ -218,7 +232,7 @@ func TestAkRecurrence(t *testing.T) {
 	// verify through the optimizer's behavior indirectly: after many
 	// steps on a trivial function nothing NaNs.
 	q := newQuad(3, 5)
-	o := New(make([]float64, 3), q.grad, nil, 0.01)
+	o := start(make([]float64, 3), q.grad, nil, 0.01)
 	for k := 0; k < 500; k++ {
 		alpha, _ := o.Step(false)
 		if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
@@ -234,7 +248,7 @@ func TestAkRecurrence(t *testing.T) {
 
 func BenchmarkNesterovStep(b *testing.B) {
 	q := newQuad(10000, 10)
-	o := New(make([]float64, 10000), q.grad, nil, 0.01)
+	o := start(make([]float64, 10000), q.grad, nil, 0.01)
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
 		o.Step(false)

@@ -18,15 +18,15 @@ func rosenGrad(v, g []float64) {
 // bitwise-identical to the uninterrupted run, including counters.
 func TestResumeBitwiseEquivalent(t *testing.T) {
 	v0 := []float64{-1.2, 1}
-	ref := New(v0, rosenGrad, nil, 1e-3)
+	ref := start(v0, rosenGrad, nil, 1e-3)
 
 	const split, total = 7, 30
-	other := New(v0, rosenGrad, nil, 1e-3)
+	other := start(v0, rosenGrad, nil, 1e-3)
 	for k := 0; k < split; k++ {
 		ref.Step(false)
 		other.Step(false)
 	}
-	res := Resume(other.State(), rosenGrad, nil, 1e-3)
+	res := restore(other.State(), rosenGrad, nil, 1e-3)
 
 	for k := split; k < total; k++ {
 		a1, b1 := ref.Step(false)
@@ -49,7 +49,7 @@ func TestResumeBitwiseEquivalent(t *testing.T) {
 
 // TestStateIsDeepCopy verifies State does not alias live buffers.
 func TestStateIsDeepCopy(t *testing.T) {
-	o := New([]float64{1, 2}, rosenGrad, nil, 1e-3)
+	o := start([]float64{1, 2}, rosenGrad, nil, 1e-3)
 	s := o.State()
 	u0 := s.U[0]
 	o.Step(false)

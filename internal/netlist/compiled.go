@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"math"
+
+	"eplace/internal/reuse"
 )
 
 // Compiled is the flat, data-oriented form of a Design: a CSR (compressed
@@ -61,7 +63,10 @@ type Compiled struct {
 
 // Compile builds the flat view of d as it stands. Which pin sits on which
 // cell and net must not change for the lifetime of the view; everything
-// else a stage boundary can change is brought up to date by Sync.
+// else a stage boundary can change is brought up to date by Sync. The
+// per-cell arrays are sized for cap(d.Cells), so the cells a design has
+// reserved room for (the fillers a flow plans, see Design.Reserve) join
+// the view at a Sync without growing them.
 func (d *Design) Compile() *Compiled {
 	if len(d.Pins) > math.MaxInt32 || len(d.Cells) > math.MaxInt32 {
 		panic(fmt.Sprintf("netlist: design too large to compile (%d pins, %d cells)",
@@ -72,8 +77,13 @@ func (d *Design) Compile() *Compiled {
 		NetOff:     make([]int32, 1, len(d.Nets)+1),
 		NetW:       make([]float64, len(d.Nets)),
 		PinCell:    make([]int32, 0, len(d.Pins)),
-		CellNetOff: make([]int32, 1, len(d.Cells)+1),
+		CellNetOff: make([]int32, 1, cap(d.Cells)+1),
 		CellNet:    make([]int32, 0, len(d.Pins)),
+		PosX:       make([]float64, 0, cap(d.Cells)),
+		PosY:       make([]float64, 0, cap(d.Cells)),
+		CellW:      make([]float64, 0, cap(d.Cells)),
+		CellH:      make([]float64, 0, cap(d.Cells)),
+		Filler:     make([]bool, 0, cap(d.Cells)),
 	}
 	for ni := range d.Nets {
 		for _, pi := range d.Nets[ni].Pins {
@@ -99,15 +109,6 @@ func (cv *Compiled) Design() *Design { return cv.d }
 // NumPinSlots returns the total number of CSR pin slots.
 func (cv *Compiled) NumPinSlots() int { return len(cv.PinCell) }
 
-// resized returns s with length n, reallocated only when n exceeds its
-// capacity; the contents are the caller's to rewrite.
-func resized[T any](s []T, n int) []T {
-	if n > cap(s) {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Sync refreshes everything a stage boundary can change from the structs:
 // positions, extents and filler flags of the design's current cells (the
 // arrays follow d.Cells as InsertFillers grows and RemoveFillers shrinks
@@ -117,9 +118,9 @@ func resized[T any](s []T, n int) []T {
 func (cv *Compiled) Sync() {
 	d := cv.d
 	n := len(d.Cells)
-	cv.PosX, cv.PosY = resized(cv.PosX, n), resized(cv.PosY, n)
-	cv.CellW, cv.CellH = resized(cv.CellW, n), resized(cv.CellH, n)
-	cv.Filler = resized(cv.Filler, n)
+	cv.PosX, cv.PosY = reuse.Resize(cv.PosX, n), reuse.Resize(cv.PosY, n)
+	cv.CellW, cv.CellH = reuse.Resize(cv.CellW, n), reuse.Resize(cv.CellH, n)
+	cv.Filler = reuse.Resize(cv.Filler, n)
 	cv.CellNetOff = cv.CellNetOff[:min(n+1, len(cv.CellNetOff))]
 	for len(cv.CellNetOff) <= n {
 		cv.CellNetOff = append(cv.CellNetOff, int32(len(cv.CellNet)))

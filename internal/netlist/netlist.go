@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"eplace/internal/geom"
+	"eplace/internal/reuse"
 )
 
 // Kind classifies a cell for placement purposes.
@@ -261,8 +262,12 @@ func (d *Design) MovableOf(kind Kind) []int {
 // stage that holds the cells held: every fixed cell, plus held. Such a
 // stage treats them all alike, as fixed charge and obstacles; only
 // Fixed is the netlist's.
-func (d *Design) FixedOrHeld(held []int) []bool {
-	still := make([]bool, len(d.Cells))
+func (d *Design) FixedOrHeld(held []int) []bool { return d.FixedOrHeldInto(nil, held) }
+
+// FixedOrHeldInto is FixedOrHeld written into still, resized to the cell
+// count (reuse.Resize), which it returns.
+func (d *Design) FixedOrHeldInto(still []bool, held []int) []bool {
+	still = reuse.Resize(still, len(d.Cells))
 	for i := range d.Cells {
 		still[i] = d.Cells[i].Fixed
 	}

@@ -43,6 +43,7 @@ import (
 
 	"eplace/internal/fft"
 	"eplace/internal/parallel"
+	"eplace/internal/reuse"
 )
 
 // energyShards is the fixed number of partial sums in the Energy
@@ -106,52 +107,56 @@ type spectral[T float32 | float64] struct {
 // Solver32's precision guard compares against, and the tests' oracle.
 type Solver = spectral[float64]
 
-// NewSolverWorkers creates a float64 solver for an m x m grid (m a power
-// of two); workers <= 0 selects all cores (GOMAXPROCS).
-func NewSolverWorkers(m, workers int) (*Solver, error) {
-	return newSpectral[float64](m, workers)
+// newSpectral creates a solver for an m x m grid with one transform
+// workspace per worker; workers <= 0 selects all cores. It is reset on a
+// zero value.
+func newSpectral[T float32 | float64](m, workers int) (*spectral[T], error) {
+	s := &spectral[T]{}
+	if err := s.reset(m, workers); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// newSpectral creates a solver for an m x m grid with one transform
-// workspace per worker; workers <= 0 selects all cores. Grids below
-// 64x64 run serial regardless: a transform there is cheaper than a
-// fork-join. Above, at most m/2 workers run, the row pairs the
-// finest-grained passes shard over. It returns a descriptive error for
-// any m the packed transforms cannot handle (zero, negative, or not a
-// power of two) — feeding such an m through would produce garbage
-// transforms, and the grid size often arrives from user-facing options.
-func newSpectral[T float32 | float64](m, workers int) (*spectral[T], error) {
+// reset makes s the solver of an m x m grid, reusing its planes: each
+// keeps its capacity and takes an m*m prefix, and the transform
+// workspaces are rebuilt only when m or their count changes. Grids below
+// 64x64 run serial regardless of workers: a transform there is cheaper
+// than a fork-join. Above, at most m/2 workers run, the row pairs the
+// finest-grained passes shard over. Every plane but cb is written in
+// full by each Solve before it is read, so none is cleared. It returns a
+// descriptive error for any m the packed transforms cannot handle (zero,
+// negative, or not a power of two) — feeding such an m through would
+// produce garbage transforms, and the grid size often arrives from
+// user-facing options.
+func (s *spectral[T]) reset(m, workers int) error {
 	if m <= 0 || m&(m-1) != 0 {
-		return nil, fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
-	}
-	s := &spectral[T]{
-		m:       m,
-		cb:      make([]T, m*m),
-		wu:      make([]T, m),
-		buv:     make([]T, m*m),
-		cxuv:    make([]T, m*m),
-		cyuv:    make([]T, m*m),
-		ta:      make([]T, m*m),
-		tb:      make([]T, m*m),
-		tc:      make([]T, m*m),
-		eShards: min(energyShards, m*m),
-		Psi:     make([]float64, m*m),
-		Ex:      make([]float64, m*m),
-		Ey:      make([]float64, m*m),
+		return fmt.Errorf("poisson: grid size %d is not a positive power of two", m)
 	}
 	nw := 1
 	if m >= 64 {
 		nw = max(1, min(parallel.Count(workers), m/2))
 	}
-	for range nw {
+	if m != s.m {
+		s.trs = s.trs[:0]
+	}
+	s.trs = s.trs[:min(nw, len(s.trs))]
+	for len(s.trs) < nw {
 		s.trs = append(s.trs, fft.New[T](m))
 	}
-	wu := make([]float64, m)
-	for u := range wu {
-		wu[u] = math.Pi * float64(u) / float64(m)
-		s.wu[u] = T(wu[u])
+	s.m = m
+	mm := m * m
+	for _, p := range s.planes() {
+		*p = reuse.Resize(*p, mm)
 	}
-	norm := 4 / float64(m*m)
+	s.wu = reuse.Resize(s.wu, m)
+	s.Psi, s.Ex, s.Ey = reuse.Resize(s.Psi, mm), reuse.Resize(s.Ex, mm), reuse.Resize(s.Ey, mm)
+	s.eShards = min(energyShards, mm)
+	wu := func(u int) float64 { return math.Pi * float64(u) / float64(m) }
+	for u := range s.wu {
+		s.wu[u] = T(wu(u))
+	}
+	norm := 4 / float64(mm)
 	for u := 0; u < m; u++ {
 		su := 1.0
 		if u == 0 {
@@ -162,13 +167,34 @@ func newSpectral[T float32 | float64](m, workers int) (*spectral[T], error) {
 			if v == 0 {
 				sv = 0.5
 			}
-			if k2 := wu[u]*wu[u] + wu[v]*wu[v]; k2 > 0 {
+			s.cb[u*m+v] = 0 // the removed (0,0) mode
+			if k2 := wu(u)*wu(u) + wu(v)*wu(v); k2 > 0 {
 				s.cb[u*m+v] = T(norm * su * sv / k2)
 			}
 		}
 	}
-	s.buildTasks()
-	return s, nil
+	if s.fwdRowsTask == nil {
+		s.buildTasks()
+	}
+	return nil
+}
+
+// planes lists the solver's m*m planes of precision T.
+func (s *spectral[T]) planes() [7]*[]T {
+	return [7]*[]T{&s.cb, &s.buv, &s.cxuv, &s.cyuv, &s.ta, &s.tb, &s.tc}
+}
+
+// reserve gives every plane the capacity of an m x m grid, so that no
+// later reset up to that size allocates a plane. The planes' contents
+// and lengths are the next reset's to set.
+func (s *spectral[T]) reserve(m int) {
+	mm := m * m
+	for _, p := range s.planes() {
+		*p = reuse.Grow(*p, mm)
+	}
+	for _, p := range [3]*[]float64{&s.Psi, &s.Ex, &s.Ey} {
+		*p = reuse.Grow(*p, mm)
+	}
 }
 
 // buildTasks creates the persistent worker closures for every parallel
@@ -177,9 +203,8 @@ func newSpectral[T float32 | float64](m, workers int) (*spectral[T], error) {
 // energy shards); the shard boundaries parallel.For picks never affect
 // the values each index computes, preserving bitwise determinism.
 func (s *spectral[T]) buildTasks() {
-	m := s.m
 	s.fwdRowsTask = func(w, lo, hi int) {
-		rho := s.rho
+		m, rho := s.m, s.rho
 		for k := lo; k < hi; k++ {
 			j := 2 * k
 			s.trs[w].DCT2PairFrom64(rho[j*m:(j+1)*m], rho[(j+1)*m:(j+2)*m],
@@ -187,6 +212,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.fwdColsTask = func(w, lo, hi int) {
+		m := s.m
 		for k := lo; k < hi; k++ {
 			u := 2 * k
 			r0, r1 := s.tb[u*m:(u+1)*m], s.tb[(u+1)*m:(u+2)*m]
@@ -194,6 +220,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.normTask = func(_, lo, hi int) {
+		m := s.m
 		for u := lo; u < hi; u++ {
 			wu := s.wu[u]
 			base := u * m
@@ -206,6 +233,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.invYTask = func(w, lo, hi int) {
+		m := s.m
 		for k := lo; k < hi; k++ {
 			u := 2 * k
 			tr := s.trs[w]
@@ -218,6 +246,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.invXTask = func(w, lo, hi int) {
+		m := s.m
 		for k := lo; k < hi; k++ {
 			j := 2 * k
 			tr := s.trs[w]
@@ -230,7 +259,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.transposeTask = func(_, lo, hi int) {
-		src, dst := s.tSrc, s.tDst
+		m, src, dst := s.m, s.tSrc, s.tDst
 		for bi := lo; bi < hi; bi++ {
 			i0 := bi * tblk
 			i1 := min(i0+tblk, m)
@@ -246,7 +275,7 @@ func (s *spectral[T]) buildTasks() {
 		}
 	}
 	s.energyTask = func(_, lo, hi int) {
-		n := m * m
+		n := s.m * s.m
 		shards := s.eShards
 		rho := s.rho
 		for sh := lo; sh < hi; sh++ {

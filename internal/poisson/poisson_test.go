@@ -28,9 +28,9 @@ func manufactured(m, u, v int) (rho, psi []float64) {
 // helper for the many tests whose m is a known-good power of two.
 func mustSolver(tb testing.TB, m, workers int) *Solver {
 	tb.Helper()
-	s, err := NewSolverWorkers(m, workers)
+	s, err := newSpectral[float64](m, workers)
 	if err != nil {
-		tb.Fatalf("NewSolverWorkers(%d, %d): %v", m, workers, err)
+		tb.Fatalf("newSpectral(%d, %d): %v", m, workers, err)
 	}
 	return s
 }
@@ -74,8 +74,8 @@ func precisions(tol64, tol32 float64) []precision {
 
 func TestNewSolverRejectsBadSize(t *testing.T) {
 	for _, m := range []int{0, -4, 3, 24} {
-		if _, err := NewSolverWorkers(m, 1); err == nil {
-			t.Errorf("NewSolverWorkers(%d) = nil error, want descriptive error", m)
+		if _, err := newSpectral[float64](m, 1); err == nil {
+			t.Errorf("newSpectral(%d) = nil error, want descriptive error", m)
 		}
 		if _, err := NewSolver32Workers(m, 1); err == nil {
 			t.Errorf("NewSolver32Workers(%d) = nil error, want descriptive error", m)

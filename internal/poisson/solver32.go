@@ -10,13 +10,14 @@
 // conversion pass ever runs.
 //
 // Precision is error-controlled, not assumed: the first Solve and every
-// 64th after it recompute the same charge plane with a lazily-built
-// float64 reference Solver and compare the field planes (maxRelError
-// over Ex and Ey). The fields ARE the density gradient up to the shared
-// factors q_i and lambda, which cancel in a relative error, so this is
-// exactly the relative lambda-scaled gradient error. If it ever exceeds
-// 1e-3 the solver falls back to the float64 reference permanently for
-// the rest of its lifetime. The cadence is solve-count based and the
+// 64th after it recompute the same charge plane with a float64
+// reference Solver, reset to the grid at the first check, and compare
+// the field planes (maxRelError over Ex and Ey). The fields ARE the
+// density gradient up to the shared factors q_i and lambda, which cancel
+// in a relative error, so this is exactly the relative lambda-scaled
+// gradient error. If it ever exceeds 1e-3 the solver falls back to the
+// float64 reference until the next Reset. The cadence is solve-count
+// based and the
 // reference is itself bitwise-deterministic, so the guard never breaks
 // determinism across worker counts.
 package poisson
@@ -40,32 +41,53 @@ const (
 // instantiation of the pipeline plus its precision guard. Not safe for
 // concurrent method calls; use one per placement engine.
 type Solver32 struct {
-	sp *spectral[float32]
+	sp spectral[float32]
 
 	// Runtime precision guard.
 	guardEvery int     // check cadence in solves (<=0 disables)
 	guardTol   float64 // max relative field error before fallback
-	ref        *Solver // float64 reference, built on first guard check
+	ref        Solver  // float64 reference, reset at the first guard check
+	refStale   bool    // ref is not yet reset to the current grid
 	solves     int     // Solve calls so far
-	fellBack   bool    // permanent float64 fallback engaged
+	fellBack   bool    // float64 fallback engaged until the next Reset
 	lastErr    float64 // relative field error at the latest guard check
-	refWorkers int     // worker request to build ref with
+	refWorkers int     // worker request to reset ref with
 }
 
 // NewSolver32Workers creates a float32 spectral solver for an m x m grid
-// (m a power of two); workers <= 0 selects all cores. The grid-size
-// check and worker clamp are the float64 solver's.
+// (m a power of two); workers <= 0 selects all cores. It is Reset on a
+// zero value.
 func NewSolver32Workers(m, workers int) (*Solver32, error) {
-	sp, err := newSpectral[float32](m, workers)
-	if err != nil {
+	s := &Solver32{}
+	if err := s.Reset(m, workers); err != nil {
 		return nil, err
 	}
-	return &Solver32{
-		sp:         sp,
-		guardEvery: defaultGuardEvery,
-		guardTol:   defaultGuardTol,
-		refWorkers: workers,
-	}, nil
+	return s, nil
+}
+
+// Reset makes s the solver of an m x m grid with a fresh guard: the
+// solve count, the fallback and the last error restart, so the check
+// cadence runs from the first solve after it. The float32 planes and
+// the float64 reference's are reused (see spectral.reset); the
+// reference is reset to the new grid at its first check. The grid-size
+// check and worker clamp are the float64 solver's.
+func (s *Solver32) Reset(m, workers int) error {
+	if err := s.sp.reset(m, workers); err != nil {
+		return err
+	}
+	s.guardEvery, s.guardTol = defaultGuardEvery, defaultGuardTol
+	s.refStale, s.refWorkers = true, workers
+	s.solves, s.fellBack, s.lastErr = 0, false, 0
+	return nil
+}
+
+// Reserve gives the float32 planes and the float64 reference's the
+// capacity of an m x m grid, so that no later Reset up to that size
+// allocates a plane. Call it before a Reset: it leaves the planes for
+// the Reset to size.
+func (s *Solver32) Reserve(m int) {
+	s.sp.reserve(m)
+	s.ref.reserve(m)
 }
 
 // Planes returns the potential and field planes of the latest Solve.
@@ -95,12 +117,13 @@ func (s *Solver32) Solve(rho []float64) {
 
 // guardCheck solves rho with the float64 reference and measures the
 // relative field error of the float32 planes. Above guardTol the
-// solver flips to the reference permanently (its planes are already
-// filled for this solve).
+// solver flips to the reference until the next Reset (its planes are
+// already filled for this solve).
 func (s *Solver32) guardCheck(rho []float64) {
-	if s.ref == nil {
-		// The grid size was validated at construction, so this cannot fail.
-		s.ref, _ = NewSolverWorkers(s.sp.m, s.refWorkers)
+	if s.refStale {
+		// The grid size was validated by Reset, so this cannot fail.
+		_ = s.ref.reset(s.sp.m, s.refWorkers)
+		s.refStale = false
 	}
 	s.ref.Solve(rho)
 	errX := maxRelError(s.sp.Ex, s.ref.Ex)

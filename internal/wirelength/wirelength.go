@@ -17,10 +17,12 @@ package wirelength
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"eplace/internal/netlist"
 	"eplace/internal/parallel"
+	"eplace/internal/reuse"
 )
 
 // Kind selects the smoothing model.
@@ -57,11 +59,12 @@ const evalTasks = 64
 // (per-net costs, per-pin gradient contributions). Parallelism is
 // internal: set Workers and call Cost/CostAndGradient from one
 // goroutine. The design's net/pin topology must not change after
-// NewCompiled (net weights may change between evaluations; Gamma and Kind too).
+// NewCompiled or Reset (net weights may change between evaluations;
+// Gamma and Kind too).
 //
 // Allocation contract: after the first evaluation at a given worker
 // count, Cost, CostAndGradient and LiveHPWL allocate nothing — the
-// evaluation state lives in buffers sized at construction, and
+// evaluation state lives in buffers sized by Reset, and
 // parallel.For runs the shards on its persistent team.
 type Model struct {
 	Kind  Kind
@@ -98,6 +101,7 @@ type Model struct {
 	pinGY   []float64
 	adjOff  []int32
 	adjSlot []int32
+	adjCnt  []int32 // buildAdjacency's per-cell counts and fill cursors
 
 	// Fixed task boundaries: netTaskOff[t]..netTaskOff[t+1] are the live
 	// nets of task t (pin-balanced via liveOff), cellTaskOff likewise for
@@ -135,11 +139,22 @@ type netScratch struct {
 // current — the engine writes them once per iteration via
 // Compiled.SetPositions, and a stage Syncs the view from the Cell
 // structs on entry. Gamma must be positive; it can be changed between
-// evaluations.
+// evaluations. It is Reset on a zero value.
 func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
-	d := cv.Design()
-	m := &Model{Kind: WA, Gamma: gamma, cv: cv, idx: idx}
-	m.slot = make([]int32, len(d.Cells))
+	m := &Model{}
+	m.Reset(cv, idx, gamma)
+	return m
+}
+
+// Reset makes m the model NewCompiled builds, Workers aside, reusing
+// what an earlier stage left: the slot map, the live-net list, the
+// reduction state, the adjacency and the task boundaries keep their
+// capacity and take the prefix the new stage needs, and the per-worker
+// scratch grows only past the largest live degree it has served. The
+// evaluation count restarts, so NetsPriced counts this stage's.
+func (m *Model) Reset(cv *netlist.Compiled, idx []int, gamma float64) {
+	m.Kind, m.Gamma, m.cv, m.idx, m.evals = WA, gamma, cv, idx, 0
+	m.slot = reuse.Resize(m.slot, len(cv.Design().Cells))
 	for i := range m.slot {
 		m.slot[i] = -1
 	}
@@ -147,12 +162,40 @@ func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
 		m.slot[ci] = int32(k)
 	}
 	m.findLiveNets()
-	m.costs = make([]float64, len(m.live))
-	m.pinGX = make([]float64, m.liveOff[len(m.live)])
-	m.pinGY = make([]float64, m.liveOff[len(m.live)])
+	m.costs = reuse.Resize(m.costs, len(m.live))
+	m.pinGX = reuse.Resize(m.pinGX, int(m.liveOff[len(m.live)]))
+	m.pinGY = reuse.Resize(m.pinGY, int(m.liveOff[len(m.live)]))
 	m.buildAdjacency()
-	m.netTaskOff = balancedTasks(m.liveOff, len(m.live))
-	m.cellTaskOff = balancedTasks(m.adjOff, len(idx))
+	m.netTaskOff = balancedTasks(m.netTaskOff, m.liveOff, len(m.live))
+	m.cellTaskOff = balancedTasks(m.cellTaskOff, m.adjOff, len(idx))
+	// A worker's scratch too short for the new largest degree goes; grow
+	// builds it again at the next evaluation.
+	m.scr = slices.DeleteFunc(m.scr, func(s *netScratch) bool { return len(s.xs) < m.maxDeg })
+	if m.netTask == nil {
+		m.bindTasks()
+	}
+}
+
+// Reserve gives the model the capacity of a stage over a design of cells
+// cells, nets nets and slots pin slots that moves n of the cells, so
+// that no later Reset within those sizes allocates. Call it before a
+// Reset.
+func (m *Model) Reserve(cells, nets, slots, n int) {
+	m.slot = reuse.Grow(m.slot, cells)
+	m.live = reuse.Grow(m.live, nets)
+	m.liveOff = reuse.Grow(m.liveOff, nets+1)
+	m.costs = reuse.Grow(m.costs, nets)
+	for _, p := range [2]*[]float64{&m.pinGX, &m.pinGY} {
+		*p = reuse.Grow(*p, slots)
+	}
+	m.adjSlot = reuse.Grow(m.adjSlot, slots)
+	m.adjOff = reuse.Grow(m.adjOff, n+1)
+	m.adjCnt = reuse.Grow(m.adjCnt, n)
+}
+
+// bindTasks builds the persistent worker tasks; their inputs are the
+// model's fields, read per call.
+func (m *Model) bindTasks() {
 	m.netTask = func(wk, lo, hi int) {
 		s := m.scr[wk]
 		for t := lo; t < hi; t++ {
@@ -182,20 +225,20 @@ func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
 			m.costs[j] = m.cv.NetHPWL(int(m.live[j]))
 		}
 	}
-	return m
 }
 
 // balancedTasks splits count items into at most evalTasks contiguous
 // tasks whose boundaries equalize the prefix-sum weight off (off has
 // length count+1; for nets that is the pin count, for cells the
-// adjacency length). The boundaries depend only on the topology, never
-// on the worker count.
-func balancedTasks(off []int32, count int) []int32 {
+// adjacency length), written into b (resized). The boundaries depend
+// only on the topology, never on the worker count.
+func balancedTasks(b, off []int32, count int) []int32 {
 	nT := evalTasks
 	if nT > count {
 		nT = count
 	}
-	b := make([]int32, nT+1)
+	b = reuse.Resize(b, nT+1)
+	b[0] = 0
 	if nT == 0 {
 		return b
 	}
@@ -236,8 +279,10 @@ func (m *Model) findLiveNets() {
 			count++
 		}
 	}
-	m.live = make([]int32, 0, count)
-	m.liveOff = make([]int32, 1, count+1)
+	m.live = reuse.Resize(m.live, count)[:0]
+	m.liveOff = reuse.Resize(m.liveOff, count+1)[:1]
+	m.liveOff[0] = 0
+	m.maxDeg = 0
 	for ni := 0; ni < nets; ni++ {
 		if isLive(ni) {
 			deg := cv.NetOff[ni+1] - cv.NetOff[ni]
@@ -256,7 +301,9 @@ func (m *Model) findLiveNets() {
 func (m *Model) buildAdjacency() {
 	cv := m.cv
 	n := len(m.idx)
-	counts := make([]int32, n)
+	m.adjCnt = reuse.Resize(m.adjCnt, n)
+	counts := m.adjCnt
+	clear(counts)
 	forEach := func(visit func(k, s int32)) {
 		for j, ni := range m.live {
 			o0 := cv.NetOff[ni]
@@ -271,11 +318,12 @@ func (m *Model) buildAdjacency() {
 		}
 	}
 	forEach(func(k, _ int32) { counts[k]++ })
-	m.adjOff = make([]int32, n+1)
+	m.adjOff = reuse.Resize(m.adjOff, n+1)
+	m.adjOff[0] = 0
 	for k, c := range counts {
 		m.adjOff[k+1] = m.adjOff[k] + c
 	}
-	m.adjSlot = make([]int32, m.adjOff[n])
+	m.adjSlot = reuse.Resize(m.adjSlot, int(m.adjOff[n]))
 	// counts becomes each cell's fill cursor.
 	copy(counts, m.adjOff[:n])
 	forEach(func(k, s int32) {
