@@ -143,7 +143,7 @@ type coarsener struct {
 	cv  *netlist.Compiled // d's view: the topology scoring reads
 	opt Options
 	// room is Coarsen's: the cells the coarse design reserves room for.
-	room func(*netlist.Design) int
+	room Room
 
 	eligible  []bool    // movable std cells that may merge
 	alive     []bool    // cluster representatives still mergeable
@@ -246,9 +246,8 @@ func (c *coarsener) merge(a, b int32) {
 // Scoring reads the view's topology and net weights, so the view must
 // describe the design as it stands: freshly compiled, or synced since
 // the last net-weight edit. room, when non-nil, returns how many cells
-// the coarse design reserves room for before its view is compiled (see
-// BuildCompiled).
-func Coarsen(cv *netlist.Compiled, opt Options, room func(*netlist.Design) int) *Level {
+// the coarse design reserves room for beyond its own (see Room).
+func Coarsen(cv *netlist.Compiled, opt Options, room Room) *Level {
 	opt.defaults()
 	fine := cv.Design()
 	n := len(fine.Cells)
@@ -422,46 +421,21 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
-	// Coarse cell geometry. Clusters get an area-conserving, roughly
-	// square footprint snapped to the fine row height (legalization
-	// never runs at coarse levels; the shape only feeds the density
-	// model). Singletons keep their exact geometry so pin offsets stay
-	// valid.
+	// Coarse cells (eachCoarse). The room callback sees them before the
+	// design holds them, so the cells are allocated once, room included.
 	cd := netlist.New(fine.Name+"~", fine.Region)
 	cd.TargetDensity = fine.TargetDensity
-	cd.Reserve(numCoarse, numNets, numPins)
-	multi := make([]bool, numCoarse)
-	emitted := make([]bool, numCoarse)
-	for i := 0; i < n; i++ {
-		ci := up[i]
-		if emitted[ci] {
-			continue
-		}
-		emitted[ci] = true
-		rep := c.clusterOf[i]
-		if !c.eligible[rep] || c.next[rep] < 0 {
-			src := &fine.Cells[i]
-			cd.AddCell(netlist.Cell{
-				W: src.W, H: src.H, X: src.X, Y: src.Y,
-				Kind: src.Kind, Fixed: src.Fixed,
-			})
-			continue
-		}
-		multi[ci] = true
-		var area, cx, cy float64
-		for m := rep; m >= 0; m = c.next[m] {
-			cell := &fine.Cells[m]
-			a := cell.Area()
-			area += a
-			cx += a * cell.X
-			cy += a * cell.Y
-		}
-		ch := rh * math.Max(1, math.Round(math.Sqrt(area)/rh))
-		cd.AddCell(netlist.Cell{
-			W: area / ch, H: ch, X: cx / area, Y: cy / area,
-			Kind: netlist.StdCell,
+	extra := 0
+	if c.room != nil {
+		extra = c.room(cd, func(visit func(netlist.Cell)) {
+			c.eachCoarse(up, rh, func(cell netlist.Cell, _ bool) { visit(cell) })
 		})
 	}
+	cd.Reserve(numCoarse+extra, numNets, numPins)
+	multi := make([]bool, numCoarse)
+	c.eachCoarse(up, rh, func(cell netlist.Cell, cluster bool) {
+		multi[cd.AddCell(cell)] = cluster
+	})
 	// Every pin list is cut from one counted array, empty with exactly
 	// its final capacity.
 	cellBuf := make([]int, numCellPins)
@@ -510,10 +484,48 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
-	if c.room != nil {
-		cd.Reserve(c.room(cd), 0, 0)
-	}
 	return &Level{D: cd, View: cd.Compile(), Up: up, Fine: fine}
+}
+
+// eachCoarse calls emit with every coarse cell in index order, and
+// whether it clusters several fine cells. Coarse indices were handed
+// out in order of each cluster's lowest member (up), so coarse cell ci
+// is emitted at the first fine cell that maps to ci. Clusters get an
+// area-conserving, roughly square footprint snapped to the fine row
+// height rh (legalization never runs at coarse levels; the shape only
+// feeds the density model). Singletons keep their exact geometry so pin
+// offsets stay valid.
+func (c *coarsener) eachCoarse(up []int, rh float64, emit func(cell netlist.Cell, cluster bool)) {
+	fine := c.d
+	ci := 0
+	for i := range up {
+		if up[i] != ci {
+			continue
+		}
+		ci++
+		rep := c.clusterOf[i]
+		if !c.eligible[rep] || c.next[rep] < 0 {
+			src := &fine.Cells[i]
+			emit(netlist.Cell{
+				W: src.W, H: src.H, X: src.X, Y: src.Y,
+				Kind: src.Kind, Fixed: src.Fixed,
+			}, false)
+			continue
+		}
+		var area, cx, cy float64
+		for m := rep; m >= 0; m = c.next[m] {
+			cell := &fine.Cells[m]
+			a := cell.Area()
+			area += a
+			cx += a * cell.X
+			cy += a * cell.Y
+		}
+		ch := rh * math.Max(1, math.Round(math.Sqrt(area)/rh))
+		emit(netlist.Cell{
+			W: area / ch, H: ch, X: cx / area, Y: cy / area,
+			Kind: netlist.StdCell,
+		}, true)
+	}
 }
 
 // Interpolate hands the coarse placement down: every fine movable cell

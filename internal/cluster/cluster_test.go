@@ -392,6 +392,50 @@ func TestBuildAllocs(t *testing.T) {
 	}
 }
 
+// TestCoarsenAllocsCellsOnce: Room sees a coarse design's cells before
+// the design holds them, so the design allocates its cells once, with
+// the room: asking for room costs no allocation more than asking for
+// none, the capacity is exactly the cells plus the room, and the cells
+// Room visited are the cells the design holds.
+func TestCoarsenAllocsCellsOnce(t *testing.T) {
+	d := synth.Generate(synth.Spec{Name: "room", NumCells: 3000})
+	cv := d.Compile()
+	var seen []netlist.Cell
+	room := func(extra int) Room {
+		return func(cd *netlist.Design, cells func(func(netlist.Cell))) int {
+			if len(cd.Cells) != 0 {
+				t.Errorf("Room called on a design that holds %d cells", len(cd.Cells))
+			}
+			seen = seen[:0]
+			cells(func(c netlist.Cell) { seen = append(seen, c) })
+			return extra
+		}
+	}
+	const extra = 700
+	lvl := Coarsen(cv, Options{}, room(extra))
+	if lvl == nil {
+		t.Fatal("no coarse level")
+	}
+	cd := lvl.D
+	if got, want := cap(cd.Cells), len(cd.Cells)+extra; got != want {
+		t.Errorf("coarse cells have capacity %d, want %d cells + %d room", got, len(cd.Cells), extra)
+	}
+	if len(seen) != len(cd.Cells) {
+		t.Fatalf("Room visited %d cells, the design holds %d", len(seen), len(cd.Cells))
+	}
+	for i := range seen {
+		seen[i].Pins = cd.Cells[i].Pins
+		if !reflect.DeepEqual(seen[i], cd.Cells[i]) {
+			t.Fatalf("cell %d: Room visited %+v, the design holds %+v", i, seen[i], cd.Cells[i])
+		}
+	}
+	none := testing.AllocsPerRun(3, func() { Coarsen(cv, Options{}, room(0)) })
+	some := testing.AllocsPerRun(3, func() { Coarsen(cv, Options{}, room(extra)) })
+	if some != none {
+		t.Errorf("Coarsen allocates %v times with room for %d cells and %v with none, want equal", some, extra, none)
+	}
+}
+
 // BenchmarkBuildHierarchy coarsens a 20K-cell design into 4 levels,
 // the hierarchy of the ml_std_20k benchmark workload.
 func BenchmarkBuildHierarchy(b *testing.B) {

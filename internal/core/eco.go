@@ -79,6 +79,15 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
+	// eGP's fillers join a design eco.Apply sized exactly, so eGP is set
+	// up before the run compiles its view: the design and the view make
+	// room for the fillers once. Only capacity changes here.
+	moved, held := splitActive(d, plan)
+	var egp *egpSetup
+	if len(plan.Evicted) > 0 {
+		egp = planEGP(d, plan, held)
+		d.Reserve(egp.fillers.count, 0, 0)
+	}
 	// The run opens — and takes its fingerprint — before anything below
 	// mutates structure the fingerprint covers: a future ECO chaining off
 	// this result validates against a freshly rebuilt, input-shaped design.
@@ -97,7 +106,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 		// Snapshot the frozen positions: ending anywhere else is a bug the
 		// caller must see, not a silent quality loss.
 		frozenPos := d.Positions(plan.Frozen)
-		if err := replaceActive(r, plan, opt, &res); err != nil {
+		if err := replaceActive(r, plan, moved, held, egp, opt, &res); err != nil {
 			return res, err
 		}
 		if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
@@ -123,10 +132,9 @@ func unmoved(d *netlist.Design, cells []int, pos []float64, what string) error {
 
 // replaceActive is the part of PlaceECO that moves cells: placeMoved,
 // then the cDP tail over the active cells.
-func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult) error {
+func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, egp *egpSetup, opt ECOOptions, res *ECOResult) error {
 	d := run.d
-	moved, err := placeMoved(run, plan, opt.GP, res)
-	if err != nil {
+	if err := placeMoved(run, plan, held, egp, opt.GP, res); err != nil {
 		return err
 	}
 
@@ -153,28 +161,24 @@ func replaceActive(run *flowRun, plan *eco.Plan, opt ECOOptions, res *ECOResult)
 			edit.Vacated = append(edit.Vacated, ci)
 		}
 	}
+	var err error
 	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(moved, plan.Active, edit,
 		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
 	return err
 }
 
-// placeMoved places what the edit moved, ahead of cDP, and returns the
-// moved cells. It splits the active cells into the held ones, which keep
+// splitActive splits the plan's active cells, in their order, into the
+// moved ones: the fresh cells, which never had a slot, and the evicted
+// ones, which lost theirs to a blockage; and the held ones, which keep
 // their input slot (the reused placement was legal, and its slots are
-// disjoint by construction), and the moved ones: the fresh cells, which
-// never had a slot, and the evicted ones, which lost theirs to a
-// blockage. It runs eGP over the evicted cells when there are any,
-// holding the frozen and held cells, parks each inserted cell in its
-// optimal region, and errors when a held cell left its slot.
-func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (moved []int, err error) {
-	d := run.d
+// disjoint by construction).
+func splitActive(d *netlist.Design, plan *eco.Plan) (moved, held []int) {
 	lost := make([]bool, len(d.Cells))
 	for _, cells := range [][]int{plan.Fresh, plan.Evicted} {
 		for _, ci := range cells {
 			lost[ci] = true
 		}
 	}
-	var held []int
 	for _, ci := range plan.Active {
 		if lost[ci] {
 			moved = append(moved, ci)
@@ -182,11 +186,22 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (mo
 			held = append(held, ci)
 		}
 	}
+	return moved, held
+}
+
+// placeMoved places what the edit moved (see splitActive), ahead of
+// cDP. It runs eGP over the evicted cells when there are any (egp is
+// their setup, nil without), holding the frozen and held cells, parks
+// each inserted cell in its optimal region, and errors when a held cell
+// left its slot.
+func placeMoved(run *flowRun, plan *eco.Plan, held []int, egp *egpSetup, gpOpt Options, res *ECOResult) error {
+	d := run.d
 	heldPos := d.Positions(held)
 
-	if len(plan.Evicted) > 0 {
-		if res.GP, err = evictedGP(run, plan, held, gpOpt); err != nil {
-			return nil, err
+	if egp != nil {
+		var err error
+		if res.GP, err = evictedGP(run, plan, egp, gpOpt); err != nil {
+			return err
 		}
 	}
 
@@ -210,18 +225,45 @@ func placeMoved(run *flowRun, plan *eco.Plan, gpOpt Options, res *ECOResult) (mo
 	for _, t := range targets {
 		t.c.X, t.c.Y = t.p.X, t.p.Y
 	}
-	return moved, unmoved(d, held, heldPos, "held")
+	return unmoved(d, held, heldPos, "held")
 }
 
 // evictedGP runs eGP: a warm-started global placement of the evicted
 // cells and the fillers of their eviction window's whitespace, inside
 // that window, holding the frozen and the held cells (see egpStage).
-func evictedGP(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) (Result, error) {
+func evictedGP(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) (Result, error) {
 	t0 := time.Now()
-	res, err := run.gp(egpStage(run, plan, held, gpOpt))
+	res, err := run.gp(egpStage(run, plan, egp, gpOpt))
 	run.d.RemoveFillers()
 	run.addStage("eGP", time.Since(t0))
 	return res, err
+}
+
+// egpSetup is eGP's stage as it is fixed before its fillers exist: the
+// cells it holds (the plan's frozen ones, then the held active ones),
+// their marks (Design.FixedOrHeld, one per cell before the fillers),
+// the eviction window and the fillers planned for it.
+type egpSetup struct {
+	held    []int
+	still   []bool
+	window  geom.Rect
+	fillers fillerPlan
+}
+
+// planEGP sets up eGP for the plan's evicted cells, around the held
+// active cells (see splitActive).
+func planEGP(d *netlist.Design, plan *eco.Plan, held []int) *egpSetup {
+	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
+	still := d.FixedOrHeld(held)
+	window, free := evictionWindow(d, plan, still)
+	// Fillers take the window's whitespace as in the cold flow: without
+	// them the density force would spread the evicted cells into every
+	// free pocket of the window, far from the blockage that displaced
+	// them. Only the evicted cells carry movable charge, so they alone
+	// come off the budget. The filler size is averaged over the standard
+	// cells the stage does not hold, the evicted and inserted ones.
+	fillers := planFillers(d.Region, d.TargetDensity*free-areaOf(d, plan.Evicted), unheld(d, still))
+	return &egpSetup{held: held, still: still, window: window, fillers: fillers}
 }
 
 // egpStage inserts eGP's fillers and describes its stage, which holds
@@ -232,10 +274,8 @@ func evictedGP(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) (Result,
 // edge is the Poisson problem's Neumann boundary, as the die edge is for
 // a cold run. Cells outside it are absent. Inserted cells sit out: they
 // neither move nor carry charge.
-func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
+func egpStage(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) gpStage {
 	d := run.d
-	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
-	still := d.FixedOrHeld(held)
 	if gpOpt.MaxIters <= 0 {
 		gpOpt.MaxIters = egpMaxIters
 	}
@@ -248,15 +288,9 @@ func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 	if gpOpt.TargetOverflow <= 0 {
 		gpOpt.TargetOverflow = 0.15
 	}
-	window, free := evictionWindow(d, plan, still)
-	// Fillers take the window's whitespace as in the cold flow: without
-	// them the density force would spread the evicted cells into every
-	// free pocket of the window, far from the blockage that displaced
-	// them. Only the evicted cells carry movable charge, so they alone
-	// come off the budget. The filler size is averaged over the standard
-	// cells the stage does not hold, the evicted and inserted ones.
+	window, still := egp.window, egp.still
 	idx := plan.Evicted
-	if fillers := addFillers(d, window, d.TargetDensity*free-areaOf(d, plan.Evicted), fillerSeed, still); len(fillers) > 0 {
+	if fillers := placeFillers(d, window, egp.fillers, fillerSeed); len(fillers) > 0 {
 		seedFillersInWhitespace(d, window, fillers, whitespaceSeed, still)
 		idx = append(append(make([]int, 0, len(idx)+len(fillers)), idx...), fillers...)
 	}
@@ -274,7 +308,7 @@ func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 	// neighbors, quality the legalizer then pays back several times over
 	// in displacement.
 	return gpStage{
-		name: "eGP", cv: run.cv, region: window, idx: idx, held: held, opt: gpOpt,
+		name: "eGP", cv: run.cv, region: window, idx: idx, held: egp.held, opt: gpOpt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
 	}
 }

@@ -354,8 +354,8 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 		var res ECOResult
 		r := newRun(context.Background(), warm, &opt, nil, &res.flowSummary)
 		r.ensureRows()
-		moved, err := placeMoved(r, plan, opt, &res)
-		if err != nil {
+		moved, held := splitActive(warm, plan)
+		if err := placeMoved(r, plan, held, planEGP(warm, plan, held), opt, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.GP.Stop == "" || len(res.Stages) != 1 || res.Stages[0].Name != "eGP" {
@@ -425,7 +425,7 @@ func TestECOWindowGP(t *testing.T) {
 		}
 	}
 	frozenPos := d.Positions(plan.Frozen)
-	st := egpStage(r, plan, held, opt)
+	st := egpStage(r, plan, planEGP(d, plan, held), opt)
 	w := st.region
 	if w == d.Region || !d.Region.ContainsRect(w) {
 		t.Fatalf("window %v, region %v: want a window inside the region", w, d.Region)

@@ -83,7 +83,12 @@ func min(a, b int) int {
 func TestInsertFillers(t *testing.T) {
 	d := testCircuit(200, 1)
 	movable := d.MovableArea()
-	free := d.Region.Area() - d.FixedAreaInRegion()
+	free := d.Region.Area()
+	for i := range d.Cells {
+		if c := &d.Cells[i]; c.Fixed {
+			free -= c.Rect().Intersect(d.Region).Area()
+		}
+	}
 	fill := InsertFillers(d, 7)
 	if len(fill) == 0 {
 		t.Fatal("no fillers inserted in under-utilized design")

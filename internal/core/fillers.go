@@ -10,27 +10,29 @@ import (
 )
 
 // fillerDims picks filler cell dimensions from the middle 80% (by area)
-// of the standard cells that are neither fixed nor held (still, see
-// Design.FixedOrHeld), the ePlace/FFTPL recipe: fillers the size of a
-// typical cell spread whitespace without distorting the field.
-func fillerDims(d *netlist.Design, still []bool) (w, h float64) {
+// of the standard cells movable visits, the ones that are neither fixed
+// nor held (still, see Design.FixedOrHeld), the ePlace/FFTPL recipe:
+// fillers the size of a typical cell spread whitespace without
+// distorting the field. With no such cell the fillers are a hundredth
+// of the region's sides.
+func fillerDims(region geom.Rect, movable func(visit func(netlist.Cell))) (w, h float64) {
 	type wh struct{ w, h, a float64 }
 	count := 0
-	for i, s := range still {
-		if !s && d.Cells[i].Kind == netlist.StdCell {
+	movable(func(c netlist.Cell) {
+		if c.Kind == netlist.StdCell {
 			count++
 		}
-	}
+	})
 	if count == 0 {
 		// Macro-only design: use a small fraction of the region.
-		return d.Region.W() / 100, d.Region.H() / 100
+		return region.W() / 100, region.H() / 100
 	}
 	cells := make([]wh, 0, count)
-	for i, s := range still {
-		if c := &d.Cells[i]; !s && c.Kind == netlist.StdCell {
+	movable(func(c netlist.Cell) {
+		if c.Kind == netlist.StdCell {
 			cells = append(cells, wh{c.W, c.H, c.Area()})
 		}
-	}
+	})
 	// Total order (area, then width, then height): an area-only sort
 	// leaves equal-area cells in unspecified relative order, and when
 	// such a tie straddles the 10%/90% trim boundary the averaged
@@ -75,28 +77,59 @@ type fillerPlan struct {
 
 // insertPlan is the filler set InsertFillers inserts into d as it stands.
 func insertPlan(d *netlist.Design) fillerPlan {
-	free := d.Region.Area() - d.FixedAreaInRegion()
-	return planFillers(d, d.TargetDensity*free-d.MovableArea(), d.FixedOrHeld(nil))
+	return cellsPlan(d, func(visit func(netlist.Cell)) {
+		for i := range d.Cells {
+			visit(d.Cells[i])
+		}
+	})
+}
+
+// cellsPlan is insertPlan for a design that will hold the cells cells
+// visits, in index order, when d holds none yet (see cluster.Room): d
+// gives the region and the target density.
+func cellsPlan(d *netlist.Design, cells func(visit func(netlist.Cell))) fillerPlan {
+	fixed, movable := 0.0, 0.0
+	cells(func(c netlist.Cell) {
+		if c.Fixed {
+			fixed += c.Rect().Intersect(d.Region).Area()
+		} else if c.Kind != netlist.Filler {
+			movable += c.Area()
+		}
+	})
+	free := d.Region.Area() - fixed
+	return planFillers(d.Region, d.TargetDensity*free-movable, func(visit func(netlist.Cell)) {
+		cells(func(c netlist.Cell) {
+			if !c.Fixed {
+				visit(c)
+			}
+		})
+	})
 }
 
 // planFillers sizes the fillers that fit in area want, after the
-// standard cells still leaves free; the plan is empty when none fit.
-func planFillers(d *netlist.Design, want float64, still []bool) fillerPlan {
+// standard cells movable visits (see fillerDims); the plan is empty when
+// none fit.
+func planFillers(region geom.Rect, want float64, movable func(visit func(netlist.Cell))) fillerPlan {
 	if want <= 0 {
 		return fillerPlan{}
 	}
-	fw, fh := fillerDims(d, still)
+	fw, fh := fillerDims(region, movable)
 	if fw <= 0 || fh <= 0 {
 		return fillerPlan{}
 	}
 	return fillerPlan{w: fw, h: fh, count: max(0, int(math.Floor(want/(fw*fh))))}
 }
 
-// addFillers appends as many fillers as fit in area want, sized after
-// the standard cells still leaves free, placed uniformly at random
-// (seeded) inside r, and returns their indices.
-func addFillers(d *netlist.Design, r geom.Rect, want float64, seed int64, still []bool) []int {
-	return placeFillers(d, r, planFillers(d, want, still), seed)
+// unheld visits d's cells that still (see Design.FixedOrHeld) leaves
+// out, in index order.
+func unheld(d *netlist.Design, still []bool) func(visit func(netlist.Cell)) {
+	return func(visit func(netlist.Cell)) {
+		for i, s := range still {
+			if !s {
+				visit(d.Cells[i])
+			}
+		}
+	}
 }
 
 // placeFillers appends plan's fillers, placed uniformly at random

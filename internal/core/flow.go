@@ -233,8 +233,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	designs := []*netlist.Design{d}
 	var hier *cluster.Hierarchy
 	if rs == nil || rs.Level > 0 {
-		room := func(ld *netlist.Design) int {
-			plans = append(plans, insertPlan(ld))
+		room := func(ld *netlist.Design, cells func(func(netlist.Cell))) int {
+			plans = append(plans, cellsPlan(ld, cells))
 			return plans[len(plans)-1].count
 		}
 		if hier = buildHierarchy(r.cv, &opt, room); hier != nil {

@@ -24,7 +24,7 @@ type MLLevel struct {
 // multilevel mode is off or the design is too small for even one level
 // to pay off (the flow then places flat, which is also what a resumed
 // run of such a design deterministically rebuilds).
-func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions, room func(*netlist.Design) int) *cluster.Hierarchy {
+func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions, room cluster.Room) *cluster.Hierarchy {
 	if opt.Levels <= 1 {
 		return nil
 	}

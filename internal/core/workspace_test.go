@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"eplace/internal/eco"
 	"eplace/internal/fft"
 	"eplace/internal/netlist"
 	"eplace/internal/synth"
@@ -232,8 +233,8 @@ func TestFillersJoinViewWithoutGrowing(t *testing.T) {
 	plans := []fillerPlan{insertPlan(d)}
 	d.Reserve(plans[0].count, 0, 0)
 	cv := d.Compile()
-	hier := buildHierarchy(cv, &FlowOptions{Levels: 2}, func(ld *netlist.Design) int {
-		plans = append(plans, insertPlan(ld))
+	hier := buildHierarchy(cv, &FlowOptions{Levels: 2}, func(ld *netlist.Design, cells func(func(netlist.Cell))) int {
+		plans = append(plans, cellsPlan(ld, cells))
 		return plans[len(plans)-1].count
 	})
 	if hier == nil {
@@ -255,6 +256,81 @@ func TestFillersJoinViewWithoutGrowing(t *testing.T) {
 			t.Errorf("level %d: view holds %d cells, design %d", k, len(view.PosX), len(ld.Cells))
 		}
 	}
+}
+
+// TestEGPFillersJoinWithoutGrowing: a block edit's eGP plans its
+// fillers before the ECO run compiles its view, so inserting them after
+// eco.Apply, which sizes the design's cells exactly, does not grow the
+// cells again (and the view, sized to their capacity, has room too):
+// placeFillers' Reserve allocates nothing during PlaceECO.
+func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
+	spec := synth.Spec{Name: "egp-room", NumCells: 2500, Seed: 6}
+	cold := synth.Generate(spec)
+	if _, err := Place(cold, FlowOptions{GP: Options{Workers: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	warm := warmCopy(spec, cold)
+	prep, err := eco.Prepare(warm, blockEdit(warm.Region), eco.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prep.Plan.Evicted) == 0 {
+		t.Fatalf("the block evicted nothing: %s", prep.Plan)
+	}
+	var res ECOResult
+	bytes, objects := allocsUnder(func() {
+		res, err = PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 1}})
+	}, "eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GP.Stop == "" {
+		t.Fatal("eGP did not run")
+	}
+	if bytes != 0 {
+		t.Errorf("inserting eGP's fillers grows the design's cells: %d bytes in %d objects, want 0", bytes, objects)
+	}
+}
+
+// allocsUnder runs f with every allocation profiled and returns the
+// bytes and objects allocated by stacks that pass through each function
+// of path, outermost first (names as the runtime spells them):
+// allocations of other goroutines, or of f elsewhere, never count.
+func allocsUnder(f func(), path ...string) (bytes, objects int64) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	tally := func() (bytes, objects int64) {
+		runtime.GC() // publishes the profile up to here
+		recs := make([]runtime.MemProfileRecord, 64)
+		for {
+			n, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:n]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, n+64)
+		}
+		for _, r := range recs {
+			// Frames run innermost first: match path from its end.
+			want := len(path) - 1
+			frames := runtime.CallersFrames(r.Stack())
+			for more := want >= 0; more && want >= 0; {
+				var fr runtime.Frame
+				if fr, more = frames.Next(); fr.Function == path[want] {
+					want--
+				}
+			}
+			if want < 0 {
+				bytes += r.AllocBytes
+				objects += r.AllocObjects
+			}
+		}
+		return bytes, objects
+	}
+	b0, o0 := tally()
+	f()
+	b1, o1 := tally()
+	return b1 - b0, o1 - o0
 }
 
 // BenchmarkFlowAllocs places one design per flow shape at 4-5K cells:

@@ -1,8 +1,10 @@
 package legalize
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"eplace/internal/netlist"
@@ -10,20 +12,40 @@ import (
 )
 
 // cluster is the Abacus cluster: a maximal run of abutting cells.
-// Optimal position x = q/e; merging is associative.
+// Optimal position x = q/e; merging is associative. A Cells call keeps
+// its clusters in one store (abacus), one slot per cell to place. A
+// cluster's cells are a contiguous run of its segment's commit order,
+// threaded left to right through the store's links: first,
+// next[first], ..., last.
 type cluster struct {
-	x     float64 // optimal left edge
-	e     float64 // total weight
-	q     float64 // sum of w_i*(x_i' - offset_i)
-	w     float64 // total width
-	cells []int
+	x           float64 // optimal left edge
+	e           float64 // total weight
+	q           float64 // sum of w_i*(x_i' - offset_i)
+	w           float64 // total width
+	first, last int32
+	// prev is the slot of the cluster on the left in the same segment,
+	// or -1; fixupRow turns the chain around (see leftToRight).
+	prev int32
 }
 
-// seg is one free row interval with its placed clusters.
+// seg is one free row interval. Its clusters form a chain through the
+// store, from top, the rightmost (-1: none), to the left.
 type seg struct {
-	lx, hx   float64
+	lx, hx float64
+	used   float64
+	top    int32
+}
+
+// abacus is one Cells call's cluster store, indexed by a cell's
+// position k in the call's x order (order[k] is the cell): slot k holds
+// the cluster that committing order[k] opened, and next[k] the position
+// of the cell on its right in the same cluster. A merge leaves the
+// merged slot dead, so the store never grows. Bands touch the slots of
+// their own cells only, so they share it.
+type abacus struct {
+	order    []int
 	clusters []cluster
-	used     float64
+	next     []int32
 }
 
 // Band partition constants: rows are grouped into contiguous bands of
@@ -56,22 +78,31 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	}
 	nw := parallel.Count(workers)
 	rawSegs := FreeSegments(d, cells)
+	nseg := 0
+	for _, r := range rawSegs {
+		nseg += len(r)
+	}
 	rows := make([][]seg, len(d.Rows))
+	segBuf := make([]seg, 0, nseg)
 	for ri := range rawSegs {
+		start := len(segBuf)
 		for _, s := range rawSegs[ri] {
-			rows[ri] = append(rows[ri], seg{lx: s.Lx, hx: s.Hx})
+			segBuf = append(segBuf, seg{lx: s.Lx, hx: s.Hx, top: -1})
 		}
+		rows[ri] = segBuf[start:len(segBuf):len(segBuf)]
 	}
 
 	// Process cells in x order (Abacus) so per-row packing is coherent.
-	order := append([]int(nil), cells...)
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := &d.Cells[order[a]], &d.Cells[order[b]]
-		if ca.X != cb.X {
-			return ca.X < cb.X
+	// Every list below holds positions in this order.
+	order := slices.Clone(cells)
+	byX := func(a, b int) int {
+		if c := cmp.Compare(d.Cells[a].X, d.Cells[b].X); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
-	})
+		return cmp.Compare(a, b)
+	}
+	slices.SortFunc(order, byX)
+	st := &abacus{order: order, clusters: make([]cluster, len(order)), next: make([]int32, len(order))}
 
 	// Row index sorted by Y for nearest-row search.
 	rowY := make([]float64, len(d.Rows))
@@ -100,26 +131,39 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 			bandOfRow[ri] = b
 		}
 	}
-	// Assign each cell (x order preserved) to the band of its nearest row.
-	bandCells := make([][]int, nb)
-	for _, ci := range order {
-		c := &d.Cells[ci]
-		b := bandOfRow[nearestRow(rowY, c.Y-c.H/2)]
-		bandCells[b] = append(bandCells[b], ci)
+	// Assign each cell (x order preserved) to the band of its nearest
+	// row: band b's cells are byBand[bandOff[b]:bandOff[b+1]].
+	bandOf := func(k int) int {
+		c := &d.Cells[order[k]]
+		return bandOfRow[nearestRow(rowY, c.Y-c.H/2)]
+	}
+	bandOff := make([]int, nb+1)
+	for k := range order {
+		bandOff[bandOf(k)+1]++
+	}
+	for b := 0; b < nb; b++ {
+		bandOff[b+1] += bandOff[b]
+	}
+	byBand := make([]int32, len(order))
+	fill := slices.Clone(bandOff[:nb])
+	for k := range order {
+		b := bandOf(k)
+		byBand[fill[b]] = int32(k)
+		fill[b]++
 	}
 
 	// Parallel band pass: bands own disjoint row ranges and disjoint
 	// cells, so they legalize independently. Cells with no in-band room
 	// become per-band spill lists instead of errors.
-	spills := make([][]int, nb)
+	spills := make([][]int32, nb)
 	bandTotal := make([]float64, nb)
 	bandMax := make([]float64, nb)
 	parallel.For(nw, nb, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
-			for _, ci := range bandCells[b] {
-				disp, ok := placeOne(d, rows, rowY, ci, bandLo[b], bandLo[b+1])
+			for _, k := range byBand[bandOff[b]:bandOff[b+1]] {
+				disp, ok := placeOne(d, rows, rowY, st, int(k), bandLo[b], bandLo[b+1])
 				if !ok {
-					spills[b] = append(spills[b], ci)
+					spills[b] = append(spills[b], k)
 					continue
 				}
 				bandTotal[b] += disp
@@ -139,20 +183,15 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 
 	// Serial spill pass over all rows, in (x, index) order. Only here
 	// can legalization fail: the whole design is out of capacity.
-	var spill []int
+	var spill []int32
 	for b := range spills {
 		spill = append(spill, spills[b]...)
 	}
-	sort.Slice(spill, func(a, b int) bool {
-		ca, cb := &d.Cells[spill[a]], &d.Cells[spill[b]]
-		if ca.X != cb.X {
-			return ca.X < cb.X
-		}
-		return spill[a] < spill[b]
-	})
-	for _, ci := range spill {
-		disp, ok := placeOne(d, rows, rowY, ci, 0, len(d.Rows))
+	slices.Sort(spill) // positions: (x, index) order
+	for _, k := range spill {
+		disp, ok := placeOne(d, rows, rowY, st, int(k), 0, len(d.Rows))
 		if !ok {
+			ci := order[k]
 			c := &d.Cells[ci]
 			return total, max, fmt.Errorf("legalize: no room for cell %d (%s), w=%v", ci, c.Name, c.W)
 		}
@@ -167,17 +206,18 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	// collapse). Rows are disjoint, so the fixup parallelizes cleanly.
 	parallel.For(nw, len(rows), func(_, lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			fixupRow(d, &d.Rows[ri], rows[ri])
+			fixupRow(d, &d.Rows[ri], rows[ri], st)
 		}
 	})
 	return total, max, nil
 }
 
-// placeOne legalizes one cell into the rows of [rowLo, rowHi), trying
-// rows outward from the nearest until the row-distance alone exceeds
-// the best cost found. Returns ok=false when no segment in range fits.
-func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, ci, rowLo, rowHi int) (disp float64, ok bool) {
-	c := &d.Cells[ci]
+// placeOne legalizes the cell at position k of the x order into the
+// rows of [rowLo, rowHi), trying rows outward from the nearest until the
+// row-distance alone exceeds the best cost found. Returns ok=false when
+// no segment in range fits.
+func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, st *abacus, k, rowLo, rowHi int) (disp float64, ok bool) {
+	c := &d.Cells[st.order[k]]
 	desiredX := c.X - c.W/2
 	desiredY := c.Y - c.H/2
 	bestCost := math.Inf(1)
@@ -209,7 +249,7 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, ci, rowLo, rowHi 
 				if s.hx-s.lx-s.used < c.W {
 					continue
 				}
-				x := abacusTrial(s, desiredX, c.W)
+				x := st.trial(s, desiredX, c.W)
 				if math.IsNaN(x) {
 					continue
 				}
@@ -231,7 +271,7 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, ci, rowLo, rowHi 
 	}
 	row := &d.Rows[bestRow]
 	s := &rows[bestRow][bestSeg]
-	c.X = abacusCommit(s, ci, desiredX, c.W) + c.W/2
+	c.X = st.commit(s, k, desiredX, c.W) + c.W/2
 	c.Y = row.Y + c.H/2
 	disp = math.Abs(c.X-(desiredX+c.W/2)) + math.Abs(c.Y-(desiredY+c.H/2))
 	s.used += c.W
@@ -240,71 +280,78 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, ci, rowLo, rowHi 
 
 // fixupRow snaps one row's cluster positions to sites and writes cells
 // back. Snapping is all-or-nothing per segment: if any cluster cannot
-// be site-aligned without colliding (fractional segment boundaries can
+// be site-aligned without collision (fractional segment boundaries can
 // force this), the whole segment keeps the exact cluster positions,
 // which are legal by construction.
-func fixupRow(d *netlist.Design, row *netlist.Row, segs []seg) {
+func fixupRow(d *netlist.Design, row *netlist.Row, segs []seg, st *abacus) {
 	for si := range segs {
 		s := &segs[si]
-		sort.Slice(s.clusters, func(a, b int) bool { return s.clusters[a].x < s.clusters[b].x })
-		xs, ok := snappedSegment(row, s)
-		if !ok {
-			xs = unsnappedSegment(s)
+		head := st.leftToRight(s)
+		onSites := row.SiteW > 0 && st.seat(nil, row, s, head, true)
+		st.seat(d, row, s, head, onSites)
+	}
+}
+
+// seat walks the segment's clusters left to right from head (see
+// leftToRight) and gives each a left edge: on the site grid when onSites,
+// else the exact cluster position, pushed right of its left neighbour
+// and left of the segment's end. With a design it writes the clusters'
+// cells there, abutting in cluster order. It reports false when onSites
+// finds a cluster that cannot be site-aligned without collision or
+// overflow; it then writes nothing.
+func (st *abacus) seat(d *netlist.Design, row *netlist.Row, s *seg, head int32, onSites bool) bool {
+	frontier := s.lx
+	for k := head; k >= 0; k = st.clusters[k].prev {
+		cl := &st.clusters[k]
+		var x float64
+		if onSites {
+			x = snap(row, cl.x)
+			if x < frontier {
+				x = row.Lx + math.Ceil((frontier-row.Lx-1e-9)/row.SiteW)*row.SiteW
+			}
+			if x+cl.w > s.hx+1e-9 {
+				x = row.Lx + math.Floor((s.hx-cl.w-row.Lx+1e-9)/row.SiteW)*row.SiteW
+			}
+			if x < frontier-1e-9 || x+cl.w > s.hx+1e-9 {
+				return false
+			}
+		} else {
+			x = math.Max(cl.x, frontier)
+			if x+cl.w > s.hx {
+				x = s.hx - cl.w
+			}
+			if x < frontier {
+				x = frontier
+			}
 		}
-		for k := range s.clusters {
-			x := xs[k]
-			for _, ci := range s.clusters[k].cells {
-				c := &d.Cells[ci]
-				c.X = x + c.W/2
-				x += c.W
+		frontier = x + cl.w
+		if d == nil {
+			continue
+		}
+		for m := cl.first; ; m = st.next[m] {
+			c := &d.Cells[st.order[m]]
+			c.X = x + c.W/2
+			x += c.W
+			if m == cl.last {
+				break
 			}
 		}
 	}
+	return true
 }
 
-// snappedSegment computes site-aligned cluster left edges, or ok=false
-// when some cluster cannot be aligned without collision or overflow.
-func snappedSegment(row *netlist.Row, s *seg) ([]float64, bool) {
-	if row.SiteW <= 0 {
-		return nil, false
+// leftToRight turns the segment's cluster chain around in place, so
+// that prev runs from the leftmost cluster, which it returns, to the
+// right. A segment's clusters never overlap (commit merges any that
+// would), so the chain is in ascending x. No trial or commit may follow.
+func (st *abacus) leftToRight(s *seg) int32 {
+	right := int32(-1)
+	for k := s.top; k >= 0; {
+		left := st.clusters[k].prev
+		st.clusters[k].prev = right
+		right, k = k, left
 	}
-	xs := make([]float64, len(s.clusters))
-	frontier := s.lx
-	for k := range s.clusters {
-		cl := &s.clusters[k]
-		x := snap(row, cl.x)
-		if x < frontier {
-			x = row.Lx + math.Ceil((frontier-row.Lx-1e-9)/row.SiteW)*row.SiteW
-		}
-		if x+cl.w > s.hx+1e-9 {
-			x = row.Lx + math.Floor((s.hx-cl.w-row.Lx+1e-9)/row.SiteW)*row.SiteW
-		}
-		if x < frontier-1e-9 || x+cl.w > s.hx+1e-9 {
-			return nil, false
-		}
-		xs[k] = x
-		frontier = x + cl.w
-	}
-	return xs, true
-}
-
-// unsnappedSegment returns the exact (legal) cluster left edges.
-func unsnappedSegment(s *seg) []float64 {
-	xs := make([]float64, len(s.clusters))
-	frontier := s.lx
-	for k := range s.clusters {
-		cl := &s.clusters[k]
-		x := math.Max(cl.x, frontier)
-		if x+cl.w > s.hx {
-			x = s.hx - cl.w
-		}
-		if x < frontier {
-			x = frontier
-		}
-		xs[k] = x
-		frontier = x + cl.w
-	}
-	return xs
+	return right
 }
 
 func nearestRow(rowY []float64, y float64) int {
@@ -321,18 +368,18 @@ func nearestRow(rowY []float64, y float64) int {
 	return i
 }
 
-// abacusTrial simulates adding a cell (desired left edge desiredX,
-// width w) to the segment and returns the final x the cell would get.
-// The simulation runs the cluster recurrence backward over the real
+// trial simulates adding a cell (desired left edge desiredX, width w)
+// to the segment and returns the final x the cell would get. The
+// simulation runs the cluster recurrence backward over the real
 // clusters without copying or mutating them: the would-be merged tail
 // is carried in a virtual cluster whose fields follow exactly the same
-// arithmetic (expression-for-expression) as abacusCommit, so trial and
-// commit are bitwise-consistent.
-func abacusTrial(s *seg, desiredX, w float64) float64 {
+// arithmetic (expression-for-expression) as commit, so trial and commit
+// are bitwise-consistent.
+func (st *abacus) trial(s *seg, desiredX, w float64) float64 {
 	cur := cluster{e: 1, q: desiredX, w: w}
 	cur.x = clampX(cur.q/cur.e, s.lx, s.hx, cur.w)
-	for k := len(s.clusters) - 1; k >= 0; k-- {
-		prev := &s.clusters[k]
+	for k := s.top; k >= 0; k = st.clusters[k].prev {
+		prev := &st.clusters[k]
 		if prev.x+prev.w <= cur.x+1e-12 {
 			break
 		}
@@ -350,31 +397,33 @@ func abacusTrial(s *seg, desiredX, w float64) float64 {
 	return cur.x + cur.w - w
 }
 
-// abacusCommit adds the cell permanently (in place, no cluster-slice
-// copy) and returns its final x. The caller has already validated the
-// fit via abacusTrial on the identical segment state.
-func abacusCommit(s *seg, ci int, desiredX, w float64) float64 {
-	nc := cluster{e: 1, q: desiredX, w: w, cells: []int{ci}}
+// commit adds the cell at position k permanently, as a new cluster in
+// slot k, and returns its final x. The caller has already validated the
+// fit via trial on the identical segment state. Collapse merges the
+// last cluster into its predecessor while they overlap, then re-clamps;
+// a merge appends the last cluster's cells to its predecessor's by one
+// link.
+func (st *abacus) commit(s *seg, k int, desiredX, w float64) float64 {
+	cl := st.clusters
+	last := int32(k)
+	nc := cluster{e: 1, q: desiredX, w: w, first: last, last: last, prev: s.top}
 	nc.x = clampX(nc.q/nc.e, s.lx, s.hx, nc.w)
-	s.clusters = append(s.clusters, nc)
-	work := s.clusters
-	// Collapse: merge the last cluster into its predecessor while they
-	// overlap, then re-clamp.
-	for len(work) >= 2 {
-		last := &work[len(work)-1]
-		prev := &work[len(work)-2]
-		if prev.x+prev.w <= last.x+1e-12 {
+	cl[last] = nc
+	for cl[last].prev >= 0 {
+		l, p := &cl[last], &cl[cl[last].prev]
+		if p.x+p.w <= l.x+1e-12 {
 			break
 		}
-		prev.q += last.q - last.e*prev.w
-		prev.e += last.e
-		prev.cells = append(prev.cells, last.cells...)
-		prev.w += last.w
-		prev.x = clampX(prev.q/prev.e, s.lx, s.hx, prev.w)
-		work = work[:len(work)-1]
+		p.q += l.q - l.e*p.w
+		p.e += l.e
+		st.next[p.last] = l.first
+		p.last = l.last
+		p.w += l.w
+		p.x = clampX(p.q/p.e, s.lx, s.hx, p.w)
+		last = l.prev
 	}
-	s.clusters = work
-	tail := &work[len(work)-1]
+	s.top = last
+	tail := &cl[last]
 	return tail.x + tail.w - w
 }
 

@@ -3,6 +3,7 @@ package legalize
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eplace/internal/geom"
@@ -69,16 +70,38 @@ func TestCellsWorkersBitwiseIdentical(t *testing.T) {
 // TestAbacusTrialAllocFree guards the satellite optimization: the
 // per-candidate Abacus trial must not copy the cluster slice.
 func TestAbacusTrialAllocFree(t *testing.T) {
-	s := &seg{lx: 0, hx: 100}
+	s := &seg{lx: 0, hx: 100, top: -1}
+	st := &abacus{order: make([]int, 20), clusters: make([]cluster, 20), next: make([]int32, 20)}
 	for i := 0; i < 20; i++ {
-		abacusCommit(s, i, float64(i*4), 3)
+		st.commit(s, i, float64(i*4), 3)
 		s.used += 3
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		abacusTrial(s, 37, 3)
+		st.trial(s, 37, 3)
 	})
 	if allocs != 0 {
-		t.Errorf("abacusTrial allocates %v objects per call, want 0", allocs)
+		t.Errorf("the Abacus trial allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestCellsAllocsIndependentOfCellCount: one Cells call allocates its
+// buffers once, at their final sizes, so four times the cells (and twice
+// the rows) cost no more mallocs. Measured: 23 at both sizes. A slice
+// per cell, per cluster merge or per segment made 1 983 and 6 768.
+func TestCellsAllocsIndependentOfCellCount(t *testing.T) {
+	mallocs := func(n int) float64 {
+		d, cells := bigLegalizeDesign(n, 3)
+		gp := slices.Clone(d.Cells)
+		return testing.AllocsPerRun(3, func() {
+			copy(d.Cells, gp)
+			if _, _, err := Cells(d, cells, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := mallocs(1000), mallocs(4000)
+	if big > small+4 {
+		t.Errorf("Cells makes %v mallocs on 1000 cells and %v on 4000, want no growth", small, big)
 	}
 }
 

@@ -214,7 +214,7 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 	aNext := (1 + math.Sqrt(4*o.a*o.a+1)) / 2
 	coeff := (o.a - 1) / aNext
 
-	if norm(o.GradV) == 0 {
+	if stationary(o.GradV) {
 		// Stationary point: stay put but keep the recurrence moving so a
 		// later objective change (lambda/gamma update) resumes cleanly.
 		copy(o.uNext, o.V)
@@ -290,6 +290,19 @@ func (o *Optimizer) lipschitzStep(v, vp, g, gp []float64) float64 {
 		s = 0
 	}
 	return s
+}
+
+// stationary reports norm(g) == 0 without summing: a sum of squares is
+// 0 exactly when every square is, and a NaN or infinite square makes it
+// non-zero, so the scan stops at the first coordinate whose square is
+// not 0 (a subnormal's square underflows to 0 in both).
+func stationary(g []float64) bool {
+	for _, v := range g {
+		if v*v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func norm(x []float64) float64 {

@@ -254,3 +254,29 @@ func BenchmarkNesterovStep(b *testing.B) {
 		o.Step(false)
 	}
 }
+
+// TestStationaryMatchesNorm: Step's early-exit zero test decides as
+// norm(g) == 0 does, on every vector that could tell them apart.
+func TestStationaryMatchesNorm(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		name string
+		g    []float64
+	}{
+		{"empty", nil},
+		{"zeros", []float64{0, 0, 0, 0}},
+		{"negative zeros", []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}},
+		{"subnormals", []float64{tiny, -tiny, 1e-310, 0}},
+		{"subnormal squares to zero, sum too", []float64{1e-170, 1e-170, 1e-170}},
+		{"NaN", []float64{0, math.NaN(), 0}},
+		{"+Inf", []float64{0, 0, math.Inf(1)}},
+		{"-Inf", []float64{math.Inf(-1), 0}},
+		{"overflowing square", []float64{0, 1e200}},
+		{"non-zero last", []float64{0, 0, 0, 0, 0, 0, 0, 1e-150}},
+		{"mixed", []float64{tiny, math.NaN(), math.Inf(1), -3}},
+	} {
+		if got, want := stationary(c.g), norm(c.g) == 0; got != want {
+			t.Errorf("%s: stationary(%v) = %v, norm == 0 is %v", c.name, c.g, got, want)
+		}
+	}
+}

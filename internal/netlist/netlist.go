@@ -310,8 +310,8 @@ func (d *Design) StdCellHeight() float64 {
 	return bestH
 }
 
-// FixedAreaInRegion returns the area of fixed cells clipped to the region.
-func (d *Design) FixedAreaInRegion() float64 {
+// fixedAreaInRegion returns the area of fixed cells clipped to the region.
+func (d *Design) fixedAreaInRegion() float64 {
 	a := 0.0
 	for i := range d.Cells {
 		c := &d.Cells[i]
@@ -324,7 +324,7 @@ func (d *Design) FixedAreaInRegion() float64 {
 
 // utilization returns movable area / (region area - fixed area).
 func (d *Design) utilization() float64 {
-	free := d.Region.Area() - d.FixedAreaInRegion()
+	free := d.Region.Area() - d.fixedAreaInRegion()
 	if free <= 0 {
 		return math.Inf(1)
 	}
@@ -462,7 +462,7 @@ func (d *Design) Stats() Stats {
 		Pins:        len(d.Pins),
 		Cells:       len(d.Cells),
 		MovableArea: d.MovableArea(),
-		FixedArea:   d.FixedAreaInRegion(),
+		FixedArea:   d.fixedAreaInRegion(),
 		RegionArea:  d.Region.Area(),
 	}
 	for i := range d.Cells {

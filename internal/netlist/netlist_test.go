@@ -155,8 +155,8 @@ func TestFixedAreaClipping(t *testing.T) {
 	d := New("clip", geom.Rect{Hx: 10, Hy: 10})
 	// Fixed pad half outside the region.
 	d.AddCell(Cell{W: 4, H: 4, X: 0, Y: 5, Kind: Pad, Fixed: true})
-	if got := d.FixedAreaInRegion(); !almostEq(got, 8) {
-		t.Errorf("FixedAreaInRegion = %v, want 8", got)
+	if got := d.fixedAreaInRegion(); !almostEq(got, 8) {
+		t.Errorf("fixedAreaInRegion = %v, want 8", got)
 	}
 }
 

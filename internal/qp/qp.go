@@ -164,6 +164,16 @@ func NewModel(cv *netlist.Compiled, idx []int) *Model {
 			m.pinVar[s] = slot[ci]
 		}
 	}
+	// A net of degree deg >= 2 stamps 2(deg-2) inner springs and the
+	// boundary pair (see assemble): every round and axis fits the system
+	// sized here.
+	springs := 0
+	for ni := range cv.NetW {
+		if deg := int(cv.NetOff[ni+1] - cv.NetOff[ni]); deg >= 2 {
+			springs += 2*deg - 3
+		}
+	}
+	m.asm.Reserve(len(idx), springs)
 	return m
 }
 

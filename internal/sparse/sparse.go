@@ -59,18 +59,29 @@ type spring struct {
 type Assembler struct {
 	springs []spring
 	next    []int32
-	tcol    []int32
-	tval    []float64
 	csr     CSR
 }
 
-// Reset clears the assembler for an n x n system.
-func (a *Assembler) Reset(n int) {
+// Reserve sizes the assembler for systems of up to n unknowns and
+// springs AddSym stamps, so that no Reset, AddSym or Build of such a
+// system allocates.
+func (a *Assembler) Reserve(n, springs int) {
 	if cap(a.csr.Diag) < n {
 		a.csr.Diag = make([]float64, n)
 		a.csr.RowPtr = make([]int32, n+1)
 		a.next = make([]int32, n)
 	}
+	if cap(a.springs) < springs {
+		a.springs = make([]spring, 0, springs)
+	}
+	if cap(a.csr.Col) < 2*springs {
+		a.csr.Col, a.csr.Val = make([]int32, 2*springs), make([]float64, 2*springs)
+	}
+}
+
+// Reset clears the assembler for an n x n system.
+func (a *Assembler) Reset(n int) {
+	a.Reserve(n, 0)
 	a.csr.N = n
 	a.csr.Diag = a.csr.Diag[:n]
 	a.csr.RowPtr = a.csr.RowPtr[:n+1]
@@ -94,45 +105,44 @@ func (a *Assembler) AddSym(i, j int, w float64) {
 // AddDiag accumulates a(i,i) += w (an anchor to a fixed location).
 func (a *Assembler) AddDiag(i int, w float64) { a.csr.Diag[i] += w }
 
-// Build assembles the matrix. Pass one buckets every stamp under both
-// of its rows in stamp order. Pass two walks those buckets in row order
-// and files each entry under its column; the matrix is symmetric, so
-// that transpose is the matrix again, now with every row's columns
-// ascending and equal columns still in stamp order. A last sweep sums
-// the duplicates in place.
+// Build assembles the matrix in the CSR's own arrays. Pass one buckets
+// every stamp under both of its rows in stamp order, as the stamp's
+// index and its other row packed into the bits of one Val entry. Pass
+// two walks those buckets in row order and files each stamp index, in
+// Col, under the stamp's other row: the matrix is symmetric, so that
+// transpose is the matrix again, now with every row's columns ascending
+// and equal columns still in stamp order. A last sweep turns each index
+// into its column and weight and sums the duplicates in place.
 func (a *Assembler) Build() *CSR {
 	m := &a.csr
-	rp, next := m.RowPtr, a.next
+	rp, next, springs := m.RowPtr, a.next, a.springs
 	clear(rp)
-	for _, s := range a.springs {
+	for _, s := range springs {
 		rp[s.i+1]++
 		rp[s.j+1]++
 	}
 	for i := range next {
 		rp[i+1] += rp[i]
 	}
-	nnz := 2 * len(a.springs)
-	if cap(a.tcol) < nnz {
-		a.tcol, a.tval = make([]int32, nnz), make([]float64, nnz)
-		m.Col, m.Val = make([]int32, nnz), make([]float64, nnz)
+	nnz := 2 * len(springs)
+	if cap(m.Col) < nnz {
+		m.Col, m.Val = make([]int32, nnz, 2*cap(springs)), make([]float64, nnz, 2*cap(springs))
 	}
-	tcol, tval := a.tcol[:nnz], a.tval[:nnz]
 	col, val := m.Col[:nnz], m.Val[:nnz]
 	copy(next, rp)
-	for _, s := range a.springs {
-		k := next[s.i]
-		tcol[k], tval[k] = s.j, -s.w
+	for k, s := range springs {
+		val[next[s.i]] = math.Float64frombits(uint64(k)<<32 | uint64(uint32(s.j)))
 		next[s.i]++
-		k = next[s.j]
-		tcol[k], tval[k] = s.i, -s.w
+		val[next[s.j]] = math.Float64frombits(uint64(k)<<32 | uint64(uint32(s.i)))
 		next[s.j]++
 	}
 	copy(next, rp)
-	for i := range next {
-		for k := rp[i]; k < rp[i+1]; k++ {
-			j := tcol[k]
-			col[next[j]], val[next[j]] = int32(i), tval[k]
-			next[j]++
+	for c := range next {
+		for _, f := range val[rp[c]:rp[c+1]] {
+			kr := math.Float64bits(f)
+			r := uint32(kr)
+			col[next[r]] = int32(kr >> 32)
+			next[r]++
 		}
 	}
 	out := int32(0)
@@ -140,10 +150,12 @@ func (a *Assembler) Build() *CSR {
 		lo, hi := rp[i], rp[i+1]
 		rp[i] = out
 		for k := lo; k < hi; k++ {
-			if out > rp[i] && col[out-1] == col[k] {
-				val[out-1] += val[k]
+			s := springs[col[k]]
+			c := s.i + s.j - int32(i)
+			if out > rp[i] && col[out-1] == c {
+				val[out-1] -= s.w
 			} else {
-				col[out], val[out] = col[k], val[k]
+				col[out], val[out] = c, -s.w
 				out++
 			}
 		}

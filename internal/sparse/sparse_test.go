@@ -140,6 +140,113 @@ func TestAssemblerMatchesOracleAndDense(t *testing.T) {
 	}
 }
 
+// twoPassBuild is the CSR build this package used before Build worked
+// in the CSR's own arrays: the stamps bucketed under both rows into
+// temporaries, transposed into the output, duplicates summed in place.
+func twoPassBuild(n int, springs []spring, diag []float64) CSR {
+	m := CSR{N: n, Diag: append([]float64(nil), diag...), RowPtr: make([]int32, n+1)}
+	rp, next := m.RowPtr, make([]int32, n)
+	for _, s := range springs {
+		rp[s.i+1]++
+		rp[s.j+1]++
+	}
+	for i := range next {
+		rp[i+1] += rp[i]
+	}
+	nnz := 2 * len(springs)
+	tcol, tval := make([]int32, nnz), make([]float64, nnz)
+	col, val := make([]int32, nnz), make([]float64, nnz)
+	copy(next, rp)
+	for _, s := range springs {
+		k := next[s.i]
+		tcol[k], tval[k] = s.j, -s.w
+		next[s.i]++
+		k = next[s.j]
+		tcol[k], tval[k] = s.i, -s.w
+		next[s.j]++
+	}
+	copy(next, rp)
+	for i := range next {
+		for k := rp[i]; k < rp[i+1]; k++ {
+			j := tcol[k]
+			col[next[j]], val[next[j]] = int32(i), tval[k]
+			next[j]++
+		}
+	}
+	out := int32(0)
+	for i := range next {
+		lo, hi := rp[i], rp[i+1]
+		rp[i] = out
+		for k := lo; k < hi; k++ {
+			if out > rp[i] && col[out-1] == col[k] {
+				val[out-1] += val[k]
+			} else {
+				col[out], val[out] = col[k], val[k]
+				out++
+			}
+		}
+	}
+	rp[n] = out
+	m.Col, m.Val = col[:out], val[:out]
+	return m
+}
+
+// Random stamp streams with repeated and self pairs, built in one
+// assembler reused across sizes (grown and reserved): every row pointer,
+// column and value matches the two-pass build bit for bit, and a
+// reserved assembler builds without allocating.
+func TestAssemblerBuildMatchesTwoPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var asm Assembler
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		stamps := rng.Intn(8 * n)
+		if trial%3 == 0 {
+			asm.Reserve(n, stamps)
+		}
+		asm.Reset(n)
+		for k := 0; k < stamps; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if len(asm.springs) > 0 && rng.Intn(3) == 0 { // an earlier pair, reversed
+				p := asm.springs[rng.Intn(len(asm.springs))]
+				i, j = int(p.j), int(p.i)
+			}
+			asm.AddSym(i, j, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(20)-10)))
+		}
+		want := twoPassBuild(n, asm.springs, asm.csr.Diag)
+		got := asm.Build()
+		if got.N != want.N || len(got.Col) != len(want.Col) || len(got.Val) != len(want.Val) {
+			t.Fatalf("trial %d: N %d, %d entries; two-pass N %d, %d entries", trial, got.N, len(got.Col), want.N, len(want.Col))
+		}
+		for i := range want.RowPtr {
+			if got.RowPtr[i] != want.RowPtr[i] {
+				t.Fatalf("trial %d: RowPtr[%d] = %d, two-pass %d", trial, i, got.RowPtr[i], want.RowPtr[i])
+			}
+		}
+		for k := range want.Col {
+			if got.Col[k] != want.Col[k] || math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("trial %d: entry %d is (%d, %v), two-pass (%d, %v)", trial, k, got.Col[k], got.Val[k], want.Col[k], want.Val[k])
+			}
+		}
+		for i := range want.Diag {
+			if math.Float64bits(got.Diag[i]) != math.Float64bits(want.Diag[i]) {
+				t.Fatalf("trial %d: Diag[%d] = %v, two-pass %v", trial, i, got.Diag[i], want.Diag[i])
+			}
+		}
+	}
+	const n, stamps = 50, 400
+	asm.Reserve(n, stamps)
+	if allocs := testing.AllocsPerRun(5, func() {
+		asm.Reset(n)
+		for k := 0; k < stamps; k++ {
+			asm.AddSym(k%n, (7*k+1)%n, 1)
+		}
+		asm.Build()
+	}); allocs != 0 {
+		t.Errorf("a reserved assembler allocates %v times per system, want 0", allocs)
+	}
+}
+
 // Duplicates are summed in stamp order, whatever a sort would do with
 // them: -(1e16) - 1 + 1e16 is 0 in that order and -1 in another.
 func TestAssemblerSumsDuplicatesInStampOrder(t *testing.T) {
