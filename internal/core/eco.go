@@ -148,13 +148,14 @@ func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, egp *egpSetu
 	// newcomer: the greedy pass prices the newcomer's own displacement,
 	// not the eviction it causes, and would shift a wide incumbent across
 	// the die to admit it. Parking the newcomer in the nearest real gap
-	// costs a few units of its own wirelength, which the detail passes,
-	// deeper than the cold flow's, then claw back.
+	// costs a few units of its own wirelength, which the detail passes
+	// then claw back.
 	//
 	// The held cells reach cDP as the previous cDP left them, so the
 	// refinement starts from the edit (detail.Edit): the moved cells are
 	// marked with their neighbourhoods, the changed cells alone, and the
-	// cells beside a removed cell's slot.
+	// cells beside a removed cell's slot. It runs the cold flow's passes
+	// but no swap pass (see detail.PlaceCompiled).
 	edit := &detail.Edit{Moved: moved, Changed: plan.Seeds}
 	for _, ci := range plan.Fresh {
 		if c := &d.Cells[ci]; c.Fixed && c.W == 0 && c.H == 0 {
@@ -162,8 +163,7 @@ func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, egp *egpSetu
 		}
 	}
 	var err error
-	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(moved, plan.Active, edit,
-		detail.Options{Passes: ecoDetailPasses, SwapCandidates: ecoSwapCandidates})
+	res.LegalizeDisp, res.LegalizeMaxDisp, err = run.cdp(moved, plan.Active, edit)
 	return err
 }
 
@@ -356,13 +356,6 @@ func areaOf(d *netlist.Design, cells []int) float64 {
 	}
 	return a
 }
-
-// ecoDetailPasses and ecoSwapCandidates are the ECO cDP's depth: twice
-// the cold flow's passes and swap candidates (see replaceActive).
-const (
-	ecoDetailPasses   = 6
-	ecoSwapCandidates = 16
-)
 
 // WarmStart loads a finished placement's snapshot into a freshly built
 // design ahead of an ECO run: it validates that the snapshot belongs to

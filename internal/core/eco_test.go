@@ -467,9 +467,10 @@ func TestECOWindowGP(t *testing.T) {
 		t.Error(err)
 	}
 	// Pinned: eGP's fixed charge is the fixed, frozen and held footprints,
-	// and its fillers take the size of the cells it moves (recorded on
+	// and its fillers take the size of the cells it moves; the final
+	// digest follows the seeded cDP, which does not swap (recorded on
 	// amd64 with AVX2).
-	for stage, want := range map[string]string{"eGP": "62986690389bf02b", "final": "5f950de990f2c2c3"} {
+	for stage, want := range map[string]string{"eGP": "62986690389bf02b", "final": "769fea9dfd6e4ff3"} {
 		if got := digestOf(t, full.Digests, stage).Hex(); got != want {
 			t.Errorf("%s digest %s, want %s", stage, got, want)
 		}
@@ -477,7 +478,7 @@ func TestECOWindowGP(t *testing.T) {
 }
 
 // TestECOWorkersBitwiseIdentical runs cDP's ECO configuration (the
-// deeper refinement over an active subset, the rest frozen into
+// seeded refinement over an active subset, the rest frozen into
 // obstacles) behind the whole incremental flow at several worker
 // counts: one inserted cell and one blocked region must end on the same
 // position bits, counters and digests at every count.
@@ -542,6 +543,48 @@ func TestECOWorkersBitwiseIdentical(t *testing.T) {
 					warm.Cells[i].X, warm.Cells[i].Y, ref.Cells[i].X, ref.Cells[i].Y)
 			}
 		}
+	}
+}
+
+// TestECOSkipsSwap: the refinement an ECO call starts from its edit
+// prices no swap trial, while the cold flow that placed the design
+// prices many.
+func TestECOSkipsSwap(t *testing.T) {
+	spec := ecoSpec("eco-swap")
+	swapsPriced := func(place func(rec *telemetry.Recorder) error) int64 {
+		t.Helper()
+		rec := telemetry.New()
+		if err := place(rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range rec.Counters() {
+			if c.Name == "cDP/swap_priced" {
+				return c.Value
+			}
+		}
+		t.Fatal("no cDP/swap_priced counter")
+		return 0
+	}
+	cold := synth.Generate(spec)
+	if n := swapsPriced(func(rec *telemetry.Recorder) error {
+		_, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500, Telemetry: rec}})
+		return err
+	}); n == 0 {
+		t.Error("the cold flow priced no swap trial")
+	}
+	warm := warmCopy(spec, cold)
+	prep, err := eco.Prepare(warm, insertScript(warm.Cells[warm.MovableOf(netlist.StdCell)[0]], len(warm.Nets), 5), eco.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := swapsPriced(func(rec *telemetry.Recorder) error {
+		res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Telemetry: rec}})
+		if err == nil && res.DP.Passes == 0 {
+			t.Error("the ECO call ran no cDP pass")
+		}
+		return err
+	}); n != 0 {
+		t.Errorf("the ECO call priced %d swap trials, want 0", n)
 	}
 }
 

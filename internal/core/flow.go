@@ -8,7 +8,6 @@ import (
 
 	"eplace/internal/checkpoint"
 	"eplace/internal/cluster"
-	"eplace/internal/detail"
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
 	"eplace/internal/poisson"
@@ -443,7 +442,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 
 	// --- cDP: row legalization + discrete refinement. ---
-	if _, _, err := r.cdp(r.stdCells, r.stdCells, nil, detail.Options{}); err != nil {
+	if _, _, err := r.cdp(r.stdCells, r.stdCells, nil); err != nil {
 		return res, err
 	}
 	err := r.finish()

@@ -314,13 +314,12 @@ func (r *flowRun) ensureRows() {
 
 // cdp runs the cDP tail (stage "cDP"): row legalization of the legal
 // cells around every other cell as an obstacle, then discrete
-// refinement of the refine cells, around every other cell likewise, at
-// the depth dOpt sets (the run supplies workers, telemetry and the
-// golden trace), from the seeded start edit describes or, when it is
-// nil, pricing every trial of the first pass. It returns the
-// legalization's total and maximum displacement. With no cells to
-// legalize or refine, it does nothing.
-func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit, dOpt detail.Options) (disp, maxDisp float64, err error) {
+// refinement of the refine cells, around every other cell likewise,
+// with the run's workers, telemetry and golden trace, from the seeded
+// start edit describes or, when it is nil, pricing every trial of the
+// first pass. It returns the legalization's total and maximum
+// displacement. With no cells to legalize or refine, it does nothing.
+func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit) (disp, maxDisp float64, err error) {
 	d := r.d
 	r.rec.SetStage("cDP")
 	t0 := time.Now()
@@ -339,9 +338,9 @@ func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit, dOpt detail.Option
 		}
 	}
 	r.rec.AddSpanTime("cDP", "legalize", time.Since(tLG))
-	dOpt.Workers, dOpt.Telemetry, dOpt.Golden = r.opt.Workers, r.rec, r.golden
 	tDP := time.Now()
-	r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, edit, dOpt)
+	r.sum.DP, err = detail.PlaceCompiled(r.cv, refine, edit,
+		detail.Options{Workers: r.opt.Workers, Telemetry: r.rec, Golden: r.golden})
 	if err != nil {
 		return disp, maxDisp, fmt.Errorf("core: detail placement failed: %w", err)
 	}

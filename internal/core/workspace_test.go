@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 	"unsafe"
 
@@ -163,19 +162,21 @@ var skipDirty = map[reflect.Type]bool{
 	reflect.TypeFor[*fft.Real[float64]]():  true,
 }
 
-// stageBytes places d and returns the bytes each GP stage allocated,
-// measured around flowRun.gp (runtime.MemStats.TotalAlloc), by stage.
-func stageBytes(t *testing.T, d *netlist.Design, opt FlowOptions) map[string]uint64 {
+// stageBytes places d and returns the bytes each GP stage allocated
+// under flowRun.gp, by stage.
+func stageBytes(t *testing.T, d *netlist.Design, opt FlowOptions) map[string]int64 {
 	t.Helper()
-	out := map[string]uint64{}
-	var m0, m1 runtime.MemStats
+	out := map[string]int64{}
+	tally, stop := telemetry.ProfileAllocs("eplace/internal/core.(*flowRun).gp")
+	defer stop()
+	var start int64
 	opt.gpHook = func(stage string, done bool) {
+		b, _ := tally()
 		if !done {
-			runtime.ReadMemStats(&m0)
+			start = b
 			return
 		}
-		runtime.ReadMemStats(&m1)
-		out[stage] += m1.TotalAlloc - m0.TotalAlloc
+		out[stage] += b - start
 	}
 	if _, err := Place(d, opt); err != nil {
 		t.Fatal(err)
@@ -197,7 +198,7 @@ func TestGPWorkspaceAllocs(t *testing.T) {
 		spec   synth.Spec
 		levels int
 		stages []string
-		budget uint64
+		budget int64
 	}{
 		{"mixed", synth.Spec{Name: "ws-mixed", NumCells: 3000, NumMovableMacros: 8, TargetDensity: 0.8, Utilization: 0.5}, 0,
 			[]string{"cGP-filler", "cGP"}, 7 << 10},
@@ -206,7 +207,7 @@ func TestGPWorkspaceAllocs(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := stageBytes(t, synth.Generate(c.spec), FlowOptions{GP: Options{Workers: 1}, Levels: c.levels})
-			var sum uint64
+			var sum int64
 			for _, s := range c.stages {
 				b, ok := got[s]
 				if !ok {
@@ -227,7 +228,7 @@ func TestGPWorkspaceAllocs(t *testing.T) {
 // so the first Sync after they are inserted allocates nothing, on the
 // input design and on a coarse level. testing.AllocsPerRun would time a
 // second Sync (its warm-up call is the first), so the count is taken
-// around the one call.
+// around the one call, of the allocations under Sync.
 func TestFillersJoinViewWithoutGrowing(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "ws-sync", NumCells: 4000, NumFixedMacros: 4})
 	plans := []fillerPlan{insertPlan(d)}
@@ -245,11 +246,11 @@ func TestFillersJoinViewWithoutGrowing(t *testing.T) {
 		if fillers := placeFillers(ld, ld.Region, plans[k], fillerSeed); len(fillers) == 0 {
 			t.Fatalf("level %d: no fillers", k)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		tally, stop := telemetry.ProfileAllocs("eplace/internal/netlist.(*Compiled).Sync")
 		view.Sync()
-		runtime.ReadMemStats(&m1)
-		if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		_, n := tally()
+		stop()
+		if n != 0 {
 			t.Errorf("level %d: the first Sync after the fillers allocates %d times, want 0", k, n)
 		}
 		if len(view.PosX) != len(ld.Cells) {
@@ -277,10 +278,10 @@ func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
 	if len(prep.Plan.Evicted) == 0 {
 		t.Fatalf("the block evicted nothing: %s", prep.Plan)
 	}
-	var res ECOResult
-	bytes, objects := allocsUnder(func() {
-		res, err = PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 1}})
-	}, "eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	tally, stop := telemetry.ProfileAllocs("eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 1}})
+	bytes, objects := tally()
+	stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,47 +291,6 @@ func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
 	if bytes != 0 {
 		t.Errorf("inserting eGP's fillers grows the design's cells: %d bytes in %d objects, want 0", bytes, objects)
 	}
-}
-
-// allocsUnder runs f with every allocation profiled and returns the
-// bytes and objects allocated by stacks that pass through each function
-// of path, outermost first (names as the runtime spells them):
-// allocations of other goroutines, or of f elsewhere, never count.
-func allocsUnder(f func(), path ...string) (bytes, objects int64) {
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	tally := func() (bytes, objects int64) {
-		runtime.GC() // publishes the profile up to here
-		recs := make([]runtime.MemProfileRecord, 64)
-		for {
-			n, ok := runtime.MemProfile(recs, true)
-			if ok {
-				recs = recs[:n]
-				break
-			}
-			recs = make([]runtime.MemProfileRecord, n+64)
-		}
-		for _, r := range recs {
-			// Frames run innermost first: match path from its end.
-			want := len(path) - 1
-			frames := runtime.CallersFrames(r.Stack())
-			for more := want >= 0; more && want >= 0; {
-				var fr runtime.Frame
-				if fr, more = frames.Next(); fr.Function == path[want] {
-					want--
-				}
-			}
-			if want < 0 {
-				bytes += r.AllocBytes
-				objects += r.AllocObjects
-			}
-		}
-		return bytes, objects
-	}
-	b0, o0 := tally()
-	f()
-	b1, o1 := tally()
-	return b1 - b0, o1 - o0
 }
 
 // BenchmarkFlowAllocs places one design per flow shape at 4-5K cells:

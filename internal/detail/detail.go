@@ -147,14 +147,14 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 // PlaceCompiled is Place over a caller-owned view of the design, which
 // it syncs from the Cell structs on entry; the structs hold the refined
 // layout when it returns. edit, when non-nil, says what changed in a
-// layout cDP refined before, and the first pass prices only the trials
-// it reaches (see Edit); nil prices every trial of the first pass.
+// layout cDP refined before. The first pass then prices only the trials
+// it reaches (see Edit), and no pass swaps: swaps repair the disorder a
+// cold legalization leaves, of which a refined layout has little unless
+// the edit evicted much of it (DESIGN.md, "cDP from the edit"). nil
+// prices every trial of the first pass.
 func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (Result, error) {
 	opt.defaults()
-	p, err := newPlacer(cv, cells, opt)
-	if err == nil && edit != nil {
-		p.seed(edit)
-	}
+	p, err := newPlacer(cv, cells, edit, opt)
 	// The view is synced by now: its HPWL is d.HPWL() bit for bit without
 	// the walk through the Net, Pin and Cell structs.
 	res := Result{HPWLBefore: cv.HPWL()}
@@ -169,9 +169,11 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (
 		t := time.Now()
 		improved += p.reorderPass(&res)
 		rec.AddSpanTime("cDP", "reorder", time.Since(t))
-		t = time.Now()
-		improved += p.swapPass(&res)
-		rec.AddSpanTime("cDP", "swap", time.Since(t))
+		if edit == nil {
+			t = time.Now()
+			improved += p.swapPass(&res)
+			rec.AddSpanTime("cDP", "swap", time.Since(t))
+		}
 		t = time.Now()
 		improved += p.ismPass(&res)
 		rec.AddSpanTime("cDP", "ism", time.Since(t))
@@ -204,9 +206,10 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (
 	return res, nil
 }
 
-// newPlacer syncs the view and builds the segment occupancy, regions and
-// ISM windows for one Place call.
-func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) {
+// newPlacer syncs the view and builds the segment occupancy, regions,
+// ISM windows and the dirty state of the start (see initDirty) for one
+// Place call.
+func newPlacer(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (*placer, error) {
 	cv.Sync()
 	p := &placer{d: cv.Design(), cv: cv, opt: opt, workers: parallel.Count(opt.Workers)}
 	if err := p.buildSegments(cells); err != nil {
@@ -214,7 +217,7 @@ func newPlacer(cv *netlist.Compiled, cells []int, opt Options) (*placer, error) 
 	}
 	p.buildRegions()
 	p.buildISMTasks()
-	p.initDirty()
+	p.initDirty(edit)
 	if opt.Golden != nil {
 		p.posBuf = make([]float64, 2*len(cells))
 	}
@@ -508,13 +511,6 @@ func (p *placer) swapPass(res *Result) int {
 				// clean holds: the anchor unmarked since, and not moved in
 				// this one.
 				last, clean := p.anchors[ci], !p.dirty(ci)
-				if clean && math.IsNaN(last.opt) {
-					// A seeded start left the cell clean before its first turn,
-					// so there is no anchor to read: it sits this turn out
-					// until a mark reaches it.
-					pc.skipped += min(p.opt.SwapCandidates, len(s.cells)-1)
-					continue
-				}
 				target := last.opt
 				if !clean {
 					target = e.optimalX(ci)

@@ -23,10 +23,10 @@ import (
 // full, with what each pass type keeps beside the marks).
 //
 // A mark is the number of the sub-pass it was made in (tick: the four
-// pass types of pass 0 are 1 to 4, those of pass 1 are 5 to 8, ISM's
-// number passing unused when it is off). A trial was last priced, or
-// known to be rejected, in the same pass type one pass earlier, four
-// ticks back; a mark of that sub-pass may have come before or after it in
+// pass types of pass 0 are 1 to 4, those of pass 1 are 5 to 8, the
+// number of a pass type that does not run passing unused). A trial was
+// last priced, or known to be rejected, in the same pass type one pass
+// earlier, four ticks back; a mark of that sub-pass may have come before or after it in
 // the sweep and counts as after. So a cell is dirty when its stamp is at
 // least since = tick - 4: a mark lasts through the next sub-pass of every
 // type, which is the two generations a move has to reach (the trials
@@ -40,7 +40,8 @@ import (
 // cell is marked as an accepted move at its slot is, a changed cell and
 // the cells beside a vacated slot alone. Unlike the rule above, this
 // start is an approximation: it assumes the earlier cDP left nothing to
-// accept outside the edit's reach.
+// accept outside the edit's reach. Swap trials are not made from it at
+// all (see PlaceCompiled), so the swap pass's anchors are not kept.
 //
 // Marks follow the position-visibility rule of evalCtx. A worker marks
 // the cells of the region it owns as it goes: it alone reads and writes
@@ -60,7 +61,8 @@ type dirtyState struct {
 	// replaced.
 	pass        int
 	tick, since int32
-	anchors     []swapAnchor
+	// anchors are the swap pass's, one per cell of a cold start.
+	anchors []swapAnchor
 	// trials counts what each pass type priced and skipped over the run.
 	trials [numPassKinds]struct{ priced, skipped int64 }
 }
@@ -86,10 +88,16 @@ var passNames = [numPassKinds]string{"reorder", "swap", "ism", "relocate"}
 // start: below every since, the full sweep's included.
 const cleanStamp = math.MinInt32
 
-func (p *placer) initDirty() {
+// initDirty starts the stamps all-dirty for a cold start, or from the
+// edit's marks for a seeded one.
+func (p *placer) initDirty(edit *Edit) {
 	p.stamp = make([]int32, len(p.d.Cells))
-	p.anchors = make([]swapAnchor, len(p.d.Cells))
 	p.since = cleanStamp
+	if edit != nil {
+		p.seed(edit)
+		return
+	}
+	p.anchors = make([]swapAnchor, len(p.d.Cells))
 }
 
 // Edit is what changed in a layout cDP refined before, for a seeded
@@ -111,14 +119,11 @@ type Edit struct {
 // seed replaces the all-dirty start with the marks an edit makes on a
 // layout the passes had left with nothing to accept: every stamp is
 // clean, and the edit's cells are marked at tick 0, so the marks last
-// through pass 0. A cell that is clean at its swap turn without a
-// previous turn has no anchor to trust (the anchors start as NaN) and
-// sits the turn out. ismPrev starts as the buckets' sorted order, so an
+// through pass 0. ismPrev starts as the buckets' sorted order, so an
 // unmarked ISM window is skipped from the first pass on.
 func (p *placer) seed(edit *Edit) {
 	for i := range p.stamp {
 		p.stamp[i] = cleanStamp
-		p.anchors[i].opt = math.NaN()
 	}
 	mark := func(ci int) {
 		if p.regionOf[ci] >= 0 {

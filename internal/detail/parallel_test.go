@@ -3,13 +3,13 @@ package detail
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
 	"eplace/internal/geom"
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
+	"eplace/internal/telemetry"
 )
 
 // bigLegalDesign builds a legalized design large enough to split into
@@ -96,7 +96,7 @@ func TestDetailWorkersBitwiseIdentical(t *testing.T) {
 func buildPlacer(d *netlist.Design, cells []int, workers int) *placer {
 	opt := Options{Workers: workers}
 	opt.defaults()
-	p, err := newPlacer(d.Compile(), cells, opt)
+	p, err := newPlacer(d.Compile(), cells, nil, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -172,7 +172,7 @@ func TestPermutationsCached(t *testing.T) {
 // swap + ISM + relocate) over a 5000-cell legalized design at 1 worker.
 func BenchmarkDetailPass(b *testing.B) {
 	d, cells := bigLegalDesign(5000, 7)
-	benchPlace(b, d, cells, Options{Passes: 1, Workers: 1})
+	benchPlace(b, d, cells, nil, Options{Passes: 1, Workers: 1})
 }
 
 // BenchmarkDetailPassWarm measures cDP in the regime the flow leaves it
@@ -184,17 +184,15 @@ func BenchmarkDetailPassWarm(b *testing.B) {
 	if _, err := Place(d, cells, Options{Passes: 2, Workers: 1}); err != nil {
 		b.Fatal(err)
 	}
-	benchPlace(b, d, cells, Options{Passes: 4, Workers: 1})
+	benchPlace(b, d, cells, nil, Options{Passes: 4, Workers: 1})
 }
 
-// BenchmarkDetailPassECO measures cDP as core.PlaceECO runs it: the
-// deeper ECO settings over the pinned test's active subset, the rest of
-// the design frozen into obstacles.
+// BenchmarkDetailPassECO measures cDP as core.PlaceECO runs it: a
+// seeded start from a 1% insertion into the pinned test's refined active
+// subset, the rest of the design frozen into obstacles.
 func BenchmarkDetailPassECO(b *testing.B) {
-	d, cells := bigLegalDesign(5000, 7)
-	opt := ecoOptions
-	opt.Workers = 1
-	benchPlace(b, d, ecoSubset(d, cells), opt)
+	d, cells, edit := ecoInsertEdit()
+	benchPlace(b, d, cells, edit, Options{Workers: 1})
 }
 
 // TestSetupOverLentViewAllocs: with the view lent, cDP set-up builds
@@ -204,20 +202,20 @@ func BenchmarkDetailPassECO(b *testing.B) {
 // growth is held under a quarter of the growth of Compile, whose arrays
 // are what a private pin view would copy.
 func TestSetupOverLentViewAllocs(t *testing.T) {
-	allocated := func(f func()) int64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	allocated := func(fn string, f func()) int64 {
+		tally, stop := telemetry.ProfileAllocs(fn)
+		defer stop()
 		f()
-		runtime.ReadMemStats(&m1)
-		return int64(m1.TotalAlloc - m0.TotalAlloc)
+		bytes, _ := tally()
+		return bytes
 	}
 	measure := func(d *netlist.Design, cells []int) (compile, setup int64) {
 		var cv *netlist.Compiled
-		compile = allocated(func() { cv = d.Compile() })
+		compile = allocated("eplace/internal/netlist.(*Design).Compile", func() { cv = d.Compile() })
 		opt := Options{Workers: 1}
 		opt.defaults()
-		setup = allocated(func() {
-			if _, err := newPlacer(cv, cells, opt); err != nil {
+		setup = allocated("eplace/internal/detail.newPlacer", func() {
+			if _, err := newPlacer(cv, cells, nil, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -241,8 +239,9 @@ func TestSetupOverLentViewAllocs(t *testing.T) {
 }
 
 // benchPlace times cDP over a lent view, as the flow runs it, from the
-// same starting layout every iteration.
-func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
+// same starting layout and start (seeded by edit, or cold) every
+// iteration.
+func benchPlace(b *testing.B, d *netlist.Design, cells []int, edit *Edit, opt Options) {
 	cv := d.Compile()
 	saveX := make([]float64, len(d.Cells))
 	saveY := make([]float64, len(d.Cells))
@@ -255,7 +254,7 @@ func benchPlace(b *testing.B, d *netlist.Design, cells []int, opt Options) {
 		for i := range d.Cells {
 			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
 		}
-		if _, err := PlaceCompiled(cv, cells, nil, opt); err != nil {
+		if _, err := PlaceCompiled(cv, cells, edit, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,9 +9,6 @@ import (
 	"eplace/internal/netlist"
 )
 
-// ecoOptions are the settings core.PlaceECO refines with.
-var ecoOptions = Options{Passes: 6, SwapCandidates: 16}
-
 // ecoSubset shapes a design like one ECO call: the cells of the central
 // quarter of the die plus every sixth cell elsewhere (1942 of 5000, 39%: a
 // geometric halo and scattered net neighbours) stay movable and are
@@ -43,33 +40,31 @@ func positionDigest(d *netlist.Design) uint64 {
 	return h.Sum64()
 }
 
-// TestDetailPlacePinned holds cDP to the decisions it made at commit
-// 8597a0c, before the trial evaluator: every accept/reject, and so every
-// final position bit and counter, on the default configuration and on
-// the ECO one. A constant that has to change means a change moved a
-// layout; that is never a re-roll inside a same-bits change.
+// TestDetailPlacePinned holds cDP to its decisions: every accept/reject,
+// and so every final position bit and counter. The default configuration
+// is pinned to what it decided at commit 8597a0c, before the trial
+// evaluator; the ECO one (a seeded start from an insertion, with the
+// settings core.PlaceECO refines with) to what it decided when the
+// seeded start stopped swapping. A constant that has to change means a
+// change moved a layout; that is never a re-roll inside a same-bits
+// change.
 func TestDetailPlacePinned(t *testing.T) {
 	cases := []struct {
 		name   string
-		eco    bool
+		build  func() (*netlist.Design, []int, *Edit)
 		digest uint64
 		want   Result
 	}{
-		{name: "default", digest: 0xbff07b9dadfcd252,
-			want: Result{Passes: 3, Swaps: 11712, Reorders: 7419, Relocates: 2717, ISMRounds: 1790}},
-		{name: "eco", eco: true, digest: 0xc8e25aa1bc11a750,
-			want: Result{Passes: 6, Swaps: 3031, Reorders: 2013, Relocates: 867, ISMRounds: 1231}},
+		{"default", func() (*netlist.Design, []int, *Edit) {
+			d, cells := bigLegalDesign(5000, 7)
+			return d, cells, nil
+		}, 0xbff07b9dadfcd252, Result{Passes: 3, Swaps: 11712, Reorders: 7419, Relocates: 2717, ISMRounds: 1790}},
+		{"eco", ecoInsertEdit, 0xf1db4e88b8d1c5b3, Result{Passes: 3, Reorders: 9, Relocates: 2, ISMRounds: 18}},
 	}
 	for _, tc := range cases {
 		for _, w := range []int{1, 7} {
-			d, cells := bigLegalDesign(5000, 7)
-			opt := Options{}
-			if tc.eco {
-				cells = ecoSubset(d, cells)
-				opt = ecoOptions
-			}
-			opt.Workers = w
-			res, err := Place(d, cells, opt)
+			d, cells, edit := tc.build()
+			res, err := PlaceCompiled(d.Compile(), cells, edit, Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", tc.name, w, err)
 			}

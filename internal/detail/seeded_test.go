@@ -13,16 +13,11 @@ import (
 	"eplace/internal/telemetry"
 )
 
-// seededOpt is the cDP depth of the seeded runs and of the refinement
-// they start from.
-var seededOpt = Options{Passes: 6, SwapCandidates: 16}
-
-// refined is a GP-like layout that cDP has run at seededOpt's candidate
-// count to a pass with nothing to accept, the layout an edit finds:
-// built once, cloned per run.
+// refined is a GP-like layout that cDP has run to a pass with nothing to
+// accept, the layout an edit finds: built once, cloned per run.
 var refined = sync.OnceValues(func() (*netlist.Design, []int) {
 	d, cells := gpLikeDesign(4200, 23)
-	if _, err := Place(d, cells, Options{Passes: 100, SwapCandidates: seededOpt.SwapCandidates, Workers: 1}); err != nil {
+	if _, err := Place(d, cells, Options{Passes: 100, Workers: 1}); err != nil {
 		panic(err)
 	}
 	return d, cells
@@ -44,11 +39,34 @@ func cellsOn(d *netlist.Design, nets []int) []int {
 	return out
 }
 
-// insertEdit splices 1% more cells into the refined layout, each into
-// two nets of a random cell next to which it is legalized, with the old
-// cells pinned meanwhile.
+// ecoRefined is the pinned test's ECO-shaped design (ecoSubset: the
+// active cells between frozen obstacles) refined the same way.
+var ecoRefined = sync.OnceValues(func() (*netlist.Design, []int) {
+	d, cells := bigLegalDesign(5000, 7)
+	cells = ecoSubset(d, cells)
+	if _, err := Place(d, cells, Options{Passes: 100, Workers: 1}); err != nil {
+		panic(err)
+	}
+	return d, cells
+})
+
+// insertEdit splices 1% more cells into the refined layout.
 func insertEdit() (*netlist.Design, []int, *Edit) {
 	base, cells := refined()
+	return insertInto(base, cells)
+}
+
+// ecoInsertEdit splices 1% more cells into ecoRefined's layout: the cDP
+// half of a core.PlaceECO insertion.
+func ecoInsertEdit() (*netlist.Design, []int, *Edit) {
+	base, cells := ecoRefined()
+	return insertInto(base, cells)
+}
+
+// insertInto splices 1% more cells into a copy of base, each into two
+// nets of a random refined cell next to which it is legalized, with the
+// refined cells pinned meanwhile.
+func insertInto(base *netlist.Design, cells []int) (*netlist.Design, []int, *Edit) {
 	d := base.Clone()
 	rng := rand.New(rand.NewSource(5))
 	for _, ci := range cells {
@@ -156,12 +174,12 @@ func placeEdited(t *testing.T, build func() (*netlist.Design, []int, *Edit), opt
 // splits into two regions, so the marks of the seeded start and of the
 // passes cross the barrier. Its HPWL is within 0.01% of the full
 // sweep's on average over the three edits. One edit can land a few
-// hundredths of a percent either side: the two runs accept different
+// thousandths of a percent either side: the two runs accept different
 // moves early and follow different greedy paths (insertions with rng
-// seeds 5-9 end 0 to +0.026% from the full sweep), so each edit is held
+// seeds 5-9 end 0 to +0.006% from the full sweep), so each edit is held
 // to 0.1%.
 func TestSeededStartFollowsTheEdit(t *testing.T) {
-	opt := seededOpt
+	var opt Options // as core.PlaceECO refines
 	meanGap := 0.0
 	edits := []struct {
 		name  string

@@ -5,13 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
+	"eplace/internal/telemetry"
 )
 
 // freeSegmentsRef is FreeSegments as it was before the obstacles were
@@ -268,15 +268,15 @@ func TestCheckLegalThinTallOverlap(t *testing.T) {
 // not a rectangle per cell grown by append.
 func TestCheckLegalAllocatesLess(t *testing.T) {
 	d, cells := obstacleDesign(1200, 9)
-	bytes := func(f func()) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	bytes := func(fn string, f func()) int64 {
+		tally, stop := telemetry.ProfileAllocs(fn)
+		defer stop()
 		f()
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		b, _ := tally()
+		return b
 	}
-	got := bytes(func() { _ = CheckLegal(d, cells) })
-	ref := bytes(func() { _ = checkLegalRef(d, cells) })
+	got := bytes("eplace/internal/legalize.CheckLegal", func() { _ = CheckLegal(d, cells) })
+	ref := bytes("eplace/internal/legalize.checkLegalRef", func() { _ = checkLegalRef(d, cells) })
 	if got >= ref/2 {
 		t.Errorf("CheckLegal allocates %d B, the all-pairs reference %d B", got, ref)
 	}

@@ -3,13 +3,13 @@ package qp
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
 	"eplace/internal/sparse"
 	"eplace/internal/synth"
+	"eplace/internal/telemetry"
 )
 
 // referencePlace is the oracle the compiled-view model is checked
@@ -252,51 +252,19 @@ func TestPlaceBitwiseRepeatable(t *testing.T) {
 // every solve shares it. Place allocates 924 448 bytes in 32 mallocs on
 // this design; growing the spring list by append and building through
 // transpose temporaries took 1 495 088 in 51, and the triplet-sort path
-// 59.9 MB in 1 485. Only Place's own allocations count (ownAllocs).
+// 59.9 MB in 1 485. Only Place's own allocations count
+// (telemetry.ProfileAllocs).
 func TestPlaceAllocationBudget(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "qp-alloc", NumCells: 2000})
 	idx := d.Movable()
-	bytes, mallocs := ownAllocs(func() { Place(d, idx) }, "eplace/internal/qp.Place")
+	tally, stop := telemetry.ProfileAllocs("eplace/internal/qp.Place")
+	Place(d, idx)
+	bytes, mallocs := tally()
+	stop()
 	t.Logf("qp.Place on %d cells: %d bytes in %d mallocs", len(idx), bytes, mallocs)
 	if bytes > 1<<20 || mallocs > 40 {
 		t.Errorf("qp.Place allocated %d bytes in %d mallocs, budget 1 MiB in 40", bytes, mallocs)
 	}
-}
-
-// ownAllocs runs f with every allocation profiled and returns the bytes
-// and objects allocated under fn (a function name as the runtime spells
-// it): allocations of other goroutines, or of f outside fn, never count.
-func ownAllocs(f func(), fn string) (bytes, objects int64) {
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	tally := func() (bytes, objects int64) {
-		runtime.GC() // publishes the profile up to here
-		recs := make([]runtime.MemProfileRecord, 64)
-		for {
-			n, ok := runtime.MemProfile(recs, true)
-			if ok {
-				recs = recs[:n]
-				break
-			}
-			recs = make([]runtime.MemProfileRecord, n+64)
-		}
-		for _, r := range recs {
-			frames := runtime.CallersFrames(r.Stack())
-			for more := true; more; {
-				var fr runtime.Frame
-				if fr, more = frames.Next(); fr.Function == fn {
-					bytes += r.AllocBytes
-					objects += r.AllocObjects
-					break
-				}
-			}
-		}
-		return bytes, objects
-	}
-	b0, o0 := tally()
-	f()
-	b1, o1 := tally()
-	return b1 - b0, o1 - o0
 }
 
 func TestChainBetweenPads(t *testing.T) {
