@@ -154,8 +154,8 @@ func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, egp *egpSetu
 	// The held cells reach cDP as the previous cDP left them, so the
 	// refinement starts from the edit (detail.Edit): the moved cells are
 	// marked with their neighbourhoods, the changed cells alone, and the
-	// cells beside a removed cell's slot. It runs the cold flow's passes
-	// but no swap pass (see detail.PlaceCompiled).
+	// cells beside a removed cell's slot. It runs the cold flow's passes,
+	// the moved cells alone taking swap turns (see detail.PlaceCompiled).
 	edit := &detail.Edit{Moved: moved, Changed: plan.Seeds}
 	for _, ci := range plan.Fresh {
 		if c := &d.Cells[ci]; c.Fixed && c.W == 0 && c.H == 0 {

@@ -468,9 +468,9 @@ func TestECOWindowGP(t *testing.T) {
 	}
 	// Pinned: eGP's fixed charge is the fixed, frozen and held footprints,
 	// and its fillers take the size of the cells it moves; the final
-	// digest follows the seeded cDP, which does not swap (recorded on
-	// amd64 with AVX2).
-	for stage, want := range map[string]string{"eGP": "62986690389bf02b", "final": "769fea9dfd6e4ff3"} {
+	// digest follows the seeded cDP, in which only the moved cells take
+	// swap turns (recorded on amd64 with AVX2).
+	for stage, want := range map[string]string{"eGP": "62986690389bf02b", "final": "0559f355661122a7"} {
 		if got := digestOf(t, full.Digests, stage).Hex(); got != want {
 			t.Errorf("%s digest %s, want %s", stage, got, want)
 		}
@@ -547,8 +547,10 @@ func TestECOWorkersBitwiseIdentical(t *testing.T) {
 }
 
 // TestECOSkipsSwap: the refinement an ECO call starts from its edit
-// prices no swap trial, while the cold flow that placed the design
-// prices many.
+// gives swap turns to the cells the edit moved alone. A reweight moves
+// none and prices no swap trial; an insertion of five cells prices some,
+// at most five turns of eight candidates per pass; the cold flow that
+// placed the design prices many.
 func TestECOSkipsSwap(t *testing.T) {
 	spec := ecoSpec("eco-swap")
 	swapsPriced := func(place func(rec *telemetry.Recorder) error) int64 {
@@ -566,25 +568,42 @@ func TestECOSkipsSwap(t *testing.T) {
 		return 0
 	}
 	cold := synth.Generate(spec)
-	if n := swapsPriced(func(rec *telemetry.Recorder) error {
+	coldPriced := swapsPriced(func(rec *telemetry.Recorder) error {
 		_, err := Place(cold, FlowOptions{GP: Options{MaxIters: 500, Telemetry: rec}})
 		return err
-	}); n == 0 {
+	})
+	if coldPriced == 0 {
 		t.Error("the cold flow priced no swap trial")
 	}
-	warm := warmCopy(spec, cold)
-	prep, err := eco.Prepare(warm, insertScript(warm.Cells[warm.MovableOf(netlist.StdCell)[0]], len(warm.Nets), 5), eco.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := swapsPriced(func(rec *telemetry.Recorder) error {
-		res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Telemetry: rec}})
-		if err == nil && res.DP.Passes == 0 {
-			t.Error("the ECO call ran no cDP pass")
+	const inserted = 5
+	for _, tc := range []struct {
+		name   string
+		script func(d *netlist.Design) *eco.Script
+		turns  int64
+	}{
+		{"reweight", func(d *netlist.Design) *eco.Script { return reweightScript(len(d.Nets), 20) }, 0},
+		{"insert", func(d *netlist.Design) *eco.Script {
+			return insertScript(d.Cells[d.MovableOf(netlist.StdCell)[0]], len(d.Nets), inserted)
+		}, inserted},
+	} {
+		warm := warmCopy(spec, cold)
+		prep, err := eco.Prepare(warm, tc.script(warm), eco.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return err
-	}); n != 0 {
-		t.Errorf("the ECO call priced %d swap trials, want 0", n)
+		var passes int64
+		n := swapsPriced(func(rec *telemetry.Recorder) error {
+			res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Telemetry: rec}})
+			if passes = int64(res.DP.Passes); err == nil && passes == 0 {
+				t.Errorf("%s: the ECO call ran no cDP pass", tc.name)
+			}
+			return err
+		})
+		if n > tc.turns*8*passes || (n == 0) != (tc.turns == 0) || n >= coldPriced {
+			t.Errorf("%s: the ECO call priced %d swap trials over %d passes, want at most %d turns of 8 per pass (cold flow %d)",
+				tc.name, n, passes, tc.turns, coldPriced)
+		}
+		t.Logf("%s: %d swap trials priced over %d passes (cold flow %d)", tc.name, n, passes, coldPriced)
 	}
 }
 

@@ -167,7 +167,7 @@ var skipDirty = map[reflect.Type]bool{
 func stageBytes(t *testing.T, d *netlist.Design, opt FlowOptions) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
-	tally, stop := telemetry.ProfileAllocs("eplace/internal/core.(*flowRun).gp")
+	tally, stop := profileAllocs("eplace/internal/core.(*flowRun).gp")
 	defer stop()
 	var start int64
 	opt.gpHook = func(stage string, done bool) {
@@ -246,17 +246,22 @@ func TestFillersJoinViewWithoutGrowing(t *testing.T) {
 		if fillers := placeFillers(ld, ld.Region, plans[k], fillerSeed); len(fillers) == 0 {
 			t.Fatalf("level %d: no fillers", k)
 		}
-		tally, stop := telemetry.ProfileAllocs("eplace/internal/netlist.(*Compiled).Sync")
-		view.Sync()
-		_, n := tally()
-		stop()
-		if n != 0 {
+		if n := syncObjects(view); n != 0 {
 			t.Errorf("level %d: the first Sync after the fillers allocates %d times, want 0", k, n)
 		}
 		if len(view.PosX) != len(ld.Cells) {
 			t.Errorf("level %d: view holds %d cells, design %d", k, len(view.PosX), len(ld.Cells))
 		}
 	}
+}
+
+// syncObjects syncs view and returns the objects Sync allocated.
+func syncObjects(view *netlist.Compiled) int64 {
+	tally, stop := profileAllocs("eplace/internal/netlist.(*Compiled).Sync")
+	defer stop()
+	view.Sync()
+	_, n := tally()
+	return n
 }
 
 // TestEGPFillersJoinWithoutGrowing: a block edit's eGP plans its
@@ -278,10 +283,10 @@ func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
 	if len(prep.Plan.Evicted) == 0 {
 		t.Fatalf("the block evicted nothing: %s", prep.Plan)
 	}
-	tally, stop := telemetry.ProfileAllocs("eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	tally, stop := profileAllocs("eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	defer stop()
 	res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 1}})
 	bytes, objects := tally()
-	stop()
 	if err != nil {
 		t.Fatal(err)
 	}

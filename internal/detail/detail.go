@@ -38,9 +38,6 @@ import (
 type Options struct {
 	// Passes bounds the improvement sweeps (default 3).
 	Passes int
-	// SwapCandidates bounds how many neighbors are tried per global
-	// swap (default 8).
-	SwapCandidates int
 	// Workers is the worker count for the region-parallel improvement
 	// passes: 0 uses all cores, 1 runs on the calling goroutine.
 	// Results are bitwise-identical at every setting.
@@ -59,9 +56,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Passes <= 0 {
 		o.Passes = 3
-	}
-	if o.SwapCandidates <= 0 {
-		o.SwapCandidates = 8
 	}
 }
 
@@ -147,10 +141,8 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 // PlaceCompiled is Place over a caller-owned view of the design, which
 // it syncs from the Cell structs on entry; the structs hold the refined
 // layout when it returns. edit, when non-nil, says what changed in a
-// layout cDP refined before. The first pass then prices only the trials
-// it reaches (see Edit), and no pass swaps: swaps repair the disorder a
-// cold legalization leaves, of which a refined layout has little unless
-// the edit evicted much of it (DESIGN.md, "cDP from the edit"). nil
+// layout cDP refined before: the first pass prices only the trials it
+// reaches, and only its moved cells take swap turns (see Edit). nil
 // prices every trial of the first pass.
 func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (Result, error) {
 	opt.defaults()
@@ -169,7 +161,7 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (
 		t := time.Now()
 		improved += p.reorderPass(&res)
 		rec.AddSpanTime("cDP", "reorder", time.Since(t))
-		if edit == nil {
+		if p.anchors != nil {
 			t = time.Now()
 			improved += p.swapPass(&res)
 			rec.AddSpanTime("cDP", "swap", time.Since(t))
@@ -490,12 +482,15 @@ func (p *placer) relocatePass(res *Result) int {
 // so while the anchor stays clean, a clean cell whose x lies inside the
 // extent was one of them and its pair is known to be rejected (a clean
 // cell has not moved, and cells of a segment are strictly ordered in x).
+// A NaN opt marks a cell that takes no turn (see seed).
 type swapAnchor struct{ opt, lo, hi float64 }
 
-// swapPass tries exchanging each cell with cells of its segment nearest
-// its optimal x. Iteration follows a fixed copy of each segment's order
-// captured when the segment is entered (swaps permute it in place).
+// swapPass tries exchanging each cell that takes a turn with cells of
+// its segment nearest its optimal x. Iteration follows a fixed copy of
+// each segment's order captured when the segment is entered (swaps
+// permute it in place).
 func (p *placer) swapPass(res *Result) int {
+	const candidates = 8 // the cells of its segment a turn tries
 	improved, ops := p.forRegions(swapKind, func(e *evalCtx, r int) passCount {
 		var pc passCount
 		for si := p.regions[r].lo; si < p.regions[r].hi; si++ {
@@ -503,6 +498,10 @@ func (p *placer) swapPass(res *Result) int {
 			e.order = append(e.order[:0], s.cells...)
 			e.dropHalves(len(s.cells))
 			for _, ci := range e.order {
+				last := p.anchors[ci]
+				if math.IsNaN(last.opt) {
+					continue
+				}
 				k := indexOf(s.cells, ci)
 				if k < 0 {
 					continue
@@ -510,7 +509,7 @@ func (p *placer) swapPass(res *Result) int {
 				// last is the anchor's previous turn, to be trusted while
 				// clean holds: the anchor unmarked since, and not moved in
 				// this one.
-				last, clean := p.anchors[ci], !p.dirty(ci)
+				clean := !p.dirty(ci)
 				target := last.opt
 				if !clean {
 					target = e.optimalX(ci)
@@ -528,7 +527,7 @@ func (p *placer) swapPass(res *Result) int {
 					}
 				}
 				tried := 0
-				for off := 0; off < len(s.cells) && tried < p.opt.SwapCandidates; off++ {
+				for off := 0; off < len(s.cells) && tried < candidates; off++ {
 					if lo+off >= len(s.cells) && lo-off-1 < 0 {
 						break // both sides have run off the segment
 					}
@@ -537,7 +536,7 @@ func (p *placer) swapPass(res *Result) int {
 						if side == 1 {
 							j = lo - off - 1
 						}
-						if j < 0 || j >= len(s.cells) || s.cells[j] == ci || tried >= p.opt.SwapCandidates {
+						if j < 0 || j >= len(s.cells) || s.cells[j] == ci || tried >= candidates {
 							continue
 						}
 						tried++

@@ -40,8 +40,7 @@ import (
 // cell is marked as an accepted move at its slot is, a changed cell and
 // the cells beside a vacated slot alone. Unlike the rule above, this
 // start is an approximation: it assumes the earlier cDP left nothing to
-// accept outside the edit's reach. Swap trials are not made from it at
-// all (see PlaceCompiled), so the swap pass's anchors are not kept.
+// accept outside the edit's reach.
 //
 // Marks follow the position-visibility rule of evalCtx. A worker marks
 // the cells of the region it owns as it goes: it alone reads and writes
@@ -61,8 +60,7 @@ type dirtyState struct {
 	// replaced.
 	pass        int
 	tick, since int32
-	// anchors are the swap pass's, one per cell of a cold start.
-	anchors []swapAnchor
+	anchors     []swapAnchor // nil when no cell takes a swap turn
 	// trials counts what each pass type priced and skipped over the run.
 	trials [numPassKinds]struct{ priced, skipped int64 }
 }
@@ -88,16 +86,17 @@ var passNames = [numPassKinds]string{"reorder", "swap", "ism", "relocate"}
 // start: below every since, the full sweep's included.
 const cleanStamp = math.MinInt32
 
-// initDirty starts the stamps all-dirty for a cold start, or from the
-// edit's marks for a seeded one.
+// initDirty starts the stamps all-dirty for a cold start, in which every
+// cell takes swap turns, or from the edit's marks (see seed).
 func (p *placer) initDirty(edit *Edit) {
 	p.stamp = make([]int32, len(p.d.Cells))
 	p.since = cleanStamp
+	if edit == nil || len(edit.Moved) > 0 {
+		p.anchors = make([]swapAnchor, len(p.d.Cells))
+	}
 	if edit != nil {
 		p.seed(edit)
-		return
 	}
-	p.anchors = make([]swapAnchor, len(p.d.Cells))
 }
 
 // Edit is what changed in a layout cDP refined before, for a seeded
@@ -105,7 +104,8 @@ func (p *placer) initDirty(edit *Edit) {
 type Edit struct {
 	// Moved are the cells that took a new slot, inserted or evicted and
 	// legalized again: each is marked as an accepted move at its slot is,
-	// with its segment neighbours and every cell on its nets.
+	// with its segment neighbours and every cell on its nets, and takes
+	// swap turns.
 	Moved []int
 	// Changed are the cells whose nets changed while they kept their slot
 	// (a reweighted net, a net a cell joined or left): each is marked
@@ -119,11 +119,17 @@ type Edit struct {
 // seed replaces the all-dirty start with the marks an edit makes on a
 // layout the passes had left with nothing to accept: every stamp is
 // clean, and the edit's cells are marked at tick 0, so the marks last
-// through pass 0. ismPrev starts as the buckets' sorted order, so an
-// unmarked ISM window is skipped from the first pass on.
+// through pass 0. Only the moved cells take swap turns: every other
+// anchor is NaN, and a moved cell is dirty at its first turn, so its
+// anchor is written before it is read. ismPrev starts as the buckets'
+// sorted order, so an unmarked ISM window is skipped from the first
+// pass on.
 func (p *placer) seed(edit *Edit) {
 	for i := range p.stamp {
 		p.stamp[i] = cleanStamp
+	}
+	for i := range p.anchors {
+		p.anchors[i].opt = math.NaN()
 	}
 	mark := func(ci int) {
 		if p.regionOf[ci] >= 0 {
@@ -133,6 +139,7 @@ func (p *placer) seed(edit *Edit) {
 	e := p.evals[0]
 	e.allLive = true
 	for _, ci := range edit.Moved {
+		p.anchors[ci].opt = 0
 		if si := p.segOf[ci]; si >= 0 {
 			s := &p.segs[si]
 			e.markMoved(s, indexOf(s.cells, ci))

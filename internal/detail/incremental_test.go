@@ -136,33 +136,23 @@ func TestIncrementalPassesMatchFullSweep(t *testing.T) {
 		}},
 	}
 	workers := []int{1, 2, 7}
-	run := 0
 	for _, st := range starts {
-		for _, sc := range []int{8, 16} {
-			opt := Options{Passes: 6, SwapCandidates: sc, Workers: 1}
-			full := placeWith(t, st.build, opt, true)
-			// Every worker count on the flow's own settings, one of them in
-			// rotation on the ECO's.
-			ws := workers[run%3 : run%3+1]
-			if sc == 8 {
-				ws = workers
+		opt := Options{Passes: 6, Workers: 1}
+		full := placeWith(t, st.build, opt, true)
+		var first placed
+		for k, w := range workers {
+			opt.Workers = w
+			what := fmt.Sprintf("%s start, %d workers", st.name, w)
+			inc := placeWith(t, st.build, opt, false)
+			skipped := sameRun(t, what, full, inc)
+			if k == 0 {
+				first = inc
+			} else if !reflect.DeepEqual(inc.counters, first.counters) {
+				t.Errorf("%s: counters %v, at %d workers %v", what, inc.counters, workers[0], first.counters)
 			}
-			run++
-			var first placed
-			for k, w := range ws {
-				opt.Workers = w
-				what := fmt.Sprintf("%s start, %d candidates, %d workers", st.name, sc, w)
-				inc := placeWith(t, st.build, opt, false)
-				skipped := sameRun(t, what, full, inc)
-				if k == 0 {
-					first = inc
-				} else if !reflect.DeepEqual(inc.counters, first.counters) {
-					t.Errorf("%s: counters %v, at %d workers %v", what, inc.counters, ws[0], first.counters)
-				}
-				t.Logf("%s: %.1f%% of the trials skipped", what, 100*skipped)
-				if st.name == "gp-like" && skipped < 0.2 {
-					t.Errorf("%s: %.0f%% of the trials skipped, want an incremental run", what, 100*skipped)
-				}
+			t.Logf("%s: %.1f%% of the trials skipped", what, 100*skipped)
+			if st.name == "gp-like" && skipped < 0.2 {
+				t.Errorf("%s: %.0f%% of the trials skipped, want an incremental run", what, 100*skipped)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"eplace/internal/geom"
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
-	"eplace/internal/telemetry"
 )
 
 // bigLegalDesign builds a legalized design large enough to split into
@@ -203,7 +202,7 @@ func BenchmarkDetailPassECO(b *testing.B) {
 // are what a private pin view would copy.
 func TestSetupOverLentViewAllocs(t *testing.T) {
 	allocated := func(fn string, f func()) int64 {
-		tally, stop := telemetry.ProfileAllocs(fn)
+		tally, stop := profileAllocs(fn)
 		defer stop()
 		f()
 		bytes, _ := tally()

@@ -44,8 +44,9 @@ func positionDigest(d *netlist.Design) uint64 {
 // and so every final position bit and counter. The default configuration
 // is pinned to what it decided at commit 8597a0c, before the trial
 // evaluator; the ECO one (a seeded start from an insertion, with the
-// settings core.PlaceECO refines with) to what it decided when the
-// seeded start stopped swapping. A constant that has to change means a
+// settings core.PlaceECO refines with) to what it decided when ECO's
+// refinement took the cold flow's depth, with swap turns for the moved
+// cells alone (none of which swaps here). A constant that has to change means a
 // change moved a layout; that is never a re-roll inside a same-bits
 // change.
 func TestDetailPlacePinned(t *testing.T) {

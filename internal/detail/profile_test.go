@@ -1,17 +1,20 @@
-package telemetry
+package detail
 
 import (
 	"runtime"
 	"strings"
 )
 
-// ProfileAllocs profiles every allocation until stop is called and
+// profileAllocs profiles every allocation until stop is called and
 // returns a tally of the bytes and objects allocated since by stacks
 // through each function of path, outermost first (as the runtime names
-// them). Other goroutines' allocations, code outside path and the
-// tallies themselves never count, so a budget measured with it counts
-// only its own work.
-func ProfileAllocs(path ...string) (tally func() (bytes, objects int64), stop func()) {
+// them). Allocations off path, the tallies' own and other goroutines'
+// never count, so a budget measured with it counts its own work. That
+// work has to run on the calling goroutine (one worker): a goroutine it
+// starts has a stack of its own, which path does not reach. Test files
+// are not shared between packages, so the core, detail, legalize and qp
+// tests each keep this file.
+func profileAllocs(path ...string) (tally func() (bytes, objects int64), stop func()) {
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
 	var recs []runtime.MemProfileRecord
@@ -24,15 +27,15 @@ func ProfileAllocs(path ...string) (tally func() (bytes, objects int64), stop fu
 		}
 		for _, r := range recs[:n] {
 			want := len(path) - 1 // frames run innermost first
-			for fs, more := runtime.CallersFrames(r.Stack()), true; more && want >= -1; {
+			for fs, more := runtime.CallersFrames(r.Stack()), true; more && want >= 0; {
 				var fr runtime.Frame
-				if fr, more = fs.Next(); strings.HasPrefix(fr.Function, "eplace/internal/telemetry.ProfileAllocs") {
-					want = -2 // a tally's own buffer
-				} else if want >= 0 && fr.Function == path[want] {
+				if fr, more = fs.Next(); strings.Contains(fr.Function, ".profileAllocs.func") {
+					break // a tally's own buffer
+				} else if fr.Function == path[want] {
 					want--
 				}
 			}
-			if want == -1 {
+			if want < 0 {
 				bytes, objects = bytes+r.AllocBytes, objects+r.AllocObjects
 			}
 		}

@@ -28,7 +28,6 @@ var allowedExports = map[string]string{
 	"netlist.Stats.String":            "fmt.Stringer: the CLIs print a design's stats with %s",
 	"parallel.WorkerPanic.Unwrap":     "errors.Unwrap, for errors.Is/As through a worker panic",
 	"telemetry.DigestsEqual":          "the oracle the core, detail and server tests compare digests with",
-	"telemetry.ProfileAllocs":         "the allocation budgets of the core, detail, legalize and qp tests count their own work with it",
 	"telemetry.ReadJSONL":             "the trace decoder the telemetry and server tests replay traces with",
 	"telemetry.WriteSamplesCSV":       "writes a core.Trace's samples as CSV in the core test",
 }

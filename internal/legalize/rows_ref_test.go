@@ -11,7 +11,6 @@ import (
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
-	"eplace/internal/telemetry"
 )
 
 // freeSegmentsRef is FreeSegments as it was before the obstacles were
@@ -269,7 +268,7 @@ func TestCheckLegalThinTallOverlap(t *testing.T) {
 func TestCheckLegalAllocatesLess(t *testing.T) {
 	d, cells := obstacleDesign(1200, 9)
 	bytes := func(fn string, f func()) int64 {
-		tally, stop := telemetry.ProfileAllocs(fn)
+		tally, stop := profileAllocs(fn)
 		defer stop()
 		f()
 		b, _ := tally()

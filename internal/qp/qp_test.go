@@ -9,7 +9,6 @@ import (
 	"eplace/internal/netlist"
 	"eplace/internal/sparse"
 	"eplace/internal/synth"
-	"eplace/internal/telemetry"
 )
 
 // referencePlace is the oracle the compiled-view model is checked
@@ -252,15 +251,14 @@ func TestPlaceBitwiseRepeatable(t *testing.T) {
 // every solve shares it. Place allocates 924 448 bytes in 32 mallocs on
 // this design; growing the spring list by append and building through
 // transpose temporaries took 1 495 088 in 51, and the triplet-sort path
-// 59.9 MB in 1 485. Only Place's own allocations count
-// (telemetry.ProfileAllocs).
+// 59.9 MB in 1 485. Only Place's own allocations count (profileAllocs).
 func TestPlaceAllocationBudget(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "qp-alloc", NumCells: 2000})
 	idx := d.Movable()
-	tally, stop := telemetry.ProfileAllocs("eplace/internal/qp.Place")
+	tally, stop := profileAllocs("eplace/internal/qp.Place")
+	defer stop()
 	Place(d, idx)
 	bytes, mallocs := tally()
-	stop()
 	t.Logf("qp.Place on %d cells: %d bytes in %d mallocs", len(idx), bytes, mallocs)
 	if bytes > 1<<20 || mallocs > 40 {
 		t.Errorf("qp.Place allocated %d bytes in %d mallocs, budget 1 MiB in 40", bytes, mallocs)
