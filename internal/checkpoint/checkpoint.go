@@ -43,8 +43,9 @@ import (
 // FormatVersion is the on-disk format version written by Save; Load
 // rejects any other. 2: State.Golden carries word-folded digests. 3:
 // State carries no per-cell fixed flags. 4: State carries no Poisson
-// solver stamp.
-const FormatVersion = 4
+// solver stamp. 5: nesterov.State carries Alpha, not v_{k-1} and its
+// gradient.
+const FormatVersion = 5
 
 var magic = [8]byte{'E', 'P', 'L', 'C', 'K', 'P', 'T', 0}
 
@@ -114,16 +115,37 @@ type GPState struct {
 	Nesterov nesterov.State
 }
 
-// Validate checks that every vector of g holds the 2n coordinates of
-// the n cells the resuming loop places; a shorter one would be indexed
-// past its end.
+// AlphaError refuses a mid-stage snapshot whose nesterov.State.Alpha is
+// NaN, infinite or negative: the resumed optimizer would step by it.
+type AlphaError struct {
+	Stage string
+	Alpha float64
+}
+
+func (e *AlphaError) Error() string {
+	return fmt.Sprintf("checkpoint: %s snapshot's steplength prediction Alpha is %v, not a finite value >= 0", e.Stage, e.Alpha)
+}
+
+// checkAlpha returns an *AlphaError for an unusable Alpha.
+func (g *GPState) checkAlpha() error {
+	if a := g.Nesterov.Alpha; math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
+		return &AlphaError{Stage: g.Stage, Alpha: a}
+	}
+	return nil
+}
+
+// Validate checks g's Alpha (see AlphaError) and that every vector of g
+// holds the 2n coordinates of the n cells the resuming loop places; a
+// shorter one would be indexed past its end.
 func (g *GPState) Validate(n int) error {
+	if err := g.checkAlpha(); err != nil {
+		return err
+	}
 	for _, v := range []struct {
 		name string
 		x    []float64
 	}{
-		{"U", g.Nesterov.U}, {"V", g.Nesterov.V}, {"GradV", g.Nesterov.GradV},
-		{"VPrev", g.Nesterov.VPrev}, {"GradPrev", g.Nesterov.GradPrev}, {"Best", g.Best},
+		{"U", g.Nesterov.U}, {"V", g.Nesterov.V}, {"GradV", g.Nesterov.GradV}, {"Best", g.Best},
 	} {
 		if len(v.x) != 2*n {
 			return fmt.Errorf("checkpoint: %s snapshot's %s holds %d coordinates, the stage places %d cells (%d)",
@@ -514,7 +536,8 @@ func (m *Manager) HistoryFiles() ([]string, error) {
 }
 
 // Validate checks that the snapshot belongs to d (by name and
-// structural fingerprint) before a resume.
+// structural fingerprint) and a mid-stage snapshot's Alpha before a
+// resume restores any position.
 func (s *State) Validate(d *netlist.Design) error {
 	if s.DesignName != d.Name {
 		return fmt.Errorf("checkpoint: snapshot is for design %q, not %q", s.DesignName, d.Name)
@@ -530,5 +553,8 @@ func (s *State) Validate(d *netlist.Design) error {
 	}
 	// Level > 0 snapshots capture a coarsened design's positions; the
 	// multilevel driver checks NumBaseCells against the rebuilt level.
+	if s.GP != nil {
+		return s.GP.checkAlpha()
+	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,9 +37,8 @@ func sampleState() *State {
 			PrevHPWL: 12345.678, HPWL0: 23456.789,
 			Best: []float64{1, 2, 3, 4, 5, 6, 7, 8}, BestTau: 0.42, BestTauIter: 11,
 			Nesterov: nesterov.State{
-				U: []float64{1, 2}, V: []float64{3, 4}, VPrev: []float64{5, 6},
-				GradV: []float64{-1, -2}, GradPrev: []float64{-3, -4},
-				A: 5.5, Steps: 17, Backtracks: 3,
+				U: []float64{1, 2}, V: []float64{3, 4}, GradV: []float64{-1, -2},
+				Alpha: 0.3125, A: 5.5, Steps: 17, Backtracks: 3,
 			},
 		},
 		Golden: telemetry.GoldenState{Stages: []telemetry.StageDigest{
@@ -112,24 +115,75 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestDecodeRefusesOlderVersions: a version-1 snapshot carries rolling
 // hashes from before the golden digest was redefined, a version-2 one
 // per-cell fixed flags, which a resume of this build does not restore (it
-// fixes mLG's macros again by phase), and a version-3 one a Poisson
-// solver stamp. All three headers are refused by version before the
-// payload is looked at.
+// fixes mLG's macros again by phase), a version-3 one a Poisson solver
+// stamp and a version-4 one v_{k-1} and its gradient in place of the
+// steplength prediction. All four headers are refused by version before
+// the payload is looked at.
 func TestDecodeRefusesOlderVersions(t *testing.T) {
 	data, err := Encode(sampleState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != 4 {
-		t.Fatalf("Encode wrote version %d, want 4", v)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 5 {
+		t.Fatalf("Encode wrote version %d, want 5", v)
 	}
-	for _, old := range []uint32{1, 2, 3} {
+	for _, old := range []uint32{1, 2, 3, 4} {
 		b := slices.Clone(data)
 		binary.LittleEndian.PutUint32(b[8:], old)
 		_, err = Decode(b)
-		if want := fmt.Sprintf("format version %d, this build reads 4", old); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("format version %d, this build reads 5", old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Decode of a version-%d header: %v, want an error saying %q", old, err, want)
 		}
+	}
+}
+
+// stateV4 is the layout of a format-4 snapshot, as far as it differs:
+// its optimizer state holds v_{k-1} (VPrev) and the gradient there
+// (GradPrev), and no Alpha.
+type stateV4 struct {
+	Phase, DesignName string
+	GP                *struct {
+		Stage    string
+		Iter     int
+		Nesterov struct {
+			U, V, VPrev, GradV, GradPrev []float64
+			A                            float64
+		}
+	}
+}
+
+// TestReadFileRefusesFormat4: a snapshot file as a format-4 build wrote
+// it, with a valid CRC over a payload of the old layout, is refused by
+// its version, and the error names the file.
+func TestReadFileRefusesFormat4(t *testing.T) {
+	old := stateV4{Phase: PhaseMGP, DesignName: "v4"}
+	old.GP = &struct {
+		Stage    string
+		Iter     int
+		Nesterov struct {
+			U, V, VPrev, GradV, GradPrev []float64
+			A                            float64
+		}
+	}{Stage: "mGP", Iter: 3}
+	n := &old.GP.Nesterov
+	n.U, n.V, n.VPrev, n.GradV, n.GradPrev, n.A = []float64{1}, []float64{2}, []float64{3}, []float64{4}, []float64{5}, 1.5
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	p := payload.Bytes()
+	file := make([]byte, 24, 24+len(p))
+	copy(file, magic[:])
+	binary.LittleEndian.PutUint32(file[8:], 4)
+	binary.LittleEndian.PutUint64(file[12:], uint64(len(p)))
+	binary.LittleEndian.PutUint32(file[20:], crc32.Checksum(p, castagnoli))
+	path := filepath.Join(t.TempDir(), "v4.ckpt")
+	if err := os.WriteFile(path, append(file, p...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	if want := "checkpoint: format version 4, this build reads 5 (file " + path + ")"; err == nil || err.Error() != want {
+		t.Errorf("ReadFile of a format-4 file: %v, want %q", err, want)
 	}
 }
 
@@ -352,21 +406,38 @@ func TestRestoreRejectsMalformedPositions(t *testing.T) {
 	}
 }
 
-// TestGPStateValidate: every one of the six coordinate vectors must hold
-// exactly 2n values.
+// TestGPStateValidate: every one of the four coordinate vectors must
+// hold exactly 2n values, and the steplength prediction must be finite
+// and non-negative (an *AlphaError otherwise, also from State.Validate).
 func TestGPStateValidate(t *testing.T) {
 	gp := sampleState().GP
 	gp.Best = gp.Best[:2]
 	if err := gp.Validate(1); err != nil {
 		t.Fatalf("intact state: %v", err)
 	}
-	for _, v := range []*[]float64{&gp.Nesterov.U, &gp.Nesterov.V, &gp.Nesterov.GradV,
-		&gp.Nesterov.VPrev, &gp.Nesterov.GradPrev, &gp.Best} {
+	for _, v := range []*[]float64{&gp.Nesterov.U, &gp.Nesterov.V, &gp.Nesterov.GradV, &gp.Best} {
 		full := *v
 		*v = full[:1]
 		if err := gp.Validate(1); err == nil {
 			t.Errorf("a vector of %d for 1 cell passed", len(*v))
 		}
 		*v = full
+	}
+	for _, a := range []float64{0, math.Copysign(0, -1), 1e300} {
+		gp.Nesterov.Alpha = a
+		if err := gp.Validate(1); err != nil {
+			t.Errorf("Alpha %v: %v", a, err)
+		}
+	}
+	d := synth.Generate(synth.Spec{Name: "alpha", NumCells: 20})
+	s := State{DesignName: d.Name, Fingerprint: Fingerprint(d), NumBaseCells: len(d.Cells), GP: gp}
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-300} {
+		gp.Nesterov.Alpha = a
+		for name, err := range map[string]error{"GPState.Validate": gp.Validate(1), "State.Validate": s.Validate(d)} {
+			var ae *AlphaError
+			if !errors.As(err, &ae) || !(ae.Alpha == a || math.IsNaN(a) && math.IsNaN(ae.Alpha)) {
+				t.Errorf("%s with Alpha %v: %v, want an *AlphaError", name, a, err)
+			}
+		}
 	}
 }

@@ -51,10 +51,11 @@ type engine struct {
 	// Per-cell half sizes for clamping.
 	halfW, halfH []float64
 
-	gw, gd []float64 // wirelength and density gradient scratch
-	posBuf []float64 // end-of-stage clamp buffer (avoids Positions alloc)
+	gd []float64 // density gradient scratch (see gradient)
 	// best holds the stage's start, then its best snapshot (sch.Best).
 	best []float64
+	// The last gradient's two L1 norms, for telemetry samples.
+	gradWL, gradDensity float64
 	// still marks the cells the stage holds with the fixed ones
 	// (Design.FixedOrHeldInto).
 	still []bool
@@ -189,8 +190,8 @@ func (e *engine) cellVectors() [4]*[]float64 {
 	return [4]*[]float64{&e.degree, &e.qNorm, &e.halfW, &e.halfH}
 }
 
-func (e *engine) coordVectors() [4]*[]float64 {
-	return [4]*[]float64{&e.gw, &e.gd, &e.posBuf, &e.best}
+func (e *engine) coordVectors() [2]*[]float64 {
+	return [2]*[]float64{&e.gd, &e.best}
 }
 
 // reserve sizes the workspace once for the largest stage of a run: n
@@ -270,12 +271,11 @@ func (e *engine) clampRange(_, lo, hi int) {
 	}
 }
 
-// combineRange writes the preconditioned gradient of cells [lo, hi) into
-// e.out, the vector gradient passed.
+// combineRange folds the density gradient of cells [lo, hi) into e.out,
+// the vector gradient passed, and preconditions it in place.
 func (e *engine) combineRange(_, lo, hi int) {
 	n, lambda, precond := len(e.idx), e.sch.Lambda, !e.opt.DisablePrecond
 	gx, gy := e.out[lo:hi], e.out[n+lo:n+hi]
-	wx, wy := e.gw[lo:hi], e.gw[n+lo:n+hi]
 	dx, dy := e.gd[lo:hi], e.gd[n+lo:n+hi]
 	deg, q := e.degree[lo:hi], e.qNorm[lo:hi]
 	for k := range gx {
@@ -288,8 +288,8 @@ func (e *engine) combineRange(_, lo, hi int) {
 				p = 1e-4
 			}
 		}
-		gx[k] = (wx[k] + lambda*dx[k]) / p
-		gy[k] = (wy[k] + lambda*dy[k]) / p
+		gx[k] = (gx[k] + lambda*dx[k]) / p
+		gy[k] = (gy[k] + lambda*dy[k]) / p
 	}
 }
 
@@ -301,12 +301,13 @@ func (e *engine) clamp(v []float64) {
 	e.out = nil
 }
 
-// gradient evaluates the preconditioned gradient of f at v.
+// gradient evaluates the preconditioned gradient of f at v into g, which
+// takes the wirelength gradient first (see combineRange).
 func (e *engine) gradient(v, g []float64) {
 	e.cv.SetPositions(e.idx, v)
 	e.wl.Gamma = e.sch.Gamma
 	t0 := time.Now()
-	e.wl.CostAndGradient(e.gw)
+	e.wl.CostAndGradient(g)
 	e.rec.AddSpanTime(e.stage, "wirelength", time.Since(t0))
 	t0 = time.Now()
 	e.dm.Refresh(e.idx)
@@ -314,6 +315,9 @@ func (e *engine) gradient(v, g []float64) {
 	e.rec.AddSpanTime(e.stage, "density", time.Since(t0))
 	e.rec.AddSpanTime(e.stage, poissonSpan, e.dm.LastSolveTime())
 	e.rec.Count("engine/grad_evals", 1)
+	if e.opt.Telemetry.Active() {
+		e.gradWL, e.gradDensity = sumAbs(g), sumAbs(e.gd)
+	}
 
 	e.out = g
 	parallel.For(e.workers, len(e.idx), e.combineTask)
@@ -345,14 +349,11 @@ func (e *engine) start(v0 []float64, lambdaInit, lambdaScale float64) {
 func (e *engine) initLambda(v []float64, scale float64) float64 {
 	e.cv.SetPositions(e.idx, v)
 	e.wl.Gamma = e.sch.Gamma
-	e.wl.CostAndGradient(e.gw)
+	e.wl.CostAndGradient(e.gd)
+	sw := sumAbs(e.gd)
 	e.dm.Refresh(e.idx)
 	e.dm.Gradient(e.idx, e.gd)
-	var sw, sd float64
-	for i := range e.gw {
-		sw += math.Abs(e.gw[i])
-		sd += math.Abs(e.gd[i])
-	}
+	sd := sumAbs(e.gd)
 	if sd == 0 {
 		return 1
 	}
@@ -487,7 +488,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 				Stage: stage, Iteration: iter,
 				HPWL: hpwl, Overflow: tau, Energy: e.dm.Energy(),
 				Lambda: sch.Lambda, Gamma: sch.Gamma, Alpha: alpha, Backtracks: bt,
-				GradWL: sumAbs(e.gw), GradDensity: sumAbs(e.gd), Steps: opt2.Steps(),
+				GradWL: e.gradWL, GradDensity: e.gradDensity, Steps: opt2.Steps(),
 				WirelengthTime: wlNow - prevWL, DensityTime: denNow - prevDen,
 			})
 			prevWL, prevDen = wlNow, denNow
@@ -507,18 +508,17 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		}
 	}
 
-	// Adopt the best snapshot if we diverged or stagnated past it,
-	// clamp it, and write it back to both the structs (the caller's
+	// Adopt the best snapshot if we diverged or stagnated past it, clamp
+	// it in place, and write it back to both the structs (the caller's
 	// source of truth between stages) and the view (for the final
 	// Refresh/HPWL below).
 	final := opt2.U
 	if res.Stop == StopDiverged || res.Stop == StopStall {
 		final = sch.Best
 	}
-	copy(e.posBuf, final)
-	e.clamp(e.posBuf)
-	e.d.SetPositions(e.idx, e.posBuf)
-	e.cv.SetPositions(e.idx, e.posBuf)
+	e.clamp(final)
+	e.d.SetPositions(e.idx, final)
+	e.cv.SetPositions(e.idx, final)
 
 	e.dm.Refresh(e.idx)
 	res.Iterations = iter
@@ -535,7 +535,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	return res, nil
 }
 
-// sumAbs returns the L1 norm of x (gradient magnitudes for samples).
+// sumAbs returns the L1 norm of x.
 func sumAbs(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -95,7 +97,6 @@ func cloneState(st *checkpoint.State) *checkpoint.State {
 		gp.Best = slices.Clone(st.GP.Best)
 		n := &gp.Nesterov
 		n.U, n.V, n.GradV = slices.Clone(n.U), slices.Clone(n.V), slices.Clone(n.GradV)
-		n.VPrev, n.GradPrev = slices.Clone(n.VPrev), slices.Clone(n.GradPrev)
 		c.GP = &gp
 	}
 	return &c
@@ -128,10 +129,10 @@ func TestWarmStartRejectsShortY(t *testing.T) {
 
 // TestResumeRejectsShortGPVector: a mid-stage snapshot whose optimizer
 // or best-solution vector is short of the stage's 2n coordinates is
-// refused with an error, for each of the six vectors, instead of
+// refused with an error, for each of the four vectors, instead of
 // panicking inside the Nesterov update.
 func TestResumeRejectsShortGPVector(t *testing.T) {
-	for _, name := range []string{"U", "V", "GradV", "VPrev", "GradPrev", "Best"} {
+	for _, name := range gpVectorNames {
 		st := stateOf(t, checkpoint.PhaseMGP)
 		v := gpVectors(st.GP)[name]
 		*v = (*v)[:len(*v)-1]
@@ -145,13 +146,34 @@ func TestResumeRejectsShortGPVector(t *testing.T) {
 	}
 }
 
-// gpVectors names the six coordinate vectors of a GP snapshot.
+// TestResumeRejectsBadAlpha: a mid-stage snapshot whose steplength
+// prediction is NaN, infinite or negative is refused with an
+// *checkpoint.AlphaError before the resume restores any position.
+func TestResumeRejectsBadAlpha(t *testing.T) {
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		st := stateOf(t, checkpoint.PhaseMGP)
+		st.GP.Nesterov.Alpha = a
+		d := synth.Generate(hostileSpec)
+		before := d.Positions(d.Movable())
+		fo := hostileOpts()
+		fo.Resume = st
+		_, err := PlaceContext(context.Background(), d, fo)
+		if ae := (*checkpoint.AlphaError)(nil); !errors.As(err, &ae) {
+			t.Errorf("resume with Alpha %v: error %v, want an *checkpoint.AlphaError", a, err)
+		}
+		if !slices.Equal(before, d.Positions(d.Movable())) {
+			t.Errorf("a snapshot with Alpha %v moved cells", a)
+		}
+	}
+}
+
+// gpVectorNames lists the four coordinate vectors of a GP snapshot.
+var gpVectorNames = []string{"U", "V", "GradV", "Best"}
+
+// gpVectors names the four coordinate vectors of a GP snapshot.
 func gpVectors(gp *checkpoint.GPState) map[string]*[]float64 {
 	n := &gp.Nesterov
-	return map[string]*[]float64{
-		"U": &n.U, "V": &n.V, "GradV": &n.GradV,
-		"VPrev": &n.VPrev, "GradPrev": &n.GradPrev, "Best": &gp.Best,
-	}
+	return map[string]*[]float64{"U": &n.U, "V": &n.V, "GradV": &n.GradV, "Best": &gp.Best}
 }
 
 // resize returns x grown (by repeating its last value, or 0) or cut by
@@ -171,8 +193,9 @@ func resize(x []float64, delta int) []float64 {
 }
 
 // FuzzCheckpointRestore corrupts real snapshots of a small flow — the
-// lengths of X, Y and one GP vector, and one position and one GP value —
-// and drives each through WarmStart and through a resume. It
+// lengths of X, Y and one GP vector, and one position and one GP value,
+// the optimizer's steplength prediction Alpha among them — and drives
+// each through WarmStart and through a resume. It
 // builds the State directly: random bytes would stop at the CRC before
 // they reached restore. Either call may refuse the snapshot; neither may
 // panic.
@@ -180,8 +203,9 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add(uint8(0), int8(0), int8(0), uint8(0), int8(0), uint16(0), 0.0)
 	f.Add(uint8(1), int8(0), int8(-1), uint8(0), int8(0), uint16(3), 1.5)
 	f.Add(uint8(1), int8(0), int8(0), uint8(2), int8(-1), uint16(7), 2.0)
-	f.Add(uint8(1), int8(2), int8(2), uint8(5), int8(4), uint16(1), -1e300)
+	f.Add(uint8(1), int8(2), int8(2), uint8(3), int8(4), uint16(1), -1e300)
 	f.Add(uint8(4), int8(-5), int8(0), uint8(1), int8(0), uint16(2), 0.0)
+	f.Add(uint8(1), int8(0), int8(0), uint8(4), int8(0), uint16(0), math.NaN())
 	f.Fuzz(func(t *testing.T, which uint8, dx, dy int8, vec uint8, dvec int8, at uint16, val float64) {
 		states := hostileStates(t)
 		st := cloneState(states[int(which)%len(states)])
@@ -191,11 +215,15 @@ func FuzzCheckpointRestore(f *testing.F) {
 			st.X[int(at)%len(st.X)] = val
 		}
 		if st.GP != nil {
-			names := []string{"U", "V", "GradV", "VPrev", "GradPrev", "Best"}
-			v := gpVectors(st.GP)[names[int(vec)%len(names)]]
-			*v = resize(*v, int(dvec))
-			if len(*v) > 0 {
-				(*v)[int(at)%len(*v)] = val
+			// vec picks one of the four vectors, or Alpha.
+			if k := int(vec) % (len(gpVectorNames) + 1); k < len(gpVectorNames) {
+				v := gpVectors(st.GP)[gpVectorNames[k]]
+				*v = resize(*v, int(dvec))
+				if len(*v) > 0 {
+					(*v)[int(at)%len(*v)] = val
+				}
+			} else {
+				st.GP.Nesterov.Alpha = val
 			}
 		}
 		_ = WarmStart(synth.Generate(hostileSpec), st)

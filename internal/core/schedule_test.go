@@ -33,13 +33,14 @@ func TestLambdaInitBalancesGradients(t *testing.T) {
 		t.Fatalf("lambda = %v", lambda)
 	}
 	// By construction sum|gW| == lambda * sum|gN|.
-	e.wl.CostAndGradient(e.gw)
+	gw, gd := make([]float64, 2*len(idx)), make([]float64, 2*len(idx))
+	e.wl.CostAndGradient(gw)
 	e.dm.Refresh(idx)
-	e.dm.Gradient(idx, e.gd)
+	e.dm.Gradient(idx, gd)
 	var sw, sd float64
-	for i := range e.gw {
-		sw += math.Abs(e.gw[i])
-		sd += math.Abs(e.gd[i])
+	for i := range gw {
+		sw += math.Abs(gw[i])
+		sd += math.Abs(gd[i])
 	}
 	if math.Abs(lambda*sd-sw) > 1e-6*sw {
 		t.Errorf("lambda %v does not balance %v / %v", lambda, sw, sd)

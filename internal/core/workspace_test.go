@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -218,6 +219,43 @@ func TestGPWorkspaceAllocs(t *testing.T) {
 			}
 			if sum > c.budget {
 				t.Errorf("%v allocate %d bytes, budget %d", c.stages, sum, c.budget)
+			}
+		})
+	}
+}
+
+// TestGPReserveAllocs bounds the GP workspace a placement sizes before
+// its first stage (flowRun.reserveGP): the models, the optimizer's six
+// vectors and the engine's two solution-shaped ones, its per-cell
+// vectors. A flat and a 3-level run of 5K cells each stop at the entry
+// of their first GP stage, when the workspace is sized. The budgets are
+// the bytes measured when the test was written plus 5%; the
+// twelve solution-sized vectors the workspace held before (v_{k-1} and
+// its gradient in the optimizer, a wirelength-gradient copy and an
+// end-of-stage buffer in the engine) take about 15% more.
+func TestGPReserveAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   synth.Spec
+		levels int
+		budget int64
+	}{
+		{"flat", synth.Spec{Name: "bench-flat", NumCells: 5000, NumFixedMacros: 12, TargetDensity: 1.0}, 0, 3_334_144 * 105 / 100},
+		{"vcycle", synth.Spec{Name: "bench-vcycle", NumCells: 5000}, 3, 3_317_760 * 105 / 100},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opt := FlowOptions{GP: Options{Workers: 1}, Levels: c.levels, gpHook: func(string, bool) { cancel() }}
+			tally, stop := profileAllocs("eplace/internal/core.(*flowRun).reserveGP")
+			defer stop()
+			if _, err := PlaceContext(ctx, synth.Generate(c.spec), opt); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("the run did not stop at its first GP stage: %v", err)
+			}
+			b, _ := tally()
+			t.Logf("reserveGP: %d bytes", b)
+			if b > c.budget {
+				t.Errorf("reserveGP allocates %d bytes, budget %d", b, c.budget)
 			}
 		})
 	}

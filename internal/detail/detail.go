@@ -482,7 +482,6 @@ func (p *placer) relocatePass(res *Result) int {
 // so while the anchor stays clean, a clean cell whose x lies inside the
 // extent was one of them and its pair is known to be rejected (a clean
 // cell has not moved, and cells of a segment are strictly ordered in x).
-// A NaN opt marks a cell that takes no turn (see seed).
 type swapAnchor struct{ opt, lo, hi float64 }
 
 // swapPass tries exchanging each cell that takes a turn with cells of
@@ -498,10 +497,11 @@ func (p *placer) swapPass(res *Result) int {
 			e.order = append(e.order[:0], s.cells...)
 			e.dropHalves(len(s.cells))
 			for _, ci := range e.order {
-				last := p.anchors[ci]
-				if math.IsNaN(last.opt) {
+				a := p.anchorOf(ci)
+				if a < 0 {
 					continue
 				}
+				last := p.anchors[a]
 				k := indexOf(s.cells, ci)
 				if k < 0 {
 					continue
@@ -557,7 +557,7 @@ func (p *placer) swapPass(res *Result) int {
 						}
 					}
 				}
-				p.anchors[ci] = swapAnchor{opt: target, lo: xlo, hi: xhi}
+				p.anchors[a] = swapAnchor{opt: target, lo: xlo, hi: xhi}
 			}
 		}
 		return pc

@@ -60,7 +60,9 @@ type dirtyState struct {
 	// replaced.
 	pass        int
 	tick, since int32
-	anchors     []swapAnchor // nil when no cell takes a swap turn
+	// The swap anchors of the cells taking turns, nil if none (anchorOf).
+	anchors     []swapAnchor
+	anchorCells []int
 	// trials counts what each pass type priced and skipped over the run.
 	trials [numPassKinds]struct{ priced, skipped int64 }
 }
@@ -91,12 +93,30 @@ const cleanStamp = math.MinInt32
 func (p *placer) initDirty(edit *Edit) {
 	p.stamp = make([]int32, len(p.d.Cells))
 	p.since = cleanStamp
-	if edit == nil || len(edit.Moved) > 0 {
+	if edit == nil {
 		p.anchors = make([]swapAnchor, len(p.d.Cells))
+		return
 	}
-	if edit != nil {
-		p.seed(edit)
+	if len(edit.Moved) > 0 {
+		p.anchorCells = slices.Clone(edit.Moved)
+		slices.Sort(p.anchorCells)
+		p.anchorCells = slices.Compact(p.anchorCells)
+		p.anchors = make([]swapAnchor, len(p.anchorCells))
 	}
+	p.seed(edit)
+}
+
+// anchorOf returns the index of cell ci's swap anchor, or -1 when ci
+// takes no swap turn: every cell's is at its index on a cold start, and
+// a seeded start keeps the moved cells', at their rank in anchorCells.
+func (p *placer) anchorOf(ci int) int {
+	if p.anchorCells == nil {
+		return ci
+	}
+	if k, ok := slices.BinarySearch(p.anchorCells, ci); ok {
+		return k
+	}
+	return -1
 }
 
 // Edit is what changed in a layout cDP refined before, for a seeded
@@ -119,17 +139,14 @@ type Edit struct {
 // seed replaces the all-dirty start with the marks an edit makes on a
 // layout the passes had left with nothing to accept: every stamp is
 // clean, and the edit's cells are marked at tick 0, so the marks last
-// through pass 0. Only the moved cells take swap turns: every other
-// anchor is NaN, and a moved cell is dirty at its first turn, so its
-// anchor is written before it is read. ismPrev starts as the buckets'
-// sorted order, so an unmarked ISM window is skipped from the first
-// pass on.
+// through pass 0. Only the moved cells take swap turns, and only they
+// have an anchor (see initDirty); a moved cell is dirty at its first
+// turn, so its anchor is written before it is read. ismPrev starts as
+// the buckets' sorted order, so an unmarked ISM window is skipped from
+// the first pass on.
 func (p *placer) seed(edit *Edit) {
 	for i := range p.stamp {
 		p.stamp[i] = cleanStamp
-	}
-	for i := range p.anchors {
-		p.anchors[i].opt = math.NaN()
 	}
 	mark := func(ci int) {
 		if p.regionOf[ci] >= 0 {
@@ -139,7 +156,6 @@ func (p *placer) seed(edit *Edit) {
 	e := p.evals[0]
 	e.allLive = true
 	for _, ci := range edit.Moved {
-		p.anchors[ci].opt = 0
 		if si := p.segOf[ci]; si >= 0 {
 			s := &p.segs[si]
 			e.markMoved(s, indexOf(s.cells, ci))

@@ -97,3 +97,26 @@ func TestStepWithNonFiniteGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestStationaryPredictionIsTheCap: a pair whose two solutions are
+// equal, as a stationary Step leaves them, is priced at the cap whatever
+// the gradients and the cap, as an empty pair is.
+func TestStationaryPredictionIsTheCap(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, maxStep := range []float64{1e6, 0, inf, nan} {
+		o := &Optimizer{maxStep: maxStep}
+		want := o.lipschitzStep(nil, nil, nil, nil)
+		for _, c := range []struct{ v, g, gp []float64 }{
+			{[]float64{1, -2}, []float64{3, 0}, []float64{0, 0}},
+			{[]float64{1, -2}, []float64{0, 0}, []float64{0, 0}},
+			{[]float64{inf, 0}, []float64{1, 0}, []float64{0, 0}},
+			{[]float64{nan, 0}, []float64{0, 0}, []float64{0, 0}},
+			{[]float64{1, 0}, []float64{inf, 0}, []float64{1, 0}},
+			{[]float64{1, 0}, []float64{nan, 0}, []float64{1, 0}},
+		} {
+			if got := o.lipschitzStep(c.v, c.v, c.g, c.gp); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("maxStep %v, v %v, g %v, gp %v: %v, empty pair %v", maxStep, c.v, c.g, c.gp, got, want)
+			}
+		}
+	}
+}

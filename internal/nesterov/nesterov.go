@@ -50,9 +50,8 @@ type Optimizer struct {
 	// GradV is grad f_pre(v_k).
 	GradV []float64
 
-	vPrev    []float64
-	gradPrev []float64
-	a        float64
+	// pred is the next Step's predicted steplength (see Step); a is a_k.
+	pred, a float64
 
 	// Workers shards Step's elementwise updates of the candidate pair;
 	// <= 0 selects all cores (GOMAXPROCS), 1 runs them inline. Every
@@ -60,10 +59,11 @@ type Optimizer struct {
 	// Lipschitz ratio) stay serial, so the iterates do not depend on it.
 	Workers int
 
-	// scratch
+	// The candidate pair (u_{k+1}, v_{k+1}) and grad f_pre(v_{k+1}).
 	uNext, vNext, gradNext []float64
 
-	// Per-call inputs of the update tasks (see bindTasks).
+	// Per-call inputs of the update tasks, and the tasks, bound once (see
+	// reset).
 	alpha, coeff float64
 	uTask, vTask func(w, lo, hi int)
 
@@ -73,9 +73,9 @@ type Optimizer struct {
 
 // Start begins the optimizer at v0, reusing its vectors: each keeps its
 // capacity and takes the prefix v0's length needs, and every one is
-// written before it is read. The reference solution v_{k-1} needed by
-// the first Lipschitz prediction is seeded by a small descent
-// perturbation of v0 with magnitude seedStep (use a fraction of a bin).
+// written before it is read. The first prediction's v_{k-1} is a small
+// descent perturbation of v0 with magnitude seedStep (use a fraction of
+// a bin), held with its gradient in the candidate pair's vectors.
 // clamp may be nil. The counters and the momentum coefficient restart;
 // Workers is left as set. A zero Optimizer is ready for Start.
 func (o *Optimizer) Start(v0 []float64, g GradFunc, clamp ClampFunc, seedStep float64) {
@@ -89,33 +89,34 @@ func (o *Optimizer) Start(v0 []float64, g GradFunc, clamp ClampFunc, seedStep fl
 		gn = 1
 	}
 	scale := seedStep / gn
-	for i := range o.vPrev {
-		o.vPrev[i] = o.V[i] - scale*o.GradV[i]
+	for i := range o.vNext {
+		o.vNext[i] = o.V[i] - scale*o.GradV[i]
 	}
 	if o.clamp != nil {
-		o.clamp(o.vPrev)
+		o.clamp(o.vNext)
 	}
-	o.grad(o.vPrev, o.gradPrev)
+	o.grad(o.vNext, o.gradNext)
+	o.pred = o.lipschitzStep(o.V, o.vNext, o.GradV, o.gradNext)
 }
 
-// reset sizes the eight vectors to n and sets the callbacks and the step
+// reset sizes the six vectors to n and sets the callbacks and the step
 // cap; the callers write the vectors.
 func (o *Optimizer) reset(n int, g GradFunc, clamp ClampFunc, seedStep float64) {
 	for _, p := range o.vectors() {
 		*p = reuse.Resize(*p, n)
 	}
 	o.maxStep, o.grad, o.clamp = 1e9*seedStep, g, clamp
-	if o.uTask == nil {
-		o.bindTasks()
+	if o.uTask == nil { // a func passed to parallel.For escapes: bind once
+		o.uTask, o.vTask = o.candidateRange, o.extrapolateRange
 	}
 }
 
-// vectors lists the optimizer's eight solution and gradient vectors.
-func (o *Optimizer) vectors() [8]*[]float64 {
-	return [8]*[]float64{&o.U, &o.V, &o.GradV, &o.vPrev, &o.gradPrev, &o.uNext, &o.vNext, &o.gradNext}
+// vectors lists the optimizer's six solution and gradient vectors.
+func (o *Optimizer) vectors() [6]*[]float64 {
+	return [6]*[]float64{&o.U, &o.V, &o.GradV, &o.uNext, &o.vNext, &o.gradNext}
 }
 
-// Reserve gives the eight vectors the capacity of n coordinates, so that
+// Reserve gives the six vectors the capacity of n coordinates, so that
 // no later Start or Restore up to that length allocates one. Call it
 // before a Start or Restore: it leaves the vectors for them to size.
 func (o *Optimizer) Reserve(n int) {
@@ -130,10 +131,12 @@ func (o *Optimizer) Reserve(n int) {
 // trajectory bitwise-identical to continuing the original optimizer —
 // the contract the checkpoint/restart subsystem is built on.
 type State struct {
-	// U, V are the two concurrently updated solutions u_k and v_k;
-	// VPrev is v_{k-1}; GradV and GradPrev are the preconditioned
-	// gradients at V and VPrev (the Lipschitz prediction inputs).
-	U, V, VPrev, GradV, GradPrev []float64
+	// U, V are the two concurrently updated solutions u_k and v_k; GradV
+	// is the preconditioned gradient at V.
+	U, V, GradV []float64
+	// Alpha is the predicted steplength the next Step starts from: the
+	// Eq. (10) ratio of (v_k, v_{k-1}), finite and non-negative.
+	Alpha float64
 	// A is the momentum coefficient a_k.
 	A float64
 	// Steps and Backtracks are the cumulative counters.
@@ -143,35 +146,28 @@ type State struct {
 // State deep-copies the optimizer's iteration state.
 func (o *Optimizer) State() State {
 	return State{
-		U:        append([]float64(nil), o.U...),
-		V:        append([]float64(nil), o.V...),
-		VPrev:    append([]float64(nil), o.vPrev...),
-		GradV:    append([]float64(nil), o.GradV...),
-		GradPrev: append([]float64(nil), o.gradPrev...),
-		A:        o.a,
-		Steps:    o.steps, Backtracks: o.backtracks,
+		U:     append([]float64(nil), o.U...),
+		V:     append([]float64(nil), o.V...),
+		GradV: append([]float64(nil), o.GradV...),
+		Alpha: o.pred,
+		A:     o.a,
+		Steps: o.steps, Backtracks: o.backtracks,
 	}
 }
 
 // Restore continues a captured State without the seeding gradient
-// evaluations Start performs: the state already holds both (solution,
-// gradient) pairs of the Lipschitz recurrence, so the next Step
-// continues exactly where the captured run left off. s is copied into
-// the reused vectors. seedStep must match the value passed to Start (it
-// fixes maxStep); Workers is left as set.
+// evaluations Start performs: the state already holds the gradient at V
+// and the prediction, so the next Step continues exactly where the
+// captured run left off. s is copied into the reused vectors. seedStep
+// must match the value passed to Start (it fixes maxStep); Workers is
+// left as set.
 func (o *Optimizer) Restore(s State, g GradFunc, clamp ClampFunc, seedStep float64) {
 	o.reset(len(s.U), g, clamp, seedStep)
 	copy(o.U, s.U)
 	copy(o.V, s.V)
 	copy(o.GradV, s.GradV)
-	copy(o.vPrev, s.VPrev)
-	copy(o.gradPrev, s.GradPrev)
-	o.a, o.steps, o.backtracks = s.A, s.Steps, s.Backtracks
+	o.pred, o.a, o.steps, o.backtracks = s.Alpha, s.A, s.Steps, s.Backtracks
 }
-
-// bindTasks binds the two update tasks once: a func passed to
-// parallel.For escapes, so binding per Step would allocate.
-func (o *Optimizer) bindTasks() { o.uTask, o.vTask = o.candidateRange, o.extrapolateRange }
 
 // candidateRange writes u_{k+1} = v_k - alpha*grad(v_k) (Alg. 1 line 2)
 // over [lo, hi).
@@ -203,6 +199,9 @@ func (o *Optimizer) Backtracks() int { return o.backtracks }
 // true the Lipschitz prediction is used unchecked (the ablation of
 // Sec. V-C).
 //
+// The prediction is the Eq. (10) ratio of (v_k, v_{k-1}), which is
+// Alg. 2's reference steplength of the candidate the Step before kept.
+//
 // Step allocates nothing: all iteration state lives in the buffers
 // sized by Start or Restore, and the sharded updates run on parallel.For's
 // persistent team, so a full placement iteration stays allocation-free
@@ -220,11 +219,14 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 		copy(o.uNext, o.V)
 		copy(o.vNext, o.V)
 		o.grad(o.vNext, o.gradNext)
+		// v_{k+1} = v_k: lipschitzStep prices the pair at its cap whatever
+		// the gradients, as it prices an empty pair, with no sweep.
+		o.pred = o.lipschitzStep(nil, nil, nil, nil)
 		o.commit(aNext)
 		return 0, 0
 	}
 
-	alpha = o.lipschitzStep(o.V, o.vPrev, o.GradV, o.gradPrev)
+	alpha = o.pred
 	for bt := 0; ; bt++ {
 		// Candidate u_{k+1} and extrapolated v_{k+1} (Alg. 1 lines 2, 4).
 		o.alpha, o.coeff = alpha, coeff
@@ -237,19 +239,14 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 			o.clamp(o.vNext)
 		}
 		o.grad(o.vNext, o.gradNext)
-		if disableBkTrk || bt >= maxBacktracks {
+		// Reference steplength from the new pair (Alg. 2 line 2), the next
+		// prediction if the candidate is kept. Accept unless it is more
+		// than (1-bktrkEpsilon) below alpha — a genuine overestimate.
+		o.pred = o.lipschitzStep(o.vNext, o.V, o.gradNext, o.GradV)
+		if disableBkTrk || bt >= maxBacktracks || o.pred >= bktrkEpsilon*alpha {
 			break
 		}
-		// Reference steplength from the new pair (Alg. 2 line 2). The
-		// gradient at the candidate is reused next iteration, so a
-		// passing first check costs nothing extra. Accept unless the
-		// measured inverse Lipschitz constant is more than
-		// (1-bktrkEpsilon) below the prediction — a genuine overestimate.
-		ref := o.lipschitzStep(o.vNext, o.V, o.gradNext, o.GradV)
-		if ref >= bktrkEpsilon*alpha {
-			break
-		}
-		alpha = ref
+		alpha = o.pred
 		backtracks++
 	}
 	o.backtracks += backtracks
@@ -257,12 +254,12 @@ func (o *Optimizer) Step(disableBkTrk bool) (alpha float64, backtracks int) {
 	return alpha, backtracks
 }
 
-// commit shifts the solution and gradient windows forward one iteration.
+// commit makes the candidate pair and its gradient the current ones.
 func (o *Optimizer) commit(aNext float64) {
 	o.steps++
 	o.U, o.uNext = o.uNext, o.U
-	o.vPrev, o.V, o.vNext = o.V, o.vNext, o.vPrev
-	o.gradPrev, o.GradV, o.gradNext = o.GradV, o.gradNext, o.gradPrev
+	o.V, o.vNext = o.vNext, o.V
+	o.GradV, o.gradNext = o.gradNext, o.GradV
 	o.a = aNext
 }
 

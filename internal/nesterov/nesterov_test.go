@@ -218,12 +218,13 @@ func TestClampKeepsIteratesInBox(t *testing.T) {
 }
 
 func TestMaxStepCap(t *testing.T) {
+	// Start fixes maxStep = 1e9*seedStep (about 1e-3 here), far below the
+	// quadratic's 1/L, so the first prediction is the cap.
 	q := newQuad(5, 4)
-	o := start(make([]float64, 5), q.grad, nil, 0.01)
-	o.maxStep = 1e-3
+	o := start(make([]float64, 5), q.grad, nil, 1e-12)
 	alpha, _ := o.Step(false)
-	if alpha > 1e-3 {
-		t.Errorf("alpha = %v exceeds maxStep", alpha)
+	if alpha > o.maxStep || o.maxStep > 1.01e-3 {
+		t.Errorf("alpha = %v exceeds maxStep %v", alpha, o.maxStep)
 	}
 }
 
