@@ -17,18 +17,17 @@ const fftplMaxTrials = 10
 // PlaceFFTPL runs FFTPL over the movable cells idx: after the quadratic
 // start, fillers take the whitespace (core.InsertFillers), and the
 // shared CG loop minimizes WA wirelength plus eDensity over the cells
-// and fillers. The fillers are removed before it returns; the reported
-// overflow counts the real cells only. It errors on a grid size the
-// Poisson solver rejects.
+// and fillers, which live in the loop's compiled view alone; the
+// reported overflow counts the real cells only. It errors on a grid size
+// the Poisson solver rejects.
 func PlaceFFTPL(d *netlist.Design, idx []int, opt Options) (Result, error) {
 	opt.defaults()
 	if len(idx) == 0 {
 		return Result{HPWL: d.HPWL()}, nil
 	}
 	m, gamma := seed(d, idx, opt)
-	all := append(slices.Clip(idx), core.InsertFillers(d, 1)...)
-	defer d.RemoveFillers()
 	cv := d.Compile()
+	all := append(slices.Clip(idx), core.InsertFillers(cv, 1)...)
 	dm, err := density.NewModel(cv, d.Region, nil, m, opt.Workers)
 	if err != nil {
 		return Result{}, fmt.Errorf("nonlinear: FFTPL density model: %w", err)

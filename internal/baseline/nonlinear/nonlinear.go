@@ -86,7 +86,7 @@ func seed(d *netlist.Design, idx []int, opt Options) (m int, gamma float64) {
 // InnerIters CG steps on W + lambda*D, stops once the overflow reaches
 // TargetOverflow and otherwise doubles lambda. maxTrials bounds each line
 // search. Every evaluation scatters its v into cv; each round writes the
-// solver's positions to both cv and the Cell structs.
+// solver's positions back (Compiled.WriteBack).
 func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTrials int, kind wirelength.Kind, gamma float64, obj objective) Result {
 	var res Result
 	d := cv.Design()
@@ -96,13 +96,14 @@ func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTri
 
 	// Balance initial gradient norms for lambda, as ePlace does. The
 	// view was compiled from the design as it stands, at v.
-	v := d.Positions(idx)
+	v := make([]float64, 2*len(idx))
+	cv.PositionsInto(idx, v)
 	clamp := func(vv []float64) {
 		n := len(idx)
 		for k, ci := range idx {
-			c := &d.Cells[ci]
-			vv[k] = geom.Clamp(vv[k], d.Region.Lx+c.W/2, d.Region.Hx-c.W/2)
-			vv[k+n] = geom.Clamp(vv[k+n], d.Region.Ly+c.H/2, d.Region.Hy-c.H/2)
+			w, h := cv.CellW[ci], cv.CellH[ci]
+			vv[k] = geom.Clamp(vv[k], d.Region.Lx+w/2, d.Region.Hx-w/2)
+			vv[k+n] = geom.Clamp(vv[k+n], d.Region.Ly+h/2, d.Region.Hy-h/2)
 		}
 	}
 	wg := make([]float64, 2*len(idx))
@@ -136,8 +137,7 @@ func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTri
 			solver.step()
 		}
 		// Every CG step clamps its candidate, so solver.v is in the region.
-		cv.SetPositions(idx, solver.v)
-		d.SetPositions(idx, solver.v)
+		cv.WriteBack(idx, solver.v)
 		res.Overflow = obj.overflow(d.TargetDensity)
 		if opt.Telemetry.Active() {
 			opt.Telemetry.Sample(telemetry.Sample{

@@ -163,8 +163,8 @@ type State struct {
 	// belongs to; Load-time mismatches abort the resume.
 	DesignName  string
 	Fingerprint uint64
-	// NumBaseCells counts the design's own cells; NumFillers the
-	// placement-aid fillers appended after them when the snapshot was
+	// NumBaseCells counts the design's own cells; NumFillers the fillers
+	// the flow's compiled view held after them when the snapshot was
 	// taken. A resuming flow re-inserts fillers deterministically (same
 	// seed) and then overwrites all positions from X/Y.
 	NumBaseCells int
@@ -194,42 +194,41 @@ type State struct {
 	Golden telemetry.GoldenState
 }
 
-// CapturePositions fills X/Y (and the cell counts) from the design,
-// which holds numFillers filler cells appended after its base cells.
+// CapturePositions fills X/Y and the cell counts: d's cells in index
+// order, then numFillers zero positions for the fillers, which live in a
+// flow's compiled view, not in d: the flow writes them.
 func (s *State) CapturePositions(d *netlist.Design, numFillers int) {
 	n := len(d.Cells)
-	s.NumBaseCells = n - numFillers
+	s.NumBaseCells = n
 	s.NumFillers = numFillers
-	s.X = make([]float64, n)
-	s.Y = make([]float64, n)
+	s.X = make([]float64, n+numFillers)
+	s.Y = make([]float64, n+numFillers)
 	for i := range d.Cells {
 		s.X[i] = d.Cells[i].X
 		s.Y[i] = d.Cells[i].Y
 	}
 }
 
-// RestorePositions writes the snapshot's positions back into the
-// design, which must already hold at least NumBaseCells+NumFillers cells
-// (fillers re-inserted by the caller). Cells beyond the snapshot —
-// fillers a resuming flow inserted that did not yet exist at capture
-// time (e.g. resuming a post-mIP snapshot) — keep their current,
-// deterministically re-derived positions. Fixed flags are netlist
-// structure and never part of a snapshot.
-// A snapshot whose X and Y differ in length, or that holds a non-finite
-// position, is rejected before the design is touched.
+// RestorePositions writes the snapshot's positions of the design's cells
+// back into d, which must hold NumBaseCells cells. The filler positions
+// after them are the resuming flow's to write into its view.
+// Fixed flags are netlist structure and never part of a snapshot.
+// A snapshot whose X and Y differ in length, that holds fewer positions
+// than cells, or that holds a non-finite position, is rejected before
+// the design is touched.
 func (s *State) RestorePositions(d *netlist.Design) error {
-	if len(d.Cells) < len(s.X) {
-		return fmt.Errorf("checkpoint: design has %d cells, snapshot has %d", len(d.Cells), len(s.X))
-	}
 	if len(s.Y) != len(s.X) {
 		return fmt.Errorf("checkpoint: snapshot has %d x and %d y positions", len(s.X), len(s.Y))
+	}
+	if len(d.Cells) != s.NumBaseCells || len(s.X) < s.NumBaseCells {
+		return fmt.Errorf("checkpoint: design has %d cells, snapshot has %d cells in %d positions", len(d.Cells), s.NumBaseCells, len(s.X))
 	}
 	for i := range s.X {
 		if math.IsNaN(s.X[i]) || math.IsInf(s.X[i], 0) || math.IsNaN(s.Y[i]) || math.IsInf(s.Y[i], 0) {
 			return fmt.Errorf("checkpoint: cell %d at (%v, %v) in the snapshot", i, s.X[i], s.Y[i])
 		}
 	}
-	for i := range s.X {
+	for i := range d.Cells {
 		d.Cells[i].X = s.X[i]
 		d.Cells[i].Y = s.Y[i]
 	}
@@ -237,11 +236,11 @@ func (s *State) RestorePositions(d *netlist.Design) error {
 }
 
 // Fingerprint hashes the position-independent structure of a design —
-// region, target density, per-cell geometry/kind/fixedness (fillers
-// excluded), net weights and net->cell topology — with FNV-1a. A
-// checkpoint only resumes onto a design with an identical fingerprint,
-// which rejects both wrong designs and mutated ones (e.g. nets
-// reweighted by a timing-driven pass after the snapshot).
+// region, target density, per-cell geometry/kind/fixedness, net weights
+// and net->cell topology — with FNV-1a. A checkpoint only resumes onto a
+// design with an identical fingerprint, which rejects both wrong designs
+// and mutated ones (e.g. nets reweighted by a timing-driven pass after
+// the snapshot).
 func Fingerprint(d *netlist.Design) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -262,9 +261,6 @@ func Fingerprint(d *netlist.Design) uint64 {
 	wf(d.TargetDensity)
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		if c.Kind == netlist.Filler {
-			continue
-		}
 		wf(c.W)
 		wf(c.H)
 		kind := uint64(c.Kind)

@@ -142,8 +142,6 @@ type coarsener struct {
 	d   *netlist.Design
 	cv  *netlist.Compiled // d's view: the topology scoring reads
 	opt Options
-	// room is Coarsen's: the cells the coarse design reserves room for.
-	room Room
 
 	eligible  []bool    // movable std cells that may merge
 	alive     []bool    // cluster representatives still mergeable
@@ -245,9 +243,8 @@ func (c *coarsener) merge(a, b int32) {
 // 2*minCells, or best-choice achieved less than a 1.25x reduction).
 // Scoring reads the view's topology and net weights, so the view must
 // describe the design as it stands: freshly compiled, or synced since
-// the last net-weight edit. room, when non-nil, returns how many cells
-// the coarse design reserves room for beyond its own (see Room).
-func Coarsen(cv *netlist.Compiled, opt Options, room Room) *Level {
+// the last net-weight edit.
+func Coarsen(cv *netlist.Compiled, opt Options) *Level {
 	opt.defaults()
 	fine := cv.Design()
 	n := len(fine.Cells)
@@ -256,7 +253,6 @@ func Coarsen(cv *netlist.Compiled, opt Options, room Room) *Level {
 		d:         fine,
 		cv:        cv,
 		opt:       opt,
-		room:      room,
 		eligible:  make([]bool, n),
 		alive:     make([]bool, n),
 		version:   make([]uint32, n),
@@ -274,13 +270,6 @@ func Coarsen(cv *netlist.Compiled, opt Options, room Room) *Level {
 		c.clusterOf[i] = int32(i)
 		c.next[i] = -1
 		c.tail[i] = int32(i)
-		if cell.Kind == netlist.Filler {
-			// Fillers are placement aids inserted per level by the flow;
-			// clustering runs on clean designs only (a filler slipping
-			// through would survive as a singleton and pollute every
-			// coarse level above it).
-			panic("cluster: design contains filler cells")
-		}
 		if cell.Fixed || cell.Kind != netlist.StdCell {
 			continue
 		}
@@ -421,21 +410,46 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
-	// Coarse cells (eachCoarse). The room callback sees them before the
-	// design holds them, so the cells are allocated once, room included.
+	// Coarse cells in index order: coarse indices were handed out in
+	// order of each cluster's lowest member (up), so coarse cell ci is
+	// emitted at the first fine cell that maps to ci. Clusters get an
+	// area-conserving, roughly square footprint snapped to the fine row
+	// height (legalization never runs at coarse levels; the shape only
+	// feeds the density model). Singletons keep their exact geometry so
+	// pin offsets stay valid.
 	cd := netlist.New(fine.Name+"~", fine.Region)
 	cd.TargetDensity = fine.TargetDensity
-	extra := 0
-	if c.room != nil {
-		extra = c.room(cd, func(visit func(netlist.Cell)) {
-			c.eachCoarse(up, rh, func(cell netlist.Cell, _ bool) { visit(cell) })
+	cd.Reserve(numCoarse, numNets, numPins)
+	multi := make([]bool, numCoarse)
+	for i := range up {
+		ci := up[i]
+		if ci != len(cd.Cells) {
+			continue
+		}
+		rep := c.clusterOf[i]
+		if !c.eligible[rep] || c.next[rep] < 0 {
+			src := &fine.Cells[i]
+			cd.AddCell(netlist.Cell{
+				W: src.W, H: src.H, X: src.X, Y: src.Y,
+				Kind: src.Kind, Fixed: src.Fixed,
+			})
+			continue
+		}
+		multi[ci] = true
+		var area, cx, cy float64
+		for m := rep; m >= 0; m = c.next[m] {
+			cell := &fine.Cells[m]
+			a := cell.Area()
+			area += a
+			cx += a * cell.X
+			cy += a * cell.Y
+		}
+		ch := rh * math.Max(1, math.Round(math.Sqrt(area)/rh))
+		cd.AddCell(netlist.Cell{
+			W: area / ch, H: ch, X: cx / area, Y: cy / area,
+			Kind: netlist.StdCell,
 		})
 	}
-	cd.Reserve(numCoarse+extra, numNets, numPins)
-	multi := make([]bool, numCoarse)
-	c.eachCoarse(up, rh, func(cell netlist.Cell, cluster bool) {
-		multi[cd.AddCell(cell)] = cluster
-	})
 	// Every pin list is cut from one counted array, empty with exactly
 	// its final capacity.
 	cellBuf := make([]int, numCellPins)
@@ -485,47 +499,6 @@ func (c *coarsener) build() *Level {
 	}
 
 	return &Level{D: cd, View: cd.Compile(), Up: up, Fine: fine}
-}
-
-// eachCoarse calls emit with every coarse cell in index order, and
-// whether it clusters several fine cells. Coarse indices were handed
-// out in order of each cluster's lowest member (up), so coarse cell ci
-// is emitted at the first fine cell that maps to ci. Clusters get an
-// area-conserving, roughly square footprint snapped to the fine row
-// height rh (legalization never runs at coarse levels; the shape only
-// feeds the density model). Singletons keep their exact geometry so pin
-// offsets stay valid.
-func (c *coarsener) eachCoarse(up []int, rh float64, emit func(cell netlist.Cell, cluster bool)) {
-	fine := c.d
-	ci := 0
-	for i := range up {
-		if up[i] != ci {
-			continue
-		}
-		ci++
-		rep := c.clusterOf[i]
-		if !c.eligible[rep] || c.next[rep] < 0 {
-			src := &fine.Cells[i]
-			emit(netlist.Cell{
-				W: src.W, H: src.H, X: src.X, Y: src.Y,
-				Kind: src.Kind, Fixed: src.Fixed,
-			}, false)
-			continue
-		}
-		var area, cx, cy float64
-		for m := rep; m >= 0; m = c.next[m] {
-			cell := &fine.Cells[m]
-			a := cell.Area()
-			area += a
-			cx += a * cell.X
-			cy += a * cell.Y
-		}
-		ch := rh * math.Max(1, math.Round(math.Sqrt(area)/rh))
-		emit(netlist.Cell{
-			W: area / ch, H: ch, X: cx / area, Y: cy / area,
-			Kind: netlist.StdCell,
-		}, true)
-	}
 }
 
 // Interpolate hands the coarse placement down: every fine movable cell

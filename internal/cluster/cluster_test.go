@@ -37,7 +37,7 @@ func membersOf(l *Level) [][]int {
 
 func TestCoarsenPartitionAndArea(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil on a 3000-cell design")
 	}
@@ -120,7 +120,7 @@ func TestCoarsenPartitionAndArea(t *testing.T) {
 // endpoints and weight; nets collapsing inside one cluster vanish.
 func TestCoarsenNetConservation(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -172,7 +172,7 @@ func TestCoarsenNetConservation(t *testing.T) {
 
 func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "tiny", NumCells: 250})
-	if lvl := Coarsen(d.Compile(), Options{}, nil); lvl != nil {
+	if lvl := Coarsen(d.Compile(), Options{}); lvl != nil {
 		t.Error("Coarsen clustered a design below 2*MinCells")
 	}
 	h := Build(d, 4, Options{})
@@ -185,8 +185,8 @@ func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 // coarsens both: the coarse designs and maps must match bit for bit
 // (the resume path rebuilds hierarchies and relies on this).
 func TestCoarsenDeterministic(t *testing.T) {
-	a := Coarsen(testDesign(t).Compile(), Options{}, nil)
-	b := Coarsen(testDesign(t).Compile(), Options{}, nil)
+	a := Coarsen(testDesign(t).Compile(), Options{})
+	b := Coarsen(testDesign(t).Compile(), Options{})
 	if a == nil || b == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -229,7 +229,7 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 // singletons exactly on their image, and fixed cells must not move.
 func TestInterpolateSeatsMembers(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -283,18 +283,23 @@ func TestInterpolateSeatsMembers(t *testing.T) {
 	}
 }
 
-func TestCoarsenRejectsFillers(t *testing.T) {
-	d := netlist.New("fill", testDesign(t).Region)
-	for i := 0; i < 700; i++ {
-		d.AddCell(netlist.Cell{W: 2, H: 2, X: 10, Y: 10})
+// TestCoarsenIgnoresViewFillers: fillers live in the view alone, after
+// the design's cells, so a view holding them coarsens into the same
+// level as a fresh one.
+func TestCoarsenIgnoresViewFillers(t *testing.T) {
+	d := testDesign(t)
+	want := Coarsen(d.Compile(), Options{})
+	cv := d.Compile()
+	cv.AddFillers(300, 2, 2)
+	got := Coarsen(cv, Options{})
+	if want == nil || got == nil {
+		t.Fatal("no coarse level")
 	}
-	d.AddCell(netlist.Cell{W: 2, H: 2, X: 5, Y: 5, Kind: netlist.Filler})
-	defer func() {
-		if recover() == nil {
-			t.Error("Coarsen accepted a design with filler cells")
-		}
-	}()
-	Coarsen(d.Compile(), Options{}, nil)
+	wu, wc, wn := hashLevel(want)
+	gu, gc, gn := hashLevel(got)
+	if wu != gu || wc != gc || wn != gn {
+		t.Errorf("coarsening a view with fillers gave level %x/%x/%x, without %x/%x/%x", gu, gc, gn, wu, wc, wn)
+	}
 }
 
 // hashLevel returns the FNV-64 hashes of one coarsening level: Up, the
@@ -392,47 +397,16 @@ func TestBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestCoarsenAllocsCellsOnce: Room sees a coarse design's cells before
-// the design holds them, so the design allocates its cells once, with
-// the room: asking for room costs no allocation more than asking for
-// none, the capacity is exactly the cells plus the room, and the cells
-// Room visited are the cells the design holds.
+// TestCoarsenAllocsCellsOnce: a coarse design's cells are allocated
+// once, at exactly their count.
 func TestCoarsenAllocsCellsOnce(t *testing.T) {
-	d := synth.Generate(synth.Spec{Name: "room", NumCells: 3000})
-	cv := d.Compile()
-	var seen []netlist.Cell
-	room := func(extra int) Room {
-		return func(cd *netlist.Design, cells func(func(netlist.Cell))) int {
-			if len(cd.Cells) != 0 {
-				t.Errorf("Room called on a design that holds %d cells", len(cd.Cells))
-			}
-			seen = seen[:0]
-			cells(func(c netlist.Cell) { seen = append(seen, c) })
-			return extra
-		}
-	}
-	const extra = 700
-	lvl := Coarsen(cv, Options{}, room(extra))
+	d := synth.Generate(synth.Spec{Name: "once", NumCells: 3000})
+	lvl := Coarsen(d.Compile(), Options{})
 	if lvl == nil {
 		t.Fatal("no coarse level")
 	}
-	cd := lvl.D
-	if got, want := cap(cd.Cells), len(cd.Cells)+extra; got != want {
-		t.Errorf("coarse cells have capacity %d, want %d cells + %d room", got, len(cd.Cells), extra)
-	}
-	if len(seen) != len(cd.Cells) {
-		t.Fatalf("Room visited %d cells, the design holds %d", len(seen), len(cd.Cells))
-	}
-	for i := range seen {
-		seen[i].Pins = cd.Cells[i].Pins
-		if !reflect.DeepEqual(seen[i], cd.Cells[i]) {
-			t.Fatalf("cell %d: Room visited %+v, the design holds %+v", i, seen[i], cd.Cells[i])
-		}
-	}
-	none := testing.AllocsPerRun(3, func() { Coarsen(cv, Options{}, room(0)) })
-	some := testing.AllocsPerRun(3, func() { Coarsen(cv, Options{}, room(extra)) })
-	if some != none {
-		t.Errorf("Coarsen allocates %v times with room for %d cells and %v with none, want equal", some, extra, none)
+	if cd := lvl.D; cap(cd.Cells) != len(cd.Cells) {
+		t.Errorf("coarse cells have capacity %d for %d cells", cap(cd.Cells), len(cd.Cells))
 	}
 }
 

@@ -21,26 +21,17 @@ type Hierarchy struct {
 // positions or worker counts — so a resumed process rebuilding the
 // hierarchy from the same input gets the bit-identical stack.
 func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
-	return BuildCompiled(d.Compile(), maxLevels, opt, nil)
+	return BuildCompiled(d.Compile(), maxLevels, opt)
 }
-
-// Room says how many cells a coarse design reserves room for beyond its
-// own: the fillers the flow adds to the level, which then join the
-// design and its view without growing either (see
-// netlist.Design.Compile). It is called once per level, before the
-// design holds any cell, with the design (region and target density
-// set) and a visitor of the cells it is about to hold, in index order.
-type Room func(cd *netlist.Design, cells func(visit func(netlist.Cell))) int
 
 // BuildCompiled is Build on the compiled view of the design, for a
 // caller that holds one already: the flow compiles each design once per
 // placement, and every coarse level comes with its own view
-// (Level.View), built once when the level is. room, when non-nil, sizes
-// each coarse design's fillers (see Room).
-func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options, room Room) *Hierarchy {
+// (Level.View), built once when the level is.
+func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options) *Hierarchy {
 	h := &Hierarchy{Designs: []*netlist.Design{cv.Design()}}
 	for k := 1; k < maxLevels; k++ {
-		lvl := Coarsen(cv, opt, room)
+		lvl := Coarsen(cv, opt)
 		if lvl == nil {
 			break
 		}

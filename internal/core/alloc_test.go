@@ -33,7 +33,7 @@ func nesterovIterationAllocs(t *testing.T, workers int) {
 	opt.defaults()
 	rec := telemetry.New()
 	rec.SetStage("mGP")
-	e := mustEngine(t, d, idx, opt, rec)
+	e := mustEngine(t, d.Compile(), idx, opt, rec)
 	e.stage = "mGP"
 
 	// The stage's schedule, with minIters past the run so that observe

@@ -79,19 +79,11 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
-	// eGP's fillers join a design eco.Apply sized exactly, so eGP is set
-	// up before the run compiles its view: the design and the view make
-	// room for the fillers once. Only capacity changes here.
-	moved, held := splitActive(d, plan)
-	var egp *egpSetup
-	if len(plan.Evicted) > 0 {
-		egp = planEGP(d, plan, held)
-		d.Reserve(egp.fillers.count, 0, 0)
-	}
 	// The run opens — and takes its fingerprint — before anything below
 	// mutates structure the fingerprint covers: a future ECO chaining off
 	// this result validates against a freshly rebuilt, input-shaped design.
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	moved, held := splitActive(d, plan)
 	res.ActiveCells = len(plan.Active)
 	res.EvictedCells = len(plan.Evicted)
 	res.FrozenCells = len(plan.Frozen)
@@ -106,7 +98,7 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 		// Snapshot the frozen positions: ending anywhere else is a bug the
 		// caller must see, not a silent quality loss.
 		frozenPos := d.Positions(plan.Frozen)
-		if err := replaceActive(r, plan, moved, held, egp, opt, &res); err != nil {
+		if err := replaceActive(r, plan, moved, held, opt, &res); err != nil {
 			return res, err
 		}
 		if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
@@ -132,9 +124,9 @@ func unmoved(d *netlist.Design, cells []int, pos []float64, what string) error {
 
 // replaceActive is the part of PlaceECO that moves cells: placeMoved,
 // then the cDP tail over the active cells.
-func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, egp *egpSetup, opt ECOOptions, res *ECOResult) error {
+func replaceActive(run *flowRun, plan *eco.Plan, moved, held []int, opt ECOOptions, res *ECOResult) error {
 	d := run.d
-	if err := placeMoved(run, plan, held, egp, opt.GP, res); err != nil {
+	if err := placeMoved(run, plan, held, opt.GP, res); err != nil {
 		return err
 	}
 
@@ -190,17 +182,16 @@ func splitActive(d *netlist.Design, plan *eco.Plan) (moved, held []int) {
 }
 
 // placeMoved places what the edit moved (see splitActive), ahead of
-// cDP. It runs eGP over the evicted cells when there are any (egp is
-// their setup, nil without), holding the frozen and held cells, parks
-// each inserted cell in its optimal region, and errors when a held cell
-// left its slot.
-func placeMoved(run *flowRun, plan *eco.Plan, held []int, egp *egpSetup, gpOpt Options, res *ECOResult) error {
+// cDP. It runs eGP over the evicted cells when there are any, holding
+// the frozen and held cells, parks each inserted cell in its optimal
+// region, and errors when a held cell left its slot.
+func placeMoved(run *flowRun, plan *eco.Plan, held []int, gpOpt Options, res *ECOResult) error {
 	d := run.d
 	heldPos := d.Positions(held)
 
-	if egp != nil {
+	if len(plan.Evicted) > 0 {
 		var err error
-		if res.GP, err = evictedGP(run, plan, egp, gpOpt); err != nil {
+		if res.GP, err = evictedGP(run, plan, held, gpOpt); err != nil {
 			return err
 		}
 	}
@@ -231,51 +222,25 @@ func placeMoved(run *flowRun, plan *eco.Plan, held []int, egp *egpSetup, gpOpt O
 // evictedGP runs eGP: a warm-started global placement of the evicted
 // cells and the fillers of their eviction window's whitespace, inside
 // that window, holding the frozen and the held cells (see egpStage).
-func evictedGP(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) (Result, error) {
+func evictedGP(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) (Result, error) {
 	t0 := time.Now()
-	res, err := run.gp(egpStage(run, plan, egp, gpOpt))
-	run.d.RemoveFillers()
+	res, err := run.gp(egpStage(run, plan, held, gpOpt))
+	run.cv.DropFillers()
 	run.addStage("eGP", time.Since(t0))
 	return res, err
 }
 
-// egpSetup is eGP's stage as it is fixed before its fillers exist: the
-// cells it holds (the plan's frozen ones, then the held active ones),
-// their marks (Design.FixedOrHeld, one per cell before the fillers),
-// the eviction window and the fillers planned for it.
-type egpSetup struct {
-	held    []int
-	still   []bool
-	window  geom.Rect
-	fillers fillerPlan
-}
-
-// planEGP sets up eGP for the plan's evicted cells, around the held
-// active cells (see splitActive).
-func planEGP(d *netlist.Design, plan *eco.Plan, held []int) *egpSetup {
-	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
-	still := d.FixedOrHeld(held)
-	window, free := evictionWindow(d, plan, still)
-	// Fillers take the window's whitespace as in the cold flow: without
-	// them the density force would spread the evicted cells into every
-	// free pocket of the window, far from the blockage that displaced
-	// them. Only the evicted cells carry movable charge, so they alone
-	// come off the budget. The filler size is averaged over the standard
-	// cells the stage does not hold, the evicted and inserted ones.
-	fillers := planFillers(d.Region, d.TargetDensity*free-areaOf(d, plan.Evicted), unheld(d, still))
-	return &egpSetup{held: held, still: still, window: window, fillers: fillers}
-}
-
-// egpStage inserts eGP's fillers and describes its stage, which holds
-// the plan's frozen cells and the held active cells. The stage places
-// inside the eviction window (evictionWindow): its grid covers the
-// window alone, m follows the window's own object count, the fixed
-// charge is the fixed, frozen and held footprints clipped to it, and its
-// edge is the Poisson problem's Neumann boundary, as the die edge is for
-// a cold run. Cells outside it are absent. Inserted cells sit out: they
-// neither move nor carry charge.
-func egpStage(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) gpStage {
-	d := run.d
+// egpStage inserts eGP's fillers into the run's view and describes its
+// stage, which holds the plan's frozen cells and the held active cells
+// (see splitActive). The stage places inside the eviction window
+// (evictionWindow): its grid covers the window alone, m follows the
+// window's own object count, the fixed charge is the fixed, frozen and
+// held footprints clipped to it, and its edge is the Poisson problem's
+// Neumann boundary, as the die edge is for a cold run. Cells outside it
+// are absent. Inserted cells sit out: they neither move nor carry
+// charge.
+func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
+	d, cv := run.d, run.cv
 	if gpOpt.MaxIters <= 0 {
 		gpOpt.MaxIters = egpMaxIters
 	}
@@ -288,10 +253,19 @@ func egpStage(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) gpStag
 	if gpOpt.TargetOverflow <= 0 {
 		gpOpt.TargetOverflow = 0.15
 	}
-	window, still := egp.window, egp.still
+	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
+	still := cv.FixedOrHeldInto(nil, held)
+	window, free := evictionWindow(d, plan, still)
+	// Fillers take the window's whitespace as in the cold flow: without
+	// them the density force would spread the evicted cells into every
+	// free pocket of the window, far from the blockage that displaced
+	// them. Only the evicted cells carry movable charge, so they alone
+	// come off the budget. The filler size is averaged over the standard
+	// cells the stage does not hold, the evicted and inserted ones.
+	fp := planFillers(d, d.TargetDensity*free-areaOf(d, plan.Evicted), still)
 	idx := plan.Evicted
-	if fillers := placeFillers(d, window, egp.fillers, fillerSeed); len(fillers) > 0 {
-		seedFillersInWhitespace(d, window, fillers, whitespaceSeed, still)
+	if fillers := placeFillers(cv, window, fp, fillerSeed); len(fillers) > 0 {
+		seedFillersInWhitespace(cv, window, fillers, whitespaceSeed, still)
 		idx = append(append(make([]int, 0, len(idx)+len(fillers)), idx...), fillers...)
 	}
 	if gpOpt.GridM == 0 {
@@ -301,14 +275,19 @@ func egpStage(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) gpStag
 				objects++
 			}
 		}
-		gpOpt.GridM = chooseGridM(window, objects, areaOf(d, idx), len(idx))
+		// Filler by filler: a product rounds differently and can move m.
+		area := areaOf(d, plan.Evicted)
+		for range len(idx) - len(plan.Evicted) {
+			area += fp.w * fp.h
+		}
+		gpOpt.GridM = chooseGridM(window, objects, area, len(idx))
 	}
 	// The penalty resumes in the late-cGP regime (egpLambdaScale): a
 	// cold balance lets the moving cells collapse onto their fixed
 	// neighbors, quality the legalizer then pays back several times over
 	// in displacement.
 	return gpStage{
-		name: "eGP", cv: run.cv, region: window, idx: idx, held: egp.held, opt: gpOpt,
+		name: "eGP", cv: cv, region: window, idx: idx, held: held, opt: gpOpt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters,
 	}
 }
@@ -316,7 +295,7 @@ func egpStage(run *flowRun, plan *eco.Plan, egp *egpSetup, gpOpt Options) gpStag
 // evictionWindow returns the region eGP places the evicted cells, of
 // which there is at least one, in and its free area (the window less the
 // footprints inside it of the cells still marks, see
-// Design.FixedOrHeld). It starts from the bounding box of the
+// Compiled.FixedOrHeldInto). It starts from the bounding box of the
 // blockages' eviction halos and the evicted cells, and grows by one ring
 // of bins of the die's grid at a time until the target density of its
 // free area holds the evicted area, or it covers the region.
@@ -446,18 +425,19 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 	return geom.Clamp(cur, lo, hi)
 }
 
-// seedFillersInWhitespace moves freshly inserted fillers from their
-// uniform-random positions into the whitespace of region r,
+// seedFillersInWhitespace moves freshly inserted fillers of the view cv
+// from their uniform-random positions into the whitespace of region r,
 // proportionally to per-bin free area, where only the footprints of the
 // cells still marks occupy space (evicted and inserted cells carry no
 // fixed charge and are about to move). A warm start must open near its
 // converged state: fillers dropped uniformly overlap the placed cells,
 // and the density force resolving that artificial overlap shoves the
 // active cells off the good positions the ECO run is trying to reuse.
-func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed int64, still []bool) {
+func seedFillersInWhitespace(cv *netlist.Compiled, r geom.Rect, fillers []int, seed int64, still []bool) {
 	if len(fillers) == 0 {
 		return
 	}
+	d := cv.Design()
 	const n = 64
 	g := grid.New(r, n)
 	for i, s := range still {
@@ -483,10 +463,9 @@ func seedFillersInWhitespace(d *netlist.Design, r geom.Rect, fillers []int, seed
 		if b >= n*n {
 			b = n*n - 1
 		}
-		c := &d.Cells[fi]
 		x := r.Lx + (float64(b%n)+rng.Float64())*g.BinW
 		y := r.Ly + (float64(b/n)+rng.Float64())*g.BinH
-		p := geom.ClampPoint(geom.Point{X: x, Y: y}, c.W, c.H, r)
-		c.X, c.Y = p.X, p.Y
+		p := geom.ClampPoint(geom.Point{X: x, Y: y}, cv.CellW[fi], cv.CellH[fi], r)
+		cv.PosX[fi], cv.PosY[fi] = p.X, p.Y
 	}
 }

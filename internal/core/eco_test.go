@@ -194,15 +194,18 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 	for _, ci := range mv[len(mv)/10:] {
 		d.Cells[ci].Fixed = true
 	}
-	fillers := InsertFillers(d, 3)
-	seedFillersInWhitespace(d, d.Region, fillers, 4, d.FixedOrHeld(nil))
+	cv := d.Compile()
+	fillers := InsertFillers(cv, 3)
+	seedFillersInWhitespace(cv, d.Region, fillers, 4, d.Compile().FixedOrHeldInto(nil, nil))
 	idx := append(append([]int(nil), active...), fillers...)
 
 	opt := Options{MaxIters: 40, TargetOverflow: 0.15, Workers: 2, CheckpointEvery: 1}
 	opt.defaults()
 	ref := d.Compile()
-	start := d.Positions(idx)
-	mustEngine(t, d, idx, opt, telemetry.New()).clamp(start)
+	InsertFillers(ref, 3)
+	start := make([]float64, 2*len(idx))
+	cv.PositionsInto(idx, start)
+	mustEngine(t, ref, idx, opt, telemetry.New()).clamp(start)
 	ref.SetPositions(idx, start)
 	wantHPWL0 := ref.HPWL()
 
@@ -217,7 +220,6 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 		}
 		iters++
 	}
-	cv := d.Compile()
 	res, err := placeGlobal(context.Background(), gpStage{
 		name: "eGP", cv: cv, region: d.Region, idx: idx, opt: opt,
 		lambdaScale: egpLambdaScale, stallIters: egpStallIters, sink: sink,
@@ -355,7 +357,7 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 		r := newRun(context.Background(), warm, &opt, nil, &res.flowSummary)
 		r.ensureRows()
 		moved, held := splitActive(warm, plan)
-		if err := placeMoved(r, plan, held, planEGP(warm, plan, held), opt, &res); err != nil {
+		if err := placeMoved(r, plan, held, opt, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.GP.Stop == "" || len(res.Stages) != 1 || res.Stages[0].Name != "eGP" {
@@ -425,12 +427,12 @@ func TestECOWindowGP(t *testing.T) {
 		}
 	}
 	frozenPos := d.Positions(plan.Frozen)
-	st := egpStage(r, plan, planEGP(d, plan, held), opt)
+	st := egpStage(r, plan, held, opt)
 	w := st.region
 	if w == d.Region || !d.Region.ContainsRect(w) {
 		t.Fatalf("window %v, region %v: want a window inside the region", w, d.Region)
 	}
-	_, free := evictionWindow(d, plan, d.FixedOrHeld(st.held))
+	_, free := evictionWindow(d, plan, d.Compile().FixedOrHeldInto(nil, st.held))
 	if need := areaOf(d, plan.Evicted); d.TargetDensity*free < need {
 		t.Errorf("the window's free area %v holds %v at the target density %v, the evicted cells need %v",
 			free, d.TargetDensity*free, d.TargetDensity, need)
@@ -441,12 +443,13 @@ func TestECOWindowGP(t *testing.T) {
 	if _, err := r.gp(st); err != nil {
 		t.Fatal(err)
 	}
+	cv := r.cv
 	for _, ci := range st.idx {
-		if c := &d.Cells[ci]; !w.ContainsRect(c.Rect().Expand(-1e-9)) {
-			t.Errorf("cell %d (%v) ends eGP at %v, outside the window %v", ci, c.Kind, c.Rect(), w)
+		if c := geom.NewRectCenter(cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci]); !w.ContainsRect(c.Expand(-1e-9)) {
+			t.Errorf("entry %d ends eGP at %v, outside the window %v", ci, c, w)
 		}
 	}
-	d.RemoveFillers()
+	cv.DropFillers()
 	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
 		t.Error(err)
 	}

@@ -57,7 +57,7 @@ type engine struct {
 	// The last gradient's two L1 norms, for telemetry samples.
 	gradWL, gradDensity float64
 	// still marks the cells the stage holds with the fixed ones
-	// (Design.FixedOrHeldInto).
+	// (Compiled.FixedOrHeldInto).
 	still []bool
 
 	// workers shards the elementwise loops (clampRange, combineRange);
@@ -132,18 +132,18 @@ func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, 
 	if err := poisson.ValidateKind(opt.Poisson); err != nil {
 		return err
 	}
-	e.still = d.FixedOrHeldInto(e.still, held)
+	e.still = cv.FixedOrHeldInto(e.still, held)
 	m := opt.GridM
 	if m == 0 {
 		var area float64
 		n := 0
 		for i, still := range e.still {
 			if !still {
-				area += d.Cells[i].W * d.Cells[i].H
+				area += cv.CellW[i] * cv.CellH[i]
 				n++
 			}
 		}
-		m = chooseGridM(region, len(d.Cells), area, n)
+		m = chooseGridM(region, len(e.still), area, n)
 	}
 	if err := e.dm.Reset(cv, region, e.still, m, opt.Workers); err != nil {
 		return err
@@ -167,7 +167,6 @@ func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, 
 	binArea := e.dm.Grid.BinArea()
 	clear(e.degree)
 	for k, ci := range idx {
-		c := &d.Cells[ci]
 		// |E_i| counts distinct nets: a net is new unless an earlier pin
 		// of the cell (a short range) is on it too.
 		nets := cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]]
@@ -176,9 +175,9 @@ func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, 
 				e.degree[k]++
 			}
 		}
-		e.qNorm[k] = c.Area() / binArea
-		e.halfW[k] = c.W / 2
-		e.halfH[k] = c.H / 2
+		e.qNorm[k] = cv.CellW[ci] * cv.CellH[ci] / binArea
+		e.halfW[k] = cv.CellW[ci] / 2
+		e.halfH[k] = cv.CellH[ci] / 2
 	}
 	e.cacheDeadHPWL()
 	return nil
@@ -368,13 +367,19 @@ func (e *engine) initLambda(v []float64, scale float64) float64 {
 }
 
 // PlaceGlobal runs one global placement (the mGP or cGP loop) over the
-// movable cells idx of d, which must already hold the starting
-// positions. lambdaInit <= 0 selects automatic balancing. It returns
-// the result; final positions are written back to d. It errors without
-// touching d on an invalid configuration (a Poisson name other than ""
-// or spectral32, a bad grid size).
-func PlaceGlobal(d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
-	return placeGlobal(context.Background(), gpStage{name: stage, cv: d.Compile(), region: d.Region, idx: idx, opt: opt, lambdaInit: lambdaInit})
+// cells idx of the design cv was compiled from, which must hold the
+// starting positions, and every filler of the view (see InsertFillers).
+// lambdaInit <= 0 selects automatic balancing. It returns the result;
+// final positions are written back to the design's cells and the view's
+// fillers. It errors without touching either on an invalid configuration
+// (a Poisson name other than "" or spectral32, a bad grid size).
+func PlaceGlobal(cv *netlist.Compiled, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
+	d := cv.Design()
+	idx = slices.Clip(idx)
+	for ci := len(d.Cells); ci < len(cv.PosX); ci++ {
+		idx = append(idx, ci)
+	}
+	return placeGlobal(context.Background(), gpStage{name: stage, cv: cv, region: d.Region, idx: idx, opt: opt, lambdaInit: lambdaInit})
 }
 
 // placeGlobal runs stage s over its caller-owned view of the design,
@@ -440,7 +445,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		opt2.Restore(rs.Nesterov, e.gradFn, e.clampFn, seedStep)
 	} else {
 		v0 := e.best
-		d.PositionsInto(idx, v0)
+		cv.PositionsInto(idx, v0)
 		e.start(v0, s.lambdaInit, s.lambdaScale)
 		opt2.Start(v0, e.gradFn, e.clampFn, seedStep)
 	}
@@ -510,15 +515,14 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 
 	// Adopt the best snapshot if we diverged or stagnated past it, clamp
 	// it in place, and write it back to both the structs (the caller's
-	// source of truth between stages) and the view (for the final
-	// Refresh/HPWL below).
+	// source of truth between stages) and the view (the fillers' only
+	// home, and read by the final Refresh/HPWL below).
 	final := opt2.U
 	if res.Stop == StopDiverged || res.Stop == StopStall {
 		final = sch.Best
 	}
 	e.clamp(final)
-	e.d.SetPositions(e.idx, final)
-	e.cv.SetPositions(e.idx, final)
+	e.cv.WriteBack(e.idx, final)
 
 	e.dm.Refresh(e.idx)
 	res.Iterations = iter

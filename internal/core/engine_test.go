@@ -12,9 +12,9 @@ import (
 
 // mustPlaceGlobal runs PlaceGlobal and fails the test on a
 // configuration error (the tests here all use valid configurations).
-func mustPlaceGlobal(tb testing.TB, d *netlist.Design, idx []int, opt Options, stage string, lambdaInit float64) Result {
+func mustPlaceGlobal(tb testing.TB, cv *netlist.Compiled, idx []int, opt Options, stage string, lambdaInit float64) Result {
 	tb.Helper()
-	res, err := PlaceGlobal(d, idx, opt, stage, lambdaInit)
+	res, err := PlaceGlobal(cv, idx, opt, stage, lambdaInit)
 	if err != nil {
 		tb.Fatalf("PlaceGlobal(%s): %v", stage, err)
 	}
@@ -89,68 +89,64 @@ func TestInsertFillers(t *testing.T) {
 			free -= c.Rect().Intersect(d.Region).Area()
 		}
 	}
-	fill := InsertFillers(d, 7)
+	cells := len(d.Cells)
+	cv := d.Compile()
+	fill := InsertFillers(cv, 7)
 	if len(fill) == 0 {
 		t.Fatal("no fillers inserted in under-utilized design")
 	}
+	if len(d.Cells) != cells {
+		t.Fatalf("the design grew from %d to %d cells", cells, len(d.Cells))
+	}
 	got := 0.0
 	for _, fi := range fill {
-		got += d.Cells[fi].Area()
+		got += cv.CellW[fi] * cv.CellH[fi]
 	}
 	want := d.TargetDensity*free - movable
-	if math.Abs(got-want) > 0.02*want+fillerSlack(d) {
+	if slack := cv.CellW[fill[0]]*cv.CellH[fill[0]] + 1; math.Abs(got-want) > 0.02*want+slack {
 		t.Errorf("filler area %v, want ~%v", got, want)
 	}
 	for _, fi := range fill {
-		c := &d.Cells[fi]
-		if c.Kind != netlist.Filler {
-			t.Fatal("non-filler returned")
+		if !cv.Filler[fi] || fi < cells {
+			t.Fatalf("entry %d is not a filler after the design's %d cells", fi, cells)
 		}
-		if !d.Region.ContainsRect(c.Rect()) {
-			t.Errorf("filler %d outside region: %v", fi, c.Rect())
-		}
-	}
-}
-
-// fillerSlack is one filler cell of tolerance from the floor division.
-func fillerSlack(d *netlist.Design) float64 {
-	for i := range d.Cells {
-		if d.Cells[i].Kind == netlist.Filler {
-			return d.Cells[i].Area() + 1
+		if r := geom.NewRectCenter(cv.PosX[fi], cv.PosY[fi], cv.CellW[fi], cv.CellH[fi]); !d.Region.ContainsRect(r) {
+			t.Errorf("filler %d outside region: %v", fi, r)
 		}
 	}
-	return 1
 }
 
 func TestInsertFillersNoopWhenFull(t *testing.T) {
 	d := netlist.New("full", geom.Rect{Hx: 10, Hy: 10})
 	d.AddCell(netlist.Cell{W: 10, H: 10, X: 5, Y: 5})
-	if fill := InsertFillers(d, 1); fill != nil {
-		t.Errorf("fillers inserted into a full design: %d", len(fill))
+	if fill := InsertFillers(d.Compile(), 1); fill != nil {
+		t.Errorf("inserted %d fillers into a full design", len(fill))
 	}
 }
 
-// TestInsertFillersGrowsOnce checks that InsertFillers grows d.Cells at
-// most once: to exactly the cells plus fillers when they do not fit the
-// capacity, and not at all when they do (a level's second insertion
-// after RemoveFillers). Appending one filler at a time would double the
-// slice several times.
+// TestInsertFillersGrowsOnce checks that InsertFillers grows the view's
+// arrays at most once: to exactly the cells plus fillers, which do not
+// fit the capacity of a fresh view, and not at all when they do (a
+// second insertion after DropFillers). Appending one filler at a time
+// would double them several times.
 func TestInsertFillersGrowsOnce(t *testing.T) {
 	d := testCircuit(2000, 1)
-	d.Cells = d.Cells[:len(d.Cells):len(d.Cells)] // full, as a fresh clone is
-	before := cap(d.Cells)
-	fill := InsertFillers(d, 7)
+	cv := d.Compile()
+	before := cap(cv.PosX)
+	fill := InsertFillers(cv, 7)
 	if len(fill) == 0 {
 		t.Fatal("no fillers inserted in an under-utilized design")
 	}
-	if got := cap(d.Cells); got != len(d.Cells) {
-		t.Errorf("cells grew from capacity %d to %d for %d cells, want exactly %d",
-			before, got, len(d.Cells), len(d.Cells))
+	for name, c := range map[string]int{"PosX": cap(cv.PosX), "CellW": cap(cv.CellW), "Filler": cap(cv.Filler), "CellNetOff": cap(cv.CellNetOff) - 1} {
+		if c != len(cv.PosX) {
+			t.Errorf("%s grew from capacity %d to %d for %d entries, want exactly %d",
+				name, before, c, len(cv.PosX), len(cv.PosX))
+		}
 	}
-	d.RemoveFillers()
-	before = cap(d.Cells)
-	InsertFillers(d, 7)
-	if got := cap(d.Cells); got != before {
+	cv.DropFillers()
+	before = cap(cv.PosX)
+	InsertFillers(cv, 7)
+	if got := cap(cv.PosX); got != before {
 		t.Errorf("re-inserting fillers moved the capacity from %d to %d", before, got)
 	}
 }
@@ -163,10 +159,10 @@ func TestPlaceGlobalReducesOverflow(t *testing.T) {
 		d.Cells[ci].X = c.X
 		d.Cells[ci].Y = c.Y
 	}
-	InsertFillers(d, 3)
-	idx := d.Movable()
+	cv := d.Compile()
+	idx := append(d.Movable(), InsertFillers(cv, 3)...)
 	opt := Options{MaxIters: 800, GridM: 32}
-	res := mustPlaceGlobal(t, d, idx, opt, "mGP", 0)
+	res := mustPlaceGlobal(t, cv, d.Movable(), opt, "mGP", 0)
 	if res.Stop != StopTargetOverflow {
 		t.Fatalf("placement stopped by %s, want %s", res.Stop, StopTargetOverflow)
 	}
@@ -176,9 +172,9 @@ func TestPlaceGlobalReducesOverflow(t *testing.T) {
 	if res.Iterations >= 800 {
 		t.Errorf("did not converge within 800 iterations")
 	}
-	// Every cell inside the region.
+	// Every cell and filler inside the region.
 	for _, ci := range idx {
-		if !d.Region.ContainsRect(d.Cells[ci].Rect()) {
+		if !d.Region.ContainsRect(geom.NewRectCenter(cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci])) {
 			t.Errorf("cell %d escaped region", ci)
 			break
 		}
@@ -191,15 +187,15 @@ func TestPlaceGlobalKeepsWirelengthReasonable(t *testing.T) {
 	// Random start: GP must both spread and not blow up wirelength
 	// relative to the random layout.
 	randomHPWL := d.HPWL()
-	InsertFillers(d, 3)
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 800, GridM: 32}, "mGP", 0)
+	cv := d.Compile()
+	InsertFillers(cv, 3)
+	res := mustPlaceGlobal(t, cv, idx, Options{MaxIters: 800, GridM: 32}, "mGP", 0)
 	if res.Stop == StopDiverged {
 		t.Fatal("diverged")
 	}
 	if res.HPWL > randomHPWL {
 		t.Errorf("placed HPWL %v worse than random %v", res.HPWL, randomHPWL)
 	}
-	_ = idx
 }
 
 // TestTraceRecordsProgress holds the trace to one sample per iteration
@@ -215,10 +211,11 @@ func TestTraceRecordsProgress(t *testing.T) {
 	} {
 		t.Run(tc.stop, func(t *testing.T) {
 			d := testCircuit(200, 5)
-			InsertFillers(d, 3)
+			cv := d.Compile()
+			InsertFillers(cv, 3)
 			tr := &Trace{}
 			tc.opt.Telemetry = telemetry.New(tr)
-			res := mustPlaceGlobal(t, d, d.Movable(), tc.opt, "mGP", 0)
+			res := mustPlaceGlobal(t, cv, d.Movable(), tc.opt, "mGP", 0)
 			if res.Stop != tc.stop {
 				t.Fatalf("stage stopped on %s, want %s", res.Stop, tc.stop)
 			}
@@ -255,8 +252,9 @@ func TestMixedSizeMacrosDoNotOscillate(t *testing.T) {
 			d.Connect(rng.Intn(300), ni, 0, 0)
 		}
 	}
-	InsertFillers(d, 3)
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 900, GridM: 32}, "mGP", 0)
+	cv := d.Compile()
+	InsertFillers(cv, 3)
+	res := mustPlaceGlobal(t, cv, d.Movable(), Options{MaxIters: 900, GridM: 32}, "mGP", 0)
 	if res.Stop == StopDiverged {
 		t.Fatal("mixed-size placement diverged")
 	}
@@ -277,7 +275,7 @@ func TestMixedSizeMacrosDoNotOscillate(t *testing.T) {
 }
 
 func TestDisablePreconditionerDegrades(t *testing.T) {
-	build := func() *netlist.Design {
+	build := func() *netlist.Compiled {
 		d := testCircuit(200, 9)
 		rng := rand.New(rand.NewSource(10))
 		for i := 0; i < 3; i++ {
@@ -292,13 +290,14 @@ func TestDisablePreconditionerDegrades(t *testing.T) {
 				d.Connect(rng.Intn(200), ni, 0, 0)
 			}
 		}
-		InsertFillers(d, 3)
-		return d
+		cv := d.Compile()
+		InsertFillers(cv, 3)
+		return cv
 	}
-	d1 := build()
-	with := mustPlaceGlobal(t, d1, d1.Movable(), Options{MaxIters: 600, GridM: 32}, "mGP", 0)
-	d2 := build()
-	without := mustPlaceGlobal(t, d2, d2.Movable(), Options{MaxIters: 600, GridM: 32, DisablePrecond: true}, "mGP", 0)
+	cv1 := build()
+	with := mustPlaceGlobal(t, cv1, cv1.Design().Movable(), Options{MaxIters: 600, GridM: 32}, "mGP", 0)
+	cv2 := build()
+	without := mustPlaceGlobal(t, cv2, cv2.Design().Movable(), Options{MaxIters: 600, GridM: 32, DisablePrecond: true}, "mGP", 0)
 	// The unpreconditioned run must be clearly worse: diverged, not
 	// converged, or much longer wirelength (Sec. V-D reports failures on
 	// 9/16 benchmarks and +24.63% wirelength on the rest).
@@ -314,7 +313,7 @@ func TestDisablePreconditionerDegrades(t *testing.T) {
 func TestPlaceGlobalEmptyMovable(t *testing.T) {
 	d := netlist.New("empty", geom.Rect{Hx: 10, Hy: 10})
 	d.AddCell(netlist.Cell{W: 2, H: 2, X: 5, Y: 5, Fixed: true})
-	res := mustPlaceGlobal(t, d, nil, Options{}, "mGP", 0)
+	res := mustPlaceGlobal(t, d.Compile(), nil, Options{}, "mGP", 0)
 	if res.Stop != StopTargetOverflow || res.Iterations != 0 {
 		t.Errorf("empty placement: %+v", res)
 	}
@@ -322,8 +321,9 @@ func TestPlaceGlobalEmptyMovable(t *testing.T) {
 
 func TestTimingBreakdownPopulated(t *testing.T) {
 	d := testCircuit(200, 11)
-	InsertFillers(d, 3)
-	res := mustPlaceGlobal(t, d, d.Movable(), Options{MaxIters: 100, GridM: 32, TargetOverflow: 0.5}, "mGP", 0)
+	cv := d.Compile()
+	InsertFillers(cv, 3)
+	res := mustPlaceGlobal(t, cv, d.Movable(), Options{MaxIters: 100, GridM: 32, TargetOverflow: 0.5}, "mGP", 0)
 	if res.DensityTime <= 0 || res.WirelengthTime <= 0 {
 		t.Errorf("timing breakdown empty: %+v", res)
 	}

@@ -34,12 +34,14 @@ func Example() {
 }
 
 // ExamplePlaceGlobal shows the standalone global placement engine: the
-// caller controls filler insertion and reads the trace.
+// caller compiles the design, inserts fillers into the view and reads
+// the trace.
 func ExamplePlaceGlobal() {
 	d := synth.Generate(synth.Spec{Name: "gp-example", NumCells: 300})
-	core.InsertFillers(d, 1)
+	cv := d.Compile()
+	core.InsertFillers(cv, 1)
 	tr := &core.Trace{}
-	res, _ := core.PlaceGlobal(d, d.Movable(), core.Options{
+	res, _ := core.PlaceGlobal(cv, d.Movable(), core.Options{
 		GridM: 32, MaxIters: 600, Telemetry: telemetry.New(tr),
 	}, "mGP", 0)
 	fmt.Println("converged:", res.Overflow <= 0.11)

@@ -172,8 +172,9 @@ func resumeAt(rs *checkpoint.State, K int) (level, ph int, mid bool, err error) 
 // Place runs the complete ePlace flow on d: quadratic initial placement
 // (mIP), mixed-size global placement (mGP), annealing macro legalization
 // (mLG) and standard-cell re-placement (cGP) when movable macros exist,
-// then legalization plus detail placement (cDP). The design is modified
-// in place; fillers are inserted and removed internally.
+// then legalization plus detail placement (cDP). The design's positions
+// are modified in place; its cells are not: the fillers of the global
+// placements live in the run's compiled views alone.
 //
 // With opt.Checkpoint set, the flow snapshots itself at every stage
 // boundary (and every GP.CheckpointEvery iterations inside the GP
@@ -204,12 +205,6 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
-	// Every level's fillers are planned once, before its view is compiled:
-	// the design and the view make room for them, and the level inserts
-	// them. plans[k] is level k's; the input design's also sizes the GP
-	// workspace.
-	plans := []fillerPlan{insertPlan(d)}
-	d.Reserve(plans[0].count, 0, 0)
 	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
 	r.mgp, r.gpHook = &res.MGP, opt.gpHook
 	res.MixedSize = r.mixedSize
@@ -229,18 +224,18 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	// (fresh runs and coarse-level resumes). Clustering reads design
 	// structure only — never positions — so a resumed process rebuilds
 	// the bit-identical stack the fingerprint vouched for.
-	designs := []*netlist.Design{d}
+	// views[k] is level k's compiled view: the input design's is the
+	// run's, a coarse level's was compiled with the level.
+	views := []*netlist.Compiled{r.cv}
 	var hier *cluster.Hierarchy
 	if rs == nil || rs.Level > 0 {
-		room := func(ld *netlist.Design, cells func(func(netlist.Cell))) int {
-			plans = append(plans, cellsPlan(ld, cells))
-			return plans[len(plans)-1].count
-		}
-		if hier = buildHierarchy(r.cv, &opt, room); hier != nil {
-			designs = hier.Designs
+		if hier = buildHierarchy(r.cv, &opt); hier != nil {
+			for _, lvl := range hier.Levels {
+				views = append(views, lvl.View)
+			}
 		}
 	}
-	K := len(designs) - 1
+	K := len(views) - 1
 
 	startLevel, ph, mid := K, phMIP, false
 	if rs != nil {
@@ -267,14 +262,16 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		return nil
 	}
 
-	r.reserveGP(plans[0])
+	// The input design's filler plan reads the fixed flags before mLG
+	// fixes the macros, and sizes the GP workspace.
+	plan0 := insertPlan(d)
+	r.reserveGP(plan0)
 	var fillers []int
 	for k := startLevel; k >= 0; k-- {
-		// One compiled view per design: the input design's is the run's,
-		// a coarse level's was compiled with the level.
-		ld, cv, movable := designs[k], r.cv, r.movable
+		cv, movable, plan := views[k], r.movable, plan0
+		ld := cv.Design()
 		if k > 0 {
-			cv, movable = hier.Levels[k-1].View, ld.Movable()
+			movable, plan = ld.Movable(), insertPlan(ld)
 		}
 		// --- mIP: quadratic wirelength minimization over all movables,
 		// on the coarsest netlist only — a coarse seed is all the V-cycle
@@ -286,29 +283,17 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			}
 		}
 
-		// Fillers exist from a level's global placement on: through cGP on
-		// the input design, until interpolation above it. A resumed run
-		// re-derives them from the same seed (count and initial positions
-		// are functions of design structure only), then overwrites every
-		// position the snapshot captured. Filler sizing reads the fixed
-		// flags as mGP found them, before mLG fixed the macros, so a run
-		// resumed past mLG fixes them again only after the fillers exist.
+		// Fillers exist from a level's global placement on, in the level's
+		// view: through cGP on the input design, until interpolation above
+		// it. A resumed run re-derives them from the same seed (count and
+		// initial positions are functions of design structure only), then
+		// overwrites every position the snapshot captured.
 		if ph <= phCGP {
-			fillers = placeFillers(ld, ld.Region, plans[k], fillerSeed)
+			fillers = placeFillers(cv, ld.Region, plan, fillerSeed)
 		}
 		if rs != nil && k == startLevel {
-			// A boundary snapshot taken before the level's fillers existed
-			// adopts the re-derived ones; any other must match them.
-			base := len(ld.Cells) - len(fillers)
-			if rs.NumBaseCells != base || (rs.NumFillers != len(fillers) && (rs.NumFillers > 0 || mid)) {
-				return res, fmt.Errorf("core: level L%d rebuilt with %d cells + %d fillers, snapshot has %d + %d (design or options changed?)",
-					k, base, len(fillers), rs.NumBaseCells, rs.NumFillers)
-			}
-			if err := rs.RestorePositions(ld); err != nil {
+			if err := r.resume(rs, cv, fillers, ph, mid, len(movable)); err != nil {
 				return res, err
-			}
-			if k == 0 && ph > phMLG {
-				legalize.FixMacros(d, r.movMacros)
 			}
 		}
 		if ph >= phDone {
@@ -337,13 +322,13 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			// HPWL).
 			t0 := time.Now()
 			lr, err := r.gp(gpStage{
-				name: stage, phase: stage, cv: cv, level: k, fillers: len(fillers), region: ld.Region,
+				name: stage, phase: stage, cv: cv, level: k, region: ld.Region,
 				idx: r.stageIdx(movable, fillers),
 				opt: gpOpt, resume: resumeGP(phMGP),
 			})
 			r.addStage(stage, time.Since(t0))
 			if k > 0 {
-				res.ML = append(res.ML, MLLevel{Level: k, Cells: len(ld.Cells) - len(fillers), Result: lr})
+				res.ML = append(res.ML, MLLevel{Level: k, Cells: len(ld.Cells), Result: lr})
 			} else {
 				res.MGP = lr
 			}
@@ -353,18 +338,18 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		}
 		if k > 0 {
 			// Hand the level's solution down as the next level's warm start.
-			ld.RemoveFillers()
+			cv.DropFillers()
 			hier.Interpolate(k)
 			next := checkpoint.PhasePostML
 			if k > 1 {
 				next = checkpoint.PhasePostMLevel(k)
 			}
-			if err := r.boundary(next, k-1, designs[k-1], 0); err != nil {
+			if err := r.boundary(next, k-1, views[k-1]); err != nil {
 				return res, err
 			}
 			ph = phMIP // levels below the resume point run in full
 		} else if ph <= phMGP {
-			if err := r.boundary(checkpoint.PhasePostMGP, 0, d, len(fillers)); err != nil {
+			if err := r.boundary(checkpoint.PhasePostMGP, 0, r.cv); err != nil {
 				return res, err
 			}
 		}
@@ -383,7 +368,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			if !res.MLG.Legal {
 				return res, fmt.Errorf("core: mLG left macro overlap %v", res.MLG.OmAfter)
 			}
-			if err := r.boundary(checkpoint.PhasePostMLG, 0, d, len(fillers)); err != nil {
+			if err := r.boundary(checkpoint.PhasePostMLG, 0, r.cv); err != nil {
 				return res, err
 			}
 		}
@@ -400,14 +385,14 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 				fOpt.MinIters = cgpFillerIters
 				fOpt.TargetOverflow = 1e-9
 				_, err := r.gp(gpStage{
-					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, fillers: len(fillers), region: d.Region,
+					name: "cGP-filler", phase: checkpoint.PhaseCGPFiller, cv: r.cv, region: d.Region,
 					idx: fillers, held: r.stdCells, opt: fOpt, lambdaInit: 1, resume: resumeGP(phCGPFiller),
 				})
 				if err != nil {
 					return res, err
 				}
 			}
-			if err := r.boundary(checkpoint.PhasePostCGPFiller, 0, d, len(fillers)); err != nil {
+			if err := r.boundary(checkpoint.PhasePostCGPFiller, 0, r.cv); err != nil {
 				return res, err
 			}
 		}
@@ -416,7 +401,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			m := float64(res.MGP.Iterations) / 10
 			var err error
 			res.CGP, err = r.gp(gpStage{
-				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, fillers: len(fillers), region: d.Region,
+				name: "cGP", phase: checkpoint.PhaseCGP, cv: r.cv, region: d.Region,
 				idx: r.stageIdx(r.stdCells, fillers),
 				opt: opt.GP, lambdaInit: res.MGP.FinalLambda * math.Pow(1.1, -m), resume: resumeGP(phCGP),
 			})
@@ -428,7 +413,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 
 	// Fillers are placement aids only.
-	d.RemoveFillers()
+	r.cv.DropFillers()
 
 	if opt.SkipLegalization {
 		r.summarize(false)
@@ -437,7 +422,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	// cDP is not internally interruptible (its repair passes have no
 	// capturable mid-state); a cancellation landing here stops before it
 	// starts, resumable from the pre-cDP boundary.
-	if err := r.boundary(checkpoint.PhasePreCDP, 0, d, 0); err != nil {
+	if err := r.boundary(checkpoint.PhasePreCDP, 0, r.cv); err != nil {
 		return res, err
 	}
 
@@ -447,4 +432,41 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	}
 	err := r.finish()
 	return res, err
+}
+
+// resume writes the snapshot rs into level's view cv, which holds the
+// re-derived fillers, once all it reads is checked: a refused snapshot
+// leaves the caller's cells alone. A boundary snapshot taken before the
+// level's fillers existed adopts the re-derived ones. A mid-stage one's
+// vectors must fit the cells its stage (phase ph) moves: the level's
+// movable ones at phMGP, the standard cells at phCGP, and the fillers. A
+// run resumed past mLG fixes the macros again.
+func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []int, ph int, mid bool, movable int) error {
+	ld := cv.Design()
+	base := len(ld.Cells)
+	if rs.NumBaseCells != base || (rs.NumFillers != len(fillers) && (rs.NumFillers > 0 || mid)) {
+		return fmt.Errorf("core: level L%d rebuilt with %d cells + %d fillers, snapshot has %d + %d (design or options changed?)",
+			rs.Level, base, len(fillers), rs.NumBaseCells, rs.NumFillers)
+	}
+	if gs := rs.GP; mid && gs != nil {
+		n := len(fillers)
+		switch ph {
+		case phMGP:
+			n += movable
+		case phCGP:
+			n += len(r.stdCells)
+		}
+		if err := gs.Validate(n); err != nil {
+			return err
+		}
+	}
+	if err := rs.RestorePositions(ld); err != nil {
+		return err
+	}
+	copy(cv.PosX[base:], rs.X[base:])
+	copy(cv.PosY[base:], rs.Y[base:])
+	if rs.Level == 0 && ph > phMLG {
+		legalize.FixMacros(ld, r.movMacros)
+	}
+	return nil
 }

@@ -1,7 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
 	"testing"
+
+	"eplace/internal/checkpoint"
+	"eplace/internal/eco"
 
 	"eplace/internal/legalize"
 	"eplace/internal/netlist"
@@ -89,6 +96,110 @@ func TestFlowMixedSize(t *testing.T) {
 		t.Errorf("filler-only placement ran %d iterations, want 20", len(tr.Stage("cGP-filler")))
 	}
 	checkStages(t, res.Stages, "mIP", "mGP", "mLG", "cGP", "cDP")
+}
+
+// TestFlowDesignNeverGrows: the fillers of every global placement live
+// in the flow's compiled views, so no flow changes the length or the
+// capacity of the caller's cells or hands back a filler, whether it
+// finishes (flat, V-cycle, mixed-size, an ECO block edit that evicts
+// cells), is canceled inside mGP or cGP, or refuses its snapshot.
+func TestFlowDesignNeverGrows(t *testing.T) {
+	flat := synth.Spec{Name: "grow-flat", NumCells: 632}
+	mixed := detSpecs()[2]
+	opts := detFlowOpts(1)
+	ckpt := t.TempDir()
+	place := func(o FlowOptions) func(*netlist.Design) error {
+		return func(d *netlist.Design) error {
+			res, err := Place(d, o)
+			if err == nil && o.Levels > 1 && len(res.ML) == 0 {
+				err = fmt.Errorf("the flow built no coarse level")
+			}
+			return err
+		}
+	}
+	// canceled stops the flow at iteration 5 of stage, leaving a snapshot
+	// in ckpt.
+	canceled := func(stage string) func(*netlist.Design) error {
+		return func(d *netlist.Design) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			mgr, err := checkpoint.NewManager(ckpt)
+			if err != nil {
+				return err
+			}
+			o := opts
+			o.Checkpoint = mgr
+			o.GP.Telemetry = telemetry.New(&cancelAtSink{stage: stage, iter: 5, cancel: cancel})
+			if _, err := PlaceContext(ctx, d, o); !errors.Is(err, ErrCanceled) {
+				return fmt.Errorf("canceled flow returned %v, want ErrCanceled", err)
+			}
+			return nil
+		}
+	}
+	vcycle := opts
+	vcycle.Levels = 3
+	ecoSpec := ecoSpec("grow-eco")
+	var plan *eco.Plan
+	for _, tc := range []struct {
+		name   string
+		design func() *netlist.Design
+		place  func(*netlist.Design) error
+	}{
+		{"flat", func() *netlist.Design { return synth.Generate(flat) }, place(opts)},
+		{"vcycle", func() *netlist.Design { return synth.Generate(synth.Spec{Name: "grow-vcycle", NumCells: 2600}) }, place(vcycle)},
+		{"mixed", func() *netlist.Design { return synth.Generate(mixed) }, place(opts)},
+		{"eco-block", func() *netlist.Design {
+			cold := synth.Generate(ecoSpec)
+			if _, err := Place(cold, opts); err != nil {
+				t.Fatal(err)
+			}
+			warm := warmCopy(ecoSpec, cold)
+			prep, err := eco.Prepare(warm, blockEdit(warm.Region), eco.PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan = prep.Plan; len(plan.Evicted) == 0 {
+				t.Fatalf("the block evicted nothing: %s", plan)
+			}
+			return warm
+		}, func(d *netlist.Design) error {
+			_, err := PlaceECO(context.Background(), d, plan, ECOOptions{GP: opts.GP})
+			return err
+		}},
+		{"cancel-mGP", func() *netlist.Design { return synth.Generate(flat) }, canceled("mGP")},
+		{"refused-resume", func() *netlist.Design { return synth.Generate(flat) }, func(d *netlist.Design) error {
+			st, err := checkpoint.ReadFile(filepath.Join(ckpt, checkpoint.LatestName))
+			if err != nil {
+				return err
+			}
+			if st.Phase != checkpoint.PhaseMGP {
+				return fmt.Errorf("snapshot at %q, want mid-mGP", st.Phase)
+			}
+			st.GP.Nesterov.U = st.GP.Nesterov.U[1:]
+			o := opts
+			o.Resume = st
+			if _, err := Place(d, o); err == nil {
+				return fmt.Errorf("a snapshot with a short U resumed")
+			}
+			return nil
+		}},
+		{"cancel-cGP", func() *netlist.Design { return synth.Generate(mixed) }, canceled("cGP")},
+	} {
+		d := tc.design()
+		n, c := len(d.Cells), cap(d.Cells)
+		if err := tc.place(d); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(d.Cells) != n || cap(d.Cells) != c {
+			t.Errorf("%s: the caller's cells went from %d in %d to %d in %d", tc.name, n, c, len(d.Cells), cap(d.Cells))
+		}
+		for i := range d.Cells {
+			if d.Cells[i].Kind == netlist.Filler {
+				t.Errorf("%s: cell %d is a filler", tc.name, i)
+				break
+			}
+		}
+	}
 }
 
 // checkStages fails t unless stages lists want in order, each stage

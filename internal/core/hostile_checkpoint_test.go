@@ -130,15 +130,23 @@ func TestWarmStartRejectsShortY(t *testing.T) {
 // TestResumeRejectsShortGPVector: a mid-stage snapshot whose optimizer
 // or best-solution vector is short of the stage's 2n coordinates is
 // refused with an error, for each of the four vectors, instead of
-// panicking inside the Nesterov update.
+// panicking inside the Nesterov update, and before any of the caller's
+// cells moves.
 func TestResumeRejectsShortGPVector(t *testing.T) {
 	for _, name := range gpVectorNames {
 		st := stateOf(t, checkpoint.PhaseMGP)
 		v := gpVectors(st.GP)[name]
 		*v = (*v)[:len(*v)-1]
-		err := resumeFrom(st)
+		fo := hostileOpts()
+		fo.Resume = st
+		d := synth.Generate(hostileSpec)
+		before := d.Positions(d.Movable())
+		_, err := PlaceContext(context.Background(), d, fo)
 		if err == nil || !strings.Contains(err.Error(), name+" holds") {
 			t.Errorf("resume with a short %s: error %v", name, err)
+		}
+		if !slices.Equal(before, d.Positions(d.Movable())) {
+			t.Errorf("a resume refused for a short %s moved the caller's cells", name)
 		}
 	}
 	if err := resumeFrom(stateOf(t, checkpoint.PhaseMGP)); err != nil {

@@ -12,23 +12,22 @@ type MLLevel struct {
 	// Level is the hierarchy level (Depth-1 = coarsest, 1 = the level
 	// just above the input design).
 	Level int
-	// Cells is the level's cell count before fillers.
+	// Cells is the level's cell count, fillers aside.
 	Cells int
 	// Result is the level's global-placement summary.
 	Result Result
 }
 
 // buildHierarchy coarsens the run's design for the V-cycle, scoring on
-// its compiled view cv, with room in each coarse design for the cells
-// room returns (see cluster.BuildCompiled), or returns nil when
-// multilevel mode is off or the design is too small for even one level
-// to pay off (the flow then places flat, which is also what a resumed
-// run of such a design deterministically rebuilds).
-func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions, room cluster.Room) *cluster.Hierarchy {
+// its compiled view cv, or returns nil when multilevel mode is off or the
+// design is too small for even one level to pay off (the flow then
+// places flat, which is also what a resumed run of such a design
+// deterministically rebuilds).
+func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions) *cluster.Hierarchy {
 	if opt.Levels <= 1 {
 		return nil
 	}
-	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap}, room)
+	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap})
 	if h.Depth() <= 1 {
 		return nil
 	}

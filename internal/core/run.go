@@ -80,7 +80,9 @@ type flowRun struct {
 	// cv is the one compiled view of d, lent to every stage that runs on
 	// the input design (mIP, the GP stages, cDP). The Cell structs are the
 	// truth between stages: each stage syncs the view on entry and writes
-	// its result back to the structs before it returns.
+	// its result back to the structs before it returns. The fillers of
+	// the GP stages live in the view alone, from the level's mGP (or eGP)
+	// until the flow drops them.
 	cv *netlist.Compiled
 	// opt is the caller's global-placement configuration, the base every
 	// GP stage derives from.
@@ -140,10 +142,10 @@ func (r *flowRun) addStage(name string, d time.Duration) {
 	r.rec.EmitSpan(name, "", d)
 }
 
-// snapshot assembles one full snapshot: the positions of level's design
-// ld (holding numFillers fillers after its own cells) under the input
-// design's identity.
-func (r *flowRun) snapshot(phase string, level int, ld *netlist.Design, numFillers int) *checkpoint.State {
+// snapshot assembles one full snapshot under the input design's
+// identity: the positions of level's design, from its Cell structs, then
+// those of the fillers its view cv holds.
+func (r *flowRun) snapshot(phase string, level int, cv *netlist.Compiled) *checkpoint.State {
 	st := &checkpoint.State{
 		Phase:          phase,
 		DesignName:     r.d.Name,
@@ -154,25 +156,28 @@ func (r *flowRun) snapshot(phase string, level int, ld *netlist.Design, numFille
 		Level:          level,
 		Golden:         r.golden.State(),
 	}
-	st.CapturePositions(ld, numFillers)
+	n := len(cv.Design().Cells)
+	st.CapturePositions(cv.Design(), len(cv.PosX)-n)
+	copy(st.X[n:], cv.PosX[n:])
+	copy(st.Y[n:], cv.PosY[n:])
 	return st
 }
 
 // save persists one snapshot when a manager is installed. A requested
 // checkpoint that cannot be written is an error, not a silent skip: the
 // user asked for restartability.
-func (r *flowRun) save(phase string, level int, ld *netlist.Design, numFillers int) error {
+func (r *flowRun) save(phase string, level int, cv *netlist.Compiled) error {
 	if r.ckpt == nil {
 		return nil
 	}
-	return r.ckpt.Save(r.snapshot(phase, level, ld, numFillers))
+	return r.ckpt.Save(r.snapshot(phase, level, cv))
 }
 
 // boundary closes a stage: it persists the boundary snapshot, then
 // honours a cancellation that arrived during the stage — in that order,
 // so a canceled run is resumable from the boundary it stopped at.
-func (r *flowRun) boundary(phase string, level int, ld *netlist.Design, numFillers int) error {
-	if err := r.save(phase, level, ld, numFillers); err != nil {
+func (r *flowRun) boundary(phase string, level int, cv *netlist.Compiled) error {
+	if err := r.save(phase, level, cv); err != nil {
 		return err
 	}
 	if r.ctx.Err() != nil {
@@ -196,7 +201,7 @@ func (r *flowRun) mip(cv *netlist.Compiled, level int, mv []int) (qp.Result, err
 	r.rec.Count("mIP/cg_iters", int64(res.CGIterations))
 	r.addStage("mIP", time.Since(t0))
 	r.rec.Sample(Sample{Stage: "mIP", HPWL: hpwl})
-	return res, r.boundary(checkpoint.PhasePostMIP, level, ld, 0)
+	return res, r.boundary(checkpoint.PhasePostMIP, level, cv)
 }
 
 // gpStage describes one global-placement stage to placeGlobal: what
@@ -207,11 +212,10 @@ type gpStage struct {
 	// phase labels the stage's mid-stage snapshots; "" writes none (an
 	// interrupted ECO run restarts from its input).
 	phase string
-	// cv is the view of the design being placed, level its hierarchy
-	// level, fillers the number of filler cells appended to it.
-	cv      *netlist.Compiled
-	level   int
-	fillers int
+	// cv is the view of the design being placed, fillers included, and
+	// level its hierarchy level.
+	cv    *netlist.Compiled
+	level int
 	// region is where the stage places: the level design's region, or the
 	// eviction window of an ECO call (see engine.reset).
 	region geom.Rect
@@ -279,7 +283,7 @@ func (r *flowRun) gp(s gpStage) (Result, error) {
 	// through it regardless of CheckpointEvery.
 	if r.ckpt != nil && s.phase != "" {
 		s.sink = func(gs *checkpoint.GPState) {
-			st := r.snapshot(s.phase, s.level, s.cv.Design(), s.fillers)
+			st := r.snapshot(s.phase, s.level, s.cv)
 			st.GP = gs
 			if err := r.ckpt.Save(st); err != nil && r.ckptErr == nil {
 				r.ckptErr = err
@@ -369,5 +373,5 @@ func (r *flowRun) summarize(final bool) {
 // done-phase snapshot later runs (resume, ECO chaining) start from.
 func (r *flowRun) finish() error {
 	r.summarize(true)
-	return r.save(checkpoint.PhaseDone, 0, r.d, 0)
+	return r.save(checkpoint.PhaseDone, 0, r.cv)
 }

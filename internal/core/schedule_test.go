@@ -13,10 +13,10 @@ import (
 )
 
 // mustEngine resets a fresh engine for the stage or fails the test.
-func mustEngine(tb testing.TB, d *netlist.Design, idx []int, opt Options, rec *telemetry.Recorder) *engine {
+func mustEngine(tb testing.TB, cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Recorder) *engine {
 	tb.Helper()
 	e := &engine{}
-	if err := e.reset(d.Compile(), d.Region, idx, nil, opt, rec); err != nil {
+	if err := e.reset(cv, cv.Design().Region, idx, nil, opt, rec); err != nil {
 		tb.Fatalf("engine.reset: %v", err)
 	}
 	return e
@@ -25,7 +25,7 @@ func mustEngine(tb testing.TB, d *netlist.Design, idx []int, opt Options, rec *t
 func TestLambdaInitBalancesGradients(t *testing.T) {
 	d := testCircuit(200, 32)
 	idx := d.Movable()
-	e := mustEngine(t, d, idx, Options{GridM: 32}, telemetry.New())
+	e := mustEngine(t, d.Compile(), idx, Options{GridM: 32}, telemetry.New())
 	v := d.Positions(idx)
 	e.sch.Gamma = 1
 	lambda := e.initLambda(v, 0)
@@ -50,10 +50,12 @@ func TestLambdaInitBalancesGradients(t *testing.T) {
 func TestPlaceGlobalDeterministic(t *testing.T) {
 	run := func() []float64 {
 		d := testCircuit(200, 33)
-		InsertFillers(d, 3)
-		idx := d.Movable()
-		mustPlaceGlobal(t, d, idx, Options{GridM: 32, MaxIters: 150, TargetOverflow: 0.3}, "mGP", 0)
-		return d.Positions(idx)
+		cv := d.Compile()
+		idx := append(d.Movable(), InsertFillers(cv, 3)...)
+		mustPlaceGlobal(t, cv, d.Movable(), Options{GridM: 32, MaxIters: 150, TargetOverflow: 0.3}, "mGP", 0)
+		v := make([]float64, 2*len(idx))
+		cv.PositionsInto(idx, v)
+		return v
 	}
 	a := run()
 	b := run()
@@ -84,7 +86,7 @@ func TestPreconditionerFloorsAtTinyLambda(t *testing.T) {
 	// preconditioner must hit its floor rather than divide by ~zero.
 	d.AddCell(netlistCell(1, 1, 5, 5))
 	idx := d.Movable()
-	e := mustEngine(t, d, idx, Options{GridM: 32}, telemetry.New())
+	e := mustEngine(t, d.Compile(), idx, Options{GridM: 32}, telemetry.New())
 	e.sch.Lambda, e.sch.Gamma = 1e-12, 1
 	v := d.Positions(idx)
 	g := make([]float64, len(v))
@@ -218,21 +220,26 @@ func TestScheduleObserve(t *testing.T) {
 func TestScheduleReplaysTrace(t *testing.T) {
 	for _, target := range []float64{0.1, 1e-9} { // target-overflow, stall
 		d := testCircuit(200, 5)
-		InsertFillers(d, 3)
-		idx := d.Movable()
+		cv := d.Compile()
+		idx := append(d.Movable(), InsertFillers(cv, 3)...)
 		opt := Options{MaxIters: 1000, GridM: 32, TargetOverflow: target}
 		opt.defaults()
 
-		// The fresh start placeGlobal takes, on an engine of its own.
-		e := mustEngine(t, d, idx, opt, telemetry.New())
+		// The fresh start placeGlobal takes, on an engine and a view of
+		// its own.
+		own := d.Compile()
+		InsertFillers(own, 3)
+		e := mustEngine(t, own, idx, opt, telemetry.New())
 		e.sch.stallIters, e.sch.minIters, e.sch.targetOverflow = stallIters, opt.MinIters, opt.TargetOverflow
-		e.start(d.Positions(idx), 0, 0)
+		v0 := make([]float64, 2*len(idx))
+		cv.PositionsInto(idx, v0)
+		e.start(v0, 0, 0)
 		s := e.sch
 		s.divergeHPWL = divergeHPWL(s.HPWL0, e.cv.NetW, d.Region)
 
 		tr := &Trace{}
 		opt.Telemetry = telemetry.New(tr)
-		res := mustPlaceGlobal(t, d, idx, opt, "mGP", 0)
+		res := mustPlaceGlobal(t, cv, d.Movable(), opt, "mGP", 0)
 		if first := tr.Samples[0]; first.Lambda != s.Lambda || first.Gamma != s.Gamma {
 			t.Fatalf("first sample at lambda %v gamma %v, start at %v %v", first.Lambda, first.Gamma, s.Lambda, s.Gamma)
 		}

@@ -15,7 +15,7 @@ func TestPlaceGlobalWorkersDeterminism(t *testing.T) {
 	run := func(workers int) (float64, float64, int) {
 		d := synth.Generate(synth.Spec{Name: "workers-det", NumCells: 400, NumMovableMacros: 2})
 		idx := d.Movable()
-		res := mustPlaceGlobal(t, d, idx, Options{GridM: 32, MaxIters: 60, MinIters: 60, Workers: workers}, "mGP", 0)
+		res := mustPlaceGlobal(t, d.Compile(), idx, Options{GridM: 32, MaxIters: 60, MinIters: 60, Workers: workers}, "mGP", 0)
 		return res.HPWL, res.Overflow, res.Iterations
 	}
 	h1, o1, it1 := run(1)

@@ -37,7 +37,8 @@ type wsOutcome struct {
 func (s wsStage) run(t *testing.T, eng *engine, workers int) wsOutcome {
 	t.Helper()
 	d := synth.Generate(s.spec)
-	InsertFillers(d, 5)
+	cv := d.Compile()
+	fillers := InsertFillers(cv, 5)
 	var idx, held []int
 	for i := range d.Cells {
 		switch c := &d.Cells[i]; {
@@ -48,19 +49,22 @@ func (s wsStage) run(t *testing.T, eng *engine, workers int) wsOutcome {
 			idx = append(idx, i)
 		}
 	}
+	idx = append(idx, fillers...)
 	golden := telemetry.NewGoldenTrace()
 	res, err := placeGlobal(context.Background(), gpStage{
-		name: "mGP", cv: d.Compile(), region: d.Region, idx: idx, held: held,
+		name: "mGP", cv: cv, region: d.Region, idx: idx, held: held,
 		opt: Options{GridM: s.gridM, MaxIters: 80, Workers: workers}, golden: golden, eng: eng,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int, len(d.Cells))
+	all := make([]int, len(cv.PosX))
 	for i := range all {
 		all[i] = i
 	}
-	return wsOutcome{res: res, pos: d.Positions(all), digests: golden.Digests()}
+	pos := make([]float64, 2*len(all))
+	cv.PositionsInto(all, pos)
+	return wsOutcome{res: res, pos: pos, digests: golden.Digests()}
 }
 
 // TestGPWorkspaceReuseSameBits holds the GP workspace to its contract:
@@ -261,34 +265,36 @@ func TestGPReserveAllocs(t *testing.T) {
 	}
 }
 
-// TestFillersJoinViewWithoutGrowing holds the flow's filler plan to its
-// purpose: the design and its view have room for the planned fillers,
-// so the first Sync after they are inserted allocates nothing, on the
-// input design and on a coarse level. testing.AllocsPerRun would time a
-// second Sync (its warm-up call is the first), so the count is taken
-// around the one call, of the allocations under Sync.
-func TestFillersJoinViewWithoutGrowing(t *testing.T) {
+// TestFillersJoinViewOnce holds the flow's fillers to the view: on the
+// input design and on a coarse level, inserting a level's planned
+// fillers leaves the design's cells as they were, grows each view array
+// once, to exactly the cells plus the fillers, and the first Sync after
+// them allocates nothing. testing.AllocsPerRun would time a second Sync
+// (its warm-up call is the first), so the count is taken around the one
+// call, of the allocations under Sync.
+func TestFillersJoinViewOnce(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "ws-sync", NumCells: 4000, NumFixedMacros: 4})
-	plans := []fillerPlan{insertPlan(d)}
-	d.Reserve(plans[0].count, 0, 0)
 	cv := d.Compile()
-	hier := buildHierarchy(cv, &FlowOptions{Levels: 2}, func(ld *netlist.Design, cells func(func(netlist.Cell))) int {
-		plans = append(plans, cellsPlan(ld, cells))
-		return plans[len(plans)-1].count
-	})
+	hier := buildHierarchy(cv, &FlowOptions{Levels: 2})
 	if hier == nil {
 		t.Fatal("no coarse level")
 	}
 	for k, view := range []*netlist.Compiled{cv, hier.Levels[0].View} {
 		ld := view.Design()
-		if fillers := placeFillers(ld, ld.Region, plans[k], fillerSeed); len(fillers) == 0 {
+		n, c := len(ld.Cells), cap(ld.Cells)
+		fillers := placeFillers(view, ld.Region, insertPlan(ld), fillerSeed)
+		if len(fillers) == 0 {
 			t.Fatalf("level %d: no fillers", k)
+		}
+		if len(ld.Cells) != n || cap(ld.Cells) != c {
+			t.Errorf("level %d: the design's cells went from %d/%d to %d/%d", k, n, c, len(ld.Cells), cap(ld.Cells))
+		}
+		if want := n + len(fillers); len(view.PosX) != want || cap(view.PosX) != want || cap(view.Filler) != want {
+			t.Errorf("level %d: view holds %d entries in %d, want exactly %d cells + %d fillers",
+				k, len(view.PosX), cap(view.PosX), n, len(fillers))
 		}
 		if n := syncObjects(view); n != 0 {
 			t.Errorf("level %d: the first Sync after the fillers allocates %d times, want 0", k, n)
-		}
-		if len(view.PosX) != len(ld.Cells) {
-			t.Errorf("level %d: view holds %d cells, design %d", k, len(view.PosX), len(ld.Cells))
 		}
 	}
 }
@@ -302,11 +308,11 @@ func syncObjects(view *netlist.Compiled) int64 {
 	return n
 }
 
-// TestEGPFillersJoinWithoutGrowing: a block edit's eGP plans its
-// fillers before the ECO run compiles its view, so inserting them after
-// eco.Apply, which sizes the design's cells exactly, does not grow the
-// cells again (and the view, sized to their capacity, has room too):
-// placeFillers' Reserve allocates nothing during PlaceECO.
+// TestEGPFillersJoinWithoutGrowing: a block edit's eGP inserts its
+// fillers into the ECO run's view, never into the design, so PlaceECO
+// leaves the cells eco.Apply sized exactly as they were, and inserting
+// the fillers allocates the view's one growth (six arrays), their index
+// list and the seeded generator's source, nothing more.
 func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
 	spec := synth.Spec{Name: "egp-room", NumCells: 2500, Seed: 6}
 	cold := synth.Generate(spec)
@@ -321,18 +327,22 @@ func TestEGPFillersJoinWithoutGrowing(t *testing.T) {
 	if len(prep.Plan.Evicted) == 0 {
 		t.Fatalf("the block evicted nothing: %s", prep.Plan)
 	}
-	tally, stop := profileAllocs("eplace/internal/core.placeFillers", "eplace/internal/netlist.(*Design).Reserve")
+	n, c := len(warm.Cells), cap(warm.Cells)
+	tally, stop := profileAllocs("eplace/internal/core.placeFillers")
 	defer stop()
 	res, err := PlaceECO(context.Background(), warm, prep.Plan, ECOOptions{GP: Options{Workers: 1}})
-	bytes, objects := tally()
+	_, objects := tally()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.GP.Stop == "" {
 		t.Fatal("eGP did not run")
 	}
-	if bytes != 0 {
-		t.Errorf("inserting eGP's fillers grows the design's cells: %d bytes in %d objects, want 0", bytes, objects)
+	if len(warm.Cells) != n || cap(warm.Cells) != c {
+		t.Errorf("PlaceECO took the design's cells from %d/%d to %d/%d", n, c, len(warm.Cells), cap(warm.Cells))
+	}
+	if objects > 8 {
+		t.Errorf("inserting eGP's fillers allocates %d objects, want at most 8", objects)
 	}
 }
 

@@ -80,14 +80,14 @@ type Model struct {
 // sync. It errors on an invalid grid size. It is Reset on a zero value.
 func NewModel(cv *netlist.Compiled, region geom.Rect, held []int, m, workers int) (*Model, error) {
 	md := &Model{}
-	if err := md.Reset(cv, region, cv.Design().FixedOrHeld(held), m, workers); err != nil {
+	if err := md.Reset(cv, region, cv.FixedOrHeldInto(nil, held), m, workers); err != nil {
 		return nil, err
 	}
 	return md, nil
 }
 
 // Reset makes md the model NewModel builds, with still marking the cells
-// of the fixed charge layer (Design.FixedOrHeldInto), and reuses what an
+// of the fixed charge layer (Compiled.FixedOrHeldInto), and reuses what an
 // earlier stage left: the grid's layers and raster scratch, the charge
 // plane and the Poisson solver (see grid.Grid.Reset and
 // poisson.Solver32.Reset). The fixed layer is rebuilt, the energy is 0

@@ -157,15 +157,17 @@ func TestFixedCellsRepelMovable(t *testing.T) {
 
 func TestFillersCountedInChargeNotOverflow(t *testing.T) {
 	d := netlist.New("fill", geom.Rect{Hx: 64, Hy: 64})
-	var idx []int
-	// Pile both a movable cell and fillers in the center.
-	idx = append(idx, d.AddCell(netlist.Cell{W: 6, H: 6, X: 32, Y: 32}))
-	for i := 0; i < 10; i++ {
-		idx = append(idx, d.AddCell(netlist.Cell{
-			W: 6, H: 6, X: 32, Y: 32, Kind: netlist.Filler,
-		}))
+	// Pile both a movable cell and the view's fillers in the center.
+	idx := []int{d.AddCell(netlist.Cell{W: 6, H: 6, X: 32, Y: 32})}
+	cv := d.Compile()
+	for ci := cv.AddFillers(10, 6, 6); ci < len(cv.PosX); ci++ {
+		cv.PosX[ci], cv.PosY[ci] = 32, 32
+		idx = append(idx, ci)
 	}
-	md := mustModel(t, d, 32, 0)
+	md, err := NewModelCompiled(cv, 32, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	md.Refresh(idx)
 	// Overflow sees only the single movable cell: one 6x6 cell in a
 	// 64x64 region cannot overflow target density 1.0 by much.

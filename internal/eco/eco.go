@@ -127,17 +127,12 @@ type Change struct {
 }
 
 // Apply mutates d according to the script and returns what changed.
-// The design must be at rest (no filler cells). Edits are validated up
-// front; a failed Apply may leave the design partially edited, so
-// callers treating errors as recoverable should Apply onto a clone.
+// Edits are validated up front; a failed Apply may leave the design
+// partially edited, so callers treating errors as recoverable should
+// Apply onto a clone.
 func Apply(d *netlist.Design, s *Script) (*Change, error) {
 	if s == nil {
 		return &Change{}, nil
-	}
-	for i := range d.Cells {
-		if d.Cells[i].Kind == netlist.Filler {
-			return nil, fmt.Errorf("eco: design %q still holds filler cells; edits apply to finished placements only", d.Name)
-		}
 	}
 	ch := &Change{}
 	// netHit marks the nets whose weight or pin list the script changes.

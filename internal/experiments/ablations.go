@@ -99,8 +99,9 @@ func LineSearchStudy(scale float64, opt RunOptions, out io.Writer) {
 
 	dn := synth.Generate(spec)
 	qp.Place(dn, dn.Movable())
-	core.InsertFillers(dn, 2)
-	resN, errN := core.PlaceGlobal(dn, dn.Movable(), opt.gp(), "mGP", 0)
+	cvn := dn.Compile()
+	core.InsertFillers(cvn, 2)
+	resN, errN := core.PlaceGlobal(cvn, dn.Movable(), opt.gp(), "mGP", 0)
 
 	dc := synth.Generate(spec)
 	t0 := time.Now()

@@ -68,18 +68,19 @@ func Fig3(scale float64, opt RunOptions, snapshots []int, dir string, out io.Wri
 		d := synth.Generate(mmsAdaptec1(scale))
 		movable := d.Movable()
 		qp.Place(d, movable)
-		core.InsertFillers(d, 2)
+		cv := d.Compile()
+		core.InsertFillers(cv, 2)
 		gp := opt.gp()
 		gp.MaxIters, gp.MinIters = maxInt(iters, 1), maxInt(iters, 1)
 		gp.TargetOverflow = 1e-12
 		if iters > 0 {
-			_, _ = core.PlaceGlobal(d, d.Movable(), gp, "mGP", 0)
+			_, _ = core.PlaceGlobal(cv, movable, gp, "mGP", 0)
 		}
 		w := d.HPWL()
 		o := d.TotalOverlap(movable)
 		fmt.Fprintf(out, "%d,%.6g,%.6g\n", iters, w, o)
 		if dir != "" {
-			writePositionsCSV(d, filepath.Join(dir, fmt.Sprintf("fig3_iter%04d.csv", iters)))
+			writePositionsCSV(cv, filepath.Join(dir, fmt.Sprintf("fig3_iter%04d.csv", iters)))
 		}
 	}
 }
@@ -90,10 +91,9 @@ func Fig5(scale float64, opt RunOptions, out io.Writer) {
 	d := synth.Generate(mmsAdaptec1(scale))
 	movable := d.Movable()
 	qp.Place(d, movable)
-	core.InsertFillers(d, 2)
-	gp := opt.gp()
-	_, _ = core.PlaceGlobal(d, d.Movable(), gp, "mGP", 0)
-	d.RemoveFillers()
+	cv := d.Compile()
+	core.InsertFillers(cv, 2)
+	_, _ = core.PlaceGlobal(cv, movable, opt.gp(), "mGP", 0)
 	macros := d.MovableOf(netlist.Macro)
 	res := legalize.Macros(d, macros, legalize.MLGOptions{})
 	fmt.Fprintf(out, "# Figure 5: mLG on MMS-like ADAPTEC1 (std cells fixed)\n")
@@ -168,16 +168,21 @@ func Fig7(scale float64, opt RunOptions, circuits int, out io.Writer) {
 	fmt.Fprintf(out, "other,%.1f\n", 100*other/mgpTotal)
 }
 
-func writePositionsCSV(d *netlist.Design, path string) {
+func writePositionsCSV(cv *netlist.Compiled, path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		return
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "name,kind,x,y,w,h\n")
+	d := cv.Design()
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		fmt.Fprintf(f, "%s,%s,%.4f,%.4f,%.4f,%.4f\n", c.Name, c.Kind, c.X, c.Y, c.W, c.H)
+	}
+	// The fillers, unnamed, live in the view alone.
+	for i := len(d.Cells); i < len(cv.PosX); i++ {
+		fmt.Fprintf(f, ",filler,%.4f,%.4f,%.4f,%.4f\n", cv.PosX[i], cv.PosY[i], cv.CellW[i], cv.CellH[i])
 	}
 }
 

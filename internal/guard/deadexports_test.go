@@ -112,6 +112,19 @@ import q "planted/internal/p"
 func main() { q.Live().Used(); q.Call(q.V{}); q.NewBox(q.G{}).Run() }
 `,
 	}
+	plant(t, root, files)
+	dead, err := deadExports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(dead, " "), "p.Dead p.H.Generic p.U.Used"; got != want {
+		t.Errorf("deadExports on the planted module = %q, want %q", got, want)
+	}
+}
+
+// plant writes files, keyed by slash-separated paths relative to root.
+func plant(t *testing.T, root string, files map[string]string) {
+	t.Helper()
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -120,13 +133,6 @@ func main() { q.Live().Used(); q.Call(q.V{}); q.NewBox(q.G{}).Run() }
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	dead, err := deadExports(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(dead, " "), "p.Dead p.H.Generic p.U.Used"; got != want {
-		t.Errorf("deadExports on the planted module = %q, want %q", got, want)
 	}
 }
 

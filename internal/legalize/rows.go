@@ -43,9 +43,9 @@ type Segment struct {
 func blocksRows(c *netlist.Cell) bool { return c.Fixed || c.Kind == netlist.Macro }
 
 // FreeSegments computes the obstacle-free intervals of every row for a
-// pass that places cells: every cell that is neither in cells nor a
-// filler is an obstacle and blocks the rows it crosses, fixed or not, so
-// a caller holds cells by leaving them out. Overlapping obstacles (e.g.
+// pass that places cells: every cell not in cells is an obstacle and
+// blocks the rows it crosses, fixed or not, so a caller holds cells by
+// leaving them out. Overlapping obstacles (e.g.
 // pads under a macro) are merged. The obstacles are bucketed once by the
 // rows they cross, found through the rows' baselines in ascending order,
 // and the lists are cut to size from one array each.
@@ -77,7 +77,7 @@ func FreeSegments(d *netlist.Design, cells []int) [][]Segment {
 	for fill := false; ; fill = true {
 		for i := range d.Cells {
 			c := &d.Cells[i]
-			if placed[i] || c.Kind == netlist.Filler {
+			if placed[i] {
 				continue
 			}
 			r := c.Rect()

@@ -27,7 +27,7 @@ func freeSegmentsRef(d *netlist.Design, cells []int) [][]Segment {
 		rowRect := geom.Rect{Lx: row.Lx, Ly: row.Y, Hx: row.Hx, Hy: row.Y + row.Height}
 		for i := range d.Cells {
 			c := &d.Cells[i]
-			if placed[i] || c.Kind == netlist.Filler {
+			if placed[i] {
 				continue
 			}
 			r := c.Rect()
@@ -140,9 +140,7 @@ func sameVerdict(t *testing.T, what string, d *netlist.Design, cells []int) erro
 // FreeSegments special-case: macros over several rows, pads (one under a
 // macro, one off the row grid, one sticking out of the region), a frozen
 // majority as in ECO, double-height cells, and rows only over the lower
-// part of the region, so that some obstacles sit above the last row,
-// among them a fixed filler (an obstacle to CheckLegal, not to
-// FreeSegments).
+// part of the region, so that some obstacles sit above the last row.
 func obstacleDesign(n int, seed int64) (*netlist.Design, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	d := netlist.New("ref", geom.Rect{Hx: 160, Hy: 70})
@@ -154,7 +152,7 @@ func obstacleDesign(n int, seed int64) (*netlist.Design, []int) {
 	d.AddCell(netlist.Cell{W: 1.5, H: 1.3, X: 90.3, Y: 30.7, Kind: netlist.Pad, Fixed: true})
 	d.AddCell(netlist.Cell{W: 4, H: 4, X: 159, Y: 1, Kind: netlist.Pad, Fixed: true})
 	d.AddCell(netlist.Cell{W: 6, H: 3, X: 80, Y: 66, Kind: netlist.Pad, Fixed: true})
-	d.AddCell(netlist.Cell{W: 3, H: 2, X: 20, Y: 63, Kind: netlist.Filler, Fixed: true})
+	d.AddCell(netlist.Cell{W: 3, H: 2, X: 20, Y: 63, Kind: netlist.Pad, Fixed: true})
 	var cells []int
 	for i := 0; i < n; i++ {
 		h := 2.0
@@ -241,7 +239,7 @@ func TestCheckLegalMatchesAllPairs(t *testing.T) {
 			inject("overlap thinner than 1e-9 in x", func() { a.Y, a.X = b.Y, b.X+b.W/2+a.W/2-5e-10 }, "")
 			inject("overlap of 1e-8 in x", func() { a.Y, a.X = b.Y, b.X+b.W/2+a.W/2-1e-8 }, "")
 			inject("obstacle moved onto a cell", func() { d.Cells[3].X, d.Cells[3].Y = a.X, a.Y+0.4 }, "overlap")
-			inject("fixed filler moved onto a cell", func() { d.Cells[6].X, d.Cells[6].Y = a.X, a.Y }, "overlap")
+			inject("pad above the rows moved onto a cell", func() { d.Cells[6].X, d.Cells[6].Y = a.X, a.Y }, "overlap")
 			inject("macro grown over many rows", func() { d.Cells[0].H, d.Cells[0].W = 40, 60 }, "")
 		}
 	}

@@ -26,16 +26,14 @@ type Report struct {
 }
 
 // rasterize fills a grid from the design's current movable and fixed
-// cells (fillers excluded: they are placer-internal).
+// cells.
 func rasterize(d *netlist.Design, m int) *grid.Grid {
 	g := grid.New(d.Region, m)
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		switch {
-		case c.Kind == netlist.Filler:
-		case c.Fixed:
+		if c.Fixed {
 			g.AddFixed(c.Rect())
-		default:
+		} else {
 			g.AddMovable(c.X, c.Y, c.W, c.H)
 		}
 	}

@@ -66,14 +66,3 @@ func TestMeasureFields(t *testing.T) {
 		t.Errorf("sHPWL %v below HPWL %v", r.ScaledHPWL, r.HPWL)
 	}
 }
-
-func TestFillersExcluded(t *testing.T) {
-	d := netlist.New("f", geom.Rect{Hx: 64, Hy: 64})
-	d.AddCell(netlist.Cell{W: 8, H: 8, X: 32, Y: 32})
-	for k := 0; k < 20; k++ {
-		d.AddCell(netlist.Cell{W: 8, H: 8, X: 32, Y: 32, Kind: netlist.Filler})
-	}
-	if tau := Measure("", "", d, 16, 0, false).Overflow; tau > 0.1 {
-		t.Errorf("fillers counted in overflow: %v", tau)
-	}
-}

@@ -16,9 +16,13 @@ import (
 // walks the flat int32/float64 arrays instead of pointer-chasing
 // Net -> Pin -> Cell through the Go structs.
 //
-// Ownership: the Cell structs are the truth between stages. A stage
-// calls Sync on entry, writes positions into the view once per iteration
-// or pass, and writes them back to the structs when it ends.
+// Ownership: the Cell structs are the truth between stages for the
+// design's cells. A stage calls Sync on entry, writes positions into the
+// view once per iteration or pass, and writes them back to the structs
+// when it ends (WriteBack). The view alone owns the fillers, the
+// whitespace charge of the global placements (Sec. III): AddFillers
+// appends them after the design's cells and DropFillers removes them, so
+// a Design never holds one.
 //
 // Layout:
 //
@@ -30,13 +34,14 @@ import (
 //   - PinCell[s] is the owning cell of slot s (-1 for a floating
 //     terminal); PinOx/PinOy are the pin offsets from the cell center.
 //   - CellNet[CellNetOff[ci]:CellNetOff[ci+1]] is the net of each of cell
-//     ci's pins in Cell.Pins order (not deduplicated); cells appended
-//     after Compile, the fillers, have empty ranges.
-//   - PosX/PosY are the live cell centers, indexed by cell; CellW/CellH
-//     and Filler mirror the cell extents and filler flags for the density
-//     rasterizer; NetW caches each net's effective weight. Fixed flags
-//     stay out of the view: no kernel reads them, and the stages that
-//     hold cells pass them as arguments.
+//     ci's pins in Cell.Pins order (not deduplicated); the fillers have
+//     empty ranges.
+//   - PosX/PosY are the live centers, indexed by cell, then by filler from
+//     index len(Design().Cells) on; CellW/CellH and Filler are the
+//     extents and filler flags the density rasterizer reads; NetW caches
+//     each net's effective weight. Fixed flags stay out of the view: no
+//     kernel reads them, and the stages that hold cells pass them as
+//     arguments.
 //
 // A Compiled view is NOT safe for concurrent mutation: SetPositions and
 // Sync must not race with readers. The read-only kernels may share it
@@ -44,8 +49,8 @@ import (
 type Compiled struct {
 	d *Design
 
-	// CSR topology, frozen at Compile time; Sync refreshes the pin offsets
-	// and gives appended cells their empty CellNetOff ranges.
+	// CSR topology, frozen at Compile time; Sync refreshes the pin
+	// offsets, and each filler has an empty CellNetOff range.
 	NetOff     []int32
 	PinCell    []int32
 	PinOx      []float64
@@ -53,20 +58,18 @@ type Compiled struct {
 	CellNetOff []int32
 	CellNet    []int32
 
-	// Per-net effective weights and SoA cell geometry, len(d.Cells) long
-	// as of the last Sync.
+	// Per-net effective weights, and the SoA geometry of the design's
+	// cells followed by the fillers'.
 	NetW         []float64
 	PosX, PosY   []float64
 	CellW, CellH []float64
 	Filler       []bool
 }
 
-// Compile builds the flat view of d as it stands. Which pin sits on which
-// cell and net must not change for the lifetime of the view; everything
-// else a stage boundary can change is brought up to date by Sync. The
-// per-cell arrays are sized for cap(d.Cells), so the cells a design has
-// reserved room for (the fillers a flow plans, see Design.Reserve) join
-// the view at a Sync without growing them.
+// Compile builds the flat view of d as it stands, without fillers. The
+// cells, and which pin sits on which cell and net, must not change for
+// the lifetime of the view; everything else a stage boundary can change
+// is brought up to date by Sync.
 func (d *Design) Compile() *Compiled {
 	if len(d.Pins) > math.MaxInt32 || len(d.Cells) > math.MaxInt32 {
 		panic(fmt.Sprintf("netlist: design too large to compile (%d pins, %d cells)",
@@ -77,13 +80,13 @@ func (d *Design) Compile() *Compiled {
 		NetOff:     make([]int32, 1, len(d.Nets)+1),
 		NetW:       make([]float64, len(d.Nets)),
 		PinCell:    make([]int32, 0, len(d.Pins)),
-		CellNetOff: make([]int32, 1, cap(d.Cells)+1),
+		CellNetOff: make([]int32, 1, len(d.Cells)+1),
 		CellNet:    make([]int32, 0, len(d.Pins)),
-		PosX:       make([]float64, 0, cap(d.Cells)),
-		PosY:       make([]float64, 0, cap(d.Cells)),
-		CellW:      make([]float64, 0, cap(d.Cells)),
-		CellH:      make([]float64, 0, cap(d.Cells)),
-		Filler:     make([]bool, 0, cap(d.Cells)),
+		PosX:       make([]float64, len(d.Cells)),
+		PosY:       make([]float64, len(d.Cells)),
+		CellW:      make([]float64, len(d.Cells)),
+		CellH:      make([]float64, len(d.Cells)),
+		Filler:     make([]bool, len(d.Cells)),
 	}
 	for ni := range d.Nets {
 		for _, pi := range d.Nets[ni].Pins {
@@ -110,26 +113,16 @@ func (cv *Compiled) Design() *Design { return cv.d }
 func (cv *Compiled) NumPinSlots() int { return len(cv.PinCell) }
 
 // Sync refreshes everything a stage boundary can change from the structs:
-// positions, extents and filler flags of the design's current cells (the
-// arrays follow d.Cells as InsertFillers grows and RemoveFillers shrinks
-// it), net weights, and pin offsets, which mLG rewrites together with W/H
-// when it turns a macro. One O(cells + pins) pass that allocates only
-// when the design has outgrown the arrays.
+// positions and extents of the design's cells, net weights, and pin
+// offsets, which mLG rewrites together with W/H when it turns a macro.
+// The fillers are the view's own and keep their entries. One
+// O(cells + pins) pass that allocates nothing.
 func (cv *Compiled) Sync() {
 	d := cv.d
-	n := len(d.Cells)
-	cv.PosX, cv.PosY = reuse.Resize(cv.PosX, n), reuse.Resize(cv.PosY, n)
-	cv.CellW, cv.CellH = reuse.Resize(cv.CellW, n), reuse.Resize(cv.CellH, n)
-	cv.Filler = reuse.Resize(cv.Filler, n)
-	cv.CellNetOff = cv.CellNetOff[:min(n+1, len(cv.CellNetOff))]
-	for len(cv.CellNetOff) <= n {
-		cv.CellNetOff = append(cv.CellNetOff, int32(len(cv.CellNet)))
-	}
 	for i := range d.Cells {
 		c := &d.Cells[i]
 		cv.PosX[i], cv.PosY[i] = c.X, c.Y
 		cv.CellW[i], cv.CellH[i] = c.W, c.H
-		cv.Filler[i] = c.Kind == Filler
 	}
 	s := 0
 	for ni := range d.Nets {
@@ -141,10 +134,87 @@ func (cv *Compiled) Sync() {
 	}
 }
 
+// AddFillers appends count fillers of w x h, centered at the origin,
+// after the design's cells and the fillers already in the view, and
+// returns the index of the first. An array without room for them grows
+// once, to exactly the entries it then holds.
+func (cv *Compiled) AddFillers(count int, w, h float64) int {
+	first := len(cv.PosX)
+	cv.PosX, cv.PosY = extend(cv.PosX, count), extend(cv.PosY, count)
+	cv.CellW, cv.CellH = extend(cv.CellW, count), extend(cv.CellH, count)
+	cv.Filler, cv.CellNetOff = extend(cv.Filler, count), extend(cv.CellNetOff, count)
+	end := cv.CellNetOff[first]
+	for ci := first; ci < len(cv.PosX); ci++ {
+		cv.PosX[ci], cv.PosY[ci] = 0, 0
+		cv.CellW[ci], cv.CellH[ci] = w, h
+		cv.Filler[ci] = true
+		cv.CellNetOff[ci+1] = end
+	}
+	return first
+}
+
+// extend returns s lengthened by n, copied into one exactly sized array
+// when its own has no room.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s[:len(s)+n]
+	}
+	t := make([]T, len(s)+n)
+	copy(t, s)
+	return t
+}
+
+// DropFillers removes every filler from the view, keeping the capacity.
+func (cv *Compiled) DropFillers() {
+	n := len(cv.d.Cells)
+	cv.PosX, cv.PosY = cv.PosX[:n], cv.PosY[:n]
+	cv.CellW, cv.CellH = cv.CellW[:n], cv.CellH[:n]
+	cv.Filler = cv.Filler[:n]
+	cv.CellNetOff = cv.CellNetOff[:n+1]
+}
+
+// FixedOrHeldInto reports, per view entry, whether it stays where it is
+// for a stage that holds the cells held: every fixed cell, plus held.
+// Such a stage treats them all alike, as fixed charge and obstacles;
+// only Fixed is the netlist's, and no filler is still. It writes into
+// still (reuse.Resize), which it returns.
+func (cv *Compiled) FixedOrHeldInto(still []bool, held []int) []bool {
+	still = reuse.Resize(still, len(cv.PosX))
+	for i := range still {
+		still[i] = i < len(cv.d.Cells) && cv.d.Cells[i].Fixed
+	}
+	for _, ci := range held {
+		still[ci] = true
+	}
+	return still
+}
+
+// PositionsInto copies the view's centers of the entries idx into the
+// flat {x1..xn, y1..yn} vector v, 2*len(idx) long.
+func (cv *Compiled) PositionsInto(idx []int, v []float64) {
+	n := len(idx)
+	for k, ci := range idx {
+		v[k], v[k+n] = cv.PosX[ci], cv.PosY[ci]
+	}
+}
+
+// WriteBack is a stage's end: SetPositions, and the same positions
+// written to the Cell structs of the design's cells among idx (the
+// fillers live in the view alone).
+func (cv *Compiled) WriteBack(idx []int, v []float64) {
+	cv.SetPositions(idx, v)
+	d, n := cv.d, len(idx)
+	for k, ci := range idx {
+		if ci < len(d.Cells) {
+			d.Cells[ci].X, d.Cells[ci].Y = v[k], v[k+n]
+		}
+	}
+}
+
 // SetPositions writes a flat {x_1..x_n, y_1..y_n} solution vector into
 // the view's position arrays for the cells in idx — the engine's
 // once-per-iteration scatter. Cell structs are left untouched; use
-// Design.SetPositions for the final write-back.
+// WriteBack for the final write-back.
 func (cv *Compiled) SetPositions(idx []int, v []float64) {
 	n := len(idx)
 	for k, ci := range idx {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,17 +71,19 @@ func checkCellNets(t *testing.T, d *Design, cv *Compiled) {
 
 // TestSyncMatchesFreshCompile is the shared view's staleness guard: after
 // everything a stage boundary does to the structs (moves, a macro turned
-// with its pin offsets, reweighted nets, fillers appended, removed and
-// appended again, possibly moving d.Cells' backing array) one Sync must
-// leave every array equal to a fresh Compile's.
+// with its pin offsets, reweighted nets) and to the view's fillers
+// (added, dropped and added again), one Sync must leave every entry of
+// the design's cells equal to a fresh Compile's, and the fillers' where
+// they were.
 func TestSyncMatchesFreshCompile(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDesign(seed)
 		cv := d.Compile()
 		rng := rand.New(rand.NewSource(seed ^ 0x51ac))
 		fillers := func(n int) {
-			for k := 0; k < n; k++ {
-				d.AddCell(Cell{W: 1.5, H: 2, X: rng.Float64() * 100, Y: rng.Float64() * 100, Kind: Filler})
+			first := cv.AddFillers(n, 1.5, 2)
+			for ci := first; ci < len(cv.PosX); ci++ {
+				cv.PosX[ci], cv.PosY[ci] = rng.Float64()*100, rng.Float64()*100
 			}
 		}
 		steps := []func(){
@@ -98,18 +101,31 @@ func TestSyncMatchesFreshCompile(t *testing.T) {
 			},
 			func() { d.Nets[rng.Intn(len(d.Nets))].Weight = rng.Float64() * 5 },
 			func() { fillers(1 + rng.Intn(40)) },
-			d.RemoveFillers,
+			func() { d.Cells[rng.Intn(len(d.Cells))].X = rng.Float64() * 100 },
+			cv.DropFillers,
 			func() { fillers(1 + rng.Intn(80)) },
-			d.RemoveFillers,
+			cv.DropFillers,
 		}
+		n := len(d.Cells)
 		for i, step := range steps {
 			step()
+			fx := slices.Clone(cv.PosX[n:])
 			cv.Sync()
-			if !reflect.DeepEqual(viewArrays(cv), viewArrays(d.Compile())) {
+			if !reflect.DeepEqual(viewArrays(cellEntries(cv)), viewArrays(d.Compile())) {
 				t.Logf("seed %d: view differs from a fresh compile after step %d", seed, i)
 				return false
 			}
-			checkCellNets(t, d, cv)
+			if !slices.Equal(cv.PosX[n:], fx) {
+				t.Logf("seed %d: Sync moved the fillers after step %d", seed, i)
+				return false
+			}
+			for ci := n; ci < len(cv.PosX); ci++ {
+				if !cv.Filler[ci] || cv.CellW[ci] != 1.5 || cv.CellH[ci] != 2 || cv.CellNetOff[ci+1] != cv.CellNetOff[n] {
+					t.Logf("seed %d: filler %d is not a pinless 1.5 x 2 filler after step %d", seed, ci, i)
+					return false
+				}
+			}
+			checkCellNets(t, d, cellEntries(cv))
 		}
 		return true
 	}
@@ -118,27 +134,31 @@ func TestSyncMatchesFreshCompile(t *testing.T) {
 	}
 }
 
+// cellEntries is cv without its fillers: the entries of the design's
+// cells.
+func cellEntries(cv *Compiled) *Compiled {
+	c := *cv
+	c.DropFillers()
+	return &c
+}
+
 // viewArrays lists every array of the view, for whole-view comparisons.
 func viewArrays(cv *Compiled) []any {
 	return []any{cv.NetOff, cv.PinCell, cv.PinOx, cv.PinOy, cv.CellNetOff, cv.CellNet,
 		cv.NetW, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler}
 }
 
-// TestSyncAllocFree: a Sync that does not have to grow the arrays
-// allocates nothing, filler removal and re-insertion included.
+// TestSyncAllocFree: Sync allocates nothing, and neither do fillers
+// dropped and added again within the view's capacity.
 func TestSyncAllocFree(t *testing.T) {
 	d := randomDesign(19)
 	cv := d.Compile()
-	for k := 0; k < 30; k++ {
-		d.AddCell(Cell{W: 1, H: 1, Kind: Filler})
-	}
+	cv.AddFillers(30, 1, 1)
 	cv.Sync()
 	if n := testing.AllocsPerRun(20, func() {
-		d.RemoveFillers()
+		cv.DropFillers()
 		cv.Sync()
-		for k := 0; k < 30; k++ {
-			d.Cells = append(d.Cells, Cell{W: 1, H: 1, Kind: Filler})
-		}
+		cv.AddFillers(30, 1, 1)
 		cv.Sync()
 	}); n != 0 {
 		t.Errorf("Sync allocates %v times per run", n)
@@ -203,16 +223,22 @@ func TestSyncNetWeights(t *testing.T) {
 	}
 }
 
-// TestSyncGeometryGrowth checks the view survives cells appended after
-// Compile (the density model's own-view case with late fillers).
+// TestSyncGeometryGrowth checks that the fillers a view adds after
+// Compile, at indices past the design's cells, keep their entries
+// through a Sync and leave the design alone.
 func TestSyncGeometryGrowth(t *testing.T) {
 	d := randomDesign(13)
 	cv := d.Compile()
-	ci := d.AddCell(Cell{W: 2, H: 2, X: 9, Y: 9, Kind: Filler})
+	n := len(d.Cells)
+	ci := cv.AddFillers(1, 2, 2)
+	cv.PosX[ci] = 9
 	cv.Sync()
-	if cv.PosX[ci] != 9 || !cv.Filler[ci] || cv.CellW[ci] != 2 {
-		t.Fatalf("appended cell not mirrored: x=%v filler=%v w=%v",
-			cv.PosX[ci], cv.Filler[ci], cv.CellW[ci])
+	if ci != n || len(d.Cells) != n {
+		t.Fatalf("filler at %d, design grew to %d cells from %d", ci, len(d.Cells), n)
+	}
+	if cv.PosX[ci] != 9 || !cv.Filler[ci] || cv.CellW[ci] != 2 || cv.CellNetOff[ci+1] != cv.CellNetOff[ci] {
+		t.Fatalf("filler not kept: x=%v filler=%v w=%v nets %d..%d",
+			cv.PosX[ci], cv.Filler[ci], cv.CellW[ci], cv.CellNetOff[ci], cv.CellNetOff[ci+1])
 	}
 }
 

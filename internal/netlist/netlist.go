@@ -1,7 +1,8 @@
 // Package netlist defines the placement design model shared by every
-// stage of the placer: cells (standard cells, macros, IO pads and
-// fillers), nets, pins with cell-relative offsets, the placement region
-// and standard-cell rows. Cell positions are stored as centers in
+// stage of the placer: cells (standard cells, macros and IO pads), nets,
+// pins with cell-relative offsets, the placement region and standard-cell
+// rows, and the compiled view the stages' kernels read, which alone holds
+// the global placements' fillers. Cell positions are stored as centers in
 // database units; geometry helpers convert to bounding rectangles.
 package netlist
 
@@ -10,7 +11,6 @@ import (
 	"math"
 
 	"eplace/internal/geom"
-	"eplace/internal/reuse"
 )
 
 // Kind classifies a cell for placement purposes.
@@ -23,8 +23,9 @@ const (
 	Macro
 	// Pad is a fixed IO terminal.
 	Pad
-	// Filler is a placer-inserted whitespace filler; it carries density
-	// charge but no connectivity and is discarded before legalization.
+	// Filler names a whitespace filler. No Design holds one: fillers
+	// live in a compiled view (Compiled.AddFillers). The benchmark module
+	// still names the constant.
 	Filler
 )
 
@@ -50,7 +51,7 @@ type Cell struct {
 	X, Y  float64
 	Kind  Kind
 	Fixed bool
-	// Pins indexes into Design.Pins (empty for fillers).
+	// Pins indexes into Design.Pins.
 	Pins []int
 }
 
@@ -236,7 +237,7 @@ func (d *Design) HPWL() float64 {
 	return total
 }
 
-// Movable returns indices of all cells free to move (including fillers).
+// Movable returns indices of all cells free to move.
 func (d *Design) Movable() []int {
 	out := make([]int, 0, len(d.Cells))
 	for i := range d.Cells {
@@ -258,31 +259,12 @@ func (d *Design) MovableOf(kind Kind) []int {
 	return out
 }
 
-// FixedOrHeld reports, per cell, whether it stays where it is for a
-// stage that holds the cells held: every fixed cell, plus held. Such a
-// stage treats them all alike, as fixed charge and obstacles; only
-// Fixed is the netlist's.
-func (d *Design) FixedOrHeld(held []int) []bool { return d.FixedOrHeldInto(nil, held) }
-
-// FixedOrHeldInto is FixedOrHeld written into still, resized to the cell
-// count (reuse.Resize), which it returns.
-func (d *Design) FixedOrHeldInto(still []bool, held []int) []bool {
-	still = reuse.Resize(still, len(d.Cells))
-	for i := range d.Cells {
-		still[i] = d.Cells[i].Fixed
-	}
-	for _, ci := range held {
-		still[ci] = true
-	}
-	return still
-}
-
-// MovableArea returns the total area of movable non-filler cells.
+// MovableArea returns the total area of movable cells.
 func (d *Design) MovableArea() float64 {
 	a := 0.0
 	for i := range d.Cells {
 		c := &d.Cells[i]
-		if !c.Fixed && c.Kind != Filler {
+		if !c.Fixed {
 			a += c.Area()
 		}
 	}
@@ -448,11 +430,11 @@ func (d *Design) TotalOverlap(idx []int) float64 {
 
 // Stats summarizes a design for reports.
 type Stats struct {
-	Cells, StdCells, Macros, Pads, Fillers int
-	MovableMacros                          int
-	Nets, Pins                             int
-	MovableArea, FixedArea, RegionArea     float64
-	Utilization                            float64
+	Cells, StdCells, Macros, Pads      int
+	MovableMacros                      int
+	Nets, Pins                         int
+	MovableArea, FixedArea, RegionArea float64
+	Utilization                        float64
 }
 
 // Stats computes summary statistics.
@@ -476,8 +458,6 @@ func (d *Design) Stats() Stats {
 			}
 		case Pad:
 			s.Pads++
-		case Filler:
-			s.Fillers++
 		}
 	}
 	s.Utilization = d.utilization()
@@ -486,8 +466,8 @@ func (d *Design) Stats() Stats {
 
 // String formats the summary on one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("cells=%d (std=%d macro=%d[mov %d] pad=%d filler=%d) nets=%d pins=%d util=%.3f",
-		s.Cells, s.StdCells, s.Macros, s.MovableMacros, s.Pads, s.Fillers, s.Nets, s.Pins, s.Utilization)
+	return fmt.Sprintf("cells=%d (std=%d macro=%d[mov %d] pad=%d) nets=%d pins=%d util=%.3f",
+		s.Cells, s.StdCells, s.Macros, s.MovableMacros, s.Pads, s.Nets, s.Pins, s.Utilization)
 }
 
 // Clone deep-copies the design (cells, nets, pins, rows).
@@ -515,26 +495,6 @@ func (d *Design) Clone() *Design {
 		nd.Nets[i].Pins = append([]int(nil), d.Nets[i].Pins...)
 	}
 	return nd
-}
-
-// RemoveFillers deletes all filler cells. Fillers never carry pins, so
-// nets and pin indices are unaffected as long as fillers were appended
-// after all connected cells, which placer stages guarantee.
-func (d *Design) RemoveFillers() {
-	for i := range d.Cells {
-		if d.Cells[i].Kind == Filler && len(d.Cells[i].Pins) > 0 {
-			panic("netlist: filler cell with pins")
-		}
-	}
-	keep := d.Cells[:0]
-	for i := range d.Cells {
-		if d.Cells[i].Kind != Filler {
-			keep = append(keep, d.Cells[i])
-		} else if d.Cells[i].Name != "" {
-			delete(d.nameToCell, d.Cells[i].Name)
-		}
-	}
-	d.Cells = keep
 }
 
 // Validate performs structural consistency checks and returns the first

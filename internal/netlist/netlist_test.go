@@ -73,11 +73,13 @@ func TestMovablePartitions(t *testing.T) {
 	if len(mov) != 2 {
 		t.Fatalf("Movable = %v", mov)
 	}
-	if still := d.FixedOrHeld(nil); !slices.Equal(still, []bool{false, false, true}) {
-		t.Errorf("FixedOrHeld(nil) = %v", still)
+	cv := d.Compile()
+	if still := cv.FixedOrHeldInto(nil, nil); !slices.Equal(still, []bool{false, false, true}) {
+		t.Errorf("FixedOrHeldInto(nil, nil) = %v", still)
 	}
-	if still := d.FixedOrHeld(mov[:1]); !slices.Equal(still, []bool{true, false, true}) {
-		t.Errorf("FixedOrHeld(%v) = %v", mov[:1], still)
+	cv.AddFillers(1, 1, 1)
+	if still := cv.FixedOrHeldInto(nil, mov[:1]); !slices.Equal(still, []bool{true, false, true, false}) {
+		t.Errorf("FixedOrHeldInto(nil, %v) with a filler = %v", mov[:1], still)
 	}
 	if got := d.MovableArea(); !almostEq(got, 8) {
 		t.Errorf("MovableArea = %v", got)
@@ -176,24 +178,26 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRemoveFillers(t *testing.T) {
+// TestDropFillers: fillers live in the view, after the design's cells,
+// and dropping them leaves the view of the design alone while the
+// design never held one.
+func TestDropFillers(t *testing.T) {
 	d := buildTiny()
-	d.AddCell(Cell{Name: "f0", W: 1, H: 1, Kind: Filler})
-	d.AddCell(Cell{Name: "f1", W: 1, H: 1, Kind: Filler})
-	if len(d.Cells) != 5 {
-		t.Fatal("setup")
+	cv := d.Compile()
+	if first := cv.AddFillers(2, 1, 1); first != 3 || len(cv.PosX) != 5 || len(d.Cells) != 3 {
+		t.Fatalf("fillers at %d: view holds %d entries, design %d cells", first, len(cv.PosX), len(d.Cells))
 	}
-	d.RemoveFillers()
-	if len(d.Cells) != 3 {
-		t.Errorf("RemoveFillers left %d cells", len(d.Cells))
+	cv.DropFillers()
+	if len(cv.PosX) != 3 || len(cv.CellW) != 3 || len(cv.Filler) != 3 || len(cv.CellNetOff) != 4 {
+		t.Errorf("DropFillers left %d entries", len(cv.PosX))
 	}
-	for i := range d.Cells {
-		if d.Cells[i].Kind == Filler {
-			t.Error("filler survived removal")
+	for i, f := range cv.Filler {
+		if f {
+			t.Errorf("entry %d is still a filler", i)
 		}
 	}
 	if err := d.Validate(); err != nil {
-		t.Errorf("Validate after RemoveFillers: %v", err)
+		t.Errorf("Validate after DropFillers: %v", err)
 	}
 }
 
@@ -262,9 +266,8 @@ func TestValidateRejectsUnplaceable(t *testing.T) {
 func TestStats(t *testing.T) {
 	d := buildTiny()
 	d.AddCell(Cell{W: 10, H: 10, X: 15, Y: 7, Kind: Macro})
-	d.AddCell(Cell{W: 1, H: 1, Kind: Filler})
 	s := d.Stats()
-	if s.StdCells != 2 || s.Macros != 1 || s.MovableMacros != 1 || s.Pads != 1 || s.Fillers != 1 {
+	if s.StdCells != 2 || s.Macros != 1 || s.MovableMacros != 1 || s.Pads != 1 {
 		t.Errorf("Stats = %+v", s)
 	}
 	if s.Nets != 2 || s.Pins != 4 {

@@ -872,26 +872,30 @@ func (s *Server) runJob(j *job, ctx context.Context, cancel context.CancelCauseF
 }
 
 // finish assembles and persists the result artifacts of a completed
-// job. Artifact write errors are logged, not fatal: the placement
-// itself succeeded and the result is served from memory.
+// job.
 func (j *job) finish(d *netlist.Design, res core.FlowResult, total time.Duration) *JobResult {
-	rep := metrics.Measure(d.Name, "ePlace", d, j.spec.GridM, total.Seconds(), res.Legal)
 	r := &JobResult{
-		Design:     d.Name,
-		Cells:      len(d.Cells),
-		Nets:       len(d.Nets),
-		HPWL:       rep.HPWL,
-		Overflow:   rep.Overflow,
 		Legal:      res.Legal,
 		MixedSize:  res.MixedSize,
 		Iterations: map[string]int{"mGP": res.MGP.Iterations},
 		Digests:    res.Digests,
-		Seconds:    total.Seconds(),
 	}
 	if res.MixedSize {
 		r.Iterations["cGP"] = res.CGP.Iterations
 	}
-	for _, st := range res.Stages {
+	return j.complete(r, d, "ePlace", res.Stages, total)
+}
+
+// complete fills in r, which holds what its flow alone reports, with
+// what every job reports: the design's size, its HPWL and overflow as
+// placer's measured layout, the stage times and the run time; then it
+// persists the result artifacts. Artifact write errors are not fatal:
+// the placement itself succeeded and the result is served from memory.
+func (j *job) complete(r *JobResult, d *netlist.Design, placer string, stages []core.StageSpan, total time.Duration) *JobResult {
+	rep := metrics.Measure(d.Name, placer, d, j.spec.GridM, total.Seconds(), r.Legal)
+	r.Design, r.Cells, r.Nets = d.Name, len(d.Cells), len(d.Nets)
+	r.HPWL, r.Overflow, r.Seconds = rep.HPWL, rep.Overflow, total.Seconds()
+	for _, st := range stages {
 		r.Stages = append(r.Stages, StageSeconds{
 			Name: st.Name, Seconds: st.Time.Seconds(),
 		})
@@ -936,14 +940,8 @@ func (j *job) runECO(ctx context.Context, d *netlist.Design, rec *telemetry.Reco
 
 // finishECO assembles and persists an ECO job's result artifacts.
 func (j *job) finishECO(d *netlist.Design, res core.ECOResult, total time.Duration) *JobResult {
-	rep := metrics.Measure(d.Name, "ePlace-ECO", d, j.spec.GridM, total.Seconds(), res.Legal)
-	r := &JobResult{
-		Design:   d.Name,
-		Cells:    len(d.Cells),
-		Nets:     len(d.Nets),
-		HPWL:     rep.HPWL,
-		Overflow: rep.Overflow,
-		Legal:    res.Legal,
+	return j.complete(&JobResult{
+		Legal: res.Legal,
 		Iterations: map[string]int{
 			"eGP":     res.GP.Iterations,
 			"active":  res.ActiveCells,
@@ -951,16 +949,5 @@ func (j *job) finishECO(d *netlist.Design, res core.ECOResult, total time.Durati
 			"frozen":  res.FrozenCells,
 		},
 		Digests: res.Digests,
-		Seconds: total.Seconds(),
-	}
-	for _, st := range res.Stages {
-		r.Stages = append(r.Stages, StageSeconds{
-			Name: st.Name, Seconds: st.Time.Seconds(),
-		})
-	}
-	_ = bookshelf.WritePL(d, filepath.Join(j.dir, "result.pl"))
-	if data, err := json.MarshalIndent(r, "", "  "); err == nil {
-		_ = os.WriteFile(filepath.Join(j.dir, "result.json"), data, 0o644)
-	}
-	return r
+	}, d, "ePlace-ECO", res.Stages, total)
 }

@@ -154,7 +154,7 @@ func NewCompiled(cv *netlist.Compiled, idx []int, gamma float64) *Model {
 // evaluation count restarts, so NetsPriced counts this stage's.
 func (m *Model) Reset(cv *netlist.Compiled, idx []int, gamma float64) {
 	m.Kind, m.Gamma, m.cv, m.idx, m.evals = WA, gamma, cv, idx, 0
-	m.slot = reuse.Resize(m.slot, len(cv.Design().Cells))
+	m.slot = reuse.Resize(m.slot, len(cv.PosX))
 	for i := range m.slot {
 		m.slot[i] = -1
 	}
