@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,4 +263,100 @@ func TestScheduleReplaysTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestObserveReplaysCollapse replays two recorded mGP histories that
+// collapse under the bin-unit charge (qᵢ = area / binArea, the
+// preconditioner before flat stages took the paper's qᵢ = area): the
+// 12.5K circuit forced onto a 256 grid (`eplace -synth 12500 -grid 256
+// -seed 1`) and flat 50K seed 2 (`-synth 50000 -seed 2`). Each CSV holds
+// the stage's (iteration, τ, HPWL, λ) as `-trace-csv` printed them. Fed
+// through a fresh schedule, every row predicts the next row's λ, and the
+// history stops where the run did, on the same test. The flow no longer
+// reaches these histories; a rollback or stop rule that changes what a
+// collapsing stage adopts is judged on them.
+func TestObserveReplaysCollapse(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		stop string
+		iter int // the iteration the stop fired at
+	}{
+		{"lab12500_grid256_seed1.csv", StopStall, 526},
+		{"flat50000_seed2.csv", StopStall, 697},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			rows := readHistory(t, "../../testdata/histories/"+tc.file)
+			// The stage's bounds; neither run came near its divergence
+			// threshold, which the history does not record.
+			s := schedule{
+				GPState:     checkpoint.GPState{Best: []float64{0, 0}, BestTau: math.Inf(1)},
+				binW:        1,
+				divergeHPWL: math.Inf(1),
+				stallIters:  stallIters, minIters: 20, targetOverflow: 0.10,
+			}
+			u := []float64{0, 0}
+			stop, at := "", -1
+			for i, r := range rows {
+				if r.iter != i {
+					t.Fatalf("row %d holds iteration %d", i, r.iter)
+				}
+				s.Lambda = r.lambda
+				if i > 0 {
+					s.PrevHPWL = rows[i-1].hpwl
+				}
+				if stop = s.observe(r.iter, u, r.hpwl, r.tau); stop != "" {
+					at = r.iter
+					break
+				}
+				// The trace prints 8 significant digits. Row 0's μ reads the
+				// stage's start HPWL, which the history does not hold.
+				if i > 0 && i+1 < len(rows) && math.Abs(s.Lambda-rows[i+1].lambda) > 1e-6*rows[i+1].lambda {
+					t.Fatalf("iteration %d: replay gives lambda %v, the run went on at %v", i, s.Lambda, rows[i+1].lambda)
+				}
+			}
+			if stop != tc.stop || at != tc.iter {
+				t.Errorf("replay stops on %q at iteration %d, want %q at %d", stop, at, tc.stop, tc.iter)
+			}
+			if at != len(rows)-1 {
+				t.Errorf("replay stops at iteration %d, the history runs to %d", at, len(rows)-1)
+			}
+		})
+	}
+}
+
+// historyRow is one iteration of a recorded GP history.
+type historyRow struct {
+	iter              int
+	tau, hpwl, lambda float64
+}
+
+// readHistory reads a testdata/histories CSV: a header, then one
+// iter,tau,hpwl,lambda row per iteration.
+func readHistory(tb testing.TB, path string) []historyRow {
+	tb.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(recs) < 2 || !slices.Equal(recs[0], []string{"iter", "tau", "hpwl", "lambda"}) {
+		tb.Fatalf("%s: not a history (header %v)", path, recs[:min(1, len(recs))])
+	}
+	rows := make([]historyRow, len(recs)-1)
+	for i, rec := range recs[1:] {
+		r := &rows[i]
+		if r.iter, err = strconv.Atoi(rec[0]); err != nil {
+			tb.Fatalf("%s row %d: %v", path, i, err)
+		}
+		for j, p := range []*float64{&r.tau, &r.hpwl, &r.lambda} {
+			if *p, err = strconv.ParseFloat(rec[j+1], 64); err != nil {
+				tb.Fatalf("%s row %d: %v", path, i, err)
+			}
+		}
+	}
+	return rows
 }
