@@ -124,8 +124,9 @@ const (
 
 // resumeAt maps a snapshot to where the flow re-enters: the hierarchy
 // level (of K+1) whose design the positions belong to, the first phase
-// still to run there, and whether the snapshot is mid-stage (carries
-// GPState).
+// still to run there, and whether the snapshot is mid-stage. A mid-stage
+// snapshot must carry GPState and a boundary one must not
+// (PhaseStateError).
 func resumeAt(rs *checkpoint.State, K int) (level, ph int, mid bool, err error) {
 	if lvl, m, ok := checkpoint.ParseMLPhase(rs.Phase); ok {
 		if lvl < 1 || lvl > K {
@@ -166,7 +167,29 @@ func resumeAt(rs *checkpoint.State, K int) (level, ph int, mid bool, err error) 
 	if rs.Level != level {
 		return 0, 0, false, fmt.Errorf("core: snapshot level %d does not match phase %q (expect %d; options changed?)", rs.Level, rs.Phase, level)
 	}
+	if mid != (rs.GP != nil) {
+		return 0, 0, false, &PhaseStateError{Phase: rs.Phase, Mid: mid}
+	}
 	return level, ph, mid, nil
+}
+
+// PhaseStateError refuses a snapshot whose GP state does not fit its
+// phase: a mid-stage phase (mGP/L<k>, mGP, cGP-filler, cGP) carries the
+// loop state its stage re-enters with, and a stage boundary carries
+// none. Resuming either kind would leave the uninterrupted run's
+// trajectory without a word.
+type PhaseStateError struct {
+	Phase string
+	// Mid reports that Phase is mid-stage (and the snapshot has no GP
+	// state); false, that it is a boundary (and the snapshot has one).
+	Mid bool
+}
+
+func (e *PhaseStateError) Error() string {
+	if e.Mid {
+		return fmt.Sprintf("core: snapshot phase %q is mid-stage but carries no GP state", e.Phase)
+	}
+	return fmt.Sprintf("core: snapshot phase %q is a stage boundary but carries GP state", e.Phase)
 }
 
 // Place runs the complete ePlace flow on d: quadratic initial placement
@@ -448,7 +471,7 @@ func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []i
 		return fmt.Errorf("core: level L%d rebuilt with %d cells + %d fillers, snapshot has %d + %d (design or options changed?)",
 			rs.Level, base, len(fillers), rs.NumBaseCells, rs.NumFillers)
 	}
-	if gs := rs.GP; mid && gs != nil {
+	if gs := rs.GP; mid {
 		n := len(fillers)
 		switch ph {
 		case phMGP:

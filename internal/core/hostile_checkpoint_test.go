@@ -175,6 +175,41 @@ func TestResumeRejectsBadAlpha(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMidStageWithoutGP: a mid-stage snapshot with no GP
+// state is refused with a *PhaseStateError before any cell moves,
+// instead of re-running its stage cold.
+func TestResumeRejectsMidStageWithoutGP(t *testing.T) {
+	st := stateOf(t, checkpoint.PhaseMGP)
+	st.GP = nil
+	checkPhaseStateError(t, st, true)
+}
+
+// TestResumeRejectsBoundaryWithGP: a stage-boundary snapshot that
+// carries GP state is refused with a *PhaseStateError before any cell
+// moves, instead of ignoring the state.
+func TestResumeRejectsBoundaryWithGP(t *testing.T) {
+	st := stateOf(t, checkpoint.PhasePostMGP)
+	st.GP = stateOf(t, checkpoint.PhaseMGP).GP
+	checkPhaseStateError(t, st, false)
+}
+
+// checkPhaseStateError resumes the hostile flow from st and wants a
+// *PhaseStateError with the given Mid and the caller's cells unmoved.
+func checkPhaseStateError(t *testing.T, st *checkpoint.State, mid bool) {
+	t.Helper()
+	d := synth.Generate(hostileSpec)
+	before := d.Positions(d.Movable())
+	fo := hostileOpts()
+	fo.Resume = st
+	_, err := PlaceContext(context.Background(), d, fo)
+	if pe := (*PhaseStateError)(nil); !errors.As(err, &pe) || pe.Phase != st.Phase || pe.Mid != mid {
+		t.Errorf("resume from phase %q: error %v, want a *PhaseStateError with Mid %v", st.Phase, err, mid)
+	}
+	if !slices.Equal(before, d.Positions(d.Movable())) {
+		t.Errorf("a refused %q snapshot moved the caller's cells", st.Phase)
+	}
+}
+
 // gpVectorNames lists the four coordinate vectors of a GP snapshot.
 var gpVectorNames = []string{"U", "V", "GradV", "Best"}
 
