@@ -220,11 +220,11 @@ func run(ctx context.Context) error {
 	fmt.Printf("overflow tau  %.4f\n", rep.Overflow)
 	fmt.Printf("legal         %v\n", rep.Legal)
 	for _, ml := range res.ML {
-		fmt.Printf("mGP/L%-8d %d cells, %d iters, tau %.4f, stop %s\n",
-			ml.Level, ml.Cells, ml.Result.Iterations, ml.Result.Overflow, ml.Result.Stop)
+		fmt.Printf("mGP/L%-8d %d cells, %d iters, tau %.4f (tested %.4f), stop %s\n",
+			ml.Level, ml.Cells, ml.Result.Iterations, ml.Result.Overflow, ml.Result.StopOverflow, ml.Result.Stop)
 	}
-	fmt.Printf("mGP           %d iters, tau %.4f, %d backtracks, stop %s\n",
-		res.MGP.Iterations, res.MGP.Overflow, res.MGP.Backtracks, res.MGP.Stop)
+	fmt.Printf("mGP           %d iters, tau %.4f (tested %.4f), %d backtracks, stop %s\n",
+		res.MGP.Iterations, res.MGP.Overflow, res.MGP.StopOverflow, res.MGP.Backtracks, res.MGP.Stop)
 	if res.MixedSize {
 		fmt.Printf("mLG           j=%d, Om %.4g -> %.4g\n",
 			res.MLG.OuterIterations, res.MLG.OmBefore, res.MLG.OmAfter)

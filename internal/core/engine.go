@@ -43,8 +43,9 @@ type engine struct {
 	opt    Options
 	sch    schedule
 
-	// Per-cell constants for the preconditioner: vertex degree |E_i| and
-	// normalized charge q_i / binArea (Sec. V-D).
+	// Per-cell constants for the preconditioner (Sec. V-D): vertex
+	// degree |E_i| and charge q_i, the cell's area (per bin area on a
+	// binCharge stage, see gpStage.binCharge).
 	degree []float64
 	qNorm  []float64
 
@@ -118,7 +119,9 @@ const poissonSpan = "poisson/" + poisson.KindSpectral32
 // stage; every hot kernel below shares it. The stage places inside
 // region: its density grid covers region, whose edge is the Poisson
 // problem's Neumann boundary, and the engine clamps cells to it. The
-// held cells stand still with the fixed ones (see gpStage.held).
+// held cells stand still with the fixed ones (see gpStage.held), and
+// binCharge measures the preconditioner's charge in bins (see
+// gpStage.binCharge).
 //
 // Every buffer an earlier stage left keeps its capacity and takes the
 // prefix this stage needs (reuse.Resize); the models and the optimizer
@@ -127,7 +130,7 @@ const poissonSpan = "poisson/" + poisson.KindSpectral32
 // is read, and degree, which counts up, is cleared first. The schedule
 // starts from its zero value, and the optimizer is started by the
 // caller.
-func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, opt Options, rec *telemetry.Recorder) error {
+func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, binCharge bool, opt Options, rec *telemetry.Recorder) error {
 	d := cv.Design()
 	if err := poisson.ValidateKind(opt.Poisson); err != nil {
 		return err
@@ -175,7 +178,10 @@ func (e *engine) reset(cv *netlist.Compiled, region geom.Rect, idx, held []int, 
 				e.degree[k]++
 			}
 		}
-		e.qNorm[k] = cv.CellW[ci] * cv.CellH[ci] / binArea
+		e.qNorm[k] = cv.CellW[ci] * cv.CellH[ci]
+		if binCharge {
+			e.qNorm[k] /= binArea
+		}
 		e.halfW[k] = cv.CellW[ci] / 2
 		e.halfH[k] = cv.CellH[ci] / 2
 	}
@@ -280,16 +286,22 @@ func (e *engine) combineRange(_, lo, hi int) {
 	for k := range gx {
 		p := 1.0
 		if precond {
-			// H~_f = |E_i| + lambda * q_i (Eq. 11-13), floored to stay
-			// positive definite for isolated cells at tiny lambda.
-			p = deg[k] + lambda*q[k]
-			if p < 1e-4 {
-				p = 1e-4
-			}
+			p = precondDiag(deg[k], q[k], lambda)
 		}
 		gx[k] = (gx[k] + lambda*dx[k]) / p
 		gy[k] = (gy[k] + lambda*dy[k]) / p
 	}
+}
+
+// precondDiag is a cell's preconditioner H~_f = |E_i| + lambda * q_i
+// (Eq. 11-13) for its degree and charge, floored to stay positive
+// definite for isolated cells at tiny lambda.
+func precondDiag(degree, charge, lambda float64) float64 {
+	p := degree + lambda*charge
+	if p < 1e-4 {
+		p = 1e-4
+	}
+	return p
 }
 
 // clamp keeps every cell's center inside the stage's region, respecting
@@ -420,7 +432,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	if e == nil {
 		e = &engine{}
 	}
-	if err := e.reset(cv, s.region, idx, s.held, opt, rec); err != nil {
+	if err := e.reset(cv, s.region, idx, s.held, s.binCharge, opt, rec); err != nil {
 		return res, err
 	}
 	e.stage = stage
@@ -480,6 +492,7 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 		hpwl := e.hpwl()
 		rec.AddSpanTime(stage, "hpwl", time.Since(t0))
 		tau := e.dm.Overflow(d.TargetDensity) // from the latest Refresh
+		res.StopOverflow = tau
 
 		// Roll this iteration's exact state into the stage's golden
 		// digest and the trace, with the lambda and gamma the iteration's

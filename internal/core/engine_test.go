@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"eplace/internal/geom"
 	"eplace/internal/netlist"
+	"eplace/internal/synth"
 	"eplace/internal/telemetry"
 )
 
@@ -329,5 +331,73 @@ func TestTimingBreakdownPopulated(t *testing.T) {
 	}
 	if res.Total < res.DensityTime+res.WirelengthTime {
 		t.Errorf("total %v below parts %v + %v", res.Total, res.DensityTime, res.WirelengthTime)
+	}
+}
+
+// TestChargeUnitPerStage pins the preconditioner's charge q_i per stage.
+// A flat stage takes the paper's unit, the cell's area, so its diagonal
+// |E_i| + λq_i at a fixed λ is the same bits on a 32 and a 64 grid. Every
+// mGP stage of a V-cycle keeps the area per bin area, a departure from
+// the paper (DESIGN.md, Deviations), and the flat flow's mGP does not.
+func TestChargeUnitPerStage(t *testing.T) {
+	const lambda = 0.37
+	d := testCircuit(2000, 11)
+	cv := d.Compile()
+	idx := append(d.Movable(), InsertFillers(cv, 3)...)
+	var ref []float64
+	for _, m := range []int{32, 64} {
+		e := mustEngine(t, cv, idx, Options{GridM: m}, telemetry.New())
+		for k := range idx {
+			p := precondDiag(e.degree[k], e.qNorm[k], lambda)
+			if m == 32 {
+				ref = append(ref, p)
+			} else if math.Float64bits(p) != math.Float64bits(ref[k]) {
+				t.Fatalf("cell %d: diagonal %v on the 64 grid, %v on the 32 grid", idx[k], p, ref[k])
+			}
+		}
+	}
+
+	for _, levels := range []int{1, 3} {
+		stages := 0
+		fo := mlFlowOpts(1)
+		fo.Levels = levels
+		fo.gpHook = func(s gpStage, done bool) {
+			if !done || !strings.HasPrefix(s.name, "mGP") {
+				return
+			}
+			stages++
+			e := s.eng
+			binArea := e.dm.Grid.BinArea()
+			for k, ci := range s.idx {
+				want := s.cv.CellW[ci] * s.cv.CellH[ci]
+				if levels > 1 {
+					want /= binArea
+				}
+				if math.Float64bits(e.qNorm[k]) != math.Float64bits(want) {
+					t.Fatalf("levels %d, %s: cell %d has charge %v, want %v", levels, s.name, ci, e.qNorm[k], want)
+				}
+			}
+		}
+		if _, err := Place(synth.Generate(mlSpec()), fo); err != nil {
+			t.Fatal(err)
+		}
+		if want := levels; stages != want {
+			t.Errorf("levels %d: %d mGP stages checked, want %d", levels, stages, want)
+		}
+	}
+}
+
+// TestStopOverflowIsTheTestedTau: Result.StopOverflow is the τ of the
+// stage's last iteration, the one its stop test read, and a stage that
+// stops on target-overflow read it at or below the target.
+func TestStopOverflowIsTheTestedTau(t *testing.T) {
+	d := testCircuit(300, 12)
+	cv := d.Compile()
+	InsertFillers(cv, 3)
+	tr := &Trace{}
+	res := mustPlaceGlobal(t, cv, d.Movable(), Options{GridM: 32, Telemetry: telemetry.New(tr)}, "mGP", 0)
+	last := tr.Stage("mGP")[res.Iterations-1]
+	if res.Stop != StopTargetOverflow || res.StopOverflow != last.Overflow || res.StopOverflow > 0.10 {
+		t.Errorf("stop %s at tested tau %v (last sample %v), adopted tau %v", res.Stop, res.StopOverflow, last.Overflow, res.Overflow)
 	}
 }

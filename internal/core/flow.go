@@ -52,10 +52,10 @@ type FlowOptions struct {
 	// part of the snapshot.
 	Resume *checkpoint.State
 
-	// gpHook, when set, runs as every GP stage of the flow starts (done
+	// gpHook, when set, runs as every GP stage s of the flow starts (done
 	// false) and ends (done true) in flowRun.gp; the tests account each
-	// stage's allocations through it.
-	gpHook func(stage string, done bool)
+	// stage's allocations and read its workspace (s.eng) through it.
+	gpHook func(s gpStage, done bool)
 }
 
 // The flow's own per-stage values, which no caller chooses.
@@ -243,15 +243,16 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		}
 	}
 
-	// The hierarchy is built only when a coarse level still has work
-	// (fresh runs and coarse-level resumes). Clustering reads design
-	// structure only — never positions — so a resumed process rebuilds
-	// the bit-identical stack the fingerprint vouched for.
+	// The hierarchy is built only when an mGP stage still has work (fresh
+	// runs, coarse-level resumes, and resumes into the finest mGP, whose
+	// charge unit follows whether the run is a V-cycle). Clustering reads
+	// design structure only — never positions — so a resumed process
+	// rebuilds the bit-identical stack the fingerprint vouched for.
 	// views[k] is level k's compiled view: the input design's is the
 	// run's, a coarse level's was compiled with the level.
 	views := []*netlist.Compiled{r.cv}
 	var hier *cluster.Hierarchy
-	if rs == nil || rs.Level > 0 {
+	if rs == nil || rs.Level > 0 || rs.Phase == checkpoint.PhasePostML || rs.Phase == checkpoint.PhaseMGP {
 		if hier = buildHierarchy(r.cv, &opt); hier != nil {
 			for _, lvl := range hier.Levels {
 				views = append(views, lvl.View)
@@ -262,7 +263,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 
 	startLevel, ph, mid := K, phMIP, false
 	if rs != nil {
-		if rs.Level > 0 && hier == nil {
+		if (rs.Level > 0 || rs.Phase == checkpoint.PhasePostML) && hier == nil {
 			return res, fmt.Errorf("core: snapshot %q (level %d) is from a multilevel run but this flow builds no levels (set Levels)",
 				rs.Phase, rs.Level)
 		}
@@ -346,7 +347,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			t0 := time.Now()
 			lr, err := r.gp(gpStage{
 				name: stage, phase: stage, cv: cv, level: k, region: ld.Region,
-				idx: r.stageIdx(movable, fillers),
+				idx: r.stageIdx(movable, fillers), binCharge: hier != nil,
 				opt: gpOpt, resume: resumeGP(phMGP),
 			})
 			r.addStage(stage, time.Since(t0))

@@ -83,8 +83,8 @@ func runMLCheckpointed(t *testing.T, dir string, every int) (FlowResult, *checkp
 }
 
 // TestMultilevelKillAndResume models a crash inside a coarse level's
-// placement: mid-stage snapshots from both coarse levels (and the
-// prelude boundaries) are resumed in fresh processes at a different
+// placement: mid-stage snapshots from both coarse levels and the finest
+// mGP (and the prelude boundaries) are resumed in fresh processes at a different
 // worker count, and every resumed run must reproduce the uninterrupted
 // run bit for bit, digests included.
 func TestMultilevelKillAndResume(t *testing.T) {
@@ -113,6 +113,8 @@ func TestMultilevelKillAndResume(t *testing.T) {
 		{checkpoint.PhasePostMLevel(2), 1, false},
 		{checkpoint.PhaseMLevel(1), 1, true},
 		{checkpoint.PhasePostML, 0, false},
+		// The finest mGP keeps the V-cycle's per-bin charge on resume.
+		{checkpoint.PhaseMGP, 0, true},
 	}
 	for _, tc := range cases {
 		st := byPhase[tc.phase]

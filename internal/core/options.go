@@ -93,7 +93,13 @@ const (
 type Result struct {
 	Iterations int
 	HPWL       float64
-	Overflow   float64
+	// Overflow is τ at the adopted layout u, after the final clamp.
+	Overflow float64
+	// StopOverflow is τ as the last stop test read it: at the point v of
+	// the iteration's last gradient, before the step moved on to u. On
+	// the finest grid the two agree closely; a coarse V-cycle level can
+	// stop on StopOverflow <= its target with Overflow well above it.
+	StopOverflow float64
 	// Stop is the reason the iteration loop ended (a Stop* constant).
 	Stop string
 	// Backtracks is the total BkTrk count.

@@ -9,23 +9,25 @@ import (
 )
 
 // TestFlowAllowOrientPinned holds the mixed-size flow with macro rotation
-// to the digests of commit d0f2322, where every stage still compiled its
-// own view, as that commit gives them under the spectral32 Poisson solve
-// (recorded on amd64 with AVX2). mLG turns three of the five macros,
-// which swaps their W/H and rewrites their pins' offsets in the structs:
-// a view that outlives the stage and is not re-synced from them
-// (extents, pin offsets) moves cGP and everything after it.
+// to pinned digests (recorded on amd64 with AVX2). mLG turns two of the
+// five macros, which swaps their W/H and rewrites their pins' offsets in
+// the structs: a view that outlives the stage and is not re-synced from
+// them (extents, pin offsets) moves cGP and everything after it. The
+// digests were first those of commit d0f2322, where every stage still
+// compiled its own view; since the flat flow's preconditioner took the
+// paper's charge (q_i = area) they are this flow's, on seed 2, where mLG
+// still turns macros (on seed 1 it turns none).
 func TestFlowAllowOrientPinned(t *testing.T) {
 	pinned := []string{
-		"mIP 1 e9fa18c45aac5686",
-		"mGP 162 b096c6a2a0849267",
-		"mLG 1 841dbf0b4f76b275",
-		"cGP-filler 20 fcfc6ebb5308b149",
-		"cGP 30 ac7899377098d763",
-		"cDP 3 a4fcda11a8ccf340",
-		"final 1 2cf48c172816ad3f",
+		"mIP 1 3a2911739acaf018",
+		"mGP 150 5043cd9c275ba760",
+		"mLG 1 17c398bb9c4a10f5",
+		"cGP-filler 20 96cc2bb7572e1bea",
+		"cGP 26 34e5c1df667a5624",
+		"cDP 3 03167e47cf8166f2",
+		"final 1 7bbb1515d692c83a",
 	}
-	spec := synth.Spec{Name: "orient", NumCells: 400, NumMovableMacros: 5, Seed: 1}
+	spec := synth.Spec{Name: "orient", NumCells: 400, NumMovableMacros: 5, Seed: 2}
 	for _, workers := range []int{1, 7} {
 		d, in := synth.Generate(spec), synth.Generate(spec)
 		opt := detFlowOpts(workers)

@@ -108,7 +108,7 @@ type flowRun struct {
 	// (stageIdx).
 	idx []int
 	// gpHook is FlowOptions.gpHook.
-	gpHook func(stage string, done bool)
+	gpHook func(s gpStage, done bool)
 
 	// mgp is the finest-level mGP result: its iteration count and final
 	// penalty seed cGP's (Sec. VI-B), so every snapshot carries them.
@@ -225,6 +225,11 @@ type gpStage struct {
 	// alone.
 	idx, held []int
 	opt       Options
+	// binCharge measures the preconditioner's charge q_i in bins (the
+	// cell's area over the bin area) instead of the paper's unit, the
+	// area itself. The flow sets it on every mGP stage of a V-cycle run,
+	// whose schedule was tuned on that unit (DESIGN.md, Deviations).
+	binCharge bool
 	// lambdaInit > 0 seeds the penalty factor; 0 balances it cold.
 	lambdaInit float64
 	// lambdaScale > 0 multiplies the cold balance (eGP: egpLambdaScale).
@@ -272,11 +277,11 @@ func (r *flowRun) stageIdx(a, b []int) []int {
 // short onto the flow's error contract. The result is returned on all
 // paths so callers can record a partial stage.
 func (r *flowRun) gp(s gpStage) (Result, error) {
-	if r.gpHook != nil {
-		r.gpHook(s.name, false)
-		defer r.gpHook(s.name, true)
-	}
 	s.golden, s.eng = r.golden, &r.eng
+	if r.gpHook != nil {
+		r.gpHook(s, false)
+		defer r.gpHook(s, true)
+	}
 	// The sink wraps mid-stage GP snapshots with flow context. It is
 	// installed whenever a manager exists — not only when a cadence is
 	// set — because cancellation writes one final mid-stage snapshot

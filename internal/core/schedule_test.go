@@ -20,7 +20,7 @@ import (
 func mustEngine(tb testing.TB, cv *netlist.Compiled, idx []int, opt Options, rec *telemetry.Recorder) *engine {
 	tb.Helper()
 	e := &engine{}
-	if err := e.reset(cv, cv.Design().Region, idx, nil, opt, rec); err != nil {
+	if err := e.reset(cv, cv.Design().Region, idx, nil, false, opt, rec); err != nil {
 		tb.Fatalf("engine.reset: %v", err)
 	}
 	return e

@@ -175,13 +175,13 @@ func stageBytes(t *testing.T, d *netlist.Design, opt FlowOptions) map[string]int
 	tally, stop := profileAllocs("eplace/internal/core.(*flowRun).gp")
 	defer stop()
 	var start int64
-	opt.gpHook = func(stage string, done bool) {
+	opt.gpHook = func(s gpStage, done bool) {
 		b, _ := tally()
 		if !done {
 			start = b
 			return
 		}
-		out[stage] += b - start
+		out[s.name] += b - start
 	}
 	if _, err := Place(d, opt); err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestGPReserveAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			opt := FlowOptions{GP: Options{Workers: 1}, Levels: c.levels, gpHook: func(string, bool) { cancel() }}
+			opt := FlowOptions{GP: Options{Workers: 1}, Levels: c.levels, gpHook: func(gpStage, bool) { cancel() }}
 			tally, stop := profileAllocs("eplace/internal/core.(*flowRun).reserveGP")
 			defer stop()
 			if _, err := PlaceContext(ctx, synth.Generate(c.spec), opt); !errors.Is(err, ErrCanceled) {
