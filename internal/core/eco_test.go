@@ -289,11 +289,8 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 	}
 	victim := cold.Cells[cold.MovableOf(netlist.StdCell)[7]].Name
 	reweight := []eco.Reweight{{NetID: 3, Weight: 4}}
-	// The reweight+removal row's digests were first the ones the flow gave
-	// when eGP ran on every edit and its result was snapped back; they
-	// were re-recorded when the cold flow's preconditioner took the
-	// paper's charge (q_i = area), which moves the base layout (amd64 with
-	// AVX2).
+	// The reweight+removal row's digests are pinned (recorded on amd64
+	// with AVX2).
 	for _, tc := range []struct {
 		name             string
 		script           *eco.Script
@@ -474,8 +471,7 @@ func TestECOWindowGP(t *testing.T) {
 	// Pinned: eGP's fixed charge is the fixed, frozen and held footprints,
 	// and its fillers take the size of the cells it moves; the final
 	// digest follows the seeded cDP, in which only the moved cells take
-	// swap turns; eGP and the cold base take the paper's charge (q_i =
-	// area) (recorded on amd64 with AVX2).
+	// swap turns (recorded on amd64 with AVX2).
 	for stage, want := range map[string]string{"eGP": "b67e6852c708f230", "final": "bd62f151984a75ab"} {
 		if got := digestOf(t, full.Digests, stage).Hex(); got != want {
 			t.Errorf("%s digest %s, want %s", stage, got, want)

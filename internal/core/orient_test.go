@@ -12,11 +12,9 @@ import (
 // to pinned digests (recorded on amd64 with AVX2). mLG turns two of the
 // five macros, which swaps their W/H and rewrites their pins' offsets in
 // the structs: a view that outlives the stage and is not re-synced from
-// them (extents, pin offsets) moves cGP and everything after it. The
-// digests were first those of commit d0f2322, where every stage still
-// compiled its own view; since the flat flow's preconditioner took the
-// paper's charge (q_i = area) they are this flow's, on seed 2, where mLG
-// still turns macros (on seed 1 it turns none).
+// them (extents, pin offsets) moves cGP and everything after it; a copy
+// whose Sync skips either fails here. Seed 2 is a circuit on which mLG
+// turns macros.
 func TestFlowAllowOrientPinned(t *testing.T) {
 	pinned := []string{
 		"mIP 1 3a2911739acaf018",
