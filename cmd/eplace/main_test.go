@@ -7,6 +7,9 @@ func TestFlatSizeWarning(t *testing.T) {
 		movable, levels int
 		warn            bool
 	}{
+		{50000, 1, false},
+		{50001, 1, true},
+		{25001, 1, false},
 		{flatValidatedCells, 1, false},
 		{flatValidatedCells + 1, 1, true},
 		{flatValidatedCells + 1, 0, true},

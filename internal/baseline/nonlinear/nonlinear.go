@@ -85,8 +85,9 @@ func seed(d *netlist.Design, idx []int, opt Options) (m int, gamma float64) {
 // lambda balances the initial gradient norms, then every round runs
 // InnerIters CG steps on W + lambda*D, stops once the overflow reaches
 // TargetOverflow and otherwise doubles lambda. maxTrials bounds each line
-// search. Every evaluation scatters its v into cv; each round writes the
-// solver's positions back (Compiled.WriteBack).
+// search. Every evaluation scatters its v into cv, and so does each
+// round's end; the design's cells take the final positions
+// (Compiled.Store).
 func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTrials int, kind wirelength.Kind, gamma float64, obj objective) Result {
 	var res Result
 	d := cv.Design()
@@ -137,11 +138,11 @@ func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTri
 			solver.step()
 		}
 		// Every CG step clamps its candidate, so solver.v is in the region.
-		cv.WriteBack(idx, solver.v)
+		cv.SetPositions(idx, solver.v)
 		res.Overflow = obj.overflow(d.TargetDensity)
 		if opt.Telemetry.Active() {
 			opt.Telemetry.Sample(telemetry.Sample{
-				Stage: stage, Iteration: outer, HPWL: d.HPWL(),
+				Stage: stage, Iteration: outer, HPWL: cv.HPWL(),
 				Overflow: res.Overflow, Lambda: lam, Steps: solver.steps,
 			})
 		}
@@ -152,6 +153,7 @@ func place(cv *netlist.Compiled, idx []int, opt Options, stage string, m, maxTri
 	}
 	res.CostEvals = solver.costEvals
 	res.GradEvals = solver.gradEvals
-	res.HPWL = d.HPWL()
+	res.HPWL = cv.HPWL()
+	cv.Store()
 	return res
 }

@@ -72,11 +72,14 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 	}
 	n := len(idx)
 
-	// Lower bound 0: pure wirelength.
-	qp.Place(d, idx)
-	cur := d.Positions(idx)
+	// Lower bound 0: pure wirelength. The solves move the cells in the
+	// model's view; the upper bound and the overflow read the structs.
+	cv := d.Compile()
+	qp.PlaceCompiled(cv, idx)
+	cur := make([]float64, 2*n)
+	cv.PositionsInto(idx, cur)
 
-	model := qp.NewModel(d.Compile(), idx)
+	model := qp.NewModel(cv, idx)
 	anchors := make([]geom.Point, n)
 	for round := 1; round <= opt.MaxRounds; round++ {
 		res.Iterations = round
@@ -104,12 +107,12 @@ func Place(d *netlist.Design, idx []int, opt Options) Result {
 		// in distance, so the restoring force grows with the distance to
 		// the upper bound, and it ramps geometrically over the rounds, so
 		// the bounds provably meet.
-		d.SetPositions(idx, cur)
+		cv.SetPositions(idx, cur)
 		w := opt.AnchorWeight0 * math.Pow(1.2, float64(round))
 		if !model.Solve(anchors, w) {
 			break
 		}
-		copy(cur, d.Positions(idx))
+		cv.PositionsInto(idx, cur)
 	}
 	d.SetPositions(idx, cur)
 	for _, ci := range idx {

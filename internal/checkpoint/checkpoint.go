@@ -33,7 +33,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"eplace/internal/nesterov"
 	"eplace/internal/netlist"
@@ -196,7 +195,7 @@ type State struct {
 
 // CapturePositions fills X/Y and the cell counts: d's cells in index
 // order, then numFillers zero positions for the fillers, which live in a
-// flow's compiled view, not in d: the flow writes them.
+// flow's compiled view, not in d.
 func (s *State) CapturePositions(d *netlist.Design, numFillers int) {
 	n := len(d.Cells)
 	s.NumBaseCells = n
@@ -209,28 +208,60 @@ func (s *State) CapturePositions(d *netlist.Design, numFillers int) {
 	}
 }
 
+// CaptureView fills X/Y and the cell counts from a flow's compiled view,
+// which holds the run's positions: the design's cells, then the fillers.
+func (s *State) CaptureView(cv *netlist.Compiled) {
+	n := len(cv.Design().Cells)
+	s.NumBaseCells = n
+	s.NumFillers = len(cv.PosX) - n
+	s.X = append([]float64(nil), cv.PosX...)
+	s.Y = append([]float64(nil), cv.PosY...)
+}
+
 // RestorePositions writes the snapshot's positions of the design's cells
-// back into d, which must hold NumBaseCells cells. The filler positions
-// after them are the resuming flow's to write into its view.
-// Fixed flags are netlist structure and never part of a snapshot.
-// A snapshot whose X and Y differ in length, that holds fewer positions
-// than cells, or that holds a non-finite position, is rejected before
-// the design is touched.
+// back into d, which must hold NumBaseCells cells; the filler positions
+// after them are left out. Fixed flags are netlist structure and never
+// part of a snapshot. A snapshot that fails checkPositions is rejected
+// before the design is touched.
 func (s *State) RestorePositions(d *netlist.Design) error {
+	if err := s.checkPositions(len(d.Cells)); err != nil {
+		return err
+	}
+	for i := range d.Cells {
+		d.Cells[i].X = s.X[i]
+		d.Cells[i].Y = s.Y[i]
+	}
+	return nil
+}
+
+// RestoreView writes the snapshot's positions into a flow's compiled
+// view, the design's cells and then as many fillers as both hold; a
+// snapshot taken before the view's fillers existed leaves them where they
+// are. A snapshot that fails checkPositions is rejected before the view
+// is touched.
+func (s *State) RestoreView(cv *netlist.Compiled) error {
+	if err := s.checkPositions(len(cv.Design().Cells)); err != nil {
+		return err
+	}
+	copy(cv.PosX, s.X)
+	copy(cv.PosY, s.Y)
+	return nil
+}
+
+// checkPositions refuses a snapshot, for a design of cells cells, whose
+// cell count is another, whose X and Y differ in length or hold fewer
+// positions than cells, or that holds a non-finite position.
+func (s *State) checkPositions(cells int) error {
 	if len(s.Y) != len(s.X) {
 		return fmt.Errorf("checkpoint: snapshot has %d x and %d y positions", len(s.X), len(s.Y))
 	}
-	if len(d.Cells) != s.NumBaseCells || len(s.X) < s.NumBaseCells {
-		return fmt.Errorf("checkpoint: design has %d cells, snapshot has %d cells in %d positions", len(d.Cells), s.NumBaseCells, len(s.X))
+	if cells != s.NumBaseCells || len(s.X) < s.NumBaseCells {
+		return fmt.Errorf("checkpoint: design has %d cells, snapshot has %d cells in %d positions", cells, s.NumBaseCells, len(s.X))
 	}
 	for i := range s.X {
 		if math.IsNaN(s.X[i]) || math.IsInf(s.X[i], 0) || math.IsNaN(s.Y[i]) || math.IsInf(s.Y[i], 0) {
 			return fmt.Errorf("checkpoint: cell %d at (%v, %v) in the snapshot", i, s.X[i], s.Y[i])
 		}
-	}
-	for i := range d.Cells {
-		d.Cells[i].X = s.X[i]
-		d.Cells[i].Y = s.Y[i]
 	}
 	return nil
 }
@@ -382,46 +413,19 @@ func ReadFile(path string) (*State, error) {
 // directory.
 const LatestName = "latest.ckpt"
 
-// DefaultKeep is the numbered-history retention bound a Manager applies
-// when Keep is left zero.
-const DefaultKeep = 5
-
-// Manager persists a flow's checkpoints in one directory. Every Save
-// atomically replaces latest.ckpt; with History enabled each snapshot
-// is additionally kept as ckpt-NNNNNN.ckpt, which is how the
-// kill-and-resume tests (and post-mortem debugging) pick an arbitrary
-// mid-run state to resume from. The numbered history is bounded by
-// Keep — a long mGP run with CheckpointEvery set would otherwise grow
-// it without limit and fill the disk.
+// Manager persists a flow's checkpoints in one directory: every Save
+// atomically replaces latest.ckpt.
 type Manager struct {
 	dir string
-	// History retains snapshots as numbered files besides latest.ckpt.
-	History bool
-	// Keep bounds the numbered history: after each successful Save the
-	// oldest numbered snapshots are pruned so at most Keep remain.
-	// 0 selects DefaultKeep; negative retains everything (the
-	// resume-equivalence tests replay arbitrary mid-run states).
-	// latest.ckpt is never touched by pruning.
-	Keep int
-
-	seq int
 }
 
-// NewManager creates (if needed) the checkpoint directory. When the
-// directory already holds numbered history (a restarted process
-// resuming a run), numbering continues after the highest existing
-// snapshot instead of silently overwriting it from ckpt-000001 up.
+// NewManager creates (if needed) the checkpoint directory and removes
+// the write temporaries a crashed process left in it.
 func NewManager(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
 	}
 	m := &Manager{dir: dir}
-	if files, err := m.HistoryFiles(); err == nil && len(files) > 0 {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(files[len(files)-1]), "ckpt-%d.ckpt", &n); err == nil {
-			m.seq = n
-		}
-	}
 	m.sweepTemp()
 	return m, nil
 }
@@ -442,46 +446,9 @@ func (m *Manager) sweepTemp() {
 	}
 }
 
-// Save atomically persists s as the latest checkpoint, then prunes
-// numbered history beyond the Keep bound. Pruning runs only after both
-// writes succeeded, so a failed save never costs an older snapshot.
+// Save atomically persists s as the latest checkpoint.
 func (m *Manager) Save(s *State) error {
-	if m.History {
-		m.seq++
-		if err := writeFile(filepath.Join(m.dir, fmt.Sprintf("ckpt-%06d.ckpt", m.seq)), s); err != nil {
-			return err
-		}
-	}
-	if err := writeFile(filepath.Join(m.dir, LatestName), s); err != nil {
-		return err
-	}
-	return m.prune()
-}
-
-// prune removes the oldest numbered snapshots beyond the retention
-// bound. latest.ckpt does not match the history glob and is never
-// considered.
-func (m *Manager) prune() error {
-	if !m.History || m.Keep < 0 {
-		return nil
-	}
-	keep := m.Keep
-	if keep == 0 {
-		keep = DefaultKeep
-	}
-	files, err := m.HistoryFiles()
-	if err != nil {
-		return err
-	}
-	if len(files) <= keep {
-		return nil
-	}
-	for _, f := range files[:len(files)-keep] {
-		if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("checkpoint: pruning %s: %w", f, err)
-		}
-	}
-	return nil
+	return writeFile(filepath.Join(m.dir, LatestName), s)
 }
 
 // Load reads the latest checkpoint.
@@ -489,15 +456,13 @@ func (m *Manager) Load() (*State, error) {
 	return ReadFile(filepath.Join(m.dir, LatestName))
 }
 
-// FinalName is the pinned end-of-run checkpoint written by PinFinal. It
-// matches neither LatestName (which later saves replace) nor the
-// numbered-history glob (which pruning erodes), so it survives both —
-// the anchor anything chaining off a completed run resolves against.
+// FinalName is the pinned end-of-run checkpoint written by PinFinal.
+// Later saves replace LatestName but not it, so it is the anchor anything
+// chaining off a completed run resolves against.
 const FinalName = "final.ckpt"
 
-// PinFinal pins the current latest checkpoint as final.ckpt, exempt
-// from history pruning and from being replaced by later saves. Call it
-// once when a run completes.
+// PinFinal pins the current latest checkpoint as final.ckpt, which later
+// saves do not replace. Call it once when a run completes.
 func (m *Manager) PinFinal() error {
 	s, err := m.Load()
 	if err != nil {
@@ -519,16 +484,6 @@ func (m *Manager) LoadFinal() (*State, error) {
 		return m.Load()
 	}
 	return nil, err
-}
-
-// HistoryFiles lists retained numbered snapshots in save order.
-func (m *Manager) HistoryFiles() ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(m.dir, "ckpt-*.ckpt"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
 }
 
 // Validate checks that the snapshot belongs to d (by name and

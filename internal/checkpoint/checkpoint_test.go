@@ -187,12 +187,14 @@ func TestReadFileRefusesFormat4(t *testing.T) {
 	}
 }
 
-func TestManagerLatestAndHistory(t *testing.T) {
-	m, err := NewManager(filepath.Join(t.TempDir(), "ckpts"))
+// TestManagerLatest: every Save replaces latest.ckpt, which Load reads,
+// and the directory holds that one file.
+func TestManagerLatest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpts")
+	m, err := NewManager(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.History = true
 	s := sampleState()
 	for i := 0; i < 3; i++ {
 		s.GP.Iter = i
@@ -207,128 +209,8 @@ func TestManagerLatestAndHistory(t *testing.T) {
 	if latest.GP.Iter != 2 {
 		t.Errorf("latest has iter %d, want 2", latest.GP.Iter)
 	}
-	hist, err := m.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 3 {
-		t.Fatalf("history has %d files, want 3", len(hist))
-	}
-	first, err := ReadFile(hist[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.GP.Iter != 0 {
-		t.Errorf("first history snapshot has iter %d, want 0", first.GP.Iter)
-	}
-}
-
-// TestManagerPrunesHistory: the numbered history is bounded by Keep
-// (default 5) so a long run with CheckpointEvery set cannot fill the
-// disk; the newest snapshots survive and latest.ckpt is untouched.
-func TestManagerPrunesHistory(t *testing.T) {
-	m, err := NewManager(filepath.Join(t.TempDir(), "ckpts"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.History = true
-	s := sampleState()
-	for i := 0; i < 12; i++ {
-		s.GP.Iter = i
-		if err := m.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hist, err := m.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != DefaultKeep {
-		t.Fatalf("history has %d files after 12 saves, want %d", len(hist), DefaultKeep)
-	}
-	// The survivors are the newest: iters 7..11.
-	oldest, err := ReadFile(hist[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldest.GP.Iter != 12-DefaultKeep {
-		t.Errorf("oldest retained snapshot has iter %d, want %d", oldest.GP.Iter, 12-DefaultKeep)
-	}
-	// latest.ckpt still loads and is the last save.
-	latest, err := m.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest.GP.Iter != 11 {
-		t.Errorf("latest has iter %d, want 11", latest.GP.Iter)
-	}
-
-	// An explicit Keep bound applies; negative retains everything.
-	m2, _ := NewManager(filepath.Join(t.TempDir(), "c2"))
-	m2.History = true
-	m2.Keep = 2
-	for i := 0; i < 6; i++ {
-		s.GP.Iter = i
-		if err := m2.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hist, _ := m2.HistoryFiles(); len(hist) != 2 {
-		t.Errorf("Keep=2 retained %d files", len(hist))
-	}
-	m3, _ := NewManager(filepath.Join(t.TempDir(), "c3"))
-	m3.History = true
-	m3.Keep = -1
-	for i := 0; i < 9; i++ {
-		if err := m3.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hist, _ := m3.HistoryFiles(); len(hist) != 9 {
-		t.Errorf("Keep=-1 retained %d files, want all 9", len(hist))
-	}
-}
-
-// TestManagerSeqContinues: a fresh Manager on an existing directory (a
-// restarted process resuming a run) numbers new snapshots after the
-// retained ones instead of overwriting them.
-func TestManagerSeqContinues(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "ckpts")
-	m, err := NewManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.History = true
-	s := sampleState()
-	for i := 0; i < 3; i++ {
-		s.GP.Iter = i
-		if err := m.Save(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	m2, err := NewManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.History = true
-	s.GP.Iter = 99
-	if err := m2.Save(s); err != nil {
-		t.Fatal(err)
-	}
-	hist, err := m2.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 4 {
-		t.Fatalf("restarted manager overwrote history: %d files, want 4", len(hist))
-	}
-	last, err := ReadFile(hist[len(hist)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.GP.Iter != 99 {
-		t.Errorf("newest snapshot has iter %d, want 99", last.GP.Iter)
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 1 || files[0].Name() != LatestName {
+		t.Errorf("checkpoint dir holds %v (%v), want %s alone", files, err, LatestName)
 	}
 }
 

@@ -36,16 +36,14 @@ func TestManagerSweepsOrphanedTemp(t *testing.T) {
 	}
 }
 
-// TestPinFinalSurvivesPruning: the pinned final checkpoint must outlive
-// both history pruning and later saves replacing latest.ckpt.
-func TestPinFinalSurvivesPruning(t *testing.T) {
+// TestPinFinalSurvivesLaterSaves: the pinned final checkpoint must
+// outlive later saves replacing latest.ckpt.
+func TestPinFinalSurvivesLaterSaves(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewManager(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.History = true
-	m.Keep = 1
 
 	st := sampleState()
 	st.Phase = PhaseDone
@@ -56,7 +54,7 @@ func TestPinFinalSurvivesPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Later saves churn history past Keep and replace latest.
+	// Later saves replace latest.
 	later := sampleState()
 	later.Phase = PhaseMGP
 	later.MGPIterations = 99
@@ -64,13 +62,6 @@ func TestPinFinalSurvivesPruning(t *testing.T) {
 		if err := m.Save(later); err != nil {
 			t.Fatal(err)
 		}
-	}
-	files, err := m.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 {
-		t.Fatalf("history not pruned to Keep=1: %v", files)
 	}
 
 	got, err := m.LoadFinal()

@@ -59,18 +59,19 @@ const (
 // Level is one coarsening step: the coarse design plus the map back to
 // the finer design it was built from.
 type Level struct {
-	// D is the coarse design.
+	// D is the coarse design. Its cells start at their members' area
+	// centroid, or at their image's position, in the fine view.
 	D *netlist.Design
 	// View is D's compiled view, built once with the level: the next
 	// coarsening scores on it, and the flow lends it to the level's
-	// stages.
+	// stages, which place in it.
 	View *netlist.Compiled
 	// Up maps every fine cell index to its coarse cell index. Movable
 	// standard cells map to their cluster; macros, pads and fixed cells
 	// map to their singleton image.
 	Up []int
-	// Fine is the design this level was coarsened from.
-	Fine *netlist.Design
+	// Fine is the view of the design this level was coarsened from.
+	Fine *netlist.Compiled
 }
 
 // pairEntry is one candidate merge in the score heap. Entries go stale
@@ -243,8 +244,9 @@ func (c *coarsener) merge(a, b int32) {
 // 2*minCells, or best-choice achieved less than a 1.25x reduction).
 // Scoring reads the view's topology and net weights, so the view must
 // describe the design as it stands: freshly compiled, or synced since
-// the last net-weight edit.
-func Coarsen(cv *netlist.Compiled, opt Options) *Level {
+// the last net-weight edit. The level's view is compiled with room for
+// room(coarse design) fillers (nil: none).
+func Coarsen(cv *netlist.Compiled, opt Options, room func(*netlist.Design) int) *Level {
 	opt.defaults()
 	fine := cv.Design()
 	n := len(fine.Cells)
@@ -330,14 +332,15 @@ func Coarsen(cv *netlist.Compiled, opt Options) *Level {
 	if float64(movableStd)/float64(reduced) < 1.25 {
 		return nil
 	}
-	return c.build()
+	return c.build(room)
 }
 
-// build materializes the coarse design, its compiled view and the
-// fine->coarse map. Counting passes over the fine view size every slice
-// first, the nets' and cells' pin lists included, so Connect appends
-// into reserved capacity and memory stays O(pins).
-func (c *coarsener) build() *Level {
+// build materializes the coarse design, its compiled view with room for
+// room(design) fillers, and the fine->coarse map. Counting passes over
+// the fine view size every slice first, the nets' and cells' pin lists
+// included, so Connect appends into reserved capacity and memory stays
+// O(pins).
+func (c *coarsener) build(room func(*netlist.Design) int) *Level {
 	fine, cv := c.d, c.cv
 	n := len(fine.Cells)
 	rh := fine.StdCellHeight()
@@ -416,7 +419,9 @@ func (c *coarsener) build() *Level {
 	// area-conserving, roughly square footprint snapped to the fine row
 	// height (legalization never runs at coarse levels; the shape only
 	// feeds the density model). Singletons keep their exact geometry so
-	// pin offsets stay valid.
+	// pin offsets stay valid. Positions come from the fine view, which
+	// holds the run's; they are the new design's input, which its view
+	// compiles from.
 	cd := netlist.New(fine.Name+"~", fine.Region)
 	cd.TargetDensity = fine.TargetDensity
 	cd.Reserve(numCoarse, numNets, numPins)
@@ -430,7 +435,7 @@ func (c *coarsener) build() *Level {
 		if !c.eligible[rep] || c.next[rep] < 0 {
 			src := &fine.Cells[i]
 			cd.AddCell(netlist.Cell{
-				W: src.W, H: src.H, X: src.X, Y: src.Y,
+				W: src.W, H: src.H, X: cv.PosX[i], Y: cv.PosY[i],
 				Kind: src.Kind, Fixed: src.Fixed,
 			})
 			continue
@@ -438,11 +443,10 @@ func (c *coarsener) build() *Level {
 		multi[ci] = true
 		var area, cx, cy float64
 		for m := rep; m >= 0; m = c.next[m] {
-			cell := &fine.Cells[m]
-			a := cell.Area()
+			a := fine.Cells[m].Area()
 			area += a
-			cx += a * cell.X
-			cy += a * cell.Y
+			cx += a * cv.PosX[m]
+			cy += a * cv.PosY[m]
 		}
 		ch := rh * math.Max(1, math.Round(math.Sqrt(area)/rh))
 		cd.AddCell(netlist.Cell{
@@ -498,35 +502,39 @@ func (c *coarsener) build() *Level {
 		}
 	}
 
-	return &Level{D: cd, View: cd.Compile(), Up: up, Fine: fine}
+	fillers := 0
+	if room != nil {
+		fillers = room(cd)
+	}
+	return &Level{D: cd, View: cd.CompileFor(fillers), Up: up, Fine: cv}
 }
 
-// Interpolate hands the coarse placement down: every fine movable cell
-// is seated inside its cluster's current footprint. Cluster members are
-// laid out on a deterministic ceil(sqrt(m))-column grid spanning the
-// footprint (member order = fine index order); singletons land exactly
-// on their image. Fixed cells are never touched.
+// Interpolate hands the coarse placement down, from the level's view to
+// the fine one: every fine movable cell is seated inside its cluster's
+// current footprint. Cluster members are laid out on a deterministic
+// ceil(sqrt(m))-column grid spanning the footprint (member order = fine
+// index order); singletons land exactly on their image. Fixed cells are
+// never touched.
 func (l *Level) Interpolate() {
-	fine, coarse := l.Fine, l.D
+	fine, coarse, cv := l.Fine.Design(), l.View, l.Fine
 
 	// Member counts and CSR offsets per coarse cell, in fine order.
-	counts := make([]int32, len(coarse.Cells))
+	counts := make([]int32, len(l.D.Cells))
 	for i := range fine.Cells {
 		if !fine.Cells[i].Fixed {
 			counts[l.Up[i]]++
 		}
 	}
-	rank := make([]int32, len(coarse.Cells)) // members seated so far
+	rank := make([]int32, len(l.D.Cells)) // members seated so far
 	for i := range fine.Cells {
-		fc := &fine.Cells[i]
-		if fc.Fixed {
+		if fine.Cells[i].Fixed {
 			continue
 		}
 		ci := l.Up[i]
-		cc := &coarse.Cells[ci]
+		x, y, w, h := coarse.PosX[ci], coarse.PosY[ci], coarse.CellW[ci], coarse.CellH[ci]
 		m := counts[ci]
 		if m == 1 {
-			fc.X, fc.Y = cc.X, cc.Y
+			cv.PosX[i], cv.PosY[i] = x, y
 			continue
 		}
 		cols := int32(math.Ceil(math.Sqrt(float64(m))))
@@ -534,7 +542,7 @@ func (l *Level) Interpolate() {
 		k := rank[ci]
 		rank[ci]++
 		col, row := k%cols, k/cols
-		fc.X = cc.X - cc.W/2 + (float64(col)+0.5)*cc.W/float64(cols)
-		fc.Y = cc.Y - cc.H/2 + (float64(row)+0.5)*cc.H/float64(rows)
+		cv.PosX[i] = x - w/2 + (float64(col)+0.5)*w/float64(cols)
+		cv.PosY[i] = y - h/2 + (float64(row)+0.5)*h/float64(rows)
 	}
 }

@@ -37,7 +37,7 @@ func membersOf(l *Level) [][]int {
 
 func TestCoarsenPartitionAndArea(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil on a 3000-cell design")
 	}
@@ -120,7 +120,7 @@ func TestCoarsenPartitionAndArea(t *testing.T) {
 // endpoints and weight; nets collapsing inside one cluster vanish.
 func TestCoarsenNetConservation(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -172,7 +172,7 @@ func TestCoarsenNetConservation(t *testing.T) {
 
 func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "tiny", NumCells: 250})
-	if lvl := Coarsen(d.Compile(), Options{}); lvl != nil {
+	if lvl := Coarsen(d.Compile(), Options{}, nil); lvl != nil {
 		t.Error("Coarsen clustered a design below 2*MinCells")
 	}
 	h := Build(d, 4, Options{})
@@ -185,8 +185,8 @@ func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 // coarsens both: the coarse designs and maps must match bit for bit
 // (the resume path rebuilds hierarchies and relies on this).
 func TestCoarsenDeterministic(t *testing.T) {
-	a := Coarsen(testDesign(t).Compile(), Options{})
-	b := Coarsen(testDesign(t).Compile(), Options{})
+	a := Coarsen(testDesign(t).Compile(), Options{}, nil)
+	b := Coarsen(testDesign(t).Compile(), Options{}, nil)
 	if a == nil || b == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -224,15 +224,17 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 	}
 }
 
-// TestInterpolateSeatsMembers scatters the coarse cells and hands the
-// placement down: members must land inside their cluster footprint,
-// singletons exactly on their image, and fixed cells must not move.
+// TestInterpolateSeatsMembers scatters the coarse cells in the level's
+// view and hands the placement down to the fine view: members must land
+// inside their cluster footprint, singletons exactly on their image, and
+// fixed cells must not move. The Cell structs take no part.
 func TestInterpolateSeatsMembers(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
+	cv, fine := lvl.View, lvl.Fine
 	for ci := range lvl.D.Cells {
 		cc := &lvl.D.Cells[ci]
 		if cc.Fixed {
@@ -242,44 +244,45 @@ func TestInterpolateSeatsMembers(t *testing.T) {
 		r := lvl.D.Region
 		fx := float64(ci%97) / 97
 		fy := float64(ci%89) / 89
-		cc.X = r.Lx + cc.W/2 + fx*(r.W()-cc.W)
-		cc.Y = r.Ly + cc.H/2 + fy*(r.H()-cc.H)
+		cv.PosX[ci] = r.Lx + cc.W/2 + fx*(r.W()-cc.W)
+		cv.PosY[ci] = r.Ly + cc.H/2 + fy*(r.H()-cc.H)
 	}
-	type pos struct{ x, y float64 }
-	before := make([]pos, len(d.Cells))
-	for i := range d.Cells {
-		before[i] = pos{d.Cells[i].X, d.Cells[i].Y}
-	}
+	beforeX := append([]float64(nil), fine.PosX...)
+	beforeY := append([]float64(nil), fine.PosY...)
+	structs := d.Positions(d.Movable())
 	members := membersOf(lvl)
 
 	lvl.Interpolate()
 
 	const tol = 1e-9
 	for i := range d.Cells {
-		fc := &d.Cells[i]
-		if fc.Fixed {
-			if fc.X != before[i].x || fc.Y != before[i].y {
+		fx, fy := fine.PosX[i], fine.PosY[i]
+		if d.Cells[i].Fixed {
+			if fx != beforeX[i] || fy != beforeY[i] {
 				t.Fatalf("fixed cell %d moved", i)
 			}
 			continue
 		}
-		cc := &lvl.D.Cells[lvl.Up[i]]
+		ci := lvl.Up[i]
+		x, y, w, h := cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci]
 		movable := 0
-		for _, m := range members[lvl.Up[i]] {
+		for _, m := range members[ci] {
 			if !d.Cells[m].Fixed {
 				movable++
 			}
 		}
 		if movable == 1 {
-			if fc.X != cc.X || fc.Y != cc.Y {
-				t.Errorf("singleton %d at (%v,%v), image at (%v,%v)", i, fc.X, fc.Y, cc.X, cc.Y)
+			if fx != x || fy != y {
+				t.Errorf("singleton %d at (%v,%v), image at (%v,%v)", i, fx, fy, x, y)
 			}
 			continue
 		}
-		if fc.X < cc.X-cc.W/2-tol || fc.X > cc.X+cc.W/2+tol ||
-			fc.Y < cc.Y-cc.H/2-tol || fc.Y > cc.Y+cc.H/2+tol {
-			t.Errorf("member %d at (%v,%v) outside footprint of cluster %d", i, fc.X, fc.Y, lvl.Up[i])
+		if fx < x-w/2-tol || fx > x+w/2+tol || fy < y-h/2-tol || fy > y+h/2+tol {
+			t.Errorf("member %d at (%v,%v) outside footprint of cluster %d", i, fx, fy, ci)
 		}
+	}
+	if got := d.Positions(d.Movable()); !reflect.DeepEqual(got, structs) {
+		t.Error("Interpolate wrote the fine design's Cell structs")
 	}
 }
 
@@ -288,10 +291,10 @@ func TestInterpolateSeatsMembers(t *testing.T) {
 // level as a fresh one.
 func TestCoarsenIgnoresViewFillers(t *testing.T) {
 	d := testDesign(t)
-	want := Coarsen(d.Compile(), Options{})
+	want := Coarsen(d.Compile(), Options{}, nil)
 	cv := d.Compile()
 	cv.AddFillers(300, 2, 2)
-	got := Coarsen(cv, Options{})
+	got := Coarsen(cv, Options{}, nil)
 	if want == nil || got == nil {
 		t.Fatal("no coarse level")
 	}
@@ -401,7 +404,7 @@ func TestBuildAllocs(t *testing.T) {
 // once, at exactly their count.
 func TestCoarsenAllocsCellsOnce(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "once", NumCells: 3000})
-	lvl := Coarsen(d.Compile(), Options{})
+	lvl := Coarsen(d.Compile(), Options{}, nil)
 	if lvl == nil {
 		t.Fatal("no coarse level")
 	}

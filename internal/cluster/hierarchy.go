@@ -21,17 +21,19 @@ type Hierarchy struct {
 // positions or worker counts — so a resumed process rebuilding the
 // hierarchy from the same input gets the bit-identical stack.
 func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
-	return BuildCompiled(d.Compile(), maxLevels, opt)
+	return BuildCompiled(d.Compile(), maxLevels, opt, nil)
 }
 
 // BuildCompiled is Build on the compiled view of the design, for a
 // caller that holds one already: the flow compiles each design once per
 // placement, and every coarse level comes with its own view
-// (Level.View), built once when the level is.
-func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options) *Hierarchy {
+// (Level.View), built once when the level is, with room for room(level
+// design) fillers (nil: none). The coarse cells start at the positions
+// cv holds.
+func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options, room func(*netlist.Design) int) *Hierarchy {
 	h := &Hierarchy{Designs: []*netlist.Design{cv.Design()}}
 	for k := 1; k < maxLevels; k++ {
-		lvl := Coarsen(cv, opt)
+		lvl := Coarsen(cv, opt, room)
 		if lvl == nil {
 			break
 		}
@@ -45,7 +47,7 @@ func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options) *Hierarchy 
 // Depth returns the number of levels, counting the finest.
 func (h *Hierarchy) Depth() int { return len(h.Designs) }
 
-// Interpolate seats level k-1's movable cells inside their level-k
-// cluster footprints (k in [1, Depth-1]), handing positions one level
-// down the V-cycle.
+// Interpolate seats level k-1's movable cells, in its view, inside
+// their level-k cluster footprints (k in [1, Depth-1]), handing
+// positions one level down the V-cycle.
 func (h *Hierarchy) Interpolate(k int) { h.Levels[k-1].Interpolate() }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"eplace/internal/checkpoint"
+	"eplace/internal/eco"
 	"eplace/internal/poisson"
 	"eplace/internal/synth"
 	"eplace/internal/telemetry"
@@ -95,26 +96,67 @@ func TestFlowBackEndParallelDeterminism(t *testing.T) {
 	}
 }
 
-// runCheckpointedFlow runs the mixed-size circuit with history-keeping
-// checkpoints every `every` GP iterations and returns the result and
-// the manager.
-func runCheckpointedFlow(t *testing.T, dir string, every int) (FlowResult, *checkpoint.Manager) {
-	t.Helper()
-	mgr, err := checkpoint.NewManager(dir)
+// snapshots is a Saver that keeps every snapshot of a run, in
+// order, each round-tripped through Encode and Decode as the file a
+// checkpoint.Manager writes would be: the kill-and-resume tests replay
+// arbitrary states of a run from it.
+type snapshots []*checkpoint.State
+
+func (s *snapshots) Save(st *checkpoint.State) error {
+	data, err := checkpoint.Encode(st)
+	if err != nil {
+		return err
+	}
+	dec, err := checkpoint.Decode(data)
+	if err != nil {
+		return err
+	}
+	*s = append(*s, dec)
+	return nil
+}
+
+// last returns the latest snapshot, the one a Manager's Load reads.
+func (s snapshots) last() *checkpoint.State { return s[len(s)-1] }
+
+// TestFlowNilManagerSavesNothing: a nil *checkpoint.Manager stored in
+// the Saver interface is not a nil interface; the flow and the ECO call
+// treat it as no checkpointing rather than calling Save on it.
+func TestFlowNilManagerSavesNothing(t *testing.T) {
+	var mgr *checkpoint.Manager
+	d := synth.Generate(detSpecs()[0])
+	opt := detFlowOpts(1)
+	opt.Checkpoint = mgr
+	ref, err := Place(d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.History = true
-	mgr.Keep = -1 // these tests replay arbitrary retained snapshots
+	plan := &eco.Plan{}
+	if _, err := PlaceECO(context.Background(), d, plan, ECOOptions{GP: Options{Workers: 1}, Checkpoint: mgr}); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Place(synth.Generate(detSpecs()[0]), detFlowOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := telemetry.DigestsEqual(plain.Digests, ref.Digests); !ok {
+		t.Errorf("digests differ from a run without a checkpoint: %s", why)
+	}
+}
+
+// runCheckpointedFlow runs the mixed-size circuit with checkpoints every
+// `every` GP iterations and returns the result and every snapshot.
+func runCheckpointedFlow(t *testing.T, every int) (FlowResult, snapshots) {
+	t.Helper()
+	var snaps snapshots
 	fo := detFlowOpts(2)
 	fo.GP.CheckpointEvery = every
-	fo.Checkpoint = mgr
+	fo.Checkpoint = &snaps
 	d := synth.Generate(detSpecs()[2])
 	res, err := Place(d, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, mgr
+	return res, snaps
 }
 
 // TestFlowKillAndResume models a crash mid-mGP: a retained mid-stage
@@ -123,18 +165,10 @@ func runCheckpointedFlow(t *testing.T, dir string, every int) (FlowResult, *chec
 // final placement, including every per-stage digest — at a different
 // worker count than the original, since determinism spans both axes.
 func TestFlowKillAndResume(t *testing.T) {
-	ref, mgr := runCheckpointedFlow(t, t.TempDir(), 20)
+	ref, snaps := runCheckpointedFlow(t, 20)
 
-	files, err := mgr.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mid *checkpoint.State
-	for _, f := range files {
-		st, err := checkpoint.ReadFile(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
+	for _, st := range snaps {
 		if st.Phase == checkpoint.PhaseMGP {
 			mid = st // last retained mid-mGP snapshot wins
 		}
@@ -171,18 +205,10 @@ func TestFlowKillAndResume(t *testing.T) {
 // legalizer, which is what pins macros as fixed — the snapshot must
 // restore those flags or cGP's density field would miss the macros.
 func TestFlowResumeFromBoundary(t *testing.T) {
-	ref, mgr := runCheckpointedFlow(t, t.TempDir(), 0) // boundaries only
+	ref, snaps := runCheckpointedFlow(t, 0) // boundaries only
 
-	files, err := mgr.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
 	byPhase := map[string]*checkpoint.State{}
-	for _, f := range files {
-		st, err := checkpoint.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, st := range snaps {
 		byPhase[st.Phase] = st
 	}
 	for _, phase := range []string{
@@ -209,12 +235,9 @@ func TestFlowResumeFromBoundary(t *testing.T) {
 		}
 	}
 
-	// latest.ckpt is the finished flow: resuming it just recomputes the
-	// summary without re-running any stage.
-	done, err := mgr.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The latest snapshot is the finished flow: resuming it just
+	// recomputes the summary without re-running any stage.
+	done := snaps.last()
 	if done.Phase != checkpoint.PhaseDone {
 		t.Fatalf("latest snapshot phase = %q, want %q", done.Phase, checkpoint.PhaseDone)
 	}
@@ -237,22 +260,14 @@ func TestFlowResumeFromBoundary(t *testing.T) {
 // a resumed run checkpoint at the same points).
 func TestFlowCheckpointCadence(t *testing.T) {
 	every := 25
-	res, mgr := runCheckpointedFlow(t, t.TempDir(), every)
-	files, err := mgr.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, snaps := runCheckpointedFlow(t, every)
 	nMid := 0
-	for _, f := range files {
-		st, err := checkpoint.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for k, st := range snaps {
 		if st.Phase == checkpoint.PhaseMGP {
 			nMid++
 			if st.GP == nil || st.GP.Iter%every != 0 {
-				t.Errorf("%s: mid-mGP snapshot at iter %v, want multiple of %d",
-					filepath.Base(f), st.GP, every)
+				t.Errorf("snapshot %d: mid-mGP snapshot at iter %v, want multiple of %d",
+					k, st.GP, every)
 			}
 		}
 	}
@@ -266,11 +281,8 @@ func TestFlowCheckpointCadence(t *testing.T) {
 // TestFlowResumeRejectsForeignDesign: a snapshot must not silently
 // resume onto a structurally different design.
 func TestFlowResumeRejectsForeignDesign(t *testing.T) {
-	_, mgr := runCheckpointedFlow(t, t.TempDir(), 0)
-	st, err := mgr.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, snaps := runCheckpointedFlow(t, 0)
+	st := snaps.last()
 	other := synth.Generate(synth.Spec{Name: "det-other", NumCells: 200})
 	fo := detFlowOpts(1)
 	fo.Resume = st

@@ -25,8 +25,12 @@ type ECOOptions struct {
 	GP Options
 	// Checkpoint, when non-nil, persists a done-phase snapshot of the
 	// finished incremental placement, so further ECO runs (or the
-	// server's job chaining) can stack on top of this one.
-	Checkpoint *checkpoint.Manager
+	// server's job chaining) can stack on top of this one. A nil
+	// *checkpoint.Manager counts as none.
+	Checkpoint Saver
+
+	// gpHook is FlowOptions.gpHook for the eGP stage.
+	gpHook func(s gpStage, done bool)
 }
 
 // ECOResult reports one incremental re-placement. The embedded summary
@@ -70,7 +74,9 @@ type ECOResult struct {
 //
 // An empty plan (structural no-op) short-circuits: positions are
 // untouched and the "final" golden digest matches a cold run of the
-// same design exactly, at any worker count.
+// same design exactly, at any worker count. Like Place, the stages place
+// in the run's compiled view, and the flow writes the positions to d's
+// cells when it returns.
 func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOptions) (ECOResult, error) {
 	var res ECOResult
 	if plan == nil {
@@ -82,7 +88,11 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	// The run opens — and takes its fingerprint — before anything below
 	// mutates structure the fingerprint covers: a future ECO chaining off
 	// this result validates against a freshly rebuilt, input-shaped design.
-	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	// Its view has no filler room: most edits run no eGP, and eGP's
+	// fillers, sized by the eviction window, grow the view once.
+	r := newRun(ctx, d, 0, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	defer r.cv.Store()
+	r.gpHook = opt.gpHook
 	moved, held := splitActive(d, plan)
 	res.ActiveCells = len(plan.Active)
 	res.EvictedCells = len(plan.Evicted)
@@ -97,11 +107,11 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 	if !res.NoOp {
 		// Snapshot the frozen positions: ending anywhere else is a bug the
 		// caller must see, not a silent quality loss.
-		frozenPos := d.Positions(plan.Frozen)
+		frozenPos := r.cv.Positions(plan.Frozen)
 		if err := replaceActive(r, plan, moved, held, opt, &res); err != nil {
 			return res, err
 		}
-		if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+		if err := unmoved(r.cv, plan.Frozen, frozenPos, "frozen"); err != nil {
 			return res, err
 		}
 	}
@@ -110,13 +120,13 @@ func PlaceECO(ctx context.Context, d *netlist.Design, plan *eco.Plan, opt ECOOpt
 }
 
 // unmoved errors when one of the cells is no longer bitwise where
-// pos, taken by d.Positions(cells), has it.
-func unmoved(d *netlist.Design, cells []int, pos []float64, what string) error {
+// pos, taken by cv.Positions(cells), has it.
+func unmoved(cv *netlist.Compiled, cells []int, pos []float64, what string) error {
 	n := len(cells)
 	for k, ci := range cells {
-		if c := &d.Cells[ci]; c.X != pos[k] || c.Y != pos[k+n] {
+		if x, y := cv.PosX[ci], cv.PosY[ci]; x != pos[k] || y != pos[k+n] {
 			return fmt.Errorf("core: %s cell %d (%s) moved from (%v, %v) to (%v, %v): %s invariant violated",
-				what, ci, c.Name, pos[k], pos[k+n], c.X, c.Y, what)
+				what, ci, cv.Design().Cells[ci].Name, pos[k], pos[k+n], x, y, what)
 		}
 	}
 	return nil
@@ -186,8 +196,8 @@ func splitActive(d *netlist.Design, plan *eco.Plan) (moved, held []int) {
 // the frozen and held cells, parks each inserted cell in its optimal
 // region, and errors when a held cell left its slot.
 func placeMoved(run *flowRun, plan *eco.Plan, held []int, gpOpt Options, res *ECOResult) error {
-	d := run.d
-	heldPos := d.Positions(held)
+	d, cv := run.d, run.cv
+	heldPos := cv.Positions(held)
 
 	if len(plan.Evicted) > 0 {
 		var err error
@@ -203,20 +213,20 @@ func placeMoved(run *flowRun, plan *eco.Plan, held []int, gpOpt Options, res *EC
 	// wirelength bowl, into the nearest gap that genuinely fits. Every
 	// target is taken before any inserted cell moves.
 	type target struct {
-		c *netlist.Cell
-		p geom.Point
+		ci int
+		p  geom.Point
 	}
 	var targets []target
 	for _, ci := range plan.Fresh {
 		if c := &d.Cells[ci]; !c.Fixed && c.Kind == netlist.StdCell {
-			p := geom.Point{X: optimalCoord(d, ci, c.X, false), Y: optimalCoord(d, ci, c.Y, true)}
-			targets = append(targets, target{c, geom.ClampPoint(p, c.W, c.H, d.Region)})
+			p := geom.Point{X: optimalCoord(cv, ci, cv.PosX, cv.PinOx), Y: optimalCoord(cv, ci, cv.PosY, cv.PinOy)}
+			targets = append(targets, target{ci, geom.ClampPoint(p, cv.CellW[ci], cv.CellH[ci], d.Region)})
 		}
 	}
 	for _, t := range targets {
-		t.c.X, t.c.Y = t.p.X, t.p.Y
+		cv.PosX[t.ci], cv.PosY[t.ci] = t.p.X, t.p.Y
 	}
-	return unmoved(d, held, heldPos, "held")
+	return unmoved(cv, held, heldPos, "held")
 }
 
 // evictedGP runs eGP: a warm-started global placement of the evicted
@@ -255,7 +265,7 @@ func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 	}
 	held = append(append(make([]int, 0, len(plan.Frozen)+len(held)), plan.Frozen...), held...)
 	still := cv.FixedOrHeldInto(nil, held)
-	window, free := evictionWindow(d, plan, still)
+	window, free := evictionWindow(cv, plan, still)
 	// Fillers take the window's whitespace as in the cold flow: without
 	// them the density force would spread the evicted cells into every
 	// free pocket of the window, far from the blockage that displaced
@@ -271,7 +281,7 @@ func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 	if gpOpt.GridM == 0 {
 		objects := len(idx)
 		for i, s := range still {
-			if s && d.Cells[i].Rect().Intersects(window) {
+			if s && cv.Rect(i).Intersects(window) {
 				objects++
 			}
 		}
@@ -299,14 +309,15 @@ func egpStage(run *flowRun, plan *eco.Plan, held []int, gpOpt Options) gpStage {
 // blockages' eviction halos and the evicted cells, and grows by one ring
 // of bins of the die's grid at a time until the target density of its
 // free area holds the evicted area, or it covers the region.
-func evictionWindow(d *netlist.Design, plan *eco.Plan, still []bool) (geom.Rect, float64) {
-	w := d.Cells[plan.Evicted[0]].Rect()
+func evictionWindow(cv *netlist.Compiled, plan *eco.Plan, still []bool) (geom.Rect, float64) {
+	d := cv.Design()
+	w := cv.Rect(plan.Evicted[0])
 	for _, ci := range plan.Evicted {
-		w = w.Union(d.Cells[ci].Rect())
+		w = w.Union(cv.Rect(ci))
 	}
 	for _, ci := range plan.Fresh {
 		if c := &d.Cells[ci]; c.Fixed && c.W > 0 && c.H > 0 {
-			w = w.Union(eco.EvictionHalo(c.Rect()))
+			w = w.Union(eco.EvictionHalo(cv.Rect(ci)))
 		}
 	}
 	need := areaOf(d, plan.Evicted)
@@ -317,7 +328,7 @@ func evictionWindow(d *netlist.Design, plan *eco.Plan, still []bool) (geom.Rect,
 		free := w.Area()
 		for i, s := range still {
 			if s {
-				free -= d.Cells[i].Rect().Overlap(w)
+				free -= cv.Rect(i).Overlap(w)
 			}
 		}
 		if d.TargetDensity*free >= need || w == d.Region {
@@ -354,38 +365,31 @@ func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	return st.RestorePositions(d)
 }
 
-// optimalCoord returns the point nearest cur within the cell's optimal
-// region along one axis: the minimizer set of the weighted sum of each
+// optimalCoord returns the point nearest the cell's view position pos[ci]
+// within its optimal region along one axis, whose view positions and pin
+// offsets are pos and off: the minimizer set of the weighted sum of each
 // net's bounding-interval extension, holding every other pin fixed. The
-// objective is piecewise linear and convex with breakpoints at the
-// nets' interval endpoints, so the minimizer is where the subgradient
-// sum_n w_n*([x > h_n] - [x < l_n]) crosses zero. It returns cur when
-// the cell has no nets with other pins.
-func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
+// objective is piecewise linear and convex with breakpoints at the nets'
+// interval endpoints, so the minimizer is where the subgradient
+// sum_n w_n*([x > h_n] - [x < l_n]) crosses zero. It returns pos[ci]
+// when the cell has no nets with other pins.
+func optimalCoord(cv *netlist.Compiled, ci int, pos, off []float64) float64 {
 	type event struct {
 		x     float64
 		slope float64 // subgradient step when passing x left to right
 	}
+	cur := pos[ci]
 	var events []event
-	for _, pi := range d.Cells[ci].Pins {
-		ni := d.Pins[pi].Net
-		n := &d.Nets[ni]
+	for _, ni := range cv.CellNet[cv.CellNetOff[ci]:cv.CellNetOff[ci+1]] {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, np := range n.Pins {
-			p := &d.Pins[np]
-			if p.Cell == ci {
+		for s := cv.NetOff[ni]; s < cv.NetOff[ni+1]; s++ {
+			pc := cv.PinCell[s]
+			if int(pc) == ci {
 				continue
 			}
-			v := p.Ox
-			if yAxis {
-				v = p.Oy
-			}
-			if p.Cell >= 0 {
-				if yAxis {
-					v += d.Cells[p.Cell].Y
-				} else {
-					v += d.Cells[p.Cell].X
-				}
+			v := off[s]
+			if pc >= 0 {
+				v += pos[pc]
 			}
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
@@ -393,7 +397,7 @@ func optimalCoord(d *netlist.Design, ci int, cur float64, yAxis bool) float64 {
 		if lo > hi {
 			continue
 		}
-		w := n.EffWeight()
+		w := cv.NetW[ni]
 		events = append(events, event{lo, w}, event{hi, w})
 	}
 	if len(events) == 0 {
@@ -437,12 +441,11 @@ func seedFillersInWhitespace(cv *netlist.Compiled, r geom.Rect, fillers []int, s
 	if len(fillers) == 0 {
 		return
 	}
-	d := cv.Design()
 	const n = 64
 	g := grid.New(r, n)
 	for i, s := range still {
 		if s {
-			g.AddFixed(d.Cells[i].Rect())
+			g.AddFixed(cv.Rect(i))
 		}
 	}
 	cum := make([]float64, n*n)

@@ -230,6 +230,7 @@ func TestECOStageHPWLMatchesView(t *testing.T) {
 	if iters < 10 {
 		t.Fatalf("the stage checked %d iterations, want at least 10", iters)
 	}
+	cv.Store() // the stage placed in the view; the design prices it from the structs
 	if h := d.HPWL(); math.Float64bits(res.HPWL) != math.Float64bits(h) {
 		t.Errorf("stage HPWL %v, design %v", res.HPWL, h)
 	}
@@ -353,7 +354,7 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 		input := warm.Positions(plan.Active)
 		opt := Options{Workers: 2}
 		var res ECOResult
-		r := newRun(context.Background(), warm, &opt, nil, &res.flowSummary)
+		r := newRun(context.Background(), warm, 0, &opt, nil, &res.flowSummary)
 		r.ensureRows()
 		moved, held := splitActive(warm, plan)
 		if err := placeMoved(r, plan, held, opt, &res); err != nil {
@@ -373,8 +374,8 @@ func TestECOHeldCellsKeepSlots(t *testing.T) {
 				continue
 			}
 			kept++
-			if c := &warm.Cells[ci]; c.X != input[k] || c.Y != input[k+n] {
-				t.Errorf("cell %d enters cDP at (%v, %v), its input slot is (%v, %v)", ci, c.X, c.Y, input[k], input[k+n])
+			if x, y := r.cv.PosX[ci], r.cv.PosY[ci]; x != input[k] || y != input[k+n] {
+				t.Errorf("cell %d enters cDP at (%v, %v), its input slot is (%v, %v)", ci, x, y, input[k], input[k+n])
 			}
 		}
 		if kept == 0 || kept+len(moved) != len(plan.Active) {
@@ -413,7 +414,7 @@ func TestECOWindowGP(t *testing.T) {
 	d, plan := prepare()
 	opt := Options{Workers: 2}
 	var res ECOResult
-	r := newRun(context.Background(), d, &opt, nil, &res.flowSummary)
+	r := newRun(context.Background(), d, 0, &opt, nil, &res.flowSummary)
 	r.ensureRows()
 	lost := map[int]bool{}
 	for _, ci := range append(append([]int(nil), plan.Evicted...), plan.Fresh...) {
@@ -431,7 +432,8 @@ func TestECOWindowGP(t *testing.T) {
 	if w == d.Region || !d.Region.ContainsRect(w) {
 		t.Fatalf("window %v, region %v: want a window inside the region", w, d.Region)
 	}
-	_, free := evictionWindow(d, plan, d.Compile().FixedOrHeldInto(nil, st.held))
+	fresh := d.Compile()
+	_, free := evictionWindow(fresh, plan, fresh.FixedOrHeldInto(nil, st.held))
 	if need := areaOf(d, plan.Evicted); d.TargetDensity*free < need {
 		t.Errorf("the window's free area %v holds %v at the target density %v, the evicted cells need %v",
 			free, d.TargetDensity*free, d.TargetDensity, need)
@@ -449,7 +451,7 @@ func TestECOWindowGP(t *testing.T) {
 		}
 	}
 	cv.DropFillers()
-	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+	if err := unmoved(cv, plan.Frozen, frozenPos, "frozen"); err != nil {
 		t.Error(err)
 	}
 	t.Logf("window %v of region %v, %d evicted + %d fillers on a %d-grid", w, d.Region,
@@ -465,7 +467,7 @@ func TestECOWindowGP(t *testing.T) {
 	if !full.Legal {
 		t.Error("incremental result not legal")
 	}
-	if err := unmoved(d, plan.Frozen, frozenPos, "frozen"); err != nil {
+	if err := unmoved(d.Compile(), plan.Frozen, frozenPos, "frozen"); err != nil {
 		t.Error(err)
 	}
 	// Pinned: eGP's fixed charge is the fixed, frozen and held footprints,

@@ -30,8 +30,7 @@ type engine struct {
 	// cv is the compiled CSR/SoA view shared by the wirelength model,
 	// the density model and the loop's HPWL evaluation. The engine
 	// writes candidate positions into it once per evaluation
-	// (cv.SetPositions); the Cell structs are only written back when the
-	// stage finishes.
+	// (cv.SetPositions) and the stage's result when it finishes.
 	cv *netlist.Compiled
 	// region is where the stage places: the design's region, or an ECO
 	// window inside it.
@@ -82,10 +81,8 @@ type engine struct {
 	stage string
 
 	// rec aggregates the per-kernel wall times as telemetry spans
-	// (stage/wirelength, stage/density — the Fig. 7 breakdown). It is
-	// never nil: when the caller disables telemetry, PlaceGlobal
-	// substitutes a private sink-less recorder so Result timings stay
-	// populated.
+	// (stage/wirelength, stage/density — the Fig. 7 breakdown); nil
+	// records nothing.
 	rec *telemetry.Recorder
 }
 
@@ -348,8 +345,7 @@ func (e *engine) start(v0 []float64, lambdaInit, lambdaScale float64) {
 	if lambdaInit <= 0 {
 		e.sch.Lambda = e.initLambda(v0, lambdaScale)
 	}
-	// HPWL of the clamped start, from the view (the structs still hold
-	// the unclamped input until the end-of-stage write-back).
+	// HPWL of the clamped start.
 	e.sch.HPWL0 = e.hpwl()
 	e.sch.PrevHPWL, e.sch.Best, e.sch.BestTau = e.sch.HPWL0, v0, tau0
 }
@@ -379,55 +375,50 @@ func (e *engine) initLambda(v []float64, scale float64) float64 {
 }
 
 // PlaceGlobal runs one global placement (the mGP or cGP loop) over the
-// cells idx of the design cv was compiled from, which must hold the
-// starting positions, and every filler of the view (see InsertFillers).
+// cells idx of the design cv was compiled from, and every filler of the
+// view (see InsertFillers); the view must hold the starting positions.
 // lambdaInit <= 0 selects automatic balancing. It returns the result;
-// final positions are written back to the design's cells and the view's
-// fillers. It errors without touching either on an invalid configuration
-// (a Poisson name other than "" or spectral32, a bad grid size).
+// final positions are in the view and, written back once at the end, in
+// the design's Cell structs. It errors without touching either on an
+// invalid configuration (a Poisson name other than "" or spectral32, a
+// bad grid size).
 func PlaceGlobal(cv *netlist.Compiled, idx []int, opt Options, stage string, lambdaInit float64) (Result, error) {
 	d := cv.Design()
 	idx = slices.Clip(idx)
 	for ci := len(d.Cells); ci < len(cv.PosX); ci++ {
 		idx = append(idx, ci)
 	}
-	return placeGlobal(context.Background(), gpStage{name: stage, cv: cv, region: d.Region, idx: idx, opt: opt, lambdaInit: lambdaInit})
+	res, err := placeGlobal(context.Background(), gpStage{name: stage, cv: cv, region: d.Region, idx: idx, opt: opt, lambdaInit: lambdaInit})
+	if err == nil {
+		cv.Store()
+	}
+	return res, err
 }
 
 // placeGlobal runs stage s over its caller-owned view of the design,
-// which it syncs from the Cell structs on entry. Inside a flow, a
-// canceled stage first hands a final mid-stage snapshot to s.sink
-// (regardless of the CheckpointEvery cadence, so the very latest state
-// is resumable); a resume from that snapshot continues the trajectory
-// bitwise-identically to the uninterrupted run.
+// which holds the starting positions and receives the final ones. Inside
+// a flow, a canceled stage first hands a final mid-stage snapshot to
+// s.sink (regardless of the CheckpointEvery cadence, so the very latest
+// state is resumable); a resume from that snapshot continues the
+// trajectory bitwise-identically to the uninterrupted run.
 func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	opt, stage, cv, idx := s.opt, s.name, s.cv, s.idx
 	opt.defaults()
 	d := cv.Design()
-	start := time.Now()
 	var res Result
 	if len(idx) == 0 {
-		res.HPWL = d.HPWL()
+		res.HPWL = cv.HPWL()
 		res.Stop = StopTargetOverflow
 		return res, nil
 	}
-	// The engine always records kernel spans; a private sink-less
-	// recorder stands in when telemetry is disabled so the Result's
-	// Fig. 7 timing breakdown stays derivable from spans either way.
 	rec := opt.Telemetry
-	if rec == nil {
-		rec = telemetry.New()
-	}
 	rec.SetStage(stage)
-	wl0 := rec.SpanTime(stage, "wirelength")
-	den0 := rec.SpanTime(stage, "density")
-	prevWL, prevDen := wl0, den0
+	prevWL, prevDen := rec.SpanTime(stage, "wirelength"), rec.SpanTime(stage, "density")
 	// gradTime is the stage's time inside the two gradient kernels so far
 	// (the density span contains the Poisson span).
 	gradTime := func() time.Duration {
 		return rec.SpanTime(stage, "wirelength") + rec.SpanTime(stage, "density")
 	}
-	cv.Sync()
 	e := s.eng
 	if e == nil {
 		e = &engine{}
@@ -527,15 +518,14 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	}
 
 	// Adopt the best snapshot if we diverged or stagnated past it, clamp
-	// it in place, and write it back to both the structs (the caller's
-	// source of truth between stages) and the view (the fillers' only
-	// home, and read by the final Refresh/HPWL below).
+	// it in place, and write it to the view, which the final Refresh/HPWL
+	// below and the next stage read.
 	final := opt2.U
 	if res.Stop == StopDiverged || res.Stop == StopStall {
 		final = sch.Best
 	}
 	e.clamp(final)
-	e.cv.WriteBack(e.idx, final)
+	e.cv.SetPositions(e.idx, final)
 
 	e.dm.Refresh(e.idx)
 	res.Iterations = iter
@@ -545,10 +535,6 @@ func placeGlobal(ctx context.Context, s gpStage) (Result, error) {
 	rec.Count("wirelength/nets_priced", e.wl.NetsPriced())
 	res.FinalLambda = sch.Lambda
 	res.Backtracks = opt2.Backtracks()
-	res.DensityTime = rec.SpanTime(stage, "density") - den0
-	res.WirelengthTime = rec.SpanTime(stage, "wirelength") - wl0
-	res.Total = time.Since(start)
-	res.OtherTime = res.Total - res.DensityTime - res.WirelengthTime
 	return res, nil
 }
 

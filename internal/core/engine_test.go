@@ -321,16 +321,20 @@ func TestPlaceGlobalEmptyMovable(t *testing.T) {
 	}
 }
 
+// TestTimingBreakdownPopulated: a global placement's Fig. 7 breakdown is
+// its kernel spans, which PlaceGlobal records on the caller's recorder.
 func TestTimingBreakdownPopulated(t *testing.T) {
 	d := testCircuit(200, 11)
 	cv := d.Compile()
 	InsertFillers(cv, 3)
-	res := mustPlaceGlobal(t, cv, d.Movable(), Options{MaxIters: 100, GridM: 32, TargetOverflow: 0.5}, "mGP", 0)
-	if res.DensityTime <= 0 || res.WirelengthTime <= 0 {
-		t.Errorf("timing breakdown empty: %+v", res)
+	rec := telemetry.New()
+	mustPlaceGlobal(t, cv, d.Movable(), Options{MaxIters: 100, GridM: 32, TargetOverflow: 0.5, Telemetry: rec}, "mGP", 0)
+	den, wl := rec.SpanTime("mGP", "density"), rec.SpanTime("mGP", "wirelength")
+	if den <= 0 || wl <= 0 {
+		t.Errorf("timing breakdown empty: density %v, wirelength %v", den, wl)
 	}
-	if res.Total < res.DensityTime+res.WirelengthTime {
-		t.Errorf("total %v below parts %v + %v", res.Total, res.DensityTime, res.WirelengthTime)
+	if poisson := rec.SpanTime("mGP", poissonSpan); poisson <= 0 || poisson > den {
+		t.Errorf("Poisson span %v, want positive and within the density span %v", poisson, den)
 	}
 }
 

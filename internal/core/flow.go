@@ -41,8 +41,9 @@ type FlowOptions struct {
 	// Checkpoint, when non-nil, persists a crash-safe snapshot at every
 	// stage boundary — and, with GP.CheckpointEvery > 0, every N GP
 	// iterations mid-stage — so an interrupted flow can be continued
-	// with Resume instead of restarting from scratch.
-	Checkpoint *checkpoint.Manager
+	// with Resume instead of restarting from scratch. A nil
+	// *checkpoint.Manager counts as none.
+	Checkpoint Saver
 	// Resume continues a flow from a snapshot previously written via
 	// Checkpoint. The design must be structurally identical (checked by
 	// fingerprint); completed stages are skipped, a mid-stage snapshot
@@ -195,9 +196,10 @@ func (e *PhaseStateError) Error() string {
 // Place runs the complete ePlace flow on d: quadratic initial placement
 // (mIP), mixed-size global placement (mGP), annealing macro legalization
 // (mLG) and standard-cell re-placement (cGP) when movable macros exist,
-// then legalization plus detail placement (cDP). The design's positions
-// are modified in place; its cells are not: the fillers of the global
-// placements live in the run's compiled views alone.
+// then legalization plus detail placement (cDP). The stages place in the
+// run's compiled views, and the flow writes the positions to d's cells
+// when it returns, finished or not; its cells are not changed otherwise:
+// the fillers of the global placements live in the views alone.
 //
 // With opt.Checkpoint set, the flow snapshots itself at every stage
 // boundary (and every GP.CheckpointEvery iterations inside the GP
@@ -228,7 +230,12 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	if err := poisson.ValidateKind(opt.GP.Poisson); err != nil {
 		return res, err
 	}
-	r := newRun(ctx, d, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	// The input design's filler plan reads the fixed flags before mLG
+	// fixes the macros. It sizes the view's filler room and the GP
+	// workspace.
+	plan0 := insertPlan(d)
+	r := newRun(ctx, d, plan0.count, &opt.GP, opt.Checkpoint, &res.flowSummary)
+	defer r.cv.Store()
 	r.mgp, r.gpHook = &res.MGP, opt.gpHook
 	res.MixedSize = r.mixedSize
 
@@ -248,12 +255,17 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 	// charge unit follows whether the run is a V-cycle). Clustering reads
 	// design structure only — never positions — so a resumed process
 	// rebuilds the bit-identical stack the fingerprint vouched for.
-	// views[k] is level k's compiled view: the input design's is the
-	// run's, a coarse level's was compiled with the level.
-	views := []*netlist.Compiled{r.cv}
+	// views[k] is level k's compiled view and plans[k] its filler plan:
+	// the input design's view is the run's, a coarse level's was compiled
+	// with the level, with room for the plan's fillers.
+	views, plans := []*netlist.Compiled{r.cv}, []fillerPlan{plan0}
 	var hier *cluster.Hierarchy
 	if rs == nil || rs.Level > 0 || rs.Phase == checkpoint.PhasePostML || rs.Phase == checkpoint.PhaseMGP {
-		if hier = buildHierarchy(r.cv, &opt); hier != nil {
+		room := func(ld *netlist.Design) int {
+			plans = append(plans, insertPlan(ld))
+			return plans[len(plans)-1].count
+		}
+		if hier = buildHierarchy(r.cv, &opt, room); hier != nil {
 			for _, lvl := range hier.Levels {
 				views = append(views, lvl.View)
 			}
@@ -286,16 +298,13 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		return nil
 	}
 
-	// The input design's filler plan reads the fixed flags before mLG
-	// fixes the macros, and sizes the GP workspace.
-	plan0 := insertPlan(d)
 	r.reserveGP(plan0)
 	var fillers []int
 	for k := startLevel; k >= 0; k-- {
-		cv, movable, plan := views[k], r.movable, plan0
+		cv, movable, plan := views[k], r.movable, plans[k]
 		ld := cv.Design()
 		if k > 0 {
-			movable, plan = ld.Movable(), insertPlan(ld)
+			movable = ld.Movable()
 		}
 		// --- mIP: quadratic wirelength minimization over all movables,
 		// on the coarsest netlist only — a coarse seed is all the V-cycle
@@ -384,10 +393,12 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if ph <= phMLG {
 			r.rec.SetStage("mLG")
 			t0 := time.Now()
-			res.MLG = legalize.Macros(d, r.movMacros, legalize.MLGOptions{
-				Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
+			r.structStep(func() {
+				res.MLG = legalize.Macros(d, r.movMacros, legalize.MLGOptions{
+					Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
+				})
 			})
-			r.golden.Absorb("mLG", 0, d.Positions(r.movMacros), d.HPWL(), 0)
+			r.golden.Absorb("mLG", 0, r.cv.Positions(r.movMacros), r.cv.HPWL(), 0)
 			r.addStage("mLG", time.Since(t0))
 			if !res.MLG.Legal {
 				return res, fmt.Errorf("core: mLG left macro overlap %v", res.MLG.OmAfter)
@@ -460,11 +471,12 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 
 // resume writes the snapshot rs into level's view cv, which holds the
 // re-derived fillers, once all it reads is checked: a refused snapshot
-// leaves the caller's cells alone. A boundary snapshot taken before the
-// level's fillers existed adopts the re-derived ones. A mid-stage one's
-// vectors must fit the cells its stage (phase ph) moves: the level's
-// movable ones at phMGP, the standard cells at phCGP, and the fillers. A
-// run resumed past mLG fixes the macros again.
+// leaves the view, and so the caller's cells, alone. A boundary snapshot
+// taken before the level's fillers existed adopts the re-derived ones
+// (checkpoint.State.RestoreView). A mid-stage one's vectors must fit
+// the cells its stage (phase ph) moves: the level's movable ones at
+// phMGP, the standard cells at phCGP, and the fillers. A run resumed
+// past mLG fixes the macros again.
 func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []int, ph int, mid bool, movable int) error {
 	ld := cv.Design()
 	base := len(ld.Cells)
@@ -484,11 +496,9 @@ func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []i
 			return err
 		}
 	}
-	if err := rs.RestorePositions(ld); err != nil {
+	if err := rs.RestoreView(cv); err != nil {
 		return err
 	}
-	copy(cv.PosX[base:], rs.X[base:])
-	copy(cv.PosY[base:], rs.Y[base:])
 	if rs.Level == 0 && ph > phMLG {
 		legalize.FixMacros(ld, r.movMacros)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -35,36 +34,15 @@ func hostileStates(tb testing.TB) []*checkpoint.State {
 	tb.Helper()
 	b := &hostileBase
 	b.once.Do(func() {
-		dir, err := os.MkdirTemp("", "hostile-ckpt")
-		if err != nil {
-			b.err = err
-			return
-		}
-		defer os.RemoveAll(dir) // the states are read back before it goes
-		mgr, err := checkpoint.NewManager(dir)
-		if err != nil {
-			b.err = err
-			return
-		}
-		mgr.History, mgr.Keep = true, -1
+		var snaps snapshots
 		fo := hostileOpts()
 		fo.GP.CheckpointEvery = 25
-		fo.Checkpoint = mgr
+		fo.Checkpoint = &snaps
 		if _, b.err = Place(synth.Generate(hostileSpec), fo); b.err != nil {
 			return
 		}
-		files, err := mgr.HistoryFiles()
-		if err != nil {
-			b.err = err
-			return
-		}
 		seen := map[string]bool{}
-		for _, f := range files {
-			st, err := checkpoint.ReadFile(f)
-			if err != nil {
-				b.err = err
-				return
-			}
+		for _, st := range snaps {
 			if !seen[st.Phase] {
 				seen[st.Phase] = true
 				b.states = append(b.states, st)

@@ -19,15 +19,16 @@ type MLLevel struct {
 }
 
 // buildHierarchy coarsens the run's design for the V-cycle, scoring on
-// its compiled view cv, or returns nil when multilevel mode is off or the
-// design is too small for even one level to pay off (the flow then
+// its compiled view cv and compiling each level's view with room for
+// room(level design) fillers, or returns nil when multilevel mode is off
+// or the design is too small for even one level to pay off (the flow then
 // places flat, which is also what a resumed run of such a design
 // deterministically rebuilds).
-func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions) *cluster.Hierarchy {
+func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions, room func(*netlist.Design) int) *cluster.Hierarchy {
 	if opt.Levels <= 1 {
 		return nil
 	}
-	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap})
+	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap}, room)
 	if h.Depth() <= 1 {
 		return nil
 	}

@@ -62,24 +62,19 @@ func TestMultilevelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// runMLCheckpointed runs the multilevel flow with retained history
-// snapshots every `every` GP iterations.
-func runMLCheckpointed(t *testing.T, dir string, every int) (FlowResult, *checkpoint.Manager) {
+// runMLCheckpointed runs the multilevel flow with snapshots every
+// `every` GP iterations and returns the result and every snapshot.
+func runMLCheckpointed(t *testing.T, every int) (FlowResult, snapshots) {
 	t.Helper()
-	mgr, err := checkpoint.NewManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.History = true
-	mgr.Keep = -1
+	var snaps snapshots
 	fo := mlFlowOpts(2)
 	fo.GP.CheckpointEvery = every
-	fo.Checkpoint = mgr
+	fo.Checkpoint = &snaps
 	res, err := Place(synth.Generate(mlSpec()), fo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, mgr
+	return res, snaps
 }
 
 // TestMultilevelKillAndResume models a crash inside a coarse level's
@@ -88,19 +83,11 @@ func runMLCheckpointed(t *testing.T, dir string, every int) (FlowResult, *checkp
 // worker count, and every resumed run must reproduce the uninterrupted
 // run bit for bit, digests included.
 func TestMultilevelKillAndResume(t *testing.T) {
-	ref, mgr := runMLCheckpointed(t, t.TempDir(), 10)
+	ref, snaps := runMLCheckpointed(t, 10)
 
-	files, err := mgr.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
 	byPhase := map[string]*checkpoint.State{}
-	for _, f := range files {
-		st, err := checkpoint.ReadFile(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		byPhase[st.Phase] = st // last retained snapshot per phase wins
+	for _, st := range snaps {
+		byPhase[st.Phase] = st // last snapshot per phase wins
 	}
 
 	cases := []struct {
@@ -145,17 +132,9 @@ func TestMultilevelKillAndResume(t *testing.T) {
 // TestMultilevelResumeRejectsFlatMismatch: a coarse-level snapshot must
 // not resume into a flow configured without levels.
 func TestMultilevelResumeRejectsFlatMismatch(t *testing.T) {
-	_, mgr := runMLCheckpointed(t, t.TempDir(), 10)
-	files, err := mgr.HistoryFiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, snaps := runMLCheckpointed(t, 10)
 	var coarse *checkpoint.State
-	for _, f := range files {
-		st, err := checkpoint.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, st := range snaps {
 		if st.Level > 0 {
 			coarse = st
 		}

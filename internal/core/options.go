@@ -6,11 +6,7 @@
 // mIP -> mGP -> mLG -> cGP -> cDP of Fig. 1.
 package core
 
-import (
-	"time"
-
-	"eplace/internal/telemetry"
-)
+import "eplace/internal/telemetry"
 
 // Options configures a global placement run.
 type Options struct {
@@ -102,13 +98,10 @@ type Result struct {
 	StopOverflow float64
 	// Stop is the reason the iteration loop ended (a Stop* constant).
 	Stop string
-	// Backtracks is the total BkTrk count.
+	// Backtracks is the total BkTrk count. The stage's kernel times are
+	// telemetry spans (Options.Telemetry): "<stage>/density",
+	// "<stage>/wirelength" and the others placeGlobal records.
 	Backtracks int
-	// Timing breakdown (Fig. 7).
-	DensityTime    time.Duration
-	WirelengthTime time.Duration
-	OtherTime      time.Duration
-	Total          time.Duration
 	// FinalLambda is the penalty factor at termination (used to seed cGP).
 	FinalLambda float64
 }

@@ -61,6 +61,12 @@ func canceledAt(phase string) error {
 	return fmt.Errorf("%w (phase %s)", ErrCanceled, phase)
 }
 
+// Saver persists a flow's snapshots (FlowOptions.Checkpoint,
+// ECOOptions.Checkpoint); *checkpoint.Manager writes them to a directory.
+type Saver interface {
+	Save(*checkpoint.State) error
+}
+
 // flowRun is the run context every placement flow drives its stages
 // through: it owns what a stage boundary needs — the context, the input
 // design and its identity, the telemetry recorder, the golden trace,
@@ -78,18 +84,18 @@ type flowRun struct {
 	d  *netlist.Design
 	fp uint64
 	// cv is the one compiled view of d, lent to every stage that runs on
-	// the input design (mIP, the GP stages, cDP). The Cell structs are the
-	// truth between stages: each stage syncs the view on entry and writes
-	// its result back to the structs before it returns. The fillers of
-	// the GP stages live in the view alone, from the level's mGP (or eGP)
-	// until the flow drops them.
+	// the input design (mIP, the GP stages, cDP). It holds the run's
+	// positions from newRun until the flow returns and writes them to the
+	// Cell structs; the steps that work on the structs run through
+	// structStep. The fillers of the GP stages live in the view alone,
+	// from the level's mGP (or eGP) until the flow drops them.
 	cv *netlist.Compiled
 	// opt is the caller's global-placement configuration, the base every
 	// GP stage derives from.
 	opt    *Options
 	rec    *telemetry.Recorder
 	golden *telemetry.GoldenTrace
-	ckpt   *checkpoint.Manager
+	ckpt   Saver
 	// ckptErr carries a failed mid-stage snapshot write out of the GP
 	// iteration loop.
 	ckptErr error
@@ -107,7 +113,7 @@ type flowRun struct {
 	// idx is the buffer the flow lists a stage's moved cells in
 	// (stageIdx).
 	idx []int
-	// gpHook is FlowOptions.gpHook.
+	// gpHook is FlowOptions.gpHook or ECOOptions.gpHook.
 	gpHook func(s gpStage, done bool)
 
 	// mgp is the finest-level mGP result: its iteration count and final
@@ -116,12 +122,14 @@ type flowRun struct {
 	sum *flowSummary
 }
 
-// newRun opens a run over d. The golden digest harness is always on:
-// the engine absorbs one hash update per iteration (negligible next to
-// a gradient evaluation) and every run gains a determinism fingerprint.
-func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoint.Manager, sum *flowSummary) *flowRun {
+// newRun opens a run over d, whose view has room for fillers entries
+// after the design's cells (netlist.Design.CompileFor). The golden digest
+// harness is always on: the engine absorbs one hash update per iteration
+// (negligible next to a gradient evaluation) and every run gains a
+// determinism fingerprint.
+func newRun(ctx context.Context, d *netlist.Design, fillers int, gp *Options, ckpt Saver, sum *flowSummary) *flowRun {
 	r := &flowRun{
-		ctx: ctx, d: d, cv: d.Compile(),
+		ctx: ctx, d: d, cv: d.CompileFor(fillers),
 		opt: gp, rec: gp.Telemetry, golden: telemetry.NewGoldenTrace(), ckpt: ckpt,
 		movable:   d.Movable(),
 		stdCells:  d.MovableOf(netlist.StdCell),
@@ -129,7 +137,11 @@ func newRun(ctx context.Context, d *netlist.Design, gp *Options, ckpt *checkpoin
 		mgp:       &Result{}, sum: sum,
 	}
 	r.mixedSize = len(r.movMacros) > 0
-	if ckpt != nil {
+	// A nil *Manager in the interface is not a nil interface.
+	if m, ok := ckpt.(*checkpoint.Manager); ok && m == nil {
+		r.ckpt = nil
+	}
+	if r.ckpt != nil {
 		r.fp = checkpoint.Fingerprint(d)
 	}
 	return r
@@ -143,8 +155,8 @@ func (r *flowRun) addStage(name string, d time.Duration) {
 }
 
 // snapshot assembles one full snapshot under the input design's
-// identity: the positions of level's design, from its Cell structs, then
-// those of the fillers its view cv holds.
+// identity: the positions level's view cv holds, the design's cells then
+// the fillers.
 func (r *flowRun) snapshot(phase string, level int, cv *netlist.Compiled) *checkpoint.State {
 	st := &checkpoint.State{
 		Phase:          phase,
@@ -156,10 +168,7 @@ func (r *flowRun) snapshot(phase string, level int, cv *netlist.Compiled) *check
 		Level:          level,
 		Golden:         r.golden.State(),
 	}
-	n := len(cv.Design().Cells)
-	st.CapturePositions(cv.Design(), len(cv.PosX)-n)
-	copy(st.X[n:], cv.PosX[n:])
-	copy(st.Y[n:], cv.PosY[n:])
+	st.CaptureView(cv)
 	return st
 }
 
@@ -189,12 +198,11 @@ func (r *flowRun) boundary(phase string, level int, cv *netlist.Compiled) error 
 // mip runs the quadratic initial placement (stage "mIP") over mv, every
 // movable of level's design, through its view cv.
 func (r *flowRun) mip(cv *netlist.Compiled, level int, mv []int) (qp.Result, error) {
-	ld := cv.Design()
 	r.rec.SetStage("mIP")
 	t0 := time.Now()
 	res := qp.PlaceCompiled(cv, mv)
-	hpwl := ld.HPWL()
-	r.golden.Absorb("mIP", 0, ld.Positions(mv), hpwl, 0)
+	hpwl := cv.HPWL()
+	r.golden.Absorb("mIP", 0, cv.Positions(mv), hpwl, 0)
 	r.rec.AddSpanTime("mIP", "assemble", res.Assemble)
 	r.rec.AddSpanTime("mIP", "solve", res.Solve)
 	r.rec.Count("mIP/rounds", int64(res.Rounds))
@@ -342,7 +350,8 @@ func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit) (disp, maxDisp flo
 	}
 	tLG := time.Now()
 	if len(legal) > 0 {
-		if disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers); err != nil {
+		r.structStep(func() { disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers) })
+		if err != nil {
 			return 0, 0, fmt.Errorf("core: legalization failed: %w", err)
 		}
 	}
@@ -358,18 +367,30 @@ func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit) (disp, maxDisp flo
 	return disp, maxDisp, nil
 }
 
+// structStep runs step, which works on the input design's Cell structs
+// (mLG, row legalization): it writes the view's positions to the structs
+// first and syncs the view from what step left after. Besides Compile's,
+// this is the only Sync of a run.
+func (r *flowRun) structStep(step func()) {
+	r.cv.Store()
+	step()
+	r.cv.Sync()
+}
+
 // summarize fills the result's HPWL, legality and digests from the
-// design as it stands. final also rolls the finished layout over every
-// movable into the headline "final" digest.
+// layout as it stands, which it first writes to the Cell structs that
+// the legality checks read. final also rolls the finished layout over
+// every movable into the headline "final" digest.
 func (r *flowRun) summarize(final bool) {
+	r.cv.Store()
 	s := r.sum
-	s.HPWL = r.d.HPWL()
+	s.HPWL = r.cv.HPWL()
 	s.Legal = len(r.stdCells) == 0 || legalize.CheckLegal(r.d, r.stdCells) == nil
 	if r.mixedSize && s.Legal {
 		s.Legal = legalize.CheckMacrosLegal(r.d, r.movMacros) == nil
 	}
 	if final {
-		r.golden.Absorb("final", 0, r.d.Positions(r.movable), s.HPWL, 0)
+		r.golden.Absorb("final", 0, r.cv.Positions(r.movable), s.HPWL, 0)
 	}
 	s.Digests = r.golden.Digests()
 }

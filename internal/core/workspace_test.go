@@ -265,23 +265,68 @@ func TestGPReserveAllocs(t *testing.T) {
 	}
 }
 
+// TestFillerRoomAllocs: every view of a cold placement is compiled with
+// room for its level's fillers (netlist.Design.CompileFor), so the
+// fillers join without a copy: AddFillers allocates 0 B in a flat 5K and
+// a 4-level 20K placement. Each run stops at the start of its finest
+// mGP, after the last fillers joined; the coarse stages run one
+// iteration each.
+func TestFillerRoomAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   synth.Spec
+		levels int
+	}{
+		{"flat", synth.Spec{Name: "room-flat", NumCells: 5000, NumFixedMacros: 12}, 0},
+		{"vcycle", synth.Spec{Name: "room-vcycle", NumCells: 20000}, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			stages := 0
+			opt := FlowOptions{GP: Options{Workers: 1, MaxIters: 1}, Levels: c.levels, gpHook: func(s gpStage, done bool) {
+				if !done {
+					stages++
+					if s.level == 0 {
+						cancel()
+					}
+				}
+			}}
+			tally, stop := profileAllocs("eplace/internal/netlist.(*Compiled).AddFillers")
+			defer stop()
+			if _, err := PlaceContext(ctx, synth.Generate(c.spec), opt); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("the run did not stop at its finest mGP: %v", err)
+			}
+			if b, n := tally(); b != 0 {
+				t.Errorf("AddFillers allocates %d bytes in %d objects over %d GP stages, want 0", b, n, stages)
+			}
+			if want := max(c.levels, 1); stages != want {
+				t.Errorf("%d GP stages started, want %d (one per level)", stages, want)
+			}
+		})
+	}
+}
+
 // TestFillersJoinViewOnce holds the flow's fillers to the view: on the
-// input design and on a coarse level, inserting a level's planned
-// fillers leaves the design's cells as they were, grows each view array
-// once, to exactly the cells plus the fillers, and the first Sync after
-// them allocates nothing. testing.AllocsPerRun would time a second Sync
-// (its warm-up call is the first), so the count is taken around the one
-// call, of the allocations under Sync.
+// input design and on a coarse level, each view is compiled with room
+// for its level's planned fillers, so inserting them leaves the design's
+// cells as they were, keeps each view array where it was, at exactly the
+// cells plus the fillers, and the first Sync after them allocates
+// nothing. testing.AllocsPerRun would time a second Sync (its warm-up
+// call is the first), so the count is taken around the one call, of the
+// allocations under Sync.
 func TestFillersJoinViewOnce(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "ws-sync", NumCells: 4000, NumFixedMacros: 4})
-	cv := d.Compile()
-	hier := buildHierarchy(cv, &FlowOptions{Levels: 2})
+	room := func(ld *netlist.Design) int { return insertPlan(ld).count }
+	cv := d.CompileFor(room(d))
+	hier := buildHierarchy(cv, &FlowOptions{Levels: 2}, room)
 	if hier == nil {
 		t.Fatal("no coarse level")
 	}
 	for k, view := range []*netlist.Compiled{cv, hier.Levels[0].View} {
 		ld := view.Design()
 		n, c := len(ld.Cells), cap(ld.Cells)
+		x0 := &view.PosX[0]
 		fillers := placeFillers(view, ld.Region, insertPlan(ld), fillerSeed)
 		if len(fillers) == 0 {
 			t.Fatalf("level %d: no fillers", k)
@@ -292,6 +337,9 @@ func TestFillersJoinViewOnce(t *testing.T) {
 		if want := n + len(fillers); len(view.PosX) != want || cap(view.PosX) != want || cap(view.Filler) != want {
 			t.Errorf("level %d: view holds %d entries in %d, want exactly %d cells + %d fillers",
 				k, len(view.PosX), cap(view.PosX), n, len(fillers))
+		}
+		if &view.PosX[0] != x0 {
+			t.Errorf("level %d: the fillers moved the view's positions to a new array", k)
 		}
 		if n := syncObjects(view); n != 0 {
 			t.Errorf("level %d: the first Sync after the fillers allocates %d times, want 0", k, n)

@@ -76,8 +76,9 @@ type Model struct {
 // rasterized once, in cell order, clipped to region, as the fixed charge
 // layer; call Refresh whenever movable positions change. The caller
 // keeps the view's positions current (the engine writes them once per
-// iteration via Compiled.SetPositions); Refresh performs no struct-to-SoA
-// sync. It errors on an invalid grid size. It is Reset on a zero value.
+// iteration via Compiled.SetPositions); the model reads the view alone,
+// the fixed layer included. It errors on an invalid grid size. It is
+// Reset on a zero value.
 func NewModel(cv *netlist.Compiled, region geom.Rect, held []int, m, workers int) (*Model, error) {
 	md := &Model{}
 	if err := md.Reset(cv, region, cv.FixedOrHeldInto(nil, held), m, workers); err != nil {
@@ -103,10 +104,9 @@ func (md *Model) Reset(cv *netlist.Compiled, region geom.Rect, still []bool, m, 
 	md.binAreaInv = 1 / g.BinArea()
 	md.energy, md.energyStale = 0, false
 	md.workers = parallel.Count(workers)
-	d := cv.Design()
 	for ci, s := range still {
 		if s {
-			g.AddFixed(d.Cells[ci].Rect())
+			g.AddFixed(cv.Rect(ci))
 		}
 	}
 	if md.gradTask == nil {

@@ -105,12 +105,11 @@ type placer struct {
 	regions   []segRange
 	workers   int
 	evals     []*evalCtx
-	// cv is the design's compiled view, synced on entry: the passes read
-	// positions (PosX/PosY), widths (CellW), the net -> pin CSR and the
-	// cell -> net index from it and never load a Cell or Pin struct. A
-	// managed cell's position is written only by the worker that owns its
-	// region (or by the serial ISM commit); writeBack copies the managed
-	// entries to the Cell structs after each pass.
+	// cv is the design's compiled view, which holds the positions: the
+	// passes read positions (PosX/PosY), widths (CellW), the net -> pin
+	// CSR and the cell -> net index from it and never load a Cell or Pin
+	// struct. A managed cell's position is written only by the worker
+	// that owns its region (or by the serial ISM commit).
 	cv *netlist.Compiled
 	// snapX/snapY freeze managed-cell positions at the start of each
 	// region-parallel pass; other regions are read through them.
@@ -133,22 +132,25 @@ type placer struct {
 }
 
 // Place refines the legalized standard cells in cells. The layout must
-// be legal on entry (legalize.CheckLegal passes); it stays legal.
+// be legal on entry (legalize.CheckLegal passes); it stays legal, and the
+// design's cells hold it when Place returns.
 func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
-	return PlaceCompiled(d.Compile(), cells, nil, opt)
+	cv := d.Compile()
+	res, err := PlaceCompiled(cv, cells, nil, opt)
+	cv.Store()
+	return res, err
 }
 
 // PlaceCompiled is Place over a caller-owned view of the design, which
-// it syncs from the Cell structs on entry; the structs hold the refined
-// layout when it returns. edit, when non-nil, says what changed in a
-// layout cDP refined before: the first pass prices only the trials it
-// reaches, and only its moved cells take swap turns (see Edit). nil
-// prices every trial of the first pass.
+// holds the positions and receives the refined layout; the cells outside
+// cells, which the passes route around, are read from the Cell structs
+// (legalize.FreeSegments), so those must agree with the view. edit, when
+// non-nil, says what changed in a layout cDP refined before: the first
+// pass prices only the trials it reaches, and only its moved cells take
+// swap turns (see Edit). nil prices every trial of the first pass.
 func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (Result, error) {
 	opt.defaults()
 	p, err := newPlacer(cv, cells, edit, opt)
-	// The view is synced by now: its HPWL is d.HPWL() bit for bit without
-	// the walk through the Net, Pin and Cell structs.
 	res := Result{HPWLBefore: cv.HPWL()}
 	if err != nil {
 		return res, err
@@ -172,10 +174,9 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (
 		t = time.Now()
 		improved += p.relocatePass(&res)
 		rec.AddSpanTime("cDP", "relocate", time.Since(t))
-		p.writeBack()
 		res.HPWLAfter = cv.HPWL()
 		if opt.Golden != nil {
-			p.d.PositionsInto(cells, p.posBuf)
+			cv.PositionsInto(cells, p.posBuf)
 			opt.Golden.Absorb("cDP", pass, p.posBuf, res.HPWLAfter, 0)
 		}
 		if rec.Active() {
@@ -198,11 +199,9 @@ func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (
 	return res, nil
 }
 
-// newPlacer syncs the view and builds the segment occupancy, regions,
-// ISM windows and the dirty state of the start (see initDirty) for one
-// Place call.
+// newPlacer builds the segment occupancy, regions, ISM windows and the
+// dirty state of the start (see initDirty) for one Place call.
 func newPlacer(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (*placer, error) {
-	cv.Sync()
 	p := &placer{d: cv.Design(), cv: cv, opt: opt, workers: parallel.Count(opt.Workers)}
 	if err := p.buildSegments(cells); err != nil {
 		return nil, err
@@ -251,23 +250,24 @@ func (p *placer) buildSegments(cells []int) error {
 		p.regionOf[i] = -1
 	}
 	count := make([]int32, len(p.segs))
+	cv := p.cv
 	for _, ci := range cells {
-		c := &d.Cells[ci]
-		ri, ok := byY[round6(c.Y-c.H/2)]
+		x, y, w, h := cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci]
+		ri, ok := byY[round6(y-h/2)]
 		if !ok {
-			return fmt.Errorf("detail: cell %d not row-aligned (y=%v)", ci, c.Y-c.H/2)
+			return fmt.Errorf("detail: cell %d not row-aligned (y=%v)", ci, y-h/2)
 		}
 		// Find the segment containing the cell.
 		found := -1
 		for si := segStart[ri]; si < segStart[ri+1]; si++ {
 			s := &p.segs[si]
-			if c.X-c.W/2 >= s.lx-1e-6 && c.X+c.W/2 <= s.hx+1e-6 {
+			if x-w/2 >= s.lx-1e-6 && x+w/2 <= s.hx+1e-6 {
 				found = si
 				break
 			}
 		}
 		if found < 0 {
-			return fmt.Errorf("detail: cell %d (%s) not inside a free segment", ci, c.Name)
+			return fmt.Errorf("detail: cell %d (%s) not inside a free segment", ci, d.Cells[ci].Name)
 		}
 		p.segOf[ci] = int32(found)
 		count[found]++
@@ -368,20 +368,6 @@ func (p *placer) snapshot() {
 		for si := lo; si < hi; si++ {
 			for _, ci := range p.segs[si].cells {
 				p.snapX[ci], p.snapY[ci] = p.cv.PosX[ci], p.cv.PosY[ci]
-			}
-		}
-	})
-}
-
-// writeBack copies the managed cells' positions to their Cell structs,
-// which hold the pass-start layout until then. Parallel over segments
-// (disjoint writes per cell).
-func (p *placer) writeBack() {
-	parallel.For(p.workers, len(p.segs), func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
-			for _, ci := range p.segs[si].cells {
-				c := &p.d.Cells[ci]
-				c.X, c.Y = p.cv.PosX[ci], p.cv.PosY[ci]
 			}
 		}
 	})

@@ -164,7 +164,7 @@ func TestISMImprovesOverDisabled(t *testing.T) {
 	}
 	without := p.cv.HPWL()
 	p.ismPass(&res)
-	p.writeBack()
+	p.cv.Store() // CheckLegal reads the Cell structs
 	if res.ISMRounds == 0 {
 		t.Fatal("ISM never fired")
 	}

@@ -242,17 +242,13 @@ func TestSetupOverLentViewAllocs(t *testing.T) {
 // iteration.
 func benchPlace(b *testing.B, d *netlist.Design, cells []int, edit *Edit, opt Options) {
 	cv := d.Compile()
-	saveX := make([]float64, len(d.Cells))
-	saveY := make([]float64, len(d.Cells))
-	for i := range d.Cells {
-		saveX[i], saveY[i] = d.Cells[i].X, d.Cells[i].Y
-	}
+	saveX := append([]float64(nil), cv.PosX...)
+	saveY := append([]float64(nil), cv.PosY...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for i := range d.Cells {
-			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
-		}
+		copy(cv.PosX, saveX)
+		copy(cv.PosY, saveY)
 		if _, err := PlaceCompiled(cv, cells, edit, opt); err != nil {
 			b.Fatal(err)
 		}

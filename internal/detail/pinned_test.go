@@ -65,10 +65,13 @@ func TestDetailPlacePinned(t *testing.T) {
 	for _, tc := range cases {
 		for _, w := range []int{1, 7} {
 			d, cells, edit := tc.build()
-			res, err := PlaceCompiled(d.Compile(), cells, edit, Options{Workers: w})
+			cv := d.Compile()
+			res, err := PlaceCompiled(cv, cells, edit, Options{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", tc.name, w, err)
 			}
+			cv.Store() // the refined layout is the view's
+
 			res.HPWLBefore, res.HPWLAfter = 0, 0 // the digest covers what they measure
 			if res != tc.want {
 				t.Errorf("%s workers %d: counters %+v, pinned %+v", tc.name, w, res, tc.want)

@@ -152,10 +152,12 @@ func placeEdited(t *testing.T, build func() (*netlist.Design, []int, *Edit), opt
 	d, cells, edit := build()
 	rec, golden := telemetry.New(), telemetry.NewGoldenTrace()
 	opt.Telemetry, opt.Golden = rec, golden
-	res, err := PlaceCompiled(d.Compile(), cells, edit, opt)
+	cv := d.Compile()
+	res, err := PlaceCompiled(cv, cells, edit, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cv.Store() // the refined layout is the view's; CheckLegal reads the structs
 	if err := legalize.CheckLegal(d, cells); err != nil {
 		t.Fatalf("illegal after cDP: %v", err)
 	}

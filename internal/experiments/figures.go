@@ -138,7 +138,14 @@ func Fig7(scale float64, opt RunOptions, circuits int, out io.Writer) {
 	total := 0.0
 	for _, spec := range suite {
 		d := synth.Generate(spec)
+		// The mGP breakdown is the recorder's spans, taken as deltas so that
+		// a caller's recorder shared across circuits adds up the same.
 		gp := opt.gp()
+		if gp.Telemetry == nil {
+			gp.Telemetry = telemetry.New()
+		}
+		rec := gp.Telemetry
+		den0, wl0, mgp0 := rec.SpanTime("mGP", "density"), rec.SpanTime("mGP", "wirelength"), rec.SpanTime("mGP", "")
 		res, err := core.Place(d, core.FlowOptions{GP: gp})
 		if err != nil {
 			fmt.Fprintf(out, "# %s failed: %v\n", spec.Name, err)
@@ -151,10 +158,13 @@ func Fig7(scale float64, opt RunOptions, circuits int, out io.Writer) {
 			stageTotals[stage.Name] += stage.Time.Seconds()
 			total += stage.Time.Seconds()
 		}
-		density += res.MGP.DensityTime.Seconds()
-		wl += res.MGP.WirelengthTime.Seconds()
-		other += res.MGP.OtherTime.Seconds()
-		mgpTotal += res.MGP.Total.Seconds()
+		den := (rec.SpanTime("mGP", "density") - den0).Seconds()
+		w := (rec.SpanTime("mGP", "wirelength") - wl0).Seconds()
+		mgp := (rec.SpanTime("mGP", "") - mgp0).Seconds()
+		density += den
+		wl += w
+		other += mgp - den - w
+		mgpTotal += mgp
 	}
 	fmt.Fprintf(out, "# Figure 7: runtime breakdown, average of MMS-like suite (%d circuits)\n", len(suite))
 	fmt.Fprintf(out, "stage,share%%\n")

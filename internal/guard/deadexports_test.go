@@ -21,15 +21,14 @@ import (
 // no non-test code outside their file references, each with the reason it
 // stays exported. Keys are as deadExports reports them.
 var allowedExports = map[string]string{
-	"checkpoint.Manager.HistoryFiles": "the core tests list a run's snapshots with it",
-	"geom.Rect.String":                "fmt.Stringer: error messages print rectangles with %v",
-	"grid.Grid.AddFiller":             "AddCellsSoA's filler oracle in the grid and density tests",
-	"netlist.Kind.String":             "fmt.Stringer: the experiments' layout CSV writes cell kinds with %s",
-	"netlist.Stats.String":            "fmt.Stringer: the CLIs print a design's stats with %s",
-	"parallel.WorkerPanic.Unwrap":     "errors.Unwrap, for errors.Is/As through a worker panic",
-	"telemetry.DigestsEqual":          "the oracle the core, detail and server tests compare digests with",
-	"telemetry.ReadJSONL":             "the trace decoder the telemetry and server tests replay traces with",
-	"telemetry.WriteSamplesCSV":       "writes a core.Trace's samples as CSV in the core test",
+	"geom.Rect.String":            "fmt.Stringer: error messages print rectangles with %v",
+	"grid.Grid.AddFiller":         "AddCellsSoA's filler oracle in the grid and density tests",
+	"netlist.Kind.String":         "fmt.Stringer: the experiments' layout CSV writes cell kinds with %s",
+	"netlist.Stats.String":        "fmt.Stringer: the CLIs print a design's stats with %s",
+	"parallel.WorkerPanic.Unwrap": "errors.Unwrap, for errors.Is/As through a worker panic",
+	"telemetry.DigestsEqual":      "the oracle the core, detail and server tests compare digests with",
+	"telemetry.ReadJSONL":         "the trace decoder the telemetry and server tests replay traces with",
+	"telemetry.WriteSamplesCSV":   "writes a core.Trace's samples as CSV in the core test",
 }
 
 // TestNoDeadExports: every exported function and method under internal/
@@ -144,8 +143,7 @@ type export struct {
 }
 
 // deadExports type-checks every non-test Go file of the module rooted at
-// root (nested modules such as benchmark/ included: their code calls the
-// root's) and returns, sorted, the exported functions and methods under
+// root (loadModule) and returns, sorted, the exported functions and methods under
 // internal/ that no non-test file other than their own references. A
 // reference is a use the type checker resolves to the declaration
 // itself, so a method is told apart from every other method of its name
@@ -157,85 +155,11 @@ type export struct {
 // tree instantiates that parameter, directly or through other type
 // parameters, with the method's type (types.Info.Instances).
 func deadExports(root string) ([]string, error) {
-	module, err := modulePath(root)
+	m, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // import path -> files
-	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := e.Name()
-		if e.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		ip := module
-		if rel != "." {
-			ip += "/" + filepath.ToSlash(rel)
-		}
-		files[ip] = append(files[ip], f)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// The module's packages are checked on first import, the standard
-	// library's from source, so every package sees one object per
-	// declaration.
-	info := &types.Info{
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	std := importer.ForCompiler(fset, "source", nil)
-	checked := map[string]*types.Package{}
-	var imp importerFunc
-	imp = func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		if files[path] == nil {
-			return std.Import(path)
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(path, fset, files[path], info)
-		if err != nil {
-			return nil, err
-		}
-		checked[path] = pkg
-		return pkg, nil
-	}
-	paths := make([]string, 0, len(files))
-	for ip := range files {
-		paths = append(paths, ip)
-	}
-	sort.Strings(paths)
-	for _, ip := range paths {
-		if _, err := imp(ip); err != nil {
-			return nil, err
-		}
-	}
+	module, fset, files, info, paths := m.path, m.fset, m.files, m.info, m.paths
 
 	internal := module + "/internal/"
 	var exports []export
@@ -334,6 +258,110 @@ func deadExports(root string) ([]string, error) {
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// typedModule is a module's non-test code, type-checked as one program.
+type typedModule struct {
+	path  string // the module path
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> files
+	paths []string               // the module's import paths, sorted
+	info  *types.Info
+}
+
+// loaded memoizes loadModule by root: the guards type-check the tree
+// once between them.
+var loaded = map[string]*typedModule{}
+
+// loadModule parses every non-test Go file of the module rooted at root
+// (nested modules such as benchmark/ included: their code calls the
+// root's) and type-checks them, the module's packages on first import
+// and the standard library's from source, so every package sees one
+// object per declaration.
+func loadModule(root string) (*typedModule, error) {
+	if m := loaded[root]; m != nil {
+		return m, nil
+	}
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := e.Name()
+		if e.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		ip := module
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		files[ip] = append(files[ip], f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(files))
+	for ip := range files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := imp(ip); err != nil {
+			return nil, err
+		}
+	}
+	m := &typedModule{path: module, fset: fset, files: files, paths: paths, info: info}
+	loaded[root] = m
+	return m, nil
 }
 
 // paramArgs maps each type parameter of the tree to the type arguments

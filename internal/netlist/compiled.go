@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"eplace/internal/geom"
 	"eplace/internal/reuse"
 )
 
@@ -16,13 +17,16 @@ import (
 // walks the flat int32/float64 arrays instead of pointer-chasing
 // Net -> Pin -> Cell through the Go structs.
 //
-// Ownership: the Cell structs are the truth between stages for the
-// design's cells. A stage calls Sync on entry, writes positions into the
-// view once per iteration or pass, and writes them back to the structs
-// when it ends (WriteBack). The view alone owns the fillers, the
+// Ownership: from Compile on, the view holds the positions of a run. A
+// flow compiles the caller's design once, every stage reads and writes
+// PosX/PosY, and the flow writes the positions back to the Cell structs
+// (Store) when it returns. Only the steps that edit structure as well as
+// positions work on the structs (mLG turns macros, row legalization is
+// struct-based): the flow stores the view before such a step and Syncs
+// it from the structs after. The view alone owns the fillers, the
 // whitespace charge of the global placements (Sec. III): AddFillers
-// appends them after the design's cells and DropFillers removes them, so
-// a Design never holds one.
+// appends them after the design's cells, into room CompileFor reserved,
+// and DropFillers removes them, so a Design never holds one.
 //
 // Layout:
 //
@@ -66,27 +70,32 @@ type Compiled struct {
 	Filler       []bool
 }
 
-// Compile builds the flat view of d as it stands, without fillers. The
-// cells, and which pin sits on which cell and net, must not change for
-// the lifetime of the view; everything else a stage boundary can change
-// is brought up to date by Sync.
-func (d *Design) Compile() *Compiled {
+// Compile builds the flat view of d as it stands, without fillers and
+// without room for them. The cells, and which pin sits on which cell and
+// net, must not change for the lifetime of the view; everything else a
+// structural step can change is brought up to date by Sync.
+func (d *Design) Compile() *Compiled { return d.CompileFor(0) }
+
+// CompileFor is Compile with room for fillers entries after the design's
+// cells, so that AddFillers of up to that many allocates nothing.
+func (d *Design) CompileFor(fillers int) *Compiled {
 	if len(d.Pins) > math.MaxInt32 || len(d.Cells) > math.MaxInt32 {
 		panic(fmt.Sprintf("netlist: design too large to compile (%d pins, %d cells)",
 			len(d.Pins), len(d.Cells)))
 	}
+	n := len(d.Cells)
 	cv := &Compiled{
 		d:          d,
 		NetOff:     make([]int32, 1, len(d.Nets)+1),
 		NetW:       make([]float64, len(d.Nets)),
 		PinCell:    make([]int32, 0, len(d.Pins)),
-		CellNetOff: make([]int32, 1, len(d.Cells)+1),
+		CellNetOff: make([]int32, 1, n+fillers+1),
 		CellNet:    make([]int32, 0, len(d.Pins)),
-		PosX:       make([]float64, len(d.Cells)),
-		PosY:       make([]float64, len(d.Cells)),
-		CellW:      make([]float64, len(d.Cells)),
-		CellH:      make([]float64, len(d.Cells)),
-		Filler:     make([]bool, len(d.Cells)),
+		PosX:       make([]float64, n, n+fillers),
+		PosY:       make([]float64, n, n+fillers),
+		CellW:      make([]float64, n, n+fillers),
+		CellH:      make([]float64, n, n+fillers),
+		Filler:     make([]bool, n, n+fillers),
 	}
 	for ni := range d.Nets {
 		for _, pi := range d.Nets[ni].Pins {
@@ -112,11 +121,11 @@ func (cv *Compiled) Design() *Design { return cv.d }
 // NumPinSlots returns the total number of CSR pin slots.
 func (cv *Compiled) NumPinSlots() int { return len(cv.PinCell) }
 
-// Sync refreshes everything a stage boundary can change from the structs:
-// positions and extents of the design's cells, net weights, and pin
-// offsets, which mLG rewrites together with W/H when it turns a macro.
-// The fillers are the view's own and keep their entries. One
-// O(cells + pins) pass that allocates nothing.
+// Sync refreshes the view from the structs after a step that worked on
+// them (see Ownership): positions and extents of the design's cells, net
+// weights, and pin offsets, which mLG rewrites together with W/H when it
+// turns a macro. The fillers are the view's own and keep their entries.
+// One O(cells + pins) pass that allocates nothing.
 func (cv *Compiled) Sync() {
 	d := cv.d
 	for i := range d.Cells {
@@ -136,8 +145,8 @@ func (cv *Compiled) Sync() {
 
 // AddFillers appends count fillers of w x h, centered at the origin,
 // after the design's cells and the fillers already in the view, and
-// returns the index of the first. An array without room for them grows
-// once, to exactly the entries it then holds.
+// returns the index of the first. An array without room for them (see
+// CompileFor) grows once, to exactly the entries it then holds.
 func (cv *Compiled) AddFillers(count int, w, h float64) int {
 	first := len(cv.PosX)
 	cv.PosX, cv.PosY = extend(cv.PosX, count), extend(cv.PosY, count)
@@ -189,6 +198,14 @@ func (cv *Compiled) FixedOrHeldInto(still []bool, held []int) []bool {
 	return still
 }
 
+// Positions returns the view's centers of the entries idx as a flat
+// {x1..xn, y1..yn} vector, as Design.Positions does for synced cells.
+func (cv *Compiled) Positions(idx []int) []float64 {
+	v := make([]float64, 2*len(idx))
+	cv.PositionsInto(idx, v)
+	return v
+}
+
 // PositionsInto copies the view's centers of the entries idx into the
 // flat {x1..xn, y1..yn} vector v, 2*len(idx) long.
 func (cv *Compiled) PositionsInto(idx []int, v []float64) {
@@ -198,23 +215,26 @@ func (cv *Compiled) PositionsInto(idx []int, v []float64) {
 	}
 }
 
-// WriteBack is a stage's end: SetPositions, and the same positions
-// written to the Cell structs of the design's cells among idx (the
-// fillers live in the view alone).
-func (cv *Compiled) WriteBack(idx []int, v []float64) {
-	cv.SetPositions(idx, v)
-	d, n := cv.d, len(idx)
-	for k, ci := range idx {
-		if ci < len(d.Cells) {
-			d.Cells[ci].X, d.Cells[ci].Y = v[k], v[k+n]
-		}
+// Store writes the view's positions of the design's cells to their Cell
+// structs: the inverse of Sync's position half (the fillers live in the
+// view alone).
+func (cv *Compiled) Store() {
+	for i := range cv.d.Cells {
+		c := &cv.d.Cells[i]
+		c.X, c.Y = cv.PosX[i], cv.PosY[i]
 	}
+}
+
+// Rect returns entry ci's bounding box at the view's position, as
+// Cell.Rect does for a synced cell.
+func (cv *Compiled) Rect(ci int) geom.Rect {
+	return geom.NewRectCenter(cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci])
 }
 
 // SetPositions writes a flat {x_1..x_n, y_1..y_n} solution vector into
 // the view's position arrays for the cells in idx — the engine's
-// once-per-iteration scatter. Cell structs are left untouched; use
-// WriteBack for the final write-back.
+// once-per-iteration scatter. Cell structs are left untouched (see
+// Store).
 func (cv *Compiled) SetPositions(idx []int, v []float64) {
 	n := len(idx)
 	for k, ci := range idx {

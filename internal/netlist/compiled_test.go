@@ -242,20 +242,21 @@ func TestSyncGeometryGrowth(t *testing.T) {
 	}
 }
 
-// TestPositionsInto checks the allocation-free variant matches
-// Positions and round-trips through SetPositions.
+// TestPositionsInto checks the view's allocation-free gather matches
+// the design's Positions on a fresh view and refuses a short buffer.
 func TestPositionsInto(t *testing.T) {
 	d := randomDesign(17)
 	idx := d.Movable()
+	cv := d.Compile()
 	want := d.Positions(idx)
 	got := make([]float64, 2*len(idx))
-	d.PositionsInto(idx, got)
+	cv.PositionsInto(idx, got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("PositionsInto[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if n := testing.AllocsPerRun(50, func() { d.PositionsInto(idx, got) }); n != 0 {
+	if n := testing.AllocsPerRun(50, func() { cv.PositionsInto(idx, got) }); n != 0 {
 		t.Errorf("PositionsInto allocates %v times per call", n)
 	}
 	defer func() {
@@ -263,7 +264,7 @@ func TestPositionsInto(t *testing.T) {
 			t.Error("PositionsInto accepted a short buffer")
 		}
 	}()
-	d.PositionsInto(idx, got[:1])
+	cv.PositionsInto(idx, got[:1])
 }
 
 // benchDesign builds a larger design for the HPWL microbenchmarks.

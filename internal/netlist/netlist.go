@@ -315,25 +315,15 @@ func (d *Design) utilization() float64 {
 
 // Positions copies the centers of the given cells into a flat
 // {x1..xn, y1..yn} vector, the optimizer's solution layout v. It
-// allocates the vector; hot paths that already own a buffer should use
-// PositionsInto.
+// allocates the vector; a compiled view's PositionsInto fills one the
+// caller owns.
 func (d *Design) Positions(idx []int) []float64 {
 	v := make([]float64, 2*len(idx))
-	d.PositionsInto(idx, v)
-	return v
-}
-
-// PositionsInto writes the centers of the given cells into v, which
-// must have length 2*len(idx), in the {x1..xn, y1..yn} layout — the
-// allocation-free variant of Positions.
-func (d *Design) PositionsInto(idx []int, v []float64) {
-	if len(v) != 2*len(idx) {
-		panic("netlist: position buffer size mismatch")
-	}
 	for k, ci := range idx {
 		v[k] = d.Cells[ci].X
 		v[k+len(idx)] = d.Cells[ci].Y
 	}
+	return v
 }
 
 // SetPositions writes a flat {x, y} vector back to the given cells.

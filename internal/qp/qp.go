@@ -59,8 +59,8 @@ type Result struct {
 	// Stop is the reason the round loop ended (a Stop* constant).
 	Stop string
 	// Solve is the wall time spent in conjugate gradient; Assemble is the
-	// rest of the model's time: syncing the view, linearizing and
-	// building the systems, evaluating HPWL after each round.
+	// rest of the model's time: linearizing and building the systems,
+	// evaluating HPWL after each round.
 	Assemble, Solve time.Duration
 }
 
@@ -70,11 +70,14 @@ type Result struct {
 // net weight or coordinate makes the system indefinite), the cells keep
 // the positions of the last round that solved.
 func Place(d *netlist.Design, idx []int) Result {
-	return PlaceCompiled(d.Compile(), idx)
+	cv := d.Compile()
+	res := PlaceCompiled(cv, idx)
+	cv.Store()
+	return res
 }
 
-// PlaceCompiled is Place over a caller-owned view of the design; every
-// round syncs it from the Cell structs (see Model.Solve).
+// PlaceCompiled is Place over a caller-owned view of the design, which
+// holds the positions: it reads and writes the view alone.
 func PlaceCompiled(cv *netlist.Compiled, idx []int) Result {
 	var res Result
 	d := cv.Design()
@@ -86,10 +89,9 @@ func PlaceCompiled(cv *netlist.Compiled, idx []int) Result {
 	// Start every movable cell at the region center with a deterministic
 	// microscopic spread so the B2B boundary pins are well defined.
 	for k, ci := range idx {
-		c := &d.Cells[ci]
 		frac := float64(k) / float64(n)
-		c.X = center.X + (frac-0.5)*1e-3*d.Region.W()
-		c.Y = center.Y + (math.Mod(frac*617.0, 1.0)-0.5)*1e-3*d.Region.H()
+		cv.PosX[ci] = center.X + (frac-0.5)*1e-3*d.Region.W()
+		cv.PosY[ci] = center.Y + (math.Mod(frac*617.0, 1.0)-0.5)*1e-3*d.Region.H()
 	}
 	t0 := time.Now()
 	m := NewModel(cv, idx)
@@ -109,9 +111,8 @@ func PlaceCompiled(cv *netlist.Compiled, idx []int) Result {
 	res.CGIterations, res.Solve = m.cgIterations, m.solveTime
 	res.Assemble = time.Since(t0) - res.Solve
 	for _, ci := range idx {
-		c := &d.Cells[ci]
-		p := geom.ClampPoint(geom.Point{X: c.X, Y: c.Y}, c.W, c.H, d.Region)
-		c.X, c.Y = p.X, p.Y
+		p := geom.ClampPoint(geom.Point{X: cv.PosX[ci], Y: cv.PosY[ci]}, cv.CellW[ci], cv.CellH[ci], d.Region)
+		cv.PosX[ci], cv.PosY[ci] = p.X, p.Y
 	}
 	return res
 }
@@ -126,7 +127,8 @@ type Model struct {
 	// -1 for a pin on a fixed cell or a floating terminal.
 	pinVar []int32
 	// coord holds every pin slot's coordinate along the axis being
-	// assembled; rhs and x are that axis's right-hand side and unknowns.
+	// assembled and rhs that axis's right-hand side; x holds the unknowns
+	// of both axes, {x..., y...}.
 	coord, rhs, x []float64
 	minDist       float64
 	asm           sparse.Assembler
@@ -140,7 +142,7 @@ type Model struct {
 
 // NewModel sizes the buffers for the unknowns idx of the design cv was
 // compiled from. The design's topology must not change while the model
-// is in use; every Solve re-reads the rest from the Cell structs.
+// is in use; every Solve reads the positions from the view.
 func NewModel(cv *netlist.Compiled, idx []int) *Model {
 	d := cv.Design()
 	m := &Model{
@@ -148,7 +150,7 @@ func NewModel(cv *netlist.Compiled, idx []int) *Model {
 		pinVar:  make([]int32, cv.NumPinSlots()),
 		coord:   make([]float64, cv.NumPinSlots()),
 		rhs:     make([]float64, len(idx)),
-		x:       make([]float64, len(idx)),
+		x:       make([]float64, 2*len(idx)),
 		minDist: 1e-4 * math.Max(d.Region.W(), d.Region.H()),
 	}
 	slot := make([]int32, len(d.Cells))
@@ -177,33 +179,29 @@ func NewModel(cv *netlist.Compiled, idx []int) *Model {
 	return m
 }
 
-// Solve runs one B2B round from the design's current positions: along
+// Solve runs one B2B round from the view's current positions: along
 // each axis the model is linearized there, every unknown k is tied to
 // anchors[k] (nil = the region center) by a spring of weight w, and the
 // system is solved, warm-started from the current positions. It writes
-// the solution to the design and reports true; when a solve breaks down
-// or yields a non-finite coordinate it reports false and leaves the
-// design's positions as they were.
+// the solution to the view and reports true; when a solve breaks down or
+// yields a non-finite coordinate it reports false and leaves the view's
+// positions as they were.
 func (m *Model) Solve(anchors []geom.Point, w float64) bool {
-	cv := m.cv
-	cv.Sync()
 	if !m.solveAxis(true, anchors, w) || !m.solveAxis(false, anchors, w) {
 		return false
 	}
-	d := cv.Design()
-	for _, ci := range m.idx {
-		d.Cells[ci].X, d.Cells[ci].Y = cv.PosX[ci], cv.PosY[ci]
-	}
+	m.cv.SetPositions(m.idx, m.x)
 	return true
 }
 
-// solveAxis builds and solves the system along one axis and scatters
-// the solution into the view's positions on that axis.
+// solveAxis builds and solves the system along one axis into that axis's
+// half of m.x. Neither axis's system reads the other's coordinates.
 func (m *Model) solveAxis(xAxis bool, anchors []geom.Point, w float64) bool {
 	a := m.assemble(xAxis, anchors, w)
-	pos, x := m.cv.PosY, m.x
+	n := len(m.idx)
+	pos, x := m.cv.PosY, m.x[n:]
 	if xAxis {
-		pos = m.cv.PosX
+		pos, x = m.cv.PosX, m.x[:n]
 	}
 	for k, ci := range m.idx {
 		x[k] = pos[ci]
@@ -212,18 +210,15 @@ func (m *Model) solveAxis(xAxis bool, anchors []geom.Point, w float64) bool {
 	res := m.cg.Solve(a, m.rhs, x, cgTol, cgMaxIter)
 	m.solveTime += time.Since(t0)
 	m.cgIterations += res.Iterations
-	ok := !res.Breakdown
+	if res.Breakdown {
+		return false
+	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			ok = false
+			return false
 		}
 	}
-	if ok {
-		for k, ci := range m.idx {
-			pos[ci] = x[k]
-		}
-	}
-	return ok
+	return true
 }
 
 // assemble linearizes the B2B model along one axis at the view's
