@@ -111,14 +111,13 @@ func chooseGridM(region geom.Rect, objects int, movArea float64, n int) int {
 // it by this name.
 const poissonSpan = "poisson/" + poisson.KindSpectral32
 
-// reset makes e the engine of a stage over cv, which the caller has
-// synced after fillers fixed the topology and extents for the whole
-// stage; every hot kernel below shares it. The stage places inside
-// region: its density grid covers region, whose edge is the Poisson
-// problem's Neumann boundary, and the engine clamps cells to it. The
-// held cells stand still with the fixed ones (see gpStage.held), and
-// binCharge measures the preconditioner's charge in bins (see
-// gpStage.binCharge).
+// reset makes e the engine of a stage over cv, whose fillers and extents
+// are fixed for the whole stage; every hot kernel below shares it. The
+// stage places inside region: its density grid covers region, whose edge
+// is the Poisson problem's Neumann boundary, and the engine clamps cells
+// to it. The held cells stand still with the fixed ones (see
+// gpStage.held), and binCharge measures the preconditioner's charge in
+// bins (see gpStage.binCharge).
 //
 // Every buffer an earlier stage left keeps its capacity and takes the
 // prefix this stage needs (reuse.Resize); the models and the optimizer

@@ -393,10 +393,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 		if ph <= phMLG {
 			r.rec.SetStage("mLG")
 			t0 := time.Now()
-			r.structStep(func() {
-				res.MLG = legalize.Macros(d, r.movMacros, legalize.MLGOptions{
-					Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
-				})
+			res.MLG = legalize.Macros(r.cv, r.movMacros, legalize.MLGOptions{
+				Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
 			})
 			r.golden.Absorb("mLG", 0, r.cv.Positions(r.movMacros), r.cv.HPWL(), 0)
 			r.addStage("mLG", time.Since(t0))

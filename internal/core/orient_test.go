@@ -11,9 +11,9 @@ import (
 // TestFlowAllowOrientPinned holds the mixed-size flow with macro rotation
 // to pinned digests (recorded on amd64 with AVX2). mLG turns two of the
 // five macros, which swaps their W/H and rewrites their pins' offsets in
-// the structs: a view that outlives the stage and is not re-synced from
-// them (extents, pin offsets) moves cGP and everything after it; a copy
-// whose Sync skips either fails here. Seed 2 is a circuit on which mLG
+// the design and in the run's view together (netlist.Compiled.Turn): a
+// turn that missed the view's extents or pin offsets moves cGP and
+// everything after it, and fails here. Seed 2 is a circuit on which mLG
 // turns macros.
 func TestFlowAllowOrientPinned(t *testing.T) {
 	pinned := []string{

@@ -84,10 +84,9 @@ type flowRun struct {
 	d  *netlist.Design
 	fp uint64
 	// cv is the one compiled view of d, lent to every stage that runs on
-	// the input design (mIP, the GP stages, cDP). It holds the run's
+	// the input design (mIP, the GP stages, mLG, cDP). It holds the run's
 	// positions from newRun until the flow returns and writes them to the
-	// Cell structs; the steps that work on the structs run through
-	// structStep. The fillers of the GP stages live in the view alone,
+	// Cell structs. The fillers of the GP stages live in the view alone,
 	// from the level's mGP (or eGP) until the flow drops them.
 	cv *netlist.Compiled
 	// opt is the caller's global-placement configuration, the base every
@@ -350,8 +349,7 @@ func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit) (disp, maxDisp flo
 	}
 	tLG := time.Now()
 	if len(legal) > 0 {
-		r.structStep(func() { disp, maxDisp, err = legalize.Cells(d, legal, r.opt.Workers) })
-		if err != nil {
+		if disp, maxDisp, err = legalize.Cells(r.cv, legal, r.opt.Workers); err != nil {
 			return 0, 0, fmt.Errorf("core: legalization failed: %w", err)
 		}
 	}
@@ -365,16 +363,6 @@ func (r *flowRun) cdp(legal, refine []int, edit *detail.Edit) (disp, maxDisp flo
 	r.rec.AddSpanTime("cDP", "detail", time.Since(tDP))
 	r.addStage("cDP", time.Since(t0))
 	return disp, maxDisp, nil
-}
-
-// structStep runs step, which works on the input design's Cell structs
-// (mLG, row legalization): it writes the view's positions to the structs
-// first and syncs the view from what step left after. Besides Compile's,
-// this is the only Sync of a run.
-func (r *flowRun) structStep(step func()) {
-	r.cv.Store()
-	step()
-	r.cv.Sync()
 }
 
 // summarize fills the result's HPWL, legality and digests from the

@@ -13,20 +13,47 @@ import (
 	"eplace/internal/telemetry"
 )
 
-// poison overwrites the Cell struct position of every movable cell of
-// the stage's design with NaN as the stage starts: from Compile to the
-// flow's return the compiled view holds the positions, so nothing a
-// stage reads may come from the structs.
-func poison(s gpStage, done bool) {
+// poisoner overwrites the Cell struct position of every movable cell of
+// a design with NaN as the first GP stage on that design starts, and at
+// every later GP stage's start fails the test unless the structs still
+// hold the NaN: from Compile to the flow's return the compiled view holds
+// the positions, so nothing a stage reads may come from the structs, and
+// no stage may write them.
+type poisoner struct {
+	t *testing.T
+	// cells lists, per design, the cells poisoned; checked counts the
+	// stages that found them poisoned.
+	cells   map[*netlist.Design][]int
+	checked int
+}
+
+func newPoisoner(t *testing.T) *poisoner {
+	return &poisoner{t: t, cells: map[*netlist.Design][]int{}}
+}
+
+func (p *poisoner) hook(s gpStage, done bool) {
 	if done {
 		return
 	}
 	d := s.cv.Design()
-	for i := range d.Cells {
-		if c := &d.Cells[i]; !c.Fixed {
-			c.X, c.Y = math.NaN(), math.NaN()
+	cells, seen := p.cells[d]
+	if !seen {
+		for i := range d.Cells {
+			if c := &d.Cells[i]; !c.Fixed {
+				c.X, c.Y = math.NaN(), math.NaN()
+				cells = append(cells, i)
+			}
+		}
+		p.cells[d] = cells
+		return
+	}
+	for _, ci := range cells {
+		if c := &d.Cells[ci]; !math.IsNaN(c.X) || !math.IsNaN(c.Y) {
+			p.t.Errorf("%s starts with cell %d's struct at (%v, %v), written after the first GP stage", s.name, ci, c.X, c.Y)
+			return
 		}
 	}
+	p.checked++
 }
 
 // placedRun is what a run leaves: its digests and the caller's
@@ -64,11 +91,13 @@ func sameRun(t *testing.T, name string, got, want placedRun) {
 }
 
 // TestFlowViewIsTheTruth: a run whose Cell struct positions of every
-// movable cell are NaN from the start of each GP stage on ends with the
+// movable cell are NaN from its first GP stage on ends with the
 // unpoisoned run's digests and positions, flat, as a 4-level V-cycle,
 // mixed-size, as an ECO block edit (its eGP stage) and resumed from a
 // mid-mGP snapshot. A stage that read positions from the structs
-// instead of the view would place NaN.
+// instead of the view would place NaN; the mixed-size runs also check
+// that no stage, mLG included, wrote the structs before cGP-filler and
+// cGP start.
 func TestFlowViewIsTheTruth(t *testing.T) {
 	flows := []struct {
 		name string
@@ -95,7 +124,11 @@ func TestFlowViewIsTheTruth(t *testing.T) {
 				}
 				return placedOf(d, res.Digests)
 			}
-			sameRun(t, f.name, run(poison), run(nil))
+			p := newPoisoner(t)
+			sameRun(t, f.name, run(p.hook), run(nil))
+			if f.spec.NumMovableMacros > 0 && p.checked < 2 {
+				t.Errorf("%d later GP stages checked the structs, want cGP-filler and cGP", p.checked)
+			}
 		})
 	}
 
@@ -120,12 +153,16 @@ func TestFlowViewIsTheTruth(t *testing.T) {
 			t.Fatal("no mid-mGP snapshot")
 		}
 		opt := detFlowOpts(2)
-		opt.Resume, opt.gpHook = mid, poison
+		p := newPoisoner(t)
+		opt.Resume, opt.gpHook = mid, p.hook
 		d = synth.Generate(detSpecs()[2])
 		if res, err = Place(d, opt); err != nil {
 			t.Fatal(err)
 		}
 		sameRun(t, "resume", placedOf(d, res.Digests), want)
+		if p.checked < 2 {
+			t.Errorf("%d later GP stages checked the structs, want cGP-filler and cGP", p.checked)
+		}
 	})
 
 	t.Run("eco", func(t *testing.T) {
@@ -152,6 +189,6 @@ func TestFlowViewIsTheTruth(t *testing.T) {
 			}
 			return placedOf(warm, res.Digests)
 		}
-		sameRun(t, "eco", run(poison), run(nil))
+		sameRun(t, "eco", run(newPoisoner(t).hook), run(nil))
 	})
 }

@@ -311,10 +311,7 @@ func TestFillerRoomAllocs(t *testing.T) {
 // input design and on a coarse level, each view is compiled with room
 // for its level's planned fillers, so inserting them leaves the design's
 // cells as they were, keeps each view array where it was, at exactly the
-// cells plus the fillers, and the first Sync after them allocates
-// nothing. testing.AllocsPerRun would time a second Sync (its warm-up
-// call is the first), so the count is taken around the one call, of the
-// allocations under Sync.
+// cells plus the fillers.
 func TestFillersJoinViewOnce(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "ws-sync", NumCells: 4000, NumFixedMacros: 4})
 	room := func(ld *netlist.Design) int { return insertPlan(ld).count }
@@ -341,19 +338,7 @@ func TestFillersJoinViewOnce(t *testing.T) {
 		if &view.PosX[0] != x0 {
 			t.Errorf("level %d: the fillers moved the view's positions to a new array", k)
 		}
-		if n := syncObjects(view); n != 0 {
-			t.Errorf("level %d: the first Sync after the fillers allocates %d times, want 0", k, n)
-		}
 	}
-}
-
-// syncObjects syncs view and returns the objects Sync allocated.
-func syncObjects(view *netlist.Compiled) int64 {
-	tally, stop := profileAllocs("eplace/internal/netlist.(*Compiled).Sync")
-	defer stop()
-	view.Sync()
-	_, n := tally()
-	return n
 }
 
 // TestEGPFillersJoinWithoutGrowing: a block edit's eGP inserts its

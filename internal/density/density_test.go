@@ -34,10 +34,13 @@ func mustModel(tb testing.TB, d *netlist.Design, m, workers int) *Model {
 	return md
 }
 
-// syncRefresh re-reads the Cell structs into the model's view, then
-// refreshes: what the engine does through Compiled.SetPositions.
+// syncRefresh copies the Cell structs' positions into the model's view,
+// then refreshes: what the engine does through Compiled.SetPositions.
 func syncRefresh(md *Model, idx []int) {
-	md.cv.Sync()
+	d := md.cv.Design()
+	for i := range d.Cells {
+		md.cv.PosX[i], md.cv.PosY[i] = d.Cells[i].X, d.Cells[i].Y
+	}
 	md.Refresh(idx)
 }
 

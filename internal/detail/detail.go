@@ -142,12 +142,12 @@ func Place(d *netlist.Design, cells []int, opt Options) (Result, error) {
 }
 
 // PlaceCompiled is Place over a caller-owned view of the design, which
-// holds the positions and receives the refined layout; the cells outside
-// cells, which the passes route around, are read from the Cell structs
-// (legalize.FreeSegments), so those must agree with the view. edit, when
-// non-nil, says what changed in a layout cDP refined before: the first
-// pass prices only the trials it reaches, and only its moved cells take
-// swap turns (see Edit). nil prices every trial of the first pass.
+// holds the positions, those of the cells the passes route around
+// (legalize.FreeSegments) included, and receives the refined layout.
+// edit, when non-nil, says what changed in a layout cDP refined before:
+// the first pass prices only the trials it reaches, and only its moved
+// cells take swap turns (see Edit). nil prices every trial of the first
+// pass.
 func PlaceCompiled(cv *netlist.Compiled, cells []int, edit *Edit, opt Options) (Result, error) {
 	opt.defaults()
 	p, err := newPlacer(cv, cells, edit, opt)
@@ -223,7 +223,7 @@ func (p *placer) buildSegments(cells []int) error {
 	if len(d.Rows) == 0 {
 		return fmt.Errorf("detail: design has no rows")
 	}
-	free := legalize.FreeSegments(d, cells)
+	free := legalize.FreeSegments(p.cv, cells)
 	// Row lookup by bottom y. Determinism contract: byY is used for
 	// point lookups only, never range-iterated, so map order is
 	// irrelevant (keys are distinct row baselines, so no overwrites).

@@ -38,10 +38,19 @@ func legalDesign(n int, seed int64) (*netlist.Design, []int) {
 			d.Connect(pads[rng.Intn(len(pads))], ni, 0, 0)
 		}
 	}
-	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
+	if err := legalizeStructs(d, cells); err != nil {
 		panic(err)
 	}
 	return d, cells
+}
+
+// legalizeStructs legalizes cells of d through a view of it and stores
+// the layout in the structs the tests start from.
+func legalizeStructs(d *netlist.Design, cells []int) error {
+	cv := d.Compile()
+	_, _, err := legalize.Cells(cv, cells, 1)
+	cv.Store()
+	return err
 }
 
 func TestPlaceImprovesHPWL(t *testing.T) {
@@ -88,7 +97,7 @@ func TestPlaceWithMacroObstacles(t *testing.T) {
 		d.Connect(cells[rng.Intn(len(cells))], ni, 0, 0)
 		d.Connect(cells[rng.Intn(len(cells))], ni, 0, 0)
 	}
-	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
+	if err := legalizeStructs(d, cells); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Place(d, cells, Options{}); err != nil {

@@ -42,7 +42,7 @@ func gpLikeDesign(n int, seed int64) (*netlist.Design, []int) {
 			d.Connect(cells[min(max(to, 0), n-1)], ni, 0, 0)
 		}
 	}
-	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
+	if err := legalizeStructs(d, cells); err != nil {
 		panic(err)
 	}
 	return d, cells

@@ -44,7 +44,7 @@ func bigLegalDesign(n int, seed int64) (*netlist.Design, []int) {
 			d.Connect(pads[rng.Intn(len(pads))], ni, 0, 0)
 		}
 	}
-	if _, _, err := legalize.Cells(d, cells, 1); err != nil {
+	if err := legalizeStructs(d, cells); err != nil {
 		panic(err)
 	}
 	return d, cells

@@ -83,7 +83,7 @@ func insertInto(base *netlist.Design, cells []int) (*netlist.Design, []int, *Edi
 		}
 		added = append(added, ci)
 	}
-	if _, _, err := legalize.Cells(d, added, 1); err != nil {
+	if err := legalizeStructs(d, added); err != nil {
 		panic(err)
 	}
 	for _, ci := range cells {
@@ -259,7 +259,7 @@ func evictEdit() (*netlist.Design, []int, *Edit) {
 			c.Fixed = true
 		}
 	}
-	if _, _, err := legalize.Cells(d, evicted, 1); err != nil {
+	if err := legalizeStructs(d, evicted); err != nil {
 		panic(err)
 	}
 	for _, ci := range cells {

@@ -95,7 +95,7 @@ func Fig5(scale float64, opt RunOptions, out io.Writer) {
 	core.InsertFillers(cv, 2)
 	_, _ = core.PlaceGlobal(cv, movable, opt.gp(), "mGP", 0)
 	macros := d.MovableOf(netlist.Macro)
-	res := legalize.Macros(d, macros, legalize.MLGOptions{})
+	res := legalize.Macros(cv, macros, legalize.MLGOptions{})
 	fmt.Fprintf(out, "# Figure 5: mLG on MMS-like ADAPTEC1 (std cells fixed)\n")
 	fmt.Fprintf(out, "phase,W,D,Om\n")
 	fmt.Fprintf(out, "before,%.6g,%.6g,%.6g\n", res.WBefore, res.DBefore, res.OmBefore)

@@ -113,10 +113,13 @@ func run(d *netlist.Design, p Placer, opt RunOptions) metrics.Report {
 }
 
 // finishLayout applies the common mLG + legalize + detail back end used
-// for the baseline placers.
+// for the baseline placers, in one compiled view of d whose positions it
+// stores in d's cells on every return.
 func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, failed *bool) bool {
+	cv := d.Compile()
+	defer cv.Store()
 	if len(movMacros) > 0 {
-		res := legalize.Macros(d, movMacros, legalize.MLGOptions{})
+		res := legalize.Macros(cv, movMacros, legalize.MLGOptions{})
 		if !res.Legal {
 			*failed = true
 			return false
@@ -125,14 +128,15 @@ func finishLayout(d *netlist.Design, stdCells, movMacros []int, opt RunOptions, 
 	if len(d.Rows) == 0 {
 		return false
 	}
-	if _, _, err := legalize.Cells(d, stdCells, opt.Workers); err != nil {
+	if _, _, err := legalize.Cells(cv, stdCells, opt.Workers); err != nil {
 		*failed = true
 		return false
 	}
-	if _, err := detail.Place(d, stdCells, detail.Options{Workers: opt.Workers}); err != nil {
+	if _, err := detail.PlaceCompiled(cv, stdCells, nil, detail.Options{Workers: opt.Workers}); err != nil {
 		*failed = true
 		return false
 	}
+	cv.Store() // the legality checks read the structs
 	legal := legalize.CheckLegal(d, stdCells) == nil
 	if legal && len(movMacros) > 0 {
 		legal = legalize.CheckMacrosLegal(d, movMacros) == nil

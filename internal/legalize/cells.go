@@ -61,23 +61,26 @@ const (
 	maxBands        = 64
 )
 
-// Cells legalizes the given standard cells onto the design's rows with
-// Abacus (cluster dynamic programming per row), minimizing displacement
-// from their global-placement positions, around every other non-filler
-// cell as an obstacle (see FreeSegments). It returns the total and
-// maximum displacement, or an error if capacity is insufficient.
+// Cells legalizes the given standard cells onto the rows of the design
+// cv was compiled from with Abacus (cluster dynamic programming per row),
+// minimizing displacement from their global-placement positions in the
+// view, around every other cell of the design as an obstacle (see
+// FreeSegments), and writes the legal positions to the view. It returns
+// the total and maximum displacement, or an error if capacity is
+// insufficient.
 //
 // The work is sharded over row bands: each band legalizes its own cells
 // against its own rows in parallel (disjoint state), cells that do not
 // fit inside their band spill into a serial second pass over all rows,
 // and displacement sums reduce in fixed band order. Results are
 // bitwise-identical at every worker count (0 = all cores).
-func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err error) {
+func Cells(cv *netlist.Compiled, cells []int, workers int) (total, max float64, err error) {
+	d := cv.Design()
 	if len(d.Rows) == 0 {
 		return 0, 0, fmt.Errorf("legalize: design has no rows")
 	}
 	nw := parallel.Count(workers)
-	rawSegs := FreeSegments(d, cells)
+	rawSegs := FreeSegments(cv, cells)
 	nseg := 0
 	for _, r := range rawSegs {
 		nseg += len(r)
@@ -96,7 +99,7 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	// Every list below holds positions in this order.
 	order := slices.Clone(cells)
 	byX := func(a, b int) int {
-		if c := cmp.Compare(d.Cells[a].X, d.Cells[b].X); c != 0 {
+		if c := cmp.Compare(cv.PosX[a], cv.PosX[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -134,8 +137,8 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	// Assign each cell (x order preserved) to the band of its nearest
 	// row: band b's cells are byBand[bandOff[b]:bandOff[b+1]].
 	bandOf := func(k int) int {
-		c := &d.Cells[order[k]]
-		return bandOfRow[nearestRow(rowY, c.Y-c.H/2)]
+		ci := order[k]
+		return bandOfRow[nearestRow(rowY, cv.PosY[ci]-cv.CellH[ci]/2)]
 	}
 	bandOff := make([]int, nb+1)
 	for k := range order {
@@ -161,7 +164,7 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	parallel.For(nw, nb, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			for _, k := range byBand[bandOff[b]:bandOff[b+1]] {
-				disp, ok := placeOne(d, rows, rowY, st, int(k), bandLo[b], bandLo[b+1])
+				disp, ok := placeOne(cv, rows, rowY, st, int(k), bandLo[b], bandLo[b+1])
 				if !ok {
 					spills[b] = append(spills[b], k)
 					continue
@@ -189,11 +192,10 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	}
 	slices.Sort(spill) // positions: (x, index) order
 	for _, k := range spill {
-		disp, ok := placeOne(d, rows, rowY, st, int(k), 0, len(d.Rows))
+		disp, ok := placeOne(cv, rows, rowY, st, int(k), 0, len(d.Rows))
 		if !ok {
 			ci := order[k]
-			c := &d.Cells[ci]
-			return total, max, fmt.Errorf("legalize: no room for cell %d (%s), w=%v", ci, c.Name, c.W)
+			return total, max, fmt.Errorf("legalize: no room for cell %d (%s), w=%v", ci, d.Cells[ci].Name, cv.CellW[ci])
 		}
 		total += disp
 		if disp > max {
@@ -206,7 +208,7 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 	// collapse). Rows are disjoint, so the fixup parallelizes cleanly.
 	parallel.For(nw, len(rows), func(_, lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			fixupRow(d, &d.Rows[ri], rows[ri], st)
+			fixupRow(cv, &d.Rows[ri], rows[ri], st)
 		}
 	})
 	return total, max, nil
@@ -216,10 +218,12 @@ func Cells(d *netlist.Design, cells []int, workers int) (total, max float64, err
 // rows of [rowLo, rowHi), trying rows outward from the nearest until the
 // row-distance alone exceeds the best cost found. Returns ok=false when
 // no segment in range fits.
-func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, st *abacus, k, rowLo, rowHi int) (disp float64, ok bool) {
-	c := &d.Cells[st.order[k]]
-	desiredX := c.X - c.W/2
-	desiredY := c.Y - c.H/2
+func placeOne(cv *netlist.Compiled, rows [][]seg, rowY []float64, st *abacus, k, rowLo, rowHi int) (disp float64, ok bool) {
+	d := cv.Design()
+	ci := st.order[k]
+	w, h := cv.CellW[ci], cv.CellH[ci]
+	desiredX := cv.PosX[ci] - w/2
+	desiredY := cv.PosY[ci] - h/2
 	bestCost := math.Inf(1)
 	bestRow, bestSeg := -1, -1
 	nearest := nearestRow(rowY, desiredY)
@@ -246,10 +250,10 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, st *abacus, k, ro
 			any = true
 			for si := range rows[ri] {
 				s := &rows[ri][si]
-				if s.hx-s.lx-s.used < c.W {
+				if s.hx-s.lx-s.used < w {
 					continue
 				}
-				x := st.trial(s, desiredX, c.W)
+				x := st.trial(s, desiredX, w)
 				if math.IsNaN(x) {
 					continue
 				}
@@ -271,35 +275,35 @@ func placeOne(d *netlist.Design, rows [][]seg, rowY []float64, st *abacus, k, ro
 	}
 	row := &d.Rows[bestRow]
 	s := &rows[bestRow][bestSeg]
-	c.X = st.commit(s, k, desiredX, c.W) + c.W/2
-	c.Y = row.Y + c.H/2
-	disp = math.Abs(c.X-(desiredX+c.W/2)) + math.Abs(c.Y-(desiredY+c.H/2))
-	s.used += c.W
+	x, y := st.commit(s, k, desiredX, w)+w/2, row.Y+h/2
+	cv.PosX[ci], cv.PosY[ci] = x, y
+	disp = math.Abs(x-(desiredX+w/2)) + math.Abs(y-(desiredY+h/2))
+	s.used += w
 	return disp, true
 }
 
-// fixupRow snaps one row's cluster positions to sites and writes cells
-// back. Snapping is all-or-nothing per segment: if any cluster cannot
-// be site-aligned without collision (fractional segment boundaries can
-// force this), the whole segment keeps the exact cluster positions,
-// which are legal by construction.
-func fixupRow(d *netlist.Design, row *netlist.Row, segs []seg, st *abacus) {
+// fixupRow snaps one row's cluster positions to sites and writes the
+// cells' positions to the view. Snapping is all-or-nothing per segment:
+// if any cluster cannot be site-aligned without collision (fractional
+// segment boundaries can force this), the whole segment keeps the exact
+// cluster positions, which are legal by construction.
+func fixupRow(cv *netlist.Compiled, row *netlist.Row, segs []seg, st *abacus) {
 	for si := range segs {
 		s := &segs[si]
 		head := st.leftToRight(s)
 		onSites := row.SiteW > 0 && st.seat(nil, row, s, head, true)
-		st.seat(d, row, s, head, onSites)
+		st.seat(cv, row, s, head, onSites)
 	}
 }
 
 // seat walks the segment's clusters left to right from head (see
 // leftToRight) and gives each a left edge: on the site grid when onSites,
 // else the exact cluster position, pushed right of its left neighbour
-// and left of the segment's end. With a design it writes the clusters'
+// and left of the segment's end. With a view it writes the clusters'
 // cells there, abutting in cluster order. It reports false when onSites
 // finds a cluster that cannot be site-aligned without collision or
 // overflow; it then writes nothing.
-func (st *abacus) seat(d *netlist.Design, row *netlist.Row, s *seg, head int32, onSites bool) bool {
+func (st *abacus) seat(cv *netlist.Compiled, row *netlist.Row, s *seg, head int32, onSites bool) bool {
 	frontier := s.lx
 	for k := head; k >= 0; k = st.clusters[k].prev {
 		cl := &st.clusters[k]
@@ -325,13 +329,13 @@ func (st *abacus) seat(d *netlist.Design, row *netlist.Row, s *seg, head int32, 
 			}
 		}
 		frontier = x + cl.w
-		if d == nil {
+		if cv == nil {
 			continue
 		}
 		for m := cl.first; ; m = st.next[m] {
-			c := &d.Cells[st.order[m]]
-			c.X = x + c.W/2
-			x += c.W
+			ci := st.order[m]
+			cv.PosX[ci] = x + cv.CellW[ci]/2
+			x += cv.CellW[ci]
 			if m == cl.last {
 				break
 			}

@@ -25,7 +25,7 @@ func TestRowSegmentsAroundMacro(t *testing.T) {
 	BuildRows(d, 4, 0)
 	// Macro blocking x in [40, 60] across the bottom two rows.
 	d.AddCell(netlist.Cell{W: 20, H: 8, X: 50, Y: 4, Kind: netlist.Macro, Fixed: true})
-	segs := FreeSegments(d, nil)
+	segs := FreeSegments(d.Compile(), nil)
 	if len(segs[0]) != 2 || len(segs[1]) != 2 {
 		t.Fatalf("bottom rows have %d, %d segments, want 2 each", len(segs[0]), len(segs[1]))
 	}
@@ -35,6 +35,24 @@ func TestRowSegmentsAroundMacro(t *testing.T) {
 	if len(segs[2]) != 1 {
 		t.Errorf("top row has %d segments, want 1", len(segs[2]))
 	}
+}
+
+// cellsOn runs Cells through a view of d and stores the legalized
+// positions in the structs CheckLegal reads.
+func cellsOn(d *netlist.Design, cells []int, workers int) (total, max float64, err error) {
+	cv := d.Compile()
+	total, max, err = Cells(cv, cells, workers)
+	cv.Store()
+	return total, max, err
+}
+
+// macrosOn runs Macros through a view of d and stores the legalized
+// positions in the structs CheckMacrosLegal reads.
+func macrosOn(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
+	cv := d.Compile()
+	res := Macros(cv, macros, opt)
+	cv.Store()
+	return res
 }
 
 func makeLegalizeDesign(n int, seed int64) (*netlist.Design, []int) {
@@ -53,7 +71,7 @@ func makeLegalizeDesign(n int, seed int64) (*netlist.Design, []int) {
 
 func TestAbacusProducesLegalLayout(t *testing.T) {
 	d, cells := makeLegalizeDesign(300, 1)
-	total, max, err := Cells(d, cells, 1)
+	total, max, err := cellsOn(d, cells, 1)
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
@@ -69,7 +87,7 @@ func TestLegalizeAroundMacros(t *testing.T) {
 	d, cells := makeLegalizeDesign(200, 4)
 	// Place a fixed macro in the middle; cells must avoid it.
 	d.AddCell(netlist.Cell{W: 30, H: 20, X: 60, Y: 30, Kind: netlist.Macro, Fixed: true})
-	_, _, err := Cells(d, cells, 1)
+	_, _, err := cellsOn(d, cells, 1)
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
@@ -85,7 +103,7 @@ func TestLegalizeOverfullFails(t *testing.T) {
 	for i := 0; i < 10; i++ { // 10 cells x 4 wide = 40 > 20 capacity
 		cells = append(cells, d.AddCell(netlist.Cell{W: 4, H: 2, X: 5, Y: 2}))
 	}
-	if _, _, err := Cells(d, cells, 1); err == nil {
+	if _, _, err := cellsOn(d, cells, 1); err == nil {
 		t.Error("expected capacity failure")
 	}
 }
@@ -117,7 +135,7 @@ func TestSnapToSites(t *testing.T) {
 	d := netlist.New("snap", geom.Rect{Hx: 50, Hy: 4})
 	BuildRows(d, 2, 1)
 	c := d.AddCell(netlist.Cell{W: 3, H: 2, X: 10.37, Y: 1.2})
-	if _, _, err := Cells(d, []int{c}, 1); err != nil {
+	if _, _, err := cellsOn(d, []int{c}, 1); err != nil {
 		t.Fatal(err)
 	}
 	lx := d.Cells[c].X - 1.5
@@ -161,7 +179,7 @@ func mlgDesign(nMacros int, seed int64) (*netlist.Design, []int) {
 
 func TestMLGRemovesMacroOverlap(t *testing.T) {
 	d, macros := mlgDesign(6, 1)
-	res := Macros(d, macros, MLGOptions{Seed: 2})
+	res := macrosOn(d, macros, MLGOptions{Seed: 2})
 	if !res.Legal {
 		t.Fatalf("mLG did not legalize: Om after = %v", res.OmAfter)
 	}
@@ -192,7 +210,7 @@ func TestMLGOnlyLocalShifts(t *testing.T) {
 	for k, mi := range macros {
 		before[k] = geom.Point{X: d.Cells[mi].X, Y: d.Cells[mi].Y}
 	}
-	res := Macros(d, macros, MLGOptions{Seed: 3})
+	res := macrosOn(d, macros, MLGOptions{Seed: 3})
 	if !res.Legal {
 		t.Fatal("legal input became illegal")
 	}
@@ -207,7 +225,7 @@ func TestMLGOnlyLocalShifts(t *testing.T) {
 func TestMLGWirelengthOverheadBounded(t *testing.T) {
 	d, macros := mlgDesign(5, 4)
 	wBefore := d.HPWL()
-	res := Macros(d, macros, MLGOptions{Seed: 5})
+	res := macrosOn(d, macros, MLGOptions{Seed: 5})
 	if !res.Legal {
 		t.Fatal("not legalized")
 	}
@@ -221,7 +239,7 @@ func TestMLGWirelengthOverheadBounded(t *testing.T) {
 
 func TestMLGEmptyMacros(t *testing.T) {
 	d := netlist.New("none", geom.Rect{Hx: 10, Hy: 10})
-	res := Macros(d, nil, MLGOptions{})
+	res := macrosOn(d, nil, MLGOptions{})
 	if !res.Legal {
 		t.Error("empty macro set should be trivially legal")
 	}
@@ -229,7 +247,7 @@ func TestMLGEmptyMacros(t *testing.T) {
 
 func TestMLGManyMacros(t *testing.T) {
 	d, macros := mlgDesign(15, 6)
-	res := Macros(d, macros, MLGOptions{Seed: 7})
+	res := macrosOn(d, macros, MLGOptions{Seed: 7})
 	if !res.Legal {
 		t.Fatalf("15 macros not legalized: Om=%v", res.OmAfter)
 	}
@@ -242,7 +260,9 @@ func TestShoveApartResolvesOverlap(t *testing.T) {
 	d := netlist.New("shove", geom.Rect{Hx: 100, Hy: 100})
 	a := d.AddCell(netlist.Cell{W: 20, H: 20, X: 50, Y: 50, Kind: netlist.Macro})
 	b := d.AddCell(netlist.Cell{W: 20, H: 20, X: 55, Y: 52, Kind: netlist.Macro})
-	shoveApart(d, []int{a, b}, 50)
+	cv := d.Compile()
+	shoveApart(cv, []int{a, b}, 50)
+	cv.Store()
 	if ov := d.Cells[a].Rect().Overlap(d.Cells[b].Rect()); ov > 1e-9 {
 		t.Errorf("overlap remains: %v", ov)
 	}
@@ -256,7 +276,7 @@ func BenchmarkAbacus1000(b *testing.B) {
 		b.StopTimer()
 		d, cells := makeLegalizeDesign(1000, 9)
 		b.StartTimer()
-		if _, _, err := Cells(d, cells, 1); err != nil {
+		if _, _, err := cellsOn(d, cells, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +287,7 @@ func BenchmarkMLG10Macros(b *testing.B) {
 		b.StopTimer()
 		d, macros := mlgDesign(10, 11)
 		b.StartTimer()
-		Macros(d, macros, MLGOptions{Seed: 2})
+		macrosOn(d, macros, MLGOptions{Seed: 2})
 	}
 }
 
@@ -280,31 +300,33 @@ func TestRotateMacroQuarterTurns(t *testing.T) {
 	d.Connect(pad, ni, 0, 0)
 	w0, h0 := d.Cells[mi].W, d.Cells[mi].H
 	ox0, oy0 := d.Pins[0].Ox, d.Pins[0].Oy
-	hpwl0 := d.HPWL()
+	cv := d.Compile()
+	hpwl0 := cv.HPWL()
 
-	rotateMacro(d, mi)
-	if d.Cells[mi].W != h0 || d.Cells[mi].H != w0 {
-		t.Errorf("rotation did not swap dims: %vx%v", d.Cells[mi].W, d.Cells[mi].H)
+	// A turn edits the design and its view together.
+	cv.Turn(mi)
+	if d.Cells[mi].W != h0 || d.Cells[mi].H != w0 || cv.CellW[mi] != h0 || cv.CellH[mi] != w0 {
+		t.Errorf("rotation did not swap dims: %vx%v, view %vx%v", d.Cells[mi].W, d.Cells[mi].H, cv.CellW[mi], cv.CellH[mi])
 	}
-	if d.Pins[0].Ox != -oy0 || d.Pins[0].Oy != ox0 {
-		t.Errorf("pin offset after rotation = (%v, %v)", d.Pins[0].Ox, d.Pins[0].Oy)
+	if d.Pins[0].Ox != -oy0 || d.Pins[0].Oy != ox0 || cv.PinOx[0] != -oy0 || cv.PinOy[0] != ox0 {
+		t.Errorf("pin offset after rotation = (%v, %v), view (%v, %v)", d.Pins[0].Ox, d.Pins[0].Oy, cv.PinOx[0], cv.PinOy[0])
 	}
 	// Four quarter turns restore everything.
-	rotateMacro(d, mi)
-	rotateMacro(d, mi)
-	rotateMacro(d, mi)
+	cv.Turn(mi)
+	cv.Turn(mi)
+	cv.Turn(mi)
 	if d.Cells[mi].W != w0 || d.Cells[mi].H != h0 ||
-		d.Pins[0].Ox != ox0 || d.Pins[0].Oy != oy0 {
+		d.Pins[0].Ox != ox0 || d.Pins[0].Oy != oy0 || cv.PinOx[0] != ox0 || cv.PinOy[0] != oy0 {
 		t.Error("four rotations did not restore the macro")
 	}
-	if math.Abs(d.HPWL()-hpwl0) > 1e-9 {
-		t.Errorf("HPWL drifted across full rotation: %v vs %v", d.HPWL(), hpwl0)
+	if math.Abs(cv.HPWL()-hpwl0) > 1e-9 {
+		t.Errorf("HPWL drifted across full rotation: %v vs %v", cv.HPWL(), hpwl0)
 	}
 }
 
 func TestMLGWithRotationStillLegal(t *testing.T) {
 	d, macros := mlgDesign(8, 21)
-	res := Macros(d, macros, MLGOptions{Seed: 22, AllowOrient: true})
+	res := macrosOn(d, macros, MLGOptions{Seed: 22, AllowOrient: true})
 	if !res.Legal {
 		t.Fatalf("rotation-enabled mLG not legal: Om=%v", res.OmAfter)
 	}
@@ -333,9 +355,9 @@ func TestMLGRotationHelpsTallMacrosInWideRows(t *testing.T) {
 		return d, macros
 	}
 	d1, m1 := build()
-	nr := Macros(d1, m1, MLGOptions{Seed: 5})
+	nr := macrosOn(d1, m1, MLGOptions{Seed: 5})
 	d2, m2 := build()
-	rot := Macros(d2, m2, MLGOptions{Seed: 5, AllowOrient: true})
+	rot := macrosOn(d2, m2, MLGOptions{Seed: 5, AllowOrient: true})
 	if !nr.Legal || !rot.Legal {
 		t.Fatalf("legality: nr=%v rot=%v", nr.Legal, rot.Legal)
 	}
@@ -358,7 +380,7 @@ func TestSnapWithFractionalSegmentsRegression(t *testing.T) {
 			W: 2, H: 2, X: 3 + 3*float64(i%5), Y: 1 + 2*float64(i/5),
 		}))
 	}
-	if _, _, err := Cells(d, cells, 1); err != nil {
+	if _, _, err := cellsOn(d, cells, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckLegal(d, cells); err != nil {

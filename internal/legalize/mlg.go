@@ -48,7 +48,7 @@ type MLGResult struct {
 // built serially: on the mixed-size flow the build is about half of
 // mLG's time and a millisecond or two of the run.
 type mlgState struct {
-	d      *netlist.Design
+	cv     *netlist.Compiled
 	macros []int
 	// cov.Fixed[j*m+i] = std-cell area in bin (i, j), fixed during mLG.
 	cov *grid.Grid
@@ -61,32 +61,32 @@ type mlgState struct {
 	W, D, Om float64
 }
 
-func newMLGState(d *netlist.Design, macros []int, gridM int) *mlgState {
+func newMLGState(cv *netlist.Compiled, macros []int, gridM int) *mlgState {
+	d := cv.Design()
 	s := &mlgState{
-		d: d, macros: macros,
+		cv: cv, macros: macros,
 		cov:       grid.New(d.Region, gridM),
 		dCov:      make([]float64, len(macros)),
 		macroNets: make([][]int, len(macros)),
-		W:         d.HPWL(),
+		W:         cv.HPWL(),
 	}
 	// Rasterize standard cells (movable or fixed, non-macro, non-filler).
 	for i := range d.Cells {
-		if c := &d.Cells[i]; c.Kind == netlist.StdCell {
-			s.cov.AddFixed(c.Rect())
+		if d.Cells[i].Kind == netlist.StdCell {
+			s.cov.AddFixed(cv.Rect(i))
 		}
 	}
 	for k, mi := range macros {
 		// Determinism contract: seen is membership-only; macroNets[k] is
 		// built in the macro's deterministic pin order.
 		seen := map[int]bool{}
-		for _, pi := range d.Cells[mi].Pins {
-			ni := d.Pins[pi].Net
-			if !seen[ni] {
-				seen[ni] = true
-				s.macroNets[k] = append(s.macroNets[k], ni)
+		for _, ni := range cv.CellNet[cv.CellNetOff[mi]:cv.CellNetOff[mi+1]] {
+			if !seen[int(ni)] {
+				seen[int(ni)] = true
+				s.macroNets[k] = append(s.macroNets[k], int(ni))
 			}
 		}
-		s.dCov[k] = s.coverage(d.Cells[mi].Rect())
+		s.dCov[k] = s.coverage(cv.Rect(mi))
 		s.D += s.dCov[k]
 	}
 	s.Om = s.totalMacroOverlap()
@@ -131,10 +131,10 @@ func (s *mlgState) coverage(r geom.Rect) float64 {
 func (s *mlgState) totalMacroOverlap() float64 {
 	total := 0.0
 	for i, mi := range s.macros {
-		ri := s.d.Cells[mi].Rect()
+		ri := s.cv.Rect(mi)
 		acc := 0.0
 		for _, mj := range s.macros[i+1:] {
-			acc += ri.Overlap(s.d.Cells[mj].Rect())
+			acc += ri.Overlap(s.cv.Rect(mj))
 		}
 		total += acc
 	}
@@ -148,7 +148,7 @@ func (s *mlgState) overlapWith(r geom.Rect, k int) float64 {
 		if j == k {
 			continue
 		}
-		total += r.Overlap(s.d.Cells[mj].Rect())
+		total += r.Overlap(s.cv.Rect(mj))
 	}
 	return total
 }
@@ -157,7 +157,7 @@ func (s *mlgState) overlapWith(r geom.Rect, k int) float64 {
 func (s *mlgState) wirelengthOf(k int) float64 {
 	total := 0.0
 	for _, ni := range s.macroNets[k] {
-		total += s.d.NetHPWL(ni)
+		total += s.cv.NetHPWL(ni)
 	}
 	return total
 }
@@ -173,10 +173,12 @@ const (
 )
 
 // Macros runs the two-level annealing macro legalizer on the movable
-// macros of d (standard cells are treated as fixed for the D term) and
-// then fixes them in place. Positions must come from a converged mGP:
-// only local shifts are explored (Sec. VI-A).
-func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
+// macros of the design cv was compiled from (standard cells are treated
+// as fixed for the D term) and then fixes them in place. It reads and
+// moves positions in the view; a turn (AllowOrient) edits the design and
+// the view together (netlist.Compiled.Turn). Positions must come from a
+// converged mGP: only local shifts are explored (Sec. VI-A).
+func Macros(cv *netlist.Compiled, macros []int, opt MLGOptions) MLGResult {
 	opt.defaults()
 	res := MLGResult{}
 	if len(macros) == 0 {
@@ -185,7 +187,8 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	t0 := time.Now()
-	s := newMLGState(d, macros, mlgGridM)
+	d := cv.Design()
+	s := newMLGState(cv, macros, mlgGridM)
 	opt.Telemetry.AddSpanTime("mLG", "state", time.Since(t0))
 	res.WBefore, res.DBefore, res.OmBefore = s.W, s.D, s.Om
 
@@ -225,28 +228,27 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 
 			mk := rng.Intn(len(macros))
 			mi := macros[mk]
-			c := &d.Cells[mi]
-			oldX, oldY := c.X, c.Y
+			oldX, oldY := cv.PosX[mi], cv.PosY[mi]
 
 			// Move repertoire: local shift, or (when the orientation
 			// extension is enabled) a 90-degree rotation. The paper's
 			// default follows the contest protocols (no rotation,
 			// Sec. III) but notes the flexibility to add it.
-			rotated := opt.AllowOrient && c.W != c.H && rng.Float64() < 0.2
+			rotated := opt.AllowOrient && cv.CellW[mi] != cv.CellH[mi] && rng.Float64() < 0.2
 			oldW := s.wirelengthOf(mk)
 			oldD := s.dCov[mk]
-			oldOv := s.overlapWith(c.Rect(), mk)
+			oldOv := s.overlapWith(cv.Rect(mi), mk)
 			if rotated {
-				rotateMacro(d, mi)
+				cv.Turn(mi)
+				clampInto(cv, mi, oldX, oldY)
 			} else {
 				// Random motion vector within the search radius, clamped.
 				nx := oldX + (rng.Float64()*2-1)*radius
 				ny := oldY + (rng.Float64()*2-1)*radius
-				p := geom.ClampPoint(geom.Point{X: nx, Y: ny}, c.W, c.H, d.Region)
-				c.X, c.Y = p.X, p.Y
+				clampInto(cv, mi, nx, ny)
 			}
 			newW := s.wirelengthOf(mk)
-			newRect := c.Rect()
+			newRect := cv.Rect(mi)
 			newD := s.coverage(newRect)
 			newOv := s.overlapWith(newRect, mk)
 
@@ -263,15 +265,15 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 				s.D += newD - oldD
 				s.dCov[mk] = newD
 				s.Om += newOv - oldOv
-			} else if rotated {
-				// Three more quarter turns restore the original
-				// orientation and pin offsets exactly.
-				rotateMacro(d, mi)
-				rotateMacro(d, mi)
-				rotateMacro(d, mi)
-				c.X, c.Y = oldX, oldY
 			} else {
-				c.X, c.Y = oldX, oldY
+				if rotated {
+					// Three more quarter turns restore the original
+					// orientation and pin offsets exactly.
+					cv.Turn(mi)
+					cv.Turn(mi)
+					cv.Turn(mi)
+				}
+				cv.PosX[mi], cv.PosY[mi] = oldX, oldY
 			}
 		}
 		muO *= mlgKappa
@@ -286,12 +288,12 @@ func Macros(d *netlist.Design, macros []int, opt MLGOptions) MLGResult {
 
 	// Deterministic cleanup: resolve any residual overlap by shoving
 	// pairs apart along the cheaper axis.
-	shoveApart(d, macros, 200)
+	shoveApart(cv, macros, 200)
 
-	res.WAfter = d.HPWL()
+	res.WAfter = cv.HPWL()
 	res.DAfter = 0
 	for _, mi := range macros {
-		res.DAfter += s.coverage(d.Cells[mi].Rect())
+		res.DAfter += s.coverage(cv.Rect(mi))
 	}
 	res.OmAfter = s.totalMacroOverlap()
 	res.Legal = res.OmAfter <= 1e-6
@@ -309,32 +311,25 @@ func FixMacros(d *netlist.Design, macros []int) {
 	}
 }
 
-// rotateMacro turns macro mi by 90 degrees counterclockwise about its
-// center: width and height swap and every pin offset (ox, oy) maps to
-// (-oy, ox). The footprint is re-clamped into the region.
-func rotateMacro(d *netlist.Design, mi int) {
-	c := &d.Cells[mi]
-	c.W, c.H = c.H, c.W
-	for _, pi := range c.Pins {
-		p := &d.Pins[pi]
-		p.Ox, p.Oy = -p.Oy, p.Ox
-	}
-	pt := geom.ClampPoint(geom.Point{X: c.X, Y: c.Y}, c.W, c.H, d.Region)
-	c.X, c.Y = pt.X, pt.Y
+// clampInto places macro mi at (x, y), clamped so that its footprint
+// stays inside the region.
+func clampInto(cv *netlist.Compiled, mi int, x, y float64) {
+	p := geom.ClampPoint(geom.Point{X: x, Y: y}, cv.CellW[mi], cv.CellH[mi], cv.Design().Region)
+	cv.PosX[mi], cv.PosY[mi] = p.X, p.Y
 }
 
 // shoveApart removes residual pairwise macro overlaps by translating
 // the lighter macro of each overlapping pair along the axis needing the
 // smaller shift, clamped to the region. Iterates up to maxPasses.
-func shoveApart(d *netlist.Design, macros []int, maxPasses int) {
+func shoveApart(cv *netlist.Compiled, macros []int, maxPasses int) {
 	for pass := 0; pass < maxPasses; pass++ {
 		moved := false
 		for i := 0; i < len(macros); i++ {
-			ci := &d.Cells[macros[i]]
-			ri := ci.Rect()
+			ci := macros[i]
+			ri := cv.Rect(ci)
 			for j := i + 1; j < len(macros); j++ {
-				cj := &d.Cells[macros[j]]
-				rj := cj.Rect()
+				cj := macros[j]
+				rj := cv.Rect(cj)
 				if !ri.Intersects(rj) {
 					continue
 				}
@@ -342,30 +337,26 @@ func shoveApart(d *netlist.Design, macros []int, maxPasses int) {
 				ox := math.Min(ri.Hx, rj.Hx) - math.Max(ri.Lx, rj.Lx)
 				oy := math.Min(ri.Hy, rj.Hy) - math.Max(ri.Ly, rj.Ly)
 				// Move the smaller macro.
-				mv := cj
-				if ci.Area() < cj.Area() {
-					mv = ci
+				mv, ot := cj, ci
+				if cv.CellW[ci]*cv.CellH[ci] < cv.CellW[cj]*cv.CellH[cj] {
+					mv, ot = ci, cj
 				}
-				ot := ci
-				if mv == ci {
-					ot = cj
-				}
+				x, y := cv.PosX[mv], cv.PosY[mv]
 				if ox <= oy {
-					if mv.X < ot.X {
-						mv.X -= ox
+					if x < cv.PosX[ot] {
+						x -= ox
 					} else {
-						mv.X += ox
+						x += ox
 					}
 				} else {
-					if mv.Y < ot.Y {
-						mv.Y -= oy
+					if y < cv.PosY[ot] {
+						y -= oy
 					} else {
-						mv.Y += oy
+						y += oy
 					}
 				}
-				p := geom.ClampPoint(geom.Point{X: mv.X, Y: mv.Y}, mv.W, mv.H, d.Region)
-				mv.X, mv.Y = p.X, p.Y
-				ri = ci.Rect()
+				clampInto(cv, mv, x, y)
+				ri = cv.Rect(ci)
 				moved = true
 			}
 		}

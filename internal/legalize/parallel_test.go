@@ -39,7 +39,7 @@ func TestCellsWorkersBitwiseIdentical(t *testing.T) {
 	var refTotal, refMax float64
 	for _, w := range []int{1, 2, 7} {
 		d, cells := bigLegalizeDesign(9000, 42)
-		total, max, err := Cells(d, cells, w)
+		total, max, err := cellsOn(d, cells, w)
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
 		}
@@ -91,10 +91,12 @@ func TestAbacusTrialAllocFree(t *testing.T) {
 func TestCellsAllocsIndependentOfCellCount(t *testing.T) {
 	mallocs := func(n int) float64 {
 		d, cells := bigLegalizeDesign(n, 3)
-		gp := slices.Clone(d.Cells)
+		cv := d.Compile()
+		gpX, gpY := slices.Clone(cv.PosX), slices.Clone(cv.PosY)
 		return testing.AllocsPerRun(3, func() {
-			copy(d.Cells, gp)
-			if _, _, err := Cells(d, cells, 1); err != nil {
+			copy(cv.PosX, gpX)
+			copy(cv.PosY, gpY)
+			if _, _, err := Cells(cv, cells, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -110,17 +112,13 @@ func TestCellsAllocsIndependentOfCellCount(t *testing.T) {
 // positions between runs so every iteration legalizes the same input.
 func BenchmarkLegalize(b *testing.B) {
 	d, cells := bigLegalizeDesign(5000, 7)
-	saveX := make([]float64, len(d.Cells))
-	saveY := make([]float64, len(d.Cells))
-	for i := range d.Cells {
-		saveX[i], saveY[i] = d.Cells[i].X, d.Cells[i].Y
-	}
+	cv := d.Compile()
+	saveX, saveY := slices.Clone(cv.PosX), slices.Clone(cv.PosY)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		for i := range d.Cells {
-			d.Cells[i].X, d.Cells[i].Y = saveX[i], saveY[i]
-		}
-		if _, _, err := Cells(d, cells, 1); err != nil {
+		copy(cv.PosX, saveX)
+		copy(cv.PosY, saveY)
+		if _, _, err := Cells(cv, cells, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

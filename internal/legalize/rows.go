@@ -42,14 +42,16 @@ type Segment struct {
 // regardless of the Fixed flag.
 func blocksRows(c *netlist.Cell) bool { return c.Fixed || c.Kind == netlist.Macro }
 
-// FreeSegments computes the obstacle-free intervals of every row for a
-// pass that places cells: every cell not in cells is an obstacle and
-// blocks the rows it crosses, fixed or not, so a caller holds cells by
-// leaving them out. Overlapping obstacles (e.g.
+// FreeSegments computes the obstacle-free intervals of every row of the
+// design cv was compiled from for a pass that places cells: every cell of
+// the design not in cells is an obstacle at its view position and blocks
+// the rows it crosses, fixed or not, so a caller holds cells by leaving
+// them out; fillers are none. Overlapping obstacles (e.g.
 // pads under a macro) are merged. The obstacles are bucketed once by the
 // rows they cross, found through the rows' baselines in ascending order,
 // and the lists are cut to size from one array each.
-func FreeSegments(d *netlist.Design, cells []int) [][]Segment {
+func FreeSegments(cv *netlist.Compiled, cells []int) [][]Segment {
+	d := cv.Design()
 	placed := make([]bool, len(d.Cells))
 	for _, ci := range cells {
 		placed[ci] = true
@@ -76,11 +78,10 @@ func FreeSegments(d *netlist.Design, cells []int) [][]Segment {
 	var obs, next []int32
 	for fill := false; ; fill = true {
 		for i := range d.Cells {
-			c := &d.Cells[i]
 			if placed[i] {
 				continue
 			}
-			r := c.Rect()
+			r := cv.Rect(i)
 			// The run starts a row height early: Y + Height > Ly and
 			// Y > Ly - maxH round differently.
 			k := sort.Search(nr, func(k int) bool { return d.Rows[byY[k]].Y > r.Ly-2*maxH })
@@ -115,7 +116,7 @@ func FreeSegments(d *netlist.Design, cells []int) [][]Segment {
 	for ri, row := range d.Rows {
 		blocks = blocks[:0]
 		for _, ci := range obs[off[ri]:off[ri+1]] {
-			r := d.Cells[ci].Rect()
+			r := cv.Rect(int(ci))
 			blocks = append(blocks, iv{math.Max(r.Lx, row.Lx), math.Min(r.Hx, row.Hx)})
 		}
 		// Blocks of equal lo merge to the same intervals in any order.

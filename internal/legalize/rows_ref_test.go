@@ -130,7 +130,7 @@ func sameVerdict(t *testing.T, what string, d *netlist.Design, cells []int) erro
 	if violationKind(got) != violationKind(want) {
 		t.Errorf("%s: CheckLegal says %v, the all-pairs reference %v", what, got, want)
 	}
-	if !reflect.DeepEqual(FreeSegments(d, cells), freeSegmentsRef(d, cells)) {
+	if !reflect.DeepEqual(FreeSegments(d.Compile(), cells), freeSegmentsRef(d, cells)) {
 		t.Errorf("%s: FreeSegments differs from the per-row scan", what)
 	}
 	return got
@@ -164,7 +164,7 @@ func obstacleDesign(n int, seed int64) (*netlist.Design, []int) {
 			X: 5 + rng.Float64()*150, Y: 2 + rng.Float64()*56,
 		}))
 	}
-	if _, _, err := Cells(d, cells, 1); err != nil {
+	if _, _, err := cellsOn(d, cells, 1); err != nil {
 		panic(err)
 	}
 	return d, cells
@@ -283,7 +283,7 @@ func TestCheckLegalAllocatesLess(t *testing.T) {
 // call: 5000 cells, 60% of them frozen into obstacles.
 func BenchmarkCheckLegal(b *testing.B) {
 	d, cells := bigLegalizeDesign(5000, 5)
-	if _, _, err := Cells(d, cells, 1); err != nil {
+	if _, _, err := cellsOn(d, cells, 1); err != nil {
 		b.Fatal(err)
 	}
 	for k, ci := range cells {

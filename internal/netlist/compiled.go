@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eplace/internal/geom"
 	"eplace/internal/reuse"
@@ -20,13 +21,14 @@ import (
 // Ownership: from Compile on, the view holds the positions of a run. A
 // flow compiles the caller's design once, every stage reads and writes
 // PosX/PosY, and the flow writes the positions back to the Cell structs
-// (Store) when it returns. Only the steps that edit structure as well as
-// positions work on the structs (mLG turns macros, row legalization is
-// struct-based): the flow stores the view before such a step and Syncs
-// it from the structs after. The view alone owns the fillers, the
-// whitespace charge of the global placements (Sec. III): AddFillers
-// appends them after the design's cells, into room CompileFor reserved,
-// and DropFillers removes them, so a Design never holds one.
+// (Store) when it returns; the structs hold the structure (kinds, fixed
+// flags, pins and nets). The one structural edit of a run, mLG's macro
+// turn (Turn), changes the design and the view together, so nothing is
+// ever copied from the structs back into the view. The view alone owns
+// the fillers, the whitespace charge of the global placements
+// (Sec. III): AddFillers appends them after the design's cells, into
+// room CompileFor reserved, and DropFillers removes them, so a Design
+// never holds one.
 //
 // Layout:
 //
@@ -48,13 +50,13 @@ import (
 //     arguments.
 //
 // A Compiled view is NOT safe for concurrent mutation: SetPositions and
-// Sync must not race with readers. The read-only kernels may share it
+// Turn must not race with readers. The read-only kernels may share it
 // freely between evaluations.
 type Compiled struct {
 	d *Design
 
-	// CSR topology, frozen at Compile time; Sync refreshes the pin
-	// offsets, and each filler has an empty CellNetOff range.
+	// CSR topology, frozen at Compile time but for the pin offsets a
+	// Turn rotates; each filler has an empty CellNetOff range.
 	NetOff     []int32
 	PinCell    []int32
 	PinOx      []float64
@@ -71,9 +73,8 @@ type Compiled struct {
 }
 
 // Compile builds the flat view of d as it stands, without fillers and
-// without room for them. The cells, and which pin sits on which cell and
-// net, must not change for the lifetime of the view; everything else a
-// structural step can change is brought up to date by Sync.
+// without room for them. The design's structure must not change for the
+// lifetime of the view but through Turn.
 func (d *Design) Compile() *Compiled { return d.CompileFor(0) }
 
 // CompileFor is Compile with room for fillers entries after the design's
@@ -89,6 +90,8 @@ func (d *Design) CompileFor(fillers int) *Compiled {
 		NetOff:     make([]int32, 1, len(d.Nets)+1),
 		NetW:       make([]float64, len(d.Nets)),
 		PinCell:    make([]int32, 0, len(d.Pins)),
+		PinOx:      make([]float64, 0, len(d.Pins)),
+		PinOy:      make([]float64, 0, len(d.Pins)),
 		CellNetOff: make([]int32, 1, n+fillers+1),
 		CellNet:    make([]int32, 0, len(d.Pins)),
 		PosX:       make([]float64, n, n+fillers),
@@ -98,20 +101,22 @@ func (d *Design) CompileFor(fillers int) *Compiled {
 		Filler:     make([]bool, n, n+fillers),
 	}
 	for ni := range d.Nets {
+		cv.NetW[ni] = d.Nets[ni].EffWeight()
 		for _, pi := range d.Nets[ni].Pins {
-			cv.PinCell = append(cv.PinCell, int32(d.Pins[pi].Cell))
+			p := &d.Pins[pi]
+			cv.PinCell = append(cv.PinCell, int32(p.Cell))
+			cv.PinOx, cv.PinOy = append(cv.PinOx, p.Ox), append(cv.PinOy, p.Oy)
 		}
 		cv.NetOff = append(cv.NetOff, int32(len(cv.PinCell)))
 	}
 	for ci := range d.Cells {
-		for _, pi := range d.Cells[ci].Pins {
+		c := &d.Cells[ci]
+		for _, pi := range c.Pins {
 			cv.CellNet = append(cv.CellNet, int32(d.Pins[pi].Net))
 		}
 		cv.CellNetOff = append(cv.CellNetOff, int32(len(cv.CellNet)))
+		cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci] = c.X, c.Y, c.W, c.H
 	}
-	cv.PinOx = make([]float64, len(cv.PinCell))
-	cv.PinOy = make([]float64, len(cv.PinCell))
-	cv.Sync()
 	return cv
 }
 
@@ -121,25 +126,20 @@ func (cv *Compiled) Design() *Design { return cv.d }
 // NumPinSlots returns the total number of CSR pin slots.
 func (cv *Compiled) NumPinSlots() int { return len(cv.PinCell) }
 
-// Sync refreshes the view from the structs after a step that worked on
-// them (see Ownership): positions and extents of the design's cells, net
-// weights, and pin offsets, which mLG rewrites together with W/H when it
-// turns a macro. The fillers are the view's own and keep their entries.
-// One O(cells + pins) pass that allocates nothing.
-func (cv *Compiled) Sync() {
-	d := cv.d
-	for i := range d.Cells {
-		c := &d.Cells[i]
-		cv.PosX[i], cv.PosY[i] = c.X, c.Y
-		cv.CellW[i], cv.CellH[i] = c.W, c.H
-	}
-	s := 0
-	for ni := range d.Nets {
-		cv.NetW[ni] = d.Nets[ni].EffWeight()
-		for _, pi := range d.Nets[ni].Pins {
-			cv.PinOx[s], cv.PinOy[s] = d.Pins[pi].Ox, d.Pins[pi].Oy
-			s++
-		}
+// Turn rotates cell ci a quarter turn counterclockwise about its
+// center, in the design and in the view together: width and height swap
+// and every pin offset (ox, oy) becomes (-oy, ox), which four turns undo
+// exactly. The position stays. mLG's macro turn (Sec. III's orientation
+// extension) is the one structural edit of a run.
+func (cv *Compiled) Turn(ci int) {
+	c := &cv.d.Cells[ci]
+	c.W, c.H = c.H, c.W
+	cv.CellW[ci], cv.CellH[ci] = c.W, c.H
+	for _, pi := range c.Pins {
+		p := &cv.d.Pins[pi]
+		p.Ox, p.Oy = -p.Oy, p.Ox
+		s := int(cv.NetOff[p.Net]) + slices.Index(cv.d.Nets[p.Net].Pins, pi)
+		cv.PinOx[s], cv.PinOy[s] = p.Ox, p.Oy
 	}
 }
 
@@ -199,7 +199,7 @@ func (cv *Compiled) FixedOrHeldInto(still []bool, held []int) []bool {
 }
 
 // Positions returns the view's centers of the entries idx as a flat
-// {x1..xn, y1..yn} vector, as Design.Positions does for synced cells.
+// {x1..xn, y1..yn} vector, as Design.Positions does for the structs.
 func (cv *Compiled) Positions(idx []int) []float64 {
 	v := make([]float64, 2*len(idx))
 	cv.PositionsInto(idx, v)
@@ -216,8 +216,7 @@ func (cv *Compiled) PositionsInto(idx []int, v []float64) {
 }
 
 // Store writes the view's positions of the design's cells to their Cell
-// structs: the inverse of Sync's position half (the fillers live in the
-// view alone).
+// structs (the fillers live in the view alone).
 func (cv *Compiled) Store() {
 	for i := range cv.d.Cells {
 		c := &cv.d.Cells[i]
@@ -226,7 +225,7 @@ func (cv *Compiled) Store() {
 }
 
 // Rect returns entry ci's bounding box at the view's position, as
-// Cell.Rect does for a synced cell.
+// Cell.Rect does at the struct's.
 func (cv *Compiled) Rect(ci int) geom.Rect {
 	return geom.NewRectCenter(cv.PosX[ci], cv.PosY[ci], cv.CellW[ci], cv.CellH[ci])
 }
@@ -254,7 +253,7 @@ func (cv *Compiled) pinPosSlot(s int) (x, y float64) {
 }
 
 // NetHPWL returns the weighted half-perimeter wirelength of net ni at
-// the view's positions, bit-for-bit identical to Design.NetHPWL at the
+// the view's positions, bit-for-bit identical to Design.netHPWL at the
 // same positions and weights.
 func (cv *Compiled) NetHPWL(ni int) float64 {
 	o0, o1 := int(cv.NetOff[ni]), int(cv.NetOff[ni+1])

@@ -69,54 +69,53 @@ func checkCellNets(t *testing.T, d *Design, cv *Compiled) {
 	}
 }
 
-// TestSyncMatchesFreshCompile is the shared view's staleness guard: after
-// everything a stage boundary does to the structs (moves, a macro turned
-// with its pin offsets, reweighted nets) and to the view's fillers
-// (added, dropped and added again), one Sync must leave every entry of
-// the design's cells equal to a fresh Compile's, and the fillers' where
-// they were.
-func TestSyncMatchesFreshCompile(t *testing.T) {
+// TestTurnMatchesFreshCompile is the shared view's staleness guard: after
+// everything a run does to the view (moves, a macro turned with its pin
+// offsets, fillers added, dropped and added again), the view's entries of
+// the design's cells must equal a fresh Compile of the design with the
+// view's positions, and the fillers must be where they were put.
+func TestTurnMatchesFreshCompile(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDesign(seed)
 		cv := d.Compile()
+		n := len(d.Cells)
 		rng := rand.New(rand.NewSource(seed ^ 0x51ac))
-		fillers := func(n int) {
-			first := cv.AddFillers(n, 1.5, 2)
+		var fx []float64
+		fillers := func(k int) {
+			first := cv.AddFillers(k, 1.5, 2)
 			for ci := first; ci < len(cv.PosX); ci++ {
 				cv.PosX[ci], cv.PosY[ci] = rng.Float64()*100, rng.Float64()*100
 			}
 		}
 		steps := []func(){
 			func() {
-				for i := range d.Cells {
-					d.Cells[i].X, d.Cells[i].Y = rng.Float64()*100, rng.Float64()*100
+				for i := 0; i < n; i++ {
+					cv.PosX[i], cv.PosY[i] = rng.Float64()*100, rng.Float64()*100
 				}
 			},
-			func() { // legalize.rotateMacro
-				c := &d.Cells[rng.Intn(len(d.Cells))]
-				c.W, c.H = c.H, c.W
-				for _, pi := range c.Pins {
-					d.Pins[pi].Ox, d.Pins[pi].Oy = -d.Pins[pi].Oy, d.Pins[pi].Ox
-				}
-			},
-			func() { d.Nets[rng.Intn(len(d.Nets))].Weight = rng.Float64() * 5 },
+			func() { cv.Turn(rng.Intn(n)) },
 			func() { fillers(1 + rng.Intn(40)) },
-			func() { d.Cells[rng.Intn(len(d.Cells))].X = rng.Float64() * 100 },
+			func() { cv.Turn(rng.Intn(n)) },
+			func() { cv.PosX[rng.Intn(n)] = rng.Float64() * 100 },
 			cv.DropFillers,
 			func() { fillers(1 + rng.Intn(80)) },
+			func() { cv.Turn(rng.Intn(n)) },
 			cv.DropFillers,
 		}
-		n := len(d.Cells)
 		for i, step := range steps {
+			fx = slices.Clone(cv.PosX[n:])
 			step()
-			fx := slices.Clone(cv.PosX[n:])
-			cv.Sync()
+			cv.Store()
 			if !reflect.DeepEqual(viewArrays(cellEntries(cv)), viewArrays(d.Compile())) {
 				t.Logf("seed %d: view differs from a fresh compile after step %d", seed, i)
 				return false
 			}
-			if !slices.Equal(cv.PosX[n:], fx) {
-				t.Logf("seed %d: Sync moved the fillers after step %d", seed, i)
+			if len(d.Cells) != n {
+				t.Logf("seed %d: the design has %d cells after step %d, want %d", seed, len(d.Cells), i, n)
+				return false
+			}
+			if len(cv.PosX) == len(fx)+n && !slices.Equal(cv.PosX[n:], fx) {
+				t.Logf("seed %d: the fillers moved in step %d", seed, i)
 				return false
 			}
 			for ci := n; ci < len(cv.PosX); ci++ {
@@ -134,6 +133,24 @@ func TestSyncMatchesFreshCompile(t *testing.T) {
 	}
 }
 
+// TestTurnRoundTrip: four quarter turns restore a cell's extents and pin
+// offsets bit for bit, in the design and in the view, and leave its
+// position alone.
+func TestTurnRoundTrip(t *testing.T) {
+	d := randomDesign(23)
+	cv := d.Compile()
+	want := viewArrays(d.Compile())
+	pins := slices.Clone(d.Pins)
+	for ci := range d.Cells {
+		for k := 0; k < 4; k++ {
+			cv.Turn(ci)
+		}
+	}
+	if !reflect.DeepEqual(viewArrays(cv), want) || !reflect.DeepEqual(d.Pins, pins) {
+		t.Error("four turns of every cell changed the design or its view")
+	}
+}
+
 // cellEntries is cv without its fillers: the entries of the design's
 // cells.
 func cellEntries(cv *Compiled) *Compiled {
@@ -148,27 +165,26 @@ func viewArrays(cv *Compiled) []any {
 		cv.NetW, cv.PosX, cv.PosY, cv.CellW, cv.CellH, cv.Filler}
 }
 
-// TestSyncAllocFree: Sync allocates nothing, and neither do fillers
+// TestTurnAllocFree: Turn allocates nothing, and neither do fillers
 // dropped and added again within the view's capacity.
-func TestSyncAllocFree(t *testing.T) {
+func TestTurnAllocFree(t *testing.T) {
 	d := randomDesign(19)
 	cv := d.Compile()
 	cv.AddFillers(30, 1, 1)
-	cv.Sync()
 	if n := testing.AllocsPerRun(20, func() {
 		cv.DropFillers()
-		cv.Sync()
+		cv.Turn(0)
 		cv.AddFillers(30, 1, 1)
-		cv.Sync()
+		cv.Turn(len(d.Cells) - 1)
 	}); n != 0 {
-		t.Errorf("Sync allocates %v times per run", n)
+		t.Errorf("Turn with fillers dropped and re-added allocates %v times per run", n)
 	}
 }
 
 // TestCompiledHPWLMatchesDesign locks the equivalence the engine relies
 // on: the flat-view HPWL is bit-for-bit the pointer-based Design.HPWL
 // across random designs, both at compile-time positions and after
-// moving cells through either write path.
+// moving the same cells in the view and in the structs.
 func TestCompiledHPWLMatchesDesign(t *testing.T) {
 	f := func(seed int64) bool {
 		d := randomDesign(seed)
@@ -182,14 +198,8 @@ func TestCompiledHPWLMatchesDesign(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Float64() * 100
 		}
-		// SoA write path (the engine's): view moves, structs stale.
 		cv.SetPositions(idx, v)
-		// Struct write path: sync brings the view up to date.
 		d.SetPositions(idx, v)
-		if math.Float64bits(cv.HPWL()) != math.Float64bits(d.HPWL()) {
-			return false
-		}
-		cv.Sync()
 		return math.Float64bits(cv.HPWL()) == math.Float64bits(d.HPWL())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -207,39 +217,6 @@ func TestCompiledHPWLAllocFree(t *testing.T) {
 		t.Errorf("Compiled.HPWL allocates %v times per call", n)
 	}
 	_ = sink
-}
-
-// TestSyncNetWeights checks weight changes propagate through the sync.
-func TestSyncNetWeights(t *testing.T) {
-	d := randomDesign(11)
-	cv := d.Compile()
-	d.Nets[0].Weight = 4.5
-	cv.Sync()
-	if cv.NetW[0] != 4.5 {
-		t.Fatalf("NetW[0] = %v after sync, want 4.5", cv.NetW[0])
-	}
-	if math.Float64bits(cv.HPWL()) != math.Float64bits(d.HPWL()) {
-		t.Fatal("HPWL diverged after weight change + sync")
-	}
-}
-
-// TestSyncGeometryGrowth checks that the fillers a view adds after
-// Compile, at indices past the design's cells, keep their entries
-// through a Sync and leave the design alone.
-func TestSyncGeometryGrowth(t *testing.T) {
-	d := randomDesign(13)
-	cv := d.Compile()
-	n := len(d.Cells)
-	ci := cv.AddFillers(1, 2, 2)
-	cv.PosX[ci] = 9
-	cv.Sync()
-	if ci != n || len(d.Cells) != n {
-		t.Fatalf("filler at %d, design grew to %d cells from %d", ci, len(d.Cells), n)
-	}
-	if cv.PosX[ci] != 9 || !cv.Filler[ci] || cv.CellW[ci] != 2 || cv.CellNetOff[ci+1] != cv.CellNetOff[ci] {
-		t.Fatalf("filler not kept: x=%v filler=%v w=%v nets %d..%d",
-			cv.PosX[ci], cv.Filler[ci], cv.CellW[ci], cv.CellNetOff[ci], cv.CellNetOff[ci+1])
-	}
 }
 
 // TestPositionsInto checks the view's allocation-free gather matches

@@ -210,8 +210,8 @@ func (d *Design) PinPos(pi int) geom.Point {
 	return geom.Point{X: c.X + p.Ox, Y: c.Y + p.Oy}
 }
 
-// NetHPWL returns the half-perimeter wirelength of net ni (weighted).
-func (d *Design) NetHPWL(ni int) float64 {
+// netHPWL returns the half-perimeter wirelength of net ni (weighted).
+func (d *Design) netHPWL(ni int) float64 {
 	n := &d.Nets[ni]
 	if len(n.Pins) < 2 {
 		return 0
@@ -232,7 +232,7 @@ func (d *Design) NetHPWL(ni int) float64 {
 func (d *Design) HPWL() float64 {
 	total := 0.0
 	for ni := range d.Nets {
-		total += d.NetHPWL(ni)
+		total += d.netHPWL(ni)
 	}
 	return total
 }

@@ -37,8 +37,8 @@ func TestHPWL(t *testing.T) {
 	if got := d.HPWL(); !almostEq(got, want) {
 		t.Errorf("HPWL = %v, want %v", got, want)
 	}
-	if got := d.NetHPWL(0); !almostEq(got, 10) {
-		t.Errorf("NetHPWL(0) = %v", got)
+	if got := d.netHPWL(0); !almostEq(got, 10) {
+		t.Errorf("netHPWL(0) = %v", got)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestHPWLSinglePinNet(t *testing.T) {
 	c := d.AddCell(Cell{W: 1, H: 1, X: 5, Y: 5})
 	n := d.AddNet("single", 1)
 	d.Connect(c, n, 0, 0)
-	if got := d.NetHPWL(n); got != 0 {
+	if got := d.netHPWL(n); got != 0 {
 		t.Errorf("single-pin net HPWL = %v, want 0", got)
 	}
 }
