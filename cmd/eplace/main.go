@@ -68,7 +68,6 @@ func run(ctx context.Context) error {
 		workers  = flag.Int("workers", 0, "gradient-kernel workers (0 = all cores, 1 = serial)")
 		gpOnly   = flag.Bool("gp-only", false, "stop after global placement (no legalization)")
 		levels   = flag.Int("levels", 1, "multilevel V-cycle levels (1 = flat, validated to 50K movable cells; >1 clusters the netlist and warm-starts each level)")
-		clCap    = flag.Float64("cluster-cap", 0, "cluster area cap as a multiple of the average std-cell area (0 = default)")
 		heatmap  = flag.String("heatmap", "", "directory for the PGM heatmap of the final layout")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 
@@ -182,7 +181,7 @@ func run(ctx context.Context) error {
 	// Checkpointing and resume: the flow snapshots itself at stage
 	// boundaries (plus every -checkpoint-every GP iterations) and can
 	// continue from latest.ckpt with a bitwise-identical result.
-	flow := core.FlowOptions{GP: gp, SkipLegalization: *gpOnly, Levels: *levels, ClusterCap: *clCap}
+	flow := core.FlowOptions{GP: gp, SkipLegalization: *gpOnly, Levels: *levels}
 	if *resume && *ckptDir == "" {
 		return errors.New("-resume requires -checkpoint-dir")
 	}

@@ -43,8 +43,8 @@ import (
 // rejects any other. 2: State.Golden carries word-folded digests. 3:
 // State carries no per-cell fixed flags. 4: State carries no Poisson
 // solver stamp. 5: nesterov.State carries Alpha, not v_{k-1} and its
-// gradient.
-const FormatVersion = 5
+// gradient. 6: State carries mLG's macro turns.
+const FormatVersion = 6
 
 var magic = [8]byte{'E', 'P', 'L', 'C', 'K', 'P', 'T', 0}
 
@@ -177,6 +177,12 @@ type State struct {
 	// cGP penalty factor; valid from PhasePostMGP on.
 	MGPIterations  int
 	MGPFinalLambda float64
+	// Turns are the quarter turns (0-3, counterclockwise) mLG gave each
+	// movable macro of the input design, in cell-index order; nil when
+	// mLG turned none or has not run. The Fingerprint is of the unturned
+	// design: a resume validates against it, then turns the macros again
+	// (a turn leaves X/Y alone).
+	Turns []uint8
 	// Level is the netlist level the positions belong to in a
 	// multilevel (V-cycle) run: 0 is the finest (the input design),
 	// higher levels are the coarsened designs. A resuming flow rebuilds
@@ -454,36 +460,6 @@ func (m *Manager) Save(s *State) error {
 // Load reads the latest checkpoint.
 func (m *Manager) Load() (*State, error) {
 	return ReadFile(filepath.Join(m.dir, LatestName))
-}
-
-// FinalName is the pinned end-of-run checkpoint written by PinFinal.
-// Later saves replace LatestName but not it, so it is the anchor anything
-// chaining off a completed run resolves against.
-const FinalName = "final.ckpt"
-
-// PinFinal pins the current latest checkpoint as final.ckpt, which later
-// saves do not replace. Call it once when a run completes.
-func (m *Manager) PinFinal() error {
-	s, err := m.Load()
-	if err != nil {
-		return fmt.Errorf("checkpoint: pinning final: %w", err)
-	}
-	return writeFile(filepath.Join(m.dir, FinalName), s)
-}
-
-// LoadFinal reads the pinned final checkpoint, falling back to
-// latest.ckpt when there is none: a run that finished but whose
-// PinFinal failed (the job server logs that failure and carries on)
-// still leaves its end-of-run snapshot there.
-func (m *Manager) LoadFinal() (*State, error) {
-	s, err := ReadFile(filepath.Join(m.dir, FinalName))
-	if err == nil {
-		return s, nil
-	}
-	if os.IsNotExist(err) {
-		return m.Load()
-	}
-	return nil, err
 }
 
 // Validate checks that the snapshot belongs to d (by name and

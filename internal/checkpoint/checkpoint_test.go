@@ -116,22 +116,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // hashes from before the golden digest was redefined, a version-2 one
 // per-cell fixed flags, which a resume of this build does not restore (it
 // fixes mLG's macros again by phase), a version-3 one a Poisson solver
-// stamp and a version-4 one v_{k-1} and its gradient in place of the
-// steplength prediction. All four headers are refused by version before
-// the payload is looked at.
+// stamp, a version-4 one v_{k-1} and its gradient in place of the
+// steplength prediction, and a version-5 one no macro turns, without
+// which a resume places on unturned macros. All five headers are refused
+// by version before the payload is looked at.
 func TestDecodeRefusesOlderVersions(t *testing.T) {
 	data, err := Encode(sampleState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != 5 {
-		t.Fatalf("Encode wrote version %d, want 5", v)
+	if v := binary.LittleEndian.Uint32(data[8:]); v != 6 {
+		t.Fatalf("Encode wrote version %d, want 6", v)
 	}
-	for _, old := range []uint32{1, 2, 3, 4} {
+	for _, old := range []uint32{1, 2, 3, 4, 5} {
 		b := slices.Clone(data)
 		binary.LittleEndian.PutUint32(b[8:], old)
 		_, err = Decode(b)
-		if want := fmt.Sprintf("format version %d, this build reads 5", old); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("format version %d, this build reads 6", old); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Decode of a version-%d header: %v, want an error saying %q", old, err, want)
 		}
 	}
@@ -182,7 +183,7 @@ func TestReadFileRefusesFormat4(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := ReadFile(path)
-	if want := "checkpoint: format version 4, this build reads 5 (file " + path + ")"; err == nil || err.Error() != want {
+	if want := "checkpoint: format version 4, this build reads 6 (file " + path + ")"; err == nil || err.Error() != want {
 		t.Errorf("ReadFile of a format-4 file: %v, want %q", err, want)
 	}
 }

@@ -35,55 +35,3 @@ func TestManagerSweepsOrphanedTemp(t *testing.T) {
 		}
 	}
 }
-
-// TestPinFinalSurvivesLaterSaves: the pinned final checkpoint must
-// outlive later saves replacing latest.ckpt.
-func TestPinFinalSurvivesLaterSaves(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := sampleState()
-	st.Phase = PhaseDone
-	if err := m.Save(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.PinFinal(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Later saves replace latest.
-	later := sampleState()
-	later.Phase = PhaseMGP
-	later.MGPIterations = 99
-	for i := 0; i < 4; i++ {
-		if err := m.Save(later); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got, err := m.LoadFinal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Phase != PhaseDone || got.MGPIterations != st.MGPIterations {
-		t.Fatalf("pinned final lost: phase %q iters %d", got.Phase, got.MGPIterations)
-	}
-	// Without a pinned final, LoadFinal falls back to latest.
-	m2, err := NewManager(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Save(later); err != nil {
-		t.Fatal(err)
-	}
-	got, err = m2.LoadFinal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MGPIterations != 99 {
-		t.Fatalf("fallback to latest failed: %+v", got)
-	}
-}

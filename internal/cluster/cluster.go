@@ -27,21 +27,15 @@ import (
 	"eplace/internal/netlist"
 )
 
-// Options tunes one coarsening level.
-type Options struct {
-	// CapFactor caps a cluster's area at CapFactor times the average
-	// movable standard-cell area (default 16). Larger caps coarsen more
-	// aggressively but hide more detail from the coarse level.
-	CapFactor float64
-}
-
-func (o *Options) defaults() {
-	if o.CapFactor <= 0 {
-		o.CapFactor = 16
-	}
-}
+// Options tunes the clustering. It has no fields: the cluster area cap
+// is the constant capFactor.
+type Options struct{}
 
 const (
+	// capFactor caps a cluster's area at capFactor times the average
+	// movable standard-cell area. Larger caps coarsen more aggressively
+	// but hide more detail from the coarse level.
+	capFactor = 16
 	// reduction is the target fine/coarse ratio of movable standard
 	// cells per level: coarsening stops once the cluster count drops
 	// below movable/reduction.
@@ -140,9 +134,8 @@ func (h *pairHeap) pop() pairEntry {
 
 // coarsener holds the transient state of one best-choice run.
 type coarsener struct {
-	d   *netlist.Design
-	cv  *netlist.Compiled // d's view: the topology scoring reads
-	opt Options
+	d  *netlist.Design
+	cv *netlist.Compiled // d's view: the topology scoring reads
 
 	eligible  []bool    // movable std cells that may merge
 	alive     []bool    // cluster representatives still mergeable
@@ -242,19 +235,16 @@ func (c *coarsener) merge(a, b int32) {
 // from, or returns nil when the design is too small or too loosely
 // connected for a level to pay off (fewer movable std cells than
 // 2*minCells, or best-choice achieved less than a 1.25x reduction).
-// Scoring reads the view's topology and net weights, so the view must
-// describe the design as it stands: freshly compiled, or synced since
-// the last net-weight edit. The level's view is compiled with room for
-// room(coarse design) fillers (nil: none).
-func Coarsen(cv *netlist.Compiled, opt Options, room func(*netlist.Design) int) *Level {
-	opt.defaults()
+// Scoring reads the view's topology and net weights, which the view took
+// from the design when it was compiled. The level's view is compiled
+// with room for room(coarse design) fillers (nil: none).
+func Coarsen(cv *netlist.Compiled, room func(*netlist.Design) int) *Level {
 	fine := cv.Design()
 	n := len(fine.Cells)
 
 	c := &coarsener{
 		d:         fine,
 		cv:        cv,
-		opt:       opt,
 		eligible:  make([]bool, n),
 		alive:     make([]bool, n),
 		version:   make([]uint32, n),
@@ -285,7 +275,7 @@ func Coarsen(cv *netlist.Compiled, opt Options, room func(*netlist.Design) int) 
 		return nil
 	}
 	avgArea /= float64(movableStd)
-	c.cap = opt.CapFactor * avgArea
+	c.cap = capFactor * avgArea
 	c.alive0 = movableStd
 
 	for ni := range c.netConn {

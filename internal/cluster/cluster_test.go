@@ -37,7 +37,7 @@ func membersOf(l *Level) [][]int {
 
 func TestCoarsenPartitionAndArea(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil on a 3000-cell design")
 	}
@@ -120,7 +120,7 @@ func TestCoarsenPartitionAndArea(t *testing.T) {
 // endpoints and weight; nets collapsing inside one cluster vanish.
 func TestCoarsenNetConservation(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -172,7 +172,7 @@ func TestCoarsenNetConservation(t *testing.T) {
 
 func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "tiny", NumCells: 250})
-	if lvl := Coarsen(d.Compile(), Options{}, nil); lvl != nil {
+	if lvl := Coarsen(d.Compile(), nil); lvl != nil {
 		t.Error("Coarsen clustered a design below 2*MinCells")
 	}
 	h := Build(d, 4, Options{})
@@ -185,8 +185,8 @@ func TestCoarsenTooSmallReturnsNil(t *testing.T) {
 // coarsens both: the coarse designs and maps must match bit for bit
 // (the resume path rebuilds hierarchies and relies on this).
 func TestCoarsenDeterministic(t *testing.T) {
-	a := Coarsen(testDesign(t).Compile(), Options{}, nil)
-	b := Coarsen(testDesign(t).Compile(), Options{}, nil)
+	a := Coarsen(testDesign(t).Compile(), nil)
+	b := Coarsen(testDesign(t).Compile(), nil)
 	if a == nil || b == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -230,7 +230,7 @@ func TestBuildHierarchyShrinks(t *testing.T) {
 // fixed cells must not move. The Cell structs take no part.
 func TestInterpolateSeatsMembers(t *testing.T) {
 	d := testDesign(t)
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), nil)
 	if lvl == nil {
 		t.Fatal("Coarsen returned nil")
 	}
@@ -291,10 +291,10 @@ func TestInterpolateSeatsMembers(t *testing.T) {
 // level as a fresh one.
 func TestCoarsenIgnoresViewFillers(t *testing.T) {
 	d := testDesign(t)
-	want := Coarsen(d.Compile(), Options{}, nil)
+	want := Coarsen(d.Compile(), nil)
 	cv := d.Compile()
 	cv.AddFillers(300, 2, 2)
-	got := Coarsen(cv, Options{}, nil)
+	got := Coarsen(cv, nil)
 	if want == nil || got == nil {
 		t.Fatal("no coarse level")
 	}
@@ -404,7 +404,7 @@ func TestBuildAllocs(t *testing.T) {
 // once, at exactly their count.
 func TestCoarsenAllocsCellsOnce(t *testing.T) {
 	d := synth.Generate(synth.Spec{Name: "once", NumCells: 3000})
-	lvl := Coarsen(d.Compile(), Options{}, nil)
+	lvl := Coarsen(d.Compile(), nil)
 	if lvl == nil {
 		t.Fatal("no coarse level")
 	}

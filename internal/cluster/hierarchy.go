@@ -20,8 +20,8 @@ type Hierarchy struct {
 // result depends only on the design's structure — never on cell
 // positions or worker counts — so a resumed process rebuilding the
 // hierarchy from the same input gets the bit-identical stack.
-func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
-	return BuildCompiled(d.Compile(), maxLevels, opt, nil)
+func Build(d *netlist.Design, maxLevels int, _ Options) *Hierarchy {
+	return BuildCompiled(d.Compile(), maxLevels, nil)
 }
 
 // BuildCompiled is Build on the compiled view of the design, for a
@@ -30,10 +30,10 @@ func Build(d *netlist.Design, maxLevels int, opt Options) *Hierarchy {
 // (Level.View), built once when the level is, with room for room(level
 // design) fillers (nil: none). The coarse cells start at the positions
 // cv holds.
-func BuildCompiled(cv *netlist.Compiled, maxLevels int, opt Options, room func(*netlist.Design) int) *Hierarchy {
+func BuildCompiled(cv *netlist.Compiled, maxLevels int, room func(*netlist.Design) int) *Hierarchy {
 	h := &Hierarchy{Designs: []*netlist.Design{cv.Design()}}
 	for k := 1; k < maxLevels; k++ {
-		lvl := Coarsen(cv, opt, room)
+		lvl := Coarsen(cv, room)
 		if lvl == nil {
 			break
 		}

@@ -353,7 +353,8 @@ func areaOf(d *netlist.Design, cells []int) float64 {
 // positions. d keeps its own Fixed flags: a snapshot carries none, so
 // the macros the finished run fixed after mLG stay movable in d, and its
 // fingerprint stays the one chained ECO resumes validate against. Like a
-// .pl warm start it reads positions only.
+// .pl warm start it reads positions only, so a snapshot of a run whose
+// mLG turned macros is refused with a *TurnedMacrosError.
 func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 	if err := st.Validate(d); err != nil {
 		return err
@@ -362,7 +363,24 @@ func WarmStart(d *netlist.Design, st *checkpoint.State) error {
 		return fmt.Errorf("core: snapshot is at phase %q with %d fillers; incremental re-placement needs a finished run (phase %q)",
 			st.Phase, st.NumFillers, checkpoint.PhaseDone)
 	}
+	if len(st.Turns) > 0 {
+		return &TurnedMacrosError{Macros: len(st.Turns)}
+	}
 	return st.RestorePositions(d)
+}
+
+// TurnedMacrosError refuses to warm-start an ECO run from a snapshot
+// that records mLG macro turns (FlowOptions.AllowOrient): its positions
+// belong to turned footprints, and incremental re-placement does not
+// turn macros.
+type TurnedMacrosError struct {
+	// Macros is the number of movable macros the snapshot records turns
+	// for.
+	Macros int
+}
+
+func (e *TurnedMacrosError) Error() string {
+	return fmt.Sprintf("core: snapshot records mLG turns of its %d movable macros; incremental re-placement of turned macros is not supported", e.Macros)
 }
 
 // optimalCoord returns the point nearest the cell's view position pos[ci]

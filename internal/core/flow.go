@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"eplace/internal/checkpoint"
@@ -34,9 +35,6 @@ type FlowOptions struct {
 	// places flat. Clustering stops early on designs too small to pay
 	// off, in which case the flow is identical to a flat run.
 	Levels int
-	// ClusterCap caps a cluster's area at this multiple of the average
-	// movable standard-cell area (0 = the cluster package default).
-	ClusterCap float64
 
 	// Checkpoint, when non-nil, persists a crash-safe snapshot at every
 	// stage boundary — and, with GP.CheckpointEvery > 0, every N GP
@@ -396,6 +394,7 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 			res.MLG = legalize.Macros(r.cv, r.movMacros, legalize.MLGOptions{
 				Seed: mlgSeed, AllowOrient: opt.AllowOrient, Telemetry: r.rec,
 			})
+			r.turns = res.MLG.Turns
 			r.golden.Absorb("mLG", 0, r.cv.Positions(r.movMacros), r.cv.HPWL(), 0)
 			r.addStage("mLG", time.Since(t0))
 			if !res.MLG.Legal {
@@ -474,7 +473,8 @@ func PlaceContext(ctx context.Context, d *netlist.Design, opt FlowOptions) (Flow
 // (checkpoint.State.RestoreView). A mid-stage one's vectors must fit
 // the cells its stage (phase ph) moves: the level's movable ones at
 // phMGP, the standard cells at phCGP, and the fillers. A run resumed
-// past mLG fixes the macros again.
+// past mLG turns the macros mLG turned again, in the design and the view
+// (a turn leaves positions alone), and fixes the macros again.
 func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []int, ph int, mid bool, movable int) error {
 	ld := cv.Design()
 	base := len(ld.Cells)
@@ -494,10 +494,21 @@ func (r *flowRun) resume(rs *checkpoint.State, cv *netlist.Compiled, fillers []i
 			return err
 		}
 	}
+	past := rs.Level == 0 && ph > phMLG
+	if len(rs.Turns) > 0 && (!past || len(rs.Turns) != len(r.movMacros) || slices.Max(rs.Turns) > 3) {
+		return fmt.Errorf("core: snapshot at phase %q turns %d macros (0-3 quarter turns each), the design has %d movable macros past mLG",
+			rs.Phase, len(rs.Turns), len(r.movMacros))
+	}
 	if err := rs.RestoreView(cv); err != nil {
 		return err
 	}
-	if rs.Level == 0 && ph > phMLG {
+	for k, q := range rs.Turns {
+		for ; q > 0; q-- {
+			cv.Turn(r.movMacros[k])
+		}
+	}
+	r.turns = rs.Turns
+	if past {
 		legalize.FixMacros(ld, r.movMacros)
 	}
 	return nil

@@ -28,7 +28,7 @@ func buildHierarchy(cv *netlist.Compiled, opt *FlowOptions, room func(*netlist.D
 	if opt.Levels <= 1 {
 		return nil
 	}
-	h := cluster.BuildCompiled(cv, opt.Levels, cluster.Options{CapFactor: opt.ClusterCap}, room)
+	h := cluster.BuildCompiled(cv, opt.Levels, room)
 	if h.Depth() <= 1 {
 		return nil
 	}

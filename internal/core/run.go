@@ -103,6 +103,9 @@ type flowRun struct {
 	// fixes the macros it legalizes.
 	movable, stdCells, movMacros []int
 	mixedSize                    bool
+	// turns are the quarter turns mLG gave movMacros, which every
+	// snapshot from mLG on carries (nil: none).
+	turns []uint8
 
 	// eng is the run's GP workspace: every GP stage resets it (see
 	// engine.reset), so the stages of one placement share its memory. A
@@ -164,6 +167,7 @@ func (r *flowRun) snapshot(phase string, level int, cv *netlist.Compiled) *check
 		MixedSize:      r.mixedSize,
 		MGPIterations:  r.mgp.Iterations,
 		MGPFinalLambda: r.mgp.FinalLambda,
+		Turns:          r.turns,
 		Level:          level,
 		Golden:         r.golden.State(),
 	}

@@ -56,6 +56,44 @@ func TestTelemetryDoesNotPerturbPlacement(t *testing.T) {
 	}
 }
 
+// TestSinklessRecorderTakesNoSamples: a recorder made without a sink,
+// as a caller that reads span totals alone passes one, takes no sample
+// from any stage of a mixed-size flow (mIP, mGP, mLG, cGP, cDP) and
+// still records their spans; a recorder with a Trace takes samples from
+// every stage that iterates.
+func TestSinklessRecorderTakesNoSamples(t *testing.T) {
+	place := func(rec *telemetry.Recorder) {
+		d := synth.Generate(detSpecs()[2])
+		opt := detFlowOpts(1)
+		opt.GP.Telemetry = rec
+		if _, err := Place(d, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stages := []string{"mIP", "mGP", "mLG", "cGP", "cDP"}
+	rec := telemetry.New()
+	place(rec)
+	if n := rec.Snapshot().Samples; n != 0 {
+		t.Errorf("a recorder without sinks took %d samples", n)
+	}
+	for _, st := range stages {
+		if rec.SpanTime(st, "") <= 0 {
+			t.Errorf("a recorder without sinks has no %s span", st)
+		}
+	}
+	tr := &Trace{}
+	traced := telemetry.New(tr)
+	place(traced)
+	for _, st := range []string{"mIP", "mGP", "cGP", "cDP"} { // mLG samples its outer iterations, here none
+		if len(tr.Stage(st)) == 0 {
+			t.Errorf("the trace has no %s sample", st)
+		}
+	}
+	if n := traced.Snapshot().Samples; n != int64(len(tr.Samples)) || n == 0 {
+		t.Errorf("a recorder with a trace counted %d samples, the trace holds %d", n, len(tr.Samples))
+	}
+}
+
 // TestFlowRecordsStageAndKernelSpans checks that a full flow populates
 // the ordered stage list and the per-kernel span aggregates the Fig. 7
 // breakdown is derived from.

@@ -208,7 +208,7 @@ func Cells(cv *netlist.Compiled, cells []int, workers int) (total, max float64, 
 	// collapse). Rows are disjoint, so the fixup parallelizes cleanly.
 	parallel.For(nw, len(rows), func(_, lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			fixupRow(cv, &d.Rows[ri], rows[ri], st)
+			fixupRow(cv, &cv.Design().Rows[ri], rows[ri], st)
 		}
 	})
 	return total, max, nil

@@ -42,6 +42,9 @@ type MLGResult struct {
 	OuterIterations            int
 	Moves, Accepted            int
 	Legal                      bool
+	// Turns holds each macro's quarter turns (0-3, counterclockwise) in
+	// the order Macros was given them; nil when no turn was accepted.
+	Turns []uint8
 }
 
 // mlgState evaluates f_mLG = W + muD*D + muO*Om incrementally. It is
@@ -265,6 +268,12 @@ func Macros(cv *netlist.Compiled, macros []int, opt MLGOptions) MLGResult {
 				s.D += newD - oldD
 				s.dCov[mk] = newD
 				s.Om += newOv - oldOv
+				if rotated {
+					if res.Turns == nil {
+						res.Turns = make([]uint8, len(macros))
+					}
+					res.Turns[mk] = (res.Turns[mk] + 1) % 4
+				}
 			} else {
 				if rotated {
 					// Three more quarter turns restore the original

@@ -12,10 +12,9 @@ import (
 )
 
 // TestServerECOChain covers the checkpoint-expiry bugfix end to end: an
-// ECO job chains off a completed job's pinned final checkpoint, the
-// chain keeps working when latest.ckpt is gone (only the pin survives
-// pruning), an ECO job can itself parent another ECO job, and a parent
-// whose checkpoints are gone entirely is rejected with the typed
+// ECO job chains off a completed job's end-of-run checkpoint
+// (latest.ckpt), an ECO job can itself parent another ECO job, and a
+// parent whose checkpoints are gone is rejected with the typed
 // ErrCheckpointExpired instead of an inconsistent 404.
 func TestServerECOChain(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 1, WorkersPerJob: 1, Dir: t.TempDir()})
@@ -36,14 +35,6 @@ func TestServerECOChain(t *testing.T) {
 		t.Fatalf("parent ended %s: %s", pst.State, pst.Error)
 	}
 	ckptDir := filepath.Join(s.JobDir(parent.ID), "ckpt")
-	if _, err := os.Stat(filepath.Join(ckptDir, checkpoint.FinalName)); err != nil {
-		t.Fatalf("completed job has no pinned final checkpoint: %v", err)
-	}
-
-	// Simulate history/latest erosion: only the pinned final remains.
-	if err := os.Remove(filepath.Join(ckptDir, checkpoint.LatestName)); err != nil {
-		t.Fatal(err)
-	}
 
 	child, err := s.Submit(JobSpec{ECO: &ECOSpec{
 		FromJob: parent.ID,
@@ -133,7 +124,7 @@ func TestServerECOIgnoresBackendStamp(t *testing.T) {
 	if pst := waitJob(t, s, parent.ID, "done", terminal); pst.State != StateDone {
 		t.Fatalf("parent ended %s: %s", pst.State, pst.Error)
 	}
-	final := filepath.Join(s.JobDir(parent.ID), "ckpt", checkpoint.FinalName)
+	final := filepath.Join(s.JobDir(parent.ID), "ckpt", checkpoint.LatestName)
 	st, err := checkpoint.ReadFile(final)
 	if err != nil {
 		t.Fatal(err)

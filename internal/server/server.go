@@ -95,7 +95,7 @@ type JobSpec struct {
 	Files map[string]string `json:"files,omitempty"`
 	Aux   string            `json:"aux,omitempty"`
 	// ECO chains an incremental re-placement off a completed job's
-	// pinned final checkpoint instead of naming a design source.
+	// end-of-run checkpoint instead of naming a design source.
 	ECO *ECOSpec `json:"eco,omitempty"`
 
 	// Priority orders the queue; higher runs first and may preempt
@@ -725,16 +725,12 @@ func buildDesignFrom(spec JobSpec, dir string) (*netlist.Design, error) {
 	return d, d.Validate()
 }
 
-// hasFinalCheckpoint reports whether a job directory still holds a
-// loadable end-of-run checkpoint: the pinned final, or latest for a
-// finished job whose PinFinal failed (runJob logs that and carries on).
+// hasFinalCheckpoint reports whether a job directory still holds its
+// end-of-run checkpoint: a finished job's latest.ckpt is its done
+// snapshot, and nothing writes the directory again.
 func hasFinalCheckpoint(jobDir string) bool {
-	for _, name := range []string{checkpoint.FinalName, checkpoint.LatestName} {
-		if _, err := os.Stat(filepath.Join(jobDir, "ckpt", name)); err == nil {
-			return true
-		}
-	}
-	return false
+	_, err := os.Stat(filepath.Join(jobDir, "ckpt", checkpoint.LatestName))
+	return err == nil
 }
 
 // runJob executes one run segment: build the design, optionally load
@@ -826,11 +822,6 @@ func (s *Server) runJob(j *job, ctx context.Context, cancel context.CancelCauseF
 		} else {
 			result = j.finish(d, res, total)
 		}
-		// Pin the end-of-run checkpoint so history pruning can never
-		// strand an ECO chain off this job.
-		if perr := j.mgr.PinFinal(); perr != nil {
-			s.logf("%s pin final checkpoint: %v", j.id, perr)
-		}
 	}
 
 	s.mu.Lock()
@@ -908,7 +899,7 @@ func (j *job) complete(r *JobResult, d *netlist.Design, placer string, stages []
 }
 
 // runECO executes an incremental re-placement segment: load the
-// parent's pinned final checkpoint, warm-start d (the rebuilt parent
+// parent's end-of-run checkpoint, warm-start d (the rebuilt parent
 // design) from it, apply this job's edit script, and re-place only the
 // affected cells.
 func (j *job) runECO(ctx context.Context, d *netlist.Design, rec *telemetry.Recorder, workers int) (core.ECOResult, error) {
@@ -916,7 +907,7 @@ func (j *job) runECO(ctx context.Context, d *netlist.Design, rec *telemetry.Reco
 	if err != nil {
 		return core.ECOResult{}, err
 	}
-	st, err := pmgr.LoadFinal()
+	st, err := pmgr.Load()
 	if err != nil {
 		return core.ECOResult{}, fmt.Errorf("%w: loading parent checkpoint: %v", ErrCheckpointExpired, err)
 	}

@@ -96,14 +96,14 @@ func TestServeStatusBadAddr(t *testing.T) {
 func TestStatusServesLatestRecorder(t *testing.T) {
 	// Publishing expvar twice must not panic, and the var must follow
 	// the most recent recorder.
-	r1 := New()
+	r1 := New(NewRingSink(1))
 	r1.Sample(Sample{Stage: "old"})
 	s1, err := ServeStatus("127.0.0.1:0", r1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()
-	r2 := New()
+	r2 := New(NewRingSink(1))
 	r2.Sample(Sample{Stage: "new"})
 	s2, err := ServeStatus("127.0.0.1:0", r2, nil)
 	if err != nil {

@@ -123,6 +123,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	start   time.Time
 	sinks   []Sink
+	sampled bool // New was given a sink: Active
 	workers int
 
 	stage   string
@@ -138,22 +139,23 @@ type Recorder struct {
 }
 
 // New creates a Recorder fanning out to sinks (none is valid: the
-// recorder then only aggregates spans and counters, which is how the
-// engine derives its timing breakdown when telemetry is off).
+// recorder then only aggregates spans and counters and takes no samples,
+// which is how a caller reads a run's timing breakdown alone).
 func New(sinks ...Sink) *Recorder {
 	return &Recorder{
 		start:    time.Now(),
 		sinks:    sinks,
+		sampled:  len(sinks) > 0,
 		spans:    map[spanKey]*spanAgg{},
 		counters: map[string]int64{},
 	}
 }
 
-// Active reports whether r records anything (false for nil). Use it to
-// gate instrumentation whose inputs are expensive to compute (an extra
-// HPWL evaluation, say); cheap reads can call the nil-safe methods
-// unconditionally.
-func (r *Recorder) Active() bool { return r != nil }
+// Active reports whether r takes samples: whether it was created with a
+// sink (false for nil). Use it to gate what only a Sample reads and is
+// expensive to compute (an extra HPWL evaluation, gradient norms);
+// spans and counters are recorded either way.
+func (r *Recorder) Active() bool { return r != nil && r.sampled }
 
 // SetWorkers records the gradient-kernel worker count for snapshots.
 func (r *Recorder) SetWorkers(n int) {
@@ -165,9 +167,10 @@ func (r *Recorder) SetWorkers(n int) {
 	r.mu.Unlock()
 }
 
-// Sample records one per-iteration sample and forwards it to sinks.
+// Sample records one per-iteration sample and forwards it to sinks; a
+// recorder that is not Active takes none.
 func (r *Recorder) Sample(s Sample) {
-	if r == nil {
+	if !r.Active() {
 		return
 	}
 	r.mu.Lock()

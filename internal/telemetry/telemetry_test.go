@@ -61,6 +61,28 @@ func BenchmarkNoopRecorderSample(b *testing.B) {
 	}
 }
 
+// TestRecorderWithoutSinksTakesNoSamples: a recorder made without a
+// sink is not Active and drops samples, and still aggregates spans and
+// counters; one with a sink takes them.
+func TestRecorderWithoutSinksTakesNoSamples(t *testing.T) {
+	r := New()
+	r.Sample(Sample{Stage: "mGP", Iteration: 3})
+	r.AddSpanTime("mGP", "density", time.Second)
+	r.Count("x", 2)
+	if r.Active() {
+		t.Error("a recorder without sinks reports Active")
+	}
+	if snap := r.Snapshot(); snap.Samples != 0 || r.SpanTime("mGP", "density") != time.Second || len(snap.Counters) != 1 {
+		t.Errorf("without sinks: snapshot %+v, density span %v; want no sample, the span and the counter", snap, r.SpanTime("mGP", "density"))
+	}
+	ring := NewRingSink(4)
+	r = New(ring)
+	r.Sample(Sample{Stage: "mGP", Iteration: 3})
+	if !r.Active() || r.Snapshot().Samples != 1 || len(ring.Samples()) != 1 {
+		t.Error("a recorder with a sink takes no sample")
+	}
+}
+
 func BenchmarkRecorderSampleNoSinks(b *testing.B) {
 	r := New()
 	s := Sample{Stage: "mGP", HPWL: 1e6}
@@ -265,7 +287,7 @@ func TestRecorderFansOutToEverySink(t *testing.T) {
 }
 
 func TestSpanAggregationOrderAndSnapshot(t *testing.T) {
-	r := New()
+	r := New(NewRingSink(1))
 	r.SetWorkers(8)
 	r.EmitSpan("mIP", "", 2*time.Second)
 	r.AddSpanTime("mGP", "wirelength", time.Second)
